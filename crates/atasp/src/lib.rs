@@ -25,9 +25,8 @@
 //! planes of a [`particles::PlaneSet`] travel together in one partner-ordered
 //! byte exchange ([`resort_planes`] / [`ResortPlan::execute_planes`]),
 //! regardless of how many fields of how many element types ride along. The
-//! per-`T` entry points ([`resort`], [`resort_all`],
-//! [`ResortPlan::execute`]) are thin wrappers that stage their channels as
-//! planes and delegate. Combined with the message-buffer pool
+//! per-`T` entry points ([`resort`], [`ResortPlan::execute`]) are thin
+//! wrappers that stage their channels as planes and delegate. Combined with the message-buffer pool
 //! ([`simcomm::Comm::buf_acquire`]) the steady-state neighbourhood resort
 //! performs zero per-step heap allocation.
 
@@ -215,71 +214,10 @@ pub fn resort<T: PlaneElem>(
     new_len: usize,
     mode: &ExchangeMode,
 ) -> Vec<T> {
-    #[allow(deprecated)]
-    resort_all(comm, &[data], resort_indices, new_len, mode)
+    ResortPlan::build(comm, resort_indices, new_len, mode)
+        .execute(comm, &[data])
         .pop()
-        .expect("resort_all returns one vector per channel")
-}
-
-/// Redistribute several same-length data channels according to one set of
-/// resort indices in a **single** combined exchange round, and place every
-/// element of every channel at its target position (see [`resort`]).
-///
-/// This is the multi-field fast path for solvers that carry positions,
-/// velocities and accelerations through the same redistribution: instead of
-/// paying per-message overhead (and a full collective round) once per field,
-/// all `channels.len()` fields of an element travel in one message. Elements
-/// whose resort index is [`GHOST_INDEX`] are duplicates the solver created
-/// and are dropped rather than routed.
-///
-/// Since the byte-plane rework this function **delegates to the type-erased
-/// byte path**: the channels are staged as planes of a temporary
-/// [`PlaneSet`] and moved by [`ResortPlan::execute_planes`], which is why
-/// the element type must implement [`PlaneElem`] (padding-free, any bit
-/// pattern valid — true for all the float/int/[`particles::Vec3`] channel
-/// types the coupling interface resorts). Callers that redistribute every
-/// step should hold a persistent [`PlaneSet`] and call [`resort_planes`]
-/// directly: it reuses the set's slabs and the rank's message-buffer pool,
-/// while this wrapper pays a staging copy per call.
-///
-/// Returns one output vector per input channel, each of length `new_len`.
-/// Collective.
-///
-/// ```
-/// use simcomm::{run, MachineModel};
-/// use atasp::{encode_index, resort_all, ExchangeMode, GHOST_INDEX};
-///
-/// let out = run(2, MachineModel::ideal(), |comm| {
-///     let me = comm.rank();
-///     let dst = 1 - me;
-///     // Two fields ride one exchange; the last element is a ghost copy and
-///     // vanishes instead of being routed.
-///     let pos = [(me * 10) as f64, (me * 10 + 1) as f64, -1.0];
-///     let vel = [(me * 10) as f64 + 0.5, (me * 10 + 1) as f64 + 0.5, -1.0];
-///     let ix = [encode_index(dst, 0), encode_index(dst, 1), GHOST_INDEX];
-///     let mut got = resort_all(comm, &[&pos, &vel], &ix, 2, &ExchangeMode::Collective);
-///     let vel_out = got.pop().unwrap();
-///     let pos_out = got.pop().unwrap();
-///     (pos_out, vel_out)
-/// });
-/// assert_eq!(out.results[0].0, vec![10.0, 11.0]);
-/// assert_eq!(out.results[1].1, vec![0.5, 1.5]);
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use `resort_planes` with a persistent `PlaneSet` — it moves all \
-            registered planes through the same single exchange round without \
-            the per-call staging copy"
-)]
-pub fn resort_all<T: PlaneElem>(
-    comm: &mut Comm,
-    channels: &[&[T]],
-    resort_indices: &[u64],
-    new_len: usize,
-    mode: &ExchangeMode,
-) -> Vec<Vec<T>> {
-    #[allow(deprecated)]
-    ResortPlan::build(comm, resort_indices, new_len, mode).execute(comm, channels)
+        .expect("one channel in, one channel out")
 }
 
 /// Redistribute **every registered plane** of `set` according to
@@ -292,8 +230,8 @@ pub fn resort_all<T: PlaneElem>(
 /// its target rank through pool-backed byte buffers, and all planes flip to
 /// the received data atomically via [`PlaneSet::commit`]. Semantics
 /// (placement by target position, ghost dropping, collectivity) are exactly
-/// those of [`resort_all`]; results are bitwise identical to per-field
-/// resorts of the same data.
+/// those of [`resort`]; results are bitwise identical to per-field resorts
+/// of the same data.
 ///
 /// `plan` is the caller's plan cache: when it already matches
 /// (`ResortPlan::matches`) the indices/`new_len`/`mode` triple, the frozen
@@ -332,7 +270,8 @@ fn fingerprint(indices: &[u64]) -> u64 {
 }
 
 /// A frozen redistribution schedule built from one set of resort indices:
-/// the plan half of the plan/execute split for [`resort`] / [`resort_all`].
+/// the plan half of the plan/execute split for [`resort`] /
+/// [`resort_planes`].
 ///
 /// [`ResortPlan::build`] decodes the indices **once** — which input elements
 /// are live (non-ghost), which target rank each goes to, the target position
@@ -345,7 +284,7 @@ fn fingerprint(indices: &[u64]) -> u64 {
 /// redistribution does not.
 ///
 /// Executing a plan on every rank is a collective operation with the same
-/// requirements as [`resort_all`]; ranks may rebuild their plans in different
+/// requirements as [`resort`]; ranks may rebuild their plans in different
 /// steps (the exchange contents are identical either way).
 #[derive(Clone, Debug)]
 pub struct ResortPlan {
@@ -427,21 +366,16 @@ impl ResortPlan {
             && self.ix_fingerprint == fingerprint(resort_indices)
     }
 
-    /// Move typed channels through the frozen schedule. Since the byte-plane
-    /// rework this is a compatibility wrapper: the channels are staged as
-    /// planes of a temporary [`PlaneSet`] and moved by
+    /// Move typed channels through the frozen schedule — the staging step
+    /// behind the paper's `fcs_resort_floats` / `fcs_resort_ints`: the
+    /// channels become planes of a temporary [`PlaneSet`] and are moved by
     /// [`ResortPlan::execute_planes`] — one combined exchange round, ghosts
     /// dropped, every record placed at its target position. Callers on the
     /// per-timestep hot path should hold a persistent `PlaneSet` instead and
     /// skip the staging copies.
     ///
-    /// Identical results to [`resort_all`] with the indices the plan was
-    /// built from; only the index decode/grouping work is skipped. Collective.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `ResortPlan::execute_planes` with a persistent `PlaneSet` \
-                to avoid the per-call staging copy"
-    )]
+    /// Identical results to [`resort`] with the indices the plan was built
+    /// from; only the index decode/grouping work is skipped. Collective.
     pub fn execute<T: PlaneElem>(&self, comm: &mut Comm, channels: &[&[T]]) -> Vec<Vec<T>> {
         let k = channels.len();
         assert!(k > 0, "resort plan execution needs at least one channel");
@@ -733,7 +667,6 @@ pub fn build_resort_indices_with(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the per-`T` wrappers stay under test as references
 mod tests {
     use super::*;
     use particles::Vec3;
@@ -1002,12 +935,12 @@ mod tests {
     }
 
     #[test]
-    fn resort_all_uses_one_exchange_round() {
-        use simcomm::{run_traced, TraceKind};
+    fn multi_channel_execute_uses_one_exchange_round() {
+        use simcomm::{Runner, TraceKind};
         // One combined exchange for three fields versus one exchange per
         // field, verified by counting redistribution rounds in the trace.
         let trace_rounds = |combined: bool| {
-            let out = run_traced(4, MachineModel::ideal(), move |comm| {
+            let out = Runner::default().traced(true).run(4, MachineModel::ideal(), move |comm| {
                 let me = comm.rank();
                 let dst = (me + 1) % 4;
                 let n = 5usize;
@@ -1016,7 +949,8 @@ mod tests {
                 let c: Vec<u64> = a.iter().map(|x| x + 2).collect();
                 let ix: Vec<u64> = (0..n).map(|i| encode_index(dst, i)).collect();
                 if combined {
-                    let _ = resort_all(comm, &[&a, &b, &c], &ix, n, &ExchangeMode::Collective);
+                    let plan = ResortPlan::build(comm, &ix, n, &ExchangeMode::Collective);
+                    let _ = plan.execute(comm, &[&a, &b, &c]);
                 } else {
                     for ch in [&a, &b, &c] {
                         let _ = resort(comm, ch, &ix, n, &ExchangeMode::Collective);
@@ -1038,7 +972,7 @@ mod tests {
     }
 
     #[test]
-    fn resort_all_matches_per_field_resorts_with_ghosts() {
+    fn multi_channel_execute_matches_per_field_resorts_with_ghosts() {
         fn splitmix(mut x: u64) -> u64 {
             x = x.wrapping_add(0x9e3779b97f4a7c15);
             let mut z = x;
@@ -1076,7 +1010,8 @@ mod tests {
                 (0..n + n_ghost).map(|i| splitmix((me * 7919 + i) as u64 ^ salt)).collect()
             };
             let (a, b, c) = (field(1), field(2), field(3));
-            let combined = resort_all(comm, &[&a, &b, &c], &ix, new_len, &ExchangeMode::Collective);
+            let combined = ResortPlan::build(comm, &ix, new_len, &ExchangeMode::Collective)
+                .execute(comm, &[&a, &b, &c]);
             let per_field: Vec<Vec<u64>> = [&a, &b, &c]
                 .into_iter()
                 .map(|ch| resort(comm, ch, &ix, new_len, &ExchangeMode::Collective))
@@ -1099,8 +1034,8 @@ mod tests {
         }
         // Property: as long as the resort indices are unchanged, executing a
         // *cached* plan with fresh payload is bitwise identical to a fresh
-        // `build()` + `execute()` (i.e. to `resort_all`), over several
-        // "timesteps" of randomized payload, ghosts included.
+        // `build()` + `execute()`, over several "timesteps" of randomized
+        // payload, ghosts included.
         let n = 32usize;
         let out = run(5, MachineModel::ideal(), move |comm| {
             let me = comm.rank();
@@ -1133,7 +1068,8 @@ mod tests {
                 };
                 let (a, b) = (field(1), field(2));
                 let cached = plan.execute(comm, &[&a, &b]);
-                let fresh = resort_all(comm, &[&a, &b], &ix, new_len, &ExchangeMode::Collective);
+                let fresh = ResortPlan::build(comm, &ix, new_len, &ExchangeMode::Collective)
+                    .execute(comm, &[&a, &b]);
                 agree &= cached == fresh;
             }
             // Any change to the indices must invalidate the plan.
@@ -1154,8 +1090,8 @@ mod tests {
 
     #[test]
     fn resort_plan_counts_builds_and_execs() {
-        use simcomm::run_traced;
-        let out = run_traced(3, MachineModel::ideal(), |comm| {
+        use simcomm::Runner;
+        let out = Runner::default().traced(true).run(3, MachineModel::ideal(), |comm| {
             let me = comm.rank();
             let dst = (me + 1) % 3;
             let n = 4usize;
@@ -1182,7 +1118,7 @@ mod tests {
 
     /// Bitwise property: `resort_planes` over mixed-stride planes (f32 /
     /// Vec3 / u64 / f64, with ghost rows) is identical to both the typed
-    /// pre-byte-plane reference and per-field `resort_all`, across repeated
+    /// pre-byte-plane reference and per-field `resort`, across repeated
     /// plan-cache reuse steps with fresh payload.
     #[test]
     fn resort_planes_bitwise_matches_typed_reference_mixed_strides() {
@@ -1245,9 +1181,9 @@ mod tests {
     /// the same data pay one round per field — verified from the trace.
     #[test]
     fn resort_planes_uses_one_exchange_round_for_heterogeneous_planes() {
-        use simcomm::{run_traced, TraceKind};
+        use simcomm::{Runner, TraceKind};
         let rounds = |combined: bool| {
-            let out = run_traced(4, MachineModel::ideal(), move |comm| {
+            let out = Runner::default().traced(true).run(4, MachineModel::ideal(), move |comm| {
                 let me = comm.rank();
                 let dst = (me + 1) % 4;
                 let n = 5usize;

@@ -13,16 +13,15 @@
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{banner, fmt_secs, record_run, report_summary, RunReport, TimelineSink};
 use particles::systems::splitmix64;
-use simcomm::{CartGrid, Engine, MachineModel, Runner};
+use simcomm::{CartGrid, MachineModel, Runner};
 
 fn sort_ablation(
     per_rank: usize,
-    engine: Engine,
     analyze: bool,
     report: &mut RunReport,
     timeline: &mut TimelineSink,
 ) {
-    let runner = Runner::new(engine).traced(analyze);
+    let runner = Runner::default().traced(analyze);
     println!("\n[1] partition-based vs merge-based parallel sort ({per_rank} keys/rank)");
     println!(
         "{:<8} {:<14} {:>14} {:>14} {:>10}",
@@ -73,14 +72,8 @@ fn sort_ablation(
     println!("(the paper's heuristic picks merge-exchange only for almost-sorted data)");
 }
 
-fn comm_ablation(
-    bytes: usize,
-    engine: Engine,
-    analyze: bool,
-    report: &mut RunReport,
-    timeline: &mut TimelineSink,
-) {
-    let runner = Runner::new(engine).traced(analyze);
+fn comm_ablation(bytes: usize, analyze: bool, report: &mut RunReport, timeline: &mut TimelineSink) {
+    let runner = Runner::default().traced(analyze);
     println!("\n[2] collective vs neighbourhood exchange (26 partners, {bytes} B each)");
     println!(
         "{:<10} {:<22} {:>14} {:>14} {:>10}",
@@ -123,13 +116,8 @@ fn comm_ablation(
     println!("(the torus flips to p2p at scale — the paper's Fig. 9 right crossover)");
 }
 
-fn ghost_ablation(
-    engine: Engine,
-    analyze: bool,
-    report: &mut RunReport,
-    timeline: &mut TimelineSink,
-) {
-    let runner = Runner::new(engine).traced(analyze);
+fn ghost_ablation(analyze: bool, report: &mut RunReport, timeline: &mut TimelineSink) {
+    let runner = Runner::default().traced(analyze);
     println!("\n[3] ghost-layer volume vs cutoff radius (particle-mesh solver)");
     println!("{:<10} {:>12} {:>14} {:>14}", "rcut", "ghosts", "sort time", "near pairs");
     let c = particles::IonicCrystal::cubic(12, 1.0, 0.15, 3);
@@ -180,7 +168,6 @@ fn main() {
     );
     let keys: usize = cli.get("keys", 2000);
     let bytes: usize = cli.get("bytes", 4096);
-    let engine = cli.engine(Engine::Threaded);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
     banner(
@@ -188,12 +175,11 @@ fn main() {
         "sorting algorithm switch, exchange-mode switch, ghost-layer width",
     );
     let mut report = RunReport::new("ablation", "mixed");
-    report.param("engine", engine.name());
     report.param("keys", keys);
     report.param("bytes", bytes);
-    sort_ablation(keys, engine, analyze, &mut report, &mut timeline);
-    comm_ablation(bytes, engine, analyze, &mut report, &mut timeline);
-    ghost_ablation(engine, analyze, &mut report, &mut timeline);
+    sort_ablation(keys, analyze, &mut report, &mut timeline);
+    comm_ablation(bytes, analyze, &mut report, &mut timeline);
+    ghost_ablation(analyze, &mut report, &mut timeline);
     timeline.finish();
     report_summary(&report.write("ablation"), &report);
 }

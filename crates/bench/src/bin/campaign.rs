@@ -6,8 +6,7 @@
 //! 27 configurations:
 //!
 //! * **fig8-style MD runs** — both machine models x both solvers x both
-//!   redistribution methods, alternating the threaded and discrete-event
-//!   engines.
+//!   redistribution methods.
 //! * **plancache runs** — the movement-exploiting P2NFFT path with the
 //!   exchange-plan cache on and off.
 //! * **chaos runs** — the same MD workload under [`simcomm::FaultPlan::chaos`]
@@ -15,7 +14,7 @@
 //! * **straggler runs** — a 4x compute straggler on rank 0, which slows a
 //!   run in *virtual* time but completes normally.
 //! * **injected failures** — one config whose world panics on every attempt
-//!   (`fault/panic`) and one that hangs a receive until the wall-clock
+//!   (`fault/panic`) and one that stalls in host time until the wall-clock
 //!   deadline retires it (`fault/hang`). Both exhaust their retry budget and
 //!   become typed failure records in the report; the campaign never aborts.
 //! * **flaky runs** — `flaky/retry` fails its first attempt with an injected
@@ -35,8 +34,7 @@
 //! campaign — CI enforces this with `cmp`.
 //!
 //! Writes `BENCH_campaign.json` (run-report schema, one entry per completed
-//! run, `failed:<name>` params for the failure records) next to a
-//! `results/campaign_report.json` copy.
+//! run, `failed:<name>` params for the failure records).
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -49,7 +47,7 @@ use fcs::SolverKind;
 use mdsim::io::Snapshot;
 use mdsim::{simulate, simulate_from, SimConfig};
 use particles::{local_set, InitialDistribution, IonicCrystal};
-use simcomm::{CartGrid, Engine, FaultPlan, MachineModel, Runner, WorldError};
+use simcomm::{CartGrid, FaultPlan, MachineModel, Runner, WorldError};
 
 /// Short machine label ("juropa-like") for run names.
 fn short_name(model: &MachineModel) -> &str {
@@ -61,7 +59,6 @@ fn short_name(model: &MachineModel) -> &str {
 #[derive(Clone)]
 struct MdSpec {
     model: MachineModel,
-    engine: Engine,
     procs: usize,
     cfg: SimConfig,
     fault: Option<FaultPlan>,
@@ -73,8 +70,8 @@ enum Kind {
     Md(MdSpec),
     /// A world whose rank 2 panics on every attempt (terminal failure).
     Panic,
-    /// A world that hangs a receive; the wall-clock deadline retires it on
-    /// every attempt (terminal failure).
+    /// A world that stalls in host time; the wall-clock deadline retires it
+    /// on every attempt (terminal failure).
     Hang {
         /// Per-attempt wall-clock limit handed to `Runner::deadline`.
         deadline: Duration,
@@ -91,7 +88,6 @@ enum Kind {
 fn md_payload(spec: &MdSpec, crystal: &IonicCrystal) -> Result<String, WorldError> {
     let (_recs, _rms, _recoveries, entry) = bench::try_run_md_world(
         spec.model.clone(),
-        spec.engine,
         spec.procs,
         crystal,
         InitialDistribution::Grid,
@@ -106,8 +102,8 @@ fn md_payload(spec: &MdSpec, crystal: &IonicCrystal) -> Result<String, WorldErro
 /// fault used by the `fault/panic` and `flaky/retry` configs. Always returns
 /// the typed [`WorldError::RankPanic`].
 fn panicking_world(rank: usize, message: &'static str) -> WorldError {
-    let res: Result<simcomm::RunOutput<()>, WorldError> = Runner::new(Engine::DiscreteEvent)
-        .try_run(4, MachineModel::ideal(), move |comm| {
+    let res: Result<simcomm::RunOutput<()>, WorldError> =
+        Runner::default().try_run(4, MachineModel::ideal(), move |comm| {
             if comm.rank() == rank {
                 panic!("{message}");
             }
@@ -119,15 +115,14 @@ fn panicking_world(rank: usize, message: &'static str) -> WorldError {
     }
 }
 
-/// The `fault/hang` world: rank 1 blocks on a receive that is never sent;
-/// only the deadline watchdog can retire it.
+/// The `fault/hang` world: every rank sleeps and synchronizes for ever — a
+/// host-time stall with virtual time advancing, so there is no deadlock to
+/// detect and only the deadline watchdog can retire it.
 fn hung_world(deadline: Duration) -> WorldError {
-    let res: Result<simcomm::RunOutput<()>, WorldError> = Runner::new(Engine::Threaded)
-        .deadline(Some(deadline))
-        .try_run(2, MachineModel::ideal(), |comm| {
-            if comm.rank() == 1 {
-                let _: Vec<u8> = comm.recv(0, 99); // never sent
-            }
+    let res: Result<simcomm::RunOutput<()>, WorldError> =
+        Runner::default().deadline(Some(deadline)).try_run(2, MachineModel::ideal(), |comm| loop {
+            std::thread::sleep(Duration::from_millis(2));
+            comm.barrier();
         });
     match res {
         Ok(_) => unreachable!("the hung world must be retired by the deadline"),
@@ -151,7 +146,7 @@ fn checkpoint_run(
     let dir = ctx.dir.clone();
     let crystal = crystal.clone();
     let cfg_with = |steps: usize| SimConfig { steps, ..spec.cfg.clone() };
-    let runner = Runner::new(spec.engine);
+    let runner = Runner::default();
     if ctx.attempt == 1 {
         let cfg_half = cfg_with(half);
         let res: Result<simcomm::RunOutput<()>, WorldError> =
@@ -215,24 +210,13 @@ fn build_runs(
         runs.push(RunDef { name, config: Kind::Md(spec) });
     };
 
-    // fig8 family: model x solver x method, engines alternating so the sweep
-    // exercises both runtimes.
-    let mut idx = 0usize;
+    // fig8 family: model x solver x method.
     for model in &models {
         for (solver, tag) in [(SolverKind::Fmm, "fmm"), (SolverKind::P2Nfft, "p2nfft")] {
             for (resort, method) in [(false, "a"), (true, "b")] {
-                let engine =
-                    if idx.is_multiple_of(2) { Engine::Threaded } else { Engine::DiscreteEvent };
-                idx += 1;
                 md(
                     format!("fig8/{}/{tag}-{method}", short_name(model)),
-                    MdSpec {
-                        model: model.clone(),
-                        engine,
-                        procs,
-                        cfg: base(solver, resort),
-                        fault: None,
-                    },
+                    MdSpec { model: model.clone(), procs, cfg: base(solver, resort), fault: None },
                 );
             }
         }
@@ -252,7 +236,7 @@ fn build_runs(
                     short_name(model),
                     if cache { "on" } else { "off" }
                 ),
-                MdSpec { model: model.clone(), engine: Engine::Threaded, procs, cfg, fault: None },
+                MdSpec { model: model.clone(), procs, cfg, fault: None },
             );
         }
     }
@@ -264,13 +248,7 @@ fn build_runs(
             let cfg = SimConfig { exploit_movement: true, ..base(SolverKind::P2Nfft, true) };
             md(
                 format!("chaos/{}/i{intensity}", short_name(model)),
-                MdSpec {
-                    model: model.clone(),
-                    engine: Engine::Threaded,
-                    procs,
-                    cfg,
-                    fault: Some(plan),
-                },
+                MdSpec { model: model.clone(), procs, cfg, fault: Some(plan) },
             );
         }
     }
@@ -284,7 +262,6 @@ fn build_runs(
             format!("straggler/{}", short_name(model)),
             MdSpec {
                 model: model.clone(),
-                engine: Engine::Threaded,
                 procs,
                 cfg: base(SolverKind::Fmm, true),
                 fault: Some(plan),
@@ -292,13 +269,12 @@ fn build_runs(
         );
     }
 
-    // wide family: double the rank count on the discrete-event engine.
+    // wide family: double the rank count.
     for model in &models {
         md(
             format!("wide/{}", short_name(model)),
             MdSpec {
                 model: model.clone(),
-                engine: Engine::DiscreteEvent,
                 procs: procs * 2,
                 cfg: base(SolverKind::P2Nfft, true),
                 fault: None,
@@ -312,13 +288,8 @@ fn build_runs(
 
     // Flaky pair: the retried run must be bitwise identical to its
     // never-faulted twin.
-    let twin = MdSpec {
-        model: models[0].clone(),
-        engine: Engine::Threaded,
-        procs,
-        cfg: base(SolverKind::Fmm, true),
-        fault: None,
-    };
+    let twin =
+        MdSpec { model: models[0].clone(), procs, cfg: base(SolverKind::Fmm, true), fault: None };
     runs.push(RunDef { name: "flaky/retry".into(), config: Kind::FlakyRetry(twin.clone()) });
     runs.push(RunDef { name: "clean/retry-twin".into(), config: Kind::Md(twin) });
 
@@ -327,7 +298,6 @@ fn build_runs(
         name: "flaky/checkpoint".into(),
         config: Kind::Checkpoint(MdSpec {
             model: models[0].clone(),
-            engine: Engine::Threaded,
             procs: 4,
             cfg: SimConfig { steps: steps.max(2) * 2, ..base(SolverKind::P2Nfft, true) },
             fault: None,
@@ -527,6 +497,5 @@ fn main() {
         outcome.executed,
         failures.len()
     );
-    println!("wrote {out_path}");
-    report_summary(&report.write("campaign"), &report);
+    report_summary(out_path.as_ref(), &report);
 }

@@ -26,7 +26,7 @@
 //! double redistribution, never a corrupted or hung run).
 //!
 //! Writes `BENCH_chaos.json` (the run-report schema, including the per-rank
-//! fault counters) next to a `results/chaos_report.json` copy.
+//! fault counters).
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{banner, fmt_secs, report_summary, RunReport};
@@ -60,7 +60,6 @@ fn main() {
     let tolerance: f64 = cli.get("tolerance", 1e-2);
     let seed: u64 = cli.get("seed", 11);
     let jitter: f64 = cli.get("jitter", 0.15);
-    let engine = cli.engine(simcomm::Engine::Threaded);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
     let intensities = [0.0, 0.25, 0.5, 1.0];
@@ -78,7 +77,6 @@ fn main() {
     );
 
     let mut report = RunReport::new("chaos", "mixed");
-    report.param("engine", engine.name());
     report.param("cells", cells);
     report.param("procs", procs);
     report.param("steps", steps);
@@ -113,7 +111,6 @@ fn main() {
         // Clean reference: the trajectory every faulted variant must match.
         let (clean_recs, _, clean_entry, clean_traces) = bench::run_md_world_analyzed(
             model.clone(),
-            engine,
             procs,
             &crystal,
             InitialDistribution::Grid,
@@ -129,7 +126,6 @@ fn main() {
             let (guarded_recs, recoveries, guarded_entry, guarded_traces) =
                 bench::run_md_world_faulted_analyzed(
                     model.clone(),
-                    engine,
                     procs,
                     &crystal,
                     InitialDistribution::Grid,
@@ -140,7 +136,6 @@ fn main() {
             let (general_recs, _, general_entry, general_traces) =
                 bench::run_md_world_faulted_analyzed(
                     model.clone(),
-                    engine,
                     procs,
                     &crystal,
                     InitialDistribution::Grid,
@@ -199,7 +194,7 @@ fn main() {
 
     let json = report.to_json().pretty();
     std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("\nwrote BENCH_chaos.json");
+    println!();
     timeline.finish();
-    report_summary(&report.write("chaos"), &report);
+    report_summary("BENCH_chaos.json".as_ref(), &report);
 }

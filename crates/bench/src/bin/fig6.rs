@@ -38,7 +38,6 @@ fn main() {
     let procs: usize = cli.get("procs", 256);
     let tolerance: f64 = cli.get("tolerance", 1e-3);
     let seed: u64 = cli.get("seed", 1);
-    let engine = cli.engine(simcomm::Engine::Threaded);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
 
@@ -62,7 +61,6 @@ fn main() {
         "solver", "distribution", "total", "sort", "restore"
     );
     let mut report = RunReport::new("fig6", "juropa_like");
-    report.param("engine", engine.name());
     report.param("cells", cells);
     report.param("procs", procs);
     report.param("tolerance", tolerance);
@@ -76,7 +74,6 @@ fn main() {
                 SimConfig { solver, resort: false, steps: 0, tolerance, ..SimConfig::default() };
             let (records, _, entry, traces) = bench::run_md_world_analyzed(
                 MachineModel::juropa_like(),
-                engine,
                 procs,
                 &crystal,
                 dist,

@@ -38,7 +38,6 @@ fn main() {
     let tolerance: f64 = cli.get("tolerance", 1e-2);
     let steps: usize = cli.get("steps", 8);
     let seed: u64 = cli.get("seed", 1);
-    let engine = cli.engine(simcomm::Engine::Threaded);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
 
@@ -55,7 +54,6 @@ fn main() {
     let _ = aggregate_steps; // (re-exported for doc discoverability)
 
     let mut report = RunReport::new("fig7", "juropa_like");
-    report.param("engine", engine.name());
     report.param("cells", cells);
     report.param("procs", procs);
     report.param("tolerance", tolerance);
@@ -72,7 +70,6 @@ fn main() {
             let cfg = SimConfig { solver, resort, steps, tolerance, dt, ..SimConfig::default() };
             let (records, _, entry, traces) = bench::run_md_world_analyzed(
                 MachineModel::juropa_like(),
-                engine,
                 procs,
                 &crystal,
                 InitialDistribution::Random,

@@ -45,7 +45,6 @@ fn main() {
     let every: usize = cli.get("every", (steps / 20).max(1));
 
     let jitter: f64 = cli.get("jitter", 0.15);
-    let engine = cli.engine(simcomm::Engine::Threaded);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
     let mut crystal = IonicCrystal::paper_like(cells, seed);
@@ -62,7 +61,6 @@ fn main() {
 
     let mut selftime = Selftime::start();
     let mut report = RunReport::new("fig8", "juropa_like");
-    report.param("engine", engine.name());
     report.param("cells", cells);
     report.param("procs", procs);
     report.param("tolerance", tolerance);
@@ -88,7 +86,6 @@ fn main() {
             };
             bench::run_md_world_analyzed(
                 MachineModel::juropa_like(),
-                engine,
                 procs,
                 &crystal,
                 InitialDistribution::Grid,

@@ -59,10 +59,6 @@ fn main() {
         "grid" => InitialDistribution::Grid,
         other => cli.fail(format!("--dist must be 'random' or 'grid', got '{other}'")),
     };
-    // The right panel reaches 16384 ranks — the discrete-event engine
-    // (`--engine discrete`) is the practical choice there; see the `scale`
-    // harness for the dedicated crossover sweep.
-    let engine = cli.engine(simcomm::Engine::Threaded);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
 
@@ -79,7 +75,6 @@ fn main() {
     );
 
     let mut report = RunReport::new("fig9", "mixed");
-    report.param("engine", engine.name());
     report.param("cells", cells);
     report.param("tolerance", tolerance);
     report.param("steps", steps);
@@ -119,15 +114,8 @@ fn main() {
                     pencil_fft: cli.flag("pencil"),
                     ..SimConfig::default()
                 };
-                let (records, _, entry, traces) = bench::run_md_world_analyzed(
-                    model.clone(),
-                    engine,
-                    p,
-                    &crystal,
-                    dist,
-                    &cfg,
-                    analyze,
-                );
+                let (records, _, entry, traces) =
+                    bench::run_md_world_analyzed(model.clone(), p, &crystal, dist, &cfg, analyze);
                 timeline.push(format!("{solver:?}/p={p}/{method}"), traces);
                 report.push(format!("{solver:?}/p={p}/{method}"), entry);
                 // Total simulation runtime: sum of all solver executions

@@ -27,10 +27,9 @@
 //! positive skin margin to absorb particle movement.
 //!
 //! Writes `BENCH_plancache.json` (the run-report schema) at the repository
-//! root next to a `results/plancache_report.json` copy, and fails loudly if
-//! a planned run is slower than its unplanned baseline on either machine
-//! model, or if the planned neighbourhood exchange wins less than 5 % on
-//! the torus (JUQUEEN-like) model.
+//! root, and fails loudly if a planned run is slower than its unplanned
+//! baseline on either machine model, or if the planned neighbourhood
+//! exchange wins less than 5 % on the torus (JUQUEEN-like) model.
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{
@@ -66,7 +65,6 @@ fn ghost_payload(me: usize, elems: usize) -> Vec<Ghost> {
 #[allow(clippy::too_many_arguments)]
 fn neighborhood_workloads(
     model: &MachineModel,
-    engine: simcomm::Engine,
     procs: usize,
     elems: usize,
     steps: usize,
@@ -74,7 +72,7 @@ fn neighborhood_workloads(
     report: &mut RunReport,
     timeline: &mut TimelineSink,
 ) -> (f64, f64) {
-    let runner = Runner::new(engine).traced(analyze);
+    let runner = Runner::default().traced(analyze);
     let bytes_out = |n_partners: usize| (n_partners * elems * std::mem::size_of::<Ghost>()) as f64;
     let planned = runner.run(procs, model.clone(), move |comm: &mut Comm| {
         let partners = CartGrid::balanced(procs).neighbors26(comm.rank());
@@ -135,7 +133,6 @@ fn main() {
     let seed: u64 = cli.get("seed", 1);
     let jitter: f64 = cli.get("jitter", 0.15);
     let elems: usize = cli.get("elems", 500);
-    let engine = cli.engine(simcomm::Engine::Threaded);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
 
@@ -154,7 +151,6 @@ fn main() {
 
     let mut selftime = Selftime::start();
     let mut report = RunReport::new("plancache", "mixed");
-    report.param("engine", engine.name());
     report.param("cells", cells);
     report.param("procs", procs);
     report.param("steps", steps);
@@ -184,7 +180,6 @@ fn main() {
             };
             bench::run_md_world_analyzed(
                 model.clone(),
-                engine,
                 procs,
                 &crystal,
                 InitialDistribution::Grid,
@@ -244,7 +239,6 @@ fn main() {
         // --- Neighbourhood ghost exchange ---
         let (n_planned, n_unplanned) = neighborhood_workloads(
             &model,
-            engine,
             procs,
             elems,
             steps,
@@ -285,7 +279,7 @@ fn main() {
     // must not touch the allocator at all — `commstats --check
     // --alloc-budget steady-resort=0` holds the line in CI.
     let probe_steps = 64u64;
-    let probe = Runner::new(simcomm::Engine::Threaded).run(1, MachineModel::ideal(), move |comm| {
+    let probe = Runner::default().run(1, MachineModel::ideal(), move |comm| {
         let n = 2048usize;
         let mut set = PlaneSet::new();
         let vel = set.register::<Vec3>("vel");
@@ -347,6 +341,6 @@ fn main() {
     timeline.finish();
     let json = report.to_json().pretty();
     std::fs::write("BENCH_plancache.json", &json).expect("write BENCH_plancache.json");
-    println!("\nwrote BENCH_plancache.json");
-    report_summary(&report.write("plancache"), &report);
+    println!();
+    report_summary("BENCH_plancache.json".as_ref(), &report);
 }

@@ -17,15 +17,14 @@
 //!   [`atasp::resort_planes`] over a three-plane [`particles::PlaneSet`]).
 //!
 //! Writes `BENCH_redistribution.json` (the run-report schema) at the
-//! repository root next to a `results/redistribution_report.json` copy, and
-//! fails loudly if the nonblocking exchange is slower than the blocking one
-//! on either machine model.
+//! repository root, and fails loudly if the nonblocking exchange is slower
+//! than the blocking one on either machine model.
 
 use atasp::{encode_index, resort, resort_planes, ExchangeMode};
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{banner, fmt_secs, record_run, RunReport, TimelineSink};
 use particles::PlaneSet;
-use simcomm::{Comm, Engine, MachineModel, Runner};
+use simcomm::{Comm, MachineModel, Runner};
 
 /// Short machine label ("juropa-like") for run labels and table rows.
 fn short_name(model: &MachineModel) -> &str {
@@ -46,14 +45,13 @@ fn ring_partners(comm: &Comm, reach: usize) -> Vec<usize> {
 #[allow(clippy::too_many_arguments)]
 fn exchange_workloads(
     model: &MachineModel,
-    engine: Engine,
     procs: usize,
     bytes: usize,
     analyze: bool,
     report: &mut RunReport,
     timeline: &mut TimelineSink,
 ) -> (f64, f64) {
-    let runner = Runner::new(engine).traced(analyze);
+    let runner = Runner::default().traced(analyze);
     let payloads = |partners: &[usize]| -> Vec<(usize, Vec<u8>)> {
         partners.iter().map(|&q| (q, vec![0u8; bytes])).collect()
     };
@@ -86,14 +84,13 @@ fn exchange_workloads(
 #[allow(clippy::too_many_arguments)]
 fn resort_workloads(
     model: &MachineModel,
-    engine: Engine,
     procs: usize,
     elems: usize,
     analyze: bool,
     report: &mut RunReport,
     timeline: &mut TimelineSink,
 ) -> (f64, f64) {
-    let runner = Runner::new(engine).traced(analyze);
+    let runner = Runner::default().traced(analyze);
     // Rotate every rank's block of elements to the next rank, positions
     // reversed — a valid global permutation exercising the full path.
     let indices = |comm: &Comm| -> Vec<u64> {
@@ -152,7 +149,6 @@ fn main() {
     let procs: usize = cli.get("procs", 64);
     let bytes: usize = cli.get("bytes", 4096);
     let elems: usize = cli.get("elems", 2000);
-    let engine = cli.engine(Engine::Threaded);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
     banner(
@@ -164,28 +160,26 @@ fn main() {
     );
 
     let mut report = RunReport::new("redistribution", "mixed");
-    report.param("engine", engine.name());
     report.param("procs", procs);
     report.param("bytes", bytes);
     report.param("elems", elems);
 
     for model in [MachineModel::juropa_like(), MachineModel::juqueen_like()] {
         let (blocking, nonblocking) =
-            exchange_workloads(&model, engine, procs, bytes, analyze, &mut report, &mut timeline);
+            exchange_workloads(&model, procs, bytes, analyze, &mut report, &mut timeline);
         assert!(
             nonblocking <= blocking * (1.0 + 1e-9),
             "{}: nonblocking neighbour exchange ({nonblocking} s) must not be \
              slower than the blocking baseline ({blocking} s)",
             model.name
         );
-        resort_workloads(&model, engine, procs, elems, analyze, &mut report, &mut timeline);
+        resort_workloads(&model, procs, elems, analyze, &mut report, &mut timeline);
     }
 
     timeline.finish();
     let json = report.to_json().pretty();
     std::fs::write("BENCH_redistribution.json", &json).expect("write BENCH_redistribution.json");
-    let path = report.write("redistribution");
-    println!("\nwrote BENCH_redistribution.json and {}", path.display());
+    println!("\nwrote BENCH_redistribution.json");
     println!(
         "accounting max error: {:.1e} s (run `commstats --check --report \
          BENCH_redistribution.json` to verify)",

@@ -1,5 +1,5 @@
 //! Scale sweep: the paper's Fig. 9 exchange crossover at paper-scale process
-//! counts, driven by the discrete-event engine.
+//! counts.
 //!
 //! For each machine model and each process count the same fig9-style stencil
 //! workload runs twice: every rank ships a fixed boundary payload to its 26
@@ -12,25 +12,17 @@
 //! effect that makes Method B + movement the winning series in Fig. 9's
 //! right panel.
 //!
-//! The default process list reaches 4096 ranks. That is far beyond what the
-//! thread-per-rank runner can host (one OS thread per rank), which is why
-//! this harness defaults to `--engine discrete`: the discrete-event engine
-//! multiplexes every rank onto a virtual-clock event queue and runs the
-//! 4096-rank sweep in seconds. The two engines are bit-for-bit equivalent —
-//! at every process count not above `--eq-procs` (default 64) this harness
-//! re-runs the identical workload under the threaded engine and asserts that
-//! the per-rank clocks (compared via `f64::to_bits`) and the per-rank
-//! traffic statistics are identical, so CI exercises the equivalence
-//! contract on every committed configuration.
+//! The default process list reaches 4096 ranks: the scheduler multiplexes
+//! every rank onto a virtual-clock event queue with targeted wakeups and runs
+//! the 4096-rank sweep in seconds.
 //!
 //! Writes `BENCH_scale.json` (the run-report schema) at the repository root
-//! next to a `results/scale_report.json` copy and a `results/scale.csv`
-//! table, and fails loudly if the torus crossover is absent at the largest
-//! process count or if any engine-equivalence check trips.
+//! next to a `results/scale.csv` table, and fails loudly if the torus
+//! crossover is absent at the largest process count.
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{banner, fmt_secs, report_summary, write_csv, RunEntry, RunReport};
-use simcomm::{CartGrid, Comm, Engine, MachineModel, RunOutput, Runner, Work};
+use simcomm::{CartGrid, Comm, MachineModel, RunOutput, Runner, Work};
 
 /// Short machine label ("juropa-like") for run labels and table rows.
 fn short_name(model: &MachineModel) -> &str {
@@ -53,9 +45,7 @@ enum Series {
 
 /// One fig9-style stencil run: `steps` rounds of a 26-neighbour boundary
 /// exchange of `bytes`-sized payloads, through the chosen primitive.
-#[allow(clippy::too_many_arguments)]
 fn stencil(
-    engine: Engine,
     series: Series,
     procs: usize,
     bytes: usize,
@@ -63,7 +53,7 @@ fn stencil(
     model: &MachineModel,
     traced: bool,
 ) -> RunOutput<u64> {
-    Runner::new(engine).traced(traced).run(procs, model.clone(), move |comm: &mut Comm| {
+    Runner::default().traced(traced).run(procs, model.clone(), move |comm: &mut Comm| {
         let partners = CartGrid::balanced(procs).neighbors26(comm.rank());
         let mut received = 0u64;
         for _ in 0..steps {
@@ -84,20 +74,6 @@ fn stencil(
     })
 }
 
-/// Assert the two engines produced bit-for-bit identical worlds: same rank
-/// results, same final clocks (compared as raw bits), same traffic counters.
-fn assert_engines_agree(threaded: &RunOutput<u64>, discrete: &RunOutput<u64>, what: &str) {
-    assert_eq!(threaded.results, discrete.results, "{what}: rank results diverged");
-    for (rank, (t, d)) in threaded.clocks.iter().zip(&discrete.clocks).enumerate() {
-        assert_eq!(
-            t.to_bits(),
-            d.to_bits(),
-            "{what}: rank {rank} clock diverged (threaded {t:.12e}, discrete {d:.12e})"
-        );
-    }
-    assert_eq!(threaded.stats, discrete.stats, "{what}: rank statistics diverged");
-}
-
 fn main() {
     let cli = Cli::parse(
         "scale",
@@ -106,40 +82,25 @@ fn main() {
             Opt::new("procs", "P1,P2,...", "process counts to sweep (default 64,256,1024,4096)"),
             Opt::new("bytes", "B", "payload bytes per message (default 4096)"),
             Opt::new("steps", "N", "exchange steps per run (default 4)"),
-            Opt::new("eq-procs", "P", "largest count cross-checked against the threaded engine"),
         ],
         OBS_OPTS,
     );
     let procs_list = cli.list("procs", &[64, 256, 1024, 4096]);
     let bytes: usize = cli.get("bytes", 4096);
     let steps: usize = cli.get("steps", 4);
-    // Largest process count at which the threaded engine is also run and the
-    // two engines' outputs are compared bit for bit.
-    let eq_procs: usize = cli.get("eq-procs", 64);
-    let engine = cli.engine(Engine::DiscreteEvent);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
 
     banner(
         "Scale sweep — alltoallv vs neighbourhood p2p crossover at paper scale",
-        &format!(
-            "procs {procs_list:?}, 26-partner stencil of {bytes} B payloads, \
-             {steps} steps, engine {}; threaded-equivalence checked up to \
-             {eq_procs} ranks",
-            engine.name()
-        ),
+        &format!("procs {procs_list:?}, 26-partner stencil of {bytes} B payloads, {steps} steps"),
     );
 
     let mut report = RunReport::new("scale", "mixed");
-    report.param("engine", engine.name());
     report.param("bytes", bytes);
     report.param("steps", steps);
-    report.param("eq_procs", eq_procs);
 
-    println!(
-        "{:<14} {:<8} {:>14} {:>14} {:>10} {:>9}",
-        "machine", "procs", "alltoallv", "p2p", "winner", "eq-check"
-    );
+    println!("{:<14} {:<8} {:>14} {:>14} {:>10}", "machine", "procs", "alltoallv", "p2p", "winner");
     let mut rows = Vec::new();
     let mut torus_crossover = false;
     for (mi, model) in
@@ -148,20 +109,11 @@ fn main() {
         let name = short_name(&model);
         for &p in &procs_list {
             let mut makespans = [0.0f64; 2];
-            let checked = p <= eq_procs;
             for (si, series) in [Series::Alltoallv, Series::Neighbor].into_iter().enumerate() {
-                let out = stencil(engine, series, p, bytes, steps, &model, analyze);
-                if checked {
-                    let other = match engine {
-                        Engine::Threaded => Engine::DiscreteEvent,
-                        Engine::DiscreteEvent => Engine::Threaded,
-                    };
-                    let reference = stencil(other, series, p, bytes, steps, &model, analyze);
-                    assert_engines_agree(&reference, &out, name);
-                }
+                let out = stencil(series, p, bytes, steps, &model, analyze);
                 let label = if series == Series::Alltoallv { "alltoallv" } else { "p2p" };
                 let mut entry = RunEntry::from_run(&out);
-                if !out.traces.is_empty() {
+                if analyze {
                     bench::attach_analysis(&mut entry, &out.traces);
                 }
                 // Keep the emitted report a sane size at paper-scale rank
@@ -180,11 +132,10 @@ fn main() {
                 torus_crossover = true;
             }
             println!(
-                "{name:<14} {p:<8} {:>14} {:>14} {:>10} {:>9}",
+                "{name:<14} {p:<8} {:>14} {:>14} {:>10}",
                 fmt_secs(coll),
                 fmt_secs(p2p),
-                if coll <= p2p { "coll" } else { "p2p" },
-                if checked { "ok" } else { "-" }
+                if coll <= p2p { "coll" } else { "p2p" }
             );
             rows.push(vec![mi as f64, p as f64, coll, p2p]);
         }
@@ -202,7 +153,7 @@ fn main() {
     let json = report.to_json().pretty();
     std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
     let csv = write_csv("scale", "machine,procs,alltoallv,p2p", &rows);
-    println!("\nwrote BENCH_scale.json and {}", csv.display());
+    println!("\nwrote {}", csv.display());
     println!("(machine: 0 = juropa-like/switched, 1 = juqueen-like/torus)");
-    report_summary(&report.write("scale"), &report);
+    report_summary("BENCH_scale.json".as_ref(), &report);
 }

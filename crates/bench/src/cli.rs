@@ -8,8 +8,8 @@
 //! - `--help` prints a generated usage text and exits 0;
 //! - any usage error (unknown option, bad value) prints a one-line error
 //!   plus the usage text on **stderr** and exits **2** — no panic backtrace;
-//! - the common observability options (`--engine`, `--analyze`,
-//!   `--perfetto`) are declared once ([`OBS_OPTS`]) and parsed uniformly.
+//! - the common observability options (`--analyze`, `--perfetto`) are
+//!   declared once ([`OBS_OPTS`]) and parsed uniformly.
 //!
 //! ```no_run
 //! use bench::cli::{Cli, Opt, OBS_OPTS};
@@ -24,7 +24,7 @@
 //!     OBS_OPTS,
 //! );
 //! let cells: usize = cli.get("cells", 44);
-//! let engine = cli.engine(simcomm::Engine::Threaded);
+//! let analyze = cli.analyze(&cli.timeline());
 //! ```
 
 use crate::{Args, TimelineSink};
@@ -56,7 +56,6 @@ impl Opt {
 
 /// The observability options every world-running harness accepts.
 pub const OBS_OPTS: &[Opt] = &[
-    Opt::new("engine", "NAME", "execution engine: 'threaded' (default) or 'discrete'"),
     Opt::flag("analyze", "run traced and print the critical-path analysis"),
     Opt::new("perfetto", "PATH", "write a Perfetto timeline of all runs to PATH"),
 ];
@@ -130,11 +129,6 @@ impl Cli {
         self.args.try_list(key, default).unwrap_or_else(|e| self.fail(e))
     }
 
-    /// The `--engine` selection (see [`Args::engine`]); bad names exit 2.
-    pub fn engine(&self, default: simcomm::Engine) -> simcomm::Engine {
-        self.args.try_engine(default).unwrap_or_else(|e| self.fail(e))
-    }
-
     /// The `--perfetto` timeline sink (inactive when the flag was not given).
     pub fn timeline(&self) -> TimelineSink {
         TimelineSink::from_path(self.get("perfetto", String::new()))
@@ -206,6 +200,6 @@ mod tests {
     #[test]
     fn obs_opts_cover_the_shared_preamble() {
         let keys: Vec<&str> = OBS_OPTS.iter().map(|o| o.key).collect();
-        assert_eq!(keys, ["engine", "analyze", "perfetto"]);
+        assert_eq!(keys, ["analyze", "perfetto"]);
     }
 }

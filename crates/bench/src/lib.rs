@@ -126,27 +126,6 @@ impl Args {
                 .collect(),
         }
     }
-
-    /// The `--engine` selection every harness accepts:
-    /// `threaded` (one OS thread per rank, the historical default) or
-    /// `discrete` (the cooperative discrete-event scheduler for paper-scale
-    /// rank counts). Both produce bitwise-identical results, clocks and
-    /// reports; see `docs/ARCHITECTURE.md`.
-    pub fn engine(&self, default: simcomm::Engine) -> simcomm::Engine {
-        self.try_engine(default).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Args::engine`], returning a usage error instead of panicking on an
-    /// unknown engine name.
-    pub fn try_engine(&self, default: simcomm::Engine) -> Result<simcomm::Engine, String> {
-        assert!(self.allowed.contains(&"engine"), "option 'engine' not declared");
-        match self.values.get("engine") {
-            None => Ok(default),
-            Some(v) => simcomm::Engine::from_name(v).ok_or_else(|| {
-                format!("bad value for --engine: '{v}' (use 'threaded' or 'discrete')")
-            }),
-        }
-    }
 }
 
 /// Run a full MD simulation world and return the per-step records aggregated
@@ -155,14 +134,12 @@ impl Args {
 /// ready to be pushed into a [`RunReport`].
 pub fn run_md_world(
     model: simcomm::MachineModel,
-    engine: simcomm::Engine,
     p: usize,
     crystal: &particles::IonicCrystal,
     dist: particles::InitialDistribution,
     cfg: &mdsim::SimConfig,
 ) -> (Vec<StepRecord>, f64, RunEntry) {
-    let (agg, rms, _, entry, _) =
-        run_md_world_inner(model, engine, p, crystal, dist, cfg, None, false);
+    let (agg, rms, _, entry, _) = run_md_world_inner(model, p, crystal, dist, cfg, None, false);
     (agg, rms, entry)
 }
 
@@ -174,7 +151,6 @@ pub fn run_md_world(
 /// unconditionally and let the flag decide.
 pub fn run_md_world_analyzed(
     model: simcomm::MachineModel,
-    engine: simcomm::Engine,
     p: usize,
     crystal: &particles::IonicCrystal,
     dist: particles::InitialDistribution,
@@ -182,7 +158,7 @@ pub fn run_md_world_analyzed(
     analyze: bool,
 ) -> (Vec<StepRecord>, f64, RunEntry, Vec<simcomm::Trace>) {
     let (agg, rms, _, entry, traces) =
-        run_md_world_inner(model, engine, p, crystal, dist, cfg, None, analyze);
+        run_md_world_inner(model, p, crystal, dist, cfg, None, analyze);
     (agg, rms, entry, traces)
 }
 
@@ -192,7 +168,6 @@ pub fn run_md_world_analyzed(
 /// identical on every rank).
 pub fn run_md_world_faulted(
     model: simcomm::MachineModel,
-    engine: simcomm::Engine,
     p: usize,
     crystal: &particles::IonicCrystal,
     dist: particles::InitialDistribution,
@@ -200,16 +175,14 @@ pub fn run_md_world_faulted(
     fault: simcomm::FaultPlan,
 ) -> (Vec<StepRecord>, u64, RunEntry) {
     let (agg, _, recoveries, entry, _) =
-        run_md_world_inner(model, engine, p, crystal, dist, cfg, Some(fault), false);
+        run_md_world_inner(model, p, crystal, dist, cfg, Some(fault), false);
     (agg, recoveries, entry)
 }
 
 /// Faulted **and** analyzed variant of [`run_md_world`] (see
 /// [`run_md_world_analyzed`] for the `analyze` contract).
-#[allow(clippy::too_many_arguments)]
 pub fn run_md_world_faulted_analyzed(
     model: simcomm::MachineModel,
-    engine: simcomm::Engine,
     p: usize,
     crystal: &particles::IonicCrystal,
     dist: particles::InitialDistribution,
@@ -218,7 +191,7 @@ pub fn run_md_world_faulted_analyzed(
     analyze: bool,
 ) -> (Vec<StepRecord>, u64, RunEntry, Vec<simcomm::Trace>) {
     let (agg, _, recoveries, entry, traces) =
-        run_md_world_inner(model, engine, p, crystal, dist, cfg, Some(fault), analyze);
+        run_md_world_inner(model, p, crystal, dist, cfg, Some(fault), analyze);
     (agg, recoveries, entry, traces)
 }
 
@@ -227,10 +200,8 @@ pub fn run_md_world_faulted_analyzed(
 /// refused thread spawn, or an elapsed `deadline`) come back as a
 /// [`simcomm::WorldError`] value instead of a panic, so a supervisor can
 /// classify, journal and retry the run.
-#[allow(clippy::too_many_arguments)]
 pub fn try_run_md_world(
     model: simcomm::MachineModel,
-    engine: simcomm::Engine,
     p: usize,
     crystal: &particles::IonicCrystal,
     dist: particles::InitialDistribution,
@@ -239,17 +210,15 @@ pub fn try_run_md_world(
     deadline: Option<std::time::Duration>,
 ) -> Result<(Vec<StepRecord>, f64, u64, RunEntry), simcomm::WorldError> {
     let (agg, rms, recoveries, entry, _) =
-        try_run_md_world_inner(model, engine, p, crystal, dist, cfg, fault, false, deadline)?;
+        try_run_md_world_inner(model, p, crystal, dist, cfg, fault, false, deadline)?;
     Ok((agg, rms, recoveries, entry))
 }
 
 /// Shared core of the `run_md_world*` family. Tracing is clock-invisible, so
 /// the records, clocks and report entry are bitwise-identical whether or not
 /// `traced` is set — the traced run merely also yields the event streams.
-#[allow(clippy::too_many_arguments)]
 fn run_md_world_inner(
     model: simcomm::MachineModel,
-    engine: simcomm::Engine,
     p: usize,
     crystal: &particles::IonicCrystal,
     dist: particles::InitialDistribution,
@@ -257,7 +226,7 @@ fn run_md_world_inner(
     fault: Option<simcomm::FaultPlan>,
     traced: bool,
 ) -> (Vec<StepRecord>, f64, u64, RunEntry, Vec<simcomm::Trace>) {
-    try_run_md_world_inner(model, engine, p, crystal, dist, cfg, fault, traced, None)
+    try_run_md_world_inner(model, p, crystal, dist, cfg, fault, traced, None)
         .unwrap_or_else(|e| panic!("simcomm world failed: {e}"))
 }
 
@@ -272,7 +241,6 @@ type MdWorldOutput = (Vec<StepRecord>, f64, u64, RunEntry, Vec<simcomm::Trace>);
 #[allow(clippy::too_many_arguments)]
 fn try_run_md_world_inner(
     model: simcomm::MachineModel,
-    engine: simcomm::Engine,
     p: usize,
     crystal: &particles::IonicCrystal,
     dist: particles::InitialDistribution,
@@ -284,7 +252,7 @@ fn try_run_md_world_inner(
     let bbox = particles::ParticleSource::system_box(crystal);
     let crystal = crystal.clone();
     let cfg = cfg.clone();
-    let mut runner = simcomm::Runner::new(engine).traced(traced).deadline(deadline);
+    let mut runner = simcomm::Runner::default().traced(traced).deadline(deadline);
     if let Some(fault) = fault {
         runner = runner.faulted(fault);
     }
@@ -326,7 +294,8 @@ pub fn record_run<R>(
     timeline: &mut TimelineSink,
 ) {
     let mut entry = RunEntry::from_run(&out);
-    if !out.traces.is_empty() {
+    // An untraced world still returns one (empty) trace per rank.
+    if out.traces.iter().any(|t| !t.events.is_empty()) {
         attach_analysis(&mut entry, &out.traces);
     }
     timeline.push(label.clone(), out.traces);

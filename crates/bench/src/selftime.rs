@@ -12,7 +12,7 @@
 //! The allocation counters come from [`CountingAlloc`], a forwarding
 //! [`GlobalAlloc`] installed as the global allocator of every binary in this
 //! crate (see `lib.rs`). Counters are process-global atomics: on a
-//! multi-threaded phase (the threaded engine runs one OS thread per rank)
+//! multi-threaded phase (a world runs a host-core-count batch of rank threads)
 //! they attribute *all* threads' allocations to the current lap, which is
 //! exactly what a zero-allocation claim needs — nothing escapes.
 

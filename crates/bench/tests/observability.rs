@@ -8,12 +8,12 @@ use std::process::Command;
 
 use bench::json::Json;
 use bench::{RunReport, TimelineSink};
-use simcomm::{Engine, MachineModel, Runner, Work};
+use simcomm::{MachineModel, Runner, Work};
 
 /// A small traced workload exercising sends, nonblocking batches, and
 /// collectives — enough shape for a non-trivial critical path.
-fn traced_run(engine: Engine) -> simcomm::RunOutput<u64> {
-    Runner::new(engine).traced(true).run(8, MachineModel::juropa_like(), |comm| {
+fn traced_run() -> simcomm::RunOutput<u64> {
+    Runner::default().traced(true).run(8, MachineModel::juropa_like(), |comm| {
         let n = comm.size();
         let rank = comm.rank();
         let mut acc = 0u64;
@@ -46,7 +46,7 @@ fn count_ph(trace: &Json, ph: &str) -> usize {
 
 #[test]
 fn perfetto_export_is_valid_json_with_one_span_per_record() {
-    let out = traced_run(Engine::Threaded);
+    let out = traced_run();
     let records: usize = out.traces.iter().map(|t| t.events.len()).sum();
     assert!(records > 0, "workload produced no trace records");
 
@@ -66,40 +66,36 @@ fn perfetto_export_is_valid_json_with_one_span_per_record() {
 }
 
 #[test]
-fn critical_path_partitions_makespan_exactly_across_engines_and_json() {
-    let mut entries = Vec::new();
-    for engine in [Engine::Threaded, Engine::DiscreteEvent] {
-        let out = traced_run(engine);
-        let makespan = out.makespan();
-        let mut entry = bench::RunEntry::from_run(&out);
-        let analysis = bench::attach_analysis(&mut entry, &out.traces);
+fn critical_path_partitions_makespan_exactly_and_survives_json() {
+    let out = traced_run();
+    let makespan = out.makespan();
+    let mut entry = bench::RunEntry::from_run(&out);
+    let analysis = bench::attach_analysis(&mut entry, &out.traces);
 
-        // The three buckets partition the makespan exactly: compute is the
-        // exact remainder, and comm/wait stay within range.
-        let cp = entry.critpath.as_ref().expect("analysis must attach a critical path");
-        assert_eq!(
-            cp.compute_seconds.to_bits(),
-            (makespan - (cp.comm_seconds + cp.wait_seconds)).to_bits(),
-            "critical-path compute must be the exact remainder"
-        );
-        assert!(cp.partition_error(makespan) <= 1e-9 * makespan.max(1e-9));
-        assert!(!analysis.segments.is_empty(), "critical path must have segments");
-        entries.push((engine, entry, makespan));
-    }
+    // The three buckets partition the makespan exactly: compute is the
+    // exact remainder, and comm/wait stay within range.
+    let cp = entry.critpath.as_ref().expect("analysis must attach a critical path");
+    assert_eq!(
+        cp.compute_seconds.to_bits(),
+        (makespan - (cp.comm_seconds + cp.wait_seconds)).to_bits(),
+        "critical-path compute must be the exact remainder"
+    );
+    assert!(cp.partition_error(makespan) <= 1e-9 * makespan.max(1e-9));
+    assert!(!analysis.segments.is_empty(), "critical path must have segments");
 
-    // Both engines produce bit-identical analyses on bit-identical traces.
-    let (_, a, ma) = &entries[0];
-    let (_, b, mb) = &entries[1];
-    assert_eq!(ma.to_bits(), mb.to_bits(), "makespans diverge across engines");
-    let (ca, cb) = (a.critpath.as_ref().unwrap(), b.critpath.as_ref().unwrap());
-    assert_eq!(ca.comm_seconds.to_bits(), cb.comm_seconds.to_bits());
-    assert_eq!(ca.wait_seconds.to_bits(), cb.wait_seconds.to_bits());
-    assert_eq!(ca.compute_seconds.to_bits(), cb.compute_seconds.to_bits());
-    assert_eq!(ca.segments, cb.segments);
+    // The makespan and the condensed analysis are the ones the deleted
+    // thread-per-rank engine produced: 64-bit FNV-1a of their `Debug`
+    // rendering, captured from that engine at commit `cf18bdf`.
+    let got = format!("{:?}", (makespan.to_bits(), cp))
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    assert_eq!(
+        got, 0xdf86_f3fd_2220_8832,
+        "critical-path digest {got:#018x} differs from the frozen one"
+    );
 
     // The identity survives the report JSON round-trip bit for bit.
     let mut report = RunReport::new("obs", "test");
-    let (_, entry, makespan) = entries.pop().unwrap();
     report.push("run", entry);
     let back = RunReport::from_json(&Json::parse(&report.to_json().pretty()).unwrap()).unwrap();
     let cp = back.runs[0].critpath.as_ref().expect("critpath survives round-trip");
@@ -112,7 +108,7 @@ fn critical_path_partitions_makespan_exactly_across_engines_and_json() {
 
 /// Build a small analyzed report on disk and return its path.
 fn write_report(dir: &std::path::Path, name: &str, slow_factor: f64) -> std::path::PathBuf {
-    let out = traced_run(Engine::Threaded);
+    let out = traced_run();
     let mut entry = bench::RunEntry::from_run(&out);
     bench::attach_analysis(&mut entry, &out.traces);
     if slow_factor != 1.0 {
@@ -226,7 +222,7 @@ fn timeline_sink_writes_openable_perfetto_file() {
     .unwrap();
     let mut sink = TimelineSink::from_args(&args);
     assert!(sink.active());
-    let out = traced_run(Engine::Threaded);
+    let out = traced_run();
     let records: usize = out.traces.iter().map(|t| t.events.len()).sum();
     sink.push("run-a".to_string(), out.traces);
     sink.finish();

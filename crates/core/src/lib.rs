@@ -468,7 +468,6 @@ impl Fcs {
     /// Callers that keep their additional data in a persistent `PlaneSet`
     /// should use [`Fcs::resort_planes`] instead, which moves every
     /// registered plane in one round without the staging copies.
-    #[allow(deprecated)] // staging wrapper over the per-`T` plan entry point
     pub fn resort_data<T: PlaneElem + Send>(&mut self, comm: &mut Comm, data: &[T]) -> Vec<T> {
         assert!(
             self.last_resorted,
@@ -504,74 +503,6 @@ impl Fcs {
             ));
         }
         self.resort_plan.as_ref().expect("plan built above")
-    }
-
-    /// Redistribute several additional per-particle data channels at once in
-    /// a **single** combined exchange round.
-    ///
-    /// An integrator that carries velocities, accelerations and old positions
-    /// through a Method B run pays one redistribution round instead of one
-    /// per field. Returns one output vector per input channel, each of length
-    /// [`Fcs::resort_len`]. Must only be called when [`Fcs::resorted`] is
-    /// true. Collective.
-    ///
-    /// Deprecated: all channels share one element type `T` and each call
-    /// allocates fresh output vectors. [`Fcs::resort_planes`] moves
-    /// heterogeneously-typed planes of a persistent [`PlaneSet`] through the
-    /// same combined exchange with no per-call allocation in steady state.
-    ///
-    /// ```
-    /// use fcs::{Fcs, SolverKind};
-    /// use particles::{SystemBox, Vec3};
-    ///
-    /// simcomm::run(2, simcomm::MachineModel::ideal(), |comm| {
-    ///     let r = comm.rank() as f64;
-    ///     let pos = vec![Vec3::new(1.0 + r, 1.0, 1.0), Vec3::new(1.0 + r, 2.5, 2.0)];
-    ///     let charge = vec![1.0, -1.0];
-    ///     let id = vec![2 * comm.rank() as u64, 2 * comm.rank() as u64 + 1];
-    ///
-    ///     let mut h = Fcs::init(SolverKind::Fmm, comm.size());
-    ///     h.set_common(SystemBox::cubic(4.0));
-    ///     h.tune(comm, &pos, &charge);
-    ///     h.set_resort(true);
-    ///     h.run(comm, &pos, &charge, &id, usize::MAX);
-    ///     assert!(h.resorted());
-    ///
-    ///     // Velocities and accelerations follow the particles together,
-    ///     // riding a single exchange.
-    ///     let vel = vec![Vec3::new(r, 0.0, 0.0); 2];
-    ///     let acc = vec![Vec3::new(0.0, r, 0.0); 2];
-    ///     let mut moved = h.resort_all(comm, &[&vel, &acc]);
-    ///     assert_eq!(moved.len(), 2);
-    ///     let acc_new = moved.pop().unwrap();
-    ///     assert_eq!(acc_new.len(), h.resort_len());
-    /// });
-    /// ```
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Fcs::resort_planes` with a persistent `PlaneSet` — it moves \
-                heterogeneously-typed planes in the same single exchange round \
-                without allocating output vectors"
-    )]
-    #[allow(deprecated)] // staging wrapper over the per-`T` plan entry point
-    pub fn resort_all<T: PlaneElem + Send>(
-        &mut self,
-        comm: &mut Comm,
-        channels: &[&[T]],
-    ) -> Vec<Vec<T>> {
-        assert!(
-            self.last_resorted,
-            "resort functions require a successful Method B run (check resorted())"
-        );
-        for (c, ch) in channels.iter().enumerate() {
-            assert_eq!(
-                ch.len(),
-                self.last_resort_indices.len(),
-                "additional data channel {c} must match the original particle count"
-            );
-        }
-        let plan = self.current_resort_plan(comm);
-        plan.execute(comm, channels)
     }
 
     /// Redistribute every registered plane of `set` — the application's

@@ -293,7 +293,7 @@ mod tests {
 
     #[test]
     fn movement_guard_falls_back_to_partition_sort_on_lying_hint() {
-        use simcomm::{run_faulted, FaultPlan};
+        use simcomm::{FaultPlan, Runner};
         // Rank 0 holds particles spread over the whole box; the others hold a
         // few particles near the origin. The data is badly out of Z order, so
         // a *tiny* movement hint is a lie — the honest decision would have
@@ -343,7 +343,7 @@ mod tests {
         // engages, nothing else changes.
         let plan =
             FaultPlan { seed: 7, hint_lie_prob: 1.0, hint_lie_factor: 1e-3, ..FaultPlan::none() };
-        let guarded = run_faulted(p, MachineModel::ideal(), plan, move |comm| {
+        let guarded = Runner::default().faulted(plan).run(p, MachineModel::ideal(), move |comm| {
             let (pos, charge, id) = local(comm.rank());
             let mut solver = FmmSolver::new(bbox, cfg());
             solver.set_guard_cleanup_cap(Some(0));
@@ -363,9 +363,11 @@ mod tests {
             );
             assert_eq!(solver.guard_fallbacks, 1);
             (o.id, o.potential)
-        })
-        .results;
-        assert_eq!(guarded, reference, "fallback output must match the up-front partition sort");
+        });
+        assert_eq!(
+            guarded.results, reference,
+            "fallback output must match the up-front partition sort"
+        );
         // On a clean world the guard stays disengaged: the same lying hint
         // runs the merge path to completion (slowly, but correctly).
         let clean = run(p, MachineModel::ideal(), move |comm| {

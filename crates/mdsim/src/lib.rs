@@ -145,7 +145,7 @@ pub struct SimResult {
     /// Solver executions / resort calls that reused a cached plan.
     pub plan_hits: u64,
     /// Rollback-and-replay recoveries performed. Only fault-injected runs
-    /// (see [`simcomm::run_faulted`]) can recover; plain runs report 0.
+    /// (see [`simcomm::Runner::faulted`]) can recover; plain runs report 0.
     /// Identical on every rank (the trigger is collective).
     pub recoveries: u64,
     /// Final local state (positions, velocities, ... ), usable as a
@@ -483,7 +483,7 @@ fn total_energy(
 mod tests {
     use super::*;
     use particles::{local_set, InitialDistribution, IonicCrystal};
-    use simcomm::{run, run_faulted, CartGrid, FaultPlan, MachineModel, StallSpec};
+    use simcomm::{run, CartGrid, FaultPlan, MachineModel, Runner, StallSpec};
 
     fn sim(
         solver: SolverKind,
@@ -731,9 +731,9 @@ mod tests {
 
     #[test]
     fn inert_fault_plan_is_bitwise_identical_to_plain_run() {
-        // run_faulted(FaultPlan::none()) must be bit-for-bit the pre-fault
-        // behaviour: identical records (including virtual timings), clocks,
-        // final states and zero recoveries.
+        // A runner faulted with FaultPlan::none() must be bit-for-bit the
+        // pre-fault behaviour: identical records (including virtual timings),
+        // clocks, final states and zero recoveries.
         let c = IonicCrystal::cubic(6, 1.0, 0.2, 42);
         let bbox = c.system_box();
         let p = 4;
@@ -758,7 +758,8 @@ mod tests {
                 simulate(comm, bbox, set, &cfg)
             };
             if faulted {
-                run_faulted(p, MachineModel::juropa_like(), FaultPlan::none(), body).results
+                let inert = Runner::default().faulted(FaultPlan::none());
+                inert.run(p, MachineModel::juropa_like(), body).results
             } else {
                 run(p, MachineModel::juropa_like(), body).results
             }
@@ -812,7 +813,8 @@ mod tests {
         let faulted = {
             let c = c.clone();
             let cfg = cfg.clone();
-            run_faulted(p, MachineModel::juropa_like(), fault, move |comm| {
+            let runner = Runner::default().faulted(fault);
+            let out = runner.run(p, MachineModel::juropa_like(), move |comm| {
                 let set = local_set(
                     &c,
                     InitialDistribution::Grid,
@@ -821,8 +823,8 @@ mod tests {
                     CartGrid::balanced(p).dims(),
                 );
                 simulate(comm, bbox, set, &cfg)
-            })
-            .results
+            });
+            out.results
         };
         let rec0 = faulted[0].recoveries;
         assert!(rec0 >= 1, "the injected faults must trigger at least one recovery");

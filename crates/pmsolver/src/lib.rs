@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn movement_guard_falls_back_to_collective_on_lying_hint() {
-        use simcomm::{run_faulted, FaultPlan};
+        use simcomm::{FaultPlan, Runner};
         // A 4x2x2 grid has non-neighbouring rank pairs along x. Shift every
         // particle by half the box in x (two subdomains), but pass a tiny
         // movement hint: a lie. On a fault-injected world the guard must
@@ -229,7 +229,7 @@ mod tests {
         // Fault-active plan with no comm-level injections: only the guard
         // engages.
         let plan = FaultPlan { seed: 3, hint_lie_prob: 1.0, ..FaultPlan::none() };
-        run_faulted(p, MachineModel::ideal(), plan, move |comm| {
+        Runner::default().faulted(plan).run(p, MachineModel::ideal(), move |comm| {
             let dims = CartGrid::balanced(p).dims();
             assert_eq!(dims, [4, 2, 2]);
             let set = local_set(&c, InitialDistribution::Grid, comm.rank(), p, dims);

@@ -1,34 +1,26 @@
-//! Execution engines: how the `P` rank tasks of a simulated world are
+//! The execution engine: how the `P` rank tasks of a simulated world are
 //! scheduled onto the local machine.
 //!
-//! Two engines implement the same blocking semantics:
+//! A cooperative discrete-event scheduler. Every rank is *backed* by an OS
+//! thread (the only way a plain `Fn(&mut Comm)` closure can suspend mid-call
+//! in safe, dependency-free Rust), but at most a host-core-count **batch** of
+//! ranks executes at a time: a rank runs until it blocks — on an empty
+//! mailbox or a collective rendezvous — then its baton passes to the runnable
+//! rank with the smallest virtual clock, so independent compute between
+//! communication events overlaps in real time while waits stay cooperative.
+//! Wakeups are targeted: depositing a message resumes only the addressee, and
+//! a collective phase change resumes only the ranks parked on the collective
+//! slot, which is what carries worlds to the paper's 4096–16384-process
+//! scale.
 //!
-//! * [`Engine::Threaded`] — the original runner. Every rank is an OS thread;
-//!   blocked ranks sleep on condition variables and the kernel schedules
-//!   ranks preemptively, in parallel.
-//! * [`Engine::DiscreteEvent`] — a cooperative discrete-event scheduler.
-//!   Every rank is still *backed* by an OS thread (the only way a plain
-//!   `Fn(&mut Comm)` closure can suspend mid-call in safe, dependency-free
-//!   Rust), but at most a host-core-count **batch** of ranks executes at a
-//!   time: a rank runs until it blocks — on an empty mailbox or a collective
-//!   rendezvous — then its baton passes to the runnable rank with the
-//!   smallest virtual clock, so independent compute between communication
-//!   events overlaps in real time while waits stay cooperative. Wakeups are
-//!   targeted: depositing a message resumes only the addressee, and a
-//!   collective phase change resumes only the ranks parked on the collective
-//!   slot. This removes the condition-variable broadcast storms that make the
-//!   threaded engine collapse at a few thousand ranks (every collective phase
-//!   change there wakes all `P` waiters to recheck one mutex — `O(P²)` lock
-//!   handoffs per collective) and lifts the practical rank ceiling to the
-//!   paper's 4096–16384-process scale.
-//!
-//! Both engines produce bitwise-identical output — results, clocks,
-//! statistics, traces, phase profiles, fault draws — for programs whose
+//! Output — results, clocks, statistics, traces, phase profiles, fault
+//! draws — is bitwise identical at any batch width for programs whose
 //! completion order is a function of *virtual* time. That is every `simcomm`
 //! operation except [`crate::Comm::waitany`] and [`crate::Comm::recv_any`],
 //! which are documented as schedule-dependent and are not used by any
-//! committed workload. The argument, and the yield-point model, are spelled
-//! out in `docs/ARCHITECTURE.md`.
+//! committed workload. The argument, the yield-point model and the
+//! register-under-guard blocking protocol are spelled out in
+//! `docs/ARCHITECTURE.md`.
 
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -38,54 +30,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Selects how a simulated world executes its ranks.
-///
-/// Both engines are observationally identical — bitwise-equal results,
-/// clocks, statistics, traces and fault draws for every schedule-independent
-/// program (see [`Runner`](crate::Runner) and `docs/ARCHITECTURE.md`) —
-/// they differ in scaling behaviour. `Threaded` exercises real
-/// shared-memory concurrency and is the long-standing default;
-/// `DiscreteEvent` runs ranks cooperatively under a virtual-clock event queue
-/// and is the engine for paper-scale sweeps (≥4096 ranks).
-///
-/// ```
-/// use simcomm::Engine;
-/// assert_eq!(Engine::from_name("discrete"), Some(Engine::DiscreteEvent));
-/// assert_eq!(Engine::from_name("threaded"), Some(Engine::Threaded));
-/// assert_eq!(Engine::default().name(), "threaded");
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+/// The execution engine of a simulated world. There is exactly one — the
+/// cooperative discrete-event scheduler of this module — and nothing selects
+/// on this type: it survives as a one-variant shim only because the frozen
+/// `benchmark/src/adapter.rs` spells `Runner::new(Engine::DiscreteEvent)`.
+/// New code uses [`Runner::default`](crate::Runner).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Engine {
-    /// One preemptive OS thread per rank (the default).
-    #[default]
-    Threaded,
     /// Cooperative discrete-event scheduling: a host-core-count batch of
     /// ranks at a time, driven by a virtual-clock event queue with targeted
     /// wakeups.
     DiscreteEvent,
-}
-
-impl Engine {
-    /// Parse an engine name as accepted by the bench binaries' `engine`
-    /// argument: `"threaded"`/`"thread"` or
-    /// `"discrete"`/`"discrete-event"`/`"event"`. Returns `None` for anything
-    /// else.
-    pub fn from_name(name: &str) -> Option<Engine> {
-        match name {
-            "threaded" | "thread" => Some(Engine::Threaded),
-            "discrete" | "discrete-event" | "event" => Some(Engine::DiscreteEvent),
-            _ => None,
-        }
-    }
-
-    /// Canonical name (`"threaded"` / `"discrete-event"`), accepted back by
-    /// [`Engine::from_name`].
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Threaded => "threaded",
-            Engine::DiscreteEvent => "discrete-event",
-        }
-    }
 }
 
 /// What a blocked task is waiting on. Spurious wakeups are harmless (every
@@ -101,7 +56,7 @@ pub(crate) enum WaitSite {
 
 /// A detected virtual deadlock: every live rank is blocked and no virtual
 /// event can wake any of them. Returned (not panicked) by
-/// [`Scheduler::yield_blocked`] so the world can record a typed
+/// [`Scheduler::block`] so the world can record a typed
 /// [`crate::WorldError::VirtualDeadlock`] before unwinding.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Deadlock {
@@ -119,7 +74,7 @@ pub(crate) struct Deadlock {
 enum TaskState {
     /// In the run queue, waiting for the baton.
     Runnable,
-    /// Holds the baton (exactly one task at any time).
+    /// Holds a baton (up to [`Scheduler::cap`] tasks at any time).
     Running,
     /// Parked until a signal on the given site.
     Blocked(WaitSite),
@@ -175,6 +130,9 @@ struct SchedState {
     done: usize,
     /// Tasks currently holding a baton (at most `Scheduler::cap`).
     running: usize,
+    /// The world was poisoned ([`Scheduler::wake_all`] ran): nothing parks
+    /// any more, every task runs on to its next poison check and unwinds.
+    poisoned: bool,
 }
 
 /// One rank's baton cell: `go` is set by the scheduler when the rank may run.
@@ -185,10 +143,9 @@ struct Baton {
     cv: Condvar,
 }
 
-/// The cooperative discrete-event scheduler backing
-/// [`Engine::DiscreteEvent`]. Owned by the world's shared state; rank threads
-/// call into it at every blocking site (see `WorldShared::wait_mailbox` /
-/// `wait_coll` in `world.rs`).
+/// The cooperative discrete-event scheduler. Owned by the world's shared
+/// state; rank threads call into it at every blocking site (see
+/// `WorldShared::wait_on` in `world.rs`).
 pub(crate) struct Scheduler {
     state: Mutex<SchedState>,
     batons: Vec<Baton>,
@@ -197,10 +154,11 @@ pub(crate) struct Scheduler {
     /// baton, the scheduler hands out up to `cap` (the host's core count):
     /// ranks still block, wake and account in virtual-time order, but their
     /// compute overlaps in real time. `cap = 1` degenerates to strict
-    /// one-at-a-time dispatch. Output is bitwise identical at any cap: the
-    /// threaded engine already proves *fully* concurrent execution yields
-    /// identical clocks/traces, and any `cap`-bounded schedule is a subset of
-    /// that interleaving freedom.
+    /// one-at-a-time dispatch. Output is bitwise identical at any cap: every
+    /// completion order and charged cost is a function of virtual times only
+    /// (the frozen digests in `tests/determinism.rs` were captured from a
+    /// fully preemptive thread-per-rank run), and any `cap`-bounded schedule
+    /// is a subset of that interleaving freedom.
     cap: usize,
 }
 
@@ -215,7 +173,7 @@ impl Scheduler {
         }
         let cap = std::thread::available_parallelism().map_or(1, |p| p.get());
         Scheduler {
-            state: Mutex::new(SchedState { tasks, queue, done: 0, running: 0 }),
+            state: Mutex::new(SchedState { tasks, queue, done: 0, running: 0, poisoned: false }),
             batons: (0..n).map(|_| Baton { go: Mutex::new(false), cv: Condvar::new() }).collect(),
             cap,
         }
@@ -246,8 +204,8 @@ impl Scheduler {
     }
 
     /// Park until this task is handed the baton. Every task calls this once
-    /// before running any rank code; `yield_blocked` calls it at every
-    /// suspension.
+    /// before running any rank code, and after every [`Scheduler::block`]
+    /// once the world guard is released.
     pub(crate) fn wait_for_turn(&self, rank: usize) {
         let b = &self.batons[rank];
         let mut go = lock(&b.go);
@@ -290,38 +248,46 @@ impl Scheduler {
         }
     }
 
-    /// Suspend the running task `rank` because it cannot progress until
-    /// `site` is signalled: record it as blocked at virtual time `clock`,
-    /// dispatch the best runnable tasks, and park until re-woken. The caller
-    /// must have released every world lock first.
+    /// Register the running task `rank` as blocked until `site` is signalled,
+    /// at virtual time `clock`, and dispatch the best runnable tasks in its
+    /// place. The caller **still holds the guard of the mailbox or collective
+    /// slot it found wanting** and parks with [`Scheduler::wait_for_turn`]
+    /// only after releasing it. Signallers change that state under the same
+    /// guard before they call `wake_*`, so every wakeup finds the task either
+    /// not yet decided to wait or already `Blocked` — none can fall between
+    /// (lock order: world guard → scheduler state → baton cell).
     ///
-    /// Returns `Err` if, with this task blocked, no task is running or
+    /// In a poisoned world the task keeps its baton instead (the following
+    /// `wait_for_turn` returns at once), so it reaches its next poison check
+    /// even when the poison landed after its last one.
+    ///
+    /// Returns `Err` if, with this task blocked, no task would be running or
     /// runnable while undone tasks remain — with every live rank blocked and
     /// only virtual events able to wake them, the world can never progress
     /// again (a virtual deadlock, e.g. a receive whose matching send was
-    /// never posted). The caller records the typed error, poisons the world
-    /// and unwinds, so the remaining ranks fail fast instead of hanging the
-    /// process.
-    pub(crate) fn yield_blocked(
-        &self,
-        rank: usize,
-        site: WaitSite,
-        clock: f64,
-    ) -> Result<(), Deadlock> {
-        {
-            let mut st = lock(&self.state);
-            let t = &mut st.tasks[rank];
-            t.state = TaskState::Blocked(site);
-            t.clock = clock;
-            t.epoch += 1;
-            st.running -= 1;
-            self.fill(&mut st);
-            if st.running == 0 && st.done < st.tasks.len() {
-                let live = st.tasks.len() - st.done;
-                return Err(Deadlock { live, rank, site, clock });
-            }
+    /// never posted). The reporter stays `Running`: it records the typed
+    /// error, poisons the world and unwinds into [`Scheduler::retire`] like
+    /// any other rank, so the remaining ranks fail fast instead of hanging
+    /// the process.
+    pub(crate) fn block(&self, rank: usize, site: WaitSite, clock: f64) -> Result<(), Deadlock> {
+        let mut st = lock(&self.state);
+        if st.poisoned {
+            self.resume(rank);
+            return Ok(());
         }
-        self.wait_for_turn(rank);
+        // Offer this task's baton to the run queue first: if nobody takes it
+        // and nobody else holds one, blocking would strand every live task.
+        st.running -= 1;
+        self.fill(&mut st);
+        if st.running == 0 {
+            st.running = 1;
+            let live = st.tasks.len() - st.done;
+            return Err(Deadlock { live, rank, site, clock });
+        }
+        let t = &mut st.tasks[rank];
+        t.state = TaskState::Blocked(site);
+        t.clock = clock;
+        t.epoch += 1;
         Ok(())
     }
 
@@ -347,9 +313,11 @@ impl Scheduler {
     }
 
     /// The world was poisoned: wake every blocked task regardless of site so
-    /// each can observe the poison flag and unwind.
+    /// each can observe the poison flag and unwind, and stop later
+    /// [`Scheduler::block`] calls from parking.
     pub(crate) fn wake_all(&self) {
         let mut st = lock(&self.state);
+        st.poisoned = true;
         for rank in 0..st.tasks.len() {
             Self::make_runnable(&mut st, rank);
         }
@@ -359,8 +327,8 @@ impl Scheduler {
     /// The task of `rank` finished (returned or panicked): retire it and hand
     /// its baton to the next runnable task. Returns `Some(live)` if undone
     /// tasks remain but none is running or runnable — the `live` survivors
-    /// are permanently blocked and the caller must record the deadlock,
-    /// poison the world and call [`Scheduler::kick`] to restart dispatch.
+    /// are permanently blocked and the caller must record the deadlock and
+    /// poison the world (whose [`Scheduler::wake_all`] restarts dispatch).
     pub(crate) fn retire(&self, rank: usize) -> Option<usize> {
         let mut st = lock(&self.state);
         st.tasks[rank].state = TaskState::Done;
@@ -368,13 +336,8 @@ impl Scheduler {
         st.done += 1;
         st.running -= 1;
         self.fill(&mut st);
+        debug_assert!(st.done < st.tasks.len() || st.running == 0, "baton count out of step");
         (st.running == 0 && st.done < st.tasks.len()).then(|| st.tasks.len() - st.done)
-    }
-
-    /// Restart dispatch after an out-of-band wakeup (poison): resume the best
-    /// runnable tasks, if any.
-    pub(crate) fn kick(&self) {
-        self.fill(&mut lock(&self.state));
     }
 
     /// Mark a task whose host thread never existed (its spawn failed) as
@@ -392,15 +355,6 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in [Engine::Threaded, Engine::DiscreteEvent] {
-            assert_eq!(Engine::from_name(e.name()), Some(e));
-        }
-        assert_eq!(Engine::from_name("fibers"), None);
-        assert_eq!(Engine::from_name("event"), Some(Engine::DiscreteEvent));
-    }
 
     #[test]
     fn key_orders_by_clock_then_rank() {
@@ -429,5 +383,52 @@ mod tests {
             assert_eq!(Scheduler::pop_next(&mut st), Some(0));
             assert_eq!(Scheduler::pop_next(&mut st), None);
         }
+    }
+
+    /// A two-task scheduler with task 0 running, as a rank thread would be
+    /// after its prologue. Task 1 is running too when the host has a second
+    /// core and queued otherwise; the tests below hold at either width.
+    fn two_tasks() -> Scheduler {
+        let s = Scheduler::new(2);
+        s.start();
+        s.wait_for_turn(0);
+        s
+    }
+
+    #[test]
+    fn wakeup_between_block_and_park_is_not_lost() {
+        let s = two_tasks();
+        s.block(0, WaitSite::Mailbox, 1.0).expect("task 1 can still run");
+        // The deposit lands after task 0 registered but before it parked ...
+        s.wake_mailbox(0);
+        // ... and task 1 (dispatched at start or by the block) finishes.
+        assert_eq!(s.retire(1), None);
+        assert!(*lock(&s.batons[0].go), "the wakeup must leave task 0 its baton");
+        s.wait_for_turn(0);
+        assert_eq!(lock(&s.state).tasks[0].state, TaskState::Running);
+    }
+
+    #[test]
+    fn block_does_not_park_once_poisoned() {
+        let s = two_tasks();
+        // Poison lands after task 0's last poison check, before it registers.
+        s.wake_all();
+        s.block(0, WaitSite::Collective, 1.0).expect("a poisoned world reports no deadlock");
+        assert_eq!(lock(&s.state).tasks[0].state, TaskState::Running);
+        assert!(*lock(&s.batons[0].go), "task 0 must keep its baton");
+        s.wait_for_turn(0);
+    }
+
+    #[test]
+    fn deadlock_reporter_stays_running_and_retires_once() {
+        let s = Scheduler::new(1);
+        s.start();
+        s.wait_for_turn(0);
+        let d = s.block(0, WaitSite::Mailbox, 2.5).expect_err("the only task cannot block");
+        assert_eq!((d.live, d.rank, d.site, d.clock), (1, 0, WaitSite::Mailbox, 2.5));
+        assert_eq!(lock(&s.state).tasks[0].state, TaskState::Running);
+        assert_eq!(s.retire(0), None);
+        let st = lock(&s.state);
+        assert_eq!((st.running, st.done), (0, 1));
     }
 }

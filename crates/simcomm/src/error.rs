@@ -2,8 +2,8 @@
 //!
 //! A simulated world can fail for reasons that are *expected* operational
 //! events, not harness bugs: a rank's closure panics (possibly injected), the
-//! discrete-event engine detects a virtual deadlock, the host refuses to
-//! spawn another rank thread, or a wall-clock deadline retires a hung run.
+//! scheduler detects a virtual deadlock, the host refuses to spawn another
+//! rank thread, or a wall-clock deadline retires a stalled run.
 //! [`WorldError`] gives supervisors (such as the `campaign` crate's runner) a
 //! typed description of the first such failure, so they can classify and
 //! retry runs without string-matching panic payloads.
@@ -31,11 +31,9 @@ pub enum WorldError {
         /// The panic payload (if it was a string; a placeholder otherwise).
         message: String,
     },
-    /// The discrete-event engine found every live rank blocked with no
-    /// virtual event left that could wake any of them — e.g. a receive whose
-    /// matching send was never posted. (The threaded engine cannot detect
-    /// this; it hangs in real time until a [`WorldError::DeadlineExceeded`]
-    /// watchdog retires it.)
+    /// The scheduler found every live rank blocked with no virtual event
+    /// left that could wake any of them — e.g. a receive whose matching send
+    /// was never posted.
     VirtualDeadlock {
         /// Live (not yet finished) ranks at detection time, all blocked.
         live: usize,

@@ -48,9 +48,9 @@ pub struct StallSpec {
 ///
 /// Construct with [`FaultPlan::none`] (inert) and override fields, or use
 /// [`FaultPlan::chaos`] for a ready-made mix. Passed to
-/// [`crate::run_faulted`] / [`crate::run_faulted_traced`]; the plain
-/// [`crate::run`] / [`crate::run_traced`] entry points always use the inert
-/// plan, so existing callers are bit-for-bit unaffected.
+/// [`crate::Runner::faulted`]; a runner without one (and the plain
+/// [`crate::run`]) uses the inert plan, so such callers are bit-for-bit
+/// unaffected.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every deterministic draw.

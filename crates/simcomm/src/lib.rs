@@ -2,14 +2,13 @@
 //!
 //! This crate stands in for MPI on the production clusters the original paper
 //! evaluated on (JuRoPA and the Blue Gene/Q system Juqueen). A *world* of `P`
-//! simulated processes ("ranks") runs on the local machine — preemptively as
-//! `P` OS threads, or cooperatively under a discrete-event scheduler for
-//! paper-scale rank counts (see [`Engine`] and [`Runner`]). Ranks exchange
-//! **real data** through shared memory using an MPI-like API (blocking
-//! point-to-point, collectives, Cartesian grids), while **time** is
-//! *virtual*: every operation advances the calling rank's clock according to a
-//! pluggable [`MachineModel`]. Both engines produce bitwise-identical clocks,
-//! statistics and traces for every committed workload.
+//! simulated processes ("ranks") runs on the local machine, cooperatively
+//! under a discrete-event scheduler that reaches paper-scale rank counts (see
+//! [`Runner`]). Ranks exchange **real data** through shared memory using an
+//! MPI-like API (blocking point-to-point, collectives, Cartesian grids),
+//! while **time** is *virtual*: every operation advances the calling rank's
+//! clock according to a pluggable [`MachineModel`]. Clocks, statistics and
+//! traces are bitwise reproducible on any host for every committed workload.
 //!
 //! The combination means an algorithm's communication *volume and structure*
 //! are exactly those of the real program, while the *cost* of that
@@ -60,6 +59,4 @@ pub use phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseSegment, PhaseSta
 pub use plan::CommPlan;
 pub use pool::PooledBuf;
 pub use trace::{write_trace_csv, ClockSpan, SpanCat, Trace, TraceEvent, TraceKind};
-pub use world::{
-    run, run_faulted, run_faulted_traced, run_traced, Comm, RankStats, Request, RunOutput, Runner,
-};
+pub use world::{run, Comm, RankStats, Request, RunOutput, Runner};

@@ -73,7 +73,7 @@ impl PhaseStats {
 
 /// One contiguous interval of virtual time during which a phase was the
 /// innermost open span on a rank. Only recorded in traced worlds
-/// ([`crate::run_traced`]); aggregates are always maintained.
+/// ([`crate::Runner::traced`]); aggregates are always maintained.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhaseSegment {
     /// Phase name.

@@ -190,7 +190,7 @@ impl CommPlan {
 
 #[cfg(test)]
 mod tests {
-    use crate::{run, run_traced, MachineModel, TraceKind};
+    use crate::{run, MachineModel, Runner, TraceKind};
 
     /// Ring neighbourhood of one rank on each side.
     fn ring(me: usize, p: usize) -> Vec<usize> {
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn plan_counters_and_trace_kinds() {
-        let out = run_traced(4, MachineModel::ideal(), |comm| {
+        let out = Runner::default().traced(true).run(4, MachineModel::ideal(), |comm| {
             let (me, p) = (comm.rank(), comm.size());
             let mut plan = comm.plan_exchange(ring(me, p), 1);
             for _ in 0..5 {

@@ -2,9 +2,8 @@
 //! virtual clocks.
 //!
 //! [`run`] hands each of `n` simulated ranks a [`Comm`] and executes them
-//! under one of two interchangeable engines (see [`Engine`] and [`Runner`]):
-//! preemptive thread-per-rank, or a cooperative discrete-event scheduler for
-//! paper-scale worlds. Rank code is written exactly like an MPI program:
+//! under a cooperative discrete-event scheduler (see [`Runner`] and
+//! `engine.rs`). Rank code is written exactly like an MPI program:
 //! blocking point-to-point `send`/`recv`, collective operations that all
 //! ranks of the world enter in the same order, and a Cartesian-topology
 //! helper (see [`crate::cart`]).
@@ -35,11 +34,6 @@ use crate::trace::{SpanCat, Trace, TraceKind};
 /// handled by the world's own poison flag (see [`WorldShared::poison`]).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Wait on a condvar, ignoring std poisoning (same rationale as [`lock`]).
-fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(g).unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Greedily match every receive pattern `(slot, src, tag)` against the queue
@@ -91,7 +85,6 @@ struct Message {
 #[derive(Default)]
 struct Mailbox {
     queue: Mutex<VecDeque<Message>>,
-    cv: Condvar,
 }
 
 /// A handle for an outstanding nonblocking point-to-point operation, created
@@ -113,22 +106,19 @@ struct Mailbox {
 /// know a request's kind statically should use [`Comm::wait_recv`] for
 /// receives instead of unwrapping the `Option`.
 ///
-/// # Yield semantics under the discrete-event engine
+/// # Yield semantics
 ///
 /// Posting a request never blocks: `isend` deposits its payload in the
 /// destination mailbox immediately and `irecv` merely records the match
-/// pattern, under either engine. The **wait** is the yield point: when a
-/// rank waits on a receive whose message has not arrived yet, the threaded
-/// engine parks the OS thread on a condition variable, while the
-/// discrete-event engine suspends the rank's task and dispatches the
-/// runnable rank with the smallest virtual clock — the wait is where the
-/// scheduler changes hands. Which rank runs *while* another waits cannot be
-/// observed through this API: completion order and every charged cost are
-/// functions of virtual departure/arrival times only, so both engines
-/// produce bit-for-bit identical clocks, statistics and traces (see
-/// [`Runner`]). If every live rank ends up suspended at a wait, the
-/// discrete-event engine reports a virtual deadlock by panicking (the
-/// threaded engine would hang in real time instead).
+/// pattern. The **wait** is the yield point: when a rank waits on a receive
+/// whose message has not arrived yet, the scheduler suspends the rank's task
+/// and dispatches the runnable rank with the smallest virtual clock — the
+/// wait is where the scheduler changes hands. Which rank runs *while*
+/// another waits cannot be observed through this API: completion order and
+/// every charged cost are functions of virtual departure/arrival times only,
+/// so clocks, statistics and traces are bit-for-bit identical on any host
+/// (see [`Runner`]). If every live rank ends up suspended at a wait, the
+/// world fails with a virtual deadlock instead of hanging.
 #[must_use = "a request does nothing until waited on"]
 pub struct Request<T> {
     kind: ReqKind,
@@ -199,16 +189,6 @@ struct CollState {
 
 struct Collective {
     m: Mutex<CollState>,
-    cv: Condvar,
-}
-
-/// The engine-specific half of the blocking machinery: threaded worlds park
-/// ranks on condition variables, discrete-event worlds park them in the
-/// scheduler. Everything else — operation semantics, cost accounting, fault
-/// draws — is shared, which is what makes the two engines bitwise identical.
-enum Exec {
-    Threaded,
-    Discrete(Scheduler),
 }
 
 pub(crate) struct WorldShared {
@@ -223,16 +203,16 @@ pub(crate) struct WorldShared {
     /// returns. Writers use [`WorldShared::fail`] (first-wins), so secondary
     /// poison-induced panics never overwrite the original cause.
     failure: Mutex<Option<WorldError>>,
-    /// The world's fault-injection plan (inert for [`run`] / [`run_traced`]).
+    /// The world's fault-injection plan (inert unless [`Runner::faulted`] set one).
     fault: FaultPlan,
     /// Cached `fault.is_active()`: the single branch every hot-path fault
     /// hook takes in clean worlds.
     fault_active: bool,
-    exec: Exec,
+    sched: Scheduler,
 }
 
 impl WorldShared {
-    fn new(n: usize, model: MachineModel, fault: FaultPlan, engine: Engine) -> Self {
+    fn new(n: usize, model: MachineModel, fault: FaultPlan) -> Self {
         let torus_dims = model.torus_dims(n);
         let fault_active = fault.is_active();
         WorldShared {
@@ -251,28 +231,16 @@ impl WorldShared {
                     max_clock: 0.0,
                     agg: None,
                 }),
-                cv: Condvar::new(),
             },
             poisoned: AtomicBool::new(false),
             failure: Mutex::new(None),
-            exec: match engine {
-                Engine::Threaded => Exec::Threaded,
-                Engine::DiscreteEvent => Exec::Discrete(Scheduler::new(n)),
-            },
+            sched: Scheduler::new(n),
         }
     }
 
     fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
-        match &self.exec {
-            Exec::Threaded => {
-                for mb in &self.mailboxes {
-                    mb.cv.notify_all();
-                }
-                self.coll.cv.notify_all();
-            }
-            Exec::Discrete(s) => s.wake_all(),
-        }
+        self.sched.wake_all();
     }
 
     fn check_poison(&self) {
@@ -308,103 +276,45 @@ impl WorldShared {
         panic!("{msg}");
     }
 
-    // ------------------------------------------------- engine blocking sites
-    //
-    // The four helpers below are the *only* places where the two engines
-    // diverge. A threaded world parks the calling rank on the relevant
-    // condition variable; a discrete-event world releases the world lock,
-    // yields the baton to the scheduler until the site is signalled, and
-    // relocks. Both return with the guard held and the predicate possibly
-    // still false — every caller loops.
-
-    /// Block `rank` until its mailbox is signalled again (deposit or poison).
-    fn wait_mailbox<'a>(
-        &'a self,
+    /// The one blocking protocol, shared by the mailbox and the collective
+    /// slot: `rank` found its predicate false under `guard` (the lock of
+    /// `m`), so it registers as blocked with the scheduler **while still
+    /// holding the guard**, releases it, parks until re-dispatched, and
+    /// relocks. A signaller changes the guarded state before it wakes, so it
+    /// finds the waiter either not yet decided or already registered — no
+    /// wakeup can fall in between. Lock order: world guard → scheduler state
+    /// → baton cell. Returns with the guard held and the predicate possibly
+    /// still false (deposit, phase change or poison) — every caller loops.
+    fn wait_on<'a, T>(
+        &self,
         rank: usize,
+        site: WaitSite,
         clock: f64,
-        guard: MutexGuard<'a, VecDeque<Message>>,
-    ) -> MutexGuard<'a, VecDeque<Message>> {
-        match &self.exec {
-            Exec::Threaded => wait(&self.mailboxes[rank].cv, guard),
-            Exec::Discrete(s) => {
-                drop(guard);
-                if let Err(d) = s.yield_blocked(rank, WaitSite::Mailbox, clock) {
-                    self.report_deadlock(d);
-                }
-                lock(&self.mailboxes[rank].queue)
-            }
+        m: &'a Mutex<T>,
+        guard: MutexGuard<'a, T>,
+    ) -> MutexGuard<'a, T> {
+        let registered = self.sched.block(rank, site, clock);
+        drop(guard);
+        match registered {
+            Ok(()) => self.sched.wait_for_turn(rank),
+            Err(d) => self.report_deadlock(d),
         }
+        lock(m)
     }
 
-    /// Block `rank` until the collective slot is signalled again (phase
-    /// change or poison).
-    fn wait_coll<'a>(
-        &'a self,
-        rank: usize,
-        clock: f64,
-        guard: MutexGuard<'a, CollState>,
-    ) -> MutexGuard<'a, CollState> {
-        match &self.exec {
-            Exec::Threaded => wait(&self.coll.cv, guard),
-            Exec::Discrete(s) => {
-                drop(guard);
-                if let Err(d) = s.yield_blocked(rank, WaitSite::Collective, clock) {
-                    self.report_deadlock(d);
-                }
-                lock(&self.coll.m)
-            }
-        }
-    }
-
-    /// Signal a deposit into `dst`'s mailbox.
-    fn notify_mailbox(&self, dst: usize) {
-        match &self.exec {
-            Exec::Threaded => self.mailboxes[dst].cv.notify_all(),
-            Exec::Discrete(s) => s.wake_mailbox(dst),
-        }
-    }
-
-    /// Signal a collective phase change.
-    fn notify_coll(&self) {
-        match &self.exec {
-            Exec::Threaded => self.coll.cv.notify_all(),
-            Exec::Discrete(s) => s.wake_collective(),
-        }
-    }
-
-    /// Rank-thread prologue: under the discrete-event engine, park until the
-    /// scheduler hands this rank the baton for the first time.
-    fn wait_for_start(&self, rank: usize) {
-        if let Exec::Discrete(s) = &self.exec {
-            s.wait_for_turn(rank);
-        }
-    }
-
-    /// Dispatch the first task once all rank threads exist (discrete-event
-    /// engine only).
-    fn start_engine(&self) {
-        if let Exec::Discrete(s) = &self.exec {
-            s.start();
-        }
-    }
-
-    /// Rank-thread epilogue: under the discrete-event engine, retire the task
-    /// and hand the baton on. If this rank exited while every remaining rank
-    /// is blocked, no virtual event can ever wake them — record the deadlock,
-    /// poison the world and restart dispatch so the survivors fail fast
-    /// instead of hanging.
+    /// Rank-thread epilogue: retire the task and hand the baton on. If this
+    /// rank exited while every remaining rank is blocked, no virtual event
+    /// can ever wake them — record the deadlock and poison the world (which
+    /// restarts dispatch) so the survivors fail fast instead of hanging.
     fn retire_rank(&self, rank: usize, clock: f64) {
-        if let Exec::Discrete(s) = &self.exec {
-            if let Some(live) = s.retire(rank) {
-                self.fail(WorldError::VirtualDeadlock {
-                    live,
-                    rank,
-                    site: "rank-exit".to_string(),
-                    clock,
-                });
-                self.poison();
-                s.kick();
-            }
+        if let Some(live) = self.sched.retire(rank) {
+            self.fail(WorldError::VirtualDeadlock {
+                live,
+                rank,
+                site: "rank-exit".to_string(),
+                clock,
+            });
+            self.poison();
         }
     }
 
@@ -527,7 +437,7 @@ pub struct RunOutput<R> {
     pub clocks: Vec<f64>,
     /// Per-rank traffic/time statistics.
     pub stats: Vec<RankStats>,
-    /// Per-rank communication traces (empty unless [`run_traced`] was used).
+    /// Per-rank communication traces (empty unless [`Runner::traced`] was set).
     pub traces: Vec<Trace>,
     /// Per-rank phase profiles (see [`Comm::enter_phase`]). Aggregates are
     /// always collected; attribution segments only in traced worlds.
@@ -553,34 +463,30 @@ impl<R> RunOutput<R> {
 const RANK_STACK_BYTES: usize = 1 << 20;
 
 /// Configures and runs simulated worlds: the builder-style entry point that
-/// composes an execution [`Engine`], optional tracing and an optional
-/// [`FaultPlan`].
+/// composes optional tracing, an optional [`FaultPlan`], the buffer-pool
+/// reference mode and an optional wall-clock deadline. The free function
+/// [`run`] is `Runner::default().run`.
 ///
-/// The free functions [`run`], [`run_traced`], [`run_faulted`] and
-/// [`run_faulted_traced`] are thin wrappers over a `Runner` with the default
-/// (threaded) engine; use a `Runner` directly to select the discrete-event
-/// engine for paper-scale rank counts.
-///
-/// Both engines are observationally identical for every committed workload —
-/// same results, same clocks, same statistics, traces and fault draws, bit
-/// for bit:
+/// Output is a pure function of the program and the machine model — same
+/// results, same clocks, same statistics, traces and fault draws, bit for
+/// bit, however many host cores the scheduler batches ranks onto:
 ///
 /// ```
-/// use simcomm::{Engine, MachineModel, Runner};
+/// use simcomm::{MachineModel, Runner};
 ///
 /// let program = |comm: &mut simcomm::Comm| {
 ///     let peer = comm.size() - 1 - comm.rank();
 ///     let got = comm.sendrecv(peer, vec![comm.rank() as u64], peer, 7);
 ///     comm.allreduce(got[0], |a, b| a + b)
 /// };
-/// let threaded = Runner::new(Engine::Threaded).run(8, MachineModel::juqueen_like(), program);
-/// let discrete = Runner::new(Engine::DiscreteEvent).run(8, MachineModel::juqueen_like(), program);
-/// assert_eq!(threaded.results, discrete.results);
-/// assert_eq!(threaded.clocks, discrete.clocks); // bitwise, not approximately
+/// let out = Runner::default().run(8, MachineModel::juqueen_like(), program);
+/// assert_eq!(out.results, [28; 8]);
+/// // Bitwise, not approximately: the value the retired thread-per-rank
+/// // engine produced for this program.
+/// assert_eq!(out.makespan().to_bits(), 0x3eea_9d7d_078d_d5cb);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Runner {
-    engine: Engine,
     traced: bool,
     fault: FaultPlan,
     pooled: bool,
@@ -588,21 +494,18 @@ pub struct Runner {
 }
 
 impl Default for Runner {
+    /// Tracing off, the inert fault plan, message-buffer pooling enabled, no
+    /// deadline.
     fn default() -> Runner {
-        Runner::new(Engine::default())
+        Runner { traced: false, fault: FaultPlan::none(), pooled: true, deadline: None }
     }
 }
 
 impl Runner {
-    /// A runner for the given engine, with tracing off, the inert fault
-    /// plan, message-buffer pooling enabled, and no deadline.
-    pub fn new(engine: Engine) -> Runner {
-        Runner { engine, traced: false, fault: FaultPlan::none(), pooled: true, deadline: None }
-    }
-
-    /// The engine this runner uses.
-    pub fn engine(&self) -> Engine {
-        self.engine
+    /// [`Runner::default`], spelled the way the frozen
+    /// `benchmark/src/adapter.rs` does; see the one-variant [`Engine`] shim.
+    pub fn new(_engine: Engine) -> Runner {
+        Runner::default()
     }
 
     /// Enable or disable per-rank communication tracing (see
@@ -636,9 +539,10 @@ impl Runner {
     /// watchdog poisons the world: every rank blocked in a communication
     /// operation wakes and unwinds, and the run fails with
     /// [`WorldError::DeadlineExceeded`]. This is how supervisors retire runs
-    /// that hang in real time — e.g. a threaded-engine world waiting on a
-    /// message that is never sent (the discrete-event engine detects that
-    /// case as a [`WorldError::VirtualDeadlock`] instead, without waiting).
+    /// that stall in real time — rank code stuck in a host-side wait or
+    /// simply slower than budgeted. (A world waiting on a message that is
+    /// never sent does not need it: that is a
+    /// [`WorldError::VirtualDeadlock`], reported without waiting.)
     ///
     /// The watchdog can only interrupt ranks at communication operations
     /// (every blocking site rechecks the poison flag); a rank spinning in
@@ -666,8 +570,8 @@ impl Runner {
 
     /// Like [`Runner::run`], but returning the typed failure cause instead of
     /// panicking when the world fails: the first rank panic
-    /// ([`WorldError::RankPanic`]), a virtual deadlock under the
-    /// discrete-event engine ([`WorldError::VirtualDeadlock`]), a refused
+    /// ([`WorldError::RankPanic`]), a virtual deadlock
+    /// ([`WorldError::VirtualDeadlock`]), a refused
     /// thread spawn ([`WorldError::SpawnFailed`]), or an elapsed wall-clock
     /// deadline ([`WorldError::DeadlineExceeded`]).
     ///
@@ -676,9 +580,9 @@ impl Runner {
     /// violations inside the harness itself.
     ///
     /// ```
-    /// use simcomm::{Engine, MachineModel, Runner, WorldError};
+    /// use simcomm::{MachineModel, Runner, WorldError};
     ///
-    /// let err = Runner::new(Engine::DiscreteEvent)
+    /// let err = Runner::default()
     ///     .try_run(2, MachineModel::ideal(), |comm| {
     ///         if comm.rank() == 1 {
     ///             let _: Vec<u8> = comm.recv(0, 99); // never sent
@@ -699,25 +603,16 @@ impl Runner {
         R: Send,
         F: Fn(&mut Comm) -> R + Send + Sync,
     {
-        try_run_with(
-            n,
-            model,
-            self.fault.clone(),
-            self.traced,
-            self.engine,
-            self.pooled,
-            self.deadline,
-            f,
-        )
+        try_run_with(self, n, model, f)
     }
 }
 
-/// Run a simulated world of `n` ranks under the given machine model, using
-/// the default (threaded) execution engine.
+/// Run a simulated world of `n` ranks under the given machine model:
+/// [`Runner::default`]'s `run`.
 ///
-/// The closure is invoked once per rank (one OS thread each) with that rank's
-/// [`Comm`]. Returns per-rank results, final virtual clocks and statistics.
-/// Use a [`Runner`] to select the engine explicitly.
+/// The closure is invoked once per rank with that rank's [`Comm`]. Returns
+/// per-rank results, final virtual clocks and statistics. Use a [`Runner`]
+/// for tracing, fault injection or a typed error.
 ///
 /// # Panics
 ///
@@ -737,73 +632,13 @@ where
     R: Send,
     F: Fn(&mut Comm) -> R + Send + Sync,
 {
-    run_with(n, model, FaultPlan::none(), false, Engine::Threaded, true, f)
+    Runner::default().run(n, model, f)
 }
 
-/// Like [`run`], additionally recording a communication [`Trace`] per rank
-/// (see [`RunOutput::traces`] and [`crate::write_trace_csv`]).
-pub fn run_traced<R, F>(n: usize, model: MachineModel, f: F) -> RunOutput<R>
-where
-    R: Send,
-    F: Fn(&mut Comm) -> R + Send + Sync,
-{
-    run_with(n, model, FaultPlan::none(), true, Engine::Threaded, true, f)
-}
-
-/// Like [`run`], but injecting the deterministic faults described by `fault`
-/// (see [`FaultPlan`]). With [`FaultPlan::none`] this is exactly [`run`].
-pub fn run_faulted<R, F>(n: usize, model: MachineModel, fault: FaultPlan, f: F) -> RunOutput<R>
-where
-    R: Send,
-    F: Fn(&mut Comm) -> R + Send + Sync,
-{
-    run_with(n, model, fault, false, Engine::Threaded, true, f)
-}
-
-/// Like [`run_faulted`], additionally recording a communication [`Trace`]
-/// per rank.
-pub fn run_faulted_traced<R, F>(
-    n: usize,
-    model: MachineModel,
-    fault: FaultPlan,
-    f: F,
-) -> RunOutput<R>
-where
-    R: Send,
-    F: Fn(&mut Comm) -> R + Send + Sync,
-{
-    run_with(n, model, fault, true, Engine::Threaded, true, f)
-}
-
-/// Panicking form of [`try_run_with`], behind the historical `run*` free
-/// functions: any world failure becomes a panic carrying the error's display
-/// form.
-fn run_with<R, F>(
-    n: usize,
-    model: MachineModel,
-    fault: FaultPlan,
-    traced: bool,
-    engine: Engine,
-    pooled: bool,
-    f: F,
-) -> RunOutput<R>
-where
-    R: Send,
-    F: Fn(&mut Comm) -> R + Send + Sync,
-{
-    try_run_with(n, model, fault, traced, engine, pooled, None, f)
-        .unwrap_or_else(|e| panic!("simcomm world failed: {e}"))
-}
-
-#[allow(clippy::too_many_arguments)]
 fn try_run_with<R, F>(
+    cfg: &Runner,
     n: usize,
     model: MachineModel,
-    fault: FaultPlan,
-    traced: bool,
-    engine: Engine,
-    pooled: bool,
-    deadline: Option<Duration>,
     f: F,
 ) -> Result<RunOutput<R>, WorldError>
 where
@@ -811,11 +646,13 @@ where
     F: Fn(&mut Comm) -> R + Send + Sync,
 {
     assert!(n >= 1, "world must have at least one rank");
-    let shared = Arc::new(WorldShared::new(n, model, fault, engine));
+    let Runner { traced, pooled, deadline, ref fault } = *cfg;
+    let shared = Arc::new(WorldShared::new(n, model, fault.clone()));
     type Slot<R> = Mutex<Option<(R, f64, RankStats, Trace, PhaseProfile)>>;
     let slots: Vec<Slot<R>> = (0..n).map(|_| Mutex::new(None)).collect();
     // Completion signal for the deadline watchdog (scoped, so it can borrow).
     let watchdog_done: (Mutex<bool>, Condvar) = (Mutex::new(false), Condvar::new());
+    let mut escaped = None;
 
     std::thread::scope(|scope| {
         if let Some(limit) = deadline {
@@ -849,9 +686,9 @@ where
             let task = {
                 let shared = Arc::clone(&shared);
                 move || {
-                    // Under the discrete-event engine, park until the
-                    // scheduler hands this rank the baton for the first time.
-                    shared.wait_for_start(rank);
+                    // Park until the scheduler hands this rank the baton for
+                    // the first time.
+                    shared.sched.wait_for_turn(rank);
                     let straggler = shared.fault_active && shared.fault.straggles(rank);
                     let mut comm = Comm {
                         shared: Arc::clone(&shared),
@@ -930,19 +767,21 @@ where
                         nranks: n,
                         message: e.to_string(),
                     });
-                    if let Exec::Discrete(s) = &shared.exec {
-                        for r in rank..n {
-                            s.abandon(r);
-                        }
+                    for r in rank..n {
+                        shared.sched.abandon(r);
                     }
                     shared.poison();
                     break;
                 }
             }
         }
-        shared.start_engine();
+        shared.sched.start();
         for h in handles {
-            let _ = h.join();
+            // Rank bodies run under `catch_unwind`, so a rank *thread* only
+            // panics on a scheduler invariant; keep the first such payload.
+            if let Err(e) = h.join() {
+                escaped.get_or_insert(e);
+            }
         }
         // All ranks are done (or the world failed): release the watchdog.
         let (m, cv) = &watchdog_done;
@@ -950,6 +789,9 @@ where
         cv.notify_all();
     });
 
+    if let Some(payload) = escaped {
+        std::panic::resume_unwind(payload);
+    }
     if let Some(err) = lock(&shared.failure).take() {
         return Err(err);
     }
@@ -1248,7 +1090,7 @@ impl Comm {
     }
 
     /// The world's fault plan (inert unless the world was started with
-    /// [`crate::run_faulted`] / [`crate::run_faulted_traced`]).
+    /// [`Runner::faulted`]).
     #[inline]
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.shared.fault
@@ -1452,7 +1294,7 @@ impl Comm {
         self.count_p2p_sent(1, bytes);
         let msg = Message { src: self.rank, tag, depart, bytes, corr, payload };
         lock(&self.shared.mailboxes[dst].queue).push_back(msg);
-        self.shared.notify_mailbox(dst);
+        self.shared.sched.wake_mailbox(dst);
         (depart, corr)
     }
 
@@ -1481,7 +1323,7 @@ impl Comm {
                 drop(q);
                 return self.complete_recv(msg);
             }
-            q = self.shared.wait_mailbox(self.rank, self.clock, q);
+            q = self.shared.wait_on(self.rank, WaitSite::Mailbox, self.clock, &mb.queue, q);
         }
     }
 
@@ -1686,7 +1528,7 @@ impl Comm {
                 if match_requests(&q, &sc.patterns, &mut sc.taken, &mut sc.picks) {
                     break;
                 }
-                q = self.shared.wait_mailbox(self.rank, self.clock, q);
+                q = self.shared.wait_on(self.rank, WaitSite::Mailbox, self.clock, &mb.queue, q);
             }
             // Remove back to front so earlier queue positions stay valid.
             sc.picks.sort_unstable_by_key(|&(_, qpos)| std::cmp::Reverse(qpos));
@@ -1826,7 +1668,15 @@ impl Comm {
                         break Ok((slot, msg));
                     }
                     (None, Some((_, send_slot))) => break Err(send_slot),
-                    (None, None) => q = self.shared.wait_mailbox(self.rank, self.clock, q),
+                    (None, None) => {
+                        q = self.shared.wait_on(
+                            self.rank,
+                            WaitSite::Mailbox,
+                            self.clock,
+                            &mb.queue,
+                            q,
+                        )
+                    }
                 }
             }
         };
@@ -1865,7 +1715,7 @@ impl Comm {
         // Wait for the previous collective's read phase to finish.
         while st.phase % 2 == 1 {
             self.shared.check_poison();
-            st = self.shared.wait_coll(self.rank, self.clock, st);
+            st = self.shared.wait_on(self.rank, WaitSite::Collective, self.clock, &coll.m, st);
         }
         let my_phase = st.phase;
         st.deposits[self.rank] = Some(Box::new(contrib));
@@ -1886,11 +1736,11 @@ impl Comm {
             st.agg = Some(Arc::new(combine(items)));
             st.arrived = 0;
             st.phase += 1;
-            self.shared.notify_coll();
+            self.shared.sched.wake_collective();
         } else {
             while st.phase == my_phase {
                 self.shared.check_poison();
-                st = self.shared.wait_coll(self.rank, self.clock, st);
+                st = self.shared.wait_on(self.rank, WaitSite::Collective, self.clock, &coll.m, st);
             }
         }
         // Read phase.
@@ -1902,7 +1752,7 @@ impl Comm {
             st.agg = None;
             st.max_clock = 0.0;
             st.phase += 1;
-            self.shared.notify_coll();
+            self.shared.sched.wake_collective();
         }
         drop(st);
         let agg = agg.downcast::<A>().expect("collective aggregate type mismatch");
@@ -2503,40 +2353,38 @@ mod tests {
 
     #[test]
     fn try_run_reports_first_rank_panic_typed() {
-        for engine in [Engine::Threaded, Engine::DiscreteEvent] {
-            let err = Runner::new(engine)
-                .try_run(4, MachineModel::ideal(), |comm| {
-                    if comm.rank() == 2 {
-                        panic!("injected fault in rank body");
-                    }
-                    comm.barrier();
-                })
-                .err()
-                .expect("a panicking rank must fail the world");
-            assert_eq!(err.kind(), "panic");
-            match err {
-                WorldError::RankPanic { rank, message } => {
-                    assert_eq!(rank, 2);
-                    assert!(message.contains("injected fault"), "{message}");
+        let err = Runner::default()
+            .try_run(4, MachineModel::ideal(), |comm| {
+                if comm.rank() == 2 {
+                    panic!("injected fault in rank body");
                 }
-                other => panic!("expected RankPanic, got {other:?}"),
+                comm.barrier();
+            })
+            .err()
+            .expect("a panicking rank must fail the world");
+        assert_eq!(err.kind(), "panic");
+        match err {
+            WorldError::RankPanic { rank, message } => {
+                assert_eq!(rank, 2);
+                assert!(message.contains("injected fault"), "{message}");
             }
+            other => panic!("expected RankPanic, got {other:?}"),
         }
     }
 
     #[test]
-    fn try_run_deadline_retires_hung_threaded_world() {
-        // Under the threaded engine a receive with no matching send hangs in
-        // real time; only the deadline watchdog can retire it.
-        let err = Runner::new(Engine::Threaded)
+    fn try_run_deadline_retires_stalled_world() {
+        // A host-time stall: every rank sleeps and synchronizes for ever, so
+        // virtual time advances (no deadlock to detect) and only the deadline
+        // watchdog can retire the world — at a rank's next poison check.
+        let err = Runner::default()
             .deadline(Some(Duration::from_millis(50)))
-            .try_run(2, MachineModel::ideal(), |comm| {
-                if comm.rank() == 1 {
-                    let _: Vec<u8> = comm.recv(0, 99); // never sent
-                }
+            .try_run(2, MachineModel::ideal(), |comm| loop {
+                std::thread::sleep(Duration::from_millis(2));
+                comm.barrier();
             })
             .err()
-            .expect("the watchdog must retire the hung world");
+            .expect("the watchdog must retire the stalled world");
         assert_eq!(err.kind(), "deadline");
         // The error carries the *configured* limit, not a measured duration,
         // so it is deterministic across runs.
@@ -2545,7 +2393,7 @@ mod tests {
 
     #[test]
     fn try_run_deadline_does_not_fire_on_healthy_world() {
-        let out = Runner::new(Engine::Threaded)
+        let out = Runner::default()
             .deadline(Some(Duration::from_secs(60)))
             .try_run(4, MachineModel::ideal(), |comm| {
                 comm.allreduce(comm.rank() as u64, |a, b| a + b)
@@ -2561,17 +2409,16 @@ mod tests {
             let _ = comm.alltoallv(vec![((comm.rank() + 1) % 4, v)]);
             comm.clock()
         };
-        let a = Runner::new(Engine::DiscreteEvent)
-            .try_run(4, MachineModel::juropa_like(), body)
-            .expect("clean world");
-        let b = Runner::new(Engine::DiscreteEvent).run(4, MachineModel::juropa_like(), body);
+        let a =
+            Runner::default().try_run(4, MachineModel::juropa_like(), body).expect("clean world");
+        let b = run(4, MachineModel::juropa_like(), body);
         assert_eq!(a.clocks, b.clocks);
         assert_eq!(a.results, b.results);
     }
 
     #[test]
     fn tracing_records_events_in_order() {
-        let out = crate::world::run_traced(2, MachineModel::juropa_like(), |comm| {
+        let out = Runner::default().traced(true).run(2, MachineModel::juropa_like(), |comm| {
             if comm.rank() == 0 {
                 comm.send(1, 0, vec![0u8; 64]);
             } else {
@@ -2710,7 +2557,7 @@ mod tests {
 
     #[test]
     fn phase_segments_are_ordered_and_disjoint() {
-        let out = crate::world::run_traced(3, MachineModel::juropa_like(), |comm| {
+        let out = Runner::default().traced(true).run(3, MachineModel::juropa_like(), |comm| {
             for step in 0..5 {
                 comm.enter_phase("a");
                 comm.compute(Work::ParticleOp, (50 * (step + comm.rank() + 1)) as f64);
@@ -2746,7 +2593,7 @@ mod tests {
 
     #[test]
     fn trace_events_carry_phase_and_nranks() {
-        let out = crate::world::run_traced(2, MachineModel::juropa_like(), |comm| {
+        let out = Runner::default().traced(true).run(2, MachineModel::juropa_like(), |comm| {
             comm.with_phase("p", |c| {
                 if c.rank() == 0 {
                     c.send(1, 0, vec![0u8; 8]);
@@ -2935,7 +2782,9 @@ mod tests {
             wait_timeout_seconds: Some(1e-6),
             ..FaultPlan::none()
         };
-        let run_once = || run_faulted(6, MachineModel::juropa_like(), plan(), fault_workload);
+        let run_once = || {
+            Runner::default().faulted(plan()).run(6, MachineModel::juropa_like(), fault_workload)
+        };
         let (a, b) = (run_once(), run_once());
         assert_eq!(a.clocks, b.clocks, "faulted clocks must be reproducible");
         for r in 0..6 {
@@ -2972,7 +2821,8 @@ mod tests {
             wait_timeout_seconds: Some(1e-6),
             ..FaultPlan::none()
         };
-        let faulted = run_faulted(6, MachineModel::juqueen_like(), plan, fault_workload);
+        let faulted =
+            Runner::default().faulted(plan).run(6, MachineModel::juqueen_like(), fault_workload);
         for r in 0..6 {
             assert_eq!(clean.results[r].0, faulted.results[r].0, "rank {r} payloads must match");
         }
@@ -2980,9 +2830,13 @@ mod tests {
     }
 
     #[test]
-    fn run_faulted_with_inert_plan_matches_run_exactly() {
+    fn inert_fault_plan_matches_run_exactly() {
         let clean = run(4, MachineModel::juropa_like(), fault_workload);
-        let inert = run_faulted(4, MachineModel::juropa_like(), FaultPlan::none(), fault_workload);
+        let inert = Runner::default().faulted(FaultPlan::none()).run(
+            4,
+            MachineModel::juropa_like(),
+            fault_workload,
+        );
         assert_eq!(clean.clocks, inert.clocks);
         for r in 0..4 {
             assert_eq!(clean.results[r].0, inert.results[r].0);
@@ -2998,12 +2852,13 @@ mod tests {
             stall: Some(StallSpec { rank: 1, after_ops: 2, seconds: 0.5 }),
             ..FaultPlan::none()
         };
-        let out = run_faulted_traced(3, MachineModel::ideal(), plan, |comm| {
-            for _ in 0..4 {
-                comm.barrier();
-            }
-            comm.stats().clone()
-        });
+        let out =
+            Runner::default().traced(true).faulted(plan).run(3, MachineModel::ideal(), |comm| {
+                for _ in 0..4 {
+                    comm.barrier();
+                }
+                comm.stats().clone()
+            });
         assert_eq!(out.results[1].stalls, 1, "the stall is one-shot");
         assert_eq!(out.results[0].stalls + out.results[2].stalls, 0);
         assert!(out.results[1].wait_seconds >= 0.5, "stall charged as wait");
@@ -3019,15 +2874,19 @@ mod tests {
         // Rank 0 delays its send by a long compute; rank 1's wait then blows
         // through the 1 µs timeout threshold.
         let plan = FaultPlan { seed: 3, wait_timeout_seconds: Some(1e-6), ..FaultPlan::none() };
-        let out = run_faulted_traced(2, MachineModel::juropa_like(), plan, |comm| {
-            if comm.rank() == 0 {
-                comm.advance(1.0);
-                comm.send(1, 0, vec![9u8]);
-            } else {
-                let _ = comm.recv::<u8>(0, 0);
-            }
-            comm.stats().clone()
-        });
+        let out = Runner::default().traced(true).faulted(plan).run(
+            2,
+            MachineModel::juropa_like(),
+            |comm| {
+                if comm.rank() == 0 {
+                    comm.advance(1.0);
+                    comm.send(1, 0, vec![9u8]);
+                } else {
+                    let _ = comm.recv::<u8>(0, 0);
+                }
+                comm.stats().clone()
+            },
+        );
         assert!(out.results[1].timeouts > 0, "the long wait must count timeout cycles");
         assert!(out.traces[1].events.iter().any(|e| e.kind == TraceKind::Timeout));
         let st = &out.results[1];

@@ -5,7 +5,7 @@
 //! world — the runtime promises deterministic *data* regardless of OS
 //! scheduling, and (for `waitall`-based paths) deterministic clocks too.
 
-use simcomm::{run, run_faulted, Comm, FaultPlan, MachineModel, Request, StallSpec};
+use simcomm::{run, Comm, FaultPlan, MachineModel, Request, Runner, StallSpec};
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -157,10 +157,10 @@ fn waitany_data_unchanged_under_faults() {
         stall: Some(StallSpec { rank: 2, after_ops: 5, seconds: 1e-4 }),
         ..FaultPlan::none()
     };
-    let faulted = run_faulted(5, MachineModel::juropa_like(), plan, move |comm| {
-        waitany_schedule(comm, seed, 3)
-    })
-    .results;
+    let faulted = Runner::default()
+        .faulted(plan)
+        .run(5, MachineModel::juropa_like(), move |comm| waitany_schedule(comm, seed, 3))
+        .results;
     // Faults reshuffle completion order (spikes change arrival times), but
     // the multiset of delivered payloads per rank is untouched.
     for r in 0..5 {
@@ -239,9 +239,10 @@ fn neighbor_exchange_random_topology_deterministic_and_fault_immune() {
         wait_timeout_seconds: Some(1e-5),
         ..FaultPlan::none()
     };
-    let faulted = run_faulted(8, MachineModel::juqueen_like(), plan, move |comm| {
-        neighbor_schedule(comm, seed)
-    });
+    let faulted =
+        Runner::default()
+            .faulted(plan)
+            .run(8, MachineModel::juqueen_like(), move |comm| neighbor_schedule(comm, seed));
     assert_eq!(faulted.results, a, "faults must not alter neighbor_exchange data");
     let injected: u64 = faulted.stats.iter().map(|s| s.faults_injected).sum();
     assert!(injected > 0, "this plan must actually inject faults");

@@ -6,14 +6,14 @@
 
 use fcs::{Fcs, SolverKind};
 use particles::{local_set, InitialDistribution, IonicCrystal};
-use simcomm::{run_traced, CartGrid, MachineModel, TraceKind};
+use simcomm::{CartGrid, MachineModel, Runner, TraceKind};
 
 fn main() {
     let crystal = IonicCrystal::cubic(8, 1.0, 0.15, 5);
     let bbox = crystal.system_box();
     let nprocs = 8;
 
-    let out = run_traced(nprocs, MachineModel::juropa_like(), |comm| {
+    let out = Runner::default().traced(true).run(nprocs, MachineModel::juropa_like(), |comm| {
         let set = local_set(
             &crystal,
             InitialDistribution::Random,

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use campaign::{run_campaign, CampaignOutcome, Policy, RunCtx, RunDef, RunOutcome};
-use simcomm::{Engine, MachineModel, Runner, WorldError};
+use simcomm::{MachineModel, Runner, WorldError};
 
 /// Per-run config: a seed, plus fault bits.
 #[derive(Clone, Copy)]
@@ -36,22 +36,18 @@ fn spec() -> Vec<RunDef<Cfg>> {
 fn exec(cfg: &Cfg, ctx: &RunCtx) -> Result<String, WorldError> {
     let inject = cfg.poisoned || (cfg.flaky && ctx.attempt == 1);
     let seed = cfg.seed;
-    let out = Runner::new(Engine::DiscreteEvent).try_run(
-        4,
-        MachineModel::juropa_like(),
-        move |comm| {
-            if inject && comm.rank() == 2 {
-                panic!("injected fault");
-            }
-            let mine = seed.wrapping_mul(comm.rank() as u64 + 1);
-            let data: Vec<(usize, Vec<u8>)> =
-                (0..comm.size()).map(|q| (q, mine.to_le_bytes().to_vec())).collect();
-            let got = comm.alltoallv(data);
-            got.iter()
-                .map(|(_, v)| u64::from_le_bytes(v.as_slice().try_into().unwrap()))
-                .fold(0u64, u64::wrapping_add)
-        },
-    )?;
+    let out = Runner::default().try_run(4, MachineModel::juropa_like(), move |comm| {
+        if inject && comm.rank() == 2 {
+            panic!("injected fault");
+        }
+        let mine = seed.wrapping_mul(comm.rank() as u64 + 1);
+        let data: Vec<(usize, Vec<u8>)> =
+            (0..comm.size()).map(|q| (q, mine.to_le_bytes().to_vec())).collect();
+        let got = comm.alltoallv(data);
+        got.iter()
+            .map(|(_, v)| u64::from_le_bytes(v.as_slice().try_into().unwrap()))
+            .fold(0u64, u64::wrapping_add)
+    })?;
     let clocks: Vec<String> = out.clocks.iter().map(|c| format!("{:016x}", c.to_bits())).collect();
     Ok(format!("{:016x} {}", out.results[0], clocks.join(" ")))
 }

@@ -8,7 +8,7 @@
 use fcs::SolverKind;
 use mdsim::{simulate, SimConfig, StepRecord};
 use particles::{local_set, InitialDistribution, IonicCrystal};
-use simcomm::{run, run_faulted, CartGrid, FaultPlan, MachineModel, StallSpec};
+use simcomm::{run, CartGrid, FaultPlan, MachineModel, Runner, StallSpec};
 
 fn config(solver: SolverKind, resort: bool, exploit: bool, steps: usize) -> SimConfig {
     SimConfig {
@@ -79,7 +79,7 @@ fn faulted_fig_configs_reproduce_unfaulted_trajectories() {
             }
         };
         let clean = run(p, MachineModel::juropa_like(), worker.clone());
-        let faulted = run_faulted(p, MachineModel::juropa_like(), plan, worker);
+        let faulted = Runner::default().faulted(plan).run(p, MachineModel::juropa_like(), worker);
 
         let injected: u64 = faulted.stats.iter().map(|s| s.faults_injected).sum();
         assert!(injected > 0, "{solver:?} resort={resort}: the plan must actually inject faults");
@@ -122,7 +122,7 @@ fn stall_and_timeouts_trigger_recovery_and_are_masked() {
         }
     };
     let clean = run(p, MachineModel::juropa_like(), worker.clone());
-    let faulted = run_faulted(p, MachineModel::juropa_like(), plan, worker);
+    let faulted = Runner::default().faulted(plan).run(p, MachineModel::juropa_like(), worker);
 
     let recoveries = faulted.results[0].2;
     assert!(recoveries >= 1, "the stall/timeouts must trigger at least one recovery");
@@ -137,8 +137,9 @@ fn stall_and_timeouts_trigger_recovery_and_are_masked() {
 
 #[test]
 fn inert_fault_plan_matches_plain_run_bit_for_bit() {
-    // `run_faulted(FaultPlan::none())` is the plain runtime: identical
-    // results, records (including every timing field) and final clocks.
+    // A runner faulted with `FaultPlan::none()` is the plain runtime:
+    // identical results, records (including every timing field) and final
+    // clocks.
     let crystal = IonicCrystal::cubic(5, 1.0, 0.15, 13);
     let bbox = crystal.system_box();
     let p = 8;
@@ -154,7 +155,8 @@ fn inert_fault_plan_matches_plain_run_bit_for_bit() {
         }
     };
     let plain = run(p, MachineModel::juropa_like(), worker.clone());
-    let inert = run_faulted(p, MachineModel::juropa_like(), FaultPlan::none(), worker);
+    let inert =
+        Runner::default().faulted(FaultPlan::none()).run(p, MachineModel::juropa_like(), worker);
 
     for ((p_recs, p_state, p_clock, p_rec), (i_recs, i_state, i_clock, i_rec)) in
         plain.results.iter().zip(&inert.results)

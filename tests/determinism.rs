@@ -1,0 +1,134 @@
+//! Determinism of the full MD workloads: every figure-style configuration
+//! must reproduce, **bit for bit**, the output the deleted thread-per-rank
+//! engine produced — same per-rank virtual clocks, same traffic statistics,
+//! same step records (physics *and* timing fields), same final particle
+//! state — with and without an injected [`simcomm::FaultPlan`], at any host
+//! width.
+//!
+//! The simcomm crate's own `determinism` suite checks the primitives (sends,
+//! collectives, traces, payload bytes); this integration suite closes the
+//! loop at the application layer, where the solvers, the resort paths, the
+//! plan cache, and the recovery driver all run on top of the scheduler.
+//!
+//! Each world is folded into a 64-bit digest and compared with a constant
+//! captured from the `Threaded` variant of `simcomm::Engine` at commit
+//! `cf18bdf` (the last one carrying it): run this file there with every
+//! `Runner::default()` replaced by a `Runner::new` of that variant and copy
+//! the digest each failing assertion printed.
+
+use fcs::SolverKind;
+use mdsim::{simulate, SimConfig, SimResult};
+use particles::{local_set, InitialDistribution, IonicCrystal};
+use simcomm::{CartGrid, FaultPlan, MachineModel, RunOutput, Runner};
+
+fn config(solver: SolverKind, resort: bool, exploit: bool, steps: usize) -> SimConfig {
+    SimConfig {
+        solver,
+        resort,
+        exploit_movement: exploit,
+        steps,
+        tolerance: 1e-2,
+        dt: mdsim::suggested_dt(1.0, 1.0),
+        ..SimConfig::default()
+    }
+}
+
+/// 64-bit FNV-1a of a value's `Debug` rendering. `{:?}` prints floats in
+/// shortest round-trip form, so distinct bit patterns hash differently.
+fn digest(x: &impl std::fmt::Debug) -> u64 {
+    format!("{x:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Assert that an MD world — clock bit patterns, traffic statistics, every
+/// field of every rank's [`SimResult`] (step records, plan and recovery
+/// counters, final state) and the phase aggregates — hashes to `want`.
+fn assert_frozen(out: &RunOutput<SimResult>, want: u64, what: &str) {
+    let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
+    let got = digest(&(clock_bits, &out.stats, &out.results, &out.phases));
+    assert_eq!(got, want, "{what}: digest {got:#018x} differs from the frozen {want:#018x}");
+}
+
+/// Run one MD configuration under the given runner.
+fn md_world(
+    runner: &Runner,
+    p: usize,
+    model: MachineModel,
+    crystal: &IonicCrystal,
+    dist: InitialDistribution,
+    cfg: &SimConfig,
+) -> RunOutput<SimResult> {
+    let bbox = crystal.system_box();
+    let crystal = crystal.clone();
+    let cfg = cfg.clone();
+    runner.run(p, model, move |comm| {
+        let dims = CartGrid::balanced(p).dims();
+        let set = local_set(&crystal, dist, comm.rank(), p, dims);
+        simulate(comm, bbox, set, &cfg)
+    })
+}
+
+#[test]
+fn md_configs_match_frozen_digests() {
+    let crystal = IonicCrystal::cubic(5, 1.0, 0.15, 7);
+    let p = 8;
+    // Fig. 6/7-style (random init, Method A vs B) and fig8-style (grid init,
+    // movement-exploiting Method B) configurations, both solvers.
+    let cases = [
+        (SolverKind::Fmm, false, false, InitialDistribution::Random),
+        (SolverKind::Fmm, true, true, InitialDistribution::Grid),
+        (SolverKind::P2Nfft, true, false, InitialDistribution::Random),
+        (SolverKind::P2Nfft, true, true, InitialDistribution::Grid),
+    ];
+    let frozen: [[u64; 4]; 2] = [
+        [
+            0x9e70_6cf1_394b_39b5,
+            0xdf42_da53_5bde_5253,
+            0x62d2_ae3a_5d5f_8665,
+            0xc049_456a_685d_06e9,
+        ],
+        [
+            0xfcfe_ebc0_764e_dff5,
+            0xdaa9_0dbb_3e6f_5a3d,
+            0x7d1b_8753_9f64_462b,
+            0x17b4_beb8_1e39_ca46,
+        ],
+    ];
+    let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
+    for (model, frozen) in models.into_iter().zip(frozen) {
+        for ((solver, resort, exploit, dist), want) in cases.into_iter().zip(frozen) {
+            let cfg = config(solver, resort, exploit, 3);
+            let out = md_world(&Runner::default(), p, model.clone(), &crystal, dist, &cfg);
+            let what = format!("{} {solver:?} resort={resort} exploit={exploit}", model.name);
+            assert_frozen(&out, want, &what);
+        }
+    }
+}
+
+#[test]
+fn faulted_md_matches_frozen_digest() {
+    // The fault layer draws from seeded per-rank streams keyed by operation
+    // counts — all schedule-independent state — so even under latency
+    // spikes, send losses and a straggler every bit is reproducible,
+    // including the fault counters themselves.
+    let crystal = IonicCrystal::cubic(5, 1.0, 0.15, 19);
+    let p = 8;
+    let cfg = config(SolverKind::P2Nfft, true, true, 3);
+    let plan = FaultPlan {
+        seed: 0xfab,
+        latency_spike_prob: 0.1,
+        latency_spike_seconds: 25e-6,
+        send_loss_prob: 0.08,
+        retry_backoff_seconds: 5e-6,
+        straggler_ranks: vec![1],
+        straggler_factor: 1.4,
+        ..FaultPlan::none()
+    };
+    let runner = Runner::default().faulted(plan);
+    let model = MachineModel::juqueen_like();
+    let out = md_world(&runner, p, model, &crystal, InitialDistribution::Grid, &cfg);
+    let injected: u64 = out.stats.iter().map(|s| s.faults_injected).sum();
+    assert!(injected > 0, "the fault plan must actually inject faults");
+    assert_frozen(&out, 0xb8ba_835a_3b7d_d94b, "faulted P2NFFT");
+}

@@ -267,7 +267,8 @@ fn phase_spans_never_overlap() {
         let p = 2 + g.below(3) as usize; // 2..=4 ranks
         let script: Vec<u64> = (0..40).map(|_| g.u64()).collect();
         let script2 = script.clone();
-        let out = simcomm::run_traced(p, simcomm::MachineModel::juropa_like(), move |comm| {
+        let traced = simcomm::Runner::default().traced(true);
+        let out = traced.run(p, simcomm::MachineModel::juropa_like(), move |comm| {
             const NAMES: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
             let mut depth = 0usize;
             for (i, &op) in script2.iter().enumerate() {
