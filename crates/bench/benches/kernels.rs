@@ -140,6 +140,52 @@ fn bench_special_functions() {
     });
 }
 
+/// One rank's near-field call in the shape the repository benchmark's MD
+/// workloads produce: `IonicCrystal::paper_like(cells, ..)` on a balanced
+/// grid of `ranks`, rank 0's particles as receivers and every other particle
+/// within the cutoff of its subdomain as a ghost.
+fn bench_near_field_rank(cells: usize, ranks: usize) {
+    let crystal = particles::IonicCrystal::paper_like(cells, 1);
+    let bbox = crystal.system_box();
+    let dims = simcomm::CartGrid::balanced(ranks).dims();
+    // The cutoff the benchmark tunes: 2.8 spacings, capped by the
+    // minimum-image bound and the subdomain width.
+    let l = bbox.lengths.x();
+    let rcut = (2.8 * crystal.spacing).min(0.49 * l).min(l / dims[0] as f64);
+    let cfg = pmsolver::PmConfig::tuned(&bbox, 1e-2, rcut);
+    let (lo, hi) = particles::grid_cell_bounds(dims, &bbox, 0);
+    let (mid, half) = ((lo + hi) * 0.5, (hi - lo) * 0.5);
+    let (mut pos, mut charge) = (Vec::new(), Vec::new());
+    let (mut ghost_pos, mut ghost_charge) = (Vec::new(), Vec::new());
+    for i in 0..crystal.n() as u64 {
+        let (x, q) = crystal.particle(i);
+        let m = bbox.min_image(x, mid);
+        let gap2: f64 = (0..3).map(|k| (m[k].abs() - half[k]).max(0.0).powi(2)).sum();
+        if particles::grid_rank_of(dims, &bbox, x) == 0 {
+            pos.push(x);
+            charge.push(q);
+        } else if gap2 <= cfg.rcut * cfg.rcut {
+            ghost_pos.push(x);
+            ghost_charge.push(q);
+        }
+    }
+    let name = format!("rank_{}_owned_{}_total", pos.len(), pos.len() + ghost_pos.len());
+    bench_case("near_field", &name, || {
+        let (p, _, pairs) = pmsolver::near_field(
+            &bbox,
+            cfg.alpha,
+            cfg.rcut,
+            None,
+            (lo, hi),
+            &pos,
+            &charge,
+            &ghost_pos,
+            &ghost_charge,
+        );
+        black_box((p[0], pairs))
+    });
+}
+
 fn bench_near_field() {
     let bbox = particles::SystemBox::cubic(10.0);
     let gas = particles::RandomGas { n: 2000, bbox, seed: 5 };
@@ -164,6 +210,9 @@ fn bench_near_field() {
         );
         black_box((p[0], pairs))
     });
+    // md_p2nfft (512 owned per rank) and md_sparse64 (27 owned per rank).
+    bench_near_field_rank(16, 8);
+    bench_near_field_rank(12, 64);
 }
 
 fn main() {

@@ -62,12 +62,32 @@ impl SystemBox {
     }
 
     /// Minimum-image displacement `a - b` under the box's periodicity.
+    ///
+    /// Defined as `d - l * round(d / l)` per periodic component. The two
+    /// innermost periods are folded without the divide and the `round`:
+    /// `round(fl(d / l))` is `±0` exactly when `|d| < l/2` and `±1` exactly
+    /// when `l/2 <= |d| < l` (DESIGN.md, "Exact minimum-image fold"), so the
+    /// shortcuts return the bits the division form would.
+    #[inline]
     pub fn min_image(&self, a: Vec3, b: Vec3) -> Vec3 {
         let mut d = a - b;
         for k in 0..3 {
             if self.periodic[k] {
                 let l = self.lengths[k];
-                d[k] -= l * (d[k] / l).round();
+                let (x, ax) = (d[k], d[k].abs());
+                d[k] = if ax < 0.5 * l {
+                    // `x - l * (±0)`: the identity, except that -0.0 - (-0.0)
+                    // is +0.0.
+                    x + 0.0
+                } else if ax < l {
+                    if x > 0.0 {
+                        x - l
+                    } else {
+                        x + l
+                    }
+                } else {
+                    x - l * (x / l).round()
+                };
             }
         }
         d
@@ -146,6 +166,79 @@ mod tests {
         let b = SystemBox::new(Vec3::ZERO, Vec3::splat(10.0), [false; 3]);
         let d = b.min_image(Vec3::new(9.5, 0.0, 0.0), Vec3::new(0.5, 0.0, 0.0));
         assert_eq!(d.x(), 9.0);
+    }
+
+    /// The definition `min_image` folds: `d - l * round(d / l)`.
+    fn division_form(b: &SystemBox, d: Vec3) -> Vec3 {
+        let mut out = d;
+        for k in 0..3 {
+            if b.periodic[k] {
+                let l = b.lengths[k];
+                out[k] -= l * (d[k] / l).round();
+            }
+        }
+        out
+    }
+
+    fn assert_fold_exact(b: &SystemBox, d: Vec3) {
+        // `d - 0.0` is `d` bit for bit (including -0.0), so `d` is the
+        // displacement `min_image` sees.
+        let (got, want) = (b.min_image(d, Vec3::ZERO), division_form(b, d));
+        for k in 0..3 {
+            assert_eq!(
+                got[k].to_bits(),
+                want[k].to_bits(),
+                "d[{k}]={:e} l={:e}: {:e} vs {:e}",
+                d[k],
+                b.lengths[k],
+                got[k],
+                want[k]
+            );
+        }
+    }
+
+    #[test]
+    fn min_image_fold_is_bit_equal_to_division_form() {
+        use crate::systems::splitmix64;
+        let lengths = [10.0, 248.0, 15.5, 7.3, 1.0 / 3.0, 1e-3, 6.02e23, 248.0 / 12.0 * 12.0];
+        for periodic in [[true; 3], [true, false, true], [false; 3]] {
+            for &l in &lengths {
+                let b = SystemBox::new(Vec3::ZERO, Vec3::new(l, 1.7 * l, l / 1.3), periodic);
+                for axis in 0..3 {
+                    let la = b.lengths[axis];
+                    let mut edges = vec![0.0, f64::MIN_POSITIVE, 1e-300 * la];
+                    for m in [0.5, 1.0, 1.5, 2.0, 2.5, 1e6, 1e17] {
+                        let e = m * la;
+                        edges.extend([e, e.next_down(), e.next_up()]);
+                    }
+                    for e in edges {
+                        for s in [e, -e] {
+                            let mut d = Vec3::splat(s);
+                            assert_fold_exact(&b, d);
+                            d[axis] = -s;
+                            assert_fold_exact(&b, d);
+                        }
+                    }
+                }
+            }
+        }
+        // 10^6 random displacements: scales from deep inside the first fold
+        // to many periods out, on boxes with unrelated edge lengths.
+        let mut h = 0x5eed_u64;
+        let mut unit = || {
+            h = splitmix64(h);
+            (h >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for draw in 0..1_000_000 {
+            let l = lengths[draw % lengths.len()];
+            let b = SystemBox::new(Vec3::ZERO, Vec3::new(l, 1.7 * l, l / 1.3), [true; 3]);
+            let reach = [0.6, 1.2, 3.0, 40.0][draw / lengths.len() % 4];
+            let mut d = Vec3::ZERO;
+            for k in 0..3 {
+                d[k] = (2.0 * unit() - 1.0) * reach * b.lengths[k];
+            }
+            assert_fold_exact(&b, d);
+        }
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   path mirrors this — the transpose steps are the communication pattern
 //!   of parallel FFT-based solvers (cf. the paper's P2NFFT).
 
-use std::collections::HashMap;
-
 use particles::{SystemBox, Vec3};
 use simcomm::{Comm, Work};
 
@@ -234,12 +232,49 @@ impl FarFieldPlan {
         &cache.as_ref().expect("cache filled above").spec
     }
 
-    /// B-spline charge assignment: sparse per-mesh-point contributions of the
-    /// local particles.
-    fn assign_charges(&self, comm: &mut Comm, pos: &[Vec3], charge: &[f64]) -> HashMap<u64, f64> {
+    /// Rank `me`'s wrapped mesh window — its particle-grid range expanded by
+    /// the assignment order per dimension, which holds every stencil point of
+    /// every particle in that range. Returns, per dimension, the global mesh
+    /// indices of the window in window order and the inverse map from global
+    /// index to in-window offset (`u32::MAX` outside the window).
+    fn window(&self, me: usize) -> ([Vec<usize>; 3], [Vec<u32>; 3]) {
+        let m = self.mesh;
+        let my_c = [
+            me / (self.dims[1] * self.dims[2]),
+            (me / self.dims[2]) % self.dims[1],
+            me % self.dims[2],
+        ];
+        let mut axis: [Vec<usize>; 3] = Default::default();
+        let mut maps: [Vec<u32>; 3] = [vec![u32::MAX; m], vec![u32::MAX; m], vec![u32::MAX; m]];
+        for d in 0..3 {
+            let (lo, hi) = self.dim_range(d, my_c[d]);
+            let ext = ((hi - lo) + 2 * self.assign_order).min(m);
+            let w0 = (lo as i64 - self.assign_order as i64).rem_euclid(m as i64) as usize;
+            axis[d] = (0..ext).map(|off| (w0 + off) % m).collect();
+            for (off, &i) in axis[d].iter().enumerate() {
+                maps[d][i] = off as u32;
+            }
+        }
+        (axis, maps)
+    }
+
+    /// B-spline charge assignment: the local particles' contributions are
+    /// summed per mesh point, in particle order, over the dense
+    /// [`Self::window`]; every touched point (zero sums included) is then
+    /// handed to `emit` as `(packed index, sum)`.
+    fn assign_charges(
+        &self,
+        comm: &mut Comm,
+        pos: &[Vec3],
+        charge: &[f64],
+        mut emit: impl FnMut(u64, f64),
+    ) {
         let m = self.mesh;
         let order = self.assign_order;
-        let mut contrib: HashMap<u64, f64> = HashMap::new();
+        let (axis, maps) = self.window(comm.rank());
+        let (ey, ez) = (axis[1].len(), axis[2].len());
+        let mut sums = vec![0.0f64; axis[0].len() * ey * ez];
+        let mut seen = vec![false; sums.len()];
         let mut wx = vec![0.0; order];
         let mut wy = vec![0.0; order];
         let mut wz = vec![0.0; order];
@@ -255,13 +290,30 @@ impl FarFieldPlan {
                     let part = q * wxa * wyb;
                     for (c, &wzc) in wz.iter().enumerate() {
                         let gk = (fz + c as i64).rem_euclid(m as i64) as usize;
-                        *contrib.entry(self.pack(gi, gj, gk)).or_insert(0.0) += part * wzc;
+                        let (ox, oy, oz) = (maps[0][gi], maps[1][gj], maps[2][gk]);
+                        assert!(
+                            ox != u32::MAX && oy != u32::MAX && oz != u32::MAX,
+                            "mesh point ({gi},{gj},{gk}) outside the assignment window"
+                        );
+                        let o = (ox as usize * ey + oy as usize) * ez + oz as usize;
+                        sums[o] += part * wzc;
+                        seen[o] = true;
                     }
                 }
             }
         }
         comm.compute(Work::MeshPoint, (pos.len() * order * order * order) as f64);
-        contrib
+        let mut o = 0;
+        for &i in &axis[0] {
+            for &j in &axis[1] {
+                for &k in &axis[2] {
+                    if seen[o] {
+                        emit(self.pack(i, j, k), sums[o]);
+                    }
+                    o += 1;
+                }
+            }
+        }
     }
 
     /// Distribute computed mesh values (phi, Ex, Ey, Ez per point) to the
@@ -295,43 +347,23 @@ impl FarFieldPlan {
                 }
             }
         }
-        // Destination-indexed send lists (dense; empty partner buffers are
-        // skipped by `alltoallv`'s sparse fast path, so passing them costs
-        // nothing) — no per-point hashing.
         let p = comm.size();
-        let mut sends: Vec<Vec<(u64, [f64; 4])>> = vec![Vec::new(); p];
+        let mut sends = send_lists::<(u64, [f64; 4])>(p);
         for (idx, rec) in owned_points {
             let (i, j, k) = self.unpack(idx);
             for &cx in &needers[0][i] {
                 for &cy in &needers[1][j] {
                     for &cz in &needers[2][k] {
-                        sends[self.grid_rank([cx, cy, cz])].push((idx, rec));
+                        sends[self.grid_rank([cx, cy, cz])].1.push((idx, rec));
                     }
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().enumerate().collect());
+        let received = comm.alltoallv(sends);
 
-        // Dense interpolation patch over this rank's wrapped mesh window
-        // (its particle-grid range expanded by the assignment order per
-        // dimension), replacing a point-keyed hash map: `maps[d][i]` is the
-        // in-window offset of global mesh index `i`, or `u32::MAX` outside.
-        let me = comm.rank();
-        let my_c = [
-            me / (self.dims[1] * self.dims[2]),
-            (me / self.dims[2]) % self.dims[1],
-            me % self.dims[2],
-        ];
-        let mut ext = [0usize; 3];
-        let mut maps: [Vec<u32>; 3] = [vec![u32::MAX; m], vec![u32::MAX; m], vec![u32::MAX; m]];
-        for d in 0..3 {
-            let (lo, hi) = self.dim_range(d, my_c[d]);
-            ext[d] = ((hi - lo) + 2 * order).min(m);
-            let w0 = (lo as i64 - order as i64).rem_euclid(m as i64) as usize;
-            for off in 0..ext[d] {
-                maps[d][(w0 + off) % m] = off as u32;
-            }
-        }
+        // Dense interpolation patch over this rank's wrapped mesh window.
+        let (axis, maps) = self.window(comm.rank());
+        let ext = [axis[0].len(), axis[1].len(), axis[2].len()];
         let mut patch = vec![[0.0f64; 4]; ext[0] * ext[1] * ext[2]];
         let mut filled = vec![false; patch.len()];
         for (_src, buf) in received {
@@ -401,18 +433,15 @@ impl FarFieldPlan {
         let p = comm.size();
         let me = comm.rank();
         let m = self.mesh;
-        let contrib = self.assign_charges(comm, pos, charge);
-
         // ---- Route contributions to x-slab owners and densify ----
-        // x-plane → owning rank, tabulated once; destination-indexed dense
-        // send lists (empty partners are skipped inside `alltoallv`).
+        // x-plane → owning rank, tabulated once.
         let plane_owner: Vec<usize> = (0..m).map(|i| self.slab_owner(i, p)).collect();
-        let mut by_owner: Vec<Vec<(u64, f64)>> = vec![Vec::new(); p];
-        for (&idx, &val) in &contrib {
+        let mut by_owner = send_lists::<(u64, f64)>(p);
+        self.assign_charges(comm, pos, charge, |idx, val| {
             let (i, _, _) = self.unpack(idx);
-            by_owner[plane_owner[i]].push((idx, val));
-        }
-        let received = comm.alltoallv(by_owner.into_iter().enumerate().collect());
+            by_owner[plane_owner[i]].1.push((idx, val));
+        });
+        let received = comm.alltoallv(by_owner);
         let (sx0, sx1) = self.slab_range(me, p);
         let sx = sx1 - sx0;
         // Slab layout: data[(x - sx0) * m * m + y * m + z].
@@ -435,18 +464,18 @@ impl FarFieldPlan {
         // ---- Transpose to y-slabs ----
         let (sy0, sy1) = self.slab_range(me, p);
         let sy = sy1 - sy0;
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 2])>> = HashMap::new();
+        let mut sends = send_lists::<(u64, [f64; 2])>(p);
         for xi in 0..sx {
             for y in 0..m {
                 let dst = self.slab_owner(y, p);
-                let row = sends.entry(dst).or_default();
+                let row = &mut sends[dst].1;
                 for z in 0..m {
                     let c = slab[(xi * m + y) * m + z];
                     row.push((self.pack(sx0 + xi, y, z), [c.re, c.im]));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends);
         // y-slab layout: data[(y - sy0) * m * m + x * m + z].
         let mut yslab = vec![Complex::ZERO; sy * m * m];
         for (_src, buf) in received {
@@ -498,11 +527,11 @@ impl FarFieldPlan {
         }
 
         // ---- Transpose back to x-slabs (four values per point) ----
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 8])>> = HashMap::new();
+        let mut sends = send_lists::<(u64, [f64; 8])>(p);
         for yi in 0..sy {
             for x in 0..m {
                 let dst = self.slab_owner(x, p);
-                let row = sends.entry(dst).or_default();
+                let row = &mut sends[dst].1;
                 for z in 0..m {
                     let o = (yi * m + x) * m + z;
                     row.push((
@@ -521,7 +550,7 @@ impl FarFieldPlan {
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends);
         let mut xphi = vec![Complex::ZERO; sx * m * m];
         let mut xex = vec![Complex::ZERO; sx * m * m];
         let mut xey = vec![Complex::ZERO; sx * m * m];
@@ -591,18 +620,16 @@ impl FarFieldPlan {
         };
         let rank_of = |a: usize, b: usize| a * p2 + b;
 
-        let contrib = self.assign_charges(comm, pos, charge);
-
         // ---- Stage A: z-pencils (x in XA[a], y in YB[b], full z) ----
         let (ax0, ax1) = range(a_me, p1);
         let (ay0, ay1) = range(b_me, p2);
         let (anx, any) = (ax1 - ax0, ay1 - ay0);
-        let mut by_owner: HashMap<usize, Vec<(u64, f64)>> = HashMap::new();
-        for (&idx, &val) in &contrib {
+        let mut by_owner = send_lists::<(u64, f64)>(p);
+        self.assign_charges(comm, pos, charge, |idx, val| {
             let (i, j, _) = self.unpack(idx);
-            by_owner.entry(rank_of(owner(i, p1), owner(j, p2))).or_default().push((idx, val));
-        }
-        let received = comm.alltoallv(by_owner.into_iter().collect());
+            by_owner[rank_of(owner(i, p1), owner(j, p2))].1.push((idx, val));
+        });
+        let received = comm.alltoallv(by_owner);
         // Layout: zp[((xi * any) + yj) * m + z], z contiguous.
         let mut zp = vec![Complex::ZERO; anx * any * m];
         for (_src, buf) in received {
@@ -624,20 +651,17 @@ impl FarFieldPlan {
         // full y). Traffic stays within each p1-row. ----
         let (bz0, bz1) = range(b_me, p2);
         let bnz = bz1 - bz0;
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 2])>> = HashMap::new();
+        let mut sends = send_lists::<(u64, [f64; 2])>(p);
         for xi in 0..anx {
             for yj in 0..any {
                 for z in 0..m {
                     let c = zp[(xi * any + yj) * m + z];
                     let dst = rank_of(a_me, owner(z, p2));
-                    sends
-                        .entry(dst)
-                        .or_default()
-                        .push((self.pack(ax0 + xi, ay0 + yj, z), [c.re, c.im]));
+                    sends[dst].1.push((self.pack(ax0 + xi, ay0 + yj, z), [c.re, c.im]));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends);
         // Layout: yp[((xi * bnz) + zk) * m + y], y contiguous.
         let mut yp = vec![Complex::ZERO; anx * bnz * m];
         for (_src, buf) in received {
@@ -657,20 +681,17 @@ impl FarFieldPlan {
         // full x). Traffic stays within each p2-column. ----
         let (cy0, cy1) = range(a_me, p1);
         let cny = cy1 - cy0;
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 2])>> = HashMap::new();
+        let mut sends = send_lists::<(u64, [f64; 2])>(p);
         for xi in 0..anx {
             for zk in 0..bnz {
                 for y in 0..m {
                     let c = yp[(xi * bnz + zk) * m + y];
                     let dst = rank_of(owner(y, p1), b_me);
-                    sends
-                        .entry(dst)
-                        .or_default()
-                        .push((self.pack(ax0 + xi, y, bz0 + zk), [c.re, c.im]));
+                    sends[dst].1.push((self.pack(ax0 + xi, y, bz0 + zk), [c.re, c.im]));
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends);
         // Layout: xp[((yj * bnz) + zk) * m + x], x contiguous.
         let mut xp = vec![Complex::ZERO; cny * bnz * m];
         for (_src, buf) in received {
@@ -727,13 +748,13 @@ impl FarFieldPlan {
         }
 
         // ---- Transpose C -> B (four spectra packed) ----
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 8])>> = HashMap::new();
+        let mut sends = send_lists::<(u64, [f64; 8])>(p);
         for yj in 0..cny {
             for zk in 0..bnz {
                 for x in 0..m {
                     let o = (yj * bnz + zk) * m + x;
                     let dst = rank_of(owner(x, p1), b_me);
-                    sends.entry(dst).or_default().push((
+                    sends[dst].1.push((
                         self.pack(x, cy0 + yj, bz0 + zk),
                         [
                             phi_hat[o].re,
@@ -749,7 +770,7 @@ impl FarFieldPlan {
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends);
         let nb = anx * bnz * m;
         let mut bphi = vec![Complex::ZERO; nb];
         let mut bex = vec![Complex::ZERO; nb];
@@ -774,13 +795,13 @@ impl FarFieldPlan {
         }
 
         // ---- Transpose B -> A ----
-        let mut sends: HashMap<usize, Vec<(u64, [f64; 8])>> = HashMap::new();
+        let mut sends = send_lists::<(u64, [f64; 8])>(p);
         for xi in 0..anx {
             for zk in 0..bnz {
                 for y in 0..m {
                     let o = (xi * bnz + zk) * m + y;
                     let dst = rank_of(a_me, owner(y, p2));
-                    sends.entry(dst).or_default().push((
+                    sends[dst].1.push((
                         self.pack(ax0 + xi, y, bz0 + zk),
                         [
                             bphi[o].re, bphi[o].im, bex[o].re, bex[o].im, bey[o].re, bey[o].im,
@@ -790,7 +811,7 @@ impl FarFieldPlan {
                 }
             }
         }
-        let received = comm.alltoallv(sends.into_iter().collect());
+        let received = comm.alltoallv(sends);
         let na = anx * any * m;
         let mut aphi = vec![Complex::ZERO; na];
         let mut aex = vec![Complex::ZERO; na];
@@ -830,6 +851,13 @@ impl FarFieldPlan {
         }
         self.distribute_and_interpolate(comm, owned_points, pos, charge)
     }
+}
+
+/// Destination-indexed send lists for [`Comm::alltoallv`], one per rank and
+/// initially empty; the collective skips the ones left empty, so payload
+/// order never depends on a hasher.
+fn send_lists<T>(p: usize) -> Vec<(usize, Vec<T>)> {
+    (0..p).map(|dst| (dst, Vec::new())).collect()
 }
 
 /// 2D FFT of an `m x m` plane stored row-major (rows along the second index).

@@ -36,7 +36,7 @@ pub use solver::{PmConfig, PmParticle, PmRunReport, PmSolver};
 mod tests {
     use super::*;
     use particles::reference::madelung_energy_per_ion;
-    use particles::{local_set, InitialDistribution, IonicCrystal, RedistMethod, SystemBox};
+    use particles::{local_set, InitialDistribution, IonicCrystal, RedistMethod, SystemBox, Vec3};
     use simcomm::{run, CartGrid, MachineModel};
 
     fn crystal_energy(p: usize, cells: usize, jitter: f64, method: RedistMethod) -> f64 {
@@ -74,6 +74,76 @@ mod tests {
         let ea = crystal_energy(4, 6, 0.15, RedistMethod::RestoreOriginal);
         let eb = crystal_energy(4, 6, 0.15, RedistMethod::UseChanged);
         assert!((ea - eb).abs() < 1e-9 * ea.abs(), "{ea} vs {eb}");
+    }
+
+    /// One Method A world in which rank `r` passes in the particles
+    /// `input[r]` (indices into `pos`/`charge`); returns the potentials by
+    /// particle index.
+    fn potentials(
+        bbox: SystemBox,
+        pos: &[Vec3],
+        charge: &[f64],
+        input: Vec<Vec<usize>>,
+    ) -> Vec<f64> {
+        let p = input.len();
+        let cfg = PmConfig::tuned(&bbox, 1e-3, 0.3 * bbox.lengths.x());
+        let out = run(p, MachineModel::ideal(), |comm| {
+            let mine = &input[comm.rank()];
+            let my_pos: Vec<Vec3> = mine.iter().map(|&i| pos[i]).collect();
+            let my_charge: Vec<f64> = mine.iter().map(|&i| charge[i]).collect();
+            let my_id: Vec<u64> = mine.iter().map(|&i| i as u64).collect();
+            let mut solver = PmSolver::new(bbox, cfg.clone(), p);
+            let method = RedistMethod::RestoreOriginal;
+            solver.run(comm, &my_pos, &my_charge, &my_id, method, None, usize::MAX).potential
+        });
+        let mut by_index = vec![f64::NAN; pos.len()];
+        for (mine, phi) in input.iter().zip(&out.results) {
+            assert_eq!(mine.len(), phi.len());
+            mine.iter().zip(phi).for_each(|(&i, &v)| by_index[i] = v);
+        }
+        by_index
+    }
+
+    /// The worlds the solver's layouts otherwise assume away: process counts
+    /// that are not powers of two, a rank that neither holds nor owns a
+    /// particle, and all input on a single rank.
+    #[test]
+    fn uneven_worlds_match_ewald() {
+        use particles::reference::{ewald, EwaldParams, FieldSolution};
+        let c = IonicCrystal::cubic(6, 1.0, 0.15, 41);
+        let bbox = c.system_box();
+        let (pos, charge): (Vec<Vec3>, Vec<f64>) = (0..c.n() as u64).map(|i| c.particle(i)).unzip();
+        let by_owner = |pos: &[Vec3], p: usize| -> Vec<Vec<usize>> {
+            let dims = CartGrid::balanced(p).dims();
+            let mut input = vec![Vec::new(); p];
+            for (i, &x) in pos.iter().enumerate() {
+                input[particles::grid_rank_of(dims, &bbox, x)].push(i);
+            }
+            input
+        };
+        let check = |label: &str, pos: &[Vec3], charge: &[f64], input: Vec<Vec<usize>>| {
+            let want = ewald(pos, charge, &bbox, EwaldParams::for_cubic_box(bbox.lengths.x()));
+            let potential = potentials(bbox, pos, charge, input);
+            let energy = 0.5 * potential.iter().zip(charge).map(|(a, q)| a * q).sum::<f64>();
+            let got = FieldSolution { potential, field: Vec::new(), energy };
+            let (rms, rel) = (got.potential_rms_error(&want), got.energy_rel_error(&want));
+            assert!(rms < 5e-3 && rel < 1e-3, "{label}: potential rms {rms}, energy rel {rel}");
+        };
+
+        check("P=6", &pos, &charge, by_owner(&pos, 6));
+        check("P=12", &pos, &charge, by_owner(&pos, 12));
+
+        let mut on_rank_1 = vec![Vec::new(); 4];
+        on_rank_1[1] = (0..pos.len()).collect();
+        check("all particles on one rank", &pos, &charge, on_rank_1);
+
+        // The lower-x half of the crystal (neutral: charges alternate along y
+        // and z) on a 2x2x1 grid: the two upper-x ranks hold and own nothing.
+        let (half_pos, half_charge): (Vec<Vec3>, Vec<f64>) =
+            pos.iter().zip(&charge).filter(|(x, _)| x.x() < 0.5 * bbox.lengths.x()).unzip();
+        let input = by_owner(&half_pos, 4);
+        assert!(input.iter().filter(|mine| mine.is_empty()).count() == 2);
+        check("zero-particle ranks", &half_pos, &half_charge, input);
     }
 
     #[test]

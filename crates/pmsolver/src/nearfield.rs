@@ -16,6 +16,12 @@ use particles::{SystemBox, Vec3};
 /// Positions may be periodic images; all displacements go through the
 /// minimum-image convention, which is exact as long as `rcut` is at most half
 /// the shortest box edge.
+///
+/// Summation order is part of the contract (the committed virtual-time
+/// reports and determinism digests depend on the bits): every receiver adds
+/// its sources cell by cell in ascending cell index over the distinct
+/// neighbouring cells, and within a cell in *descending* particle index
+/// (owned particles numbered before ghosts).
 #[allow(clippy::too_many_arguments)]
 pub fn near_field(
     bbox: &SystemBox,
@@ -52,7 +58,7 @@ pub fn near_field(
         cell_w[d] = span / ncell[d] as f64;
         origin[d] = if wraps[d] { lo[d] } else { lo[d] - rcut };
     }
-    let cell_coords = |p: Vec3| -> [usize; 3] {
+    let cell_of = |p: Vec3| -> usize {
         // Localize the (possibly wrapped) position relative to the region.
         let rel = center + bbox.min_image(p, center);
         let mut c = [0usize; 3];
@@ -60,111 +66,95 @@ pub fn near_field(
             let x = ((rel[d] - origin[d]) / cell_w[d]).floor();
             c[d] = (x.max(0.0) as usize).min(ncell[d] - 1);
         }
-        c
-    };
-    let cell_of = |p: Vec3| -> usize {
-        let c = cell_coords(p);
         (c[0] * ncell[1] + c[1]) * ncell[2] + c[2]
     };
 
-    // Head/next linked lists over the combined particle set. Positions and
-    // charges are concatenated up front so the hot pair loop indexes flat
-    // slices instead of branching between the owned and ghost halves.
+    // Counting sort into a CSR layout: cell `c` holds the slots
+    // `cell_start[c]..cell_start[c + 1]` of the structure-of-arrays copies
+    // below. Each cell is filled back to front in ascending particle index,
+    // which leaves it in descending index — the contract's in-cell order.
     let total_cells = ncell[0] * ncell[1] * ncell[2];
-    let mut head = vec![usize::MAX; total_cells];
-    let mut next = vec![usize::MAX; n_all];
-    let mut all_pos = Vec::with_capacity(n_all);
-    all_pos.extend_from_slice(owned_pos);
-    all_pos.extend_from_slice(ghost_pos);
-    let mut all_charge = Vec::with_capacity(n_all);
-    all_charge.extend_from_slice(owned_charge);
-    all_charge.extend_from_slice(ghost_charge);
-    // Cell of every owned particle, remembered from the list build so the
-    // interaction loop does not recompute `cell_coords` (a min-image call).
-    let mut owned_cell = vec![0usize; n_owned];
-    for (i, nx) in next.iter_mut().enumerate() {
-        let c = cell_of(all_pos[i]);
-        if i < n_owned {
-            owned_cell[i] = c;
-        }
-        *nx = head[c];
-        head[c] = i;
+    let cells: Vec<usize> = owned_pos.iter().chain(ghost_pos).map(|&p| cell_of(p)).collect();
+    let mut cell_start = vec![0usize; total_cells + 1];
+    for &c in &cells {
+        cell_start[c] += 1;
     }
-
-    // Neighbour stencil per *cell*, not per particle: every particle in a
-    // cell visits the same distinct neighbouring cells (wrapped dimensions
-    // may alias several offsets onto the same cell on tiny grids), so the
-    // sorted, deduplicated visit lists are built once for each cell. Flat
-    // arena + offsets; `visits[c]` is `arena[offs[c]..offs[c + 1]]`.
-    let mut visit_arena: Vec<usize> = Vec::with_capacity(total_cells * 27);
-    let mut visit_offs: Vec<usize> = Vec::with_capacity(total_cells + 1);
-    visit_offs.push(0);
-    for c0 in 0..ncell[0] {
-        for c1 in 0..ncell[1] {
-            for c2 in 0..ncell[2] {
-                let ci = [c0, c1, c2];
-                let start = visit_arena.len();
-                for dx in -1..=1i64 {
-                    for dy in -1..=1i64 {
-                        for dz in -1..=1i64 {
-                            let mut c = [0usize; 3];
-                            let mut ok = true;
-                            for (d, dd) in [dx, dy, dz].into_iter().enumerate() {
-                                let raw = ci[d] as i64 + dd;
-                                if wraps[d] {
-                                    c[d] = raw.rem_euclid(ncell[d] as i64) as usize;
-                                } else if raw < 0 || raw >= ncell[d] as i64 {
-                                    ok = false;
-                                    break;
-                                } else {
-                                    c[d] = raw as usize;
-                                }
-                            }
-                            if ok {
-                                visit_arena.push((c[0] * ncell[1] + c[1]) * ncell[2] + c[2]);
-                            }
-                        }
-                    }
-                }
-                visit_arena[start..].sort_unstable();
-                let mut w = start;
-                for r in start..visit_arena.len() {
-                    if r == start || visit_arena[r] != visit_arena[w - 1] {
-                        visit_arena[w] = visit_arena[r];
-                        w += 1;
-                    }
-                }
-                visit_arena.truncate(w);
-                visit_offs.push(w);
-            }
-        }
+    let mut end = 0;
+    for s in &mut cell_start {
+        end += *s;
+        *s = end;
+    }
+    let (mut x, mut y, mut z) = (vec![0.0; n_all], vec![0.0; n_all], vec![0.0; n_all]);
+    let (mut q, mut id) = (vec![0.0; n_all], vec![0usize; n_all]);
+    let sources = owned_pos.iter().zip(owned_charge).chain(ghost_pos.iter().zip(ghost_charge));
+    for (i, ((p, &qi), &c)) in sources.zip(&cells).enumerate() {
+        cell_start[c] -= 1;
+        let s = cell_start[c];
+        (x[s], y[s], z[s], q[s], id[s]) = (p.x(), p.y(), p.z(), qi, i);
     }
 
     let rcut2 = rcut * rcut;
     let mut potential = vec![0.0; n_owned];
     let mut field = vec![Vec3::ZERO; n_owned];
     let mut pairs = 0u64;
-    for i in 0..n_owned {
-        let pi = owned_pos[i];
-        let ci = owned_cell[i];
-        // One reciprocal per receiver instead of two divides per pair in the
-        // soft-core branch below.
-        let inv_qi = soft_core.as_ref().map(|core| (core.epsilon / owned_charge[i], core.sigma));
-        for &cell in &visit_arena[visit_offs[ci]..visit_offs[ci + 1]] {
-            let mut j = head[cell];
-            while j != usize::MAX {
-                if j != i {
-                    let d = bbox.min_image(pi, all_pos[j]);
+    // Every particle of a cell visits the same distinct neighbouring cells
+    // (wrapped dimensions may alias several offsets onto the same cell on
+    // tiny grids), so the sorted, deduplicated list is built once per cell.
+    let mut visits: Vec<usize> = Vec::with_capacity(27);
+    for ci in 0..total_cells {
+        let receivers = cell_start[ci]..cell_start[ci + 1];
+        if receivers.is_empty() {
+            continue;
+        }
+        let cc = [ci / (ncell[1] * ncell[2]), ci / ncell[2] % ncell[1], ci % ncell[2]];
+        visits.clear();
+        for dx in -1..=1i64 {
+            for dy in -1..=1i64 {
+                'offset: for dz in -1..=1i64 {
+                    let mut c = [0usize; 3];
+                    for (d, dd) in [dx, dy, dz].into_iter().enumerate() {
+                        let raw = cc[d] as i64 + dd;
+                        if wraps[d] {
+                            c[d] = raw.rem_euclid(ncell[d] as i64) as usize;
+                        } else if raw < 0 || raw >= ncell[d] as i64 {
+                            continue 'offset;
+                        } else {
+                            c[d] = raw as usize;
+                        }
+                    }
+                    visits.push((c[0] * ncell[1] + c[1]) * ncell[2] + c[2]);
+                }
+            }
+        }
+        visits.sort_unstable();
+        visits.dedup();
+
+        for s in receivers {
+            let i = id[s];
+            if i >= n_owned {
+                continue;
+            }
+            let pi = Vec3::new(x[s], y[s], z[s]);
+            // One reciprocal per receiver instead of two divides per pair in the
+            // soft-core branch below.
+            let inv_qi = soft_core.as_ref().map(|core| (core.epsilon / q[s], core.sigma));
+            let (mut pot, mut fld) = (0.0, Vec3::ZERO);
+            for &cell in &visits {
+                let span = cell_start[cell]..cell_start[cell + 1];
+                let (xs, ys, zs) = (&x[span.clone()], &y[span.clone()], &z[span.clone()]);
+                for (((&xt, &yt), &zt), &qj) in xs.iter().zip(ys).zip(zs).zip(&q[span]) {
+                    // The receiver meets itself at r2 == 0, like any
+                    // coincident source: no index comparison needed.
+                    let d = bbox.min_image(pi, Vec3::new(xt, yt, zt));
                     let r2 = d.norm2();
                     if r2 <= rcut2 && r2 > 0.0 {
                         let r = r2.sqrt();
                         let inv_r = 1.0 / r;
                         let inv_r2 = inv_r * inv_r;
-                        let qj = all_charge[j];
                         let e = erfc(alpha * r) * inv_r;
                         let de = (e + alpha * M_2_SQRTPI * (-alpha * alpha * r2).exp()) * inv_r2;
-                        potential[i] += qj * e;
-                        field[i] += d * (qj * de);
+                        pot += qj * e;
+                        fld += d * (qj * de);
                         if let Some((eps_qi, sigma)) = inv_qi {
                             // Pair repulsion folded into the potential/field
                             // channels (divided by the receiving charge so
@@ -172,14 +162,15 @@ pub fn near_field(
                             let s2 = (sigma * inv_r) * (sigma * inv_r);
                             let s6 = s2 * s2 * s2;
                             let u = eps_qi * s6 * s6;
-                            potential[i] += u;
-                            field[i] += d * (12.0 * u * inv_r2);
+                            pot += u;
+                            fld += d * (12.0 * u * inv_r2);
                         }
                         pairs += 1;
                     }
                 }
-                j = next[j];
             }
+            potential[i] = pot;
+            field[i] = fld;
         }
     }
     (potential, field, pairs)
@@ -188,6 +179,176 @@ pub fn near_field(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The head/next linked-list implementation this module shipped before the
+    /// CSR layout, kept verbatim as the bit-for-bit oracle of the summation
+    /// order contract.
+    #[allow(clippy::too_many_arguments)]
+    fn near_field_linked_list(
+        bbox: &SystemBox,
+        alpha: f64,
+        rcut: f64,
+        soft_core: Option<particles::SoftCore>,
+        region: (Vec3, Vec3),
+        owned_pos: &[Vec3],
+        owned_charge: &[f64],
+        ghost_pos: &[Vec3],
+        ghost_charge: &[f64],
+    ) -> (Vec<f64>, Vec<Vec3>, u64) {
+        let l = bbox.lengths;
+        let n_owned = owned_pos.len();
+        let n_all = n_owned + ghost_pos.len();
+        let (lo, hi) = region;
+        let center = (lo + hi) * 0.5;
+
+        // Linked cells. Along dimensions where the region covers the whole
+        // (periodic) box there are no ghosts, so the cell grid itself wraps;
+        // otherwise the region is expanded by rcut to hold the ghosts.
+        let mut ncell = [0usize; 3];
+        let mut cell_w = [0.0f64; 3];
+        let mut origin = Vec3::ZERO;
+        let mut wraps = [false; 3];
+        for d in 0..3 {
+            wraps[d] = bbox.periodic[d] && (hi[d] - lo[d]) >= l[d] - 1e-9;
+            let span = if wraps[d] { hi[d] - lo[d] } else { (hi[d] - lo[d]) + 2.0 * rcut };
+            ncell[d] = ((span / rcut).floor() as usize).max(1);
+            cell_w[d] = span / ncell[d] as f64;
+            origin[d] = if wraps[d] { lo[d] } else { lo[d] - rcut };
+        }
+        let cell_coords = |p: Vec3| -> [usize; 3] {
+            // Localize the (possibly wrapped) position relative to the region.
+            let rel = center + bbox.min_image(p, center);
+            let mut c = [0usize; 3];
+            for d in 0..3 {
+                let x = ((rel[d] - origin[d]) / cell_w[d]).floor();
+                c[d] = (x.max(0.0) as usize).min(ncell[d] - 1);
+            }
+            c
+        };
+        let cell_of = |p: Vec3| -> usize {
+            let c = cell_coords(p);
+            (c[0] * ncell[1] + c[1]) * ncell[2] + c[2]
+        };
+
+        // Head/next linked lists over the combined particle set. Positions and
+        // charges are concatenated up front so the hot pair loop indexes flat
+        // slices instead of branching between the owned and ghost halves.
+        let total_cells = ncell[0] * ncell[1] * ncell[2];
+        let mut head = vec![usize::MAX; total_cells];
+        let mut next = vec![usize::MAX; n_all];
+        let mut all_pos = Vec::with_capacity(n_all);
+        all_pos.extend_from_slice(owned_pos);
+        all_pos.extend_from_slice(ghost_pos);
+        let mut all_charge = Vec::with_capacity(n_all);
+        all_charge.extend_from_slice(owned_charge);
+        all_charge.extend_from_slice(ghost_charge);
+        // Cell of every owned particle, remembered from the list build so the
+        // interaction loop does not recompute `cell_coords` (a min-image call).
+        let mut owned_cell = vec![0usize; n_owned];
+        for (i, nx) in next.iter_mut().enumerate() {
+            let c = cell_of(all_pos[i]);
+            if i < n_owned {
+                owned_cell[i] = c;
+            }
+            *nx = head[c];
+            head[c] = i;
+        }
+
+        // Neighbour stencil per *cell*, not per particle: every particle in a
+        // cell visits the same distinct neighbouring cells (wrapped dimensions
+        // may alias several offsets onto the same cell on tiny grids), so the
+        // sorted, deduplicated visit lists are built once for each cell. Flat
+        // arena + offsets; `visits[c]` is `arena[offs[c]..offs[c + 1]]`.
+        let mut visit_arena: Vec<usize> = Vec::with_capacity(total_cells * 27);
+        let mut visit_offs: Vec<usize> = Vec::with_capacity(total_cells + 1);
+        visit_offs.push(0);
+        for c0 in 0..ncell[0] {
+            for c1 in 0..ncell[1] {
+                for c2 in 0..ncell[2] {
+                    let ci = [c0, c1, c2];
+                    let start = visit_arena.len();
+                    for dx in -1..=1i64 {
+                        for dy in -1..=1i64 {
+                            for dz in -1..=1i64 {
+                                let mut c = [0usize; 3];
+                                let mut ok = true;
+                                for (d, dd) in [dx, dy, dz].into_iter().enumerate() {
+                                    let raw = ci[d] as i64 + dd;
+                                    if wraps[d] {
+                                        c[d] = raw.rem_euclid(ncell[d] as i64) as usize;
+                                    } else if raw < 0 || raw >= ncell[d] as i64 {
+                                        ok = false;
+                                        break;
+                                    } else {
+                                        c[d] = raw as usize;
+                                    }
+                                }
+                                if ok {
+                                    visit_arena.push((c[0] * ncell[1] + c[1]) * ncell[2] + c[2]);
+                                }
+                            }
+                        }
+                    }
+                    visit_arena[start..].sort_unstable();
+                    let mut w = start;
+                    for r in start..visit_arena.len() {
+                        if r == start || visit_arena[r] != visit_arena[w - 1] {
+                            visit_arena[w] = visit_arena[r];
+                            w += 1;
+                        }
+                    }
+                    visit_arena.truncate(w);
+                    visit_offs.push(w);
+                }
+            }
+        }
+
+        let rcut2 = rcut * rcut;
+        let mut potential = vec![0.0; n_owned];
+        let mut field = vec![Vec3::ZERO; n_owned];
+        let mut pairs = 0u64;
+        for i in 0..n_owned {
+            let pi = owned_pos[i];
+            let ci = owned_cell[i];
+            // One reciprocal per receiver instead of two divides per pair in the
+            // soft-core branch below.
+            let inv_qi =
+                soft_core.as_ref().map(|core| (core.epsilon / owned_charge[i], core.sigma));
+            for &cell in &visit_arena[visit_offs[ci]..visit_offs[ci + 1]] {
+                let mut j = head[cell];
+                while j != usize::MAX {
+                    if j != i {
+                        let d = bbox.min_image(pi, all_pos[j]);
+                        let r2 = d.norm2();
+                        if r2 <= rcut2 && r2 > 0.0 {
+                            let r = r2.sqrt();
+                            let inv_r = 1.0 / r;
+                            let inv_r2 = inv_r * inv_r;
+                            let qj = all_charge[j];
+                            let e = erfc(alpha * r) * inv_r;
+                            let de =
+                                (e + alpha * M_2_SQRTPI * (-alpha * alpha * r2).exp()) * inv_r2;
+                            potential[i] += qj * e;
+                            field[i] += d * (qj * de);
+                            if let Some((eps_qi, sigma)) = inv_qi {
+                                // Pair repulsion folded into the potential/field
+                                // channels (divided by the receiving charge so
+                                // 0.5*q*phi and q*E give pair energy and force).
+                                let s2 = (sigma * inv_r) * (sigma * inv_r);
+                                let s6 = s2 * s2 * s2;
+                                let u = eps_qi * s6 * s6;
+                                potential[i] += u;
+                                field[i] += d * (12.0 * u * inv_r2);
+                            }
+                            pairs += 1;
+                        }
+                    }
+                    j = next[j];
+                }
+            }
+        }
+        (potential, field, pairs)
+    }
 
     fn brute_force(
         bbox: &SystemBox,
@@ -300,5 +461,144 @@ mod tests {
         assert_eq!(pot.len(), 1, "ghosts must not receive results");
         assert_eq!(pairs, 1);
         assert!(pot[0] < 0.0);
+    }
+
+    /// splitmix64 stream for the property test below.
+    struct Gen(u64);
+
+    impl Gen {
+        fn unit(&mut self) -> f64 {
+            self.0 = particles::systems::splitmix64(self.0);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.unit() * n as f64) as usize
+        }
+
+        /// `n` charged particles uniform in `lo..lo + extent`, each coordinate
+        /// then displaced by up to `periods` whole box periods either way.
+        fn particles(
+            &mut self,
+            bbox: &SystemBox,
+            (lo, extent): (Vec3, Vec3),
+            n: usize,
+            periods: i64,
+        ) -> Vec<(Vec3, f64)> {
+            (0..n)
+                .map(|_| {
+                    let mut p = Vec3::ZERO;
+                    for d in 0..3 {
+                        let shift = self.below(2 * periods as usize + 1) as i64 - periods;
+                        p[d] = lo[d] + self.unit() * extent[d] + shift as f64 * bbox.lengths[d];
+                    }
+                    (p, if self.unit() < 0.5 { 1.0 } else { -0.75 })
+                })
+                .collect()
+        }
+    }
+
+    /// Run the CSR kernel and the linked-list oracle on the same input and
+    /// require identical bits; returns the pair count.
+    fn assert_same_bits(
+        bbox: &SystemBox,
+        rcut: f64,
+        soft_core: Option<particles::SoftCore>,
+        region: (Vec3, Vec3),
+        owned: &[(Vec3, f64)],
+        ghosts: &[(Vec3, f64)],
+    ) -> u64 {
+        let (op, oq): (Vec<Vec3>, Vec<f64>) = owned.iter().cloned().unzip();
+        let (gp, gq): (Vec<Vec3>, Vec<f64>) = ghosts.iter().cloned().unzip();
+        let alpha = 2.5 / rcut;
+        let got = near_field(bbox, alpha, rcut, soft_core, region, &op, &oq, &gp, &gq);
+        let want = near_field_linked_list(bbox, alpha, rcut, soft_core, region, &op, &oq, &gp, &gq);
+        assert_eq!(got.2, want.2, "pair count");
+        assert_eq!(got.0.len(), owned.len());
+        for i in 0..owned.len() {
+            assert_eq!(got.0[i].to_bits(), want.0[i].to_bits(), "potential[{i}]");
+            for d in 0..3 {
+                assert_eq!(got.1[i][d].to_bits(), want.1[i][d].to_bits(), "field[{i}][{d}]");
+            }
+        }
+        got.2
+    }
+
+    #[test]
+    fn csr_kernel_is_bit_equal_to_linked_list() {
+        let mut g = Gen(0xc5a);
+        let mut total_pairs = 0u64;
+        for round in 0..60 {
+            let lengths =
+                Vec3::new(8.0 + 6.0 * g.unit(), 8.0 + 6.0 * g.unit(), 8.0 + 6.0 * g.unit());
+            let offset = Vec3::splat(-3.0 * g.unit());
+            let periodic = [[true; 3], [true, true, false], [false; 3]][round % 3];
+            let bbox = SystemBox::new(offset, lengths, periodic);
+            let lmin = lengths.x().min(lengths.y()).min(lengths.z());
+            let rcut = (0.12 + 0.38 * g.unit()) * lmin;
+            let soft_core =
+                (round % 2 == 0).then_some(particles::SoftCore { epsilon: 0.8, sigma: 0.3 * rcut });
+            let whole = (offset, offset + lengths);
+            let periods = (round % 4 == 1) as i64 * 2;
+            let n = g.below(350);
+            let all = g.particles(&bbox, (offset, lengths), n, periods);
+
+            // Fully wrapped (or, on non-periodic axes, ghost-expanded) region
+            // over the whole box: the benchmark probe's shape.
+            total_pairs += assert_same_bits(&bbox, rcut, soft_core, whole, &all, &[]);
+
+            // A subdomain with ghosts: owned are the particles whose wrapped
+            // position lies in the region, everything else within reach (and
+            // a margin beyond it, like the solver's skin) is a ghost.
+            let mut lo = offset;
+            let mut hi = offset + lengths;
+            for d in 0..3 {
+                if g.unit() < 0.7 {
+                    let cut = offset[d] + (0.3 + 0.4 * g.unit()) * lengths[d];
+                    if g.unit() < 0.5 {
+                        lo[d] = cut;
+                    } else {
+                        hi[d] = cut;
+                    }
+                }
+            }
+            let inside = |p: Vec3| {
+                let w = bbox.wrap(p);
+                (0..3).all(|d| w[d] >= lo[d] && w[d] < hi[d])
+            };
+            let mid = (lo + hi) * 0.5;
+            let reach = (hi - lo) * 0.5 + Vec3::splat(1.3 * rcut);
+            let near = |p: Vec3| {
+                let m = bbox.min_image(p, mid);
+                (0..3).all(|d| m[d].abs() <= reach[d])
+            };
+            let owned: Vec<_> = all.iter().cloned().filter(|&(p, _)| inside(p)).collect();
+            let ghosts: Vec<_> =
+                all.iter().cloned().filter(|&(p, _)| !inside(p) && near(p)).collect();
+            total_pairs += assert_same_bits(&bbox, rcut, soft_core, (lo, hi), &owned, &ghosts);
+
+            // No receivers at all.
+            assert_eq!(assert_same_bits(&bbox, rcut, soft_core, (lo, hi), &[], &ghosts), 0);
+
+            // Everything in one cell, duplicates included (r = 0 is skipped).
+            let n_blob = 20 + g.below(40);
+            let corner = (offset + lengths * 0.4, Vec3::splat(0.2 * rcut));
+            let mut blob = g.particles(&bbox, corner, n_blob, periods);
+            blob.push(blob[0]);
+            total_pairs += assert_same_bits(&bbox, rcut, soft_core, whole, &blob, &[]);
+        }
+
+        // Wrapped grids so small that stencil offsets alias: rcut = L/2 gives
+        // 2x2x2 cells (-1 and +1 name the same neighbour), and a cutoff inside
+        // the assertion's 1e-12 slack above L/2 gives a single cell that is
+        // its own 27 neighbours.
+        for (k, rcut) in [5.0, 5.0 + 5e-13, 5.0, 5.0 + 5e-13].into_iter().enumerate() {
+            let bbox = SystemBox::cubic(10.0);
+            let soft_core = (k < 2).then_some(particles::SoftCore { epsilon: 0.8, sigma: 1.1 });
+            let all = g.particles(&bbox, (Vec3::ZERO, bbox.lengths), 120, k as i64 % 2);
+            let whole = (Vec3::ZERO, bbox.lengths);
+            total_pairs += assert_same_bits(&bbox, rcut, soft_core, whole, &all, &[]);
+        }
+        assert!(total_pairs > 100_000, "the sweep must exercise the hit path: {total_pairs}");
     }
 }
