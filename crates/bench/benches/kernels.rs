@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the computational kernels (real wall time, as opposed
 //! to the figure harnesses' virtual time): local sorting, Morton encoding,
-//! FFT, B-spline stencils, FMM expansion operators, special functions and the
-//! linked-cell near field.
+//! FFT, B-spline stencils, FMM expansion operators, special functions, the
+//! linked-cell near field and the FMM far field.
 //!
 //! Plain binary (`harness = false`); run with `cargo bench -p bench`.
 
@@ -215,6 +215,36 @@ fn bench_near_field() {
     bench_near_field_rank(12, 64);
 }
 
+/// One FMM world in the shape of a repository benchmark workload:
+/// `IonicCrystal::paper_like(cells, ..)` grid-distributed over `ranks`, every
+/// rank running the tuned solver once (Method A). At 16 cells on 8 ranks
+/// (`md_fmm`, level 3) the far field — tree, locally essential multipoles,
+/// M2L — is most of the time; at 12 cells on 64 ranks (`md_sparse64`, level
+/// 2) it is the per-level and per-partner fixed cost.
+fn bench_fmm_far_field(cells: usize, ranks: usize) {
+    let crystal = particles::IonicCrystal::paper_like(cells, 1);
+    let bbox = crystal.system_box();
+    let dims = simcomm::CartGrid::balanced(ranks).dims();
+    let cfg = fmm::FmmConfig::tuned(crystal.n() as u64, 1e-2);
+    let name = format!("far_field/level{}_{}ranks", cfg.level, ranks);
+    bench_case("fmm", &name, || {
+        let out = simcomm::run(ranks, simcomm::MachineModel::juropa_like(), |comm| {
+            let set = particles::local_set(
+                &crystal,
+                particles::InitialDistribution::Grid,
+                comm.rank(),
+                ranks,
+                dims,
+            );
+            let mut solver = fmm::FmmSolver::new(bbox, cfg.clone());
+            let method = particles::RedistMethod::RestoreOriginal;
+            let o = solver.run(comm, set.pos(), set.charge(), set.id(), method, None, usize::MAX);
+            (o.potential.first().copied(), solver.last_report.m2l_count)
+        });
+        black_box(out.results)
+    });
+}
+
 fn main() {
     bench_local_sort();
     bench_zorder();
@@ -223,4 +253,7 @@ fn main() {
     bench_expansion_ops();
     bench_special_functions();
     bench_near_field();
+    // md_fmm (level 3 on 8 ranks) and md_sparse64 (level 2 on 64 ranks).
+    bench_fmm_far_field(16, 8);
+    bench_fmm_far_field(12, 64);
 }

@@ -40,9 +40,14 @@ pub struct ExpansionOps {
 }
 
 /// Number of multi-indices with total degree `<= p`.
-pub fn ncoeffs(p: usize) -> usize {
+pub const fn ncoeffs(p: usize) -> usize {
     (p + 1) * (p + 2) * (p + 3) / 6
 }
+
+/// Largest supported expansion order.
+const MAX_ORDER: usize = 10;
+/// Coefficients of an expansion of the largest supported order.
+const MAX_COEFFS: usize = ncoeffs(MAX_ORDER);
 
 fn gen_midx(p: usize) -> Vec<[u8; 3]> {
     let mut v = Vec::with_capacity(ncoeffs(p));
@@ -60,7 +65,7 @@ fn gen_midx(p: usize) -> Vec<[u8; 3]> {
 impl ExpansionOps {
     /// Build the tables for expansion order `p` (`p <= 10` supported).
     pub fn new(p: usize) -> Self {
-        assert!(p <= 10, "expansion order too large");
+        assert!(p <= MAX_ORDER, "expansion order too large");
         let midx = gen_midx(p);
         let midx2 = gen_midx(2 * p);
         // Dense lookup over (i, j, k) with each component <= 2p.
@@ -129,20 +134,28 @@ impl ExpansionOps {
         self.midx.is_empty()
     }
 
-    /// Monomial powers `d^m` for all multi-indices `m` up to `order`.
-    fn monomials(&self, d: Vec3) -> Vec<f64> {
-        let p = self.order;
+    /// Powers `d[c]^e` of each component for `e <= order`.
+    #[inline]
+    fn powers(&self, d: Vec3) -> [[f64; 16]; 3] {
         let mut pw = [[0.0f64; 16]; 3];
         for (c, pwc) in pw.iter_mut().enumerate() {
             pwc[0] = 1.0;
-            for e in 1..=p {
+            for e in 1..=self.order {
                 pwc[e] = pwc[e - 1] * d[c];
             }
         }
-        self.midx
-            .iter()
-            .map(|m| pw[0][m[0] as usize] * pw[1][m[1] as usize] * pw[2][m[2] as usize])
-            .collect()
+        pw
+    }
+
+    /// Monomial powers `d^m` for all multi-indices `m` up to `order`, in the
+    /// leading [`Self::len`] entries of a fixed-size array (no allocation).
+    fn monomials(&self, d: Vec3) -> [f64; MAX_COEFFS] {
+        let pw = self.powers(d);
+        let mut mono = [0.0f64; MAX_COEFFS];
+        for (mo, m) in mono.iter_mut().zip(&self.midx) {
+            *mo = pw[0][m[0] as usize] * pw[1][m[1] as usize] * pw[2][m[2] as usize];
+        }
+        mono
     }
 
     /// Derivative tensors `T_k(r) = D^k (1/|r|)` for all `|k| <= 2*order`.
@@ -186,9 +199,10 @@ impl ExpansionOps {
     /// P2M: accumulate a charge at position `x` into a multipole about `z`.
     pub fn p2m(&self, m: &mut [f64], z: Vec3, x: Vec3, q: f64) {
         debug_assert_eq!(m.len(), self.len());
-        let mono = self.monomials(x - z);
-        for (i, (mm, mo)) in m.iter_mut().zip(&mono).enumerate() {
-            *mm += q * mo * self.inv_fact[i];
+        let pw = self.powers(x - z);
+        for ((mm, k), inv_fact) in m.iter_mut().zip(&self.midx).zip(&self.inv_fact) {
+            let mono = pw[0][k[0] as usize] * pw[1][k[1] as usize] * pw[2][k[2] as usize];
+            *mm += q * mono * inv_fact;
         }
     }
 
@@ -228,15 +242,7 @@ impl ExpansionOps {
     /// L2P: evaluate a local expansion about `w` at `y`; returns
     /// `(potential, field = -grad potential)`.
     pub fn l2p(&self, local: &[f64], w: Vec3, y: Vec3) -> (f64, Vec3) {
-        let d = y - w;
-        let p = self.order;
-        let mut pw = [[0.0f64; 16]; 3];
-        for (c, pwc) in pw.iter_mut().enumerate() {
-            pwc[0] = 1.0;
-            for e in 1..=p {
-                pwc[e] = pwc[e - 1] * d[c];
-            }
-        }
+        let pw = self.powers(y - w);
         let mut phi = 0.0;
         let mut grad = Vec3::ZERO;
         for (i, m) in self.midx.iter().enumerate() {

@@ -24,6 +24,7 @@
 
 pub mod expansion;
 mod solver;
+mod stencil;
 pub mod tree;
 
 pub use expansion::{ncoeffs, ExpansionOps};

@@ -3,10 +3,8 @@
 //! near/far field evaluation, and the paper's two data redistribution paths
 //! (restore-original vs. use-changed-with-resort-indices).
 
-use std::collections::{HashMap, HashSet};
-
 use atasp::{alltoall_specific, build_resort_indices, encode_index, ExchangeMode};
-use particles::{MovementHint, RedistMethod, SolverOutput, SolverTimings, SystemBox, Vec3};
+use particles::{zorder, MovementHint, RedistMethod, SolverOutput, SolverTimings, SystemBox, Vec3};
 use psort::{
     merge_exchange_sort_by_key_capped, merge_exchange_sort_by_key_planned, partition_sort_by_key,
     SortPlan,
@@ -14,10 +12,63 @@ use psort::{
 use simcomm::{Comm, Work};
 
 use crate::expansion::ExpansionOps;
+use crate::stencil::{Stencil, TENSOR_SLOTS};
 use crate::tree::{
-    cell_center, cell_offset, cells_from_sorted, effective_source_center, interaction_list,
-    leaf_key, neighbor_keys,
+    cell_center, cells_from_sorted, effective_source_center, leaf_key, neighbor_blocks,
 };
+
+#[cfg(test)]
+mod oracle;
+
+/// A leaf cell: its key and its particles' range in the sorted array.
+type Cell = (u64, std::ops::Range<usize>);
+/// First and last leaf key of a rank (`None` if it holds no particles).
+type KeyRange = (Option<u64>, Option<u64>);
+
+/// One octree level of a rank's tree. `keys` are the Morton keys of the
+/// cells holding any of the rank's particles (the leaves, or the ancestors
+/// of the leaves), ascending; the slabs hold one `nc`-strided expansion per
+/// key, in the same order.
+struct TreeLevel {
+    keys: Vec<u64>,
+    /// Partial multipoles (this rank's particles only).
+    multipole: Vec<f64>,
+    /// Local expansions.
+    local: Vec<f64>,
+}
+
+/// The remote partial multipoles of one level: the keys of every
+/// interaction-list source of the level's targets, ascending, the sum of the
+/// other ranks' partials per key (`nc`-strided), and whether any rank
+/// answered for the key.
+#[derive(Default)]
+struct RemoteLevel {
+    keys: Vec<u64>,
+    partial: Vec<f64>,
+    present: Vec<bool>,
+}
+
+/// Index in the sorted `keys` of each child octant of `block` that has an
+/// entry `keep` accepts.
+fn child_indices(keys: &[u64], block: u64, keep: impl Fn(usize) -> bool) -> [Option<usize>; 8] {
+    let first = zorder::child(block, 0);
+    let mut out = [None; 8];
+    let from = keys.partition_point(|&k| k < first);
+    for (i, &k) in keys.iter().enumerate().skip(from).take_while(|&(_, &k)| k < first + 8) {
+        if keep(i) {
+            out[(k - first) as usize] = Some(i);
+        }
+    }
+    out
+}
+
+/// What the M2L loop of one level keeps across runs.
+struct FarLevel {
+    stencil: Stencil,
+    /// Derivative tensor per relative cell offset, indexed by the stencil's
+    /// slots; empty until the first translation across that offset.
+    tensors: Vec<Vec<f64>>,
+}
 
 /// One particle as transported between ranks by the FMM solver: position,
 /// charge, the application's global id, and the origin code
@@ -109,8 +160,11 @@ pub struct FmmSolver {
     bbox: SystemBox,
     periodic: bool,
     ops: ExpansionOps,
-    /// Cache of M2L derivative tensors keyed by (level, relative cell offset).
-    tensor_cache: HashMap<(u32, [i64; 3]), Vec<f64>>,
+    /// Interaction stencil and derivative tensors of every level.
+    far: Vec<FarLevel>,
+    /// When set, `compute_fields` hands over to the oracle's version.
+    #[cfg(test)]
+    oracle: Option<oracle::Oracle>,
     /// Enable caching of the merge-sort probe schedule across timesteps.
     plan_cache: bool,
     /// Override for the movement-bound guard's cleanup-round cap
@@ -139,12 +193,21 @@ impl FmmSolver {
             "mixed periodicity is not supported"
         );
         let ops = ExpansionOps::new(cfg.order);
+        let far = (0..=cfg.level)
+            .map(|l| FarLevel {
+                stencil: Stencil::new(l, periodic),
+                // Levels 0 and 1 have no well-separated cells.
+                tensors: vec![Vec::new(); if l < 2 { 0 } else { TENSOR_SLOTS }],
+            })
+            .collect();
         FmmSolver {
             cfg,
             bbox,
             periodic,
             ops,
-            tensor_cache: HashMap::new(),
+            far,
+            #[cfg(test)]
+            oracle: None,
             plan_cache: true,
             guard_cleanup_cap: None,
             sort_plan: None,
@@ -476,149 +539,231 @@ impl FmmSolver {
     }
 
     /// Full near + far field evaluation on the (sorted, aligned) particles.
+    ///
+    /// The tree is a `Vec` of [`TreeLevel`]s, every per-cell lookup an index
+    /// or a binary search on sorted keys, and every loop runs in ascending
+    /// key (and source-rank) order: the summation order is part of the
+    /// solver's contract (DESIGN.md, "FMM tree layout and summation-order
+    /// contract").
     fn compute_fields(
         &mut self,
         comm: &mut Comm,
         keys: &[u64],
         recs: &[FmmParticle],
     ) -> (Vec<f64>, Vec<Vec3>) {
-        let n = keys.len();
-        let nc = self.ops.len();
-        let leaf_level = self.cfg.level;
-        let periodic = self.periodic;
-        let me = comm.rank();
-
+        #[cfg(test)]
+        if self.oracle.is_some() {
+            return self.compute_fields_oracle(comm, keys, recs);
+        }
         let leaf_cells = cells_from_sorted(keys);
-        let cell_index: HashMap<u64, usize> =
-            leaf_cells.iter().enumerate().map(|(i, (k, _))| (*k, i)).collect();
-
         // Rank ranges at leaf level for ownership lookups.
         let ranges = comm.allgather((keys.first().copied(), keys.last().copied()));
+
+        comm.enter_phase("near");
+        let (ghosts, ghost_cells) = self.exchange_ghosts(comm, &leaf_cells, recs, &ranges);
+        comm.exit_phase();
+
+        comm.enter_phase("tree");
+        let mut tree = self.upward_pass(comm, &leaf_cells, recs);
+        comm.exit_phase();
+
+        comm.enter_phase("far");
+        let remote = self.fetch_remote_multipoles(comm, &tree, &ranges);
+        self.downward_pass(comm, &mut tree, &remote);
+        comm.exit_phase();
+
+        let leaf_locals = &tree[self.cfg.level as usize].local;
+        self.evaluate(comm, &leaf_cells, recs, &ghosts, &ghost_cells, leaf_locals)
+    }
+
+    /// Ghost exchange for the near field: every rank owning a (wrapped)
+    /// neighbour of a local cell receives a copy of the cell's particles.
+    /// Returns the received particles — in source-rank order, which is
+    /// ascending key order — and their cell runs.
+    fn exchange_ghosts(
+        &self,
+        comm: &mut Comm,
+        leaf_cells: &[Cell],
+        recs: &[FmmParticle],
+        ranges: &[KeyRange],
+    ) -> (Vec<FmmParticle>, Vec<Cell>) {
+        let me = comm.rank();
         let owner_of = |k: u64| -> Option<usize> {
             ranges
                 .iter()
                 .position(|&(f, l)| matches!((f, l), (Some(f), Some(l)) if f <= k && k <= l))
         };
-
-        // ---- Ghost exchange for the near field ----
-        // For each local cell, ranks owning (wrapped) neighbour keys receive a
-        // copy of the cell's particles.
-        comm.enter_phase("near");
-        let mut ghost_sends: HashMap<usize, Vec<FmmParticle>> = HashMap::new();
-        for (k, range) in &leaf_cells {
-            let mut dests: HashSet<usize> = HashSet::new();
-            for nk in neighbor_keys(*k, leaf_level, periodic) {
+        let mut sends: Vec<(usize, Vec<FmmParticle>)> =
+            (0..comm.size()).map(|r| (r, Vec::new())).collect();
+        // The last cell copied to each destination: a cell goes to a rank
+        // once, however many of its neighbours that rank owns.
+        let mut last_cell = vec![usize::MAX; comm.size()];
+        let mut blocks = [(0u64, 0u8); 27];
+        for (ci, (k, range)) in leaf_cells.iter().enumerate() {
+            let nb = neighbor_blocks(*k, self.cfg.level, self.periodic, &mut blocks);
+            for &(nk, _) in &blocks[..nb] {
                 if let Some(o) = owner_of(nk) {
-                    if o != me {
-                        dests.insert(o);
+                    if o != me && last_cell[o] != ci {
+                        last_cell[o] = ci;
+                        sends[o].1.extend_from_slice(&recs[range.clone()]);
                     }
                 }
             }
-            for d in dests {
-                ghost_sends.entry(d).or_default().extend_from_slice(&recs[range.clone()]);
-            }
         }
-        let sends: Vec<(usize, Vec<FmmParticle>)> = ghost_sends.into_iter().collect();
-        let received_ghosts = comm.alltoallv(sends);
-        let mut ghost_cells: HashMap<u64, Vec<FmmParticle>> = HashMap::new();
-        let mut ghost_count = 0u64;
-        for (_src, buf) in received_ghosts {
-            ghost_count += buf.len() as u64;
-            for g in buf {
-                let k = leaf_key(&self.bbox, g.pos, leaf_level);
-                ghost_cells.entry(k).or_default().push(g);
-            }
+        let received = comm.alltoallv(sends);
+        let count = received.iter().map(|(_, buf)| buf.len()).sum();
+        let mut ghosts = Vec::with_capacity(count);
+        for (_src, buf) in received {
+            ghosts.extend(buf);
         }
-        comm.compute(
-            Work::ByteCopy,
-            (ghost_count as usize * std::mem::size_of::<FmmParticle>()) as f64,
-        );
-        comm.exit_phase();
+        let ghost_keys: Vec<u64> =
+            ghosts.iter().map(|g| leaf_key(&self.bbox, g.pos, self.cfg.level)).collect();
+        // Ranks hold ascending, disjoint key ranges and send whole cells in
+        // ascending order, so the concatenation by source rank is sorted.
+        assert!(ghost_keys.is_sorted(), "ghost cells must arrive in key order");
+        comm.compute(Work::ByteCopy, (count * std::mem::size_of::<FmmParticle>()) as f64);
+        (ghosts, cells_from_sorted(&ghost_keys))
+    }
 
-        // ---- Upward pass: P2M + M2M (partial multipoles per level) ----
-        comm.enter_phase("tree");
-        // levels: index l in 0..=leaf_level; multipoles[l]: key -> coeffs.
-        let mut multipoles: Vec<HashMap<u64, Vec<f64>>> =
-            (0..=leaf_level).map(|_| HashMap::new()).collect();
-        for (k, range) in &leaf_cells {
-            let z = cell_center(&self.bbox, *k, leaf_level);
-            let m = multipoles[leaf_level as usize].entry(*k).or_insert_with(|| vec![0.0; nc]);
+    /// Upward pass: the tree's cells per level, P2M at the leaves and M2M up
+    /// to the root (partial multipoles: only this rank's particles).
+    fn upward_pass(
+        &self,
+        comm: &mut Comm,
+        leaf_cells: &[Cell],
+        recs: &[FmmParticle],
+    ) -> Vec<TreeLevel> {
+        let nc = self.ops.len();
+        let leaf_level = self.cfg.level as usize;
+        // The leaves, then each level's distinct parents: `parent` keeps
+        // sorted keys sorted, so no level needs sorting.
+        let mut level_keys: Vec<Vec<u64>> = vec![Vec::new(); leaf_level + 1];
+        level_keys[leaf_level] = leaf_cells.iter().map(|(k, _)| *k).collect();
+        for l in (1..=leaf_level).rev() {
+            let mut up: Vec<u64> = level_keys[l].iter().map(|&k| zorder::parent(k)).collect();
+            up.dedup();
+            level_keys[l - 1] = up;
+        }
+        let mut tree: Vec<TreeLevel> = level_keys
+            .into_iter()
+            .map(|keys| TreeLevel {
+                multipole: vec![0.0; keys.len() * nc],
+                local: vec![0.0; keys.len() * nc],
+                keys,
+            })
+            .collect();
+
+        let leaf_multipoles = tree[leaf_level].multipole.chunks_exact_mut(nc);
+        for ((k, range), m) in leaf_cells.iter().zip(leaf_multipoles) {
+            let z = cell_center(&self.bbox, *k, self.cfg.level);
             for r in &recs[range.clone()] {
                 self.ops.p2m(m, z, r.pos, r.charge);
             }
             comm.compute(Work::ExpansionTerm, (range.len() * nc) as f64);
         }
         for l in (1..=leaf_level).rev() {
-            let (coarse, fine) = {
-                let (a, b) = multipoles.split_at_mut(l as usize);
-                (&mut a[l as usize - 1], &b[0])
-            };
-            let mut ops_count = 0usize;
-            for (k, m) in fine {
-                let parent = particles::zorder::parent(*k);
-                let zp = cell_center(&self.bbox, parent, l - 1);
-                let zc = cell_center(&self.bbox, *k, l);
-                let pm = coarse.entry(parent).or_insert_with(|| vec![0.0; nc]);
-                self.ops.m2m(pm, m, zc, zp);
-                ops_count += 1;
+            let (coarse, fine) = tree.split_at_mut(l);
+            let (coarse, fine) = (&mut coarse[l - 1], &fine[0]);
+            // Children in ascending key order; `coarse.keys` are their
+            // distinct parents, so the parent index advances by at most one.
+            let mut pj = 0;
+            for (&k, m) in fine.keys.iter().zip(fine.multipole.chunks_exact(nc)) {
+                let parent = zorder::parent(k);
+                if coarse.keys[pj] != parent {
+                    pj += 1;
+                }
+                debug_assert_eq!(coarse.keys[pj], parent);
+                let zp = cell_center(&self.bbox, parent, l as u32 - 1);
+                let zc = cell_center(&self.bbox, k, l as u32);
+                self.ops.m2m(&mut coarse.multipole[pj * nc..(pj + 1) * nc], m, zc, zp);
             }
-            comm.compute(Work::ExpansionTerm, (ops_count * nc * nc / 4) as f64);
+            comm.compute(Work::ExpansionTerm, (fine.keys.len() * nc * nc / 4) as f64);
+        }
+        tree
+    }
+
+    /// Locally essential multipoles: request the remote partial multipoles of
+    /// every interaction-list source cell and sum the answers per cell in
+    /// ascending source-rank order.
+    fn fetch_remote_multipoles(
+        &self,
+        comm: &mut Comm,
+        tree: &[TreeLevel],
+        ranges: &[KeyRange],
+    ) -> Vec<RemoteLevel> {
+        let nc = self.ops.len();
+        let leaf_level = self.cfg.level as usize;
+        let me = comm.rank();
+
+        // The sources of each level: per parent, the children of its
+        // neighbour blocks that the stencil of any present child names.
+        let mut remote = vec![RemoteLevel::default()];
+        let mut blocks = [(0u64, 0u8); 27];
+        for l in 1..=leaf_level {
+            let stencil = &self.far[l].stencil;
+            let targets = &tree[l].keys;
+            let mut needed: Vec<u64> = Vec::new();
+            let mut ti = 0;
+            for &pk in &tree[l - 1].keys {
+                let first = ti;
+                while ti < targets.len() && zorder::parent(targets[ti]) == pk {
+                    ti += 1;
+                }
+                let nb = neighbor_blocks(pk, l as u32 - 1, self.periodic, &mut blocks);
+                for &(block, dir) in &blocks[..nb] {
+                    let mut children = 0u8;
+                    for &t in &targets[first..ti] {
+                        for e in stencil.entries(t, dir) {
+                            children |= 1 << e.child;
+                        }
+                    }
+                    for c in (0..8u8).filter(|c| children >> c & 1 == 1) {
+                        needed.push(zorder::child(block, c));
+                    }
+                }
+            }
+            needed.sort_unstable();
+            needed.dedup();
+            remote.push(RemoteLevel {
+                partial: vec![0.0; needed.len() * nc],
+                present: vec![false; needed.len()],
+                keys: needed,
+            });
         }
 
-        // ---- Target cells: ancestors of local leaves, per level ----
-        let mut targets: Vec<Vec<u64>> = (0..=leaf_level).map(|_| Vec::new()).collect();
-        targets[leaf_level as usize] = leaf_cells.iter().map(|(k, _)| *k).collect();
-        for l in (1..=leaf_level).rev() {
-            let mut up: Vec<u64> =
-                targets[l as usize].iter().map(|&k| particles::zorder::parent(k)).collect();
-            up.sort_unstable();
-            up.dedup();
-            targets[l as usize - 1] = up;
-        }
-
-        comm.exit_phase();
-
-        // ---- Locally essential multipoles: request remote (partial)
-        comm.enter_phase("far");
-        // multipoles for all interaction-list source cells ----
         // A cell (l, k) spans leaf keys [k << s, (k+1) << s) with s = 3*(L-l);
         // every rank whose range intersects that interval may hold a partial.
-        let mut needed: HashSet<(u32, u64)> = HashSet::new();
-        for l in 1..=leaf_level {
-            for &t in &targets[l as usize] {
-                for s in interaction_list(t, l, periodic) {
-                    needed.insert((l, s));
-                }
-            }
-        }
-        let mut requests: HashMap<usize, Vec<(u32, u64)>> = HashMap::new();
-        for &(l, k) in &needed {
+        let mut requests: Vec<(usize, Vec<(u32, u64)>)> =
+            (0..comm.size()).map(|r| (r, Vec::new())).collect();
+        for (l, level) in remote.iter().enumerate().skip(1) {
             let shift = 3 * (leaf_level - l);
-            let lo = k << shift;
-            let hi = ((k + 1) << shift) - 1;
-            for (r, &(f, last)) in ranges.iter().enumerate() {
-                if r == me {
-                    continue;
-                }
-                if let (Some(f), Some(last)) = (f, last) {
-                    if f <= hi && lo <= last {
-                        requests.entry(r).or_default().push((l, k));
+            for &k in &level.keys {
+                let lo = k << shift;
+                let hi = ((k + 1) << shift) - 1;
+                for (r, &(f, last)) in ranges.iter().enumerate() {
+                    if r == me {
+                        continue;
+                    }
+                    if let (Some(f), Some(last)) = (f, last) {
+                        if f <= hi && lo <= last {
+                            requests[r].1.push((l as u32, k));
+                        }
                     }
                 }
             }
         }
-        let req_sends: Vec<(usize, Vec<(u32, u64)>)> = requests.into_iter().collect();
-        let req_recv = comm.alltoallv(req_sends);
+        let req_recv = comm.alltoallv(requests);
         // Respond with (meta, coeffs) pairs; coeffs flattened with stride nc.
-        let mut resp_meta: Vec<(usize, Vec<(u32, u64)>)> = Vec::new();
-        let mut resp_coef: Vec<(usize, Vec<f64>)> = Vec::new();
+        let mut resp_meta: Vec<(usize, Vec<(u32, u64)>)> = Vec::with_capacity(req_recv.len());
+        let mut resp_coef: Vec<(usize, Vec<f64>)> = Vec::with_capacity(req_recv.len());
         for (src, reqs) in req_recv {
-            let mut meta = Vec::new();
-            let mut coef = Vec::new();
+            let mut meta = Vec::with_capacity(reqs.len());
+            let mut coef = Vec::with_capacity(reqs.len() * nc);
             for (l, k) in reqs {
-                if let Some(m) = multipoles[l as usize].get(&k) {
+                let level = &tree[l as usize];
+                if let Ok(i) = level.keys.binary_search(&k) {
                     meta.push((l, k));
-                    coef.extend_from_slice(m);
+                    coef.extend_from_slice(&level.multipole[i * nc..(i + 1) * nc]);
                 }
             }
             comm.compute(Work::ByteCopy, (coef.len() * 8) as f64);
@@ -627,80 +772,117 @@ impl FmmSolver {
         }
         let meta_recv = comm.alltoallv(resp_meta);
         let coef_recv = comm.alltoallv(resp_coef);
-        let coef_by_src: HashMap<usize, Vec<f64>> = coef_recv.into_iter().collect();
-        let mut remote_m: HashMap<(u32, u64), Vec<f64>> = HashMap::new();
-        for (src, meta) in meta_recv {
-            let coefs = &coef_by_src[&src];
-            for (i, (l, k)) in meta.into_iter().enumerate() {
-                let slice = &coefs[i * nc..(i + 1) * nc];
-                let entry = remote_m.entry((l, k)).or_insert_with(|| vec![0.0; nc]);
-                for (e, &c) in entry.iter_mut().zip(slice) {
+        assert_eq!(meta_recv.len(), coef_recv.len(), "every answer has keys and coefficients");
+        for ((src, meta), (coef_src, coefs)) in meta_recv.into_iter().zip(coef_recv) {
+            assert_eq!(src, coef_src, "every answer has keys and coefficients");
+            for ((l, k), slice) in meta.into_iter().zip(coefs.chunks_exact(nc)) {
+                let level = &mut remote[l as usize];
+                let i = level.keys.binary_search(&k).expect("an answer to a key never requested");
+                level.present[i] = true;
+                for (e, &c) in level.partial[i * nc..(i + 1) * nc].iter_mut().zip(slice) {
                     *e += c;
                 }
             }
         }
+        remote
+    }
 
-        // ---- Downward pass: M2L + L2L ----
-        let mut locals: Vec<HashMap<u64, Vec<f64>>> =
-            (0..=leaf_level).map(|_| HashMap::new()).collect();
+    /// Downward pass: per target, L2L from its parent, then M2L from its
+    /// interaction list in ascending source key order (the local partial
+    /// before the remote one), accumulated in place in the level's slab.
+    fn downward_pass(&mut self, comm: &mut Comm, tree: &mut [TreeLevel], remote: &[RemoteLevel]) {
+        let nc = self.ops.len();
+        let ops = &self.ops;
         let mut m2l_count = 0u64;
-        for l in 1..=leaf_level {
-            let target_keys: Vec<u64> = targets[l as usize].clone();
-            for &t in &target_keys {
-                let mut acc = vec![0.0; nc];
-                // L2L from the parent's local expansion.
-                if l >= 1 {
-                    let parent = particles::zorder::parent(t);
-                    if let Some(pl) = locals[l as usize - 1].get(&parent) {
-                        let wp = cell_center(&self.bbox, parent, l - 1);
-                        let wc = cell_center(&self.bbox, t, l);
-                        self.ops.l2l(&mut acc, pl, wp, wc);
-                    }
+        let mut blocks = [(0u64, 0u8); 27];
+        // Slab index of every child of every block of the current parent.
+        let mut local_src = [[None; 8]; 27];
+        let mut remote_src = [[None; 8]; 27];
+        for l in 1..=self.cfg.level {
+            let (coarse, fine) = tree.split_at_mut(l as usize);
+            let parents = &coarse[l as usize - 1];
+            let TreeLevel { keys: targets, multipole, local } = &mut fine[0];
+            let partials = &remote[l as usize];
+            let FarLevel { stencil, tensors } = &mut self.far[l as usize];
+            let mut ti = 0;
+            for (pj, &pk) in parents.keys.iter().enumerate() {
+                let nb = neighbor_blocks(pk, l - 1, self.periodic, &mut blocks);
+                for (b, &(block, _)) in blocks[..nb].iter().enumerate() {
+                    local_src[b] = child_indices(targets, block, |_| true);
+                    remote_src[b] = child_indices(&partials.keys, block, |i| partials.present[i]);
                 }
-                // M2L from the interaction list.
-                let w = cell_center(&self.bbox, t, l);
-                for s in interaction_list(t, l, periodic) {
-                    // Combine local partial and fetched remote partials.
-                    let local_part = multipoles[l as usize].get(&s);
-                    let remote_part = remote_m.get(&(l, s));
-                    if local_part.is_none() && remote_part.is_none() {
-                        continue; // empty cell
+                let wp = cell_center(&self.bbox, pk, l - 1);
+                while ti < targets.len() && zorder::parent(targets[ti]) == pk {
+                    let t = targets[ti];
+                    let w = cell_center(&self.bbox, t, l);
+                    let acc = &mut local[ti * nc..(ti + 1) * nc];
+                    if l >= 2 {
+                        ops.l2l(acc, &parents.local[pj * nc..(pj + 1) * nc], wp, w);
                     }
-                    let off = cell_offset(t, s, l, periodic);
-                    let zs = effective_source_center(&self.bbox, t, s, l, periodic);
-                    let cache_key = (l, [off[0], off[1], off[2]]);
-                    let tensor = match self.tensor_cache.get(&cache_key) {
-                        Some(t) => t.clone(),
-                        None => {
-                            let t = self.ops.derivative_tensor(w - zs);
-                            self.tensor_cache.insert(cache_key, t.clone());
-                            t
+                    for (b, &(block, dir)) in blocks[..nb].iter().enumerate() {
+                        for e in stencil.entries(t, dir) {
+                            let li = local_src[b][e.child as usize];
+                            let ri = remote_src[b][e.child as usize];
+                            if li.is_none() && ri.is_none() {
+                                continue; // empty cell
+                            }
+                            // Filled on first use, from the pair that first
+                            // needs it (its rounding of `w - zs` stays).
+                            let tensor = &mut tensors[e.tensor as usize];
+                            if tensor.is_empty() {
+                                let s = zorder::child(block, e.child);
+                                let zs =
+                                    effective_source_center(&self.bbox, t, s, l, self.periodic);
+                                *tensor = ops.derivative_tensor(w - zs);
+                            }
+                            if let Some(i) = li {
+                                ops.m2l_with_tensor(acc, &multipole[i * nc..(i + 1) * nc], tensor);
+                                m2l_count += 1;
+                            }
+                            if let Some(i) = ri {
+                                let m = &partials.partial[i * nc..(i + 1) * nc];
+                                ops.m2l_with_tensor(acc, m, tensor);
+                                m2l_count += 1;
+                            }
                         }
-                    };
-                    if let Some(m) = local_part {
-                        self.ops.m2l_with_tensor(&mut acc, m, &tensor);
-                        m2l_count += 1;
                     }
-                    if let Some(m) = remote_part {
-                        self.ops.m2l_with_tensor(&mut acc, m, &tensor);
-                        m2l_count += 1;
-                    }
+                    ti += 1;
                 }
-                locals[l as usize].insert(t, acc);
             }
-            comm.compute(Work::ExpansionTerm, (target_keys.len().max(1) * nc * nc / 8) as f64);
+            comm.compute(Work::ExpansionTerm, (targets.len().max(1) * nc * nc / 8) as f64);
         }
         comm.compute(Work::ExpansionTerm, (m2l_count as usize * nc * nc) as f64);
-        comm.exit_phase();
         self.last_report.m2l_count = m2l_count;
+    }
 
-        // ---- Evaluation: L2P + near-field P2P ----
+    /// Evaluation: L2P from the leaf local expansions, then near-field P2P
+    /// within each cell and with its neighbour cells (local or ghost) in
+    /// ascending key order.
+    fn evaluate(
+        &mut self,
+        comm: &mut Comm,
+        leaf_cells: &[Cell],
+        recs: &[FmmParticle],
+        ghosts: &[FmmParticle],
+        ghost_cells: &[Cell],
+        leaf_locals: &[f64],
+    ) -> (Vec<f64>, Vec<Vec3>) {
+        let n = recs.len();
+        let nc = self.ops.len();
+        let leaf_level = self.cfg.level;
+        let particles_of = |cells: &[Cell], key: u64| -> Option<std::ops::Range<usize>> {
+            let i = cells.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+            Some(cells[i].1.clone())
+        };
         let mut potential = vec![0.0; n];
         let mut field = vec![Vec3::ZERO; n];
         let mut p2p_pairs = 0u64;
-        for (k, range) in &leaf_cells {
-            let w = cell_center(&self.bbox, *k, leaf_level);
-            if let Some(loc) = locals[leaf_level as usize].get(k) {
+        let mut blocks = [(0u64, 0u8); 27];
+        for (ci, (k, range)) in leaf_cells.iter().enumerate() {
+            // Level 0 has no far field.
+            if leaf_level >= 1 {
+                let w = cell_center(&self.bbox, *k, leaf_level);
+                let loc = &leaf_locals[ci * nc..(ci + 1) * nc];
                 for i in range.clone() {
                     let (phi, e) = self.ops.l2p(loc, w, recs[i].pos);
                     potential[i] += phi;
@@ -736,20 +918,29 @@ impl FmmSolver {
                     p2p_pairs += 1;
                 }
             }
-            // P2P with neighbour cells (local or ghost).
-            for nk in neighbor_keys(*k, leaf_level, periodic) {
-                let neigh: Option<&[FmmParticle]> = if let Some(&ci) = cell_index.get(&nk) {
-                    Some(&recs[leaf_cells[ci].1.clone()])
+            // P2P with the distinct neighbour cells (local or ghost).
+            let nb = neighbor_blocks(*k, leaf_level, self.periodic, &mut blocks);
+            let mut prev = *k;
+            for &(nk, _) in &blocks[..nb] {
+                if nk == *k || nk == prev {
+                    continue;
+                }
+                prev = nk;
+                let neigh: &[FmmParticle] = if let Some(r) = particles_of(leaf_cells, nk) {
+                    &recs[r]
+                } else if let Some(r) = particles_of(ghost_cells, nk) {
+                    &ghosts[r]
                 } else {
-                    ghost_cells.get(&nk).map(|v| v.as_slice())
+                    continue;
                 };
-                let Some(neigh) = neigh else { continue };
                 for i in range.clone() {
+                    let me = recs[i];
+                    let (mut phi, mut e) = (potential[i], field[i]);
                     for g in neigh {
-                        let d = if periodic {
-                            self.bbox.min_image(recs[i].pos, g.pos)
+                        let d = if self.periodic {
+                            self.bbox.min_image(me.pos, g.pos)
                         } else {
-                            recs[i].pos - g.pos
+                            me.pos - g.pos
                         };
                         let r2 = d.norm2();
                         if r2 == 0.0 {
@@ -757,17 +948,19 @@ impl FmmSolver {
                         }
                         let inv_r = 1.0 / r2.sqrt();
                         let inv_r3 = inv_r / r2;
-                        potential[i] += g.charge * inv_r;
-                        field[i] += d * (g.charge * inv_r3);
+                        phi += g.charge * inv_r;
+                        e += d * (g.charge * inv_r3);
                         if let Some(core) = &self.cfg.soft_core {
                             let r = r2.sqrt();
                             let u = core.energy(r);
                             let fmag = core.force(r);
-                            potential[i] += u / recs[i].charge;
-                            field[i] += d * (fmag / (r * recs[i].charge));
+                            phi += u / me.charge;
+                            e += d * (fmag / (r * me.charge));
                         }
                         p2p_pairs += 1;
                     }
+                    potential[i] = phi;
+                    field[i] = e;
                 }
             }
         }

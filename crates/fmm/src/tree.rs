@@ -40,25 +40,30 @@ pub fn cells_from_sorted(keys: &[u64]) -> Vec<(u64, std::ops::Range<usize>)> {
     out
 }
 
+/// The cell displacement `d` along one dimension of a grid of `2^level`
+/// cells, folded to the shortest wrapped one when `periodic`. A displacement
+/// of exactly half the grid keeps its sign.
+pub fn wrap_offset(d: i64, level: u32, periodic: bool) -> i64 {
+    if !periodic {
+        return d;
+    }
+    let n = 1i64 << level;
+    let mut d = d % n;
+    if d > n / 2 {
+        d -= n;
+    } else if d < -(n / 2) {
+        d += n;
+    }
+    d
+}
+
 /// Signed relative cell offset between two cells at the same level, using the
 /// shortest (wrapped) displacement when `periodic`.
 pub fn cell_offset(a: u64, b: u64, level: u32, periodic: bool) -> [i64; 3] {
-    let n = 1i64 << level;
     let (ax, ay, az) = zorder::decode(a);
     let (bx, by, bz) = zorder::decode(b);
-    let wrap = |d: i64| -> i64 {
-        if !periodic {
-            return d;
-        }
-        let mut d = d % n;
-        if d > n / 2 {
-            d -= n;
-        } else if d < -(n / 2) {
-            d += n;
-        }
-        d
-    };
-    [wrap(bx as i64 - ax as i64), wrap(by as i64 - ay as i64), wrap(bz as i64 - az as i64)]
+    [bx as i64 - ax as i64, by as i64 - ay as i64, bz as i64 - az as i64]
+        .map(|d| wrap_offset(d, level, periodic))
 }
 
 /// Neighbour keys (Chebyshev distance 1) of `key` at `level`. With
@@ -89,6 +94,40 @@ pub fn neighbor_keys(key: u64, level: u32, periodic: bool) -> Vec<u64> {
     }
     out.sort_unstable();
     out
+}
+
+/// The displacement `(dx, dy, dz)`, each in `-1..=1`, that the direction
+/// `(dx + 1) * 9 + (dy + 1) * 3 + (dz + 1)` of [`neighbor_blocks`] encodes.
+pub fn direction_offset(direction: u8) -> [i64; 3] {
+    let d = direction as i64;
+    [d / 9 - 1, d / 3 % 3 - 1, d % 3 - 1]
+}
+
+/// The cells within Chebyshev distance 1 of `key` at `level`, `key` itself
+/// included, written to `out` as `(cell key, direction)` pairs in ascending
+/// order; returns how many ([`direction_offset`] decodes the direction of the
+/// displacement from `key`). Open boundaries leave out-of-domain cells out;
+/// with `periodic` they wrap, so on grids narrower than three cells several
+/// directions name the same cell (adjacent in the output). The distinct keys
+/// other than `key` are [`neighbor_keys`]; this form allocates nothing and
+/// keeps the direction for the M2L stencil.
+pub fn neighbor_blocks(key: u64, level: u32, periodic: bool, out: &mut [(u64, u8); 27]) -> usize {
+    let n = 1i64 << level;
+    let (x, y, z) = zorder::decode(key);
+    let mut len = 0;
+    for dir in 0..27u8 {
+        let d = direction_offset(dir);
+        let mut c = [x as i64 + d[0], y as i64 + d[1], z as i64 + d[2]];
+        if periodic {
+            c = c.map(|v| v.rem_euclid(n));
+        } else if c.iter().any(|&v| v < 0 || v >= n) {
+            continue;
+        }
+        out[len] = (zorder::encode(c[0] as u32, c[1] as u32, c[2] as u32), dir);
+        len += 1;
+    }
+    out[..len].sort_unstable();
+    len
 }
 
 /// The M2L interaction list of a target cell: children of the (wrapped)
@@ -199,6 +238,33 @@ mod tests {
         assert_eq!(neighbor_keys(corner, level, true).len(), 26);
         let middle = particles::zorder::encode(4, 4, 4);
         assert_eq!(neighbor_keys(middle, level, false).len(), 26);
+    }
+
+    #[test]
+    fn neighbor_blocks_are_neighbor_keys_plus_self_with_directions() {
+        for level in 0..=3u32 {
+            for periodic in [false, true] {
+                for key in 0..1u64 << (3 * level) {
+                    let mut blocks = [(0u64, 0u8); 27];
+                    let nb = neighbor_blocks(key, level, periodic, &mut blocks);
+                    let blocks = &blocks[..nb];
+                    assert!(blocks.is_sorted());
+                    let mut distinct: Vec<u64> = blocks.iter().map(|b| b.0).collect();
+                    distinct.dedup();
+                    let mut want = neighbor_keys(key, level, periodic);
+                    want.push(key);
+                    want.sort_unstable();
+                    assert_eq!(distinct, want, "level {level} periodic {periodic} key {key}");
+                    for &(k, dir) in blocks {
+                        let d = direction_offset(dir);
+                        let off = cell_offset(key, k, level, false);
+                        for c in 0..3 {
+                            assert_eq!((off[c] - d[c]).rem_euclid(1 << level), 0);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

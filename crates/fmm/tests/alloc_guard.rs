@@ -1,0 +1,103 @@
+//! Allocation guard for the FMM far field: a warmed-up `FmmSolver::run`
+//! allocates per level and per partner rank — never per cell, per particle
+//! or per M2L translation.
+//!
+//! This file holds exactly one test: the counter is process-wide, and the
+//! rank closures of a world run on threads of their own.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use fmm::{FmmConfig, FmmSolver};
+use particles::systems::splitmix64;
+use particles::{RedistMethod, SystemBox, Vec3};
+use simcomm::{run, MachineModel};
+
+static BLOCKS: AtomicU64 = AtomicU64::new(0);
+
+/// Forwards to the system allocator and counts every block handed out.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`; the
+// counter is a statistic (`Relaxed`, it publishes no other data).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        BLOCKS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        BLOCKS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+const RANKS: usize = 8;
+
+/// Blocks allocated by a whole world of `runs` identical solver runs per
+/// rank at octree `level`, and the M2L translations of one run.
+fn world(particles: &[(Vec3, f64)], bbox: SystemBox, level: u32, runs: usize) -> (u64, u64) {
+    let n = particles.len();
+    let before = BLOCKS.load(Ordering::Relaxed);
+    let out = run(RANKS, MachineModel::juropa_like(), |comm| {
+        let mine = comm.rank() * n / RANKS..(comm.rank() + 1) * n / RANKS;
+        let pos: Vec<Vec3> = particles[mine.clone()].iter().map(|x| x.0).collect();
+        let charge: Vec<f64> = particles[mine.clone()].iter().map(|x| x.1).collect();
+        let id: Vec<u64> = mine.map(|i| i as u64).collect();
+        let mut solver = FmmSolver::new(bbox, FmmConfig { order: 2, level, soft_core: None });
+        for _ in 0..runs {
+            solver.run(comm, &pos, &charge, &id, RedistMethod::RestoreOriginal, None, usize::MAX);
+        }
+        solver.last_report.m2l_count
+    });
+    (BLOCKS.load(Ordering::Relaxed) - before, out.results.iter().sum())
+}
+
+#[test]
+fn a_warm_run_allocates_per_level_and_partner_not_per_translation() {
+    let bbox = SystemBox::cubic(8.0);
+    let mut state = 0xa110c;
+    let mut unit = || {
+        state = splitmix64(state);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let particles: Vec<(Vec3, f64)> = (0..4096)
+        .map(|_| (Vec3::new(8.0 * unit(), 8.0 * unit(), 8.0 * unit()), 0.5 + unit()))
+        .collect();
+
+    // The second run of a world: what two runs allocate beyond one (solver
+    // construction, first-use tensors and world set-up cancel).
+    let second_run = |level: u32| -> (u64, u64) {
+        let (one, m2l) = world(&particles, bbox, level, 1);
+        let (two, _) = world(&particles, bbox, level, 2);
+        (two - one, m2l)
+    };
+    let (coarse_blocks, coarse_m2l) = second_run(2);
+    let (fine_blocks, fine_m2l) = second_run(3);
+    assert!(
+        fine_m2l > 8 * coarse_m2l,
+        "level 3 must multiply the M2L work: {fine_m2l} vs {coarse_m2l}"
+    );
+
+    // One more level costs each rank a fixed number of blocks for the level
+    // itself (its key list and slabs, its remote key list and slab) and for
+    // each of its at most RANKS - 1 partners (ghost, request and answer
+    // buffers, whose growth is logarithmic in their length) — nowhere near
+    // one per translation.
+    let per_rank = 16 * (1 + (RANKS as u64 - 1));
+    assert!(
+        fine_blocks <= coarse_blocks + RANKS as u64 * per_rank,
+        "blocks grew with the M2L work: level 2 {coarse_blocks} blocks / {coarse_m2l} M2L, \
+         level 3 {fine_blocks} blocks / {fine_m2l} M2L"
+    );
+}

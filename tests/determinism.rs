@@ -106,6 +106,22 @@ fn md_configs_match_frozen_digests() {
     }
 }
 
+/// An FMM world deep enough for M2L and M2M to matter: 15^3 = 3375 particles
+/// tune to octree level 3, where 15 lattice sites over 8 cells per dimension
+/// leave every cell with a net charge, so every multipole sum's rounding
+/// depends on its order. (`md_configs_match_frozen_digests` stops at level 1,
+/// where no translation runs; before the FMM tree moved to sorted slabs this
+/// digest changed from run to run with the `HashMap` order of M2M children.)
+#[test]
+fn fmm_level3_non_neutral_cells_match_frozen_digest() {
+    let crystal = IonicCrystal::cubic(15, 1.0, 0.15, 11);
+    assert_eq!(fmm::FmmConfig::tuned(crystal.n() as u64, 1e-2).level, 3);
+    let cfg = config(SolverKind::Fmm, true, true, 2);
+    let model = MachineModel::juropa_like();
+    let out = md_world(&Runner::default(), 8, model, &crystal, InitialDistribution::Grid, &cfg);
+    assert_frozen(&out, 0x48f1_cfd9_9a95_509f, "FMM level 3, non-neutral cells");
+}
+
 #[test]
 fn faulted_md_matches_frozen_digest() {
     // The fault layer draws from seeded per-rank streams keyed by operation
