@@ -159,8 +159,7 @@ fn check_report(path: &str, budgets: &[AllocBudget]) {
         if per_step > budget.max_allocs {
             fail(format!(
                 "{path}: selftime row '{}' performed {:.1} heap allocations per \
-                 step (budget {}) — the zero-allocation redistribution path \
-                 regressed",
+                 step (budget {}) — a steady-state path allocates again",
                 budget.name, per_step, budget.max_allocs
             ));
         }

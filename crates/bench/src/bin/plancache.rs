@@ -277,7 +277,8 @@ fn main() {
     // permutation, three heterogeneous planes. After warm-up (plan built,
     // slabs and pooled buffers at their high-water sizes) the probe loop
     // must not touch the allocator at all — `commstats --check
-    // --alloc-budget steady-resort=0` holds the line in CI.
+    // --alloc-budget steady-resort=0,steady-exchange=1` holds both lines in
+    // CI.
     let probe_steps = 64u64;
     let probe = Runner::default().run(1, MachineModel::ideal(), move |comm| {
         let n = 2048usize;
@@ -308,6 +309,48 @@ fn main() {
         (a1 - a0, b1 - b0, t0.elapsed().as_secs_f64())
     });
     let (probe_allocs, probe_bytes, probe_wall) = probe.results[0];
+
+    // The typed neighbourhood exchange's budget, the same way: a warm
+    // 27-rank torus world (3 x 3 x 3, so every rank has 26 distinct
+    // neighbours), `Vec<u64>` payloads, and rank 0's own allocations around
+    // the loop — every rank is its own host thread. Payloads are staged
+    // before the counted region, so what remains is the call itself: the
+    // returned `Vec`, one allocation per step (`--alloc-budget
+    // steady-exchange=1`). Envelopes, request kinds, match state and the
+    // completion schedule are all recycled.
+    let exchange = Runner::default().run(27, MachineModel::juqueen_like(), move |comm| {
+        let partners = CartGrid::balanced(comm.size()).neighbors26(comm.rank());
+        let me = comm.rank() as u64;
+        let payloads =
+            || partners.iter().map(|&q| (q, vec![me; 32])).collect::<Vec<(usize, Vec<u64>)>>();
+        // Two rounds posted before either is received put 52 messages into
+        // every mailbox — the most one can ever hold, since a neighbour is at
+        // most one step ahead — so no queue or envelope list grows later, at
+        // any host width.
+        let mut requests = Vec::new();
+        for round in 0..2 {
+            requests.extend(partners.iter().map(|&q| comm.irecv::<u64>(q, TAG_GHOSTS + round)));
+        }
+        for round in 0..2 {
+            for (q, buf) in payloads() {
+                requests.push(comm.isend(q, TAG_GHOSTS + round, buf));
+            }
+        }
+        let _ = comm.waitall(requests);
+        let mut staged: Vec<_> = (0..probe_steps + 2).map(|_| payloads()).collect();
+        for _ in 0..2 {
+            let _ = comm.neighbor_exchange(&partners, staged.pop().expect("staged"), TAG_GHOSTS);
+        }
+        let t0 = std::time::Instant::now();
+        let (a0, b0) = bench::thread_alloc_counters();
+        while let Some(data) = staged.pop() {
+            std::hint::black_box(comm.neighbor_exchange(&partners, data, TAG_GHOSTS));
+        }
+        let (a1, b1) = bench::thread_alloc_counters();
+        (a1 - a0, b1 - b0, t0.elapsed().as_secs_f64())
+    });
+    let (exchange_allocs, exchange_bytes, exchange_wall) = exchange.results[0];
+
     selftime.lap("probe:setup+warmup");
     let mut selftime = selftime.rows();
     selftime.push(SelftimeRow {
@@ -315,6 +358,13 @@ fn main() {
         wall_seconds: probe_wall,
         allocs: probe_allocs,
         alloc_bytes: probe_bytes,
+        steps: probe_steps,
+    });
+    selftime.push(SelftimeRow {
+        name: "steady-exchange".into(),
+        wall_seconds: exchange_wall,
+        allocs: exchange_allocs,
+        alloc_bytes: exchange_bytes,
         steps: probe_steps,
     });
     println!("\nharness selftime (real wall-clock, process-wide heap allocations):");
@@ -336,6 +386,11 @@ fn main() {
             "steady-state resort allocated {probe_allocs} times over {probe_steps} steps"
         );
     }
+    assert!(
+        exchange_allocs <= probe_steps,
+        "steady-state typed neighbor_exchange allocated {exchange_allocs} times over \
+         {probe_steps} steps on rank 0 (budget: the returned Vec, one per step)"
+    );
     report.selftime = selftime;
 
     timeline.finish();

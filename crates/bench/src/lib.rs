@@ -27,7 +27,7 @@ use mdsim::StepRecord;
 pub use report::{
     format_phase_table, BlameRow, CritPath, PhaseRow, RankRow, RunEntry, RunReport, SelftimeRow,
 };
-pub use selftime::{alloc_counters, CountingAlloc, Selftime};
+pub use selftime::{alloc_counters, thread_alloc_counters, CountingAlloc, Selftime};
 
 /// Every binary of this crate counts its heap allocations (see
 /// [`selftime`]): the `harness_selftime` report section is how the CI

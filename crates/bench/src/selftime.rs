@@ -14,9 +14,12 @@
 //! crate (see `lib.rs`). Counters are process-global atomics: on a
 //! multi-threaded phase (a world runs a host-core-count batch of rank threads)
 //! they attribute *all* threads' allocations to the current lap, which is
-//! exactly what a zero-allocation claim needs — nothing escapes.
+//! exactly what a zero-allocation claim needs — nothing escapes. A budget for
+//! *one rank's* share of a multi-rank exchange reads the per-thread pair
+//! instead ([`thread_alloc_counters`]): every rank is its own host thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -24,6 +27,22 @@ use crate::report::SelftimeRow;
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// `(allocations, bytes)` of the current thread. Const-initialised and
+    /// without a destructor, so touching it inside the allocator neither
+    /// allocates nor outlives the thread's TLS.
+    static THREAD_ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn count(bytes: usize) {
+    ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
 
 /// Forwarding allocator that counts every allocation and allocated byte
 /// (deallocations are not tracked — the interesting signal for a
@@ -34,8 +53,7 @@ pub struct CountingAlloc;
 // the returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -47,8 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A grow is fresh heap traffic; count it like an allocation of the
         // new size. Shrinks stay free.
         if new_size > layout.size() {
-            ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
-            ALLOC_BYTES.fetch_add((new_size - layout.size()) as u64, Ordering::Relaxed);
+            count(new_size - layout.size());
         }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -58,6 +75,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// `(allocations, allocated bytes)`.
 pub fn alloc_counters() -> (u64, u64) {
     (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
+}
+
+/// The calling thread's allocation counters since it started:
+/// `(allocations, allocated bytes)`. Inside a world this is one rank's share.
+pub fn thread_alloc_counters() -> (u64, u64) {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Lap timer recording [`SelftimeRow`]s: real elapsed wall-clock and
@@ -132,6 +155,22 @@ mod tests {
         assert!(a1 > a0, "allocation not counted");
         assert!(b1 - b0 >= 4096, "allocated bytes not counted");
         drop(v);
+    }
+
+    #[test]
+    fn thread_counters_see_only_their_own_thread() {
+        let (_, b0) = thread_alloc_counters();
+        let (_, theirs) = std::thread::spawn(|| {
+            let v = vec![0u8; 1 << 16];
+            let counters = thread_alloc_counters();
+            drop(v);
+            counters
+        })
+        .join()
+        .expect("helper thread");
+        let (_, b1) = thread_alloc_counters();
+        assert!(theirs >= 1 << 16, "the helper's buffer shows in the helper's counters");
+        assert!(b1 - b0 < 1 << 16, "and is not billed to the thread that spawned it");
     }
 
     #[test]

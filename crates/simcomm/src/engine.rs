@@ -184,28 +184,47 @@ impl Scheduler {
     /// is held by the baton cell, so the call may also race ahead of
     /// spawning).
     pub(crate) fn start(&self) {
-        self.fill(&mut lock(&self.state));
+        let mut first = Vec::with_capacity(self.cap);
+        self.fill(&mut lock(&self.state), |rank| first.push(rank));
+        for rank in first {
+            self.resume(rank);
+        }
     }
 
-    /// Hand batons to runnable tasks until `cap` are running or the queue is
-    /// empty — the single dispatch primitive every scheduling event funnels
-    /// through. Resuming under the state lock is safe: baton cells are leaf
-    /// mutexes (no path locks the state while holding one).
-    fn fill(&self, st: &mut SchedState) {
+    /// Pick runnable tasks until `cap` are running or the queue is empty,
+    /// marking each `Running` and passing it to `picked`. Picking is all that
+    /// happens under the state lock: the caller hands the batons over with
+    /// [`Scheduler::resume`] once it holds no lock at all, so a successor
+    /// that the kernel runs the instant it is woken never finds the state
+    /// lock — or the waker's mailbox / collective guard — still held.
+    fn fill(&self, st: &mut SchedState, mut picked: impl FnMut(usize)) {
         while st.running < self.cap {
             match Self::pop_next(st) {
                 Some(rank) => {
                     st.running += 1;
-                    self.resume(rank);
+                    picked(rank);
                 }
                 None => break,
             }
         }
     }
 
+    /// [`Scheduler::fill`] for the events that free or add at most one
+    /// baton: after every scheduling event either `cap` tasks are running or
+    /// nothing is runnable, so one block, exit or deposit makes room for —
+    /// or makes runnable — exactly one task.
+    fn pick_one(&self, st: &mut SchedState) -> Option<usize> {
+        let mut next = None;
+        self.fill(st, |rank| {
+            debug_assert!(next.is_none(), "one scheduling event freed two batons");
+            next = Some(rank);
+        });
+        next
+    }
+
     /// Park until this task is handed the baton. Every task calls this once
     /// before running any rank code, and after every [`Scheduler::block`]
-    /// once the world guard is released.
+    /// once the world guard is released and the successor resumed.
     pub(crate) fn wait_for_turn(&self, rank: usize) {
         let b = &self.batons[rank];
         let mut go = lock(&b.go);
@@ -215,8 +234,12 @@ impl Scheduler {
         *go = false;
     }
 
-    /// Hand the baton to `rank`.
-    fn resume(&self, rank: usize) {
+    /// Hand the baton to `rank`, a task some scheduling call picked (marked
+    /// `Running`) and returned. Called with **no other lock held** — see
+    /// [`Scheduler::fill`]; only the poison path resumes in place. The cell is
+    /// sticky, so a task whose baton arrives late is indistinguishable from
+    /// one the OS has not scheduled yet.
+    pub(crate) fn resume(&self, rank: usize) {
         let b = &self.batons[rank];
         *lock(&b.go) = true;
         b.cv.notify_one();
@@ -249,17 +272,19 @@ impl Scheduler {
     }
 
     /// Register the running task `rank` as blocked until `site` is signalled,
-    /// at virtual time `clock`, and dispatch the best runnable tasks in its
+    /// at virtual time `clock`, and pick the best runnable task to run in its
     /// place. The caller **still holds the guard of the mailbox or collective
-    /// slot it found wanting** and parks with [`Scheduler::wait_for_turn`]
-    /// only after releasing it. Signallers change that state under the same
-    /// guard before they call `wake_*`, so every wakeup finds the task either
-    /// not yet decided to wait or already `Blocked` — none can fall between
-    /// (lock order: world guard → scheduler state → baton cell).
+    /// slot it found wanting**; it releases the guard, resumes the returned
+    /// successor and only then parks with [`Scheduler::wait_for_turn`].
+    /// Signallers change that state under the same guard before they call
+    /// `wake_*`, so every wakeup finds the task either not yet decided to
+    /// wait or already `Blocked` — none can fall between. That the successor
+    /// is `Running` before its baton is set changes nothing: wakeups skip
+    /// `Running` tasks, and the cell holds the baton until the task parks.
     ///
-    /// In a poisoned world the task keeps its baton instead (the following
-    /// `wait_for_turn` returns at once), so it reaches its next poison check
-    /// even when the poison landed after its last one.
+    /// In a poisoned world the task keeps its own baton instead (set in
+    /// place; the following `wait_for_turn` returns at once), so it reaches
+    /// its next poison check even when the poison landed after its last one.
     ///
     /// Returns `Err` if, with this task blocked, no task would be running or
     /// runnable while undone tasks remain — with every live rank blocked and
@@ -269,16 +294,21 @@ impl Scheduler {
     /// error, poisons the world and unwinds into [`Scheduler::retire`] like
     /// any other rank, so the remaining ranks fail fast instead of hanging
     /// the process.
-    pub(crate) fn block(&self, rank: usize, site: WaitSite, clock: f64) -> Result<(), Deadlock> {
+    pub(crate) fn block(
+        &self,
+        rank: usize,
+        site: WaitSite,
+        clock: f64,
+    ) -> Result<Option<usize>, Deadlock> {
         let mut st = lock(&self.state);
         if st.poisoned {
             self.resume(rank);
-            return Ok(());
+            return Ok(None);
         }
         // Offer this task's baton to the run queue first: if nobody takes it
         // and nobody else holds one, blocking would strand every live task.
         st.running -= 1;
-        self.fill(&mut st);
+        let next = self.pick_one(&mut st);
         if st.running == 0 {
             st.running = 1;
             let live = st.tasks.len() - st.done;
@@ -288,56 +318,65 @@ impl Scheduler {
         t.state = TaskState::Blocked(site);
         t.clock = clock;
         t.epoch += 1;
-        Ok(())
+        Ok(next)
     }
 
     /// A message was deposited for `rank`: wake it if it is parked on its
-    /// mailbox, and start it immediately if a baton is free.
-    pub(crate) fn wake_mailbox(&self, rank: usize) {
+    /// mailbox, and return it for the caller to resume if a baton is free.
+    pub(crate) fn wake_mailbox(&self, rank: usize) -> Option<usize> {
         let mut st = lock(&self.state);
-        if st.tasks[rank].state == TaskState::Blocked(WaitSite::Mailbox) {
-            Self::make_runnable(&mut st, rank);
-            self.fill(&mut st);
+        if st.tasks[rank].state != TaskState::Blocked(WaitSite::Mailbox) {
+            return None;
         }
+        Self::make_runnable(&mut st, rank);
+        self.pick_one(&mut st)
     }
 
-    /// The collective slot changed phase: wake every task parked on it.
-    pub(crate) fn wake_collective(&self) {
+    /// The collective slot changed phase: wake every task parked on it, and
+    /// push the ones that get a free baton onto `picked` for the caller to
+    /// resume once it has released the collective guard.
+    pub(crate) fn wake_collective(&self, picked: &mut Vec<usize>) {
         let mut st = lock(&self.state);
         for rank in 0..st.tasks.len() {
             if st.tasks[rank].state == TaskState::Blocked(WaitSite::Collective) {
                 Self::make_runnable(&mut st, rank);
             }
         }
-        self.fill(&mut st);
+        self.fill(&mut st, |rank| picked.push(rank));
     }
 
     /// The world was poisoned: wake every blocked task regardless of site so
     /// each can observe the poison flag and unwind, and stop later
-    /// [`Scheduler::block`] calls from parking.
+    /// [`Scheduler::block`] calls from parking. Resumes in place — the one
+    /// path that sets batons under the state lock; nothing parks again
+    /// afterwards, so there is no handoff left to keep cheap.
     pub(crate) fn wake_all(&self) {
         let mut st = lock(&self.state);
         st.poisoned = true;
         for rank in 0..st.tasks.len() {
             Self::make_runnable(&mut st, rank);
         }
-        self.fill(&mut st);
+        self.fill(&mut st, |rank| self.resume(rank));
     }
 
-    /// The task of `rank` finished (returned or panicked): retire it and hand
-    /// its baton to the next runnable task. Returns `Some(live)` if undone
-    /// tasks remain but none is running or runnable — the `live` survivors
-    /// are permanently blocked and the caller must record the deadlock and
-    /// poison the world (whose [`Scheduler::wake_all`] restarts dispatch).
-    pub(crate) fn retire(&self, rank: usize) -> Option<usize> {
+    /// The task of `rank` finished (returned or panicked): retire it and
+    /// return the runnable task that inherits its baton, for the caller to
+    /// resume. Returns `Err(live)` if undone tasks remain but none is running
+    /// or runnable — the `live` survivors are permanently blocked and the
+    /// caller must record the deadlock and poison the world (whose
+    /// [`Scheduler::wake_all`] restarts dispatch).
+    pub(crate) fn retire(&self, rank: usize) -> Result<Option<usize>, usize> {
         let mut st = lock(&self.state);
         st.tasks[rank].state = TaskState::Done;
         st.tasks[rank].epoch += 1;
         st.done += 1;
         st.running -= 1;
-        self.fill(&mut st);
+        let next = self.pick_one(&mut st);
         debug_assert!(st.done < st.tasks.len() || st.running == 0, "baton count out of step");
-        (st.running == 0 && st.done < st.tasks.len()).then(|| st.tasks.len() - st.done)
+        if st.running == 0 && st.done < st.tasks.len() {
+            return Err(st.tasks.len() - st.done);
+        }
+        Ok(next)
     }
 
     /// Mark a task whose host thread never existed (its spawn failed) as
@@ -385,50 +424,104 @@ mod tests {
         }
     }
 
-    /// A two-task scheduler with task 0 running, as a rank thread would be
-    /// after its prologue. Task 1 is running too when the host has a second
-    /// core and queued otherwise; the tests below hold at either width.
-    fn two_tasks() -> Scheduler {
-        let s = Scheduler::new(2);
+    /// A scheduler of `n` tasks at batch width `cap`, started, with the tasks
+    /// of the first batch past their first park — as their rank threads
+    /// would be after the prologue.
+    fn started(n: usize, cap: usize) -> Scheduler {
+        let mut s = Scheduler::new(n);
+        s.cap = cap;
         s.start();
-        s.wait_for_turn(0);
+        for rank in 0..cap.min(n) {
+            s.wait_for_turn(rank);
+        }
         s
+    }
+
+    fn state_of(s: &Scheduler, rank: usize) -> TaskState {
+        lock(&s.state).tasks[rank].state
+    }
+
+    fn baton_set(s: &Scheduler, rank: usize) -> bool {
+        *lock(&s.batons[rank].go)
+    }
+
+    #[test]
+    fn block_picks_the_successor_but_leaves_its_baton_to_the_caller() {
+        let s = started(2, 1);
+        let next = s.block(0, WaitSite::Mailbox, 1.0).expect("task 1 can run");
+        assert_eq!(next, Some(1));
+        // Picked under the state lock, resumed by nobody yet: the caller
+        // hands the baton over once it has dropped its world guard.
+        assert_eq!(state_of(&s, 1), TaskState::Running);
+        assert!(!baton_set(&s, 1), "nothing is resumed under the state lock");
+        s.resume(1);
+        s.wait_for_turn(1);
     }
 
     #[test]
     fn wakeup_between_block_and_park_is_not_lost() {
-        let s = two_tasks();
-        s.block(0, WaitSite::Mailbox, 1.0).expect("task 1 can still run");
-        // The deposit lands after task 0 registered but before it parked ...
-        s.wake_mailbox(0);
-        // ... and task 1 (dispatched at start or by the block) finishes.
-        assert_eq!(s.retire(1), None);
-        assert!(*lock(&s.batons[0].go), "the wakeup must leave task 0 its baton");
-        s.wait_for_turn(0);
-        assert_eq!(lock(&s.state).tasks[0].state, TaskState::Running);
+        for cap in [1, 2] {
+            let s = started(2, cap);
+            // Width 1 picks task 1 as the successor; at width 2 it runs already.
+            let next = s.block(0, WaitSite::Mailbox, 1.0).expect("task 1 can still run");
+            assert_eq!(next, (cap == 1).then_some(1));
+            // The deposit lands after task 0 registered but before it parked:
+            // task 0 gets the free baton at width 2 and queues at width 1 ...
+            let woken = s.wake_mailbox(0);
+            // ... where it inherits task 1's baton when that finishes.
+            let inherited = s.retire(1).expect("task 0 is runnable, not stranded");
+            assert_eq!(
+                (woken, inherited),
+                if cap == 1 { (None, Some(0)) } else { (Some(0), None) }
+            );
+            assert_eq!(state_of(&s, 0), TaskState::Running);
+            s.resume(0);
+            s.wait_for_turn(0);
+        }
     }
 
     #[test]
     fn block_does_not_park_once_poisoned() {
-        let s = two_tasks();
+        let s = started(2, 1);
         // Poison lands after task 0's last poison check, before it registers.
         s.wake_all();
-        s.block(0, WaitSite::Collective, 1.0).expect("a poisoned world reports no deadlock");
-        assert_eq!(lock(&s.state).tasks[0].state, TaskState::Running);
-        assert!(*lock(&s.batons[0].go), "task 0 must keep its baton");
+        let next = s.block(0, WaitSite::Collective, 1.0);
+        assert_eq!(next.expect("a poisoned world reports no deadlock"), None);
+        assert_eq!(state_of(&s, 0), TaskState::Running);
+        assert!(baton_set(&s, 0), "task 0 must keep its baton");
         s.wait_for_turn(0);
     }
 
     #[test]
     fn deadlock_reporter_stays_running_and_retires_once() {
-        let s = Scheduler::new(1);
-        s.start();
-        s.wait_for_turn(0);
+        let s = started(1, 1);
         let d = s.block(0, WaitSite::Mailbox, 2.5).expect_err("the only task cannot block");
         assert_eq!((d.live, d.rank, d.site, d.clock), (1, 0, WaitSite::Mailbox, 2.5));
-        assert_eq!(lock(&s.state).tasks[0].state, TaskState::Running);
-        assert_eq!(s.retire(0), None);
+        assert_eq!(state_of(&s, 0), TaskState::Running);
+        assert_eq!(s.retire(0), Ok(None));
         let st = lock(&s.state);
         assert_eq!((st.running, st.done), (0, 1));
+    }
+
+    #[test]
+    fn rank_exit_with_the_successors_baton_in_flight() {
+        // Three ranks at width 2: 0 and 1 run, 2 waits for a baton.
+        let s = started(3, 2);
+        // Rank 0 exits. Rank 2 inherits its baton — picked, not yet resumed.
+        assert_eq!(s.retire(0), Ok(Some(2)));
+        assert!(!baton_set(&s, 2));
+        // Meanwhile rank 1 blocks. Rank 2 counts as running although its
+        // baton is still in flight, so this is no deadlock ...
+        assert_eq!(s.block(1, WaitSite::Mailbox, 1.0).expect("rank 2 is running"), None);
+        // ... and a late baton is as good as a prompt one.
+        s.resume(2);
+        s.wait_for_turn(2);
+        assert_eq!(s.wake_mailbox(1), Some(1));
+        s.resume(1);
+        s.wait_for_turn(1);
+        assert_eq!(s.retire(2), Ok(None));
+        assert_eq!(s.retire(1), Ok(None));
+        let st = lock(&s.state);
+        assert_eq!((st.running, st.done), (0, 3));
     }
 }

@@ -22,7 +22,7 @@
 
 /// SplitMix64 — the same generator the particle systems use for deterministic
 /// pseudo-randomness (kept local: `simcomm` is the base crate).
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

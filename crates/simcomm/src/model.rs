@@ -45,33 +45,42 @@ pub enum Topology {
 /// ```
 pub fn balanced_dims(n: usize, ndims: usize) -> Vec<usize> {
     assert!(ndims >= 1, "ndims must be at least 1");
-    assert!(n >= 1, "n must be at least 1");
     let mut dims = vec![1usize; ndims];
-    let mut rem = n;
-    // Repeatedly assign the largest remaining prime factor to the smallest dim.
-    let mut factors = Vec::new();
-    let mut m = rem;
+    balanced_dims_into(n, &mut dims);
+    dims
+}
+
+/// [`balanced_dims`] into caller storage (`dims.len()` is the dimension
+/// count): no heap allocation, so a hop distance for an arbitrary world size
+/// can be computed on the stack.
+fn balanced_dims_into(n: usize, dims: &mut [usize]) {
+    assert!(n >= 1, "n must be at least 1");
+    dims.fill(1);
+    // Trial division yields the prime factors in non-decreasing order; a
+    // `usize` has fewer than 64 of them.
+    let mut factors = [0usize; 64];
+    let mut nf = 0;
+    let mut m = n;
     let mut p = 2usize;
     while p * p <= m {
         while m.is_multiple_of(p) {
-            factors.push(p);
+            factors[nf] = p;
+            nf += 1;
             m /= p;
         }
         p += 1;
     }
     if m > 1 {
-        factors.push(m);
+        factors[nf] = m;
+        nf += 1;
     }
-    factors.sort_unstable_by(|a, b| b.cmp(a));
-    for f in factors {
-        let i = (0..ndims).min_by_key(|&i| dims[i]).unwrap();
+    // Repeatedly assign the largest remaining prime factor to the smallest dim.
+    for &f in factors[..nf].iter().rev() {
+        let i = (0..dims.len()).min_by_key(|&i| dims[i]).expect("ndims >= 1");
         dims[i] *= f;
-        rem /= f;
     }
-    debug_assert_eq!(rem, 1);
     dims.sort_unstable_by(|a, b| b.cmp(a));
     debug_assert_eq!(dims.iter().product::<usize>(), n);
-    dims
 }
 
 /// Map a rank to torus coordinates (row-major order over `dims`).
@@ -85,18 +94,104 @@ pub fn torus_coords(rank: usize, dims: &[usize]) -> Vec<usize> {
     coords
 }
 
+/// Wraparound distance between two coordinates of a torus dimension of
+/// extent `d`.
+#[inline]
+fn ring_distance(x: usize, y: usize, d: usize) -> usize {
+    let diff = x.abs_diff(y);
+    diff.min(d - diff)
+}
+
 /// Minimal hop distance between two ranks on a torus with the given extents.
+/// Peels the row-major coordinates off both ranks dimension by dimension, so
+/// it allocates nothing.
 pub fn torus_hops(a: usize, b: usize, dims: &[usize]) -> usize {
-    let ca = torus_coords(a, dims);
-    let cb = torus_coords(b, dims);
-    ca.iter()
-        .zip(cb.iter())
-        .zip(dims.iter())
-        .map(|((&x, &y), &d)| {
-            let diff = x.abs_diff(y);
-            diff.min(d - diff)
-        })
-        .sum()
+    let (mut ra, mut rb, mut hops) = (a, b, 0);
+    for &d in dims.iter().rev() {
+        hops += ring_distance(ra % d, rb % d, d);
+        ra /= d;
+        rb /= d;
+    }
+    hops
+}
+
+/// Hop distances of one world, precomputed: the torus coordinates of every
+/// rank, rank-major, so a per-message distance is `ndims` subtractions and
+/// neither divides nor allocates. Empty on switched fabrics, where every
+/// pair of distinct ranks is one hop apart. 16 384 ranks on the 5D torus
+/// take 320 KiB.
+pub(crate) struct HopTable {
+    dims: Vec<u32>,
+    coords: Vec<u32>,
+}
+
+impl HopTable {
+    /// Hop distance between ranks `a` and `b` of the world the table was
+    /// built for; equals [`MachineModel::hops`] for that world size.
+    #[inline]
+    pub(crate) fn hops(&self, a: usize, b: usize) -> usize {
+        let nd = self.dims.len();
+        if nd == 0 {
+            return usize::from(a != b);
+        }
+        let (ca, cb) = (&self.coords[a * nd..][..nd], &self.coords[b * nd..][..nd]);
+        let mut hops = 0;
+        for i in 0..nd {
+            hops += ring_distance(ca[i] as usize, cb[i] as usize, self.dims[i] as usize);
+        }
+        hops
+    }
+}
+
+/// The collective cost formulas of one model at one world size, with every
+/// world-size-dependent term evaluated once ([`MachineModel::coll_terms`]):
+/// a collective neither re-factorises the world size nor allocates. The
+/// model's public `*_time(n, ..)` functions build the terms and call the same
+/// methods, so both routes give the same bits.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct CollTerms {
+    /// Tree stages for the world's ranks.
+    stages: f64,
+    /// Latency of one tree stage.
+    stage: f64,
+    /// [`MachineModel::p2p_bandwidth`].
+    p2p_bandwidth: f64,
+    /// Effective per-rank bandwidth for globally scattered traffic.
+    alltoall_eff_bw: f64,
+    /// Scan of all `n` count entries of a vector collective.
+    alltoallv_scan: f64,
+    /// [`MachineModel::alltoallv_msg_overhead`].
+    alltoallv_msg_overhead: f64,
+}
+
+impl CollTerms {
+    /// See [`MachineModel::barrier_time`].
+    pub(crate) fn barrier(&self) -> f64 {
+        self.stages * self.stage
+    }
+
+    /// See [`MachineModel::tree_coll_time`].
+    pub(crate) fn tree_coll(&self, bytes: u64) -> f64 {
+        self.stages * (self.stage + bytes as f64 / self.p2p_bandwidth)
+    }
+
+    /// See [`MachineModel::allgather_time`].
+    pub(crate) fn allgather(&self, total_bytes: u64) -> f64 {
+        self.barrier() + total_bytes as f64 / self.alltoall_eff_bw
+    }
+
+    /// See [`MachineModel::alltoallv_time`].
+    pub(crate) fn alltoallv(&self, s_msgs: u64, s_bytes: u64, r_msgs: u64, r_bytes: u64) -> f64 {
+        let sync = self.barrier();
+        // Within the collective, messages are aggregated and pipelined, so a
+        // sparse message costs only the CPU-side handling — network latency is
+        // paid once, in the synchronizing stages above. This is what makes the
+        // collective competitive with separate point-to-point messages on a
+        // switched fabric (paper, Sect. IV-D).
+        let overhead = (s_msgs + r_msgs) as f64 * self.alltoallv_msg_overhead;
+        let volume = (s_bytes.max(r_bytes)) as f64 / self.alltoall_eff_bw;
+        self.alltoallv_scan + sync + overhead + volume
+    }
 }
 
 /// Calibrated per-unit costs (seconds) for the computation kinds the solvers
@@ -300,10 +395,34 @@ impl MachineModel {
         match &self.topology {
             Topology::Switched => usize::from(a != b),
             Topology::Torus { ndims } => {
-                let dims = balanced_dims(n, *ndims);
-                torus_hops(a, b, &dims)
+                // Real tori have a handful of dimensions: factorise on the
+                // stack, and fall back to the heap only beyond that.
+                let mut stack = [1usize; 8];
+                match stack.get_mut(..*ndims) {
+                    Some(dims) if *ndims >= 1 => {
+                        balanced_dims_into(n, dims);
+                        torus_hops(a, b, dims)
+                    }
+                    _ => torus_hops(a, b, &balanced_dims(n, *ndims)),
+                }
             }
         }
+    }
+
+    /// The hop-distance table of a world of `n` ranks.
+    pub(crate) fn hop_table(&self, n: usize) -> HopTable {
+        let dims = self.torus_dims(n);
+        let narrow = |x: usize| u32::try_from(x).expect("torus extents fit in 32 bits");
+        let nd = dims.len();
+        let mut coords = vec![0u32; n * nd];
+        for (rank, row) in coords.chunks_exact_mut(nd.max(1)).enumerate() {
+            let mut r = rank;
+            for i in (0..nd).rev() {
+                row[i] = narrow(r % dims[i]);
+                r /= dims[i];
+            }
+        }
+        HopTable { dims: dims.into_iter().map(narrow).collect(), coords }
     }
 
     /// Average hop distance between two random ranks in a world of `n` ranks.
@@ -314,6 +433,27 @@ impl MachineModel {
                 // Expected per-dimension wraparound distance is ~dim/4.
                 balanced_dims(n, *ndims).iter().map(|&d| d as f64 / 4.0).sum()
             }
+        }
+    }
+
+    /// The collective cost terms of a world of `n` ranks.
+    pub(crate) fn coll_terms(&self, n: usize) -> CollTerms {
+        let avg_hops = self.avg_hops(n);
+        let alltoall_eff_bw = match &self.topology {
+            Topology::Switched => self.alltoall_bandwidth / self.node_share,
+            // Average route length grows like avg_hops(n); the shared-link
+            // contention divides the injection bandwidth accordingly.
+            Topology::Torus { .. } => {
+                self.alltoall_bandwidth / self.node_share / (1.0 + 0.5 * avg_hops)
+            }
+        };
+        CollTerms {
+            stages: (n.max(1) as f64).log2().ceil().max(0.0),
+            stage: self.coll_latency + avg_hops * self.p2p_hop_latency,
+            p2p_bandwidth: self.p2p_bandwidth,
+            alltoall_eff_bw,
+            alltoallv_scan: n as f64 * self.alltoallv_scan_cost,
+            alltoallv_msg_overhead: self.alltoallv_msg_overhead,
         }
     }
 
@@ -388,42 +528,25 @@ impl MachineModel {
         self.p2p_latency + hops as f64 * self.p2p_hop_latency
     }
 
-    /// Latency of one stage of a tree-structured collective in a world of `n`.
-    fn coll_stage(&self, n: usize) -> f64 {
-        self.coll_latency + self.avg_hops(n) * self.p2p_hop_latency
-    }
-
-    /// Number of tree stages for `n` ranks.
-    fn stages(n: usize) -> f64 {
-        (n.max(1) as f64).log2().ceil().max(0.0)
-    }
-
     /// Cost of a barrier over `n` ranks.
     pub fn barrier_time(&self, n: usize) -> f64 {
-        Self::stages(n) * self.coll_stage(n)
+        self.coll_terms(n).barrier()
     }
 
     /// Cost of a broadcast / reduction / allreduce of `bytes` over `n` ranks.
     pub fn tree_coll_time(&self, n: usize, bytes: u64) -> f64 {
-        Self::stages(n) * (self.coll_stage(n) + bytes as f64 / self.p2p_bandwidth)
+        self.coll_terms(n).tree_coll(bytes)
     }
 
     /// Cost of an allgather where every rank ends up holding `total_bytes`.
     pub fn allgather_time(&self, n: usize, total_bytes: u64) -> f64 {
-        Self::stages(n) * self.coll_stage(n) + total_bytes as f64 / self.alltoall_eff_bw(n)
+        self.coll_terms(n).allgather(total_bytes)
     }
 
     /// Effective per-rank bandwidth for globally scattered traffic in a world
     /// of `n`: constant on switched fabrics, bisection-degraded on tori.
     pub fn alltoall_eff_bw(&self, n: usize) -> f64 {
-        match &self.topology {
-            Topology::Switched => self.alltoall_bandwidth / self.node_share,
-            Topology::Torus { .. } => {
-                // Average route length grows like avg_hops(n); the shared-link
-                // contention divides the injection bandwidth accordingly.
-                self.alltoall_bandwidth / self.node_share / (1.0 + 0.5 * self.avg_hops(n))
-            }
-        }
+        self.coll_terms(n).alltoall_eff_bw
     }
 
     /// Cost charged to one rank for its part of a (sparse) all-to-all-v:
@@ -440,16 +563,7 @@ impl MachineModel {
         r_msgs: u64,
         r_bytes: u64,
     ) -> f64 {
-        let scan = n as f64 * self.alltoallv_scan_cost;
-        let sync = Self::stages(n) * self.coll_stage(n);
-        // Within the collective, messages are aggregated and pipelined, so a
-        // sparse message costs only the CPU-side handling — network latency is
-        // paid once, in the synchronizing stages above. This is what makes the
-        // collective competitive with separate point-to-point messages on a
-        // switched fabric (paper, Sect. IV-D).
-        let overhead = (s_msgs + r_msgs) as f64 * self.alltoallv_msg_overhead;
-        let volume = (s_bytes.max(r_bytes)) as f64 / self.alltoall_eff_bw(n);
-        scan + sync + overhead + volume
+        self.coll_terms(n).alltoallv(s_msgs, s_bytes, r_msgs, r_bytes)
     }
 
     /// Virtual compute time for `units` operations of the given [`Work`] kind.
@@ -517,6 +631,86 @@ mod tests {
         for a in 0..64 {
             for b in 0..64 {
                 assert_eq!(torus_hops(a, b, &dims), torus_hops(b, a, &dims));
+            }
+        }
+    }
+
+    #[test]
+    fn hop_table_equals_torus_hops_for_all_pairs() {
+        // 1, 2, a prime, a three-factor and a paper-scale world, on both
+        // topologies (the switched table is empty: 0 or 1 hop).
+        for model in [MachineModel::juqueen_like(), MachineModel::juropa_like()] {
+            for n in [1usize, 2, 13, 24, 4096] {
+                let table = model.hop_table(n);
+                let dims = model.torus_dims(n);
+                for a in 0..n {
+                    for b in 0..n {
+                        let expect = if dims.is_empty() {
+                            usize::from(a != b)
+                        } else {
+                            torus_hops(a, b, &dims)
+                        };
+                        assert_eq!(table.hops(a, b), expect, "{}: n={n} {a}->{b}", model.name);
+                    }
+                }
+                // The public per-call route factorises `n` on the stack.
+                for (a, b) in [(0, n - 1), (n / 2, n / 3), (n - 1, n - 1)] {
+                    assert_eq!(model.hops(a, b, n), table.hops(a, b), "{}: n={n}", model.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hop_table_stays_small_at_paper_scale() {
+        let table = MachineModel::juqueen_like().hop_table(16384);
+        let bytes = std::mem::size_of_val(&table.coords[..]);
+        assert_eq!(table.coords.len(), 16384 * 5);
+        assert!(bytes < (1 << 20) / 2, "{bytes} B for 16384 ranks x 5 dims");
+    }
+
+    #[test]
+    fn torus_hops_matches_coordinate_distance() {
+        let dims = [4, 3, 2];
+        for a in 0..24 {
+            for b in 0..24 {
+                let (ca, cb) = (torus_coords(a, &dims), torus_coords(b, &dims));
+                let by_coords: usize = (0..3).map(|i| ring_distance(ca[i], cb[i], dims[i])).sum();
+                assert_eq!(torus_hops(a, b, &dims), by_coords);
+            }
+        }
+        // Many dimensions take the heap route of `MachineModel::hops`.
+        let wide =
+            MachineModel { topology: Topology::Torus { ndims: 9 }, ..MachineModel::juqueen_like() };
+        let dims = balanced_dims(512, 9);
+        assert_eq!(wide.hops(3, 300, 512), torus_hops(3, 300, &dims));
+    }
+
+    #[test]
+    fn collective_terms_keep_the_bits_of_the_per_call_formulas() {
+        // The formulas as they were evaluated on every call, written out.
+        for m in [MachineModel::juqueen_like(), MachineModel::juropa_like()] {
+            for n in [1usize, 2, 7, 24, 64, 256, 4096] {
+                let stages = (n.max(1) as f64).log2().ceil().max(0.0);
+                let stage = m.coll_latency + m.avg_hops(n) * m.p2p_hop_latency;
+                let eff_bw = match m.topology {
+                    Topology::Switched => m.alltoall_bandwidth / m.node_share,
+                    Topology::Torus { .. } => {
+                        m.alltoall_bandwidth / m.node_share / (1.0 + 0.5 * m.avg_hops(n))
+                    }
+                };
+                let t = m.coll_terms(n);
+                let same =
+                    |a: f64, b: f64| assert_eq!(a.to_bits(), b.to_bits(), "{} n={n}", m.name);
+                same(t.barrier(), stages * stage);
+                same(t.tree_coll(4096), stages * (stage + 4096.0 / m.p2p_bandwidth));
+                same(t.allgather(1 << 20), stages * stage + (1u64 << 20) as f64 / eff_bw);
+                same(m.alltoall_eff_bw(n), eff_bw);
+                let (scan, sync) = (n as f64 * m.alltoallv_scan_cost, stages * stage);
+                let overhead = (6 + 5) as f64 * m.alltoallv_msg_overhead;
+                let volume = 7168f64 / eff_bw;
+                same(t.alltoallv(6, 6144, 5, 7168), scan + sync + overhead + volume);
+                same(m.alltoallv_time(n, 6, 6144, 5, 7168), scan + sync + overhead + volume);
             }
         }
     }

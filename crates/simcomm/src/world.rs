@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use crate::engine::{Deadlock, Engine, Scheduler, WaitSite};
 use crate::error::WorldError;
 use crate::fault::FaultPlan;
-use crate::model::{MachineModel, Work};
+use crate::model::{CollTerms, HopTable, MachineModel, Work};
 use crate::phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseSegment, PhaseStats};
 use crate::pool::{BufferPool, PooledBuf};
 use crate::trace::{SpanCat, Trace, TraceKind};
@@ -36,21 +36,105 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Greedily match every receive pattern `(slot, src, tag)` against the queue
-/// in FIFO order (the k-th queued message of a `(src, tag)` stream goes to
-/// the k-th request for it). Fills `picks` with the `(slot, queue position)`
-/// pairs and returns `true`, or returns `false` if not all patterns can be
-/// matched yet. `taken` and `picks` are caller-provided scratch so the hot
-/// matching loop performs no allocation.
-fn match_requests(
+/// One receive request of a wait. Ordered by `(src, tag, slot)`, which puts
+/// the requests of one `(src, tag)` stream side by side in request order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Pattern {
+    src: usize,
+    tag: u64,
+    /// Index of the request in the caller's batch.
+    slot: usize,
+}
+
+/// Matches the receive requests of one wait against the rank's mailbox: the
+/// k-th queued message of a `(src, tag)` stream goes to the k-th request for
+/// it. Lives in [`WaitScratch`], so matching allocates nothing after
+/// warm-up.
+///
+/// One scan: the patterns are sorted once per wait and each queued message
+/// is looked up by a single binary search that lands on the first unmatched
+/// request of its stream. The scan is incremental across wakeups: only the
+/// owner removes from its mailbox and deposits go to the back, so positions
+/// examined by an earlier [`Matcher::advance`] are stable, and a message
+/// that found no unmatched request then can find none later.
+#[derive(Default)]
+struct Matcher {
+    patterns: Vec<Pattern>,
+    /// Per-pattern "a queued message has been picked for it" flags. Matching
+    /// is FIFO, so within one stream the taken patterns are a prefix.
+    taken: Vec<bool>,
+    /// `(slot, queue position)` picks so far, in ascending queue position.
+    picks: Vec<(usize, usize)>,
+    /// Queue positions below this have been examined.
+    scanned: usize,
+}
+
+impl Matcher {
+    /// Begin a wait over the given `(src, tag, slot)` receive requests.
+    fn start(&mut self, recvs: impl Iterator<Item = (usize, u64, usize)>) {
+        self.patterns.clear();
+        self.patterns.extend(recvs.map(|(src, tag, slot)| Pattern { src, tag, slot }));
+        self.patterns.sort_unstable();
+        self.taken.clear();
+        self.taken.resize(self.patterns.len(), false);
+        self.picks.clear();
+        self.scanned = 0;
+    }
+
+    /// Index of the first unmatched pattern of the `(src, tag)` stream: one
+    /// binary search, because "sorts before the stream, or belongs to it and
+    /// is taken" holds for a prefix of the sorted patterns.
+    fn first_free(&self, src: usize, tag: u64) -> Option<usize> {
+        let key = (src, tag);
+        let (mut lo, mut hi) = (0, self.patterns.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let p = &self.patterns[mid];
+            if (p.src, p.tag) < key || ((p.src, p.tag) == key && self.taken[mid]) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.patterns.get(lo).is_some_and(|p| (p.src, p.tag) == key).then_some(lo)
+    }
+
+    /// The request slot the next message of the `(src, tag)` stream would
+    /// complete, if any request is still waiting for one.
+    fn slot_for(&self, src: usize, tag: u64) -> Option<usize> {
+        self.first_free(src, tag).map(|i| self.patterns[i].slot)
+    }
+
+    /// Examine the messages queued since the last call. Returns `true` once
+    /// every pattern has a pick, `false` if the queue cannot satisfy them all
+    /// yet (call again after the next wakeup).
+    fn advance(&mut self, q: &VecDeque<Message>) -> bool {
+        while self.picks.len() < self.patterns.len() {
+            let Some(m) = q.get(self.scanned) else { return false };
+            if let Some(i) = self.first_free(m.src, m.tag) {
+                self.taken[i] = true;
+                self.picks.push((self.patterns[i].slot, self.scanned));
+            }
+            self.scanned += 1;
+        }
+        true
+    }
+}
+
+/// The O(queue × patterns) greedy matcher [`Matcher`] replaced, kept as its
+/// oracle: match every `(slot, src, tag)` pattern against the whole queue in
+/// FIFO order, restarting from the head on every call.
+#[cfg(test)]
+fn match_requests_greedy(
     q: &VecDeque<Message>,
     patterns: &[(usize, usize, u64)],
-    taken: &mut Vec<bool>,
     picks: &mut Vec<(usize, usize)>,
 ) -> bool {
-    taken.clear();
-    taken.resize(patterns.len(), false);
+    let mut taken = vec![false; patterns.len()];
     picks.clear();
+    if patterns.is_empty() {
+        return true;
+    }
     for (qpos, m) in q.iter().enumerate() {
         if let Some(i) = patterns
             .iter()
@@ -81,10 +165,16 @@ struct Message {
     payload: Box<dyn Any + Send>,
 }
 
-/// Mailbox of one destination rank.
+/// Mailbox of one destination rank (each behind its own mutex in
+/// [`WorldShared::mailboxes`]).
 #[derive(Default)]
 struct Mailbox {
-    queue: Mutex<VecDeque<Message>>,
+    queue: VecDeque<Message>,
+    /// The owner is (or was, until it next relocks) parked on this mailbox.
+    /// Set and read under the mailbox guard: a sender that finds it clear
+    /// skips the global scheduler lock — the owner is running and will see
+    /// the deposit under this guard before it can decide to wait.
+    waiting: bool,
 }
 
 /// A handle for an outstanding nonblocking point-to-point operation, created
@@ -143,16 +233,13 @@ enum ReqKind {
 struct WaitScratch {
     /// Request kinds of the batch currently being waited on.
     kinds: Vec<ReqKind>,
-    /// `(slot, src, tag)` patterns of the batch's receive requests.
-    patterns: Vec<(usize, usize, u64)>,
-    /// Per-pattern "already matched" flags for [`match_requests`].
-    taken: Vec<bool>,
-    /// `(slot, queue position)` picks from [`match_requests`].
-    picks: Vec<(usize, usize)>,
+    /// The batch's receive requests and their mailbox picks.
+    matcher: Matcher,
     /// Matched messages by request slot (`None` at send slots); after
     /// [`Comm::waitall_core`] these are accounted and await unboxing.
     msgs: Vec<Option<Message>>,
-    /// `(ready time, slot)` completion schedule.
+    /// `(ready time, slot)` completion schedule; a receive's ready time is
+    /// its message's arrival, evaluated once.
     order: Vec<(f64, usize)>,
 }
 
@@ -194,8 +281,11 @@ struct Collective {
 pub(crate) struct WorldShared {
     pub n: usize,
     pub model: MachineModel,
-    torus_dims: Vec<usize>,
-    mailboxes: Vec<Mailbox>,
+    /// Hop distances and collective cost terms of this world size, computed
+    /// once: no per-message or per-collective path factorises `n`.
+    hop_table: HopTable,
+    coll_terms: CollTerms,
+    mailboxes: Vec<Mutex<Mailbox>>,
     bins: Vec<Mutex<Vec<BinEntry>>>,
     coll: Collective,
     poisoned: AtomicBool,
@@ -213,15 +303,15 @@ pub(crate) struct WorldShared {
 
 impl WorldShared {
     fn new(n: usize, model: MachineModel, fault: FaultPlan) -> Self {
-        let torus_dims = model.torus_dims(n);
         let fault_active = fault.is_active();
         WorldShared {
             n,
+            hop_table: model.hop_table(n),
+            coll_terms: model.coll_terms(n),
             model,
-            torus_dims,
             fault,
             fault_active,
-            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
+            mailboxes: (0..n).map(|_| Mutex::default()).collect(),
             bins: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             coll: Collective {
                 m: Mutex::new(CollState {
@@ -279,12 +369,15 @@ impl WorldShared {
     /// The one blocking protocol, shared by the mailbox and the collective
     /// slot: `rank` found its predicate false under `guard` (the lock of
     /// `m`), so it registers as blocked with the scheduler **while still
-    /// holding the guard**, releases it, parks until re-dispatched, and
-    /// relocks. A signaller changes the guarded state before it wakes, so it
-    /// finds the waiter either not yet decided or already registered — no
-    /// wakeup can fall in between. Lock order: world guard → scheduler state
-    /// → baton cell. Returns with the guard held and the predicate possibly
-    /// still false (deposit, phase change or poison) — every caller loops.
+    /// holding the guard**, releases it, hands the baton to the successor the
+    /// scheduler picked, parks until re-dispatched, and relocks. A signaller
+    /// changes the guarded state before it wakes, so it finds the waiter
+    /// either not yet decided or already registered — no wakeup can fall in
+    /// between. The baton is handed on with no lock held (guard → scheduler
+    /// state nest; baton cells stand alone): the successor may run the
+    /// instant it is woken and must not find either lock taken. Returns with
+    /// the guard held and the predicate possibly still false (deposit, phase
+    /// change or poison) — every caller loops.
     fn wait_on<'a, T>(
         &self,
         rank: usize,
@@ -296,10 +389,29 @@ impl WorldShared {
         let registered = self.sched.block(rank, site, clock);
         drop(guard);
         match registered {
-            Ok(()) => self.sched.wait_for_turn(rank),
+            Ok(next) => {
+                if let Some(next) = next {
+                    self.sched.resume(next);
+                }
+                self.sched.wait_for_turn(rank);
+            }
             Err(d) => self.report_deadlock(d),
         }
         lock(m)
+    }
+
+    /// [`WorldShared::wait_on`] for `rank`'s own mailbox, raising its
+    /// `waiting` flag for the time the rank may be parked.
+    fn wait_mailbox<'a>(
+        &'a self,
+        rank: usize,
+        clock: f64,
+        mut mb: MutexGuard<'a, Mailbox>,
+    ) -> MutexGuard<'a, Mailbox> {
+        mb.waiting = true;
+        let mut mb = self.wait_on(rank, WaitSite::Mailbox, clock, &self.mailboxes[rank], mb);
+        mb.waiting = false;
+        mb
     }
 
     /// Rank-thread epilogue: retire the task and hand the baton on. If this
@@ -307,22 +419,18 @@ impl WorldShared {
     /// can ever wake them — record the deadlock and poison the world (which
     /// restarts dispatch) so the survivors fail fast instead of hanging.
     fn retire_rank(&self, rank: usize, clock: f64) {
-        if let Some(live) = self.sched.retire(rank) {
-            self.fail(WorldError::VirtualDeadlock {
-                live,
-                rank,
-                site: "rank-exit".to_string(),
-                clock,
-            });
-            self.poison();
-        }
-    }
-
-    fn hops(&self, a: usize, b: usize) -> usize {
-        if self.torus_dims.is_empty() {
-            usize::from(a != b)
-        } else {
-            crate::model::torus_hops(a, b, &self.torus_dims)
+        match self.sched.retire(rank) {
+            Ok(Some(next)) => self.sched.resume(next),
+            Ok(None) => {}
+            Err(live) => {
+                self.fail(WorldError::VirtualDeadlock {
+                    live,
+                    rank,
+                    site: "rank-exit".to_string(),
+                    clock,
+                });
+                self.poison();
+            }
         }
     }
 }
@@ -420,6 +528,15 @@ pub struct Comm {
     pool: BufferPool,
     /// Reusable scratch for the `waitall` family.
     wait_scratch: WaitScratch,
+    /// Emptied payload envelopes of received typed messages (each a
+    /// `Box<Vec<T>>` for some `T`), most recent last; the next typed send of
+    /// a matching element type refills one instead of boxing. The typed
+    /// twin of the byte path's pool loop: in a symmetric exchange every
+    /// envelope shipped out is replaced by one shipped in.
+    spare_envelopes: VecDeque<Box<dyn Any + Send>>,
+    /// Tasks a collective phase change made this rank responsible for
+    /// resuming once it has released the collective guard.
+    woken: Vec<usize>,
     /// Reusable request/result scratch for the byte-path exchanges.
     byte_reqs: Vec<Request<u8>>,
     byte_results: Vec<Option<PooledBuf>>,
@@ -457,6 +574,11 @@ impl<R> RunOutput<R> {
         aggregate_phases(&self.phases, &self.stats)
     }
 }
+
+/// Bound on [`Comm::spare_envelopes`]: room for both directions of a
+/// 26-neighbour exchange; beyond it the oldest envelope is freed, so a rank
+/// that changes element type ages the old type's envelopes out.
+const MAX_SPARE_ENVELOPES: usize = 64;
 
 /// Stack size for simulated rank threads. Rank code keeps its bulk data on the
 /// heap, so a small stack lets worlds of many thousands of ranks fit easily.
@@ -708,6 +830,8 @@ where
                         fault_straggler_noted: false,
                         pool: BufferPool::new(pooled),
                         wait_scratch: WaitScratch::default(),
+                        spare_envelopes: VecDeque::new(),
+                        woken: Vec::new(),
                         byte_reqs: Vec::new(),
                         byte_results: Vec::new(),
                         byte_pairs_a: Vec::new(),
@@ -1075,7 +1199,7 @@ impl Comm {
 
     /// Hop distance from this rank to `other` on the modelled topology.
     pub fn hops_to(&self, other: usize) -> usize {
-        self.shared.hops(self.rank, other)
+        self.shared.hop_table.hops(self.rank, other)
     }
 
     // -------------------------------------------------------------- faults
@@ -1230,7 +1354,8 @@ impl Comm {
     /// Deposit a message for `dst` and return its NIC departure time, size
     /// and correlation id. Charges the CPU-side post overhead as
     /// communication; the payload drains on the NIC timeline
-    /// ([`Comm::nic_free`]) afterwards.
+    /// ([`Comm::nic_free`]) afterwards. The payload travels in a recycled
+    /// envelope when a spare one of the same element type is at hand.
     fn post_send<T: Send + 'static>(
         &mut self,
         dst: usize,
@@ -1238,7 +1363,15 @@ impl Comm {
         data: Vec<T>,
     ) -> (f64, u64, u64) {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let (depart, corr) = self.post_send_payload(dst, tag, Box::new(data), bytes);
+        let spare = self.spare_envelopes.iter().rposition(|e| e.is::<Vec<T>>());
+        let payload = match spare.and_then(|i| self.spare_envelopes.swap_remove_back(i)) {
+            Some(mut envelope) => {
+                *envelope.downcast_mut::<Vec<T>>().expect("type checked above") = data;
+                envelope
+            }
+            None => Box::new(data),
+        };
+        let (depart, corr) = self.post_send_payload(dst, tag, payload, bytes);
         (depart, bytes, corr)
     }
 
@@ -1293,8 +1426,16 @@ impl Comm {
         self.nic_free = depart;
         self.count_p2p_sent(1, bytes);
         let msg = Message { src: self.rank, tag, depart, bytes, corr, payload };
-        lock(&self.shared.mailboxes[dst].queue).push_back(msg);
-        self.shared.sched.wake_mailbox(dst);
+        let addressee_parked = {
+            let mut mb = lock(&self.shared.mailboxes[dst]);
+            mb.queue.push_back(msg);
+            mb.waiting
+        };
+        if addressee_parked {
+            if let Some(next) = self.shared.sched.wake_mailbox(dst) {
+                self.shared.sched.resume(next);
+            }
+        }
         (depart, corr)
     }
 
@@ -1313,17 +1454,20 @@ impl Comm {
     }
 
     fn recv_match<T: Send + 'static>(&mut self, src: Option<usize>, tag: u64) -> (usize, Vec<T>) {
-        let mb = &self.shared.mailboxes[self.rank];
-        let mut q = lock(&mb.queue);
+        let mut mb = lock(&self.shared.mailboxes[self.rank]);
+        // Messages below `scanned` did not match and never will: only this
+        // rank removes from its mailbox and deposits go to the back.
+        let mut scanned = 0;
+        let wanted = |m: &Message| m.tag == tag && src.is_none_or(|s| m.src == s);
         loop {
             self.shared.check_poison();
-            if let Some(pos) = q.iter().position(|m| m.tag == tag && src.is_none_or(|s| m.src == s))
-            {
-                let msg = q.remove(pos).unwrap();
-                drop(q);
+            if let Some(pos) = mb.queue.range(scanned..).position(wanted) {
+                let msg = mb.queue.remove(scanned + pos).expect("position just found");
+                drop(mb);
                 return self.complete_recv(msg);
             }
-            q = self.shared.wait_on(self.rank, WaitSite::Mailbox, self.clock, &mb.queue, q);
+            scanned = mb.queue.len();
+            mb = self.shared.wait_mailbox(self.rank, self.clock, mb);
         }
     }
 
@@ -1345,17 +1489,18 @@ impl Comm {
     /// Virtual arrival time of a message at this rank: payload time was paid
     /// at injection, the wire adds latency.
     fn arrival_of(&self, msg: &Message) -> f64 {
-        let hops = self.shared.hops(msg.src, self.rank);
+        let hops = self.shared.hop_table.hops(msg.src, self.rank);
         msg.depart + self.shared.model.wire_latency(hops)
     }
 
-    /// Charge the completion of one matched message: receive overhead as
-    /// communication, the gap to its arrival as rendezvous wait. Pure
-    /// accounting — the payload stays boxed for the caller to unwrap.
-    fn account_recv(&mut self, msg: &Message) {
+    /// Charge the completion of one matched message that arrives at virtual
+    /// time `arrival` ([`Comm::arrival_of`], evaluated once by the caller):
+    /// receive overhead as communication, the gap to the arrival as
+    /// rendezvous wait. Pure accounting — the payload stays boxed for the
+    /// caller to unwrap.
+    fn account_recv(&mut self, msg: &Message, arrival: f64) {
         self.fault_op_tick();
         let t0 = self.clock;
-        let arrival = self.arrival_of(msg);
         let (comm, wait) = self.shared.model.completion_cost(self.clock, arrival);
         self.advance_comm(comm);
         self.advance_wait(wait);
@@ -1364,17 +1509,34 @@ impl Comm {
         self.fault_timeout_check(wait, Some(msg.src));
     }
 
-    /// Unbox a received payload as `Vec<T>`, with the uniform mismatch panic.
-    fn unbox_payload<T: Send + 'static>(&self, msg: Message) -> Vec<T> {
-        *msg.payload
-            .downcast::<Vec<T>>()
-            .unwrap_or_else(|_| panic!("recv type mismatch (src {}, tag {})", msg.src, msg.tag))
+    /// Take a received payload out of its envelope as `Vec<T>`, with the
+    /// uniform mismatch panic, and keep the emptied envelope for the next
+    /// typed send ([`Comm::spare_envelopes`]).
+    fn unbox_payload<T: Send + 'static>(&mut self, msg: Message) -> Vec<T> {
+        let Message { src, tag, payload: mut envelope, .. } = msg;
+        let data = match envelope.downcast_mut::<Vec<T>>() {
+            Some(v) => std::mem::take(v),
+            None => panic!("recv type mismatch (src {src}, tag {tag})"),
+        };
+        if self.spare_envelopes.len() == MAX_SPARE_ENVELOPES {
+            self.spare_envelopes.pop_front();
+        }
+        self.spare_envelopes.push_back(envelope);
+        data
+    }
+
+    /// The payload of the message [`Comm::waitall_core`] matched to request
+    /// `slot`.
+    fn take_matched<T: Send + 'static>(&mut self, slot: usize) -> Vec<T> {
+        let msg = self.wait_scratch.msgs[slot].take().expect("matched in waitall_core");
+        self.unbox_payload(msg)
     }
 
     /// Charge the completion of one matched message ([`Comm::account_recv`])
     /// and unbox the payload.
     fn complete_recv<T: Send + 'static>(&mut self, msg: Message) -> (usize, Vec<T>) {
-        self.account_recv(&msg);
+        let arrival = self.arrival_of(&msg);
+        self.account_recv(&msg, arrival);
         let src = msg.src;
         (src, self.unbox_payload(msg))
     }
@@ -1437,7 +1599,16 @@ impl Comm {
     /// request and `None` for a send request — by kind, never by outcome
     /// (see the completion contract on [`Request`]).
     pub fn wait<T: Send + 'static>(&mut self, request: Request<T>) -> Option<Vec<T>> {
-        self.waitall(vec![request]).pop().expect("one request in, one result out")
+        // A batch of one completes exactly like the blocking call it stands
+        // for: no matching scratch, no result vector.
+        match request.kind {
+            ReqKind::Recv { src, tag } => Some(self.recv_match(Some(src), tag).1),
+            ReqKind::Send { dst, depart, corr } => {
+                self.shared.check_poison();
+                self.complete_send(dst, depart, corr);
+                None
+            }
+        }
     }
 
     /// Wait for a receive request and return its buffer directly — the
@@ -1482,21 +1653,12 @@ impl Comm {
         kinds.clear();
         kinds.extend(requests.iter().map(|r| r.kind));
         self.waitall_core(&kinds);
-        let mut msgs = std::mem::take(&mut self.wait_scratch.msgs);
-        let out = requests
+        self.wait_scratch.kinds = kinds;
+        requests
             .iter()
             .enumerate()
-            .map(|(slot, r)| match r.kind {
-                ReqKind::Recv { .. } => {
-                    let msg = msgs[slot].take().expect("matched in waitall_core");
-                    Some(self.unbox_payload::<T>(msg))
-                }
-                ReqKind::Send { .. } => None,
-            })
-            .collect();
-        self.wait_scratch.msgs = msgs;
-        self.wait_scratch.kinds = kinds;
-        out
+            .map(|(slot, r)| r.is_recv().then(|| self.take_matched(slot)))
+            .collect()
     }
 
     /// Shared engine of [`Comm::waitall`] / [`Comm::waitall_bytes`]: match
@@ -1508,32 +1670,29 @@ impl Comm {
     fn waitall_core(&mut self, kinds: &[ReqKind]) {
         self.shared.check_poison();
         let mut sc = std::mem::take(&mut self.wait_scratch);
-        sc.patterns.clear();
-        for (slot, kind) in kinds.iter().enumerate() {
-            if let ReqKind::Recv { src, tag } = *kind {
-                sc.patterns.push((slot, src, tag));
-            }
-        }
+        sc.matcher.start(kinds.iter().enumerate().filter_map(|(slot, kind)| match *kind {
+            ReqKind::Recv { src, tag } => Some((src, tag, slot)),
+            ReqKind::Send { .. } => None,
+        }));
         // Block (in real time) until every receive has a matching message,
         // then pull them all out of the mailbox in one critical section. The
         // sends were deposited at post time, so symmetric exchanges cannot
         // deadlock here.
         sc.msgs.clear();
         sc.msgs.resize_with(kinds.len(), || None);
-        if !sc.patterns.is_empty() {
-            let mb = &self.shared.mailboxes[self.rank];
-            let mut q = lock(&mb.queue);
+        if !sc.matcher.patterns.is_empty() {
+            let mut mb = lock(&self.shared.mailboxes[self.rank]);
             loop {
                 self.shared.check_poison();
-                if match_requests(&q, &sc.patterns, &mut sc.taken, &mut sc.picks) {
+                if sc.matcher.advance(&mb.queue) {
                     break;
                 }
-                q = self.shared.wait_on(self.rank, WaitSite::Mailbox, self.clock, &mb.queue, q);
+                mb = self.shared.wait_mailbox(self.rank, self.clock, mb);
             }
-            // Remove back to front so earlier queue positions stay valid.
-            sc.picks.sort_unstable_by_key(|&(_, qpos)| std::cmp::Reverse(qpos));
-            for &(slot, qpos) in &sc.picks {
-                sc.msgs[slot] = q.remove(qpos);
+            // Picks are in ascending queue position: remove back to front so
+            // earlier positions stay valid.
+            for &(slot, qpos) in sc.matcher.picks.iter().rev() {
+                sc.msgs[slot] = mb.queue.remove(qpos);
             }
         }
         // Complete in ascending ready-time order (ties broken by request
@@ -1549,14 +1708,12 @@ impl Comm {
             };
             sc.order.push((ready, slot));
         }
-        sc.order.sort_by(|a, b| a.partial_cmp(b).expect("virtual times are finite"));
-        for i in 0..sc.order.len() {
-            let (_, slot) = sc.order[i];
+        sc.order.sort_unstable_by(|a, b| a.partial_cmp(b).expect("virtual times are finite"));
+        for &(ready, slot) in &sc.order {
             match kinds[slot] {
                 ReqKind::Send { dst, depart, corr } => self.complete_send(dst, depart, corr),
                 ReqKind::Recv { .. } => {
-                    let msg = sc.msgs[slot].as_ref().expect("matched above");
-                    self.account_recv(msg);
+                    self.account_recv(sc.msgs[slot].as_ref().expect("matched above"), ready);
                 }
             }
         }
@@ -1581,12 +1738,11 @@ impl Comm {
         kinds.extend(requests.iter().map(|r| r.kind));
         requests.clear();
         self.waitall_core(&kinds);
-        let mut msgs = std::mem::take(&mut self.wait_scratch.msgs);
         out.clear();
         for (slot, kind) in kinds.iter().enumerate() {
             match kind {
                 ReqKind::Recv { .. } => {
-                    let msg = msgs[slot].take().expect("matched in waitall_core");
+                    let msg = self.wait_scratch.msgs[slot].take().expect("matched in waitall_core");
                     let buf = msg.payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
                         panic!("waitall_bytes: payload from rank {} is not a byte buffer", msg.src)
                     });
@@ -1595,7 +1751,6 @@ impl Comm {
                 ReqKind::Send { .. } => out.push(None),
             }
         }
-        self.wait_scratch.msgs = msgs;
         self.wait_scratch.kinds = kinds;
     }
 
@@ -1619,14 +1774,11 @@ impl Comm {
             requests.iter().any(Option::is_some),
             "waitany needs at least one outstanding request"
         );
-        let patterns: Vec<(usize, usize, u64)> = requests
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, r)| match r {
-                Some(Request { kind: ReqKind::Recv { src, tag }, .. }) => Some((slot, *src, *tag)),
-                _ => None,
-            })
-            .collect();
+        let mut matcher = std::mem::take(&mut self.wait_scratch.matcher);
+        matcher.start(requests.iter().enumerate().filter_map(|(slot, r)| match r {
+            Some(Request { kind: ReqKind::Recv { src, tag }, .. }) => Some((*src, *tag, slot)),
+            _ => None,
+        }));
         let best_send = requests
             .iter()
             .enumerate()
@@ -1635,55 +1787,43 @@ impl Comm {
                 _ => None,
             })
             .min_by(|a, b| a.partial_cmp(b).expect("virtual times are finite"));
-        let picked: Result<(usize, Message), usize> = {
-            let mb = &self.shared.mailboxes[self.rank];
-            let mut q = lock(&mb.queue);
+        let picked: Result<(usize, Message, f64), usize> = {
+            let mut mb = lock(&self.shared.mailboxes[self.rank]);
             loop {
                 self.shared.check_poison();
                 // Earliest-arriving message currently present that matches a
-                // still-outstanding receive request.
-                let best_recv = q
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| {
-                        patterns.iter().any(|&(_, src, tag)| m.src == src && m.tag == tag)
-                    })
-                    .min_by(|(_, a), (_, b)| {
-                        self.arrival_of(a)
-                            .partial_cmp(&self.arrival_of(b))
-                            .expect("virtual times are finite")
-                    })
-                    .map(|(qpos, m)| (qpos, self.arrival_of(m)));
+                // still-outstanding receive request (the first queued of
+                // equally early ones), as `(arrival, queue position, slot)`.
+                let mut best_recv: Option<(f64, usize, usize)> = None;
+                for (qpos, m) in mb.queue.iter().enumerate() {
+                    let Some(slot) = matcher.slot_for(m.src, m.tag) else { continue };
+                    let arrival = self.arrival_of(m);
+                    let earlier = |(best, _, _): (f64, usize, usize)| {
+                        arrival.partial_cmp(&best).expect("virtual times are finite").is_lt()
+                    };
+                    if best_recv.is_none_or(earlier) {
+                        best_recv = Some((arrival, qpos, slot));
+                    }
+                }
                 match (best_recv, best_send) {
-                    (Some((_, arrival)), Some((depart, send_slot))) if depart <= arrival => {
+                    (Some((arrival, _, _)), Some((depart, send_slot))) if depart <= arrival => {
                         break Err(send_slot);
                     }
-                    (Some((qpos, _)), _) => {
-                        let msg = q.remove(qpos).expect("position just found");
-                        let slot = patterns
-                            .iter()
-                            .find(|&&(_, src, tag)| msg.src == src && msg.tag == tag)
-                            .map(|&(slot, _, _)| slot)
-                            .expect("matched above");
-                        break Ok((slot, msg));
+                    (Some((arrival, qpos, slot)), _) => {
+                        let msg = mb.queue.remove(qpos).expect("position just found");
+                        break Ok((slot, msg, arrival));
                     }
                     (None, Some((_, send_slot))) => break Err(send_slot),
-                    (None, None) => {
-                        q = self.shared.wait_on(
-                            self.rank,
-                            WaitSite::Mailbox,
-                            self.clock,
-                            &mb.queue,
-                            q,
-                        )
-                    }
+                    (None, None) => mb = self.shared.wait_mailbox(self.rank, self.clock, mb),
                 }
             }
         };
+        self.wait_scratch.matcher = matcher;
         match picked {
-            Ok((slot, msg)) => {
+            Ok((slot, msg, arrival)) => {
                 requests[slot] = None;
-                (slot, Some(self.complete_recv(msg).1))
+                self.account_recv(&msg, arrival);
+                (slot, Some(self.unbox_payload(msg)))
             }
             Err(slot) => {
                 let Some(Request { kind: ReqKind::Send { dst, depart, corr }, .. }) =
@@ -1736,7 +1876,7 @@ impl Comm {
             st.agg = Some(Arc::new(combine(items)));
             st.arrived = 0;
             st.phase += 1;
-            self.shared.sched.wake_collective();
+            self.shared.sched.wake_collective(&mut self.woken);
         } else {
             while st.phase == my_phase {
                 self.shared.check_poison();
@@ -1752,9 +1892,13 @@ impl Comm {
             st.agg = None;
             st.max_clock = 0.0;
             st.phase += 1;
-            self.shared.sched.wake_collective();
+            self.shared.sched.wake_collective(&mut self.woken);
         }
         drop(st);
+        // Batons change hands only now that the collective guard is free.
+        for next in self.woken.drain(..) {
+            self.shared.sched.resume(next);
+        }
         let agg = agg.downcast::<A>().expect("collective aggregate type mismatch");
         (agg, max_clock)
     }
@@ -1763,7 +1907,7 @@ impl Comm {
     pub fn barrier(&mut self) {
         let t0 = self.clock;
         let (_, max_clock) = self.coll_exchange::<(), (), _>((), |_| ());
-        self.finish_collective(max_clock, self.shared.model.barrier_time(self.shared.n));
+        self.finish_collective(max_clock, self.shared.coll_terms.barrier());
         self.trace_event(TraceKind::Barrier, t0, 0, None);
     }
 
@@ -1780,7 +1924,7 @@ impl Comm {
                 items.into_iter().flatten().next().expect("bcast root contributed no value")
             },
         );
-        self.finish_collective(max_clock, self.shared.model.tree_coll_time(self.shared.n, bytes));
+        self.finish_collective(max_clock, self.shared.coll_terms.tree_coll(bytes));
         self.trace_event(TraceKind::Bcast, t0, bytes, None);
         (*agg).clone()
     }
@@ -1797,7 +1941,7 @@ impl Comm {
         let (agg, max_clock) = self.coll_exchange::<T, T, _>(value, move |items| {
             items.into_iter().reduce(&op).expect("allreduce over empty world")
         });
-        self.finish_collective(max_clock, self.shared.model.tree_coll_time(self.shared.n, bytes));
+        self.finish_collective(max_clock, self.shared.coll_terms.tree_coll(bytes));
         self.trace_event(TraceKind::Reduce, t0, bytes, None);
         (*agg).clone()
     }
@@ -1813,7 +1957,7 @@ impl Comm {
         self.count_coll(0, bytes);
         let t0 = self.clock;
         let (agg, max_clock) = self.coll_exchange::<T, Vec<T>, _>(value, |items| items);
-        self.finish_collective(max_clock, self.shared.model.tree_coll_time(self.shared.n, bytes));
+        self.finish_collective(max_clock, self.shared.coll_terms.tree_coll(bytes));
         self.trace_event(TraceKind::Reduce, t0, bytes, None);
         let mut acc = identity;
         for v in agg.iter().take(self.rank) {
@@ -1829,7 +1973,7 @@ impl Comm {
         self.count_coll(0, per);
         let t0 = self.clock;
         let (agg, max_clock) = self.coll_exchange::<T, Vec<T>, _>(value, |items| items);
-        self.finish_collective(max_clock, self.shared.model.allgather_time(self.shared.n, total));
+        self.finish_collective(max_clock, self.shared.coll_terms.allgather(total));
         self.trace_event(TraceKind::Gather, t0, per, None);
         (*agg).clone()
     }
@@ -1846,7 +1990,7 @@ impl Comm {
             (items.into_iter().flatten().collect(), total)
         });
         let (flat, total) = &*agg;
-        self.finish_collective(max_clock, self.shared.model.allgather_time(self.shared.n, *total));
+        self.finish_collective(max_clock, self.shared.coll_terms.allgather(*total));
         self.trace_event(TraceKind::Gather, t0, per, None);
         flat.clone()
     }
@@ -1899,8 +2043,7 @@ impl Comm {
         let r_bytes: u64 = received.iter().map(|e| e.bytes).sum();
         self.count_p2p_recv(r_msgs, r_bytes);
 
-        let cost =
-            self.shared.model.alltoallv_time(self.shared.n, s_msgs, s_bytes, r_msgs, r_bytes);
+        let cost = self.shared.coll_terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes);
         self.finish_collective(max_clock, cost);
         self.trace_event(TraceKind::Alltoallv, t0, s_bytes, None);
 
@@ -1971,8 +2114,7 @@ impl Comm {
         received.sort_by_key(|&(src, _)| src);
         self.count_p2p_recv(r_msgs, r_bytes);
 
-        let cost =
-            self.shared.model.alltoallv_time(self.shared.n, s_msgs, s_bytes, r_msgs, r_bytes);
+        let cost = self.shared.coll_terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes);
         self.finish_collective(max_clock, cost);
         self.trace_event(TraceKind::Alltoallv, t0, s_bytes, None);
     }
@@ -1994,7 +2136,7 @@ impl Comm {
             self.coll_exchange::<Vec<T>, Vec<Vec<T>>, _>(data.to_vec(), |rows| rows);
         let out: Vec<T> = agg.iter().map(|row| row[rank].clone()).collect();
         self.count_p2p_recv(n, bytes);
-        let cost = self.shared.model.alltoallv_time(self.shared.n, n, bytes, n, bytes);
+        let cost = self.shared.coll_terms.alltoallv(n, bytes, n, bytes);
         self.finish_collective(max_clock, cost);
         self.trace_event(TraceKind::Alltoallv, t0, bytes, None);
         out
@@ -2029,22 +2171,26 @@ impl Comm {
         tag: u64,
     ) -> Vec<(usize, Vec<T>)> {
         check_partner_list(partners, &data);
-        let mut requests: Vec<Request<T>> = Vec::with_capacity(2 * partners.len());
+        // One pass: the request kinds go straight into the wait scratch and
+        // the result comes straight out of the matched messages.
+        let mut kinds = std::mem::take(&mut self.wait_scratch.kinds);
+        kinds.clear();
         for &src in partners {
-            requests.push(self.irecv(src, tag));
+            kinds.push(self.irecv::<T>(src, tag).kind);
         }
         for (dst, buf) in data {
-            requests.push(self.isend(dst, tag, buf));
+            kinds.push(self.isend(dst, tag, buf).kind);
         }
-        let results = self.waitall(requests);
-        // Receive slots are always `Some` by the completion contract on
-        // `Request`; the tail of `results` holds the send slots.
-        let mut out: Vec<(usize, Vec<T>)> = partners
-            .iter()
-            .zip(results)
-            .map(|(&src, buf)| (src, buf.expect("receive request yields data")))
-            .collect();
-        out.sort_by_key(|&(src, _)| src);
+        self.waitall_core(&kinds);
+        self.wait_scratch.kinds = kinds;
+        // Every receive has the same tag, so the matcher's patterns — sorted
+        // by (src, tag, slot) — already list the receive slots by source,
+        // equal sources in request order.
+        let mut out = Vec::with_capacity(partners.len());
+        for i in 0..partners.len() {
+            let Pattern { src, slot, .. } = self.wait_scratch.matcher.patterns[i];
+            out.push((src, self.take_matched(slot)));
+        }
         out
     }
 
@@ -2916,6 +3062,178 @@ mod tests {
             let _ = comm.wait_recv(tx); // wrong kind: must panic
             let _ = comm.wait(rx);
         });
+    }
+
+    /// A queued message as the matcher sees it (it never looks inside).
+    fn queued(src: usize, tag: u64) -> Message {
+        Message { src, tag, depart: 0.0, bytes: 0, corr: 0, payload: Box::new(()) }
+    }
+
+    #[test]
+    fn matcher_agrees_with_the_greedy_oracle() {
+        use crate::fault::splitmix64;
+        // Few sources and tags, so the streams are heavily duplicated and
+        // interleaved; extra queue traffic nobody asked for ("strangers")
+        // lands ahead of, between and behind the matches.
+        for seed in 0..400u64 {
+            let draw = |salt: u64, bound: u64| splitmix64(seed << 20 ^ salt) % bound;
+            let n_patterns = draw(1, 13) as usize;
+            let patterns: Vec<(usize, usize, u64)> = (0..n_patterns)
+                .map(|slot| (slot, draw(100 + slot as u64, 3) as usize, draw(200 + slot as u64, 3)))
+                .collect();
+            let n_queue = draw(2, 30) as usize;
+            let queue: Vec<(usize, u64)> = (0..n_queue as u64)
+                .map(|k| (draw(300 + k, 4) as usize, draw(400 + k, 4)))
+                .collect();
+            // The queue grows between two incremental calls, as it does
+            // across a wakeup; the oracle sees each prefix from scratch.
+            let split = draw(3, n_queue as u64 + 1) as usize;
+            let mut matcher = Matcher::default();
+            matcher.start(patterns.iter().map(|&(slot, src, tag)| (src, tag, slot)));
+            let mut oracle_picks = Vec::new();
+            let mut q = VecDeque::new();
+            for upto in [split, n_queue] {
+                while q.len() < upto {
+                    let (src, tag) = queue[q.len()];
+                    q.push_back(queued(src, tag));
+                }
+                let done = matcher.advance(&q);
+                let oracle_done = match_requests_greedy(&q, &patterns, &mut oracle_picks);
+                assert_eq!(done, oracle_done, "seed {seed}, queue prefix {upto}");
+                // Also while incomplete: the picks so far are a prefix of
+                // the final answer, in queue order.
+                assert_eq!(matcher.picks, oracle_picks, "seed {seed}, queue prefix {upto}");
+            }
+        }
+    }
+
+    #[test]
+    fn matcher_keeps_fifo_order_within_duplicate_streams() {
+        // Two requests for (0, 7) around one for (0, 9); strangers first.
+        let mut matcher = Matcher::default();
+        matcher.start([(0, 7, 0), (0, 9, 1), (0, 7, 2)].into_iter());
+        let mut q: VecDeque<Message> =
+            [(5, 7), (0, 8), (0, 7), (0, 9)].into_iter().map(|(s, t)| queued(s, t)).collect();
+        assert!(!matcher.advance(&q), "the second (0, 7) message is still missing");
+        assert_eq!(matcher.picks, vec![(0, 2), (1, 3)]);
+        assert_eq!(matcher.slot_for(0, 7), Some(2), "the next (0, 7) message completes slot 2");
+        assert_eq!(matcher.slot_for(0, 9), None);
+        q.push_back(queued(0, 7));
+        q.push_back(queued(0, 7));
+        assert!(matcher.advance(&q));
+        assert_eq!(matcher.picks, vec![(0, 2), (1, 3), (2, 4)]);
+        assert_eq!(matcher.scanned, 5, "the scan stops at the last pick");
+    }
+
+    #[test]
+    fn envelopes_are_reused_across_element_types() {
+        // One rank pair walks through three element types and every receive
+        // flavour. After the first round trip of a type, the receiver's
+        // emptied envelope carries its next send of that type.
+        let out = run(2, MachineModel::juqueen_like(), |comm| {
+            let peer = 1 - comm.rank();
+            let me = comm.rank() as u8;
+            let mut spare_counts = Vec::new();
+            // u8 through send / recv.
+            comm.send(peer, 1, vec![me; 3]);
+            let a: Vec<u8> = comm.recv(peer, 1);
+            spare_counts.push(comm.spare_envelopes.len());
+            // f64 through sendrecv: the u8 envelope cannot carry it.
+            let b = comm.sendrecv(peer, vec![me as f64 + 0.5], peer, 2);
+            spare_counts.push(comm.spare_envelopes.len());
+            // (u32, u32) through isend / irecv / waitall.
+            let reqs = vec![comm.irecv(peer, 3), comm.isend(peer, 3, vec![(me as u32, 7u32)])];
+            let c = comm.waitall(reqs).remove(0).expect("receive yields data");
+            spare_counts.push(comm.spare_envelopes.len());
+            // u8 again through waitany: reuses the first envelope.
+            let tx = comm.isend(peer, 4, vec![me + 10]);
+            spare_counts.push(comm.spare_envelopes.len());
+            let mut reqs = vec![Some(comm.irecv::<u8>(peer, 4))];
+            let (_, d) = comm.waitany(&mut reqs);
+            assert_eq!(comm.wait(tx), None);
+            // f64 again through recv_any.
+            comm.send(peer, 5, vec![me as f64 - 0.5]);
+            spare_counts.push(comm.spare_envelopes.len());
+            let (src, e) = comm.recv_any::<f64>(5);
+            assert_eq!(src, peer);
+            spare_counts.push(comm.spare_envelopes.len());
+            (a, b, c, d.expect("receive yields data"), e, spare_counts)
+        });
+        for (rank, (a, b, c, d, e, spare_counts)) in out.results.into_iter().enumerate() {
+            let peer = 1 - rank as u8;
+            assert_eq!(a, vec![peer; 3]);
+            assert_eq!(b, vec![peer as f64 + 0.5]);
+            assert_eq!(c, vec![(peer as u32, 7)]);
+            assert_eq!(d, vec![peer + 10]);
+            assert_eq!(e, vec![peer as f64 - 0.5]);
+            // One envelope per type accumulates; a send of a held type takes
+            // one out and the matching receive puts one back.
+            assert_eq!(spare_counts, vec![1, 2, 3, 2, 2, 3], "rank {rank}");
+        }
+    }
+
+    #[test]
+    fn spare_envelopes_stay_bounded() {
+        let out = run(2, MachineModel::ideal(), |comm| {
+            if comm.rank() == 0 {
+                for k in 0..3 * MAX_SPARE_ENVELOPES {
+                    comm.send(1, 0, vec![k as u32]);
+                }
+                0
+            } else {
+                // Receives only: nothing ever takes an envelope back out.
+                for _ in 0..3 * MAX_SPARE_ENVELOPES {
+                    let _: Vec<u32> = comm.recv(0, 0);
+                }
+                comm.spare_envelopes.len()
+            }
+        });
+        assert_eq!(out.results[1], MAX_SPARE_ENVELOPES);
+    }
+
+    #[test]
+    #[should_panic(expected = "recv type mismatch (src 0, tag 3)")]
+    fn typed_receive_of_the_wrong_type_panics_after_envelope_reuse() {
+        run(2, MachineModel::ideal(), |comm| {
+            let peer = 1 - comm.rank();
+            // Warm the envelope lists first, so the mismatching message
+            // travels in a recycled envelope.
+            let _ = comm.sendrecv(peer, vec![1u64], peer, 1);
+            let _ = comm.sendrecv(peer, vec![2u64], peer, 2);
+            if comm.rank() == 0 {
+                comm.send(1, 3, vec![3u64]);
+            } else {
+                let _: Vec<f32> = comm.recv(0, 3);
+            }
+        });
+    }
+
+    #[test]
+    fn single_request_wait_costs_what_waitall_of_one_costs() {
+        let program = |batch: bool| {
+            Runner::default().traced(true).run(2, MachineModel::juqueen_like(), move |comm| {
+                let peer = 1 - comm.rank();
+                comm.compute(Work::ParticleOp, 300.0 * comm.rank() as f64);
+                let rx = comm.irecv::<u64>(peer, 0);
+                let tx = comm.isend(peer, 0, vec![comm.rank() as u64; 40]);
+                if batch {
+                    let got = comm.waitall(vec![rx]).remove(0);
+                    let none = comm.waitall(vec![tx]).remove(0);
+                    (got, none)
+                } else {
+                    (comm.wait(rx), comm.wait(tx))
+                }
+            })
+        };
+        let (one, batch) = (program(false), program(true));
+        assert_eq!(one.results, batch.results);
+        assert_eq!(one.stats, batch.stats);
+        for (a, b) in one.clocks.iter().zip(&batch.clocks) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        for (a, b) in one.traces.iter().zip(&batch.traces) {
+            assert_eq!(a.events, b.events);
+        }
     }
 
     #[test]
