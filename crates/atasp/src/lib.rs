@@ -309,6 +309,9 @@ impl ResortPlan {
     ) -> ResortPlan {
         let t0 = comm.clock();
         let p = comm.size();
+        // Routes store input indices as `u32`, like the target positions.
+        let n_input =
+            u32::try_from(resort_indices.len()).expect("more than u32::MAX records on one rank");
         let mut counts = vec![0usize; p];
         for &ix in resort_indices {
             if is_ghost(ix) {
@@ -320,12 +323,12 @@ impl ResortPlan {
         }
         let mut bins: Vec<Vec<(u32, u32)>> =
             counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (i, &ix) in resort_indices.iter().enumerate() {
+        for (i, &ix) in (0..n_input).zip(resort_indices) {
             if is_ghost(ix) {
                 continue;
             }
             let (t, pos) = decode_index(ix);
-            bins[t].push((i as u32, pos as u32));
+            bins[t].push((i, pos as u32));
         }
         let routes: Vec<(usize, Vec<(u32, u32)>)> =
             bins.into_iter().enumerate().filter(|(_, b)| !b.is_empty()).collect();

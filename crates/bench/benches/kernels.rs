@@ -32,10 +32,33 @@ fn bench_local_sort() {
             pairs.sort_unstable_by_key(|&(k, _)| k);
             pairs.len()
         });
-        // Almost sorted input: the radix early-exit pass skip.
+        // Sorted input: the stable order is the identity, nothing moves.
         let sorted_keys: Vec<u64> = (0..n as u64).collect();
         bench_case("local_sort", &format!("radix_sorted_input/{n}"), || {
             let mut k = sorted_keys.clone();
+            let mut v = vals.clone();
+            psort::radix_sort_by_key(&mut k, &mut v);
+            k.len()
+        });
+    }
+}
+
+/// The repository benchmark's `redist` record shape: 2048 records of 48 bytes
+/// per rank under 40-bit keys offset by 2^41 — random (a Method A round),
+/// drifted by a few record spacings out of sorted order (what a Method B
+/// round's local sort meets), and sorted.
+fn bench_local_sort_records() {
+    let n = 2048usize;
+    let random: Vec<u64> = (0..n as u64).map(|i| (1 << 41) + (splitmix(i) >> 24)).collect();
+    let mut sorted = random.clone();
+    sorted.sort_unstable();
+    let spacing = (1u64 << 40) / n as u64;
+    let drifted: Vec<u64> =
+        sorted.iter().map(|&k| k - 8 * spacing + splitmix(k) % (16 * spacing)).collect();
+    let vals: Vec<[u64; 6]> = (0..n as u64).map(|i| [i; 6]).collect();
+    for (name, keys) in [("random", &random), ("drifted", &drifted), ("sorted", &sorted)] {
+        bench_case("local_sort", &format!("radix_u64x48B/{n} {name}"), || {
+            let mut k = keys.clone();
             let mut v = vals.clone();
             psort::radix_sort_by_key(&mut k, &mut v);
             k.len()
@@ -247,6 +270,7 @@ fn bench_fmm_far_field(cells: usize, ranks: usize) {
 
 fn main() {
     bench_local_sort();
+    bench_local_sort_records();
     bench_zorder();
     bench_fft();
     bench_bspline();

@@ -5,8 +5,8 @@
 //!
 //! * [`partition_sort_by_key`] — **partition-based** (Hofmann/Rünger,
 //!   HPCC'11): splitter selection by global histogramming followed by a
-//!   collective all-to-all exchange and a local multiway merge. Used for
-//!   *unsorted* data; produces balanced per-rank counts.
+//!   collective all-to-all exchange and a local merge of the received runs.
+//!   Used for *unsorted* data; produces balanced per-rank counts.
 //! * [`merge_exchange_sort_by_key`] — **merge-based** (Dachsel/Hofmann/
 //!   Rünger, Euro-Par'07): local sort plus pairwise compare-split steps along
 //!   Batcher's merge-exchange network, using only point-to-point
@@ -29,7 +29,7 @@ mod merge;
 mod network;
 mod partition;
 
-pub use local::{bucket_bounds, is_sorted, kway_merge, radix_sort_by_key};
+pub use local::{bucket_bounds, is_sorted, radix_sort_by_key};
 pub use merge::{
     is_globally_sorted, merge_exchange_sort_by_key, merge_exchange_sort_by_key_capped,
     merge_exchange_sort_by_key_planned, MergeSortReport, SortPlan,

@@ -16,7 +16,7 @@
 
 use simcomm::{Comm, Work};
 
-use crate::local::{is_sorted, radix_sort_by_key};
+use crate::local::{is_sorted, keep_half, radix_sort_by_key};
 use crate::network::merge_exchange_rounds;
 
 /// Report of one merge-based parallel sort execution.
@@ -100,8 +100,8 @@ const TAG_DATA: u64 = 0x6d65_7267_6532;
 fn compare_split<T: Copy + Send + 'static>(
     comm: &mut Comm,
     partner: usize,
-    keys: &mut Vec<u64>,
-    values: &mut Vec<T>,
+    keys: &mut [u64],
+    values: &mut [T],
     report: &mut MergeSortReport,
 ) -> bool {
     debug_assert!(is_sorted(keys));
@@ -148,53 +148,16 @@ fn compare_split<T: Copy + Send + 'static>(
     let incoming = comm.wait_recv(rx);
 
     // Deterministic stable merge: on equal keys the lower rank's elements come
-    // first, so both sides compute the identical union order.
-    let (a_keys, a_vals, b_keys, b_vals): (&[u64], &[T], Vec<u64>, Vec<T>) = {
-        let (ik, iv): (Vec<u64>, Vec<T>) = incoming.into_iter().unzip();
-        (keys, values, ik, iv)
-    };
-    let total = a_keys.len() + b_keys.len();
-    let mut merged_k = Vec::with_capacity(total);
-    let mut merged_v = Vec::with_capacity(total);
-    {
-        // "low" rank's data must precede on ties.
-        let (lo_k, lo_v, hi_k, hi_v): (&[u64], &[T], &[u64], &[T]) = if i_am_low {
-            (a_keys, a_vals, &b_keys, &b_vals)
-        } else {
-            (&b_keys, &b_vals, a_keys, a_vals)
-        };
-        let (mut x, mut y) = (0, 0);
-        while x < lo_k.len() && y < hi_k.len() {
-            if lo_k[x] <= hi_k[y] {
-                merged_k.push(lo_k[x]);
-                merged_v.push(lo_v[x]);
-                x += 1;
-            } else {
-                merged_k.push(hi_k[y]);
-                merged_v.push(hi_v[y]);
-                y += 1;
-            }
-        }
-        merged_k.extend_from_slice(&lo_k[x..]);
-        merged_v.extend_from_slice(&lo_v[x..]);
-        merged_k.extend_from_slice(&hi_k[y..]);
-        merged_v.extend_from_slice(&hi_v[y..]);
-    }
+    // first, so both sides compute the identical union order. Each side
+    // builds only the half it keeps — the low side the first `n_mine` of the
+    // union, the high side the last `n_mine` — in place, reading `incoming`
+    // where it was received.
+    let total = n_mine + incoming.len();
+    keep_half(keys, values, &incoming, i_am_low);
     comm.compute(Work::SortCmp, total as f64);
     // The local merge above ran while our payload drained; by now the send
     // has normally departed and this completes without stalling.
     let _ = comm.wait(tx);
-
-    // Keep entry count: low side the first n_mine, high side the last n_mine.
-    if i_am_low {
-        merged_k.truncate(n_mine);
-        merged_v.truncate(n_mine);
-        *keys = merged_k;
-        *values = merged_v;
-    } else {
-        *keys = merged_k.split_off(total - n_mine);
-        *values = merged_v.split_off(total - n_mine);
-    }
     true
 }
 
@@ -492,6 +455,23 @@ mod tests {
     fn sorts_non_power_of_two_worlds() {
         for p in [3usize, 5, 7, 12] {
             check_global_sort(p, |r| (0..50).map(|i| splitmix((r * 131 + i) as u64)).collect());
+        }
+    }
+
+    #[test]
+    fn sorts_skewed_and_empty_ranks_at_awkward_world_sizes() {
+        for p in [2usize, 3, 5, 6, 7, 64] {
+            // Every third rank empty, the rest skewed in size; 12-bit keys,
+            // so compare-splits meet ties at their boundaries.
+            check_global_sort(p, |r| {
+                let n = if r % 3 == 1 { 0 } else { (r % 5) * 40 + 7 };
+                (0..n).map(|i| splitmix((r * 1009 + i) as u64) % 4096).collect()
+            });
+            // One long run against one-element runs.
+            check_global_sort(p, |r| {
+                let n = if r == 0 { 300 } else { 1 };
+                (0..n).map(|i| splitmix((r * 31 + i) as u64) % 512).collect()
+            });
         }
     }
 

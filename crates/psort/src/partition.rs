@@ -3,14 +3,18 @@
 //!
 //! Structure: local sort, global selection of `P-1` splitter keys that divide
 //! the data into (nearly) equal parts, an **all-to-all** exchange routing each
-//! bucket to its target rank, and a local k-way merge. The splitter selection
+//! bucket to its target rank, and a local merge of the received sorted runs.
+//! The local sort only *orders* the records (a permutation of indices); they
+//! are moved once, from the caller's columns into the packed buckets the
+//! exchange ships, and once more out of the received buffers into the merged
+//! output columns. The splitter selection
 //! starts from sampled estimates and refines them with a few rounds of global
 //! histogramming — the original partitioning algorithm likewise converges in
 //! a small number of collective rounds.
 
 use simcomm::{Comm, Work};
 
-use crate::local::{bucket_bounds, kway_merge, radix_sort_by_key};
+use crate::local::{bucket_bounds, merge_runs, stable_order};
 
 /// Maximum bisection rounds for splitter refinement: enough to exhaust a
 /// full 64-bit key range. Sampling provides the first probes, the bracket is
@@ -54,12 +58,21 @@ where
     let mut report = PartitionSortReport::default();
 
     // --- Local sort ---
+    // Only the key column is put in order here: `order[j]` says which input
+    // record belongs at sorted position `j` (`None`: already in place), and
+    // the records stay where they are until the buckets are packed.
     comm.enter_phase("sort:local");
-    let passes = radix_sort_by_key(&mut keys, &mut values);
+    let (passes, order) = stable_order(&keys);
+    if let Some(order) = &order {
+        keys = order.iter().map(|&i| keys[i as usize]).collect();
+    }
     comm.compute(Work::SortCmp, (passes as f64) * keys.len() as f64);
     comm.exit_phase();
 
     if p == 1 {
+        if let Some(order) = &order {
+            values = order.iter().map(|&i| values[i as usize]).collect();
+        }
         return (keys, values, report);
     }
 
@@ -121,8 +134,10 @@ where
         let local_counts: Vec<u64> =
             probe.iter().map(|&s| keys.partition_point(|&k| k < s) as u64).collect();
         comm.compute(Work::SortCmp, (nsplit as f64) * (keys.len().max(2) as f64).log2());
-        let global_counts =
-            comm.allreduce(local_counts, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect());
+        let global_counts = comm.allreduce(local_counts, |mut a, b| {
+            a.iter_mut().zip(&b).for_each(|(x, y)| *x += y);
+            a
+        });
         report.refine_rounds += 1;
 
         let mut all_done = true;
@@ -172,7 +187,13 @@ where
         if start == end {
             continue;
         }
-        let buf: Vec<(u64, T)> = (start..end).map(|i| (keys[i], values[i])).collect();
+        let bucket = keys[start..end].iter();
+        let buf: Vec<(u64, T)> = match &order {
+            Some(order) => {
+                bucket.zip(&order[start..end]).map(|(&k, &i)| (k, values[i as usize])).collect()
+            }
+            None => bucket.zip(&values[start..end]).map(|(&k, &v)| (k, v)).collect(),
+        };
         if dst != comm.rank() {
             report.sent_elems += (end - start) as u64;
         }
@@ -182,20 +203,17 @@ where
     let received = comm.alltoallv(sends);
     comm.exit_phase();
 
-    // --- Local k-way merge of the received runs (each run is sorted) ---
+    // --- Local merge of the received runs (each run is sorted) ---
     comm.enter_phase("sort:merge");
-    let mut runs: Vec<(Vec<u64>, Vec<T>)> = Vec::with_capacity(received.len());
     let mut total = 0usize;
-    for (src, buf) in received {
-        if src != comm.rank() {
+    for (src, buf) in &received {
+        if *src != comm.rank() {
             report.recv_elems += buf.len() as u64;
         }
         total += buf.len();
-        let (rk, rv): (Vec<u64>, Vec<T>) = buf.into_iter().unzip();
-        runs.push((rk, rv));
     }
-    let nruns = runs.len().max(2) as f64;
-    let (out_keys, out_values) = kway_merge(runs);
+    let nruns = received.len().max(2) as f64;
+    let (out_keys, out_values) = merge_runs(&received);
     comm.compute(Work::SortCmp, (total as f64) * nruns.log2());
     comm.exit_phase();
 
@@ -287,6 +305,23 @@ mod tests {
     }
 
     #[test]
+    fn sorts_skewed_and_empty_ranks_at_awkward_world_sizes() {
+        for p in [2usize, 3, 5, 6, 7, 64] {
+            // Every third rank empty, the rest skewed in size; 12-bit keys,
+            // so buckets tie across ranks and some arrive empty.
+            check_global_sort(p, |r| {
+                let n = if r % 3 == 1 { 0 } else { (r % 5) * 40 + 7 };
+                (0..n).map(|i| splitmix((r * 1009 + i) as u64) % 4096).collect()
+            });
+            // Everything on the last rank.
+            check_global_sort(p, |r| {
+                let n = if r + 1 == p { 500 } else { 0 };
+                (0..n).map(|i| splitmix(i as u64)).collect()
+            });
+        }
+    }
+
+    #[test]
     fn sorts_all_empty() {
         check_global_sort(3, |_| Vec::new());
     }
@@ -361,7 +396,7 @@ mod tests {
             rep
         });
         for rep in &out.results {
-            // The splitter tolerance (2 % of the mean bucket) may shift a few
+            // The splitter tolerance (5 % of the mean bucket) may shift a few
             // boundary elements, but the bulk must stay local.
             assert!(
                 rep.sent_elems <= per as u64 / 25,

@@ -148,3 +148,149 @@ fn faulted_md_matches_frozen_digest() {
     assert!(injected > 0, "the fault plan must actually inject faults");
     assert_frozen(&out, 0xb8ba_835a_3b7d_d94b, "faulted P2NFFT");
 }
+
+/// One 48-byte record of the redistribution world below, all integers.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct Rec {
+    id: u64,
+    /// `encode_index(rank, position)` at the start of the current round.
+    origin: u64,
+    key0: u64,
+    drift: i64,
+    payload: [u64; 2],
+}
+
+impl Rec {
+    fn key(&self, round: usize) -> u64 {
+        self.key0.wrapping_add_signed(self.drift * round as i64)
+    }
+}
+
+/// The redistribution layer on its own — no solver: 16 ranks × 256 records of
+/// 48 bytes with random 40-bit keys that drift by about one record spacing
+/// per round (the repository benchmark's `redist` shape, smaller). Three
+/// Method A rounds (partition sort from the original distribution, restore
+/// with `alltoall_specific`), then three Method B rounds (partition sort,
+/// then planned merge-exchange sorts of the almost-sorted state, each
+/// followed by `build_resort_indices` + `resort_planes` of an (id, vel, tag)
+/// plane set under a kept plan), traced. The digest covers clocks,
+/// statistics, trace records, phase profiles and every rank's sorted records
+/// and final plane bytes; it was captured at commit `da1d74b`, before `psort`
+/// moved to permutation-order kernels, so it pins their output, their
+/// `compute` charges and their message order to the payload-moving radix
+/// sort, the heap merge and the full-union compare-split they replaced.
+#[test]
+fn redistribution_world_matches_frozen_digest() {
+    use atasp::{alltoall_specific, build_resort_indices, decode_index, encode_index};
+    use atasp::{resort_planes, ExchangeMode};
+    use particles::systems::splitmix64;
+    use particles::{PlaneSet, Vec3};
+
+    const P: usize = 16;
+    const PER_RANK: usize = 256;
+    const ROUNDS: usize = 3;
+    const KEY_BITS: u32 = 40;
+    let max_drift = ((1u64 << KEY_BITS) / (P * PER_RANK) as u64) as i64;
+    let original = move |rank: usize| -> Vec<Rec> {
+        (0..PER_RANK)
+            .map(|i| {
+                let id = (rank * PER_RANK + i) as u64;
+                let h = splitmix64(0x5eed ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                let h2 = splitmix64(h);
+                Rec {
+                    id,
+                    origin: encode_index(rank, i),
+                    key0: (1u64 << (KEY_BITS + 1)) + (h >> (64 - KEY_BITS)),
+                    drift: (h2 % (2 * max_drift as u64 + 1)) as i64 - max_drift,
+                    payload: [splitmix64(h2), !id],
+                }
+            })
+            .collect()
+    };
+
+    let out = Runner::default().traced(true).run(P, MachineModel::juqueen_like(), move |comm| {
+        let me = comm.rank();
+        let original = original(me);
+        let mut seen: Vec<u64> = Vec::new();
+        let mut merge_exchanges = 0;
+
+        // Method A: sort for the solver, restore the original order after it.
+        for t in 0..ROUNDS {
+            let keys: Vec<u64> = original.iter().map(|r| r.key(t)).collect();
+            let (keys, sorted, report) = psort::partition_sort_by_key(comm, keys, original.clone());
+            seen.push(digest(&(&keys, &sorted, &report)));
+            let targets: Vec<usize> = sorted.iter().map(|r| decode_index(r.origin).0).collect();
+            let back = comm.with_phase("restore", |comm| {
+                alltoall_specific(comm, &sorted, &targets, &ExchangeMode::Collective)
+            });
+            let mut restored = vec![Rec::default(); original.len()];
+            for r in &back {
+                restored[decode_index(r.origin).1] = *r;
+            }
+            assert_eq!(restored, original, "rank {me}: Method A round {t} must restore");
+        }
+
+        // Method B: keep the solver's order, resort the additional data to it.
+        let mut planes = PlaneSet::new();
+        let id_plane = planes.register::<u64>("id");
+        let vel_plane = planes.register::<Vec3>("vel");
+        let tag_plane = planes.register::<u32>("tag");
+        planes.resize(original.len());
+        for (i, r) in original.iter().enumerate() {
+            planes.plane_mut::<u64>(id_plane)[i] = r.id;
+            planes.plane_mut::<Vec3>(vel_plane)[i] =
+                Vec3::new(r.id as f64, -(r.payload[0] as f64), 0.5);
+            planes.plane_mut::<u32>(tag_plane)[i] = r.payload[1] as u32;
+        }
+        let mut recs = original;
+        let mut sort_plan = None;
+        let mut resort_plan = None;
+        for t in 0..ROUNDS {
+            let len_before = recs.len();
+            for (i, r) in recs.iter_mut().enumerate() {
+                r.origin = encode_index(me, i);
+            }
+            let keys: Vec<u64> = recs.iter().map(|r| r.key(t)).collect();
+            let (keys, sorted) = if t == 0 {
+                let (keys, sorted, report) = psort::partition_sort_by_key(comm, keys, recs);
+                seen.push(digest(&report));
+                (keys, sorted)
+            } else {
+                let (keys, sorted, report, next) =
+                    psort::merge_exchange_sort_by_key_planned(comm, keys, recs, sort_plan.as_ref());
+                sort_plan = next;
+                merge_exchanges += report.exchanges;
+                seen.push(digest(&report));
+                (keys, sorted)
+            };
+            let origin: Vec<u64> = sorted.iter().map(|r| r.origin).collect();
+            comm.enter_phase("resort");
+            let indices = build_resort_indices(comm, &origin, len_before);
+            resort_planes(
+                comm,
+                &mut planes,
+                &indices,
+                sorted.len(),
+                &ExchangeMode::Collective,
+                &mut resort_plan,
+            );
+            comm.exit_phase();
+            assert!(
+                planes.plane::<u64>(id_plane).iter().eq(sorted.iter().map(|r| &r.id)),
+                "rank {me}: Method B round {t} must resort the id plane to the sorted order"
+            );
+            seen.push(digest(&(&keys, &sorted, &indices)));
+            recs = sorted;
+        }
+        let plane_bytes: Vec<&[u8]> = planes.ids().map(|id| planes.bytes(id)).collect();
+        seen.push(digest(&plane_bytes));
+        (seen, merge_exchanges)
+    });
+
+    let merge_exchanges: u64 = out.results.iter().map(|r| r.1).sum();
+    assert!(merge_exchanges > 0, "the drift must make some compare-split exchange its runs");
+    let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
+    let got = digest(&(clock_bits, &out.stats, &out.traces, &out.phases, &out.results));
+    let want = 0x3af9_3192_60d2_c081u64;
+    assert_eq!(got, want, "redistribution world: digest {got:#018x} differs from {want:#018x}");
+}
