@@ -127,7 +127,10 @@ fn bench_bspline() {
 }
 
 fn bench_expansion_ops() {
-    for order in [2usize, 4, 6] {
+    // 10, 20, 35, 56, 84 and 165 coefficients. M2L accumulates five at a
+    // time: order 5 is the smallest whose last chunk is partial behind full
+    // ones (11 x 5 + 1), order 6 leaves four of five lanes.
+    for order in [2usize, 3, 4, 5, 6, 8] {
         let ops = fmm::ExpansionOps::new(order);
         let nc = ops.len();
         let z = particles::Vec3::new(0.5, 0.5, 0.5);
@@ -135,9 +138,11 @@ fn bench_expansion_ops() {
         let mut m = vec![0.0; nc];
         ops.p2m(&mut m, z, particles::Vec3::new(0.4, 0.6, 0.5), 1.0);
         let t = ops.derivative_tensor(w - z);
+        // The local expansion lives outside the timed closure, as the
+        // solver's slabs do: the row times the translation alone.
+        let mut l = vec![0.0; nc];
         bench_case("fmm_expansion", &format!("m2l/{order}"), || {
-            let mut l = vec![0.0; nc];
-            ops.m2l_with_tensor(&mut l, &m, &t);
+            ops.m2l_with_tensor(&mut l, black_box(&m), black_box(&t));
             l[0]
         });
         bench_case("fmm_expansion", &format!("derivative_tensor/{order}"), || {
@@ -240,16 +245,18 @@ fn bench_near_field() {
 
 /// One FMM world in the shape of a repository benchmark workload:
 /// `IonicCrystal::paper_like(cells, ..)` grid-distributed over `ranks`, every
-/// rank running the tuned solver once (Method A). At 16 cells on 8 ranks
-/// (`md_fmm`, level 3) the far field — tree, locally essential multipoles,
-/// M2L — is most of the time; at 12 cells on 64 ranks (`md_sparse64`, level
-/// 2) it is the per-level and per-partner fixed cost.
-fn bench_fmm_far_field(cells: usize, ranks: usize) {
+/// rank running the solver tuned to `tolerance` once (Method A). At 16 cells
+/// on 8 ranks (`md_fmm`, level 3) the far field — tree, locally essential
+/// multipoles, M2L — is most of the time; at 12 cells on 64 ranks
+/// (`md_sparse64`, level 2) it is the per-level and per-partner fixed cost.
+/// Both benchmark workloads tune to order 2 (`1e-2`); the figure sweeps run
+/// order 4 (`1e-3`), where a translation is 12 times the work.
+fn bench_fmm_far_field(cells: usize, ranks: usize, tolerance: f64) {
     let crystal = particles::IonicCrystal::paper_like(cells, 1);
     let bbox = crystal.system_box();
     let dims = simcomm::CartGrid::balanced(ranks).dims();
-    let cfg = fmm::FmmConfig::tuned(crystal.n() as u64, 1e-2);
-    let name = format!("far_field/level{}_{}ranks", cfg.level, ranks);
+    let cfg = fmm::FmmConfig::tuned(crystal.n() as u64, tolerance);
+    let name = format!("far_field/level{}_order{}_{}ranks", cfg.level, cfg.order, ranks);
     bench_case("fmm", &name, || {
         let out = simcomm::run(ranks, simcomm::MachineModel::juropa_like(), |comm| {
             let set = particles::local_set(
@@ -278,6 +285,8 @@ fn main() {
     bench_special_functions();
     bench_near_field();
     // md_fmm (level 3 on 8 ranks) and md_sparse64 (level 2 on 64 ranks).
-    bench_fmm_far_field(16, 8);
-    bench_fmm_far_field(12, 64);
+    bench_fmm_far_field(16, 8, 1e-2);
+    bench_fmm_far_field(12, 64, 1e-2);
+    // The figures' order at md_fmm's shape: what M2M / L2L / M2L cost there.
+    bench_fmm_far_field(16, 8, 1e-3);
 }

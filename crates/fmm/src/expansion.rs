@@ -16,9 +16,22 @@
 
 use particles::Vec3;
 
+/// Local coefficients one M2L chunk accumulates side by side (see
+/// [`ExpansionOps::m2l_with_tensor`]).
+const M2L_LANES: usize = 5;
+
+/// One source coefficient `k` of one M2L chunk: for each of the chunk's
+/// [`M2L_LANES`] targets `n` the factor `(-1)^{|k|} / n!` and the index of
+/// `T_{n+k}` (`u16`: at most `ncoeffs(2 * MAX_ORDER)` = 1771 tensor entries).
+#[derive(Clone, Copy, Debug)]
+struct M2lRow {
+    factor: [f64; M2L_LANES],
+    tensor: [u16; M2L_LANES],
+}
+
 /// Precomputed tables for expansions of order `p`: the multi-index
 /// enumeration (graded ordering), inverse factorials, child/neighbour lookup
-/// tables and translation pair lists.
+/// tables and translation tables.
 #[derive(Clone, Debug)]
 pub struct ExpansionOps {
     /// Expansion order (maximum total degree).
@@ -31,8 +44,10 @@ pub struct ExpansionOps {
     lookup2: Vec<u32>,
     /// 1 / k! per multi-index of `midx`.
     pub inv_fact: Vec<f64>,
-    /// M2L pair list: (target n index, source k index, tensor n+k index, parity sign * 1/n!).
-    m2l_pairs: Vec<(u32, u32, u32, f64)>,
+    /// M2L table, target-chunk-major: `len()` rows (one per source `k`,
+    /// ascending) for each chunk of [`M2L_LANES`] consecutive targets. The last
+    /// chunk is padded with zero-factor lanes.
+    m2l_rows: Vec<M2lRow>,
     /// M2M pair list: (target k, source m, diff k-m). Factor 1/(k-m)! applied via inv_fact of diff.
     m2m_pairs: Vec<(u32, u32, u32)>,
     /// L2L pair list: (target n, source m, diff m-n, multinomial binom(m, n)).
@@ -75,33 +90,34 @@ impl ExpansionOps {
             let off = (m[0] as usize * dim + m[1] as usize) * dim + m[2] as usize;
             lookup2[off] = ix as u32;
         }
+        // `midx` is a prefix of `midx2` (one graded enumeration), so for a
+        // multi-index of degree <= p this is also its index in `midx`.
         let look = |m: [usize; 3]| -> u32 { lookup2[(m[0] * dim + m[1]) * dim + m[2]] };
         let fact = |n: u8| -> f64 { (1..=n as u64).product::<u64>() as f64 };
         let inv_fact: Vec<f64> =
             midx.iter().map(|m| 1.0 / (fact(m[0]) * fact(m[1]) * fact(m[2]))).collect();
 
         // M2L: L_n += (1/n!) * (-1)^{|k|} M_k T_{n+k}
-        let mut m2l_pairs = Vec::new();
-        for (ni, n) in midx.iter().enumerate() {
-            let inv_nf = inv_fact[ni];
-            for (ki, k) in midx.iter().enumerate() {
-                let nk = [(n[0] + k[0]) as usize, (n[1] + k[1]) as usize, (n[2] + k[2]) as usize];
-                let t = look(nk);
-                debug_assert!(t != u32::MAX);
+        let mut m2l_rows = Vec::with_capacity(midx.len().div_ceil(M2L_LANES) * midx.len());
+        for (targets, inv_nf) in midx.chunks(M2L_LANES).zip(inv_fact.chunks(M2L_LANES)) {
+            for k in &midx {
                 let sign = if (k[0] + k[1] + k[2]) % 2 == 0 { 1.0 } else { -1.0 };
-                m2l_pairs.push((ni as u32, ki as u32, t, sign * inv_nf));
+                let mut row = M2lRow { factor: [0.0; M2L_LANES], tensor: [0; M2L_LANES] };
+                for (lane, (n, inv_nf)) in targets.iter().zip(inv_nf).enumerate() {
+                    let t = look([0, 1, 2].map(|c| (n[c] + k[c]) as usize));
+                    row.factor[lane] = sign * inv_nf;
+                    row.tensor[lane] = u16::try_from(t).expect("an index into `midx2`");
+                }
+                m2l_rows.push(row);
             }
         }
 
         // M2M: M'_k += M_m d^{k-m} / (k-m)!   (m <= k componentwise)
         let mut m2m_pairs = Vec::new();
-        let lookup_p: std::collections::HashMap<[u8; 3], u32> =
-            midx.iter().enumerate().map(|(i, m)| (*m, i as u32)).collect();
         for (ki, k) in midx.iter().enumerate() {
             for (mi, m) in midx.iter().enumerate() {
                 if m[0] <= k[0] && m[1] <= k[1] && m[2] <= k[2] {
-                    let diff = [k[0] - m[0], k[1] - m[1], k[2] - m[2]];
-                    let di = lookup_p[&diff];
+                    let di = look([0, 1, 2].map(|c| (k[c] - m[c]) as usize));
                     m2m_pairs.push((ki as u32, mi as u32, di));
                 }
             }
@@ -113,15 +129,14 @@ impl ExpansionOps {
         for (ni, n) in midx.iter().enumerate() {
             for (mi, m) in midx.iter().enumerate() {
                 if n[0] <= m[0] && n[1] <= m[1] && n[2] <= m[2] {
-                    let diff = [m[0] - n[0], m[1] - n[1], m[2] - n[2]];
-                    let di = lookup_p[&diff];
+                    let di = look([0, 1, 2].map(|c| (m[c] - n[c]) as usize));
                     let b = binom(m[0], n[0]) * binom(m[1], n[1]) * binom(m[2], n[2]);
                     l2l_pairs.push((ni as u32, mi as u32, di, b));
                 }
             }
         }
 
-        ExpansionOps { order: p, midx, midx2, lookup2, inv_fact, m2l_pairs, m2m_pairs, l2l_pairs }
+        ExpansionOps { order: p, midx, midx2, lookup2, inv_fact, m2l_rows, m2m_pairs, l2l_pairs }
     }
 
     /// Number of coefficients of an order-`p` expansion.
@@ -218,9 +233,36 @@ impl ExpansionOps {
 
     /// M2L with a precomputed derivative tensor `t = T(w - z)` (use
     /// [`Self::derivative_tensor`]); accumulates into the local expansion.
+    ///
+    /// Every `local[n]` receives its terms `(f * M_k) * T_{n+k}` in ascending
+    /// `k`, one rounded addition each — the summation-order contract. A chunk
+    /// of five coefficients is held in registers across the whole `k` loop, so
+    /// the additions of different coefficients overlap instead of each
+    /// waiting on a store to `local`; chunking is layout, not order.
     pub fn m2l_with_tensor(&self, local: &mut [f64], multipole: &[f64], t: &[f64]) {
-        for &(ni, ki, ti, f) in &self.m2l_pairs {
-            local[ni as usize] += f * multipole[ki as usize] * t[ti as usize];
+        let nc = self.len();
+        assert!(local.len() == nc && multipole.len() == nc, "expansion length");
+        let chunk = |mut acc: [f64; M2L_LANES], rows: &[M2lRow]| {
+            for (row, &m) in rows.iter().zip(multipole) {
+                for lane in 0..M2L_LANES {
+                    acc[lane] += row.factor[lane] * m * t[row.tensor[lane] as usize];
+                }
+            }
+            acc
+        };
+        let mut tables = self.m2l_rows.chunks_exact(nc);
+        let mut full = local.chunks_exact_mut(M2L_LANES);
+        for (out, rows) in (&mut full).zip(&mut tables) {
+            let out: &mut [f64; M2L_LANES] = out.try_into().expect("an exact chunk");
+            *out = chunk(*out, rows);
+        }
+        // One table chunk is left iff `tail` is not empty. Its padded lanes
+        // accumulate `0 * M_k * T_0` and are never stored.
+        let tail = full.into_remainder();
+        if let Some(rows) = tables.next() {
+            let mut acc = [0.0f64; M2L_LANES];
+            acc[..tail.len()].copy_from_slice(tail);
+            tail.copy_from_slice(&chunk(acc, rows)[..tail.len()]);
         }
     }
 
@@ -294,9 +336,106 @@ impl ExpansionOps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use particles::systems::splitmix64;
 
     fn ops(p: usize) -> ExpansionOps {
         ExpansionOps::new(p)
+    }
+
+    /// The target-major pair-list M2L that [`ExpansionOps::m2l_with_tensor`]
+    /// replaced, kept as its oracle: one `local[n] +=` through memory per
+    /// `(n, k)` pair.
+    fn m2l_pair_list(o: &ExpansionOps, local: &mut [f64], multipole: &[f64], t: &[f64]) {
+        let dim = 2 * o.order + 1;
+        for (ni, n) in o.midx.iter().enumerate() {
+            let inv_nf = o.inv_fact[ni];
+            for (ki, k) in o.midx.iter().enumerate() {
+                let nk = [0, 1, 2].map(|c| (n[c] + k[c]) as usize);
+                let ti = o.lookup2[(nk[0] * dim + nk[1]) * dim + nk[2]];
+                let sign = if (k[0] + k[1] + k[2]) % 2 == 0 { 1.0 } else { -1.0 };
+                let f: f64 = sign * inv_nf;
+                local[ni] += f * multipole[ki] * t[ti as usize];
+            }
+        }
+    }
+
+    /// splitmix64 stream of coefficients for the M2L property test.
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = splitmix64(self.0);
+            self.0
+        }
+
+        /// A signed value of magnitude 1e-3..1e3, or — one draw in eight — a
+        /// signed zero or a subnormal.
+        fn coeff(&mut self) -> f64 {
+            let h = self.next();
+            let sign = if h & 1 == 0 { 1.0 } else { -1.0 };
+            let unit = (self.next() >> 11) as f64 / (1u64 << 53) as f64;
+            match (h >> 1) % 16 {
+                0 => sign * 0.0,
+                1 => sign * f64::from_bits(1 + (self.next() >> 13)),
+                _ => sign * 10f64.powf(6.0 * unit - 3.0),
+            }
+        }
+
+        fn coeffs(&mut self, n: usize) -> Vec<f64> {
+            (0..n).map(|_| self.coeff()).collect()
+        }
+    }
+
+    /// Bit patterns, with every NaN folded to one: which operand's payload a
+    /// NaN-with-NaN operation keeps is the code generator's choice.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() }).collect()
+    }
+
+    #[test]
+    fn chunked_m2l_matches_the_pair_list_bit_for_bit() {
+        // Orders 0..=10 cover every shape of the last chunk, from one stored
+        // lane to a full one.
+        let mut tails = std::collections::BTreeSet::new();
+        for p in 0..=MAX_ORDER {
+            let o = ops(p);
+            let nc = o.len();
+            tails.insert(nc % M2L_LANES);
+            let mut gen = Gen(0x6d32_6c00 + p as u64);
+            for case in 0..24 {
+                let mut multipole = gen.coeffs(nc);
+                let mut tensor = gen.coeffs(o.midx2.len());
+                // Non-finite inputs, among them `T_0` and the last source
+                // coefficient — what the padded lanes of the last chunk
+                // multiply by zero: their NaN must stay in the padding.
+                let at = gen.next() as usize;
+                match case {
+                    20 => tensor[0] = f64::INFINITY,
+                    21 => multipole[nc - 1] = f64::NEG_INFINITY,
+                    22 => tensor[at % o.midx2.len()] = f64::NAN,
+                    23 => {
+                        tensor[0] = f64::NAN;
+                        multipole[at % nc] = f64::INFINITY;
+                    }
+                    _ => {}
+                }
+                // A non-zero starting expansion, then two translations
+                // accumulated back to back.
+                let mut got = gen.coeffs(nc);
+                let mut want = got.clone();
+                for round in 0..2 {
+                    o.m2l_with_tensor(&mut got, &multipole, &tensor);
+                    m2l_pair_list(&o, &mut want, &multipole, &tensor);
+                    assert_eq!(bits(&got), bits(&want), "order {p}, case {case}, round {round}");
+                    multipole.reverse();
+                    tensor.rotate_left(1);
+                }
+                if case < 20 {
+                    assert!(got.iter().all(|x| x.is_finite()), "order {p}, case {case}");
+                }
+            }
+        }
+        assert!(tails.len() > 1, "no order leaves a partial last chunk");
     }
 
     #[test]
@@ -305,8 +444,11 @@ mod tests {
         assert_eq!(ncoeffs(1), 4);
         assert_eq!(ncoeffs(2), 10);
         assert_eq!(ncoeffs(4), 35);
-        for p in 0..=8 {
+        for p in 0..=MAX_ORDER {
             assert_eq!(gen_midx(p).len(), ncoeffs(p));
+            // One enumeration at every order: M2M / L2L look differences of
+            // order-p multi-indices up in the order-2p table.
+            assert_eq!(gen_midx(p)[..], gen_midx(2 * p)[..ncoeffs(p)]);
         }
     }
 

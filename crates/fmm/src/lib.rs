@@ -21,6 +21,9 @@
 //! Sect. III-B).
 
 #![warn(missing_docs)]
+// No result of this crate may depend on `RandomState`: outside the test
+// oracles nothing iterates a hash container (ROADMAP 2(c)).
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod expansion;
 mod solver;

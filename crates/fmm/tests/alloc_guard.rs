@@ -1,28 +1,32 @@
 //! Allocation guard for the FMM far field: a warmed-up `FmmSolver::run`
 //! allocates per level and per partner rank — never per cell, per particle
-//! or per M2L translation.
+//! or per M2L translation — and building the translation tables costs no
+//! more than it did when M2L was a pair list.
 //!
-//! This file holds exactly one test: the counter is process-wide, and the
+//! This file holds exactly one test: the counters are process-wide, and the
 //! rank closures of a world run on threads of their own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use fmm::{FmmConfig, FmmSolver};
+use fmm::{ExpansionOps, FmmConfig, FmmSolver};
 use particles::systems::splitmix64;
 use particles::{RedistMethod, SystemBox, Vec3};
 use simcomm::{run, MachineModel};
 
 static BLOCKS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// Forwards to the system allocator and counts every block handed out.
+/// Forwards to the system allocator and counts every block handed out and
+/// every byte requested.
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`; the
-// counter is a statistic (`Relaxed`, it publishes no other data).
+// counters are statistics (`Relaxed`, they publish no other data).
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         BLOCKS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -34,6 +38,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         BLOCKS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -63,8 +68,27 @@ fn world(particles: &[(Vec3, f64)], bbox: SystemBox, level: u32, runs: usize) ->
     (BLOCKS.load(Ordering::Relaxed) - before, out.results.iter().sum())
 }
 
+/// `ExpansionOps::new` runs once per solver, so once per rank per world: the
+/// chunk-major M2L table must fit the budget of the `nc^2 x 24 B` pair list
+/// and the `HashMap` it replaced — (blocks, bytes) counted with this
+/// allocator at commit `b3c7f3b`, the last one with the pair list.
+fn expansion_tables_cost_no_more_than_the_pair_lists_did() {
+    for (order, blocks, bytes) in [(2, 19, 9_083), (4, 29, 120_884), (6, 35, 478_949)] {
+        let before = (BLOCKS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+        std::hint::black_box(ExpansionOps::new(order));
+        let got_blocks = BLOCKS.load(Ordering::Relaxed) - before.0;
+        let got_bytes = BYTES.load(Ordering::Relaxed) - before.1;
+        assert!(
+            got_blocks <= blocks && got_bytes <= bytes,
+            "order {order}: {got_blocks} blocks / {got_bytes} B, budget {blocks} / {bytes} B"
+        );
+    }
+}
+
 #[test]
 fn a_warm_run_allocates_per_level_and_partner_not_per_translation() {
+    expansion_tables_cost_no_more_than_the_pair_lists_did();
+
     let bbox = SystemBox::cubic(8.0);
     let mut state = 0xa110c;
     let mut unit = || {

@@ -106,6 +106,18 @@ fn md_configs_match_frozen_digests() {
     }
 }
 
+/// One FMM world (grid start, Method B + movement, 2 steps, 8 ranks) whose
+/// tolerance tunes to expansion order `order` at octree level `level`.
+fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u32, want: u64) {
+    let crystal = IonicCrystal::cubic(cells, 1.0, 0.15, 11);
+    let tuned = fmm::FmmConfig::tuned(crystal.n() as u64, tolerance);
+    assert_eq!((tuned.order, tuned.level), (order, level));
+    let cfg = SimConfig { tolerance, ..config(SolverKind::Fmm, true, true, 2) };
+    let model = MachineModel::juropa_like();
+    let out = md_world(&Runner::default(), 8, model, &crystal, InitialDistribution::Grid, &cfg);
+    assert_frozen(&out, want, &format!("FMM order {order}, level {level}"));
+}
+
 /// An FMM world deep enough for M2L and M2M to matter: 15^3 = 3375 particles
 /// tune to octree level 3, where 15 lattice sites over 8 cells per dimension
 /// leave every cell with a net charge, so every multipole sum's rounding
@@ -114,12 +126,23 @@ fn md_configs_match_frozen_digests() {
 /// digest changed from run to run with the `HashMap` order of M2M children.)
 #[test]
 fn fmm_level3_non_neutral_cells_match_frozen_digest() {
-    let crystal = IonicCrystal::cubic(15, 1.0, 0.15, 11);
-    assert_eq!(fmm::FmmConfig::tuned(crystal.n() as u64, 1e-2).level, 3);
-    let cfg = config(SolverKind::Fmm, true, true, 2);
-    let model = MachineModel::juropa_like();
-    let out = md_world(&Runner::default(), 8, model, &crystal, InitialDistribution::Grid, &cfg);
-    assert_frozen(&out, 0x48f1_cfd9_9a95_509f, "FMM level 3, non-neutral cells");
+    assert_fmm_world_frozen(15, 1e-2, 2, 3, 0x48f1_cfd9_9a95_509f);
+}
+
+// Every digest above runs the FMM at order 2 (10 coefficients). The two below
+// pin the translation operators at the orders the figures use (35 and 84
+// coefficients: other chunk tails, longer sums), again on lattices that leave
+// every cell charged. Captured at commit `b3c7f3b`, before M2L moved from its
+// pair list to the target-chunk-major table.
+
+#[test]
+fn fmm_order4_level3_matches_frozen_digest() {
+    assert_fmm_world_frozen(15, 1e-3, 4, 3, 0x88b6_0690_643f_433b);
+}
+
+#[test]
+fn fmm_order6_level2_matches_frozen_digest() {
+    assert_fmm_world_frozen(9, 1e-4, 6, 2, 0x11c0_3895_2e21_6a57);
 }
 
 #[test]
