@@ -351,6 +351,94 @@ fn main() {
     });
     let (exchange_allocs, exchange_bytes, exchange_wall) = exchange.results[0];
 
+    // The collectives' budgets, on the same 27-rank world and again as rank
+    // 0's own allocations around warm loops: deposit and result envelopes
+    // stay in the collective slots and are refilled in place, so an
+    // `allreduce` allocates nothing (`steady-allreduce=0`; `u64` and `f64`
+    // alternate, one type per slot), an `allgather` only the `Vec` it
+    // returns (`steady-allgather=1`), and a six-partner sparse `alltoallv`
+    // — payloads staged before the counted region — only the list it
+    // returns (`steady-alltoallv=1`): no box per destination, no collected
+    // bin.
+    let collectives = Runner::default().run(27, MachineModel::juqueen_like(), move |comm| {
+        let faces = CartGrid::balanced(comm.size()).neighbors6(comm.rank());
+        let me = comm.rank();
+        let counted = |comm: &mut Comm, body: &mut dyn FnMut(&mut Comm)| {
+            for _ in 0..2 {
+                body(comm);
+            }
+            let t0 = std::time::Instant::now();
+            let (a0, b0) = bench::thread_alloc_counters();
+            for _ in 0..probe_steps {
+                body(comm);
+            }
+            let (a1, b1) = bench::thread_alloc_counters();
+            (a1 - a0, b1 - b0, t0.elapsed().as_secs_f64())
+        };
+        let allreduce = counted(comm, &mut |comm| {
+            std::hint::black_box(comm.allreduce(me as u64, |a, b| a + b));
+            std::hint::black_box(comm.allreduce(me as f64, |a, b| a + b));
+        });
+        let allgather = counted(comm, &mut |comm| {
+            std::hint::black_box(comm.allgather(me));
+        });
+        let mut staged: Vec<Vec<(usize, Vec<u64>)>> = (0..probe_steps + 2)
+            .map(|_| faces.iter().map(|&q| (q, vec![me as u64; 32])).collect())
+            .collect();
+        let alltoallv = counted(comm, &mut |comm| {
+            std::hint::black_box(comm.alltoallv(staged.pop().expect("staged")));
+        });
+        [allreduce, allgather, alltoallv]
+    });
+    let [allreduce_probe, allgather_probe, alltoallv_probe] = collectives.results[0];
+
+    // One warm `mdsim` step per solver and method, as process-wide
+    // allocations per rank-step: the difference between a `LONG`-step and a
+    // `SHORT`-step run of the same world (the shorter trajectory is a prefix of
+    // the longer one, so set-up, warm-up and plan builds cancel). The world
+    // is the sparse regime of the figures — 27 particles per rank, where the
+    // per-step fixed cost is what a step costs.
+    let md_step_rows: Vec<SelftimeRow> = {
+        const SHORT: usize = 4;
+        const LONG: usize = 8;
+        const RANKS: usize = 64;
+        let crystal = IonicCrystal::paper_like(12, seed);
+        let dt = mdsim::suggested_dt(crystal.spacing, 1.0);
+        let methods = [("a", false, false), ("b", true, false), ("b+move", true, true)];
+        let solvers = [("fmm", SolverKind::Fmm), ("p2nfft", SolverKind::P2Nfft)];
+        let mut rows = Vec::new();
+        for (solver_name, solver) in solvers {
+            for (method, resort, exploit_movement) in methods {
+                let measure = |steps: usize| {
+                    let cfg = SimConfig {
+                        solver,
+                        resort,
+                        exploit_movement,
+                        steps,
+                        tolerance,
+                        dt,
+                        ..SimConfig::default()
+                    };
+                    let t0 = std::time::Instant::now();
+                    let (a0, b0) = bench::alloc_counters();
+                    let dist = InitialDistribution::Grid;
+                    bench::run_md_world(MachineModel::juropa_like(), RANKS, &crystal, dist, &cfg);
+                    let (a1, b1) = bench::alloc_counters();
+                    (a1 - a0, b1 - b0, t0.elapsed().as_secs_f64())
+                };
+                let (short, long) = (measure(SHORT), measure(LONG));
+                rows.push(SelftimeRow {
+                    name: format!("md-step/{solver_name}/{method}"),
+                    wall_seconds: (long.2 - short.2).max(0.0),
+                    allocs: long.0.saturating_sub(short.0),
+                    alloc_bytes: long.1.saturating_sub(short.1),
+                    steps: ((LONG - SHORT) * RANKS) as u64,
+                });
+            }
+        }
+        rows
+    };
+
     selftime.lap("probe:setup+warmup");
     let mut selftime = selftime.rows();
     selftime.push(SelftimeRow {
@@ -367,6 +455,20 @@ fn main() {
         alloc_bytes: exchange_bytes,
         steps: probe_steps,
     });
+    for (name, (allocs, alloc_bytes, wall_seconds)) in [
+        ("steady-allreduce", allreduce_probe),
+        ("steady-allgather", allgather_probe),
+        ("steady-alltoallv", alltoallv_probe),
+    ] {
+        selftime.push(SelftimeRow {
+            name: name.into(),
+            wall_seconds,
+            allocs,
+            alloc_bytes,
+            steps: probe_steps,
+        });
+    }
+    selftime.extend(md_step_rows);
     println!("\nharness selftime (real wall-clock, process-wide heap allocations):");
     for row in &selftime {
         println!(

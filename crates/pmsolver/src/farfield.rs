@@ -47,24 +47,63 @@ pub struct FarFieldCache {
     spec: Vec<(f64, Vec3)>,
 }
 
-/// Geometry/layout of the distributed mesh computation.
+/// Geometry/layout of the distributed mesh computation, with the routing
+/// tables that follow from it. Built once ([`FarFieldPlan::new`]) and
+/// executed every timestep.
 #[derive(Clone, Debug)]
 pub struct FarFieldPlan {
     /// Mesh points per dimension (power of two).
-    pub mesh: usize,
+    mesh: usize,
     /// B-spline assignment order.
-    pub assign_order: usize,
+    assign_order: usize,
     /// Ewald splitting parameter.
-    pub alpha: f64,
+    alpha: f64,
     /// Process grid extents.
-    pub dims: [usize; 3],
+    dims: [usize; 3],
     /// The system box.
-    pub bbox: SystemBox,
+    bbox: SystemBox,
     /// Mesh distribution for the parallel FFT.
-    pub decomp: MeshDecomp,
+    decomp: MeshDecomp,
+    /// The patch routes, per dimension: `needers[d][i]` lists the grid
+    /// coordinates whose interpolation patch contains mesh index `i` (their
+    /// interior range expanded by the assignment order, wrapped). A mesh
+    /// point goes to the ranks in the product of its three lists. A function
+    /// of mesh, assignment order and process grid only.
+    needers: [Vec<Vec<usize>>; 3],
 }
 
 impl FarFieldPlan {
+    /// A plan for a `mesh`³ grid with B-spline order `assign_order` and
+    /// splitting parameter `alpha`, over particles decomposed on the process
+    /// grid `dims` of the periodic box `bbox`.
+    pub fn new(
+        mesh: usize,
+        assign_order: usize,
+        alpha: f64,
+        dims: [usize; 3],
+        bbox: SystemBox,
+        decomp: MeshDecomp,
+    ) -> FarFieldPlan {
+        let needers = std::array::from_fn(|d| {
+            let mut need_d = vec![Vec::new(); mesh];
+            for c in 0..dims[d] {
+                // `dim_range(d, c)`, before there is a plan to ask.
+                let (lo, hi) = (c * mesh / dims[d], (c + 1) * mesh / dims[d]);
+                if lo == hi {
+                    continue;
+                }
+                for off in -(assign_order as i64)..(hi - lo) as i64 + assign_order as i64 {
+                    let i = (lo as i64 + off).rem_euclid(mesh as i64) as usize;
+                    if !need_d[i].contains(&c) {
+                        need_d[i].push(c);
+                    }
+                }
+            }
+            need_d
+        });
+        FarFieldPlan { mesh, assign_order, alpha, dims, bbox, decomp, needers }
+    }
+
     /// Index range `[lo, hi)` of grid coordinate `c` along dimension `d`.
     fn dim_range(&self, d: usize, c: usize) -> (usize, usize) {
         (c * self.mesh / self.dims[d], (c + 1) * self.mesh / self.dims[d])
@@ -316,6 +355,19 @@ impl FarFieldPlan {
         }
     }
 
+    /// Visit the ranks whose interpolation patch contains the mesh point with
+    /// packed index `idx`.
+    fn for_each_needer(&self, idx: u64, mut visit: impl FnMut(usize)) {
+        let (i, j, k) = self.unpack(idx);
+        for &cx in &self.needers[0][i] {
+            for &cy in &self.needers[1][j] {
+                for &cz in &self.needers[2][k] {
+                    visit(self.grid_rank([cx, cy, cz]));
+                }
+            }
+        }
+    }
+
     /// Distribute computed mesh values (phi, Ex, Ey, Ez per point) to the
     /// interpolation patches of the particle-grid owners, then interpolate
     /// potentials/fields at the local particles and apply the self-energy
@@ -329,35 +381,15 @@ impl FarFieldPlan {
     ) -> (Vec<f64>, Vec<Vec3>) {
         let m = self.mesh;
         let order = self.assign_order;
-        // Per-dimension: which grid coordinates need mesh index i (their
-        // interior range expanded by the assignment order, wrapped)?
-        let mut needers: [Vec<Vec<usize>>; 3] =
-            [vec![Vec::new(); m], vec![Vec::new(); m], vec![Vec::new(); m]];
-        for (d, need_d) in needers.iter_mut().enumerate() {
-            for c in 0..self.dims[d] {
-                let (lo, hi) = self.dim_range(d, c);
-                if lo == hi {
-                    continue;
-                }
-                for off in -(order as i64)..(hi - lo) as i64 + order as i64 {
-                    let i = (lo as i64 + off).rem_euclid(m as i64) as usize;
-                    if !need_d[i].contains(&c) {
-                        need_d[i].push(c);
-                    }
-                }
-            }
-        }
         let p = comm.size();
-        let mut sends = send_lists::<(u64, [f64; 4])>(p);
+        // Size every send list before filling it.
+        let mut counts = vec![0usize; p];
+        for &(idx, _) in &owned_points {
+            self.for_each_needer(idx, |dst| counts[dst] += 1);
+        }
+        let mut sends = sized_send_lists(&counts);
         for (idx, rec) in owned_points {
-            let (i, j, k) = self.unpack(idx);
-            for &cx in &needers[0][i] {
-                for &cy in &needers[1][j] {
-                    for &cz in &needers[2][k] {
-                        sends[self.grid_rank([cx, cy, cz])].1.push((idx, rec));
-                    }
-                }
-            }
+            self.for_each_needer(idx, |dst| sends[dst].1.push((idx, rec)));
         }
         let received = comm.alltoallv(sends);
 
@@ -860,6 +892,11 @@ fn send_lists<T>(p: usize) -> Vec<(usize, Vec<T>)> {
     (0..p).map(|dst| (dst, Vec::new())).collect()
 }
 
+/// [`send_lists`] with room for `counts[dst]` elements in list `dst`.
+fn sized_send_lists<T>(counts: &[usize]) -> Vec<(usize, Vec<T>)> {
+    counts.iter().enumerate().map(|(dst, &n)| (dst, Vec::with_capacity(n))).collect()
+}
+
 /// 2D FFT of an `m x m` plane stored row-major (rows along the second index).
 fn fft_2d(plane: &mut [Complex], m: usize, dir: Direction) -> u64 {
     debug_assert_eq!(plane.len(), m * m);
@@ -910,14 +947,8 @@ mod tests {
 
     #[test]
     fn dim_ranges_partition_mesh() {
-        let plan = FarFieldPlan {
-            mesh: 32,
-            assign_order: 3,
-            alpha: 1.0,
-            dims: [3, 2, 5],
-            bbox: SystemBox::cubic(8.0),
-            decomp: MeshDecomp::default(),
-        };
+        let plan =
+            FarFieldPlan::new(32, 3, 1.0, [3, 2, 5], SystemBox::cubic(8.0), MeshDecomp::default());
         for d in 0..3 {
             let mut covered = 0;
             for c in 0..plan.dims[d] {
@@ -934,14 +965,8 @@ mod tests {
 
     #[test]
     fn slab_ranges_partition_mesh() {
-        let plan = FarFieldPlan {
-            mesh: 16,
-            assign_order: 2,
-            alpha: 1.0,
-            dims: [1, 1, 1],
-            bbox: SystemBox::cubic(4.0),
-            decomp: MeshDecomp::default(),
-        };
+        let plan =
+            FarFieldPlan::new(16, 2, 1.0, [1, 1, 1], SystemBox::cubic(4.0), MeshDecomp::default());
         for p in [1usize, 3, 16, 40] {
             let mut covered = 0;
             for r in 0..p {
@@ -958,14 +983,8 @@ mod tests {
 
     #[test]
     fn influence_zero_at_origin_and_positive() {
-        let plan = FarFieldPlan {
-            mesh: 32,
-            assign_order: 3,
-            alpha: 1.2,
-            dims: [2, 2, 2],
-            bbox: SystemBox::cubic(8.0),
-            decomp: MeshDecomp::default(),
-        };
+        let plan =
+            FarFieldPlan::new(32, 3, 1.2, [2, 2, 2], SystemBox::cubic(8.0), MeshDecomp::default());
         assert_eq!(plan.influence(0, 0, 0), 0.0);
         assert!(plan.influence(1, 0, 0) > 0.0);
         assert!(plan.influence(1, 2, 3) > 0.0);
@@ -1005,14 +1024,7 @@ mod tests {
                         charge.push(*q);
                     }
                 }
-                let mut plan = FarFieldPlan {
-                    mesh: 8,
-                    assign_order: 3,
-                    alpha,
-                    dims,
-                    bbox,
-                    decomp: MeshDecomp::Slab,
-                };
+                let mut plan = FarFieldPlan::new(8, 3, alpha, dims, bbox, MeshDecomp::Slab);
                 let (phi_s, field_s) = plan.execute(comm, &pos, &charge);
                 plan.decomp = MeshDecomp::Pencil;
                 let (phi_p, field_p) = plan.execute(comm, &pos, &charge);
@@ -1055,14 +1067,7 @@ mod tests {
                         charge.push(q);
                     }
                 }
-                let plan = FarFieldPlan {
-                    mesh: 8,
-                    assign_order: 3,
-                    alpha: 6.0 / bbox.lengths.x(),
-                    dims,
-                    bbox,
-                    decomp,
-                };
+                let plan = FarFieldPlan::new(8, 3, 6.0 / bbox.lengths.x(), dims, bbox, decomp);
                 let _ = plan.execute(comm, &pos, &charge);
                 comm.stats().compute_seconds
             });
@@ -1098,14 +1103,7 @@ mod tests {
         // Reference: Ewald with a negligible real-space part is exactly the
         // k-space + self contribution.
         let want = ewald(&pos, &charge, &bbox, EwaldParams { alpha, rcut: 1e-9, kmax: 14 });
-        let plan = FarFieldPlan {
-            mesh: 64,
-            assign_order: 4,
-            alpha,
-            dims: [1, 1, 1],
-            bbox,
-            decomp: MeshDecomp::default(),
-        };
+        let plan = FarFieldPlan::new(64, 4, alpha, [1, 1, 1], bbox, MeshDecomp::default());
         let out = run(1, MachineModel::ideal(), |comm| plan.execute(comm, &pos, &charge));
         let (phi, field) = &out.results[0];
         let scale =
@@ -1140,14 +1138,7 @@ mod tests {
             charge_all.push(q);
         }
         // Serial reference.
-        let plan1 = FarFieldPlan {
-            mesh: 32,
-            assign_order: 3,
-            alpha,
-            dims: [1, 1, 1],
-            bbox,
-            decomp: MeshDecomp::default(),
-        };
+        let plan1 = FarFieldPlan::new(32, 3, alpha, [1, 1, 1], bbox, MeshDecomp::default());
         let serial =
             run(1, MachineModel::ideal(), |comm| plan1.execute(comm, &pos_all, &charge_all));
         let (phi_ref, _) = &serial.results[0];
@@ -1167,14 +1158,7 @@ mod tests {
                     ids.push(i);
                 }
             }
-            let plan = FarFieldPlan {
-                mesh: 32,
-                assign_order: 3,
-                alpha,
-                dims,
-                bbox,
-                decomp: MeshDecomp::default(),
-            };
+            let plan = FarFieldPlan::new(32, 3, alpha, dims, bbox, MeshDecomp::default());
             let (phi, _) = plan.execute(comm, &pos, &charge);
             (ids, phi)
         });

@@ -178,6 +178,9 @@ pub struct PmSolver {
     /// and wave vectors per local mesh point); host-side only, bitwise
     /// invisible to results and virtual clocks.
     far_cache: Option<FarFieldCache>,
+    /// The far field's geometry and patch routes, fixed per solver (boxed:
+    /// read once per run, and `fcs` keeps solvers of every kind in one enum).
+    far_plan: Box<FarFieldPlan>,
     /// Ghost-plan epochs built (including rebuilds) over the solver lifetime.
     pub plan_builds: u64,
     /// Runs that re-executed a cached ghost-plan epoch.
@@ -206,6 +209,9 @@ impl PmSolver {
              use fewer processes or a smaller cutoff",
             rcut = cfg.rcut
         );
+        let decomp = if cfg.pencil { MeshDecomp::Pencil } else { MeshDecomp::Slab };
+        let far_plan =
+            Box::new(FarFieldPlan::new(cfg.mesh, cfg.assign_order, cfg.alpha, dims, bbox, decomp));
         PmSolver {
             cfg,
             bbox,
@@ -214,6 +220,7 @@ impl PmSolver {
             statics: None,
             epoch: None,
             far_cache: None,
+            far_plan,
             plan_builds: 0,
             plan_hits: 0,
             guard_fallbacks: 0,
@@ -579,16 +586,8 @@ impl PmSolver {
         comm.exit_phase();
 
         comm.enter_phase("far");
-        let plan = FarFieldPlan {
-            mesh: self.cfg.mesh,
-            assign_order: self.cfg.assign_order,
-            alpha: self.cfg.alpha,
-            dims,
-            bbox: self.bbox,
-            decomp: if self.cfg.pencil { MeshDecomp::Pencil } else { MeshDecomp::Slab },
-        };
         let (far_phi, far_field) =
-            plan.execute_cached(comm, &owned_pos, &owned_charge, &mut self.far_cache);
+            self.far_plan.execute_cached(comm, &owned_pos, &owned_charge, &mut self.far_cache);
         for i in 0..owned.len() {
             potential[i] += far_phi[i];
             field[i] += far_field[i];

@@ -16,8 +16,10 @@
 
 use simcomm::{Comm, Work};
 
+use std::sync::Arc;
+
 use crate::local::{is_sorted, keep_half, radix_sort_by_key};
-use crate::network::merge_exchange_rounds;
+use crate::network::{partner_schedule, NO_PARTNER};
 
 /// Report of one merge-based parallel sort execution.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -64,6 +66,10 @@ pub struct MergeSortReport {
 pub struct SortPlan {
     /// World size the plan was recorded for.
     p: usize,
+    /// This rank's compare-split partner per network round
+    /// ([`partner_schedule`]): a function of `(p, rank)` only, so every plan
+    /// that descends from this one shares it.
+    partners: Arc<[u32]>,
     /// Per network round: `true` if this rank had no comparator or its
     /// compare-split ended without an exchange.
     quiet_rounds: Vec<bool>,
@@ -276,35 +282,34 @@ where
 
     // --- Batcher merge-exchange network over ranks ---
     comm.enter_phase("sort:merge-rounds");
-    let rounds = merge_exchange_rounds(p);
     let me = comm.rank();
     let (record, prior) = match planning {
         Planning::Off => (false, None),
         // A plan for a different world size cannot be consumed (the round
         // structure differs); `p` is global, so all ranks reject it together.
-        Planning::On(pl) => {
-            (true, pl.filter(|pl| pl.p == p && pl.quiet_rounds.len() == rounds.len()))
-        }
+        Planning::On(pl) => (true, pl.filter(|pl| pl.p == p)),
     };
+    // Only this rank's own partner per round is needed, and a consumed plan
+    // already carries it.
+    let partners: Arc<[u32]> =
+        prior.map_or_else(|| partner_schedule(p, me).into(), |pl| Arc::clone(&pl.partners));
     let t_rounds = comm.clock();
-    let mut quiet_rounds = vec![true; rounds.len()];
-    for (ri, round) in rounds.iter().enumerate() {
+    let mut quiet_rounds = vec![true; partners.len()];
+    for (ri, &partner) in partners.iter().enumerate() {
         if prior.is_some_and(|pl| pl.quiet_rounds[ri]) {
             // The previous execution proved this round quiet on both sides of
             // every comparator touching this rank; skip even the probe.
             report.rounds_plan_skipped += 1;
             continue;
         }
-        // At most one comparator involves this rank per round.
-        let mine = round.iter().find(|&&(a, b)| a == me || b == me);
-        if let Some(&(a, b)) = mine {
-            let partner = if a == me { b } else { a };
-            if compare_split(comm, partner, &mut keys, &mut values, &mut report) {
-                quiet_rounds[ri] = false;
-            }
+        // At most one comparator involves this rank per round. Ranks without
+        // one simply proceed; point-to-point messages are matched by tag, so
+        // no global synchronization is needed.
+        if partner != NO_PARTNER
+            && compare_split(comm, partner as usize, &mut keys, &mut values, &mut report)
+        {
+            quiet_rounds[ri] = false;
         }
-        // Ranks without a comparator this round simply proceed; point-to-point
-        // messages are matched by tag, so no global synchronization is needed.
     }
     if prior.is_some() {
         // Probe bytes the plan saved: 16 bytes each way per skipped round.
@@ -356,7 +361,7 @@ where
         if prior.is_none() {
             comm.note_plan_build(comm.clock(), quiet_rounds.len() as u64);
         }
-        Some(SortPlan { p, quiet_rounds })
+        Some(SortPlan { p, partners, quiet_rounds })
     } else {
         None
     };
@@ -604,7 +609,8 @@ mod tests {
 
     #[test]
     fn plan_for_wrong_world_size_is_ignored() {
-        let stale = SortPlan { p: 4, quiet_rounds: vec![true; 3] };
+        let partners: Arc<[u32]> = partner_schedule(4, 0).into();
+        let stale = SortPlan { p: 4, quiet_rounds: vec![true; partners.len()], partners };
         let out = run(8, MachineModel::ideal(), move |comm| {
             let me = comm.rank();
             let keys: Vec<u64> = (0..64).map(|i| splitmix((me * 131 + i) as u64)).collect();

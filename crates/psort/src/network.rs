@@ -6,12 +6,11 @@
 //! `i` and `j` (paper, Sect. III-B: "all processes perform pair-wise merging
 //! steps according to Batcher's Merge-Exchange sorting network").
 
-/// All comparators of Batcher's merge-exchange network for `n` elements, in
-/// execution order.
-pub fn merge_exchange_comparators(n: usize) -> Vec<(usize, usize)> {
-    let mut comparators = Vec::new();
+/// Visit all comparators of Batcher's merge-exchange network for `n`
+/// elements, in execution order.
+fn for_each_comparator(n: usize, mut visit: impl FnMut(usize, usize)) {
     if n < 2 {
-        return comparators;
+        return;
     }
     let t = usize::BITS - (n - 1).leading_zeros(); // ceil(log2 n)
     let mut p = 1usize << (t - 1);
@@ -22,7 +21,7 @@ pub fn merge_exchange_comparators(n: usize) -> Vec<(usize, usize)> {
         loop {
             for i in 0..n.saturating_sub(d) {
                 if i & p == r {
-                    comparators.push((i, i + d));
+                    visit(i, i + d);
                 }
             }
             if q != p {
@@ -35,6 +34,13 @@ pub fn merge_exchange_comparators(n: usize) -> Vec<(usize, usize)> {
         }
         p /= 2;
     }
+}
+
+/// All comparators of Batcher's merge-exchange network for `n` elements, in
+/// execution order.
+pub fn merge_exchange_comparators(n: usize) -> Vec<(usize, usize)> {
+    let mut comparators = Vec::new();
+    for_each_comparator(n, |a, b| comparators.push((a, b)));
     comparators
 }
 
@@ -43,10 +49,9 @@ pub fn merge_exchange_comparators(n: usize) -> Vec<(usize, usize)> {
 /// participates in at most one compare-split per round, and rounds can be
 /// executed as parallel pairwise exchanges).
 pub fn merge_exchange_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
-    let comparators = merge_exchange_comparators(n);
     let mut rounds: Vec<Vec<(usize, usize)>> = Vec::new();
     let mut busy_round = vec![0usize; n]; // element i is busy through round busy_round[i]-1
-    for (a, b) in comparators {
+    for_each_comparator(n, |a, b| {
         // The comparator must run after every earlier comparator touching a or
         // b, to preserve network order.
         let round = busy_round[a].max(busy_round[b]);
@@ -56,8 +61,33 @@ pub fn merge_exchange_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
         rounds[round].push((a, b));
         busy_round[a] = round + 1;
         busy_round[b] = round + 1;
-    }
+    });
     rounds
+}
+
+/// "No comparator this round" in a [`partner_schedule`].
+pub(crate) const NO_PARTNER: u32 = u32::MAX;
+
+/// Element `me`'s own row of [`merge_exchange_rounds`]: per round the element
+/// it is compared with, or [`NO_PARTNER`]. The same greedy grouping, but
+/// only the round counters and this one row are kept — one walk over the
+/// network, two flat vectors, no comparator list to search.
+pub(crate) fn partner_schedule(n: usize, me: usize) -> Vec<u32> {
+    assert!(n < NO_PARTNER as usize, "merge-exchange network over more than u32::MAX - 1 ranks");
+    let mut busy_round = vec![0u32; n];
+    let mut partners: Vec<u32> = Vec::new();
+    for_each_comparator(n, |a, b| {
+        let round = busy_round[a].max(busy_round[b]);
+        busy_round[a] = round + 1;
+        busy_round[b] = round + 1;
+        if a == me || b == me {
+            partners.resize(round as usize, NO_PARTNER);
+            partners.push((a + b - me) as u32);
+        }
+    });
+    let rounds = busy_round.iter().copied().max().unwrap_or(0);
+    partners.resize(rounds as usize, NO_PARTNER);
+    partners
 }
 
 #[cfg(test)]
@@ -126,6 +156,41 @@ mod tests {
                 }
             }
             assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn partner_schedule_is_the_ranks_row_of_the_rounds() {
+        // The oracle: materialise every round and search it. Every world
+        // size up to 130 and every rank, plus a splitmix64 draw of larger
+        // (size, rank) pairs.
+        fn splitmix64(mut x: u64) -> u64 {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        let check = |n: usize, rounds: &[Vec<(usize, usize)>], me: usize| {
+            let want: Vec<u32> = rounds
+                .iter()
+                .map(|round| {
+                    let mine = round.iter().find(|&&(a, b)| a == me || b == me);
+                    mine.map_or(NO_PARTNER, |&(a, b)| (a + b - me) as u32)
+                })
+                .collect();
+            assert_eq!(partner_schedule(n, me), want, "n={n} me={me}");
+        };
+        for n in 1..=130usize {
+            let rounds = merge_exchange_rounds(n);
+            (0..n).for_each(|me| check(n, &rounds, me));
+        }
+        for draw in 0..24u64 {
+            let n = 131 + (splitmix64(draw) % 1900) as usize;
+            let rounds = merge_exchange_rounds(n);
+            for k in 0..8u64 {
+                check(n, &rounds, (splitmix64(draw << 8 | k) % n as u64) as usize);
+            }
         }
     }
 

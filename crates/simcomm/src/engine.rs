@@ -9,8 +9,8 @@
 //! rank with the smallest virtual clock, so independent compute between
 //! communication events overlaps in real time while waits stay cooperative.
 //! Wakeups are targeted: depositing a message resumes only the addressee, and
-//! a collective phase change resumes only the ranks parked on the collective
-//! slot, which is what carries worlds to the paper's 4096–16384-process
+//! the last depositor of a collective resumes only the ranks parked on that
+//! collective, which is what carries worlds to the paper's 4096–16384-process
 //! scale.
 //!
 //! Output — results, clocks, statistics, traces, phase profiles, fault
@@ -50,8 +50,26 @@ pub enum Engine {
 pub(crate) enum WaitSite {
     /// Blocked on the rank's own mailbox (receive / wait / waitall).
     Mailbox,
-    /// Blocked on the shared collective slot (rendezvous phase change).
+    /// Blocked on a collective's rendezvous (waiting for its last depositor).
     Collective,
+}
+
+/// Host-side scheduler counters of one run ([`crate::RunOutput::host`]): how
+/// the simulator executed the world, not what it simulated. They depend on
+/// the batch width and — above width 1 — on how the host interleaved the
+/// rank threads, so no digest and no bitwise comparison reads them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HostCounters {
+    /// Batch width the world ran at (see [`crate::Runner::host_parallelism`]).
+    pub width: usize,
+    /// Batons handed out: a rank's first start plus every resumption after a
+    /// block.
+    pub dispatches: u64,
+    /// Times a rank parked on its own mailbox (receive / wait / waitall).
+    pub mailbox_blocks: u64,
+    /// Times a rank parked on a collective rendezvous. At width 1 a
+    /// collective on `n` ranks blocks exactly `n - 1` times.
+    pub collective_blocks: u64,
 }
 
 /// A detected virtual deadlock: every live rank is blocked and no virtual
@@ -133,6 +151,10 @@ struct SchedState {
     /// The world was poisoned ([`Scheduler::wake_all`] ran): nothing parks
     /// any more, every task runs on to its next poison check and unwinds.
     poisoned: bool,
+    /// Batons handed out so far ([`HostCounters::dispatches`]).
+    dispatches: u64,
+    /// Registered blocks so far at the mailbox and the collective site.
+    blocks: [u64; 2],
 }
 
 /// One rank's baton cell: `go` is set by the scheduler when the rank may run.
@@ -151,7 +173,8 @@ pub(crate) struct Scheduler {
     batons: Vec<Baton>,
     /// Maximum number of tasks running host-parallel at once. Between two
     /// communication events, rank compute is independent — so instead of one
-    /// baton, the scheduler hands out up to `cap` (the host's core count):
+    /// baton, the scheduler hands out up to `cap` (the host's core count
+    /// unless [`crate::Runner::host_parallelism`] chose another):
     /// ranks still block, wake and account in virtual-time order, but their
     /// compute overlaps in real time. `cap = 1` degenerates to strict
     /// one-at-a-time dispatch. Output is bitwise identical at any cap: every
@@ -163,17 +186,26 @@ pub(crate) struct Scheduler {
 }
 
 impl Scheduler {
-    /// A scheduler for `n` tasks, all initially runnable at virtual clock 0.
-    pub(crate) fn new(n: usize) -> Scheduler {
+    /// A scheduler for `n` tasks, all initially runnable at virtual clock 0,
+    /// running at most `cap` of them at once.
+    pub(crate) fn new(n: usize, cap: usize) -> Scheduler {
+        assert!(cap >= 1, "the scheduler needs a batch width of at least one");
         let tasks =
             (0..n).map(|_| Task { state: TaskState::Runnable, clock: 0.0, epoch: 0 }).collect();
         let mut queue = BinaryHeap::with_capacity(n);
         for rank in 0..n {
             queue.push(Key { clock: 0.0, rank, epoch: 0 });
         }
-        let cap = std::thread::available_parallelism().map_or(1, |p| p.get());
         Scheduler {
-            state: Mutex::new(SchedState { tasks, queue, done: 0, running: 0, poisoned: false }),
+            state: Mutex::new(SchedState {
+                tasks,
+                queue,
+                done: 0,
+                running: 0,
+                poisoned: false,
+                dispatches: 0,
+                blocks: [0; 2],
+            }),
             batons: (0..n).map(|_| Baton { go: Mutex::new(false), cv: Condvar::new() }).collect(),
             cap,
         }
@@ -202,6 +234,7 @@ impl Scheduler {
             match Self::pop_next(st) {
                 Some(rank) => {
                     st.running += 1;
+                    st.dispatches += 1;
                     picked(rank);
                 }
                 None => break,
@@ -314,11 +347,23 @@ impl Scheduler {
             let live = st.tasks.len() - st.done;
             return Err(Deadlock { live, rank, site, clock });
         }
+        st.blocks[site as usize] += 1;
         let t = &mut st.tasks[rank];
         t.state = TaskState::Blocked(site);
         t.clock = clock;
         t.epoch += 1;
         Ok(next)
+    }
+
+    /// The run's counters so far (read once, after every rank has retired).
+    pub(crate) fn counters(&self) -> HostCounters {
+        let st = lock(&self.state);
+        HostCounters {
+            width: self.cap,
+            dispatches: st.dispatches,
+            mailbox_blocks: st.blocks[WaitSite::Mailbox as usize],
+            collective_blocks: st.blocks[WaitSite::Collective as usize],
+        }
     }
 
     /// A message was deposited for `rank`: wake it if it is parked on its
@@ -332,9 +377,11 @@ impl Scheduler {
         self.pick_one(&mut st)
     }
 
-    /// The collective slot changed phase: wake every task parked on it, and
-    /// push the ones that get a free baton onto `picked` for the caller to
-    /// resume once it has released the collective guard.
+    /// A collective completed: wake every task parked on it — nobody parks
+    /// on the next one before this one completed, so that is every task at
+    /// the collective site — and push the ones that get a free baton onto
+    /// `picked` for the caller to resume once it has released the slot's
+    /// guard.
     pub(crate) fn wake_collective(&self, picked: &mut Vec<usize>) {
         let mut st = lock(&self.state);
         for rank in 0..st.tasks.len() {
@@ -407,7 +454,7 @@ mod tests {
 
     #[test]
     fn stale_entries_are_skipped() {
-        let s = Scheduler::new(2);
+        let s = Scheduler::new(2, 1);
         {
             let mut st = lock(&s.state);
             // Simulate: both queued at epoch 0; task 0 blocks and re-wakes,
@@ -428,8 +475,7 @@ mod tests {
     /// of the first batch past their first park — as their rank threads
     /// would be after the prologue.
     fn started(n: usize, cap: usize) -> Scheduler {
-        let mut s = Scheduler::new(n);
-        s.cap = cap;
+        let s = Scheduler::new(n, cap);
         s.start();
         for rank in 0..cap.min(n) {
             s.wait_for_turn(rank);

@@ -49,7 +49,7 @@ mod trace;
 mod world;
 
 pub use cart::CartGrid;
-pub use engine::Engine;
+pub use engine::{Engine, HostCounters};
 pub use error::WorldError;
 pub use fault::{FaultPlan, StallSpec};
 pub use model::{

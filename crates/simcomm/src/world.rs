@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crate::engine::{Deadlock, Engine, Scheduler, WaitSite};
+use crate::engine::{Deadlock, Engine, HostCounters, Scheduler, WaitSite};
 use crate::error::WorldError;
 use crate::fault::FaultPlan;
 use crate::model::{CollTerms, HopTable, MachineModel, Work};
@@ -254,28 +254,116 @@ impl<T> Request<T> {
     }
 }
 
-/// One entry deposited into a rank's all-to-all-v bin.
+/// One entry in a rank's all-to-all-v bin: where the receiver finds a buffer
+/// addressed to it. The buffer itself stays in the sender's deposit cell
+/// until the receiver takes it, so a sender ships one envelope per call
+/// however many destinations it has.
+#[derive(Clone, Copy)]
 struct BinEntry {
-    round: u64,
     src: usize,
+    /// Position of the buffer in the sender's deposit.
+    index: usize,
     bytes: u64,
-    payload: Box<dyn Any + Send>,
 }
 
-/// State of the single shared collective slot (all ranks enter collectives in
-/// the same order, so one slot with a phase counter suffices).
-struct CollState {
-    /// Even phase: depositing; odd phase: result ready for reading.
-    phase: u64,
+/// One of the world's two collective slots. Every rank counts the
+/// collectives it has entered ([`Comm::coll_seq`]; all ranks enter them in
+/// the same order), and collective number `k` uses slot `k % 2`. Two slots
+/// suffice: a rank enters collective `k + 2` only after `k + 1` completed,
+/// `k + 1` completes only when every rank has deposited into it, and a rank
+/// deposits into `k + 1` only after it has read the result of `k` — so when
+/// the first deposit of `k + 2` lands in this slot, every rank has finished
+/// reading `k` out of it. A collective therefore has exactly one rendezvous
+/// wait, for its own last depositor; nobody waits for readers.
+struct CollSlot {
+    /// Collectives completed in this slot; a depositor that is not the last
+    /// waits until it moves on.
+    generation: u64,
     arrived: usize,
-    deposits: Vec<Option<Box<dyn Any + Send>>>,
     max_clock: f64,
-    /// Result published by the last depositor for all ranks to read.
-    agg: Option<Arc<dyn Any + Send + Sync>>,
+    /// Per-rank deposit envelopes. An envelope stays in its cell, and the
+    /// rank's next deposit into this slot refills it in place when it has the
+    /// same type ([`envelope_as`]) — only a change of type boxes anew.
+    cells: Vec<Box<dyn Any + Send>>,
+    /// The last depositor's result, kept and refilled under the same rule.
+    result: Box<dyn Any + Send>,
+    /// Per-destination all-to-all-v bins of the collective in progress;
+    /// each rank drains its own when it reads.
+    bins: Vec<Vec<BinEntry>>,
 }
 
-struct Collective {
-    m: Mutex<CollState>,
+/// The content of a collective envelope as an `A`: kept as it is when it
+/// already is one (the caller overwrites or refills it in place), replaced by
+/// a new `A::default()` otherwise.
+fn envelope_as<A: Default + Send + 'static>(envelope: &mut Box<dyn Any + Send>) -> &mut A {
+    if !envelope.is::<A>() {
+        *envelope = Box::new(A::default());
+    }
+    envelope.downcast_mut::<A>().expect("type checked above")
+}
+
+impl CollSlot {
+    fn new(n: usize) -> CollSlot {
+        // A boxed unit is not an allocation.
+        let empty = || Box::new(()) as Box<dyn Any + Send>;
+        CollSlot {
+            generation: 0,
+            arrived: 0,
+            max_clock: 0.0,
+            cells: (0..n).map(|_| empty()).collect(),
+            result: empty(),
+            bins: vec![Vec::new(); n],
+        }
+    }
+
+    /// Deposit `value` as `rank`'s contribution.
+    fn put<T: Send + 'static>(&mut self, rank: usize, value: T) {
+        *envelope_as::<Option<T>>(&mut self.cells[rank]) = Some(value);
+    }
+
+    /// For the last depositor: the contributions of the collective that just
+    /// filled the slot, taken out of their cells **in ascending rank order**
+    /// (the order every fold runs in — part of the bitwise contract), beside
+    /// the result envelope as an `A`.
+    fn deposits_and_result<T, A>(&mut self) -> (impl Iterator<Item = T> + '_, &mut A)
+    where
+        T: 'static,
+        A: Default + Send + 'static,
+    {
+        let deposits = self.cells.iter_mut().map(|cell| {
+            cell.downcast_mut::<Option<T>>()
+                .expect("collective type mismatch")
+                .take()
+                .expect("missing deposit")
+        });
+        (deposits, envelope_as::<A>(&mut self.result))
+    }
+
+    /// [`CollSlot::deposits_and_result`] for the collectives whose result is
+    /// the contributions themselves, in rank order.
+    fn gather<T: Send + 'static>(&mut self) {
+        let (deposits, all) = self.deposits_and_result::<T, Vec<T>>();
+        all.clear();
+        all.extend(deposits);
+    }
+
+    /// The result the last depositor published.
+    fn result<A: 'static>(&self) -> &A {
+        self.result.downcast_ref::<A>().expect("collective aggregate type mismatch")
+    }
+
+    /// For an all-to-all-v receiver: `rank`'s bin entries, sorted by source
+    /// (entries of one source in the order it listed them), beside the
+    /// deposit cells they point into. Leaves the bin empty for the next
+    /// collective in this slot.
+    fn drain_bin(
+        &mut self,
+        rank: usize,
+    ) -> (impl ExactSizeIterator<Item = BinEntry> + '_, &mut [Box<dyn Any + Send>]) {
+        let bin = &mut self.bins[rank];
+        bin.sort_unstable_by_key(|e| (e.src, e.index));
+        (bin.drain(..), &mut self.cells)
+    }
 }
 
 pub(crate) struct WorldShared {
@@ -286,8 +374,7 @@ pub(crate) struct WorldShared {
     hop_table: HopTable,
     coll_terms: CollTerms,
     mailboxes: Vec<Mutex<Mailbox>>,
-    bins: Vec<Mutex<Vec<BinEntry>>>,
-    coll: Collective,
+    coll: [Mutex<CollSlot>; 2],
     poisoned: AtomicBool,
     /// First recorded failure cause: the typed error [`Runner::try_run`]
     /// returns. Writers use [`WorldShared::fail`] (first-wins), so secondary
@@ -302,7 +389,7 @@ pub(crate) struct WorldShared {
 }
 
 impl WorldShared {
-    fn new(n: usize, model: MachineModel, fault: FaultPlan) -> Self {
+    fn new(n: usize, model: MachineModel, fault: FaultPlan, width: usize) -> Self {
         let fault_active = fault.is_active();
         WorldShared {
             n,
@@ -312,19 +399,10 @@ impl WorldShared {
             fault,
             fault_active,
             mailboxes: (0..n).map(|_| Mutex::default()).collect(),
-            bins: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-            coll: Collective {
-                m: Mutex::new(CollState {
-                    phase: 0,
-                    arrived: 0,
-                    deposits: (0..n).map(|_| None).collect(),
-                    max_clock: 0.0,
-                    agg: None,
-                }),
-            },
+            coll: [Mutex::new(CollSlot::new(n)), Mutex::new(CollSlot::new(n))],
             poisoned: AtomicBool::new(false),
             failure: Mutex::new(None),
-            sched: Scheduler::new(n),
+            sched: Scheduler::new(n, width),
         }
     }
 
@@ -534,8 +612,11 @@ pub struct Comm {
     /// twin of the byte path's pool loop: in a symmetric exchange every
     /// envelope shipped out is replaced by one shipped in.
     spare_envelopes: VecDeque<Box<dyn Any + Send>>,
-    /// Tasks a collective phase change made this rank responsible for
-    /// resuming once it has released the collective guard.
+    /// Collectives this rank has entered; its parity selects the slot the
+    /// next one uses (see [`CollSlot`]).
+    coll_seq: u64,
+    /// Tasks a completed collective made this rank responsible for resuming
+    /// once it has released the slot's guard.
     woken: Vec<usize>,
     /// Reusable request/result scratch for the byte-path exchanges.
     byte_reqs: Vec<Request<u8>>,
@@ -559,6 +640,10 @@ pub struct RunOutput<R> {
     /// Per-rank phase profiles (see [`Comm::enter_phase`]). Aggregates are
     /// always collected; attribution segments only in traced worlds.
     pub phases: Vec<PhaseProfile>,
+    /// How the scheduler executed the run on this host. Unlike every other
+    /// field this is *not* a function of the program and the machine model:
+    /// it is excluded from the bitwise contract and from every digest.
+    pub host: HostCounters,
 }
 
 impl<R> RunOutput<R> {
@@ -613,13 +698,20 @@ pub struct Runner {
     fault: FaultPlan,
     pooled: bool,
     deadline: Option<Duration>,
+    host_parallelism: Option<usize>,
 }
 
 impl Default for Runner {
     /// Tracing off, the inert fault plan, message-buffer pooling enabled, no
-    /// deadline.
+    /// deadline, as many ranks at a time as the host has cores.
     fn default() -> Runner {
-        Runner { traced: false, fault: FaultPlan::none(), pooled: true, deadline: None }
+        Runner {
+            traced: false,
+            fault: FaultPlan::none(),
+            pooled: true,
+            deadline: None,
+            host_parallelism: None,
+        }
     }
 }
 
@@ -671,6 +763,22 @@ impl Runner {
     /// pure host compute is not preemptible in-process.
     pub fn deadline(mut self, deadline: Option<Duration>) -> Runner {
         self.deadline = deadline;
+        self
+    }
+
+    /// Run at most `width` ranks at a time instead of one per core the
+    /// process may use (`std::thread::available_parallelism`, the default).
+    /// Output is bitwise identical at any width — which is what this knob is
+    /// for: the determinism suites run every frozen digest at widths 1, 2, 8
+    /// and `P`, also above the host's core count, where the OS interleaves
+    /// the batch. Only [`RunOutput::host`] differs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0.
+    pub fn host_parallelism(mut self, width: usize) -> Runner {
+        assert!(width >= 1, "host_parallelism needs a width of at least one");
+        self.host_parallelism = Some(width);
         self
     }
 
@@ -768,8 +876,10 @@ where
     F: Fn(&mut Comm) -> R + Send + Sync,
 {
     assert!(n >= 1, "world must have at least one rank");
-    let Runner { traced, pooled, deadline, ref fault } = *cfg;
-    let shared = Arc::new(WorldShared::new(n, model, fault.clone()));
+    let Runner { traced, pooled, deadline, host_parallelism, ref fault } = *cfg;
+    let width = host_parallelism
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    let shared = Arc::new(WorldShared::new(n, model, fault.clone(), width));
     type Slot<R> = Mutex<Option<(R, f64, RankStats, Trace, PhaseProfile)>>;
     let slots: Vec<Slot<R>> = (0..n).map(|_| Mutex::new(None)).collect();
     // Completion signal for the deadline watchdog (scoped, so it can borrow).
@@ -831,6 +941,7 @@ where
                         pool: BufferPool::new(pooled),
                         wait_scratch: WaitScratch::default(),
                         spare_envelopes: VecDeque::new(),
+                        coll_seq: 0,
                         woken: Vec::new(),
                         byte_reqs: Vec::new(),
                         byte_results: Vec::new(),
@@ -936,7 +1047,7 @@ where
         traces.push(t);
         phases.push(p);
     }
-    Ok(RunOutput { results, clocks, stats, traces, phases })
+    Ok(RunOutput { results, clocks, stats, traces, phases, host: shared.sched.counters() })
 }
 
 impl Comm {
@@ -1839,74 +1950,56 @@ impl Comm {
 
     // ---------------------------------------------------------- collectives
 
-    /// Core collective rendezvous: every rank deposits `contrib`; the last
-    /// depositor runs `combine` over all deposits to publish a shared result;
-    /// every rank receives the `Arc`ed result and the maximum entry clock.
-    fn coll_exchange<T, A, C>(&mut self, contrib: T, combine: C) -> (Arc<A>, f64)
-    where
-        T: Send + 'static,
-        A: Send + Sync + 'static,
-        C: FnOnce(Vec<T>) -> A,
-    {
+    /// Core collective rendezvous, with exactly one wait: every rank runs
+    /// `deposit` on the slot this collective uses (see [`CollSlot`] for why
+    /// two alternating slots suffice); the last depositor runs `publish` over
+    /// the full slot and wakes the others; every rank then runs `read`. All
+    /// three run under the slot's guard. Returns what `read` returned and
+    /// the maximum entry clock.
+    fn coll_exchange<R>(
+        &mut self,
+        deposit: impl FnOnce(&mut CollSlot),
+        publish: impl FnOnce(&mut CollSlot),
+        read: impl FnOnce(&mut CollSlot) -> R,
+    ) -> (R, f64) {
         self.fault_op_tick();
         self.count_coll(1, 0);
-        let coll = &self.shared.coll;
-        let mut st = lock(&coll.m);
-        // Wait for the previous collective's read phase to finish.
-        while st.phase % 2 == 1 {
-            self.shared.check_poison();
-            st = self.shared.wait_on(self.rank, WaitSite::Collective, self.clock, &coll.m, st);
+        let m = &self.shared.coll[(self.coll_seq % 2) as usize];
+        self.coll_seq += 1;
+        let mut slot = lock(m);
+        let generation = slot.generation;
+        if slot.arrived == 0 {
+            slot.max_clock = 0.0;
         }
-        let my_phase = st.phase;
-        st.deposits[self.rank] = Some(Box::new(contrib));
-        st.max_clock = st.max_clock.max(self.clock);
-        st.arrived += 1;
-        if st.arrived == self.shared.n {
-            // Last depositor: build the shared result and open the read phase.
-            let items: Vec<T> = st
-                .deposits
-                .iter_mut()
-                .map(|d| {
-                    *d.take()
-                        .expect("missing deposit")
-                        .downcast::<T>()
-                        .expect("collective type mismatch")
-                })
-                .collect();
-            st.agg = Some(Arc::new(combine(items)));
-            st.arrived = 0;
-            st.phase += 1;
+        deposit(&mut slot);
+        slot.max_clock = slot.max_clock.max(self.clock);
+        slot.arrived += 1;
+        if slot.arrived == self.shared.n {
+            // Last depositor: publish the result and release the others.
+            publish(&mut slot);
+            slot.arrived = 0;
+            slot.generation += 1;
             self.shared.sched.wake_collective(&mut self.woken);
         } else {
-            while st.phase == my_phase {
+            while slot.generation == generation {
                 self.shared.check_poison();
-                st = self.shared.wait_on(self.rank, WaitSite::Collective, self.clock, &coll.m, st);
+                slot = self.shared.wait_on(self.rank, WaitSite::Collective, self.clock, m, slot);
             }
         }
-        // Read phase.
-        let agg = Arc::clone(st.agg.as_ref().expect("collective result missing"));
-        let max_clock = st.max_clock;
-        st.arrived += 1;
-        if st.arrived == self.shared.n {
-            st.arrived = 0;
-            st.agg = None;
-            st.max_clock = 0.0;
-            st.phase += 1;
-            self.shared.sched.wake_collective(&mut self.woken);
-        }
-        drop(st);
+        let out = read(&mut slot);
+        let max_clock = slot.max_clock;
+        drop(slot);
         // Batons change hands only now that the collective guard is free.
         for next in self.woken.drain(..) {
             self.shared.sched.resume(next);
         }
-        let agg = agg.downcast::<A>().expect("collective aggregate type mismatch");
-        (agg, max_clock)
+        (out, max_clock)
     }
 
     /// Synchronize all ranks; clocks advance to the barrier completion time.
     pub fn barrier(&mut self) {
         let t0 = self.clock;
-        let (_, max_clock) = self.coll_exchange::<(), (), _>((), |_| ());
+        let ((), max_clock) = self.coll_exchange(|_| (), |_| (), |_| ());
         self.finish_collective(max_clock, self.shared.coll_terms.barrier());
         self.trace_event(TraceKind::Barrier, t0, 0, None);
     }
@@ -1918,15 +2011,17 @@ impl Comm {
         self.count_coll(0, bytes);
         let t0 = self.clock;
         let rank = self.rank;
-        let (agg, max_clock) = self.coll_exchange::<Option<T>, T, _>(
-            if rank == root { Some(value) } else { None },
-            move |items| {
-                items.into_iter().flatten().next().expect("bcast root contributed no value")
+        let (out, max_clock) = self.coll_exchange(
+            |slot| slot.put(rank, (rank == root).then_some(value)),
+            |slot| {
+                let (deposits, result) = slot.deposits_and_result::<Option<T>, Option<T>>();
+                *result = deposits.flatten().next();
             },
+            |slot| slot.result::<Option<T>>().clone().expect("bcast root contributed no value"),
         );
         self.finish_collective(max_clock, self.shared.coll_terms.tree_coll(bytes));
         self.trace_event(TraceKind::Bcast, t0, bytes, None);
-        (*agg).clone()
+        out
     }
 
     /// All-reduce with a user-provided associative, commutative operator.
@@ -1938,12 +2033,18 @@ impl Comm {
         let bytes = std::mem::size_of::<T>() as u64;
         self.count_coll(0, bytes);
         let t0 = self.clock;
-        let (agg, max_clock) = self.coll_exchange::<T, T, _>(value, move |items| {
-            items.into_iter().reduce(&op).expect("allreduce over empty world")
-        });
+        let rank = self.rank;
+        let (out, max_clock) = self.coll_exchange(
+            |slot| slot.put(rank, value),
+            |slot| {
+                let (deposits, result) = slot.deposits_and_result::<T, Option<T>>();
+                *result = deposits.reduce(&op);
+            },
+            |slot| slot.result::<Option<T>>().clone().expect("allreduce over empty world"),
+        );
         self.finish_collective(max_clock, self.shared.coll_terms.tree_coll(bytes));
         self.trace_event(TraceKind::Reduce, t0, bytes, None);
-        (*agg).clone()
+        out
     }
 
     /// Exclusive prefix scan: rank `r` receives `op` folded over the values of
@@ -1956,14 +2057,18 @@ impl Comm {
         let bytes = std::mem::size_of::<T>() as u64;
         self.count_coll(0, bytes);
         let t0 = self.clock;
-        let (agg, max_clock) = self.coll_exchange::<T, Vec<T>, _>(value, |items| items);
+        let rank = self.rank;
+        let (out, max_clock) = self.coll_exchange(
+            |slot| slot.put(rank, value),
+            CollSlot::gather::<T>,
+            |slot| {
+                let below = slot.result::<Vec<T>>().iter().take(rank);
+                below.fold(identity, |acc, v| op(acc, v.clone()))
+            },
+        );
         self.finish_collective(max_clock, self.shared.coll_terms.tree_coll(bytes));
         self.trace_event(TraceKind::Reduce, t0, bytes, None);
-        let mut acc = identity;
-        for v in agg.iter().take(self.rank) {
-            acc = op(acc, v.clone());
-        }
-        acc
+        out
     }
 
     /// Gather one value from every rank onto all ranks, ordered by rank.
@@ -1972,31 +2077,42 @@ impl Comm {
         let total = per * self.shared.n as u64;
         self.count_coll(0, per);
         let t0 = self.clock;
-        let (agg, max_clock) = self.coll_exchange::<T, Vec<T>, _>(value, |items| items);
+        let rank = self.rank;
+        let (out, max_clock) = self.coll_exchange(
+            |slot| slot.put(rank, value),
+            CollSlot::gather::<T>,
+            |slot| slot.result::<Vec<T>>().clone(),
+        );
         self.finish_collective(max_clock, self.shared.coll_terms.allgather(total));
         self.trace_event(TraceKind::Gather, t0, per, None);
-        (*agg).clone()
+        out
     }
 
     /// Gather variable-length buffers from every rank onto all ranks,
     /// concatenated in rank order.
     pub fn allgatherv<T: Clone + Send + Sync + 'static>(&mut self, data: Vec<T>) -> Vec<T> {
-        let per = (data.len() * std::mem::size_of::<T>()) as u64;
+        let per = std::mem::size_of_val(&data[..]) as u64;
         self.count_coll(0, per);
         let t0 = self.clock;
-        let (agg, max_clock) = self.coll_exchange::<Vec<T>, (Vec<T>, u64), _>(data, |items| {
-            let total: u64 =
-                items.iter().map(|v| (v.len() * std::mem::size_of::<T>()) as u64).sum();
-            (items.into_iter().flatten().collect(), total)
-        });
-        let (flat, total) = &*agg;
-        self.finish_collective(max_clock, self.shared.coll_terms.allgather(*total));
+        let rank = self.rank;
+        let (flat, max_clock) = self.coll_exchange(
+            |slot| slot.put(rank, data),
+            |slot| {
+                let (deposits, flat) = slot.deposits_and_result::<Vec<T>, Vec<T>>();
+                flat.clear();
+                deposits.for_each(|part| flat.extend(part));
+            },
+            |slot| slot.result::<Vec<T>>().clone(),
+        );
+        let total = std::mem::size_of_val(&flat[..]) as u64;
+        self.finish_collective(max_clock, self.shared.coll_terms.allgather(total));
         self.trace_event(TraceKind::Gather, t0, per, None);
-        flat.clone()
+        flat
     }
 
     /// Sparse all-to-all-v: send each `(dst, buffer)` pair; receive the list of
-    /// `(src, buffer)` pairs addressed to this rank, sorted by source rank.
+    /// `(src, buffer)` pairs addressed to this rank, sorted by source rank
+    /// (buffers of one source in the order it listed them).
     ///
     /// Models an `MPI_Alltoallv` (a synchronizing vector collective whose cost
     /// scans all `P` count entries), *not* a point-to-point exchange — use
@@ -2009,54 +2125,53 @@ impl Comm {
         let t0 = self.clock;
         let mut s_msgs = 0u64;
         let mut s_bytes = 0u64;
-        // Determine the round from the collective phase counter (two phase
-        // increments per collective → round = phase / 2 at deposit time).
-        let round = {
-            let st = lock(&self.shared.coll.m);
-            (st.phase + st.phase % 2) / 2
-        };
-        for (dst, data) in sends {
-            assert!(dst < self.shared.n, "alltoallv to invalid rank {dst}");
-            // Sparse fast path: an empty buffer is not a message — no boxed
-            // deposit, no per-message cost, no send/receive statistics.
-            if data.is_empty() {
-                continue;
+        for (dst, data) in &sends {
+            assert!(*dst < self.shared.n, "alltoallv to invalid rank {dst}");
+            // Sparse fast path: an empty buffer is not a message — no bin
+            // entry, no per-message cost, no send/receive statistics.
+            if !data.is_empty() {
+                s_msgs += 1;
+                s_bytes += std::mem::size_of_val(&data[..]) as u64;
             }
-            let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-            s_msgs += 1;
-            s_bytes += bytes;
-            let entry = BinEntry { round, src: self.rank, bytes, payload: Box::new(data) };
-            lock(&self.shared.bins[dst]).push(entry);
         }
         self.count_coll(0, s_bytes);
         self.count_p2p_sent(s_msgs, s_bytes);
 
-        // Synchronize: all deposits are now visible.
-        let (_, max_clock) = self.coll_exchange::<(), (), _>((), |_| ());
-
-        // Drain this rank's bin for this round in place (entries of other
-        // rounds stay queued, without rebuilding the vector).
-        let mut received: Vec<BinEntry> =
-            lock(&self.shared.bins[self.rank]).extract_if(.., |e| e.round == round).collect();
-        received.sort_by_key(|e| e.src);
+        // The whole send list is this rank's one deposit; the bins only say
+        // where in it each receiver finds its buffers.
+        let rank = self.rank;
+        let ((received, r_bytes), max_clock) = self.coll_exchange(
+            |slot| {
+                for (index, (dst, data)) in sends.iter().enumerate() {
+                    if !data.is_empty() {
+                        let bytes = std::mem::size_of_val(&data[..]) as u64;
+                        slot.bins[*dst].push(BinEntry { src: rank, index, bytes });
+                    }
+                }
+                *envelope_as(&mut slot.cells[rank]) = sends;
+            },
+            |_| (),
+            |slot| {
+                let (entries, cells) = slot.drain_bin(rank);
+                let mut received = Vec::with_capacity(entries.len());
+                let mut r_bytes = 0u64;
+                for e in entries {
+                    let from = cells[e.src]
+                        .downcast_mut::<Vec<(usize, Vec<T>)>>()
+                        .unwrap_or_else(|| panic!("alltoallv type mismatch from rank {}", e.src));
+                    r_bytes += e.bytes;
+                    received.push((e.src, std::mem::take(&mut from[e.index].1)));
+                }
+                (received, r_bytes)
+            },
+        );
         let r_msgs = received.len() as u64;
-        let r_bytes: u64 = received.iter().map(|e| e.bytes).sum();
         self.count_p2p_recv(r_msgs, r_bytes);
 
         let cost = self.shared.coll_terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes);
         self.finish_collective(max_clock, cost);
         self.trace_event(TraceKind::Alltoallv, t0, s_bytes, None);
-
         received
-            .into_iter()
-            .map(|e| {
-                let data = e
-                    .payload
-                    .downcast::<Vec<T>>()
-                    .unwrap_or_else(|_| panic!("alltoallv type mismatch from rank {}", e.src));
-                (e.src, *data)
-            })
-            .collect()
     }
 
     /// Byte-path [`Comm::alltoallv`] over pooled buffers: same collective
@@ -2072,46 +2187,52 @@ impl Comm {
     ) {
         self.shared.check_poison();
         let t0 = self.clock;
-        let mut s_msgs = 0u64;
-        let mut s_bytes = 0u64;
-        // Determine the round from the collective phase counter (two phase
-        // increments per collective → round = phase / 2 at deposit time).
-        let round = {
-            let st = lock(&self.shared.coll.m);
-            (st.phase + st.phase % 2) / 2
-        };
-        for (dst, buf) in sends.drain(..) {
-            assert!(dst < self.shared.n, "alltoallv to invalid rank {dst}");
-            if buf.is_empty() {
-                self.pool.release(dst, buf);
-                continue;
-            }
-            let bytes = buf.len() as u64;
-            s_msgs += 1;
-            s_bytes += bytes;
-            let entry = BinEntry { round, src: self.rank, bytes, payload: buf.into_box() };
-            lock(&self.shared.bins[dst]).push(entry);
+        for (dst, _) in sends.iter() {
+            assert!(*dst < self.shared.n, "alltoallv to invalid rank {dst}");
         }
+        for (dst, buf) in sends.extract_if(.., |(_, buf)| buf.is_empty()) {
+            self.pool.release(dst, buf);
+        }
+        let s_msgs = sends.len() as u64;
+        let s_bytes: u64 = sends.iter().map(|(_, buf)| buf.len() as u64).sum();
         self.count_coll(0, s_bytes);
         self.count_p2p_sent(s_msgs, s_bytes);
 
-        // Synchronize: all deposits are now visible.
-        let (_, max_clock) = self.coll_exchange::<(), (), _>((), |_| ());
-
-        // Drain this rank's bin for this round straight into the caller's
-        // buffer (entries of other rounds stay queued).
+        // The buffers move into this rank's deposit cell — a list kept there
+        // and refilled in place — and on into the receivers' hands.
         received.clear();
-        let mut r_msgs = 0u64;
-        let mut r_bytes = 0u64;
-        for e in lock(&self.shared.bins[self.rank]).extract_if(.., |e| e.round == round) {
-            r_msgs += 1;
-            r_bytes += e.bytes;
-            let buf = e.payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
-                panic!("alltoallv_bytes: payload from rank {} is not a byte buffer", e.src)
-            });
-            received.push((e.src, PooledBuf::from_box(buf)));
-        }
-        received.sort_by_key(|&(src, _)| src);
+        let rank = self.rank;
+        let (r_bytes, max_clock) = self.coll_exchange(
+            |slot| {
+                let CollSlot { bins, cells, .. } = slot;
+                let outgoing = envelope_as::<Vec<Option<PooledBuf>>>(&mut cells[rank]);
+                outgoing.clear();
+                for (index, (dst, buf)) in sends.drain(..).enumerate() {
+                    bins[dst].push(BinEntry { src: rank, index, bytes: buf.len() as u64 });
+                    outgoing.push(Some(buf));
+                }
+            },
+            |_| (),
+            |slot| {
+                let (entries, cells) = slot.drain_bin(rank);
+                let mut r_bytes = 0u64;
+                for e in entries {
+                    let buf = cells[e.src]
+                        .downcast_mut::<Vec<Option<PooledBuf>>>()
+                        .and_then(|from| from[e.index].take())
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "alltoallv_bytes: payload from rank {} is not a byte buffer",
+                                e.src
+                            )
+                        });
+                    r_bytes += e.bytes;
+                    received.push((e.src, buf));
+                }
+                r_bytes
+            },
+        );
+        let r_msgs = received.len() as u64;
         self.count_p2p_recv(r_msgs, r_bytes);
 
         let cost = self.shared.coll_terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes);
@@ -2122,7 +2243,7 @@ impl Comm {
     /// Dense all-to-all of exactly one element per rank pair: rank `r` ends
     /// up with `data[r]` of every rank, ordered by source. Costed like
     /// [`Comm::alltoallv`] with one single-element message per rank pair, but
-    /// built in one pass over the input slice — no per-element boxing.
+    /// each rank's row travels as one deposit — no per-element boxing.
     pub fn alltoall<T: Clone + Send + Sync + 'static>(&mut self, data: &[T]) -> Vec<T> {
         assert_eq!(data.len(), self.shared.n, "alltoall needs one element per rank");
         self.shared.check_poison();
@@ -2132,9 +2253,22 @@ impl Comm {
         self.count_coll(0, bytes);
         self.count_p2p_sent(n, bytes);
         let rank = self.rank;
-        let (agg, max_clock) =
-            self.coll_exchange::<Vec<T>, Vec<Vec<T>>, _>(data.to_vec(), |rows| rows);
-        let out: Vec<T> = agg.iter().map(|row| row[rank].clone()).collect();
+        let (out, max_clock) = self.coll_exchange(
+            |slot| {
+                let row = envelope_as::<Vec<T>>(&mut slot.cells[rank]);
+                row.clear();
+                row.extend_from_slice(data);
+            },
+            |_| (),
+            |slot| -> Vec<T> {
+                // Every row stays in its sender's cell; each receiver copies
+                // its own column out.
+                let column = slot.cells.iter().map(|cell| {
+                    cell.downcast_ref::<Vec<T>>().expect("collective type mismatch")[rank].clone()
+                });
+                column.collect()
+            },
+        );
         self.count_p2p_recv(n, bytes);
         let cost = self.shared.coll_terms.alltoallv(n, bytes, n, bytes);
         self.finish_collective(max_clock, cost);

@@ -124,21 +124,34 @@ fn runner() -> Runner {
     Runner::default().traced(true)
 }
 
+/// The batch widths every frozen digest is checked at: strictly one rank at
+/// a time, two, more than this suite's hosts have cores, and the whole world
+/// at once.
+fn widths(p: usize) -> [usize; 4] {
+    [1, 2, 8, p]
+}
+
 #[test]
 fn mixed_program_matches_frozen_digests_juropa() {
     for (seed, want) in
         [(1u64, 0xe750_eafc_0dad_de2cu64), (2, 0x89bb_67c1_2cd3_abcf), (3, 0xaf82_8cd3_8865_6434)]
     {
-        let out = runner().run(12, MachineModel::juropa_like(), mixed_program(seed, 3));
-        assert_frozen(&out, want, &format!("juropa seed {seed}"));
+        for width in widths(12) {
+            let runner = runner().host_parallelism(width);
+            let out = runner.run(12, MachineModel::juropa_like(), mixed_program(seed, 3));
+            assert_frozen(&out, want, &format!("juropa seed {seed} width {width}"));
+        }
     }
 }
 
 #[test]
 fn mixed_program_matches_frozen_digests_juqueen() {
     for (seed, want) in [(7u64, 0x9932_d8b0_5cc8_e6e8u64), (11, 0xc6e3_5acf_a2da_e6a5)] {
-        let out = runner().run(16, MachineModel::juqueen_like(), mixed_program(seed, 3));
-        assert_frozen(&out, want, &format!("juqueen seed {seed}"));
+        for width in widths(16) {
+            let runner = runner().host_parallelism(width);
+            let out = runner.run(16, MachineModel::juqueen_like(), mixed_program(seed, 3));
+            assert_frozen(&out, want, &format!("juqueen seed {seed} width {width}"));
+        }
     }
 }
 
@@ -156,26 +169,32 @@ fn faulted_mixed_program_matches_frozen_digest() {
         wait_timeout_seconds: Some(1e-4),
         ..FaultPlan::none()
     };
-    let out = runner().faulted(fault).run(12, MachineModel::juropa_like(), mixed_program(5, 3));
-    assert_frozen(&out, 0xb0ba_7d5d_1fab_3a2a, "faulted world");
-    assert!(out.stats.iter().any(|s| s.faults_injected > 0), "fault plan must actually fire");
+    for width in widths(12) {
+        let runner = runner().faulted(fault.clone()).host_parallelism(width);
+        let out = runner.run(12, MachineModel::juropa_like(), mixed_program(5, 3));
+        assert_frozen(&out, 0xb0ba_7d5d_1fab_3a2a, &format!("faulted world width {width}"));
+        assert!(out.stats.iter().any(|s| s.faults_injected > 0), "fault plan must actually fire");
+    }
 }
 
 #[test]
 fn large_world_matches_frozen_digest() {
     // Collectives + a ring exchange at 4096 ranks, a count the thread-per-rank
     // engine only reached slowly (its digest was captured there all the same).
-    let out = Runner::default().run(4096, MachineModel::juqueen_like(), |comm| {
-        let n = comm.size();
-        let right = (comm.rank() + 1) % n;
-        let left = (comm.rank() + n - 1) % n;
-        let got = comm.sendrecv(right, vec![comm.rank() as u64], left, 0);
-        comm.allreduce(got[0], |a, b| a + b)
-    });
-    let expect: u64 = (0..4096u64).sum();
-    assert!(out.results.iter().all(|&s| s == expect));
-    assert!(out.makespan() > 0.0);
-    assert_frozen(&out, 0xcb2c_77ad_1be5_4692, "4096-rank smoke");
+    for width in widths(4096) {
+        let runner = Runner::default().host_parallelism(width);
+        let out = runner.run(4096, MachineModel::juqueen_like(), |comm| {
+            let n = comm.size();
+            let right = (comm.rank() + 1) % n;
+            let left = (comm.rank() + n - 1) % n;
+            let got = comm.sendrecv(right, vec![comm.rank() as u64], left, 0);
+            comm.allreduce(got[0], |a, b| a + b)
+        });
+        let expect: u64 = (0..4096u64).sum();
+        assert!(out.results.iter().all(|&s| s == expect));
+        assert!(out.makespan() > 0.0);
+        assert_frozen(&out, 0xcb2c_77ad_1be5_4692, &format!("4096-rank smoke width {width}"));
+    }
 }
 
 /// A seeded byte-path program: pooled-buffer neighbourhood exchanges and
@@ -244,6 +263,11 @@ fn pooling_is_bitwise_invisible() {
     let what = "pooled vs unpooled";
     // The pooled byte path, pool counters included, is frozen like the rest.
     assert_frozen(&on, 0x8d25_db28_4db0_ac41, "pooled byte path");
+    for width in widths(12) {
+        let runner = runner().host_parallelism(width);
+        let out = runner.run(12, MachineModel::juropa_like(), &f);
+        assert_frozen(&out, 0x8d25_db28_4db0_ac41, &format!("pooled byte path width {width}"));
+    }
 
     // The pool must actually have engaged (otherwise this test is
     // vacuous) and the reference mode must never touch the counters.
@@ -345,4 +369,144 @@ fn mutual_recv_reports_every_rank_live_without_a_secondary_panic() {
         .err()
         .expect("mutual receives must deadlock");
     assert!(matches!(err, WorldError::VirtualDeadlock { live: 3, .. }), "unexpected error: {err}");
+}
+
+/// Back-to-back collectives of alternating types with no point-to-point in
+/// between: every collective entry point, each entered while the previous
+/// one's result may still be unread by slower ranks.
+fn collectives_program(comm: &mut simcomm::Comm) -> Vec<u64> {
+    let n = comm.size();
+    let rank = comm.rank();
+    let mut acc: Vec<u64> = Vec::new();
+    let mut sends_b: Vec<(usize, PooledBuf)> = Vec::new();
+    let mut recvd_b: Vec<(usize, PooledBuf)> = Vec::new();
+    for step in 0..3usize {
+        // Rank-dependent magnitudes over sixteen decades: any fold order
+        // other than ascending rank rounds differently.
+        let x = (1.0 + rank as f64 * 0.37) * 10f64.powi(((rank * 7 + step) % 17) as i32 - 8);
+        acc.push(comm.allreduce(x, |a, b| a + b).to_bits());
+        // A non-commutative operator pins the fold order on integers too.
+        let v = comm.allreduce(vec![(rank + step) as u64, 1], |a, b| {
+            a.iter().zip(&b).map(|(x, y)| x.wrapping_mul(31).wrapping_add(*y)).collect()
+        });
+        acc.extend(v);
+        for root in 0..n {
+            acc.push(comm.bcast(root, ((rank as u64) << 8) | step as u64));
+        }
+        acc.push(comm.exscan(x, 0.0, |a, b| a + b).to_bits());
+        acc.push(digest(&comm.allgather((rank as u32, x.to_bits()))));
+        let mine =
+            if rank.is_multiple_of(3) { Vec::new() } else { vec![rank as u16; rank % 5 + step] };
+        acc.push(digest(&comm.allgatherv(mine)));
+        let row: Vec<u64> = (0..n).map(|d| (rank * n + d + step) as u64).collect();
+        acc.push(digest(&comm.alltoall(&row)));
+
+        // Sparse alltoallv: two buffers to one destination (they must arrive
+        // as two entries, in send order) around an empty one.
+        let dst = (rank + 1) % n;
+        let sends = vec![
+            (dst, vec![rank as u64; 2]),
+            ((rank + 3) % n, Vec::new()),
+            (dst, vec![7; step + 1]),
+        ];
+        let got = comm.alltoallv(sends);
+        let src = (rank + n - 1) % n;
+        assert_eq!(got, [(src, vec![src as u64; 2]), (src, vec![7; step + 1])]);
+        acc.push(digest(&got));
+
+        for k in 0..2usize {
+            let dst = (rank + 1 + 2 * k) % n;
+            let len = (rank + step + k) % 4 * 9;
+            let mut buf = comm.buf_acquire(dst, len);
+            buf.resize(len, (rank + k) as u8);
+            sends_b.push((dst, buf));
+        }
+        comm.alltoallv_bytes(&mut sends_b, &mut recvd_b);
+        acc.push(digest(&recvd_b));
+        for (src, buf) in recvd_b.drain(..) {
+            comm.buf_release(src, buf);
+        }
+        if step == 1 {
+            comm.barrier();
+        }
+    }
+    acc
+}
+
+#[test]
+fn collectives_world_matches_frozen_digest() {
+    // Captured at commit 802dd53, the last one with the one-slot
+    // `phase % 2` collective state machine.
+    let frozen: [(usize, [u64; 2]); 5] = [
+        (1, [0x325c_eef4_fa22_ef53, 0xb315_19c8_24f2_b011]),
+        (2, [0x0ede_2870_9ce1_02e6, 0xbccd_4c4e_c8b7_cc16]),
+        (3, [0x1fc1_c229_a6c3_858c, 0x6f76_c280_5968_3f24]),
+        (7, [0xba68_123e_ef15_cf4b, 0xb9a3_4c8d_7ec1_1dc0]),
+        (64, [0x3aae_96b1_a49a_c988, 0xd702_f8a2_16de_bebe]),
+    ];
+    for (p, wants) in frozen {
+        let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
+        for (model, want) in models.into_iter().zip(wants) {
+            for width in [1, 2, 8, p] {
+                let out =
+                    runner().host_parallelism(width).run(p, model.clone(), collectives_program);
+                assert_frozen(
+                    &out,
+                    want,
+                    &format!("collectives p={p} {} width={width}", model.name),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn back_to_back_allreduces_block_once_per_waiting_rank() {
+    // One rank at a time, every depositor but the last parks exactly once
+    // per collective and nobody waits for readers: `k` allreduces on `n`
+    // ranks block `(n - 1) * k` times. (The one-slot state machine this
+    // replaced also parked ranks that entered the next collective before the
+    // previous one's readers had drained — up to twice as many blocks.)
+    let k = 50u64;
+    for n in [2usize, 3, 7, 64] {
+        let out =
+            Runner::default().host_parallelism(1).run(n, MachineModel::ideal(), move |comm| {
+                (0..k)
+                    .fold(0u64, |acc, i| acc ^ comm.allreduce(comm.rank() as u64 + i, |a, b| a + b))
+            });
+        assert_eq!(out.host.width, 1);
+        assert_eq!(out.host.collective_blocks, (n as u64 - 1) * k, "n={n}");
+        assert_eq!(out.host.mailbox_blocks, 0, "n={n}");
+        // Every rank starts once and resumes once per block.
+        assert_eq!(out.host.dispatches, n as u64 + (n as u64 - 1) * k, "n={n}");
+    }
+}
+
+#[test]
+fn rank_panic_between_collectives_unwinds_every_rank() {
+    // Rank 1 dies after the first allreduce while the others are already
+    // parked in — or on their way into — the second. The world must fail
+    // with that panic as its cause: no hang, and no `VirtualDeadlock`
+    // invented by the ranks the poison wakes.
+    for width in [1, 2] {
+        let err = Runner::default()
+            .host_parallelism(width)
+            .try_run(5, MachineModel::ideal(), |comm| {
+                let sum = comm.allreduce(comm.rank() as u64, |a, b| a + b);
+                if comm.rank() == 1 {
+                    panic!("rank 1 gives up after the first collective");
+                }
+                comm.allreduce(sum as f64, |a, b| a + b);
+                comm.barrier();
+            })
+            .err()
+            .expect("a panicking rank must fail the world");
+        match err {
+            WorldError::RankPanic { rank, ref message } => {
+                assert_eq!(rank, 1, "width {width}: {err}");
+                assert!(message.contains("gives up"), "width {width}: {err}");
+            }
+            other => panic!("width {width}: expected the rank panic, got {other}"),
+        }
+    }
 }

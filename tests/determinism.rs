@@ -50,6 +50,13 @@ fn assert_frozen(out: &RunOutput<SimResult>, want: u64, what: &str) {
     assert_eq!(got, want, "{what}: digest {got:#018x} differs from the frozen {want:#018x}");
 }
 
+/// The batch widths every frozen digest is checked at: strictly one rank at
+/// a time, two, more than this suite's hosts have cores, and the whole world
+/// at once.
+fn widths(p: usize) -> [usize; 4] {
+    [1, 2, 8, p]
+}
+
 /// Run one MD configuration under the given runner.
 fn md_world(
     runner: &Runner,
@@ -99,9 +106,15 @@ fn md_configs_match_frozen_digests() {
     for (model, frozen) in models.into_iter().zip(frozen) {
         for ((solver, resort, exploit, dist), want) in cases.into_iter().zip(frozen) {
             let cfg = config(solver, resort, exploit, 3);
-            let out = md_world(&Runner::default(), p, model.clone(), &crystal, dist, &cfg);
-            let what = format!("{} {solver:?} resort={resort} exploit={exploit}", model.name);
-            assert_frozen(&out, want, &what);
+            for width in widths(p) {
+                let runner = Runner::default().host_parallelism(width);
+                let out = md_world(&runner, p, model.clone(), &crystal, dist, &cfg);
+                let what = format!(
+                    "{} {solver:?} resort={resort} exploit={exploit} width={width}",
+                    model.name
+                );
+                assert_frozen(&out, want, &what);
+            }
         }
     }
 }
@@ -113,9 +126,12 @@ fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u3
     let tuned = fmm::FmmConfig::tuned(crystal.n() as u64, tolerance);
     assert_eq!((tuned.order, tuned.level), (order, level));
     let cfg = SimConfig { tolerance, ..config(SolverKind::Fmm, true, true, 2) };
-    let model = MachineModel::juropa_like();
-    let out = md_world(&Runner::default(), 8, model, &crystal, InitialDistribution::Grid, &cfg);
-    assert_frozen(&out, want, &format!("FMM order {order}, level {level}"));
+    for width in widths(8) {
+        let runner = Runner::default().host_parallelism(width);
+        let model = MachineModel::juropa_like();
+        let out = md_world(&runner, 8, model, &crystal, InitialDistribution::Grid, &cfg);
+        assert_frozen(&out, want, &format!("FMM order {order}, level {level}, width {width}"));
+    }
 }
 
 /// An FMM world deep enough for M2L and M2M to matter: 15^3 = 3375 particles
@@ -164,12 +180,14 @@ fn faulted_md_matches_frozen_digest() {
         straggler_factor: 1.4,
         ..FaultPlan::none()
     };
-    let runner = Runner::default().faulted(plan);
-    let model = MachineModel::juqueen_like();
-    let out = md_world(&runner, p, model, &crystal, InitialDistribution::Grid, &cfg);
-    let injected: u64 = out.stats.iter().map(|s| s.faults_injected).sum();
-    assert!(injected > 0, "the fault plan must actually inject faults");
-    assert_frozen(&out, 0xb8ba_835a_3b7d_d94b, "faulted P2NFFT");
+    for width in widths(p) {
+        let runner = Runner::default().faulted(plan.clone()).host_parallelism(width);
+        let model = MachineModel::juqueen_like();
+        let out = md_world(&runner, p, model, &crystal, InitialDistribution::Grid, &cfg);
+        let injected: u64 = out.stats.iter().map(|s| s.faults_injected).sum();
+        assert!(injected > 0, "the fault plan must actually inject faults");
+        assert_frozen(&out, 0xb8ba_835a_3b7d_d94b, &format!("faulted P2NFFT width {width}"));
+    }
 }
 
 /// One 48-byte record of the redistribution world below, all integers.
@@ -231,7 +249,7 @@ fn redistribution_world_matches_frozen_digest() {
             .collect()
     };
 
-    let out = Runner::default().traced(true).run(P, MachineModel::juqueen_like(), move |comm| {
+    let program = move |comm: &mut simcomm::Comm| {
         let me = comm.rank();
         let original = original(me);
         let mut seen: Vec<u64> = Vec::new();
@@ -308,12 +326,19 @@ fn redistribution_world_matches_frozen_digest() {
         let plane_bytes: Vec<&[u8]> = planes.ids().map(|id| planes.bytes(id)).collect();
         seen.push(digest(&plane_bytes));
         (seen, merge_exchanges)
-    });
+    };
 
-    let merge_exchanges: u64 = out.results.iter().map(|r| r.1).sum();
-    assert!(merge_exchanges > 0, "the drift must make some compare-split exchange its runs");
-    let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
-    let got = digest(&(clock_bits, &out.stats, &out.traces, &out.phases, &out.results));
-    let want = 0x3af9_3192_60d2_c081u64;
-    assert_eq!(got, want, "redistribution world: digest {got:#018x} differs from {want:#018x}");
+    for width in widths(P) {
+        let runner = Runner::default().traced(true).host_parallelism(width);
+        let out = runner.run(P, MachineModel::juqueen_like(), program);
+        let merge_exchanges: u64 = out.results.iter().map(|r| r.1).sum();
+        assert!(merge_exchanges > 0, "the drift must make some compare-split exchange its runs");
+        let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
+        let got = digest(&(clock_bits, &out.stats, &out.traces, &out.phases, &out.results));
+        let want = 0x3af9_3192_60d2_c081u64;
+        assert_eq!(
+            got, want,
+            "redistribution world at width {width}: digest {got:#018x} differs from {want:#018x}"
+        );
+    }
 }
