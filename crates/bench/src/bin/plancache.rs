@@ -388,9 +388,47 @@ fn main() {
         let alltoallv = counted(comm, &mut |comm| {
             std::hint::black_box(comm.alltoallv(staged.pop().expect("staged")));
         });
-        [allreduce, allgather, alltoallv]
+        // The flat form of the same exchange: the payload is one staged
+        // block, what is received lands in kept buffers — nothing at all
+        // (`steady-alltoallv-flat=0`).
+        let segments: Vec<(usize, usize)> = faces.iter().map(|&q| (q, 32)).collect();
+        let (mut recv, mut sources) = (Vec::new(), Vec::new());
+        let mut staged: Vec<Vec<u64>> =
+            (0..probe_steps + 2).map(|_| vec![me as u64; 32 * faces.len()]).collect();
+        let flat = counted(comm, &mut |comm| {
+            comm.alltoallv_flat(staged.pop().expect("staged"), &segments, &mut recv, &mut sources);
+            std::hint::black_box(&recv);
+        });
+        // Three deposit types with an odd period, so that every type meets
+        // both slots after every other: the envelopes of the types not in use
+        // wait on the rank's side and nothing is boxed again
+        // (`steady-alternating-collectives=0`).
+        let mut staged: Vec<Vec<(u64, [f64; 8])>> =
+            (0..probe_steps + 8).map(|_| vec![(me as u64, [0.5; 8]); 32 * faces.len()]).collect();
+        let mut wide = Vec::new();
+        let mut round = 0;
+        let mut one_of_three = |comm: &mut Comm| {
+            match round % 3 {
+                0 => drop(std::hint::black_box(comm.allreduce(me as u64, |a, b| a + b))),
+                1 => {
+                    let payload = staged.pop().expect("staged");
+                    comm.alltoallv_flat(payload, &segments, &mut wide, &mut sources);
+                }
+                _ => drop(std::hint::black_box(
+                    comm.allreduce((me % 2 == 0, true), |a, b| (a.0 && b.0, a.1 && b.1)),
+                )),
+            }
+            round += 1;
+        };
+        // Warm: every type once in either slot.
+        for _ in 0..6 {
+            one_of_three(comm);
+        }
+        let alternating = counted(comm, &mut one_of_three);
+        [allreduce, allgather, alltoallv, flat, alternating]
     });
-    let [allreduce_probe, allgather_probe, alltoallv_probe] = collectives.results[0];
+    let [allreduce_probe, allgather_probe, alltoallv_probe, flat_probe, alternating_probe] =
+        collectives.results[0];
 
     // One warm `mdsim` step per solver and method, as process-wide
     // allocations per rank-step: the difference between a `LONG`-step and a
@@ -459,6 +497,8 @@ fn main() {
         ("steady-allreduce", allreduce_probe),
         ("steady-allgather", allgather_probe),
         ("steady-alltoallv", alltoallv_probe),
+        ("steady-alltoallv-flat", flat_probe),
+        ("steady-alternating-collectives", alternating_probe),
     ] {
         selftime.push(SelftimeRow {
             name: name.into(),

@@ -89,9 +89,11 @@ impl std::str::FromStr for SolverKind {
     }
 }
 
+/// The solver behind a handle (the two with workspaces boxed: a handle is
+/// moved about, a solver is not).
 enum SolverInstance {
-    Fmm(FmmSolver),
-    Pm(PmSolver),
+    Fmm(Box<FmmSolver>),
+    Pm(Box<PmSolver>),
     Ewald(EwaldSolver),
 }
 
@@ -319,7 +321,7 @@ impl Fcs {
             SolverKind::Fmm => {
                 let mut cfg = FmmConfig::tuned(n_total, self.tolerance);
                 cfg.soft_core = self.soft_core;
-                self.solver = Some(SolverInstance::Fmm(FmmSolver::new(bbox, cfg)));
+                self.solver = Some(SolverInstance::Fmm(Box::new(FmmSolver::new(bbox, cfg))));
             }
             SolverKind::P2Nfft => {
                 let l = bbox.lengths;
@@ -335,7 +337,8 @@ impl Fcs {
                 let mut cfg = PmConfig::tuned(&bbox, self.tolerance, rcut);
                 cfg.soft_core = self.soft_core;
                 cfg.pencil = self.pencil_fft;
-                self.solver = Some(SolverInstance::Pm(PmSolver::new(bbox, cfg, self.nprocs)));
+                let solver = PmSolver::new(bbox, cfg, self.nprocs);
+                self.solver = Some(SolverInstance::Pm(Box::new(solver)));
             }
             SolverKind::Ewald => {
                 let mut cfg = EwaldConfig::tuned(&bbox, self.tolerance);
@@ -375,32 +378,30 @@ impl Fcs {
             RedistMethod::RestoreOriginal
         };
         comm.enter_phase("solver");
+        // How the resort indices of this run were exchanged; the solver holds
+        // the prebuilt partner list, copied only when the mode changes.
+        let mut resort_mode = &ExchangeMode::Collective;
         let out = match solver {
             SolverInstance::Fmm(s) => {
-                let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
-                self.last_resort_mode = ExchangeMode::Collective;
-                o
+                s.run(comm, pos, charge, id, method, self.max_move, max_local)
             }
             SolverInstance::Pm(s) => {
                 let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
-                self.last_resort_mode = if s.last_report.used_neighborhood {
-                    // The solver holds the prebuilt partner list; clone it
-                    // once here instead of recomputing the 26-neighbourhood.
-                    s.neighborhood_mode().expect("run builds the neighbourhood").clone()
-                } else {
-                    ExchangeMode::Collective
-                };
+                if s.last_report.used_neighborhood {
+                    resort_mode = s.neighborhood_mode().expect("run builds the neighbourhood");
+                }
                 o
             }
             SolverInstance::Ewald(s) => {
-                let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
-                self.last_resort_mode = ExchangeMode::Collective;
-                o
+                s.run(comm, pos, charge, id, method, self.max_move, max_local)
             }
         };
         comm.exit_phase();
+        if self.last_resort_mode != *resort_mode {
+            self.last_resort_mode = resort_mode.clone();
+        }
         self.last_resorted = out.resorted;
-        self.last_resort_indices = out.resort_indices.clone();
+        self.last_resort_indices.clone_from(&out.resort_indices);
         self.last_new_len = out.pos.len();
         out
     }

@@ -9,12 +9,13 @@ use psort::{
     merge_exchange_sort_by_key_capped, merge_exchange_sort_by_key_planned, partition_sort_by_key,
     SortPlan,
 };
-use simcomm::{Comm, Work};
+use simcomm::{push_segment, Comm, Work};
 
 use crate::expansion::ExpansionOps;
 use crate::stencil::{Stencil, TENSOR_SLOTS};
 use crate::tree::{
-    cell_center, cells_from_sorted, effective_source_center, leaf_key, neighbor_blocks,
+    cell_center, cells_from_sorted_into, effective_source_center, leaf_key, neighbor_blocks,
+    KeyOwners,
 };
 
 #[cfg(test)]
@@ -22,13 +23,12 @@ mod oracle;
 
 /// A leaf cell: its key and its particles' range in the sorted array.
 type Cell = (u64, std::ops::Range<usize>);
-/// First and last leaf key of a rank (`None` if it holds no particles).
-type KeyRange = (Option<u64>, Option<u64>);
 
 /// One octree level of a rank's tree. `keys` are the Morton keys of the
 /// cells holding any of the rank's particles (the leaves, or the ancestors
 /// of the leaves), ascending; the slabs hold one `nc`-strided expansion per
 /// key, in the same order.
+#[derive(Default)]
 struct TreeLevel {
     keys: Vec<u64>,
     /// Partial multipoles (this rank's particles only).
@@ -95,6 +95,45 @@ struct ResultParticle {
     origin: u64,
     potential: f64,
     field: Vec3,
+}
+
+/// What a run stages on the way to its output, kept from run to run where
+/// keeping costs no memory to speak of (DESIGN.md, "Workspaces"): what is
+/// sized by cells, levels and partners, what a run holds on to until its end
+/// anyway, and one value per particle. Nothing here carries meaning across
+/// runs — every field is cleared, or resized and zeroed, by the step that
+/// fills it, before the step that reads it.
+#[derive(Default)]
+struct Workspace {
+    /// The sort's input, and from the previous run its output (recycled).
+    keys: Vec<u64>,
+    recs: Vec<FmmParticle>,
+    owners: KeyOwners,
+    leaf_cells: Vec<Cell>,
+    /// `(destination, leaf cell)` of every ghost copy.
+    ghost_routes: Vec<(usize, usize)>,
+    /// Particles received: the boundary runs of `align_cells`, then the
+    /// ghosts, with their keys and cell runs.
+    ghosts: Vec<FmmParticle>,
+    ghost_keys: Vec<u64>,
+    ghost_cells: Vec<Cell>,
+    segments: Vec<(usize, usize)>,
+    sources: Vec<(usize, usize)>,
+    tree: Vec<TreeLevel>,
+    remote: Vec<RemoteLevel>,
+    /// `(destination, level, key)` of every multipole request.
+    request_routes: Vec<(usize, u32, u64)>,
+    /// The requests received and the keys of the answers received.
+    requests: Vec<(u32, u64)>,
+    meta: Vec<(u32, u64)>,
+    meta_sources: Vec<(usize, usize)>,
+    coef_segments: Vec<(usize, usize)>,
+    coef_sources: Vec<(usize, usize)>,
+    /// Results in sorted order (moved into the output under Method B).
+    potential: Vec<f64>,
+    field: Vec<Vec3>,
+    /// Method B: origin codes.
+    origin: Vec<u64>,
 }
 
 /// Static configuration of the FMM solver.
@@ -172,6 +211,7 @@ pub struct FmmSolver {
     guard_cleanup_cap: Option<u64>,
     /// Probe schedule recorded by the previous merge-based sort, if clean.
     sort_plan: Option<SortPlan>,
+    ws: Workspace,
     /// Sort plans recorded over the solver lifetime.
     pub plan_builds: u64,
     /// Runs that consumed a previously recorded sort plan.
@@ -211,6 +251,7 @@ impl FmmSolver {
             plan_cache: true,
             guard_cleanup_cap: None,
             sort_plan: None,
+            ws: Workspace::default(),
             plan_builds: 0,
             plan_hits: 0,
             guard_fallbacks: 0,
@@ -288,17 +329,17 @@ impl FmmSolver {
         comm.enter_phase("sort");
 
         // --- Keys and records ---
-        let mut keys: Vec<u64> = Vec::with_capacity(n_in);
-        let mut recs: Vec<FmmParticle> = Vec::with_capacity(n_in);
-        for i in 0..n_in {
-            keys.push(leaf_key(&self.bbox, pos[i], self.cfg.level));
-            recs.push(FmmParticle {
-                pos: pos[i],
-                charge: charge[i],
-                id: id[i],
-                origin: encode_index(me, i),
-            });
-        }
+        let mut ws = std::mem::take(&mut self.ws);
+        let (mut keys, mut recs) = (std::mem::take(&mut ws.keys), std::mem::take(&mut ws.recs));
+        keys.clear();
+        recs.clear();
+        keys.extend(pos.iter().map(|&x| leaf_key(&self.bbox, x, self.cfg.level)));
+        recs.extend((0..n_in).map(|i| FmmParticle {
+            pos: pos[i],
+            charge: charge[i],
+            id: id[i],
+            origin: encode_index(me, i),
+        }));
         comm.compute(Work::ParticleOp, n_in as f64);
 
         // --- Parallel sort (paper heuristic: merge-based iff the maximum
@@ -368,100 +409,79 @@ impl FmmSolver {
 
         // --- Align cells to rank boundaries (each leaf cell wholly owned by
         // the lowest rank holding any of its particles) ---
-        self.align_cells(comm, &mut keys, &mut recs);
+        self.align_cells(comm, &mut ws, &mut keys, &mut recs);
         comm.exit_phase();
         let t_sorted = comm.clock();
 
         // --- Compute near + far field on the sorted particles ---
-        let (potential, field) = self.compute_fields(comm, &keys, &recs);
+        self.compute_fields(comm, &mut ws, &keys, &recs);
         // Synchronize before the redistribution phase so that compute load
         // imbalance is attributed to the computation, not to the timing of
         // the redistribution that happens to follow it.
         comm.barrier();
         let t_computed = comm.clock();
 
-        // --- Redistribution back to the application ---
-        let original_len = n_in;
-        match method {
-            RedistMethod::RestoreOriginal => {
-                comm.enter_phase("restore");
-                let mut out = self.restore_original(comm, &recs, &potential, &field, original_len);
-                comm.exit_phase();
-                out.timings = SolverTimings {
-                    sort: t_sorted - t_start,
-                    compute: t_computed - t_sorted,
-                    restore: comm.clock() - t_computed,
-                    resort_create: 0.0,
-                    total: comm.clock() - t_start,
-                };
-                out
+        // --- Redistribution back to the application: the changed order with
+        // resort indices if asked for and every rank has room for it (paper:
+        // "the redistributed particles of a solver can only be returned … if
+        // the given local particle data arrays are large enough"), the
+        // original order otherwise ---
+        let resorted = method == RedistMethod::UseChanged
+            && comm.allreduce(recs.len() <= max_local, |a, b| a && b);
+        let mut out = if resorted {
+            ws.origin.clear();
+            ws.origin.extend(recs.iter().map(|r| r.origin));
+            comm.enter_phase("resort");
+            let resort_indices = build_resort_indices(comm, &ws.origin, n_in);
+            comm.exit_phase();
+            SolverOutput {
+                pos: recs.iter().map(|r| r.pos).collect(),
+                charge: recs.iter().map(|r| r.charge).collect(),
+                id: recs.iter().map(|r| r.id).collect(),
+                potential: std::mem::take(&mut ws.potential),
+                field: std::mem::take(&mut ws.field),
+                resorted: true,
+                resort_indices,
+                timings: SolverTimings::default(),
             }
-            RedistMethod::UseChanged => {
-                // Capacity check across all ranks (paper: "the redistributed
-                // particles of a solver can only be returned … if the given
-                // local particle data arrays are large enough").
-                let fits = recs.len() <= max_local;
-                let all_fit = comm.allreduce(fits, |a, b| a && b);
-                if !all_fit {
-                    comm.enter_phase("restore");
-                    let mut out =
-                        self.restore_original(comm, &recs, &potential, &field, original_len);
-                    comm.exit_phase();
-                    out.timings = SolverTimings {
-                        sort: t_sorted - t_start,
-                        compute: t_computed - t_sorted,
-                        restore: comm.clock() - t_computed,
-                        resort_create: 0.0,
-                        total: comm.clock() - t_start,
-                    };
-                    return out;
-                }
-                let origin: Vec<u64> = recs.iter().map(|r| r.origin).collect();
-                comm.enter_phase("resort");
-                let resort_indices = build_resort_indices(comm, &origin, original_len);
-                comm.exit_phase();
-                let t_resort = comm.clock();
-                let out = SolverOutput {
-                    pos: recs.iter().map(|r| r.pos).collect(),
-                    charge: recs.iter().map(|r| r.charge).collect(),
-                    id: recs.iter().map(|r| r.id).collect(),
-                    potential,
-                    field,
-                    resorted: true,
-                    resort_indices,
-                    timings: SolverTimings {
-                        sort: t_sorted - t_start,
-                        compute: t_computed - t_sorted,
-                        restore: 0.0,
-                        resort_create: t_resort - t_computed,
-                        total: comm.clock() - t_start,
-                    },
-                };
-                out
-            }
-        }
+        } else {
+            comm.enter_phase("restore");
+            let out = Self::restore_original(comm, &ws, &recs, n_in);
+            comm.exit_phase();
+            out
+        };
+        let redist = comm.clock() - t_computed;
+        out.timings = SolverTimings {
+            sort: t_sorted - t_start,
+            compute: t_computed - t_sorted,
+            restore: if resorted { 0.0 } else { redist },
+            resort_create: if resorted { redist } else { 0.0 },
+            total: comm.clock() - t_start,
+        };
+        (ws.keys, ws.recs) = (keys, recs);
+        self.ws = ws;
+        out
     }
 
     /// Route every computed particle back to its origin rank and position
     /// (paper Fig. 4).
     fn restore_original(
-        &self,
         comm: &mut Comm,
+        ws: &Workspace,
         recs: &[FmmParticle],
-        potential: &[f64],
-        field: &[Vec3],
         original_len: usize,
     ) -> SolverOutput {
         let results: Vec<ResultParticle> = recs
             .iter()
-            .enumerate()
-            .map(|(i, r)| ResultParticle {
+            .zip(&ws.potential)
+            .zip(&ws.field)
+            .map(|((r, &potential), &field)| ResultParticle {
                 pos: r.pos,
                 charge: r.charge,
                 id: r.id,
                 origin: r.origin,
-                potential: potential[i],
-                field: field[i],
+                potential,
+                field,
             })
             .collect();
         let targets: Vec<usize> = recs.iter().map(|r| atasp::decode_index(r.origin).0).collect();
@@ -491,54 +511,43 @@ impl FmmSolver {
 
     /// Move leading particles of shared boundary cells to the lowest rank
     /// holding the cell, so every leaf cell is wholly owned afterwards.
-    fn align_cells(&self, comm: &mut Comm, keys: &mut Vec<u64>, recs: &mut Vec<FmmParticle>) {
-        let p = comm.size();
-        if p == 1 {
+    fn align_cells(
+        &self,
+        comm: &mut Comm,
+        ws: &mut Workspace,
+        keys: &mut Vec<u64>,
+        recs: &mut Vec<FmmParticle>,
+    ) {
+        if comm.size() == 1 {
             return;
         }
-        let me = comm.rank();
-        let ranges = comm.allgather((keys.first().copied(), keys.last().copied()));
-        // Owner of key k: the lowest rank whose range contains k.
-        let owner = |k: u64| -> usize {
-            for (r, &(f, l)) in ranges.iter().enumerate() {
-                if let (Some(f), Some(l)) = (f, l) {
-                    if f <= k && k <= l {
-                        return r;
-                    }
-                }
-            }
-            unreachable!("key {k} not in any range")
-        };
-        let mut to_send: Vec<(usize, Vec<FmmParticle>)> = Vec::new();
-        let mut cut = 0usize;
+        ws.owners.rebuild(&comm.allgather((keys.first().copied(), keys.last().copied())));
+        let mut send = Vec::new();
+        ws.segments.clear();
         if let Some(&first) = keys.first() {
-            let own = owner(first);
-            if own != me {
+            let own = ws.owners.owner_of(first).expect("a held key has an owner");
+            if own != comm.rank() {
                 // My whole leading run of `first` (possibly the entire array)
                 // belongs to `own`.
-                cut = keys.iter().take_while(|&&k| k == first).count();
-                to_send.push((own, recs[..cut].to_vec()));
+                let cut = keys.iter().take_while(|&&k| k == first).count();
+                send.extend(recs.drain(..cut));
+                ws.segments.push((own, cut));
+                keys.drain(..cut);
             }
         }
-        let sends: Vec<(usize, Vec<FmmParticle>)> = to_send;
-        let received = comm.alltoallv(sends);
-        if cut > 0 {
-            keys.drain(..cut);
-            recs.drain(..cut);
-        }
+        comm.alltoallv_flat(send, &ws.segments, &mut ws.ghosts, &mut ws.sources);
         // Received particles all carry my last key (they continue my run);
         // append in source-rank order.
-        for (_src, buf) in received {
-            for r in buf {
-                let k = leaf_key(&self.bbox, r.pos, self.cfg.level);
-                debug_assert!(keys.last().is_none_or(|&l| l <= k));
-                keys.push(k);
-                recs.push(r);
-            }
+        for &r in &ws.ghosts {
+            let k = leaf_key(&self.bbox, r.pos, self.cfg.level);
+            debug_assert!(keys.last().is_none_or(|&l| l <= k));
+            keys.push(k);
+            recs.push(r);
         }
     }
 
-    /// Full near + far field evaluation on the (sorted, aligned) particles.
+    /// Full near + far field evaluation on the (sorted, aligned) particles,
+    /// into `ws.potential` and `ws.field`.
     ///
     /// The tree is a `Vec` of [`TreeLevel`]s, every per-cell lookup an index
     /// or a binary search on sorted keys, and every loop runs in ascending
@@ -548,113 +557,106 @@ impl FmmSolver {
     fn compute_fields(
         &mut self,
         comm: &mut Comm,
+        ws: &mut Workspace,
         keys: &[u64],
         recs: &[FmmParticle],
-    ) -> (Vec<f64>, Vec<Vec3>) {
+    ) {
         #[cfg(test)]
         if self.oracle.is_some() {
-            return self.compute_fields_oracle(comm, keys, recs);
+            (ws.potential, ws.field) = self.compute_fields_oracle(comm, keys, recs);
+            return;
         }
-        let leaf_cells = cells_from_sorted(keys);
+        cells_from_sorted_into(keys, &mut ws.leaf_cells);
         // Rank ranges at leaf level for ownership lookups.
-        let ranges = comm.allgather((keys.first().copied(), keys.last().copied()));
+        ws.owners.rebuild(&comm.allgather((keys.first().copied(), keys.last().copied())));
 
         comm.enter_phase("near");
-        let (ghosts, ghost_cells) = self.exchange_ghosts(comm, &leaf_cells, recs, &ranges);
+        self.exchange_ghosts(comm, ws, recs);
         comm.exit_phase();
 
         comm.enter_phase("tree");
-        let mut tree = self.upward_pass(comm, &leaf_cells, recs);
+        self.upward_pass(comm, ws, recs);
         comm.exit_phase();
 
         comm.enter_phase("far");
-        let remote = self.fetch_remote_multipoles(comm, &tree, &ranges);
-        self.downward_pass(comm, &mut tree, &remote);
+        self.fetch_remote_multipoles(comm, ws);
+        self.downward_pass(comm, &mut ws.tree, &ws.remote);
         comm.exit_phase();
 
-        let leaf_locals = &tree[self.cfg.level as usize].local;
-        self.evaluate(comm, &leaf_cells, recs, &ghosts, &ghost_cells, leaf_locals)
+        self.evaluate(comm, ws, recs);
     }
 
     /// Ghost exchange for the near field: every rank owning a (wrapped)
     /// neighbour of a local cell receives a copy of the cell's particles.
-    /// Returns the received particles — in source-rank order, which is
-    /// ascending key order — and their cell runs.
-    fn exchange_ghosts(
-        &self,
-        comm: &mut Comm,
-        leaf_cells: &[Cell],
-        recs: &[FmmParticle],
-        ranges: &[KeyRange],
-    ) -> (Vec<FmmParticle>, Vec<Cell>) {
+    /// Leaves the received particles — in source-rank order, which is
+    /// ascending key order — in `ws.ghosts` and their cell runs in
+    /// `ws.ghost_cells`.
+    fn exchange_ghosts(&self, comm: &mut Comm, ws: &mut Workspace, recs: &[FmmParticle]) {
         let me = comm.rank();
-        let owner_of = |k: u64| -> Option<usize> {
-            ranges
-                .iter()
-                .position(|&(f, l)| matches!((f, l), (Some(f), Some(l)) if f <= k && k <= l))
-        };
-        let mut sends: Vec<(usize, Vec<FmmParticle>)> =
-            (0..comm.size()).map(|r| (r, Vec::new())).collect();
-        // The last cell copied to each destination: a cell goes to a rank
-        // once, however many of its neighbours that rank owns.
-        let mut last_cell = vec![usize::MAX; comm.size()];
+        ws.ghost_routes.clear();
         let mut blocks = [(0u64, 0u8); 27];
-        for (ci, (k, range)) in leaf_cells.iter().enumerate() {
+        for (ci, (k, _)) in ws.leaf_cells.iter().enumerate() {
+            // A cell goes to a rank once, however many of its neighbours that
+            // rank owns.
+            let first_route = ws.ghost_routes.len();
             let nb = neighbor_blocks(*k, self.cfg.level, self.periodic, &mut blocks);
             for &(nk, _) in &blocks[..nb] {
-                if let Some(o) = owner_of(nk) {
-                    if o != me && last_cell[o] != ci {
-                        last_cell[o] = ci;
-                        sends[o].1.extend_from_slice(&recs[range.clone()]);
+                if let Some(o) = ws.owners.owner_of(nk) {
+                    if o != me && !ws.ghost_routes[first_route..].contains(&(o, ci)) {
+                        ws.ghost_routes.push((o, ci));
                     }
                 }
             }
         }
-        let received = comm.alltoallv(sends);
-        let count = received.iter().map(|(_, buf)| buf.len()).sum();
-        let mut ghosts = Vec::with_capacity(count);
-        for (_src, buf) in received {
-            ghosts.extend(buf);
+        // By destination, each destination's cells in ascending order.
+        ws.ghost_routes.sort_unstable();
+        let cell = |ci: usize| &recs[ws.leaf_cells[ci].1.clone()];
+        let mut send =
+            Vec::with_capacity(ws.ghost_routes.iter().map(|&(_, ci)| cell(ci).len()).sum());
+        ws.segments.clear();
+        for &(dst, ci) in &ws.ghost_routes {
+            send.extend_from_slice(cell(ci));
+            push_segment(&mut ws.segments, dst, cell(ci).len());
         }
-        let ghost_keys: Vec<u64> =
-            ghosts.iter().map(|g| leaf_key(&self.bbox, g.pos, self.cfg.level)).collect();
+        comm.alltoallv_flat(send, &ws.segments, &mut ws.ghosts, &mut ws.sources);
+        ws.ghost_keys.clear();
+        ws.ghost_keys.extend(ws.ghosts.iter().map(|g| leaf_key(&self.bbox, g.pos, self.cfg.level)));
         // Ranks hold ascending, disjoint key ranges and send whole cells in
         // ascending order, so the concatenation by source rank is sorted.
-        assert!(ghost_keys.is_sorted(), "ghost cells must arrive in key order");
-        comm.compute(Work::ByteCopy, (count * std::mem::size_of::<FmmParticle>()) as f64);
-        (ghosts, cells_from_sorted(&ghost_keys))
+        assert!(ws.ghost_keys.is_sorted(), "ghost cells must arrive in key order");
+        let bytes = std::mem::size_of_val(&ws.ghosts[..]);
+        comm.compute(Work::ByteCopy, bytes as f64);
+        cells_from_sorted_into(&ws.ghost_keys, &mut ws.ghost_cells);
     }
 
-    /// Upward pass: the tree's cells per level, P2M at the leaves and M2M up
-    /// to the root (partial multipoles: only this rank's particles).
-    fn upward_pass(
-        &self,
-        comm: &mut Comm,
-        leaf_cells: &[Cell],
-        recs: &[FmmParticle],
-    ) -> Vec<TreeLevel> {
+    /// Upward pass: the tree's cells per level (`ws.tree`), P2M at the
+    /// leaves and M2M up to the root (partial multipoles: only this rank's
+    /// particles).
+    fn upward_pass(&self, comm: &mut Comm, ws: &mut Workspace, recs: &[FmmParticle]) {
         let nc = self.ops.len();
         let leaf_level = self.cfg.level as usize;
+        let tree = &mut ws.tree;
+        tree.resize_with(leaf_level + 1, TreeLevel::default);
         // The leaves, then each level's distinct parents: `parent` keeps
         // sorted keys sorted, so no level needs sorting.
-        let mut level_keys: Vec<Vec<u64>> = vec![Vec::new(); leaf_level + 1];
-        level_keys[leaf_level] = leaf_cells.iter().map(|(k, _)| *k).collect();
+        tree[leaf_level].keys.clear();
+        tree[leaf_level].keys.extend(ws.leaf_cells.iter().map(|(k, _)| *k));
         for l in (1..=leaf_level).rev() {
-            let mut up: Vec<u64> = level_keys[l].iter().map(|&k| zorder::parent(k)).collect();
+            let (coarse, fine) = tree.split_at_mut(l);
+            let up = &mut coarse[l - 1].keys;
+            up.clear();
+            up.extend(fine[0].keys.iter().map(|&k| zorder::parent(k)));
             up.dedup();
-            level_keys[l - 1] = up;
         }
-        let mut tree: Vec<TreeLevel> = level_keys
-            .into_iter()
-            .map(|keys| TreeLevel {
-                multipole: vec![0.0; keys.len() * nc],
-                local: vec![0.0; keys.len() * nc],
-                keys,
-            })
-            .collect();
+        for level in tree.iter_mut() {
+            for slab in [&mut level.multipole, &mut level.local] {
+                slab.clear();
+                slab.resize(level.keys.len() * nc, 0.0);
+            }
+        }
 
         let leaf_multipoles = tree[leaf_level].multipole.chunks_exact_mut(nc);
-        for ((k, range), m) in leaf_cells.iter().zip(leaf_multipoles) {
+        for ((k, range), m) in ws.leaf_cells.iter().zip(leaf_multipoles) {
             let z = cell_center(&self.bbox, *k, self.cfg.level);
             for r in &recs[range.clone()] {
                 self.ops.p2m(m, z, r.pos, r.charge);
@@ -679,30 +681,26 @@ impl FmmSolver {
             }
             comm.compute(Work::ExpansionTerm, (fine.keys.len() * nc * nc / 4) as f64);
         }
-        tree
     }
 
-    /// Locally essential multipoles: request the remote partial multipoles of
-    /// every interaction-list source cell and sum the answers per cell in
-    /// ascending source-rank order.
-    fn fetch_remote_multipoles(
-        &self,
-        comm: &mut Comm,
-        tree: &[TreeLevel],
-        ranges: &[KeyRange],
-    ) -> Vec<RemoteLevel> {
+    /// Locally essential multipoles (`ws.remote`): request the remote
+    /// partial multipoles of every interaction-list source cell and sum the
+    /// answers per cell in ascending source-rank order.
+    fn fetch_remote_multipoles(&self, comm: &mut Comm, ws: &mut Workspace) {
         let nc = self.ops.len();
         let leaf_level = self.cfg.level as usize;
         let me = comm.rank();
+        let tree = &ws.tree;
 
         // The sources of each level: per parent, the children of its
         // neighbour blocks that the stencil of any present child names.
-        let mut remote = vec![RemoteLevel::default()];
+        ws.remote.resize_with(leaf_level + 1, RemoteLevel::default);
         let mut blocks = [(0u64, 0u8); 27];
         for l in 1..=leaf_level {
             let stencil = &self.far[l].stencil;
             let targets = &tree[l].keys;
-            let mut needed: Vec<u64> = Vec::new();
+            let RemoteLevel { keys: needed, partial, present } = &mut ws.remote[l];
+            needed.clear();
             let mut ti = 0;
             for &pk in &tree[l - 1].keys {
                 let first = ti;
@@ -724,67 +722,72 @@ impl FmmSolver {
             }
             needed.sort_unstable();
             needed.dedup();
-            remote.push(RemoteLevel {
-                partial: vec![0.0; needed.len() * nc],
-                present: vec![false; needed.len()],
-                keys: needed,
-            });
+            partial.clear();
+            partial.resize(needed.len() * nc, 0.0);
+            present.clear();
+            present.resize(needed.len(), false);
         }
 
         // A cell (l, k) spans leaf keys [k << s, (k+1) << s) with s = 3*(L-l);
         // every rank whose range intersects that interval may hold a partial.
-        let mut requests: Vec<(usize, Vec<(u32, u64)>)> =
-            (0..comm.size()).map(|r| (r, Vec::new())).collect();
-        for (l, level) in remote.iter().enumerate().skip(1) {
+        ws.request_routes.clear();
+        for (l, level) in ws.remote.iter().enumerate().skip(1) {
             let shift = 3 * (leaf_level - l);
             for &k in &level.keys {
-                let lo = k << shift;
-                let hi = ((k + 1) << shift) - 1;
-                for (r, &(f, last)) in ranges.iter().enumerate() {
-                    if r == me {
-                        continue;
-                    }
-                    if let (Some(f), Some(last)) = (f, last) {
-                        if f <= hi && lo <= last {
-                            requests[r].1.push((l as u32, k));
-                        }
-                    }
-                }
+                let (lo, hi) = (k << shift, ((k + 1) << shift) - 1);
+                let holders = ws.owners.overlapping(lo, hi).filter(|&r| r != me);
+                ws.request_routes.extend(holders.map(|r| (r, l as u32, k)));
             }
         }
-        let req_recv = comm.alltoallv(requests);
-        // Respond with (meta, coeffs) pairs; coeffs flattened with stride nc.
-        let mut resp_meta: Vec<(usize, Vec<(u32, u64)>)> = Vec::with_capacity(req_recv.len());
-        let mut resp_coef: Vec<(usize, Vec<f64>)> = Vec::with_capacity(req_recv.len());
-        for (src, reqs) in req_recv {
-            let mut meta = Vec::with_capacity(reqs.len());
-            let mut coef = Vec::with_capacity(reqs.len() * nc);
-            for (l, k) in reqs {
+        // By destination, each destination's requests by level and key.
+        ws.request_routes.sort_unstable();
+        let mut asking = Vec::with_capacity(ws.request_routes.len());
+        ws.segments.clear();
+        for &(dst, l, k) in &ws.request_routes {
+            asking.push((l, k));
+            push_segment(&mut ws.segments, dst, 1);
+        }
+        comm.alltoallv_flat(asking, &ws.segments, &mut ws.requests, &mut ws.sources);
+        // Answer with the keys held and their coefficients, `nc` per key.
+        let mut meta = Vec::with_capacity(ws.requests.len());
+        let mut coef = Vec::with_capacity(ws.requests.len() * nc);
+        ws.segments.clear();
+        ws.coef_segments.clear();
+        let mut asked = &ws.requests[..];
+        for &(src, len) in &ws.sources {
+            let (reqs, rest) = asked.split_at(len);
+            asked = rest;
+            let answered = meta.len();
+            for &(l, k) in reqs {
                 let level = &tree[l as usize];
                 if let Ok(i) = level.keys.binary_search(&k) {
                     meta.push((l, k));
                     coef.extend_from_slice(&level.multipole[i * nc..(i + 1) * nc]);
                 }
             }
-            comm.compute(Work::ByteCopy, (coef.len() * 8) as f64);
-            resp_meta.push((src, meta));
-            resp_coef.push((src, coef));
+            let answered = meta.len() - answered;
+            comm.compute(Work::ByteCopy, (answered * nc * 8) as f64);
+            ws.segments.push((src, answered));
+            ws.coef_segments.push((src, answered * nc));
         }
-        let meta_recv = comm.alltoallv(resp_meta);
-        let coef_recv = comm.alltoallv(resp_coef);
-        assert_eq!(meta_recv.len(), coef_recv.len(), "every answer has keys and coefficients");
-        for ((src, meta), (coef_src, coefs)) in meta_recv.into_iter().zip(coef_recv) {
-            assert_eq!(src, coef_src, "every answer has keys and coefficients");
-            for ((l, k), slice) in meta.into_iter().zip(coefs.chunks_exact(nc)) {
-                let level = &mut remote[l as usize];
-                let i = level.keys.binary_search(&k).expect("an answer to a key never requested");
-                level.present[i] = true;
-                for (e, &c) in level.partial[i * nc..(i + 1) * nc].iter_mut().zip(slice) {
-                    *e += c;
-                }
+        comm.alltoallv_flat(meta, &ws.segments, &mut ws.meta, &mut ws.meta_sources);
+        // The coefficients (`nc` per key) are the one answer sized by the
+        // expansion order: not kept between runs.
+        let mut coef_recv = Vec::new();
+        comm.alltoallv_flat(coef, &ws.coef_segments, &mut coef_recv, &mut ws.coef_sources);
+        assert!(
+            ws.meta_sources.iter().zip(&ws.coef_sources).all(|(m, c)| (m.0, m.1 * nc) == *c)
+                && ws.meta_sources.len() == ws.coef_sources.len(),
+            "every answer has keys and coefficients"
+        );
+        for (&(l, k), slice) in ws.meta.iter().zip(coef_recv.chunks_exact(nc)) {
+            let level = &mut ws.remote[l as usize];
+            let i = level.keys.binary_search(&k).expect("an answer to a key never requested");
+            level.present[i] = true;
+            for (e, &c) in level.partial[i * nc..(i + 1) * nc].iter_mut().zip(slice) {
+                *e += c;
             }
         }
-        remote
     }
 
     /// Downward pass: per target, L2L from its parent, then M2L from its
@@ -855,18 +858,10 @@ impl FmmSolver {
         self.last_report.m2l_count = m2l_count;
     }
 
-    /// Evaluation: L2P from the leaf local expansions, then near-field P2P
-    /// within each cell and with its neighbour cells (local or ghost) in
-    /// ascending key order.
-    fn evaluate(
-        &mut self,
-        comm: &mut Comm,
-        leaf_cells: &[Cell],
-        recs: &[FmmParticle],
-        ghosts: &[FmmParticle],
-        ghost_cells: &[Cell],
-        leaf_locals: &[f64],
-    ) -> (Vec<f64>, Vec<Vec3>) {
+    /// Evaluation (into `ws.potential` and `ws.field`): L2P from the leaf
+    /// local expansions, then near-field P2P within each cell and with its
+    /// neighbour cells (local or ghost) in ascending key order.
+    fn evaluate(&mut self, comm: &mut Comm, ws: &mut Workspace, recs: &[FmmParticle]) {
         let n = recs.len();
         let nc = self.ops.len();
         let leaf_level = self.cfg.level;
@@ -874,8 +869,12 @@ impl FmmSolver {
             let i = cells.binary_search_by_key(&key, |(k, _)| *k).ok()?;
             Some(cells[i].1.clone())
         };
-        let mut potential = vec![0.0; n];
-        let mut field = vec![Vec3::ZERO; n];
+        let Workspace { leaf_cells, ghost_cells, ghosts, tree, potential, field, .. } = ws;
+        let leaf_locals = &tree[leaf_level as usize].local;
+        potential.clear();
+        potential.resize(n, 0.0);
+        field.clear();
+        field.resize(n, Vec3::ZERO);
         let mut p2p_pairs = 0u64;
         let mut blocks = [(0u64, 0u8); 27];
         for (ci, (k, range)) in leaf_cells.iter().enumerate() {
@@ -967,7 +966,5 @@ impl FmmSolver {
         comm.with_phase("near", |c| c.compute(Work::Interaction, p2p_pairs as f64));
         comm.with_phase("far", |c| c.compute(Work::ExpansionTerm, (n * nc * 4) as f64));
         self.last_report.p2p_pairs = p2p_pairs;
-
-        (potential, field)
     }
 }

@@ -26,6 +26,13 @@ pub fn cell_center(bbox: &SystemBox, key: u64, level: u32) -> Vec3 {
 /// Group a sorted key array into `(key, start..end)` cell runs.
 pub fn cells_from_sorted(keys: &[u64]) -> Vec<(u64, std::ops::Range<usize>)> {
     let mut out = Vec::new();
+    cells_from_sorted_into(keys, &mut out);
+    out
+}
+
+/// [`cells_from_sorted`] into a kept list (cleared first).
+pub fn cells_from_sorted_into(keys: &[u64], out: &mut Vec<(u64, std::ops::Range<usize>)>) {
+    out.clear();
     let mut i = 0;
     while i < keys.len() {
         let k = keys[i];
@@ -37,7 +44,38 @@ pub fn cells_from_sorted(keys: &[u64]) -> Vec<(u64, std::ops::Range<usize>)> {
         out.push((k, i..j));
         i = j;
     }
-    out
+}
+
+/// The leaf-key ranges of the ranks that hold particles, as the step's
+/// `allgather` of every rank's first and last key reports them: a compacted
+/// list of `(first, last, rank)` in ascending rank — and so, the ranks being
+/// segments of one sorted sequence, in ascending key — searched by bisection
+/// instead of scanned rank by rank. Ranges may share a boundary key before
+/// the cells are aligned to rank boundaries; the lowest rank wins.
+#[derive(Debug, Default)]
+pub struct KeyOwners(Vec<(u64, u64, usize)>);
+
+impl KeyOwners {
+    /// Rebuild from the gathered `(first key, last key)` of every rank
+    /// (`None` for a rank without particles).
+    pub fn rebuild(&mut self, ranges: &[(Option<u64>, Option<u64>)]) {
+        self.0.clear();
+        let held = ranges.iter().enumerate().filter_map(|(r, &(f, l))| Some((f?, l?, r)));
+        self.0.extend(held);
+        debug_assert!(self.0.windows(2).all(|w| w[0].1 <= w[1].0), "ranks hold sorted segments");
+    }
+
+    /// The lowest rank whose range contains `key`.
+    pub fn owner_of(&self, key: u64) -> Option<usize> {
+        let at = self.0.partition_point(|&(_, last, _)| last < key);
+        self.0.get(at).filter(|&&(first, _, _)| first <= key).map(|&(_, _, rank)| rank)
+    }
+
+    /// The ranks whose range intersects `lo..=hi`, ascending.
+    pub fn overlapping(&self, lo: u64, hi: u64) -> impl Iterator<Item = usize> + '_ {
+        let from = self.0.partition_point(|&(_, last, _)| last < lo);
+        self.0[from..].iter().take_while(move |&&(first, _, _)| first <= hi).map(|&(_, _, r)| r)
+    }
 }
 
 /// The cell displacement `d` along one dimension of a grid of `2^level`
@@ -204,6 +242,55 @@ mod tests {
 
     fn bbox() -> SystemBox {
         SystemBox::cubic(8.0)
+    }
+
+    #[test]
+    fn key_owners_agree_with_the_linear_scans() {
+        // The scans `KeyOwners` replaced, over every rank's range.
+        let owner_scan = |ranges: &[(Option<u64>, Option<u64>)], k: u64| {
+            ranges
+                .iter()
+                .position(|&(f, l)| matches!((f, l), (Some(f), Some(l)) if f <= k && k <= l))
+        };
+        let overlap_scan = |ranges: &[(Option<u64>, Option<u64>)], lo: u64, hi: u64| {
+            let hit = |&(_, &(f, l)): &(usize, &(Option<u64>, Option<u64>))| matches!((f, l), (Some(f), Some(l)) if f <= hi && lo <= l);
+            ranges.iter().enumerate().filter(hit).map(|(r, _)| r).collect::<Vec<_>>()
+        };
+        let mut state = 0x0b5e55ed;
+        let mut draw = |n: u64| {
+            state = particles::systems::splitmix64(state);
+            state % n
+        };
+        let mut owners = KeyOwners::default();
+        for p in 1..=130usize {
+            // Ascending ranges with gaps; a third of the ranks empty, a third
+            // holding a single cell. `shared` lets a range start on the key
+            // its predecessor ends on, as before the cells are aligned.
+            for shared in [false, true] {
+                let mut next = draw(4);
+                let ranges: Vec<(Option<u64>, Option<u64>)> = (0..p)
+                    .map(|_| match draw(3) {
+                        0 => (None, None),
+                        kind => {
+                            let first = next + if shared { 0 } else { 1 } + draw(3);
+                            let last = first + if kind == 1 { 0 } else { draw(6) };
+                            next = last;
+                            (Some(first), Some(last))
+                        }
+                    })
+                    .collect();
+                owners.rebuild(&ranges);
+                for k in 0..next + 4 {
+                    assert_eq!(owners.owner_of(k), owner_scan(&ranges, k), "p={p} key {k}");
+                }
+                for _ in 0..40 {
+                    let lo = draw(next + 4);
+                    let hi = lo + draw(9);
+                    let got: Vec<usize> = owners.overlapping(lo, hi).collect();
+                    assert_eq!(got, overlap_scan(&ranges, lo, hi), "p={p} {lo}..={hi}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   of parallel FFT-based solvers (cf. the paper's P2NFFT).
 
 use particles::{SystemBox, Vec3};
-use simcomm::{Comm, Work};
+use simcomm::{push_segment, Comm, Work};
 
 use crate::bspline::{bspline_hat, stencil};
 use crate::fft::{fft_in_place, Complex, Direction};
@@ -32,19 +32,70 @@ pub enum MeshDecomp {
     Pencil,
 }
 
-/// Cross-timestep cache of the far field's spectral tables: the
-/// Hockney-Eastwood influence function and the (Nyquist-zeroed) wave vector
-/// at every spectral mesh point this rank owns, in the traversal order of
-/// the owning decomposition. Both are pure functions of the plan geometry
-/// (mesh, assignment order, splitting parameter, box) and the rank layout,
-/// so one table serves every timestep of a simulation; the solver keeps one
-/// per [`crate::PmSolver`] and threads it through
-/// [`FarFieldPlan::execute_cached`].
+/// One rank's wrapped mesh window — its particle-grid range expanded by the
+/// assignment order per dimension, which holds every stencil point of every
+/// particle in that range.
+#[derive(Default)]
+struct Window {
+    /// Per dimension: the global mesh indices of the window, in window order.
+    axis: [Vec<usize>; 3],
+    /// Per dimension: global index → in-window offset (`u32::MAX` outside).
+    maps: [Vec<u32>; 3],
+}
+
+impl Window {
+    fn extents(&self) -> [usize; 3] {
+        [self.axis[0].len(), self.axis[1].len(), self.axis[2].len()]
+    }
+
+    /// In-window offset of mesh point `(i, j, k)`.
+    fn offset(&self, [i, j, k]: [usize; 3], what: &str) -> usize {
+        let (ox, oy, oz) = (self.maps[0][i], self.maps[1][j], self.maps[2][k]);
+        assert!(
+            ox != u32::MAX && oy != u32::MAX && oz != u32::MAX,
+            "mesh point ({i},{j},{k}) outside the {what} window"
+        );
+        let [_, ey, ez] = self.extents();
+        (ox as usize * ey + oy as usize) * ez + oz as usize
+    }
+}
+
+/// What the far field keeps across timesteps, per solver and rank: tables
+/// that are pure functions of the plan geometry and the rank layout, and the
+/// part of an execution's staging that it holds from its first collective to
+/// its last anyway — the mesh in its transform layouts (DESIGN.md,
+/// "Workspaces"). The solver keeps one per [`crate::PmSolver`] and threads it
+/// through [`FarFieldPlan::execute_cached`]; it is rebuilt when the geometry
+/// it was built for changes, and bitwise invisible to results and virtual
+/// clocks.
+///
+/// Staging fields carry nothing from one execution to the next: each is
+/// cleared, or resized and zeroed, by the stage that fills it.
+#[derive(Default)]
 pub struct FarFieldCache {
-    /// (decomp, rank, world size, mesh) the table was built for.
-    key: (MeshDecomp, usize, usize, usize),
-    /// `(G_opt, k)` per locally owned spectral point.
+    /// (decomp, rank, world size, mesh) everything below was built for.
+    key: Option<(MeshDecomp, usize, usize, usize)>,
+    /// `(G_opt, k)` per locally owned spectral point — the Hockney-Eastwood
+    /// influence function and the (Nyquist-zeroed) wave vector, in the
+    /// traversal order of the owning decomposition; filled on first use.
     spec: Vec<(f64, Vec3)>,
+    window: Window,
+    /// The window's `(destination, x offset, y offset)` columns grouped by
+    /// the rank that transforms them, each group in window order.
+    charge_routes: Vec<(usize, u32, u32)>,
+    /// B-spline weights per dimension.
+    weights: [Vec<f64>; 3],
+    /// The mesh in its three transform layouts, then the four spectra (and,
+    /// on the way back, the four fields in each layout in turn).
+    grids: [Vec<Complex>; 3],
+    quad: [Vec<Complex>; 4],
+    /// One strided FFT line.
+    line: Vec<Complex>,
+    segments: Vec<(usize, usize)>,
+    sources: Vec<(usize, usize)>,
+    /// The result of the last execution.
+    phi: Vec<f64>,
+    field: Vec<Vec3>,
 }
 
 /// Geometry/layout of the distributed mesh computation, with the routing
@@ -64,12 +115,67 @@ pub struct FarFieldPlan {
     bbox: SystemBox,
     /// Mesh distribution for the parallel FFT.
     decomp: MeshDecomp,
-    /// The patch routes, per dimension: `needers[d][i]` lists the grid
-    /// coordinates whose interpolation patch contains mesh index `i` (their
+    /// The patch routes, per dimension: `patches[d][c]` lists, ascending, the
+    /// mesh indices in the interpolation patch of grid coordinate `c` (its
     /// interior range expanded by the assignment order, wrapped). A mesh
-    /// point goes to the ranks in the product of its three lists. A function
-    /// of mesh, assignment order and process grid only.
-    needers: [Vec<Vec<usize>>; 3],
+    /// point goes to the ranks whose three patches hold its three indices.
+    /// A function of mesh, assignment order and process grid only.
+    patches: [Vec<Vec<usize>>; 3],
+}
+
+/// The part of `0..m` split into `parts` floor ranges that holds index `i`.
+fn part_owner(i: usize, m: usize, parts: usize) -> usize {
+    ((i + 1) * parts - 1) / m
+}
+
+/// Floor range `[lo, hi)` of part `c` of `0..m` split into `parts`.
+fn part_range(c: usize, m: usize, parts: usize) -> (usize, usize) {
+    (c * m / parts, (c + 1) * m / parts)
+}
+
+/// The non-empty parts of `0..m` split into `parts` floor ranges, as
+/// `(part, lo, hi)` ascending: at most `m` of them, however many `parts`.
+fn nonempty_parts(m: usize, parts: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    let mut lo = 0;
+    std::iter::from_fn(move || {
+        (lo < m).then(|| {
+            let c = part_owner(lo, m, parts);
+            let out = (c, lo, part_range(c, m, parts).1);
+            lo = out.2;
+            out
+        })
+    })
+}
+
+/// Append one destination's records to a flat payload.
+fn pack<T>(
+    payload: &mut Vec<T>,
+    segments: &mut Vec<(usize, usize)>,
+    dst: usize,
+    items: impl Iterator<Item = T>,
+) {
+    let before = payload.len();
+    payload.extend(items);
+    push_segment(segments, dst, payload.len() - before);
+}
+
+/// `v` as `n` zeros.
+fn zeroed<T: Clone>(v: &mut Vec<T>, n: usize, zero: T) {
+    v.clear();
+    v.resize(n, zero);
+}
+
+/// The four spectra of one mesh point as they travel.
+fn octet(quad: &[Vec<Complex>; 4], o: usize) -> [f64; 8] {
+    let [a, b, c, d] = [quad[0][o], quad[1][o], quad[2][o], quad[3][o]];
+    [a.re, a.im, b.re, b.im, c.re, c.im, d.re, d.im]
+}
+
+/// [`octet`] back into the four arrays.
+fn set_octet(quad: &mut [Vec<Complex>; 4], o: usize, v: &[f64; 8]) {
+    for (c, arr) in quad.iter_mut().enumerate() {
+        arr[o] = Complex::new(v[2 * c], v[2 * c + 1]);
+    }
 }
 
 impl FarFieldPlan {
@@ -84,67 +190,34 @@ impl FarFieldPlan {
         bbox: SystemBox,
         decomp: MeshDecomp,
     ) -> FarFieldPlan {
-        let needers = std::array::from_fn(|d| {
-            let mut need_d = vec![Vec::new(); mesh];
-            for c in 0..dims[d] {
-                // `dim_range(d, c)`, before there is a plan to ask.
-                let (lo, hi) = (c * mesh / dims[d], (c + 1) * mesh / dims[d]);
-                if lo == hi {
-                    continue;
-                }
-                for off in -(assign_order as i64)..(hi - lo) as i64 + assign_order as i64 {
-                    let i = (lo as i64 + off).rem_euclid(mesh as i64) as usize;
-                    if !need_d[i].contains(&c) {
-                        need_d[i].push(c);
+        let patches = std::array::from_fn(|d| {
+            (0..dims[d])
+                .map(|c| {
+                    let (lo, hi) = part_range(c, mesh, dims[d]);
+                    if lo == hi {
+                        return Vec::new();
                     }
-                }
-            }
-            need_d
+                    let reach = -(assign_order as i64)..(hi - lo) as i64 + assign_order as i64;
+                    let mut patch: Vec<usize> = reach
+                        .map(|off| (lo as i64 + off).rem_euclid(mesh as i64) as usize)
+                        .collect();
+                    patch.sort_unstable();
+                    patch.dedup();
+                    patch
+                })
+                .collect()
         });
-        FarFieldPlan { mesh, assign_order, alpha, dims, bbox, decomp, needers }
+        FarFieldPlan { mesh, assign_order, alpha, dims, bbox, decomp, patches }
     }
 
     /// Index range `[lo, hi)` of grid coordinate `c` along dimension `d`.
     fn dim_range(&self, d: usize, c: usize) -> (usize, usize) {
-        (c * self.mesh / self.dims[d], (c + 1) * self.mesh / self.dims[d])
-    }
-
-    /// Grid coordinate owning mesh index `i` along dimension `d`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    fn dim_owner(&self, d: usize, i: usize) -> usize {
-        // Floor ranges: coordinate c owns [c*M/D, (c+1)*M/D). Find c by a
-        // guarded division.
-        let dd = self.dims[d];
-        let mut c = (i * dd) / self.mesh;
-        while self.dim_range(d, c).1 <= i {
-            c += 1;
-        }
-        while self.dim_range(d, c).0 > i {
-            c -= 1;
-        }
-        c
+        part_range(c, self.mesh, self.dims[d])
     }
 
     /// Rank owning the grid cell with coordinates `c` (row-major).
     fn grid_rank(&self, c: [usize; 3]) -> usize {
         c[0] * self.dims[1] * self.dims[2] + c[1] * self.dims[2] + c[2]
-    }
-
-    /// x-slab `[lo, hi)` of `rank` in a world of `p` ranks.
-    fn slab_range(&self, rank: usize, p: usize) -> (usize, usize) {
-        (rank * self.mesh / p, (rank + 1) * self.mesh / p)
-    }
-
-    /// Rank owning x-plane `x` in a world of `p` ranks.
-    fn slab_owner(&self, x: usize, p: usize) -> usize {
-        let mut r = x * p / self.mesh;
-        while self.slab_range(r, p).1 <= x {
-            r += 1;
-        }
-        while self.slab_range(r, p).0 > x {
-            r -= 1;
-        }
-        r
     }
 
     #[inline]
@@ -153,9 +226,9 @@ impl FarFieldPlan {
     }
 
     #[inline]
-    fn unpack(&self, p: u64) -> (usize, usize, usize) {
+    fn unpack(&self, p: u64) -> [usize; 3] {
         let m = self.mesh as u64;
-        ((p / (m * m)) as usize, ((p / m) % m) as usize, (p % m) as usize)
+        [(p / (m * m)) as usize, ((p / m) % m) as usize, (p % m) as usize]
     }
 
     /// Signed integer frequency of mesh index `i`.
@@ -229,99 +302,106 @@ impl FarFieldPlan {
     ///
     /// Collective: all ranks must call it with their local particles.
     pub fn execute(&self, comm: &mut Comm, pos: &[Vec3], charge: &[f64]) -> (Vec<f64>, Vec<Vec3>) {
-        let mut cache = None;
-        self.execute_cached(comm, pos, charge, &mut cache)
+        self.execute_cached(comm, pos, charge, &mut FarFieldCache::default())
     }
 
-    /// [`Self::execute`] with a caller-held cross-timestep cache of the
-    /// spectral tables (see [`FarFieldCache`]). The cache is validated
-    /// against the plan geometry and rank layout and rebuilt on mismatch, so
-    /// passing a stale cache is safe; a hit skips the per-point
+    /// [`Self::execute`] with a caller-held [`FarFieldCache`]: the spectral
+    /// tables and the workspace of the previous execution. The cache is
+    /// validated against the plan geometry and rank layout and rebuilt on
+    /// mismatch, so passing a stale cache is safe; a hit skips the per-point
     /// Hockney-Eastwood influence evaluation (27 aliasing images with three
     /// `bspline_hat` calls each), which dominates the host cost of small
-    /// meshes. Results are bitwise identical with or without a cache — the
-    /// table stores the exact values the fresh evaluation produces, and the
-    /// modelled (virtual) compute cost is charged identically either way.
+    /// meshes, and allocates nothing but the result. Results are bitwise
+    /// identical with or without a cache — the tables store the exact values
+    /// the fresh evaluation produces, the workspace is zeroed where a fresh
+    /// one would be, and the modelled (virtual) compute cost is charged
+    /// identically either way.
     pub fn execute_cached(
         &self,
         comm: &mut Comm,
         pos: &[Vec3],
         charge: &[f64],
-        cache: &mut Option<FarFieldCache>,
+        cache: &mut FarFieldCache,
     ) -> (Vec<f64>, Vec<Vec3>) {
+        let (phi, field) = self.execute_into(comm, pos, charge, cache);
+        (phi.to_vec(), field.to_vec())
+    }
+
+    /// [`Self::execute_cached`] with the result left in the cache.
+    pub(crate) fn execute_into<'c>(
+        &self,
+        comm: &mut Comm,
+        pos: &[Vec3],
+        charge: &[f64],
+        cache: &'c mut FarFieldCache,
+    ) -> (&'c [f64], &'c [Vec3]) {
+        let key = Some((self.decomp, comm.rank(), comm.size(), self.mesh));
+        if cache.key != key {
+            *cache = FarFieldCache { key, ..FarFieldCache::default() };
+            self.build_window(comm.rank(), &mut cache.window);
+            cache.weights = std::array::from_fn(|_| vec![0.0; self.assign_order]);
+            cache.line = vec![Complex::ZERO; self.mesh];
+        }
         match self.decomp {
             MeshDecomp::Slab => self.execute_slab(comm, pos, charge, cache),
             MeshDecomp::Pencil => self.execute_pencil(comm, pos, charge, cache),
         }
+        (&cache.phi, &cache.field)
     }
 
-    /// Fetch the cached spectral table for this plan/layout, rebuilding it
-    /// with `build` when absent or built for a different geometry.
-    fn spectral_table<'c>(
-        &self,
-        cache: &'c mut Option<FarFieldCache>,
-        me: usize,
-        p: usize,
-        build: impl FnOnce() -> Vec<(f64, Vec3)>,
-    ) -> &'c [(f64, Vec3)] {
-        let key = (self.decomp, me, p, self.mesh);
-        if !cache.as_ref().is_some_and(|c| c.key == key) {
-            *cache = Some(FarFieldCache { key, spec: build() });
-        }
-        &cache.as_ref().expect("cache filled above").spec
-    }
-
-    /// Rank `me`'s wrapped mesh window — its particle-grid range expanded by
-    /// the assignment order per dimension, which holds every stencil point of
-    /// every particle in that range. Returns, per dimension, the global mesh
-    /// indices of the window in window order and the inverse map from global
-    /// index to in-window offset (`u32::MAX` outside the window).
-    fn window(&self, me: usize) -> ([Vec<usize>; 3], [Vec<u32>; 3]) {
+    /// Rank `me`'s [`Window`].
+    fn build_window(&self, me: usize, window: &mut Window) {
         let m = self.mesh;
         let my_c = [
             me / (self.dims[1] * self.dims[2]),
             (me / self.dims[2]) % self.dims[1],
             me % self.dims[2],
         ];
-        let mut axis: [Vec<usize>; 3] = Default::default();
-        let mut maps: [Vec<u32>; 3] = [vec![u32::MAX; m], vec![u32::MAX; m], vec![u32::MAX; m]];
-        for d in 0..3 {
-            let (lo, hi) = self.dim_range(d, my_c[d]);
+        for (d, &c) in my_c.iter().enumerate() {
+            let (lo, hi) = self.dim_range(d, c);
             let ext = ((hi - lo) + 2 * self.assign_order).min(m);
             let w0 = (lo as i64 - self.assign_order as i64).rem_euclid(m as i64) as usize;
-            axis[d] = (0..ext).map(|off| (w0 + off) % m).collect();
-            for (off, &i) in axis[d].iter().enumerate() {
-                maps[d][i] = off as u32;
+            window.axis[d] = (0..ext).map(|off| (w0 + off) % m).collect();
+            window.maps[d] = vec![u32::MAX; m];
+            for (off, &i) in window.axis[d].iter().enumerate() {
+                window.maps[d][i] = off as u32;
             }
         }
-        (axis, maps)
     }
 
-    /// B-spline charge assignment: the local particles' contributions are
-    /// summed per mesh point, in particle order, over the dense
-    /// [`Self::window`]; every touched point (zero sums included) is then
-    /// handed to `emit` as `(packed index, sum)`.
-    fn assign_charges(
+    /// B-spline charge assignment and its routing: the local particles'
+    /// contributions are summed per mesh point, in particle order, over the
+    /// dense [`Window`]; every touched point (zero sums included) then goes,
+    /// as `(packed index, sum)`, to the rank `owner` names for its `(x, y)`
+    /// column. Returns what this rank received.
+    fn assign_and_route_charges(
         &self,
         comm: &mut Comm,
         pos: &[Vec3],
         charge: &[f64],
-        mut emit: impl FnMut(u64, f64),
-    ) {
+        cache: &mut FarFieldCache,
+        owner: impl Fn(usize, usize) -> usize,
+    ) -> Vec<(u64, f64)> {
         let m = self.mesh;
         let order = self.assign_order;
-        let (axis, maps) = self.window(comm.rank());
-        let (ey, ez) = (axis[1].len(), axis[2].len());
-        let mut sums = vec![0.0f64; axis[0].len() * ey * ez];
+        let FarFieldCache { window, charge_routes, weights, segments, sources, .. } = cache;
+        let [ex, ey, ez] = window.extents();
+        if charge_routes.len() != ex * ey {
+            charge_routes.clear();
+            for (ox, &i) in window.axis[0].iter().enumerate() {
+                let columns = window.axis[1].iter().enumerate();
+                charge_routes.extend(columns.map(|(oy, &j)| (owner(i, j), ox as u32, oy as u32)));
+            }
+            charge_routes.sort_unstable();
+        }
+        let mut sums = vec![0.0f64; ex * ey * ez];
         let mut seen = vec![false; sums.len()];
-        let mut wx = vec![0.0; order];
-        let mut wy = vec![0.0; order];
-        let mut wz = vec![0.0; order];
+        let [wx, wy, wz] = weights;
         for (x, &q) in pos.iter().zip(charge) {
             let t = self.bbox.normalized(*x);
-            let fx = stencil(order, t.x() * m as f64, &mut wx);
-            let fy = stencil(order, t.y() * m as f64, &mut wy);
-            let fz = stencil(order, t.z() * m as f64, &mut wz);
+            let fx = stencil(order, t.x() * m as f64, wx);
+            let fy = stencil(order, t.y() * m as f64, wy);
+            let fz = stencil(order, t.z() * m as f64, wz);
             for (a, &wxa) in wx.iter().enumerate() {
                 let gi = (fx + a as i64).rem_euclid(m as i64) as usize;
                 for (b, &wyb) in wy.iter().enumerate() {
@@ -329,12 +409,7 @@ impl FarFieldPlan {
                     let part = q * wxa * wyb;
                     for (c, &wzc) in wz.iter().enumerate() {
                         let gk = (fz + c as i64).rem_euclid(m as i64) as usize;
-                        let (ox, oy, oz) = (maps[0][gi], maps[1][gj], maps[2][gk]);
-                        assert!(
-                            ox != u32::MAX && oy != u32::MAX && oz != u32::MAX,
-                            "mesh point ({gi},{gj},{gk}) outside the assignment window"
-                        );
-                        let o = (ox as usize * ey + oy as usize) * ez + oz as usize;
+                        let o = window.offset([gi, gj, gk], "assignment");
                         sums[o] += part * wzc;
                         seen[o] = true;
                     }
@@ -342,98 +417,98 @@ impl FarFieldPlan {
             }
         }
         comm.compute(Work::MeshPoint, (pos.len() * order * order * order) as f64);
-        let mut o = 0;
-        for &i in &axis[0] {
-            for &j in &axis[1] {
-                for &k in &axis[2] {
-                    if seen[o] {
-                        emit(self.pack(i, j, k), sums[o]);
-                    }
-                    o += 1;
+        let mut send = Vec::with_capacity(seen.iter().filter(|&&s| s).count());
+        segments.clear();
+        for &(dst, ox, oy) in charge_routes.iter() {
+            let (i, j) = (window.axis[0][ox as usize], window.axis[1][oy as usize]);
+            let column = (ox as usize * ey + oy as usize) * ez;
+            let before = send.len();
+            for (oz, &k) in window.axis[2].iter().enumerate() {
+                if seen[column + oz] {
+                    send.push((self.pack(i, j, k), sums[column + oz]));
                 }
             }
+            push_segment(segments, dst, send.len() - before);
         }
-    }
-
-    /// Visit the ranks whose interpolation patch contains the mesh point with
-    /// packed index `idx`.
-    fn for_each_needer(&self, idx: u64, mut visit: impl FnMut(usize)) {
-        let (i, j, k) = self.unpack(idx);
-        for &cx in &self.needers[0][i] {
-            for &cy in &self.needers[1][j] {
-                for &cz in &self.needers[2][k] {
-                    visit(self.grid_rank([cx, cy, cz]));
-                }
-            }
-        }
+        drop((sums, seen));
+        let mut received = Vec::new();
+        comm.alltoallv_flat(send, segments, &mut received, sources);
+        received
     }
 
     /// Distribute computed mesh values (phi, Ex, Ey, Ez per point) to the
     /// interpolation patches of the particle-grid owners, then interpolate
     /// potentials/fields at the local particles and apply the self-energy
-    /// correction.
+    /// correction. This rank holds the values of the mesh box `owned`
+    /// (`[lo, hi)` per dimension), which `value` reads.
     fn distribute_and_interpolate(
         &self,
         comm: &mut Comm,
-        owned_points: Vec<(u64, [f64; 4])>,
+        cache: &mut FarFieldCache,
+        owned: [(usize, usize); 3],
+        value: impl Fn(&[Vec<Complex>; 4], [usize; 3]) -> [f64; 4],
         pos: &[Vec3],
         charge: &[f64],
-    ) -> (Vec<f64>, Vec<Vec3>) {
+    ) {
         let m = self.mesh;
         let order = self.assign_order;
-        let p = comm.size();
-        // Size every send list before filling it.
-        let mut counts = vec![0usize; p];
-        for &(idx, _) in &owned_points {
-            self.for_each_needer(idx, |dst| counts[dst] += 1);
-        }
-        let mut sends = sized_send_lists(&counts);
-        for (idx, rec) in owned_points {
-            self.for_each_needer(idx, |dst| sends[dst].1.push((idx, rec)));
-        }
-        let received = comm.alltoallv(sends);
-
-        // Dense interpolation patch over this rank's wrapped mesh window.
-        let (axis, maps) = self.window(comm.rank());
-        let ext = [axis[0].len(), axis[1].len(), axis[2].len()];
-        let mut patch = vec![[0.0f64; 4]; ext[0] * ext[1] * ext[2]];
-        let mut filled = vec![false; patch.len()];
-        for (_src, buf) in received {
-            for (idx, v) in buf {
-                let (i, j, k) = self.unpack(idx);
-                let (ox, oy, oz) = (maps[0][i], maps[1][j], maps[2][k]);
-                assert!(
-                    ox != u32::MAX && oy != u32::MAX && oz != u32::MAX,
-                    "mesh point ({i},{j},{k}) outside the interpolation window"
-                );
-                let o = (ox as usize * ext[1] + oy as usize) * ext[2] + oz as usize;
-                patch[o] = v;
-                filled[o] = true;
+        let FarFieldCache { window, quad, weights, phi, field, segments, sources, .. } = cache;
+        // Per dimension and destination coordinate: the owned indices its
+        // patch holds, ascending.
+        let held = |d: usize, c: usize| {
+            let (lo, hi) = owned[d];
+            self.patches[d][c].iter().copied().filter(move |&i| lo <= i && i < hi)
+        };
+        let holders = |d: usize| (0..self.dims[d]).filter(move |&c| held(d, c).next().is_some());
+        let total: usize =
+            (0..3).map(|d| holders(d).map(|c| held(d, c).count()).sum::<usize>()).product();
+        let mut send = Vec::with_capacity(total);
+        segments.clear();
+        for cx in holders(0) {
+            for cy in holders(1) {
+                for cz in holders(2) {
+                    let points = held(0, cx).flat_map(|i| {
+                        held(1, cy).flat_map(move |j| held(2, cz).map(move |k| [i, j, k]))
+                    });
+                    let records =
+                        points.map(|at| (self.pack(at[0], at[1], at[2]), value(quad, at)));
+                    pack(&mut send, segments, self.grid_rank([cx, cy, cz]), records);
+                }
             }
         }
+        let mut received = Vec::new();
+        comm.alltoallv_flat(send, segments, &mut received, sources);
 
-        let mut phi = vec![0.0; pos.len()];
-        let mut field = vec![Vec3::ZERO; pos.len()];
-        let mut wx = vec![0.0; order];
-        let mut wy = vec![0.0; order];
-        let mut wz = vec![0.0; order];
+        // Dense interpolation patch over this rank's wrapped mesh window.
+        let [ex, ey, ez] = window.extents();
+        let mut patch = vec![[0.0f64; 4]; ex * ey * ez];
+        let mut filled = vec![false; patch.len()];
+        for (idx, v) in received {
+            let o = window.offset(self.unpack(idx), "interpolation");
+            patch[o] = v;
+            filled[o] = true;
+        }
+
+        zeroed(phi, pos.len(), 0.0);
+        zeroed(field, pos.len(), Vec3::ZERO);
+        let [wx, wy, wz] = weights;
         for (pi, x) in pos.iter().enumerate() {
             let t = self.bbox.normalized(*x);
-            let fx = stencil(order, t.x() * m as f64, &mut wx);
-            let fy = stencil(order, t.y() * m as f64, &mut wy);
-            let fz = stencil(order, t.z() * m as f64, &mut wz);
+            let fx = stencil(order, t.x() * m as f64, wx);
+            let fy = stencil(order, t.y() * m as f64, wy);
+            let fz = stencil(order, t.z() * m as f64, wz);
             for (a, &wxa) in wx.iter().enumerate() {
                 let gi = (fx + a as i64).rem_euclid(m as i64) as usize;
-                let ox = maps[0][gi] as usize;
+                let ox = window.maps[0][gi] as usize;
                 for (b, &wyb) in wy.iter().enumerate() {
                     let gj = (fy + b as i64).rem_euclid(m as i64) as usize;
-                    let oy = maps[1][gj] as usize;
+                    let oy = window.maps[1][gj] as usize;
                     let wab = wxa * wyb;
                     for (c, &wzc) in wz.iter().enumerate() {
                         let gk = (fz + c as i64).rem_euclid(m as i64) as usize;
-                        let oz = maps[2][gk] as usize;
+                        let oz = window.maps[2][gk] as usize;
                         let w = wab * wzc;
-                        let o = (ox * ext[1] + oy) * ext[2] + oz;
+                        let o = (ox * ey + oy) * ez + oz;
                         if o >= filled.len() || !filled[o] {
                             panic!("mesh point ({gi},{gj},{gk}) missing from patch");
                         }
@@ -451,7 +526,26 @@ impl FarFieldPlan {
             phi[pi] -= self_term * q;
         }
         comm.compute(Work::ParticleOp, pos.len() as f64);
-        (phi, field)
+    }
+
+    /// Multiply the transformed mesh `hat` by the influence function into the
+    /// four spectra: phi-hat and the ik-differentiated field-hat.
+    fn apply_influence(spec: &[(f64, Vec3)], hat: &[Complex], quad: &mut [Vec<Complex>; 4]) {
+        for arr in quad.iter_mut() {
+            zeroed(arr, hat.len(), Complex::ZERO);
+        }
+        for (o, &(g, k)) in spec.iter().enumerate() {
+            if g == 0.0 {
+                continue;
+            }
+            let ph = hat[o].scale(g);
+            quad[0][o] = ph;
+            // E-hat = -i k phi-hat: (-i)(a + bi) = b - ai.
+            let mik_ph = Complex::new(ph.im, -ph.re);
+            quad[1][o] = mik_ph.scale(k.x());
+            quad[2][o] = mik_ph.scale(k.y());
+            quad[3][o] = mik_ph.scale(k.z());
+        }
     }
 
     /// Slab-decomposed execution (1D decomposition along x).
@@ -460,71 +554,63 @@ impl FarFieldPlan {
         comm: &mut Comm,
         pos: &[Vec3],
         charge: &[f64],
-        cache: &mut Option<FarFieldCache>,
-    ) -> (Vec<f64>, Vec<Vec3>) {
+        cache: &mut FarFieldCache,
+    ) {
         let p = comm.size();
         let me = comm.rank();
         let m = self.mesh;
+        // x-slab of this rank — and, after the transpose, its y-slab.
+        let (s0, s1) = part_range(me, m, p);
+        let sn = s1 - s0;
         // ---- Route contributions to x-slab owners and densify ----
-        // x-plane → owning rank, tabulated once.
-        let plane_owner: Vec<usize> = (0..m).map(|i| self.slab_owner(i, p)).collect();
-        let mut by_owner = send_lists::<(u64, f64)>(p);
-        self.assign_charges(comm, pos, charge, |idx, val| {
-            let (i, _, _) = self.unpack(idx);
-            by_owner[plane_owner[i]].1.push((idx, val));
-        });
-        let received = comm.alltoallv(by_owner);
-        let (sx0, sx1) = self.slab_range(me, p);
-        let sx = sx1 - sx0;
-        // Slab layout: data[(x - sx0) * m * m + y * m + z].
-        let mut slab = vec![Complex::ZERO; sx * m * m];
-        for (_src, buf) in received {
-            for (idx, val) in buf {
-                let (i, j, k) = self.unpack(idx);
-                debug_assert!((sx0..sx1).contains(&i));
-                slab[((i - sx0) * m + j) * m + k].re += val;
-            }
+        let charges =
+            self.assign_and_route_charges(comm, pos, charge, cache, |i, _| part_owner(i, m, p));
+        let FarFieldCache { spec, grids: [slab, yslab, _], quad, line, segments, sources, .. } =
+            cache;
+        // Slab layout: data[(x - s0) * m * m + y * m + z].
+        zeroed(slab, sn * m * m, Complex::ZERO);
+        for (idx, val) in charges {
+            let [i, j, k] = self.unpack(idx);
+            debug_assert!((s0..s1).contains(&i));
+            slab[((i - s0) * m + j) * m + k].re += val;
         }
-        comm.compute(Work::MeshPoint, (sx * m * m) as f64);
+        comm.compute(Work::MeshPoint, (sn * m * m) as f64);
 
         // ---- Forward 2D FFT (y, z) per x-plane ----
         let mut fft_ops = 0u64;
         for plane in slab.chunks_exact_mut(m * m) {
-            fft_ops += fft_2d(plane, m, Direction::Forward);
+            fft_ops += fft_2d(plane, m, Direction::Forward, line);
         }
 
         // ---- Transpose to y-slabs ----
-        let (sy0, sy1) = self.slab_range(me, p);
-        let sy = sy1 - sy0;
-        let mut sends = send_lists::<(u64, [f64; 2])>(p);
-        for xi in 0..sx {
-            for y in 0..m {
-                let dst = self.slab_owner(y, p);
-                let row = &mut sends[dst].1;
-                for z in 0..m {
-                    let c = slab[(xi * m + y) * m + z];
-                    row.push((self.pack(sx0 + xi, y, z), [c.re, c.im]));
-                }
-            }
+        let mut send = Vec::with_capacity(sn * m * m);
+        segments.clear();
+        for (dst, y0, y1) in nonempty_parts(m, p) {
+            let points =
+                (0..sn).flat_map(|xi| (y0..y1).flat_map(move |y| (0..m).map(move |z| (xi, y, z))));
+            let records = points.map(|(xi, y, z)| {
+                let c = slab[(xi * m + y) * m + z];
+                (self.pack(s0 + xi, y, z), [c.re, c.im])
+            });
+            pack(&mut send, segments, dst, records);
         }
-        let received = comm.alltoallv(sends);
-        // y-slab layout: data[(y - sy0) * m * m + x * m + z].
-        let mut yslab = vec![Complex::ZERO; sy * m * m];
-        for (_src, buf) in received {
-            for (idx, [re, im]) in buf {
-                let (x, y, z) = self.unpack(idx);
-                debug_assert!((sy0..sy1).contains(&y));
-                yslab[((y - sy0) * m + x) * m + z] = Complex::new(re, im);
-            }
+        let mut received = Vec::new();
+        comm.alltoallv_flat(send, segments, &mut received, sources);
+        // y-slab layout: data[(y - s0) * m * m + x * m + z].
+        zeroed(yslab, sn * m * m, Complex::ZERO);
+        for (idx, [re, im]) in received {
+            let [x, y, z] = self.unpack(idx);
+            debug_assert!((s0..s1).contains(&y));
+            yslab[((y - s0) * m + x) * m + z] = Complex::new(re, im);
         }
         // ---- FFT along x (strided within the y-slab) ----
-        fft_ops += fft_axis_x(&mut yslab, sy, m, Direction::Forward);
+        fft_ops += fft_axis_x(yslab, sn, m, Direction::Forward, line);
 
         // ---- Influence function; produce phi-hat and ik-field-hat ----
-        let spec = self.spectral_table(cache, me, p, || {
-            let mut spec = Vec::with_capacity(sy * m * m);
-            for yi in 0..sy {
-                let myf = self.freq(sy0 + yi);
+        if spec.len() != sn * m * m {
+            spec.clear();
+            for yi in 0..sn {
+                let myf = self.freq(s0 + yi);
                 for x in 0..m {
                     let mxf = self.freq(x);
                     for z in 0..m {
@@ -533,92 +619,48 @@ impl FarFieldPlan {
                     }
                 }
             }
-            spec
-        });
-        let mut phi_hat = vec![Complex::ZERO; sy * m * m];
-        let mut ex_hat = vec![Complex::ZERO; sy * m * m];
-        let mut ey_hat = vec![Complex::ZERO; sy * m * m];
-        let mut ez_hat = vec![Complex::ZERO; sy * m * m];
-        for (o, &(g, k)) in spec.iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            let ph = yslab[o].scale(g);
-            phi_hat[o] = ph;
-            // E-hat = -i k phi-hat: (-i)(a + bi) = b - ai.
-            let mik_ph = Complex::new(ph.im, -ph.re);
-            ex_hat[o] = mik_ph.scale(k.x());
-            ey_hat[o] = mik_ph.scale(k.y());
-            ez_hat[o] = mik_ph.scale(k.z());
         }
-        comm.compute(Work::MeshPoint, (sy * m * m) as f64 * 4.0);
+        Self::apply_influence(spec, yslab, quad);
+        comm.compute(Work::MeshPoint, (sn * m * m) as f64 * 4.0);
 
         // ---- Inverse FFT along x for the four spectra ----
-        for arr in [&mut phi_hat, &mut ex_hat, &mut ey_hat, &mut ez_hat] {
-            fft_ops += fft_axis_x(arr, sy, m, Direction::Inverse);
+        for arr in quad.iter_mut() {
+            fft_ops += fft_axis_x(arr, sn, m, Direction::Inverse, line);
         }
 
         // ---- Transpose back to x-slabs (four values per point) ----
-        let mut sends = send_lists::<(u64, [f64; 8])>(p);
-        for yi in 0..sy {
-            for x in 0..m {
-                let dst = self.slab_owner(x, p);
-                let row = &mut sends[dst].1;
-                for z in 0..m {
-                    let o = (yi * m + x) * m + z;
-                    row.push((
-                        self.pack(x, sy0 + yi, z),
-                        [
-                            phi_hat[o].re,
-                            phi_hat[o].im,
-                            ex_hat[o].re,
-                            ex_hat[o].im,
-                            ey_hat[o].re,
-                            ey_hat[o].im,
-                            ez_hat[o].re,
-                            ez_hat[o].im,
-                        ],
-                    ));
-                }
-            }
+        let mut send = Vec::with_capacity(sn * m * m);
+        segments.clear();
+        for (dst, x0, x1) in nonempty_parts(m, p) {
+            let points =
+                (0..sn).flat_map(|yi| (x0..x1).flat_map(move |x| (0..m).map(move |z| (yi, x, z))));
+            let records = points
+                .map(|(yi, x, z)| (self.pack(x, s0 + yi, z), octet(quad, (yi * m + x) * m + z)));
+            pack(&mut send, segments, dst, records);
         }
-        let received = comm.alltoallv(sends);
-        let mut xphi = vec![Complex::ZERO; sx * m * m];
-        let mut xex = vec![Complex::ZERO; sx * m * m];
-        let mut xey = vec![Complex::ZERO; sx * m * m];
-        let mut xez = vec![Complex::ZERO; sx * m * m];
-        for (_src, buf) in received {
-            for (idx, v) in buf {
-                let (x, y, z) = self.unpack(idx);
-                let o = ((x - sx0) * m + y) * m + z;
-                xphi[o] = Complex::new(v[0], v[1]);
-                xex[o] = Complex::new(v[2], v[3]);
-                xey[o] = Complex::new(v[4], v[5]);
-                xez[o] = Complex::new(v[6], v[7]);
-            }
+        let mut received = Vec::new();
+        comm.alltoallv_flat(send, segments, &mut received, sources);
+        for arr in quad.iter_mut() {
+            zeroed(arr, sn * m * m, Complex::ZERO);
+        }
+        for (idx, v) in received {
+            let [x, y, z] = self.unpack(idx);
+            set_octet(quad, ((x - s0) * m + y) * m + z, &v);
         }
         // ---- Inverse 2D FFT (y, z) per x-plane ----
-        for arr in [&mut xphi, &mut xex, &mut xey, &mut xez] {
+        for arr in quad.iter_mut() {
             for plane in arr.chunks_exact_mut(m * m) {
-                fft_ops += fft_2d(plane, m, Direction::Inverse);
+                fft_ops += fft_2d(plane, m, Direction::Inverse, line);
             }
         }
         comm.compute(Work::FftPoint, fft_ops as f64);
 
         // ---- Patch distribution + interpolation ----
-        let mut owned_points = Vec::with_capacity(sx * m * m);
-        for xi in 0..sx {
-            for j in 0..m {
-                for k in 0..m {
-                    let o = (xi * m + j) * m + k;
-                    owned_points.push((
-                        self.pack(sx0 + xi, j, k),
-                        [xphi[o].re, xex[o].re, xey[o].re, xez[o].re],
-                    ));
-                }
-            }
-        }
-        self.distribute_and_interpolate(comm, owned_points, pos, charge)
+        let value = move |quad: &[Vec<Complex>; 4], [i, j, k]: [usize; 3]| {
+            let o = ((i - s0) * m + j) * m + k;
+            [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
+        };
+        self.distribute_and_interpolate(comm, cache, [(s0, s1), (0, m), (0, m)], value, pos, charge)
     }
 
     /// Pencil-decomposed execution (2D decomposition): the `P` ranks form a
@@ -629,47 +671,30 @@ impl FarFieldPlan {
         comm: &mut Comm,
         pos: &[Vec3],
         charge: &[f64],
-        cache: &mut Option<FarFieldCache>,
-    ) -> (Vec<f64>, Vec<Vec3>) {
+        cache: &mut FarFieldCache,
+    ) {
         let p = comm.size();
         let me = comm.rank();
         let m = self.mesh;
         let grid = simcomm::balanced_dims(p, 2);
         let (p1, p2) = (grid[0], grid[1]);
         let (a_me, b_me) = (me / p2, me % p2);
-        // Floor ranges of the mesh over p1 / p2 along a given axis.
-        let range =
-            |c: usize, parts: usize| -> (usize, usize) { (c * m / parts, (c + 1) * m / parts) };
-        let owner = |i: usize, parts: usize| -> usize {
-            let mut c = (i * parts) / m;
-            while range(c, parts).1 <= i {
-                c += 1;
-            }
-            while range(c, parts).0 > i {
-                c -= 1;
-            }
-            c
-        };
         let rank_of = |a: usize, b: usize| a * p2 + b;
 
         // ---- Stage A: z-pencils (x in XA[a], y in YB[b], full z) ----
-        let (ax0, ax1) = range(a_me, p1);
-        let (ay0, ay1) = range(b_me, p2);
+        let (ax0, ax1) = part_range(a_me, m, p1);
+        let (ay0, ay1) = part_range(b_me, m, p2);
         let (anx, any) = (ax1 - ax0, ay1 - ay0);
-        let mut by_owner = send_lists::<(u64, f64)>(p);
-        self.assign_charges(comm, pos, charge, |idx, val| {
-            let (i, j, _) = self.unpack(idx);
-            by_owner[rank_of(owner(i, p1), owner(j, p2))].1.push((idx, val));
+        let charges = self.assign_and_route_charges(comm, pos, charge, cache, |i, j| {
+            rank_of(part_owner(i, m, p1), part_owner(j, m, p2))
         });
-        let received = comm.alltoallv(by_owner);
+        let FarFieldCache { spec, grids: [zp, yp, xp], quad, segments, sources, .. } = cache;
         // Layout: zp[((xi * any) + yj) * m + z], z contiguous.
-        let mut zp = vec![Complex::ZERO; anx * any * m];
-        for (_src, buf) in received {
-            for (idx, val) in buf {
-                let (i, j, k) = self.unpack(idx);
-                debug_assert!((ax0..ax1).contains(&i) && (ay0..ay1).contains(&j));
-                zp[((i - ax0) * any + (j - ay0)) * m + k].re += val;
-            }
+        zeroed(zp, anx * any * m, Complex::ZERO);
+        for (idx, val) in charges {
+            let [i, j, k] = self.unpack(idx);
+            debug_assert!((ax0..ax1).contains(&i) && (ay0..ay1).contains(&j));
+            zp[((i - ax0) * any + (j - ay0)) * m + k].re += val;
         }
         comm.compute(Work::MeshPoint, (anx * any * m) as f64);
 
@@ -681,27 +706,27 @@ impl FarFieldPlan {
 
         // ---- Transpose A -> B: y-pencils (x in XA[a] unchanged, z in ZB[b],
         // full y). Traffic stays within each p1-row. ----
-        let (bz0, bz1) = range(b_me, p2);
+        let (bz0, bz1) = part_range(b_me, m, p2);
         let bnz = bz1 - bz0;
-        let mut sends = send_lists::<(u64, [f64; 2])>(p);
-        for xi in 0..anx {
-            for yj in 0..any {
-                for z in 0..m {
-                    let c = zp[(xi * any + yj) * m + z];
-                    let dst = rank_of(a_me, owner(z, p2));
-                    sends[dst].1.push((self.pack(ax0 + xi, ay0 + yj, z), [c.re, c.im]));
-                }
-            }
+        let mut send = Vec::with_capacity(zp.len());
+        segments.clear();
+        for (b, z0, z1) in nonempty_parts(m, p2) {
+            let points = (0..anx)
+                .flat_map(|xi| (0..any).flat_map(move |yj| (z0..z1).map(move |z| (xi, yj, z))));
+            let records = points.map(|(xi, yj, z)| {
+                let c = zp[(xi * any + yj) * m + z];
+                (self.pack(ax0 + xi, ay0 + yj, z), [c.re, c.im])
+            });
+            pack(&mut send, segments, rank_of(a_me, b), records);
         }
-        let received = comm.alltoallv(sends);
+        let mut received = Vec::new();
+        comm.alltoallv_flat(send, segments, &mut received, sources);
         // Layout: yp[((xi * bnz) + zk) * m + y], y contiguous.
-        let mut yp = vec![Complex::ZERO; anx * bnz * m];
-        for (_src, buf) in received {
-            for (idx, [re, im]) in buf {
-                let (i, j, k) = self.unpack(idx);
-                debug_assert!((ax0..ax1).contains(&i) && (bz0..bz1).contains(&k));
-                yp[((i - ax0) * bnz + (k - bz0)) * m + j] = Complex::new(re, im);
-            }
+        zeroed(yp, anx * bnz * m, Complex::ZERO);
+        for &(idx, [re, im]) in received.iter() {
+            let [i, j, k] = self.unpack(idx);
+            debug_assert!((ax0..ax1).contains(&i) && (bz0..bz1).contains(&k));
+            yp[((i - ax0) * bnz + (k - bz0)) * m + j] = Complex::new(re, im);
         }
 
         // ---- FFT along y ----
@@ -711,27 +736,26 @@ impl FarFieldPlan {
 
         // ---- Transpose B -> C: x-pencils (y in YA[a], z in ZB[b] unchanged,
         // full x). Traffic stays within each p2-column. ----
-        let (cy0, cy1) = range(a_me, p1);
+        let (cy0, cy1) = part_range(a_me, m, p1);
         let cny = cy1 - cy0;
-        let mut sends = send_lists::<(u64, [f64; 2])>(p);
-        for xi in 0..anx {
-            for zk in 0..bnz {
-                for y in 0..m {
-                    let c = yp[(xi * bnz + zk) * m + y];
-                    let dst = rank_of(owner(y, p1), b_me);
-                    sends[dst].1.push((self.pack(ax0 + xi, y, bz0 + zk), [c.re, c.im]));
-                }
-            }
+        let mut send = Vec::with_capacity(yp.len());
+        segments.clear();
+        for (a, y0, y1) in nonempty_parts(m, p1) {
+            let points = (0..anx)
+                .flat_map(|xi| (0..bnz).flat_map(move |zk| (y0..y1).map(move |y| (xi, zk, y))));
+            let records = points.map(|(xi, zk, y)| {
+                let c = yp[(xi * bnz + zk) * m + y];
+                (self.pack(ax0 + xi, y, bz0 + zk), [c.re, c.im])
+            });
+            pack(&mut send, segments, rank_of(a, b_me), records);
         }
-        let received = comm.alltoallv(sends);
+        comm.alltoallv_flat(send, segments, &mut received, sources);
         // Layout: xp[((yj * bnz) + zk) * m + x], x contiguous.
-        let mut xp = vec![Complex::ZERO; cny * bnz * m];
-        for (_src, buf) in received {
-            for (idx, [re, im]) in buf {
-                let (i, j, k) = self.unpack(idx);
-                debug_assert!((cy0..cy1).contains(&j) && (bz0..bz1).contains(&k));
-                xp[((j - cy0) * bnz + (k - bz0)) * m + i] = Complex::new(re, im);
-            }
+        zeroed(xp, cny * bnz * m, Complex::ZERO);
+        for (idx, [re, im]) in received {
+            let [i, j, k] = self.unpack(idx);
+            debug_assert!((cy0..cy1).contains(&j) && (bz0..bz1).contains(&k));
+            xp[((j - cy0) * bnz + (k - bz0)) * m + i] = Complex::new(re, im);
         }
 
         // ---- FFT along x ----
@@ -741,8 +765,8 @@ impl FarFieldPlan {
 
         // ---- Influence function in the x-pencil layout ----
         let n_local = cny * bnz * m;
-        let spec = self.spectral_table(cache, me, p, || {
-            let mut spec = Vec::with_capacity(n_local);
+        if spec.len() != n_local {
+            spec.clear();
             for yj in 0..cny {
                 let myf = self.freq(cy0 + yj);
                 for zk in 0..bnz {
@@ -753,115 +777,67 @@ impl FarFieldPlan {
                     }
                 }
             }
-            spec
-        });
-        let mut phi_hat = vec![Complex::ZERO; n_local];
-        let mut ex_hat = vec![Complex::ZERO; n_local];
-        let mut ey_hat = vec![Complex::ZERO; n_local];
-        let mut ez_hat = vec![Complex::ZERO; n_local];
-        for (o, &(g, k)) in spec.iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            let ph = xp[o].scale(g);
-            phi_hat[o] = ph;
-            let mik_ph = Complex::new(ph.im, -ph.re);
-            ex_hat[o] = mik_ph.scale(k.x());
-            ey_hat[o] = mik_ph.scale(k.y());
-            ez_hat[o] = mik_ph.scale(k.z());
         }
+        Self::apply_influence(spec, xp, quad);
         comm.compute(Work::MeshPoint, n_local as f64 * 4.0);
 
         // ---- Inverse FFT along x for the four spectra ----
-        for arr in [&mut phi_hat, &mut ex_hat, &mut ey_hat, &mut ez_hat] {
+        for arr in quad.iter_mut() {
             for line in arr.chunks_exact_mut(m) {
                 fft_ops += fft_in_place(line, Direction::Inverse);
             }
         }
 
         // ---- Transpose C -> B (four spectra packed) ----
-        let mut sends = send_lists::<(u64, [f64; 8])>(p);
-        for yj in 0..cny {
-            for zk in 0..bnz {
-                for x in 0..m {
-                    let o = (yj * bnz + zk) * m + x;
-                    let dst = rank_of(owner(x, p1), b_me);
-                    sends[dst].1.push((
-                        self.pack(x, cy0 + yj, bz0 + zk),
-                        [
-                            phi_hat[o].re,
-                            phi_hat[o].im,
-                            ex_hat[o].re,
-                            ex_hat[o].im,
-                            ey_hat[o].re,
-                            ey_hat[o].im,
-                            ez_hat[o].re,
-                            ez_hat[o].im,
-                        ],
-                    ));
-                }
-            }
+        let mut send = Vec::with_capacity(n_local);
+        segments.clear();
+        for (a, x0, x1) in nonempty_parts(m, p1) {
+            let points = (0..cny)
+                .flat_map(|yj| (0..bnz).flat_map(move |zk| (x0..x1).map(move |x| (yj, zk, x))));
+            let records = points.map(|(yj, zk, x)| {
+                (self.pack(x, cy0 + yj, bz0 + zk), octet(quad, (yj * bnz + zk) * m + x))
+            });
+            pack(&mut send, segments, rank_of(a, b_me), records);
         }
-        let received = comm.alltoallv(sends);
-        let nb = anx * bnz * m;
-        let mut bphi = vec![Complex::ZERO; nb];
-        let mut bex = vec![Complex::ZERO; nb];
-        let mut bey = vec![Complex::ZERO; nb];
-        let mut bez = vec![Complex::ZERO; nb];
-        for (_src, buf) in received {
-            for (idx, v) in buf {
-                let (i, j, k) = self.unpack(idx);
-                let o = ((i - ax0) * bnz + (k - bz0)) * m + j;
-                bphi[o] = Complex::new(v[0], v[1]);
-                bex[o] = Complex::new(v[2], v[3]);
-                bey[o] = Complex::new(v[4], v[5]);
-                bez[o] = Complex::new(v[6], v[7]);
-            }
+        let mut received = Vec::new();
+        comm.alltoallv_flat(send, segments, &mut received, sources);
+        for arr in quad.iter_mut() {
+            zeroed(arr, anx * bnz * m, Complex::ZERO);
+        }
+        for (idx, v) in received.iter() {
+            let [i, j, k] = self.unpack(*idx);
+            set_octet(quad, ((i - ax0) * bnz + (k - bz0)) * m + j, v);
         }
 
         // ---- Inverse FFT along y ----
-        for arr in [&mut bphi, &mut bex, &mut bey, &mut bez] {
+        for arr in quad.iter_mut() {
             for line in arr.chunks_exact_mut(m) {
                 fft_ops += fft_in_place(line, Direction::Inverse);
             }
         }
 
         // ---- Transpose B -> A ----
-        let mut sends = send_lists::<(u64, [f64; 8])>(p);
-        for xi in 0..anx {
-            for zk in 0..bnz {
-                for y in 0..m {
-                    let o = (xi * bnz + zk) * m + y;
-                    let dst = rank_of(a_me, owner(y, p2));
-                    sends[dst].1.push((
-                        self.pack(ax0 + xi, y, bz0 + zk),
-                        [
-                            bphi[o].re, bphi[o].im, bex[o].re, bex[o].im, bey[o].re, bey[o].im,
-                            bez[o].re, bez[o].im,
-                        ],
-                    ));
-                }
-            }
+        let mut send = Vec::with_capacity(anx * bnz * m);
+        segments.clear();
+        for (b, y0, y1) in nonempty_parts(m, p2) {
+            let points = (0..anx)
+                .flat_map(|xi| (0..bnz).flat_map(move |zk| (y0..y1).map(move |y| (xi, zk, y))));
+            let records = points.map(|(xi, zk, y)| {
+                (self.pack(ax0 + xi, y, bz0 + zk), octet(quad, (xi * bnz + zk) * m + y))
+            });
+            pack(&mut send, segments, rank_of(a_me, b), records);
         }
-        let received = comm.alltoallv(sends);
-        let na = anx * any * m;
-        let mut aphi = vec![Complex::ZERO; na];
-        let mut aex = vec![Complex::ZERO; na];
-        let mut aey = vec![Complex::ZERO; na];
-        let mut aez = vec![Complex::ZERO; na];
-        for (_src, buf) in received {
-            for (idx, v) in buf {
-                let (i, j, k) = self.unpack(idx);
-                let o = ((i - ax0) * any + (j - ay0)) * m + k;
-                aphi[o] = Complex::new(v[0], v[1]);
-                aex[o] = Complex::new(v[2], v[3]);
-                aey[o] = Complex::new(v[4], v[5]);
-                aez[o] = Complex::new(v[6], v[7]);
-            }
+        comm.alltoallv_flat(send, segments, &mut received, sources);
+        for arr in quad.iter_mut() {
+            zeroed(arr, anx * any * m, Complex::ZERO);
+        }
+        for (idx, v) in received {
+            let [i, j, k] = self.unpack(idx);
+            set_octet(quad, ((i - ax0) * any + (j - ay0)) * m + k, &v);
         }
 
         // ---- Inverse FFT along z ----
-        for arr in [&mut aphi, &mut aex, &mut aey, &mut aez] {
+        for arr in quad.iter_mut() {
             for line in arr.chunks_exact_mut(m) {
                 fft_ops += fft_in_place(line, Direction::Inverse);
             }
@@ -869,49 +845,30 @@ impl FarFieldPlan {
         comm.compute(Work::FftPoint, fft_ops as f64);
 
         // ---- Patch distribution + interpolation ----
-        let mut owned_points = Vec::with_capacity(na);
-        for xi in 0..anx {
-            for yj in 0..any {
-                for z in 0..m {
-                    let o = (xi * any + yj) * m + z;
-                    owned_points.push((
-                        self.pack(ax0 + xi, ay0 + yj, z),
-                        [aphi[o].re, aex[o].re, aey[o].re, aez[o].re],
-                    ));
-                }
-            }
-        }
-        self.distribute_and_interpolate(comm, owned_points, pos, charge)
+        let value = move |quad: &[Vec<Complex>; 4], [i, j, k]: [usize; 3]| {
+            let o = ((i - ax0) * any + (j - ay0)) * m + k;
+            [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
+        };
+        let owned = [(ax0, ax1), (ay0, ay1), (0, m)];
+        self.distribute_and_interpolate(comm, cache, owned, value, pos, charge)
     }
 }
 
-/// Destination-indexed send lists for [`Comm::alltoallv`], one per rank and
-/// initially empty; the collective skips the ones left empty, so payload
-/// order never depends on a hasher.
-fn send_lists<T>(p: usize) -> Vec<(usize, Vec<T>)> {
-    (0..p).map(|dst| (dst, Vec::new())).collect()
-}
-
-/// [`send_lists`] with room for `counts[dst]` elements in list `dst`.
-fn sized_send_lists<T>(counts: &[usize]) -> Vec<(usize, Vec<T>)> {
-    counts.iter().enumerate().map(|(dst, &n)| (dst, Vec::with_capacity(n))).collect()
-}
-
-/// 2D FFT of an `m x m` plane stored row-major (rows along the second index).
-fn fft_2d(plane: &mut [Complex], m: usize, dir: Direction) -> u64 {
+/// 2D FFT of an `m x m` plane stored row-major (rows along the second index);
+/// `col` is an `m`-long scratch line.
+fn fft_2d(plane: &mut [Complex], m: usize, dir: Direction, col: &mut [Complex]) -> u64 {
     debug_assert_eq!(plane.len(), m * m);
     let mut ops = 0;
     // Rows (contiguous).
     for row in plane.chunks_exact_mut(m) {
         ops += fft_in_place(row, dir);
     }
-    // Columns (strided): gather/scatter through a temp buffer.
-    let mut col = vec![Complex::ZERO; m];
+    // Columns (strided): gather/scatter through the scratch line.
     for c in 0..m {
         for r in 0..m {
             col[r] = plane[r * m + c];
         }
-        ops += fft_in_place(&mut col, dir);
+        ops += fft_in_place(col, dir);
         for r in 0..m {
             plane[r * m + c] = col[r];
         }
@@ -920,16 +877,21 @@ fn fft_2d(plane: &mut [Complex], m: usize, dir: Direction) -> u64 {
 }
 
 /// FFT along the x axis of a y-slab array laid out as
-/// `data[(y_local * m + x) * m + z]`.
-fn fft_axis_x(data: &mut [Complex], sy: usize, m: usize, dir: Direction) -> u64 {
+/// `data[(y_local * m + x) * m + z]`; `line` is an `m`-long scratch line.
+fn fft_axis_x(
+    data: &mut [Complex],
+    sy: usize,
+    m: usize,
+    dir: Direction,
+    line: &mut [Complex],
+) -> u64 {
     let mut ops = 0;
-    let mut line = vec![Complex::ZERO; m];
     for yi in 0..sy {
         for z in 0..m {
             for x in 0..m {
                 line[x] = data[(yi * m + x) * m + z];
             }
-            ops += fft_in_place(&mut line, dir);
+            ops += fft_in_place(line, dir);
             for x in 0..m {
                 data[(yi * m + x) * m + z] = line[x];
             }
@@ -946,38 +908,45 @@ mod tests {
     use simcomm::{run, MachineModel};
 
     #[test]
-    fn dim_ranges_partition_mesh() {
-        let plan =
-            FarFieldPlan::new(32, 3, 1.0, [3, 2, 5], SystemBox::cubic(8.0), MeshDecomp::default());
-        for d in 0..3 {
-            let mut covered = 0;
-            for c in 0..plan.dims[d] {
-                let (lo, hi) = plan.dim_range(d, c);
-                assert_eq!(lo, covered);
-                covered = hi;
-                for i in lo..hi {
-                    assert_eq!(plan.dim_owner(d, i), c);
+    fn floor_ranges_partition_the_mesh() {
+        // Process-grid extents, slab counts below and above the mesh, pencil
+        // grid extents: every index has exactly one owner, found directly,
+        // and the non-empty parts are listed in order without visiting the
+        // empty ones.
+        for m in [8usize, 16, 32] {
+            for parts in [1usize, 2, 3, 5, 16, 40, 130] {
+                let mut covered = 0;
+                let mut listed = nonempty_parts(m, parts);
+                for c in 0..parts {
+                    let (lo, hi) = part_range(c, m, parts);
+                    assert_eq!(lo, covered, "m={m} parts={parts}");
+                    covered = hi;
+                    for i in lo..hi {
+                        assert_eq!(part_owner(i, m, parts), c, "m={m} parts={parts}");
+                    }
+                    if lo < hi {
+                        assert_eq!(listed.next(), Some((c, lo, hi)));
+                    }
                 }
+                assert_eq!(covered, m);
+                assert_eq!(listed.next(), None);
             }
-            assert_eq!(covered, 32);
         }
     }
 
     #[test]
-    fn slab_ranges_partition_mesh() {
+    fn patches_are_the_windows_sorted() {
         let plan =
-            FarFieldPlan::new(16, 2, 1.0, [1, 1, 1], SystemBox::cubic(4.0), MeshDecomp::default());
-        for p in [1usize, 3, 16, 40] {
-            let mut covered = 0;
-            for r in 0..p {
-                let (lo, hi) = plan.slab_range(r, p);
-                assert_eq!(lo, covered);
-                covered = hi;
-                for x in lo..hi {
-                    assert_eq!(plan.slab_owner(x, p), r);
-                }
+            FarFieldPlan::new(16, 3, 1.0, [3, 2, 5], SystemBox::cubic(8.0), MeshDecomp::default());
+        for me in 0..30 {
+            let mut window = Window::default();
+            plan.build_window(me, &mut window);
+            let c = [me / 10, me / 5 % 2, me % 5];
+            for (d, &coordinate) in c.iter().enumerate() {
+                let mut axis = window.axis[d].clone();
+                axis.sort_unstable();
+                assert_eq!(axis, plan.patches[d][coordinate], "rank {me} dimension {d}");
             }
-            assert_eq!(covered, 16, "p={p}");
         }
     }
 
@@ -1039,6 +1008,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn one_cache_serves_plans_of_another_mesh_and_decomposition() {
+        // A cache that has served one plan is rebuilt, not reused, for a plan
+        // of another geometry: every execution returns the bits a fresh cache
+        // gives.
+        let c = IonicCrystal::cubic(4, 1.0, 0.17, 3);
+        let bbox = c.system_box();
+        let dims = [2, 2, 1];
+        run(4, MachineModel::ideal(), |comm| {
+            let me = comm.rank();
+            let owned = (0..c.n() as u64)
+                .map(|i| c.particle(i))
+                .filter(|(x, _)| particles::grid_rank_of(dims, &bbox, *x) == me);
+            let (pos, charge): (Vec<Vec3>, Vec<f64>) = owned.unzip();
+            let mut cache = FarFieldCache::default();
+            for (mesh, decomp, n) in [
+                (8, MeshDecomp::Slab, pos.len()),
+                (16, MeshDecomp::Slab, pos.len() / 2),
+                (16, MeshDecomp::Pencil, pos.len()),
+                (8, MeshDecomp::Slab, 0),
+                (8, MeshDecomp::Slab, pos.len()),
+            ] {
+                let plan = FarFieldPlan::new(mesh, 3, 6.0 / bbox.lengths.x(), dims, bbox, decomp);
+                let got = plan.execute_cached(comm, &pos[..n], &charge[..n], &mut cache);
+                let want = plan.execute(comm, &pos[..n], &charge[..n]);
+                let bits = |(phi, field): &(Vec<f64>, Vec<Vec3>)| {
+                    let phi: Vec<u64> = phi.iter().map(|x| x.to_bits()).collect();
+                    (phi, format!("{field:?}"))
+                };
+                assert_eq!(bits(&got), bits(&want), "mesh {mesh} {decomp:?} n {n} rank {me}");
+            }
+        });
     }
 
     #[test]

@@ -34,13 +34,32 @@ pub fn near_field(
     ghost_pos: &[Vec3],
     ghost_charge: &[f64],
 ) -> (Vec<f64>, Vec<Vec3>, u64) {
+    let owned = owned_pos.iter().copied().zip(owned_charge.iter().copied());
+    let ghosts = ghost_pos.iter().copied().zip(ghost_charge.iter().copied());
+    let sources = owned.chain(ghosts);
+    near_field_of(bbox, alpha, rcut, soft_core, region, owned_pos.len(), sources)
+}
+
+/// [`near_field`] over `(position, charge)` `sources` — the `n_owned`
+/// receivers first, then the ghosts — however the caller stores them. Its
+/// staging (the cell of every particle, the CSR cell starts and the
+/// structure-of-arrays copies the pair loop reads) is two blocks, whatever the
+/// particle and cell counts.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn near_field_of(
+    bbox: &SystemBox,
+    alpha: f64,
+    rcut: f64,
+    soft_core: Option<particles::SoftCore>,
+    region: (Vec3, Vec3),
+    n_owned: usize,
+    sources: impl Iterator<Item = (Vec3, f64)> + Clone,
+) -> (Vec<f64>, Vec<Vec3>, u64) {
     let l = bbox.lengths;
     assert!(
         rcut <= 0.5 * l.x().min(l.y()).min(l.z()) + 1e-12,
         "near-field cutoff must satisfy the minimum-image condition"
     );
-    let n_owned = owned_pos.len();
-    let n_all = n_owned + ghost_pos.len();
     let (lo, hi) = region;
     let center = (lo + hi) * 0.5;
 
@@ -70,24 +89,31 @@ pub fn near_field(
     };
 
     // Counting sort into a CSR layout: cell `c` holds the slots
-    // `cell_start[c]..cell_start[c + 1]` of the structure-of-arrays copies
-    // below. Each cell is filled back to front in ascending particle index,
-    // which leaves it in descending index — the contract's in-cell order.
+    // `cell_start[c]..cell_start[c + 1]` of the structure-of-arrays
+    // copies. Each cell is filled back to front in ascending particle
+    // index, which leaves it in descending index — the contract's
+    // in-cell order.
     let total_cells = ncell[0] * ncell[1] * ncell[2];
-    let cells: Vec<usize> = owned_pos.iter().chain(ghost_pos).map(|&p| cell_of(p)).collect();
-    let mut cell_start = vec![0usize; total_cells + 1];
-    for &c in &cells {
+    let n_all = sources.clone().count();
+    let mut columns = vec![0.0; 4 * n_all];
+    let (x, rest) = columns.split_at_mut(n_all);
+    let (y, rest) = rest.split_at_mut(n_all);
+    let (z, q) = rest.split_at_mut(n_all);
+    let mut indices = vec![0usize; 2 * n_all + total_cells + 1];
+    let (cells, rest) = indices.split_at_mut(n_all);
+    let (id, cell_start) = rest.split_at_mut(n_all);
+    for (cell, (p, _)) in cells.iter_mut().zip(sources.clone()) {
+        *cell = cell_of(p);
+    }
+    for &c in cells.iter() {
         cell_start[c] += 1;
     }
     let mut end = 0;
-    for s in &mut cell_start {
+    for s in cell_start.iter_mut() {
         end += *s;
         *s = end;
     }
-    let (mut x, mut y, mut z) = (vec![0.0; n_all], vec![0.0; n_all], vec![0.0; n_all]);
-    let (mut q, mut id) = (vec![0.0; n_all], vec![0usize; n_all]);
-    let sources = owned_pos.iter().zip(owned_charge).chain(ghost_pos.iter().zip(ghost_charge));
-    for (i, ((p, &qi), &c)) in sources.zip(&cells).enumerate() {
+    for (i, ((p, qi), &c)) in sources.zip(cells.iter()).enumerate() {
         cell_start[c] -= 1;
         let s = cell_start[c];
         (x[s], y[s], z[s], q[s], id[s]) = (p.x(), p.y(), p.z(), qi, i);
@@ -97,17 +123,18 @@ pub fn near_field(
     let mut potential = vec![0.0; n_owned];
     let mut field = vec![Vec3::ZERO; n_owned];
     let mut pairs = 0u64;
-    // Every particle of a cell visits the same distinct neighbouring cells
-    // (wrapped dimensions may alias several offsets onto the same cell on
-    // tiny grids), so the sorted, deduplicated list is built once per cell.
-    let mut visits: Vec<usize> = Vec::with_capacity(27);
+    // Every particle of a cell visits the same distinct neighbouring
+    // cells (wrapped dimensions may alias several offsets onto the same
+    // cell on tiny grids), so the sorted, deduplicated list is built once
+    // per cell.
+    let mut visits = [0usize; 27];
     for ci in 0..total_cells {
         let receivers = cell_start[ci]..cell_start[ci + 1];
         if receivers.is_empty() {
             continue;
         }
         let cc = [ci / (ncell[1] * ncell[2]), ci / ncell[2] % ncell[1], ci % ncell[2]];
-        visits.clear();
+        let mut n_visits = 0;
         for dx in -1..=1i64 {
             for dy in -1..=1i64 {
                 'offset: for dz in -1..=1i64 {
@@ -122,12 +149,19 @@ pub fn near_field(
                             c[d] = raw as usize;
                         }
                     }
-                    visits.push((c[0] * ncell[1] + c[1]) * ncell[2] + c[2]);
+                    visits[n_visits] = (c[0] * ncell[1] + c[1]) * ncell[2] + c[2];
+                    n_visits += 1;
                 }
             }
         }
-        visits.sort_unstable();
-        visits.dedup();
+        visits[..n_visits].sort_unstable();
+        let mut distinct = 0;
+        for v in 0..n_visits {
+            if v == 0 || visits[v] != visits[distinct - 1] {
+                visits[distinct] = visits[v];
+                distinct += 1;
+            }
+        }
 
         for s in receivers {
             let i = id[s];
@@ -135,11 +169,11 @@ pub fn near_field(
                 continue;
             }
             let pi = Vec3::new(x[s], y[s], z[s]);
-            // One reciprocal per receiver instead of two divides per pair in the
-            // soft-core branch below.
+            // One reciprocal per receiver instead of two divides per pair
+            // in the soft-core branch below.
             let inv_qi = soft_core.as_ref().map(|core| (core.epsilon / q[s], core.sigma));
             let (mut pot, mut fld) = (0.0, Vec3::ZERO);
-            for &cell in &visits {
+            for &cell in &visits[..distinct] {
                 let span = cell_start[cell]..cell_start[cell + 1];
                 let (xs, ys, zs) = (&x[span.clone()], &y[span.clone()], &z[span.clone()]);
                 for (((&xt, &yt), &zt), &qj) in xs.iter().zip(ys).zip(zs).zip(&q[span]) {

@@ -14,9 +14,7 @@ use particles::{
 use simcomm::{CartGrid, Comm, CommPlan, Work};
 
 use crate::farfield::{FarFieldCache, FarFieldPlan, MeshDecomp};
-use crate::nearfield::near_field;
-
-// TEMP instrumentation
+use crate::nearfield::near_field_of;
 
 /// One particle as transported by the particle-mesh solver. `origin` is the
 /// 64-bit index value of the paper (source rank in the upper 32 bits, source
@@ -142,11 +140,33 @@ struct PlanStatics {
     n_offsets: usize,
 }
 
+/// What a run stages on the way to its output, kept from run to run where
+/// keeping costs no memory to speak of (DESIGN.md, "Workspaces"): one record
+/// or value per owned particle and one count per partner. Nothing here
+/// carries meaning across runs — every field is cleared by the step that
+/// fills it, before the step that reads it.
+#[derive(Default)]
+struct Workspace {
+    /// The input as records, and the rank each goes to.
+    records: Vec<PmParticle>,
+    targets: Vec<usize>,
+    /// Linked-cell keys of the owned particles.
+    keys: Vec<u64>,
+    /// Ghost copies per partner slot.
+    counts: Vec<usize>,
+    /// The owned particles as columns (moved into the output under Method B).
+    pos: Vec<Vec3>,
+    charge: Vec<f64>,
+    /// Method B: origin codes.
+    origin: Vec<u64>,
+}
+
 /// One ghost-plan epoch: the frozen per-particle routing and placement of a
 /// cached ghost plan, valid while the owned particle sequence is unchanged,
 /// every particle is still in its linked cell, and the movement accumulated
 /// since the epoch was built stays under the skin margin the ghost selection
-/// over-approximated with.
+/// over-approximated with. A rebuild refills the lists in place.
+#[derive(Default)]
 struct GhostEpoch {
     /// Owned particle ids in solver (cell-sorted) order at build time.
     ids: Vec<u64>,
@@ -154,7 +174,8 @@ struct GhostEpoch {
     keys: Vec<u64>,
     /// Per partner slot: owned indices (solver order) duplicated there.
     sends: Vec<Vec<u32>>,
-    /// Selection margin headroom beyond the cutoff.
+    /// Selection margin headroom beyond the cutoff; negative when the routes
+    /// hold for this step only.
     skin: f64,
     /// Maximum-movement bounds accumulated since the epoch was built.
     acc_move: f64,
@@ -174,13 +195,12 @@ pub struct PmSolver {
     plan_cache: bool,
     statics: Option<PlanStatics>,
     epoch: Option<GhostEpoch>,
-    /// Cross-timestep spectral tables of the far field (influence function
-    /// and wave vectors per local mesh point); host-side only, bitwise
-    /// invisible to results and virtual clocks.
-    far_cache: Option<FarFieldCache>,
-    /// The far field's geometry and patch routes, fixed per solver (boxed:
-    /// read once per run, and `fcs` keeps solvers of every kind in one enum).
-    far_plan: Box<FarFieldPlan>,
+    ws: Workspace,
+    /// The far field's geometry and patch routes, fixed per solver.
+    far_plan: FarFieldPlan,
+    /// Cross-timestep tables and workspace of the far field; host-side only,
+    /// bitwise invisible to results and virtual clocks.
+    far_cache: FarFieldCache,
     /// Ghost-plan epochs built (including rebuilds) over the solver lifetime.
     pub plan_builds: u64,
     /// Runs that re-executed a cached ghost-plan epoch.
@@ -210,8 +230,7 @@ impl PmSolver {
             rcut = cfg.rcut
         );
         let decomp = if cfg.pencil { MeshDecomp::Pencil } else { MeshDecomp::Slab };
-        let far_plan =
-            Box::new(FarFieldPlan::new(cfg.mesh, cfg.assign_order, cfg.alpha, dims, bbox, decomp));
+        let far_plan = FarFieldPlan::new(cfg.mesh, cfg.assign_order, cfg.alpha, dims, bbox, decomp);
         PmSolver {
             cfg,
             bbox,
@@ -219,8 +238,9 @@ impl PmSolver {
             plan_cache: true,
             statics: None,
             epoch: None,
-            far_cache: None,
+            ws: Workspace::default(),
             far_plan,
+            far_cache: FarFieldCache::default(),
             plan_builds: 0,
             plan_hits: 0,
             guard_fallbacks: 0,
@@ -368,17 +388,17 @@ impl PmSolver {
         let collective = ExchangeMode::Collective;
         // --- Redistribute particles to their subdomain owners ---
         comm.enter_phase("sort");
-        let mut records: Vec<PmParticle> = Vec::with_capacity(n_in);
-        let mut targets: Vec<usize> = Vec::with_capacity(n_in);
-        for i in 0..n_in {
-            records.push(PmParticle {
-                pos: pos[i],
-                charge: charge[i],
-                id: id[i],
-                origin: encode_index(me, i),
-            });
-            targets.push(grid_rank_of(dims, &bbox, pos[i]));
-        }
+        let mut ws = std::mem::take(&mut self.ws);
+        ws.records.clear();
+        ws.records.extend((0..n_in).map(|i| PmParticle {
+            pos: pos[i],
+            charge: charge[i],
+            id: id[i],
+            origin: encode_index(me, i),
+        }));
+        ws.targets.clear();
+        ws.targets.extend(pos.iter().map(|&x| grid_rank_of(dims, &bbox, x)));
+        let (records, targets) = (&ws.records, &ws.targets);
         comm.compute(Work::ParticleOp, n_in as f64);
         self.last_report.redist_sent = targets.iter().filter(|&&t| t != me).count() as u64;
         // Movement-bound guard (fault-injected worlds only): a lying movement
@@ -411,8 +431,8 @@ impl PmSolver {
         }
         let mut owned = alltoall_specific(
             comm,
-            &records,
-            &targets,
+            records,
+            targets,
             if use_neighborhood { &statics.neighborhood_mode } else { &collective },
         );
 
@@ -435,14 +455,16 @@ impl PmSolver {
             }
             key
         };
-        let keys: Vec<u64> = owned.iter().map(|r| cell_key(r.pos)).collect();
+        ws.keys.clear();
+        ws.keys.extend(owned.iter().map(|r| cell_key(r.pos)));
+        let keys = &ws.keys;
         comm.compute(Work::ParticleOp, owned.len() as f64);
         let plan_cache = self.plan_cache;
         let epoch_hit = match (&mut self.epoch, movement) {
             (Some(ep), Some(m)) if plan_cache => {
                 let valid = ep.acc_move + m <= ep.skin
                     && ep.ids.len() == owned.len()
-                    && ep.keys == keys
+                    && ep.keys == *keys
                     && ep.ids.iter().zip(&owned).all(|(&eid, r)| eid == r.id);
                 if valid {
                     ep.acc_move += m;
@@ -474,15 +496,17 @@ impl PmSolver {
         // either way — results are bitwise identical to a fresh rebuild.
         comm.enter_phase("ghosts");
         let t_plan = comm.clock();
-        let fresh_sends: Option<Vec<Vec<u32>>> = if epoch_hit {
-            None
+        if epoch_hit {
+            self.last_report.ghost_plan_reused = true;
+            self.plan_hits += 1;
         } else {
             // Fresh route selection over the merged alias offsets (at most
             // one emission per particle and partner — the receiver never
             // needs to deduplicate).
             let margin = rcut + skin_bound;
-            let mut sends: Vec<Vec<u32>> =
-                statics.ghost_routes.iter().map(|_| Vec::new()).collect();
+            let epoch = self.epoch.get_or_insert_with(GhostEpoch::default);
+            epoch.sends.resize_with(statics.ghost_routes.len(), Vec::new);
+            epoch.sends.iter_mut().for_each(Vec::clear);
             for (j, rec) in owned.iter().enumerate() {
                 for (slot, offsets) in statics.ghost_routes.iter().enumerate() {
                     let reached = offsets.iter().any(|&[ddx, ddy, ddz]| {
@@ -498,44 +522,27 @@ impl PmSolver {
                         dist2 <= margin * margin
                     });
                     if reached {
-                        sends[slot].push(j as u32);
+                        epoch.sends[slot].push(j as u32);
                     }
                 }
             }
             comm.compute(Work::ParticleOp, (owned.len() * statics.n_offsets) as f64);
-            Some(sends)
-        };
-        match fresh_sends {
-            None => {
-                self.last_report.ghost_plan_reused = true;
-                self.plan_hits += 1;
-            }
-            Some(sends) => {
-                // Snapshot the epoch when caching is possible: the sorted id
-                // sequence and cell keys pin the placement, the skin bounds
-                // the route validity under movement.
-                if plan_cache && movement.is_some() && skin_bound > 0.0 {
-                    self.plan_builds += 1;
-                    // Epoch snapshot (keys recomputed in solver order).
-                    comm.compute(Work::ParticleOp, owned.len() as f64);
-                    let route_bytes: u64 = sends.iter().map(|s| (s.len() * 4 + 8) as u64).sum();
-                    self.epoch = Some(GhostEpoch {
-                        ids: owned.iter().map(|r| r.id).collect(),
-                        keys: owned.iter().map(|r| cell_key(r.pos)).collect(),
-                        sends,
-                        skin: skin_bound,
-                        acc_move: 0.0,
-                    });
-                    comm.note_plan_build(t_plan, route_bytes);
-                } else {
-                    self.epoch = Some(GhostEpoch {
-                        ids: Vec::new(),
-                        keys: Vec::new(),
-                        sends,
-                        skin: -1.0,
-                        acc_move: 0.0,
-                    });
-                }
+            epoch.ids.clear();
+            epoch.keys.clear();
+            epoch.acc_move = 0.0;
+            epoch.skin = -1.0;
+            // Snapshot the epoch when caching is possible: the sorted id
+            // sequence and cell keys pin the placement, the skin bounds
+            // the route validity under movement.
+            if plan_cache && movement.is_some() && skin_bound > 0.0 {
+                self.plan_builds += 1;
+                // Epoch snapshot (keys recomputed in solver order).
+                comm.compute(Work::ParticleOp, owned.len() as f64);
+                let route_bytes: u64 = epoch.sends.iter().map(|s| (s.len() * 4 + 8) as u64).sum();
+                epoch.ids.extend(owned.iter().map(|r| r.id));
+                epoch.keys.extend(owned.iter().map(|r| cell_key(r.pos)));
+                epoch.skin = skin_bound;
+                comm.note_plan_build(t_plan, route_bytes);
             }
         }
         let epoch = self.epoch.as_ref().expect("epoch set above");
@@ -543,51 +550,50 @@ impl PmSolver {
         if epoch.skin >= 0.0 {
             // One route-plan execution per step in cacheable mode (hit or
             // just rebuilt), pairing the `plan_build` above — the partner
-            // schedule's own execution is counted by `CommPlan::execute`.
+            // schedule's own execution is counted by `CommPlan::execute_flat`.
             let route_bytes: u64 = sends.iter().map(|s| (s.len() * 4 + 8) as u64).sum();
             comm.note_plan_exec(t_plan, route_bytes);
         }
-        let mut routed_bytes = 0u64;
-        let bufs: Vec<Vec<PmParticle>> = sends
-            .iter()
-            .map(|ix| {
-                routed_bytes += (ix.len() * std::mem::size_of::<PmParticle>()) as u64;
-                ix.iter()
-                    .map(|&j| PmParticle { origin: GHOST_INDEX, ..owned[j as usize] })
-                    .collect()
-            })
-            .collect();
-        comm.compute(Work::ByteCopy, routed_bytes as f64);
-        let received = statics.comm_plan.execute(comm, bufs);
-        let ghosts: Vec<PmParticle> = received.into_iter().flatten().collect();
+        // One block for the copies sent, then — in place — for the ghosts
+        // received; the near field is the last to read it.
+        let mut ghosts = Vec::with_capacity(sends.iter().map(Vec::len).sum());
+        ws.counts.clear();
+        for ix in sends {
+            ws.counts.push(ix.len());
+            let copies =
+                ix.iter().map(|&j| PmParticle { origin: GHOST_INDEX, ..owned[j as usize] });
+            ghosts.extend(copies);
+        }
+        comm.compute(Work::ByteCopy, std::mem::size_of_val(&ghosts[..]) as f64);
+        statics.comm_plan.execute_flat(comm, &mut ghosts, &ws.counts);
         self.last_report.ghosts_received = ghosts.len() as u64;
         comm.exit_phase();
         let t_sorted = comm.clock();
 
         // --- Near field (linked cells) + far field (mesh) ---
         comm.enter_phase("near");
-        let owned_pos: Vec<Vec3> = owned.iter().map(|r| r.pos).collect();
-        let owned_charge: Vec<f64> = owned.iter().map(|r| r.charge).collect();
-        let ghost_pos: Vec<Vec3> = ghosts.iter().map(|r| r.pos).collect();
-        let ghost_charge: Vec<f64> = ghosts.iter().map(|r| r.charge).collect();
-        let (mut potential, mut field, pairs) = near_field(
+        ws.pos.clear();
+        ws.pos.extend(owned.iter().map(|r| r.pos));
+        ws.charge.clear();
+        ws.charge.extend(owned.iter().map(|r| r.charge));
+        let sources = ws.pos.iter().copied().zip(ws.charge.iter().copied());
+        let (mut potential, mut field, pairs) = near_field_of(
             &self.bbox,
             self.cfg.alpha,
             self.cfg.rcut,
             self.cfg.soft_core,
             (lo, hi),
-            &owned_pos,
-            &owned_charge,
-            &ghost_pos,
-            &ghost_charge,
+            owned.len(),
+            sources.chain(ghosts.iter().map(|g| (g.pos, g.charge))),
         );
+        drop(ghosts);
         comm.compute(Work::Interaction, pairs as f64);
         self.last_report.near_pairs = pairs;
         comm.exit_phase();
 
         comm.enter_phase("far");
         let (far_phi, far_field) =
-            self.far_plan.execute_cached(comm, &owned_pos, &owned_charge, &mut self.far_cache);
+            self.far_plan.execute_into(comm, &ws.pos, &ws.charge, &mut self.far_cache);
         for i in 0..owned.len() {
             potential[i] += far_phi[i];
             field[i] += far_field[i];
@@ -599,85 +605,67 @@ impl PmSolver {
         comm.barrier();
         let t_computed = comm.clock();
 
-        // --- Redistribution back to the application ---
-        match method {
-            RedistMethod::RestoreOriginal => {
-                comm.enter_phase("restore");
-                let mut out = self.restore_original(comm, &owned, &potential, &field, n_in);
-                comm.exit_phase();
-                out.timings = SolverTimings {
-                    sort: t_sorted - t_start,
-                    compute: t_computed - t_sorted,
-                    restore: comm.clock() - t_computed,
-                    resort_create: 0.0,
-                    total: comm.clock() - t_start,
-                };
-                out
-            }
-            RedistMethod::UseChanged => {
-                let fits = owned.len() <= max_local;
-                // Quiet-step detection (piggybacked on the fit allreduce so it
-                // costs no extra collective): if every rank kept exactly its
-                // original particles in their original order, the resort
-                // indices are the identity and the index exchange is skipped.
-                let quiet = self.plan_cache
-                    && owned.len() == n_in
-                    && owned.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
-                comm.compute(Work::ParticleOp, owned.len() as f64);
-                let (all_fit, all_quiet) =
-                    comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));
-                if !all_fit {
-                    comm.enter_phase("restore");
-                    let mut out = self.restore_original(comm, &owned, &potential, &field, n_in);
-                    comm.exit_phase();
-                    out.timings = SolverTimings {
-                        sort: t_sorted - t_start,
-                        compute: t_computed - t_sorted,
-                        restore: comm.clock() - t_computed,
-                        resort_create: 0.0,
-                        total: comm.clock() - t_start,
-                    };
-                    return out;
-                }
-                comm.enter_phase("resort");
-                let resort_indices: Vec<u64> = if all_quiet {
-                    self.last_report.resort_exchange_skipped = true;
-                    comm.compute(Work::ByteCopy, (n_in * 8) as f64);
-                    (0..n_in).map(|i| encode_index(me, i)).collect()
-                } else {
-                    let origin: Vec<u64> = owned.iter().map(|r| r.origin).collect();
-                    let owner_mode: &ExchangeMode = if use_neighborhood {
-                        &self.statics.as_ref().expect("statics built above").neighborhood_mode
-                    } else {
-                        &collective
-                    };
-                    build_resort_indices_with(comm, &origin, n_in, owner_mode)
-                };
-                comm.exit_phase();
-                let t_resort = comm.clock();
-                SolverOutput {
-                    pos: owned_pos,
-                    charge: owned_charge,
-                    id: owned.iter().map(|r| r.id).collect(),
-                    potential,
-                    field,
-                    resorted: true,
-                    resort_indices,
-                    timings: SolverTimings {
-                        sort: t_sorted - t_start,
-                        compute: t_computed - t_sorted,
-                        restore: 0.0,
-                        resort_create: t_resort - t_computed,
-                        total: comm.clock() - t_start,
-                    },
-                }
-            }
+        // --- Redistribution back to the application: the changed order with
+        // resort indices if asked for and every rank has room for it, the
+        // original order otherwise ---
+        let mut resorted = false;
+        let mut all_quiet = false;
+        if method == RedistMethod::UseChanged {
+            let fits = owned.len() <= max_local;
+            // Quiet-step detection (piggybacked on the fit allreduce so it
+            // costs no extra collective): if every rank kept exactly its
+            // original particles in their original order, the resort
+            // indices are the identity and the index exchange is skipped.
+            let quiet = self.plan_cache
+                && owned.len() == n_in
+                && owned.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
+            comm.compute(Work::ParticleOp, owned.len() as f64);
+            (resorted, all_quiet) = comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));
         }
+        let mut out = if resorted {
+            comm.enter_phase("resort");
+            let resort_indices: Vec<u64> = if all_quiet {
+                self.last_report.resort_exchange_skipped = true;
+                comm.compute(Work::ByteCopy, (n_in * 8) as f64);
+                (0..n_in).map(|i| encode_index(me, i)).collect()
+            } else {
+                ws.origin.clear();
+                ws.origin.extend(owned.iter().map(|r| r.origin));
+                let owner_mode =
+                    if use_neighborhood { &statics.neighborhood_mode } else { &collective };
+                build_resort_indices_with(comm, &ws.origin, n_in, owner_mode)
+            };
+            comm.exit_phase();
+            SolverOutput {
+                pos: std::mem::take(&mut ws.pos),
+                charge: std::mem::take(&mut ws.charge),
+                id: owned.iter().map(|r| r.id).collect(),
+                potential,
+                field,
+                resorted: true,
+                resort_indices,
+                timings: SolverTimings::default(),
+            }
+        } else {
+            comm.enter_phase("restore");
+            let out = Self::restore_original(comm, &owned, &potential, &field, n_in);
+            comm.exit_phase();
+            out
+        };
+        let redist = comm.clock() - t_computed;
+        out.timings = SolverTimings {
+            sort: t_sorted - t_start,
+            compute: t_computed - t_sorted,
+            restore: if resorted { 0.0 } else { redist },
+            resort_create: if resorted { redist } else { 0.0 },
+            total: comm.clock() - t_start,
+        };
+        self.ws = ws;
+        out
     }
 
     /// Route computed particles back to their origin rank and position.
     fn restore_original(
-        &self,
         comm: &mut Comm,
         owned: &[PmParticle],
         potential: &[f64],

@@ -59,4 +59,4 @@ pub use phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseSegment, PhaseSta
 pub use plan::CommPlan;
 pub use pool::PooledBuf;
 pub use trace::{write_trace_csv, ClockSpan, SpanCat, Trace, TraceEvent, TraceKind};
-pub use world::{run, Comm, RankStats, Request, RunOutput, Runner};
+pub use world::{push_segment, run, Comm, RankStats, Request, RunOutput, Runner};

@@ -13,6 +13,8 @@
 //! [`Comm::note_plan_exec`]), so `commstats` can compute a single plan-reuse
 //! rate across all layers.
 
+use std::any::Any;
+
 use crate::pool::PooledBuf;
 use crate::world::{Comm, Request};
 use crate::Work;
@@ -30,7 +32,7 @@ use crate::Work;
 /// Both sides of every partner edge must hold a plan naming each other (the
 /// partner relation is symmetric), exactly like
 /// [`Comm::neighbor_exchange`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CommPlan {
     /// Partner ranks, sorted ascending, deduplicated, never the local rank.
     partners: Vec<usize>,
@@ -41,6 +43,13 @@ pub struct CommPlan {
     last_recv_counts: Vec<usize>,
     /// Number of completed executions.
     executions: u64,
+    /// Per partner slot: the envelope the last [`CommPlan::execute_flat`]
+    /// received from that partner, with its buffer — the next one refills it
+    /// for the way back. In a symmetric exchange what a partner sends is
+    /// about what it is sent, so the buffers stop growing after a few steps.
+    envelopes: Vec<Box<dyn Any + Send>>,
+    /// Byte sizes of the messages of the execution in progress.
+    sizes: Vec<u64>,
 }
 
 impl Comm {
@@ -61,7 +70,15 @@ impl Comm {
         self.compute(Work::ByteCopy, bytes as f64);
         self.note_plan_build(t0, bytes);
         let n = partners.len();
-        CommPlan { partners, tag, last_recv_counts: vec![0; n], executions: 0 }
+        CommPlan {
+            partners,
+            tag,
+            last_recv_counts: vec![0; n],
+            executions: 0,
+            // A boxed unit is not an allocation.
+            envelopes: (0..n).map(|_| Box::new(()) as Box<dyn Any + Send>).collect(),
+            sizes: vec![0; n],
+        }
     }
 }
 
@@ -134,6 +151,64 @@ impl CommPlan {
         self.executions += 1;
         comm.note_plan_exec(t0, bytes);
         out
+    }
+
+    /// Flat [`CommPlan::execute`] for payload that travels every step: the
+    /// same messages, costs, statistics and trace events, with no allocation
+    /// once the buffers involved have reached their size. `payload` holds
+    /// what this rank sends, partner after partner: `counts[i]` elements go
+    /// to `partners()[i]` (one message per partner, empty ones included, as
+    /// in [`CommPlan::execute`]). On return `payload` holds what the partners
+    /// sent, in partner order, and [`CommPlan::last_recv_counts`] how much
+    /// came from each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` does not hold one count per partner or the counts
+    /// do not add up to `payload.len()`.
+    pub fn execute_flat<T: Copy + Send + 'static>(
+        &mut self,
+        comm: &mut Comm,
+        payload: &mut Vec<T>,
+        counts: &[usize],
+    ) {
+        assert_eq!(
+            counts.len(),
+            self.partners.len(),
+            "CommPlan::execute_flat: {} counts for {} planned partners",
+            counts.len(),
+            self.partners.len()
+        );
+        assert_eq!(
+            counts.iter().sum::<usize>(),
+            payload.len(),
+            "CommPlan::execute_flat: the counts must cover the payload"
+        );
+        let t0 = comm.clock();
+        let mut rest = &payload[..];
+        for ((envelope, size), &len) in self.envelopes.iter_mut().zip(&mut self.sizes).zip(counts) {
+            let (segment, tail) = rest.split_at(len);
+            rest = tail;
+            match envelope.downcast_mut::<Vec<T>>() {
+                Some(buf) => {
+                    buf.clear();
+                    buf.extend_from_slice(segment);
+                }
+                None => *envelope = Box::new(segment.to_vec()),
+            }
+            *size = std::mem::size_of_val(segment) as u64;
+        }
+        comm.exchange_envelopes(&self.partners, self.tag, &mut self.envelopes, &self.sizes);
+        payload.clear();
+        for (slot, envelope) in self.envelopes.iter().enumerate() {
+            let got = envelope.downcast_ref::<Vec<T>>().unwrap_or_else(|| {
+                panic!("recv type mismatch (src {}, tag {})", self.partners[slot], self.tag)
+            });
+            payload.extend_from_slice(got);
+            self.last_recv_counts[slot] = got.len();
+        }
+        self.executions += 1;
+        comm.note_plan_exec(t0, self.sizes.iter().sum());
     }
 
     /// Byte-path [`CommPlan::execute`] over pooled buffers: `sends[i]` goes

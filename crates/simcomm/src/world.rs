@@ -254,16 +254,65 @@ impl<T> Request<T> {
     }
 }
 
-/// One entry in a rank's all-to-all-v bin: where the receiver finds a buffer
-/// addressed to it. The buffer itself stays in the sender's deposit cell
-/// until the receiver takes it, so a sender ships one envelope per call
-/// however many destinations it has.
+/// One entry in a rank's all-to-all-v bin: where the receiver finds a message
+/// addressed to it. The payload itself stays in the sender's deposit cell
+/// until the receiver takes or copies it, so a sender ships one envelope per
+/// call however many destinations it has.
 #[derive(Clone, Copy)]
 struct BinEntry {
     src: usize,
-    /// Position of the buffer in the sender's deposit.
+    /// Where the message sits in the sender's deposit: its position in a
+    /// send list, or the offset of its first element in a flat payload.
     index: usize,
-    bytes: u64,
+    /// Elements in the message.
+    len: usize,
+}
+
+/// Envelopes set aside per rank and slot (and per slot's result) at most. A
+/// program's collectives cycle through a handful of types per step; one that
+/// cycles through more re-boxes the longest unused.
+const MAX_ENVELOPES_ASIDE: usize = 16;
+
+/// The envelope in `current` as an `A`: kept as it is when it already is one
+/// (the caller overwrites or refills it in place); otherwise it is set aside
+/// for when its type comes round again, and the `A` set aside earlier — or a
+/// new `A::default()` — takes its place. A step whose collectives alternate
+/// types therefore boxes nothing once every type has been seen.
+fn envelope_as<'a, A: Default + Send + 'static>(
+    current: &'a mut Box<dyn Any + Send>,
+    aside: &mut Vec<Box<dyn Any + Send>>,
+) -> &'a mut A {
+    if !current.is::<A>() {
+        let wanted: Box<dyn Any + Send> = match aside.iter().position(|e| e.is::<A>()) {
+            Some(at) => aside.remove(at),
+            None => Box::new(A::default()),
+        };
+        let displaced = std::mem::replace(current, wanted);
+        // The unit a cell starts with is not worth keeping.
+        if !displaced.is::<()>() {
+            if aside.len() == MAX_ENVELOPES_ASIDE {
+                aside.remove(0);
+            }
+            aside.push(displaced);
+        }
+    }
+    current.downcast_mut::<A>().expect("type checked above")
+}
+
+/// The payload of a flat all-to-all-v ([`Comm::alltoallv_flat`]) in its
+/// sender's cell.
+struct FlatDeposit<T> {
+    /// What the receivers copy their messages out of.
+    payload: Vec<T>,
+    /// Messages not yet copied out; whoever copies the last one frees the
+    /// payload, so it lives exactly as long as a moved buffer would.
+    unread: usize,
+}
+
+impl<T> Default for FlatDeposit<T> {
+    fn default() -> Self {
+        FlatDeposit { payload: Vec::new(), unread: 0 }
+    }
 }
 
 /// One of the world's two collective slots. Every rank counts the
@@ -282,24 +331,17 @@ struct CollSlot {
     arrived: usize,
     max_clock: f64,
     /// Per-rank deposit envelopes. An envelope stays in its cell, and the
-    /// rank's next deposit into this slot refills it in place when it has the
-    /// same type ([`envelope_as`]) — only a change of type boxes anew.
+    /// rank's next deposit of the same type into this slot refills it in
+    /// place; one of another type takes its place while it waits on the
+    /// rank's own side ([`Comm::coll_aside`], [`envelope_as`]).
     cells: Vec<Box<dyn Any + Send>>,
-    /// The last depositor's result, kept and refilled under the same rule.
+    /// The last depositor's result, kept and refilled under the same rule,
+    /// with the results of other types set aside.
     result: Box<dyn Any + Send>,
+    results_aside: Vec<Box<dyn Any + Send>>,
     /// Per-destination all-to-all-v bins of the collective in progress;
     /// each rank drains its own when it reads.
     bins: Vec<Vec<BinEntry>>,
-}
-
-/// The content of a collective envelope as an `A`: kept as it is when it
-/// already is one (the caller overwrites or refills it in place), replaced by
-/// a new `A::default()` otherwise.
-fn envelope_as<A: Default + Send + 'static>(envelope: &mut Box<dyn Any + Send>) -> &mut A {
-    if !envelope.is::<A>() {
-        *envelope = Box::new(A::default());
-    }
-    envelope.downcast_mut::<A>().expect("type checked above")
 }
 
 impl CollSlot {
@@ -312,13 +354,20 @@ impl CollSlot {
             max_clock: 0.0,
             cells: (0..n).map(|_| empty()).collect(),
             result: empty(),
+            results_aside: Vec::new(),
             bins: vec![Vec::new(); n],
         }
     }
 
-    /// Deposit `value` as `rank`'s contribution.
-    fn put<T: Send + 'static>(&mut self, rank: usize, value: T) {
-        *envelope_as::<Option<T>>(&mut self.cells[rank]) = Some(value);
+    /// Deposit `value` as `rank`'s contribution (`aside`: the envelopes the
+    /// rank has set aside for this slot).
+    fn put<T: Send + 'static>(
+        &mut self,
+        rank: usize,
+        aside: &mut Vec<Box<dyn Any + Send>>,
+        value: T,
+    ) {
+        *envelope_as::<Option<T>>(&mut self.cells[rank], aside) = Some(value);
     }
 
     /// For the last depositor: the contributions of the collective that just
@@ -336,7 +385,7 @@ impl CollSlot {
                 .take()
                 .expect("missing deposit")
         });
-        (deposits, envelope_as::<A>(&mut self.result))
+        (deposits, envelope_as::<A>(&mut self.result, &mut self.results_aside))
     }
 
     /// [`CollSlot::deposits_and_result`] for the collectives whose result is
@@ -359,11 +408,19 @@ impl CollSlot {
     fn drain_bin(
         &mut self,
         rank: usize,
-    ) -> (impl ExactSizeIterator<Item = BinEntry> + '_, &mut [Box<dyn Any + Send>]) {
+    ) -> (std::vec::Drain<'_, BinEntry>, &mut [Box<dyn Any + Send>]) {
         let bin = &mut self.bins[rank];
         bin.sort_unstable_by_key(|e| (e.src, e.index));
         (bin.drain(..), &mut self.cells)
     }
+}
+
+/// The current deposit of `src` among `cells` ([`CollSlot::drain_bin`]) as a
+/// `D`, for an all-to-all-v receiver.
+fn deposit_of<D: 'static>(cells: &mut [Box<dyn Any + Send>], src: usize) -> &mut D {
+    cells[src]
+        .downcast_mut::<D>()
+        .unwrap_or_else(|| panic!("alltoallv type mismatch from rank {src}"))
 }
 
 pub(crate) struct WorldShared {
@@ -615,6 +672,10 @@ pub struct Comm {
     /// Collectives this rank has entered; its parity selects the slot the
     /// next one uses (see [`CollSlot`]).
     coll_seq: u64,
+    /// Per slot: the deposit envelopes of other types than the one in this
+    /// rank's cell, waiting for their type to come round again
+    /// ([`envelope_as`]).
+    coll_aside: [Vec<Box<dyn Any + Send>>; 2],
     /// Tasks a completed collective made this rank responsible for resuming
     /// once it has released the slot's guard.
     woken: Vec<usize>,
@@ -941,6 +1002,7 @@ where
                         pool: BufferPool::new(pooled),
                         wait_scratch: WaitScratch::default(),
                         spare_envelopes: VecDeque::new(),
+                        coll_aside: [Vec::new(), Vec::new()],
                         coll_seq: 0,
                         woken: Vec::new(),
                         byte_reqs: Vec::new(),
@@ -1691,11 +1753,22 @@ impl Comm {
     /// the message payload — no boxing, no copy, no allocation. Complete
     /// with [`Comm::waitall_bytes`] (or any `waitall` over `Request<u8>`).
     pub fn isend_bytes(&mut self, dst: usize, tag: u64, buf: PooledBuf) -> Request<u8> {
-        let t0 = self.clock;
         let bytes = buf.len() as u64;
-        let (depart, corr) = self.post_send_payload(dst, tag, buf.into_box(), bytes);
+        Request::new(self.isend_payload(dst, tag, buf.into_box(), bytes))
+    }
+
+    /// Nonblocking send of an already boxed payload of `bytes` bytes.
+    fn isend_payload(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        payload: Box<dyn Any + Send>,
+        bytes: u64,
+    ) -> ReqKind {
+        let t0 = self.clock;
+        let (depart, corr) = self.post_send_payload(dst, tag, payload, bytes);
         self.trace_event_corr(TraceKind::Isend, t0, bytes, Some(dst), corr);
-        Request::new(ReqKind::Send { dst, depart, corr })
+        ReqKind::Send { dst, depart, corr }
     }
 
     /// Nonblocking receive: returns a [`Request`] that completes when a
@@ -1954,24 +2027,26 @@ impl Comm {
     /// `deposit` on the slot this collective uses (see [`CollSlot`] for why
     /// two alternating slots suffice); the last depositor runs `publish` over
     /// the full slot and wakes the others; every rank then runs `read`. All
-    /// three run under the slot's guard. Returns what `read` returned and
-    /// the maximum entry clock.
+    /// three run under the slot's guard; `deposit` also gets the envelopes
+    /// this rank has set aside for the slot ([`envelope_as`]). Returns what
+    /// `read` returned and the maximum entry clock.
     fn coll_exchange<R>(
         &mut self,
-        deposit: impl FnOnce(&mut CollSlot),
+        deposit: impl FnOnce(&mut CollSlot, &mut Vec<Box<dyn Any + Send>>),
         publish: impl FnOnce(&mut CollSlot),
         read: impl FnOnce(&mut CollSlot) -> R,
     ) -> (R, f64) {
         self.fault_op_tick();
         self.count_coll(1, 0);
-        let m = &self.shared.coll[(self.coll_seq % 2) as usize];
+        let parity = (self.coll_seq % 2) as usize;
+        let m = &self.shared.coll[parity];
         self.coll_seq += 1;
         let mut slot = lock(m);
         let generation = slot.generation;
         if slot.arrived == 0 {
             slot.max_clock = 0.0;
         }
-        deposit(&mut slot);
+        deposit(&mut slot, &mut self.coll_aside[parity]);
         slot.max_clock = slot.max_clock.max(self.clock);
         slot.arrived += 1;
         if slot.arrived == self.shared.n {
@@ -1999,7 +2074,7 @@ impl Comm {
     /// Synchronize all ranks; clocks advance to the barrier completion time.
     pub fn barrier(&mut self) {
         let t0 = self.clock;
-        let ((), max_clock) = self.coll_exchange(|_| (), |_| (), |_| ());
+        let ((), max_clock) = self.coll_exchange(|_, _| (), |_| (), |_| ());
         self.finish_collective(max_clock, self.shared.coll_terms.barrier());
         self.trace_event(TraceKind::Barrier, t0, 0, None);
     }
@@ -2012,7 +2087,7 @@ impl Comm {
         let t0 = self.clock;
         let rank = self.rank;
         let (out, max_clock) = self.coll_exchange(
-            |slot| slot.put(rank, (rank == root).then_some(value)),
+            |slot, aside| slot.put(rank, aside, (rank == root).then_some(value)),
             |slot| {
                 let (deposits, result) = slot.deposits_and_result::<Option<T>, Option<T>>();
                 *result = deposits.flatten().next();
@@ -2035,7 +2110,7 @@ impl Comm {
         let t0 = self.clock;
         let rank = self.rank;
         let (out, max_clock) = self.coll_exchange(
-            |slot| slot.put(rank, value),
+            |slot, aside| slot.put(rank, aside, value),
             |slot| {
                 let (deposits, result) = slot.deposits_and_result::<T, Option<T>>();
                 *result = deposits.reduce(&op);
@@ -2059,7 +2134,7 @@ impl Comm {
         let t0 = self.clock;
         let rank = self.rank;
         let (out, max_clock) = self.coll_exchange(
-            |slot| slot.put(rank, value),
+            |slot, aside| slot.put(rank, aside, value),
             CollSlot::gather::<T>,
             |slot| {
                 let below = slot.result::<Vec<T>>().iter().take(rank);
@@ -2079,7 +2154,7 @@ impl Comm {
         let t0 = self.clock;
         let rank = self.rank;
         let (out, max_clock) = self.coll_exchange(
-            |slot| slot.put(rank, value),
+            |slot, aside| slot.put(rank, aside, value),
             CollSlot::gather::<T>,
             |slot| slot.result::<Vec<T>>().clone(),
         );
@@ -2096,7 +2171,7 @@ impl Comm {
         let t0 = self.clock;
         let rank = self.rank;
         let (flat, max_clock) = self.coll_exchange(
-            |slot| slot.put(rank, data),
+            |slot, aside| slot.put(rank, aside, data),
             |slot| {
                 let (deposits, flat) = slot.deposits_and_result::<Vec<T>, Vec<T>>();
                 flat.clear();
@@ -2110,6 +2185,48 @@ impl Comm {
         flat
     }
 
+    /// What every all-to-all-v form is: `sent` messages and bytes leave this
+    /// rank; `deposit` puts the payload into the rank's cell and one
+    /// [`BinEntry`] per message into the destinations' bins; after the
+    /// rendezvous `read` walks this rank's own entries — sorted by source,
+    /// those of one source in the order it listed them — with the senders'
+    /// cells at hand ([`deposit_of`]). `elem` is the element size the
+    /// entries' lengths count in. Statistics, the modelled cost and the trace
+    /// event are the same for every form.
+    fn alltoallv_core<I>(
+        &mut self,
+        (s_msgs, s_bytes): (u64, u64),
+        elem: usize,
+        deposit: impl FnOnce(
+            &mut Box<dyn Any + Send>,
+            &mut Vec<Box<dyn Any + Send>>,
+            &mut [Vec<BinEntry>],
+        ),
+        read: impl FnOnce(std::vec::Drain<'_, BinEntry>, &mut [Box<dyn Any + Send>]) -> I,
+    ) -> I {
+        self.shared.check_poison();
+        let t0 = self.clock;
+        self.count_coll(0, s_bytes);
+        self.count_p2p_sent(s_msgs, s_bytes);
+        let rank = self.rank;
+        let ((out, r_msgs, r_elems), max_clock) = self.coll_exchange(
+            |slot, aside| deposit(&mut slot.cells[rank], aside, &mut slot.bins),
+            |_| (),
+            |slot| {
+                let (entries, cells) = slot.drain_bin(rank);
+                let r_msgs = entries.len() as u64;
+                let r_elems: usize = entries.as_slice().iter().map(|e| e.len).sum();
+                (read(entries, cells), r_msgs, r_elems as u64)
+            },
+        );
+        let r_bytes = r_elems * elem as u64;
+        self.count_p2p_recv(r_msgs, r_bytes);
+        let cost = self.shared.coll_terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes);
+        self.finish_collective(max_clock, cost);
+        self.trace_event(TraceKind::Alltoallv, t0, s_bytes, None);
+        out
+    }
+
     /// Sparse all-to-all-v: send each `(dst, buffer)` pair; receive the list of
     /// `(src, buffer)` pairs addressed to this rank, sorted by source rank
     /// (buffers of one source in the order it listed them).
@@ -2121,57 +2238,39 @@ impl Comm {
         &mut self,
         sends: Vec<(usize, Vec<T>)>,
     ) -> Vec<(usize, Vec<T>)> {
-        self.shared.check_poison();
-        let t0 = self.clock;
-        let mut s_msgs = 0u64;
-        let mut s_bytes = 0u64;
+        let mut sent = (0u64, 0u64);
         for (dst, data) in &sends {
             assert!(*dst < self.shared.n, "alltoallv to invalid rank {dst}");
             // Sparse fast path: an empty buffer is not a message — no bin
             // entry, no per-message cost, no send/receive statistics.
             if !data.is_empty() {
-                s_msgs += 1;
-                s_bytes += std::mem::size_of_val(&data[..]) as u64;
+                sent.0 += 1;
+                sent.1 += std::mem::size_of_val(&data[..]) as u64;
             }
         }
-        self.count_coll(0, s_bytes);
-        self.count_p2p_sent(s_msgs, s_bytes);
-
         // The whole send list is this rank's one deposit; the bins only say
         // where in it each receiver finds its buffers.
-        let rank = self.rank;
-        let ((received, r_bytes), max_clock) = self.coll_exchange(
-            |slot| {
+        let src = self.rank;
+        self.alltoallv_core(
+            sent,
+            std::mem::size_of::<T>(),
+            |cell, aside, bins| {
                 for (index, (dst, data)) in sends.iter().enumerate() {
                     if !data.is_empty() {
-                        let bytes = std::mem::size_of_val(&data[..]) as u64;
-                        slot.bins[*dst].push(BinEntry { src: rank, index, bytes });
+                        bins[*dst].push(BinEntry { src, index, len: data.len() });
                     }
                 }
-                *envelope_as(&mut slot.cells[rank]) = sends;
+                *envelope_as(cell, aside) = sends;
             },
-            |_| (),
-            |slot| {
-                let (entries, cells) = slot.drain_bin(rank);
+            |entries, cells| {
                 let mut received = Vec::with_capacity(entries.len());
-                let mut r_bytes = 0u64;
                 for e in entries {
-                    let from = cells[e.src]
-                        .downcast_mut::<Vec<(usize, Vec<T>)>>()
-                        .unwrap_or_else(|| panic!("alltoallv type mismatch from rank {}", e.src));
-                    r_bytes += e.bytes;
+                    let from = deposit_of::<Vec<(usize, Vec<T>)>>(cells, e.src);
                     received.push((e.src, std::mem::take(&mut from[e.index].1)));
                 }
-                (received, r_bytes)
+                received
             },
-        );
-        let r_msgs = received.len() as u64;
-        self.count_p2p_recv(r_msgs, r_bytes);
-
-        let cost = self.shared.coll_terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes);
-        self.finish_collective(max_clock, cost);
-        self.trace_event(TraceKind::Alltoallv, t0, s_bytes, None);
-        received
+        )
     }
 
     /// Byte-path [`Comm::alltoallv`] over pooled buffers: same collective
@@ -2185,59 +2284,104 @@ impl Comm {
         sends: &mut Vec<(usize, PooledBuf)>,
         received: &mut Vec<(usize, PooledBuf)>,
     ) {
-        self.shared.check_poison();
-        let t0 = self.clock;
         for (dst, _) in sends.iter() {
             assert!(*dst < self.shared.n, "alltoallv to invalid rank {dst}");
         }
         for (dst, buf) in sends.extract_if(.., |(_, buf)| buf.is_empty()) {
             self.pool.release(dst, buf);
         }
-        let s_msgs = sends.len() as u64;
-        let s_bytes: u64 = sends.iter().map(|(_, buf)| buf.len() as u64).sum();
-        self.count_coll(0, s_bytes);
-        self.count_p2p_sent(s_msgs, s_bytes);
-
+        let sent = (sends.len() as u64, sends.iter().map(|(_, buf)| buf.len() as u64).sum());
         // The buffers move into this rank's deposit cell — a list kept there
         // and refilled in place — and on into the receivers' hands.
         received.clear();
-        let rank = self.rank;
-        let (r_bytes, max_clock) = self.coll_exchange(
-            |slot| {
-                let CollSlot { bins, cells, .. } = slot;
-                let outgoing = envelope_as::<Vec<Option<PooledBuf>>>(&mut cells[rank]);
+        let src = self.rank;
+        self.alltoallv_core(
+            sent,
+            1,
+            |cell, aside, bins| {
+                let outgoing = envelope_as::<Vec<Option<PooledBuf>>>(cell, aside);
                 outgoing.clear();
                 for (index, (dst, buf)) in sends.drain(..).enumerate() {
-                    bins[dst].push(BinEntry { src: rank, index, bytes: buf.len() as u64 });
+                    bins[dst].push(BinEntry { src, index, len: buf.len() });
                     outgoing.push(Some(buf));
                 }
             },
-            |_| (),
-            |slot| {
-                let (entries, cells) = slot.drain_bin(rank);
-                let mut r_bytes = 0u64;
+            |entries, cells| {
                 for e in entries {
-                    let buf = cells[e.src]
-                        .downcast_mut::<Vec<Option<PooledBuf>>>()
-                        .and_then(|from| from[e.index].take())
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "alltoallv_bytes: payload from rank {} is not a byte buffer",
-                                e.src
-                            )
-                        });
-                    r_bytes += e.bytes;
-                    received.push((e.src, buf));
+                    let from = deposit_of::<Vec<Option<PooledBuf>>>(cells, e.src);
+                    received.push((e.src, from[e.index].take().expect("one receiver per buffer")));
                 }
-                r_bytes
             },
         );
-        let r_msgs = received.len() as u64;
-        self.count_p2p_recv(r_msgs, r_bytes);
+    }
 
-        let cost = self.shared.coll_terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes);
-        self.finish_collective(max_clock, cost);
-        self.trace_event(TraceKind::Alltoallv, t0, s_bytes, None);
+    /// Flat [`Comm::alltoallv`] for payload that travels every step: the same
+    /// collective — messages, modelled cost, statistics, trace event — in two
+    /// buffers however many ranks are addressed.
+    ///
+    /// `send` holds what this rank sends, destination after destination:
+    /// `segments` lists `(dst, len)` in buffer order, only for the
+    /// destinations actually addressed (a destination may appear more than
+    /// once; a zero-length segment is not a message). `recv` is cleared and
+    /// filled with what this rank receives, and `sources` with one
+    /// `(src, len)` per message, in the order [`Comm::alltoallv`] returns
+    /// them: ascending source, messages of one source in the order it listed
+    /// them. A caller that keeps `recv` and `sources` across steps allocates
+    /// nothing here once they have reached their size.
+    ///
+    /// Ownership: `send` moves into this rank's deposit cell, the receivers
+    /// copy their messages out of it, and the one that copies the last frees
+    /// it — the payload lives as long as [`Comm::alltoallv`]'s moved buffers
+    /// do, and is one allocation of the caller's instead of one per
+    /// destination.
+    pub fn alltoallv_flat<T: Copy + Send + 'static>(
+        &mut self,
+        send: Vec<T>,
+        segments: &[(usize, usize)],
+        recv: &mut Vec<T>,
+        sources: &mut Vec<(usize, usize)>,
+    ) {
+        let elem = std::mem::size_of::<T>();
+        let mut sent = (0u64, 0u64);
+        let mut total = 0;
+        for &(dst, len) in segments {
+            assert!(dst < self.shared.n, "alltoallv to invalid rank {dst}");
+            total += len;
+            sent.0 += u64::from(len > 0);
+        }
+        assert_eq!(total, send.len(), "alltoallv_flat: the segments must cover the payload");
+        sent.1 = (total * elem) as u64;
+        let src = self.rank;
+        self.alltoallv_core(
+            sent,
+            elem,
+            |cell, aside, bins| {
+                let mut index = 0;
+                for &(dst, len) in segments {
+                    if len > 0 {
+                        bins[dst].push(BinEntry { src, index, len });
+                    }
+                    index += len;
+                }
+                // Without a message nobody would free the buffer.
+                let payload = if sent.0 == 0 { Vec::new() } else { send };
+                *envelope_as(cell, aside) = FlatDeposit { payload, unread: sent.0 as usize };
+            },
+            |entries, cells| {
+                recv.clear();
+                recv.reserve_exact(entries.as_slice().iter().map(|e| e.len).sum());
+                sources.clear();
+                for e in entries {
+                    let from = deposit_of::<FlatDeposit<T>>(cells, e.src);
+                    recv.extend_from_slice(&from.payload[e.index..e.index + e.len]);
+                    sources.push((e.src, e.len));
+                    from.unread -= 1;
+                    if from.unread == 0 {
+                        from.payload = Vec::new();
+                    }
+                }
+            },
+        );
     }
 
     /// Dense all-to-all of exactly one element per rank pair: rank `r` ends
@@ -2254,8 +2398,8 @@ impl Comm {
         self.count_p2p_sent(n, bytes);
         let rank = self.rank;
         let (out, max_clock) = self.coll_exchange(
-            |slot| {
-                let row = envelope_as::<Vec<T>>(&mut slot.cells[rank]);
+            |slot, aside| {
+                let row = envelope_as::<Vec<T>>(&mut slot.cells[rank], aside);
                 row.clear();
                 row.extend_from_slice(data);
             },
@@ -2328,6 +2472,38 @@ impl Comm {
         out
     }
 
+    /// The exchange under [`crate::CommPlan::execute_flat`], on boxed
+    /// payloads: `envelopes[i]` (of `bytes[i]` bytes) goes to `partners[i]`
+    /// and the envelope received from `partners[i]` takes its place. Posting
+    /// order, completion order and every charged cost are those of
+    /// [`Comm::neighbor_exchange`] — all receives, then the sends in partner
+    /// order, drained in arrival order — and nothing is boxed or unboxed
+    /// here, so the caller decides what an envelope's buffer is reused for.
+    pub(crate) fn exchange_envelopes(
+        &mut self,
+        partners: &[usize],
+        tag: u64,
+        envelopes: &mut [Box<dyn Any + Send>],
+        bytes: &[u64],
+    ) {
+        let mut kinds = std::mem::take(&mut self.wait_scratch.kinds);
+        kinds.clear();
+        for &src in partners {
+            kinds.push(ReqKind::Recv { src, tag });
+        }
+        for ((&dst, envelope), &bytes) in partners.iter().zip(envelopes.iter_mut()).zip(bytes) {
+            // A boxed unit is not an allocation.
+            let payload = std::mem::replace(envelope, Box::new(()));
+            kinds.push(self.isend_payload(dst, tag, payload, bytes));
+        }
+        self.waitall_core(&kinds);
+        self.wait_scratch.kinds = kinds;
+        for (slot, envelope) in envelopes.iter_mut().enumerate() {
+            let msg = self.wait_scratch.msgs[slot].take().expect("matched in waitall_core");
+            *envelope = msg.payload;
+        }
+    }
+
     /// Byte-path [`Comm::neighbor_exchange`] over pooled buffers: identical
     /// posting order, completion order and costs, with all request/result
     /// scratch held on the `Comm` — a steady-state symmetric exchange
@@ -2382,6 +2558,17 @@ impl Comm {
             partners.iter().map(|&src| (src, self.recv::<T>(src, tag))).collect();
         out.sort_by_key(|&(src, _)| src);
         out
+    }
+}
+
+/// Lengthen the segment list of a flat payload ([`Comm::alltoallv_flat`]) by
+/// `len` elements for `dst`: they join the last segment when that one goes to
+/// `dst` too, and start a new one otherwise — so a payload filled
+/// destination by destination gets one message per destination.
+pub fn push_segment(segments: &mut Vec<(usize, usize)>, dst: usize, len: usize) {
+    match segments.last_mut() {
+        Some((last, total)) if *last == dst => *total += len,
+        _ => segments.push((dst, len)),
     }
 }
 
@@ -3323,6 +3510,35 @@ mod tests {
             }
         });
         assert_eq!(out.results[1], MAX_SPARE_ENVELOPES);
+    }
+
+    #[test]
+    fn collective_envelopes_of_other_types_wait_aside() {
+        // Three deposit types with an odd period over the two slots: once a
+        // slot has seen all three, one sits in the rank's cell and two wait
+        // aside — nothing is boxed again.
+        let out = run(3, MachineModel::ideal(), |comm| {
+            let mut aside = Vec::new();
+            for round in 0..12u64 {
+                match round % 3 {
+                    0 => drop(comm.allreduce(round, |a, b| a + b)),
+                    1 => drop(comm.allreduce((true, false), |a, b| (a.0 && b.0, a.1 || b.1))),
+                    _ => drop(comm.allgather(round as f64)),
+                }
+                aside.push((comm.coll_aside[0].len(), comm.coll_aside[1].len()));
+            }
+            // More types than are kept: the longest unused are dropped.
+            macro_rules! allreduce_arrays {
+                ($($n:literal)*) => { $( comm.allreduce([0u8; $n], |a, _| a); )* };
+            }
+            allreduce_arrays!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24);
+            allreduce_arrays!(25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45);
+            (aside, comm.coll_aside[0].len().max(comm.coll_aside[1].len()))
+        });
+        for (aside, most) in out.results {
+            assert!(aside[5..].iter().all(|&lens| lens == (2, 2)), "{aside:?}");
+            assert_eq!(most, MAX_ENVELOPES_ASIDE);
+        }
     }
 
     #[test]

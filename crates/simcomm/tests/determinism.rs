@@ -510,3 +510,139 @@ fn rank_panic_between_collectives_unwinds_every_rank() {
         }
     }
 }
+
+/// Per exchange: the payload received and its `(source, length)` list.
+type Received = Vec<(Vec<(u64, f64)>, Vec<(usize, usize)>)>;
+
+/// One rank's program for [`flat_exchange_is_alltoallv_in_two_buffers`]:
+/// rounds of a sparse random all-to-all-v — repeated destinations, empty
+/// segments, ranks that send nothing, ranks nobody writes to — in the flat
+/// form or the moving one, with collectives of other types between the
+/// rounds so the deposit envelopes alternate, and a planned neighbourhood
+/// exchange in the matching form. Returns everything received.
+fn sparse_exchange_program(
+    seed: u64,
+    flat: bool,
+) -> impl Fn(&mut simcomm::Comm) -> Received + Send + Sync {
+    move |comm| {
+        let (me, p) = (comm.rank(), comm.size());
+        let mut state = splitmix64(seed ^ (me as u64) << 20);
+        let mut draw = |n: usize| {
+            state = splitmix64(state);
+            (state % n.max(1) as u64) as usize
+        };
+        let mut ring = vec![(me + 1) % p, (me + p - 1) % p];
+        ring.retain(|&q| q != me);
+        let mut plan = comm.plan_exchange(ring, 5);
+        let (mut recv, mut sources) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        for round in 0..6 {
+            // A third of the ranks send nothing; rank 0 is never addressed
+            // in odd rounds.
+            let n_segments = if draw(3) == 0 { 0 } else { draw(2 * p + 3) };
+            let mut segments = Vec::new();
+            let mut payload = Vec::new();
+            for _ in 0..n_segments {
+                let mut dst = draw(p);
+                if round % 2 == 1 && dst == 0 {
+                    dst = p - 1;
+                }
+                let len = if draw(4) == 0 { 0 } else { draw(9) };
+                segments.push((dst, len));
+                payload.extend(
+                    (0..len).map(|i| ((me * 1000 + round * 100 + i) as u64, i as f64 / 3.0)),
+                );
+            }
+            if flat {
+                comm.alltoallv_flat(payload, &segments, &mut recv, &mut sources);
+            } else {
+                let mut rest = &payload[..];
+                let sends = segments.iter().map(|&(dst, len)| {
+                    let (head, tail) = rest.split_at(len);
+                    rest = tail;
+                    (dst, head.to_vec())
+                });
+                let got = comm.alltoallv(sends.collect());
+                sources = got.iter().map(|(src, buf)| (*src, buf.len())).collect();
+                recv = got.into_iter().flat_map(|(_, buf)| buf).collect();
+            }
+            out.push((recv.clone(), sources.clone()));
+            comm.compute(Work::ParticleOp, (recv.len() * (me + 1)) as f64);
+            let total = comm.allreduce(recv.len() as u64, |a, b| a + b);
+            let _ = comm.allreduce((total > 0, me % 2 == 0), |a, b| (a.0 && b.0, a.1 || b.1));
+
+            // The neighbourhood twin: a ring exchange through the plan.
+            let counts: Vec<usize> = plan.partners().iter().map(|_| draw(5)).collect();
+            let mut ghosts: Vec<(u64, f64)> =
+                (0..counts.iter().sum()).map(|i| (i as u64 + 7, me as f64)).collect();
+            if flat {
+                plan.execute_flat(comm, &mut ghosts, &counts);
+            } else {
+                let mut rest = &ghosts[..];
+                let bufs = counts.iter().map(|&len| {
+                    let (head, tail) = rest.split_at(len);
+                    rest = tail;
+                    head.to_vec()
+                });
+                ghosts = plan.execute(comm, bufs.collect()).into_iter().flatten().collect();
+            }
+            let from = plan.partners().iter().copied().zip(plan.last_recv_counts().iter().copied());
+            out.push((ghosts, from.collect()));
+        }
+        out
+    }
+}
+
+#[test]
+fn flat_exchange_is_alltoallv_in_two_buffers() {
+    // Payload bits, arrival order, clocks, statistics and traces of the flat
+    // forms are those of the moving forms, at every host width.
+    for model in [MachineModel::juropa_like(), MachineModel::juqueen_like()] {
+        for p in [1usize, 2, 3, 7, 64] {
+            let seed = 0xf1a7 + p as u64;
+            let moving = runner().run(p, model.clone(), sparse_exchange_program(seed, false));
+            for width in widths(p) {
+                let flat = runner().host_parallelism(width).run(
+                    p,
+                    model.clone(),
+                    sparse_exchange_program(seed, true),
+                );
+                assert_bitwise_identical(&flat, &moving, &format!("p={p} width={width}"));
+            }
+            let messages: usize =
+                moving.results.iter().flatten().map(|(_, sources)| sources.len()).sum();
+            assert!(p == 1 || messages > 6 * p, "p={p}: the patterns must carry traffic");
+        }
+    }
+}
+
+#[test]
+fn rank_panic_between_flat_exchanges_unwinds_every_rank() {
+    for width in [1, 2] {
+        let err = Runner::default()
+            .host_parallelism(width)
+            .try_run(5, MachineModel::ideal(), |comm| {
+                let (mut recv, mut sources) = (Vec::new(), Vec::new());
+                let next = (comm.rank() + 1) % 5;
+                comm.alltoallv_flat(
+                    vec![comm.rank() as u32; 3],
+                    &[(next, 3)],
+                    &mut recv,
+                    &mut sources,
+                );
+                if comm.rank() == 1 {
+                    panic!("rank 1 gives up between the exchanges");
+                }
+                comm.alltoallv_flat(recv.clone(), &[(next, 3)], &mut recv, &mut sources);
+            })
+            .err()
+            .expect("a panicking rank must fail the world");
+        match err {
+            WorldError::RankPanic { rank, ref message } => {
+                assert_eq!(rank, 1, "width {width}: {err}");
+                assert!(message.contains("gives up"), "width {width}: {err}");
+            }
+            other => panic!("width {width}: expected the rank panic, got {other}"),
+        }
+    }
+}
