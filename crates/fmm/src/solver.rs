@@ -48,6 +48,36 @@ struct RemoteLevel {
     present: Vec<bool>,
 }
 
+/// The locally essential tree plan: what the request and answer-key rounds
+/// of [`FmmSolver::build_let_plan`] establish, kept so that a run whose tree
+/// is the one the plan was built for — every rank's leaf keys and so every
+/// rank's range unchanged — fetches its remote multipoles in one round
+/// ([`FmmSolver::execute_let_plan`]) instead of three. The plan holds no
+/// coefficient: those are packed and summed afresh by every run (DESIGN.md,
+/// "FMM locally essential tree plan").
+#[derive(Default)]
+struct LetPlan {
+    /// Whether the plan may serve the next run: built with the plan cache on
+    /// and not invalidated since.
+    kept: bool,
+    /// This rank's leaf keys and every rank's range when it was built.
+    leaf_keys: Vec<u64>,
+    owners: KeyOwners,
+    /// The interaction-list sources of every level; `partial` is refilled
+    /// by every execution.
+    remote: Vec<RemoteLevel>,
+    /// Holder side: `(level, slab index)` of every multipole this rank
+    /// answers with, requester after requester, and `(requester, keys)` per
+    /// requester in ascending rank (none answered is a zero-length entry).
+    answers: Vec<(usize, usize)>,
+    answer_segments: Vec<(usize, usize)>,
+    /// Requester side: the `(level, remote index)` every received block is
+    /// added to, in arrival order — ascending source rank, then the order the
+    /// source answered in — and `(source, keys)` per answering rank.
+    slots: Vec<(usize, usize)>,
+    slot_sources: Vec<(usize, usize)>,
+}
+
 /// Index in the sorted `keys` of each child octant of `block` that has an
 /// entry `keep` accepts.
 fn child_indices(keys: &[u64], block: u64, keep: impl Fn(usize) -> bool) -> [Option<usize>; 8] {
@@ -86,6 +116,21 @@ pub struct FmmParticle {
     pub origin: u64,
 }
 
+/// A neighbour cell's particle as the near field reads it: position and
+/// charge, 32 bytes of the 48 of an [`FmmParticle`]. Ghosts are never owned,
+/// so they carry neither id nor origin.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Ghost {
+    pos: Vec3,
+    charge: f64,
+}
+
+impl From<FmmParticle> for Ghost {
+    fn from(r: FmmParticle) -> Self {
+        Ghost { pos: r.pos, charge: r.charge }
+    }
+}
+
 /// A computed particle traveling back to its origin (Method A).
 #[derive(Clone, Copy, Debug)]
 struct ResultParticle {
@@ -110,25 +155,22 @@ struct Workspace {
     recs: Vec<FmmParticle>,
     owners: KeyOwners,
     leaf_cells: Vec<Cell>,
+    /// The boundary runs `align_cells` receives.
+    boundary: Vec<FmmParticle>,
     /// `(destination, leaf cell)` of every ghost copy.
     ghost_routes: Vec<(usize, usize)>,
-    /// Particles received: the boundary runs of `align_cells`, then the
-    /// ghosts, with their keys and cell runs.
-    ghosts: Vec<FmmParticle>,
+    /// The ghosts received, with their keys and cell runs.
+    ghosts: Vec<Ghost>,
     ghost_keys: Vec<u64>,
     ghost_cells: Vec<Cell>,
     segments: Vec<(usize, usize)>,
     sources: Vec<(usize, usize)>,
     tree: Vec<TreeLevel>,
-    remote: Vec<RemoteLevel>,
     /// `(destination, level, key)` of every multipole request.
     request_routes: Vec<(usize, u32, u64)>,
     /// The requests received and the keys of the answers received.
     requests: Vec<(u32, u64)>,
     meta: Vec<(u32, u64)>,
-    meta_sources: Vec<(usize, usize)>,
-    coef_segments: Vec<(usize, usize)>,
-    coef_sources: Vec<(usize, usize)>,
     /// Results in sorted order (moved into the output under Method B).
     potential: Vec<f64>,
     field: Vec<Vec3>,
@@ -188,6 +230,13 @@ pub struct FmmRunReport {
     /// general partition sort this run. Only ever set on fault-injected
     /// worlds; see [`FmmSolver::run`].
     pub movement_guard_fallback: bool,
+    /// Whether the far field reused the kept locally essential tree plan —
+    /// one multipole round instead of three — because no rank's leaf cells
+    /// changed since it was built.
+    pub far_plan_hit: bool,
+    /// Bytes of the ghost records (position and charge) this rank received
+    /// for the near field.
+    pub ghost_bytes: u64,
 }
 
 /// The parallel Fast Multipole Method solver.
@@ -211,10 +260,14 @@ pub struct FmmSolver {
     guard_cleanup_cap: Option<u64>,
     /// Probe schedule recorded by the previous merge-based sort, if clean.
     sort_plan: Option<SortPlan>,
+    /// Routes of the remote multipoles, kept while the tree repeats.
+    let_plan: LetPlan,
     ws: Workspace,
-    /// Sort plans recorded over the solver lifetime.
+    /// Plans recorded over the solver lifetime: merge-sort probe schedules
+    /// and locally essential tree plans.
     pub plan_builds: u64,
-    /// Runs that consumed a previously recorded sort plan.
+    /// Runs that consumed a previously recorded sort plan, plus runs whose
+    /// far field reused the kept locally essential tree plan.
     pub plan_hits: u64,
     /// Movement-bound guard fallbacks over the solver lifetime (capped merge
     /// sorts abandoned for the general partition sort).
@@ -251,6 +304,7 @@ impl FmmSolver {
             plan_cache: true,
             guard_cleanup_cap: None,
             sort_plan: None,
+            let_plan: LetPlan::default(),
             ws: Workspace::default(),
             plan_builds: 0,
             plan_hits: 0,
@@ -265,13 +319,15 @@ impl FmmSolver {
     }
 
     /// Enable or disable cross-timestep caching of the merge-sort probe
-    /// schedule (on by default). Disabling drops the cached plan, restoring
-    /// the pre-plan behaviour of probing every network round afresh. Must be
-    /// set identically on all ranks (the plan gate is collective).
+    /// schedule and the locally essential tree plan (on by default).
+    /// Disabling drops the cached plans, restoring the pre-plan behaviour of
+    /// probing every network round and requesting every remote multipole
+    /// afresh. Must be set identically on all ranks (the plan gates are
+    /// collective).
     pub fn set_plan_cache(&mut self, enabled: bool) {
         self.plan_cache = enabled;
         if !enabled {
-            self.sort_plan = None;
+            self.invalidate_plans();
         }
     }
 
@@ -286,13 +342,14 @@ impl FmmSolver {
     }
 
     /// Drop all cached cross-timestep planning state (the recorded merge-sort
-    /// probe schedule). Recovery paths that rewind the simulation call this
-    /// on every rank before replaying: a schedule recorded past the rollback
-    /// point describes executions that are about to be repeated, and plan
-    /// state is bitwise invisible to the physics, so dropping it is always
-    /// safe.
+    /// probe schedule and the locally essential tree plan). Recovery paths
+    /// that rewind the simulation call this on every rank before replaying:
+    /// a schedule recorded past the rollback point describes executions that
+    /// are about to be repeated, and plan state is bitwise invisible to the
+    /// physics, so dropping it is always safe.
     pub fn invalidate_plans(&mut self) {
         self.sort_plan = None;
+        self.let_plan.kept = false;
     }
 
     /// Execute the solver: compute potentials and field values for the given
@@ -521,7 +578,8 @@ impl FmmSolver {
         if comm.size() == 1 {
             return;
         }
-        ws.owners.rebuild(&comm.allgather((keys.first().copied(), keys.last().copied())));
+        let ranges = comm.allgather((keys.first().copied(), keys.last().copied()));
+        ws.owners.rebuild(ranges.into_iter().map(|(first, last)| first.zip(last)));
         let mut send = Vec::new();
         ws.segments.clear();
         if let Some(&first) = keys.first() {
@@ -535,10 +593,10 @@ impl FmmSolver {
                 keys.drain(..cut);
             }
         }
-        comm.alltoallv_flat(send, &ws.segments, &mut ws.ghosts, &mut ws.sources);
+        comm.alltoallv_flat(send, &ws.segments, &mut ws.boundary, &mut ws.sources);
         // Received particles all carry my last key (they continue my run);
         // append in source-rank order.
-        for &r in &ws.ghosts {
+        for &r in &ws.boundary {
             let k = leaf_key(&self.bbox, r.pos, self.cfg.level);
             debug_assert!(keys.last().is_none_or(|&l| l <= k));
             keys.push(k);
@@ -567,8 +625,16 @@ impl FmmSolver {
             return;
         }
         cells_from_sorted_into(keys, &mut ws.leaf_cells);
-        // Rank ranges at leaf level for ownership lookups.
-        ws.owners.rebuild(&comm.allgather((keys.first().copied(), keys.last().copied())));
+        // Rank ranges at leaf level for ownership lookups, and beside each
+        // whether the rank's leaves are those its kept plan was built for
+        // (32 bytes per rank, as the `(first, last)` pair of `align_cells`).
+        let plan = &self.let_plan;
+        let same_leaves =
+            plan.kept && plan.leaf_keys.iter().eq(ws.leaf_cells.iter().map(|(k, _)| k));
+        let span = keys.first().copied().zip(keys.last().copied());
+        let views = comm.allgather((span, same_leaves));
+        ws.owners.rebuild(views.iter().map(|&(span, _)| span));
+        let reuse = views.iter().all(|&(_, same)| same) && plan.owners == ws.owners;
 
         comm.enter_phase("near");
         self.exchange_ghosts(comm, ws, recs);
@@ -579,19 +645,27 @@ impl FmmSolver {
         comm.exit_phase();
 
         comm.enter_phase("far");
-        self.fetch_remote_multipoles(comm, ws);
-        self.downward_pass(comm, &mut ws.tree, &ws.remote);
+        let mut plan = std::mem::take(&mut self.let_plan);
+        if reuse {
+            self.plan_hits += 1;
+            self.last_report.far_plan_hit = true;
+        } else {
+            self.build_let_plan(comm, ws, &mut plan);
+        }
+        self.execute_let_plan(comm, ws, &mut plan);
+        self.downward_pass(comm, &mut ws.tree, &plan.remote);
+        self.let_plan = plan;
         comm.exit_phase();
 
         self.evaluate(comm, ws, recs);
     }
 
     /// Ghost exchange for the near field: every rank owning a (wrapped)
-    /// neighbour of a local cell receives a copy of the cell's particles.
-    /// Leaves the received particles — in source-rank order, which is
+    /// neighbour of a local cell receives a [`Ghost`] copy of the cell's
+    /// particles. Leaves the received ghosts — in source-rank order, which is
     /// ascending key order — in `ws.ghosts` and their cell runs in
     /// `ws.ghost_cells`.
-    fn exchange_ghosts(&self, comm: &mut Comm, ws: &mut Workspace, recs: &[FmmParticle]) {
+    fn exchange_ghosts(&mut self, comm: &mut Comm, ws: &mut Workspace, recs: &[FmmParticle]) {
         let me = comm.rank();
         ws.ghost_routes.clear();
         let mut blocks = [(0u64, 0u8); 27];
@@ -615,7 +689,7 @@ impl FmmSolver {
             Vec::with_capacity(ws.ghost_routes.iter().map(|&(_, ci)| cell(ci).len()).sum());
         ws.segments.clear();
         for &(dst, ci) in &ws.ghost_routes {
-            send.extend_from_slice(cell(ci));
+            send.extend(cell(ci).iter().copied().map(Ghost::from));
             push_segment(&mut ws.segments, dst, cell(ci).len());
         }
         comm.alltoallv_flat(send, &ws.segments, &mut ws.ghosts, &mut ws.sources);
@@ -626,6 +700,7 @@ impl FmmSolver {
         assert!(ws.ghost_keys.is_sorted(), "ghost cells must arrive in key order");
         let bytes = std::mem::size_of_val(&ws.ghosts[..]);
         comm.compute(Work::ByteCopy, bytes as f64);
+        self.last_report.ghost_bytes = bytes as u64;
         cells_from_sorted_into(&ws.ghost_keys, &mut ws.ghost_cells);
     }
 
@@ -683,10 +758,14 @@ impl FmmSolver {
         }
     }
 
-    /// Locally essential multipoles (`ws.remote`): request the remote
-    /// partial multipoles of every interaction-list source cell and sum the
-    /// answers per cell in ascending source-rank order.
-    fn fetch_remote_multipoles(&self, comm: &mut Comm, ws: &mut Workspace) {
+    /// Build the locally essential tree plan: the interaction-list sources
+    /// of every level, then two rounds — every rank requests each source
+    /// from the ranks whose range may hold a partial of it, and each holder
+    /// answers with the keys it holds — whose outcome the plan keeps: what
+    /// this rank answers with, and which remote slot each answer received
+    /// is added to.
+    fn build_let_plan(&mut self, comm: &mut Comm, ws: &mut Workspace, plan: &mut LetPlan) {
+        let t0 = comm.clock();
         let nc = self.ops.len();
         let leaf_level = self.cfg.level as usize;
         let me = comm.rank();
@@ -694,12 +773,12 @@ impl FmmSolver {
 
         // The sources of each level: per parent, the children of its
         // neighbour blocks that the stencil of any present child names.
-        ws.remote.resize_with(leaf_level + 1, RemoteLevel::default);
+        plan.remote.resize_with(leaf_level + 1, RemoteLevel::default);
         let mut blocks = [(0u64, 0u8); 27];
         for l in 1..=leaf_level {
             let stencil = &self.far[l].stencil;
             let targets = &tree[l].keys;
-            let RemoteLevel { keys: needed, partial, present } = &mut ws.remote[l];
+            let RemoteLevel { keys: needed, partial, present } = &mut plan.remote[l];
             needed.clear();
             let mut ti = 0;
             for &pk in &tree[l - 1].keys {
@@ -731,7 +810,7 @@ impl FmmSolver {
         // A cell (l, k) spans leaf keys [k << s, (k+1) << s) with s = 3*(L-l);
         // every rank whose range intersects that interval may hold a partial.
         ws.request_routes.clear();
-        for (l, level) in ws.remote.iter().enumerate().skip(1) {
+        for (l, level) in plan.remote.iter().enumerate().skip(1) {
             let shift = 3 * (leaf_level - l);
             for &k in &level.keys {
                 let (lo, hi) = (k << shift, ((k + 1) << shift) - 1);
@@ -748,45 +827,90 @@ impl FmmSolver {
             push_segment(&mut ws.segments, dst, 1);
         }
         comm.alltoallv_flat(asking, &ws.segments, &mut ws.requests, &mut ws.sources);
-        // Answer with the keys held and their coefficients, `nc` per key.
+        // Answer with the keys held; the coefficients follow in the plan's
+        // execution.
         let mut meta = Vec::with_capacity(ws.requests.len());
-        let mut coef = Vec::with_capacity(ws.requests.len() * nc);
-        ws.segments.clear();
-        ws.coef_segments.clear();
+        plan.answers.clear();
+        plan.answers.reserve(ws.requests.len());
+        plan.answer_segments.clear();
+        plan.answer_segments.reserve(ws.sources.len());
         let mut asked = &ws.requests[..];
         for &(src, len) in &ws.sources {
             let (reqs, rest) = asked.split_at(len);
             asked = rest;
             let answered = meta.len();
             for &(l, k) in reqs {
-                let level = &tree[l as usize];
-                if let Ok(i) = level.keys.binary_search(&k) {
+                if let Ok(i) = tree[l as usize].keys.binary_search(&k) {
                     meta.push((l, k));
-                    coef.extend_from_slice(&level.multipole[i * nc..(i + 1) * nc]);
+                    plan.answers.push((l as usize, i));
                 }
             }
-            let answered = meta.len() - answered;
-            comm.compute(Work::ByteCopy, (answered * nc * 8) as f64);
-            ws.segments.push((src, answered));
-            ws.coef_segments.push((src, answered * nc));
+            plan.answer_segments.push((src, meta.len() - answered));
         }
-        comm.alltoallv_flat(meta, &ws.segments, &mut ws.meta, &mut ws.meta_sources);
+        comm.alltoallv_flat(meta, &plan.answer_segments, &mut ws.meta, &mut plan.slot_sources);
+        plan.slots.clear();
+        plan.slots.reserve(ws.meta.len());
+        for &(l, k) in &ws.meta {
+            let level = &mut plan.remote[l as usize];
+            let i = level.keys.binary_search(&k).expect("an answer to a key never requested");
+            level.present[i] = true;
+            plan.slots.push((l as usize, i));
+        }
+
+        plan.leaf_keys.clear();
+        plan.leaf_keys.extend(ws.leaf_cells.iter().map(|(k, _)| *k));
+        plan.owners.clone_from(&ws.owners);
+        plan.kept = self.plan_cache;
+        if plan.kept {
+            self.plan_builds += 1;
+            let routes =
+                (plan.answers.len() + plan.slots.len()) * std::mem::size_of::<(usize, usize)>();
+            comm.note_plan_build(t0, routes as u64);
+        }
+    }
+
+    /// Execute the locally essential tree plan — the one code path of a
+    /// fresh build and a reuse: every holder packs its current partial
+    /// multipoles along its answer lists, one round carries them, and each
+    /// requester sums what arrives into the plan's remote slots in arrival
+    /// order (ascending source rank), the order of the summation contract.
+    fn execute_let_plan(&self, comm: &mut Comm, ws: &mut Workspace, plan: &mut LetPlan) {
+        let t0 = comm.clock();
+        let nc = self.ops.len();
+        let mut coef = Vec::with_capacity(plan.answers.len() * nc);
+        ws.segments.clear();
+        let mut answers = &plan.answers[..];
+        for &(dst, n) in &plan.answer_segments {
+            let (now, rest) = answers.split_at(n);
+            answers = rest;
+            for &(l, i) in now {
+                coef.extend_from_slice(&ws.tree[l].multipole[i * nc..(i + 1) * nc]);
+            }
+            comm.compute(Work::ByteCopy, (n * nc * 8) as f64);
+            ws.segments.push((dst, n * nc));
+        }
+        let sent = std::mem::size_of_val(&coef[..]) as u64;
         // The coefficients (`nc` per key) are the one answer sized by the
         // expansion order: not kept between runs.
         let mut coef_recv = Vec::new();
-        comm.alltoallv_flat(coef, &ws.coef_segments, &mut coef_recv, &mut ws.coef_sources);
+        comm.alltoallv_flat(coef, &ws.segments, &mut coef_recv, &mut ws.sources);
         assert!(
-            ws.meta_sources.iter().zip(&ws.coef_sources).all(|(m, c)| (m.0, m.1 * nc) == *c)
-                && ws.meta_sources.len() == ws.coef_sources.len(),
-            "every answer has keys and coefficients"
+            ws.sources
+                .iter()
+                .map(|&(src, len)| (src, len / nc))
+                .eq(plan.slot_sources.iter().copied()),
+            "every answer the plan expects arrives, and nothing else"
         );
-        for (&(l, k), slice) in ws.meta.iter().zip(coef_recv.chunks_exact(nc)) {
-            let level = &mut ws.remote[l as usize];
-            let i = level.keys.binary_search(&k).expect("an answer to a key never requested");
-            level.present[i] = true;
-            for (e, &c) in level.partial[i * nc..(i + 1) * nc].iter_mut().zip(slice) {
+        for level in &mut plan.remote {
+            level.partial.fill(0.0);
+        }
+        for (&(l, i), block) in plan.slots.iter().zip(coef_recv.chunks_exact(nc)) {
+            for (e, &c) in plan.remote[l].partial[i * nc..(i + 1) * nc].iter_mut().zip(block) {
                 *e += c;
             }
+        }
+        if plan.kept {
+            comm.note_plan_exec(t0, sent);
         }
     }
 
@@ -925,46 +1049,58 @@ impl FmmSolver {
                     continue;
                 }
                 prev = nk;
-                let neigh: &[FmmParticle] = if let Some(r) = particles_of(leaf_cells, nk) {
-                    &recs[r]
+                let r = range.clone();
+                let targets = (&recs[r.clone()], &mut potential[r.clone()], &mut field[r]);
+                p2p_pairs += if let Some(r) = particles_of(leaf_cells, nk) {
+                    self.p2p_neighbour(targets, &recs[r])
                 } else if let Some(r) = particles_of(ghost_cells, nk) {
-                    &ghosts[r]
+                    self.p2p_neighbour(targets, &ghosts[r])
                 } else {
-                    continue;
+                    0
                 };
-                for i in range.clone() {
-                    let me = recs[i];
-                    let (mut phi, mut e) = (potential[i], field[i]);
-                    for g in neigh {
-                        let d = if self.periodic {
-                            self.bbox.min_image(me.pos, g.pos)
-                        } else {
-                            me.pos - g.pos
-                        };
-                        let r2 = d.norm2();
-                        if r2 == 0.0 {
-                            continue;
-                        }
-                        let inv_r = 1.0 / r2.sqrt();
-                        let inv_r3 = inv_r / r2;
-                        phi += g.charge * inv_r;
-                        e += d * (g.charge * inv_r3);
-                        if let Some(core) = &self.cfg.soft_core {
-                            let r = r2.sqrt();
-                            let u = core.energy(r);
-                            let fmag = core.force(r);
-                            phi += u / me.charge;
-                            e += d * (fmag / (r * me.charge));
-                        }
-                        p2p_pairs += 1;
-                    }
-                    potential[i] = phi;
-                    field[i] = e;
-                }
             }
         }
         comm.with_phase("near", |c| c.compute(Work::Interaction, p2p_pairs as f64));
         comm.with_phase("far", |c| c.compute(Work::ExpansionTerm, (n * nc * 4) as f64));
         self.last_report.p2p_pairs = p2p_pairs;
+    }
+
+    /// P2P of one cell's particles (`targets`: the particles and their
+    /// potential and field accumulators) with the particles of one distinct
+    /// neighbour cell, local or ghost, in the neighbour's order; returns the
+    /// pairs evaluated.
+    fn p2p_neighbour<S: Copy + Into<Ghost>>(
+        &self,
+        (recs, potential, field): (&[FmmParticle], &mut [f64], &mut [Vec3]),
+        neigh: &[S],
+    ) -> u64 {
+        let mut pairs = 0;
+        for ((me, phi), e) in recs.iter().zip(potential).zip(field) {
+            let (mut acc_phi, mut acc_e) = (*phi, *e);
+            for &s in neigh {
+                let g: Ghost = s.into();
+                let d =
+                    if self.periodic { self.bbox.min_image(me.pos, g.pos) } else { me.pos - g.pos };
+                let r2 = d.norm2();
+                if r2 == 0.0 {
+                    continue;
+                }
+                let inv_r = 1.0 / r2.sqrt();
+                let inv_r3 = inv_r / r2;
+                acc_phi += g.charge * inv_r;
+                acc_e += d * (g.charge * inv_r3);
+                if let Some(core) = &self.cfg.soft_core {
+                    let r = r2.sqrt();
+                    let u = core.energy(r);
+                    let fmag = core.force(r);
+                    acc_phi += u / me.charge;
+                    acc_e += d * (fmag / (r * me.charge));
+                }
+                pairs += 1;
+            }
+            *phi = acc_phi;
+            *e = acc_e;
+        }
+        pairs
     }
 }

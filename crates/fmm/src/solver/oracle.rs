@@ -1,15 +1,19 @@
 //! Test oracle: `compute_fields` as it stood before the tree moved to sorted
 //! per-level slabs — hash-map tree, per-target `interaction_list`, cloned
-//! tensors — kept verbatim except that M2M visits children in ascending key
-//! order. The property tests in `solver.rs` pin the slab code to it bit for
-//! bit: potentials, fields, counts, clocks and message statistics.
+//! tensors, three multipole rounds every run — kept verbatim except that M2M
+//! visits children in ascending key order, ghosts travel as the 32-byte
+//! [`Ghost`] records the slab code ships, and each holder's coefficient copy
+//! is charged after the answer-key round, where the slab code packs them.
+//! The property tests below pin the slab code to it bit for bit: potentials,
+//! fields and counts always, clocks and message statistics with the plan
+//! cache off (a kept locally essential tree plan makes one round of three).
 
 use std::collections::{HashMap, HashSet};
 
 use particles::Vec3;
 use simcomm::{Comm, Work};
 
-use super::{FmmParticle, FmmSolver};
+use super::{FmmParticle, FmmSolver, Ghost};
 use crate::tree::{
     cell_center, cell_offset, cells_from_sorted, effective_source_center, interaction_list,
     leaf_key, neighbor_keys,
@@ -53,7 +57,7 @@ impl FmmSolver {
         // For each local cell, ranks owning (wrapped) neighbour keys receive a
         // copy of the cell's particles.
         comm.enter_phase("near");
-        let mut ghost_sends: HashMap<usize, Vec<FmmParticle>> = HashMap::new();
+        let mut ghost_sends: HashMap<usize, Vec<Ghost>> = HashMap::new();
         for (k, range) in &leaf_cells {
             let mut dests: HashSet<usize> = HashSet::new();
             for nk in neighbor_keys(*k, leaf_level, periodic) {
@@ -64,12 +68,15 @@ impl FmmSolver {
                 }
             }
             for d in dests {
-                ghost_sends.entry(d).or_default().extend_from_slice(&recs[range.clone()]);
+                ghost_sends
+                    .entry(d)
+                    .or_default()
+                    .extend(recs[range.clone()].iter().map(|&r| Ghost::from(r)));
             }
         }
-        let sends: Vec<(usize, Vec<FmmParticle>)> = ghost_sends.into_iter().collect();
+        let sends: Vec<(usize, Vec<Ghost>)> = ghost_sends.into_iter().collect();
         let received_ghosts = comm.alltoallv(sends);
-        let mut ghost_cells: HashMap<u64, Vec<FmmParticle>> = HashMap::new();
+        let mut ghost_cells: HashMap<u64, Vec<Ghost>> = HashMap::new();
         let mut ghost_count = 0u64;
         for (_src, buf) in received_ghosts {
             ghost_count += buf.len() as u64;
@@ -78,10 +85,7 @@ impl FmmSolver {
                 ghost_cells.entry(k).or_default().push(g);
             }
         }
-        comm.compute(
-            Work::ByteCopy,
-            (ghost_count as usize * std::mem::size_of::<FmmParticle>()) as f64,
-        );
+        comm.compute(Work::ByteCopy, (ghost_count as usize * std::mem::size_of::<Ghost>()) as f64);
         comm.exit_phase();
 
         // ---- Upward pass: P2M + M2M (partial multipoles per level) ----
@@ -174,11 +178,13 @@ impl FmmSolver {
                     coef.extend_from_slice(m);
                 }
             }
-            comm.compute(Work::ByteCopy, (coef.len() * 8) as f64);
             resp_meta.push((src, meta));
             resp_coef.push((src, coef));
         }
         let meta_recv = comm.alltoallv(resp_meta);
+        for (_, coef) in &resp_coef {
+            comm.compute(Work::ByteCopy, (coef.len() * 8) as f64);
+        }
         let coef_recv = comm.alltoallv(resp_coef);
         let coef_by_src: HashMap<usize, Vec<f64>> = coef_recv.into_iter().collect();
         let mut remote_m: HashMap<(u32, u64), Vec<f64>> = HashMap::new();
@@ -291,14 +297,14 @@ impl FmmSolver {
             }
             // P2P with neighbour cells (local or ghost).
             for nk in neighbor_keys(*k, leaf_level, periodic) {
-                let neigh: Option<&[FmmParticle]> = if let Some(&ci) = cell_index.get(&nk) {
-                    Some(&recs[leaf_cells[ci].1.clone()])
+                let neigh: Option<Vec<Ghost>> = if let Some(&ci) = cell_index.get(&nk) {
+                    Some(recs[leaf_cells[ci].1.clone()].iter().map(|&r| Ghost::from(r)).collect())
                 } else {
-                    ghost_cells.get(&nk).map(|v| v.as_slice())
+                    ghost_cells.get(&nk).cloned()
                 };
                 let Some(neigh) = neigh else { continue };
                 for i in range.clone() {
-                    for g in neigh {
+                    for g in &neigh {
                         let d = if periodic {
                             self.bbox.min_image(recs[i].pos, g.pos)
                         } else {
@@ -396,11 +402,22 @@ mod tests {
         m2l_count: u64,
     }
 
-    /// Two consecutive runs on one solver per rank: a Method A run, then —
+    /// Which far field a world runs: the oracle, or the slab code with the
+    /// plan cache on or off.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Path {
+        Oracle,
+        Planned,
+        Unplanned,
+    }
+
+    /// Three consecutive runs on one solver per rank: a Method A run, then —
     /// every coordinate moved by up to 0.2 — a Method B run with the movement
-    /// hint (the merge-sort path where the hint allows it). Returns every
-    /// rank's runs, final clock bits and statistics.
-    fn run_world(w: &World, oracle: bool) -> (Vec<Vec<RunBits>>, Vec<u64>, Vec<RankStats>) {
+    /// hint (the merge-sort path where the hint allows it), then the same
+    /// Method B run again on the positions it returned (a quiet step: the
+    /// slab code with the plan reuses its locally essential tree plan).
+    /// Returns every rank's runs, final clock bits and statistics.
+    fn run_world(w: &World, path: Path) -> (Vec<Vec<RunBits>>, Vec<u64>, Vec<RankStats>) {
         let n = w.particles.len();
         let out = run(w.p, MachineModel::juropa_like(), |comm| {
             let (me, p) = (comm.rank(), w.p);
@@ -418,13 +435,18 @@ mod tests {
             let mut charge: Vec<f64> = w.particles[mine.clone()].iter().map(|x| x.1).collect();
             let mut id: Vec<u64> = mine.map(|i| i as u64).collect();
             let mut solver = FmmSolver::new(w.bbox, w.cfg.clone());
-            if oracle {
+            if path == Path::Oracle {
                 solver.oracle = Some(Oracle::default());
             }
+            // The oracle world caches no plan either, so that its sorts
+            // match the unplanned slab world's.
+            solver.set_plan_cache(path == Path::Planned);
             let mut runs = Vec::new();
-            for (method, movement) in [
-                (RedistMethod::RestoreOriginal, None),
-                (RedistMethod::UseChanged, Some(0.2 * 3f64.sqrt())),
+            let hint = Some(0.2 * 3f64.sqrt());
+            for (method, movement, moved) in [
+                (RedistMethod::RestoreOriginal, None, true),
+                (RedistMethod::UseChanged, hint, false),
+                (RedistMethod::UseChanged, hint, false),
             ] {
                 let o = solver.run(comm, &pos, &charge, &id, method, movement, usize::MAX);
                 runs.push(RunBits {
@@ -435,7 +457,7 @@ mod tests {
                 });
                 // Move every particle by a displacement derived from its id.
                 (pos, charge, id) = (o.pos, o.charge, o.id);
-                for (x, &i) in pos.iter_mut().zip(&id) {
+                for (x, &i) in pos.iter_mut().zip(&id).filter(|_| moved) {
                     let mut g = Gen(i);
                     for d in 0..3 {
                         x[d] += 0.4 * (g.unit() - 0.5);
@@ -448,11 +470,13 @@ mod tests {
     }
 
     /// The slab code reproduces the oracle bit for bit: potentials, fields,
-    /// pair and translation counts, every rank's clock, and every rank's
-    /// point-to-point and collective message and byte counts.
+    /// pair and translation counts with the plan cache on and off; with it
+    /// off also every rank's clock and every rank's point-to-point and
+    /// collective message and byte counts.
     fn assert_matches_oracle(w: &World) {
-        let (want, want_clocks, want_stats) = run_world(w, true);
-        let (got, got_clocks, got_stats) = run_world(w, false);
+        let (want, want_clocks, want_stats) = run_world(w, Path::Oracle);
+        let (got, got_clocks, got_stats) = run_world(w, Path::Unplanned);
+        let (planned, _, _) = run_world(w, Path::Planned);
         let what = format!(
             "{:?} periodic {} p {} deal {:?} n {}",
             w.cfg,
@@ -462,6 +486,7 @@ mod tests {
             w.particles.len()
         );
         assert_eq!(got, want, "{what}: outputs or counts differ");
+        assert_eq!(planned, want, "{what}: outputs or counts differ under the kept plan");
         assert_eq!(got_clocks, want_clocks, "{what}: clocks differ");
         assert_eq!(got_stats, want_stats, "{what}: statistics differ");
         if w.cfg.level >= 2 && !matches!(w.deal, Deal::OneRank) {
@@ -528,9 +553,10 @@ mod tests {
             let particles = g.particles(b.offset, b.lengths, 4096);
             let cfg = FmmConfig { order: 4, level: 3, soft_core: None };
             let w = World { bbox: b, cfg, p: 8, deal: Deal::Blocks, particles };
-            let first = run_world(&w, false);
+            let first = run_world(&w, Path::Planned);
             for _ in 0..2 {
-                assert!(first == run_world(&w, false), "periodic {periodic}: runs differ");
+                let again = run_world(&w, Path::Planned);
+                assert!(first == again, "periodic {periodic}: runs differ");
             }
         }
     }

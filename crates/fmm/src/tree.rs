@@ -52,15 +52,15 @@ pub fn cells_from_sorted_into(keys: &[u64], out: &mut Vec<(u64, std::ops::Range<
 /// segments of one sorted sequence, in ascending key — searched by bisection
 /// instead of scanned rank by rank. Ranges may share a boundary key before
 /// the cells are aligned to rank boundaries; the lowest rank wins.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KeyOwners(Vec<(u64, u64, usize)>);
 
 impl KeyOwners {
-    /// Rebuild from the gathered `(first key, last key)` of every rank
-    /// (`None` for a rank without particles).
-    pub fn rebuild(&mut self, ranges: &[(Option<u64>, Option<u64>)]) {
+    /// Rebuild from the gathered `(first key, last key)` of every rank, in
+    /// rank order (`None` for a rank without particles).
+    pub fn rebuild(&mut self, spans: impl IntoIterator<Item = Option<(u64, u64)>>) {
         self.0.clear();
-        let held = ranges.iter().enumerate().filter_map(|(r, &(f, l))| Some((f?, l?, r)));
+        let held = spans.into_iter().enumerate().filter_map(|(r, s)| s.map(|(f, l)| (f, l, r)));
         self.0.extend(held);
         debug_assert!(self.0.windows(2).all(|w| w[0].1 <= w[1].0), "ranks hold sorted segments");
     }
@@ -279,7 +279,7 @@ mod tests {
                         }
                     })
                     .collect();
-                owners.rebuild(&ranges);
+                owners.rebuild(ranges.iter().map(|&(f, l)| f.zip(l)));
                 for k in 0..next + 4 {
                     assert_eq!(owners.owner_of(k), owner_scan(&ranges, k), "p={p} key {k}");
                 }

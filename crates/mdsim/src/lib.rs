@@ -805,8 +805,11 @@ mod tests {
             })
             .results
         };
+        // The stall fires on rank 1's 100th communication operation: since
+        // the FMM's kept locally essential tree plan took two collectives off
+        // every quiet step, the whole run has fewer than 120.
         let fault = FaultPlan {
-            stall: Some(StallSpec { rank: 1, after_ops: 120, seconds: 0.25 }),
+            stall: Some(StallSpec { rank: 1, after_ops: 100, seconds: 0.25 }),
             wait_timeout_seconds: Some(1e-6),
             ..FaultPlan::none()
         };

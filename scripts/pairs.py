@@ -3,6 +3,7 @@
 
     python3 scripts/pairs.py <parent-binary> <change-binary>
         [--workloads md_fmm,redist] [--pairs 10] [--seconds 15]
+        [--moves md_sparse64:virt_makespan_s,md_fmm:virt_makespan_s]
         [--pr N --title T --claim md_fmm:ops_per_s:1.15] [--raw runs.jsonl]
 
 The protocol every host-time claim in EXPERIMENTS.md rests on: pair i runs
@@ -21,17 +22,27 @@ count for neither side). It then lists every `virt_*` or allocation metric
 that is not bit-equal within every pair, with the number of pairs that differ
 and the range of the ratio: expected for allocation metrics of a PR that
 changes allocations (and in the eighth digit wherever a run's iterations do
-not all allocate alike: `redist`, `scale_exchange`), never for `virt_*`.
-`--claim workload:metric:ratio` judges a claimed gain by the rule of every
-"Host-time ledger" section: the change wins at least nine tenths of the pairs,
-the median within-pair ratio reaches `ratio`, and the medians differ by more
-than the distance between the parent's own quartiles. The last line printed is
-the one to append to perf_history.jsonl (docs/OBSERVABILITY.md). `--raw` also
-appends every run's result line, with its workload, pair, seed and side, to a
-file.
+not all allocate alike: `redist`, `scale_exchange`), never for `virt_*` —
+unless `--moves workload:metric,...` declares that the change moves that
+`virt_*` metric on that workload: a declared metric must be better or equal
+in every pair, every undeclared one still bit-equal.
+
+`--claim workload:metric:ratio` judges a claimed gain. On a host-time metric
+it is a speed-up, by the rule of every "Host-time ledger" section: the change
+wins at least nine tenths of the pairs, the median gain (parent / change for
+a lower-is-better metric) reaches `ratio`, and the medians differ by more
+than the distance between the parent's own quartiles. On a `virt_*` or
+allocation metric, which repeats exactly for a seed, it is a count: `ratio`
+is change / parent, the change must be better in every pair, the median
+ratio must reach `ratio` (at most it for a lower-is-better metric), and the
+medians must differ by more than the parent's quartile distance. The last
+line printed is the one to append to perf_history.jsonl
+(docs/OBSERVABILITY.md). `--raw` also appends every run's result line, with
+its workload, pair, seed and side, to a file.
 
 Exit status: 0; 1 if a run failed, was incorrect or printed a result line
-this script cannot read, or if a `virt_*` metric differs within a pair.
+this script cannot read, if an undeclared `virt_*` metric differs within a
+pair, or if a declared one is worse in any pair.
 """
 import argparse
 import json
@@ -82,6 +93,7 @@ def main():
     ap.add_argument("--seconds", type=int, default=SPEC["run_seconds"])
     ap.add_argument("--pr", type=int)
     ap.add_argument("--title")
+    ap.add_argument("--moves", default="", metavar="WORKLOAD:METRIC,...")
     ap.add_argument("--claim", metavar="WORKLOAD:METRIC:RATIO")
     ap.add_argument("--raw")
     args = ap.parse_args()
@@ -89,6 +101,12 @@ def main():
     known = [w["name"] for w in SPEC["workloads"]]
     if args.pairs < 1 or any(w not in known for w in workloads):
         ap.error(f"--pairs must be >= 1 and --workloads a subset of {','.join(known)}")
+    moves = set()
+    for item in filter(None, args.moves.split(",")):
+        workload, _, metric = item.partition(":")
+        if workload not in workloads or not metric.startswith("virt_") or metric not in BETTER:
+            ap.error("--moves is workload:metric,... of virt_* metrics, the workloads ones run")
+        moves.add((workload, metric))
     claim = None
     if args.claim:
         try:
@@ -141,25 +159,63 @@ def main():
         print("\nnot bit-equal within a pair (pairs that differ; smallest and largest "
               "change / parent):")
         for workload, name, unequal, pairs, lo, hi in differing:
-            print(f"  {workload} {name}: {unequal} / {pairs} pairs, {lo:.9g} .. {hi:.9g}")
+            declared = " (declared by --moves)" if (workload, name) in moves else ""
+            print(f"  {workload} {name}: {unequal} / {pairs} pairs, {lo:.9g} .. {hi:.9g}"
+                  f"{declared}")
     else:
         print("\nevery virt_* and allocation metric is bit-equal within every pair")
+    # A declared move may only go the better way; anything else in virt_* is
+    # a change the PR did not declare.
+    violations = []
+    for workload, name, *_ in differing:
+        if not name.startswith("virt_"):
+            continue
+        if (workload, name) not in moves:
+            violations.append(f"{workload} {name} differs but is not declared by --moves")
+            continue
+        p, c = runs[workload]["parent"][name], runs[workload]["change"][name]
+        worse = sum((y < x) if BETTER[name] == "higher" else (y > x) for x, y in zip(p, c))
+        if worse:
+            violations.append(f"{workload} {name} is worse in {worse} / {len(p)} pairs")
+    for workload, name in sorted(moves):
+        p, c = runs[workload]["parent"][name], runs[workload]["change"][name]
+        better = sum((y > x) if BETTER[name] == "higher" else (y < x) for x, y in zip(p, c))
+        print(f"declared move {workload} {name}: better in {better} / {len(p)} pairs, "
+              f"equal in {sum(x == y for x, y in zip(p, c))}")
+    for v in violations:
+        print(f"VIOLATION: {v}")
 
     claim_text = None
     if claim:
         workload, metric, want = claim
         p, c = runs[workload]["parent"][metric], runs[workload]["change"][metric]
         higher = BETTER[metric] == "higher"
-        gains = [(y / x if higher else x / y) for x, y in zip(p, c)]
-        won = sum(g > 1 for g in gains)
         (q1, pmed, q3), cmed = quartiles(p), statistics.median(c)
-        met = (won >= 0.9 * len(p) and statistics.median(gains) >= want
-               and abs(cmed - pmed) > q3 - q1)
-        claim_text = (f"{workload} {metric} >= {want:g}x: {statistics.median(gains):.2f}x, "
-                      f"{won}/{len(p)} pairs")
-        print(f"\nclaim {claim_text}, worst pair {min(gains):.2f}x; medians differ by "
-              f"{fmt(abs(cmed - pmed))}, parent quartile distance {fmt(q3 - q1)}: "
-              f"{'met' if met else 'NOT MET'}")
+        apart = abs(cmed - pmed) > q3 - q1
+        if metric in EXACT:
+            # A count: change / parent, every pair better, the median at the
+            # target.
+            ratios = [y / x for x, y in zip(p, c)]
+            won = sum((r > 1) if higher else (r < 1) for r in ratios)
+            med = statistics.median(ratios)
+            reached = med >= want if higher else med <= want
+            met = won == len(p) and reached and apart
+            worst = min(ratios) if higher else max(ratios)
+            bound = ">=" if higher else "<="
+            claim_text = (f"{workload} {metric} {bound} {want:g} x parent (a count): "
+                          f"median {med:.4f} x, {won}/{len(p)} pairs better")
+            print(f"\nclaim {claim_text}, worst pair {worst:.4f} x; medians differ by "
+                  f"{fmt(abs(cmed - pmed))}, parent quartile distance {fmt(q3 - q1)}: "
+                  f"{'met' if met else 'NOT MET'}")
+        else:
+            gains = [(y / x if higher else x / y) for x, y in zip(p, c)]
+            won = sum(g > 1 for g in gains)
+            met = won >= 0.9 * len(p) and statistics.median(gains) >= want and apart
+            claim_text = (f"{workload} {metric} >= {want:g}x: {statistics.median(gains):.2f}x, "
+                          f"{won}/{len(p)} pairs")
+            print(f"\nclaim {claim_text}, worst pair {min(gains):.2f}x; medians differ by "
+                  f"{fmt(abs(cmed - pmed))}, parent quartile distance {fmt(q3 - q1)}: "
+                  f"{'met' if met else 'NOT MET'}")
 
     history = {
         "pr": args.pr, "title": args.title, "claim": claim_text,
@@ -172,7 +228,7 @@ def main():
     }
     print("\nperf_history.jsonl line:")
     print(json.dumps(history, separators=(",", ":")))
-    return 1 if any(name.startswith("virt_") for _, name, *_ in differing) else 0
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

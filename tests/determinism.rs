@@ -15,6 +15,14 @@
 //! `cf18bdf` (the last one carrying it): run this file there with every
 //! `Runner::default()` replaced by a `Runner::new` of that variant and copy
 //! the digest each failing assertion printed.
+//!
+//! Since PR 25 every MD world is two digests, a *physics* half and a
+//! *timing* half (see [`assert_frozen`]), so a change that moves only
+//! virtual time shows as exactly that. Both halves were captured at commit
+//! `f59653f`, where they hashed what the single digests above had pinned.
+//! PR 25 (the FMM's kept locally essential tree plan and 32-byte ghosts)
+//! re-froze the timing halves of the FMM worlds once; every physics half,
+//! every P2NFFT and faulted half and the redistribution digest stayed.
 
 use fcs::SolverKind;
 use mdsim::{simulate, SimConfig, SimResult};
@@ -41,13 +49,52 @@ fn digest(x: &impl std::fmt::Debug) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
-/// Assert that an MD world — clock bit patterns, traffic statistics, every
-/// field of every rank's [`SimResult`] (step records, plan and recovery
-/// counters, final state) and the phase aggregates — hashes to `want`.
-fn assert_frozen(out: &RunOutput<SimResult>, want: u64, what: &str) {
+/// The physics half of an MD world: what every rank computed — per step the
+/// energy, the largest move and whether the solver's order came back, then
+/// the final count, drift, state and recoveries — and nothing of how long
+/// the modelled machine took to compute it.
+fn physics_digest(out: &RunOutput<SimResult>) -> u64 {
+    let ranks: Vec<_> = out
+        .results
+        .iter()
+        .map(|r| {
+            let steps: Vec<_> =
+                r.records.iter().map(|s| (s.step, s.energy, s.max_move, s.resorted)).collect();
+            (steps, r.final_local, r.rms_displacement, &r.final_state, r.recoveries)
+        })
+        .collect();
+    digest(&ranks)
+}
+
+/// The timing half: clock bit patterns, traffic statistics, the step
+/// records' timing fields, the final clocks, the plan counters and the phase
+/// aggregates.
+fn timing_digest(out: &RunOutput<SimResult>) -> u64 {
     let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
-    let got = digest(&(clock_bits, &out.stats, &out.results, &out.phases));
-    assert_eq!(got, want, "{what}: digest {got:#018x} differs from the frozen {want:#018x}");
+    let ranks: Vec<_> = out
+        .results
+        .iter()
+        .map(|r| {
+            let steps: Vec<_> =
+                r.records.iter().map(|s| (s.sort, s.restore, s.resort, s.total)).collect();
+            (steps, r.final_clock, r.plan_builds, r.plan_hits)
+        })
+        .collect();
+    digest(&(clock_bits, &out.stats, ranks, &out.phases))
+}
+
+/// Assert that an MD world hashes to `want`: `[physics, timing]` (together
+/// every field of every rank's [`SimResult`], the clocks, the statistics and
+/// the phase aggregates). A change that moves only virtual time moves only
+/// the second.
+fn assert_frozen(out: &RunOutput<SimResult>, want: [u64; 2], what: &str) {
+    let got = [physics_digest(out), timing_digest(out)];
+    for (half, got, want) in [("physics", got[0], want[0]), ("timing", got[1], want[1])] {
+        assert_eq!(
+            got, want,
+            "{what}: {half} digest {got:#018x} differs from the frozen {want:#018x}"
+        );
+    }
 }
 
 /// The batch widths every frozen digest is checked at: strictly one rank at
@@ -88,18 +135,18 @@ fn md_configs_match_frozen_digests() {
         (SolverKind::P2Nfft, true, false, InitialDistribution::Random),
         (SolverKind::P2Nfft, true, true, InitialDistribution::Grid),
     ];
-    let frozen: [[u64; 4]; 2] = [
+    let frozen: [[[u64; 2]; 4]; 2] = [
         [
-            0x9e70_6cf1_394b_39b5,
-            0xdf42_da53_5bde_5253,
-            0x62d2_ae3a_5d5f_8665,
-            0xc049_456a_685d_06e9,
+            [0xe3e7_f2ac_7ae3_deb5, 0xf3d1_7ea9_e0c2_102b],
+            [0xe36d_87b1_23fa_3d6c, 0xaf4e_5528_e625_1212],
+            [0x0e9a_5a4b_8ee1_c2ce, 0x58d9_000e_273b_2a88],
+            [0x1827_35a8_df22_3ed0, 0x4c04_e762_12cc_9c06],
         ],
         [
-            0xfcfe_ebc0_764e_dff5,
-            0xdaa9_0dbb_3e6f_5a3d,
-            0x7d1b_8753_9f64_462b,
-            0x17b4_beb8_1e39_ca46,
+            [0xe3e7_f2ac_7ae3_deb5, 0x6c97_830e_142b_23a6],
+            [0xe36d_87b1_23fa_3d6c, 0x1f41_f5b7_b3ac_6df9],
+            [0x0e9a_5a4b_8ee1_c2ce, 0xaf69_0baf_4f9c_2ca6],
+            [0x1827_35a8_df22_3ed0, 0xc9ff_2dd8_b7d3_7ca5],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -121,7 +168,7 @@ fn md_configs_match_frozen_digests() {
 
 /// One FMM world (grid start, Method B + movement, 2 steps, 8 ranks) whose
 /// tolerance tunes to expansion order `order` at octree level `level`.
-fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u32, want: u64) {
+fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u32, want: [u64; 2]) {
     let crystal = IonicCrystal::cubic(cells, 1.0, 0.15, 11);
     let tuned = fmm::FmmConfig::tuned(crystal.n() as u64, tolerance);
     assert_eq!((tuned.order, tuned.level), (order, level));
@@ -142,7 +189,7 @@ fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u3
 /// digest changed from run to run with the `HashMap` order of M2M children.)
 #[test]
 fn fmm_level3_non_neutral_cells_match_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-2, 2, 3, 0x48f1_cfd9_9a95_509f);
+    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0x228f_316a_68d5_81da]);
 }
 
 // Every digest above runs the FMM at order 2 (10 coefficients). The two below
@@ -153,12 +200,12 @@ fn fmm_level3_non_neutral_cells_match_frozen_digest() {
 
 #[test]
 fn fmm_order4_level3_matches_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-3, 4, 3, 0x88b6_0690_643f_433b);
+    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0xd35f_b772_8e88_b817]);
 }
 
 #[test]
 fn fmm_order6_level2_matches_frozen_digest() {
-    assert_fmm_world_frozen(9, 1e-4, 6, 2, 0x11c0_3895_2e21_6a57);
+    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x056a_4201_1b07_106d]);
 }
 
 #[test]
@@ -186,7 +233,11 @@ fn faulted_md_matches_frozen_digest() {
         let out = md_world(&runner, p, model, &crystal, InitialDistribution::Grid, &cfg);
         let injected: u64 = out.stats.iter().map(|s| s.faults_injected).sum();
         assert!(injected > 0, "the fault plan must actually inject faults");
-        assert_frozen(&out, 0xb8ba_835a_3b7d_d94b, &format!("faulted P2NFFT width {width}"));
+        assert_frozen(
+            &out,
+            [0x546b_2d96_95f1_b0b9, 0xdaed_7de9_cb77_f7b9],
+            &format!("faulted P2NFFT width {width}"),
+        );
     }
 }
 
