@@ -31,6 +31,9 @@
 //! performs zero per-step heap allocation.
 
 #![warn(missing_docs)]
+// No result of this crate may depend on `RandomState`: nothing outside tests
+// iterates a hash container.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 use particles::{PlaneElem, PlaneSet};
 use simcomm::{Comm, PooledBuf, Work};

@@ -37,7 +37,7 @@ fn main() {
             Opt::flag("skip-left", "skip the left panel"),
             Opt::flag("skip-right", "skip the right panel"),
             Opt::new("dist", "D", "initial distribution: 'random' (default) or 'grid'"),
-            Opt::flag("pencil", "use a pencil (1D) grid decomposition on the right panel"),
+            Opt::flag("pencil", "use the pencil-decomposed (2D) FFT on the right panel"),
             Opt::new("tag", "T", "suffix for the output CSV/report names"),
         ],
         OBS_OPTS,

@@ -11,12 +11,22 @@
 //!   transposed into **y-slabs** for the transform along x, and the inverse
 //!   path mirrors this — the transpose steps are the communication pattern
 //!   of parallel FFT-based solvers (cf. the paper's P2NFFT).
+//!
+//! Every exchange is index-free: which mesh points travel from one rank to
+//! another, and in which order, is a function of the plan alone, which the
+//! sender walks to fill its records and the receiver walks to place them
+//! (DESIGN.md, "P2NFFT far-field routes").
+
+use std::ops::Range;
 
 use particles::{SystemBox, Vec3};
 use simcomm::{push_segment, Comm, Work};
 
 use crate::bspline::{bspline_hat, stencil};
 use crate::fft::{fft_in_place, Complex, Direction};
+
+#[cfg(test)]
+mod oracle;
 
 /// How the mesh is distributed for the parallel FFT.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -32,20 +42,47 @@ pub enum MeshDecomp {
     Pencil,
 }
 
-/// One rank's wrapped mesh window — its particle-grid range expanded by the
-/// assignment order per dimension, which holds every stencil point of every
-/// particle in that range.
+/// A wrapped run of mesh indices along one dimension: `len` points from
+/// `first` on, modulo the mesh extent.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Span {
+    first: usize,
+    len: usize,
+}
+
+impl Span {
+    /// The indices in run order, on a mesh of `m` points.
+    fn iter(self, m: usize) -> impl Iterator<Item = usize> + Clone {
+        (self.first..self.first + self.len).map(move |i| if i < m { i } else { i - m })
+    }
+}
+
+/// The points an order-`order` stencil reaches from the particles the process
+/// grid places in part `c` of `n` along a dimension of `m` mesh points (`m` a
+/// power of two): `[⌊c·m/n⌋ − h, ⌈(c+1)·m/n⌉ + h]` with
+/// `h = ⌊(order − 1)/2⌋`, wrapped and capped at `m` points (DESIGN.md,
+/// "P2NFFT far-field routes", has the proof).
+fn reach(c: usize, n: usize, m: usize, order: usize) -> Span {
+    let h = (order - 1) / 2;
+    let (lo, hi) = (c * m / n, ((c + 1) * m).div_ceil(n));
+    let first = (lo as i64 - h as i64).rem_euclid(m as i64) as usize;
+    Span { first, len: (hi - lo + 2 * h + 1).min(m) }
+}
+
+/// One rank's wrapped mesh window — its [`FarFieldPlan`] patch along each
+/// dimension, which holds every stencil point of every particle in its
+/// process-grid cell.
 #[derive(Default)]
 struct Window {
-    /// Per dimension: the global mesh indices of the window, in window order.
-    axis: [Vec<usize>; 3],
+    /// Per dimension: the window's run of global mesh indices.
+    spans: [Span; 3],
     /// Per dimension: global index → in-window offset (`u32::MAX` outside).
     maps: [Vec<u32>; 3],
 }
 
 impl Window {
     fn extents(&self) -> [usize; 3] {
-        [self.axis[0].len(), self.axis[1].len(), self.axis[2].len()]
+        self.spans.map(|s| s.len)
     }
 
     /// In-window offset of mesh point `(i, j, k)`.
@@ -57,6 +94,264 @@ impl Window {
         );
         let [_, ey, ez] = self.extents();
         (ox as usize * ey + oy as usize) * ez + oz as usize
+    }
+}
+
+/// Where one stage of the distributed transform keeps the mesh. The slab
+/// path uses the first two, the pencil path the last three.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Layout {
+    /// x-slabs stored `(x, y, z)`: the slab path's assignment, 2D transforms
+    /// and interpolation.
+    XSlab,
+    /// y-slabs stored `(y, x, z)`: the slab path's transform along x.
+    YSlab,
+    /// z-pencils (x in `XA[a]`, y in `YB[b]`) stored `(x, y, z)`: the pencil
+    /// path's assignment, transform along z and interpolation.
+    ZPencil,
+    /// y-pencils (x in `XA[a]`, z in `ZB[b]`) stored `(x, z, y)`.
+    YPencil,
+    /// x-pencils (y in `YA[a]`, z in `ZB[b]`) stored `(y, z, x)`.
+    XPencil,
+}
+
+impl Layout {
+    /// The dimensions of a local array, outermost first; the last is
+    /// contiguous.
+    fn nest(self) -> [usize; 3] {
+        match self {
+            Layout::XSlab | Layout::ZPencil => [0, 1, 2],
+            Layout::YSlab => [1, 0, 2],
+            Layout::YPencil => [0, 2, 1],
+            Layout::XPencil => [1, 2, 0],
+        }
+    }
+}
+
+/// One rank's box of the mesh in one layout, as its local array stores it:
+/// origin and extents in nesting order.
+#[derive(Clone, Copy, Debug)]
+struct Local {
+    lo: [usize; 3],
+    ext: [usize; 3],
+    nest: [usize; 3],
+}
+
+impl Local {
+    fn len(&self) -> usize {
+        self.ext.iter().product()
+    }
+
+    /// Offset of mesh point `at` in the local array.
+    fn offset(&self, at: [usize; 3]) -> usize {
+        let [u, v, w] = [0, 1, 2].map(|s| at[self.nest[s]] - self.lo[s]);
+        debug_assert!(u < self.ext[0] && v < self.ext[1] && w < self.ext[2]);
+        (u * self.ext[1] + v) * self.ext[2] + w
+    }
+}
+
+/// How one execution spreads the mesh over its ranks: rank `r` sits at
+/// `(a, b) = (r / grid[1], r % grid[1])` of a `grid[0] x grid[1]` grid —
+/// `p x 1` for slabs. `XA[a]` and `YA[a]` are part `a` of `grid[0]`, `YB[b]`
+/// and `ZB[b]` part `b` of `grid[1]`.
+#[derive(Clone, Copy, Debug, Default)]
+struct Distribution {
+    m: usize,
+    grid: [usize; 2],
+}
+
+impl Distribution {
+    /// The mesh box `[lo, hi)` per dimension that `rank` holds in `layout`.
+    fn held(&self, layout: Layout, rank: usize) -> [(usize, usize); 3] {
+        let (m, [g0, g1]) = (self.m, self.grid);
+        let (a, b) = (part_range(rank / g1, m, g0), part_range(rank % g1, m, g1));
+        let full = (0, m);
+        match layout {
+            Layout::XSlab | Layout::ZPencil => [a, b, full],
+            Layout::YSlab => [full, a, full],
+            Layout::YPencil => [a, full, b],
+            Layout::XPencil => [full, a, b],
+        }
+    }
+
+    /// `rank`'s local array in `layout`.
+    fn local(&self, layout: Layout, rank: usize) -> Local {
+        let (held, nest) = (self.held(layout, rank), layout.nest());
+        Local { lo: nest.map(|d| held[d].0), ext: nest.map(|d| held[d].1 - held[d].0), nest }
+    }
+
+    /// The ranks `rank` sends to when the mesh moves from `from` to `to`:
+    /// those whose boxes differ from its own in the one grid coordinate the
+    /// move changes, with non-empty parts along it.
+    fn partners(&self, (from, to): (Layout, Layout), rank: usize) -> impl Iterator<Item = usize> {
+        let [g0, g1] = self.grid;
+        let (a, b) = (rank / g1, rank % g1);
+        let along_b = matches!(
+            (from, to),
+            (Layout::ZPencil, Layout::YPencil) | (Layout::YPencil, Layout::ZPencil)
+        );
+        let parts = nonempty_parts(self.m, if along_b { g1 } else { g0 });
+        parts.map(move |(c, _, _)| if along_b { a * g1 + c } else { c * g1 + b })
+    }
+
+    /// The mesh points `src` sends `dst` when the mesh moves from `from` to
+    /// `to`, in the order they travel: the two boxes' intersection, walked in
+    /// `from`'s nesting.
+    fn route(
+        &self,
+        (from, to): (Layout, Layout),
+        src: usize,
+        dst: usize,
+    ) -> impl Iterator<Item = [usize; 3]> {
+        let (s, d) = (self.held(from, src), self.held(to, dst));
+        walk(std::array::from_fn(|k| s[k].0.max(d[k].0)..s[k].1.min(d[k].1)), from.nest())
+    }
+
+    /// This rank's side of moving the mesh from one layout to the next: for
+    /// every partner, the values `read` gives at the local offsets of its
+    /// route. Returns what this rank received.
+    fn send_moved<T: Copy + Send + 'static>(
+        &self,
+        comm: &mut Comm,
+        traffic: &mut Traffic,
+        kind: Exchange,
+        moved: (Layout, Layout),
+        read: impl Fn(usize) -> T,
+    ) -> Vec<T> {
+        let me = comm.rank();
+        let mine = self.local(moved.0, me);
+        let dests = self.partners(moved, me);
+        let route = |dst| self.route(moved, me, dst);
+        exchange(comm, traffic, kind, mine.len(), dests, route, |at| read(mine.offset(at)))
+    }
+
+    /// Place what [`Self::send_moved`] received: `write` gets each record
+    /// with its offset in this rank's local array of the new layout, every
+    /// point of which arrives exactly once.
+    fn place_moved<T>(
+        &self,
+        me: usize,
+        moved: (Layout, Layout),
+        received: &[T],
+        sources: &[(usize, usize)],
+        mut write: impl FnMut(usize, &T),
+    ) {
+        let target = self.local(moved.1, me);
+        assert_eq!(
+            received.len(),
+            target.len(),
+            "every point of the {:?} box arrives once",
+            moved.1
+        );
+        place(
+            received,
+            sources,
+            |src| self.route(moved, src, me),
+            |at, v| write(target.offset(at), v),
+        );
+    }
+}
+
+/// The points of `x × y × z`, `x` outermost.
+fn product<I: Iterator<Item = usize> + Clone>(
+    [x, y, z]: [I; 3],
+) -> impl Iterator<Item = [usize; 3]> {
+    x.flat_map(move |i| {
+        let z = z.clone();
+        y.clone().flat_map(move |j| z.clone().map(move |k| [i, j, k]))
+    })
+}
+
+/// The points of the box `ranges`, dimension `nest[0]` outermost and
+/// `nest[2]` innermost.
+fn walk(ranges: [Range<usize>; 3], nest: [usize; 3]) -> impl Iterator<Item = [usize; 3]> {
+    product(nest.map(|d| ranges[d].clone())).map(move |v| {
+        let mut at = [0; 3];
+        for (&d, x) in nest.iter().zip(v) {
+            at[d] = x;
+        }
+        at
+    })
+}
+
+/// The four exchanges of an execution, as [`FarFieldCache`] counts them.
+#[derive(Clone, Copy, Debug)]
+enum Exchange {
+    /// Assigned charges to the ranks that transform them.
+    Charges,
+    /// The forward transposes (one on the slab path, two on the pencil path).
+    Forward,
+    /// The back transposes, four spectra per point.
+    Back,
+    /// Potential and field values to the interpolation patches.
+    Patches,
+}
+
+/// What this rank sent in one kind of [`Exchange`] during an execution.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Sent {
+    /// Non-empty segments, this rank's own included.
+    messages: u64,
+    bytes: u64,
+}
+
+/// The message bookkeeping of the exchanges: the last one's segments and
+/// sources, and per [`Exchange`] what the last execution sent.
+#[derive(Default)]
+struct Traffic {
+    segments: Vec<(usize, usize)>,
+    sources: Vec<(usize, usize)>,
+    sent: [Sent; 4],
+}
+
+/// One index-free exchange: for every `dst` of `dests`, the records `value`
+/// gives the points of `route(dst)`, in route order, sent with
+/// [`Comm::alltoallv_flat`] and counted under `kind`. Returns the records
+/// received, segmented as `traffic.sources` says.
+fn exchange<T: Copy + Send + 'static, I: Iterator<Item = [usize; 3]>>(
+    comm: &mut Comm,
+    traffic: &mut Traffic,
+    kind: Exchange,
+    capacity: usize,
+    dests: impl Iterator<Item = usize>,
+    route: impl Fn(usize) -> I,
+    value: impl Fn([usize; 3]) -> T,
+) -> Vec<T> {
+    let Traffic { segments, sources, sent } = traffic;
+    let mut send = Vec::with_capacity(capacity);
+    segments.clear();
+    for dst in dests {
+        let before = send.len();
+        send.extend(route(dst).map(&value));
+        push_segment(segments, dst, send.len() - before);
+    }
+    let sent = &mut sent[kind as usize];
+    sent.messages += segments.iter().filter(|&&(_, len)| len > 0).count() as u64;
+    sent.bytes += std::mem::size_of_val(&send[..]) as u64;
+    let mut received = Vec::new();
+    comm.alltoallv_flat(send, segments, &mut received, sources);
+    received
+}
+
+/// Pair the records an exchange delivered, source by source, with the points
+/// of each source's route — `route(src)`, the sequence the sender walked to
+/// fill them — and hand each to `put`.
+fn place<T, I: Iterator<Item = [usize; 3]>>(
+    received: &[T],
+    sources: &[(usize, usize)],
+    route: impl Fn(usize) -> I,
+    mut put: impl FnMut([usize; 3], &T),
+) {
+    let mut rest = received;
+    for &(src, len) in sources {
+        let (segment, tail) = rest.split_at(len);
+        rest = tail;
+        let mut points = route(src);
+        for v in segment {
+            let more = || panic!("rank {src} sent {len} records, more than its route");
+            put(points.next().unwrap_or_else(more), v);
+        }
+        assert!(points.next().is_none(), "rank {src} sent {len} records, fewer than its route");
     }
 }
 
@@ -73,16 +368,16 @@ impl Window {
 /// cleared, or resized and zeroed, by the stage that fills it.
 #[derive(Default)]
 pub struct FarFieldCache {
-    /// (decomp, rank, world size, mesh) everything below was built for.
-    key: Option<(MeshDecomp, usize, usize, usize)>,
+    /// (decomp, rank, world size, mesh, assignment order, process grid)
+    /// everything below was built for.
+    key: Option<(MeshDecomp, usize, usize, usize, usize, [usize; 3])>,
     /// `(G_opt, k)` per locally owned spectral point — the Hockney-Eastwood
     /// influence function and the (Nyquist-zeroed) wave vector, in the
     /// traversal order of the owning decomposition; filled on first use.
     spec: Vec<(f64, Vec3)>,
     window: Window,
-    /// The window's `(destination, x offset, y offset)` columns grouped by
-    /// the rank that transforms them, each group in window order.
-    charge_routes: Vec<(usize, u32, u32)>,
+    /// The mesh's distribution over the ranks.
+    dist: Distribution,
     /// B-spline weights per dimension.
     weights: [Vec<f64>; 3],
     /// The mesh in its three transform layouts, then the four spectra (and,
@@ -91,11 +386,17 @@ pub struct FarFieldCache {
     quad: [Vec<Complex>; 4],
     /// One strided FFT line.
     line: Vec<Complex>,
-    segments: Vec<(usize, usize)>,
-    sources: Vec<(usize, usize)>,
+    traffic: Traffic,
     /// The result of the last execution.
     phi: Vec<f64>,
     field: Vec<Vec3>,
+}
+
+impl FarFieldCache {
+    /// Bytes this rank sent in the four exchanges of the last execution.
+    pub(crate) fn sent_bytes(&self) -> u64 {
+        self.traffic.sent.iter().map(|s| s.bytes).sum()
+    }
 }
 
 /// Geometry/layout of the distributed mesh computation, with the routing
@@ -115,12 +416,11 @@ pub struct FarFieldPlan {
     bbox: SystemBox,
     /// Mesh distribution for the parallel FFT.
     decomp: MeshDecomp,
-    /// The patch routes, per dimension: `patches[d][c]` lists, ascending, the
-    /// mesh indices in the interpolation patch of grid coordinate `c` (its
-    /// interior range expanded by the assignment order, wrapped). A mesh
-    /// point goes to the ranks whose three patches hold its three indices.
-    /// A function of mesh, assignment order and process grid only.
-    patches: [Vec<Vec<usize>>; 3],
+    /// Per dimension and grid coordinate: the interpolation patch, which is
+    /// also the assignment window — the stencil's [`reach`] from that part of
+    /// the process grid. A function of mesh, assignment order and process
+    /// grid only.
+    patches: [Vec<Span>; 3],
 }
 
 /// The part of `0..m` split into `parts` floor ranges that holds index `i`.
@@ -145,18 +445,6 @@ fn nonempty_parts(m: usize, parts: usize) -> impl Iterator<Item = (usize, usize,
             out
         })
     })
-}
-
-/// Append one destination's records to a flat payload.
-fn pack<T>(
-    payload: &mut Vec<T>,
-    segments: &mut Vec<(usize, usize)>,
-    dst: usize,
-    items: impl Iterator<Item = T>,
-) {
-    let before = payload.len();
-    payload.extend(items);
-    push_segment(segments, dst, payload.len() - before);
 }
 
 /// `v` as `n` zeros.
@@ -190,29 +478,12 @@ impl FarFieldPlan {
         bbox: SystemBox,
         decomp: MeshDecomp,
     ) -> FarFieldPlan {
+        // The FFT needs it, and the patches' reach rests on it.
+        assert!(mesh.is_power_of_two(), "mesh must be a power of two");
         let patches = std::array::from_fn(|d| {
-            (0..dims[d])
-                .map(|c| {
-                    let (lo, hi) = part_range(c, mesh, dims[d]);
-                    if lo == hi {
-                        return Vec::new();
-                    }
-                    let reach = -(assign_order as i64)..(hi - lo) as i64 + assign_order as i64;
-                    let mut patch: Vec<usize> = reach
-                        .map(|off| (lo as i64 + off).rem_euclid(mesh as i64) as usize)
-                        .collect();
-                    patch.sort_unstable();
-                    patch.dedup();
-                    patch
-                })
-                .collect()
+            (0..dims[d]).map(|c| reach(c, dims[d], mesh, assign_order)).collect()
         });
         FarFieldPlan { mesh, assign_order, alpha, dims, bbox, decomp, patches }
-    }
-
-    /// Index range `[lo, hi)` of grid coordinate `c` along dimension `d`.
-    fn dim_range(&self, d: usize, c: usize) -> (usize, usize) {
-        part_range(c, self.mesh, self.dims[d])
     }
 
     /// Rank owning the grid cell with coordinates `c` (row-major).
@@ -220,15 +491,29 @@ impl FarFieldPlan {
         c[0] * self.dims[1] * self.dims[2] + c[1] * self.dims[2] + c[2]
     }
 
-    #[inline]
-    fn pack(&self, i: usize, j: usize, k: usize) -> u64 {
-        ((i * self.mesh + j) * self.mesh + k) as u64
+    /// The window of the rank at process-grid position `rank`.
+    fn spans(&self, rank: usize) -> [Span; 3] {
+        let c = [
+            rank / (self.dims[1] * self.dims[2]),
+            (rank / self.dims[2]) % self.dims[1],
+            rank % self.dims[2],
+        ];
+        std::array::from_fn(|d| self.patches[d][c[d]])
     }
 
-    #[inline]
-    fn unpack(&self, p: u64) -> [usize; 3] {
-        let m = self.mesh as u64;
-        [(p / (m * m)) as usize, ((p / m) % m) as usize, (p % m) as usize]
+    /// The points of the window `spans` inside the box `held`, in window
+    /// order (x outermost): the charges a window's rank sends the box's rank,
+    /// and the values the box's rank sends back for interpolation.
+    fn window_points(
+        &self,
+        spans: [Span; 3],
+        held: [(usize, usize); 3],
+    ) -> impl Iterator<Item = [usize; 3]> {
+        let m = self.mesh;
+        product(std::array::from_fn(|d| {
+            let (lo, hi) = held[d];
+            spans[d].iter(m).filter(move |i| (lo..hi).contains(i))
+        }))
     }
 
     /// Signed integer frequency of mesh index `i`.
@@ -335,13 +620,7 @@ impl FarFieldPlan {
         charge: &[f64],
         cache: &'c mut FarFieldCache,
     ) -> (&'c [f64], &'c [Vec3]) {
-        let key = Some((self.decomp, comm.rank(), comm.size(), self.mesh));
-        if cache.key != key {
-            *cache = FarFieldCache { key, ..FarFieldCache::default() };
-            self.build_window(comm.rank(), &mut cache.window);
-            cache.weights = std::array::from_fn(|_| vec![0.0; self.assign_order]);
-            cache.line = vec![Complex::ZERO; self.mesh];
-        }
+        self.prepare(comm, cache);
         match self.decomp {
             MeshDecomp::Slab => self.execute_slab(comm, pos, charge, cache),
             MeshDecomp::Pencil => self.execute_pencil(comm, pos, charge, cache),
@@ -349,53 +628,58 @@ impl FarFieldPlan {
         (&cache.phi, &cache.field)
     }
 
+    /// Validate `cache` against this plan and `comm`'s rank layout, rebuild
+    /// it on mismatch, and reset its exchange counts.
+    fn prepare(&self, comm: &Comm, cache: &mut FarFieldCache) {
+        let (me, p) = (comm.rank(), comm.size());
+        let key = Some((self.decomp, me, p, self.mesh, self.assign_order, self.dims));
+        if cache.key != key {
+            *cache = FarFieldCache { key, ..FarFieldCache::default() };
+            self.build_window(me, &mut cache.window);
+            let grid = match self.decomp {
+                MeshDecomp::Slab => [p, 1],
+                MeshDecomp::Pencil => {
+                    let grid = simcomm::balanced_dims(p, 2);
+                    [grid[0], grid[1]]
+                }
+            };
+            cache.dist = Distribution { m: self.mesh, grid };
+            cache.weights = std::array::from_fn(|_| vec![0.0; self.assign_order]);
+            cache.line = vec![Complex::ZERO; self.mesh];
+        }
+        cache.traffic.sent = Default::default();
+    }
+
     /// Rank `me`'s [`Window`].
     fn build_window(&self, me: usize, window: &mut Window) {
-        let m = self.mesh;
-        let my_c = [
-            me / (self.dims[1] * self.dims[2]),
-            (me / self.dims[2]) % self.dims[1],
-            me % self.dims[2],
-        ];
-        for (d, &c) in my_c.iter().enumerate() {
-            let (lo, hi) = self.dim_range(d, c);
-            let ext = ((hi - lo) + 2 * self.assign_order).min(m);
-            let w0 = (lo as i64 - self.assign_order as i64).rem_euclid(m as i64) as usize;
-            window.axis[d] = (0..ext).map(|off| (w0 + off) % m).collect();
-            window.maps[d] = vec![u32::MAX; m];
-            for (off, &i) in window.axis[d].iter().enumerate() {
-                window.maps[d][i] = off as u32;
+        window.spans = self.spans(me);
+        for (span, map) in window.spans.iter().zip(&mut window.maps) {
+            *map = vec![u32::MAX; self.mesh];
+            for (off, i) in span.iter(self.mesh).enumerate() {
+                map[i] = off as u32;
             }
         }
     }
 
-    /// B-spline charge assignment and its routing: the local particles'
+    /// B-spline charge assignment and its route: the local particles'
     /// contributions are summed per mesh point, in particle order, over the
-    /// dense [`Window`]; every touched point (zero sums included) then goes,
-    /// as `(packed index, sum)`, to the rank `owner` names for its `(x, y)`
-    /// column. Returns what this rank received.
+    /// dense [`Window`]; the whole window (zero sums included) then goes to
+    /// the ranks holding it in layout `first`, which add what they receive
+    /// into their `grids[0]` in ascending source rank.
     fn assign_and_route_charges(
         &self,
         comm: &mut Comm,
         pos: &[Vec3],
         charge: &[f64],
         cache: &mut FarFieldCache,
-        owner: impl Fn(usize, usize) -> usize,
-    ) -> Vec<(u64, f64)> {
+        first: Layout,
+    ) {
         let m = self.mesh;
         let order = self.assign_order;
-        let FarFieldCache { window, charge_routes, weights, segments, sources, .. } = cache;
+        let me = comm.rank();
+        let FarFieldCache { window, dist, weights, grids, traffic, .. } = cache;
         let [ex, ey, ez] = window.extents();
-        if charge_routes.len() != ex * ey {
-            charge_routes.clear();
-            for (ox, &i) in window.axis[0].iter().enumerate() {
-                let columns = window.axis[1].iter().enumerate();
-                charge_routes.extend(columns.map(|(oy, &j)| (owner(i, j), ox as u32, oy as u32)));
-            }
-            charge_routes.sort_unstable();
-        }
         let mut sums = vec![0.0f64; ex * ey * ez];
-        let mut seen = vec![false; sums.len()];
         let [wx, wy, wz] = weights;
         for (x, &q) in pos.iter().zip(charge) {
             let t = self.bbox.normalized(*x);
@@ -409,85 +693,77 @@ impl FarFieldPlan {
                     let part = q * wxa * wyb;
                     for (c, &wzc) in wz.iter().enumerate() {
                         let gk = (fz + c as i64).rem_euclid(m as i64) as usize;
-                        let o = window.offset([gi, gj, gk], "assignment");
-                        sums[o] += part * wzc;
-                        seen[o] = true;
+                        sums[window.offset([gi, gj, gk], "assignment")] += part * wzc;
                     }
                 }
             }
         }
         comm.compute(Work::MeshPoint, (pos.len() * order * order * order) as f64);
-        let mut send = Vec::with_capacity(seen.iter().filter(|&&s| s).count());
-        segments.clear();
-        for &(dst, ox, oy) in charge_routes.iter() {
-            let (i, j) = (window.axis[0][ox as usize], window.axis[1][oy as usize]);
-            let column = (ox as usize * ey + oy as usize) * ez;
-            let before = send.len();
-            for (oz, &k) in window.axis[2].iter().enumerate() {
-                if seen[column + oz] {
-                    send.push((self.pack(i, j, k), sums[column + oz]));
-                }
-            }
-            push_segment(segments, dst, send.len() - before);
-        }
-        drop((sums, seen));
-        let mut received = Vec::new();
-        comm.alltoallv_flat(send, segments, &mut received, sources);
-        received
+        // The ranks holding a column of the window: the first layout holds
+        // the mesh in `(x, y)` columns, cut by the grid's two coordinates.
+        let meets = |d: usize, (_, lo, hi): &(usize, usize, usize)| {
+            (*lo..*hi).any(|i| window.maps[d][i] != u32::MAX)
+        };
+        let [g0, g1] = dist.grid;
+        let dests = nonempty_parts(m, g0).filter(|x| meets(0, x)).flat_map(|(a, ..)| {
+            nonempty_parts(m, g1).filter(|y| meets(1, y)).map(move |(b, ..)| a * g1 + b)
+        });
+        let route = |dst| self.window_points(window.spans, dist.held(first, dst));
+        let value = |at| sums[window.offset(at, "assignment")];
+        let received = exchange(comm, traffic, Exchange::Charges, sums.len(), dests, route, value);
+        drop(sums);
+        let target = dist.local(first, me);
+        let dense = &mut grids[0];
+        zeroed(dense, target.len(), Complex::ZERO);
+        let mine = dist.held(first, me);
+        let route = |src| self.window_points(self.spans(src), mine);
+        place(&received, &traffic.sources, route, |at, &q| dense[target.offset(at)].re += q);
     }
 
-    /// Distribute computed mesh values (phi, Ex, Ey, Ez per point) to the
-    /// interpolation patches of the particle-grid owners, then interpolate
-    /// potentials/fields at the local particles and apply the self-energy
-    /// correction. This rank holds the values of the mesh box `owned`
-    /// (`[lo, hi)` per dimension), which `value` reads.
+    /// Distribute computed mesh values (phi, Ex, Ey, Ez per point) from
+    /// layout `last` to the interpolation patches of the particle-grid
+    /// owners, then interpolate potentials/fields at the local particles and
+    /// apply the self-energy correction.
     fn distribute_and_interpolate(
         &self,
         comm: &mut Comm,
         cache: &mut FarFieldCache,
-        owned: [(usize, usize); 3],
-        value: impl Fn(&[Vec<Complex>; 4], [usize; 3]) -> [f64; 4],
+        last: Layout,
         pos: &[Vec3],
         charge: &[f64],
     ) {
         let m = self.mesh;
         let order = self.assign_order;
-        let FarFieldCache { window, quad, weights, phi, field, segments, sources, .. } = cache;
-        // Per dimension and destination coordinate: the owned indices its
-        // patch holds, ascending.
-        let held = |d: usize, c: usize| {
-            let (lo, hi) = owned[d];
-            self.patches[d][c].iter().copied().filter(move |&i| lo <= i && i < hi)
+        let me = comm.rank();
+        let FarFieldCache { window, dist, quad, weights, phi, field, traffic, .. } = cache;
+        let (held, mine) = (dist.held(last, me), dist.local(last, me));
+        // Per dimension: the grid coordinates whose patch meets this rank's
+        // box, and how many of its points each patch holds.
+        let shared = |d: usize, c: usize| {
+            let (lo, hi) = held[d];
+            self.patches[d][c].iter(m).filter(|i| (lo..hi).contains(i)).count()
         };
-        let holders = |d: usize| (0..self.dims[d]).filter(move |&c| held(d, c).next().is_some());
+        let holders = |d: usize| (0..self.dims[d]).filter(move |&c| shared(d, c) > 0);
         let total: usize =
-            (0..3).map(|d| holders(d).map(|c| held(d, c).count()).sum::<usize>()).product();
-        let mut send = Vec::with_capacity(total);
-        segments.clear();
-        for cx in holders(0) {
-            for cy in holders(1) {
-                for cz in holders(2) {
-                    let points = held(0, cx).flat_map(|i| {
-                        held(1, cy).flat_map(move |j| held(2, cz).map(move |k| [i, j, k]))
-                    });
-                    let records =
-                        points.map(|at| (self.pack(at[0], at[1], at[2]), value(quad, at)));
-                    pack(&mut send, segments, self.grid_rank([cx, cy, cz]), records);
-                }
-            }
-        }
-        let mut received = Vec::new();
-        comm.alltoallv_flat(send, segments, &mut received, sources);
+            (0..3).map(|d| holders(d).map(|c| shared(d, c)).sum::<usize>()).product();
+        let dests = holders(0).flat_map(|cx| {
+            holders(1).flat_map(move |cy| holders(2).map(move |cz| self.grid_rank([cx, cy, cz])))
+        });
+        let route = |dst| self.window_points(self.spans(dst), held);
+        let value = |at| {
+            let o = mine.offset(at);
+            [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
+        };
+        let received = exchange(comm, traffic, Exchange::Patches, total, dests, route, value);
 
         // Dense interpolation patch over this rank's wrapped mesh window.
         let [ex, ey, ez] = window.extents();
         let mut patch = vec![[0.0f64; 4]; ex * ey * ez];
-        let mut filled = vec![false; patch.len()];
-        for (idx, v) in received {
-            let o = window.offset(self.unpack(idx), "interpolation");
-            patch[o] = v;
-            filled[o] = true;
-        }
+        assert_eq!(received.len(), patch.len(), "every window point arrives once");
+        let route = |src| self.window_points(window.spans, dist.held(last, src));
+        place(&received, &traffic.sources, route, |at, &v| {
+            patch[window.offset(at, "interpolation")] = v
+        });
 
         zeroed(phi, pos.len(), 0.0);
         zeroed(field, pos.len(), Vec3::ZERO);
@@ -508,11 +784,11 @@ impl FarFieldPlan {
                         let gk = (fz + c as i64).rem_euclid(m as i64) as usize;
                         let oz = window.maps[2][gk] as usize;
                         let w = wab * wzc;
-                        let o = (ox * ey + oy) * ez + oz;
-                        if o >= filled.len() || !filled[o] {
-                            panic!("mesh point ({gi},{gj},{gk}) missing from patch");
-                        }
-                        let v = &patch[o];
+                        // An index outside the window maps to `u32::MAX`,
+                        // which puts the offset past the patch.
+                        let Some(v) = patch.get((ox * ey + oy) * ez + oz) else {
+                            panic!("mesh point ({gi},{gj},{gk}) missing from patch")
+                        };
                         phi[pi] += w * v[0];
                         field[pi] += Vec3::new(v[1], v[2], v[3]) * w;
                     }
@@ -563,17 +839,9 @@ impl FarFieldPlan {
         let (s0, s1) = part_range(me, m, p);
         let sn = s1 - s0;
         // ---- Route contributions to x-slab owners and densify ----
-        let charges =
-            self.assign_and_route_charges(comm, pos, charge, cache, |i, _| part_owner(i, m, p));
-        let FarFieldCache { spec, grids: [slab, yslab, _], quad, line, segments, sources, .. } =
-            cache;
         // Slab layout: data[(x - s0) * m * m + y * m + z].
-        zeroed(slab, sn * m * m, Complex::ZERO);
-        for (idx, val) in charges {
-            let [i, j, k] = self.unpack(idx);
-            debug_assert!((s0..s1).contains(&i));
-            slab[((i - s0) * m + j) * m + k].re += val;
-        }
+        self.assign_and_route_charges(comm, pos, charge, cache, Layout::XSlab);
+        let FarFieldCache { spec, dist, grids: [slab, yslab, _], quad, line, traffic, .. } = cache;
         comm.compute(Work::MeshPoint, (sn * m * m) as f64);
 
         // ---- Forward 2D FFT (y, z) per x-plane ----
@@ -583,26 +851,11 @@ impl FarFieldPlan {
         }
 
         // ---- Transpose to y-slabs ----
-        let mut send = Vec::with_capacity(sn * m * m);
-        segments.clear();
-        for (dst, y0, y1) in nonempty_parts(m, p) {
-            let points =
-                (0..sn).flat_map(|xi| (y0..y1).flat_map(move |y| (0..m).map(move |z| (xi, y, z))));
-            let records = points.map(|(xi, y, z)| {
-                let c = slab[(xi * m + y) * m + z];
-                (self.pack(s0 + xi, y, z), [c.re, c.im])
-            });
-            pack(&mut send, segments, dst, records);
-        }
-        let mut received = Vec::new();
-        comm.alltoallv_flat(send, segments, &mut received, sources);
         // y-slab layout: data[(y - s0) * m * m + x * m + z].
+        let moved = (Layout::XSlab, Layout::YSlab);
+        let received = dist.send_moved(comm, traffic, Exchange::Forward, moved, |o| slab[o]);
         zeroed(yslab, sn * m * m, Complex::ZERO);
-        for (idx, [re, im]) in received {
-            let [x, y, z] = self.unpack(idx);
-            debug_assert!((s0..s1).contains(&y));
-            yslab[((y - s0) * m + x) * m + z] = Complex::new(re, im);
-        }
+        dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| yslab[o] = c);
         // ---- FFT along x (strided within the y-slab) ----
         fft_ops += fft_axis_x(yslab, sn, m, Direction::Forward, line);
 
@@ -629,24 +882,12 @@ impl FarFieldPlan {
         }
 
         // ---- Transpose back to x-slabs (four values per point) ----
-        let mut send = Vec::with_capacity(sn * m * m);
-        segments.clear();
-        for (dst, x0, x1) in nonempty_parts(m, p) {
-            let points =
-                (0..sn).flat_map(|yi| (x0..x1).flat_map(move |x| (0..m).map(move |z| (yi, x, z))));
-            let records = points
-                .map(|(yi, x, z)| (self.pack(x, s0 + yi, z), octet(quad, (yi * m + x) * m + z)));
-            pack(&mut send, segments, dst, records);
-        }
-        let mut received = Vec::new();
-        comm.alltoallv_flat(send, segments, &mut received, sources);
+        let moved = (Layout::YSlab, Layout::XSlab);
+        let received = dist.send_moved(comm, traffic, Exchange::Back, moved, |o| octet(quad, o));
         for arr in quad.iter_mut() {
             zeroed(arr, sn * m * m, Complex::ZERO);
         }
-        for (idx, v) in received {
-            let [x, y, z] = self.unpack(idx);
-            set_octet(quad, ((x - s0) * m + y) * m + z, &v);
-        }
+        dist.place_moved(me, moved, &received, &traffic.sources, |o, v| set_octet(quad, o, v));
         // ---- Inverse 2D FFT (y, z) per x-plane ----
         for arr in quad.iter_mut() {
             for plane in arr.chunks_exact_mut(m * m) {
@@ -656,11 +897,7 @@ impl FarFieldPlan {
         comm.compute(Work::FftPoint, fft_ops as f64);
 
         // ---- Patch distribution + interpolation ----
-        let value = move |quad: &[Vec<Complex>; 4], [i, j, k]: [usize; 3]| {
-            let o = ((i - s0) * m + j) * m + k;
-            [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
-        };
-        self.distribute_and_interpolate(comm, cache, [(s0, s1), (0, m), (0, m)], value, pos, charge)
+        self.distribute_and_interpolate(comm, cache, Layout::XSlab, pos, charge)
     }
 
     /// Pencil-decomposed execution (2D decomposition): the `P` ranks form a
@@ -673,29 +910,18 @@ impl FarFieldPlan {
         charge: &[f64],
         cache: &mut FarFieldCache,
     ) {
-        let p = comm.size();
         let me = comm.rank();
         let m = self.mesh;
-        let grid = simcomm::balanced_dims(p, 2);
-        let (p1, p2) = (grid[0], grid[1]);
+        let [p1, p2] = cache.dist.grid;
         let (a_me, b_me) = (me / p2, me % p2);
-        let rank_of = |a: usize, b: usize| a * p2 + b;
 
         // ---- Stage A: z-pencils (x in XA[a], y in YB[b], full z) ----
         let (ax0, ax1) = part_range(a_me, m, p1);
         let (ay0, ay1) = part_range(b_me, m, p2);
         let (anx, any) = (ax1 - ax0, ay1 - ay0);
-        let charges = self.assign_and_route_charges(comm, pos, charge, cache, |i, j| {
-            rank_of(part_owner(i, m, p1), part_owner(j, m, p2))
-        });
-        let FarFieldCache { spec, grids: [zp, yp, xp], quad, segments, sources, .. } = cache;
         // Layout: zp[((xi * any) + yj) * m + z], z contiguous.
-        zeroed(zp, anx * any * m, Complex::ZERO);
-        for (idx, val) in charges {
-            let [i, j, k] = self.unpack(idx);
-            debug_assert!((ax0..ax1).contains(&i) && (ay0..ay1).contains(&j));
-            zp[((i - ax0) * any + (j - ay0)) * m + k].re += val;
-        }
+        self.assign_and_route_charges(comm, pos, charge, cache, Layout::ZPencil);
+        let FarFieldCache { spec, dist, grids: [zp, yp, xp], quad, traffic, .. } = cache;
         comm.compute(Work::MeshPoint, (anx * any * m) as f64);
 
         // ---- FFT along z ----
@@ -708,26 +934,11 @@ impl FarFieldPlan {
         // full y). Traffic stays within each p1-row. ----
         let (bz0, bz1) = part_range(b_me, m, p2);
         let bnz = bz1 - bz0;
-        let mut send = Vec::with_capacity(zp.len());
-        segments.clear();
-        for (b, z0, z1) in nonempty_parts(m, p2) {
-            let points = (0..anx)
-                .flat_map(|xi| (0..any).flat_map(move |yj| (z0..z1).map(move |z| (xi, yj, z))));
-            let records = points.map(|(xi, yj, z)| {
-                let c = zp[(xi * any + yj) * m + z];
-                (self.pack(ax0 + xi, ay0 + yj, z), [c.re, c.im])
-            });
-            pack(&mut send, segments, rank_of(a_me, b), records);
-        }
-        let mut received = Vec::new();
-        comm.alltoallv_flat(send, segments, &mut received, sources);
         // Layout: yp[((xi * bnz) + zk) * m + y], y contiguous.
+        let moved = (Layout::ZPencil, Layout::YPencil);
+        let received = dist.send_moved(comm, traffic, Exchange::Forward, moved, |o| zp[o]);
         zeroed(yp, anx * bnz * m, Complex::ZERO);
-        for &(idx, [re, im]) in received.iter() {
-            let [i, j, k] = self.unpack(idx);
-            debug_assert!((ax0..ax1).contains(&i) && (bz0..bz1).contains(&k));
-            yp[((i - ax0) * bnz + (k - bz0)) * m + j] = Complex::new(re, im);
-        }
+        dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| yp[o] = c);
 
         // ---- FFT along y ----
         for line in yp.chunks_exact_mut(m) {
@@ -738,25 +949,11 @@ impl FarFieldPlan {
         // full x). Traffic stays within each p2-column. ----
         let (cy0, cy1) = part_range(a_me, m, p1);
         let cny = cy1 - cy0;
-        let mut send = Vec::with_capacity(yp.len());
-        segments.clear();
-        for (a, y0, y1) in nonempty_parts(m, p1) {
-            let points = (0..anx)
-                .flat_map(|xi| (0..bnz).flat_map(move |zk| (y0..y1).map(move |y| (xi, zk, y))));
-            let records = points.map(|(xi, zk, y)| {
-                let c = yp[(xi * bnz + zk) * m + y];
-                (self.pack(ax0 + xi, y, bz0 + zk), [c.re, c.im])
-            });
-            pack(&mut send, segments, rank_of(a, b_me), records);
-        }
-        comm.alltoallv_flat(send, segments, &mut received, sources);
         // Layout: xp[((yj * bnz) + zk) * m + x], x contiguous.
+        let moved = (Layout::YPencil, Layout::XPencil);
+        let received = dist.send_moved(comm, traffic, Exchange::Forward, moved, |o| yp[o]);
         zeroed(xp, cny * bnz * m, Complex::ZERO);
-        for (idx, [re, im]) in received {
-            let [i, j, k] = self.unpack(idx);
-            debug_assert!((cy0..cy1).contains(&j) && (bz0..bz1).contains(&k));
-            xp[((j - cy0) * bnz + (k - bz0)) * m + i] = Complex::new(re, im);
-        }
+        dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| xp[o] = c);
 
         // ---- FFT along x ----
         for line in xp.chunks_exact_mut(m) {
@@ -789,25 +986,12 @@ impl FarFieldPlan {
         }
 
         // ---- Transpose C -> B (four spectra packed) ----
-        let mut send = Vec::with_capacity(n_local);
-        segments.clear();
-        for (a, x0, x1) in nonempty_parts(m, p1) {
-            let points = (0..cny)
-                .flat_map(|yj| (0..bnz).flat_map(move |zk| (x0..x1).map(move |x| (yj, zk, x))));
-            let records = points.map(|(yj, zk, x)| {
-                (self.pack(x, cy0 + yj, bz0 + zk), octet(quad, (yj * bnz + zk) * m + x))
-            });
-            pack(&mut send, segments, rank_of(a, b_me), records);
-        }
-        let mut received = Vec::new();
-        comm.alltoallv_flat(send, segments, &mut received, sources);
+        let moved = (Layout::XPencil, Layout::YPencil);
+        let received = dist.send_moved(comm, traffic, Exchange::Back, moved, |o| octet(quad, o));
         for arr in quad.iter_mut() {
             zeroed(arr, anx * bnz * m, Complex::ZERO);
         }
-        for (idx, v) in received.iter() {
-            let [i, j, k] = self.unpack(*idx);
-            set_octet(quad, ((i - ax0) * bnz + (k - bz0)) * m + j, v);
-        }
+        dist.place_moved(me, moved, &received, &traffic.sources, |o, v| set_octet(quad, o, v));
 
         // ---- Inverse FFT along y ----
         for arr in quad.iter_mut() {
@@ -817,24 +1001,12 @@ impl FarFieldPlan {
         }
 
         // ---- Transpose B -> A ----
-        let mut send = Vec::with_capacity(anx * bnz * m);
-        segments.clear();
-        for (b, y0, y1) in nonempty_parts(m, p2) {
-            let points = (0..anx)
-                .flat_map(|xi| (0..bnz).flat_map(move |zk| (y0..y1).map(move |y| (xi, zk, y))));
-            let records = points.map(|(xi, zk, y)| {
-                (self.pack(ax0 + xi, y, bz0 + zk), octet(quad, (xi * bnz + zk) * m + y))
-            });
-            pack(&mut send, segments, rank_of(a_me, b), records);
-        }
-        comm.alltoallv_flat(send, segments, &mut received, sources);
+        let moved = (Layout::YPencil, Layout::ZPencil);
+        let received = dist.send_moved(comm, traffic, Exchange::Back, moved, |o| octet(quad, o));
         for arr in quad.iter_mut() {
             zeroed(arr, anx * any * m, Complex::ZERO);
         }
-        for (idx, v) in received {
-            let [i, j, k] = self.unpack(idx);
-            set_octet(quad, ((i - ax0) * any + (j - ay0)) * m + k, &v);
-        }
+        dist.place_moved(me, moved, &received, &traffic.sources, |o, v| set_octet(quad, o, v));
 
         // ---- Inverse FFT along z ----
         for arr in quad.iter_mut() {
@@ -845,12 +1017,7 @@ impl FarFieldPlan {
         comm.compute(Work::FftPoint, fft_ops as f64);
 
         // ---- Patch distribution + interpolation ----
-        let value = move |quad: &[Vec<Complex>; 4], [i, j, k]: [usize; 3]| {
-            let o = ((i - ax0) * any + (j - ay0)) * m + k;
-            [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
-        };
-        let owned = [(ax0, ax1), (ay0, ay1), (0, m)];
-        self.distribute_and_interpolate(comm, cache, owned, value, pos, charge)
+        self.distribute_and_interpolate(comm, cache, Layout::ZPencil, pos, charge)
     }
 }
 
@@ -899,7 +1066,6 @@ fn fft_axis_x(
     }
     ops
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -934,18 +1100,53 @@ mod tests {
         }
     }
 
+    /// Every stencil point of every particle the process grid places in a
+    /// part lies in that part's patch, probed at every part boundary and 64
+    /// ulps either side, on grids that are and are not powers of two, wider
+    /// and narrower than the mesh; where the boundaries fall on mesh points
+    /// (power-of-two grids no wider than the mesh) both ends of the patch are
+    /// reached.
     #[test]
-    fn patches_are_the_windows_sorted() {
-        let plan =
-            FarFieldPlan::new(16, 3, 1.0, [3, 2, 5], SystemBox::cubic(8.0), MeshDecomp::default());
-        for me in 0..30 {
-            let mut window = Window::default();
-            plan.build_window(me, &mut window);
-            let c = [me / 10, me / 5 % 2, me % 5];
-            for (d, &coordinate) in c.iter().enumerate() {
-                let mut axis = window.axis[d].clone();
-                axis.sort_unstable();
-                assert_eq!(axis, plan.patches[d][coordinate], "rank {me} dimension {d}");
+    fn patches_hold_exactly_the_stencil_reach() {
+        let bbox = SystemBox::cubic(1.0);
+        for n in (1..=13).chain([16, 24, 27, 40, 64]) {
+            for m in [8usize, 16, 32, 64] {
+                for order in 1..=6 {
+                    let plan = FarFieldPlan::new(m, order, 1.0, [n, 1, 1], bbox, MeshDecomp::Slab);
+                    let mut weights = vec![0.0; order];
+                    // Per part: the lowest and highest point reached, unwrapped.
+                    let mut ends = vec![(i64::MAX, i64::MIN); n];
+                    for b in 0..=n {
+                        let (mut below, mut above) = (b as f64 / n as f64, b as f64 / n as f64);
+                        for _ in 0..=64 {
+                            for t in [below, above].into_iter().filter(|t| (0.0..1.0).contains(t)) {
+                                let x = Vec3::new(t, 0.5, 0.5);
+                                let c = particles::grid_rank_of([n, 1, 1], &bbox, x);
+                                let u = bbox.normalized(x).x() * m as f64;
+                                let first = stencil(order, u, &mut weights);
+                                let last = first + order as i64 - 1;
+                                let span = plan.patches[0][c];
+                                for g in first..=last {
+                                    let g = g.rem_euclid(m as i64) as usize;
+                                    let what = format!("n {n} m {m} order {order} t {t:e}");
+                                    assert!(
+                                        span.iter(m).any(|i| i == g),
+                                        "{what}: {g} not in {span:?}"
+                                    );
+                                }
+                                ends[c] = (ends[c].0.min(first), ends[c].1.max(last));
+                            }
+                            (below, above) = (below.next_down(), above.next_up());
+                        }
+                    }
+                    if n.is_power_of_two() && n <= m {
+                        let h = ((order - 1) / 2) as i64;
+                        for (c, &(lo, hi)) in ends.iter().enumerate() {
+                            let want = ((c * m / n) as i64 - h, ((c + 1) * m / n) as i64 + h);
+                            assert_eq!((lo, hi), want, "n {n} m {m} order {order} part {c}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -3,14 +3,16 @@
 //! From-scratch member of the Ewald-splitting particle-mesh family the
 //! paper's P2NFFT solver belongs to (Sect. II-C), with the same *data
 //! handling*: the particle system is distributed uniformly over a Cartesian
-//! process grid using a fine-grained data redistribution operation that
-//! duplicates boundary particles as **ghosts** (each copy carrying a 64-bit
-//! index value: source rank in the upper 32 bits, source position in the
-//! lower 32, ghosts marked invalid); real-space contributions use a
-//! linked-cell algorithm within the cutoff; Fourier-space contributions use
-//! B-spline charge assignment and a distributed FFT implemented from
-//! scratch (1D slab or 2D pencil decomposition, see [`MeshDecomp`]) with a
-//! Hockney-Eastwood optimal influence function and ik differentiation.
+//! process grid using a fine-grained data redistribution operation (each
+//! particle carrying a 64-bit index value: source rank in the upper 32 bits,
+//! source position in the lower 32) that duplicates boundary particles as
+//! **ghosts**, which carry only position and charge; real-space
+//! contributions use a linked-cell algorithm within the cutoff;
+//! Fourier-space contributions use B-spline charge assignment and a
+//! distributed FFT implemented from scratch (1D slab or 2D pencil
+//! decomposition, see [`MeshDecomp`]) with a Hockney-Eastwood optimal
+//! influence function and ik differentiation, whose exchanges carry no mesh
+//! indices.
 //!
 //! After the computation the solver either restores the original particle
 //! order and distribution (Method A) or returns the changed grid
@@ -19,6 +21,9 @@
 //! neighbourhood point-to-point communication (Sect. III-B).
 
 #![warn(missing_docs)]
+// No result of this crate may depend on `RandomState`: nothing outside tests
+// iterates a hash container.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 mod bspline;
 mod farfield;
@@ -363,6 +368,56 @@ mod tests {
             assert_eq!(solver.guard_fallbacks, 1, "no new fallback on an honest step");
             o_honest.id.len()
         });
+    }
+
+    /// Ghosts travel as position and charge, two thirds of the bytes of a
+    /// whole [`PmParticle`], and the far field reports what it sends: in a
+    /// world of three Method B runs with movement (one ghost-plan build, two
+    /// reuses) every rank's `ghost_bytes` and `far_bytes` are what its
+    /// communicator counted in those phases, and the potentials and fields
+    /// keep the bits they had when ghosts were whole records (the digest was
+    /// taken then).
+    #[test]
+    fn ghosts_carry_two_thirds_of_a_record_and_keep_the_bits() {
+        let c = IonicCrystal::cubic(6, 1.0, 0.1, 23);
+        let bbox = c.system_box();
+        let cfg = PmConfig::tuned(&bbox, 1e-3, 1.5);
+        let p = 8;
+        let out = run(p, MachineModel::juropa_like(), move |comm| {
+            let dims = CartGrid::balanced(p).dims();
+            let set = local_set(&c, InitialDistribution::Grid, comm.rank(), p, dims);
+            let (mut pos, mut charge, mut id) =
+                (set.pos().to_vec(), set.charge().to_vec(), set.id().to_vec());
+            let mut solver = PmSolver::new(bbox, cfg.clone(), p);
+            let mut bits = Vec::new();
+            for _ in 0..3 {
+                let (ghost_recv, far_sent) = {
+                    let profile = comm.phase_profile();
+                    let phase = |name| profile.get(name).cloned().unwrap_or_default();
+                    (phase("ghosts").p2p_recv_bytes, phase("far").p2p_sent_bytes)
+                };
+                let method = RedistMethod::UseChanged;
+                let o = solver.run(comm, &pos, &charge, &id, method, Some(0.01), usize::MAX);
+                let r = &solver.last_report;
+                assert!(r.ghosts_received > 0);
+                let whole = r.ghosts_received * std::mem::size_of::<PmParticle>() as u64;
+                assert_eq!(3 * r.ghost_bytes, 2 * whole);
+                let profile = comm.phase_profile();
+                let phase = |name| profile.get(name).cloned().unwrap_or_default();
+                assert_eq!(r.ghost_bytes, phase("ghosts").p2p_recv_bytes - ghost_recv);
+                assert_eq!(r.far_bytes, phase("far").p2p_sent_bytes - far_sent);
+                bits.extend(o.potential.iter().map(|x| x.to_bits()));
+                bits.extend(o.field.iter().flat_map(|e| [e.x(), e.y(), e.z()].map(f64::to_bits)));
+                (pos, charge, id) = (o.pos, o.charge, o.id);
+            }
+            bits
+        });
+        let digest = out
+            .results
+            .iter()
+            .flatten()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b).wrapping_mul(0x0100_0000_01b3));
+        assert_eq!(digest, 0x862b_0957_4de5_b042, "potential and field bits moved: {digest:#018x}");
     }
 
     #[test]

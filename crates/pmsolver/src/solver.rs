@@ -5,7 +5,6 @@
 
 use atasp::{
     alltoall_specific, build_resort_indices_with, decode_index, encode_index, ExchangeMode,
-    GHOST_INDEX,
 };
 use particles::{
     grid_cell_bounds, grid_rank_of, MovementHint, RedistMethod, SolverOutput, SolverTimings,
@@ -18,7 +17,8 @@ use crate::nearfield::near_field_of;
 
 /// One particle as transported by the particle-mesh solver. `origin` is the
 /// 64-bit index value of the paper (source rank in the upper 32 bits, source
-/// position in the lower 32) or [`GHOST_INDEX`] for ghost duplicates.
+/// position in the lower 32). Ghost duplicates travel as `(position, charge)`
+/// pairs, the 32 of these 48 bytes the near field reads.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PmParticle {
     /// Particle position.
@@ -27,7 +27,7 @@ pub struct PmParticle {
     pub charge: f64,
     /// Application-level global particle id.
     pub id: u64,
-    /// Origin code or [`GHOST_INDEX`].
+    /// Origin code.
     pub origin: u64,
 }
 
@@ -113,6 +113,13 @@ pub struct PmRunReport {
     /// this step. Only ever set on fault-injected worlds; see
     /// [`PmSolver::run`].
     pub movement_guard_fallback: bool,
+    /// Bytes of the ghost records (position and charge) this rank received
+    /// for the near field.
+    pub ghost_bytes: u64,
+    /// Bytes this rank sent in the far field's four exchanges: charges to
+    /// the transform owners, the forward and the back transposes, and values
+    /// to the interpolation patches.
+    pub far_bytes: u64,
 }
 
 /// Message tag of the persistent ghost-exchange plan.
@@ -485,7 +492,8 @@ impl PmSolver {
         // --- Ghost exchange: duplicate boundary particles to neighbours
         // within the cutoff plus the plan's skin margin (always
         // point-to-point with the 26 grid neighbours via the persistent
-        // [`CommPlan`]; ghosts are born with an invalid index value).
+        // [`CommPlan`]; a ghost is its position and charge, all the near
+        // field reads).
         //
         // The skin over-approximates the selection: every particle within
         // `rcut + skin` of a boundary is duplicated, so the routes stay a
@@ -556,17 +564,16 @@ impl PmSolver {
         }
         // One block for the copies sent, then — in place — for the ghosts
         // received; the near field is the last to read it.
-        let mut ghosts = Vec::with_capacity(sends.iter().map(Vec::len).sum());
+        let mut ghosts: Vec<(Vec3, f64)> = Vec::with_capacity(sends.iter().map(Vec::len).sum());
         ws.counts.clear();
         for ix in sends {
             ws.counts.push(ix.len());
-            let copies =
-                ix.iter().map(|&j| PmParticle { origin: GHOST_INDEX, ..owned[j as usize] });
-            ghosts.extend(copies);
+            ghosts.extend(ix.iter().map(|&j| (owned[j as usize].pos, owned[j as usize].charge)));
         }
         comm.compute(Work::ByteCopy, std::mem::size_of_val(&ghosts[..]) as f64);
         statics.comm_plan.execute_flat(comm, &mut ghosts, &ws.counts);
         self.last_report.ghosts_received = ghosts.len() as u64;
+        self.last_report.ghost_bytes = std::mem::size_of_val(&ghosts[..]) as u64;
         comm.exit_phase();
         let t_sorted = comm.clock();
 
@@ -584,7 +591,7 @@ impl PmSolver {
             self.cfg.soft_core,
             (lo, hi),
             owned.len(),
-            sources.chain(ghosts.iter().map(|g| (g.pos, g.charge))),
+            sources.chain(ghosts.iter().copied()),
         );
         drop(ghosts);
         comm.compute(Work::Interaction, pairs as f64);
@@ -598,6 +605,7 @@ impl PmSolver {
             potential[i] += far_phi[i];
             field[i] += far_field[i];
         }
+        self.last_report.far_bytes = self.far_cache.sent_bytes();
         comm.exit_phase();
         // Synchronize before the redistribution phase so that compute load
         // imbalance is attributed to the computation, not to the timing of

@@ -98,9 +98,11 @@ fn a_warm_run_allocates_a_fixed_number_of_blocks() {
             // problem: where this guard was written every shape read 24 to
             // 37, and the per-destination send lists, per-step windows and
             // slabs before it 160 to 266, growing with every one of them.
+            // Since the far field's exchanges carry no index (no `seen` or
+            // `filled` array) every shape reads 23 to 35.
             let warm = world(shape, method, 3) - world(shape, method, 2);
             assert!(
-                warm <= 40 * shape.ranks as u64,
+                warm <= 37 * shape.ranks as u64,
                 "{method:?} {shape:?}: a warm run allocated {warm} blocks on {} ranks",
                 shape.ranks
             );

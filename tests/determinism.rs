@@ -23,6 +23,10 @@
 //! PR 25 (the FMM's kept locally essential tree plan and 32-byte ghosts)
 //! re-froze the timing halves of the FMM worlds once; every physics half,
 //! every P2NFFT and faulted half and the redistribution digest stayed.
+//! The P2NFFT far field's index-free exchanges at the stencil's reach, with
+//! 32-byte P2NFFT ghosts, re-froze the timing halves of the four P2NFFT
+//! worlds and the faulted world once; every physics half, every FMM half and
+//! the redistribution digest stayed.
 
 use fcs::SolverKind;
 use mdsim::{simulate, SimConfig, SimResult};
@@ -139,14 +143,14 @@ fn md_configs_match_frozen_digests() {
         [
             [0xe3e7_f2ac_7ae3_deb5, 0xf3d1_7ea9_e0c2_102b],
             [0xe36d_87b1_23fa_3d6c, 0xaf4e_5528_e625_1212],
-            [0x0e9a_5a4b_8ee1_c2ce, 0x58d9_000e_273b_2a88],
-            [0x1827_35a8_df22_3ed0, 0x4c04_e762_12cc_9c06],
+            [0x0e9a_5a4b_8ee1_c2ce, 0xe7b8_b754_408e_9d1e],
+            [0x1827_35a8_df22_3ed0, 0x8c04_ddaf_81ca_f750],
         ],
         [
             [0xe3e7_f2ac_7ae3_deb5, 0x6c97_830e_142b_23a6],
             [0xe36d_87b1_23fa_3d6c, 0x1f41_f5b7_b3ac_6df9],
-            [0x0e9a_5a4b_8ee1_c2ce, 0xaf69_0baf_4f9c_2ca6],
-            [0x1827_35a8_df22_3ed0, 0xc9ff_2dd8_b7d3_7ca5],
+            [0x0e9a_5a4b_8ee1_c2ce, 0x285b_b34c_f100_9fc0],
+            [0x1827_35a8_df22_3ed0, 0x2887_a00b_6bd5_d929],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -235,7 +239,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x546b_2d96_95f1_b0b9, 0xdaed_7de9_cb77_f7b9],
+            [0x546b_2d96_95f1_b0b9, 0x4146_cd55_4345_895f],
             &format!("faulted P2NFFT width {width}"),
         );
     }
