@@ -22,6 +22,18 @@
 //!   ghost order takes the full sort + dedup pass the pre-plan ghost path
 //!   performed every step.
 //!
+//! Two unplanned redistribution families ride along on the same `procs`:
+//!
+//! * **Neighbourhood exchange** (`exchange/*`): every rank sends a 4 KiB
+//!   message to each of the 26 ranks nearest to it on a ring, as the
+//!   nonblocking [`simcomm::Comm::neighbor_exchange`] (drained in arrival
+//!   order) and, for reference, as the collective `alltoallv`.
+//! * **Multi-field resort** (`resort/*`, the `fcs_resort_*` path): three
+//!   per-particle fields of 2000 elements per rank, routed as three
+//!   sequential single-field resorts (`per-field`) or in one combined byte
+//!   exchange round (`combined`, [`atasp::resort_planes`] over a three-plane
+//!   [`particles::PlaneSet`]).
+//!
 //! The MD workload is sized so the tuned short-range cutoff stays below the
 //! domain-cell width (`procs 64`, `cells 16`), giving the ghost-plan cache a
 //! positive skin margin to absorb particle movement.
@@ -31,6 +43,7 @@
 //! baseline on either machine model, or if the planned neighbourhood
 //! exchange wins less than 5 % on the torus (JUQUEEN-like) model.
 
+use atasp::{encode_index, resort, resort_planes, ExchangeMode};
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{
     banner, fmt_secs, record_run, report_summary, RunReport, Selftime, SelftimeRow, TimelineSink,
@@ -39,6 +52,12 @@ use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal, PlaneSet, Vec3};
 use simcomm::{CartGrid, Comm, MachineModel, Runner, Work};
+
+/// Payload of one message of the `exchange/*` runs.
+const EXCHANGE_BYTES: usize = 4096;
+
+/// Elements per rank of each field of the `resort/*` runs.
+const RESORT_ELEMS: usize = 2000;
 
 /// Short machine label ("juropa-like") for run labels and table rows.
 fn short_name(model: &MachineModel) -> &str {
@@ -111,6 +130,118 @@ fn neighborhood_workloads(
     spans
 }
 
+/// Symmetric ring neighbourhood of `reach` ranks on each side (the 26
+/// distinct partners of a 3×3×3 stencil when `reach` is 13).
+fn ring_partners(comm: &Comm, reach: usize) -> Vec<usize> {
+    let (me, p) = (comm.rank(), comm.size());
+    let mut partners: Vec<usize> =
+        (1..=reach).flat_map(|d| [(me + d) % p, (me + p - d) % p]).filter(|&q| q != me).collect();
+    partners.sort_unstable();
+    partners.dedup();
+    partners
+}
+
+/// The `exchange/*` runs: one 26-partner round of [`EXCHANGE_BYTES`]
+/// messages, point to point and as a collective.
+fn exchange_workloads(
+    model: &MachineModel,
+    procs: usize,
+    analyze: bool,
+    report: &mut RunReport,
+    timeline: &mut TimelineSink,
+) {
+    let runner = Runner::default().traced(analyze);
+    let payloads = |partners: &[usize]| -> Vec<(usize, Vec<u8>)> {
+        partners.iter().map(|&q| (q, vec![0u8; EXCHANGE_BYTES])).collect()
+    };
+    let nonblocking = runner.run(procs, model.clone(), |comm| {
+        let partners = ring_partners(comm, 13);
+        let _ = comm.neighbor_exchange(&partners, payloads(&partners), 1);
+    });
+    let collective = runner.run(procs, model.clone(), |comm| {
+        let partners = ring_partners(comm, 13);
+        let _ = comm.alltoallv(payloads(&partners));
+    });
+    let name = short_name(model);
+    println!(
+        "{name:<14} {:<14} nonblocking {:>12}  alltoallv {:>12}",
+        "exchange",
+        fmt_secs(nonblocking.makespan()),
+        fmt_secs(collective.makespan())
+    );
+    record_run(format!("{name}/exchange/nonblocking"), nonblocking, report, timeline);
+    record_run(format!("{name}/exchange/alltoallv"), collective, report, timeline);
+}
+
+/// The `resort/*` runs: three fields of [`RESORT_ELEMS`] elements per rank,
+/// every rank's block rotated to the next rank with positions reversed,
+/// resorted one field at a time and all three in one round.
+fn resort_workloads(
+    model: &MachineModel,
+    procs: usize,
+    analyze: bool,
+    report: &mut RunReport,
+    timeline: &mut TimelineSink,
+) {
+    let runner = Runner::default().traced(analyze);
+    let elems = RESORT_ELEMS;
+    let indices = |comm: &Comm| -> Vec<u64> {
+        let dst = (comm.rank() + 1) % comm.size();
+        (0..elems).map(|i| encode_index(dst, elems - 1 - i)).collect()
+    };
+    let fields = |comm: &Comm| -> [Vec<f64>; 3] {
+        let base = (comm.rank() * elems) as f64;
+        let a: Vec<f64> = (0..elems).map(|i| base + i as f64).collect();
+        let b: Vec<f64> = a.iter().map(|x| x + 0.25).collect();
+        let c: Vec<f64> = a.iter().map(|x| x + 0.5).collect();
+        [a, b, c]
+    };
+    let per_field = runner.run(procs, model.clone(), |comm| {
+        let ix = indices(comm);
+        let [a, b, c] = fields(comm);
+        for ch in [&a, &b, &c] {
+            let _ = resort(comm, ch, &ix, elems, &ExchangeMode::Collective);
+        }
+    });
+    let combined = runner.run(procs, model.clone(), |comm| {
+        let ix = indices(comm);
+        let [a, b, c] = fields(comm);
+        let mut set = PlaneSet::new();
+        for (name, data) in [("a", &a), ("b", &b), ("c", &c)] {
+            let id = set.register::<f64>(name);
+            set.resize(data.len());
+            set.plane_mut::<f64>(id).copy_from_slice(data);
+        }
+        let mut plan = None;
+        resort_planes(comm, &mut set, &ix, elems, &ExchangeMode::Collective, &mut plan);
+    });
+    let name = short_name(model);
+    println!(
+        "{name:<14} {:<14} per-field {:>14}  combined {:>13}",
+        "resort",
+        fmt_secs(per_field.makespan()),
+        fmt_secs(combined.makespan())
+    );
+    record_run(format!("{name}/resort/per-field"), per_field, report, timeline);
+    record_run(format!("{name}/resort/combined"), combined, report, timeline);
+}
+
+/// `n` records in three planes of different element sizes (`vel`, `charge`,
+/// `tag`), each record's values derived from its index.
+fn three_planes(n: usize) -> PlaneSet {
+    let mut set = PlaneSet::new();
+    let vel = set.register::<Vec3>("vel");
+    let charge = set.register::<f64>("charge");
+    let tag = set.register::<u64>("tag");
+    set.resize(n);
+    for i in 0..n {
+        set.plane_mut::<Vec3>(vel)[i] = Vec3::splat(i as f64);
+        set.plane_mut::<f64>(charge)[i] = i as f64 * 0.5;
+        set.plane_mut::<u64>(tag)[i] = i as u64;
+    }
+    set
+}
+
 fn main() {
     let cli = Cli::parse(
         "plancache",
@@ -144,7 +275,8 @@ fn main() {
         &format!(
             "MD: {} particles (cells {cells}), {procs} processes, {steps} steps, \
              P2NFFT + Method B resort, tolerance {tolerance:e}; \
-             neighbourhood: 26 partners x {elems} ghosts/step",
+             neighbourhood: 26 partners x {elems} ghosts/step; exchange: 26 partners x \
+             {EXCHANGE_BYTES} B; resort: {RESORT_ELEMS} elements x 3 fields per rank",
             crystal.n()
         ),
     );
@@ -269,6 +401,11 @@ fn main() {
                 model.name
             );
         }
+
+        // --- Unplanned redistribution: exchange and resort ---
+        exchange_workloads(&model, procs, analyze, &mut report, &mut timeline);
+        resort_workloads(&model, procs, analyze, &mut report, &mut timeline);
+        selftime.lap(&format!("run:{name}/exchange+resort"));
     }
 
     // --- Steady-state allocation probe ---
@@ -282,33 +419,51 @@ fn main() {
     let probe_steps = 64u64;
     let probe = Runner::default().run(1, MachineModel::ideal(), move |comm| {
         let n = 2048usize;
-        let mut set = PlaneSet::new();
-        let vel = set.register::<Vec3>("vel");
-        let charge = set.register::<f64>("charge");
-        let tag = set.register::<u64>("tag");
-        set.resize(n);
-        for i in 0..n {
-            set.plane_mut::<Vec3>(vel)[i] = Vec3::splat(i as f64);
-            set.plane_mut::<f64>(charge)[i] = i as f64 * 0.5;
-            set.plane_mut::<u64>(tag)[i] = i as u64;
-        }
+        let mut set = three_planes(n);
         // A fixed permutation (1031 is odd, so coprime with 2048): every
         // element moves every step, all of it rank-local.
-        let ix: Vec<u64> = (0..n).map(|i| atasp::encode_index(0, (i * 1031) % n)).collect();
-        let mode = atasp::ExchangeMode::Neighborhood(Vec::new());
+        let ix: Vec<u64> = (0..n).map(|i| encode_index(0, (i * 1031) % n)).collect();
+        let mode = ExchangeMode::Neighborhood(Vec::new());
         let mut plan = None;
         for _ in 0..4 {
-            atasp::resort_planes(comm, &mut set, &ix, n, &mode, &mut plan);
+            resort_planes(comm, &mut set, &ix, n, &mode, &mut plan);
         }
         let t0 = std::time::Instant::now();
         let (a0, b0) = bench::alloc_counters();
         for _ in 0..probe_steps {
-            atasp::resort_planes(comm, &mut set, &ix, n, &mode, &mut plan);
+            resort_planes(comm, &mut set, &ix, n, &mode, &mut plan);
         }
         let (a1, b1) = bench::alloc_counters();
         (a1 - a0, b1 - b0, t0.elapsed().as_secs_f64())
     });
     let (probe_allocs, probe_bytes, probe_wall) = probe.results[0];
+
+    // The same path with real messages: a warm 27-rank torus world, where a
+    // rank's 26 neighbours are all the other ranks. Share `k` of every
+    // rank's records goes to rank `k` — 26 shares over the byte exchange,
+    // one kept — into the slot of its sender, counted on rank 0's thread
+    // (`steady-resort-neighbourhood=0`).
+    let neighbourhood = Runner::default().run(27, MachineModel::juqueen_like(), move |comm| {
+        let (me, p) = (comm.rank(), comm.size());
+        let share = 64;
+        let n = share * p;
+        let mut set = three_planes(n);
+        let ix: Vec<u64> =
+            (0..n).map(|i| encode_index(i / share, me * share + i % share)).collect();
+        let mode = ExchangeMode::Neighborhood(CartGrid::balanced(p).neighbors26(me));
+        let mut plan = None;
+        for _ in 0..4 {
+            resort_planes(comm, &mut set, &ix, n, &mode, &mut plan);
+        }
+        let t0 = std::time::Instant::now();
+        let (a0, b0) = bench::thread_alloc_counters();
+        for _ in 0..probe_steps {
+            resort_planes(comm, &mut set, &ix, n, &mode, &mut plan);
+        }
+        let (a1, b1) = bench::thread_alloc_counters();
+        (a1 - a0, b1 - b0, t0.elapsed().as_secs_f64())
+    });
+    let (neighbourhood_allocs, neighbourhood_bytes, neighbourhood_wall) = neighbourhood.results[0];
 
     // The typed neighbourhood exchange's budget, the same way: a warm
     // 27-rank torus world (3 x 3 x 3, so every rank has 26 distinct
@@ -484,6 +639,13 @@ fn main() {
         wall_seconds: probe_wall,
         allocs: probe_allocs,
         alloc_bytes: probe_bytes,
+        steps: probe_steps,
+    });
+    selftime.push(SelftimeRow {
+        name: "steady-resort-neighbourhood".into(),
+        wall_seconds: neighbourhood_wall,
+        allocs: neighbourhood_allocs,
+        alloc_bytes: neighbourhood_bytes,
         steps: probe_steps,
     });
     selftime.push(SelftimeRow {

@@ -51,6 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 use atasp::ExchangeMode;
 use ewald::{EwaldConfig, EwaldSolver};

@@ -25,6 +25,7 @@
 //! additional data is a no-op permutation).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 use atasp::encode_index;
 use particles::math::{erfc, M_2_SQRTPI};

@@ -23,6 +23,7 @@
 //! quantities plotted in the paper's Figs. 6–9.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod io;
 

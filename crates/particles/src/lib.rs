@@ -8,6 +8,7 @@
 //! reference solvers (direct summation, Ewald) used to validate the fast ones.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 mod boxgeom;
 pub mod coupling;

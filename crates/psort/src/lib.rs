@@ -23,6 +23,7 @@
 //! FMM the key is the Z-Morton box number and the payload a particle record.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 mod local;
 mod merge;

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 mod cart;
 mod engine;

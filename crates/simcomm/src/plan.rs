@@ -15,7 +15,6 @@
 
 use std::any::Any;
 
-use crate::pool::PooledBuf;
 use crate::world::{Comm, Request};
 use crate::Work;
 
@@ -209,57 +208,6 @@ impl CommPlan {
         }
         self.executions += 1;
         comm.note_plan_exec(t0, self.sizes.iter().sum());
-    }
-
-    /// Byte-path [`CommPlan::execute`] over pooled buffers: `sends[i]` goes
-    /// to `partners()[i]` and one buffer per partner comes back in `out`, in
-    /// partner order — same posting order, completion order, costs and plan
-    /// counters as the typed path, with zero per-step heap allocation once
-    /// the pool and scratch are warm. `sends` is drained; received buffers
-    /// come straight from the wire (release them with [`Comm::buf_release`]
-    /// once unpacked to close the reuse loop). `last_recv_counts` records
-    /// received **bytes** per partner for byte executions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sends.len() != partners().len()` — supply one buffer per
-    /// partner, empty buffers for partners with nothing to say.
-    pub fn execute_bytes(
-        &mut self,
-        comm: &mut Comm,
-        sends: &mut Vec<PooledBuf>,
-        out: &mut Vec<PooledBuf>,
-    ) {
-        assert_eq!(
-            sends.len(),
-            self.partners.len(),
-            "CommPlan::execute_bytes: {} send buffers for {} planned partners",
-            sends.len(),
-            self.partners.len()
-        );
-        let t0 = comm.clock();
-        let mut requests = comm.take_byte_reqs();
-        let mut results = comm.take_byte_results();
-        for &src in &self.partners {
-            requests.push(comm.irecv::<u8>(src, self.tag));
-        }
-        let mut bytes = 0u64;
-        for (&dst, buf) in self.partners.iter().zip(sends.drain(..)) {
-            bytes += buf.len() as u64;
-            let req = comm.isend_bytes(dst, self.tag, buf);
-            requests.push(req);
-        }
-        comm.waitall_bytes(&mut requests, &mut results);
-        out.clear();
-        for (slot, buf) in results.drain(..).take(self.partners.len()).enumerate() {
-            let buf = buf.expect("receive request yields data");
-            self.last_recv_counts[slot] = buf.len();
-            out.push(buf);
-        }
-        self.executions += 1;
-        comm.note_plan_exec(t0, bytes);
-        comm.put_byte_reqs(requests);
-        comm.put_byte_results(results);
     }
 }
 

@@ -27,9 +27,9 @@
 //! [`crate::RankStats::bytes_grown`].
 //!
 //! Pooling is a pure memory-management concern: it never changes message
-//! sizes, cost charges, clocks or traces. Worlds run bitwise-identically with
-//! the pool disabled ([`crate::Runner::pooled`]) — only the two reuse
-//! counters (and the process's allocator traffic) differ.
+//! sizes, cost charges, clocks or traces — only the two reuse counters (and
+//! the process's allocator traffic) depend on it. The frozen digest of the
+//! pooled byte path in `tests/determinism.rs` holds it to that.
 
 use std::collections::BTreeMap;
 
@@ -100,23 +100,13 @@ const SHRINK_MIN: usize = 4096;
 #[derive(Debug, Default)]
 pub(crate) struct BufferPool {
     slots: BTreeMap<usize, Slot>,
-    /// Disabled pools allocate fresh on acquire and drop on release, leaving
-    /// the reuse counters untouched — the bitwise-identity reference mode.
-    pub(crate) enabled: bool,
 }
 
 impl BufferPool {
-    pub(crate) fn new(enabled: bool) -> BufferPool {
-        BufferPool { slots: BTreeMap::new(), enabled }
-    }
-
     /// Take a buffer for `partner` with capacity for `bytes`, cleared to
     /// length 0. Returns the buffer plus the `(bytes_reused, bytes_grown)`
     /// delta this acquisition contributes to the rank's stats.
     pub(crate) fn acquire(&mut self, partner: usize, bytes: usize) -> (PooledBuf, u64, u64) {
-        if !self.enabled {
-            return (PooledBuf(Box::new(Vec::with_capacity(bytes))), 0, 0);
-        }
         let slot = self.slots.entry(partner).or_default();
         slot.hwm = bytes.max(slot.hwm - slot.hwm / 8);
         match slot.bufs.pop() {
@@ -137,9 +127,6 @@ impl BufferPool {
     /// Return a buffer to `partner`'s slot, shrinking it first if its
     /// capacity has grown far beyond the slot's decayed high-water mark.
     pub(crate) fn release(&mut self, partner: usize, mut buf: PooledBuf) {
-        if !self.enabled {
-            return;
-        }
         let slot = self.slots.entry(partner).or_default();
         if buf.capacity() > SHRINK_MIN && buf.capacity() > SHRINK_FACTOR * slot.hwm {
             buf.clear();
@@ -160,7 +147,7 @@ mod tests {
 
     #[test]
     fn acquire_release_reuses_capacity_and_counts() {
-        let mut pool = BufferPool::new(true);
+        let mut pool = BufferPool::default();
         let (mut buf, reused, grown) = pool.acquire(3, 100);
         assert_eq!((reused, grown), (0, 100));
         buf.extend_from_slice(&[7u8; 100]);
@@ -175,7 +162,7 @@ mod tests {
 
     #[test]
     fn growth_is_counted_when_capacity_is_short() {
-        let mut pool = BufferPool::new(true);
+        let mut pool = BufferPool::default();
         let (buf, _, _) = pool.acquire(0, 10);
         pool.release(0, buf);
         let (buf2, reused, grown) = pool.acquire(0, 50);
@@ -185,18 +172,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_allocates_fresh_and_counts_nothing() {
-        let mut pool = BufferPool::new(false);
-        let (buf, reused, grown) = pool.acquire(1, 64);
-        assert_eq!((reused, grown), (0, 0));
-        assert!(buf.capacity() >= 64);
-        pool.release(1, buf);
-        assert_eq!(pool.retained_bytes(1), 0, "disabled pools retain nothing");
-    }
-
-    #[test]
     fn high_water_mark_shrinks_after_demand_drops() {
-        let mut pool = BufferPool::new(true);
+        let mut pool = BufferPool::default();
         // Burst: one very large exchange pins a large capacity.
         let (mut big, _, _) = pool.acquire(5, 1 << 20);
         big.resize(1 << 20, 0);

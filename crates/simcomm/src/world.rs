@@ -679,9 +679,9 @@ pub struct Comm {
     /// Tasks a completed collective made this rank responsible for resuming
     /// once it has released the slot's guard.
     woken: Vec<usize>,
-    /// Reusable request/result scratch for the byte-path exchanges.
-    byte_reqs: Vec<Request<u8>>,
-    byte_results: Vec<Option<PooledBuf>>,
+    /// Reusable envelope and size scratch of [`Comm::neighbor_exchange_bytes`].
+    byte_envelopes: Vec<Box<dyn Any + Send>>,
+    byte_sizes: Vec<u64>,
     /// Reusable `(partner, buffer)` pair scratch, loaned to higher layers
     /// (e.g. `atasp::resort_planes`) so their exchanges stay allocation-free.
     byte_pairs_a: Vec<(usize, PooledBuf)>,
@@ -731,8 +731,8 @@ const MAX_SPARE_ENVELOPES: usize = 64;
 const RANK_STACK_BYTES: usize = 1 << 20;
 
 /// Configures and runs simulated worlds: the builder-style entry point that
-/// composes optional tracing, an optional [`FaultPlan`], the buffer-pool
-/// reference mode and an optional wall-clock deadline. The free function
+/// composes optional tracing, an optional [`FaultPlan`], an optional
+/// wall-clock deadline and the host batch width. The free function
 /// [`run`] is `Runner::default().run`.
 ///
 /// Output is a pure function of the program and the machine model — same
@@ -757,22 +757,15 @@ const RANK_STACK_BYTES: usize = 1 << 20;
 pub struct Runner {
     traced: bool,
     fault: FaultPlan,
-    pooled: bool,
     deadline: Option<Duration>,
     host_parallelism: Option<usize>,
 }
 
 impl Default for Runner {
-    /// Tracing off, the inert fault plan, message-buffer pooling enabled, no
-    /// deadline, as many ranks at a time as the host has cores.
+    /// Tracing off, the inert fault plan, no deadline, as many ranks at a
+    /// time as the host has cores.
     fn default() -> Runner {
-        Runner {
-            traced: false,
-            fault: FaultPlan::none(),
-            pooled: true,
-            deadline: None,
-            host_parallelism: None,
-        }
+        Runner { traced: false, fault: FaultPlan::none(), deadline: None, host_parallelism: None }
     }
 }
 
@@ -794,18 +787,6 @@ impl Runner {
     /// [`FaultPlan`]); [`FaultPlan::none`] restores the clean world.
     pub fn faulted(mut self, fault: FaultPlan) -> Runner {
         self.fault = fault;
-        self
-    }
-
-    /// Enable or disable per-rank message-buffer pooling (default: enabled).
-    ///
-    /// Pooling is pure memory management: clocks, statistics (other than
-    /// [`RankStats::bytes_reused`] / [`RankStats::bytes_grown`]), traces and
-    /// results are bitwise identical either way. Disabling it restores
-    /// allocate-per-exchange behaviour, the reference mode the pool's
-    /// identity tests diff against.
-    pub fn pooled(mut self, pooled: bool) -> Runner {
-        self.pooled = pooled;
         self
     }
 
@@ -937,7 +918,7 @@ where
     F: Fn(&mut Comm) -> R + Send + Sync,
 {
     assert!(n >= 1, "world must have at least one rank");
-    let Runner { traced, pooled, deadline, host_parallelism, ref fault } = *cfg;
+    let Runner { traced, deadline, host_parallelism, ref fault } = *cfg;
     let width = host_parallelism
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
     let shared = Arc::new(WorldShared::new(n, model, fault.clone(), width));
@@ -999,14 +980,14 @@ where
                         fault_stall_fired: false,
                         fault_straggler: straggler,
                         fault_straggler_noted: false,
-                        pool: BufferPool::new(pooled),
+                        pool: BufferPool::default(),
                         wait_scratch: WaitScratch::default(),
                         spare_envelopes: VecDeque::new(),
                         coll_aside: [Vec::new(), Vec::new()],
                         coll_seq: 0,
                         woken: Vec::new(),
-                        byte_reqs: Vec::new(),
-                        byte_results: Vec::new(),
+                        byte_envelopes: Vec::new(),
+                        byte_sizes: Vec::new(),
                         byte_pairs_a: Vec::new(),
                         byte_pairs_b: Vec::new(),
                     };
@@ -1441,8 +1422,8 @@ impl Comm {
     /// Acquire a reusable send/receive byte buffer for `partner` with
     /// capacity for `bytes` (length 0). Capacity served from the pool is
     /// counted in [`RankStats::bytes_reused`]; capacity the allocator had to
-    /// provide in [`RankStats::bytes_grown`]. Pooling never affects virtual
-    /// time (see [`Runner::pooled`]).
+    /// provide in [`RankStats::bytes_grown`]. Pooling is memory management
+    /// only: it never affects virtual time.
     pub fn buf_acquire(&mut self, partner: usize, bytes: usize) -> PooledBuf {
         let (buf, reused, grown) = self.pool.acquire(partner, bytes);
         self.stats.bytes_reused += reused;
@@ -1462,29 +1443,6 @@ impl Comm {
     /// the high-water-mark retention tests).
     pub fn buf_retained(&self, partner: usize) -> usize {
         self.pool.retained_bytes(partner)
-    }
-
-    // Crate-internal loans of the byte-path scratch vectors, so sibling
-    // modules (`plan`) can run allocation-free exchanges through the same
-    // reusable storage. Loans come back cleared; put them back when done.
-    pub(crate) fn take_byte_reqs(&mut self) -> Vec<Request<u8>> {
-        let mut v = std::mem::take(&mut self.byte_reqs);
-        v.clear();
-        v
-    }
-
-    pub(crate) fn put_byte_reqs(&mut self, v: Vec<Request<u8>>) {
-        self.byte_reqs = v;
-    }
-
-    pub(crate) fn take_byte_results(&mut self) -> Vec<Option<PooledBuf>> {
-        let mut v = std::mem::take(&mut self.byte_results);
-        v.clear();
-        v
-    }
-
-    pub(crate) fn put_byte_results(&mut self, v: Vec<Option<PooledBuf>>) {
-        self.byte_results = v;
     }
 
     /// Borrow the rank's two reusable `(partner, buffer)` scratch vectors,
@@ -1748,15 +1706,6 @@ impl Comm {
         Request::new(ReqKind::Send { dst, depart, corr })
     }
 
-    /// Nonblocking send of a pooled byte buffer: exactly [`Comm::isend`] in
-    /// cost and semantics, but the buffer's existing allocation travels as
-    /// the message payload — no boxing, no copy, no allocation. Complete
-    /// with [`Comm::waitall_bytes`] (or any `waitall` over `Request<u8>`).
-    pub fn isend_bytes(&mut self, dst: usize, tag: u64, buf: PooledBuf) -> Request<u8> {
-        let bytes = buf.len() as u64;
-        Request::new(self.isend_payload(dst, tag, buf.into_box(), bytes))
-    }
-
     /// Nonblocking send of an already boxed payload of `bytes` bytes.
     fn isend_payload(
         &mut self,
@@ -1845,7 +1794,7 @@ impl Comm {
             .collect()
     }
 
-    /// Shared engine of [`Comm::waitall`] / [`Comm::waitall_bytes`]: match
+    /// Shared engine of the `waitall` family: match
     /// every receive, then complete all requests in ascending ready-time
     /// order, charging costs exactly as `waitall` always has. Matched
     /// messages are left — accounted, still boxed — in `wait_scratch.msgs`
@@ -1902,40 +1851,6 @@ impl Comm {
             }
         }
         self.wait_scratch = sc;
-    }
-
-    /// Byte-path [`Comm::waitall`] for batches of [`Comm::irecv`] /
-    /// [`Comm::isend_bytes`] requests: identical matching, completion order
-    /// and cost accounting, but received payloads come back as
-    /// [`PooledBuf`]s — the message envelope itself, re-wrapped without
-    /// copying — and all scratch is reused, so the steady-state path performs
-    /// no heap allocation. `requests` is drained; `out` is cleared and
-    /// refilled with one entry per request in request order (`Some` at
-    /// receive slots, `None` at send slots).
-    pub fn waitall_bytes(
-        &mut self,
-        requests: &mut Vec<Request<u8>>,
-        out: &mut Vec<Option<PooledBuf>>,
-    ) {
-        let mut kinds = std::mem::take(&mut self.wait_scratch.kinds);
-        kinds.clear();
-        kinds.extend(requests.iter().map(|r| r.kind));
-        requests.clear();
-        self.waitall_core(&kinds);
-        out.clear();
-        for (slot, kind) in kinds.iter().enumerate() {
-            match kind {
-                ReqKind::Recv { .. } => {
-                    let msg = self.wait_scratch.msgs[slot].take().expect("matched in waitall_core");
-                    let buf = msg.payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
-                        panic!("waitall_bytes: payload from rank {} is not a byte buffer", msg.src)
-                    });
-                    out.push(Some(PooledBuf::from_box(buf)));
-                }
-                ReqKind::Send { .. } => out.push(None),
-            }
-        }
-        self.wait_scratch.kinds = kinds;
     }
 
     /// Wait for **any one** request to complete: the slot completed first in
@@ -2434,9 +2349,8 @@ impl Comm {
     ///
     /// Implementation: every send and receive is posted nonblocking up front
     /// and the receives are drained in **arrival order** ([`Comm::waitall`]),
-    /// so one slow partner delays the exchange by its own latency only —
-    /// unlike the blocking reference ([`Comm::neighbor_exchange_blocking`]),
-    /// which stalls on each partner in list order.
+    /// so one slow partner delays the exchange by its own latency only,
+    /// instead of stalling on each partner in list order.
     ///
     /// # Panics
     ///
@@ -2472,13 +2386,19 @@ impl Comm {
         out
     }
 
-    /// The exchange under [`crate::CommPlan::execute_flat`], on boxed
-    /// payloads: `envelopes[i]` (of `bytes[i]` bytes) goes to `partners[i]`
-    /// and the envelope received from `partners[i]` takes its place. Posting
-    /// order, completion order and every charged cost are those of
-    /// [`Comm::neighbor_exchange`] — all receives, then the sends in partner
-    /// order, drained in arrival order — and nothing is boxed or unboxed
-    /// here, so the caller decides what an envelope's buffer is reused for.
+    /// The exchange under [`Comm::neighbor_exchange_bytes`] and
+    /// [`crate::CommPlan::execute_flat`], on boxed payloads: `envelopes[i]`
+    /// (of `bytes[i]` bytes) goes to `partners[i]` and the envelope received
+    /// from `partners[i]` takes its place. Posting order, completion order
+    /// and every charged cost are those of [`Comm::neighbor_exchange`] — all
+    /// receives, then the sends in partner order, drained in arrival order —
+    /// and nothing is boxed or unboxed here, so the caller decides what an
+    /// envelope's buffer is reused for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a partner is not a rank of this world, before anything is
+    /// posted.
     pub(crate) fn exchange_envelopes(
         &mut self,
         partners: &[usize],
@@ -2489,6 +2409,7 @@ impl Comm {
         let mut kinds = std::mem::take(&mut self.wait_scratch.kinds);
         kinds.clear();
         for &src in partners {
+            assert!(src < self.shared.n, "neighbor_exchange with invalid rank {src}");
             kinds.push(ReqKind::Recv { src, tag });
         }
         for ((&dst, envelope), &bytes) in partners.iter().zip(envelopes.iter_mut()).zip(bytes) {
@@ -2505,8 +2426,9 @@ impl Comm {
     }
 
     /// Byte-path [`Comm::neighbor_exchange`] over pooled buffers: identical
-    /// posting order, completion order and costs, with all request/result
-    /// scratch held on the `Comm` — a steady-state symmetric exchange
+    /// posting order, completion order and costs. A [`PooledBuf`]'s box is
+    /// the message envelope and travels as it is, and the envelope and size
+    /// scratch is held on the `Comm` — a steady-state symmetric exchange
     /// performs zero heap allocations end to end. `sends` is drained (one
     /// buffer per partner, in partner order); `out` is cleared and refilled
     /// with one `(src, buffer)` pair per partner, sorted by source.
@@ -2518,46 +2440,23 @@ impl Comm {
         out: &mut Vec<(usize, PooledBuf)>,
     ) {
         check_partner_list(partners, sends);
-        let mut requests = self.take_byte_reqs();
-        let mut results = self.take_byte_results();
-        for &src in partners {
-            requests.push(self.irecv::<u8>(src, tag));
-        }
-        for (dst, buf) in sends.drain(..) {
-            let req = self.isend_bytes(dst, tag, buf);
-            requests.push(req);
-        }
-        self.waitall_bytes(&mut requests, &mut results);
-        // Receive slots (the head of `results`) are always `Some` by the
-        // completion contract on `Request`.
+        let mut envelopes = std::mem::take(&mut self.byte_envelopes);
+        let mut sizes = std::mem::take(&mut self.byte_sizes);
+        sizes.clear();
+        sizes.extend(sends.iter().map(|(_, buf)| buf.len() as u64));
+        envelopes.clear();
+        envelopes.extend(sends.drain(..).map(|(_, buf)| buf.into_box() as Box<dyn Any + Send>));
+        self.exchange_envelopes(partners, tag, &mut envelopes, &sizes);
         out.clear();
-        for (&src, buf) in partners.iter().zip(results.drain(..)) {
-            out.push((src, buf.expect("receive request yields data")));
+        for (&src, envelope) in partners.iter().zip(envelopes.drain(..)) {
+            let buf = envelope.downcast::<Vec<u8>>().unwrap_or_else(|_| {
+                panic!("neighbor_exchange_bytes: payload from rank {src} is not a byte buffer")
+            });
+            out.push((src, PooledBuf::from_box(buf)));
         }
         out.sort_by_key(|&(src, _)| src);
-        self.put_byte_reqs(requests);
-        self.put_byte_results(results);
-    }
-
-    /// The blocking reference implementation of [`Comm::neighbor_exchange`]:
-    /// send to every partner in list order, then receive from every partner
-    /// in list order. Kept as the baseline the nonblocking version is
-    /// benchmarked against (`bench/src/bin/redistribution.rs`); same
-    /// arguments, same result, strictly serialized cost.
-    pub fn neighbor_exchange_blocking<T: Send + 'static>(
-        &mut self,
-        partners: &[usize],
-        data: Vec<(usize, Vec<T>)>,
-        tag: u64,
-    ) -> Vec<(usize, Vec<T>)> {
-        check_partner_list(partners, &data);
-        for (dst, buf) in data {
-            self.send(dst, tag, buf);
-        }
-        let mut out: Vec<(usize, Vec<T>)> =
-            partners.iter().map(|&src| (src, self.recv::<T>(src, tag))).collect();
-        out.sort_by_key(|&(src, _)| src);
-        out
+        self.byte_envelopes = envelopes;
+        self.byte_sizes = sizes;
     }
 }
 
@@ -3167,45 +3066,6 @@ mod tests {
     }
 
     #[test]
-    fn nonblocking_neighbor_exchange_not_slower_than_blocking() {
-        // The fig9 neighbourhood pattern (26-partner ring, 4 KiB messages):
-        // the nonblocking exchange must be at least as fast as the blocking
-        // baseline on both machine models, and measurably faster.
-        for model in [MachineModel::juropa_like(), MachineModel::juqueen_like()] {
-            let name = model.name.clone();
-            let out = run(64, model, |comm| {
-                let n = comm.size();
-                let mut partners: Vec<usize> = (1..=13)
-                    .flat_map(|d| [(comm.rank() + d) % n, (comm.rank() + n - d) % n])
-                    .filter(|&q| q != comm.rank())
-                    .collect();
-                partners.sort_unstable();
-                partners.dedup();
-                let payloads = |ps: &[usize]| -> Vec<(usize, Vec<u8>)> {
-                    ps.iter().map(|&q| (q, vec![0u8; 4096])).collect()
-                };
-                let t0 = comm.clock();
-                let _ = comm.neighbor_exchange_blocking(&partners, payloads(&partners), 1);
-                let blocking = comm.clock() - t0;
-                comm.barrier();
-                let t1 = comm.clock();
-                let _ = comm.neighbor_exchange(&partners, payloads(&partners), 2);
-                (blocking, comm.clock() - t1)
-            });
-            let blocking = out.results.iter().map(|r| r.0).fold(0.0, f64::max);
-            let nonblocking = out.results.iter().map(|r| r.1).fold(0.0, f64::max);
-            assert!(
-                nonblocking <= blocking * (1.0 + 1e-9),
-                "{name}: nonblocking {nonblocking} must not exceed blocking {blocking}"
-            );
-            assert!(
-                nonblocking < 0.95 * blocking,
-                "{name}: overlap should give a measurable drop: {nonblocking} vs {blocking}"
-            );
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "partner list")]
     fn mismatched_partner_list_is_rejected() {
         run(2, MachineModel::ideal(), |comm| {
@@ -3213,6 +3073,21 @@ mod tests {
             // The send buffer names this rank itself instead of the partner:
             // without the check this would deadlock silently.
             let _ = comm.neighbor_exchange(&[peer], vec![(comm.rank(), vec![1u8])], 0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "neighbor_exchange with invalid rank 3")]
+    fn byte_exchange_rejects_a_partner_outside_the_world() {
+        // Rank 0 names a partner past the end of the world while rank 1
+        // waits for a message from it: the range check fails rank 0 before
+        // anything is posted (not an index panic deeper in), and the poison
+        // wakes rank 1 (not a deadlock).
+        run(2, MachineModel::ideal(), |comm| {
+            let partner = if comm.rank() == 0 { 3 } else { 0 };
+            let mut sends = vec![(partner, comm.buf_acquire(partner, 8))];
+            let mut out = Vec::new();
+            comm.neighbor_exchange_bytes(&[partner], &mut sends, 0, &mut out);
         });
     }
 
