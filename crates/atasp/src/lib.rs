@@ -15,15 +15,17 @@
 //! All operations can run over the synchronizing collective exchange
 //! ([`simcomm::Comm::alltoallv`]) or — when the caller knows the
 //! communication is restricted to a neighbourhood — over point-to-point
-//! messages ([`simcomm::Comm::neighbor_exchange`]), which is the switch the
-//! paper's Method B performs when the maximum particle movement is small
-//! (Sect. III-B).
+//! messages, which is the switch the paper's Method B performs when the
+//! maximum particle movement is small (Sect. III-B). The neighbourhood runs
+//! the sparse data exchange ([`simcomm::Comm::sparse_exchange`]): a message
+//! only to each partner that has data, then one barrier, so a step in which
+//! little moves pays for little.
 //!
 //! ## The byte-plane resort path
 //!
 //! The resort operations move their payload **type-erased**: all registered
-//! planes of a [`particles::PlaneSet`] travel together in one partner-ordered
-//! byte exchange ([`resort_planes`] / [`ResortPlan::execute_planes`]),
+//! planes of a [`particles::PlaneSet`] travel together in one byte exchange
+//! ([`resort_planes`] / [`ResortPlan::execute_planes`]),
 //! regardless of how many fields of how many element types ride along. The
 //! per-`T` entry points ([`resort`], [`ResortPlan::execute`]) are thin
 //! wrappers that stage their channels as planes and delegate. Combined with the message-buffer pool
@@ -67,51 +69,89 @@ pub fn is_ghost(index: u64) -> bool {
 pub enum ExchangeMode {
     /// Collective all-to-all-v (synchronizing; cost scans all `P` ranks).
     Collective,
-    /// Point-to-point exchange with the given partner set. All element
-    /// targets other than the local rank must be contained in the set, and
-    /// the partner relation must be symmetric across ranks.
+    /// Point-to-point exchange within the given partner set: every element
+    /// target other than the local rank must be in the set. The set bounds
+    /// where this rank sends and nothing more — the relation need not be
+    /// symmetric, since a rank receives from whoever sent to it.
+    ///
+    /// An empty set says that no element leaves any rank: the call places
+    /// locally, with no message and no barrier. Every rank of the world must
+    /// then pass an empty set — `fcs` does so on a quiet step, which its
+    /// allreduce has shown to be one on every rank.
     Neighborhood(Vec<usize>),
 }
 
-/// Message tag for neighbourhood exchanges issued by this crate.
-const TAG_ATASP: u64 = 0x61_7461_7370;
+/// Group `(target, element)` pairs by target rank, stable within each target,
+/// into one buffer per destination that receives anything: every rank under
+/// [`ExchangeMode::Collective`], the partners and the local rank — in that
+/// order — under [`ExchangeMode::Neighborhood`]. Counts first, so each buffer
+/// is allocated once at its final size.
+///
+/// # Panics
+///
+/// Panics if a target is not a rank of the world, or — in neighbourhood mode —
+/// neither the local rank nor a partner.
+fn group_by_target<T: Copy>(
+    comm: &Comm,
+    routed: impl Iterator<Item = (usize, T)> + Clone,
+    mode: &ExchangeMode,
+) -> Vec<(usize, Vec<T>)> {
+    let (me, p) = (comm.rank(), comm.size());
+    let slot = |t: usize| -> usize {
+        assert!(t < p, "target rank {t} out of range");
+        match mode {
+            ExchangeMode::Collective => t,
+            ExchangeMode::Neighborhood(partners) if t == me => partners.len(),
+            ExchangeMode::Neighborhood(partners) => partners
+                .iter()
+                .position(|&q| q == t)
+                .unwrap_or_else(|| panic!("target {t} outside the neighbourhood")),
+        }
+    };
+    let mut groups: Vec<(usize, Vec<T>)> = match mode {
+        ExchangeMode::Collective => (0..p).map(|t| (t, Vec::new())).collect(),
+        ExchangeMode::Neighborhood(partners) => {
+            partners.iter().chain([&me]).map(|&t| (t, Vec::new())).collect()
+        }
+    };
+    let mut counts = vec![0usize; groups.len()];
+    for (t, _) in routed.clone() {
+        counts[slot(t)] += 1;
+    }
+    for ((_, buf), count) in groups.iter_mut().zip(counts) {
+        buf.reserve_exact(count);
+    }
+    for (t, e) in routed {
+        groups[slot(t)].1.push(e);
+    }
+    groups.retain(|(_, buf)| !buf.is_empty());
+    groups
+}
 
-/// Group `(target, element)` pairs by target rank and exchange them.
-/// Returns the received elements ordered by source rank, preserving
-/// per-source order; locally-addressed elements appear at the local rank's
-/// position in that order.
+/// Exchange target-grouped buffers ([`group_by_target`]). Returns the
+/// received buffers ordered by source rank, per-source order preserved;
+/// locally-addressed elements appear at the local rank's position in that
+/// order.
 fn exchange_grouped<T: Send + 'static>(
     comm: &mut Comm,
-    groups: Vec<(usize, Vec<T>)>,
+    mut groups: Vec<(usize, Vec<T>)>,
     mode: &ExchangeMode,
 ) -> Vec<(usize, Vec<T>)> {
     match mode {
         ExchangeMode::Collective => comm.alltoallv(groups),
         ExchangeMode::Neighborhood(partners) => {
             let me = comm.rank();
-            let mut local: Option<Vec<T>> = None;
-            let mut by_partner: Vec<Option<Vec<T>>> = partners.iter().map(|_| None).collect();
-            for (dst, buf) in groups {
-                if dst == me {
-                    local = Some(buf);
-                } else {
-                    let pi = partners
-                        .iter()
-                        .position(|&q| q == dst)
-                        .unwrap_or_else(|| panic!("target {dst} outside the neighbourhood"));
-                    by_partner[pi] = Some(buf);
-                }
-            }
-            let data: Vec<(usize, Vec<T>)> = partners
-                .iter()
-                .zip(by_partner)
-                .map(|(&q, buf)| (q, buf.unwrap_or_default()))
-                .collect();
-            let mut recv = comm.neighbor_exchange(partners, data, TAG_ATASP);
-            recv.retain(|(_, buf)| !buf.is_empty());
-            if let Some(buf) = local {
-                recv.push((me, buf));
-                recv.sort_by_key(|&(src, _)| src);
+            // `group_by_target` put the local rank's group last and checked
+            // every other target against the partners.
+            let local = groups.pop_if(|(dst, _)| *dst == me);
+            let mut recv = if partners.is_empty() {
+                Vec::new()
+            } else {
+                comm.sparse_exchange(partners, groups)
+            };
+            if let Some(local) = local {
+                let at = recv.partition_point(|&(src, _)| src < me);
+                recv.insert(at, local);
             }
             recv
         }
@@ -130,26 +170,9 @@ pub fn alltoall_specific<T: Send + Copy + 'static>(
     mode: &ExchangeMode,
 ) -> Vec<T> {
     assert_eq!(elements.len(), targets.len());
-    let p = comm.size();
-    // Group by target (stable within each target).
-    let mut counts = vec![0usize; p];
-    for &t in targets {
-        assert!(t < p, "target rank {t} out of range");
-        counts[t] += 1;
-    }
+    let groups = group_by_target(comm, targets.iter().copied().zip(elements.iter().copied()), mode);
     comm.compute(Work::ByteCopy, std::mem::size_of_val(elements) as f64);
-    let mut bufs: Vec<Vec<T>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-    for (&e, &t) in elements.iter().zip(targets) {
-        bufs[t].push(e);
-    }
-    let groups: Vec<(usize, Vec<T>)> =
-        bufs.into_iter().enumerate().filter(|(_, b)| !b.is_empty()).collect();
-    let received = exchange_grouped(comm, groups, mode);
-    let mut out = Vec::with_capacity(received.iter().map(|(_, b)| b.len()).sum());
-    for (_, buf) in received {
-        out.extend(buf);
-    }
-    out
+    concat(exchange_grouped(comm, groups, mode))
 }
 
 /// Generalized fine-grained redistribution with duplication: the distribution
@@ -171,26 +194,20 @@ where
     T: Send + Copy + 'static,
     F: FnMut(usize, &T, &mut Vec<(usize, T)>),
 {
-    let p = comm.size();
     let mut routed: Vec<(usize, T)> = Vec::with_capacity(elements.len());
     let mut scratch: Vec<(usize, T)> = Vec::new();
     for (i, e) in elements.iter().enumerate() {
         scratch.clear();
         dist(i, e, &mut scratch);
-        for &(t, x) in scratch.iter() {
-            assert!(t < p, "target rank {t} out of range");
-            routed.push((t, x));
-        }
+        routed.extend_from_slice(&scratch);
     }
+    let groups = group_by_target(comm, routed.iter().copied(), mode);
     comm.compute(Work::ByteCopy, (routed.len() * std::mem::size_of::<T>()) as f64);
-    // Group by target, stable.
-    let mut bufs: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-    for (t, x) in routed {
-        bufs[t].push(x);
-    }
-    let groups: Vec<(usize, Vec<T>)> =
-        bufs.into_iter().enumerate().filter(|(_, b)| !b.is_empty()).collect();
-    let received = exchange_grouped(comm, groups, mode);
+    concat(exchange_grouped(comm, groups, mode))
+}
+
+/// The received buffers of [`exchange_grouped`], end to end.
+fn concat<T>(received: Vec<(usize, Vec<T>)>) -> Vec<T> {
     let mut out = Vec::with_capacity(received.iter().map(|(_, b)| b.len()).sum());
     for (_, buf) in received {
         out.extend(buf);
@@ -224,7 +241,7 @@ pub fn resort<T: PlaneElem>(
 }
 
 /// Redistribute **every registered plane** of `set` according to
-/// `resort_indices` in one partner-ordered byte exchange, reusing `plan`
+/// `resort_indices` in one byte exchange round, reusing `plan`
 /// across timesteps.
 ///
 /// This is the primary resort entry point since the byte-plane rework: each
@@ -403,7 +420,7 @@ impl ResortPlan {
     }
 
     /// Move **every registered plane** of `set` through the frozen schedule
-    /// in one partner-ordered byte exchange, and commit the set to the
+    /// in one byte exchange round, and commit the set to the
     /// redistributed data (`set.len()` becomes the plan's `new_len`).
     ///
     /// The wire format packs one record per live element along the plan's
@@ -447,31 +464,28 @@ impl ResortPlan {
                 comm.alltoallv_bytes(&mut sends, &mut received);
             }
             ExchangeMode::Neighborhood(partners) => {
-                // One buffer per partner in list order (empty where the plan
-                // routes nothing); locally-addressed records are held aside
-                // rather than self-sent, like the typed exchange.
+                // One buffer per target the plan routes to; locally-addressed
+                // records are held aside rather than self-sent, like the
+                // typed exchange. An empty neighbourhood sends nothing.
                 for (t, _) in &self.routes {
                     assert!(
                         *t == me || partners.contains(t),
                         "target {t} outside the neighbourhood"
                     );
                 }
-                for &q in partners {
-                    let entries = self
-                        .routes
-                        .binary_search_by_key(&q, |(t, _)| *t)
-                        .map_or(&[][..], |ix| &self.routes[ix].1);
-                    let buf = pack_route(comm, set, entries, q, rec);
+                for (t, entries) in &self.routes {
+                    let buf = pack_route(comm, set, entries, *t, rec);
                     routed_bytes += buf.len() as u64;
-                    sends.push((q, buf));
-                }
-                if let Ok(ix) = self.routes.binary_search_by_key(&me, |(t, _)| *t) {
-                    let buf = pack_route(comm, set, &self.routes[ix].1, me, rec);
-                    routed_bytes += buf.len() as u64;
-                    local = Some(buf);
+                    if *t == me {
+                        local = Some(buf);
+                    } else {
+                        sends.push((*t, buf));
+                    }
                 }
                 comm.compute(Work::ByteCopy, routed_bytes as f64);
-                comm.neighbor_exchange_bytes(partners, &mut sends, TAG_ATASP, &mut received);
+                if !partners.is_empty() {
+                    comm.sparse_exchange_bytes(partners, &mut sends, &mut received);
+                }
             }
         }
         comm.exit_phase();
@@ -781,6 +795,60 @@ mod tests {
         });
         for (coll, neigh) in out.results {
             assert_eq!(coll, neigh);
+        }
+    }
+
+    #[test]
+    fn neighborhood_needs_no_symmetric_partner_list() {
+        // Every rank sends only to its right neighbour and lists only it: a
+        // rank receives from a rank it does not list. Typed and byte-plane
+        // paths match the collective ones.
+        let out = run(6, MachineModel::juqueen_like(), |comm| {
+            let (me, p) = (comm.rank(), comm.size());
+            let right = (me + 1) % p;
+            let mode = ExchangeMode::Neighborhood(vec![right]);
+            let elements: Vec<u64> = (0..5).map(|i| (me * 100 + i) as u64).collect();
+            let targets: Vec<usize> = (0..5).map(|i| if i % 2 == 0 { right } else { me }).collect();
+            let coll = alltoall_specific(comm, &elements, &targets, &ExchangeMode::Collective);
+            let neigh = alltoall_specific(comm, &elements, &targets, &mode);
+            let ix: Vec<u64> = (0..5).map(|i| encode_index(right, 4 - i)).collect();
+            let resorted = resort(comm, &elements, &ix, 5, &mode);
+            (coll == neigh, resorted)
+        });
+        for (r, (agree, resorted)) in out.results.iter().enumerate() {
+            assert!(agree, "rank {r}");
+            let left = (r + 5) % 6;
+            assert_eq!(
+                resorted,
+                &(0..5).rev().map(|i| (left * 100 + i) as u64).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_neighbourhood_places_locally_without_communicating() {
+        let out = run(4, MachineModel::juropa_like(), |comm| {
+            let me = comm.rank();
+            let mut set = PlaneSet::new();
+            let tag = set.register::<u64>("tag");
+            set.resize(6);
+            set.plane_mut::<u64>(tag)
+                .copy_from_slice(&[10, 11, 12, 13, 14, 15].map(|x| x + me as u64));
+            // A local permutation on every rank.
+            let ix: Vec<u64> = (0..6).map(|i| encode_index(me, 5 - i)).collect();
+            let before = comm.stats().clone();
+            let mut plan = None;
+            let quiet = ExchangeMode::Neighborhood(Vec::new());
+            resort_planes(comm, &mut set, &ix, 6, &quiet, &mut plan);
+            let after = comm.stats();
+            let silent =
+                after.p2p_sent_msgs == before.p2p_sent_msgs && after.coll_ops == before.coll_ops;
+            (set.plane::<u64>(tag).to_vec(), silent)
+        });
+        for (r, (got, silent)) in out.results.iter().enumerate() {
+            let want: Vec<u64> = (10..16).rev().map(|x| x + r as u64).collect();
+            assert_eq!(got, &want, "rank {r}");
+            assert!(silent, "rank {r}: no message and no barrier");
         }
     }
 

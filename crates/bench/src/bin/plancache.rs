@@ -27,7 +27,9 @@
 //! * **Neighbourhood exchange** (`exchange/*`): every rank sends a 4 KiB
 //!   message to each of the 26 ranks nearest to it on a ring, as the
 //!   nonblocking [`simcomm::Comm::neighbor_exchange`] (drained in arrival
-//!   order) and, for reference, as the collective `alltoallv`.
+//!   order) and, for reference, as the collective `alltoallv`; and as the
+//!   sparse [`simcomm::Comm::sparse_exchange`] with 0, 1 or all 26 partners
+//!   given a message (`exchange/sparse-{0,1,26}`).
 //! * **Multi-field resort** (`resort/*`, the `fcs_resort_*` path): three
 //!   per-particle fields of 2000 elements per rank, routed as three
 //!   sequential single-field resorts (`per-field`) or in one combined byte
@@ -171,6 +173,23 @@ fn exchange_workloads(
     );
     record_run(format!("{name}/exchange/nonblocking"), nonblocking, report, timeline);
     record_run(format!("{name}/exchange/alltoallv"), collective, report, timeline);
+    // The sparse exchange over the same neighbourhood, with 0, 1 and all 26
+    // partners given a message — the next ranks up the ring, so every rank
+    // also receives that many: what NBX's barrier costs against what the
+    // messages it does not send save.
+    for full in [0, 1, 26] {
+        let sparse = runner.run(procs, model.clone(), move |comm| {
+            let (me, p) = (comm.rank(), comm.size());
+            let partners = ring_partners(comm, 13);
+            let mut sends = payloads(&partners);
+            sends.sort_by_key(|&(q, _)| (q + p - me) % p);
+            sends.truncate(full);
+            let _ = comm.sparse_exchange(&partners, sends);
+        });
+        let makespan = fmt_secs(sparse.makespan());
+        println!("{name:<14} {:<14} {full:>2} partners {makespan:>12}", "exchange/sparse");
+        record_run(format!("{name}/exchange/sparse-{full}"), sparse, report, timeline);
+    }
 }
 
 /// The `resort/*` runs: three fields of [`RESORT_ELEMS`] elements per rank,

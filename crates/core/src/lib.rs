@@ -23,7 +23,11 @@
 //! moved since the last execution ([`Fcs::set_max_particle_move`]); the
 //! solvers then switch to cheaper redistribution strategies — the FMM to a
 //! merge-based parallel sort, the particle-mesh solver to neighbourhood
-//! point-to-point communication (Sect. III-B).
+//! point-to-point communication (Sect. III-B), where a message goes only to
+//! a neighbour that has data for it ([`atasp::ExchangeMode::Neighborhood`]).
+//! The resort of additional data follows the solver's choice, and on a quiet
+//! step — one where the particle-mesh solver has shown every rank's resort
+//! indices to be the identity — it places locally without communicating.
 //!
 //! ## Usage (mirrors `fcs_init` / `fcs_set_common` / `fcs_tune` / `fcs_run` /
 //! `fcs_destroy`)
@@ -89,6 +93,11 @@ impl std::str::FromStr for SolverKind {
         }
     }
 }
+
+/// The resort exchange of a quiet step: an empty neighbourhood, so the
+/// `resort_*` calls place locally with no message and no barrier (see
+/// [`ExchangeMode::Neighborhood`]).
+static QUIET: ExchangeMode = ExchangeMode::Neighborhood(Vec::new());
 
 /// The solver behind a handle (the two with workspaces boxed: a handle is
 /// moved about, a solver is not).
@@ -388,7 +397,11 @@ impl Fcs {
             }
             SolverInstance::Pm(s) => {
                 let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
-                if s.last_report.used_neighborhood {
+                if s.last_report.resort_exchange_skipped {
+                    // The solver's allreduce showed every rank's resort
+                    // indices to be the identity: nothing leaves any rank.
+                    resort_mode = &QUIET;
+                } else if s.last_report.used_neighborhood {
                     resort_mode = s.neighborhood_mode().expect("run builds the neighbourhood");
                 }
                 o
@@ -782,6 +795,34 @@ mod tests {
             h.tune(comm, set.pos(), set.charge());
             let _ = h.run(comm, set.pos(), set.charge(), set.id(), usize::MAX);
             let _ = h.resort_floats(comm, &[0.0; 8]);
+        });
+    }
+
+    #[test]
+    fn a_quiet_step_resorts_without_communicating() {
+        let c = IonicCrystal::cubic(6, 1.0, 0.1, 6);
+        let bbox = c.system_box();
+        let p = 8;
+        run(p, MachineModel::juropa_like(), move |comm| {
+            let dims = CartGrid::balanced(p).dims();
+            let set = local_set(&c, InitialDistribution::Grid, comm.rank(), p, dims);
+            let mut h = Fcs::init(SolverKind::P2Nfft, p);
+            h.set_common(bbox);
+            h.tune(comm, set.pos(), set.charge());
+            h.set_resort(true);
+            let o1 = h.run(comm, set.pos(), set.charge(), set.id(), usize::MAX);
+            // Nothing moved since: every rank keeps its particles in order.
+            h.set_max_particle_move(Some(1e-6));
+            let o2 = h.run(comm, &o1.pos, &o1.charge, &o1.id, usize::MAX);
+            assert!(h.resorted());
+            assert_eq!(o2.id, o1.id);
+            let tags: Vec<f64> = o1.id.iter().map(|&i| i as f64).collect();
+            let before = comm.stats().clone();
+            let moved = h.resort_floats(comm, &tags);
+            let after = comm.stats();
+            assert_eq!(moved, tags);
+            assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "no message");
+            assert_eq!(after.coll_ops, before.coll_ops, "no barrier");
         });
     }
 

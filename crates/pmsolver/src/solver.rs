@@ -106,6 +106,8 @@ pub struct PmRunReport {
     pub ghost_plan_reused: bool,
     /// Whether the resort-index exchange was skipped because all ranks
     /// detected an identity placement (quiet timestep under a valid plan).
+    /// `fcs` then resorts the step's additional data locally, with no
+    /// message and no barrier.
     pub resort_exchange_skipped: bool,
     /// Whether the movement-bound guard detected a particle whose new owner
     /// lies outside the 26-neighbourhood (the movement hint under-reported
@@ -358,7 +360,9 @@ impl PmSolver {
     ///
     /// With limited movement (Method B), both the owner redistribution and
     /// the resort-index construction switch from collective all-to-all to
-    /// neighbourhood point-to-point communication (paper Sect. III-B).
+    /// neighbourhood point-to-point communication (paper Sect. III-B): the
+    /// sparse exchange of [`ExchangeMode::Neighborhood`], which sends only to
+    /// the neighbours a rank has particles for.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,

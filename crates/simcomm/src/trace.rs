@@ -28,6 +28,13 @@ pub enum TraceKind {
     Gather,
     /// All-to-all-v.
     Alltoallv,
+    /// The nonblocking barrier of a sparse data exchange
+    /// ([`crate::Comm::sparse_exchange`]): spans from the rank's barrier
+    /// entry (all its synchronous sends matched) to the end of its receive
+    /// drain. A collective: every rank records one per exchange, so the
+    /// latest entry is the rendezvous's last arrival. The messages it carries
+    /// are traced separately (`isend`, `wait`, `recv`).
+    SparseExchange,
     /// Construction of a persistent communication plan (partner resolution,
     /// route/bin layout, placement permutations). Point-to-point-like: no
     /// collective fan-out.
@@ -63,6 +70,7 @@ impl TraceKind {
             TraceKind::Reduce => "reduce",
             TraceKind::Gather => "gather",
             TraceKind::Alltoallv => "alltoallv",
+            TraceKind::SparseExchange => "sparse_exchange",
             TraceKind::PlanBuild => "plan_build",
             TraceKind::PlanExec => "plan_exec",
             TraceKind::Fault => "fault",

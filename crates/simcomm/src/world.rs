@@ -30,6 +30,8 @@ use crate::phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseSegment, Phase
 use crate::pool::{BufferPool, PooledBuf};
 use crate::trace::{SpanCat, Trace, TraceKind};
 
+mod sparse;
+
 /// Lock a mutex, ignoring std poisoning: cross-rank failure propagation is
 /// handled by the world's own poison flag (see [`WorldShared::poison`]).
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -686,6 +688,8 @@ pub struct Comm {
     /// (e.g. `atasp::resort_planes`) so their exchanges stay allocation-free.
     byte_pairs_a: Vec<(usize, PooledBuf)>,
     byte_pairs_b: Vec<(usize, PooledBuf)>,
+    /// Reusable scratch of [`Comm::sparse_exchange`].
+    sparse: sparse::SparseScratch,
 }
 
 /// Result of running a world: per-rank return values, final clocks and stats.
@@ -990,6 +994,7 @@ where
                         byte_sizes: Vec::new(),
                         byte_pairs_a: Vec::new(),
                         byte_pairs_b: Vec::new(),
+                        sparse: sparse::SparseScratch::default(),
                     };
                     let result = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
                     match result {
@@ -1494,16 +1499,22 @@ impl Comm {
         data: Vec<T>,
     ) -> (f64, u64, u64) {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
+        let payload = self.box_payload(data);
+        let (depart, corr) = self.post_send_payload(dst, tag, payload, bytes);
+        (depart, bytes, corr)
+    }
+
+    /// `data` in a recycled envelope when a spare one of its element type is
+    /// at hand ([`Comm::spare_envelopes`]), in a new box otherwise.
+    fn box_payload<T: Send + 'static>(&mut self, data: Vec<T>) -> Box<dyn Any + Send> {
         let spare = self.spare_envelopes.iter().rposition(|e| e.is::<Vec<T>>());
-        let payload = match spare.and_then(|i| self.spare_envelopes.swap_remove_back(i)) {
+        match spare.and_then(|i| self.spare_envelopes.swap_remove_back(i)) {
             Some(mut envelope) => {
                 *envelope.downcast_mut::<Vec<T>>().expect("type checked above") = data;
                 envelope
             }
             None => Box::new(data),
-        };
-        let (depart, corr) = self.post_send_payload(dst, tag, payload, bytes);
-        (depart, bytes, corr)
+        }
     }
 
     /// [`Comm::post_send`] over an already-boxed payload: the byte path hands
@@ -1672,11 +1683,13 @@ impl Comm {
         (src, self.unbox_payload(msg))
     }
 
-    /// Charge the completion of a send request: the CPU idles until the NIC
-    /// has drained the message (no further overhead — it was paid at post).
-    fn complete_send(&mut self, dst: usize, depart: f64, corr: u64) {
+    /// Charge the completion of a send request that becomes ready at `ready`:
+    /// the CPU idles until then (no further overhead — it was paid at post).
+    /// A nonblocking send is ready once the NIC has drained it, a synchronous
+    /// one once the receiver's match has been acknowledged.
+    fn complete_send(&mut self, dst: usize, ready: f64, corr: u64) {
         let t0 = self.clock;
-        let waited = (depart - self.clock).max(0.0);
+        let waited = (ready - self.clock).max(0.0);
         self.advance_wait(waited);
         self.trace_event_corr(TraceKind::Wait, t0, 0, Some(dst), corr);
         self.fault_timeout_check(waited, Some(dst));
@@ -2345,7 +2358,9 @@ impl Comm {
     /// redistribution to direct neighbours (Sect. III-B of the paper).
     ///
     /// Both sides must agree on the partner relation (if `a` lists `b`, then
-    /// `b` must list `a`).
+    /// `b` must list `a`). Every partner gets a message, empty or not; where
+    /// most partners have nothing to say, [`Comm::sparse_exchange`] pays only
+    /// for those that do.
     ///
     /// Implementation: every send and receive is posted nonblocking up front
     /// and the receives are drained in **arrival order** ([`Comm::waitall`]),

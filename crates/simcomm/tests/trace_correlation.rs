@@ -14,6 +14,11 @@
 //! * the whole correlated event stream hashes to a frozen digest, captured
 //!   from the thread-per-rank engine at commit `cf18bdf` the way
 //!   `tests/determinism.rs` describes.
+//!
+//! A world of sparse data exchanges (`Comm::sparse_exchange`) is held to the
+//! same invariants under the same faults, and to one more: every posted
+//! message is received exactly once. Its digest was captured when the sparse
+//! exchange was introduced.
 
 use std::collections::HashMap;
 
@@ -201,6 +206,63 @@ fn every_isend_has_exactly_one_completion_under_faults() {
         let events: Vec<_> = out.traces.iter().map(|t| &t.events).collect();
         let got = digest(&events);
         assert_eq!(got, want, "seed {seed}: trace digest {got:#018x} != frozen {want:#018x}");
+    }
+}
+
+/// A seeded program of sparse data exchanges: each round every rank sends to
+/// a random third of its 26 neighbours, and every fifth round nobody sends.
+fn sparse_program(seed: u64, rounds: usize) -> impl Fn(&mut simcomm::Comm) -> u64 + Send + Sync {
+    move |comm| {
+        let rank = comm.rank();
+        let partners = CartGrid::balanced(comm.size()).neighbors26(rank);
+        let mut acc = 0u64;
+        for round in 0..rounds {
+            let r = splitmix64(seed ^ ((round as u64) << 20) ^ rank as u64);
+            comm.compute(Work::ParticleOp, (r % 400) as f64);
+            let sends: Vec<(usize, Vec<u64>)> = partners
+                .iter()
+                .filter(|&&q| round % 5 != 4 && splitmix64(r ^ q as u64).is_multiple_of(3))
+                .map(|&q| (q, vec![r; 1 + (splitmix64(r ^ !(q as u64)) % 40) as usize]))
+                .collect();
+            let got = comm.sparse_exchange(&partners, sends);
+            acc = acc.wrapping_add(got.iter().map(|(src, v)| *src as u64 * v.len() as u64).sum());
+        }
+        acc
+    }
+}
+
+#[test]
+fn every_sparse_message_is_received_exactly_once_under_faults() {
+    for (seed, want) in [(5u64, 0x5795_7055_5432_b006u64), (23, 0x7a70_f280_99c6_7120)] {
+        let plan = chaos_plan(seed.wrapping_mul(0x9e37));
+        let out = Runner::default().traced(true).faulted(plan).run(
+            12,
+            MachineModel::juropa_like(),
+            sparse_program(seed, 6),
+        );
+        let what = format!("sparse seed {seed}");
+        assert!(assert_correlation_invariants(&out.traces, &what) > 0, "{what}: vacuous");
+        assert!(out.stats.iter().map(|s| s.faults_injected).sum::<u64>() > 0, "{what}: no fault");
+        // The stall is keyed by operation count: it must still find its op.
+        assert_eq!(out.stats[3].stalls, 1, "{what}: the stall never fired");
+        // Exactly once: every posted message has one receive record, and the
+        // receive counts agree with the statistics.
+        let mut received: HashMap<u64, usize> = HashMap::new();
+        for e in out.traces.iter().flat_map(|t| &t.events) {
+            if e.kind == TraceKind::Recv {
+                *received.entry(e.corr).or_default() += 1;
+            }
+        }
+        for e in out.traces.iter().flat_map(|t| &t.events) {
+            if e.kind == TraceKind::Isend {
+                assert_eq!(received.get(&e.corr), Some(&1), "{what}: corr {:#x}", e.corr);
+            }
+        }
+        let recv_msgs: u64 = out.stats.iter().map(|s| s.p2p_recv_msgs).sum();
+        assert_eq!(received.len() as u64, recv_msgs, "{what}");
+        let events: Vec<_> = out.traces.iter().map(|t| &t.events).collect();
+        let got = digest(&events);
+        assert_eq!(got, want, "{what}: trace digest {got:#018x} != frozen {want:#018x}");
     }
 }
 

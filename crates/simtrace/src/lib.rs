@@ -17,7 +17,9 @@
 //! * **collective barrier edges**: all ranks enter collectives in the same
 //!   order (SPMD), so the k-th collective record of every rank belongs to the
 //!   same instance, and the instance's rendezvous is pinned on its
-//!   last-arriving rank.
+//!   last-arriving rank. A sparse data exchange is one of them: its
+//!   `sparse_exchange` record starts where the rank entered the exchange's
+//!   barrier, its messages are ordinary `isend` / `wait` / `recv` records.
 //!
 //! [`analyze`] walks the clock-span timeline **backward from the makespan**,
 //! following these edges whenever it lands in a wait span, and produces:
@@ -172,6 +174,7 @@ fn is_cause_kind(kind: TraceKind) -> bool {
             | TraceKind::Reduce
             | TraceKind::Gather
             | TraceKind::Alltoallv
+            | TraceKind::SparseExchange
             | TraceKind::Fault
             | TraceKind::Retry
             | TraceKind::Timeout
@@ -186,6 +189,7 @@ fn is_collective_kind(kind: TraceKind) -> bool {
             | TraceKind::Reduce
             | TraceKind::Gather
             | TraceKind::Alltoallv
+            | TraceKind::SparseExchange
     )
 }
 
@@ -665,6 +669,50 @@ mod tests {
         assert!(analysis.critpath_compute >= 0.5);
         assert!(analysis.critpath_wait < 0.1, "the walk follows the edge instead of waiting");
         assert!(analysis.segments.iter().any(|s| s.rank == 0 && s.cat == SegCat::Compute));
+    }
+
+    /// Rounds of sparse data exchanges on a ring, rank 2 computing longest
+    /// before each: only even ranks send, to their right neighbour.
+    fn sparse_rounds(comm: &mut simcomm::Comm) {
+        let (me, p) = (comm.rank(), comm.size());
+        let right = (me + 1) % p;
+        for round in 0..3 {
+            comm.with_phase("compute", |c| c.advance(if me == 2 { 2e-4 } else { 1e-5 }));
+            let sends = if me % 2 == 0 { vec![(right, vec![round as u64; 64])] } else { vec![] };
+            comm.with_phase("exchange", |c| c.sparse_exchange(&[right], sends));
+        }
+    }
+
+    #[test]
+    fn critical_path_tiles_the_makespan_across_sparse_exchanges() {
+        let out =
+            Runner::default().traced(true).run(5, MachineModel::juqueen_like(), sparse_rounds);
+        let analysis = analyze(&out.traces);
+        assert_eq!(analysis.makespan, out.makespan());
+        let mut t = analysis.makespan;
+        for seg in &analysis.segments {
+            assert_eq!(seg.t_end, t, "segments must abut");
+            t = seg.t_start;
+        }
+        assert_eq!(t, 0.0, "walk must reach time zero");
+        assert_eq!(
+            analysis.critpath_compute,
+            analysis.makespan - (analysis.critpath_comm + analysis.critpath_wait)
+        );
+        // The barrier waits are the straggler's: everyone else's wait inside
+        // an exchange is blamed on rank 2, whose compute is on the path.
+        for waiter in [0usize, 1, 3, 4] {
+            let blamed: f64 = analysis
+                .blame
+                .iter()
+                .filter(|c| c.waiter == waiter && c.blamed == 2)
+                .map(|c| c.seconds)
+                .sum();
+            assert!(blamed > 4e-4, "rank {waiter}'s barrier wait must be blamed on rank 2");
+        }
+        assert!(analysis.segments.iter().any(|s| s.rank == 2 && s.cat == SegCat::Compute));
+        let wait_total: f64 = out.stats.iter().map(|s| s.wait_seconds).sum();
+        assert!((analysis.blame_total() - wait_total).abs() <= 1e-9 * wait_total);
     }
 
     #[test]

@@ -149,6 +149,25 @@ mod tests {
     }
 
     #[test]
+    fn sparse_exchange_messages_get_flow_arrows() {
+        // Ranks 0 and 2 send to their right neighbours; nobody else sends,
+        // and no empty partner becomes a message or an arrow.
+        let out = Runner::default().traced(true).run(6, MachineModel::juqueen_like(), |comm| {
+            let (me, p) = (comm.rank(), comm.size());
+            let ring = [(me + 1) % p, (me + p - 1) % p];
+            let sends =
+                if me == 0 || me == 2 { vec![(ring[0], vec![me as u8; 32])] } else { vec![] };
+            comm.sparse_exchange(&ring, sends)
+        });
+        let mut buf = Vec::new();
+        write_perfetto(&mut buf, &[("sparse", &out.traces)]).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(text.matches("\"ph\":\"s\"").count(), 2);
+        assert_eq!(text.matches("\"ph\":\"f\"").count(), 2);
+        assert_eq!(text.matches("\"name\":\"sparse_exchange\"").count(), 6);
+    }
+
+    #[test]
     fn escapes_quotes_in_labels() {
         let mut buf = Vec::new();
         write_perfetto(&mut buf, &[("a \"quoted\" label", &[])]).unwrap();

@@ -144,13 +144,13 @@ fn md_configs_match_frozen_digests() {
             [0xe3e7_f2ac_7ae3_deb5, 0xf3d1_7ea9_e0c2_102b],
             [0xe36d_87b1_23fa_3d6c, 0xaf4e_5528_e625_1212],
             [0x0e9a_5a4b_8ee1_c2ce, 0xe7b8_b754_408e_9d1e],
-            [0x1827_35a8_df22_3ed0, 0x8c04_ddaf_81ca_f750],
+            [0x1827_35a8_df22_3ed0, 0xad64_cbb6_81b6_da2b],
         ],
         [
             [0xe3e7_f2ac_7ae3_deb5, 0x6c97_830e_142b_23a6],
             [0xe36d_87b1_23fa_3d6c, 0x1f41_f5b7_b3ac_6df9],
             [0x0e9a_5a4b_8ee1_c2ce, 0x285b_b34c_f100_9fc0],
-            [0x1827_35a8_df22_3ed0, 0x2887_a00b_6bd5_d929],
+            [0x1827_35a8_df22_3ed0, 0x22a5_f1a5_4289_21d7],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -239,7 +239,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x546b_2d96_95f1_b0b9, 0x4146_cd55_4345_895f],
+            [0x546b_2d96_95f1_b0b9, 0x4ef6_f3ad_10d9_a1e0],
             &format!("faulted P2NFFT width {width}"),
         );
     }
