@@ -38,7 +38,7 @@
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 use particles::{PlaneElem, PlaneSet};
-use simcomm::{Comm, PooledBuf, Work};
+use simcomm::{Comm, Work};
 
 /// Encode a (process rank, position) pair into a 64-bit index value:
 /// rank in the upper 32 bits, position in the lower 32 bits.
@@ -451,7 +451,7 @@ impl ResortPlan {
         let me = comm.rank();
         comm.enter_phase("redistribute");
         let (mut sends, mut received) = comm.take_byte_pairs();
-        let mut local: Option<PooledBuf> = None;
+        let mut local: Option<Vec<u8>> = None;
         let mut routed_bytes = 0u64;
         match &self.mode {
             ExchangeMode::Collective => {
@@ -461,7 +461,7 @@ impl ResortPlan {
                     sends.push((*t, buf));
                 }
                 comm.compute(Work::ByteCopy, routed_bytes as f64);
-                comm.alltoallv_bytes(&mut sends, &mut received);
+                comm.alltoallv_into(&mut sends, &mut received);
             }
             ExchangeMode::Neighborhood(partners) => {
                 // One buffer per target the plan routes to; locally-addressed
@@ -484,7 +484,7 @@ impl ResortPlan {
                 }
                 comm.compute(Work::ByteCopy, routed_bytes as f64);
                 if !partners.is_empty() {
-                    comm.sparse_exchange_bytes(partners, &mut sends, &mut received);
+                    comm.sparse_exchange_into(partners, &mut sends, &mut received);
                 }
             }
         }
@@ -508,7 +508,7 @@ impl ResortPlan {
             let id = set.id_at(pi);
             let view = set.exchange_view(id, new_len);
             let s = view.stride;
-            let bufs = local.iter().map(|b| &**b).chain(received.iter().map(|(_, b)| &**b));
+            let bufs = local.iter().chain(received.iter().map(|(_, b)| b));
             for buf in bufs {
                 debug_assert_eq!(buf.len() % rec, 0, "received buffer is not whole records");
                 for r in buf.chunks_exact(rec) {
@@ -619,7 +619,7 @@ fn pack_route(
     entries: &[(u32, u32)],
     dst: usize,
     rec: usize,
-) -> PooledBuf {
+) -> Vec<u8> {
     let mut buf = comm.buf_acquire(dst, entries.len() * rec);
     let planes = set.planes();
     for &(i, pos) in entries {

@@ -86,16 +86,10 @@ enum Kind {
 
 /// Run one MD workload and serialize its report entry as the payload.
 fn md_payload(spec: &MdSpec, crystal: &IonicCrystal) -> Result<String, WorldError> {
-    let (_recs, _rms, _recoveries, entry) = bench::try_run_md_world(
-        spec.model.clone(),
-        spec.procs,
-        crystal,
-        InitialDistribution::Grid,
-        &spec.cfg,
-        spec.fault.clone(),
-        None,
-    )?;
-    Ok(entry.to_json().pretty())
+    let runner = Runner::default().faulted(spec.fault.clone().unwrap_or_else(FaultPlan::none));
+    let (model, dist) = (spec.model.clone(), InitialDistribution::Grid);
+    let world = bench::try_run_md_world(&runner, model, spec.procs, crystal, dist, &spec.cfg)?;
+    Ok(world.entry.to_json().pretty())
 }
 
 /// A tiny world that panics on one rank — the injected transient/terminal

@@ -29,11 +29,11 @@
 //! fault counters).
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, report_summary, RunReport};
+use bench::{banner, fmt_secs, report_summary, MdWorld, RunReport};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
-use simcomm::{FaultPlan, MachineModel};
+use simcomm::{FaultPlan, MachineModel, Runner};
 
 /// Short machine label ("juropa-like") for run labels and table rows.
 fn short_name(model: &MachineModel) -> &str {
@@ -61,7 +61,7 @@ fn main() {
     let seed: u64 = cli.get("seed", 11);
     let jitter: f64 = cli.get("jitter", 0.15);
     let mut timeline = cli.timeline();
-    let analyze = cli.analyze(&timeline);
+    let runner = Runner::default().traced(cli.analyze(&timeline));
     let intensities = [0.0, 0.25, 0.5, 1.0];
 
     let mut crystal = IonicCrystal::cubic(cells, 1.0, 0.0, seed);
@@ -109,40 +109,30 @@ fn main() {
         let name = short_name(&model);
 
         // Clean reference: the trajectory every faulted variant must match.
-        let (clean_recs, _, clean_entry, clean_traces) = bench::run_md_world_analyzed(
-            model.clone(),
-            procs,
-            &crystal,
-            InitialDistribution::Grid,
-            &cfg(true),
-            analyze,
-        );
+        let run = |runner: &Runner, exploit: bool| {
+            let (dist, cfg) = (InitialDistribution::Grid, cfg(exploit));
+            bench::try_run_md_world(runner, model.clone(), procs, &crystal, dist, &cfg)
+                .expect("MD world")
+        };
+        let MdWorld { records: clean_recs, entry: clean_entry, traces: clean_traces, .. } =
+            run(&runner, true);
         let clean_makespan = clean_entry.makespan;
         timeline.push(format!("{name}/clean"), clean_traces);
         report.push(format!("{name}/clean"), clean_entry);
 
         for &intensity in &intensities {
             let plan = FaultPlan::chaos(seed ^ (intensity * 16.0) as u64, intensity);
-            let (guarded_recs, recoveries, guarded_entry, guarded_traces) =
-                bench::run_md_world_faulted_analyzed(
-                    model.clone(),
-                    procs,
-                    &crystal,
-                    InitialDistribution::Grid,
-                    &cfg(true),
-                    plan.clone(),
-                    analyze,
-                );
-            let (general_recs, _, general_entry, general_traces) =
-                bench::run_md_world_faulted_analyzed(
-                    model.clone(),
-                    procs,
-                    &crystal,
-                    InitialDistribution::Grid,
-                    &cfg(false),
-                    plan,
-                    analyze,
-                );
+            let faulted = runner.clone().faulted(plan);
+            let MdWorld {
+                records: guarded_recs,
+                recoveries,
+                entry: guarded_entry,
+                traces: guarded_traces,
+                ..
+            } = run(&faulted, true);
+            let MdWorld {
+                records: general_recs, entry: general_entry, traces: general_traces, ..
+            } = run(&faulted, false);
             timeline.push(format!("{name}/i{intensity}/guarded"), guarded_traces);
             timeline.push(format!("{name}/i{intensity}/general"), general_traces);
 

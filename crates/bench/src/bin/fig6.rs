@@ -16,11 +16,11 @@
 //! decomposition) the remaining redistribution cost is mainly ghost creation.
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, report_summary, write_csv, RunReport};
+use bench::{banner, fmt_secs, report_summary, write_csv, MdWorld, RunReport};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
-use simcomm::MachineModel;
+use simcomm::{MachineModel, Runner};
 
 fn main() {
     let cli = Cli::parse(
@@ -40,6 +40,7 @@ fn main() {
     let seed: u64 = cli.get("seed", 1);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
+    let runner = Runner::default().traced(analyze);
 
     let crystal = IonicCrystal::paper_like(cells, seed);
     banner(
@@ -72,14 +73,15 @@ fn main() {
             // interactions, line 5 of the paper's Fig. 3).
             let cfg =
                 SimConfig { solver, resort: false, steps: 0, tolerance, ..SimConfig::default() };
-            let (records, _, entry, traces) = bench::run_md_world_analyzed(
+            let MdWorld { records, entry, traces, .. } = bench::try_run_md_world(
+                &runner,
                 MachineModel::juropa_like(),
                 procs,
                 &crystal,
                 dist,
                 &cfg,
-                analyze,
-            );
+            )
+            .expect("MD world");
             timeline.push(format!("{solver:?}/{}", dist.label()), traces);
             report.push(format!("{solver:?}/{}", dist.label()), entry);
             let r = &records[0];

@@ -14,11 +14,11 @@
 //! the P2NFFT solver).
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{aggregate_steps, banner, fmt_secs, report_summary, write_csv, RunReport};
+use bench::{aggregate_steps, banner, fmt_secs, report_summary, write_csv, MdWorld, RunReport};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
-use simcomm::MachineModel;
+use simcomm::{MachineModel, Runner};
 
 fn main() {
     let cli = Cli::parse(
@@ -40,6 +40,7 @@ fn main() {
     let seed: u64 = cli.get("seed", 1);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
+    let runner = Runner::default().traced(analyze);
 
     let crystal = IonicCrystal::paper_like(cells, seed);
     let dt = mdsim::suggested_dt(crystal.spacing, 1.0);
@@ -68,14 +69,15 @@ fn main() {
         );
         let run = |resort: bool| {
             let cfg = SimConfig { solver, resort, steps, tolerance, dt, ..SimConfig::default() };
-            let (records, _, entry, traces) = bench::run_md_world_analyzed(
+            let MdWorld { records, entry, traces, .. } = bench::try_run_md_world(
+                &runner,
                 MachineModel::juropa_like(),
                 procs,
                 &crystal,
                 InitialDistribution::Random,
                 &cfg,
-                analyze,
-            );
+            )
+            .expect("MD world");
             (records, entry, traces)
         };
         let (a, entry_a, traces_a) = run(false);

@@ -14,11 +14,11 @@
 //! the P2NFFT step time — while Method B stays flat (~3 % / ~2 %).
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, report_summary, sum_from, write_csv, RunReport, Selftime};
+use bench::{banner, fmt_secs, report_summary, sum_from, write_csv, MdWorld, RunReport, Selftime};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
-use simcomm::MachineModel;
+use simcomm::{MachineModel, Runner};
 
 fn main() {
     let cli = Cli::parse(
@@ -47,6 +47,7 @@ fn main() {
     let jitter: f64 = cli.get("jitter", 0.15);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
+    let runner = Runner::default().traced(analyze);
     let mut crystal = IonicCrystal::paper_like(cells, seed);
     crystal.jitter = jitter * crystal.spacing;
     let dt = mdsim::suggested_dt(crystal.spacing, 1.0);
@@ -84,20 +85,22 @@ fn main() {
                 dt,
                 ..SimConfig::default()
             };
-            bench::run_md_world_analyzed(
+            bench::try_run_md_world(
+                &runner,
                 MachineModel::juropa_like(),
                 procs,
                 &crystal,
                 InitialDistribution::Grid,
                 &cfg,
-                analyze,
             )
+            .expect("MD world")
         };
-        let (a, rms_a, entry_a, traces_a) = run(false, false);
+        let MdWorld { records: a, rms: rms_a, entry: entry_a, traces: traces_a, .. } =
+            run(false, false);
         selftime.lap_steps(&format!("run:{solver:?}/methodA"), steps as u64);
-        let (b, _, entry_b, traces_b) = run(true, false);
+        let MdWorld { records: b, entry: entry_b, traces: traces_b, .. } = run(true, false);
         selftime.lap_steps(&format!("run:{solver:?}/methodB"), steps as u64);
-        let (bm, _, entry_bm, traces_bm) = run(true, true);
+        let MdWorld { records: bm, entry: entry_bm, traces: traces_bm, .. } = run(true, true);
         selftime.lap_steps(&format!("run:{solver:?}/methodB+movement"), steps as u64);
         timeline.push(format!("{solver:?}/methodA"), traces_a);
         timeline.push(format!("{solver:?}/methodB"), traces_b);

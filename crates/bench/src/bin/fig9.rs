@@ -17,11 +17,13 @@
 //!   largest machine.
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, report_summary, sum_from, write_csv, RunReport, TimelineSink};
+use bench::{
+    banner, fmt_secs, report_summary, sum_from, write_csv, MdWorld, RunReport, TimelineSink,
+};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
-use simcomm::MachineModel;
+use simcomm::{MachineModel, Runner};
 
 fn main() {
     let cli = Cli::parse(
@@ -60,7 +62,7 @@ fn main() {
         other => cli.fail(format!("--dist must be 'random' or 'grid', got '{other}'")),
     };
     let mut timeline = cli.timeline();
-    let analyze = cli.analyze(&timeline);
+    let runner = Runner::default().traced(cli.analyze(&timeline));
 
     let crystal = IonicCrystal::paper_like(cells, seed);
     let dt = mdsim::suggested_dt(crystal.spacing, 1.0);
@@ -114,8 +116,9 @@ fn main() {
                     pencil_fft: cli.flag("pencil"),
                     ..SimConfig::default()
                 };
-                let (records, _, entry, traces) =
-                    bench::run_md_world_analyzed(model.clone(), p, &crystal, dist, &cfg, analyze);
+                let MdWorld { records, entry, traces, .. } =
+                    bench::try_run_md_world(&runner, model.clone(), p, &crystal, dist, &cfg)
+                        .expect("MD world");
                 timeline.push(format!("{solver:?}/p={p}/{method}"), traces);
                 report.push(format!("{solver:?}/p={p}/{method}"), entry);
                 // Total simulation runtime: sum of all solver executions

@@ -48,7 +48,8 @@
 use atasp::{encode_index, resort, resort_planes, ExchangeMode};
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{
-    banner, fmt_secs, record_run, report_summary, RunReport, Selftime, SelftimeRow, TimelineSink,
+    banner, fmt_secs, record_run, report_summary, MdWorld, RunReport, Selftime, SelftimeRow,
+    TimelineSink,
 };
 use fcs::SolverKind;
 use mdsim::SimConfig;
@@ -98,14 +99,14 @@ fn neighborhood_workloads(
     let planned = runner.run(procs, model.clone(), move |comm: &mut Comm| {
         let partners = CartGrid::balanced(procs).neighbors26(comm.rank());
         let mut plan = comm.plan_exchange(partners, TAG_GHOSTS);
+        let counts = vec![elems; plan.partners().len()];
         for _ in 0..steps {
-            let bufs: Vec<Vec<Ghost>> =
-                plan.partners().iter().map(|_| ghost_payload(comm.rank(), elems)).collect();
+            let mut ghosts: Vec<Ghost> =
+                plan.partners().iter().flat_map(|_| ghost_payload(comm.rank(), elems)).collect();
             comm.compute(Work::ByteCopy, bytes_out(plan.partners().len()));
-            let received = plan.execute(comm, bufs);
-            // Receives are in frozen partner order: the ghost sequence is
+            // Receives land in frozen partner order: the ghost sequence is
             // already deterministic, no post-processing.
-            let _ghosts: usize = received.iter().map(Vec::len).sum();
+            plan.execute_flat(comm, &mut ghosts, &counts);
         }
     });
     let unplanned = runner.run(procs, model.clone(), move |comm: &mut Comm| {
@@ -285,6 +286,7 @@ fn main() {
     let elems: usize = cli.get("elems", 500);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
+    let runner = Runner::default().traced(analyze);
 
     let mut crystal = IonicCrystal::paper_like(cells, seed);
     crystal.jitter = jitter * crystal.spacing;
@@ -329,18 +331,19 @@ fn main() {
                 plan_cache,
                 ..SimConfig::default()
             };
-            bench::run_md_world_analyzed(
-                model.clone(),
-                procs,
-                &crystal,
-                InitialDistribution::Grid,
-                &cfg,
-                analyze,
-            )
+            let dist = InitialDistribution::Grid;
+            bench::try_run_md_world(&runner, model.clone(), procs, &crystal, dist, &cfg)
+                .expect("MD world")
         };
-        let (recs_planned, _, entry_planned, traces_planned) = run_md(true);
+        let MdWorld { records: recs_planned, entry: entry_planned, traces: traces_planned, .. } =
+            run_md(true);
         selftime.lap_steps(&format!("run:{name}/md/planned"), steps as u64);
-        let (recs_unplanned, _, entry_unplanned, traces_unplanned) = run_md(false);
+        let MdWorld {
+            records: recs_unplanned,
+            entry: entry_unplanned,
+            traces: traces_unplanned,
+            ..
+        } = run_md(false);
         selftime.lap_steps(&format!("run:{name}/md/unplanned"), steps as u64);
         timeline.push(format!("{name}/md/planned"), traces_planned);
         timeline.push(format!("{name}/md/unplanned"), traces_unplanned);
@@ -633,8 +636,9 @@ fn main() {
                     };
                     let t0 = std::time::Instant::now();
                     let (a0, b0) = bench::alloc_counters();
-                    let dist = InitialDistribution::Grid;
-                    bench::run_md_world(MachineModel::juropa_like(), RANKS, &crystal, dist, &cfg);
+                    let (model, dist) = (MachineModel::juropa_like(), InitialDistribution::Grid);
+                    bench::try_run_md_world(&Runner::default(), model, RANKS, &crystal, dist, &cfg)
+                        .expect("MD world");
                     let (a1, b1) = bench::alloc_counters();
                     (a1 - a0, b1 - b0, t0.elapsed().as_secs_f64())
                 };

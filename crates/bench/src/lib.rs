@@ -12,6 +12,9 @@
 //! minutes; `--cells`/`--steps`/`--procs` restore paper scale.
 
 #![warn(missing_docs)]
+// No result of this crate may depend on `RandomState`: nothing outside tests
+// iterates a hash container.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod cli;
 pub mod gate;
@@ -128,149 +131,52 @@ impl Args {
     }
 }
 
-/// Run a full MD simulation world and return the per-step records aggregated
-/// over ranks (component-wise maxima), the global RMS drift, and a report
-/// entry (makespan, per-phase and per-rank aggregates — see [`RunEntry`])
-/// ready to be pushed into a [`RunReport`].
-pub fn run_md_world(
-    model: simcomm::MachineModel,
-    p: usize,
-    crystal: &particles::IonicCrystal,
-    dist: particles::InitialDistribution,
-    cfg: &mdsim::SimConfig,
-) -> (Vec<StepRecord>, f64, RunEntry) {
-    let (agg, rms, _, entry, _) = run_md_world_inner(model, p, crystal, dist, cfg, None, false);
-    (agg, rms, entry)
+/// What one MD world yields ([`try_run_md_world`]).
+pub struct MdWorld {
+    /// Per-step records aggregated over ranks (component-wise maxima).
+    pub records: Vec<StepRecord>,
+    /// The global RMS displacement.
+    pub rms: f64,
+    /// Rollback-and-replay recoveries the MD step loop performed (collective —
+    /// identical on every rank).
+    pub recoveries: u64,
+    /// The report entry (makespan, per-phase and per-rank aggregates — see
+    /// [`RunEntry`]), with the critical-path analysis attached when the run
+    /// was traced.
+    pub entry: RunEntry,
+    /// The per-rank event streams (empty unless the runner traces).
+    pub traces: Vec<simcomm::Trace>,
 }
 
-/// Analyzed variant of [`run_md_world`]: when `analyze` is set the world runs
-/// traced, the entry's [`RunEntry::critpath`] is filled from the
-/// happens-before analysis, and the per-rank traces are returned (e.g. for a
-/// [`TimelineSink`]). With `analyze == false` this is exactly
-/// [`run_md_world`] (traces empty, `critpath` `None`) — harnesses call this
-/// unconditionally and let the flag decide.
-pub fn run_md_world_analyzed(
-    model: simcomm::MachineModel,
-    p: usize,
-    crystal: &particles::IonicCrystal,
-    dist: particles::InitialDistribution,
-    cfg: &mdsim::SimConfig,
-    analyze: bool,
-) -> (Vec<StepRecord>, f64, RunEntry, Vec<simcomm::Trace>) {
-    let (agg, rms, _, entry, traces) =
-        run_md_world_inner(model, p, crystal, dist, cfg, None, analyze);
-    (agg, rms, entry, traces)
-}
-
-/// Faulted variant of [`run_md_world`]: the same MD workload executed under
-/// a [`simcomm::FaultPlan`]. Additionally returns the number of
-/// rollback-and-replay recoveries the driver performed (collective —
-/// identical on every rank).
-pub fn run_md_world_faulted(
-    model: simcomm::MachineModel,
-    p: usize,
-    crystal: &particles::IonicCrystal,
-    dist: particles::InitialDistribution,
-    cfg: &mdsim::SimConfig,
-    fault: simcomm::FaultPlan,
-) -> (Vec<StepRecord>, u64, RunEntry) {
-    let (agg, _, recoveries, entry, _) =
-        run_md_world_inner(model, p, crystal, dist, cfg, Some(fault), false);
-    (agg, recoveries, entry)
-}
-
-/// Faulted **and** analyzed variant of [`run_md_world`] (see
-/// [`run_md_world_analyzed`] for the `analyze` contract).
-pub fn run_md_world_faulted_analyzed(
-    model: simcomm::MachineModel,
-    p: usize,
-    crystal: &particles::IonicCrystal,
-    dist: particles::InitialDistribution,
-    cfg: &mdsim::SimConfig,
-    fault: simcomm::FaultPlan,
-    analyze: bool,
-) -> (Vec<StepRecord>, u64, RunEntry, Vec<simcomm::Trace>) {
-    let (agg, _, recoveries, entry, traces) =
-        run_md_world_inner(model, p, crystal, dist, cfg, Some(fault), analyze);
-    (agg, recoveries, entry, traces)
-}
-
-/// Supervised variant of the `run_md_world*` family: the typed-error entry
-/// point campaign runs use. Failures (a rank panic, a virtual deadlock, a
-/// refused thread spawn, or an elapsed `deadline`) come back as a
-/// [`simcomm::WorldError`] value instead of a panic, so a supervisor can
-/// classify, journal and retry the run.
+/// Run a full MD simulation world of `p` ranks under `runner`, which decides
+/// tracing, the fault plan and the wall-clock deadline. Failures (a rank
+/// panic, a virtual deadlock, a refused thread spawn, an elapsed deadline)
+/// come back as a [`simcomm::WorldError`], so a supervisor can classify,
+/// journal and retry the run; harnesses that cannot fail `.expect` it.
+/// Tracing is clock-invisible: records, clocks and the entry's aggregates
+/// are the same bits whether or not the runner traces.
 pub fn try_run_md_world(
+    runner: &simcomm::Runner,
     model: simcomm::MachineModel,
     p: usize,
     crystal: &particles::IonicCrystal,
     dist: particles::InitialDistribution,
     cfg: &mdsim::SimConfig,
-    fault: Option<simcomm::FaultPlan>,
-    deadline: Option<std::time::Duration>,
-) -> Result<(Vec<StepRecord>, f64, u64, RunEntry), simcomm::WorldError> {
-    let (agg, rms, recoveries, entry, _) =
-        try_run_md_world_inner(model, p, crystal, dist, cfg, fault, false, deadline)?;
-    Ok((agg, rms, recoveries, entry))
-}
-
-/// Shared core of the `run_md_world*` family. Tracing is clock-invisible, so
-/// the records, clocks and report entry are bitwise-identical whether or not
-/// `traced` is set — the traced run merely also yields the event streams.
-fn run_md_world_inner(
-    model: simcomm::MachineModel,
-    p: usize,
-    crystal: &particles::IonicCrystal,
-    dist: particles::InitialDistribution,
-    cfg: &mdsim::SimConfig,
-    fault: Option<simcomm::FaultPlan>,
-    traced: bool,
-) -> (Vec<StepRecord>, f64, u64, RunEntry, Vec<simcomm::Trace>) {
-    try_run_md_world_inner(model, p, crystal, dist, cfg, fault, traced, None)
-        .unwrap_or_else(|e| panic!("simcomm world failed: {e}"))
-}
-
-/// Everything an MD world run yields: aggregated step records, the RMS
-/// displacement, the recovery count, the report entry, and (when traced)
-/// the event streams.
-type MdWorldOutput = (Vec<StepRecord>, f64, u64, RunEntry, Vec<simcomm::Trace>);
-
-/// Result-returning core: build the world, run it (optionally supervised by
-/// a wall-clock deadline), and condense the output into step records and a
-/// report entry.
-#[allow(clippy::too_many_arguments)]
-fn try_run_md_world_inner(
-    model: simcomm::MachineModel,
-    p: usize,
-    crystal: &particles::IonicCrystal,
-    dist: particles::InitialDistribution,
-    cfg: &mdsim::SimConfig,
-    fault: Option<simcomm::FaultPlan>,
-    traced: bool,
-    deadline: Option<std::time::Duration>,
-) -> Result<MdWorldOutput, simcomm::WorldError> {
+) -> Result<MdWorld, simcomm::WorldError> {
     let bbox = particles::ParticleSource::system_box(crystal);
-    let crystal = crystal.clone();
-    let cfg = cfg.clone();
-    let mut runner = simcomm::Runner::default().traced(traced).deadline(deadline);
-    if let Some(fault) = fault {
-        runner = runner.faulted(fault);
-    }
-    let out = runner.try_run(p, model, move |comm| {
+    let out = runner.try_run(p, model, |comm| {
         let dims = simcomm::CartGrid::balanced(p).dims();
-        let set = particles::local_set(&crystal, dist, comm.rank(), p, dims);
-        mdsim::simulate(comm, bbox, set, &cfg)
+        let set = particles::local_set(crystal, dist, comm.rank(), p, dims);
+        mdsim::simulate(comm, bbox, set, cfg)
     })?;
     let per_rank: Vec<Vec<StepRecord>> = out.results.iter().map(|r| r.records.clone()).collect();
-    let agg = aggregate_steps(&per_rank);
-    let rms = out.results[0].rms_displacement;
-    let recoveries = out.results[0].recoveries;
-    let mut entry = RunEntry::from_run(&out);
-    let traces = out.traces;
-    if traced {
-        attach_analysis(&mut entry, &traces);
-    }
-    Ok((agg, rms, recoveries, entry, traces))
+    Ok(MdWorld {
+        records: aggregate_steps(&per_rank),
+        rms: out.results[0].rms_displacement,
+        recoveries: out.results[0].recoveries,
+        entry: analyzed_entry(&out),
+        traces: out.traces,
+    })
 }
 
 /// Run the happens-before trace analysis and record its condensed form
@@ -282,22 +188,28 @@ pub fn attach_analysis(entry: &mut RunEntry, traces: &[simcomm::Trace]) -> simtr
     analysis
 }
 
+/// The report entry of a run, with the critical-path analysis attached when
+/// the run was traced.
+fn analyzed_entry<R>(out: &simcomm::RunOutput<R>) -> RunEntry {
+    let mut entry = RunEntry::from_run(out);
+    // An untraced world still returns one (empty) trace per rank.
+    if out.traces.iter().any(|t| !t.events.is_empty()) {
+        attach_analysis(&mut entry, &out.traces);
+    }
+    entry
+}
+
 /// Finish one raw [`simcomm::Runner`] run: build its report entry, attach the
 /// critical-path analysis when the run was traced, feed the timeline sink,
 /// and push the entry under `label`. The shared tail of every run site in the
-/// harnesses that drive worlds directly (ablation, redistribution, plancache,
-/// scale).
+/// harnesses that drive worlds directly (ablation, plancache, scale).
 pub fn record_run<R>(
     label: String,
     out: simcomm::RunOutput<R>,
     report: &mut RunReport,
     timeline: &mut TimelineSink,
 ) {
-    let mut entry = RunEntry::from_run(&out);
-    // An untraced world still returns one (empty) trace per rank.
-    if out.traces.iter().any(|t| !t.events.is_empty()) {
-        attach_analysis(&mut entry, &out.traces);
-    }
+    let entry = analyzed_entry(&out);
     timeline.push(label.clone(), out.traces);
     report.push(label, entry);
 }

@@ -470,9 +470,10 @@ pub enum RunState {
 
 impl Journal {
     /// Fold the replayed records into per-run states. Runs never mentioned
-    /// in the journal are absent from the result (they never started).
-    pub fn resume_states(&self) -> std::collections::HashMap<String, RunState> {
-        let mut m = std::collections::HashMap::new();
+    /// in the journal are absent from the result (they never started). A
+    /// `BTreeMap`, so a caller that walks it sees the runs in name order.
+    pub fn resume_states(&self) -> std::collections::BTreeMap<String, RunState> {
+        let mut m = std::collections::BTreeMap::new();
         for rec in &self.records {
             match rec {
                 Record::Started { run, .. } => {

@@ -42,6 +42,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// No result of this crate may depend on `RandomState`: nothing outside tests
+// iterates a hash container.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
 pub mod journal;
 mod pool;

@@ -58,6 +58,5 @@ pub use model::{
 };
 pub use phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseSegment, PhaseStats, UNTAGGED};
 pub use plan::CommPlan;
-pub use pool::PooledBuf;
 pub use trace::{write_trace_csv, ClockSpan, SpanCat, Trace, TraceEvent, TraceKind};
 pub use world::{push_segment, run, Comm, RankStats, Request, RunOutput, Runner};

@@ -2,10 +2,10 @@
 //! layer. A [`CommPlan`] freezes the *structure* of a recurring neighbourhood
 //! exchange — the partner ranks, the message tag, and the per-partner receive
 //! envelopes — once, so that every subsequent timestep only moves payload
-//! through the frozen schedule ([`CommPlan::execute`]). This is the simulated
-//! analogue of MPI persistent requests (`MPI_Send_init`/`MPI_Start`): partner
-//! resolution, argument validation and slot bookkeeping are paid at plan
-//! build, not per step.
+//! through the frozen schedule ([`CommPlan::execute_flat`]). This is the
+//! simulated analogue of MPI persistent requests (`MPI_Send_init` /
+//! `MPI_Start`): partner resolution, argument validation and slot
+//! bookkeeping are paid at plan build, not per step.
 //!
 //! Higher redistribution layers (`atasp` resort plans, the particle-mesh
 //! ghost plan, the merge-sort probe plan) build on the same discipline and
@@ -15,14 +15,14 @@
 
 use std::any::Any;
 
-use crate::world::{Comm, Request};
+use crate::world::Comm;
 use crate::Work;
 
 /// A frozen persistent schedule for a recurring point-to-point neighbourhood
 /// exchange.
 ///
 /// Built once per decomposition epoch with [`Comm::plan_exchange`]; executed
-/// every timestep with [`CommPlan::execute`]. The plan owns the sorted
+/// every timestep with [`CommPlan::execute_flat`]. The plan owns the sorted
 /// partner list (receive buffers come back in partner order with no per-step
 /// sort), the tag, and the *size envelopes* of the last execution — the
 /// per-partner receive counts, which callers use to pre-size the buffers the
@@ -104,62 +104,18 @@ impl CommPlan {
         &self.last_recv_counts
     }
 
-    /// Execute the plan with this step's payload: `data[i]` is sent to
-    /// `partners()[i]` (possibly empty), and one buffer per partner is
-    /// received, returned in partner order. All sends and receives are posted
-    /// nonblocking up front and drained in arrival order, like
-    /// [`Comm::neighbor_exchange`] — but the partner resolution, validation
-    /// and output ordering were paid once at plan build.
+    /// Execute the plan with this step's payload, with no allocation once the
+    /// buffers involved have reached their size. `payload` holds what this
+    /// rank sends, partner after partner: `counts[i]` elements go to
+    /// `partners()[i]` — one message per partner, empty ones included. On
+    /// return `payload` holds what the partners sent, in partner order, and
+    /// [`CommPlan::last_recv_counts`] how much came from each.
     ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != partners().len()` — the plan freezes the
-    /// exchange structure, so every execution must supply exactly one buffer
-    /// per partner (empty buffers for partners with nothing to say).
-    pub fn execute<T: Send + 'static>(
-        &mut self,
-        comm: &mut Comm,
-        data: Vec<Vec<T>>,
-    ) -> Vec<Vec<T>> {
-        assert_eq!(
-            data.len(),
-            self.partners.len(),
-            "CommPlan::execute: {} send buffers for {} planned partners",
-            data.len(),
-            self.partners.len()
-        );
-        let t0 = comm.clock();
-        let mut requests: Vec<Request<T>> = Vec::with_capacity(2 * self.partners.len());
-        for &src in &self.partners {
-            requests.push(comm.irecv(src, self.tag));
-        }
-        let mut bytes = 0u64;
-        for (&dst, buf) in self.partners.iter().zip(data) {
-            bytes += (buf.len() * std::mem::size_of::<T>()) as u64;
-            requests.push(comm.isend(dst, self.tag, buf));
-        }
-        let results = comm.waitall(requests);
-        let out: Vec<Vec<T>> = results
-            .into_iter()
-            .take(self.partners.len())
-            .map(|buf| buf.expect("receive request yields data"))
-            .collect();
-        for (slot, buf) in out.iter().enumerate() {
-            self.last_recv_counts[slot] = buf.len();
-        }
-        self.executions += 1;
-        comm.note_plan_exec(t0, bytes);
-        out
-    }
-
-    /// Flat [`CommPlan::execute`] for payload that travels every step: the
-    /// same messages, costs, statistics and trace events, with no allocation
-    /// once the buffers involved have reached their size. `payload` holds
-    /// what this rank sends, partner after partner: `counts[i]` elements go
-    /// to `partners()[i]` (one message per partner, empty ones included, as
-    /// in [`CommPlan::execute`]). On return `payload` holds what the partners
-    /// sent, in partner order, and [`CommPlan::last_recv_counts`] how much
-    /// came from each.
+    /// All sends and receives are posted nonblocking up front and drained in
+    /// arrival order: the messages, costs, statistics and trace events of
+    /// [`Comm::neighbor_exchange`], plus one `plan_exec` record — but the
+    /// partner resolution, validation and output ordering were paid once at
+    /// plan build.
     ///
     /// # Panics
     ///
@@ -236,18 +192,22 @@ mod tests {
                 7,
             );
             let mut plan = comm.plan_exchange(partners.clone(), 7);
-            let planned = plan.execute(comm, partners.iter().map(|&q| payload(q)).collect());
-            let planned2 = plan.execute(comm, partners.iter().map(|&q| payload(q)).collect());
+            let counts = vec![3; partners.len()];
+            let mut planned = Vec::new();
+            for _ in 0..2 {
+                let mut flat: Vec<u64> = partners.iter().flat_map(|&q| payload(q)).collect();
+                plan.execute_flat(comm, &mut flat, &counts);
+                planned.push(flat);
+            }
             assert_eq!(plan.executions(), 2);
-            let counts: Vec<usize> = planned.iter().map(Vec::len).collect();
-            assert_eq!(plan.last_recv_counts(), &counts[..]);
-            (adhoc, partners, planned, planned2)
+            let got: Vec<usize> = adhoc.iter().map(|(_, b)| b.len()).collect();
+            assert_eq!(plan.last_recv_counts(), &got[..]);
+            (adhoc, planned)
         });
-        for (adhoc, partners, planned, planned2) in out.results {
-            let expect: Vec<Vec<u64>> = adhoc.into_iter().map(|(_, b)| b).collect();
-            assert_eq!(planned, expect, "planned exchange must match ad-hoc exchange");
-            assert_eq!(planned2, expect, "re-execution must be repeatable");
-            assert_eq!(planned.len(), partners.len());
+        for (adhoc, planned) in out.results {
+            let expect: Vec<u64> = adhoc.into_iter().flat_map(|(_, b)| b).collect();
+            assert_eq!(planned[0], expect, "planned exchange must match ad-hoc exchange");
+            assert_eq!(planned[1], expect, "re-execution must be repeatable");
         }
     }
 
@@ -257,8 +217,9 @@ mod tests {
             let (me, p) = (comm.rank(), comm.size());
             let mut plan = comm.plan_exchange(ring(me, p), 1);
             for _ in 0..5 {
-                let bufs = plan.partners().iter().map(|&q| vec![q as u32]).collect();
-                let _ = plan.execute(comm, bufs);
+                let mut payload: Vec<u32> = plan.partners().iter().map(|&q| q as u32).collect();
+                let counts = vec![1; payload.len()];
+                plan.execute_flat(comm, &mut payload, &counts);
             }
             (comm.stats().plan_builds, comm.stats().plan_execs)
         });

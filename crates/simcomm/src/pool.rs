@@ -12,12 +12,10 @@
 //! neighbourhood exchange the population is self-sustaining after one warm-up
 //! step: every buffer a rank ships out is replaced by one shipped in.
 //!
-//! The pool recycles the **whole** message allocation, not just the byte
-//! capacity: buffers are stored as [`PooledBuf`] — a boxed byte vector whose
-//! box doubles as the type-erased payload envelope of the simulated message
-//! (`Box<Vec<u8>>` coerces to `Box<dyn Any + Send>` without allocating, and
-//! the receive side's downcast returns the same box). A steady-state byte
-//! exchange therefore performs **zero heap allocations** end to end.
+//! The pool holds plain `Vec<u8>`s. The box a byte message travels in is
+//! recycled where every typed message's is, on the rank's spare-envelope
+//! list, so a steady-state byte exchange performs **zero heap allocations**
+//! end to end.
 //!
 //! Retention follows a per-partner high-water mark with decay: each slot
 //! remembers the largest recent request and shrinks buffers whose capacity
@@ -33,56 +31,10 @@
 
 use std::collections::BTreeMap;
 
-/// An owned, recyclable message byte buffer.
-///
-/// Dereferences to `Vec<u8>`. The inner box is the same allocation that
-/// travels as the simulated message's type-erased payload envelope, so
-/// recycling a `PooledBuf` recycles both the byte storage and the envelope.
-// The double indirection is the point: the box *is* the message envelope
-// (`Box<Vec<u8>>` coerces to `Box<dyn Any + Send>` allocation-free), so a
-// plain `Vec<u8>` here would force one envelope allocation per send.
-#[allow(clippy::box_collection)]
-#[derive(Debug, Default, PartialEq, Eq)]
-pub struct PooledBuf(Box<Vec<u8>>);
-
-impl PooledBuf {
-    /// A fresh, empty buffer (one envelope + zero-capacity vector).
-    pub fn new() -> PooledBuf {
-        PooledBuf(Box::default())
-    }
-
-    /// Wrap an existing byte vector (used by the receive side to re-wrap a
-    /// downcast payload without copying).
-    #[allow(clippy::box_collection)]
-    pub(crate) fn from_box(b: Box<Vec<u8>>) -> PooledBuf {
-        PooledBuf(b)
-    }
-
-    /// Unwrap into the boxed vector (the send side passes this box on as the
-    /// message payload).
-    #[allow(clippy::box_collection)]
-    pub(crate) fn into_box(self) -> Box<Vec<u8>> {
-        self.0
-    }
-}
-
-impl std::ops::Deref for PooledBuf {
-    type Target = Vec<u8>;
-    fn deref(&self) -> &Vec<u8> {
-        &self.0
-    }
-}
-
-impl std::ops::DerefMut for PooledBuf {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        &mut self.0
-    }
-}
-
 /// One partner's retained buffers plus its decayed high-water mark.
 #[derive(Debug, Default)]
 struct Slot {
-    bufs: Vec<PooledBuf>,
+    bufs: Vec<Vec<u8>>,
     /// Decayed high-water mark of requested sizes (bytes): raised to every
     /// request, decayed by 1/8 per acquisition otherwise. The shrink
     /// threshold below tracks this, so retained capacity follows demand down.
@@ -106,7 +58,7 @@ impl BufferPool {
     /// Take a buffer for `partner` with capacity for `bytes`, cleared to
     /// length 0. Returns the buffer plus the `(bytes_reused, bytes_grown)`
     /// delta this acquisition contributes to the rank's stats.
-    pub(crate) fn acquire(&mut self, partner: usize, bytes: usize) -> (PooledBuf, u64, u64) {
+    pub(crate) fn acquire(&mut self, partner: usize, bytes: usize) -> (Vec<u8>, u64, u64) {
         let slot = self.slots.entry(partner).or_default();
         slot.hwm = bytes.max(slot.hwm - slot.hwm / 8);
         match slot.bufs.pop() {
@@ -120,13 +72,13 @@ impl BufferPool {
                     (buf, cap as u64, (bytes - cap) as u64)
                 }
             }
-            None => (PooledBuf(Box::new(Vec::with_capacity(bytes))), 0, bytes as u64),
+            None => (Vec::with_capacity(bytes), 0, bytes as u64),
         }
     }
 
     /// Return a buffer to `partner`'s slot, shrinking it first if its
     /// capacity has grown far beyond the slot's decayed high-water mark.
-    pub(crate) fn release(&mut self, partner: usize, mut buf: PooledBuf) {
+    pub(crate) fn release(&mut self, partner: usize, mut buf: Vec<u8>) {
         let slot = self.slots.entry(partner).or_default();
         if buf.capacity() > SHRINK_MIN && buf.capacity() > SHRINK_FACTOR * slot.hwm {
             buf.clear();
@@ -135,8 +87,9 @@ impl BufferPool {
         slot.bufs.push(buf);
     }
 
-    /// Total retained capacity for `partner`, in bytes (test/diagnostic hook).
-    pub(crate) fn retained_bytes(&self, partner: usize) -> usize {
+    /// Total retained capacity for `partner`, in bytes.
+    #[cfg(test)]
+    fn retained_bytes(&self, partner: usize) -> usize {
         self.slots.get(&partner).map_or(0, |s| s.bufs.iter().map(|b| b.capacity()).sum())
     }
 }

@@ -27,7 +27,7 @@ use crate::error::WorldError;
 use crate::fault::FaultPlan;
 use crate::model::{CollTerms, HopTable, MachineModel, Work};
 use crate::phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseSegment, PhaseStats};
-use crate::pool::{BufferPool, PooledBuf};
+use crate::pool::BufferPool;
 use crate::trace::{SpanCat, Trace, TraceKind};
 
 mod sparse;
@@ -665,11 +665,11 @@ pub struct Comm {
     pool: BufferPool,
     /// Reusable scratch for the `waitall` family.
     wait_scratch: WaitScratch,
-    /// Emptied payload envelopes of received typed messages (each a
-    /// `Box<Vec<T>>` for some `T`), most recent last; the next typed send of
-    /// a matching element type refills one instead of boxing. The typed
-    /// twin of the byte path's pool loop: in a symmetric exchange every
-    /// envelope shipped out is replaced by one shipped in.
+    /// Emptied payload envelopes of received messages (each a
+    /// `Box<Vec<T>>` for some `T`, bytes included), most recent last; the
+    /// next send of a matching element type refills one instead of boxing.
+    /// In a symmetric exchange every envelope shipped out is replaced by one
+    /// shipped in.
     spare_envelopes: VecDeque<Box<dyn Any + Send>>,
     /// Collectives this rank has entered; its parity selects the slot the
     /// next one uses (see [`CollSlot`]).
@@ -681,13 +681,10 @@ pub struct Comm {
     /// Tasks a completed collective made this rank responsible for resuming
     /// once it has released the slot's guard.
     woken: Vec<usize>,
-    /// Reusable envelope and size scratch of [`Comm::neighbor_exchange_bytes`].
-    byte_envelopes: Vec<Box<dyn Any + Send>>,
-    byte_sizes: Vec<u64>,
     /// Reusable `(partner, buffer)` pair scratch, loaned to higher layers
     /// (e.g. `atasp::resort_planes`) so their exchanges stay allocation-free.
-    byte_pairs_a: Vec<(usize, PooledBuf)>,
-    byte_pairs_b: Vec<(usize, PooledBuf)>,
+    byte_pairs_a: Vec<(usize, Vec<u8>)>,
+    byte_pairs_b: Vec<(usize, Vec<u8>)>,
     /// Reusable scratch of [`Comm::sparse_exchange`].
     sparse: sparse::SparseScratch,
 }
@@ -990,8 +987,6 @@ where
                         coll_aside: [Vec::new(), Vec::new()],
                         coll_seq: 0,
                         woken: Vec::new(),
-                        byte_envelopes: Vec::new(),
-                        byte_sizes: Vec::new(),
                         byte_pairs_a: Vec::new(),
                         byte_pairs_b: Vec::new(),
                         sparse: sparse::SparseScratch::default(),
@@ -1429,7 +1424,7 @@ impl Comm {
     /// counted in [`RankStats::bytes_reused`]; capacity the allocator had to
     /// provide in [`RankStats::bytes_grown`]. Pooling is memory management
     /// only: it never affects virtual time.
-    pub fn buf_acquire(&mut self, partner: usize, bytes: usize) -> PooledBuf {
+    pub fn buf_acquire(&mut self, partner: usize, bytes: usize) -> Vec<u8> {
         let (buf, reused, grown) = self.pool.acquire(partner, bytes);
         self.stats.bytes_reused += reused;
         self.stats.bytes_grown += grown;
@@ -1440,14 +1435,8 @@ impl Comm {
     /// just arrived *from* `partner`, which closes the reuse loop of a
     /// symmetric exchange: every buffer shipped out is replaced by one
     /// shipped in.
-    pub fn buf_release(&mut self, partner: usize, buf: PooledBuf) {
+    pub fn buf_release(&mut self, partner: usize, buf: Vec<u8>) {
         self.pool.release(partner, buf);
-    }
-
-    /// Retained pool capacity for `partner`, in bytes (diagnostic hook for
-    /// the high-water-mark retention tests).
-    pub fn buf_retained(&self, partner: usize) -> usize {
-        self.pool.retained_bytes(partner)
     }
 
     /// Borrow the rank's two reusable `(partner, buffer)` scratch vectors,
@@ -1457,7 +1446,7 @@ impl Comm {
     /// [`Comm::put_byte_pairs`] when the exchange is done (contents are
     /// dropped, so release any buffers to the pool first).
     #[allow(clippy::type_complexity)]
-    pub fn take_byte_pairs(&mut self) -> (Vec<(usize, PooledBuf)>, Vec<(usize, PooledBuf)>) {
+    pub fn take_byte_pairs(&mut self) -> (Vec<(usize, Vec<u8>)>, Vec<(usize, Vec<u8>)>) {
         let mut a = std::mem::take(&mut self.byte_pairs_a);
         let mut b = std::mem::take(&mut self.byte_pairs_b);
         a.clear();
@@ -1466,7 +1455,7 @@ impl Comm {
     }
 
     /// Return the pair scratch vectors taken with [`Comm::take_byte_pairs`].
-    pub fn put_byte_pairs(&mut self, a: Vec<(usize, PooledBuf)>, b: Vec<(usize, PooledBuf)>) {
+    pub fn put_byte_pairs(&mut self, a: Vec<(usize, Vec<u8>)>, b: Vec<(usize, Vec<u8>)>) {
         self.byte_pairs_a = a;
         self.byte_pairs_b = b;
     }
@@ -1517,9 +1506,9 @@ impl Comm {
         }
     }
 
-    /// [`Comm::post_send`] over an already-boxed payload: the byte path hands
-    /// a recycled [`PooledBuf`] envelope straight through here, so posting a
-    /// pooled message performs no allocation at all.
+    /// [`Comm::post_send`] over an already-boxed payload: the sparse
+    /// exchange and [`crate::CommPlan::execute_flat`] hand their envelopes
+    /// straight through here.
     fn post_send_payload(
         &mut self,
         dst: usize,
@@ -2164,10 +2153,26 @@ impl Comm {
     /// [`Comm::neighbor_exchange`] for that.
     pub fn alltoallv<T: Send + 'static>(
         &mut self,
-        sends: Vec<(usize, Vec<T>)>,
+        mut sends: Vec<(usize, Vec<T>)>,
     ) -> Vec<(usize, Vec<T>)> {
+        let mut received = Vec::new();
+        self.alltoallv_into(&mut sends, &mut received);
+        received
+    }
+
+    /// [`Comm::alltoallv`] into vectors the caller keeps across steps: the
+    /// same collective semantics, costs, statistics and trace events, and
+    /// the buffers are moved, not copied. `sends` comes back empty and
+    /// `received` cleared and refilled. An empty buffer is not a message: it
+    /// is dropped here, so a caller that recycles buffers (into the pool,
+    /// say) takes its empty ones out first.
+    pub fn alltoallv_into<T: Send + 'static>(
+        &mut self,
+        sends: &mut Vec<(usize, Vec<T>)>,
+        received: &mut Vec<(usize, Vec<T>)>,
+    ) {
         let mut sent = (0u64, 0u64);
-        for (dst, data) in &sends {
+        for (dst, data) in sends.iter() {
             assert!(*dst < self.shared.n, "alltoallv to invalid rank {dst}");
             // Sparse fast path: an empty buffer is not a message — no bin
             // entry, no per-message cost, no send/receive statistics.
@@ -2176,68 +2181,30 @@ impl Comm {
                 sent.1 += std::mem::size_of_val(&data[..]) as u64;
             }
         }
-        // The whole send list is this rank's one deposit; the bins only say
-        // where in it each receiver finds its buffers.
+        // The send list itself is this rank's deposit: it trades places with
+        // the list the cell kept from this slot's last exchange of `T`, which
+        // goes back to the caller empty. The bins only say where in it each
+        // receiver finds its buffers, and the receivers take them out.
+        received.clear();
         let src = self.rank;
         self.alltoallv_core(
             sent,
             std::mem::size_of::<T>(),
             |cell, aside, bins| {
-                for (index, (dst, data)) in sends.iter().enumerate() {
+                let outgoing = envelope_as::<Vec<(usize, Vec<T>)>>(cell, aside);
+                outgoing.clear();
+                std::mem::swap(outgoing, sends);
+                for (index, (dst, data)) in outgoing.iter().enumerate() {
                     if !data.is_empty() {
                         bins[*dst].push(BinEntry { src, index, len: data.len() });
                     }
                 }
-                *envelope_as(cell, aside) = sends;
             },
             |entries, cells| {
-                let mut received = Vec::with_capacity(entries.len());
+                received.reserve_exact(entries.len());
                 for e in entries {
                     let from = deposit_of::<Vec<(usize, Vec<T>)>>(cells, e.src);
                     received.push((e.src, std::mem::take(&mut from[e.index].1)));
-                }
-                received
-            },
-        )
-    }
-
-    /// Byte-path [`Comm::alltoallv`] over pooled buffers: same collective
-    /// semantics, costs, statistics and trace events, but payload buffers are
-    /// moved — not copied — and `sends` / `received` are caller-owned scratch
-    /// reused across steps. Zero-length send buffers are released straight
-    /// back to the pool without ever becoming messages, so the sparse fast
-    /// path neither sends nor allocates for empty partners.
-    pub fn alltoallv_bytes(
-        &mut self,
-        sends: &mut Vec<(usize, PooledBuf)>,
-        received: &mut Vec<(usize, PooledBuf)>,
-    ) {
-        for (dst, _) in sends.iter() {
-            assert!(*dst < self.shared.n, "alltoallv to invalid rank {dst}");
-        }
-        for (dst, buf) in sends.extract_if(.., |(_, buf)| buf.is_empty()) {
-            self.pool.release(dst, buf);
-        }
-        let sent = (sends.len() as u64, sends.iter().map(|(_, buf)| buf.len() as u64).sum());
-        // The buffers move into this rank's deposit cell — a list kept there
-        // and refilled in place — and on into the receivers' hands.
-        received.clear();
-        let src = self.rank;
-        self.alltoallv_core(
-            sent,
-            1,
-            |cell, aside, bins| {
-                let outgoing = envelope_as::<Vec<Option<PooledBuf>>>(cell, aside);
-                outgoing.clear();
-                for (index, (dst, buf)) in sends.drain(..).enumerate() {
-                    bins[dst].push(BinEntry { src, index, len: buf.len() });
-                    outgoing.push(Some(buf));
-                }
-            },
-            |entries, cells| {
-                for e in entries {
-                    let from = deposit_of::<Vec<Option<PooledBuf>>>(cells, e.src);
-                    received.push((e.src, from[e.index].take().expect("one receiver per buffer")));
                 }
             },
         );
@@ -2401,19 +2368,15 @@ impl Comm {
         out
     }
 
-    /// The exchange under [`Comm::neighbor_exchange_bytes`] and
-    /// [`crate::CommPlan::execute_flat`], on boxed payloads: `envelopes[i]`
-    /// (of `bytes[i]` bytes) goes to `partners[i]` and the envelope received
-    /// from `partners[i]` takes its place. Posting order, completion order
-    /// and every charged cost are those of [`Comm::neighbor_exchange`] — all
-    /// receives, then the sends in partner order, drained in arrival order —
-    /// and nothing is boxed or unboxed here, so the caller decides what an
-    /// envelope's buffer is reused for.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a partner is not a rank of this world, before anything is
-    /// posted.
+    /// The exchange under [`crate::CommPlan::execute_flat`], on boxed
+    /// payloads: `envelopes[i]` (of `bytes[i]` bytes) goes to `partners[i]`
+    /// and the envelope received from `partners[i]` takes its place. Posting
+    /// order, completion order and every charged cost are those of
+    /// [`Comm::neighbor_exchange`] — all receives, then the sends in partner
+    /// order, drained in arrival order — and nothing is boxed or unboxed
+    /// here, so the caller decides what an envelope's buffer is reused for.
+    /// The partners are those of a plan, which [`Comm::plan_exchange`] has
+    /// checked against the world.
     pub(crate) fn exchange_envelopes(
         &mut self,
         partners: &[usize],
@@ -2423,10 +2386,7 @@ impl Comm {
     ) {
         let mut kinds = std::mem::take(&mut self.wait_scratch.kinds);
         kinds.clear();
-        for &src in partners {
-            assert!(src < self.shared.n, "neighbor_exchange with invalid rank {src}");
-            kinds.push(ReqKind::Recv { src, tag });
-        }
+        kinds.extend(partners.iter().map(|&src| ReqKind::Recv { src, tag }));
         for ((&dst, envelope), &bytes) in partners.iter().zip(envelopes.iter_mut()).zip(bytes) {
             // A boxed unit is not an allocation.
             let payload = std::mem::replace(envelope, Box::new(()));
@@ -2438,40 +2398,6 @@ impl Comm {
             let msg = self.wait_scratch.msgs[slot].take().expect("matched in waitall_core");
             *envelope = msg.payload;
         }
-    }
-
-    /// Byte-path [`Comm::neighbor_exchange`] over pooled buffers: identical
-    /// posting order, completion order and costs. A [`PooledBuf`]'s box is
-    /// the message envelope and travels as it is, and the envelope and size
-    /// scratch is held on the `Comm` — a steady-state symmetric exchange
-    /// performs zero heap allocations end to end. `sends` is drained (one
-    /// buffer per partner, in partner order); `out` is cleared and refilled
-    /// with one `(src, buffer)` pair per partner, sorted by source.
-    pub fn neighbor_exchange_bytes(
-        &mut self,
-        partners: &[usize],
-        sends: &mut Vec<(usize, PooledBuf)>,
-        tag: u64,
-        out: &mut Vec<(usize, PooledBuf)>,
-    ) {
-        check_partner_list(partners, sends);
-        let mut envelopes = std::mem::take(&mut self.byte_envelopes);
-        let mut sizes = std::mem::take(&mut self.byte_sizes);
-        sizes.clear();
-        sizes.extend(sends.iter().map(|(_, buf)| buf.len() as u64));
-        envelopes.clear();
-        envelopes.extend(sends.drain(..).map(|(_, buf)| buf.into_box() as Box<dyn Any + Send>));
-        self.exchange_envelopes(partners, tag, &mut envelopes, &sizes);
-        out.clear();
-        for (&src, envelope) in partners.iter().zip(envelopes.drain(..)) {
-            let buf = envelope.downcast::<Vec<u8>>().unwrap_or_else(|_| {
-                panic!("neighbor_exchange_bytes: payload from rank {src} is not a byte buffer")
-            });
-            out.push((src, PooledBuf::from_box(buf)));
-        }
-        out.sort_by_key(|&(src, _)| src);
-        self.byte_envelopes = envelopes;
-        self.byte_sizes = sizes;
     }
 }
 
@@ -3092,18 +3018,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "neighbor_exchange with invalid rank 3")]
-    fn byte_exchange_rejects_a_partner_outside_the_world() {
-        // Rank 0 names a partner past the end of the world while rank 1
-        // waits for a message from it: the range check fails rank 0 before
-        // anything is posted (not an index panic deeper in), and the poison
-        // wakes rank 1 (not a deadlock).
-        run(2, MachineModel::ideal(), |comm| {
-            let partner = if comm.rank() == 0 { 3 } else { 0 };
-            let mut sends = vec![(partner, comm.buf_acquire(partner, 8))];
-            let mut out = Vec::new();
-            comm.neighbor_exchange_bytes(&[partner], &mut sends, 0, &mut out);
-        });
+    fn plan_rejects_a_partner_outside_the_world() {
+        // Rank 0 plans a partner past the end of the world while rank 1
+        // waits for a message from it: the plan's range check fails rank 0
+        // (not an index panic deeper in), and the poison wakes rank 1 (not a
+        // deadlock).
+        let err = Runner::default()
+            .try_run(2, MachineModel::ideal(), |comm| {
+                let partner = if comm.rank() == 0 { 3 } else { 0 };
+                let mut plan = comm.plan_exchange(vec![partner], 0);
+                let mut payload = vec![comm.rank() as u64];
+                plan.execute_flat(comm, &mut payload, &[1]);
+            })
+            .err()
+            .expect("a partner outside the world must fail the world");
+        match err {
+            WorldError::RankPanic { rank: 0, ref message } => assert!(
+                message.contains("plan_exchange: partner rank 3 out of range"),
+                "unexpected message: {err}"
+            ),
+            other => panic!("expected rank 0's plan panic, got {other}"),
+        }
     }
 
     /// A p2p + collective workload used by the fault-injection tests.

@@ -97,62 +97,48 @@ impl Comm {
     pub fn sparse_exchange<T: Send + 'static>(
         &mut self,
         partners: &[usize],
-        sends: Vec<(usize, Vec<T>)>,
+        mut sends: Vec<(usize, Vec<T>)>,
     ) -> Vec<(usize, Vec<T>)> {
+        let mut out = Vec::new();
+        self.sparse_exchange_into(partners, &mut sends, &mut out);
+        out
+    }
+
+    /// [`Comm::sparse_exchange`] into vectors the caller keeps across steps:
+    /// the same messages, costs and trace records. `sends` is drained and
+    /// `out` cleared and refilled with what arrived, sorted by source. An
+    /// empty buffer is not a message: it is dropped here, so a caller that
+    /// recycles buffers (into the pool, say) takes its empty ones out first.
+    /// The round's scratch is kept on the `Comm` and the payloads travel in
+    /// recycled envelopes, so a warm exchange performs no heap allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is posted, if a buffer targets a rank that is
+    /// not in `partners`.
+    pub fn sparse_exchange_into<T: Send + 'static>(
+        &mut self,
+        partners: &[usize],
+        sends: &mut Vec<(usize, Vec<T>)>,
+        out: &mut Vec<(usize, Vec<T>)>,
+    ) {
         check_sparse_targets(partners, sends.iter().map(|&(dst, _)| dst));
         let tag = self.sparse_tag();
         let mut sent = 0;
-        for (dst, data) in sends.into_iter().filter(|(_, data)| !data.is_empty()) {
+        for (dst, data) in sends.drain(..).filter(|(_, data)| !data.is_empty()) {
             let bytes = std::mem::size_of_val(&data[..]) as u64;
             let payload = self.box_payload(data);
             self.sparse_post(dst, tag, payload, bytes);
             sent += bytes;
         }
         self.sparse_settle(tag, sent);
-        let mut msgs = std::mem::take(&mut self.sparse.msgs);
-        let out = msgs.drain(..).map(|(_, msg)| (msg.src, self.unbox_payload(msg))).collect();
-        self.sparse.msgs = msgs;
-        out
-    }
-
-    /// Byte-path [`Comm::sparse_exchange`] over pooled buffers: the same
-    /// messages, costs and trace records. `sends` is drained — empty buffers
-    /// go straight back to the pool — and `out` is cleared and refilled with
-    /// what arrived, sorted by source. A [`PooledBuf`]'s box travels as the
-    /// message envelope and the round's scratch is kept on the `Comm`, so a
-    /// warm exchange performs no heap allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics, before anything is posted, if a buffer targets a rank that is
-    /// not in `partners`.
-    pub fn sparse_exchange_bytes(
-        &mut self,
-        partners: &[usize],
-        sends: &mut Vec<(usize, PooledBuf)>,
-        out: &mut Vec<(usize, PooledBuf)>,
-    ) {
-        check_sparse_targets(partners, sends.iter().map(|&(dst, _)| dst));
-        let tag = self.sparse_tag();
-        let mut sent = 0;
-        for (dst, buf) in sends.drain(..) {
-            if buf.is_empty() {
-                self.pool.release(dst, buf);
-                continue;
-            }
-            let bytes = buf.len() as u64;
-            self.sparse_post(dst, tag, buf.into_box(), bytes);
-            sent += bytes;
-        }
-        self.sparse_settle(tag, sent);
         out.clear();
-        for (_, msg) in self.sparse.msgs.drain(..) {
-            let src = msg.src;
-            let buf = msg.payload.downcast::<Vec<u8>>().unwrap_or_else(|_| {
-                panic!("sparse_exchange_bytes: payload from rank {src} is not a byte buffer")
-            });
-            out.push((src, PooledBuf::from_box(buf)));
+        let mut msgs = std::mem::take(&mut self.sparse.msgs);
+        out.reserve_exact(msgs.len());
+        for (_, msg) in msgs.drain(..) {
+            out.push((msg.src, self.unbox_payload(msg)));
         }
+        self.sparse.msgs = msgs;
     }
 
     /// The tag of the round this rank is about to enter.

@@ -12,8 +12,8 @@
 //! intended change of the cost model or the accounting.
 
 use simcomm::{
-    CartGrid, FaultPlan, MachineModel, PooledBuf, RunOutput, Runner, StallSpec, TraceEvent,
-    TraceKind, Work, WorldError,
+    CartGrid, Comm, FaultPlan, MachineModel, RunOutput, Runner, StallSpec, TraceEvent, TraceKind,
+    Work, WorldError,
 };
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -197,9 +197,8 @@ fn large_world_matches_frozen_digest() {
     }
 }
 
-/// A seeded byte-path program: pooled-buffer neighbourhood exchanges and
-/// sparse byte all-to-alls, the operations whose buffers actually flow
-/// through the [`simcomm::PooledBuf`] arena.
+/// A seeded byte-path program: neighbourhood exchanges and sparse
+/// all-to-alls of byte buffers that flow through the rank's buffer pool.
 fn byte_path_program(
     seed: u64,
     steps: usize,
@@ -210,29 +209,32 @@ fn byte_path_program(
         let grid = CartGrid::balanced(n);
         let partners = grid.neighbors26(rank);
         let mut acc: Vec<u64> = vec![rank as u64];
-        let mut sends: Vec<(usize, PooledBuf)> = Vec::new();
-        let mut recvd: Vec<(usize, PooledBuf)> = Vec::new();
+        let mut sends: Vec<(usize, Vec<u8>)> = Vec::new();
+        let mut recvd: Vec<(usize, Vec<u8>)> = Vec::new();
         for step in 0..steps {
             let r = splitmix64(seed ^ (step as u64) << 16 ^ rank as u64);
             comm.with_phase("compute", |c| c.compute(Work::ParticleOp, (r % 300) as f64));
 
             // Pooled neighbourhood exchange; received buffers go back to the
             // pool keyed by their source, closing the reuse loop.
-            for &p in &partners {
-                let len = (splitmix64(r ^ p as u64) % 256) as usize;
-                let mut buf = comm.buf_acquire(p, len);
-                buf.resize(len, (r % 251) as u8);
-                sends.push((p, buf));
-            }
-            comm.neighbor_exchange_bytes(&partners, &mut sends, 7, &mut recvd);
-            acc.push(recvd.iter().map(|(src, b)| *src as u64 + b.len() as u64).sum());
-            for (src, buf) in recvd.drain(..) {
+            let data: Vec<_> = partners
+                .iter()
+                .map(|&p| {
+                    let len = (splitmix64(r ^ p as u64) % 256) as usize;
+                    let mut buf = comm.buf_acquire(p, len);
+                    buf.resize(len, (r % 251) as u8);
+                    (p, buf)
+                })
+                .collect();
+            let got = comm.neighbor_exchange(&partners, data, 7);
+            acc.push(got.iter().map(|(src, b)| *src as u64 + b.len() as u64).sum());
+            for (src, buf) in got {
                 comm.buf_release(src, buf);
             }
 
             // Sparse byte all-to-all-v with a few random destinations —
-            // including the occasional empty buffer, exercising the
-            // release-without-send fast path.
+            // including the occasional empty buffer, which goes back to the
+            // pool without being sent.
             for k in 0..3u64 {
                 let dst = (splitmix64(r ^ k) % n as u64) as usize;
                 let len = (splitmix64(r ^ k ^ 0xabcd) % 97) as usize;
@@ -240,13 +242,22 @@ fn byte_path_program(
                 buf.resize(len, k as u8);
                 sends.push((dst, buf));
             }
-            comm.alltoallv_bytes(&mut sends, &mut recvd);
+            release_empty(comm, &mut sends);
+            comm.alltoallv_into(&mut sends, &mut recvd);
             acc.push(recvd.iter().map(|(src, b)| *src as u64 * b.len() as u64).sum());
             for (src, buf) in recvd.drain(..) {
                 comm.buf_release(src, buf);
             }
         }
         acc
+    }
+}
+
+/// Return the empty buffers among `sends` to the pool: they are not
+/// messages, and the pool counters are part of every digest.
+fn release_empty(comm: &mut Comm, sends: &mut Vec<(usize, Vec<u8>)>) {
+    for (dst, buf) in sends.extract_if(.., |(_, buf)| buf.is_empty()) {
+        comm.buf_release(dst, buf);
     }
 }
 
@@ -350,11 +361,16 @@ fn mutual_recv_reports_every_rank_live_without_a_secondary_panic() {
 /// between: every collective entry point, each entered while the previous
 /// one's result may still be unread by slower ranks.
 fn collectives_program(comm: &mut simcomm::Comm) -> Vec<u64> {
+    /// How received byte buffers rendered when this digest was captured:
+    /// the `Debug` text of the pooled buffer type of the time.
+    #[derive(Debug)]
+    struct PooledBuf<'a>(#[allow(dead_code)] &'a [u8]);
+
     let n = comm.size();
     let rank = comm.rank();
     let mut acc: Vec<u64> = Vec::new();
-    let mut sends_b: Vec<(usize, PooledBuf)> = Vec::new();
-    let mut recvd_b: Vec<(usize, PooledBuf)> = Vec::new();
+    let mut sends_b: Vec<(usize, Vec<u8>)> = Vec::new();
+    let mut recvd_b: Vec<(usize, Vec<u8>)> = Vec::new();
     for step in 0..3usize {
         // Rank-dependent magnitudes over sixteen decades: any fold order
         // other than ascending rank rounds differently.
@@ -396,8 +412,10 @@ fn collectives_program(comm: &mut simcomm::Comm) -> Vec<u64> {
             buf.resize(len, (rank + k) as u8);
             sends_b.push((dst, buf));
         }
-        comm.alltoallv_bytes(&mut sends_b, &mut recvd_b);
-        acc.push(digest(&recvd_b));
+        release_empty(comm, &mut sends_b);
+        comm.alltoallv_into(&mut sends_b, &mut recvd_b);
+        let rendered: Vec<_> = recvd_b.iter().map(|(src, buf)| (*src, PooledBuf(buf))).collect();
+        acc.push(digest(&rendered));
         for (src, buf) in recvd_b.drain(..) {
             comm.buf_release(src, buf);
         }
@@ -546,23 +564,34 @@ fn sparse_exchange_program(
             let total = comm.allreduce(recv.len() as u64, |a, b| a + b);
             let _ = comm.allreduce((total > 0, me % 2 == 0), |a, b| (a.0 && b.0, a.1 || b.1));
 
-            // The neighbourhood twin: a ring exchange through the plan.
+            // The neighbourhood twin: a ring exchange through the plan, or
+            // the same messages through `neighbor_exchange`, counted as one
+            // plan execution.
             let counts: Vec<usize> = plan.partners().iter().map(|_| draw(5)).collect();
             let mut ghosts: Vec<(u64, f64)> =
                 (0..counts.iter().sum()).map(|i| (i as u64 + 7, me as f64)).collect();
-            if flat {
+            let from = if flat {
                 plan.execute_flat(comm, &mut ghosts, &counts);
+                plan.partners()
+                    .iter()
+                    .copied()
+                    .zip(plan.last_recv_counts().iter().copied())
+                    .collect()
             } else {
+                let t0 = comm.clock();
                 let mut rest = &ghosts[..];
-                let bufs = counts.iter().map(|&len| {
+                let bufs = plan.partners().iter().zip(&counts).map(|(&q, &len)| {
                     let (head, tail) = rest.split_at(len);
                     rest = tail;
-                    head.to_vec()
+                    (q, head.to_vec())
                 });
-                ghosts = plan.execute(comm, bufs.collect()).into_iter().flatten().collect();
-            }
-            let from = plan.partners().iter().copied().zip(plan.last_recv_counts().iter().copied());
-            out.push((ghosts, from.collect()));
+                let got = comm.neighbor_exchange(plan.partners(), bufs.collect(), plan.tag());
+                comm.note_plan_exec(t0, (ghosts.len() * std::mem::size_of::<(u64, f64)>()) as u64);
+                let from = got.iter().map(|(src, buf)| (*src, buf.len())).collect();
+                ghosts = got.into_iter().flat_map(|(_, buf)| buf).collect();
+                from
+            };
+            out.push((ghosts, from));
         }
         out
     }

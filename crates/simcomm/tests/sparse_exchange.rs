@@ -2,11 +2,12 @@
 //! against its oracle, the collective all-to-all-v: the same payload bits in
 //! the same per-source order, whatever the sparsity — random patterns,
 //! all-empty rounds, one rank sending to every partner, ranks that never
-//! send, asymmetric partner lists, non-power-of-two worlds — on the typed and
-//! the byte path. Then its cost model in closed form, its frozen clocks and
-//! statistics at every host width, and its failure behaviour.
+//! send, asymmetric partner lists, non-power-of-two worlds — on typed and
+//! pooled byte buffers, by value and into kept vectors. Then its cost model
+//! in closed form, its frozen clocks and statistics at every host width, and
+//! its failure behaviour.
 
-use simcomm::{CartGrid, Comm, MachineModel, PooledBuf, Runner, TraceKind, WorldError};
+use simcomm::{CartGrid, Comm, MachineModel, Runner, TraceKind, WorldError};
 
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -83,21 +84,24 @@ fn sends(seed: u64, me: usize, p: usize, round: usize) -> Vec<(usize, Vec<u64>)>
     out
 }
 
-/// The pooled-buffer form of a round's sends.
-fn byte_sends(comm: &mut Comm, typed: &[(usize, Vec<u64>)]) -> Vec<(usize, PooledBuf)> {
-    typed
-        .iter()
-        .map(|(dst, data)| {
-            let mut buf = comm.buf_acquire(*dst, data.len() * 8);
-            buf.extend(data.iter().flat_map(|x| x.to_le_bytes()));
-            (*dst, buf)
-        })
-        .collect()
+/// The pooled-buffer form of a round's sends. Empty buffers go straight back
+/// to the pool: they are not messages.
+fn byte_sends(comm: &mut Comm, typed: &[(usize, Vec<u64>)]) -> Vec<(usize, Vec<u8>)> {
+    let mut sends = Vec::new();
+    for (dst, data) in typed {
+        let mut buf = comm.buf_acquire(*dst, data.len() * 8);
+        buf.extend(data.iter().flat_map(|x| x.to_le_bytes()));
+        sends.push((*dst, buf));
+    }
+    for (dst, buf) in sends.extract_if(.., |(_, buf)| buf.is_empty()) {
+        comm.buf_release(dst, buf);
+    }
+    sends
 }
 
 /// What arrived on the byte path, as `u64` payloads; the buffers go back to
 /// the pool keyed by their source.
-fn unpack(comm: &mut Comm, got: &mut Vec<(usize, PooledBuf)>) -> Got {
+fn unpack(comm: &mut Comm, got: &mut Vec<(usize, Vec<u8>)>) -> Got {
     got.drain(..)
         .map(|(src, buf)| {
             let words = buf.chunks_exact(8).map(|w| u64::from_le_bytes(w.try_into().unwrap()));
@@ -123,10 +127,10 @@ fn program(seed: u64, rounds: usize) -> impl Fn(&mut Comm) -> Vec<(Got, Got)> + 
             let mine = sends(seed, me, p, round);
             if round % 3 == 2 {
                 staged = byte_sends(comm, &mine);
-                comm.sparse_exchange_bytes(&list, &mut staged, &mut got);
+                comm.sparse_exchange_into(&list, &mut staged, &mut got);
                 let sparse = unpack(comm, &mut got);
                 staged = byte_sends(comm, &mine);
-                comm.alltoallv_bytes(&mut staged, &mut got);
+                comm.alltoallv_into(&mut staged, &mut got);
                 out.push((sparse, unpack(comm, &mut got)));
             } else {
                 let sparse = comm.sparse_exchange(&list, mine.clone());
@@ -138,11 +142,41 @@ fn program(seed: u64, rounds: usize) -> impl Fn(&mut Comm) -> Vec<(Got, Got)> + 
     }
 }
 
+/// Every round as the sparse exchange and as its oracle, typed, either by
+/// value or through `sparse_exchange_into` / `alltoallv_into` with one pair
+/// of `sends` / received vectors kept across all rounds — while the partner
+/// sets change, with empty buffers and repeated destinations.
+fn kept_program(seed: u64, rounds: usize, kept: bool) -> impl Fn(&mut Comm) -> Vec<(Got, Got)> {
+    move |comm| {
+        let (me, p) = (comm.rank(), comm.size());
+        let mut out = Vec::new();
+        let (mut staged, mut got) = (Vec::new(), Vec::new());
+        for round in 0..rounds {
+            comm.compute(simcomm::Work::ParticleOp, (splitmix64(seed ^ me as u64) % 300) as f64);
+            let list = partners(me, p, round);
+            let mine = sends(seed, me, p, round);
+            if kept {
+                staged.extend(mine.iter().cloned());
+                comm.sparse_exchange_into(&list, &mut staged, &mut got);
+                let sparse = got.clone();
+                staged.extend(mine);
+                comm.alltoallv_into(&mut staged, &mut got);
+                assert!(staged.is_empty(), "the kept sends are drained");
+                out.push((sparse, got.clone()));
+            } else {
+                let sparse = comm.sparse_exchange(&list, mine.clone());
+                out.push((sparse, comm.alltoallv(mine)));
+            }
+        }
+        out
+    }
+}
+
 #[test]
 fn sparse_exchange_is_alltoallv_on_payload_bits() {
     for p in [1usize, 2, 3, 7, 12, 27, 64] {
         for model in [MachineModel::juropa_like(), MachineModel::juqueen_like()] {
-            let out = Runner::default().run(p, model, program(0x5ba5 + p as u64, 12));
+            let out = Runner::default().run(p, model.clone(), program(0x5ba5 + p as u64, 12));
             let mut messages = 0;
             for (rank, rounds) in out.results.iter().enumerate() {
                 for (round, (sparse, oracle)) in rounds.iter().enumerate() {
@@ -151,6 +185,21 @@ fn sparse_exchange_is_alltoallv_on_payload_bits() {
                 }
             }
             assert!(p == 1 || messages > p, "p={p}: the patterns must carry traffic");
+
+            // Kept vectors change nothing: payloads, clocks and statistics
+            // are those of the by-value forms.
+            let seed = 0x4e97 + p as u64;
+            let by_value = Runner::default().run(p, model.clone(), kept_program(seed, 8, false));
+            let kept = Runner::default().run(p, model.clone(), kept_program(seed, 8, true));
+            assert_eq!(kept.results, by_value.results, "p={p}: kept vs by-value payloads");
+            for (rank, rounds) in kept.results.iter().enumerate() {
+                for (round, (sparse, oracle)) in rounds.iter().enumerate() {
+                    assert_eq!(sparse, oracle, "p={p} rank {rank} kept round {round}");
+                }
+            }
+            let bits = |c: &[f64]| c.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&kept.clocks), bits(&by_value.clocks), "p={p}: clocks");
+            assert_eq!(kept.stats, by_value.stats, "p={p}: statistics");
         }
     }
 }

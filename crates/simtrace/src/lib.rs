@@ -38,6 +38,10 @@
 //! determinism contract), so is every number this crate computes. [`perfetto`] exports the same traces as
 //! Chrome/Perfetto JSON for ui.perfetto.dev.
 
+// No result of this crate may depend on `RandomState`: nothing outside tests
+// iterates a hash container.
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+
 use std::collections::{BTreeMap, HashMap};
 
 use simcomm::{ClockSpan, SpanCat, Trace, TraceEvent, TraceKind};
