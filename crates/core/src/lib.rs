@@ -26,8 +26,8 @@
 //! point-to-point communication (Sect. III-B), where a message goes only to
 //! a neighbour that has data for it ([`atasp::ExchangeMode::Neighborhood`]).
 //! The resort of additional data follows the solver's choice, and on a quiet
-//! step — one where the particle-mesh solver has shown every rank's resort
-//! indices to be the identity — it places locally without communicating.
+//! step — one where either solver has shown every rank's resort indices to
+//! be the identity — it places locally without communicating.
 //!
 //! ## Usage (mirrors `fcs_init` / `fcs_set_common` / `fcs_tune` / `fcs_run` /
 //! `fcs_destroy`)
@@ -373,6 +373,10 @@ impl Fcs {
     ///
     /// `max_local` is the capacity of the application's local particle
     /// arrays (the maximum number of particles this process can store).
+    ///
+    /// When either solver reports a quiet step (every rank's resort indices
+    /// are the identity), the `resort_*` calls of this run place locally,
+    /// with no message and no barrier.
     pub fn run(
         &mut self,
         comm: &mut Comm,
@@ -392,14 +396,18 @@ impl Fcs {
         // the prebuilt partner list, copied only when the mode changes.
         let mut resort_mode = &ExchangeMode::Collective;
         let out = match solver {
+            // On a quiet step the solver's allreduce showed every rank's
+            // resort indices to be the identity: nothing leaves any rank.
             SolverInstance::Fmm(s) => {
-                s.run(comm, pos, charge, id, method, self.max_move, max_local)
+                let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
+                if s.last_report.resort_exchange_skipped {
+                    resort_mode = &QUIET;
+                }
+                o
             }
             SolverInstance::Pm(s) => {
                 let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
                 if s.last_report.resort_exchange_skipped {
-                    // The solver's allreduce showed every rank's resort
-                    // indices to be the identity: nothing leaves any rank.
                     resort_mode = &QUIET;
                 } else if s.last_report.used_neighborhood {
                     resort_mode = s.neighborhood_mode().expect("run builds the neighbourhood");
@@ -803,27 +811,30 @@ mod tests {
         let c = IonicCrystal::cubic(6, 1.0, 0.1, 6);
         let bbox = c.system_box();
         let p = 8;
-        run(p, MachineModel::juropa_like(), move |comm| {
-            let dims = CartGrid::balanced(p).dims();
-            let set = local_set(&c, InitialDistribution::Grid, comm.rank(), p, dims);
-            let mut h = Fcs::init(SolverKind::P2Nfft, p);
-            h.set_common(bbox);
-            h.tune(comm, set.pos(), set.charge());
-            h.set_resort(true);
-            let o1 = h.run(comm, set.pos(), set.charge(), set.id(), usize::MAX);
-            // Nothing moved since: every rank keeps its particles in order.
-            h.set_max_particle_move(Some(1e-6));
-            let o2 = h.run(comm, &o1.pos, &o1.charge, &o1.id, usize::MAX);
-            assert!(h.resorted());
-            assert_eq!(o2.id, o1.id);
-            let tags: Vec<f64> = o1.id.iter().map(|&i| i as f64).collect();
-            let before = comm.stats().clone();
-            let moved = h.resort_floats(comm, &tags);
-            let after = comm.stats();
-            assert_eq!(moved, tags);
-            assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "no message");
-            assert_eq!(after.coll_ops, before.coll_ops, "no barrier");
-        });
+        for kind in [SolverKind::Fmm, SolverKind::P2Nfft] {
+            let c = c.clone();
+            run(p, MachineModel::juropa_like(), move |comm| {
+                let dims = CartGrid::balanced(p).dims();
+                let set = local_set(&c, InitialDistribution::Grid, comm.rank(), p, dims);
+                let mut h = Fcs::init(kind, p);
+                h.set_common(bbox);
+                h.tune(comm, set.pos(), set.charge());
+                h.set_resort(true);
+                let o1 = h.run(comm, set.pos(), set.charge(), set.id(), usize::MAX);
+                // Nothing moved since: every rank keeps its particles in order.
+                h.set_max_particle_move(Some(1e-6));
+                let o2 = h.run(comm, &o1.pos, &o1.charge, &o1.id, usize::MAX);
+                assert!(h.resorted());
+                assert_eq!(o2.id, o1.id, "{kind:?}");
+                let tags: Vec<f64> = o1.id.iter().map(|&i| i as f64).collect();
+                let before = comm.stats().clone();
+                let moved = h.resort_floats(comm, &tags);
+                let after = comm.stats();
+                assert_eq!(moved, tags);
+                assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "{kind:?}: no message");
+                assert_eq!(after.coll_ops, before.coll_ops, "{kind:?}: no barrier");
+            });
+        }
     }
 
     #[test]

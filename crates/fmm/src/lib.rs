@@ -18,7 +18,12 @@
 //! After the computation the solver either **restores** the original particle
 //! order and distribution (Method A, paper Sect. III-A) or returns the
 //! **changed** Z-order distribution together with resort indices (Method B,
-//! Sect. III-B).
+//! Sect. III-B). On a quiet step — every rank kept its input particles in
+//! their input order — the resort indices are the identity and are returned
+//! without an exchange ([`FmmRunReport::resort_exchange_skipped`]), as the
+//! particle-mesh solver does; the merge sort closes on one allgather whose
+//! spans the cell alignment reuses, and the alignment exchanges nothing when
+//! no leaf cell is split across ranks.
 
 #![warn(missing_docs)]
 // No result of this crate may depend on `RandomState`: outside the test

@@ -7,7 +7,7 @@ use atasp::{alltoall_specific, build_resort_indices, encode_index, ExchangeMode}
 use particles::{zorder, MovementHint, RedistMethod, SolverOutput, SolverTimings, SystemBox, Vec3};
 use psort::{
     merge_exchange_sort_by_key_capped, merge_exchange_sort_by_key_planned, partition_sort_by_key,
-    SortPlan,
+    KeySpan, SortPlan,
 };
 use simcomm::{push_segment, Comm, Work};
 
@@ -237,6 +237,12 @@ pub struct FmmRunReport {
     /// Bytes of the ghost records (position and charge) this rank received
     /// for the near field.
     pub ghost_bytes: u64,
+    /// Whether the resort-index exchange was skipped because every rank
+    /// kept its input particles in their input order (a quiet step with
+    /// the plan cache on): the resort indices are the identity, and `fcs`
+    /// resorts the step's additional data locally, with no message and no
+    /// barrier.
+    pub resort_exchange_skipped: bool,
 }
 
 /// The parallel Fast Multipole Method solver.
@@ -365,6 +371,11 @@ impl FmmSolver {
     /// `movement` enables the merge-based parallel sort when the maximum
     /// particle movement is below the per-process cube side (paper heuristic,
     /// Sect. III-B); it is only honoured for [`RedistMethod::UseChanged`].
+    ///
+    /// Under Method B with the plan cache on, a step on which every rank
+    /// keeps its input particles in their input order is quiet: its identity
+    /// resort indices are returned without an exchange, and
+    /// [`FmmRunReport::resort_exchange_skipped`] is set.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -404,7 +415,7 @@ impl FmmSolver {
         let use_merge = method == RedistMethod::UseChanged
             && movement.is_some_and(|m| m < self.bbox.per_process_cube_side(p));
         self.last_report.used_merge_sort = use_merge;
-        let (mut keys, mut recs) = if use_merge {
+        let (mut keys, mut recs, spans) = if use_merge {
             // Consume the probe schedule the previous merge sort recorded (if
             // caching is on); record this sort's schedule for the next step.
             // `use_merge` and the plan's presence are globally consistent, so
@@ -440,7 +451,7 @@ impl FmmSolver {
                 self.sort_plan = None;
                 let (k, r, rep2) = partition_sort_by_key(comm, bk, br);
                 self.last_report.sort_sent = rep.sent_elems + rep2.sent_elems;
-                (k, r)
+                (k, r, None)
             } else {
                 self.last_report.sort_sent = rep.sent_elems;
                 self.last_report.sort_rounds_plan_skipped = rep.rounds_plan_skipped;
@@ -452,7 +463,7 @@ impl FmmSolver {
                 if self.plan_cache {
                     self.sort_plan = next;
                 }
-                (k, r)
+                (k, r, rep.spans)
             }
         } else {
             // A partition sort rebalances the whole distribution; any recorded
@@ -461,12 +472,12 @@ impl FmmSolver {
             self.sort_plan = None;
             let (k, r, rep) = partition_sort_by_key(comm, keys, recs);
             self.last_report.sort_sent = rep.sent_elems;
-            (k, r)
+            (k, r, None)
         };
 
         // --- Align cells to rank boundaries (each leaf cell wholly owned by
         // the lowest rank holding any of its particles) ---
-        self.align_cells(comm, &mut ws, &mut keys, &mut recs);
+        self.align_cells(comm, &mut ws, &mut keys, &mut recs, spans);
         comm.exit_phase();
         let t_sorted = comm.clock();
 
@@ -483,13 +494,31 @@ impl FmmSolver {
         // "the redistributed particles of a solver can only be returned … if
         // the given local particle data arrays are large enough"), the
         // original order otherwise ---
-        let resorted = method == RedistMethod::UseChanged
-            && comm.allreduce(recs.len() <= max_local, |a, b| a && b);
+        let mut resorted = false;
+        let mut all_quiet = false;
+        if method == RedistMethod::UseChanged {
+            let fits = recs.len() <= max_local;
+            // Quiet-step detection, piggybacked on the fit allreduce as in
+            // the particle-mesh solver: if every rank kept exactly its input
+            // particles in their input order, the resort indices are the
+            // identity and their exchange is skipped.
+            let quiet = self.plan_cache
+                && recs.len() == n_in
+                && recs.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
+            comm.compute(Work::ParticleOp, recs.len() as f64);
+            (resorted, all_quiet) = comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));
+        }
         let mut out = if resorted {
-            ws.origin.clear();
-            ws.origin.extend(recs.iter().map(|r| r.origin));
             comm.enter_phase("resort");
-            let resort_indices = build_resort_indices(comm, &ws.origin, n_in);
+            let resort_indices = if all_quiet {
+                self.last_report.resort_exchange_skipped = true;
+                comm.compute(Work::ByteCopy, (n_in * 8) as f64);
+                (0..n_in).map(|i| encode_index(me, i)).collect()
+            } else {
+                ws.origin.clear();
+                ws.origin.extend(recs.iter().map(|r| r.origin));
+                build_resort_indices(comm, &ws.origin, n_in)
+            };
             comm.exit_phase();
             SolverOutput {
                 pos: recs.iter().map(|r| r.pos).collect(),
@@ -568,18 +597,33 @@ impl FmmSolver {
 
     /// Move leading particles of shared boundary cells to the lowest rank
     /// holding the cell, so every leaf cell is wholly owned afterwards.
+    ///
+    /// Every rank's key range comes from `spans` — the merge sort's closing
+    /// gather of the very keys sorted here — or, after a partition sort, from
+    /// an allgather of its own. When no cell is split across a rank boundary
+    /// nothing moves and the exchange is skipped: every rank builds the same
+    /// owners from the same gathered ranges, so every rank decides alike
+    /// without another collective.
     fn align_cells(
         &self,
         comm: &mut Comm,
         ws: &mut Workspace,
         keys: &mut Vec<u64>,
         recs: &mut Vec<FmmParticle>,
+        spans: Option<Vec<KeySpan>>,
     ) {
         if comm.size() == 1 {
             return;
         }
-        let ranges = comm.allgather((keys.first().copied(), keys.last().copied()));
-        ws.owners.rebuild(ranges.into_iter().map(|(first, last)| first.zip(last)));
+        if let Some(spans) = spans {
+            ws.owners.rebuild(spans.into_iter().map(|(_, span)| span));
+        } else {
+            let ranges = comm.allgather((keys.first().copied(), keys.last().copied()));
+            ws.owners.rebuild(ranges.into_iter().map(|(first, last)| first.zip(last)));
+        }
+        if !ws.owners.splits_a_cell() {
+            return;
+        }
         let mut send = Vec::new();
         ws.segments.clear();
         if let Some(&first) = keys.first() {

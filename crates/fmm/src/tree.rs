@@ -71,6 +71,12 @@ impl KeyOwners {
         self.0.get(at).filter(|&&(first, _, _)| first <= key).map(|&(_, _, rank)| rank)
     }
 
+    /// Whether some rank's first key is owned by another rank: a leaf cell
+    /// split across a rank boundary, its particles held by two ranks or more.
+    pub(crate) fn splits_a_cell(&self) -> bool {
+        self.0.windows(2).any(|w| w[0].1 == w[1].0)
+    }
+
     /// The ranks whose range intersects `lo..=hi`, ascending.
     pub fn overlapping(&self, lo: u64, hi: u64) -> impl Iterator<Item = usize> + '_ {
         let from = self.0.partition_point(|&(_, last, _)| last < lo);
@@ -289,6 +295,10 @@ mod tests {
                     let got: Vec<usize> = owners.overlapping(lo, hi).collect();
                     assert_eq!(got, overlap_scan(&ranges, lo, hi), "p={p} {lo}..={hi}");
                 }
+                let split = ranges.iter().enumerate().any(|(r, &(first, _))| {
+                    first.is_some_and(|f| owner_scan(&ranges, f) != Some(r))
+                });
+                assert_eq!(owners.splits_a_cell(), split, "p={p} shared {shared}");
             }
         }
     }

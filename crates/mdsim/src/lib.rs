@@ -806,11 +806,12 @@ mod tests {
             })
             .results
         };
-        // The stall fires on rank 1's 100th communication operation: since
-        // the FMM's kept locally essential tree plan took two collectives off
-        // every quiet step, the whole run has fewer than 120.
+        // The stall fires on rank 1's 60th communication operation, mid-run:
+        // the first 20 or so precede the loop's fault check, and since a
+        // quiet FMM step neither aligns cells nor resorts through an
+        // exchange, the whole run has fewer than 100.
         let fault = FaultPlan {
-            stall: Some(StallSpec { rank: 1, after_ops: 100, seconds: 0.25 }),
+            stall: Some(StallSpec { rank: 1, after_ops: 60, seconds: 0.25 }),
             wait_timeout_seconds: Some(1e-6),
             ..FaultPlan::none()
         };

@@ -33,7 +33,7 @@ mod partition;
 pub use local::{bucket_bounds, is_sorted, radix_sort_by_key};
 pub use merge::{
     is_globally_sorted, merge_exchange_sort_by_key, merge_exchange_sort_by_key_capped,
-    merge_exchange_sort_by_key_planned, MergeSortReport, SortPlan,
+    merge_exchange_sort_by_key_planned, KeySpan, MergeSortReport, SortPlan,
 };
 pub use network::{merge_exchange_comparators, merge_exchange_rounds};
 pub use partition::{partition_sort_by_key, PartitionSortReport};

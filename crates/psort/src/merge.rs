@@ -12,7 +12,9 @@
 //! all blocks have equal size; with the (slightly) unequal counts a particle
 //! simulation produces, a few odd-even transposition cleanup rounds run until
 //! a global sortedness check passes. For almost-sorted data, zero cleanup
-//! rounds are needed in practice.
+//! rounds are needed in practice, and the sort closes with one allgather: the
+//! sortedness check, whose gathered [`KeySpan`]s also tell which ranks are
+//! empty and are handed to the caller ([`MergeSortReport::spans`]).
 
 use simcomm::{Comm, Work};
 
@@ -20,6 +22,9 @@ use std::sync::Arc;
 
 use crate::local::{is_sorted, keep_half, radix_sort_by_key};
 use crate::network::{partner_schedule, NO_PARTNER};
+
+#[cfg(test)]
+mod oracle;
 
 /// Report of one merge-based parallel sort execution.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -43,7 +48,16 @@ pub struct MergeSortReport {
     /// locally sorted with counts preserved, but the *global* order is not
     /// guaranteed — the caller must fall back to a general sort.
     pub cleanup_cap_hit: bool,
+    /// Every rank's [`KeySpan`] of the sorted data, in rank order: the
+    /// gather of the sortedness check that passed, handed on (not copied)
+    /// so the caller need not gather the rank boundaries again. `None` on a
+    /// one-rank world and when the cleanup cap was hit.
+    pub spans: Option<Vec<KeySpan>>,
 }
+
+/// One rank's entry in a sortedness gather: whether its keys are locally
+/// sorted, and its first and last key (`None` on an empty rank).
+pub type KeySpan = (bool, Option<(u64, u64)>);
 
 /// A cached probe schedule for the merge-exchange network: which of this
 /// rank's comparator rounds ended without a data exchange on the previous
@@ -170,24 +184,87 @@ fn compare_split<T: Copy + Send + 'static>(
 /// Is the distributed array (locally sorted `keys` per rank, concatenated in
 /// rank order) globally sorted? Collective.
 pub fn is_globally_sorted(comm: &mut Comm, keys: &[u64]) -> bool {
-    let local_ok = is_sorted(keys);
-    let boundary = (local_ok, keys.first().copied(), keys.last().copied());
-    let all = comm.allgather(boundary);
+    spans_sorted(&gather_spans(comm, keys))
+}
+
+/// Every rank's [`KeySpan`] of `keys`, in rank order. Collective.
+fn gather_spans(comm: &mut Comm, keys: &[u64]) -> Vec<KeySpan> {
+    let span = keys.first().copied().zip(keys.last().copied());
+    comm.allgather((is_sorted(keys), span))
+}
+
+/// Whether gathered spans describe a globally sorted array: every rank
+/// locally sorted, and every non-empty rank's first key no smaller than the
+/// last key of the non-empty rank before it.
+fn spans_sorted(spans: &[KeySpan]) -> bool {
     let mut prev_last: Option<u64> = None;
-    for (ok, first, last) in all {
+    for &(ok, span) in spans {
         if !ok {
             return false;
         }
-        if let (Some(pl), Some(f)) = (prev_last, first) {
-            if pl > f {
+        if let Some((first, last)) = span {
+            if prev_last.is_some_and(|pl| pl > first) {
                 return false;
             }
-        }
-        if last.is_some() {
-            prev_last = last;
+            prev_last = Some(last);
         }
     }
     true
+}
+
+/// Odd-even transposition cleanup after the merge-exchange network: rounds
+/// of compare-split between neighbouring non-empty ranks until the
+/// sortedness check passes, at most `max_cleanup_rounds` of them. Returns
+/// the spans of the check that passed; `None`, with
+/// [`MergeSortReport::cleanup_cap_hit`] set, when the cap stopped it.
+///
+/// One allgather per check and nothing else when no round is needed: the
+/// first check's spans also say which ranks are empty, and compare-split
+/// preserves every rank's count, so they say it for every later round too.
+fn cleanup<T: Copy + Send + 'static>(
+    comm: &mut Comm,
+    keys: &mut [u64],
+    values: &mut [T],
+    report: &mut MergeSortReport,
+    max_cleanup_rounds: u64,
+) -> Option<Vec<KeySpan>> {
+    let me = comm.rank();
+    // An *empty* rank is a wall the count-preserving transposition cannot
+    // move data through, so it runs over the compacted sequence of non-empty
+    // ranks (empty ranks only take part in the checks and barriers).
+    let mut slots: Option<(Vec<usize>, Option<usize>)> = None;
+    loop {
+        let spans = gather_spans(comm, keys);
+        if spans_sorted(&spans) {
+            return Some(spans);
+        }
+        if report.cleanup_rounds >= max_cleanup_rounds {
+            // Collective by construction: every rank counts the same rounds.
+            report.cleanup_cap_hit = true;
+            return None;
+        }
+        report.cleanup_rounds += 1;
+        let (nonempty, my_slot) = slots.get_or_insert_with(|| {
+            let nonempty: Vec<usize> = (0..spans.len()).filter(|&r| spans[r].1.is_some()).collect();
+            let my_slot = nonempty.iter().position(|&r| r == me);
+            (nonempty, my_slot)
+        });
+        // One even phase (slot pairs (0,1),(2,3),...) and one odd phase
+        // (pairs (1,2),(3,4),...) per cleanup round, over non-empty slots.
+        for phase in 0..2usize {
+            if let Some(slot) = *my_slot {
+                let partner_slot = if slot % 2 == phase {
+                    Some(slot + 1).filter(|&q| q < nonempty.len())
+                } else {
+                    slot.checked_sub(1)
+                };
+                if let Some(ps) = partner_slot {
+                    compare_split(comm, nonempty[ps], keys, values, report);
+                }
+            }
+            comm.barrier();
+        }
+    }
 }
 
 /// Merge-based parallel sort: local sort plus Batcher merge-exchange rounds of
@@ -319,39 +396,7 @@ where
 
     // --- Cleanup: odd-even transposition until globally sorted ---
     comm.enter_phase("sort:cleanup");
-    // Compare-split preserves per-rank counts, so an *empty* rank is a wall
-    // the transposition cannot move data through; run the transposition over
-    // the compacted sequence of non-empty ranks instead (empty ranks only
-    // take part in the collective sortedness checks and barriers).
-    let counts = comm.allgather(keys.len());
-    let nonempty: Vec<usize> = (0..p).filter(|&r| counts[r] > 0).collect();
-    let my_slot = nonempty.iter().position(|&r| r == me);
-    loop {
-        if is_globally_sorted(comm, &keys) {
-            break;
-        }
-        if report.cleanup_rounds >= max_cleanup_rounds {
-            // Collective by construction: every rank counts the same rounds.
-            report.cleanup_cap_hit = true;
-            break;
-        }
-        report.cleanup_rounds += 1;
-        // One even phase (slot pairs (0,1),(2,3),...) and one odd phase
-        // (pairs (1,2),(3,4),...) per cleanup round, over non-empty slots.
-        for phase in 0..2usize {
-            if let Some(slot) = my_slot {
-                let partner_slot = if slot % 2 == phase {
-                    Some(slot + 1).filter(|&q| q < nonempty.len())
-                } else {
-                    slot.checked_sub(1)
-                };
-                if let Some(ps) = partner_slot {
-                    compare_split(comm, nonempty[ps], &mut keys, &mut values, &mut report);
-                }
-            }
-            comm.barrier();
-        }
-    }
+    report.spans = cleanup(comm, &mut keys, &mut values, &mut report, max_cleanup_rounds);
     comm.exit_phase();
 
     // A sort that needed cleanup ran comparators outside the recorded network
@@ -676,6 +721,91 @@ mod tests {
             assert_eq!(k.len(), counts[r], "rank {r}: counts preserved");
             assert!(is_sorted(k), "rank {r}: local order preserved");
         }
+    }
+
+    /// Rank `me`'s keys in world case `case`: equal and unequal counts,
+    /// empty ranks, ties, one long run against single keys, almost-sorted
+    /// runs, and one rank holding a descending run that the network leaves
+    /// for several cleanup rounds.
+    fn case_keys(case: u64, p: usize, me: usize) -> Vec<u64> {
+        let draw = |n: usize, modulus: u64| -> Vec<u64> {
+            let seed = case << 40 ^ (me as u64) << 20;
+            (0..n as u64).map(|i| splitmix(seed ^ i) % modulus).collect()
+        };
+        match case {
+            0 => draw(50, u64::MAX),
+            1 => draw(20 + me * 37 % 61, u64::MAX),
+            2 if me % 3 == 1 => Vec::new(),
+            2 => draw(me % 5 * 40 + 7, 4096),
+            3 => draw(if me == 0 { 300 } else { 1 }, 512),
+            4 if me % 4 == 2 => Vec::new(),
+            4 => {
+                let base = me as u64 * 1000;
+                (0..60).map(|i| base + i * 16 + splitmix(me as u64 ^ i) % 200).collect()
+            }
+            5 if me == p - 1 => draw(200, 1 << 20),
+            5 => Vec::new(),
+            _ if me == 0 => (0..300u64).map(|i| u64::MAX - i).collect(),
+            _ => vec![me as u64],
+        }
+    }
+
+    /// The fused cleanup against the two-gather loop it replaced: the same
+    /// keys, values and report counters, capped or not, with one collective
+    /// fewer — and the spans it hands on are what a fresh gather of the
+    /// sorted data says, or nothing when the cap stopped it.
+    #[test]
+    fn fused_cleanup_matches_the_two_gather_loop() {
+        let (mut cleaned, mut capped, mut with_empty) = (0, 0, 0);
+        for p in [2usize, 3, 5, 7, 64] {
+            for case in 0..7 {
+                for cap in [u64::MAX, 1, 0] {
+                    let out = run(p, MachineModel::juropa_like(), move |comm| {
+                        let me = comm.rank();
+                        let keys = case_keys(case, p, me);
+                        // Unique values, so that ties show their order.
+                        let values: Vec<u64> =
+                            (0..keys.len() as u64).map(|i| i << 8 | me as u64).collect();
+                        let ops = comm.stats().coll_ops;
+                        let (k, v, rep, _) = merge_exchange_sort_by_key_capped(
+                            comm,
+                            keys.clone(),
+                            values.clone(),
+                            None,
+                            cap,
+                        );
+                        let fused_ops = comm.stats().coll_ops - ops;
+                        let fresh = comm.allgather(k.first().copied().zip(k.last().copied()));
+                        let ops = comm.stats().coll_ops;
+                        let (ok, ov, orep) = oracle::sort(comm, keys, values, cap);
+                        let oracle_ops = comm.stats().coll_ops - ops;
+                        let what = format!("p {p} case {case} cap {cap} rank {me}");
+                        assert_eq!((&k, &v), (&ok, &ov), "{what}: keys or values differ");
+                        assert_eq!(MergeSortReport { spans: None, ..rep.clone() }, orep, "{what}");
+                        assert_eq!(fused_ops + 1, oracle_ops, "{what}: one collective fewer");
+                        match &rep.spans {
+                            None => assert!(rep.cleanup_cap_hit, "{what}: spans withheld"),
+                            Some(spans) => {
+                                assert!(
+                                    !rep.cleanup_cap_hit,
+                                    "{what}: a capped sort hands on spans"
+                                );
+                                assert!(spans.iter().all(|&(sorted, _)| sorted), "{what}");
+                                assert!(spans.iter().map(|&(_, s)| s).eq(fresh.iter().copied()));
+                            }
+                        }
+                        (rep, fresh.contains(&None))
+                    });
+                    let (rep, empty) = &out.results[0];
+                    cleaned += u64::from(rep.cleanup_rounds > 0 && !rep.cleanup_cap_hit);
+                    capped += u64::from(rep.cleanup_cap_hit);
+                    with_empty += u64::from(*empty);
+                }
+            }
+        }
+        assert!(cleaned > 0, "no world needed a cleanup round");
+        assert!(capped > 0, "no world hit the cap");
+        assert!(with_empty > 0, "no world had an empty rank");
     }
 
     #[test]

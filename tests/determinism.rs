@@ -27,6 +27,13 @@
 //! 32-byte P2NFFT ghosts, re-froze the timing halves of the four P2NFFT
 //! worlds and the faulted world once; every physics half, every FMM half and
 //! the redistribution digest stayed.
+//! The quiet FMM step — the merge sort closing on one gather whose spans
+//! feed cell alignment, alignment without an exchange when no cell is split,
+//! identity resorts that send nothing — re-froze the timing halves of the
+//! seven FMM worlds (Method A and B + movement on both machine models, and
+//! the three order/level worlds) and of the redistribution world once; every
+//! physics half, the redistribution payload half and every P2NFFT and faulted
+//! half stayed.
 
 use fcs::SolverKind;
 use mdsim::{simulate, SimConfig, SimResult};
@@ -141,14 +148,14 @@ fn md_configs_match_frozen_digests() {
     ];
     let frozen: [[[u64; 2]; 4]; 2] = [
         [
-            [0xe3e7_f2ac_7ae3_deb5, 0xf3d1_7ea9_e0c2_102b],
-            [0xe36d_87b1_23fa_3d6c, 0xaf4e_5528_e625_1212],
+            [0xe3e7_f2ac_7ae3_deb5, 0xeb61_9a25_52a9_73ac],
+            [0xe36d_87b1_23fa_3d6c, 0xad38_b3de_6895_968f],
             [0x0e9a_5a4b_8ee1_c2ce, 0xe7b8_b754_408e_9d1e],
             [0x1827_35a8_df22_3ed0, 0xad64_cbb6_81b6_da2b],
         ],
         [
-            [0xe3e7_f2ac_7ae3_deb5, 0x6c97_830e_142b_23a6],
-            [0xe36d_87b1_23fa_3d6c, 0x1f41_f5b7_b3ac_6df9],
+            [0xe3e7_f2ac_7ae3_deb5, 0x0758_758d_0b3e_230f],
+            [0xe36d_87b1_23fa_3d6c, 0x05bf_9d2c_f6ea_40be],
             [0x0e9a_5a4b_8ee1_c2ce, 0x285b_b34c_f100_9fc0],
             [0x1827_35a8_df22_3ed0, 0x22a5_f1a5_4289_21d7],
         ],
@@ -193,7 +200,7 @@ fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u3
 /// digest changed from run to run with the `HashMap` order of M2M children.)
 #[test]
 fn fmm_level3_non_neutral_cells_match_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0x228f_316a_68d5_81da]);
+    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0x6269_feee_f0a1_75e2]);
 }
 
 // Every digest above runs the FMM at order 2 (10 coefficients). The two below
@@ -204,12 +211,12 @@ fn fmm_level3_non_neutral_cells_match_frozen_digest() {
 
 #[test]
 fn fmm_order4_level3_matches_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0xd35f_b772_8e88_b817]);
+    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0xb8c6_9f84_6052_be5b]);
 }
 
 #[test]
 fn fmm_order6_level2_matches_frozen_digest() {
-    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x056a_4201_1b07_106d]);
+    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0xc790_351c_5d25_8e3a]);
 }
 
 #[test]
@@ -269,12 +276,19 @@ impl Rec {
 /// with `alltoall_specific`), then three Method B rounds (partition sort,
 /// then planned merge-exchange sorts of the almost-sorted state, each
 /// followed by `build_resort_indices` + `resort_planes` of an (id, vel, tag)
-/// plane set under a kept plan), traced. The digest covers clocks,
-/// statistics, trace records, phase profiles and every rank's sorted records
-/// and final plane bytes; it was captured at commit `da1d74b`, before `psort`
-/// moved to permutation-order kernels, so it pins their output, their
-/// `compute` charges and their message order to the payload-moving radix
-/// sort, the heap merge and the full-union compare-split they replaced.
+/// plane set under a kept plan), traced.
+///
+/// Two digests, like the MD worlds: a *payload* half over every rank's
+/// sorted keys and records, resort indices and final plane bytes, and a
+/// *timing* half over the clocks, statistics, trace records, phase profiles
+/// and the sorts' reports. Until the split they were one digest, captured at
+/// commit `da1d74b`, before `psort` moved to permutation-order kernels, so it
+/// pinned their output, their `compute` charges and their message order to
+/// the payload-moving radix sort, the heap merge and the full-union
+/// compare-split they replaced. The payload half was captured at commit
+/// `078155b`, where it hashed what that digest had pinned. The timing half
+/// was re-frozen when the merge sort's cleanup folded its count gather into
+/// the sortedness check, one collective fewer per merge sort.
 #[test]
 fn redistribution_world_matches_frozen_digest() {
     use atasp::{alltoall_specific, build_resort_indices, decode_index, encode_index};
@@ -307,14 +321,16 @@ fn redistribution_world_matches_frozen_digest() {
     let program = move |comm: &mut simcomm::Comm| {
         let me = comm.rank();
         let original = original(me);
-        let mut seen: Vec<u64> = Vec::new();
+        let mut payload: Vec<u64> = Vec::new();
+        let mut reports: Vec<u64> = Vec::new();
         let mut merge_exchanges = 0;
 
         // Method A: sort for the solver, restore the original order after it.
         for t in 0..ROUNDS {
             let keys: Vec<u64> = original.iter().map(|r| r.key(t)).collect();
             let (keys, sorted, report) = psort::partition_sort_by_key(comm, keys, original.clone());
-            seen.push(digest(&(&keys, &sorted, &report)));
+            payload.push(digest(&(&keys, &sorted)));
+            reports.push(digest(&report));
             let targets: Vec<usize> = sorted.iter().map(|r| decode_index(r.origin).0).collect();
             let back = comm.with_phase("restore", |comm| {
                 alltoall_specific(comm, &sorted, &targets, &ExchangeMode::Collective)
@@ -349,14 +365,14 @@ fn redistribution_world_matches_frozen_digest() {
             let keys: Vec<u64> = recs.iter().map(|r| r.key(t)).collect();
             let (keys, sorted) = if t == 0 {
                 let (keys, sorted, report) = psort::partition_sort_by_key(comm, keys, recs);
-                seen.push(digest(&report));
+                reports.push(digest(&report));
                 (keys, sorted)
             } else {
                 let (keys, sorted, report, next) =
                     psort::merge_exchange_sort_by_key_planned(comm, keys, recs, sort_plan.as_ref());
                 sort_plan = next;
                 merge_exchanges += report.exchanges;
-                seen.push(digest(&report));
+                reports.push(digest(&report));
                 (keys, sorted)
             };
             let origin: Vec<u64> = sorted.iter().map(|r| r.origin).collect();
@@ -375,25 +391,33 @@ fn redistribution_world_matches_frozen_digest() {
                 planes.plane::<u64>(id_plane).iter().eq(sorted.iter().map(|r| &r.id)),
                 "rank {me}: Method B round {t} must resort the id plane to the sorted order"
             );
-            seen.push(digest(&(&keys, &sorted, &indices)));
+            payload.push(digest(&(&keys, &sorted, &indices)));
             recs = sorted;
         }
         let plane_bytes: Vec<&[u8]> = planes.ids().map(|id| planes.bytes(id)).collect();
-        seen.push(digest(&plane_bytes));
-        (seen, merge_exchanges)
+        payload.push(digest(&plane_bytes));
+        (payload, reports, merge_exchanges)
     };
 
     for width in widths(P) {
         let runner = Runner::default().traced(true).host_parallelism(width);
         let out = runner.run(P, MachineModel::juqueen_like(), program);
-        let merge_exchanges: u64 = out.results.iter().map(|r| r.1).sum();
+        let merge_exchanges: u64 = out.results.iter().map(|r| r.2).sum();
         assert!(merge_exchanges > 0, "the drift must make some compare-split exchange its runs");
+        let payload: Vec<&Vec<u64>> = out.results.iter().map(|r| &r.0).collect();
+        let reports: Vec<&Vec<u64>> = out.results.iter().map(|r| &r.1).collect();
         let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
-        let got = digest(&(clock_bits, &out.stats, &out.traces, &out.phases, &out.results));
-        let want = 0x3af9_3192_60d2_c081u64;
-        assert_eq!(
-            got, want,
-            "redistribution world at width {width}: digest {got:#018x} differs from {want:#018x}"
-        );
+        let got = [
+            digest(&payload),
+            digest(&(clock_bits, &out.stats, &out.traces, &out.phases, reports)),
+        ];
+        let want = [0x56ac_62ec_f386_4ca5u64, 0x37e8_d086_7b69_ff96];
+        for (half, got, want) in [("payload", got[0], want[0]), ("timing", got[1], want[1])] {
+            assert_eq!(
+                got, want,
+                "redistribution world at width {width}: {half} digest {got:#018x} differs from \
+                 the frozen {want:#018x}"
+            );
+        }
     }
 }
