@@ -2,15 +2,20 @@
 //!
 //! Stand-in for the ZMPI-ATASP library the paper's P2NFFT solver and library
 //! interface build on (paper refs. 13 and 14): data redistribution operations where
-//! **every element names its own target process**, a generalized form with a
-//! user-defined distribution function that may **duplicate** elements (ghost
-//! particles), and the **resort** operation used by `fcs_resort_floats` /
-//! `fcs_resort_ints` — redistribute according to 64-bit resort indices, then
-//! place elements at their target positions.
+//! **every element names its own target process**, and the **resort**
+//! operation used by `fcs_resort_floats` / `fcs_resort_ints` — redistribute
+//! according to 64-bit resort indices, then place elements at their target
+//! positions. (The P2NFFT's ghost duplicates travel through its own ghost
+//! plan, not through a duplicating redistribution here.)
 //!
 //! Resort indices are 64-bit integers storing a target process rank in the
 //! upper 32 bits and a target position in the lower 32 bits, exactly like the
 //! index values the paper describes (Sect. III-A, P2NFFT solver).
+//!
+//! [`hand_back`] is the return path both particle solvers share: the
+//! computed particles go home to their origin rank and position (Method A),
+//! or stay in the solver's order with resort indices built from their origin
+//! codes (Method B, Fig. 5).
 //!
 //! All operations can run over the synchronizing collective exchange
 //! ([`simcomm::Comm::alltoallv`]) or — when the caller knows the
@@ -37,7 +42,7 @@
 // iterates a hash container.
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
-use particles::{PlaneElem, PlaneSet};
+use particles::{Particle, PlaneElem, PlaneSet, RedistMethod, SolverOutput, SolverTimings, Vec3};
 use simcomm::{Comm, Work};
 
 /// Encode a (process rank, position) pair into a 64-bit index value:
@@ -172,37 +177,6 @@ pub fn alltoall_specific<T: Send + Copy + 'static>(
     assert_eq!(elements.len(), targets.len());
     let groups = group_by_target(comm, targets.iter().copied().zip(elements.iter().copied()), mode);
     comm.compute(Work::ByteCopy, std::mem::size_of_val(elements) as f64);
-    concat(exchange_grouped(comm, groups, mode))
-}
-
-/// Generalized fine-grained redistribution with duplication: the distribution
-/// function maps each element to *any number* of (target rank, element)
-/// pairs — this is how the P2NFFT redistribution creates ghost particles
-/// while routing originals (paper, Sect. III-A: "a generalized version of the
-/// operation that uses a user-defined distribution function […] and that
-/// supports the duplication of particles").
-///
-/// Returns the received elements ordered by source rank, per-source order
-/// preserved. Collective.
-pub fn alltoall_specific_dup<T, F>(
-    comm: &mut Comm,
-    elements: &[T],
-    mut dist: F,
-    mode: &ExchangeMode,
-) -> Vec<T>
-where
-    T: Send + Copy + 'static,
-    F: FnMut(usize, &T, &mut Vec<(usize, T)>),
-{
-    let mut routed: Vec<(usize, T)> = Vec::with_capacity(elements.len());
-    let mut scratch: Vec<(usize, T)> = Vec::new();
-    for (i, e) in elements.iter().enumerate() {
-        scratch.clear();
-        dist(i, e, &mut scratch);
-        routed.extend_from_slice(&scratch);
-    }
-    let groups = group_by_target(comm, routed.iter().copied(), mode);
-    comm.compute(Work::ByteCopy, (routed.len() * std::mem::size_of::<T>()) as f64);
     concat(exchange_grouped(comm, groups, mode))
 }
 
@@ -652,24 +626,23 @@ pub fn build_resort_indices(comm: &mut Comm, origin: &[u64], original_len: usize
 /// [`build_resort_indices`] with an explicit exchange mode: when particle
 /// movement is limited, origins are neighbourhood-local and the index
 /// construction itself can use point-to-point communication (Method B with
-/// maximum movement, paper Sect. III-B).
-pub fn build_resort_indices_with(
+/// maximum movement, paper Sect. III-B). `origin` may be any walk over the
+/// codes, so a caller holding them inside its records stages no copy.
+pub fn build_resort_indices_with<'a>(
     comm: &mut Comm,
-    origin: &[u64],
+    origin: impl IntoIterator<Item = &'a u64, IntoIter: Clone>,
     original_len: usize,
     mode: &ExchangeMode,
 ) -> Vec<u64> {
     let me = comm.rank();
+    let origin = origin.into_iter();
     // Send (origin position, current location) to each origin rank.
     let pairs: Vec<(u32, u64)> = origin
-        .iter()
+        .clone()
         .enumerate()
-        .map(|(cur_pos, &og)| {
-            let (_, og_pos) = decode_index(og);
-            (og_pos as u32, encode_index(me, cur_pos))
-        })
+        .map(|(cur_pos, &og)| (decode_index(og).1 as u32, encode_index(me, cur_pos)))
         .collect();
-    let targets: Vec<usize> = origin.iter().map(|&og| decode_index(og).0).collect();
+    let targets: Vec<usize> = origin.map(|&og| decode_index(og).0).collect();
     let received = alltoall_specific(comm, &pairs, &targets, mode);
     assert_eq!(
         received.len(),
@@ -686,10 +659,124 @@ pub fn build_resort_indices_with(
     out
 }
 
+/// A solver's particles in its own order, with what it computed for them.
+pub struct Solved<'a> {
+    /// The particles, each with its origin code.
+    pub records: &'a [Particle],
+    /// Their potentials: moved into the output under Method B, read and left
+    /// in place under Method A.
+    pub potential: &'a mut Vec<f64>,
+    /// Their fields, moved or read like `potential`.
+    pub field: &'a mut Vec<Vec3>,
+    /// Their positions and charges, if the solver staged them as columns:
+    /// moved into the output under Method B instead of copied from `records`.
+    pub columns: Option<(&'a mut Vec<Vec3>, &'a mut Vec<f64>)>,
+}
+
+/// Hand a solver's results back to the application: the return path both
+/// particle solvers share (paper Sect. III). Collective.
+///
+/// Under [`RedistMethod::UseChanged`], and only if no rank holds more than
+/// `max_local` particles, the output keeps the solver's order, with resort
+/// indices built over `index_mode` (Fig. 5). Otherwise every particle goes
+/// back to its origin rank and position (Fig. 4), in the order of the `n_in`
+/// this rank passed in. Both tests share one allreduce. The quiet test runs
+/// only if `quiet_test` is set: when every rank holds exactly its input
+/// particles in their input order, the indices are the identity and no
+/// exchange builds them. The second value returned says so.
+///
+/// The stamps are the clocks at the run's start, after its sort and after
+/// its computation; the output's timings run from them to the return.
+#[allow(clippy::too_many_arguments)]
+pub fn hand_back(
+    comm: &mut Comm,
+    method: RedistMethod,
+    max_local: usize,
+    n_in: usize,
+    index_mode: &ExchangeMode,
+    quiet_test: bool,
+    solved: Solved<'_>,
+    [t_start, t_sorted, t_computed]: [f64; 3],
+) -> (SolverOutput, bool) {
+    let me = comm.rank();
+    let Solved { records, potential, field, columns } = solved;
+    let (mut resorted, mut all_quiet) = (false, false);
+    if method == RedistMethod::UseChanged {
+        let fits = records.len() <= max_local;
+        let quiet = quiet_test
+            && records.len() == n_in
+            && records.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
+        comm.compute(Work::ParticleOp, records.len() as f64);
+        (resorted, all_quiet) = comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));
+    }
+    let mut out = if resorted {
+        comm.enter_phase("resort");
+        let resort_indices = if all_quiet {
+            comm.compute(Work::ByteCopy, (n_in * 8) as f64);
+            (0..n_in).map(|i| encode_index(me, i)).collect()
+        } else {
+            build_resort_indices_with(comm, records.iter().map(|r| &r.origin), n_in, index_mode)
+        };
+        comm.exit_phase();
+        let (pos, charge) = match columns {
+            Some((pos, charge)) => (std::mem::take(pos), std::mem::take(charge)),
+            None => (
+                records.iter().map(|r| r.pos).collect(),
+                records.iter().map(|r| r.charge).collect(),
+            ),
+        };
+        SolverOutput {
+            pos,
+            charge,
+            id: records.iter().map(|r| r.id).collect(),
+            potential: std::mem::take(potential),
+            field: std::mem::take(field),
+            resorted: true,
+            resort_indices,
+            ..Default::default()
+        }
+    } else {
+        comm.enter_phase("restore");
+        let results: Vec<(Particle, f64, Vec3)> = records
+            .iter()
+            .zip(&*potential)
+            .zip(&*field)
+            .map(|((&r, &phi), &e)| (r, phi, e))
+            .collect();
+        let targets: Vec<usize> = records.iter().map(|r| decode_index(r.origin).0).collect();
+        let received = alltoall_specific(comm, &results, &targets, &ExchangeMode::Collective);
+        assert_eq!(received.len(), n_in);
+        let mut out = SolverOutput {
+            pos: vec![Vec3::ZERO; n_in],
+            charge: vec![0.0; n_in],
+            id: vec![0; n_in],
+            potential: vec![0.0; n_in],
+            field: vec![Vec3::ZERO; n_in],
+            ..SolverOutput::default()
+        };
+        for (r, phi, e) in received {
+            let i = decode_index(r.origin).1;
+            (out.pos[i], out.charge[i], out.id[i]) = (r.pos, r.charge, r.id);
+            (out.potential[i], out.field[i]) = (phi, e);
+        }
+        comm.compute(Work::ByteCopy, (n_in * std::mem::size_of::<(Particle, f64, Vec3)>()) as f64);
+        comm.exit_phase();
+        out
+    };
+    let redist = comm.clock() - t_computed;
+    out.timings = SolverTimings {
+        sort: t_sorted - t_start,
+        compute: t_computed - t_sorted,
+        restore: if resorted { 0.0 } else { redist },
+        resort_create: if resorted { redist } else { 0.0 },
+        total: comm.clock() - t_start,
+    };
+    (out, resorted && all_quiet)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use particles::Vec3;
     use simcomm::{run, CartGrid, MachineModel};
 
     /// splitmix64 — the deterministic generator all property tests share.
@@ -864,53 +951,6 @@ mod tests {
             partners.dedup();
             alltoall_specific(comm, &elements, &targets, &ExchangeMode::Neighborhood(partners))
         });
-    }
-
-    #[test]
-    fn dup_distribution_creates_ghosts() {
-        let out = run(3, MachineModel::ideal(), |comm| {
-            let me = comm.rank();
-            let elements: Vec<u64> = vec![me as u64 * 10, me as u64 * 10 + 1];
-            // Every element goes to its own rank AND is duplicated to rank 0.
-            alltoall_specific_dup(
-                comm,
-                &elements,
-                |_, &e, out| {
-                    out.push((me, e));
-                    if me != 0 {
-                        out.push((0, e + 1000)); // ghost copy, marked
-                    }
-                },
-                &ExchangeMode::Collective,
-            )
-        });
-        assert_eq!(out.results[0], vec![0, 1, 1010, 1011, 1020, 1021]);
-        assert_eq!(out.results[1], vec![10, 11]);
-        assert_eq!(out.results[2], vec![20, 21]);
-    }
-
-    #[test]
-    fn dup_can_drop_elements() {
-        fn rank_of(e: u32) -> usize {
-            (e as usize / 2) % 2
-        }
-        let out = run(2, MachineModel::ideal(), |comm| {
-            let elements: Vec<u32> = (0..10).collect();
-            // Keep only even elements (distribution function emits nothing
-            // for odd ones).
-            alltoall_specific_dup(
-                comm,
-                &elements,
-                |_, &e, out| {
-                    if e % 2 == 0 {
-                        out.push((rank_of(e), e));
-                    }
-                },
-                &ExchangeMode::Collective,
-            )
-        });
-        assert_eq!(out.results[0], vec![0, 4, 8, 0, 4, 8]);
-        assert_eq!(out.results[1], vec![2, 6, 2, 6]);
     }
 
     #[test]

@@ -1,0 +1,213 @@
+//! The return path both particle solvers share, driven without a solver: a
+//! stand-in moves every rank's particles to itself or a ring neighbour and
+//! reorders them, and `hand_back` returns them. Method A restores the input
+//! bit for bit, Method B's indices are `build_resort_indices_with`'s under
+//! either exchange mode, a quiet step costs one collective and no message,
+//! and one rank without room sends every rank home.
+
+use atasp::{
+    alltoall_specific, build_resort_indices_with, encode_index, hand_back, ExchangeMode, Solved,
+};
+use particles::systems::splitmix64;
+use particles::{Particle, RedistMethod, SolverOutput, Vec3};
+use simcomm::{run, Comm, MachineModel};
+
+/// The world sizes every case runs at; every third rank holds no input.
+const PS: [usize; 4] = [1, 2, 3, 8];
+
+/// A non-NaN `f64` with a random mantissa, from `id` and a salt.
+fn value(id: u64, salt: u64) -> f64 {
+    f64::from_bits((splitmix64(id ^ salt << 48) & 0x000f_ffff_ffff_ffff) | 0x3ff0_0000_0000_0000)
+}
+
+fn potential_of(id: u64) -> f64 {
+    value(id, 5)
+}
+
+fn field_of(id: u64) -> Vec3 {
+    Vec3::new(value(id, 6), value(id, 7), value(id, 8))
+}
+
+/// Rank `me`'s input, in input order.
+fn input(me: usize) -> Vec<Particle> {
+    let n = if me % 3 == 1 { 0 } else { 3 + 2 * me };
+    (0..n)
+        .map(|i| {
+            let id = (me * 100 + i) as u64;
+            let pos = Vec3::new(value(id, 1), value(id, 2), value(id, 3));
+            Particle { pos, charge: value(id, 4), id, origin: encode_index(me, i) }
+        })
+        .collect()
+}
+
+/// What a solver does to the input: every particle to its own rank or a ring
+/// neighbour, then each rank's records reordered by a hash of their ids.
+fn solve(comm: &mut Comm, input: &[Particle]) -> Vec<Particle> {
+    let (me, p) = (comm.rank(), comm.size());
+    let ring = [me, (me + 1) % p, (me + p - 1) % p];
+    let targets: Vec<usize> = input.iter().map(|r| ring[(splitmix64(r.id) % 3) as usize]).collect();
+    let mut recs = alltoall_specific(comm, input, &targets, &ExchangeMode::Collective);
+    recs.sort_by_key(|r| splitmix64(r.id ^ 0xabc));
+    recs
+}
+
+/// The ranks a record can have come from under `solve`, the local one aside.
+fn ring(comm: &Comm) -> ExchangeMode {
+    let (me, p) = (comm.rank(), comm.size());
+    let mut partners = vec![(me + p - 1) % p, (me + 1) % p];
+    partners.retain(|&q| q != me);
+    partners.sort_unstable();
+    partners.dedup();
+    ExchangeMode::Neighborhood(partners)
+}
+
+/// What `hand_back` returned, and what it left of the buffers it was given.
+struct Handed {
+    out: SolverOutput,
+    skipped: bool,
+    potential_left: usize,
+    columns_left: usize,
+}
+
+/// Hand `recs` back with potentials and fields derived from their ids; even
+/// ranks pass their positions and charges as columns, odd ranks do not. The
+/// output's timings are checked against the stamps.
+fn hand(
+    comm: &mut Comm,
+    n_in: usize,
+    recs: &[Particle],
+    method: RedistMethod,
+    max_local: usize,
+    mode: &ExchangeMode,
+    quiet_test: bool,
+) -> Handed {
+    let mut potential: Vec<f64> = recs.iter().map(|r| potential_of(r.id)).collect();
+    let mut field: Vec<Vec3> = recs.iter().map(|r| field_of(r.id)).collect();
+    let mut pos: Vec<Vec3> = recs.iter().map(|r| r.pos).collect();
+    let mut charge: Vec<f64> = recs.iter().map(|r| r.charge).collect();
+    let columns = comm.rank().is_multiple_of(2).then_some((&mut pos, &mut charge));
+    let solved = Solved { records: recs, potential: &mut potential, field: &mut field, columns };
+    let t = comm.clock();
+    let stamps = [t - 3.0, t - 1.0, t];
+    let (out, skipped) = hand_back(comm, method, max_local, n_in, mode, quiet_test, solved, stamps);
+    let redist = comm.clock() - t;
+    let timings = out.timings;
+    let [t_start, t_sorted, _] = stamps;
+    assert_eq!((timings.sort, timings.compute), (t_sorted - t_start, t - t_sorted));
+    assert_eq!(timings.total, comm.clock() - t_start);
+    let want = if out.resorted { (0.0, redist) } else { (redist, 0.0) };
+    assert_eq!((timings.restore, timings.resort_create), want);
+    assert_eq!(potential.len(), field.len());
+    Handed { out, skipped, potential_left: potential.len(), columns_left: pos.len() }
+}
+
+/// Every bit of the output's particles and results, in output order.
+fn bits(o: &SolverOutput) -> Vec<u64> {
+    let vecs = o.pos.iter().chain(&o.field).flat_map(|v| [0, 1, 2].map(|d| v[d].to_bits()));
+    let scalars = o.charge.iter().chain(&o.potential).map(|x| x.to_bits());
+    vecs.chain(scalars).chain(o.id.iter().copied()).collect()
+}
+
+/// The output `recs` in this order would have, with their derived results.
+fn expected(recs: &[Particle]) -> SolverOutput {
+    SolverOutput {
+        pos: recs.iter().map(|r| r.pos).collect(),
+        charge: recs.iter().map(|r| r.charge).collect(),
+        id: recs.iter().map(|r| r.id).collect(),
+        potential: recs.iter().map(|r| potential_of(r.id)).collect(),
+        field: recs.iter().map(|r| field_of(r.id)).collect(),
+        ..SolverOutput::default()
+    }
+}
+
+#[test]
+fn method_a_returns_the_input_order_bit_for_bit() {
+    for p in PS {
+        run(p, MachineModel::juropa_like(), |comm| {
+            let input = input(comm.rank());
+            let recs = solve(comm, &input);
+            let method = RedistMethod::RestoreOriginal;
+            let h = hand(comm, input.len(), &recs, method, usize::MAX, &ring(comm), true);
+            assert!(!h.out.resorted && !h.skipped && h.out.resort_indices.is_empty());
+            assert_eq!(bits(&h.out), bits(&expected(&input)), "p={p} rank {}", comm.rank());
+            // Method A reads the solver's buffers and leaves them in place.
+            assert_eq!(h.potential_left, recs.len());
+            assert_eq!(h.columns_left, recs.len());
+        });
+    }
+}
+
+#[test]
+fn method_b_indices_are_build_resort_indices_under_both_modes() {
+    for p in PS {
+        run(p, MachineModel::juqueen_like(), |comm| {
+            let input = input(comm.rank());
+            let recs = solve(comm, &input);
+            let origins: Vec<u64> = recs.iter().map(|r| r.origin).collect();
+            for mode in [ExchangeMode::Collective, ring(comm)] {
+                for quiet_test in [false, true] {
+                    let method = RedistMethod::UseChanged;
+                    let h = hand(comm, input.len(), &recs, method, usize::MAX, &mode, quiet_test);
+                    let want = build_resort_indices_with(comm, &origins, input.len(), &mode);
+                    assert!(h.out.resorted, "p={p}");
+                    assert_eq!(h.out.resort_indices, want, "p={p} rank {}", comm.rank());
+                    // Some particle changed rank or place on some rank.
+                    assert!(!h.skipped);
+                    assert_eq!(bits(&h.out), bits(&expected(&recs)));
+                    // Method B moves the solver's buffers into the output.
+                    assert_eq!(h.potential_left, 0);
+                    let staged = comm.rank().is_multiple_of(2);
+                    assert_eq!(h.columns_left, if staged { 0 } else { recs.len() });
+                }
+            }
+        });
+    }
+}
+
+#[test]
+fn a_quiet_step_returns_identity_indices_with_one_collective_and_no_message() {
+    for p in PS {
+        run(p, MachineModel::juropa_like(), |comm| {
+            let me = comm.rank();
+            let input = input(me);
+            let identity: Vec<u64> = (0..input.len()).map(|i| encode_index(me, i)).collect();
+            let collective = ExchangeMode::Collective;
+            let before = comm.stats().clone();
+            let method = RedistMethod::UseChanged;
+            let h = hand(comm, input.len(), &input, method, usize::MAX, &collective, true);
+            let after = comm.stats();
+            assert!(h.skipped && h.out.resorted, "p={p} rank {me}");
+            assert_eq!(h.out.resort_indices, identity);
+            assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "p={p} rank {me}");
+            assert_eq!(after.coll_ops - before.coll_ops, 1, "p={p} rank {me}");
+            assert_eq!(bits(&h.out), bits(&expected(&input)));
+            // Without the quiet test the same step builds the same indices.
+            let h = hand(comm, input.len(), &input, method, usize::MAX, &collective, false);
+            assert!(!h.skipped);
+            assert_eq!(h.out.resort_indices, identity);
+        });
+    }
+}
+
+#[test]
+fn one_rank_over_max_local_makes_every_rank_restore() {
+    for p in PS {
+        run(p, MachineModel::juqueen_like(), |comm| {
+            let me = comm.rank();
+            let input = input(me);
+            let moved = solve(comm, &input);
+            // A moved step, and a quiet one: the input handed back as it is.
+            for (recs, quiet) in [(&moved, false), (&input, true)] {
+                // The last rank holding anything has room for one record less.
+                let held = comm.allgather(recs.len());
+                let full = held.iter().rposition(|&n| n > 0).expect("some rank holds particles");
+                let max_local = if me == full { held[full] - 1 } else { usize::MAX };
+                let method = RedistMethod::UseChanged;
+                let h = hand(comm, input.len(), recs, method, max_local, &ring(comm), true);
+                assert!(!h.out.resorted && !h.skipped, "p={p} rank {me} quiet={quiet}");
+                assert!(h.out.resort_indices.is_empty());
+                assert_eq!(bits(&h.out), bits(&expected(&input)), "p={p} rank {me}");
+            }
+        });
+    }
+}

@@ -18,10 +18,11 @@
 //! After the computation the solver either **restores** the original particle
 //! order and distribution (Method A, paper Sect. III-A) or returns the
 //! **changed** Z-order distribution together with resort indices (Method B,
-//! Sect. III-B). On a quiet step — every rank kept its input particles in
-//! their input order — the resort indices are the identity and are returned
-//! without an exchange ([`FmmRunReport::resort_exchange_skipped`]), as the
-//! particle-mesh solver does; the merge sort closes on one allgather whose
+//! Sect. III-B), through the return path both particle solvers share
+//! ([`atasp::hand_back`]). On a quiet step — every rank kept its input
+//! particles in their input order — the resort indices are the identity and
+//! are returned without an exchange ([`FmmRunReport::resort_exchange_skipped`]);
+//! the merge sort closes on one allgather whose
 //! spans the cell alignment reuses, and the alignment exchanges nothing when
 //! no leaf cell is split across ranks.
 
@@ -36,7 +37,7 @@ mod stencil;
 pub mod tree;
 
 pub use expansion::{ncoeffs, ExpansionOps};
-pub use solver::{FmmConfig, FmmParticle, FmmRunReport, FmmSolver};
+pub use solver::{FmmConfig, FmmRunReport, FmmSolver};
 
 #[cfg(test)]
 mod tests {

@@ -3,8 +3,8 @@
 //! near/far field evaluation, and the paper's two data redistribution paths
 //! (restore-original vs. use-changed-with-resort-indices).
 
-use atasp::{alltoall_specific, build_resort_indices, encode_index, ExchangeMode};
-use particles::{zorder, MovementHint, RedistMethod, SolverOutput, SolverTimings, SystemBox, Vec3};
+use atasp::{encode_index, hand_back, ExchangeMode, Solved};
+use particles::{zorder, MovementHint, Particle, RedistMethod, SolverOutput, SystemBox, Vec3};
 use psort::{
     merge_exchange_sort_by_key_capped, merge_exchange_sort_by_key_planned, partition_sort_by_key,
     KeySpan, SortPlan,
@@ -100,46 +100,19 @@ struct FarLevel {
     tensors: Vec<Vec<f64>>,
 }
 
-/// One particle as transported between ranks by the FMM solver: position,
-/// charge, the application's global id, and the origin code
-/// (`origin rank << 32 | origin position`) used to restore the original order
-/// or to create resort indices.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FmmParticle {
-    /// Particle position.
-    pub pos: Vec3,
-    /// Particle charge.
-    pub charge: f64,
-    /// Application-level global particle id.
-    pub id: u64,
-    /// Origin code: `encode_index(origin_rank, origin_pos)`.
-    pub origin: u64,
-}
-
 /// A neighbour cell's particle as the near field reads it: position and
-/// charge, 32 bytes of the 48 of an [`FmmParticle`]. Ghosts are never owned,
-/// so they carry neither id nor origin.
+/// charge, 32 bytes of the 48 of a [`Particle`]. Ghosts are never owned, so
+/// they carry neither id nor origin.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct Ghost {
     pos: Vec3,
     charge: f64,
 }
 
-impl From<FmmParticle> for Ghost {
-    fn from(r: FmmParticle) -> Self {
+impl From<Particle> for Ghost {
+    fn from(r: Particle) -> Self {
         Ghost { pos: r.pos, charge: r.charge }
     }
-}
-
-/// A computed particle traveling back to its origin (Method A).
-#[derive(Clone, Copy, Debug)]
-struct ResultParticle {
-    pos: Vec3,
-    charge: f64,
-    id: u64,
-    origin: u64,
-    potential: f64,
-    field: Vec3,
 }
 
 /// What a run stages on the way to its output, kept from run to run where
@@ -152,11 +125,11 @@ struct ResultParticle {
 struct Workspace {
     /// The sort's input, and from the previous run its output (recycled).
     keys: Vec<u64>,
-    recs: Vec<FmmParticle>,
+    recs: Vec<Particle>,
     owners: KeyOwners,
     leaf_cells: Vec<Cell>,
     /// The boundary runs `align_cells` receives.
-    boundary: Vec<FmmParticle>,
+    boundary: Vec<Particle>,
     /// `(destination, leaf cell)` of every ghost copy.
     ghost_routes: Vec<(usize, usize)>,
     /// The ghosts received, with their keys and cell runs.
@@ -174,8 +147,6 @@ struct Workspace {
     /// Results in sorted order (moved into the output under Method B).
     potential: Vec<f64>,
     field: Vec<Vec3>,
-    /// Method B: origin codes.
-    origin: Vec<u64>,
 }
 
 /// Static configuration of the FMM solver.
@@ -372,10 +343,11 @@ impl FmmSolver {
     /// particle movement is below the per-process cube side (paper heuristic,
     /// Sect. III-B); it is only honoured for [`RedistMethod::UseChanged`].
     ///
-    /// Under Method B with the plan cache on, a step on which every rank
-    /// keeps its input particles in their input order is quiet: its identity
-    /// resort indices are returned without an exchange, and
-    /// [`FmmRunReport::resort_exchange_skipped`] is set.
+    /// The results go back through [`atasp::hand_back`], with the resort
+    /// indices built collectively. Under Method B with the plan cache on, a
+    /// step on which every rank keeps its input particles in their input
+    /// order is quiet: its identity resort indices are returned without an
+    /// exchange, and [`FmmRunReport::resort_exchange_skipped`] is set.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -402,7 +374,7 @@ impl FmmSolver {
         keys.clear();
         recs.clear();
         keys.extend(pos.iter().map(|&x| leaf_key(&self.bbox, x, self.cfg.level)));
-        recs.extend((0..n_in).map(|i| FmmParticle {
+        recs.extend((0..n_in).map(|i| Particle {
             pos: pos[i],
             charge: charge[i],
             id: id[i],
@@ -489,109 +461,25 @@ impl FmmSolver {
         comm.barrier();
         let t_computed = comm.clock();
 
-        // --- Redistribution back to the application: the changed order with
-        // resort indices if asked for and every rank has room for it (paper:
-        // "the redistributed particles of a solver can only be returned … if
-        // the given local particle data arrays are large enough"), the
-        // original order otherwise ---
-        let mut resorted = false;
-        let mut all_quiet = false;
-        if method == RedistMethod::UseChanged {
-            let fits = recs.len() <= max_local;
-            // Quiet-step detection, piggybacked on the fit allreduce as in
-            // the particle-mesh solver: if every rank kept exactly its input
-            // particles in their input order, the resort indices are the
-            // identity and their exchange is skipped.
-            let quiet = self.plan_cache
-                && recs.len() == n_in
-                && recs.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
-            comm.compute(Work::ParticleOp, recs.len() as f64);
-            (resorted, all_quiet) = comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));
-        }
-        let mut out = if resorted {
-            comm.enter_phase("resort");
-            let resort_indices = if all_quiet {
-                self.last_report.resort_exchange_skipped = true;
-                comm.compute(Work::ByteCopy, (n_in * 8) as f64);
-                (0..n_in).map(|i| encode_index(me, i)).collect()
-            } else {
-                ws.origin.clear();
-                ws.origin.extend(recs.iter().map(|r| r.origin));
-                build_resort_indices(comm, &ws.origin, n_in)
-            };
-            comm.exit_phase();
-            SolverOutput {
-                pos: recs.iter().map(|r| r.pos).collect(),
-                charge: recs.iter().map(|r| r.charge).collect(),
-                id: recs.iter().map(|r| r.id).collect(),
-                potential: std::mem::take(&mut ws.potential),
-                field: std::mem::take(&mut ws.field),
-                resorted: true,
-                resort_indices,
-                timings: SolverTimings::default(),
-            }
-        } else {
-            comm.enter_phase("restore");
-            let out = Self::restore_original(comm, &ws, &recs, n_in);
-            comm.exit_phase();
-            out
+        let solved = Solved {
+            records: &recs,
+            potential: &mut ws.potential,
+            field: &mut ws.field,
+            columns: None,
         };
-        let redist = comm.clock() - t_computed;
-        out.timings = SolverTimings {
-            sort: t_sorted - t_start,
-            compute: t_computed - t_sorted,
-            restore: if resorted { 0.0 } else { redist },
-            resort_create: if resorted { redist } else { 0.0 },
-            total: comm.clock() - t_start,
-        };
+        let (out, skipped) = hand_back(
+            comm,
+            method,
+            max_local,
+            n_in,
+            &ExchangeMode::Collective,
+            self.plan_cache,
+            solved,
+            [t_start, t_sorted, t_computed],
+        );
+        self.last_report.resort_exchange_skipped = skipped;
         (ws.keys, ws.recs) = (keys, recs);
         self.ws = ws;
-        out
-    }
-
-    /// Route every computed particle back to its origin rank and position
-    /// (paper Fig. 4).
-    fn restore_original(
-        comm: &mut Comm,
-        ws: &Workspace,
-        recs: &[FmmParticle],
-        original_len: usize,
-    ) -> SolverOutput {
-        let results: Vec<ResultParticle> = recs
-            .iter()
-            .zip(&ws.potential)
-            .zip(&ws.field)
-            .map(|((r, &potential), &field)| ResultParticle {
-                pos: r.pos,
-                charge: r.charge,
-                id: r.id,
-                origin: r.origin,
-                potential,
-                field,
-            })
-            .collect();
-        let targets: Vec<usize> = recs.iter().map(|r| atasp::decode_index(r.origin).0).collect();
-        let received = alltoall_specific(comm, &results, &targets, &ExchangeMode::Collective);
-        assert_eq!(received.len(), original_len);
-        let mut out = SolverOutput {
-            pos: vec![Vec3::ZERO; original_len],
-            charge: vec![0.0; original_len],
-            id: vec![0; original_len],
-            potential: vec![0.0; original_len],
-            field: vec![Vec3::ZERO; original_len],
-            resorted: false,
-            resort_indices: Vec::new(),
-            timings: SolverTimings::default(),
-        };
-        for r in received {
-            let (_, pos_ix) = atasp::decode_index(r.origin);
-            out.pos[pos_ix] = r.pos;
-            out.charge[pos_ix] = r.charge;
-            out.id[pos_ix] = r.id;
-            out.potential[pos_ix] = r.potential;
-            out.field[pos_ix] = r.field;
-        }
-        comm.compute(Work::ByteCopy, (original_len * std::mem::size_of::<ResultParticle>()) as f64);
         out
     }
 
@@ -609,7 +497,7 @@ impl FmmSolver {
         comm: &mut Comm,
         ws: &mut Workspace,
         keys: &mut Vec<u64>,
-        recs: &mut Vec<FmmParticle>,
+        recs: &mut Vec<Particle>,
         spans: Option<Vec<KeySpan>>,
     ) {
         if comm.size() == 1 {
@@ -661,7 +549,7 @@ impl FmmSolver {
         comm: &mut Comm,
         ws: &mut Workspace,
         keys: &[u64],
-        recs: &[FmmParticle],
+        recs: &[Particle],
     ) {
         #[cfg(test)]
         if self.oracle.is_some() {
@@ -709,7 +597,7 @@ impl FmmSolver {
     /// particles. Leaves the received ghosts — in source-rank order, which is
     /// ascending key order — in `ws.ghosts` and their cell runs in
     /// `ws.ghost_cells`.
-    fn exchange_ghosts(&mut self, comm: &mut Comm, ws: &mut Workspace, recs: &[FmmParticle]) {
+    fn exchange_ghosts(&mut self, comm: &mut Comm, ws: &mut Workspace, recs: &[Particle]) {
         let me = comm.rank();
         ws.ghost_routes.clear();
         let mut blocks = [(0u64, 0u8); 27];
@@ -751,7 +639,7 @@ impl FmmSolver {
     /// Upward pass: the tree's cells per level (`ws.tree`), P2M at the
     /// leaves and M2M up to the root (partial multipoles: only this rank's
     /// particles).
-    fn upward_pass(&self, comm: &mut Comm, ws: &mut Workspace, recs: &[FmmParticle]) {
+    fn upward_pass(&self, comm: &mut Comm, ws: &mut Workspace, recs: &[Particle]) {
         let nc = self.ops.len();
         let leaf_level = self.cfg.level as usize;
         let tree = &mut ws.tree;
@@ -1029,7 +917,7 @@ impl FmmSolver {
     /// Evaluation (into `ws.potential` and `ws.field`): L2P from the leaf
     /// local expansions, then near-field P2P within each cell and with its
     /// neighbour cells (local or ghost) in ascending key order.
-    fn evaluate(&mut self, comm: &mut Comm, ws: &mut Workspace, recs: &[FmmParticle]) {
+    fn evaluate(&mut self, comm: &mut Comm, ws: &mut Workspace, recs: &[Particle]) {
         let n = recs.len();
         let nc = self.ops.len();
         let leaf_level = self.cfg.level;
@@ -1115,7 +1003,7 @@ impl FmmSolver {
     /// pairs evaluated.
     fn p2p_neighbour<S: Copy + Into<Ghost>>(
         &self,
-        (recs, potential, field): (&[FmmParticle], &mut [f64], &mut [Vec3]),
+        (recs, potential, field): (&[Particle], &mut [f64], &mut [Vec3]),
         neigh: &[S],
     ) -> u64 {
         let mut pairs = 0;

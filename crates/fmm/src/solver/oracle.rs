@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use particles::Vec3;
 use simcomm::{Comm, Work};
 
-use super::{FmmParticle, FmmSolver, Ghost};
+use super::{FmmSolver, Ghost, Particle};
 use crate::tree::{
     cell_center, cell_offset, cells_from_sorted, effective_source_center, interaction_list,
     leaf_key, neighbor_keys,
@@ -32,7 +32,7 @@ impl FmmSolver {
         &mut self,
         comm: &mut Comm,
         keys: &[u64],
-        recs: &[FmmParticle],
+        recs: &[Particle],
     ) -> (Vec<f64>, Vec<Vec3>) {
         let n = keys.len();
         let nc = self.ops.len();

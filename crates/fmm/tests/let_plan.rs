@@ -8,9 +8,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use fmm::tree::{cell_center, leaf_key, neighbor_keys};
-use fmm::{FmmConfig, FmmParticle, FmmSolver};
+use fmm::{FmmConfig, FmmSolver};
 use particles::systems::splitmix64;
-use particles::{RedistMethod, SystemBox, Vec3};
+use particles::{Particle, RedistMethod, SystemBox, Vec3};
 use simcomm::{run, Comm, MachineModel};
 
 /// splitmix64 stream of uniform draws in `[0, 1)`.
@@ -264,7 +264,7 @@ fn a_quiet_step_fetches_in_one_collective_and_ships_two_thirds_of_the_ghost_byte
         let keys: Vec<Vec<u64>> = planned.iter().map(|r| r.3.clone()).collect();
         let records = ghost_records(&keys, periodic);
         assert!(records > 0, "p {p}: no ghost exchanged");
-        let whole = RUNS * records * std::mem::size_of::<FmmParticle>() as u64;
+        let whole = RUNS * records * std::mem::size_of::<Particle>() as u64;
         let shipped: u64 = planned.iter().map(|r| r.1).sum();
         assert_eq!(3 * shipped, 2 * whole, "p {p}: ghosts are (position, charge) records");
     }

@@ -62,6 +62,22 @@ impl SoftCore {
     }
 }
 
+/// One particle as the solvers carry it between ranks: position, charge, the
+/// application's global id, and the origin code (`origin rank << 32 | origin
+/// position`) by which its results go home (Method A) or its resort index is
+/// built (Method B).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Particle {
+    /// Particle position.
+    pub pos: Vec3,
+    /// Particle charge.
+    pub charge: f64,
+    /// Application-level global particle id.
+    pub id: u64,
+    /// Origin code: `encode_index(origin_rank, origin_pos)` of `atasp`.
+    pub origin: u64,
+}
+
 /// Virtual-time breakdown of one solver execution, mirroring the quantities
 /// the paper's figures report (sort / restore / resort / total).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]

@@ -116,7 +116,7 @@ impl InitialDistribution {
 
 /// Rank owning position `p` under a uniform Cartesian grid decomposition of
 /// the box into `dims` subdomains (row-major rank order, like
-/// [`simcomm::CartGrid`](https://docs.rs) coordinates).
+/// `simcomm::CartGrid` coordinates).
 pub fn grid_rank_of(dims: [usize; 3], bbox: &SystemBox, p: Vec3) -> usize {
     let t = bbox.normalized(p);
     let mut c = [0usize; 3];

@@ -22,7 +22,7 @@ mod vec3;
 pub mod zorder;
 
 pub use boxgeom::SystemBox;
-pub use coupling::{MovementHint, RedistMethod, SoftCore, SolverOutput, SolverTimings};
+pub use coupling::{MovementHint, Particle, RedistMethod, SoftCore, SolverOutput, SolverTimings};
 pub use distributions::{
     grid_cell_bounds, grid_rank_of, local_set, InitialDistribution, ParticleSource,
 };

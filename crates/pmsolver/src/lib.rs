@@ -35,7 +35,7 @@ pub use bspline::{bspline, bspline_hat, stencil};
 pub use farfield::{FarFieldCache, FarFieldPlan, MeshDecomp};
 pub use fft::{dft_reference, fft_in_place, fft_rows, Complex, Direction};
 pub use nearfield::near_field;
-pub use solver::{PmConfig, PmParticle, PmRunReport, PmSolver};
+pub use solver::{PmConfig, PmRunReport, PmSolver};
 
 #[cfg(test)]
 mod tests {
@@ -371,7 +371,7 @@ mod tests {
     }
 
     /// Ghosts travel as position and charge, two thirds of the bytes of a
-    /// whole [`PmParticle`], and the far field reports what it sends: in a
+    /// whole [`particles::Particle`], and the far field reports what it sends: in a
     /// world of three Method B runs with movement (one ghost-plan build, two
     /// reuses) every rank's `ghost_bytes` and `far_bytes` are what its
     /// communicator counted in those phases, and the potentials and fields
@@ -400,7 +400,7 @@ mod tests {
                 let o = solver.run(comm, &pos, &charge, &id, method, Some(0.01), usize::MAX);
                 let r = &solver.last_report;
                 assert!(r.ghosts_received > 0);
-                let whole = r.ghosts_received * std::mem::size_of::<PmParticle>() as u64;
+                let whole = r.ghosts_received * std::mem::size_of::<particles::Particle>() as u64;
                 assert_eq!(3 * r.ghost_bytes, 2 * whole);
                 let profile = comm.phase_profile();
                 let phase = |name| profile.get(name).cloned().unwrap_or_default();

@@ -3,44 +3,15 @@
 //! duplication, linked-cell near field, FFT-mesh far field, and the paper's
 //! two data redistribution paths.
 
-use atasp::{
-    alltoall_specific, build_resort_indices_with, decode_index, encode_index, ExchangeMode,
-};
+use atasp::{alltoall_specific, encode_index, hand_back, ExchangeMode, Solved};
 use particles::{
-    grid_cell_bounds, grid_rank_of, MovementHint, RedistMethod, SolverOutput, SolverTimings,
-    SystemBox, Vec3,
+    grid_cell_bounds, grid_rank_of, MovementHint, Particle, RedistMethod, SolverOutput, SystemBox,
+    Vec3,
 };
 use simcomm::{CartGrid, Comm, CommPlan, Work};
 
 use crate::farfield::{FarFieldCache, FarFieldPlan, MeshDecomp};
 use crate::nearfield::near_field_of;
-
-/// One particle as transported by the particle-mesh solver. `origin` is the
-/// 64-bit index value of the paper (source rank in the upper 32 bits, source
-/// position in the lower 32). Ghost duplicates travel as `(position, charge)`
-/// pairs, the 32 of these 48 bytes the near field reads.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PmParticle {
-    /// Particle position.
-    pub pos: Vec3,
-    /// Particle charge.
-    pub charge: f64,
-    /// Application-level global particle id.
-    pub id: u64,
-    /// Origin code.
-    pub origin: u64,
-}
-
-/// A computed particle traveling back to its origin (Method A).
-#[derive(Clone, Copy, Debug)]
-struct ResultParticle {
-    pos: Vec3,
-    charge: f64,
-    id: u64,
-    origin: u64,
-    potential: f64,
-    field: Vec3,
-}
 
 /// Static configuration of the particle-mesh solver.
 #[derive(Clone, Debug, PartialEq)]
@@ -157,7 +128,7 @@ struct PlanStatics {
 #[derive(Default)]
 struct Workspace {
     /// The input as records, and the rank each goes to.
-    records: Vec<PmParticle>,
+    records: Vec<Particle>,
     targets: Vec<usize>,
     /// Linked-cell keys of the owned particles.
     keys: Vec<u64>,
@@ -166,8 +137,6 @@ struct Workspace {
     /// The owned particles as columns (moved into the output under Method B).
     pos: Vec<Vec3>,
     charge: Vec<f64>,
-    /// Method B: origin codes.
-    origin: Vec<u64>,
 }
 
 /// One ghost-plan epoch: the frozen per-particle routing and placement of a
@@ -355,8 +324,8 @@ impl PmSolver {
         self.epoch = None;
     }
 
-    /// Execute the solver; see [`fmm::FmmSolver::run`](https://docs.rs) for
-    /// the shared semantics of `method`, `movement` and `max_local`.
+    /// Execute the solver; the results go back through [`atasp::hand_back`],
+    /// which has the semantics of `method` and `max_local`.
     ///
     /// With limited movement (Method B), both the owner redistribution and
     /// the resort-index construction switch from collective all-to-all to
@@ -401,7 +370,7 @@ impl PmSolver {
         comm.enter_phase("sort");
         let mut ws = std::mem::take(&mut self.ws);
         ws.records.clear();
-        ws.records.extend((0..n_in).map(|i| PmParticle {
+        ws.records.extend((0..n_in).map(|i| Particle {
             pos: pos[i],
             charge: charge[i],
             id: id[i],
@@ -617,107 +586,24 @@ impl PmSolver {
         comm.barrier();
         let t_computed = comm.clock();
 
-        // --- Redistribution back to the application: the changed order with
-        // resort indices if asked for and every rank has room for it, the
-        // original order otherwise ---
-        let mut resorted = false;
-        let mut all_quiet = false;
-        if method == RedistMethod::UseChanged {
-            let fits = owned.len() <= max_local;
-            // Quiet-step detection (piggybacked on the fit allreduce so it
-            // costs no extra collective): if every rank kept exactly its
-            // original particles in their original order, the resort
-            // indices are the identity and the index exchange is skipped.
-            let quiet = self.plan_cache
-                && owned.len() == n_in
-                && owned.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
-            comm.compute(Work::ParticleOp, owned.len() as f64);
-            (resorted, all_quiet) = comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));
-        }
-        let mut out = if resorted {
-            comm.enter_phase("resort");
-            let resort_indices: Vec<u64> = if all_quiet {
-                self.last_report.resort_exchange_skipped = true;
-                comm.compute(Work::ByteCopy, (n_in * 8) as f64);
-                (0..n_in).map(|i| encode_index(me, i)).collect()
-            } else {
-                ws.origin.clear();
-                ws.origin.extend(owned.iter().map(|r| r.origin));
-                let owner_mode =
-                    if use_neighborhood { &statics.neighborhood_mode } else { &collective };
-                build_resort_indices_with(comm, &ws.origin, n_in, owner_mode)
-            };
-            comm.exit_phase();
-            SolverOutput {
-                pos: std::mem::take(&mut ws.pos),
-                charge: std::mem::take(&mut ws.charge),
-                id: owned.iter().map(|r| r.id).collect(),
-                potential,
-                field,
-                resorted: true,
-                resort_indices,
-                timings: SolverTimings::default(),
-            }
-        } else {
-            comm.enter_phase("restore");
-            let out = Self::restore_original(comm, &owned, &potential, &field, n_in);
-            comm.exit_phase();
-            out
+        let solved = Solved {
+            records: &owned,
+            potential: &mut potential,
+            field: &mut field,
+            columns: Some((&mut ws.pos, &mut ws.charge)),
         };
-        let redist = comm.clock() - t_computed;
-        out.timings = SolverTimings {
-            sort: t_sorted - t_start,
-            compute: t_computed - t_sorted,
-            restore: if resorted { 0.0 } else { redist },
-            resort_create: if resorted { redist } else { 0.0 },
-            total: comm.clock() - t_start,
-        };
+        let (out, skipped) = hand_back(
+            comm,
+            method,
+            max_local,
+            n_in,
+            if use_neighborhood { &statics.neighborhood_mode } else { &collective },
+            self.plan_cache,
+            solved,
+            [t_start, t_sorted, t_computed],
+        );
+        self.last_report.resort_exchange_skipped = skipped;
         self.ws = ws;
-        out
-    }
-
-    /// Route computed particles back to their origin rank and position.
-    fn restore_original(
-        comm: &mut Comm,
-        owned: &[PmParticle],
-        potential: &[f64],
-        field: &[Vec3],
-        original_len: usize,
-    ) -> SolverOutput {
-        let results: Vec<ResultParticle> = owned
-            .iter()
-            .enumerate()
-            .map(|(i, r)| ResultParticle {
-                pos: r.pos,
-                charge: r.charge,
-                id: r.id,
-                origin: r.origin,
-                potential: potential[i],
-                field: field[i],
-            })
-            .collect();
-        let targets: Vec<usize> = owned.iter().map(|r| decode_index(r.origin).0).collect();
-        let received = alltoall_specific(comm, &results, &targets, &ExchangeMode::Collective);
-        assert_eq!(received.len(), original_len);
-        let mut out = SolverOutput {
-            pos: vec![Vec3::ZERO; original_len],
-            charge: vec![0.0; original_len],
-            id: vec![0; original_len],
-            potential: vec![0.0; original_len],
-            field: vec![Vec3::ZERO; original_len],
-            resorted: false,
-            resort_indices: Vec::new(),
-            timings: SolverTimings::default(),
-        };
-        for r in received {
-            let (_, pos_ix) = decode_index(r.origin);
-            out.pos[pos_ix] = r.pos;
-            out.charge[pos_ix] = r.charge;
-            out.id[pos_ix] = r.id;
-            out.potential[pos_ix] = r.potential;
-            out.field[pos_ix] = r.field;
-        }
-        comm.compute(Work::ByteCopy, (original_len * std::mem::size_of::<ResultParticle>()) as f64);
         out
     }
 }
