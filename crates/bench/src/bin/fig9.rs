@@ -39,7 +39,6 @@ fn main() {
             Opt::flag("skip-left", "skip the left panel"),
             Opt::flag("skip-right", "skip the right panel"),
             Opt::new("dist", "D", "initial distribution: 'random' (default) or 'grid'"),
-            Opt::flag("pencil", "use the pencil-decomposed (2D) FFT on the right panel"),
             Opt::new("tag", "T", "suffix for the output CSV/report names"),
         ],
         OBS_OPTS,
@@ -113,7 +112,6 @@ fn main() {
                     steps,
                     tolerance,
                     dt,
-                    pencil_fft: cli.flag("pencil"),
                     ..SimConfig::default()
                 };
                 let MdWorld { records, entry, traces, .. } =
@@ -172,13 +170,10 @@ fn main() {
     }
 
     // `--tag <suffix>` writes to fig9_<suffix>.csv / fig9_<suffix>_report.json
-    // so special runs (e.g. the committed 16384-rank right panel) don't
-    // clobber the default outputs.
+    // so special runs (e.g. CI's small smoke) don't clobber the default
+    // outputs.
     let tag: String = cli.get("tag", String::new());
-    let mut name = if cli.flag("pencil") { "fig9_pencil".to_string() } else { "fig9".to_string() };
-    if !tag.is_empty() {
-        name = format!("{name}_{tag}");
-    }
+    let name = if tag.is_empty() { "fig9".to_string() } else { format!("fig9_{tag}") };
     let name = name.as_str();
     let path = write_csv(
         name,

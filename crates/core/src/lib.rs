@@ -118,7 +118,6 @@ pub struct Fcs {
     resort_enabled: bool,
     max_move: MovementHint,
     soft_core: Option<particles::SoftCore>,
-    pencil_fft: bool,
     solver: Option<SolverInstance>,
     /// Enable cross-timestep communication-plan caching in the solvers and
     /// for the resort exchanges (on by default).
@@ -151,7 +150,6 @@ impl Fcs {
             resort_enabled: false,
             max_move: None,
             soft_core: None,
-            pencil_fft: false,
             solver: None,
             plan_cache: true,
             last_resorted: false,
@@ -236,15 +234,6 @@ impl Fcs {
     pub fn set_p2nfft_cutoff(&mut self, rcut: f64) {
         assert!(rcut > 0.0);
         self.desired_rcut = Some(rcut);
-        self.solver = None;
-    }
-
-    /// Solver-specific parameter: use the 2D pencil decomposition for the
-    /// particle-mesh solver's parallel FFT instead of 1D slabs. Recommended
-    /// when the process count exceeds the mesh extent (the slab limitation
-    /// documented in DESIGN.md).
-    pub fn set_p2nfft_pencil(&mut self, enabled: bool) {
-        self.pencil_fft = enabled;
         self.solver = None;
     }
 
@@ -346,7 +335,6 @@ impl Fcs {
                 let rcut = desired.min(0.49 * lmin).min(min_width);
                 let mut cfg = PmConfig::tuned(&bbox, self.tolerance, rcut);
                 cfg.soft_core = self.soft_core;
-                cfg.pencil = self.pencil_fft;
                 let solver = PmSolver::new(bbox, cfg, self.nprocs);
                 self.solver = Some(SolverInstance::Pm(Box::new(solver)));
             }
@@ -727,33 +715,6 @@ mod tests {
             out.results.iter().sum::<f64>()
         };
         assert!(e_ewald > pure, "repulsion must raise the energy: {e_ewald} vs {pure}");
-    }
-
-    #[test]
-    fn pencil_fft_identical_physics_through_interface() {
-        let c = IonicCrystal::cubic(6, 1.0, 0.15, 4);
-        let bbox = c.system_box();
-        let p = 6; // P exceeds the balanced grid extent along z
-        let energy = |pencil: bool| -> f64 {
-            let c = c.clone();
-            let out = run(p, MachineModel::ideal(), move |comm| {
-                let dims = CartGrid::balanced(p).dims();
-                let set = local_set(&c, InitialDistribution::Grid, comm.rank(), p, dims);
-                let mut h = Fcs::init(SolverKind::P2Nfft, p);
-                h.set_common(bbox);
-                h.set_p2nfft_pencil(pencil);
-                h.tune(comm, set.pos(), set.charge());
-                let o = h.run(comm, set.pos(), set.charge(), set.id(), usize::MAX);
-                0.5 * o.potential.iter().zip(&o.charge).map(|(a, q)| a * q).sum::<f64>()
-            });
-            out.results.iter().sum()
-        };
-        let slab = energy(false);
-        let pencil = energy(true);
-        assert!(
-            (slab - pencil).abs() < 1e-9 * slab.abs(),
-            "decompositions must agree: {slab} vs {pencil}"
-        );
     }
 
     #[test]

@@ -68,9 +68,6 @@ pub struct SimConfig {
     /// id, so trajectories are identical across methods and distributions.
     /// Set to 0.0 for the paper's literal cold start.
     pub thermal_move_fraction: f64,
-    /// Use the pencil-decomposed parallel FFT in the particle-mesh solver
-    /// (see `Fcs::set_p2nfft_pencil`).
-    pub pencil_fft: bool,
     /// Track each particle's initial position as an extra per-particle data
     /// channel, enabling the RMS-displacement diagnostic. Under Method A this
     /// is free (the order never changes); under Method B the channel must be
@@ -98,7 +95,6 @@ impl Default for SimConfig {
             capacity_factor: 3.0,
             soft_core: true,
             thermal_move_fraction: 0.004,
-            pencil_fft: false,
             track_displacement: false,
             plan_cache: true,
         }
@@ -210,7 +206,6 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
     if cfg.soft_core {
         handle.set_soft_core(Some(particles::SoftCore::for_spacing(mean_spacing)));
     }
-    handle.set_p2nfft_pencil(cfg.pencil_fft);
     handle.set_plan_cache(cfg.plan_cache);
     handle.tune(comm, &pos, &charge);
 

@@ -1,5 +1,5 @@
 //! The Fourier-space (far-field) part of the particle-mesh Ewald solver:
-//! B-spline charge assignment onto a global mesh, a slab-decomposed
+//! B-spline charge assignment onto a global mesh, a pencil-decomposed
 //! distributed 3D FFT (from scratch), multiplication with the influence
 //! function (Ewald Green's function with double B-spline deconvolution and
 //! ik differentiation for the field), and back-interpolation to particles.
@@ -7,10 +7,17 @@
 //! Layouts:
 //! * particles live on a 3D Cartesian process grid (the solver's domain
 //!   decomposition);
-//! * the mesh is redistributed into **x-slabs** for the first 2D transform,
-//!   transposed into **y-slabs** for the transform along x, and the inverse
-//!   path mirrors this — the transpose steps are the communication pattern
-//!   of parallel FFT-based solvers (cf. the paper's P2NFFT).
+//! * the mesh lives on a 2D **transform grid** of `g0 x g1` ranks — `[P, 1]`
+//!   while `P ≤ mesh`, the balanced 2D grid beyond — in **z-pencils** for
+//!   assignment, the transform along z and interpolation, transposed into
+//!   **y-pencils** for the transform along y and into **x-pencils** for the
+//!   transform along x; the inverse path mirrors this. The transposes are
+//!   the communication pattern of parallel FFT-based solvers (cf. the
+//!   paper's P2NFFT, whose FFT is pencil-decomposed too);
+//! * a transpose along a grid extent of 1 has the rank itself as its only
+//!   partner, so it is no move: the mesh stays in its layout and the next
+//!   transform reads its lines strided. At `[P, 1]` the z-pencils are
+//!   x-slabs, and an execution makes four exchanges.
 //!
 //! Every exchange is index-free: which mesh points travel from one rank to
 //! another, and in which order, is a function of the plan alone, which the
@@ -27,20 +34,6 @@ use crate::fft::{fft_in_place, Complex, Direction};
 
 #[cfg(test)]
 mod oracle;
-
-/// How the mesh is distributed for the parallel FFT.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MeshDecomp {
-    /// 1D slabs along x: simplest, but at `P > mesh` only `mesh` ranks carry
-    /// transform work (the compute-imbalance limitation noted in DESIGN.md).
-    #[default]
-    Slab,
-    /// 2D pencils: the `P` ranks form a `p1 x p2` grid owning `(x, y)`,
-    /// `(x, z)` and `(y, z)` rectangles in the three transform stages — the
-    /// decomposition the real P2NFFT uses, keeping all ranks busy up to
-    /// `P = mesh^2`.
-    Pencil,
-}
 
 /// A wrapped run of mesh indices along one dimension: `len` points from
 /// `first` on, modulo the mesh extent.
@@ -85,6 +78,10 @@ impl Window {
         self.spans.map(|s| s.len)
     }
 
+    fn len(&self) -> usize {
+        self.extents().iter().product()
+    }
+
     /// In-window offset of mesh point `(i, j, k)`.
     fn offset(&self, [i, j, k]: [usize; 3], what: &str) -> usize {
         let (ox, oy, oz) = (self.maps[0][i], self.maps[1][j], self.maps[2][k]);
@@ -97,22 +94,17 @@ impl Window {
     }
 }
 
-/// Where one stage of the distributed transform keeps the mesh. The slab
-/// path uses the first two, the pencil path the last three.
+/// Where one stage of the distributed transform keeps the mesh: in pencils
+/// along one dimension.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Layout {
-    /// x-slabs stored `(x, y, z)`: the slab path's assignment, 2D transforms
-    /// and interpolation.
-    XSlab,
-    /// y-slabs stored `(y, x, z)`: the slab path's transform along x.
-    YSlab,
-    /// z-pencils (x in `XA[a]`, y in `YB[b]`) stored `(x, y, z)`: the pencil
-    /// path's assignment, transform along z and interpolation.
-    ZPencil,
+    /// z-pencils (x in `XA[a]`, y in `YB[b]`) stored `(x, y, z)`: assignment,
+    /// the transform along z and interpolation.
+    Z,
     /// y-pencils (x in `XA[a]`, z in `ZB[b]`) stored `(x, z, y)`.
-    YPencil,
+    Y,
     /// x-pencils (y in `YA[a]`, z in `ZB[b]`) stored `(y, z, x)`.
-    XPencil,
+    X,
 }
 
 impl Layout {
@@ -120,10 +112,9 @@ impl Layout {
     /// contiguous.
     fn nest(self) -> [usize; 3] {
         match self {
-            Layout::XSlab | Layout::ZPencil => [0, 1, 2],
-            Layout::YSlab => [1, 0, 2],
-            Layout::YPencil => [0, 2, 1],
-            Layout::XPencil => [1, 2, 0],
+            Layout::Z => [0, 1, 2],
+            Layout::Y => [0, 2, 1],
+            Layout::X => [1, 2, 0],
         }
     }
 }
@@ -151,8 +142,8 @@ impl Local {
 }
 
 /// How one execution spreads the mesh over its ranks: rank `r` sits at
-/// `(a, b) = (r / grid[1], r % grid[1])` of a `grid[0] x grid[1]` grid —
-/// `p x 1` for slabs. `XA[a]` and `YA[a]` are part `a` of `grid[0]`, `YB[b]`
+/// `(a, b) = (r / grid[1], r % grid[1])` of the `grid[0] x grid[1]`
+/// transform grid. `XA[a]` and `YA[a]` are part `a` of `grid[0]`, `YB[b]`
 /// and `ZB[b]` part `b` of `grid[1]`.
 #[derive(Clone, Copy, Debug, Default)]
 struct Distribution {
@@ -161,16 +152,42 @@ struct Distribution {
 }
 
 impl Distribution {
+    /// An `m`-point mesh over `p` ranks. The transform grid is `[p, 1]` while
+    /// `p ≤ m`: every rank owns planes already, so a second transpose would
+    /// buy nothing. Beyond that it is the balanced 2D grid, which keeps
+    /// every rank busy up to `p = m²`.
+    fn new(m: usize, p: usize) -> Distribution {
+        let grid = if p <= m {
+            [p, 1]
+        } else {
+            let grid = simcomm::balanced_dims(p, 2);
+            [grid[0], grid[1]]
+        };
+        Distribution { m, grid }
+    }
+
+    /// Where the mesh is while it is transformed along dimension `dim`. A
+    /// move along a grid extent of 1 would have the rank itself as its only
+    /// partner, so that stage keeps the layout of the one before it.
+    fn stage(&self, dim: usize) -> Layout {
+        match dim {
+            2 => Layout::Z,
+            1 if self.grid[1] > 1 => Layout::Y,
+            1 => self.stage(2),
+            _ if self.grid[0] > 1 => Layout::X,
+            _ => self.stage(1),
+        }
+    }
+
     /// The mesh box `[lo, hi)` per dimension that `rank` holds in `layout`.
     fn held(&self, layout: Layout, rank: usize) -> [(usize, usize); 3] {
         let (m, [g0, g1]) = (self.m, self.grid);
         let (a, b) = (part_range(rank / g1, m, g0), part_range(rank % g1, m, g1));
         let full = (0, m);
         match layout {
-            Layout::XSlab | Layout::ZPencil => [a, b, full],
-            Layout::YSlab => [full, a, full],
-            Layout::YPencil => [a, full, b],
-            Layout::XPencil => [full, a, b],
+            Layout::Z => [a, b, full],
+            Layout::Y => [a, full, b],
+            Layout::X => [full, a, b],
         }
     }
 
@@ -180,16 +197,19 @@ impl Distribution {
         Local { lo: nest.map(|d| held[d].0), ext: nest.map(|d| held[d].1 - held[d].0), nest }
     }
 
+    /// The points of `rank`'s box in `layout`, in local array order.
+    fn points(&self, layout: Layout, rank: usize) -> impl Iterator<Item = [usize; 3]> {
+        walk(self.held(layout, rank).map(|(lo, hi)| lo..hi), layout.nest())
+    }
+
     /// The ranks `rank` sends to when the mesh moves from `from` to `to`:
     /// those whose boxes differ from its own in the one grid coordinate the
-    /// move changes, with non-empty parts along it.
+    /// move changes — `b` between z- and y-pencils, `a` into and out of
+    /// x-pencils — with non-empty parts along it.
     fn partners(&self, (from, to): (Layout, Layout), rank: usize) -> impl Iterator<Item = usize> {
         let [g0, g1] = self.grid;
         let (a, b) = (rank / g1, rank % g1);
-        let along_b = matches!(
-            (from, to),
-            (Layout::ZPencil, Layout::YPencil) | (Layout::YPencil, Layout::ZPencil)
-        );
+        let along_b = from != Layout::X && to != Layout::X;
         let parts = nonempty_parts(self.m, if along_b { g1 } else { g0 });
         parts.map(move |(c, _, _)| if along_b { a * g1 + c } else { c * g1 + b })
     }
@@ -252,6 +272,44 @@ impl Distribution {
     }
 }
 
+/// Transform every line along dimension `dim` of the local array `local`
+/// describes, whose extent along `dim` is `line.len()`: in place where `dim`
+/// is the contiguous dimension, otherwise gathered into the scratch `line`
+/// and scattered back. Returns the butterflies.
+fn fft_lines(
+    data: &mut [Complex],
+    local: &Local,
+    dim: usize,
+    dir: Direction,
+    line: &mut [Complex],
+) -> u64 {
+    debug_assert_eq!(data.len(), local.len());
+    if data.is_empty() {
+        return 0;
+    }
+    let s = local.nest.iter().position(|&d| d == dim).expect("a layout nests every dimension");
+    let n = local.ext[s];
+    assert_eq!(n, line.len(), "a stage holds whole lines along its dimension");
+    let stride: usize = local.ext[s + 1..].iter().product();
+    let mut ops = 0;
+    for block in data.chunks_exact_mut(n * stride) {
+        if stride == 1 {
+            ops += fft_in_place(block, dir);
+            continue;
+        }
+        for i in 0..stride {
+            for (r, v) in line.iter_mut().enumerate() {
+                *v = block[r * stride + i];
+            }
+            ops += fft_in_place(line, dir);
+            for (r, v) in line.iter().enumerate() {
+                block[r * stride + i] = *v;
+            }
+        }
+    }
+    ops
+}
+
 /// The points of `x × y × z`, `x` outermost.
 fn product<I: Iterator<Item = usize> + Clone>(
     [x, y, z]: [I; 3],
@@ -274,12 +332,13 @@ fn walk(ranges: [Range<usize>; 3], nest: [usize; 3]) -> impl Iterator<Item = [us
     })
 }
 
-/// The four exchanges of an execution, as [`FarFieldCache`] counts them.
+/// The four kinds of exchange of an execution, as [`FarFieldCache`] counts
+/// them.
 #[derive(Clone, Copy, Debug)]
 enum Exchange {
     /// Assigned charges to the ranks that transform them.
     Charges,
-    /// The forward transposes (one on the slab path, two on the pencil path).
+    /// The forward transposes: one per grid extent above 1.
     Forward,
     /// The back transposes, four spectra per point.
     Back,
@@ -355,10 +414,22 @@ fn place<T, I: Iterator<Item = [usize; 3]>>(
     }
 }
 
+/// The ranks whose z-pencil meets `window`, ascending: where its charges go,
+/// and where its patch values come from.
+fn window_holders(window: &Window, dist: Distribution) -> impl Iterator<Item = usize> + '_ {
+    let meets = move |d: usize, &(_, lo, hi): &(usize, usize, usize)| {
+        (lo..hi).any(|i| window.maps[d][i] != u32::MAX)
+    };
+    let ([g0, g1], m) = (dist.grid, dist.m);
+    nonempty_parts(m, g0).filter(move |x| meets(0, x)).flat_map(move |(a, ..)| {
+        nonempty_parts(m, g1).filter(move |y| meets(1, y)).map(move |(b, ..)| a * g1 + b)
+    })
+}
+
 /// What the far field keeps across timesteps, per solver and rank: tables
 /// that are pure functions of the plan geometry and the rank layout, and the
 /// part of an execution's staging that it holds from its first collective to
-/// its last anyway — the mesh in its transform layouts (DESIGN.md,
+/// its last anyway — this rank's pencil of the mesh (DESIGN.md,
 /// "Workspaces"). The solver keeps one per [`crate::PmSolver`] and threads it
 /// through [`FarFieldPlan::execute_cached`]; it is rebuilt when the geometry
 /// it was built for changes, and bitwise invisible to results and virtual
@@ -368,21 +439,26 @@ fn place<T, I: Iterator<Item = [usize; 3]>>(
 /// cleared, or resized and zeroed, by the stage that fills it.
 #[derive(Default)]
 pub struct FarFieldCache {
-    /// (decomp, rank, world size, mesh, assignment order, process grid)
-    /// everything below was built for.
-    key: Option<(MeshDecomp, usize, usize, usize, usize, [usize; 3])>,
+    /// (rank, world size, mesh, assignment order, process grid) everything
+    /// below was built for.
+    key: Option<(usize, usize, usize, usize, [usize; 3])>,
     /// `(G_opt, k)` per locally owned spectral point — the Hockney-Eastwood
     /// influence function and the (Nyquist-zeroed) wave vector, in the
-    /// traversal order of the owning decomposition; filled on first use.
+    /// array order of the stage that transforms along x; filled on first
+    /// use.
     spec: Vec<(f64, Vec3)>,
     window: Window,
+    /// Per window point, in window order: its record's index in what the
+    /// patch exchange delivers, which is `patch_sources`' segments.
+    patch_index: Vec<u32>,
+    patch_sources: Vec<(usize, usize)>,
     /// The mesh's distribution over the ranks.
     dist: Distribution,
     /// B-spline weights per dimension.
     weights: [Vec<f64>; 3],
-    /// The mesh in its three transform layouts, then the four spectra (and,
-    /// on the way back, the four fields in each layout in turn).
-    grids: [Vec<Complex>; 3],
+    /// This rank's pencil of the mesh in the layout of the current stage,
+    /// then the four spectra (and, on the way back, the four fields) alike.
+    pencil: Vec<Complex>,
     quad: [Vec<Complex>; 4],
     /// One strided FFT line.
     line: Vec<Complex>,
@@ -393,7 +469,7 @@ pub struct FarFieldCache {
 }
 
 impl FarFieldCache {
-    /// Bytes this rank sent in the four exchanges of the last execution.
+    /// Bytes this rank sent in the exchanges of the last execution.
     pub(crate) fn sent_bytes(&self) -> u64 {
         self.traffic.sent.iter().map(|s| s.bytes).sum()
     }
@@ -414,8 +490,6 @@ pub struct FarFieldPlan {
     dims: [usize; 3],
     /// The system box.
     bbox: SystemBox,
-    /// Mesh distribution for the parallel FFT.
-    decomp: MeshDecomp,
     /// Per dimension and grid coordinate: the interpolation patch, which is
     /// also the assignment window — the stencil's [`reach`] from that part of
     /// the process grid. A function of mesh, assignment order and process
@@ -476,14 +550,13 @@ impl FarFieldPlan {
         alpha: f64,
         dims: [usize; 3],
         bbox: SystemBox,
-        decomp: MeshDecomp,
     ) -> FarFieldPlan {
         // The FFT needs it, and the patches' reach rests on it.
         assert!(mesh.is_power_of_two(), "mesh must be a power of two");
         let patches = std::array::from_fn(|d| {
             (0..dims[d]).map(|c| reach(c, dims[d], mesh, assign_order)).collect()
         });
-        FarFieldPlan { mesh, assign_order, alpha, dims, bbox, decomp, patches }
+        FarFieldPlan { mesh, assign_order, alpha, dims, bbox, patches }
     }
 
     /// Rank owning the grid cell with coordinates `c` (row-major).
@@ -583,6 +656,7 @@ impl FarFieldPlan {
         let f = |m: i64, len: f64| if m == ny || m == -ny { 0.0 } else { two_pi * m as f64 / len };
         Vec3::new(f(mx, l.x()), f(my, l.y()), f(mz, l.z()))
     }
+
     /// Compute potentials and fields at the owned particle positions.
     ///
     /// Collective: all ranks must call it with their local particles.
@@ -621,10 +695,9 @@ impl FarFieldPlan {
         cache: &'c mut FarFieldCache,
     ) -> (&'c [f64], &'c [Vec3]) {
         self.prepare(comm, cache);
-        match self.decomp {
-            MeshDecomp::Slab => self.execute_slab(comm, pos, charge, cache),
-            MeshDecomp::Pencil => self.execute_pencil(comm, pos, charge, cache),
-        }
+        self.assign_and_route_charges(comm, pos, charge, cache);
+        self.transform(comm, cache);
+        self.distribute_and_interpolate(comm, cache, pos, charge);
         (&cache.phi, &cache.field)
     }
 
@@ -632,18 +705,12 @@ impl FarFieldPlan {
     /// it on mismatch, and reset its exchange counts.
     fn prepare(&self, comm: &Comm, cache: &mut FarFieldCache) {
         let (me, p) = (comm.rank(), comm.size());
-        let key = Some((self.decomp, me, p, self.mesh, self.assign_order, self.dims));
+        let key = Some((me, p, self.mesh, self.assign_order, self.dims));
         if cache.key != key {
             *cache = FarFieldCache { key, ..FarFieldCache::default() };
             self.build_window(me, &mut cache.window);
-            let grid = match self.decomp {
-                MeshDecomp::Slab => [p, 1],
-                MeshDecomp::Pencil => {
-                    let grid = simcomm::balanced_dims(p, 2);
-                    [grid[0], grid[1]]
-                }
-            };
-            cache.dist = Distribution { m: self.mesh, grid };
+            cache.dist = Distribution::new(self.mesh, p);
+            self.build_patch_index(cache);
             cache.weights = std::array::from_fn(|_| vec![0.0; self.assign_order]);
             cache.line = vec![Complex::ZERO; self.mesh];
         }
@@ -661,25 +728,42 @@ impl FarFieldPlan {
         }
     }
 
+    /// Where each point of the cache's window arrives in the patch exchange:
+    /// the ranks whose z-pencil meets the window send, in ascending rank, the
+    /// points they share with it in window order — the route
+    /// [`Self::distribute_and_interpolate`] walks.
+    fn build_patch_index(&self, cache: &mut FarFieldCache) {
+        let FarFieldCache { window, dist, patch_index, patch_sources, .. } = cache;
+        *patch_index = vec![u32::MAX; window.len()];
+        let mut next = 0u32;
+        for src in window_holders(window, *dist) {
+            let first = next;
+            for at in self.window_points(window.spans, dist.held(Layout::Z, src)) {
+                patch_index[window.offset(at, "interpolation")] = next;
+                next += 1;
+            }
+            patch_sources.push((src, (next - first) as usize));
+        }
+        assert_eq!(next as usize, patch_index.len(), "every window point has one holder");
+    }
+
     /// B-spline charge assignment and its route: the local particles'
     /// contributions are summed per mesh point, in particle order, over the
     /// dense [`Window`]; the whole window (zero sums included) then goes to
-    /// the ranks holding it in layout `first`, which add what they receive
-    /// into their `grids[0]` in ascending source rank.
+    /// the ranks holding it in z-pencils, which add what they receive into
+    /// their pencil in ascending source rank.
     fn assign_and_route_charges(
         &self,
         comm: &mut Comm,
         pos: &[Vec3],
         charge: &[f64],
         cache: &mut FarFieldCache,
-        first: Layout,
     ) {
         let m = self.mesh;
         let order = self.assign_order;
         let me = comm.rank();
-        let FarFieldCache { window, dist, weights, grids, traffic, .. } = cache;
-        let [ex, ey, ez] = window.extents();
-        let mut sums = vec![0.0f64; ex * ey * ez];
+        let FarFieldCache { window, dist, weights, pencil, traffic, .. } = cache;
+        let mut sums = vec![0.0f64; window.len()];
         let [wx, wy, wz] = weights;
         for (x, &q) in pos.iter().zip(charge) {
             let t = self.bbox.normalized(*x);
@@ -699,44 +783,102 @@ impl FarFieldPlan {
             }
         }
         comm.compute(Work::MeshPoint, (pos.len() * order * order * order) as f64);
-        // The ranks holding a column of the window: the first layout holds
-        // the mesh in `(x, y)` columns, cut by the grid's two coordinates.
-        let meets = |d: usize, (_, lo, hi): &(usize, usize, usize)| {
-            (*lo..*hi).any(|i| window.maps[d][i] != u32::MAX)
-        };
-        let [g0, g1] = dist.grid;
-        let dests = nonempty_parts(m, g0).filter(|x| meets(0, x)).flat_map(|(a, ..)| {
-            nonempty_parts(m, g1).filter(|y| meets(1, y)).map(move |(b, ..)| a * g1 + b)
-        });
-        let route = |dst| self.window_points(window.spans, dist.held(first, dst));
+        let dests = window_holders(window, *dist);
+        let route = |dst| self.window_points(window.spans, dist.held(Layout::Z, dst));
         let value = |at| sums[window.offset(at, "assignment")];
         let received = exchange(comm, traffic, Exchange::Charges, sums.len(), dests, route, value);
         drop(sums);
-        let target = dist.local(first, me);
-        let dense = &mut grids[0];
-        zeroed(dense, target.len(), Complex::ZERO);
-        let mine = dist.held(first, me);
+        let target = dist.local(Layout::Z, me);
+        zeroed(pencil, target.len(), Complex::ZERO);
+        let mine = dist.held(Layout::Z, me);
         let route = |src| self.window_points(self.spans(src), mine);
-        place(&received, &traffic.sources, route, |at, &q| dense[target.offset(at)].re += q);
+        place(&received, &traffic.sources, route, |at, &q| pencil[target.offset(at)].re += q);
+        comm.compute(Work::MeshPoint, target.len() as f64);
     }
 
-    /// Distribute computed mesh values (phi, Ex, Ey, Ez per point) from
-    /// layout `last` to the interpolation patches of the particle-grid
-    /// owners, then interpolate potentials/fields at the local particles and
-    /// apply the self-energy correction.
+    /// The distributed transform of the assigned charges: forward along z, y
+    /// and x, times the influence function into the four spectra, and those
+    /// back along x, y and z, each stage in the layout
+    /// [`Distribution::stage`] names. The mesh moves only where the layout
+    /// changes; it ends, like it started, in z-pencils.
+    fn transform(&self, comm: &mut Comm, cache: &mut FarFieldCache) {
+        let me = comm.rank();
+        let FarFieldCache { spec, dist, pencil, quad, line, traffic, .. } = cache;
+        let mut at = Layout::Z;
+        let mut fft_ops = 0u64;
+        for dim in [2, 1, 0] {
+            let stage = dist.stage(dim);
+            if stage != at {
+                let moved = (at, stage);
+                let received =
+                    dist.send_moved(comm, traffic, Exchange::Forward, moved, |o| pencil[o]);
+                zeroed(pencil, received.len(), Complex::ZERO);
+                dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| pencil[o] = c);
+                at = stage;
+            }
+            fft_ops += fft_lines(pencil, &dist.local(at, me), dim, Direction::Forward, line);
+        }
+
+        if spec.len() != pencil.len() {
+            spec.clear();
+            spec.extend(dist.points(at, me).map(|point| {
+                let [mx, my, mz] = point.map(|i| self.freq(i));
+                (self.influence(mx, my, mz), self.kvec(mx, my, mz))
+            }));
+        }
+        Self::apply_influence(spec, pencil, quad);
+        comm.compute(Work::MeshPoint, pencil.len() as f64 * 4.0);
+
+        for dim in [0, 1, 2] {
+            let stage = dist.stage(dim);
+            if stage != at {
+                let moved = (at, stage);
+                let received =
+                    dist.send_moved(comm, traffic, Exchange::Back, moved, |o| octet(quad, o));
+                for arr in quad.iter_mut() {
+                    zeroed(arr, received.len(), Complex::ZERO);
+                }
+                dist.place_moved(me, moved, &received, &traffic.sources, |o, v| {
+                    set_octet(quad, o, v)
+                });
+                at = stage;
+            }
+            let local = dist.local(at, me);
+            for arr in quad.iter_mut() {
+                fft_ops += fft_lines(arr, &local, dim, Direction::Inverse, line);
+            }
+        }
+        comm.compute(Work::FftPoint, fft_ops as f64);
+    }
+
+    /// Distribute computed mesh values (phi, Ex, Ey, Ez per point) from the
+    /// z-pencils to the interpolation patches of the particle-grid owners,
+    /// then interpolate potentials/fields at the local particles, reading the
+    /// received records where the cache's patch index says, and apply the
+    /// self-energy correction.
     fn distribute_and_interpolate(
         &self,
         comm: &mut Comm,
         cache: &mut FarFieldCache,
-        last: Layout,
         pos: &[Vec3],
         charge: &[f64],
     ) {
         let m = self.mesh;
         let order = self.assign_order;
         let me = comm.rank();
-        let FarFieldCache { window, dist, quad, weights, phi, field, traffic, .. } = cache;
-        let (held, mine) = (dist.held(last, me), dist.local(last, me));
+        let FarFieldCache {
+            window,
+            patch_index,
+            patch_sources,
+            dist,
+            quad,
+            weights,
+            phi,
+            field,
+            traffic,
+            ..
+        } = cache;
+        let (held, mine) = (dist.held(Layout::Z, me), dist.local(Layout::Z, me));
         // Per dimension: the grid coordinates whose patch meets this rank's
         // box, and how many of its points each patch holds.
         let shared = |d: usize, c: usize| {
@@ -755,18 +897,14 @@ impl FarFieldPlan {
             [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
         };
         let received = exchange(comm, traffic, Exchange::Patches, total, dests, route, value);
-
-        // Dense interpolation patch over this rank's wrapped mesh window.
-        let [ex, ey, ez] = window.extents();
-        let mut patch = vec![[0.0f64; 4]; ex * ey * ez];
-        assert_eq!(received.len(), patch.len(), "every window point arrives once");
-        let route = |src| self.window_points(window.spans, dist.held(last, src));
-        place(&received, &traffic.sources, route, |at, &v| {
-            patch[window.offset(at, "interpolation")] = v
-        });
+        assert!(
+            traffic.sources == *patch_sources,
+            "the patch exchange delivers the planned routes"
+        );
 
         zeroed(phi, pos.len(), 0.0);
         zeroed(field, pos.len(), Vec3::ZERO);
+        let [_, ey, ez] = window.extents();
         let [wx, wy, wz] = weights;
         for (pi, x) in pos.iter().enumerate() {
             let t = self.bbox.normalized(*x);
@@ -785,10 +923,11 @@ impl FarFieldPlan {
                         let oz = window.maps[2][gk] as usize;
                         let w = wab * wzc;
                         // An index outside the window maps to `u32::MAX`,
-                        // which puts the offset past the patch.
-                        let Some(v) = patch.get((ox * ey + oy) * ez + oz) else {
+                        // which puts the offset past the patch index.
+                        let Some(&k) = patch_index.get((ox * ey + oy) * ez + oz) else {
                             panic!("mesh point ({gi},{gj},{gk}) missing from patch")
                         };
+                        let v = &received[k as usize];
                         phi[pi] += w * v[0];
                         field[pi] += Vec3::new(v[1], v[2], v[3]) * w;
                     }
@@ -823,248 +962,6 @@ impl FarFieldPlan {
             quad[3][o] = mik_ph.scale(k.z());
         }
     }
-
-    /// Slab-decomposed execution (1D decomposition along x).
-    fn execute_slab(
-        &self,
-        comm: &mut Comm,
-        pos: &[Vec3],
-        charge: &[f64],
-        cache: &mut FarFieldCache,
-    ) {
-        let p = comm.size();
-        let me = comm.rank();
-        let m = self.mesh;
-        // x-slab of this rank — and, after the transpose, its y-slab.
-        let (s0, s1) = part_range(me, m, p);
-        let sn = s1 - s0;
-        // ---- Route contributions to x-slab owners and densify ----
-        // Slab layout: data[(x - s0) * m * m + y * m + z].
-        self.assign_and_route_charges(comm, pos, charge, cache, Layout::XSlab);
-        let FarFieldCache { spec, dist, grids: [slab, yslab, _], quad, line, traffic, .. } = cache;
-        comm.compute(Work::MeshPoint, (sn * m * m) as f64);
-
-        // ---- Forward 2D FFT (y, z) per x-plane ----
-        let mut fft_ops = 0u64;
-        for plane in slab.chunks_exact_mut(m * m) {
-            fft_ops += fft_2d(plane, m, Direction::Forward, line);
-        }
-
-        // ---- Transpose to y-slabs ----
-        // y-slab layout: data[(y - s0) * m * m + x * m + z].
-        let moved = (Layout::XSlab, Layout::YSlab);
-        let received = dist.send_moved(comm, traffic, Exchange::Forward, moved, |o| slab[o]);
-        zeroed(yslab, sn * m * m, Complex::ZERO);
-        dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| yslab[o] = c);
-        // ---- FFT along x (strided within the y-slab) ----
-        fft_ops += fft_axis_x(yslab, sn, m, Direction::Forward, line);
-
-        // ---- Influence function; produce phi-hat and ik-field-hat ----
-        if spec.len() != sn * m * m {
-            spec.clear();
-            for yi in 0..sn {
-                let myf = self.freq(s0 + yi);
-                for x in 0..m {
-                    let mxf = self.freq(x);
-                    for z in 0..m {
-                        let mzf = self.freq(z);
-                        spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
-                    }
-                }
-            }
-        }
-        Self::apply_influence(spec, yslab, quad);
-        comm.compute(Work::MeshPoint, (sn * m * m) as f64 * 4.0);
-
-        // ---- Inverse FFT along x for the four spectra ----
-        for arr in quad.iter_mut() {
-            fft_ops += fft_axis_x(arr, sn, m, Direction::Inverse, line);
-        }
-
-        // ---- Transpose back to x-slabs (four values per point) ----
-        let moved = (Layout::YSlab, Layout::XSlab);
-        let received = dist.send_moved(comm, traffic, Exchange::Back, moved, |o| octet(quad, o));
-        for arr in quad.iter_mut() {
-            zeroed(arr, sn * m * m, Complex::ZERO);
-        }
-        dist.place_moved(me, moved, &received, &traffic.sources, |o, v| set_octet(quad, o, v));
-        // ---- Inverse 2D FFT (y, z) per x-plane ----
-        for arr in quad.iter_mut() {
-            for plane in arr.chunks_exact_mut(m * m) {
-                fft_ops += fft_2d(plane, m, Direction::Inverse, line);
-            }
-        }
-        comm.compute(Work::FftPoint, fft_ops as f64);
-
-        // ---- Patch distribution + interpolation ----
-        self.distribute_and_interpolate(comm, cache, Layout::XSlab, pos, charge)
-    }
-
-    /// Pencil-decomposed execution (2D decomposition): the `P` ranks form a
-    /// `p1 x p2` grid; the three transform stages own z-, y- and x-pencils
-    /// respectively, so every rank carries transform work up to `P = mesh^2`.
-    fn execute_pencil(
-        &self,
-        comm: &mut Comm,
-        pos: &[Vec3],
-        charge: &[f64],
-        cache: &mut FarFieldCache,
-    ) {
-        let me = comm.rank();
-        let m = self.mesh;
-        let [p1, p2] = cache.dist.grid;
-        let (a_me, b_me) = (me / p2, me % p2);
-
-        // ---- Stage A: z-pencils (x in XA[a], y in YB[b], full z) ----
-        let (ax0, ax1) = part_range(a_me, m, p1);
-        let (ay0, ay1) = part_range(b_me, m, p2);
-        let (anx, any) = (ax1 - ax0, ay1 - ay0);
-        // Layout: zp[((xi * any) + yj) * m + z], z contiguous.
-        self.assign_and_route_charges(comm, pos, charge, cache, Layout::ZPencil);
-        let FarFieldCache { spec, dist, grids: [zp, yp, xp], quad, traffic, .. } = cache;
-        comm.compute(Work::MeshPoint, (anx * any * m) as f64);
-
-        // ---- FFT along z ----
-        let mut fft_ops = 0u64;
-        for line in zp.chunks_exact_mut(m) {
-            fft_ops += fft_in_place(line, Direction::Forward);
-        }
-
-        // ---- Transpose A -> B: y-pencils (x in XA[a] unchanged, z in ZB[b],
-        // full y). Traffic stays within each p1-row. ----
-        let (bz0, bz1) = part_range(b_me, m, p2);
-        let bnz = bz1 - bz0;
-        // Layout: yp[((xi * bnz) + zk) * m + y], y contiguous.
-        let moved = (Layout::ZPencil, Layout::YPencil);
-        let received = dist.send_moved(comm, traffic, Exchange::Forward, moved, |o| zp[o]);
-        zeroed(yp, anx * bnz * m, Complex::ZERO);
-        dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| yp[o] = c);
-
-        // ---- FFT along y ----
-        for line in yp.chunks_exact_mut(m) {
-            fft_ops += fft_in_place(line, Direction::Forward);
-        }
-
-        // ---- Transpose B -> C: x-pencils (y in YA[a], z in ZB[b] unchanged,
-        // full x). Traffic stays within each p2-column. ----
-        let (cy0, cy1) = part_range(a_me, m, p1);
-        let cny = cy1 - cy0;
-        // Layout: xp[((yj * bnz) + zk) * m + x], x contiguous.
-        let moved = (Layout::YPencil, Layout::XPencil);
-        let received = dist.send_moved(comm, traffic, Exchange::Forward, moved, |o| yp[o]);
-        zeroed(xp, cny * bnz * m, Complex::ZERO);
-        dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| xp[o] = c);
-
-        // ---- FFT along x ----
-        for line in xp.chunks_exact_mut(m) {
-            fft_ops += fft_in_place(line, Direction::Forward);
-        }
-
-        // ---- Influence function in the x-pencil layout ----
-        let n_local = cny * bnz * m;
-        if spec.len() != n_local {
-            spec.clear();
-            for yj in 0..cny {
-                let myf = self.freq(cy0 + yj);
-                for zk in 0..bnz {
-                    let mzf = self.freq(bz0 + zk);
-                    for x in 0..m {
-                        let mxf = self.freq(x);
-                        spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
-                    }
-                }
-            }
-        }
-        Self::apply_influence(spec, xp, quad);
-        comm.compute(Work::MeshPoint, n_local as f64 * 4.0);
-
-        // ---- Inverse FFT along x for the four spectra ----
-        for arr in quad.iter_mut() {
-            for line in arr.chunks_exact_mut(m) {
-                fft_ops += fft_in_place(line, Direction::Inverse);
-            }
-        }
-
-        // ---- Transpose C -> B (four spectra packed) ----
-        let moved = (Layout::XPencil, Layout::YPencil);
-        let received = dist.send_moved(comm, traffic, Exchange::Back, moved, |o| octet(quad, o));
-        for arr in quad.iter_mut() {
-            zeroed(arr, anx * bnz * m, Complex::ZERO);
-        }
-        dist.place_moved(me, moved, &received, &traffic.sources, |o, v| set_octet(quad, o, v));
-
-        // ---- Inverse FFT along y ----
-        for arr in quad.iter_mut() {
-            for line in arr.chunks_exact_mut(m) {
-                fft_ops += fft_in_place(line, Direction::Inverse);
-            }
-        }
-
-        // ---- Transpose B -> A ----
-        let moved = (Layout::YPencil, Layout::ZPencil);
-        let received = dist.send_moved(comm, traffic, Exchange::Back, moved, |o| octet(quad, o));
-        for arr in quad.iter_mut() {
-            zeroed(arr, anx * any * m, Complex::ZERO);
-        }
-        dist.place_moved(me, moved, &received, &traffic.sources, |o, v| set_octet(quad, o, v));
-
-        // ---- Inverse FFT along z ----
-        for arr in quad.iter_mut() {
-            for line in arr.chunks_exact_mut(m) {
-                fft_ops += fft_in_place(line, Direction::Inverse);
-            }
-        }
-        comm.compute(Work::FftPoint, fft_ops as f64);
-
-        // ---- Patch distribution + interpolation ----
-        self.distribute_and_interpolate(comm, cache, Layout::ZPencil, pos, charge)
-    }
-}
-
-/// 2D FFT of an `m x m` plane stored row-major (rows along the second index);
-/// `col` is an `m`-long scratch line.
-fn fft_2d(plane: &mut [Complex], m: usize, dir: Direction, col: &mut [Complex]) -> u64 {
-    debug_assert_eq!(plane.len(), m * m);
-    let mut ops = 0;
-    // Rows (contiguous).
-    for row in plane.chunks_exact_mut(m) {
-        ops += fft_in_place(row, dir);
-    }
-    // Columns (strided): gather/scatter through the scratch line.
-    for c in 0..m {
-        for r in 0..m {
-            col[r] = plane[r * m + c];
-        }
-        ops += fft_in_place(col, dir);
-        for r in 0..m {
-            plane[r * m + c] = col[r];
-        }
-    }
-    ops
-}
-
-/// FFT along the x axis of a y-slab array laid out as
-/// `data[(y_local * m + x) * m + z]`; `line` is an `m`-long scratch line.
-fn fft_axis_x(
-    data: &mut [Complex],
-    sy: usize,
-    m: usize,
-    dir: Direction,
-    line: &mut [Complex],
-) -> u64 {
-    let mut ops = 0;
-    for yi in 0..sy {
-        for z in 0..m {
-            for x in 0..m {
-                line[x] = data[(yi * m + x) * m + z];
-            }
-            ops += fft_in_place(line, dir);
-            for x in 0..m {
-                data[(yi * m + x) * m + z] = line[x];
-            }
-        }
-    }
-    ops
 }
 #[cfg(test)]
 mod tests {
@@ -1075,10 +972,10 @@ mod tests {
 
     #[test]
     fn floor_ranges_partition_the_mesh() {
-        // Process-grid extents, slab counts below and above the mesh, pencil
-        // grid extents: every index has exactly one owner, found directly,
-        // and the non-empty parts are listed in order without visiting the
-        // empty ones.
+        // Process-grid extents, transform grid extents below and above the
+        // mesh: every index has exactly one owner, found directly, and the
+        // non-empty parts are listed in order without visiting the empty
+        // ones.
         for m in [8usize, 16, 32] {
             for parts in [1usize, 2, 3, 5, 16, 40, 130] {
                 let mut covered = 0;
@@ -1112,7 +1009,7 @@ mod tests {
         for n in (1..=13).chain([16, 24, 27, 40, 64]) {
             for m in [8usize, 16, 32, 64] {
                 for order in 1..=6 {
-                    let plan = FarFieldPlan::new(m, order, 1.0, [n, 1, 1], bbox, MeshDecomp::Slab);
+                    let plan = FarFieldPlan::new(m, order, 1.0, [n, 1, 1], bbox);
                     let mut weights = vec![0.0; order];
                     // Per part: the lowest and highest point reached, unwrapped.
                     let mut ends = vec![(i64::MAX, i64::MIN); n];
@@ -1153,8 +1050,7 @@ mod tests {
 
     #[test]
     fn influence_zero_at_origin_and_positive() {
-        let plan =
-            FarFieldPlan::new(32, 3, 1.2, [2, 2, 2], SystemBox::cubic(8.0), MeshDecomp::default());
+        let plan = FarFieldPlan::new(32, 3, 1.2, [2, 2, 2], SystemBox::cubic(8.0));
         assert_eq!(plan.influence(0, 0, 0), 0.0);
         assert!(plan.influence(1, 0, 0) > 0.0);
         assert!(plan.influence(1, 2, 3) > 0.0);
@@ -1162,57 +1058,137 @@ mod tests {
         assert!(plan.influence(14, 14, 14) < plan.influence(1, 1, 1));
     }
 
+    /// What rank `me` of a far field on the process grid `dims` sends in each
+    /// exchange of one execution, from the geometry alone: charges in 8-byte
+    /// records, the transposes in 16 and 64, patch values in 32.
+    pub(super) fn closed_form(mesh: usize, order: usize, dims: [usize; 3], me: usize) -> [Sent; 4] {
+        let (m, h, [d0, d1, d2]) = (mesh, (order - 1) / 2, dims);
+        let p = d0 * d1 * d2;
+        // The window of grid coordinate `c` along `d`: the part's mesh range
+        // widened by `h` on either side, wrapped and capped at `m` points.
+        let window = |d: usize, c: usize| -> Vec<usize> {
+            let n = dims[d];
+            let (lo, hi) = (c * m / n, ((c + 1) * m).div_ceil(n));
+            (0..(hi - lo + 2 * h + 1).min(m)).map(|o| (lo + m - h + o) % m).collect()
+        };
+        let coords = [me / (d1 * d2), me / d2 % d1, me % d2];
+        let mine: [Vec<usize>; 3] = std::array::from_fn(|d| window(d, coords[d]));
+        let [g0, g1] = if p <= m {
+            [p, 1]
+        } else {
+            let grid = simcomm::balanced_dims(p, 2);
+            [grid[0], grid[1]]
+        };
+        let (xa, yb) = (part_range(me / g1, m, g0), part_range(me % g1, m, g1));
+        // Charges: the whole window, to the owner of each of its columns.
+        let owners = |d: usize, parts: usize| {
+            let mut owners: Vec<usize> = mine[d].iter().map(|&i| part_owner(i, m, parts)).collect();
+            owners.sort_unstable();
+            owners.dedup();
+            owners.len() as u64
+        };
+        let volume = mine.iter().map(Vec::len).product::<usize>() as u64;
+        let charges = Sent { messages: owners(0, g0) * owners(1, g1), bytes: 8 * volume };
+        // Transposes: one each way per grid extent above 1, each taking the
+        // rank's pencil (all three boxes are equal) whole to the non-empty
+        // parts of the coordinate that changes.
+        let points = ((xa.1 - xa.0) * (yb.1 - yb.0) * m) as u64;
+        let fanout = |parts: usize| if points > 0 && parts > 1 { m.min(parts) as u64 } else { 0 };
+        let moves = u64::from(g0 > 1) + u64::from(g1 > 1);
+        let forward = Sent { messages: fanout(g0) + fanout(g1), bytes: 16 * moves * points };
+        let back = Sent { messages: fanout(g0) + fanout(g1), bytes: 64 * moves * points };
+        // Patches: to every rank whose window meets this rank's box, the
+        // points they share.
+        let held = [xa, yb, (0, m)];
+        let shared: [Vec<u64>; 3] = std::array::from_fn(|d| {
+            let (lo, hi) = held[d];
+            let inside = |c| window(d, c).into_iter().filter(|i| (lo..hi).contains(i)).count();
+            (0..dims[d]).map(|c| inside(c) as u64).collect()
+        });
+        let patches = Sent {
+            messages: shared.iter().map(|s| s.iter().filter(|&&n| n > 0).count() as u64).product(),
+            bytes: 32 * shared.iter().map(|s| s.iter().sum::<u64>()).product::<u64>(),
+        };
+        [charges, forward, back, patches]
+    }
+
+    /// The far field at every world size it meets — P ∈ {1, 2, 3, 5, 8, 12,
+    /// 16, 27, 37, 64}, below, at and beyond each of the meshes 8, 16 and 32,
+    /// primes among them:
+    /// * the transform grid is `[P, 1]` while `P ≤ mesh` and the balanced 2D
+    ///   grid beyond, and in each stage's layout the ranks' boxes partition
+    ///   the mesh in local array order, none empty while both extents are at
+    ///   most the mesh;
+    /// * an execution makes two all-to-all-v plus two per grid extent above
+    ///   1 — the slab's four at `1 < P ≤ mesh`, six when both extents exceed
+    ///   1, two at `P = 1` — so no move along an extent of 1 is made, and the
+    ///   staging holds one pencil buffer, never grown past the rank's box;
+    /// * every exchange sends its closed-form messages and bytes;
+    /// * the energy matches the k-space part of Ewald to 1e-3, the bound the
+    ///   solver's total energy is held to.
     #[test]
-    fn pencil_matches_slab() {
-        // Identical physics from both decompositions, at several process
-        // counts including P > mesh extents along one axis.
-        let c = IonicCrystal::cubic(4, 1.0, 0.17, 12);
+    fn pencils_at_every_world_size() {
+        let c = IonicCrystal::cubic(4, 1.0, 0.13, 21);
         let bbox = c.system_box();
-        let n = c.n();
-        let alpha = 6.0 / bbox.lengths.x();
-        let mut pos_all = Vec::new();
-        let mut charge_all = Vec::new();
-        for i in 0..n as u64 {
-            let (x, q) = c.particle(i);
-            pos_all.push(x);
-            charge_all.push(q);
-        }
-        for p in [1usize, 4, 6, 9] {
-            let dims = {
-                let d = simcomm::balanced_dims(p, 3);
-                [d[0], d[1], d[2]]
-            };
-            let pos_all = pos_all.clone();
-            let charge_all = charge_all.clone();
-            let out = run(p, MachineModel::ideal(), move |comm| {
-                let me = comm.rank();
-                let mut pos = Vec::new();
-                let mut charge = Vec::new();
-                for (x, q) in pos_all.iter().zip(&charge_all) {
-                    if particles::grid_rank_of(dims, &bbox, *x) == me {
-                        pos.push(*x);
-                        charge.push(*q);
+        let (pos_all, charge_all): (Vec<Vec3>, Vec<f64>) =
+            (0..c.n() as u64).map(|i| c.particle(i)).unzip();
+        let (order, alpha) = (4, 1.0);
+        let params = EwaldParams { alpha, rcut: 1e-9, kmax: 10 };
+        let want = ewald(&pos_all, &charge_all, &bbox, params).energy;
+        for p in [1usize, 2, 3, 5, 8, 12, 16, 27, 37, 64] {
+            let balanced = simcomm::balanced_dims(p, 3);
+            let dims = [balanced[0], balanced[1], balanced[2]];
+            for mesh in [8usize, 16, 32] {
+                let what = format!("p {p} mesh {mesh}");
+                let dist = Distribution::new(mesh, p);
+                let rule = if p <= mesh { vec![p, 1] } else { simcomm::balanced_dims(p, 2) };
+                assert_eq!(dist.grid.to_vec(), rule, "{what}");
+                let [g0, g1] = dist.grid;
+                for layout in [Layout::Z, Layout::Y, Layout::X] {
+                    let mut holders = vec![0u8; mesh * mesh * mesh];
+                    for r in 0..p {
+                        let local = dist.local(layout, r);
+                        for (o, at) in dist.points(layout, r).enumerate() {
+                            assert_eq!(local.offset(at), o, "{what} {layout:?} rank {r}");
+                            holders[(at[0] * mesh + at[1]) * mesh + at[2]] += 1;
+                        }
+                        let filled = dist.points(layout, r).count();
+                        assert_eq!(filled, local.len(), "{what} {layout:?} rank {r}");
+                        assert!(filled > 0 || g0 > mesh, "{what} {layout:?}: rank {r} idles");
                     }
+                    assert!(holders.iter().all(|&n| n == 1), "{what} {layout:?}: not a partition");
                 }
-                let mut plan = FarFieldPlan::new(8, 3, alpha, dims, bbox, MeshDecomp::Slab);
-                let (phi_s, field_s) = plan.execute(comm, &pos, &charge);
-                plan.decomp = MeshDecomp::Pencil;
-                let (phi_p, field_p) = plan.execute(comm, &pos, &charge);
-                (phi_s, field_s, phi_p, field_p)
-            });
-            for (phi_s, field_s, phi_p, field_p) in &out.results {
-                for (a, b) in phi_s.iter().zip(phi_p) {
-                    assert!((a - b).abs() < 1e-10 * a.abs().max(1.0), "p={p}: {a} vs {b}");
+
+                let plan = FarFieldPlan::new(mesh, order, alpha, dims, bbox);
+                let out = run(p, MachineModel::juropa_like(), |comm| {
+                    let me = comm.rank();
+                    let mine = pos_all.iter().zip(&charge_all);
+                    let (pos, charge): (Vec<Vec3>, Vec<f64>) = mine
+                        .filter(|(x, _)| particles::grid_rank_of(dims, &bbox, **x) == me)
+                        .unzip();
+                    let mut cache = FarFieldCache::default();
+                    let before = comm.stats().coll_ops;
+                    let (phi, _) = plan.execute_into(comm, &pos, &charge, &mut cache);
+                    let energy = 0.5 * phi.iter().zip(&charge).map(|(f, q)| f * q).sum::<f64>();
+                    let collectives = comm.stats().coll_ops - before;
+                    let kept = (cache.pencil.capacity(), cache.dist.local(Layout::Z, me).len());
+                    (energy, collectives, cache.traffic.sent, kept)
+                });
+                let alltoallv = 2 + 2 * (u64::from(g0 > 1) + u64::from(g1 > 1));
+                for (me, (_, collectives, sent, (kept, boxed))) in out.results.iter().enumerate() {
+                    assert_eq!(*collectives, alltoallv, "{what}: rank {me} all-to-all-v");
+                    assert_eq!(*sent, closed_form(mesh, order, dims, me), "{what}: rank {me}");
+                    assert_eq!(kept, boxed, "{what}: rank {me} keeps more than its pencil");
                 }
-                for (a, b) in field_s.iter().zip(field_p) {
-                    assert!((*a - *b).norm() < 1e-10, "p={p}");
-                }
+                let energy: f64 = out.results.iter().map(|r| r.0).sum();
+                let rel = (energy - want).abs() / want.abs();
+                assert!(rel < 1e-3, "{what}: energy {energy} vs Ewald {want}, rel {rel:e}");
             }
         }
     }
 
     #[test]
-    fn one_cache_serves_plans_of_another_mesh_and_decomposition() {
+    fn one_cache_serves_plans_of_another_mesh() {
         // A cache that has served one plan is rebuilt, not reused, for a plan
         // of another geometry: every execution returns the bits a fresh cache
         // gives.
@@ -1226,65 +1202,20 @@ mod tests {
                 .filter(|(x, _)| particles::grid_rank_of(dims, &bbox, *x) == me);
             let (pos, charge): (Vec<Vec3>, Vec<f64>) = owned.unzip();
             let mut cache = FarFieldCache::default();
-            for (mesh, decomp, n) in [
-                (8, MeshDecomp::Slab, pos.len()),
-                (16, MeshDecomp::Slab, pos.len() / 2),
-                (16, MeshDecomp::Pencil, pos.len()),
-                (8, MeshDecomp::Slab, 0),
-                (8, MeshDecomp::Slab, pos.len()),
-            ] {
-                let plan = FarFieldPlan::new(mesh, 3, 6.0 / bbox.lengths.x(), dims, bbox, decomp);
+            // Mesh 2 puts the world beyond the mesh, on a 2 x 2 transform grid.
+            for (mesh, n) in
+                [(8, pos.len()), (16, pos.len() / 2), (2, pos.len()), (8, 0), (8, pos.len())]
+            {
+                let plan = FarFieldPlan::new(mesh, 3, 6.0 / bbox.lengths.x(), dims, bbox);
                 let got = plan.execute_cached(comm, &pos[..n], &charge[..n], &mut cache);
                 let want = plan.execute(comm, &pos[..n], &charge[..n]);
                 let bits = |(phi, field): &(Vec<f64>, Vec<Vec3>)| {
                     let phi: Vec<u64> = phi.iter().map(|x| x.to_bits()).collect();
                     (phi, format!("{field:?}"))
                 };
-                assert_eq!(bits(&got), bits(&want), "mesh {mesh} {decomp:?} n {n} rank {me}");
+                assert_eq!(bits(&got), bits(&want), "mesh {mesh} n {n} rank {me}");
             }
         });
-    }
-
-    #[test]
-    fn pencil_spreads_fft_work_beyond_mesh_ranks() {
-        // With P > mesh, the slab decomposition idles most ranks during the
-        // transforms while pencils keep them busy; compare per-rank modelled
-        // compute spread (max/mean of compute_seconds).
-        let c = IonicCrystal::cubic(4, 1.0, 0.1, 5);
-        let bbox = c.system_box();
-        let n = c.n();
-        let p = 16; // mesh = 8 < P
-        let imbalance = |decomp: MeshDecomp| -> f64 {
-            let c = c.clone();
-            let out = run(p, MachineModel::juqueen_like(), move |comm| {
-                let dims = {
-                    let d = simcomm::balanced_dims(p, 3);
-                    [d[0], d[1], d[2]]
-                };
-                let me = comm.rank();
-                let mut pos = Vec::new();
-                let mut charge = Vec::new();
-                for i in 0..n as u64 {
-                    let (x, q) = c.particle(i);
-                    if particles::grid_rank_of(dims, &bbox, x) == me {
-                        pos.push(x);
-                        charge.push(q);
-                    }
-                }
-                let plan = FarFieldPlan::new(8, 3, 6.0 / bbox.lengths.x(), dims, bbox, decomp);
-                let _ = plan.execute(comm, &pos, &charge);
-                comm.stats().compute_seconds
-            });
-            let max = out.results.iter().cloned().fold(0.0, f64::max);
-            let mean = out.results.iter().sum::<f64>() / p as f64;
-            max / mean
-        };
-        let slab = imbalance(MeshDecomp::Slab);
-        let pencil = imbalance(MeshDecomp::Pencil);
-        assert!(
-            pencil < slab,
-            "pencils must balance better than slabs at P > mesh: {pencil} vs {slab}"
-        );
     }
 
     /// Far field + analytic real-space remainder must reproduce Ewald.
@@ -1307,7 +1238,7 @@ mod tests {
         // Reference: Ewald with a negligible real-space part is exactly the
         // k-space + self contribution.
         let want = ewald(&pos, &charge, &bbox, EwaldParams { alpha, rcut: 1e-9, kmax: 14 });
-        let plan = FarFieldPlan::new(64, 4, alpha, [1, 1, 1], bbox, MeshDecomp::default());
+        let plan = FarFieldPlan::new(64, 4, alpha, [1, 1, 1], bbox);
         let out = run(1, MachineModel::ideal(), |comm| plan.execute(comm, &pos, &charge));
         let (phi, field) = &out.results[0];
         let scale =
@@ -1342,7 +1273,7 @@ mod tests {
             charge_all.push(q);
         }
         // Serial reference.
-        let plan1 = FarFieldPlan::new(32, 3, alpha, [1, 1, 1], bbox, MeshDecomp::default());
+        let plan1 = FarFieldPlan::new(32, 3, alpha, [1, 1, 1], bbox);
         let serial =
             run(1, MachineModel::ideal(), |comm| plan1.execute(comm, &pos_all, &charge_all));
         let (phi_ref, _) = &serial.results[0];
@@ -1362,7 +1293,7 @@ mod tests {
                     ids.push(i);
                 }
             }
-            let plan = FarFieldPlan::new(32, 3, alpha, dims, bbox, MeshDecomp::default());
+            let plan = FarFieldPlan::new(32, 3, alpha, dims, bbox);
             let (phi, _) = plan.execute(comm, &pos, &charge);
             (ids, phi)
         });

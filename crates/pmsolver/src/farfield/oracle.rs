@@ -3,15 +3,15 @@
 //! charge route sends only the points some particle touched, and receivers
 //! place records by unpacking the index. Kept verbatim except that windows
 //! and patches are the plan's ([`super::reach`]) and the message bookkeeping
-//! lives in the cache's `traffic`. The property test below pins the
-//! index-free code to it bit for bit.
+//! lives in the cache's `traffic`. It makes every transpose, the ones whose
+//! only partner is the rank itself included, and transforms contiguous lines
+//! only. The property test below pins the index-free code to it bit for bit.
 
 use particles::Vec3;
 use simcomm::{push_segment, Comm, Work};
 
 use super::{
-    fft_2d, fft_axis_x, nonempty_parts, octet, part_owner, part_range, set_octet, zeroed,
-    FarFieldCache, FarFieldPlan, MeshDecomp,
+    nonempty_parts, octet, part_owner, part_range, set_octet, zeroed, FarFieldCache, FarFieldPlan,
 };
 use crate::bspline::stencil;
 use crate::fft::{fft_in_place, Complex, Direction};
@@ -49,10 +49,7 @@ impl FarFieldPlan {
         cache: &mut FarFieldCache,
     ) -> (Vec<f64>, Vec<Vec3>) {
         self.prepare(comm, cache);
-        match self.decomp {
-            MeshDecomp::Slab => self.execute_slab_oracle(comm, pos, charge, cache),
-            MeshDecomp::Pencil => self.execute_pencil_oracle(comm, pos, charge, cache),
-        }
+        self.execute_pencil_oracle(comm, pos, charge, cache);
         (cache.phi.clone(), cache.field.clone())
     }
 
@@ -224,125 +221,9 @@ impl FarFieldPlan {
         comm.compute(Work::ParticleOp, pos.len() as f64);
     }
 
-    /// Slab-decomposed execution (1D decomposition along x).
-    fn execute_slab_oracle(
-        &self,
-        comm: &mut Comm,
-        pos: &[Vec3],
-        charge: &[f64],
-        cache: &mut FarFieldCache,
-    ) {
-        let p = comm.size();
-        let me = comm.rank();
-        let m = self.mesh;
-        // x-slab of this rank — and, after the transpose, its y-slab.
-        let (s0, s1) = part_range(me, m, p);
-        let sn = s1 - s0;
-        // ---- Route contributions to x-slab owners and densify ----
-        let charges = self
-            .assign_and_route_charges_oracle(comm, pos, charge, cache, |i, _| part_owner(i, m, p));
-        let FarFieldCache { spec, grids: [slab, yslab, _], quad, line, traffic, .. } = cache;
-        let (segments, sources) = (&mut traffic.segments, &mut traffic.sources);
-        // Slab layout: data[(x - s0) * m * m + y * m + z].
-        zeroed(slab, sn * m * m, Complex::ZERO);
-        for (idx, val) in charges {
-            let [i, j, k] = self.unpack(idx);
-            debug_assert!((s0..s1).contains(&i));
-            slab[((i - s0) * m + j) * m + k].re += val;
-        }
-        comm.compute(Work::MeshPoint, (sn * m * m) as f64);
-
-        // ---- Forward 2D FFT (y, z) per x-plane ----
-        let mut fft_ops = 0u64;
-        for plane in slab.chunks_exact_mut(m * m) {
-            fft_ops += fft_2d(plane, m, Direction::Forward, line);
-        }
-
-        // ---- Transpose to y-slabs ----
-        let mut send = Vec::with_capacity(sn * m * m);
-        segments.clear();
-        for (dst, y0, y1) in nonempty_parts(m, p) {
-            let points =
-                (0..sn).flat_map(|xi| (y0..y1).flat_map(move |y| (0..m).map(move |z| (xi, y, z))));
-            let records = points.map(|(xi, y, z)| {
-                let c = slab[(xi * m + y) * m + z];
-                (self.pack(s0 + xi, y, z), [c.re, c.im])
-            });
-            pack(&mut send, segments, dst, records);
-        }
-        let mut received = Vec::new();
-        comm.alltoallv_flat(send, segments, &mut received, sources);
-        // y-slab layout: data[(y - s0) * m * m + x * m + z].
-        zeroed(yslab, sn * m * m, Complex::ZERO);
-        for (idx, [re, im]) in received {
-            let [x, y, z] = self.unpack(idx);
-            debug_assert!((s0..s1).contains(&y));
-            yslab[((y - s0) * m + x) * m + z] = Complex::new(re, im);
-        }
-        // ---- FFT along x (strided within the y-slab) ----
-        fft_ops += fft_axis_x(yslab, sn, m, Direction::Forward, line);
-
-        // ---- Influence function; produce phi-hat and ik-field-hat ----
-        if spec.len() != sn * m * m {
-            spec.clear();
-            for yi in 0..sn {
-                let myf = self.freq(s0 + yi);
-                for x in 0..m {
-                    let mxf = self.freq(x);
-                    for z in 0..m {
-                        let mzf = self.freq(z);
-                        spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
-                    }
-                }
-            }
-        }
-        Self::apply_influence(spec, yslab, quad);
-        comm.compute(Work::MeshPoint, (sn * m * m) as f64 * 4.0);
-
-        // ---- Inverse FFT along x for the four spectra ----
-        for arr in quad.iter_mut() {
-            fft_ops += fft_axis_x(arr, sn, m, Direction::Inverse, line);
-        }
-
-        // ---- Transpose back to x-slabs (four values per point) ----
-        let mut send = Vec::with_capacity(sn * m * m);
-        segments.clear();
-        for (dst, x0, x1) in nonempty_parts(m, p) {
-            let points =
-                (0..sn).flat_map(|yi| (x0..x1).flat_map(move |x| (0..m).map(move |z| (yi, x, z))));
-            let records = points
-                .map(|(yi, x, z)| (self.pack(x, s0 + yi, z), octet(quad, (yi * m + x) * m + z)));
-            pack(&mut send, segments, dst, records);
-        }
-        let mut received = Vec::new();
-        comm.alltoallv_flat(send, segments, &mut received, sources);
-        for arr in quad.iter_mut() {
-            zeroed(arr, sn * m * m, Complex::ZERO);
-        }
-        for (idx, v) in received {
-            let [x, y, z] = self.unpack(idx);
-            set_octet(quad, ((x - s0) * m + y) * m + z, &v);
-        }
-        // ---- Inverse 2D FFT (y, z) per x-plane ----
-        for arr in quad.iter_mut() {
-            for plane in arr.chunks_exact_mut(m * m) {
-                fft_ops += fft_2d(plane, m, Direction::Inverse, line);
-            }
-        }
-        comm.compute(Work::FftPoint, fft_ops as f64);
-
-        // ---- Patch distribution + interpolation ----
-        let value = move |quad: &[Vec<Complex>; 4], [i, j, k]: [usize; 3]| {
-            let o = ((i - s0) * m + j) * m + k;
-            [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
-        };
-        let owned = [(s0, s1), (0, m), (0, m)];
-        self.distribute_and_interpolate_oracle(comm, cache, owned, value, pos, charge)
-    }
-
-    /// Pencil-decomposed execution (2D decomposition): the `P` ranks form a
-    /// `p1 x p2` grid; the three transform stages own z-, y- and x-pencils
-    /// respectively, so every rank carries transform work up to `P = mesh^2`.
+    /// Pencil-decomposed execution (2D decomposition): the `P` ranks form the
+    /// plan's `p1 x p2` transform grid; the three transform stages own z-, y-
+    /// and x-pencils respectively.
     fn execute_pencil_oracle(
         &self,
         comm: &mut Comm,
@@ -350,11 +231,9 @@ impl FarFieldPlan {
         charge: &[f64],
         cache: &mut FarFieldCache,
     ) {
-        let p = comm.size();
         let me = comm.rank();
         let m = self.mesh;
-        let grid = simcomm::balanced_dims(p, 2);
-        let (p1, p2) = (grid[0], grid[1]);
+        let [p1, p2] = cache.dist.grid;
         let (a_me, b_me) = (me / p2, me % p2);
         let rank_of = |a: usize, b: usize| a * p2 + b;
 
@@ -365,10 +244,11 @@ impl FarFieldPlan {
         let charges = self.assign_and_route_charges_oracle(comm, pos, charge, cache, |i, j| {
             rank_of(part_owner(i, m, p1), part_owner(j, m, p2))
         });
-        let FarFieldCache { spec, grids: [zp, yp, xp], quad, traffic, .. } = cache;
+        let FarFieldCache { quad, traffic, .. } = cache;
         let (segments, sources) = (&mut traffic.segments, &mut traffic.sources);
+        let (mut zp, mut yp, mut xp, mut spec) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         // Layout: zp[((xi * any) + yj) * m + z], z contiguous.
-        zeroed(zp, anx * any * m, Complex::ZERO);
+        zeroed(&mut zp, anx * any * m, Complex::ZERO);
         for (idx, val) in charges {
             let [i, j, k] = self.unpack(idx);
             debug_assert!((ax0..ax1).contains(&i) && (ay0..ay1).contains(&j));
@@ -400,7 +280,7 @@ impl FarFieldPlan {
         let mut received = Vec::new();
         comm.alltoallv_flat(send, segments, &mut received, sources);
         // Layout: yp[((xi * bnz) + zk) * m + y], y contiguous.
-        zeroed(yp, anx * bnz * m, Complex::ZERO);
+        zeroed(&mut yp, anx * bnz * m, Complex::ZERO);
         for &(idx, [re, im]) in received.iter() {
             let [i, j, k] = self.unpack(idx);
             debug_assert!((ax0..ax1).contains(&i) && (bz0..bz1).contains(&k));
@@ -429,7 +309,7 @@ impl FarFieldPlan {
         }
         comm.alltoallv_flat(send, segments, &mut received, sources);
         // Layout: xp[((yj * bnz) + zk) * m + x], x contiguous.
-        zeroed(xp, cny * bnz * m, Complex::ZERO);
+        zeroed(&mut xp, cny * bnz * m, Complex::ZERO);
         for (idx, [re, im]) in received {
             let [i, j, k] = self.unpack(idx);
             debug_assert!((cy0..cy1).contains(&j) && (bz0..bz1).contains(&k));
@@ -443,20 +323,17 @@ impl FarFieldPlan {
 
         // ---- Influence function in the x-pencil layout ----
         let n_local = cny * bnz * m;
-        if spec.len() != n_local {
-            spec.clear();
-            for yj in 0..cny {
-                let myf = self.freq(cy0 + yj);
-                for zk in 0..bnz {
-                    let mzf = self.freq(bz0 + zk);
-                    for x in 0..m {
-                        let mxf = self.freq(x);
-                        spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
-                    }
+        for yj in 0..cny {
+            let myf = self.freq(cy0 + yj);
+            for zk in 0..bnz {
+                let mzf = self.freq(bz0 + zk);
+                for x in 0..m {
+                    let mxf = self.freq(x);
+                    spec.push((self.influence(mxf, myf, mzf), self.kvec(mxf, myf, mzf)));
                 }
             }
         }
-        Self::apply_influence(spec, xp, quad);
+        Self::apply_influence(&spec, &xp, quad);
         comm.compute(Work::MeshPoint, n_local as f64 * 4.0);
 
         // ---- Inverse FFT along x for the four spectra ----
@@ -538,7 +415,8 @@ mod tests {
     use particles::{grid_rank_of, SystemBox, Vec3};
     use simcomm::{run, MachineModel};
 
-    use super::super::{part_owner, part_range, FarFieldCache, FarFieldPlan, MeshDecomp, Sent};
+    use super::super::tests::closed_form;
+    use super::super::{FarFieldCache, FarFieldPlan, Sent};
 
     /// splitmix64 stream for the property test below.
     struct Gen(u64);
@@ -562,7 +440,6 @@ mod tests {
     struct World {
         mesh: usize,
         order: usize,
-        decomp: MeshDecomp,
         dims: [usize; 3],
         particles: Vec<(Vec3, f64)>,
     }
@@ -579,7 +456,7 @@ mod tests {
             let me = comm.rank();
             let mine = w.particles.iter().filter(|(x, _)| grid_rank_of(w.dims, &b, *x) == me);
             let (pos, charge): (Vec<Vec3>, Vec<f64>) = mine.copied().unzip();
-            let plan = FarFieldPlan::new(w.mesh, w.order, 2.0, w.dims, b, w.decomp);
+            let plan = FarFieldPlan::new(w.mesh, w.order, 2.0, w.dims, b);
             let mut cache = FarFieldCache::default();
             let before = comm.stats().clone();
             let (phi, field) = if oracle {
@@ -599,67 +476,6 @@ mod tests {
             (bits, cache.traffic.sent, counted)
         });
         out.results
-    }
-
-    /// What rank `me` of `w` sends in each exchange, from the geometry alone:
-    /// charges in 8-byte records, the transposes in 16 and 64, patch values
-    /// in 32.
-    fn closed_form(w: &World, me: usize) -> [Sent; 4] {
-        let (m, h, [d0, d1, d2]) = (w.mesh, (w.order - 1) / 2, w.dims);
-        let p = d0 * d1 * d2;
-        // The window of grid coordinate `c` along `d`: the part's mesh range
-        // widened by `h` on either side, wrapped and capped at `m` points.
-        let window = |d: usize, c: usize| -> Vec<usize> {
-            let n = w.dims[d];
-            let (lo, hi) = (c * m / n, ((c + 1) * m).div_ceil(n));
-            (0..(hi - lo + 2 * h + 1).min(m)).map(|o| (lo + m - h + o) % m).collect()
-        };
-        let coords = [me / (d1 * d2), me / d2 % d1, me % d2];
-        let mine: [Vec<usize>; 3] = std::array::from_fn(|d| window(d, coords[d]));
-        let [g0, g1] = match w.decomp {
-            MeshDecomp::Slab => [p, 1],
-            MeshDecomp::Pencil => {
-                let grid = simcomm::balanced_dims(p, 2);
-                [grid[0], grid[1]]
-            }
-        };
-        let (xa, yb) = (part_range(me / g1, m, g0), part_range(me % g1, m, g1));
-        // Charges: the whole window, to the owner of each of its columns.
-        let owners = |d: usize, parts: usize| {
-            let mut owners: Vec<usize> = mine[d].iter().map(|&i| part_owner(i, m, parts)).collect();
-            owners.sort_unstable();
-            owners.dedup();
-            owners.len() as u64
-        };
-        let volume = mine.iter().map(Vec::len).product::<usize>() as u64;
-        let charges = Sent { messages: owners(0, g0) * owners(1, g1), bytes: 8 * volume };
-        // Transposes: a slab (or each of the three equal pencil boxes) goes
-        // whole to the non-empty parts of the coordinate that changes.
-        let points = ((xa.1 - xa.0) * (yb.1 - yb.0) * m) as u64;
-        let fanout = |parts: usize| if points > 0 { m.min(parts) as u64 } else { 0 };
-        let (forward, back) = match w.decomp {
-            MeshDecomp::Slab => (
-                Sent { messages: fanout(p), bytes: 16 * points },
-                Sent { messages: fanout(p), bytes: 64 * points },
-            ),
-            MeshDecomp::Pencil => (
-                Sent { messages: fanout(g1) + fanout(g0), bytes: 2 * 16 * points },
-                Sent { messages: fanout(g0) + fanout(g1), bytes: 2 * 64 * points },
-            ),
-        };
-        // Patches: to every rank whose window meets this rank's box, the
-        // points they share.
-        let held = [xa, yb, (0, m)];
-        let shared: [Vec<u64>; 3] = std::array::from_fn(|d| {
-            let (lo, hi) = held[d];
-            let inside = |c| window(d, c).into_iter().filter(|i| (lo..hi).contains(i)).count();
-            (0..w.dims[d]).map(|c| inside(c) as u64).collect()
-        });
-        let patches = Sent {
-            messages: shared.iter().map(|s| s.iter().filter(|&&n| n > 0).count() as u64).product(),
-            bytes: 32 * shared.iter().map(|s| s.iter().sum::<u64>()).product::<u64>(),
-        };
-        [charges, forward, back, patches]
     }
 
     /// `n` particles with charges in (-1, 1), uniform over the box's lower
@@ -693,9 +509,10 @@ mod tests {
     /// closed-form bytes and messages per exchange, as its communicator
     /// counts them too. Worlds: p in {1, 2, 3, 5, 6, 8, 12, 27, 64} on the
     /// balanced process grid and on a line of p parts (n = 6, 12, 27, 64
-    /// along x, more parts than mesh points at 64), both decompositions
-    /// (slabs with P > mesh from 12 ranks on), meshes 8, 16 and 32, orders 1
-    /// to 6, full worlds and worlds whose upper half is empty.
+    /// along x, more parts than mesh points at 64), two cases each: meshes
+    /// 8, 16 and 32 (transform grids `[p, 1]` up to the mesh, wider ones with
+    /// both extents above 1 and with more parts than mesh points beyond it),
+    /// orders 1 to 6, full worlds and worlds whose upper half is empty.
     #[test]
     fn index_free_far_field_matches_the_oracle_bit_for_bit() {
         let mut g = Gen(0x00f2_1e1d_0ac1_e000);
@@ -707,20 +524,21 @@ mod tests {
                 grids.push([p, 1, 1]);
             }
             for dims in grids {
-                for decomp in [MeshDecomp::Slab, MeshDecomp::Pencil] {
+                for _ in 0..2 {
                     // Every (mesh, order) pair within the first 18 cases.
                     let (mesh, order) = ([8, 16, 32][case % 3], 1 + case / 3 % 6);
                     let fill = if (case / 2).is_multiple_of(2) { 1.0 } else { 0.5 };
                     let particles = particles(&mut g, dims, fill, 150);
-                    let w = World { mesh, order, decomp, dims, particles };
-                    let what = format!("p {p} dims {dims:?} {decomp:?} mesh {mesh} order {order}");
+                    let w = World { mesh, order, dims, particles };
+                    let what = format!("p {p} dims {dims:?} mesh {mesh} order {order}");
                     let want = run_world(&w, true);
                     let got = run_world(&w, false);
                     for (me, ((bits, sent, counted), (oracle_bits, ..))) in
                         got.iter().zip(&want).enumerate()
                     {
                         assert_eq!(bits, oracle_bits, "{what} fill {fill}: rank {me} differs");
-                        assert_eq!(*sent, closed_form(&w, me), "{what}: rank {me} traffic");
+                        let want = closed_form(mesh, order, dims, me);
+                        assert_eq!(*sent, want, "{what}: rank {me} traffic");
                         let total =
                             sent.iter().fold((0, 0), |t, s| (t.0 + s.messages, t.1 + s.bytes));
                         assert_eq!(*counted, total, "{what}: rank {me} counted traffic");

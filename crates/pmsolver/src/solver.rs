@@ -10,7 +10,7 @@ use particles::{
 };
 use simcomm::{CartGrid, Comm, CommPlan, Work};
 
-use crate::farfield::{FarFieldCache, FarFieldPlan, MeshDecomp};
+use crate::farfield::{FarFieldCache, FarFieldPlan};
 use crate::nearfield::near_field_of;
 
 /// Static configuration of the particle-mesh solver.
@@ -27,10 +27,6 @@ pub struct PmConfig {
     /// Optional short-range repulsive core evaluated in the near field
     /// (see [`particles::coupling::SoftCore`]). `None` = pure Coulomb.
     pub soft_core: Option<particles::SoftCore>,
-    /// Use the 2D pencil decomposition for the parallel FFT instead of 1D
-    /// slabs (see [`MeshDecomp`]); recommended when the process count
-    /// exceeds the mesh extent.
-    pub pencil: bool,
 }
 
 impl PmConfig {
@@ -55,7 +51,7 @@ impl PmConfig {
         let resolve = alpha * lmax / max_alpha_h;
         let mesh_min = kspace.max(resolve).ceil() as usize;
         let mesh = mesh_min.next_power_of_two().clamp(8, 512);
-        PmConfig { mesh, assign_order, alpha, rcut, soft_core: None, pencil: false }
+        PmConfig { mesh, assign_order, alpha, rcut, soft_core: None }
     }
 }
 
@@ -132,8 +128,6 @@ struct Workspace {
     targets: Vec<usize>,
     /// Linked-cell keys of the owned particles.
     keys: Vec<u64>,
-    /// Ghost copies per partner slot.
-    counts: Vec<usize>,
     /// The owned particles as columns (moved into the output under Method B).
     pos: Vec<Vec3>,
     charge: Vec<f64>,
@@ -150,13 +144,22 @@ struct GhostEpoch {
     ids: Vec<u64>,
     /// Linked-cell keys of those particles at build time.
     keys: Vec<u64>,
-    /// Per partner slot: owned indices (solver order) duplicated there.
-    sends: Vec<Vec<u32>>,
+    /// The owned indices (solver order) duplicated to each partner, slot
+    /// after slot, and per partner slot how many of them go there.
+    sends: Vec<u32>,
+    counts: Vec<usize>,
     /// Selection margin headroom beyond the cutoff; negative when the routes
     /// hold for this step only.
     skin: f64,
     /// Maximum-movement bounds accumulated since the epoch was built.
     acc_move: f64,
+}
+
+impl GhostEpoch {
+    /// What the routes cost to keep: four bytes per index, eight per slot.
+    fn route_bytes(&self) -> u64 {
+        (4 * self.sends.len() + 8 * self.counts.len()) as u64
+    }
 }
 
 /// The parallel particle-mesh Ewald solver (P2NFFT stand-in).
@@ -207,8 +210,7 @@ impl PmSolver {
              use fewer processes or a smaller cutoff",
             rcut = cfg.rcut
         );
-        let decomp = if cfg.pencil { MeshDecomp::Pencil } else { MeshDecomp::Slab };
-        let far_plan = FarFieldPlan::new(cfg.mesh, cfg.assign_order, cfg.alpha, dims, bbox, decomp);
+        let far_plan = FarFieldPlan::new(cfg.mesh, cfg.assign_order, cfg.alpha, dims, bbox);
         PmSolver {
             cfg,
             bbox,
@@ -486,11 +488,11 @@ impl PmSolver {
             // needs to deduplicate).
             let margin = rcut + skin_bound;
             let epoch = self.epoch.get_or_insert_with(GhostEpoch::default);
-            epoch.sends.resize_with(statics.ghost_routes.len(), Vec::new);
-            epoch.sends.iter_mut().for_each(Vec::clear);
-            for (j, rec) in owned.iter().enumerate() {
-                for (slot, offsets) in statics.ghost_routes.iter().enumerate() {
-                    let reached = offsets.iter().any(|&[ddx, ddy, ddz]| {
+            epoch.sends.clear();
+            epoch.counts.clear();
+            for offsets in &statics.ghost_routes {
+                let reached = |rec: &Particle| {
+                    offsets.iter().any(|&[ddx, ddy, ddz]| {
                         let mut dist2 = 0.0;
                         for (d, dd) in [ddx, ddy, ddz].into_iter().enumerate() {
                             let g = match dd {
@@ -501,11 +503,13 @@ impl PmSolver {
                             dist2 += g * g;
                         }
                         dist2 <= margin * margin
-                    });
-                    if reached {
-                        epoch.sends[slot].push(j as u32);
-                    }
-                }
+                    })
+                };
+                let before = epoch.sends.len();
+                epoch
+                    .sends
+                    .extend((0u32..).zip(&owned).filter(|(_, r)| reached(r)).map(|(j, _)| j));
+                epoch.counts.push(epoch.sends.len() - before);
             }
             comm.compute(Work::ParticleOp, (owned.len() * statics.n_offsets) as f64);
             epoch.ids.clear();
@@ -519,7 +523,7 @@ impl PmSolver {
                 self.plan_builds += 1;
                 // Epoch snapshot (keys recomputed in solver order).
                 comm.compute(Work::ParticleOp, owned.len() as f64);
-                let route_bytes: u64 = epoch.sends.iter().map(|s| (s.len() * 4 + 8) as u64).sum();
+                let route_bytes = epoch.route_bytes();
                 epoch.ids.extend(owned.iter().map(|r| r.id));
                 epoch.keys.extend(owned.iter().map(|r| cell_key(r.pos)));
                 epoch.skin = skin_bound;
@@ -527,24 +531,19 @@ impl PmSolver {
             }
         }
         let epoch = self.epoch.as_ref().expect("epoch set above");
-        let sends = &epoch.sends;
         if epoch.skin >= 0.0 {
             // One route-plan execution per step in cacheable mode (hit or
             // just rebuilt), pairing the `plan_build` above — the partner
             // schedule's own execution is counted by `CommPlan::execute_flat`.
-            let route_bytes: u64 = sends.iter().map(|s| (s.len() * 4 + 8) as u64).sum();
-            comm.note_plan_exec(t_plan, route_bytes);
+            comm.note_plan_exec(t_plan, epoch.route_bytes());
         }
         // One block for the copies sent, then — in place — for the ghosts
         // received; the near field is the last to read it.
-        let mut ghosts: Vec<(Vec3, f64)> = Vec::with_capacity(sends.iter().map(Vec::len).sum());
-        ws.counts.clear();
-        for ix in sends {
-            ws.counts.push(ix.len());
-            ghosts.extend(ix.iter().map(|&j| (owned[j as usize].pos, owned[j as usize].charge)));
-        }
+        let mut ghosts: Vec<(Vec3, f64)> = Vec::with_capacity(epoch.sends.len());
+        let copy = |&j: &u32| (owned[j as usize].pos, owned[j as usize].charge);
+        ghosts.extend(epoch.sends.iter().map(copy));
         comm.compute(Work::ByteCopy, std::mem::size_of_val(&ghosts[..]) as f64);
-        statics.comm_plan.execute_flat(comm, &mut ghosts, &ws.counts);
+        statics.comm_plan.execute_flat(comm, &mut ghosts, &epoch.counts);
         self.last_report.ghosts_received = ghosts.len() as u64;
         self.last_report.ghost_bytes = std::mem::size_of_val(&ghosts[..]) as u64;
         comm.exit_phase();

@@ -58,14 +58,8 @@ fn world(shape: Shape, method: RedistMethod, runs: usize) -> u64 {
     let bbox = crystal.system_box();
     let dims = CartGrid::balanced(shape.ranks).dims();
     let rcut = (bbox.lengths.x() / dims[0] as f64).min(0.49 * bbox.lengths.x());
-    let cfg = PmConfig {
-        mesh: shape.mesh,
-        assign_order: 3,
-        alpha: 2.5 / rcut,
-        rcut,
-        soft_core: None,
-        pencil: false,
-    };
+    let cfg =
+        PmConfig { mesh: shape.mesh, assign_order: 3, alpha: 2.5 / rcut, rcut, soft_core: None };
     let movement = (method == RedistMethod::UseChanged).then_some(1e-3);
     let before = BLOCKS.load(Ordering::Relaxed);
     run(shape.ranks, MachineModel::juropa_like(), |comm| {
@@ -93,13 +87,16 @@ fn a_warm_run_allocates_a_fixed_number_of_blocks() {
         for shape in shapes {
             // What a third run allocates beyond two (solver construction, the
             // first run's plans and buffer growth and world set-up cancel),
-            // per rank. Ranks differ by a few blocks — one without a slab of
-            // the mesh skips the transposes — but no count grows with the
+            // per rank. Ranks differ by a few blocks — one without a pencil
+            // of the mesh skips the transposes — but no count grows with the
             // problem: where this guard was written every shape read 24 to
             // 37, and the per-destination send lists, per-step windows and
             // slabs before it 160 to 266, growing with every one of them.
             // Since the far field's exchanges carry no index (no `seen` or
-            // `filled` array) every shape reads 23 to 35.
+            // `filled` array) every shape reads 23 to 35, and since it runs
+            // on pencils and interpolates from the received patch values,
+            // 23 to 34: the 27-rank shape's 9 x 3 transform grid gives every
+            // rank that holds mesh two transposes each way.
             let warm = world(shape, method, 3) - world(shape, method, 2);
             assert!(
                 warm <= 37 * shape.ranks as u64,

@@ -34,6 +34,13 @@
 //! the three order/level worlds) and of the redistribution world once; every
 //! physics half, the redistribution payload half and every P2NFFT and faulted
 //! half stayed.
+//! The P2NFFT far field on pencils only — a `[P, 1]` transform grid at these
+//! worlds' 8 ranks, whose inverse transform runs along x, y, z where the slab
+//! ran x, z, y — re-froze the physics halves of the three P2NFFT worlds once:
+//! Method B `0x0e9a_5a4b_8ee1_c2ce` → `0x1c08_5b70_c285_000a` and B + movement
+//! `0x1827_35a8_df22_3ed0` → `0xf8f4_8bef_8ac1_3909` (on both machine models),
+//! faulted `0x546b_2d96_95f1_b0b9` → `0x645e_ed2c_0d69_baaa`. Every timing
+//! half, every FMM half and the redistribution digest stayed.
 
 use fcs::SolverKind;
 use mdsim::{simulate, SimConfig, SimResult};
@@ -150,14 +157,14 @@ fn md_configs_match_frozen_digests() {
         [
             [0xe3e7_f2ac_7ae3_deb5, 0xeb61_9a25_52a9_73ac],
             [0xe36d_87b1_23fa_3d6c, 0xad38_b3de_6895_968f],
-            [0x0e9a_5a4b_8ee1_c2ce, 0xe7b8_b754_408e_9d1e],
-            [0x1827_35a8_df22_3ed0, 0xad64_cbb6_81b6_da2b],
+            [0x1c08_5b70_c285_000a, 0xe7b8_b754_408e_9d1e],
+            [0xf8f4_8bef_8ac1_3909, 0xad64_cbb6_81b6_da2b],
         ],
         [
             [0xe3e7_f2ac_7ae3_deb5, 0x0758_758d_0b3e_230f],
             [0xe36d_87b1_23fa_3d6c, 0x05bf_9d2c_f6ea_40be],
-            [0x0e9a_5a4b_8ee1_c2ce, 0x285b_b34c_f100_9fc0],
-            [0x1827_35a8_df22_3ed0, 0x22a5_f1a5_4289_21d7],
+            [0x1c08_5b70_c285_000a, 0x285b_b34c_f100_9fc0],
+            [0xf8f4_8bef_8ac1_3909, 0x22a5_f1a5_4289_21d7],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -246,7 +253,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x546b_2d96_95f1_b0b9, 0x4ef6_f3ad_10d9_a1e0],
+            [0x645e_ed2c_0d69_baaa, 0x4ef6_f3ad_10d9_a1e0],
             &format!("faulted P2NFFT width {width}"),
         );
     }

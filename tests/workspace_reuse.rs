@@ -5,10 +5,10 @@
 //! "Workspaces"). One solver object is therefore driven through inputs that
 //! shrink, grow and move — a rank that holds nothing, more particles than any
 //! run before, a run after `invalidate_plans`, a quiet step — under Methods
-//! A, B and B with the movement hint, at two octree levels and two meshes in
-//! both FFT decompositions, and after each run a fresh solver is given the
-//! same input in the same world. Plans may make the kept solver's virtual
-//! time differ; its output may not differ in a bit.
+//! A, B and B with the movement hint, at two octree levels, and at two meshes
+//! and three world sizes (`P` at and beyond the mesh), and after each run a
+//! fresh solver is given the same input in the same world. Plans may make the
+//! kept solver's virtual time differ; its output may not differ in a bit.
 
 use fmm::{FmmConfig, FmmSolver};
 use particles::systems::splitmix64;
@@ -16,7 +16,6 @@ use particles::{MovementHint, RedistMethod, SolverOutput, SystemBox, Vec3};
 use pmsolver::{PmConfig, PmSolver};
 use simcomm::{run, Comm, MachineModel};
 
-const RANKS: usize = 8;
 const EDGE: f64 = 12.0;
 
 /// Where a run's input comes from.
@@ -58,13 +57,14 @@ fn unit(x: u64) -> f64 {
 
 type Particles = (Vec<Vec3>, Vec<f64>, Vec<u64>);
 
-/// Rank `me`'s input of step `s`, given its output of the step before.
-fn local_input(me: usize, s: usize, previous: &Particles) -> Particles {
+/// Rank `me`'s input of step `s` in a world of `ranks`, given its output of
+/// the step before.
+fn local_input(me: usize, ranks: usize, s: usize, previous: &Particles) -> Particles {
     let bbox = SystemBox::cubic(EDGE);
     let (mut pos, mut charge, mut id) = (Vec::new(), Vec::new(), Vec::new());
     match STEPS[s].input {
         Input::Fresh(n) => {
-            for i in (0..n).filter(|i| splitmix64(i ^ 0xabc) % RANKS as u64 == me as u64) {
+            for i in (0..n).filter(|i| splitmix64(i ^ 0xabc) % ranks as u64 == me as u64) {
                 pos.push(Vec3::new(
                     EDGE * unit(4 * i),
                     EDGE * unit(4 * i + 1),
@@ -163,7 +163,7 @@ fn kept_matches_fresh<S: Solver>(
     let mut kept = fresh();
     let mut previous = Particles::default();
     for (s, step) in STEPS.iter().enumerate() {
-        let input = local_input(comm.rank(), s, &previous);
+        let input = local_input(comm.rank(), comm.size(), s, &previous);
         if step.invalidate {
             kept.invalidate();
         }
@@ -189,34 +189,36 @@ fn a_solver_that_has_run_before_returns_what_a_fresh_one_returns() {
         (RedistMethod::UseChanged, false),
         (RedistMethod::UseChanged, true),
     ];
-    let out = run(RANKS, MachineModel::juropa_like(), move |comm| {
-        let mut runs = 0;
-        for configuration in configurations {
-            for level in [2, 3] {
-                let cfg = FmmConfig { order: 2, level, soft_core: None };
-                let what = format!("FMM level {level}");
-                kept_matches_fresh(comm, &what, configuration, || {
-                    FmmSolver::new(bbox, cfg.clone())
-                });
-                runs += STEPS.len();
+    // The FMM at two octree levels on 8 ranks. The P2NFFT at meshes 8 and 16
+    // on 8 ranks, where its transform grid is `[8, 1]`, and at mesh 8 beyond
+    // it: on 16 ranks (`[4, 4]`) and on 27 (`[9, 3]`, one row without mesh).
+    let worlds: [(usize, &[usize], bool); 3] =
+        [(8, &[8, 16], true), (16, &[8], false), (27, &[8], false)];
+    for (ranks, meshes, with_fmm) in worlds {
+        let out = run(ranks, MachineModel::juropa_like(), move |comm| {
+            let mut runs = 0;
+            for configuration in configurations {
+                for level in [2, 3].into_iter().filter(|_| with_fmm) {
+                    let cfg = FmmConfig { order: 2, level, soft_core: None };
+                    let what = format!("FMM level {level}");
+                    kept_matches_fresh(comm, &what, configuration, || {
+                        FmmSolver::new(bbox, cfg.clone())
+                    });
+                    runs += STEPS.len();
+                }
+                for &mesh in meshes {
+                    let cfg =
+                        PmConfig { mesh, assign_order: 3, alpha: 0.9, rcut: 3.0, soft_core: None };
+                    let what = format!("P2NFFT mesh {mesh} on {ranks} ranks");
+                    kept_matches_fresh(comm, &what, configuration, || {
+                        PmSolver::new(bbox, cfg.clone(), ranks)
+                    });
+                    runs += STEPS.len();
+                }
             }
-            for (mesh, pencil) in [(8, false), (16, false), (16, true)] {
-                let cfg = PmConfig {
-                    mesh,
-                    assign_order: 3,
-                    alpha: 0.9,
-                    rcut: 3.0,
-                    soft_core: None,
-                    pencil,
-                };
-                let what = format!("P2NFFT mesh {mesh} pencil {pencil}");
-                kept_matches_fresh(comm, &what, configuration, || {
-                    PmSolver::new(bbox, cfg.clone(), RANKS)
-                });
-                runs += STEPS.len();
-            }
-        }
-        runs
-    });
-    assert!(out.results.iter().all(|&runs| runs == 3 * 5 * STEPS.len()));
+            runs
+        });
+        let solvers = meshes.len() + if with_fmm { 2 } else { 0 };
+        assert!(out.results.iter().all(|&runs| runs == 3 * solvers * STEPS.len()));
+    }
 }
