@@ -29,12 +29,12 @@
 //! `--halt-after N`, which exits with code 3) and re-running the same
 //! command resumes: completed runs are reused from their durable payloads,
 //! in-flight runs re-execute. Because every payload is a deterministic
-//! function of its config, the aggregated `BENCH_campaign.json` written
-//! after a resume is **byte-identical** to one from an uninterrupted
-//! campaign — CI enforces this with `cmp`.
+//! function of its config, the aggregated report written after a resume is
+//! **byte-identical** to one from an uninterrupted campaign — CI enforces
+//! this with `cmp`.
 //!
-//! Writes `BENCH_campaign.json` (run-report schema, one entry per completed
-//! run, `failed:<name>` params for the failure records).
+//! Writes `results/campaign_report.json` (run-report schema, one entry per
+//! completed run, `failed:<name>` params for the failure records).
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -319,7 +319,11 @@ fn main() {
                 "PATH",
                 "campaign state dir: journal, payloads, scratch (default results/campaign)",
             ),
-            Opt::new("out", "PATH", "aggregated report path (default BENCH_campaign.json)"),
+            Opt::new(
+                "out",
+                "PATH",
+                "aggregated report path (default results/campaign_report.json)",
+            ),
             Opt::flag("fresh", "delete the campaign dir first (no resume)"),
             Opt::new("workers", "N", "concurrent worker threads (default 4)"),
             Opt::new("attempts", "N", "max attempts per run (default 3)"),
@@ -343,7 +347,7 @@ fn main() {
         &[],
     );
     let dir = PathBuf::from(cli.get("dir", "results/campaign".to_string()));
-    let out_path = cli.get("out", "BENCH_campaign.json".to_string());
+    let out_path = cli.get("out", "results/campaign_report.json".to_string());
     let workers: usize = cli.get("workers", 4);
     let attempts: u32 = cli.get("attempts", 3);
     let backoff_ms: u64 = cli.get("backoff-ms", 10);

@@ -25,8 +25,8 @@
 //! intensity (the fallback's worst case: guard collectives plus an occasional
 //! double redistribution, never a corrupted or hung run).
 //!
-//! Writes `BENCH_chaos.json` (the run-report schema, including the per-rank
-//! fault counters).
+//! Writes `results/chaos_report.json` (the run-report schema; each run's
+//! totals carry its fault counters).
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{banner, fmt_secs, report_summary, MdWorld, RunReport};
@@ -160,8 +160,8 @@ fn main() {
             let guarded = guarded_entry.makespan;
             let general = general_entry.makespan;
             let ratio = guarded / general;
-            let faults: u64 = guarded_entry.ranks.iter().map(|r| r.faults_injected).sum();
-            let timeouts: u64 = guarded_entry.ranks.iter().map(|r| r.timeouts).sum();
+            let (faults, timeouts) =
+                (guarded_entry.totals.faults_injected, guarded_entry.totals.timeouts);
             println!(
                 "{name:<14} {intensity:>9} {:>13} {:>13} {:>13} {:>6.2}x {faults:>7} {recoveries:>9} {timeouts:>9}",
                 fmt_secs(clean_makespan),
@@ -182,9 +182,8 @@ fn main() {
         }
     }
 
-    let json = report.to_json().pretty();
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
+    let path = report.write("chaos");
     println!();
     timeline.finish();
-    report_summary("BENCH_chaos.json".as_ref(), &report);
+    report_summary(&path, &report);
 }

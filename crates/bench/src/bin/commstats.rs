@@ -7,10 +7,11 @@
 //!   compute split, traffic) and verify the accounting invariants. Several
 //!   reports can be given comma-separated.
 //! * `commstats --check --report <a.json>[,<b.json>…]` — verify only the
-//!   accounting invariant (comm + wait + compute sums match the rank clocks)
-//!   for every run entry, one quiet line per report; exits nonzero on a
-//!   violation. Intended for CI. Add `--alloc-budget <name>=<count>[,…]` to
-//!   additionally threshold `harness_selftime` rows: the named row's heap
+//!   accounting invariants (the phase means sum to the mean clock, and the
+//!   totals' comm + wait + compute equal the mean clock times the rank
+//!   count) for every run entry, one quiet line per report; exits nonzero
+//!   on a violation. Intended for CI. Add
+//!   `--alloc-budget <name>=<count>[,…]` to additionally threshold `harness_selftime` rows: the named row's heap
 //!   allocation count (divided by its `steps` when per-step) must not exceed
 //!   `count` — the perf-smoke guard against per-step allocation regressions
 //!   on the steady-state redistribution path.
@@ -32,15 +33,15 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use bench::cli::{Cli, Opt};
 use bench::gate;
 use bench::json::Json;
-use bench::{fmt_secs, format_phase_table, Args, RunReport};
+use bench::{accounting_bound, fmt_secs, format_phase_table, RunReport};
 
-/// The `--help` text (also printed under usage errors).
-const USAGE: &str = "\
-commstats — inspect and verify benchmark reports and traces
+/// What `--help` prints above the option list: the four modes.
+const ABOUT: &str = "inspect and verify benchmark reports and traces
 
-USAGE:
+MODES:
   commstats --report <a.json>[,<b.json>...]
       Print each run entry's per-phase table, critical-path split and
       wait-blame rows; verify the accounting invariants.
@@ -58,15 +59,10 @@ USAGE:
       relative tolerance.
 
   commstats --trace results/<trace>.csv
-      Aggregate a trace CSV by phase and by event kind.
+      Aggregate a trace CSV by phase and by event kind.";
 
-  commstats --help
-      Print this text.
-
-All times are virtual seconds of the simulated machine model. See
-docs/OBSERVABILITY.md for the report and trace schema reference.";
-
-/// Report a usage/input error without a panic backtrace.
+/// Report an input error (unreadable or malformed file) without a panic
+/// backtrace.
 fn fail(msg: String) -> ! {
     eprintln!("commstats: {msg}");
     std::process::exit(2);
@@ -104,8 +100,8 @@ fn parse_budgets(spec: &str) -> Vec<AllocBudget> {
         .collect()
 }
 
-/// `--check`: verify the accounting invariant (per-phase comm + wait +
-/// compute sums match the rank clocks) for every run entry of a report,
+/// `--check`: verify the accounting invariants (see
+/// [`bench::RunEntry::decomposition_error`]) for every run entry of a report,
 /// quietly, plus any `--alloc-budget` thresholds against the report's
 /// `harness_selftime` rows. Exits nonzero on the first violation.
 fn check_report(path: &str, budgets: &[AllocBudget]) {
@@ -113,10 +109,11 @@ fn check_report(path: &str, budgets: &[AllocBudget]) {
     let mut max_err: f64 = 0.0;
     for run in &report.runs {
         let err = run.decomposition_error();
-        if err > 1e-6 * run.makespan.max(1e-9) {
+        if err > accounting_bound(run.makespan) {
             fail(format!(
-                "{path}: run '{label}': comm+wait+compute diverges from the \
-                 rank clocks by {err:.3e} s (makespan {makespan:.3e} s)",
+                "{path}: run '{label}': the phase means or the totals' \
+                 comm+wait+compute diverge from the mean clock by {err:.3e} s \
+                 (makespan {makespan:.3e} s)",
                 label = run.label,
                 makespan = run.makespan
             ));
@@ -195,32 +192,27 @@ fn summarize_report(path: &str) {
             makespan = fmt_secs(run.makespan)
         );
         print!("{}", format_phase_table(run));
-        let builds: u64 = run.ranks.iter().map(|r| r.plan_builds).sum();
-        let execs: u64 = run.ranks.iter().map(|r| r.plan_execs).sum();
-        if builds + execs > 0 {
-            let reuse = execs as f64 / (builds + execs) as f64;
+        let t = &run.totals;
+        if t.plan_builds + t.plan_execs > 0 {
             println!(
-                "plan reuse: {builds} builds, {execs} executions ({:.1}% reuse)",
-                100.0 * reuse
+                "plan reuse: {} builds, {} executions ({:.1}% reuse)",
+                t.plan_builds,
+                t.plan_execs,
+                100.0 * t.plan_execs as f64 / (t.plan_builds + t.plan_execs) as f64
             );
         }
-        let reused: u64 = run.ranks.iter().map(|r| r.bytes_reused).sum();
-        let grown: u64 = run.ranks.iter().map(|r| r.bytes_grown).sum();
-        if reused + grown > 0 {
+        if t.bytes_reused + t.bytes_grown > 0 {
             println!(
-                "buffer pool: {reused} B served from arenas, {grown} B grown \
-                 ({:.1}% reuse)",
-                100.0 * reused as f64 / (reused + grown) as f64
+                "buffer pool: {} B served from arenas, {} B grown ({:.1}% reuse)",
+                t.bytes_reused,
+                t.bytes_grown,
+                100.0 * t.bytes_reused as f64 / (t.bytes_reused + t.bytes_grown) as f64
             );
         }
-        let faults: u64 = run.ranks.iter().map(|r| r.faults_injected).sum();
-        if faults > 0 {
-            let retries: u64 = run.ranks.iter().map(|r| r.retries).sum();
-            let timeouts: u64 = run.ranks.iter().map(|r| r.timeouts).sum();
-            let stalls: u64 = run.ranks.iter().map(|r| r.stalls).sum();
+        if t.faults_injected > 0 {
             println!(
-                "faults: {faults} injected ({retries} retries, {timeouts} timeout cycles, \
-                 {stalls} stalls)"
+                "faults: {} injected ({} retries, {} timeout cycles, {} stalls)",
+                t.faults_injected, t.retries, t.timeouts, t.stalls
             );
         }
         if let Some(cp) = &run.critpath {
@@ -243,8 +235,8 @@ fn summarize_report(path: &str) {
         }
         let err = run.decomposition_error();
         assert!(
-            err <= 1e-6 * run.makespan.max(1e-9),
-            "accounting violated: phase/rank times diverge from clocks by {err} s"
+            err <= accounting_bound(run.makespan),
+            "accounting violated: phase/total times diverge from clocks by {err} s"
         );
     }
     if !report.selftime.is_empty() {
@@ -432,40 +424,34 @@ fn run_gate(baseline_dir: &str, reports: &[&str], tolerance: f64, gate_out: &str
 }
 
 fn main() {
-    let args = Args::try_parse(&[
-        "report",
-        "trace",
-        "check",
-        "alloc-budget",
-        "baseline",
-        "tolerance",
-        "gate-out",
-        "help",
-    ])
-    .unwrap_or_else(|e| {
-        eprintln!("commstats: {e}");
-        eprintln!("\n{USAGE}");
-        std::process::exit(2);
-    });
-    if args.flag("help") {
-        println!("{USAGE}");
-        return;
-    }
-    let report: String = args.get("report", String::new());
-    let trace: String = args.get("trace", String::new());
-    let check = args.flag("check");
-    let baseline: String = args.get("baseline", String::new());
-    let tolerance: f64 = args.get("tolerance", gate::DEFAULT_TOLERANCE);
-    let gate_out: String = args.get("gate-out", "results/gate_diff.json".to_string());
-    let budgets = parse_budgets(&args.get("alloc-budget", String::new()));
+    let cli = Cli::parse(
+        "commstats",
+        ABOUT,
+        &[
+            Opt::new("report", "PATHS", "comma-separated run reports to print, check or gate"),
+            Opt::flag("check", "verify the reports' invariants quietly"),
+            Opt::new("alloc-budget", "NAME=COUNT,...", "with --check: selftime allocation budgets"),
+            Opt::new("baseline", "DIR", "gate the reports against DIR/<same file name>"),
+            Opt::new("tolerance", "T", "gate: relative regression tolerance (default 0.05)"),
+            Opt::new("gate-out", "PATH", "gate: diff artifact (default results/gate_diff.json)"),
+            Opt::new("trace", "PATH", "summarize a trace CSV"),
+        ],
+        &[],
+    );
+    let report: String = cli.get("report", String::new());
+    let trace: String = cli.get("trace", String::new());
+    let check = cli.flag("check");
+    let baseline: String = cli.get("baseline", String::new());
+    let tolerance: f64 = cli.get("tolerance", gate::DEFAULT_TOLERANCE);
+    let gate_out: String = cli.get("gate-out", "results/gate_diff.json".to_string());
+    let budgets = parse_budgets(&cli.get("alloc-budget", String::new()));
     if report.is_empty() && trace.is_empty() {
-        eprintln!("commstats: nothing to do (give --report and/or --trace)\n\n{USAGE}");
-        std::process::exit(2);
+        cli.fail("nothing to do (give --report and/or --trace)");
     }
     let report_paths: Vec<&str> = report.split(',').filter(|p| !p.is_empty()).collect();
     if !baseline.is_empty() {
         if report_paths.is_empty() {
-            fail("--baseline needs --report <paths> to compare".to_string());
+            cli.fail("--baseline needs --report <paths> to compare");
         }
         run_gate(&baseline, &report_paths, tolerance, &gate_out);
     } else {

@@ -40,8 +40,8 @@
 //! domain-cell width (`procs 64`, `cells 16`), giving the ghost-plan cache a
 //! positive skin margin to absorb particle movement.
 //!
-//! Writes `BENCH_plancache.json` (the run-report schema) at the repository
-//! root, and fails loudly if a planned run is slower than its unplanned
+//! Writes `results/plancache_report.json` (the run-report schema), and
+//! fails loudly if a planned run is slower than its unplanned
 //! baseline on either machine model, or if the planned neighbourhood
 //! exchange wins less than 5 % on the torus (JUQUEEN-like) model.
 
@@ -362,8 +362,7 @@ fn main() {
 
         let planned = entry_planned.makespan;
         let unplanned = entry_unplanned.makespan;
-        let builds: u64 = entry_planned.ranks.iter().map(|r| r.plan_builds).sum();
-        let execs: u64 = entry_planned.ranks.iter().map(|r| r.plan_execs).sum();
+        let (builds, execs) = (entry_planned.totals.plan_builds, entry_planned.totals.plan_execs);
         let reuse = 100.0 * execs as f64 / ((builds + execs) as f64).max(1.0);
         let win = 100.0 * (1.0 - planned / unplanned);
         println!(
@@ -721,8 +720,7 @@ fn main() {
     report.selftime = selftime;
 
     timeline.finish();
-    let json = report.to_json().pretty();
-    std::fs::write("BENCH_plancache.json", &json).expect("write BENCH_plancache.json");
+    let path = report.write("plancache");
     println!();
-    report_summary("BENCH_plancache.json".as_ref(), &report);
+    report_summary(&path, &report);
 }

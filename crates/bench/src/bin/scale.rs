@@ -16,8 +16,8 @@
 //! every rank onto a virtual-clock event queue with targeted wakeups and runs
 //! the 4096-rank sweep in seconds.
 //!
-//! Writes `BENCH_scale.json` (the run-report schema) at the repository root
-//! next to a `results/scale.csv` table, and fails loudly if the torus
+//! Writes `results/scale_report.json` (the run-report schema) next to a
+//! `results/scale.csv` table, and fails loudly if the torus
 //! crossover is absent at the largest process count.
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
@@ -30,11 +30,6 @@ fn short_name(model: &MachineModel) -> &str {
 }
 
 const TAG_GHOSTS: u64 = 0x7363_616c;
-
-/// Per-rank report rows kept per run entry. A 4096-rank world would emit a
-/// multi-megabyte `ranks[]` table per run; the first rows are enough for
-/// spot checks (phase aggregates cover all ranks regardless).
-const RANK_ROW_CAP: usize = 256;
 
 /// Which exchange primitive a sweep series uses.
 #[derive(Clone, Copy, PartialEq)]
@@ -116,13 +111,6 @@ fn main() {
                 if analyze {
                     bench::attach_analysis(&mut entry, &out.traces);
                 }
-                // Keep the emitted report a sane size at paper-scale rank
-                // counts: the phase aggregates (means/criticals over ALL
-                // ranks) are computed before this cap, and `mean_clock` is
-                // stored, so the accounting invariants survive truncation.
-                if entry.ranks.len() > RANK_ROW_CAP {
-                    entry.ranks.truncate(RANK_ROW_CAP);
-                }
                 makespans[si] = out.makespan();
                 timeline.push(format!("{name}/p={p}/{label}"), out.traces);
                 report.push(format!("{name}/p={p}/{label}"), entry);
@@ -150,10 +138,9 @@ fn main() {
     );
 
     timeline.finish();
-    let json = report.to_json().pretty();
-    std::fs::write("BENCH_scale.json", &json).expect("write BENCH_scale.json");
+    let path = report.write("scale");
     let csv = write_csv("scale", "machine,procs,alltoallv,p2p", &rows);
     println!("\nwrote {}", csv.display());
     println!("(machine: 0 = juropa-like/switched, 1 = juqueen-like/torus)");
-    report_summary("BENCH_scale.json".as_ref(), &report);
+    report_summary(&path, &report);
 }

@@ -1,9 +1,7 @@
-//! Shared command-line front end for the figure/harness binaries.
+//! Shared command-line front end of every binary in this crate.
 //!
-//! Every binary used to hand-roll the same preamble: an [`Args::parse`] call
-//! with a duplicated allowed-key list, panicking accessors, and no `--help`.
-//! This module centralizes that into one declarative option table per binary
-//! and gives all of them the contract `commstats` established in PR 7:
+//! Each binary declares one option table; this module parses it and gives
+//! all of them one contract:
 //!
 //! - `--help` prints a generated usage text and exits 0;
 //! - any usage error (unknown option, bad value) prints a one-line error
@@ -27,7 +25,9 @@
 //! let analyze = cli.analyze(&cli.timeline());
 //! ```
 
-use crate::{Args, TimelineSink};
+use std::collections::HashMap;
+
+use crate::TimelineSink;
 
 /// One declared option of a binary: key, value placeholder (empty for a
 /// boolean flag) and help line.
@@ -60,12 +60,16 @@ pub const OBS_OPTS: &[Opt] = &[
     Opt::new("perfetto", "PATH", "write a Perfetto timeline of all runs to PATH"),
 ];
 
-/// Parsed command line of a harness binary: panicking-free accessors that
-/// exit with code 2 (and the usage text) on bad values.
+/// Parsed command line of a harness binary — `--key value` pairs plus
+/// `--flag` booleans — with accessors that exit with code 2 (and the usage
+/// text) on bad values.
 pub struct Cli {
     name: &'static str,
     usage: String,
-    args: Args,
+    /// The declared keys plus `help`; any other key is a usage error.
+    allowed: Vec<&'static str>,
+    values: HashMap<String, String>,
+    flags: Vec<String>,
 }
 
 impl Cli {
@@ -73,36 +77,37 @@ impl Cli {
     /// `common` (typically [`OBS_OPTS`], or `&[]` for a world-less tool).
     /// Handles `--help` (exit 0) and usage errors (stderr + exit 2).
     pub fn parse(name: &'static str, about: &str, opts: &[Opt], common: &[Opt]) -> Cli {
-        Self::parse_from(name, about, opts, common, std::env::args().skip(1).collect())
-    }
-
-    /// [`Cli::parse`] over an explicit argument vector. Exits the process on
-    /// `--help` and usage errors exactly like [`Cli::parse`].
-    pub fn parse_from(
-        name: &'static str,
-        about: &str,
-        opts: &[Opt],
-        common: &[Opt],
-        argv: Vec<String>,
-    ) -> Cli {
         let all: Vec<Opt> = opts.iter().chain(common).copied().collect();
-        let usage = render_usage(name, about, &all);
-        // The allowed-key list drives Args; `help` rides along implicitly.
-        let allowed: Vec<&'static str> =
-            all.iter().map(|o| o.key).chain(std::iter::once("help")).collect();
-        match Args::try_parse_from(argv, &allowed) {
-            Ok(args) => {
-                if args.flag("help") {
-                    println!("{usage}");
-                    std::process::exit(0);
-                }
-                Cli { name, usage, args }
+        let mut cli = Cli {
+            name,
+            usage: render_usage(name, about, &all),
+            allowed: all.iter().map(|o| o.key).chain(std::iter::once("help")).collect(),
+            values: HashMap::new(),
+            flags: Vec::new(),
+        };
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let mut i = 0;
+        while i < argv.len() {
+            let a = &argv[i];
+            let Some(key) = a.strip_prefix("--") else {
+                cli.fail(format!("unexpected argument '{a}' (allowed: {:?})", cli.allowed))
+            };
+            if !cli.allowed.contains(&key) {
+                cli.fail(format!("unknown option '--{key}' (allowed: {:?})", cli.allowed));
             }
-            Err(e) => {
-                eprintln!("{name}: {e}\n\n{usage}");
-                std::process::exit(2);
+            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
+                cli.values.insert(key.to_string(), argv[i + 1].clone());
+                i += 2;
+            } else {
+                cli.flags.push(key.to_string());
+                i += 1;
             }
         }
+        if cli.flag("help") {
+            println!("{}", cli.usage);
+            std::process::exit(0);
+        }
+        cli
     }
 
     /// Report a usage/input error: one line on stderr, the usage text, exit 2.
@@ -111,22 +116,44 @@ impl Cli {
         std::process::exit(2)
     }
 
+    /// The raw value of a declared option, if given.
+    fn value(&self, key: &str) -> Option<&str> {
+        assert!(self.allowed.contains(&key), "option '{key}' not declared");
+        self.values.get(key).map(String::as_str)
+    }
+
     /// Typed value with a default; bad values exit 2.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T
     where
         T::Err: std::fmt::Debug,
     {
-        self.args.try_get(key, default).unwrap_or_else(|e| self.fail(e))
+        match self.value(key) {
+            None => default,
+            Some(v) => {
+                v.parse().unwrap_or_else(|e| self.fail(format!("bad value for --{key}: {e:?}")))
+            }
+        }
     }
 
     /// Was a boolean flag given?
     pub fn flag(&self, key: &str) -> bool {
-        self.args.flag(key)
+        assert!(self.allowed.contains(&key), "flag '{key}' not declared");
+        self.flags.iter().any(|f| f == key)
     }
 
     /// Comma-separated list of usizes; bad entries exit 2.
     pub fn list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        self.args.try_list(key, default).unwrap_or_else(|e| self.fail(e))
+        match self.value(key) {
+            None => default.to_vec(),
+            Some(v) => v
+                .split(',')
+                .map(|x| {
+                    x.trim().parse().unwrap_or_else(|e| {
+                        self.fail(format!("bad entry '{x}' for --{key}: {e:?}"))
+                    })
+                })
+                .collect(),
+        }
     }
 
     /// The `--perfetto` timeline sink (inactive when the flag was not given).
@@ -138,11 +165,6 @@ impl Cli {
     /// is implied by an active `--perfetto` timeline (which needs traces).
     pub fn analyze(&self, timeline: &TimelineSink) -> bool {
         self.flag("analyze") || timeline.active()
-    }
-
-    /// The generated usage text (what `--help` prints).
-    pub fn usage(&self) -> &str {
-        &self.usage
     }
 }
 

@@ -23,12 +23,12 @@ pub mod microbench;
 pub mod report;
 pub mod selftime;
 
-use std::collections::HashMap;
 use std::io::Write;
 
 use mdsim::StepRecord;
 pub use report::{
-    format_phase_table, BlameRow, CritPath, PhaseRow, RankRow, RunEntry, RunReport, SelftimeRow,
+    accounting_bound, format_phase_table, BlameRow, CritPath, PhaseRow, RunEntry, RunReport,
+    SelftimeRow,
 };
 pub use selftime::{alloc_counters, thread_alloc_counters, CountingAlloc, Selftime};
 
@@ -37,99 +37,6 @@ pub use selftime::{alloc_counters, thread_alloc_counters, CountingAlloc, Selftim
 /// perf-smoke job catches per-step allocation regressions.
 #[global_allocator]
 static GLOBAL_ALLOC: CountingAlloc = CountingAlloc;
-
-/// A tiny command-line flag parser: `--key value` pairs plus `--flag`
-/// booleans. Unknown keys panic with a usage hint.
-pub struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
-    allowed: Vec<&'static str>,
-}
-
-impl Args {
-    /// Parse `std::env::args`, allowing only the given keys.
-    pub fn parse(allowed: &[&'static str]) -> Args {
-        Self::try_parse(allowed).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Parse `std::env::args`, returning a usage error instead of panicking
-    /// on an unknown or malformed option. Binaries with a real `--help` (like
-    /// `commstats`) use this to print usage and exit nonzero gracefully.
-    pub fn try_parse(allowed: &[&'static str]) -> Result<Args, String> {
-        Self::try_parse_from(std::env::args().skip(1).collect(), allowed)
-    }
-
-    /// [`Args::try_parse`] over an explicit argument vector (testable form).
-    pub fn try_parse_from(argv: Vec<String>, allowed: &[&'static str]) -> Result<Args, String> {
-        let mut values = HashMap::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            let key = a
-                .strip_prefix("--")
-                .ok_or_else(|| format!("unexpected argument '{a}' (allowed: {allowed:?})"))?;
-            if !allowed.contains(&key) {
-                return Err(format!("unknown option '--{key}' (allowed: {allowed:?})"));
-            }
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                values.insert(key.to_string(), argv[i + 1].clone());
-                i += 2;
-            } else {
-                flags.push(key.to_string());
-                i += 1;
-            }
-        }
-        Ok(Args { values, flags, allowed: allowed.to_vec() })
-    }
-
-    /// Get a typed value with a default.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T
-    where
-        T::Err: std::fmt::Debug,
-    {
-        self.try_get(key, default).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Args::get`], returning a usage error instead of panicking on an
-    /// unparsable value (the `cli` wrapper turns this into exit code 2).
-    pub fn try_get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String>
-    where
-        T::Err: std::fmt::Debug,
-    {
-        assert!(self.allowed.contains(&key), "option '{key}' not declared");
-        match self.values.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("bad value for --{key}: {e:?}")),
-        }
-    }
-
-    /// Was a boolean flag given?
-    pub fn flag(&self, key: &str) -> bool {
-        assert!(self.allowed.contains(&key), "flag '{key}' not declared");
-        self.flags.iter().any(|f| f == key)
-    }
-
-    /// Comma-separated list of usizes.
-    pub fn list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        self.try_list(key, default).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Args::list`], returning a usage error instead of panicking on an
-    /// unparsable entry.
-    pub fn try_list(&self, key: &str, default: &[usize]) -> Result<Vec<usize>, String> {
-        assert!(self.allowed.contains(&key), "option '{key}' not declared");
-        match self.values.get(key) {
-            None => Ok(default.to_vec()),
-            Some(v) => v
-                .split(',')
-                .map(|x| {
-                    x.trim().parse().map_err(|e| format!("bad entry '{x}' for --{key}: {e:?}"))
-                })
-                .collect(),
-        }
-    }
-}
 
 /// What one MD world yields ([`try_run_md_world`]).
 pub struct MdWorld {
@@ -140,7 +47,7 @@ pub struct MdWorld {
     /// Rollback-and-replay recoveries the MD step loop performed (collective —
     /// identical on every rank).
     pub recoveries: u64,
-    /// The report entry (makespan, per-phase and per-rank aggregates — see
+    /// The report entry (makespan, per-phase aggregates and run totals — see
     /// [`RunEntry`]), with the critical-path analysis attached when the run
     /// was traced.
     pub entry: RunEntry,
@@ -224,13 +131,6 @@ pub struct TimelineSink {
 }
 
 impl TimelineSink {
-    /// Build from the harness arguments (`--perfetto <path>`; the key must be
-    /// in the allowed set).
-    pub fn from_args(args: &Args) -> TimelineSink {
-        let path: String = args.get("perfetto", String::new());
-        Self::from_path(path)
-    }
-
     /// Build from an explicit `--perfetto` value (empty = inactive) — the
     /// [`cli`] module's construction path.
     pub fn from_path(path: String) -> TimelineSink {

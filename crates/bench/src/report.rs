@@ -4,9 +4,9 @@
 //! `results/<name>_report.json` next to their CSV output. A report captures
 //! the workload parameters, the machine model, and for every world executed a
 //! [`RunEntry`]: makespan, per-phase aggregate table (critical path, mean,
-//! imbalance, traffic) and per-rank totals. All times are **virtual seconds**
-//! of the simulated machine model; all sizes are bytes. See
-//! `docs/OBSERVABILITY.md` for the full field reference.
+//! imbalance, traffic) and the run's counters summed over ranks. All times
+//! are **virtual seconds** of the simulated machine model; all sizes are
+//! bytes. See `docs/OBSERVABILITY.md` for the full field reference.
 
 use std::path::PathBuf;
 
@@ -14,21 +14,20 @@ use simcomm::{PhaseAgg, RankStats, RunOutput};
 
 use crate::json::Json;
 
-/// Current report schema version (bumped on breaking field changes).
-///
-/// History: **1** — initial format (`schema` field only). **2** — adds the
-/// explicit `schema_version` field (serialized alongside `schema` for old
-/// readers) and the optional per-run `critpath` object (critical-path
-/// decomposition + wait-blame rows, present when the harness ran with
-/// `--analyze`). Parsers accept `1..=REPORT_SCHEMA` and reject anything
-/// newer or unknown.
-pub const REPORT_SCHEMA: u64 = 2;
+/// The report schema version, written as `schema_version`; the reader
+/// accepts this version only.
+pub const REPORT_SCHEMA: u64 = 3;
+
+/// The largest accounting error a run of makespan `makespan` may carry, in
+/// virtual seconds: a rank's `comm + wait + compute` against its clock, and
+/// the phase means against the mean clock.
+pub fn accounting_bound(makespan: f64) -> f64 {
+    1e-6 * makespan.max(1e-9)
+}
 
 /// One JSON report file: workload description plus one entry per world run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunReport {
-    /// Schema version ([`REPORT_SCHEMA`]).
-    pub schema: u64,
     /// Which harness produced the report (`"fig6"` … `"ablation"`).
     pub figure: String,
     /// Machine model name (`"juropa_like"`, `"juqueen_like"`, `"ideal"`, or
@@ -77,11 +76,11 @@ pub struct RunEntry {
     pub mean_clock: f64,
     /// Per-phase cross-rank aggregates, `"(untagged)"` last.
     pub phases: Vec<PhaseRow>,
-    /// Per-rank totals, indexed by rank.
-    pub ranks: Vec<RankRow>,
+    /// Every rank's [`RankStats`] summed field by field in rank order.
+    pub totals: RankStats,
     /// Critical-path decomposition and wait-blame attribution, filled when
     /// the harness ran its worlds traced (`--analyze` / `--perfetto`).
-    /// `None` in plain runs and in schema-1 reports.
+    /// `None` in plain runs.
     pub critpath: Option<CritPath>,
 }
 
@@ -148,55 +147,6 @@ pub struct PhaseRow {
     pub coll_bytes: u64,
 }
 
-/// Totals of one rank (the serialized form of [`simcomm::RankStats`] plus the
-/// final clock).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct RankRow {
-    /// Rank index.
-    pub rank: usize,
-    /// Final virtual clock in seconds
-    /// (= `comm_seconds + wait_seconds + compute_seconds`).
-    pub clock: f64,
-    /// Virtual seconds of modelled communication transfer cost.
-    pub comm_seconds: f64,
-    /// Virtual seconds idle in rendezvous.
-    pub wait_seconds: f64,
-    /// Virtual seconds of modelled computation.
-    pub compute_seconds: f64,
-    /// Point-to-point messages sent.
-    pub p2p_sent_msgs: u64,
-    /// Point-to-point bytes sent.
-    pub p2p_sent_bytes: u64,
-    /// Point-to-point messages received.
-    pub p2p_recv_msgs: u64,
-    /// Point-to-point bytes received.
-    pub p2p_recv_bytes: u64,
-    /// Collective operations entered.
-    pub coll_ops: u64,
-    /// Bytes contributed to collective operations.
-    pub coll_bytes: u64,
-    /// Persistent communication plans built (or rebuilt) on this rank.
-    pub plan_builds: u64,
-    /// Executions of payload through previously built plans.
-    pub plan_execs: u64,
-    /// Faults injected on this rank (lost sends, latency spikes, straggler
-    /// slowdown, a scheduled stall) — zero unless the run used a
-    /// [`simcomm::FaultPlan`].
-    pub faults_injected: u64,
-    /// Retransmissions of transiently lost sends.
-    pub retries: u64,
-    /// Wait-timeout cycles (waits exceeding the fault plan's threshold).
-    pub timeouts: u64,
-    /// Scheduled stalls that fired on this rank (0 or 1 per run).
-    pub stalls: u64,
-    /// Message-buffer bytes served from the rank's arena pool instead of the
-    /// allocator (see [`simcomm::RankStats::bytes_reused`]).
-    pub bytes_reused: u64,
-    /// Message-buffer capacity the allocator had to grow pooled buffers by
-    /// (see [`simcomm::RankStats::bytes_grown`]).
-    pub bytes_grown: u64,
-}
-
 impl CritPath {
     /// How many wait-blame rows a report keeps (the heaviest ones).
     pub const TOP_BLAME: usize = 8;
@@ -239,13 +189,28 @@ impl RunEntry {
         Self::from_parts(&out.phase_table(), &out.stats, &out.clocks)
     }
 
-    /// Build an entry from the world's aggregate pieces.
+    /// Build an entry from the world's aggregate pieces: `stats[r]` and
+    /// `clocks[r]` are rank `r`'s counters and final clock.
+    ///
+    /// Panics when a rank's `comm + wait + compute` misses its clock by more
+    /// than [`accounting_bound`]: the entry keeps only the sum over ranks, so
+    /// the per-rank identity is checked here, before the ranks are summed.
     pub fn from_parts(table: &[PhaseAgg], stats: &[RankStats], clocks: &[f64]) -> RunEntry {
+        assert_eq!(stats.len(), clocks.len(), "one RankStats per rank clock");
         let nranks = clocks.len();
+        let makespan = clocks.iter().cloned().fold(0.0, f64::max);
+        for (rank, (s, &clock)) in stats.iter().zip(clocks).enumerate() {
+            let err = (clock - (s.comm_seconds + s.wait_seconds + s.compute_seconds)).abs();
+            assert!(
+                err <= accounting_bound(makespan),
+                "rank {rank}: comm + wait + compute diverges from its clock {clock:e} s \
+                 by {err:.3e} s (makespan {makespan:e} s)"
+            );
+        }
         RunEntry {
             label: String::new(),
             nranks,
-            makespan: clocks.iter().cloned().fold(0.0, f64::max),
+            makespan,
             mean_clock: clocks.iter().sum::<f64>() / nranks.max(1) as f64,
             phases: table
                 .iter()
@@ -264,48 +229,42 @@ impl RunEntry {
                     coll_bytes: a.coll_bytes,
                 })
                 .collect(),
-            ranks: stats
-                .iter()
-                .zip(clocks)
-                .enumerate()
-                .map(|(rank, (s, &clock))| RankRow {
-                    rank,
-                    clock,
-                    comm_seconds: s.comm_seconds,
-                    wait_seconds: s.wait_seconds,
-                    compute_seconds: s.compute_seconds,
-                    p2p_sent_msgs: s.p2p_sent_msgs,
-                    p2p_sent_bytes: s.p2p_sent_bytes,
-                    p2p_recv_msgs: s.p2p_recv_msgs,
-                    p2p_recv_bytes: s.p2p_recv_bytes,
-                    coll_ops: s.coll_ops,
-                    coll_bytes: s.coll_bytes,
-                    plan_builds: s.plan_builds,
-                    plan_execs: s.plan_execs,
-                    faults_injected: s.faults_injected,
-                    retries: s.retries,
-                    timeouts: s.timeouts,
-                    stalls: s.stalls,
-                    bytes_reused: s.bytes_reused,
-                    bytes_grown: s.bytes_grown,
-                })
-                .collect(),
+            totals: stats.iter().fold(RankStats::default(), |mut t, s| {
+                t.comm_seconds += s.comm_seconds;
+                t.wait_seconds += s.wait_seconds;
+                t.compute_seconds += s.compute_seconds;
+                t.p2p_sent_msgs += s.p2p_sent_msgs;
+                t.p2p_sent_bytes += s.p2p_sent_bytes;
+                t.p2p_recv_msgs += s.p2p_recv_msgs;
+                t.p2p_recv_bytes += s.p2p_recv_bytes;
+                t.coll_ops += s.coll_ops;
+                t.coll_bytes += s.coll_bytes;
+                t.plan_builds += s.plan_builds;
+                t.plan_execs += s.plan_execs;
+                t.faults_injected += s.faults_injected;
+                t.retries += s.retries;
+                t.timeouts += s.timeouts;
+                t.stalls += s.stalls;
+                t.bytes_reused += s.bytes_reused;
+                t.bytes_grown += s.bytes_grown;
+                t
+            }),
             critpath: None,
         }
     }
 
     /// Largest violation of the accounting invariants, in virtual seconds:
-    /// per rank `|clock − (comm + wait + compute)|`, and across phases
-    /// `|Σ mean_seconds − mean_clock|`. Zero up to floating-point rounding
-    /// for every entry the harnesses produce.
+    /// across phases `|Σ mean_seconds − mean_clock|`, and per rank on
+    /// average `|mean_clock · nranks − (comm + wait + compute)| / nranks`
+    /// over the totals. Zero up to floating-point rounding for every entry
+    /// [`RunEntry::from_parts`] builds.
     pub fn decomposition_error(&self) -> f64 {
-        let rank_err = self
-            .ranks
-            .iter()
-            .map(|r| (r.clock - (r.comm_seconds + r.wait_seconds + r.compute_seconds)).abs())
-            .fold(0.0, f64::max);
+        let t = &self.totals;
+        let n = self.nranks.max(1) as f64;
+        let totals_err =
+            (self.mean_clock * n - (t.comm_seconds + t.wait_seconds + t.compute_seconds)).abs() / n;
         let phase_sum: f64 = self.phases.iter().map(|p| p.mean_seconds).sum();
-        rank_err.max((phase_sum - self.mean_clock).abs())
+        totals_err.max((phase_sum - self.mean_clock).abs())
     }
 
     /// Virtual seconds attributed to phases whose name starts with `prefix`
@@ -333,7 +292,6 @@ impl RunReport {
     /// Create an empty report.
     pub fn new(figure: &str, machine: &str) -> RunReport {
         RunReport {
-            schema: REPORT_SCHEMA,
             figure: figure.to_string(),
             machine: machine.to_string(),
             params: Vec::new(),
@@ -361,11 +319,7 @@ impl RunReport {
     /// Serialize to the JSON document structure.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            // `schema` predates `schema_version` and is kept so schema-1
-            // readers fail with a clear version message instead of a missing
-            // field; both carry the same value.
-            ("schema", Json::Num(self.schema as f64)),
-            ("schema_version", Json::Num(self.schema as f64)),
+            ("schema_version", Json::Num(REPORT_SCHEMA as f64)),
             ("figure", Json::Str(self.figure.clone())),
             ("machine", Json::Str(self.machine.clone())),
             (
@@ -400,19 +354,13 @@ impl RunReport {
 
     /// Parse a report back from JSON (inverse of [`RunReport::to_json`]).
     pub fn from_json(v: &Json) -> Result<RunReport, String> {
-        // Schema-1 reports carry only `schema`; schema-2 reports carry both
-        // (with `schema_version` authoritative).
-        let schema = match v.get("schema_version").and_then(Json::as_u64) {
-            Some(s) => s,
-            None => field_u64(v, "schema")?,
-        };
-        if schema == 0 || schema > REPORT_SCHEMA {
+        let schema = field_u64(v, "schema_version")?;
+        if schema != REPORT_SCHEMA {
             return Err(format!(
-                "unsupported report schema_version {schema} (this build reads 1..={REPORT_SCHEMA})"
+                "unsupported report schema_version {schema} (this build reads {REPORT_SCHEMA})"
             ));
         }
         Ok(RunReport {
-            schema,
             figure: field_str(v, "figure")?,
             machine: field_str(v, "machine")?,
             params: match v.get("params") {
@@ -443,7 +391,7 @@ impl RunReport {
                             wall_seconds: field_f64(s, "wall_seconds")?,
                             allocs: field_u64(s, "allocs")?,
                             alloc_bytes: field_u64(s, "alloc_bytes")?,
-                            steps: field_u64_or_zero(s, "steps"),
+                            steps: field_u64(s, "steps")?,
                         })
                     })
                     .collect::<Result<_, String>>()?,
@@ -462,6 +410,7 @@ impl RunReport {
 }
 
 fn run_to_json(r: &RunEntry) -> Json {
+    let t = &r.totals;
     let mut fields = vec![
         ("label", Json::Str(r.label.clone())),
         ("nranks", Json::Num(r.nranks as f64)),
@@ -492,35 +441,26 @@ fn run_to_json(r: &RunEntry) -> Json {
             ),
         ),
         (
-            "ranks",
-            Json::Arr(
-                r.ranks
-                    .iter()
-                    .map(|k| {
-                        Json::obj(vec![
-                            ("rank", Json::Num(k.rank as f64)),
-                            ("clock", Json::Num(k.clock)),
-                            ("comm_seconds", Json::Num(k.comm_seconds)),
-                            ("wait_seconds", Json::Num(k.wait_seconds)),
-                            ("compute_seconds", Json::Num(k.compute_seconds)),
-                            ("p2p_sent_msgs", Json::Num(k.p2p_sent_msgs as f64)),
-                            ("p2p_sent_bytes", Json::Num(k.p2p_sent_bytes as f64)),
-                            ("p2p_recv_msgs", Json::Num(k.p2p_recv_msgs as f64)),
-                            ("p2p_recv_bytes", Json::Num(k.p2p_recv_bytes as f64)),
-                            ("coll_ops", Json::Num(k.coll_ops as f64)),
-                            ("coll_bytes", Json::Num(k.coll_bytes as f64)),
-                            ("plan_builds", Json::Num(k.plan_builds as f64)),
-                            ("plan_execs", Json::Num(k.plan_execs as f64)),
-                            ("faults_injected", Json::Num(k.faults_injected as f64)),
-                            ("retries", Json::Num(k.retries as f64)),
-                            ("timeouts", Json::Num(k.timeouts as f64)),
-                            ("stalls", Json::Num(k.stalls as f64)),
-                            ("bytes_reused", Json::Num(k.bytes_reused as f64)),
-                            ("bytes_grown", Json::Num(k.bytes_grown as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            "totals",
+            Json::obj(vec![
+                ("comm_seconds", Json::Num(t.comm_seconds)),
+                ("wait_seconds", Json::Num(t.wait_seconds)),
+                ("compute_seconds", Json::Num(t.compute_seconds)),
+                ("p2p_sent_msgs", Json::Num(t.p2p_sent_msgs as f64)),
+                ("p2p_sent_bytes", Json::Num(t.p2p_sent_bytes as f64)),
+                ("p2p_recv_msgs", Json::Num(t.p2p_recv_msgs as f64)),
+                ("p2p_recv_bytes", Json::Num(t.p2p_recv_bytes as f64)),
+                ("coll_ops", Json::Num(t.coll_ops as f64)),
+                ("coll_bytes", Json::Num(t.coll_bytes as f64)),
+                ("plan_builds", Json::Num(t.plan_builds as f64)),
+                ("plan_execs", Json::Num(t.plan_execs as f64)),
+                ("faults_injected", Json::Num(t.faults_injected as f64)),
+                ("retries", Json::Num(t.retries as f64)),
+                ("timeouts", Json::Num(t.timeouts as f64)),
+                ("stalls", Json::Num(t.stalls as f64)),
+                ("bytes_reused", Json::Num(t.bytes_reused as f64)),
+                ("bytes_grown", Json::Num(t.bytes_grown as f64)),
+            ]),
         ),
     ];
     if let Some(cp) = &r.critpath {
@@ -567,12 +507,6 @@ fn field_str(v: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("missing string field '{key}'"))
 }
 
-/// Integer field that may be absent (fields added after schema 1 reports were
-/// first written; old reports parse as zero).
-fn field_u64_or_zero(v: &Json, key: &str) -> u64 {
-    v.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
 fn run_from_json(v: &Json) -> Result<RunEntry, String> {
     Ok(RunEntry {
         label: field_str(v, "label")?,
@@ -601,35 +535,28 @@ fn run_from_json(v: &Json) -> Result<RunEntry, String> {
                 })
             })
             .collect::<Result<_, String>>()?,
-        ranks: v
-            .get("ranks")
-            .and_then(Json::as_arr)
-            .ok_or("missing 'ranks' array")?
-            .iter()
-            .map(|k| {
-                Ok(RankRow {
-                    rank: field_u64(k, "rank")? as usize,
-                    clock: field_f64(k, "clock")?,
-                    comm_seconds: field_f64(k, "comm_seconds")?,
-                    wait_seconds: field_f64(k, "wait_seconds")?,
-                    compute_seconds: field_f64(k, "compute_seconds")?,
-                    p2p_sent_msgs: field_u64(k, "p2p_sent_msgs")?,
-                    p2p_sent_bytes: field_u64(k, "p2p_sent_bytes")?,
-                    p2p_recv_msgs: field_u64(k, "p2p_recv_msgs")?,
-                    p2p_recv_bytes: field_u64(k, "p2p_recv_bytes")?,
-                    coll_ops: field_u64(k, "coll_ops")?,
-                    coll_bytes: field_u64(k, "coll_bytes")?,
-                    plan_builds: field_u64_or_zero(k, "plan_builds"),
-                    plan_execs: field_u64_or_zero(k, "plan_execs"),
-                    faults_injected: field_u64_or_zero(k, "faults_injected"),
-                    retries: field_u64_or_zero(k, "retries"),
-                    timeouts: field_u64_or_zero(k, "timeouts"),
-                    stalls: field_u64_or_zero(k, "stalls"),
-                    bytes_reused: field_u64_or_zero(k, "bytes_reused"),
-                    bytes_grown: field_u64_or_zero(k, "bytes_grown"),
-                })
-            })
-            .collect::<Result<_, String>>()?,
+        totals: {
+            let t = v.get("totals").ok_or("missing 'totals' object")?;
+            RankStats {
+                comm_seconds: field_f64(t, "comm_seconds")?,
+                wait_seconds: field_f64(t, "wait_seconds")?,
+                compute_seconds: field_f64(t, "compute_seconds")?,
+                p2p_sent_msgs: field_u64(t, "p2p_sent_msgs")?,
+                p2p_sent_bytes: field_u64(t, "p2p_sent_bytes")?,
+                p2p_recv_msgs: field_u64(t, "p2p_recv_msgs")?,
+                p2p_recv_bytes: field_u64(t, "p2p_recv_bytes")?,
+                coll_ops: field_u64(t, "coll_ops")?,
+                coll_bytes: field_u64(t, "coll_bytes")?,
+                plan_builds: field_u64(t, "plan_builds")?,
+                plan_execs: field_u64(t, "plan_execs")?,
+                faults_injected: field_u64(t, "faults_injected")?,
+                retries: field_u64(t, "retries")?,
+                timeouts: field_u64(t, "timeouts")?,
+                stalls: field_u64(t, "stalls")?,
+                bytes_reused: field_u64(t, "bytes_reused")?,
+                bytes_grown: field_u64(t, "bytes_grown")?,
+            }
+        },
         critpath: match v.get("critpath") {
             None => None,
             Some(cp) => Some(CritPath {
@@ -735,37 +662,26 @@ mod tests {
                 },
                 PhaseRow { name: "(untagged)".into(), mean_seconds: 1.25, ..Default::default() },
             ],
-            ranks: vec![
-                RankRow {
-                    rank: 0,
-                    clock: 2.5,
-                    comm_seconds: 1.0,
-                    wait_seconds: 0.5,
-                    compute_seconds: 1.0,
-                    p2p_sent_msgs: 6,
-                    p2p_sent_bytes: 2048,
-                    p2p_recv_msgs: 6,
-                    p2p_recv_bytes: 2048,
-                    coll_ops: 3,
-                    coll_bytes: 64,
-                    plan_builds: 1,
-                    plan_execs: 4,
-                    faults_injected: 2,
-                    retries: 1,
-                    timeouts: 1,
-                    stalls: 0,
-                    bytes_reused: 512,
-                    bytes_grown: 2048,
-                },
-                RankRow {
-                    rank: 1,
-                    clock: 3.5,
-                    comm_seconds: 1.5,
-                    wait_seconds: 0.5,
-                    compute_seconds: 1.5,
-                    ..Default::default()
-                },
-            ],
+            // Two ranks with clocks 2.5 and 3.5.
+            totals: RankStats {
+                comm_seconds: 2.5,
+                wait_seconds: 1.0,
+                compute_seconds: 2.5,
+                p2p_sent_msgs: 6,
+                p2p_sent_bytes: 2048,
+                p2p_recv_msgs: 6,
+                p2p_recv_bytes: 2048,
+                coll_ops: 3,
+                coll_bytes: 64,
+                plan_builds: 1,
+                plan_execs: 4,
+                faults_injected: 2,
+                retries: 1,
+                timeouts: 1,
+                stalls: 1,
+                bytes_reused: 512,
+                bytes_grown: 2048,
+            },
             critpath: Some(CritPath {
                 comm_seconds: 1.25,
                 wait_seconds: 0.75,
@@ -797,27 +713,12 @@ mod tests {
     }
 
     #[test]
-    fn schema_one_reports_still_parse_and_unknown_versions_fail() {
-        let report = sample_report();
-        let mut text = report.to_json().pretty();
-        // A schema-1 report: no `schema_version`, no `critpath`.
-        text = text.replace("\"schema\": 2", "\"schema\": 1");
-        text = {
-            let v1 = Json::parse(&text).unwrap();
-            match v1 {
-                Json::Obj(pairs) => {
-                    Json::Obj(pairs.into_iter().filter(|(k, _)| k != "schema_version").collect())
-                        .pretty()
-                }
-                _ => unreachable!(),
-            }
-        };
-        let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.schema, 1);
-        // Future versions are rejected with a clear message.
-        let future = text.replace("\"schema\": 1", "\"schema\": 99");
-        let err = RunReport::from_json(&Json::parse(&future).unwrap()).unwrap_err();
-        assert!(err.contains("schema_version 99"), "got: {err}");
+    fn reports_of_another_schema_version_are_rejected() {
+        let text = sample_report().to_json().pretty();
+        let old = text.replacen("\"schema_version\": 3", "\"schema_version\": 2", 1);
+        assert_ne!(old, text, "expected a schema_version key");
+        let err = RunReport::from_json(&Json::parse(&old).unwrap()).unwrap_err();
+        assert!(err.contains("schema_version 2"), "got: {err}");
     }
 
     #[test]
@@ -840,7 +741,7 @@ mod tests {
         let mut report = sample_report();
         // The sample is exactly consistent.
         assert!(report.decomposition_error() < 1e-12);
-        report.runs[0].ranks[1].wait_seconds += 0.25;
+        report.runs[0].totals.wait_seconds += 0.5;
         assert!(report.decomposition_error() > 0.2);
     }
 
@@ -878,5 +779,51 @@ mod tests {
         assert_eq!(entry.phases.first().map(|p| p.name.as_str()), Some("work"));
         assert_eq!(entry.phases.last().map(|p| p.name.as_str()), Some("(untagged)"));
         assert!(entry.decomposition_error() < 1e-9);
+    }
+
+    /// A small world whose ranks differ in compute, traffic and collectives.
+    fn uneven_world() -> simcomm::RunOutput<()> {
+        simcomm::run(5, simcomm::MachineModel::juropa_like(), |comm| {
+            let rank = comm.rank();
+            comm.compute(simcomm::Work::ParticleOp, 10.0 + 7.0 * rank as f64);
+            let sum = comm.allreduce(rank as u64, |a, b| a + b);
+            if rank == 0 {
+                for src in 1..comm.size() {
+                    let _: Vec<u64> = comm.recv(src, 1);
+                }
+            } else {
+                comm.send(0, 1, vec![sum; rank]);
+            }
+            comm.barrier();
+        })
+    }
+
+    #[test]
+    fn totals_are_rank_stats_summed_in_rank_order_and_survive_json() {
+        let out = uneven_world();
+        let mut report = RunReport::new("figX", "juropa_like");
+        report.push("run", RunEntry::from_run(&out));
+        let back = RunReport::from_json(&Json::parse(&report.to_json().pretty()).unwrap()).unwrap();
+        assert_eq!(back, report);
+        let t = &back.runs[0].totals;
+        let seconds = |f: fn(&RankStats) -> f64| out.stats.iter().fold(0.0, |a, s| a + f(s));
+        assert_eq!(t.comm_seconds.to_bits(), seconds(|s| s.comm_seconds).to_bits());
+        assert_eq!(t.wait_seconds.to_bits(), seconds(|s| s.wait_seconds).to_bits());
+        assert_eq!(t.compute_seconds.to_bits(), seconds(|s| s.compute_seconds).to_bits());
+        let count = |f: fn(&RankStats) -> u64| out.stats.iter().map(f).sum::<u64>();
+        assert_eq!(t.p2p_sent_msgs, count(|s| s.p2p_sent_msgs));
+        assert_eq!(t.p2p_recv_bytes, count(|s| s.p2p_recv_bytes));
+        assert_eq!(t.coll_ops, count(|s| s.coll_ops));
+        assert_eq!(t.coll_bytes, count(|s| s.coll_bytes));
+        assert!(t.p2p_sent_msgs == 4 && t.wait_seconds > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 3: comm + wait + compute diverges from its clock")]
+    fn from_parts_refuses_a_rank_whose_clock_misses_its_terms() {
+        let out = uneven_world();
+        let mut clocks = out.clocks.clone();
+        clocks[3] += 1e-4 * out.makespan();
+        RunEntry::from_parts(&out.phase_table(), &out.stats, &clocks);
     }
 }

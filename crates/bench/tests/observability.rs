@@ -197,11 +197,7 @@ fn unknown_schema_version_is_rejected_by_commstats() {
     std::fs::create_dir_all(&tmp).unwrap();
     let path = write_report(&tmp, "future.json", 1.0);
     let text = std::fs::read_to_string(&path).unwrap();
-    let bumped = text.replacen("\"schema\": 2", "\"schema\": 99", 1).replacen(
-        "\"schema_version\": 2",
-        "\"schema_version\": 99",
-        1,
-    );
+    let bumped = text.replacen("\"schema_version\": 3", "\"schema_version\": 99", 1);
     assert_ne!(text, bumped, "expected schema fields in the report");
     std::fs::write(&path, bumped).unwrap();
     let out = Command::new(commstats).args(["--check", "--report"]).arg(&path).output().unwrap();
@@ -213,14 +209,26 @@ fn unknown_schema_version_is_rejected_by_commstats() {
 }
 
 #[test]
+fn commstats_check_rejects_edited_totals() {
+    let commstats = env!("CARGO_BIN_EXE_commstats");
+    let tmp = std::env::temp_dir().join(format!("obs_totals_{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let path = write_report(&tmp, "edited.json", 1.0);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut report = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+    report.runs[0].totals.wait_seconds += 1e-3 * report.runs[0].makespan;
+    std::fs::write(&path, report.to_json().pretty()).unwrap();
+    let out = Command::new(commstats).args(["--check", "--report"]).arg(&path).output().unwrap();
+    assert!(!out.status.success(), "--check must reject totals that miss the mean clock");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("ring/exchange"), "diagnostic must name the run:\n{err}");
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
 fn timeline_sink_writes_openable_perfetto_file() {
     let tmp = std::env::temp_dir().join(format!("obs_timeline_{}.json", std::process::id()));
-    let args = bench::Args::try_parse_from(
-        vec!["--perfetto".into(), tmp.display().to_string()],
-        &["perfetto"],
-    )
-    .unwrap();
-    let mut sink = TimelineSink::from_args(&args);
+    let mut sink = TimelineSink::from_path(tmp.display().to_string());
     assert!(sink.active());
     let out = traced_run();
     let records: usize = out.traces.iter().map(|t| t.events.len()).sum();
