@@ -111,8 +111,10 @@ impl CommPlan {
     /// return `payload` holds what the partners sent, in partner order, and
     /// [`CommPlan::last_recv_counts`] how much came from each.
     ///
-    /// All sends and receives are posted nonblocking up front and drained in
-    /// arrival order: the messages, costs, statistics and trace events of
+    /// All receives are posted nonblocking up front in partner order, then
+    /// the sends — to the partners above this rank first, wrapping around to
+    /// the rest — and the receives are drained in arrival order: the
+    /// messages, costs, statistics and trace events of
     /// [`Comm::neighbor_exchange`], plus one `plan_exec` record — but the
     /// partner resolution, validation and output ordering were paid once at
     /// plan build.

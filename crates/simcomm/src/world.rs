@@ -2329,8 +2329,13 @@ impl Comm {
     /// most partners have nothing to say, [`Comm::sparse_exchange`] pays only
     /// for those that do.
     ///
-    /// Implementation: every send and receive is posted nonblocking up front
-    /// and the receives are drained in **arrival order** ([`Comm::waitall`]),
+    /// Implementation: every receive is posted nonblocking up front in
+    /// partner order, then every send: to the partners above this rank first,
+    /// then wrapping around to the rest, each group in list order. For a
+    /// sorted list that is ascending `(q - rank) mod P`, MPI's pairwise
+    /// schedule, so on a periodic grid no rank is the last destination of all
+    /// its neighbours. The receives are drained in **arrival order**
+    /// ([`Comm::waitall`]),
     /// so one slow partner delays the exchange by its own latency only,
     /// instead of stalling on each partner in list order.
     ///
@@ -2341,7 +2346,7 @@ impl Comm {
     pub fn neighbor_exchange<T: Send + 'static>(
         &mut self,
         partners: &[usize],
-        data: Vec<(usize, Vec<T>)>,
+        mut data: Vec<(usize, Vec<T>)>,
         tag: u64,
     ) -> Vec<(usize, Vec<T>)> {
         check_partner_list(partners, &data);
@@ -2352,8 +2357,9 @@ impl Comm {
         for &src in partners {
             kinds.push(self.irecv::<T>(src, tag).kind);
         }
-        for (dst, buf) in data {
-            kinds.push(self.isend(dst, tag, buf).kind);
+        for i in posting_order(self.rank, partners) {
+            let (dst, buf) = &mut data[i];
+            kinds.push(self.isend(*dst, tag, std::mem::take(buf)).kind);
         }
         self.waitall_core(&kinds);
         self.wait_scratch.kinds = kinds;
@@ -2372,11 +2378,11 @@ impl Comm {
     /// payloads: `envelopes[i]` (of `bytes[i]` bytes) goes to `partners[i]`
     /// and the envelope received from `partners[i]` takes its place. Posting
     /// order, completion order and every charged cost are those of
-    /// [`Comm::neighbor_exchange`] — all receives, then the sends in partner
-    /// order, drained in arrival order — and nothing is boxed or unboxed
-    /// here, so the caller decides what an envelope's buffer is reused for.
-    /// The partners are those of a plan, which [`Comm::plan_exchange`] has
-    /// checked against the world.
+    /// [`Comm::neighbor_exchange`] — all receives in partner order, then the
+    /// sends in [`posting_order`], drained in arrival order — and nothing is
+    /// boxed or unboxed here, so the caller decides what an envelope's buffer
+    /// is reused for. The partners are those of a plan, which
+    /// [`Comm::plan_exchange`] has checked against the world.
     pub(crate) fn exchange_envelopes(
         &mut self,
         partners: &[usize],
@@ -2387,10 +2393,10 @@ impl Comm {
         let mut kinds = std::mem::take(&mut self.wait_scratch.kinds);
         kinds.clear();
         kinds.extend(partners.iter().map(|&src| ReqKind::Recv { src, tag }));
-        for ((&dst, envelope), &bytes) in partners.iter().zip(envelopes.iter_mut()).zip(bytes) {
+        for i in posting_order(self.rank, partners) {
             // A boxed unit is not an allocation.
-            let payload = std::mem::replace(envelope, Box::new(()));
-            kinds.push(self.isend_payload(dst, tag, payload, bytes));
+            let payload = std::mem::replace(&mut envelopes[i], Box::new(()));
+            kinds.push(self.isend_payload(partners[i], tag, payload, bytes[i]));
         }
         self.waitall_core(&kinds);
         self.wait_scratch.kinds = kinds;
@@ -2410,6 +2416,19 @@ pub fn push_segment(segments: &mut Vec<(usize, usize)>, dst: usize, len: usize) 
         Some((last, total)) if *last == dst => *total += len,
         _ => segments.push((dst, len)),
     }
+}
+
+/// The order rank `me` posts the sends of a point-to-point exchange in, as
+/// positions into its destination list: the destinations above `me` first,
+/// then the rest, each group in list order — ascending `(q - me) mod P` for a
+/// sorted list, the schedule of MPI's pairwise exchange. In plain ascending
+/// order the highest rank of a periodic neighbourhood is every neighbour's
+/// last destination, at the back of all their NIC queues; shifted, each slot
+/// of the schedule is a permutation. Only when a message leaves changes,
+/// never what arrives or the order buffers to one destination keep.
+pub(crate) fn posting_order(me: usize, dsts: &[usize]) -> impl Iterator<Item = usize> + '_ {
+    let upper = (0..dsts.len()).filter(move |&i| dsts[i] > me);
+    upper.chain((0..dsts.len()).filter(move |&i| dsts[i] <= me))
 }
 
 /// Validate a neighbour-exchange partner list against the send buffers: a

@@ -71,6 +71,11 @@ impl Comm {
     /// whoever sent to it. A destination may appear more than once. An empty
     /// buffer is not a message.
     ///
+    /// The sends are posted to the destinations above this rank first, then
+    /// to the rest, each group in list order — the posting rule of
+    /// [`Comm::neighbor_exchange`] — so on a periodic grid no rank's messages
+    /// all leave last. Buffers to one destination keep their list order.
+    ///
     /// This is the neighbourhood exchange for rounds where most partners have
     /// nothing to say: messages cost what they cost, an empty partner costs
     /// nothing, and the round ends with one barrier (the cost model is in the
@@ -125,12 +130,22 @@ impl Comm {
         check_sparse_targets(partners, sends.iter().map(|&(dst, _)| dst));
         let tag = self.sparse_tag();
         let mut sent = 0;
-        for (dst, data) in sends.drain(..).filter(|(_, data)| !data.is_empty()) {
-            let bytes = std::mem::size_of_val(&data[..]) as u64;
-            let payload = self.box_payload(data);
-            self.sparse_post(dst, tag, payload, bytes);
-            sent += bytes;
+        // The posting rule of the dense exchanges (`posting_order`): the
+        // destinations above this rank first, then the rest, each group in
+        // list order — so buffers to one destination keep their order.
+        let me = self.rank;
+        for upper in [true, false] {
+            let group =
+                sends.iter_mut().filter(|(dst, data)| (*dst > me) == upper && !data.is_empty());
+            for (dst, data) in group {
+                let data = std::mem::take(data);
+                let bytes = std::mem::size_of_val(&data[..]) as u64;
+                let payload = self.box_payload(data);
+                self.sparse_post(*dst, tag, payload, bytes);
+                sent += bytes;
+            }
         }
+        sends.clear();
         self.sparse_settle(tag, sent);
         out.clear();
         let mut msgs = std::mem::take(&mut self.sparse.msgs);

@@ -10,37 +10,21 @@
 //! replaced by a `Runner::new` of that variant and copying the digest each
 //! failing assertion printed. A digest may only change together with an
 //! intended change of the cost model or the accounting.
+//!
+//! Each digest is now two, a *payload* and a *timing* half
+//! (`common::halves`), so a change that moves only virtual time shows as
+//! exactly that. The payload halves were captured at commit `42d7aab`, where
+//! the single digests above still held. Posting each exchange's sends to the
+//! partners above the sender first re-froze the timing halves of the worlds
+//! whose exchanges have such partners once; every payload half stayed.
 
+mod common;
+
+use common::{assert_halves as assert_frozen, digest, splitmix64};
 use simcomm::{
     CartGrid, Comm, FaultPlan, MachineModel, RunOutput, Runner, StallSpec, TraceEvent, TraceKind,
     Work, WorldError,
 };
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// 64-bit FNV-1a of a value's `Debug` rendering. `{:?}` prints floats in
-/// shortest round-trip form, so distinct bit patterns (including `-0.0`)
-/// render — and hash — differently.
-fn digest(x: &impl std::fmt::Debug) -> u64 {
-    format!("{x:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-}
-
-/// Assert that everything a world reports — results, clock bit patterns,
-/// statistics, trace events and spans, phase aggregates and segments —
-/// hashes to the frozen `want`.
-fn assert_frozen<R: std::fmt::Debug>(out: &RunOutput<R>, want: u64, what: &str) {
-    let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
-    let got = digest(&(&out.results, clock_bits, &out.stats, &out.traces, &out.phases));
-    assert_eq!(got, want, "{what}: digest {got:#018x} differs from the frozen {want:#018x}");
-}
 
 /// Assert two run outputs are bitwise identical in every observable
 /// dimension. Clocks are compared through their bit patterns — `assert_eq!`
@@ -133,9 +117,11 @@ fn widths(p: usize) -> [usize; 4] {
 
 #[test]
 fn mixed_program_matches_frozen_digests_juropa() {
-    for (seed, want) in
-        [(1u64, 0xe750_eafc_0dad_de2cu64), (2, 0x89bb_67c1_2cd3_abcf), (3, 0xaf82_8cd3_8865_6434)]
-    {
+    for (seed, want) in [
+        (1u64, [0xd562_c4fd_c702_e9c4, 0x8c11_c117_25da_d0a8]),
+        (2, [0xc01b_0126_c597_f3ba, 0x704d_5f1f_7f45_30e3]),
+        (3, [0x7008_fe34_f949_3062, 0x0435_8374_302c_cf27]),
+    ] {
         for width in widths(12) {
             let runner = runner().host_parallelism(width);
             let out = runner.run(12, MachineModel::juropa_like(), mixed_program(seed, 3));
@@ -146,7 +132,10 @@ fn mixed_program_matches_frozen_digests_juropa() {
 
 #[test]
 fn mixed_program_matches_frozen_digests_juqueen() {
-    for (seed, want) in [(7u64, 0x9932_d8b0_5cc8_e6e8u64), (11, 0xc6e3_5acf_a2da_e6a5)] {
+    for (seed, want) in [
+        (7u64, [0x48a7_4ad6_48cc_8bdc, 0xdb45_66bf_afdd_e04a]),
+        (11, [0x455a_e865_c35a_5b37, 0x0630_f0b9_7b6d_a2be]),
+    ] {
         for width in widths(16) {
             let runner = runner().host_parallelism(width);
             let out = runner.run(16, MachineModel::juqueen_like(), mixed_program(seed, 3));
@@ -172,7 +161,11 @@ fn faulted_mixed_program_matches_frozen_digest() {
     for width in widths(12) {
         let runner = runner().faulted(fault.clone()).host_parallelism(width);
         let out = runner.run(12, MachineModel::juropa_like(), mixed_program(5, 3));
-        assert_frozen(&out, 0xb0ba_7d5d_1fab_3a2a, &format!("faulted world width {width}"));
+        assert_frozen(
+            &out,
+            [0x32ed_4f3a_d313_a492, 0xa4d8_8bb9_1986_b860],
+            &format!("faulted world width {width}"),
+        );
         assert!(out.stats.iter().any(|s| s.faults_injected > 0), "fault plan must actually fire");
     }
 }
@@ -193,7 +186,11 @@ fn large_world_matches_frozen_digest() {
         let expect: u64 = (0..4096u64).sum();
         assert!(out.results.iter().all(|&s| s == expect));
         assert!(out.makespan() > 0.0);
-        assert_frozen(&out, 0xcb2c_77ad_1be5_4692, &format!("4096-rank smoke width {width}"));
+        assert_frozen(
+            &out,
+            [0x0ceb_542b_6b86_fbbe, 0x87ef_00d9_d2bd_da0e],
+            &format!("4096-rank smoke width {width}"),
+        );
     }
 }
 
@@ -269,7 +266,11 @@ fn pooled_byte_path_matches_frozen_digest() {
     let f = byte_path_program(17, 3);
     for width in widths(12) {
         let out = runner().host_parallelism(width).run(12, MachineModel::juropa_like(), &f);
-        assert_frozen(&out, 0x8d25_db28_4db0_ac41, &format!("pooled byte path width {width}"));
+        assert_frozen(
+            &out,
+            [0x2ee9_d33c_4371_aefc, 0x7cff_6a7c_6dde_2a09],
+            &format!("pooled byte path width {width}"),
+        );
         // The pool must actually have engaged, or the test is vacuous.
         assert!(out.stats.iter().any(|s| s.bytes_reused > 0), "the pool never reused a buffer");
     }
@@ -430,12 +431,42 @@ fn collectives_program(comm: &mut simcomm::Comm) -> Vec<u64> {
 fn collectives_world_matches_frozen_digest() {
     // Captured at commit 802dd53, the last one with the one-slot
     // `phase % 2` collective state machine.
-    let frozen: [(usize, [u64; 2]); 5] = [
-        (1, [0x325c_eef4_fa22_ef53, 0xb315_19c8_24f2_b011]),
-        (2, [0x0ede_2870_9ce1_02e6, 0xbccd_4c4e_c8b7_cc16]),
-        (3, [0x1fc1_c229_a6c3_858c, 0x6f76_c280_5968_3f24]),
-        (7, [0xba68_123e_ef15_cf4b, 0xb9a3_4c8d_7ec1_1dc0]),
-        (64, [0x3aae_96b1_a49a_c988, 0xd702_f8a2_16de_bebe]),
+    let frozen: [(usize, [[u64; 2]; 2]); 5] = [
+        (
+            1,
+            [
+                [0x147e_62dc_ffe3_fa06, 0xbad3_d30d_876d_4968],
+                [0x147e_62dc_ffe3_fa06, 0xf451_0d81_50da_affa],
+            ],
+        ),
+        (
+            2,
+            [
+                [0xe580_bec1_a342_f583, 0xb891_8323_bf31_3873],
+                [0xe580_bec1_a342_f583, 0x1436_96b9_d909_23cf],
+            ],
+        ),
+        (
+            3,
+            [
+                [0x5ac0_5830_97ce_9634, 0xcf6f_82d3_7ab8_7ecb],
+                [0x5ac0_5830_97ce_9634, 0x9039_1ce1_bb1d_7c1e],
+            ],
+        ),
+        (
+            7,
+            [
+                [0xe127_5467_1ee8_0715, 0xc5a7_de25_bda9_513d],
+                [0xe127_5467_1ee8_0715, 0x580b_098e_b3db_a04c],
+            ],
+        ),
+        (
+            64,
+            [
+                [0x86f7_b09d_c6f6_83b2, 0xfc37_b1cd_8a11_2510],
+                [0x86f7_b09d_c6f6_83b2, 0x74fa_674e_35c1_bf80],
+            ],
+        ),
     ];
     for (p, wants) in frozen {
         let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];

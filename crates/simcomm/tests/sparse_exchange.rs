@@ -7,22 +7,10 @@
 //! in closed form, its frozen clocks and statistics at every host width, and
 //! its failure behaviour.
 
+mod common;
+
+use common::{assert_halves, splitmix64};
 use simcomm::{CartGrid, Comm, MachineModel, Runner, TraceKind, WorldError};
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// 64-bit FNV-1a of a value's `Debug` rendering (see `determinism.rs`).
-fn digest(x: &impl std::fmt::Debug) -> u64 {
-    format!("{x:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-}
 
 /// What one rank received in one round: `(source, payload)` pairs.
 type Got = Vec<(usize, Vec<u64>)>;
@@ -206,17 +194,21 @@ fn sparse_exchange_is_alltoallv_on_payload_bits() {
 
 #[test]
 fn sparse_exchange_matches_frozen_digests_at_every_width() {
-    // Captured when the sparse exchange was introduced: clocks, statistics,
-    // traces and phase profiles of the oracle program, traced.
-    for (p, want) in [(12usize, 0x31fe_5b9f_bc33_a0f6u64), (7, 0xadb0_a14c_9531_e933)] {
+    // Captured when the sparse exchange was introduced, as one digest over
+    // clocks, statistics, traces and phase profiles of the oracle program,
+    // traced. Split into its payload and timing halves (`common::halves`) at
+    // commit `42d7aab`; the timing halves were re-frozen once when every
+    // exchange began posting to the partners above the sender first.
+    for (p, want) in [
+        (12usize, [0x740d_6872_bef2_388c, 0xc8cb_f5e3_d257_7465]),
+        (7, [0x854c_83d4_ffc6_3160, 0x0519_9c2b_2b8b_80fb]),
+    ] {
         let model =
             if p == 12 { MachineModel::juropa_like() } else { MachineModel::juqueen_like() };
         for width in [1, 2, 8, p] {
             let runner = Runner::default().traced(true).host_parallelism(width);
             let out = runner.run(p, model.clone(), program(0xd1e5 ^ p as u64, 8));
-            let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
-            let got = digest(&(&out.results, clock_bits, &out.stats, &out.traces, &out.phases));
-            assert_eq!(got, want, "p={p} width {width}: digest {got:#018x} != {want:#018x}");
+            assert_halves(&out, want, &format!("p={p} width {width}"));
         }
     }
 }

@@ -11,26 +11,28 @@
 //! * every `Recv` record's correlation id matches **exactly one** `Send` or
 //!   `Isend` record on the sending peer, with the same byte count;
 //! * correlation ids are world-unique and nonzero across all posted sends;
-//! * the whole correlated event stream hashes to a frozen digest, captured
-//!   from the thread-per-rank engine at commit `cf18bdf` the way
-//!   `tests/determinism.rs` describes.
+//! * the whole world hashes to a frozen pair of digests, a payload and a
+//!   timing half (`common::halves`; the timing half holds the correlated
+//!   event stream).
 //!
 //! A world of sparse data exchanges (`Comm::sparse_exchange`) is held to the
 //! same invariants under the same faults, and to one more: every posted
-//! message is received exactly once. Its digest was captured when the sparse
-//! exchange was introduced.
+//! message is received exactly once.
+//!
+//! Both worlds were first frozen as one digest of the event stream alone:
+//! the point-to-point world's captured from the thread-per-rank engine at
+//! commit `cf18bdf` the way `tests/determinism.rs` describes, the sparse
+//! world's when the sparse exchange was introduced. The two halves were
+//! captured at commit `42d7aab`; posting each exchange's sends to the
+//! partners above the sender first re-froze the timing halves once (under a
+//! fault plan it also moves which sends the loss and spike draws hit).
+
+mod common;
 
 use std::collections::HashMap;
 
+use common::{assert_halves, splitmix64};
 use simcomm::{CartGrid, FaultPlan, MachineModel, Runner, StallSpec, Trace, TraceKind, Work};
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A seeded program mixing every point-to-point shape: blocking sends, ring
 /// sendrecvs, nonblocking neighbourhood batches drained out of order, and
@@ -174,18 +176,13 @@ fn assert_correlation_invariants(traces: &[Trace], what: &str) -> usize {
     matched_waits
 }
 
-/// 64-bit FNV-1a of a value's `Debug` rendering (see `tests/determinism.rs`).
-fn digest(x: &impl std::fmt::Debug) -> u64 {
-    format!("{x:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-}
-
 #[test]
 fn every_isend_has_exactly_one_completion_under_faults() {
-    for (seed, want) in
-        [(3u64, 0xa638_f38f_cf8c_438cu64), (19, 0x0267_0781_73f1_2cc8), (71, 0xb1e8_45de_5f26_234d)]
-    {
+    for (seed, want) in [
+        (3u64, [0xd2b0_6354_2565_7121, 0x766e_f002_5be7_e1a2]),
+        (19, [0xedf1_8e8d_808f_3639, 0xd5c3_7a0b_813c_7ca1]),
+        (71, [0x68ef_dc7c_c9fd_974a, 0x037a_8b9f_6f04_7da0]),
+    ] {
         let plan = chaos_plan(seed.wrapping_mul(0x9e37));
         let out = Runner::default().traced(true).faulted(plan).run(
             12,
@@ -203,9 +200,7 @@ fn every_isend_has_exactly_one_completion_under_faults() {
         );
 
         // And the correlated streams are the frozen ones, event for event.
-        let events: Vec<_> = out.traces.iter().map(|t| &t.events).collect();
-        let got = digest(&events);
-        assert_eq!(got, want, "seed {seed}: trace digest {got:#018x} != frozen {want:#018x}");
+        assert_halves(&out, want, &format!("seed {seed}"));
     }
 }
 
@@ -233,7 +228,10 @@ fn sparse_program(seed: u64, rounds: usize) -> impl Fn(&mut simcomm::Comm) -> u6
 
 #[test]
 fn every_sparse_message_is_received_exactly_once_under_faults() {
-    for (seed, want) in [(5u64, 0x5795_7055_5432_b006u64), (23, 0x7a70_f280_99c6_7120)] {
+    for (seed, want) in [
+        (5u64, [0x6c16_c8dd_e8a9_bb78, 0xff8b_e882_289d_1d5c]),
+        (23, [0x413b_8434_1c63_ff11, 0xc5c7_0ec1_4201_055e]),
+    ] {
         let plan = chaos_plan(seed.wrapping_mul(0x9e37));
         let out = Runner::default().traced(true).faulted(plan).run(
             12,
@@ -260,9 +258,7 @@ fn every_sparse_message_is_received_exactly_once_under_faults() {
         }
         let recv_msgs: u64 = out.stats.iter().map(|s| s.p2p_recv_msgs).sum();
         assert_eq!(received.len() as u64, recv_msgs, "{what}");
-        let events: Vec<_> = out.traces.iter().map(|t| &t.events).collect();
-        let got = digest(&events);
-        assert_eq!(got, want, "{what}: trace digest {got:#018x} != frozen {want:#018x}");
+        assert_halves(&out, want, &what);
     }
 }
 

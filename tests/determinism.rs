@@ -41,6 +41,13 @@
 //! `0x1827_35a8_df22_3ed0` → `0xf8f4_8bef_8ac1_3909` (on both machine models),
 //! faulted `0x546b_2d96_95f1_b0b9` → `0x645e_ed2c_0d69_baaa`. Every timing
 //! half, every FMM half and the redistribution digest stayed.
+//! Posting every point-to-point exchange's sends to the partners above the
+//! sender first re-froze the timing halves of the four P2NFFT worlds and the
+//! faulted world once (the FMM worlds' exchanges finish no differently): `0xe7b8_b754_408e_9d1e` → `0x1288_f5ad_9170_5505`,
+//! `0xad64_cbb6_81b6_da2b` → `0x5a54_fa41_c4f3_9882`, `0x285b_b34c_f100_9fc0` →
+//! `0xfb41_4dcd_dd5d_1de1`, `0x22a5_f1a5_4289_21d7` → `0x611d_1b84_b314_c927`,
+//! faulted `0x4ef6_f3ad_10d9_a1e0` → `0x2a35_eca2_0cec_6eb6`. Every physics
+//! half, every FMM half and the redistribution digest stayed.
 
 use fcs::SolverKind;
 use mdsim::{simulate, SimConfig, SimResult};
@@ -157,14 +164,14 @@ fn md_configs_match_frozen_digests() {
         [
             [0xe3e7_f2ac_7ae3_deb5, 0xeb61_9a25_52a9_73ac],
             [0xe36d_87b1_23fa_3d6c, 0xad38_b3de_6895_968f],
-            [0x1c08_5b70_c285_000a, 0xe7b8_b754_408e_9d1e],
-            [0xf8f4_8bef_8ac1_3909, 0xad64_cbb6_81b6_da2b],
+            [0x1c08_5b70_c285_000a, 0x1288_f5ad_9170_5505],
+            [0xf8f4_8bef_8ac1_3909, 0x5a54_fa41_c4f3_9882],
         ],
         [
             [0xe3e7_f2ac_7ae3_deb5, 0x0758_758d_0b3e_230f],
             [0xe36d_87b1_23fa_3d6c, 0x05bf_9d2c_f6ea_40be],
-            [0x1c08_5b70_c285_000a, 0x285b_b34c_f100_9fc0],
-            [0xf8f4_8bef_8ac1_3909, 0x22a5_f1a5_4289_21d7],
+            [0x1c08_5b70_c285_000a, 0xfb41_4dcd_dd5d_1de1],
+            [0xf8f4_8bef_8ac1_3909, 0x611d_1b84_b314_c927],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -253,7 +260,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x645e_ed2c_0d69_baaa, 0x4ef6_f3ad_10d9_a1e0],
+            [0x645e_ed2c_0d69_baaa, 0x2a35_eca2_0cec_6eb6],
             &format!("faulted P2NFFT width {width}"),
         );
     }
