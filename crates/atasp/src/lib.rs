@@ -680,21 +680,19 @@ pub struct Solved<'a> {
 /// `max_local` particles, the output keeps the solver's order, with resort
 /// indices built over `index_mode` (Fig. 5). Otherwise every particle goes
 /// back to its origin rank and position (Fig. 4), in the order of the `n_in`
-/// this rank passed in. Both tests share one allreduce. The quiet test runs
-/// only if `quiet_test` is set: when every rank holds exactly its input
-/// particles in their input order, the indices are the identity and no
-/// exchange builds them. The second value returned says so.
+/// this rank passed in. Both tests share one allreduce with the quiet test:
+/// when every rank holds exactly its input particles in their input order,
+/// the indices are the identity and no exchange builds them. The second
+/// value returned says so.
 ///
 /// The stamps are the clocks at the run's start, after its sort and after
 /// its computation; the output's timings run from them to the return.
-#[allow(clippy::too_many_arguments)]
 pub fn hand_back(
     comm: &mut Comm,
     method: RedistMethod,
     max_local: usize,
     n_in: usize,
     index_mode: &ExchangeMode,
-    quiet_test: bool,
     solved: Solved<'_>,
     [t_start, t_sorted, t_computed]: [f64; 3],
 ) -> (SolverOutput, bool) {
@@ -703,8 +701,7 @@ pub fn hand_back(
     let (mut resorted, mut all_quiet) = (false, false);
     if method == RedistMethod::UseChanged {
         let fits = records.len() <= max_local;
-        let quiet = quiet_test
-            && records.len() == n_in
+        let quiet = records.len() == n_in
             && records.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
         comm.compute(Work::ParticleOp, records.len() as f64);
         (resorted, all_quiet) = comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));

@@ -79,7 +79,6 @@ fn hand(
     method: RedistMethod,
     max_local: usize,
     mode: &ExchangeMode,
-    quiet_test: bool,
 ) -> Handed {
     let mut potential: Vec<f64> = recs.iter().map(|r| potential_of(r.id)).collect();
     let mut field: Vec<Vec3> = recs.iter().map(|r| field_of(r.id)).collect();
@@ -89,7 +88,7 @@ fn hand(
     let solved = Solved { records: recs, potential: &mut potential, field: &mut field, columns };
     let t = comm.clock();
     let stamps = [t - 3.0, t - 1.0, t];
-    let (out, skipped) = hand_back(comm, method, max_local, n_in, mode, quiet_test, solved, stamps);
+    let (out, skipped) = hand_back(comm, method, max_local, n_in, mode, solved, stamps);
     let redist = comm.clock() - t;
     let timings = out.timings;
     let [t_start, t_sorted, _] = stamps;
@@ -127,7 +126,7 @@ fn method_a_returns_the_input_order_bit_for_bit() {
             let input = input(comm.rank());
             let recs = solve(comm, &input);
             let method = RedistMethod::RestoreOriginal;
-            let h = hand(comm, input.len(), &recs, method, usize::MAX, &ring(comm), true);
+            let h = hand(comm, input.len(), &recs, method, usize::MAX, &ring(comm));
             assert!(!h.out.resorted && !h.skipped && h.out.resort_indices.is_empty());
             assert_eq!(bits(&h.out), bits(&expected(&input)), "p={p} rank {}", comm.rank());
             // Method A reads the solver's buffers and leaves them in place.
@@ -145,20 +144,18 @@ fn method_b_indices_are_build_resort_indices_under_both_modes() {
             let recs = solve(comm, &input);
             let origins: Vec<u64> = recs.iter().map(|r| r.origin).collect();
             for mode in [ExchangeMode::Collective, ring(comm)] {
-                for quiet_test in [false, true] {
-                    let method = RedistMethod::UseChanged;
-                    let h = hand(comm, input.len(), &recs, method, usize::MAX, &mode, quiet_test);
-                    let want = build_resort_indices_with(comm, &origins, input.len(), &mode);
-                    assert!(h.out.resorted, "p={p}");
-                    assert_eq!(h.out.resort_indices, want, "p={p} rank {}", comm.rank());
-                    // Some particle changed rank or place on some rank.
-                    assert!(!h.skipped);
-                    assert_eq!(bits(&h.out), bits(&expected(&recs)));
-                    // Method B moves the solver's buffers into the output.
-                    assert_eq!(h.potential_left, 0);
-                    let staged = comm.rank().is_multiple_of(2);
-                    assert_eq!(h.columns_left, if staged { 0 } else { recs.len() });
-                }
+                let method = RedistMethod::UseChanged;
+                let h = hand(comm, input.len(), &recs, method, usize::MAX, &mode);
+                let want = build_resort_indices_with(comm, &origins, input.len(), &mode);
+                assert!(h.out.resorted, "p={p}");
+                assert_eq!(h.out.resort_indices, want, "p={p} rank {}", comm.rank());
+                // Some particle changed rank or place on some rank.
+                assert!(!h.skipped);
+                assert_eq!(bits(&h.out), bits(&expected(&recs)));
+                // Method B moves the solver's buffers into the output.
+                assert_eq!(h.potential_left, 0);
+                let staged = comm.rank().is_multiple_of(2);
+                assert_eq!(h.columns_left, if staged { 0 } else { recs.len() });
             }
         });
     }
@@ -174,17 +171,17 @@ fn a_quiet_step_returns_identity_indices_with_one_collective_and_no_message() {
             let collective = ExchangeMode::Collective;
             let before = comm.stats().clone();
             let method = RedistMethod::UseChanged;
-            let h = hand(comm, input.len(), &input, method, usize::MAX, &collective, true);
+            let h = hand(comm, input.len(), &input, method, usize::MAX, &collective);
             let after = comm.stats();
             assert!(h.skipped && h.out.resorted, "p={p} rank {me}");
             assert_eq!(h.out.resort_indices, identity);
             assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "p={p} rank {me}");
             assert_eq!(after.coll_ops - before.coll_ops, 1, "p={p} rank {me}");
             assert_eq!(bits(&h.out), bits(&expected(&input)));
-            // Without the quiet test the same step builds the same indices.
-            let h = hand(comm, input.len(), &input, method, usize::MAX, &collective, false);
-            assert!(!h.skipped);
-            assert_eq!(h.out.resort_indices, identity);
+            // The exchange the quiet step skips would build the same indices.
+            let origins: Vec<u64> = input.iter().map(|r| r.origin).collect();
+            let built = build_resort_indices_with(comm, &origins, input.len(), &collective);
+            assert_eq!(built, identity, "p={p} rank {me}");
         });
     }
 }
@@ -203,7 +200,7 @@ fn one_rank_over_max_local_makes_every_rank_restore() {
                 let full = held.iter().rposition(|&n| n > 0).expect("some rank holds particles");
                 let max_local = if me == full { held[full] - 1 } else { usize::MAX };
                 let method = RedistMethod::UseChanged;
-                let h = hand(comm, input.len(), recs, method, max_local, &ring(comm), true);
+                let h = hand(comm, input.len(), recs, method, max_local, &ring(comm));
                 assert!(!h.out.resorted && !h.skipped, "p={p} rank {me} quiet={quiet}");
                 assert!(h.out.resort_indices.is_empty());
                 assert_eq!(bits(&h.out), bits(&expected(&input)), "p={p} rank {me}");

@@ -3,12 +3,12 @@
 //! isolation, per-run deadlines, bounded retry and crash-safe resume.
 //!
 //! The sweep mixes the repository's benchmark families into one campaign of
-//! 27 configurations:
+//! 25 configurations:
 //!
 //! * **fig8-style MD runs** — both machine models x both solvers x both
 //!   redistribution methods.
-//! * **plancache runs** — the movement-exploiting P2NFFT path with the
-//!   exchange-plan cache on and off.
+//! * **plancache runs** — the movement-exploiting P2NFFT path, whose
+//!   communication plans are kept across time steps.
 //! * **chaos runs** — the same MD workload under [`simcomm::FaultPlan::chaos`]
 //!   at three intensities (faults delay, never corrupt).
 //! * **straggler runs** — a 4x compute straggler on rank 0, which slows a
@@ -181,7 +181,7 @@ fn checkpoint_run(
     }
 }
 
-/// Build the 27-configuration campaign spec.
+/// Build the 25-configuration campaign spec.
 fn build_runs(
     steps: usize,
     procs: usize,
@@ -216,23 +216,13 @@ fn build_runs(
         }
     }
 
-    // plancache family: movement-exploiting path, plan cache on/off.
+    // plancache family: the movement-exploiting path, plans kept.
     for model in &models {
-        for cache in [true, false] {
-            let cfg = SimConfig {
-                exploit_movement: true,
-                plan_cache: cache,
-                ..base(SolverKind::P2Nfft, true)
-            };
-            md(
-                format!(
-                    "plancache/{}/cache-{}",
-                    short_name(model),
-                    if cache { "on" } else { "off" }
-                ),
-                MdSpec { model: model.clone(), procs, cfg, fault: None },
-            );
-        }
+        let cfg = SimConfig { exploit_movement: true, ..base(SolverKind::P2Nfft, true) };
+        md(
+            format!("plancache/{}/cache-on", short_name(model)),
+            MdSpec { model: model.clone(), procs, cfg, fault: None },
+        );
     }
 
     // chaos family: deterministic injected faults at three intensities.

@@ -119,9 +119,6 @@ pub struct Fcs {
     max_move: MovementHint,
     soft_core: Option<particles::SoftCore>,
     solver: Option<SolverInstance>,
-    /// Enable cross-timestep communication-plan caching in the solvers and
-    /// for the resort exchanges (on by default).
-    plan_cache: bool,
     // State of the most recent run, for the query/resort functions.
     last_resorted: bool,
     last_resort_indices: Vec<u64>,
@@ -151,7 +148,6 @@ impl Fcs {
             max_move: None,
             soft_core: None,
             solver: None,
-            plan_cache: true,
             last_resorted: false,
             last_resort_indices: Vec::new(),
             last_new_len: 0,
@@ -159,23 +155,6 @@ impl Fcs {
             resort_plan: None,
             resort_plan_builds: 0,
             resort_plan_hits: 0,
-        }
-    }
-
-    /// Enable or disable cross-timestep communication-plan caching (on by
-    /// default): the particle-mesh ghost plan, the FMM merge-sort probe
-    /// schedule, and the frozen resort schedules of the `resort_*` family.
-    /// Disabling restores the pre-plan behaviour of rebuilding every schedule
-    /// on every call. Must be set identically on all ranks.
-    pub fn set_plan_cache(&mut self, enabled: bool) {
-        self.plan_cache = enabled;
-        if !enabled {
-            self.resort_plan = None;
-        }
-        match &mut self.solver {
-            Some(SolverInstance::Fmm(s)) => s.set_plan_cache(enabled),
-            Some(SolverInstance::Pm(s)) => s.set_plan_cache(enabled),
-            _ => {}
         }
     }
 
@@ -344,14 +323,8 @@ impl Fcs {
                 self.solver = Some(SolverInstance::Ewald(EwaldSolver::new(bbox, cfg)));
             }
         }
-        // A fresh solver instance starts with the handle's caching policy; any
-        // previously frozen resort schedule is decomposition-stale.
+        // Any previously frozen resort schedule is decomposition-stale.
         self.resort_plan = None;
-        match &mut self.solver {
-            Some(SolverInstance::Fmm(s)) => s.set_plan_cache(self.plan_cache),
-            Some(SolverInstance::Pm(s)) => s.set_plan_cache(self.plan_cache),
-            _ => {}
-        }
     }
 
     /// `fcs_run`: compute the long-range interactions of the given local
@@ -498,10 +471,9 @@ impl Fcs {
     /// *across* runs on quiet steps where the solver reproduces the same
     /// placement), rebuilt otherwise.
     fn current_resort_plan(&mut self, comm: &mut Comm) -> &atasp::ResortPlan {
-        let hit = self.plan_cache
-            && self.resort_plan.as_ref().is_some_and(|pl| {
-                pl.matches(&self.last_resort_indices, self.last_new_len, &self.last_resort_mode)
-            });
+        let hit = self.resort_plan.as_ref().is_some_and(|pl| {
+            pl.matches(&self.last_resort_indices, self.last_new_len, &self.last_resort_mode)
+        });
         if hit {
             self.resort_plan_hits += 1;
         } else {

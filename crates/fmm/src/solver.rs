@@ -57,8 +57,8 @@ struct RemoteLevel {
 /// "FMM locally essential tree plan").
 #[derive(Default)]
 struct LetPlan {
-    /// Whether the plan may serve the next run: built with the plan cache on
-    /// and not invalidated since.
+    /// Whether the plan may serve the next run: built and not invalidated
+    /// since.
     kept: bool,
     /// This rank's leaf keys and every rank's range when it was built.
     leaf_keys: Vec<u64>,
@@ -209,8 +209,8 @@ pub struct FmmRunReport {
     /// for the near field.
     pub ghost_bytes: u64,
     /// Whether the resort-index exchange was skipped because every rank
-    /// kept its input particles in their input order (a quiet step with
-    /// the plan cache on): the resort indices are the identity, and `fcs`
+    /// kept its input particles in their input order (a quiet step): the
+    /// resort indices are the identity, and `fcs`
     /// resorts the step's additional data locally, with no message and no
     /// barrier.
     pub resort_exchange_skipped: bool,
@@ -230,8 +230,6 @@ pub struct FmmSolver {
     /// When set, `compute_fields` hands over to the oracle's version.
     #[cfg(test)]
     oracle: Option<oracle::Oracle>,
-    /// Enable caching of the merge-sort probe schedule across timesteps.
-    plan_cache: bool,
     /// Override for the movement-bound guard's cleanup-round cap
     /// (`None` = `2 + ceil(log2 p)` at run time).
     guard_cleanup_cap: Option<u64>,
@@ -278,7 +276,6 @@ impl FmmSolver {
             far,
             #[cfg(test)]
             oracle: None,
-            plan_cache: true,
             guard_cleanup_cap: None,
             sort_plan: None,
             let_plan: LetPlan::default(),
@@ -293,19 +290,6 @@ impl FmmSolver {
     /// The solver's configuration.
     pub fn config(&self) -> &FmmConfig {
         &self.cfg
-    }
-
-    /// Enable or disable cross-timestep caching of the merge-sort probe
-    /// schedule and the locally essential tree plan (on by default).
-    /// Disabling drops the cached plans, restoring the pre-plan behaviour of
-    /// probing every network round and requesting every remote multipole
-    /// afresh. Must be set identically on all ranks (the plan gates are
-    /// collective).
-    pub fn set_plan_cache(&mut self, enabled: bool) {
-        self.plan_cache = enabled;
-        if !enabled {
-            self.invalidate_plans();
-        }
     }
 
     /// Override the movement-bound guard's cleanup-round cap (`None`, the
@@ -344,10 +328,10 @@ impl FmmSolver {
     /// Sect. III-B); it is only honoured for [`RedistMethod::UseChanged`].
     ///
     /// The results go back through [`atasp::hand_back`], with the resort
-    /// indices built collectively. Under Method B with the plan cache on, a
-    /// step on which every rank keeps its input particles in their input
-    /// order is quiet: its identity resort indices are returned without an
-    /// exchange, and [`FmmRunReport::resort_exchange_skipped`] is set.
+    /// indices built collectively. Under Method B, a step on which every rank
+    /// keeps its input particles in their input order is quiet: its identity
+    /// resort indices are returned without an exchange, and
+    /// [`FmmRunReport::resort_exchange_skipped`] is set.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -388,11 +372,11 @@ impl FmmSolver {
             && movement.is_some_and(|m| m < self.bbox.per_process_cube_side(p));
         self.last_report.used_merge_sort = use_merge;
         let (mut keys, mut recs, spans) = if use_merge {
-            // Consume the probe schedule the previous merge sort recorded (if
-            // caching is on); record this sort's schedule for the next step.
+            // Consume the probe schedule the previous merge sort recorded;
+            // record this sort's schedule for the next step.
             // `use_merge` and the plan's presence are globally consistent, so
             // all ranks pass a plan from the same previous execution.
-            let prior = if self.plan_cache { self.sort_plan.take() } else { None };
+            let prior = self.sort_plan.take();
             let had_prior = prior.is_some();
             // Movement-bound guard (fault-injected worlds only): if the hint
             // under-reported the real displacement, merge-exchange cleanup can
@@ -432,9 +416,7 @@ impl FmmSolver {
                 } else if next.is_some() {
                     self.plan_builds += 1;
                 }
-                if self.plan_cache {
-                    self.sort_plan = next;
-                }
+                self.sort_plan = next;
                 (k, r, rep.spans)
             }
         } else {
@@ -473,7 +455,6 @@ impl FmmSolver {
             max_local,
             n_in,
             &ExchangeMode::Collective,
-            self.plan_cache,
             solved,
             [t_start, t_sorted, t_computed],
         );
@@ -792,13 +773,11 @@ impl FmmSolver {
         plan.leaf_keys.clear();
         plan.leaf_keys.extend(ws.leaf_cells.iter().map(|(k, _)| *k));
         plan.owners.clone_from(&ws.owners);
-        plan.kept = self.plan_cache;
-        if plan.kept {
-            self.plan_builds += 1;
-            let routes =
-                (plan.answers.len() + plan.slots.len()) * std::mem::size_of::<(usize, usize)>();
-            comm.note_plan_build(t0, routes as u64);
-        }
+        plan.kept = true;
+        self.plan_builds += 1;
+        let routes =
+            (plan.answers.len() + plan.slots.len()) * std::mem::size_of::<(usize, usize)>();
+        comm.note_plan_build(t0, routes as u64);
     }
 
     /// Execute the locally essential tree plan — the one code path of a
@@ -841,9 +820,7 @@ impl FmmSolver {
                 *e += c;
             }
         }
-        if plan.kept {
-            comm.note_plan_exec(t0, sent);
-        }
+        comm.note_plan_exec(t0, sent);
     }
 
     /// Downward pass: per target, L2L from its parent, then M2L from its

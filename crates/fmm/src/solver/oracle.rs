@@ -5,8 +5,9 @@
 //! [`Ghost`] records the slab code ships, and each holder's coefficient copy
 //! is charged after the answer-key round, where the slab code packs them.
 //! The property tests below pin the slab code to it bit for bit: potentials,
-//! fields and counts always, clocks and message statistics with the plan
-//! cache off (a kept locally essential tree plan makes one round of three).
+//! fields and counts always, clocks and message statistics when the plans
+//! are dropped before every run (a kept locally essential tree plan makes one
+//! round of three).
 
 use std::collections::{HashMap, HashSet};
 
@@ -402,8 +403,9 @@ mod tests {
         m2l_count: u64,
     }
 
-    /// Which far field a world runs: the oracle, or the slab code with the
-    /// plan cache on or off.
+    /// Which far field a world runs: the oracle, or the slab code with its
+    /// plans kept or dropped before every run. The oracle drops its plans
+    /// too, so that its sorts match the unplanned slab world's.
     #[derive(Clone, Copy, Debug, PartialEq)]
     enum Path {
         Oracle,
@@ -438,9 +440,6 @@ mod tests {
             if path == Path::Oracle {
                 solver.oracle = Some(Oracle::default());
             }
-            // The oracle world caches no plan either, so that its sorts
-            // match the unplanned slab world's.
-            solver.set_plan_cache(path == Path::Planned);
             let mut runs = Vec::new();
             let hint = Some(0.2 * 3f64.sqrt());
             for (method, movement, moved) in [
@@ -448,6 +447,9 @@ mod tests {
                 (RedistMethod::UseChanged, hint, false),
                 (RedistMethod::UseChanged, hint, false),
             ] {
+                if path != Path::Planned {
+                    solver.invalidate_plans();
+                }
                 let o = solver.run(comm, &pos, &charge, &id, method, movement, usize::MAX);
                 runs.push(RunBits {
                     potential: o.potential.iter().map(|x| x.to_bits()).collect(),
@@ -470,11 +472,13 @@ mod tests {
     }
 
     /// The slab code reproduces the oracle bit for bit: potentials, fields,
-    /// pair and translation counts with the plan cache on and off; with it
-    /// off also every rank's clock and every rank's point-to-point and
-    /// collective message and byte counts.
+    /// pair and translation counts with its plans kept or dropped; with them
+    /// dropped also every rank's clock and every rank's point-to-point and
+    /// collective message and byte counts. The unplanned slab world builds
+    /// and executes one locally essential tree plan per run, which the
+    /// oracle's far field does not record.
     fn assert_matches_oracle(w: &World) {
-        let (want, want_clocks, want_stats) = run_world(w, Path::Oracle);
+        let (want, want_clocks, mut want_stats) = run_world(w, Path::Oracle);
         let (got, got_clocks, got_stats) = run_world(w, Path::Unplanned);
         let (planned, _, _) = run_world(w, Path::Planned);
         let what = format!(
@@ -488,6 +492,10 @@ mod tests {
         assert_eq!(got, want, "{what}: outputs or counts differ");
         assert_eq!(planned, want, "{what}: outputs or counts differ under the kept plan");
         assert_eq!(got_clocks, want_clocks, "{what}: clocks differ");
+        for (s, runs) in want_stats.iter_mut().zip(&want) {
+            s.plan_builds += runs.len() as u64;
+            s.plan_execs += runs.len() as u64;
+        }
         assert_eq!(got_stats, want_stats, "{what}: statistics differ");
         if w.cfg.level >= 2 && !matches!(w.deal, Deal::OneRank) {
             assert!(want.iter().any(|runs| runs[0].m2l_count > 0), "{what}: no M2L exercised");

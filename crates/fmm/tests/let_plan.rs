@@ -1,6 +1,6 @@
 //! The kept locally essential tree plan is invisible in the physics: a solver
-//! that keeps it and one built with `set_plan_cache(false)` return the same
-//! bits through every way a tree can repeat or change between runs — and the
+//! that keeps it and one whose plans are dropped before every run return the
+//! same bits through every way a tree can repeat or change between runs — and the
 //! one that keeps it fetches the remote multipoles of a quiet step in one
 //! collective instead of three, beside ghosts a third smaller than whole
 //! particles.
@@ -142,13 +142,11 @@ fn kept_plan_returns_the_bits_of_a_fresh_fetch() {
                 let cfg = FmmConfig { order: 2, level: LEVEL, soft_core: None };
                 let mut planned = FmmSolver::new(b, cfg.clone());
                 let mut fresh = FmmSolver::new(b, cfg);
-                fresh.set_plan_cache(false);
                 for s in &steps {
                     let what = format!("p {p} periodic {periodic} rank {me}: {}", s.what);
                     if let Some(cfg) = &s.retune {
                         planned = FmmSolver::new(b, cfg.clone());
                         fresh = FmmSolver::new(b, cfg.clone());
-                        fresh.set_plan_cache(false);
                     }
                     if s.invalidate {
                         planned.invalidate_plans();
@@ -162,11 +160,12 @@ fn kept_plan_returns_the_bits_of_a_fresh_fetch() {
                     let before = far_collectives(comm);
                     let got = planned.run(comm, &pos, &charge, &id, method, None, usize::MAX);
                     let far = far_collectives(comm) - before;
+                    fresh.invalidate_plans();
                     let want = fresh.run(comm, &pos, &charge, &id, method, None, usize::MAX);
                     assert_eq!(bits(&got), bits(&want), "{what}: bits differ");
                     let hit = planned.last_report.far_plan_hit;
                     assert_eq!(far, if hit { 1 } else { 3 }, "{what}: far-phase collectives");
-                    assert!(!fresh.last_report.far_plan_hit, "{what}: a plan with the cache off");
+                    assert!(!fresh.last_report.far_plan_hit, "{what}: a dropped plan reused");
                     match s.expect {
                         Expect::Build => assert!(!hit, "{what}: must rebuild"),
                         Expect::Reuse => assert!(hit, "{what}: must reuse"),
@@ -179,7 +178,8 @@ fn kept_plan_returns_the_bits_of_a_fresh_fetch() {
 }
 
 /// `runs` Method B runs of one solver on a quiet system (the first sorts, the
-/// others keep the order they get back). Per rank: the far-phase collectives
+/// others keep the order they get back), its plans kept or dropped before
+/// every run. Per rank: the far-phase collectives
 /// and the near-phase bytes received from the world's phase profile, the
 /// ghost bytes the reports count, and the leaf key of every particle the
 /// rank ends up holding.
@@ -187,7 +187,7 @@ fn quiet_world(
     b: SystemBox,
     p: usize,
     particles: &[(Vec3, f64)],
-    plan: bool,
+    keep: bool,
     runs: usize,
 ) -> Vec<(u64, u64, u64, Vec<u64>)> {
     let n = particles.len();
@@ -198,9 +198,11 @@ fn quiet_world(
         let mut charge: Vec<f64> = mine.iter().map(|x| x.1).collect();
         let mut id: Vec<u64> = (me * n / p..(me + 1) * n / p).map(|i| i as u64).collect();
         let mut solver = FmmSolver::new(b, FmmConfig { order: 2, level: LEVEL, soft_core: None });
-        solver.set_plan_cache(plan);
         let mut ghost_bytes = 0;
         for r in 0..runs {
+            if !keep {
+                solver.invalidate_plans();
+            }
             let hint = (r > 0).then_some(0.0);
             let o =
                 solver.run(comm, &pos, &charge, &id, RedistMethod::UseChanged, hint, usize::MAX);

@@ -2,9 +2,9 @@
 //! allgather whose spans feed the cell alignment, the alignment exchanges
 //! nothing when no leaf cell is split across ranks, and a resort whose
 //! indices are the identity on every rank skips its exchange. None of it
-//! shows in the physics: every run below returns the bits of a solver built
-//! with `set_plan_cache(false)` — or, after a guard fallback, of a solver
-//! that chose the partition sort up front.
+//! shows in the physics: every run below returns the bits of a solver whose
+//! plans are dropped before every run — or, after a guard fallback, of a
+//! solver that chose the partition sort up front.
 
 use fmm::tree::{cell_center, leaf_key};
 use fmm::{FmmConfig, FmmSolver};
@@ -128,15 +128,14 @@ fn repeated_b_with_movement_is_quiet_and_keeps_the_bits() {
                 let me = comm.rank();
                 let mut planned = FmmSolver::new(b, config());
                 let mut fresh = FmmSolver::new(b, config());
-                fresh.set_plan_cache(false);
                 let mut input = block(&sys, me, p);
                 for r in 0..4 {
                     let what = format!("p {p} periodic {periodic} rank {me} run {r}");
                     let hint = (r > 0).then_some(0.0);
                     let got = run_b(comm, &mut planned, &input, hint);
+                    fresh.invalidate_plans();
                     let want = run_b(comm, &mut fresh, &input, hint);
                     assert_eq!(bits(&got.out), bits(&want.out), "{what}: bits differ");
-                    assert!(!fresh.last_report.resort_exchange_skipped, "{what}: cache off");
                     if r > 0 {
                         let report = &planned.last_report;
                         assert!(report.used_merge_sort, "{what}: the hint selects the merge sort");
@@ -149,7 +148,9 @@ fn repeated_b_with_movement_is_quiet_and_keeps_the_bits() {
                         if r > 1 {
                             assert_eq!(got.sort.1, 0, "{what}: probes under the kept plan");
                         }
-                        assert!(want.resort.0 > 0, "{what}: the index exchange without the cache");
+                        // The quiet test reads the output, not the plans.
+                        assert!(fresh.last_report.resort_exchange_skipped, "{what}: dropped plans");
+                        assert_eq!(want.resort, (0, 0), "{what}: the resort without plans");
                     }
                     input = (got.out.pos, got.out.charge, got.out.id);
                 }
@@ -167,7 +168,6 @@ fn a_particle_crossing_a_rank_boundary_is_not_quiet_and_still_resorts() {
             let me = comm.rank();
             let mut planned = FmmSolver::new(b, config());
             let mut fresh = FmmSolver::new(b, config());
-            fresh.set_plan_cache(false);
             let mut input = block(&sys, me, p);
             let mut pair = (0, 0);
             for r in 0..3 {
@@ -190,6 +190,7 @@ fn a_particle_crossing_a_rank_boundary_is_not_quiet_and_still_resorts() {
                 }
                 let hint = (r > 0).then_some(0.0);
                 let got = run_b(comm, &mut planned, &input, hint);
+                fresh.invalidate_plans();
                 let want = run_b(comm, &mut fresh, &input, hint);
                 assert_eq!(bits(&got.out), bits(&want.out), "{what}: bits differ");
                 assert_eq!(planned.last_report.resort_exchange_skipped, r == 1, "{what}");
@@ -246,7 +247,6 @@ fn a_leaf_cell_split_across_ranks_is_still_aligned() {
             let input = local(&sys, ranges[me].clone());
             let mut planned = FmmSolver::new(b, config());
             let mut fresh = FmmSolver::new(b, config());
-            fresh.set_plan_cache(false);
             // Already in key order: the merge sort moves nothing, and the
             // split cells are the alignment's to move.
             let got = run_b(comm, &mut planned, &input, Some(0.0));
@@ -262,6 +262,7 @@ fn a_leaf_cell_split_across_ranks_is_still_aligned() {
             // gather.
             let (pos, charge, id) = &input;
             let a = planned.run(comm, pos, charge, id, RedistMethod::RestoreOriginal, None, 0);
+            fresh.invalidate_plans();
             let a_fresh = fresh.run(comm, pos, charge, id, RedistMethod::RestoreOriginal, None, 0);
             assert_eq!(bits(&a), bits(&a_fresh), "{what}: Method A bits differ");
             assert_eq!(a.id, *id, "{what}: Method A restores the input");

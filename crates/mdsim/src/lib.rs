@@ -74,12 +74,6 @@ pub struct SimConfig {
     /// resorted every step like the velocities, adding redistribution volume
     /// beyond what the paper's application carries — hence off by default.
     pub track_displacement: bool,
-    /// Cache communication plans (ghost routes, sort probe schedules, resort
-    /// schedules) across timesteps and re-execute them while still valid (see
-    /// `Fcs::set_plan_cache`). Plans never change the physics — only the
-    /// virtual time spent rebuilding schedules. On by default; turned off for
-    /// the unplanned baseline in benchmarks.
-    pub plan_cache: bool,
 }
 
 impl Default for SimConfig {
@@ -96,7 +90,6 @@ impl Default for SimConfig {
             soft_core: true,
             thermal_move_fraction: 0.004,
             track_displacement: false,
-            plan_cache: true,
         }
     }
 }
@@ -206,7 +199,6 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
     if cfg.soft_core {
         handle.set_soft_core(Some(particles::SoftCore::for_spacing(mean_spacing)));
     }
-    handle.set_plan_cache(cfg.plan_cache);
     handle.tune(comm, &pos, &charge);
 
     let mut records = Vec::with_capacity(cfg.steps + 1);
@@ -661,66 +653,6 @@ mod tests {
             for rec in &r.records[1..] {
                 assert!(rec.max_move > 0.0, "particles must move");
                 assert!(rec.max_move < 0.5, "movement per step must be small");
-            }
-        }
-    }
-
-    #[test]
-    fn plan_cache_is_bitwise_invisible_to_the_physics() {
-        // The tentpole invariant: cached communication plans (ghost epochs,
-        // resort schedules, quiet-step shortcuts) change only virtual time,
-        // never results. Per-step energies must match the plan-off baseline
-        // *exactly* — both in the small-movement regime where cached epochs
-        // are reused for many steps and in the large-movement regime where
-        // they are invalidated and rebuilt under way.
-        let c = IonicCrystal::cubic(8, 1.0, 0.15, 11);
-        let bbox = c.system_box();
-        let p = 8;
-        for thermal in [0.004, 0.2] {
-            let run_sim = |plan_cache: bool| -> (Vec<StepRecord>, u64, u64) {
-                let c = c.clone();
-                let cfg = SimConfig {
-                    solver: SolverKind::P2Nfft,
-                    resort: true,
-                    exploit_movement: true,
-                    steps: 8,
-                    tolerance: 1e-2,
-                    thermal_move_fraction: thermal,
-                    plan_cache,
-                    ..SimConfig::default()
-                };
-                let out = run(p, MachineModel::juropa_like(), move |comm| {
-                    let set = local_set(
-                        &c,
-                        InitialDistribution::Grid,
-                        comm.rank(),
-                        p,
-                        CartGrid::balanced(p).dims(),
-                    );
-                    let r = simulate(comm, bbox, set, &cfg);
-                    (r.records, r.plan_builds, r.plan_hits)
-                });
-                out.results[0].clone()
-            };
-            let (planned, builds, hits) = run_sim(true);
-            let (unplanned, _, base_hits) = run_sim(false);
-            assert_eq!(base_hits, 0, "plan-off baseline must never reuse a plan");
-            for (a, b) in planned.iter().zip(&unplanned) {
-                assert_eq!(
-                    a.energy.to_bits(),
-                    b.energy.to_bits(),
-                    "thermal {thermal} step {}: planned energy {} != unplanned {}",
-                    a.step,
-                    a.energy,
-                    b.energy
-                );
-            }
-            assert!(builds > 0, "planned run must build plans");
-            if thermal == 0.004 {
-                assert!(
-                    hits > 0,
-                    "small movement must reuse cached plans (builds {builds}, hits {hits})"
-                );
             }
         }
     }

@@ -170,10 +170,6 @@ pub struct PmSolver {
     cfg: PmConfig,
     bbox: SystemBox,
     grid: CartGrid,
-    /// Enable caching of ghost-plan epochs across timesteps (and the derived
-    /// quiet-step shortcuts). When off, every run rebuilds from scratch — the
-    /// pre-plan behaviour, kept as the benchmark baseline.
-    plan_cache: bool,
     statics: Option<PlanStatics>,
     epoch: Option<GhostEpoch>,
     ws: Workspace,
@@ -215,7 +211,6 @@ impl PmSolver {
             cfg,
             bbox,
             grid,
-            plan_cache: true,
             statics: None,
             epoch: None,
             ws: Workspace::default(),
@@ -236,16 +231,6 @@ impl PmSolver {
     /// The process grid used for the domain decomposition.
     pub fn process_grid(&self) -> &CartGrid {
         &self.grid
-    }
-
-    /// Enable or disable cross-timestep ghost-plan caching (on by default).
-    /// Disabling drops any cached epoch and makes every run rebuild its
-    /// communication schedule from scratch, which is the pre-plan behaviour.
-    pub fn set_plan_cache(&mut self, enabled: bool) {
-        self.plan_cache = enabled;
-        if !enabled {
-            self.epoch = None;
-        }
     }
 
     /// Drop all cached cross-timestep planning state (the ghost-plan epoch
@@ -352,8 +337,7 @@ impl PmSolver {
         assert_eq!(comm.size(), self.grid.size(), "world size must match the process grid");
         self.last_report = PmRunReport::default();
         self.ensure_statics(comm);
-        let skin_bound =
-            if self.plan_cache { movement.map_or(0.0, |m| self.ghost_skin(m)) } else { 0.0 };
+        let skin_bound = movement.map_or(0.0, |m| self.ghost_skin(m));
         let t_start = comm.clock();
         let dims = self.grid.dims();
         let rcut = self.cfg.rcut;
@@ -441,9 +425,8 @@ impl PmSolver {
         ws.keys.extend(owned.iter().map(|r| cell_key(r.pos)));
         let keys = &ws.keys;
         comm.compute(Work::ParticleOp, owned.len() as f64);
-        let plan_cache = self.plan_cache;
         let epoch_hit = match (&mut self.epoch, movement) {
-            (Some(ep), Some(m)) if plan_cache => {
+            (Some(ep), Some(m)) => {
                 let valid = ep.acc_move + m <= ep.skin
                     && ep.ids.len() == owned.len()
                     && ep.keys == *keys
@@ -519,7 +502,7 @@ impl PmSolver {
             // Snapshot the epoch when caching is possible: the sorted id
             // sequence and cell keys pin the placement, the skin bounds
             // the route validity under movement.
-            if plan_cache && movement.is_some() && skin_bound > 0.0 {
+            if skin_bound > 0.0 {
                 self.plan_builds += 1;
                 // Epoch snapshot (keys recomputed in solver order).
                 comm.compute(Work::ParticleOp, owned.len() as f64);
@@ -597,7 +580,6 @@ impl PmSolver {
             max_local,
             n_in,
             if use_neighborhood { &statics.neighborhood_mode } else { &collective },
-            self.plan_cache,
             solved,
             [t_start, t_sorted, t_computed],
         );

@@ -14,13 +14,10 @@
 //! scale.
 //!
 //! Output — results, clocks, statistics, traces, phase profiles, fault
-//! draws — is bitwise identical at any batch width for programs whose
-//! completion order is a function of *virtual* time. That is every `simcomm`
-//! operation except [`crate::Comm::waitany`] and [`crate::Comm::recv_any`],
-//! which are documented as schedule-dependent and are not used by any
-//! committed workload. The argument, the yield-point model and the
-//! register-under-guard blocking protocol are spelled out in
-//! `docs/ARCHITECTURE.md`.
+//! draws — is bitwise identical at any batch width: every `simcomm`
+//! operation completes in an order that is a function of *virtual* time. The
+//! argument, the yield-point model and the register-under-guard blocking
+//! protocol are spelled out in `docs/ARCHITECTURE.md`.
 
 use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex, MutexGuard};

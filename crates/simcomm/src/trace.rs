@@ -14,9 +14,9 @@ pub enum TraceKind {
     /// Nonblocking send post (`isend`): covers the CPU-side post overhead;
     /// the payload drains on the NIC afterwards.
     Isend,
-    /// Completion of a nonblocking *send* request inside `wait`/`waitall`/
-    /// `waitany`: the time spent draining the request (receive completions
-    /// are recorded as [`TraceKind::Recv`] instead).
+    /// Completion of a nonblocking *send* request inside `wait`/`waitall`:
+    /// the time spent draining the request (receive completions are
+    /// recorded as [`TraceKind::Recv`] instead).
     Wait,
     /// Barrier.
     Barrier,

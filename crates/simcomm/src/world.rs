@@ -101,12 +101,6 @@ impl Matcher {
         self.patterns.get(lo).is_some_and(|p| (p.src, p.tag) == key).then_some(lo)
     }
 
-    /// The request slot the next message of the `(src, tag)` stream would
-    /// complete, if any request is still waiting for one.
-    fn slot_for(&self, src: usize, tag: u64) -> Option<usize> {
-        self.first_free(src, tag).map(|i| self.patterns[i].slot)
-    }
-
     /// Examine the messages queued since the last call. Returns `true` once
     /// every pattern has a pick, `false` if the queue cannot satisfy them all
     /// yet (call again after the next wakeup).
@@ -180,8 +174,8 @@ struct Mailbox {
 }
 
 /// A handle for an outstanding nonblocking point-to-point operation, created
-/// by [`Comm::isend`] / [`Comm::irecv`] and consumed by [`Comm::wait`],
-/// [`Comm::waitall`] or [`Comm::waitany`].
+/// by [`Comm::isend`] / [`Comm::irecv`] and consumed by [`Comm::wait`] or
+/// [`Comm::waitall`].
 ///
 /// The type parameter is the element type of the buffer being transferred;
 /// waiting on a receive request yields the matched `Vec<T>`.
@@ -1576,20 +1570,11 @@ impl Comm {
     ///
     /// Panics if the matched message's payload type is not `Vec<T>`.
     pub fn recv<T: Send + 'static>(&mut self, src: usize, tag: u64) -> Vec<T> {
-        self.recv_match(Some(src), tag).1
-    }
-
-    /// Blocking receive from any source with matching `tag`; returns `(src, data)`.
-    pub fn recv_any<T: Send + 'static>(&mut self, tag: u64) -> (usize, Vec<T>) {
-        self.recv_match(None, tag)
-    }
-
-    fn recv_match<T: Send + 'static>(&mut self, src: Option<usize>, tag: u64) -> (usize, Vec<T>) {
         let mut mb = lock(&self.shared.mailboxes[self.rank]);
         // Messages below `scanned` did not match and never will: only this
         // rank removes from its mailbox and deposits go to the back.
         let mut scanned = 0;
-        let wanted = |m: &Message| m.tag == tag && src.is_none_or(|s| m.src == s);
+        let wanted = |m: &Message| m.tag == tag && m.src == src;
         loop {
             self.shared.check_poison();
             if let Some(pos) = mb.queue.range(scanned..).position(wanted) {
@@ -1665,11 +1650,10 @@ impl Comm {
 
     /// Charge the completion of one matched message ([`Comm::account_recv`])
     /// and unbox the payload.
-    fn complete_recv<T: Send + 'static>(&mut self, msg: Message) -> (usize, Vec<T>) {
+    fn complete_recv<T: Send + 'static>(&mut self, msg: Message) -> Vec<T> {
         let arrival = self.arrival_of(&msg);
         self.account_recv(&msg, arrival);
-        let src = msg.src;
-        (src, self.unbox_payload(msg))
+        self.unbox_payload(msg)
     }
 
     /// Charge the completion of a send request that becomes ready at `ready`:
@@ -1737,7 +1721,7 @@ impl Comm {
         // A batch of one completes exactly like the blocking call it stands
         // for: no matching scratch, no result vector.
         match request.kind {
-            ReqKind::Recv { src, tag } => Some(self.recv_match(Some(src), tag).1),
+            ReqKind::Recv { src, tag } => Some(self.recv(src, tag)),
             ReqKind::Send { dst, depart, corr } => {
                 self.shared.check_poison();
                 self.complete_send(dst, depart, corr);
@@ -1853,89 +1837,6 @@ impl Comm {
             }
         }
         self.wait_scratch = sc;
-    }
-
-    /// Wait for **any one** request to complete: the slot completed first in
-    /// virtual time among those currently completable. Returns the slot index
-    /// and, for a receive, the buffer; the slot is set to `None`.
-    ///
-    /// Unlike [`Comm::waitall`], which rendezvouses with every transfer, the
-    /// choice here can depend on which messages have *physically* arrived
-    /// when the call runs — results are deterministic, clocks need not be.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all slots are `None`.
-    pub fn waitany<T: Send + 'static>(
-        &mut self,
-        requests: &mut [Option<Request<T>>],
-    ) -> (usize, Option<Vec<T>>) {
-        self.shared.check_poison();
-        assert!(
-            requests.iter().any(Option::is_some),
-            "waitany needs at least one outstanding request"
-        );
-        let mut matcher = std::mem::take(&mut self.wait_scratch.matcher);
-        matcher.start(requests.iter().enumerate().filter_map(|(slot, r)| match r {
-            Some(Request { kind: ReqKind::Recv { src, tag }, .. }) => Some((*src, *tag, slot)),
-            _ => None,
-        }));
-        let best_send = requests
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, r)| match r {
-                Some(Request { kind: ReqKind::Send { depart, .. }, .. }) => Some((*depart, slot)),
-                _ => None,
-            })
-            .min_by(|a, b| a.partial_cmp(b).expect("virtual times are finite"));
-        let picked: Result<(usize, Message, f64), usize> = {
-            let mut mb = lock(&self.shared.mailboxes[self.rank]);
-            loop {
-                self.shared.check_poison();
-                // Earliest-arriving message currently present that matches a
-                // still-outstanding receive request (the first queued of
-                // equally early ones), as `(arrival, queue position, slot)`.
-                let mut best_recv: Option<(f64, usize, usize)> = None;
-                for (qpos, m) in mb.queue.iter().enumerate() {
-                    let Some(slot) = matcher.slot_for(m.src, m.tag) else { continue };
-                    let arrival = self.arrival_of(m);
-                    let earlier = |(best, _, _): (f64, usize, usize)| {
-                        arrival.partial_cmp(&best).expect("virtual times are finite").is_lt()
-                    };
-                    if best_recv.is_none_or(earlier) {
-                        best_recv = Some((arrival, qpos, slot));
-                    }
-                }
-                match (best_recv, best_send) {
-                    (Some((arrival, _, _)), Some((depart, send_slot))) if depart <= arrival => {
-                        break Err(send_slot);
-                    }
-                    (Some((arrival, qpos, slot)), _) => {
-                        let msg = mb.queue.remove(qpos).expect("position just found");
-                        break Ok((slot, msg, arrival));
-                    }
-                    (None, Some((_, send_slot))) => break Err(send_slot),
-                    (None, None) => mb = self.shared.wait_mailbox(self.rank, self.clock, mb),
-                }
-            }
-        };
-        self.wait_scratch.matcher = matcher;
-        match picked {
-            Ok((slot, msg, arrival)) => {
-                requests[slot] = None;
-                self.account_recv(&msg, arrival);
-                (slot, Some(self.unbox_payload(msg)))
-            }
-            Err(slot) => {
-                let Some(Request { kind: ReqKind::Send { dst, depart, corr }, .. }) =
-                    requests[slot].take()
-                else {
-                    unreachable!("send slot picked above")
-                };
-                self.complete_send(dst, depart, corr);
-                (slot, None)
-            }
-        }
     }
 
     // ---------------------------------------------------------- collectives
@@ -2940,30 +2841,6 @@ mod tests {
     }
 
     #[test]
-    fn waitany_completes_out_of_post_order() {
-        let out = run(2, MachineModel::juropa_like(), |comm| {
-            if comm.rank() == 0 {
-                // Tag 1 departs first, then tag 2 (blocking sends serialize).
-                comm.send(1, 1, vec![11u32]);
-                comm.send(1, 2, vec![22u32]);
-                comm.barrier();
-                Vec::new()
-            } else {
-                // Post the request for tag 2 *first*; the tag-1 message still
-                // completes first because it arrives first in virtual time.
-                let mut reqs = vec![Some(comm.irecv::<u32>(0, 2)), Some(comm.irecv::<u32>(0, 1))];
-                comm.barrier(); // both messages are physically present now
-                let (first, a) = comm.waitany(&mut reqs);
-                let (second, b) = comm.waitany(&mut reqs);
-                assert_eq!((first, second), (1, 0));
-                assert!(reqs.iter().all(Option::is_none));
-                vec![a.unwrap()[0], b.unwrap()[0]]
-            }
-        });
-        assert_eq!(out.results[1], vec![11, 22]);
-    }
-
-    #[test]
     fn interleaved_isends_match_tags_fifo() {
         let out = run(2, MachineModel::juqueen_like(), |comm| {
             if comm.rank() == 0 {
@@ -2992,37 +2869,6 @@ mod tests {
             }
         });
         assert_eq!(out.results[1], vec![10, 20, 1, 2]);
-    }
-
-    #[test]
-    fn request_results_deterministic_across_runs() {
-        // waitany's completion choice may depend on real arrival timing, so
-        // clocks are not pinned — but the *data* every rank assembles must be
-        // identical run to run.
-        let run_once = || {
-            run(8, MachineModel::juqueen_like(), |comm| {
-                let r = comm.rank();
-                comm.compute(Work::ParticleOp, (r * 1000) as f64); // skew ranks
-                let partners: Vec<usize> = (1..4).map(|d| (r + d) % 8).collect();
-                let sources: Vec<usize> = (1..4).map(|d| (r + 8 - d) % 8).collect();
-                let mut recvs: Vec<Option<Request<u64>>> =
-                    sources.iter().map(|&s| Some(comm.irecv(s, 5))).collect();
-                let sends: Vec<Request<u64>> = partners
-                    .iter()
-                    .map(|&p| comm.isend(p, 5, vec![(r * 100 + p) as u64]))
-                    .collect();
-                let mut got: Vec<(usize, u64)> = Vec::new();
-                for _ in 0..sources.len() {
-                    let (slot, data) = comm.waitany(&mut recvs);
-                    got.push((sources[slot], data.expect("recv slot")[0]));
-                }
-                let _ = comm.waitall(sends);
-                got.sort_unstable();
-                got
-            })
-            .results
-        };
-        assert_eq!(run_once(), run_once());
     }
 
     #[test]
@@ -3281,8 +3127,9 @@ mod tests {
             [(5, 7), (0, 8), (0, 7), (0, 9)].into_iter().map(|(s, t)| queued(s, t)).collect();
         assert!(!matcher.advance(&q), "the second (0, 7) message is still missing");
         assert_eq!(matcher.picks, vec![(0, 2), (1, 3)]);
-        assert_eq!(matcher.slot_for(0, 7), Some(2), "the next (0, 7) message completes slot 2");
-        assert_eq!(matcher.slot_for(0, 9), None);
+        let slot_for = |src, tag| matcher.first_free(src, tag).map(|i| matcher.patterns[i].slot);
+        assert_eq!(slot_for(0, 7), Some(2), "the next (0, 7) message completes slot 2");
+        assert_eq!(slot_for(0, 9), None);
         q.push_back(queued(0, 7));
         q.push_back(queued(0, 7));
         assert!(matcher.advance(&q));
@@ -3310,17 +3157,16 @@ mod tests {
             let reqs = vec![comm.irecv(peer, 3), comm.isend(peer, 3, vec![(me as u32, 7u32)])];
             let c = comm.waitall(reqs).remove(0).expect("receive yields data");
             spare_counts.push(comm.spare_envelopes.len());
-            // u8 again through waitany: reuses the first envelope.
+            // u8 again through isend / irecv / wait: reuses the first envelope.
             let tx = comm.isend(peer, 4, vec![me + 10]);
             spare_counts.push(comm.spare_envelopes.len());
-            let mut reqs = vec![Some(comm.irecv::<u8>(peer, 4))];
-            let (_, d) = comm.waitany(&mut reqs);
+            let rx = comm.irecv::<u8>(peer, 4);
+            let d = comm.wait(rx);
             assert_eq!(comm.wait(tx), None);
-            // f64 again through recv_any.
+            // f64 again through send / recv.
             comm.send(peer, 5, vec![me as f64 - 0.5]);
             spare_counts.push(comm.spare_envelopes.len());
-            let (src, e) = comm.recv_any::<f64>(5);
-            assert_eq!(src, peer);
+            let e: Vec<f64> = comm.recv(peer, 5);
             spare_counts.push(comm.spare_envelopes.len());
             (a, b, c, d.expect("receive yields data"), e, spare_counts)
         });

@@ -1,9 +1,14 @@
-//! Helpers the simcomm integration suites share: the seeded draw, the digest
-//! every frozen constant is taken with, and its split into a payload and a
-//! timing half.
+//! Helpers the simcomm integration suites share: the batch widths, the
+//! seeded draw, the digest every frozen constant is taken with, and its split
+//! into a payload and a timing half.
 #![allow(dead_code)] // each suite uses its own subset
 
 use simcomm::RunOutput;
+
+/// The `Runner::host_parallelism` widths a suite without widths of its own
+/// runs every world at: strictly one rank at a time, two, and more than a CI
+/// host has cores.
+pub const WIDTHS: [usize; 3] = [1, 2, 8];
 
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -1,19 +1,15 @@
-//! Property tests for nonblocking request completion: `waitany` and
+//! Property tests for nonblocking request completion: `waitall` and
 //! `neighbor_exchange` under seeded random message reordering, duplicate
 //! tags, and injected faults. Every schedule is drawn with splitmix64 from a
-//! fixed seed, and every assertion is re-checked across two runs of the same
-//! world — the runtime promises deterministic *data* regardless of OS
-//! scheduling, and (for `waitall`-based paths) deterministic clocks too.
+//! fixed seed, and every world runs at each of the batch widths
+//! [`common::WIDTHS`], twice at the first: the runtime promises the same data
+//! and the same clocks whatever the OS scheduling and however many ranks run
+//! at once.
 
-use simcomm::{run, Comm, FaultPlan, MachineModel, Request, Runner, StallSpec};
+mod common;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use common::{splitmix64, WIDTHS};
+use simcomm::{Comm, FaultPlan, MachineModel, RunOutput, Runner, StallSpec};
 
 /// Deterministic pseudo-random permutation of `0..n` from a seed.
 fn permutation(seed: u64, n: usize) -> Vec<usize> {
@@ -50,15 +46,14 @@ fn send_post_order(r: usize, n: usize, seed: u64, msgs: usize) -> Vec<(usize, u6
 
 /// Each rank posts receives for everything its peers will send (in a seeded
 /// random order), then issues its own sends (in another seeded random order),
-/// and drains the receives with `waitany`. Returns, per rank, the received
-/// `(src, tag, payload)` triples in completion order.
-fn waitany_schedule(comm: &mut Comm, seed: u64, msgs: usize) -> Vec<(usize, u64, u64)> {
+/// and drains every request with one `waitall`. Returns, per rank, the
+/// received `(src, tag, payload)` triples in receive-post order.
+fn waitall_schedule(comm: &mut Comm, seed: u64, msgs: usize) -> Vec<(usize, u64, u64)> {
     let r = comm.rank();
     let n = comm.size();
     let tag_pool = 3u64; // few tags, many duplicates
                          // Post receives for exactly what the peers will send us, derived from the
                          // same seeded schedule (every rank can compute every other rank's plan).
-    let mut recvs: Vec<Option<Request<u64>>> = Vec::new();
     let mut sources: Vec<(usize, u64)> = Vec::new();
     for src in (0..n).filter(|&s| s != r) {
         for k in 0..msgs {
@@ -69,48 +64,58 @@ fn waitany_schedule(comm: &mut Comm, seed: u64, msgs: usize) -> Vec<(usize, u64,
     // Post the receive requests in a seeded random order (reordering).
     let order = permutation(seed ^ 0xabcd, sources.len());
     let posted: Vec<(usize, u64)> = order.iter().map(|&i| sources[i]).collect();
-    for &(src, tag) in &posted {
-        recvs.push(Some(comm.irecv(src, tag)));
-    }
+    let mut reqs: Vec<_> = posted.iter().map(|&(src, tag)| comm.irecv(src, tag)).collect();
     // Skew the ranks so arrival order differs from post order.
     comm.advance(1e-6 * (r as f64));
     // Issue the sends in a seeded random order too.
-    let tx: Vec<Request<u64>> = send_post_order(r, n, seed, msgs)
-        .into_iter()
-        .map(|(dst, tag, payload)| comm.isend(dst, tag, vec![payload]))
-        .collect();
+    reqs.extend(
+        send_post_order(r, n, seed, msgs)
+            .into_iter()
+            .map(|(dst, tag, payload)| comm.isend(dst, tag, vec![payload])),
+    );
+    let done = comm.waitall(reqs);
+    assert!(done[posted.len()..].iter().all(Option::is_none), "sends yield no data");
+    posted
+        .iter()
+        .zip(done)
+        .map(|(&(src, tag), data)| (src, tag, data.expect("receive yields data")[0]))
+        .collect()
+}
 
-    // Drain with waitany; record (src, tag, payload) in completion order.
-    let mut got: Vec<(usize, u64, u64)> = Vec::new();
-    for _ in 0..posted.len() {
-        let (slot, data) = comm.waitany(&mut recvs);
-        let payload = data.expect("recv slot")[0];
-        let (src, tag) = posted[slot];
-        got.push((src, tag, payload));
+/// Run `f` on `n` ranks at the first width of [`WIDTHS`], then again at
+/// every width; assert that every run returns the first one's results and
+/// clocks, and return the first run.
+fn at_every_width<R, F>(
+    runner: Runner,
+    n: usize,
+    model: MachineModel,
+    f: F,
+    what: &str,
+) -> RunOutput<R>
+where
+    R: Send + PartialEq + std::fmt::Debug,
+    F: Fn(&mut Comm) -> R + Send + Sync,
+{
+    let first = runner.clone().host_parallelism(WIDTHS[0]).run(n, model.clone(), &f);
+    for width in WIDTHS {
+        let again = runner.clone().host_parallelism(width).run(n, model.clone(), &f);
+        assert_eq!(again.results, first.results, "{what}, width {width}: data differs");
+        assert_eq!(again.clocks, first.clocks, "{what}, width {width}: clocks differ");
     }
-    assert!(recvs.iter().all(Option::is_none));
-    let _ = comm.waitall(tx);
-    got
+    first
 }
 
 #[test]
-fn waitany_under_reordering_and_duplicate_tags_is_deterministic() {
+fn waitall_under_reordering_and_duplicate_tags_is_deterministic() {
     for seed in [1u64, 0xfeed, 0x1ee7] {
-        let run_once = || {
-            run(6, MachineModel::juqueen_like(), move |comm| waitany_schedule(comm, seed, 4))
-                .results
-        };
-        let (a, b) = (run_once(), run_once());
-        // waitany's completion *order* may depend on physical arrival timing
-        // (documented); the delivered data must not.
-        for r in 0..6 {
-            let mut sa = a[r].clone();
-            let mut sb = b[r].clone();
-            sa.sort_unstable();
-            sb.sort_unstable();
-            assert_eq!(sa, sb, "seed {seed}, rank {r}: waitany data must match across runs");
-        }
-        for (r, got) in a.iter().enumerate() {
+        let out = at_every_width(
+            Runner::default(),
+            6,
+            MachineModel::juqueen_like(),
+            move |comm: &mut Comm| waitall_schedule(comm, seed, 4),
+            &format!("seed {seed}"),
+        );
+        for (r, got) in out.results.iter().enumerate() {
             // Every payload correctly identifies its (src, tag) stream…
             for &(src, tag, payload) in got {
                 assert_eq!(payload >> 32, src as u64, "rank {r}: payload src");
@@ -118,7 +123,7 @@ fn waitany_under_reordering_and_duplicate_tags_is_deterministic() {
             }
             // …and within each (src, tag) stream, delivery follows the order
             // the *sender* posted its sends in (per-stream FIFO), even though
-            // receive posts and completions were both reordered.
+            // both the receive and the send posts were reordered.
             for src in (0..6).filter(|&s| s != r) {
                 let posted = send_post_order(src, 6, seed, 4);
                 for tag in 0..3u64 {
@@ -143,10 +148,11 @@ fn waitany_under_reordering_and_duplicate_tags_is_deterministic() {
 }
 
 #[test]
-fn waitany_data_unchanged_under_faults() {
+fn waitall_data_unchanged_under_faults() {
     let seed = 0xdead_beef;
+    let schedule = move |comm: &mut Comm| waitall_schedule(comm, seed, 3);
     let clean =
-        run(5, MachineModel::juropa_like(), move |comm| waitany_schedule(comm, seed, 3)).results;
+        at_every_width(Runner::default(), 5, MachineModel::juropa_like(), schedule, "clean");
     let plan = FaultPlan {
         seed: 99,
         send_loss_prob: 0.3,
@@ -157,19 +163,17 @@ fn waitany_data_unchanged_under_faults() {
         stall: Some(StallSpec { rank: 2, after_ops: 5, seconds: 1e-4 }),
         ..FaultPlan::none()
     };
-    let faulted = Runner::default()
-        .faulted(plan)
-        .run(5, MachineModel::juropa_like(), move |comm| waitany_schedule(comm, seed, 3))
-        .results;
-    // Faults reshuffle completion order (spikes change arrival times), but
-    // the multiset of delivered payloads per rank is untouched.
-    for r in 0..5 {
-        let mut a: Vec<_> = clean[r].clone();
-        let mut b: Vec<_> = faulted[r].clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "rank {r}: faults must not alter delivered data");
-    }
+    let faulted = at_every_width(
+        Runner::default().faulted(plan),
+        5,
+        MachineModel::juropa_like(),
+        schedule,
+        "faulted",
+    );
+    // Faults move arrival times, never the data a receive request yields.
+    assert_eq!(faulted.results, clean.results, "faults must not alter delivered data");
+    let injected: u64 = faulted.stats.iter().map(|s| s.faults_injected).sum();
+    assert!(injected > 0, "this plan must actually inject faults");
 }
 
 /// Seeded neighbourhood exchange: random partner sets (symmetric by
@@ -206,14 +210,10 @@ fn neighbor_schedule(comm: &mut Comm, seed: u64) -> Vec<Vec<(usize, Vec<u64>)>> 
 #[test]
 fn neighbor_exchange_random_topology_deterministic_and_fault_immune() {
     let seed = 0x5eed;
-    let run_clean = || {
-        let out = run(8, MachineModel::juqueen_like(), move |comm| neighbor_schedule(comm, seed));
-        (out.results, out.clocks)
-    };
-    let (a, clocks_a) = run_clean();
-    let (b, clocks_b) = run_clean();
-    assert_eq!(a, b, "neighbor_exchange data must be identical across runs");
-    assert_eq!(clocks_a, clocks_b, "waitall-based exchange pins clocks too");
+    let schedule = move |comm: &mut Comm| neighbor_schedule(comm, seed);
+    let clean =
+        at_every_width(Runner::default(), 8, MachineModel::juqueen_like(), schedule, "clean");
+    let a = clean.results;
     // Payload integrity: every received buffer names its source and round.
     for (r, rounds) in a.iter().enumerate() {
         for (round, bufs) in rounds.iter().enumerate() {
@@ -239,10 +239,13 @@ fn neighbor_exchange_random_topology_deterministic_and_fault_immune() {
         wait_timeout_seconds: Some(1e-5),
         ..FaultPlan::none()
     };
-    let faulted =
-        Runner::default()
-            .faulted(plan)
-            .run(8, MachineModel::juqueen_like(), move |comm| neighbor_schedule(comm, seed));
+    let faulted = at_every_width(
+        Runner::default().faulted(plan),
+        8,
+        MachineModel::juqueen_like(),
+        schedule,
+        "faulted",
+    );
     assert_eq!(faulted.results, a, "faults must not alter neighbor_exchange data");
     let injected: u64 = faulted.stats.iter().map(|s| s.faults_injected).sum();
     assert!(injected > 0, "this plan must actually inject faults");

@@ -17,7 +17,8 @@
 //!
 //! A world of sparse data exchanges (`Comm::sparse_exchange`) is held to the
 //! same invariants under the same faults, and to one more: every posted
-//! message is received exactly once.
+//! message is received exactly once. Every world runs at each batch width of
+//! `common::WIDTHS`, and each width must reproduce the frozen digests.
 //!
 //! Both worlds were first frozen as one digest of the event stream alone:
 //! the point-to-point world's captured from the thread-per-rank engine at
@@ -31,7 +32,7 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::{assert_halves, splitmix64};
+use common::{assert_halves, splitmix64, WIDTHS};
 use simcomm::{CartGrid, FaultPlan, MachineModel, Runner, StallSpec, Trace, TraceKind, Work};
 
 /// A seeded program mixing every point-to-point shape: blocking sends, ring
@@ -183,24 +184,24 @@ fn every_isend_has_exactly_one_completion_under_faults() {
         (19, [0xedf1_8e8d_808f_3639, 0xd5c3_7a0b_813c_7ca1]),
         (71, [0x68ef_dc7c_c9fd_974a, 0x037a_8b9f_6f04_7da0]),
     ] {
-        let plan = chaos_plan(seed.wrapping_mul(0x9e37));
-        let out = Runner::default().traced(true).faulted(plan).run(
-            12,
-            MachineModel::juropa_like(),
-            p2p_program(seed, 3),
-        );
+        for width in WIDTHS {
+            let what = format!("seed {seed} width {width}");
+            let plan = chaos_plan(seed.wrapping_mul(0x9e37));
+            let runner = Runner::default().traced(true).faulted(plan).host_parallelism(width);
+            let out = runner.run(12, MachineModel::juropa_like(), p2p_program(seed, 3));
 
-        let matched = assert_correlation_invariants(&out.traces, &format!("seed {seed}"));
-        assert!(matched > 0, "seed {seed}: no isend/wait pairs — test is vacuous");
+            let matched = assert_correlation_invariants(&out.traces, &what);
+            assert!(matched > 0, "{what}: no isend/wait pairs — test is vacuous");
 
-        // The faults must actually have fired and reordered something.
-        assert!(
-            out.stats.iter().map(|s| s.faults_injected).sum::<u64>() > 0,
-            "seed {seed}: fault plan never fired"
-        );
+            // The faults must actually have fired and reordered something.
+            assert!(
+                out.stats.iter().map(|s| s.faults_injected).sum::<u64>() > 0,
+                "{what}: fault plan never fired"
+            );
 
-        // And the correlated streams are the frozen ones, event for event.
-        assert_halves(&out, want, &format!("seed {seed}"));
+            // And the correlated streams are the frozen ones, event for event.
+            assert_halves(&out, want, &what);
+        }
     }
 }
 
@@ -232,40 +233,44 @@ fn every_sparse_message_is_received_exactly_once_under_faults() {
         (5u64, [0x6c16_c8dd_e8a9_bb78, 0xff8b_e882_289d_1d5c]),
         (23, [0x413b_8434_1c63_ff11, 0xc5c7_0ec1_4201_055e]),
     ] {
-        let plan = chaos_plan(seed.wrapping_mul(0x9e37));
-        let out = Runner::default().traced(true).faulted(plan).run(
-            12,
-            MachineModel::juropa_like(),
-            sparse_program(seed, 6),
-        );
-        let what = format!("sparse seed {seed}");
-        assert!(assert_correlation_invariants(&out.traces, &what) > 0, "{what}: vacuous");
-        assert!(out.stats.iter().map(|s| s.faults_injected).sum::<u64>() > 0, "{what}: no fault");
-        // The stall is keyed by operation count: it must still find its op.
-        assert_eq!(out.stats[3].stalls, 1, "{what}: the stall never fired");
-        // Exactly once: every posted message has one receive record, and the
-        // receive counts agree with the statistics.
-        let mut received: HashMap<u64, usize> = HashMap::new();
-        for e in out.traces.iter().flat_map(|t| &t.events) {
-            if e.kind == TraceKind::Recv {
-                *received.entry(e.corr).or_default() += 1;
+        for width in WIDTHS {
+            let plan = chaos_plan(seed.wrapping_mul(0x9e37));
+            let runner = Runner::default().traced(true).faulted(plan).host_parallelism(width);
+            let out = runner.run(12, MachineModel::juropa_like(), sparse_program(seed, 6));
+            let what = format!("sparse seed {seed} width {width}");
+            assert!(assert_correlation_invariants(&out.traces, &what) > 0, "{what}: vacuous");
+            assert!(
+                out.stats.iter().map(|s| s.faults_injected).sum::<u64>() > 0,
+                "{what}: no fault"
+            );
+            // The stall is keyed by operation count: it must still find its op.
+            assert_eq!(out.stats[3].stalls, 1, "{what}: the stall never fired");
+            // Exactly once: every posted message has one receive record, and the
+            // receive counts agree with the statistics.
+            let mut received: HashMap<u64, usize> = HashMap::new();
+            for e in out.traces.iter().flat_map(|t| &t.events) {
+                if e.kind == TraceKind::Recv {
+                    *received.entry(e.corr).or_default() += 1;
+                }
             }
-        }
-        for e in out.traces.iter().flat_map(|t| &t.events) {
-            if e.kind == TraceKind::Isend {
-                assert_eq!(received.get(&e.corr), Some(&1), "{what}: corr {:#x}", e.corr);
+            for e in out.traces.iter().flat_map(|t| &t.events) {
+                if e.kind == TraceKind::Isend {
+                    assert_eq!(received.get(&e.corr), Some(&1), "{what}: corr {:#x}", e.corr);
+                }
             }
+            let recv_msgs: u64 = out.stats.iter().map(|s| s.p2p_recv_msgs).sum();
+            assert_eq!(received.len() as u64, recv_msgs, "{what}");
+            assert_halves(&out, want, &what);
         }
-        let recv_msgs: u64 = out.stats.iter().map(|s| s.p2p_recv_msgs).sum();
-        assert_eq!(received.len() as u64, recv_msgs, "{what}");
-        assert_halves(&out, want, &what);
     }
 }
 
 #[test]
 fn clean_world_correlation_invariants_hold() {
-    let out =
-        Runner::default().traced(true).run(16, MachineModel::juqueen_like(), p2p_program(42, 4));
-    let matched = assert_correlation_invariants(&out.traces, "clean");
-    assert!(matched > 0, "clean world produced no isend/wait pairs");
+    for width in WIDTHS {
+        let runner = Runner::default().traced(true).host_parallelism(width);
+        let out = runner.run(16, MachineModel::juqueen_like(), p2p_program(42, 4));
+        let matched = assert_correlation_invariants(&out.traces, &format!("clean width {width}"));
+        assert!(matched > 0, "clean world at width {width} produced no isend/wait pairs");
+    }
 }
