@@ -42,6 +42,7 @@
 // iterates a hash container.
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
+use particles::record::fold_words;
 use particles::{Particle, PlaneElem, PlaneSet, RedistMethod, SolverOutput, SolverTimings, Vec3};
 use simcomm::{Comm, Work};
 
@@ -250,18 +251,8 @@ pub fn resort_planes(
     plan.as_ref().expect("plan just ensured").execute_planes(comm, set);
 }
 
-/// Deterministic 64-bit fingerprint of a resort-index slice (splitmix64
-/// fold), used for the cheap plan-validity check in [`ResortPlan::matches`].
-fn fingerprint(indices: &[u64]) -> u64 {
-    let mut h: u64 = 0x243f_6a88_85a3_08d3 ^ indices.len() as u64;
-    for &ix in indices {
-        let mut z = h ^ ix.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        h = z ^ (z >> 31);
-    }
-    h
-}
+/// Seed of a plan's index fingerprint (the fractional digits of pi).
+const PLAN_SEED: u64 = 0x243f_6a88_85a3_08d3;
 
 /// A frozen redistribution schedule built from one set of resort indices:
 /// the plan half of the plan/execute split for [`resort`] /
@@ -333,7 +324,7 @@ impl ResortPlan {
             mode: mode.clone(),
             new_len,
             n_input: resort_indices.len(),
-            ix_fingerprint: fingerprint(resort_indices),
+            ix_fingerprint: fold_words(PLAN_SEED, resort_indices.iter().copied()),
             routes,
         }
     }
@@ -343,24 +334,15 @@ impl ResortPlan {
         self.new_len
     }
 
-    /// Number of input elements (including ghosts) the plan was built for.
-    pub fn input_len(&self) -> usize {
-        self.n_input
-    }
-
-    /// The exchange mode the plan was built for.
-    pub fn mode(&self) -> &ExchangeMode {
-        &self.mode
-    }
-
     /// Is this plan still valid for the given redistribution? True when the
     /// resort indices, the output length and the exchange mode are the ones
-    /// the plan was built from (index equality via a 64-bit fingerprint).
+    /// the plan was built from (index equality via a 64-bit fingerprint: a
+    /// `particles::record` word fold, no copy of the indices).
     pub fn matches(&self, resort_indices: &[u64], new_len: usize, mode: &ExchangeMode) -> bool {
         self.n_input == resort_indices.len()
             && self.new_len == new_len
             && self.mode == *mode
-            && self.ix_fingerprint == fingerprint(resort_indices)
+            && self.ix_fingerprint == fold_words(PLAN_SEED, resort_indices.iter().copied())
     }
 
     /// Move typed channels through the frozen schedule — the staging step

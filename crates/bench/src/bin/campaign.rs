@@ -40,12 +40,12 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use bench::cli::{Cli, Opt};
-use bench::json::Json;
 use bench::{banner, fmt_secs, report_summary, RunEntry, RunReport};
 use campaign::{run_campaign, Policy, RunCtx, RunDef, RunOutcome};
 use fcs::SolverKind;
 use mdsim::io::Snapshot;
 use mdsim::{simulate, simulate_from, SimConfig};
+use particles::json::Json;
 use particles::{local_set, InitialDistribution, IonicCrystal};
 use simcomm::{CartGrid, FaultPlan, MachineModel, Runner, WorldError};
 
@@ -149,7 +149,7 @@ fn checkpoint_run(
                     local_set(&crystal, InitialDistribution::Grid, comm.rank(), comm.size(), dims);
                 let first = simulate(comm, bbox, set, &cfg_half);
                 let path = dir.join(format!("rank{}.snap", comm.rank()));
-                first.final_state.save_durable(&path).expect("durable checkpoint write");
+                first.final_state.save(&path).expect("durable checkpoint write");
                 // All ranks checkpoint before the fault fires, so the retry
                 // always finds a complete snapshot set.
                 comm.barrier();

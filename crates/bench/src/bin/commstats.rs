@@ -35,8 +35,8 @@ use std::path::Path;
 
 use bench::cli::{Cli, Opt};
 use bench::gate;
-use bench::json::Json;
 use bench::{accounting_bound, fmt_secs, format_phase_table, RunReport};
+use particles::json::Json;
 
 /// What `--help` prints above the option list: the four modes.
 const ABOUT: &str = "inspect and verify benchmark reports and traces

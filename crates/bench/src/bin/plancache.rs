@@ -13,12 +13,13 @@
 //! * **Neighbourhood ghost exchange** (the paper's Fig. 9 stencil): every
 //!   rank ships a fixed boundary payload to its 26 grid neighbours each
 //!   step. `planned` freezes a [`simcomm::CommPlan`] once and re-executes
-//!   it — receives complete in partner order, so the ghost sequence is
-//!   deterministic with no post-processing. `unplanned` re-derives the
-//!   partner list each step and uses the one-shot nonblocking exchange,
-//!   whose receives complete in *arrival* order — restoring the solver's
-//!   ghost order takes the full sort + dedup pass the pre-plan ghost path
-//!   performed every step.
+//!   it — receives land in partner order, so the ghost sequence is the
+//!   solver's with no post-processing. `unplanned` re-derives the partner
+//!   list each step and uses the one-shot nonblocking exchange, which
+//!   returns its buffers sorted by source. It still pays the full sort +
+//!   dedup pass the pre-plan ghost path performed every step (when its
+//!   receives came back in arrival order): the modelled baseline the plan
+//!   is measured against.
 //!
 //! Two unplanned redistribution families ride along on the same `procs`:
 //!
@@ -80,9 +81,8 @@ fn ghost_payload(me: usize, elems: usize) -> Vec<Ghost> {
 
 /// Fig. 9-style stencil exchange, `steps` timesteps: planned (persistent
 /// [`simcomm::CommPlan`], partner-order receives) vs unplanned (per-step
-/// partner recomputation, arrival-order receives restored to solver order by
-/// the sort + dedup pass the pre-plan ghost path ran every step). Returns
-/// (planned, unplanned) makespans.
+/// partner recomputation, then the sort + dedup pass the pre-plan ghost path
+/// ran every step). Returns (planned, unplanned) makespans.
 #[allow(clippy::too_many_arguments)]
 fn neighborhood_workloads(
     model: &MachineModel,
@@ -115,9 +115,9 @@ fn neighborhood_workloads(
                 partners.iter().map(|&q| (q, ghost_payload(comm.rank(), elems))).collect();
             comm.compute(Work::ByteCopy, bytes_out(partners.len()));
             let received = comm.neighbor_exchange(&partners, data, TAG_GHOSTS);
-            // Without a frozen plan the arrival order is nondeterministic:
-            // restore the solver's ghost order with the full sort + dedup
-            // pass the pre-plan ghost path performed each step.
+            // The buffers come back sorted by source, but the baseline is
+            // the pre-plan ghost path, which restored the solver's ghost
+            // order with a full sort + dedup pass each step.
             let mut ghosts: Vec<Ghost> = received.into_iter().flat_map(|(_, v)| v).collect();
             ghosts.sort_by_key(|g| g.0);
             let g = ghosts.len().max(2) as f64;

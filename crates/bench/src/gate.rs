@@ -15,8 +15,8 @@
 //! jitter. `commstats --baseline <dir>` drives this from the command line and
 //! CI runs it on every push (see `.github/workflows/ci.yml`, job `gate`).
 
-use crate::json::Json;
 use crate::report::RunReport;
+use particles::json::Json;
 
 /// Default relative regression tolerance (5 %).
 pub const DEFAULT_TOLERANCE: f64 = 0.05;

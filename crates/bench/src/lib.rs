@@ -18,7 +18,6 @@
 
 pub mod cli;
 pub mod gate;
-pub mod json;
 pub mod microbench;
 pub mod report;
 pub mod selftime;

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use simcomm::{PhaseAgg, RankStats, RunOutput};
 
-use crate::json::Json;
+use particles::json::Json;
 
 /// The report schema version, written as `schema_version`; the reader
 /// accepts this version only.

@@ -6,8 +6,8 @@
 
 use std::process::Command;
 
-use bench::json::Json;
 use bench::{RunReport, TimelineSink};
+use particles::json::Json;
 use simcomm::{MachineModel, Runner, Work};
 
 /// A small traced workload exercising sends, nonblocking batches, and

@@ -16,7 +16,8 @@
 //!   deterministic, so a successful retry is bitwise identical to an
 //!   unfaulted first attempt.
 //! - **Crash-safe resume** — every state transition is journaled
-//!   (append-only, per-line chained checksums, fsync'd — see [`journal`]);
+//!   (append-only JSON lines sealed by `particles::record`: per-line chained
+//!   checksums, fsync'd — see [`journal`]);
 //!   after a `kill -9`, re-running the same campaign reuses completed and
 //!   terminally-failed runs and re-executes in-flight ones, converging on a
 //!   result bitwise identical to an uninterrupted campaign.
@@ -50,9 +51,7 @@ pub mod journal;
 mod pool;
 mod runner;
 
-pub use journal::{
-    fold_bytes, spec_fingerprint, Journal, JournalError, Record, RunState, TornTail,
-};
+pub use journal::{spec_fingerprint, Journal, JournalError, Record, RunState, TornTail};
 pub use pool::run_stealing;
 pub use runner::{
     mangle, run_campaign, CampaignError, CampaignOutcome, Policy, RunCtx, RunDef, RunOutcome,

@@ -26,7 +26,9 @@ use std::time::Duration;
 
 use simcomm::WorldError;
 
-use crate::journal::{fold_bytes, spec_fingerprint, Journal, JournalError, Record, RunState};
+use particles::record;
+
+use crate::journal::{spec_fingerprint, Journal, JournalError, Record, RunState, CHAIN_SEED};
 use crate::pool::run_stealing;
 
 /// One run in a campaign: a unique name (the journal/resume key) plus the
@@ -197,7 +199,12 @@ pub fn mangle(name: &str) -> String {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || "-_.".contains(c) { c } else { '_' })
         .collect();
-    format!("{safe}-{:08x}", fold_bytes(0, name.as_bytes()) as u32)
+    format!("{safe}-{:08x}", record::fold(0, name.as_bytes()) as u32)
+}
+
+/// Checksum of a run payload, as its `completed` record carries it.
+fn payload_sum(payload: &[u8]) -> u64 {
+    record::fold(CHAIN_SEED, payload)
 }
 
 /// Extract a panic payload as text.
@@ -302,12 +309,12 @@ where
     let mut reused = 0usize;
     for (i, def) in runs.iter().enumerate() {
         match states.get(&def.name) {
-            Some(RunState::Completed { attempt, payload_len, payload_sum }) => {
+            Some(RunState::Completed { attempt, payload_len, payload_sum: expected_sum }) => {
                 let path = dir.join("payloads").join(format!("{}.json", mangle(&def.name)));
                 match std::fs::read(&path) {
                     Ok(bytes)
                         if bytes.len() as u64 == *payload_len
-                            && fold_bytes(crate::journal::CHAIN_SEED, &bytes) == *payload_sum =>
+                            && payload_sum(&bytes) == *expected_sum =>
                     {
                         let payload = String::from_utf8(bytes)
                             .map_err(|e| std::io::Error::other(e.to_string()))?;
@@ -416,8 +423,9 @@ where
                 // Durable payload *before* the completed record: the record
                 // asserts the payload exists with this length and checksum.
                 let path = dir.join("payloads").join(format!("{stem}.json"));
-                let sum = fold_bytes(crate::journal::CHAIN_SEED, payload.as_bytes());
-                if let Err(e) = write_durable(&path, payload.as_bytes()) {
+                let written = std::fs::File::create(&path)
+                    .and_then(|mut file| record::write_durable(&mut file, payload.as_bytes()));
+                if let Err(e) = written {
                     shared.fail_io(e);
                     return None;
                 }
@@ -425,7 +433,7 @@ where
                     run: def.name.clone(),
                     attempt,
                     payload_len: payload.len() as u64,
-                    payload_sum: sum,
+                    payload_sum: payload_sum(payload.as_bytes()),
                 }) {
                     return None;
                 }
@@ -454,15 +462,6 @@ where
         std::thread::sleep(policy.backoff.saturating_mul(factor));
         attempt += 1;
     }
-}
-
-/// Write bytes to `path` and fsync, so a following journal record never
-/// acknowledges a payload the filesystem could still lose.
-fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(bytes)?;
-    f.sync_data()
 }
 
 #[cfg(test)]
@@ -689,6 +688,15 @@ mod tests {
             other => panic!("{other:?}", other = other.map(|_| ())),
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn fold_bits_are_pinned() {
+        // Values of the version-1 code's own fold: stems and payload sums
+        // written before the record codec existed still match.
+        assert_eq!(mangle("flaky/checkpoint"), "flaky_checkpoint-0686a82a");
+        assert_eq!(payload_sum(b"hello, campaign"), 0x338c_0bd1_b89b_7960);
+        assert_eq!(payload_sum(b""), CHAIN_SEED);
     }
 
     #[test]

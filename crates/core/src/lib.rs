@@ -114,7 +114,6 @@ pub struct Fcs {
     nprocs: usize,
     bbox: Option<SystemBox>,
     tolerance: f64,
-    desired_rcut: Option<f64>,
     resort_enabled: bool,
     max_move: MovementHint,
     soft_core: Option<particles::SoftCore>,
@@ -143,7 +142,6 @@ impl Fcs {
             nprocs,
             bbox: None,
             tolerance: 1e-3,
-            desired_rcut: None,
             resort_enabled: false,
             max_move: None,
             soft_core: None,
@@ -204,15 +202,6 @@ impl Fcs {
     pub fn set_tolerance(&mut self, eps: f64) {
         assert!(eps > 0.0 && eps < 1.0);
         self.tolerance = eps;
-        self.solver = None;
-    }
-
-    /// Solver-specific parameter: the near-field cutoff radius of the
-    /// particle-mesh solver (the paper uses a fixed cutoff of 4.8 for its
-    /// 248^3 benchmark box).
-    pub fn set_p2nfft_cutoff(&mut self, rcut: f64) {
-        assert!(rcut > 0.0);
-        self.desired_rcut = Some(rcut);
         self.solver = None;
     }
 
@@ -304,14 +293,13 @@ impl Fcs {
             SolverKind::P2Nfft => {
                 let l = bbox.lengths;
                 let lmin = l.x().min(l.y()).min(l.z());
-                // Default cutoff: a few mean inter-particle spacings, capped
+                // Cutoff: a few mean inter-particle spacings, capped
                 // by the minimum-image bound and the subdomain width.
                 let mean_spacing = (bbox.volume() / n_total.max(1) as f64).cbrt();
-                let desired = self.desired_rcut.unwrap_or(2.8 * mean_spacing);
                 let grid = simcomm::CartGrid::balanced(self.nprocs);
                 let dims = grid.dims();
                 let min_width = (0..3).map(|d| l[d] / dims[d] as f64).fold(f64::INFINITY, f64::min);
-                let rcut = desired.min(0.49 * lmin).min(min_width);
+                let rcut = (2.8 * mean_spacing).min(0.49 * lmin).min(min_width);
                 let mut cfg = PmConfig::tuned(&bbox, self.tolerance, rcut);
                 cfg.soft_core = self.soft_core;
                 let solver = PmSolver::new(bbox, cfg, self.nprocs);

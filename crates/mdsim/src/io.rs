@@ -6,17 +6,21 @@
 use std::io::{BufRead, Write};
 use std::path::Path;
 
+use particles::record::{self, SealError};
 use particles::{ParticleSet, SystemBox, Vec3};
 
-/// Why loading a [`Snapshot`] failed. Snapshots carry a length + checksum
-/// footer, so a truncated or bit-flipped file is detected and reported as a
-/// typed error instead of silently propagating garbage state into a restart.
+/// Why loading a [`Snapshot`] failed. Snapshots carry a sealed length +
+/// checksum footer, so a truncated or bit-flipped file is detected and
+/// reported as a typed error instead of silently propagating garbage state
+/// into a restart.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The underlying file could not be read.
     Io(std::io::Error),
     /// The file ends before the expected content (missing lines or a missing
-    /// footer), or the footer's recorded length disagrees with the content.
+    /// footer), the footer's recorded length disagrees with the content, or
+    /// the last line is not a sealed footer at all (a snapshot written
+    /// before the footer was a sealed line ends in `checksum <len> <hex>`).
     Truncated,
     /// The footer checksum does not match the content — the file was
     /// corrupted in place (bit flips, partial overwrite).
@@ -60,18 +64,9 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// Checksum of the snapshot content: a splitmix64 fold over the raw bytes.
-/// Not cryptographic — it exists to catch truncation, bit flips and partial
-/// overwrites, the realistic failure modes of a checkpoint file.
-fn content_checksum(bytes: &[u8]) -> u64 {
-    let mut h = 0x5348_4e50_5348_4f54u64; // "SHNPSHOT"
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h = particles::systems::splitmix64(h ^ u64::from_le_bytes(word));
-    }
-    h
-}
+/// Seed of the snapshot checksum ("SHNPSHOT" in ASCII): the footer is
+/// sealed under `record::fold(SNAPSHOT_SEED, content)`.
+const SNAPSHOT_SEED: u64 = 0x5348_4e50_5348_4f54;
 
 /// A complete, self-describing simulation snapshot (one rank's share or a
 /// gathered world state).
@@ -118,19 +113,24 @@ impl Snapshot {
         self.pos.is_empty()
     }
 
-    /// Write the snapshot to a text file:
+    /// Write the snapshot to a text file and sync it to disk:
     ///
     /// ```text
     /// snapshot <n> step <step>
     /// box <lx> <ly> <lz> periodic <px> <py> <pz>
     /// <id> <q> <x> <y> <z> <vx> <vy> <vz> <ax> <ay> <az>
     /// ...
-    /// checksum <content-bytes> <splitmix64-fold-hex>
+    /// checksum <content-bytes> % <sum>
     /// ```
     ///
-    /// The final line is an integrity footer over everything before it; a
-    /// restart refuses to load a file whose footer is missing or disagrees
-    /// (see [`Snapshot::load`] and [`SnapshotError`]).
+    /// The numbers are Rust's shortest round-trip `f64` text, so a restart
+    /// is bit-exact (`-0.0` included). The final line is a footer over
+    /// everything before it, sealed by [`particles::record`] under the
+    /// chain `fold(SNAPSHOT_SEED, content)`; a restart refuses to load a
+    /// file whose footer is missing or disagrees (see [`Snapshot::load`] and
+    /// [`SnapshotError`]). The file is synced before this returns, so a
+    /// supervisor that records "checkpoint written" afterwards can rely on
+    /// it surviving a `kill -9` of the process.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         use std::fmt::Write as _;
         let mut content = String::new();
@@ -163,21 +163,10 @@ impl Snapshot {
                 a.z(),
             );
         }
-        let footer =
-            format!("checksum {} {:016x}\n", content.len(), content_checksum(content.as_bytes()));
-        let mut w = std::fs::File::create(path)?;
-        w.write_all(content.as_bytes())?;
-        w.write_all(footer.as_bytes())?;
-        Ok(())
-    }
-
-    /// Like [`Snapshot::save`], but fsync the file before returning, so a
-    /// supervisor (e.g. a campaign runner journaling "checkpoint written")
-    /// can rely on the checkpoint surviving a `kill -9` of the process — an
-    /// OS crash notwithstanding — once this call returns.
-    pub fn save_durable(&self, path: &Path) -> std::io::Result<()> {
-        self.save(path)?;
-        std::fs::OpenOptions::new().write(true).open(path)?.sync_data()
+        let chain = record::fold(SNAPSHOT_SEED, content.as_bytes());
+        let (footer, _) = record::seal(chain, &format!("checksum {}", content.len()));
+        content.push_str(&footer);
+        record::write_durable(&mut std::fs::File::create(path)?, content.as_bytes())
     }
 
     /// Read a snapshot written by [`Snapshot::save`], verifying the length +
@@ -185,24 +174,24 @@ impl Snapshot {
     /// partially overwritten is rejected with the corresponding
     /// [`SnapshotError`] — garbage state never reaches the restart.
     pub fn load(path: &Path) -> Result<Snapshot, SnapshotError> {
-        let raw = std::fs::read_to_string(path)?;
-        // Footer: the last non-empty line must be `checksum <len> <hex>`.
-        let body_end = raw.trim_end_matches('\n').rfind('\n').ok_or(SnapshotError::Truncated)?;
-        let (content, footer) = raw.split_at(body_end + 1);
-        let tok: Vec<&str> = footer.split_whitespace().collect();
-        if tok.len() != 3 || tok[0] != "checksum" {
+        let raw = std::fs::read(path)?;
+        // Footer: the last line, which must end the file with its `\n`.
+        let body = raw.strip_suffix(b"\n").ok_or(SnapshotError::Truncated)?;
+        let footer_start =
+            body.iter().rposition(|&b| b == b'\n').ok_or(SnapshotError::Truncated)? + 1;
+        let (content, footer) = raw.split_at(footer_start);
+        let sealed = match record::unseal(footer, record::fold(SNAPSHOT_SEED, content)) {
+            Ok(sealed) => sealed,
+            Err(SealError::Torn) => return Err(SnapshotError::Truncated),
+            Err(SealError::Mismatch { sealed, computed }) => {
+                return Err(SnapshotError::ChecksumMismatch { expected: sealed, actual: computed })
+            }
+        };
+        if sealed.body != format!("checksum {}", content.len()) {
             return Err(SnapshotError::Truncated);
         }
-        let len: usize = tok[1].parse().map_err(|_| SnapshotError::Malformed("bad footer len"))?;
-        let expected = u64::from_str_radix(tok[2], 16)
-            .map_err(|_| SnapshotError::Malformed("bad footer checksum"))?;
-        if content.len() != len {
-            return Err(SnapshotError::Truncated);
-        }
-        let actual = content_checksum(content.as_bytes());
-        if actual != expected {
-            return Err(SnapshotError::ChecksumMismatch { expected, actual });
-        }
+        let content =
+            std::str::from_utf8(content).map_err(|_| SnapshotError::Malformed("not UTF-8"))?;
 
         let bad = SnapshotError::Malformed;
         let mut lines = content.lines();
@@ -457,6 +446,36 @@ mod tests {
                 ),
             }
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn snapshot_with_an_unsealed_footer_is_rejected() {
+        let (bbox, set) = sample_set();
+        let n = set.len();
+        let snap = Snapshot {
+            bbox,
+            step: 3,
+            pos: set.pos().to_vec(),
+            charge: set.charge().to_vec(),
+            id: set.id().to_vec(),
+            vel: vec![Vec3::new(-0.0, 0.5, 1e-300); n],
+            accel: vec![Vec3::ZERO; n],
+        };
+        let dir = std::env::temp_dir().join("cpr_snapshot_old_footer_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.txt");
+        snap.save(&path).unwrap();
+        let back = Snapshot::load(&path).unwrap();
+        assert_eq!(back, snap);
+        assert!(back.vel[0].x().is_sign_negative(), "-0.0 survives the restart");
+        // The same content under the footer of the unsealed format,
+        // `checksum <len> <hex>` with its valid fold: typed error, not parsed.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let content = &text[..text.trim_end().rfind('\n').unwrap() + 1];
+        let sum = record::fold(SNAPSHOT_SEED, content.as_bytes());
+        std::fs::write(&path, format!("{content}checksum {} {sum:016x}\n", content.len())).unwrap();
+        assert!(matches!(Snapshot::load(&path), Err(SnapshotError::Truncated)));
         std::fs::remove_file(&path).ok();
     }
 }

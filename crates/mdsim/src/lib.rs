@@ -31,7 +31,25 @@ use fcs::{Fcs, SolverKind};
 use particles::{ParticleSet, SystemBox, Vec3};
 use simcomm::Comm;
 
-/// Configuration of one particle dynamics simulation.
+/// Local array capacity as a multiple of the mean particles per process.
+const CAPACITY_FACTOR: f64 = 3.0;
+
+/// Initial thermal velocities, expressed as the typical per-step particle
+/// movement as a fraction of the mean inter-particle spacing. The paper's
+/// benchmark system is a *melting* crystal whose ions drift slowly; our
+/// synthetic stand-in starts from lattice positions, so a small initial
+/// temperature reproduces that drift (~0.4 % of the spacing per step —
+/// "positions change only slightly from one time step to the next", yet
+/// cumulative). Velocities are a pure function of the particle id, so
+/// trajectories are identical across methods and distributions.
+const THERMAL_MOVE_FRACTION: f64 = 0.004;
+
+/// Configuration of one particle dynamics simulation. Every simulation
+/// couples a short-range repulsive core, sized from the mean inter-particle
+/// spacing, with the long-range solver: without it, a pure Coulomb system of
+/// opposite charges eventually collapses, and the paper's silica system
+/// likewise combines the Coulomb solver with "additional short range
+/// interactions".
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Which long-range solver to couple.
@@ -50,24 +68,6 @@ pub struct SimConfig {
     pub tolerance: f64,
     /// Particle mass (unit charge-to-mass ratio scales the dynamics).
     pub mass: f64,
-    /// Local array capacity as a multiple of the mean particles per process.
-    pub capacity_factor: f64,
-    /// Couple a short-range repulsive core (sized from the mean
-    /// inter-particle spacing) with the long-range solver. Without it, a pure
-    /// Coulomb system of opposite charges eventually collapses; the paper's
-    /// silica system likewise combines the Coulomb solver with "additional
-    /// short range interactions".
-    pub soft_core: bool,
-    /// Initial thermal velocities, expressed as the typical per-step particle
-    /// movement as a fraction of the mean inter-particle spacing. The paper's
-    /// benchmark system is a *melting* crystal whose ions drift slowly; our
-    /// synthetic stand-in starts from lattice positions, so a small initial
-    /// temperature reproduces that drift (~0.4 % of the spacing per step by
-    /// default — "positions change only slightly from one time step to the
-    /// next", yet cumulative). Velocities are a pure function of the particle
-    /// id, so trajectories are identical across methods and distributions.
-    /// Set to 0.0 for the paper's literal cold start.
-    pub thermal_move_fraction: f64,
     /// Track each particle's initial position as an extra per-particle data
     /// channel, enabling the RMS-displacement diagnostic. Under Method A this
     /// is free (the order never changes); under Method B the channel must be
@@ -86,9 +86,6 @@ impl Default for SimConfig {
             steps: 10,
             tolerance: 1e-2,
             mass: 1.0,
-            capacity_factor: 3.0,
-            soft_core: true,
-            thermal_move_fraction: 0.004,
             track_displacement: false,
         }
     }
@@ -145,11 +142,12 @@ pub struct SimResult {
 
 /// Run the particle dynamics simulation of the paper's Fig. 3 on the local
 /// particle set. Collective: every rank calls it with its share of the
-/// system. Initial velocities follow [`SimConfig::thermal_move_fraction`].
+/// system. Initial thermal velocities move a particle about 0.4 % of the
+/// mean inter-particle spacing per step.
 pub fn simulate(comm: &mut Comm, bbox: SystemBox, set: ParticleSet, cfg: &SimConfig) -> SimResult {
     let n_total = comm.allreduce(set.len() as u64, |a, b| a + b) as usize;
     let mean_spacing = (bbox.volume() / n_total.max(1) as f64).cbrt();
-    let vt = cfg.thermal_move_fraction * mean_spacing / cfg.dt;
+    let vt = THERMAL_MOVE_FRACTION * mean_spacing / cfg.dt;
     let vel: Vec<Vec3> = set.id().iter().map(|&i| thermal_velocity(i, vt)).collect();
     let n = set.len();
     let (pos, charge, id) = set.into_parts();
@@ -165,7 +163,7 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
     let bbox = snapshot.bbox;
     let start_step = snapshot.step;
     let n_total = comm.allreduce(snapshot.len() as u64, |a, b| a + b) as usize;
-    let max_local = ((cfg.capacity_factor * n_total as f64 / p as f64) as usize).max(64);
+    let max_local = ((CAPACITY_FACTOR * n_total as f64 / p as f64) as usize).max(64);
     let mean_spacing = (bbox.volume() / n_total.max(1) as f64).cbrt();
 
     // Application state. Positions/charges/ids flow through the solver; all
@@ -196,9 +194,7 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
     handle.set_common(bbox);
     handle.set_tolerance(cfg.tolerance);
     handle.set_resort(cfg.resort);
-    if cfg.soft_core {
-        handle.set_soft_core(Some(particles::SoftCore::for_spacing(mean_spacing)));
-    }
+    handle.set_soft_core(Some(particles::SoftCore::for_spacing(mean_spacing)));
     handle.tune(comm, &pos, &charge);
 
     let mut records = Vec::with_capacity(cfg.steps + 1);

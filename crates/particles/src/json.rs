@@ -1,10 +1,11 @@
 //! A minimal JSON value type with serializer and parser.
 //!
 //! The workspace is intentionally dependency-free (offline builds, see the
-//! workspace `Cargo.toml`), so the run reports are serialized with this small
-//! hand-rolled implementation instead of serde. It supports the full JSON
-//! data model except that all numbers are `f64` (sufficient here: every
-//! counter in a report fits a 53-bit mantissa).
+//! workspace `Cargo.toml`), so the run reports and the campaign journal's
+//! records are serialized with this small hand-rolled implementation instead
+//! of serde. It supports the full JSON data model except that all numbers are
+//! `f64` (sufficient here: every counter fits a 53-bit mantissa; 64-bit sums
+//! travel as hex strings).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -83,14 +84,30 @@ impl Json {
     /// Serialize with two-space indentation and a trailing newline.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: usize) {
-        let pad = "  ".repeat(indent);
-        let pad_in = "  ".repeat(indent + 1);
+    /// Serialize on one line, with no whitespace and no trailing newline.
+    /// String escapes cover every control character, so the result never
+    /// contains a line break.
+    pub fn line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// `indent`: the nesting depth of a pretty document, `None` for one line.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let depth = indent.unwrap_or(0);
+        let inner = indent.map(|d| d + 1);
+        let newline = |out: &mut String, depth: usize| {
+            if indent.is_some() {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth));
+            }
+        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => {
@@ -103,13 +120,15 @@ impl Json {
                     out.push_str("[]");
                     return;
                 }
-                out.push_str("[\n");
+                out.push('[');
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(&pad_in);
-                    item.write(out, indent + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
+                    item.write(out, inner);
                 }
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push(']');
             }
             Json::Obj(pairs) => {
@@ -117,15 +136,17 @@ impl Json {
                     out.push_str("{}");
                     return;
                 }
-                out.push_str("{\n");
+                out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(&pad_in);
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, depth + 1);
                     write_string(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                    out.push_str(if i + 1 < pairs.len() { ",\n" } else { "\n" });
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                out.push_str(&pad);
+                newline(out, depth);
                 out.push('}');
             }
         }
@@ -353,6 +374,18 @@ mod tests {
         assert!(Json::parse("[1, 2,]").is_err());
         assert!(Json::parse("{\"a\": 1} trailing").is_err());
         assert!(Json::parse("{\"a\": 1, \"a\": 2}").is_err());
+    }
+
+    #[test]
+    fn one_line_form_round_trips_without_line_breaks() {
+        let v = Json::obj(vec![
+            ("run", Json::Str("line\nbreak \"q\" \\ \r\u{1}".into())),
+            ("n", Json::Num(3.0)),
+            ("rows", Json::Arr(vec![Json::Null, Json::Obj(vec![])])),
+        ]);
+        let line = v.line();
+        assert_eq!(line, r#"{"run":"line\nbreak \"q\" \\ \r\u0001","n":3,"rows":[null,{}]}"#);
+        assert_eq!(Json::parse(&line).unwrap(), v);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! synthetic ionic-crystal workload standing in for the paper's "melting
 //! silica" trace, the three initial distributions of Sect. IV-B, and slow
 //! reference solvers (direct summation, Ewald) used to validate the fast ones.
+//! It also holds the formats everything above it writes to disk: [`json`]
+//! and the checksummed, crash-safe [`record`] framing.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
@@ -13,8 +15,10 @@
 mod boxgeom;
 pub mod coupling;
 pub mod distributions;
+pub mod json;
 pub mod math;
 pub mod planes;
+pub mod record;
 pub mod reference;
 mod set;
 pub mod systems;

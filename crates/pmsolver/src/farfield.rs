@@ -431,7 +431,7 @@ fn window_holders(window: &Window, dist: Distribution) -> impl Iterator<Item = u
 /// part of an execution's staging that it holds from its first collective to
 /// its last anyway — this rank's pencil of the mesh (DESIGN.md,
 /// "Workspaces"). The solver keeps one per [`crate::PmSolver`] and threads it
-/// through [`FarFieldPlan::execute_cached`]; it is rebuilt when the geometry
+/// through every far-field execution; it is rebuilt when the geometry
 /// it was built for changes, and bitwise invisible to results and virtual
 /// clocks.
 ///
@@ -657,36 +657,19 @@ impl FarFieldPlan {
         Vec3::new(f(mx, l.x()), f(my, l.y()), f(mz, l.z()))
     }
 
-    /// Compute potentials and fields at the owned particle positions.
+    /// Compute potentials and fields at the owned particle positions, left in
+    /// `cache`. Collective: all ranks must call it with their local
+    /// particles.
     ///
-    /// Collective: all ranks must call it with their local particles.
-    pub fn execute(&self, comm: &mut Comm, pos: &[Vec3], charge: &[f64]) -> (Vec<f64>, Vec<Vec3>) {
-        self.execute_cached(comm, pos, charge, &mut FarFieldCache::default())
-    }
-
-    /// [`Self::execute`] with a caller-held [`FarFieldCache`]: the spectral
-    /// tables and the workspace of the previous execution. The cache is
-    /// validated against the plan geometry and rank layout and rebuilt on
-    /// mismatch, so passing a stale cache is safe; a hit skips the per-point
-    /// Hockney-Eastwood influence evaluation (27 aliasing images with three
-    /// `bspline_hat` calls each), which dominates the host cost of small
-    /// meshes, and allocates nothing but the result. Results are bitwise
-    /// identical with or without a cache — the tables store the exact values
-    /// the fresh evaluation produces, the workspace is zeroed where a fresh
-    /// one would be, and the modelled (virtual) compute cost is charged
-    /// identically either way.
-    pub fn execute_cached(
-        &self,
-        comm: &mut Comm,
-        pos: &[Vec3],
-        charge: &[f64],
-        cache: &mut FarFieldCache,
-    ) -> (Vec<f64>, Vec<Vec3>) {
-        let (phi, field) = self.execute_into(comm, pos, charge, cache);
-        (phi.to_vec(), field.to_vec())
-    }
-
-    /// [`Self::execute_cached`] with the result left in the cache.
+    /// The cache holds the spectral tables and the workspace of the previous
+    /// execution. It is validated against the plan geometry and rank layout
+    /// and rebuilt on mismatch, so passing a stale cache is safe; a hit skips
+    /// the per-point Hockney-Eastwood influence evaluation (27 aliasing
+    /// images with three `bspline_hat` calls each), which dominates the host
+    /// cost of small meshes. Results are bitwise identical with or without a
+    /// warm cache — the tables store the exact values the fresh evaluation
+    /// produces, the workspace is zeroed where a fresh one would be, and the
+    /// modelled (virtual) compute cost is charged identically either way.
     pub(crate) fn execute_into<'c>(
         &self,
         comm: &mut Comm,
@@ -970,6 +953,18 @@ mod tests {
     use particles::IonicCrystal;
     use simcomm::{run, MachineModel};
 
+    /// One execution on a fresh cache, its result copied out.
+    fn execute_fresh(
+        plan: &FarFieldPlan,
+        comm: &mut Comm,
+        pos: &[Vec3],
+        charge: &[f64],
+    ) -> (Vec<f64>, Vec<Vec3>) {
+        let mut cache = FarFieldCache::default();
+        let (phi, field) = plan.execute_into(comm, pos, charge, &mut cache);
+        (phi.to_vec(), field.to_vec())
+    }
+
     #[test]
     fn floor_ranges_partition_the_mesh() {
         // Process-grid extents, transform grid extents below and above the
@@ -1207,8 +1202,9 @@ mod tests {
                 [(8, pos.len()), (16, pos.len() / 2), (2, pos.len()), (8, 0), (8, pos.len())]
             {
                 let plan = FarFieldPlan::new(mesh, 3, 6.0 / bbox.lengths.x(), dims, bbox);
-                let got = plan.execute_cached(comm, &pos[..n], &charge[..n], &mut cache);
-                let want = plan.execute(comm, &pos[..n], &charge[..n]);
+                let (phi, field) = plan.execute_into(comm, &pos[..n], &charge[..n], &mut cache);
+                let got = (phi.to_vec(), field.to_vec());
+                let want = execute_fresh(&plan, comm, &pos[..n], &charge[..n]);
                 let bits = |(phi, field): &(Vec<f64>, Vec<Vec3>)| {
                     let phi: Vec<u64> = phi.iter().map(|x| x.to_bits()).collect();
                     (phi, format!("{field:?}"))
@@ -1239,7 +1235,7 @@ mod tests {
         // k-space + self contribution.
         let want = ewald(&pos, &charge, &bbox, EwaldParams { alpha, rcut: 1e-9, kmax: 14 });
         let plan = FarFieldPlan::new(64, 4, alpha, [1, 1, 1], bbox);
-        let out = run(1, MachineModel::ideal(), |comm| plan.execute(comm, &pos, &charge));
+        let out = run(1, MachineModel::ideal(), |comm| execute_fresh(&plan, comm, &pos, &charge));
         let (phi, field) = &out.results[0];
         let scale =
             (want.potential.iter().map(|x| x * x).sum::<f64>() / n as f64).sqrt().max(1e-12);
@@ -1274,8 +1270,9 @@ mod tests {
         }
         // Serial reference.
         let plan1 = FarFieldPlan::new(32, 3, alpha, [1, 1, 1], bbox);
-        let serial =
-            run(1, MachineModel::ideal(), |comm| plan1.execute(comm, &pos_all, &charge_all));
+        let serial = run(1, MachineModel::ideal(), |comm| {
+            execute_fresh(&plan1, comm, &pos_all, &charge_all)
+        });
         let (phi_ref, _) = &serial.results[0];
 
         // Parallel: grid distribution over 8 ranks.
@@ -1294,7 +1291,7 @@ mod tests {
                 }
             }
             let plan = FarFieldPlan::new(32, 3, alpha, dims, bbox);
-            let (phi, _) = plan.execute(comm, &pos, &charge);
+            let (phi, _) = execute_fresh(&plan, comm, &pos, &charge);
             (ids, phi)
         });
         for (ids, phi) in &out.results {

@@ -40,7 +40,8 @@ impl FarFieldPlan {
         [(p / (m * m)) as usize, ((p / m) % m) as usize, (p % m) as usize]
     }
 
-    /// [`FarFieldPlan::execute_cached`] through the indexed exchanges.
+    /// [`FarFieldPlan::execute_into`] through the indexed exchanges, its
+    /// result copied out.
     pub(super) fn execute_oracle(
         &self,
         comm: &mut Comm,
@@ -462,7 +463,8 @@ mod tests {
             let (phi, field) = if oracle {
                 plan.execute_oracle(comm, &pos, &charge, &mut cache)
             } else {
-                plan.execute_cached(comm, &pos, &charge, &mut cache)
+                let (phi, field) = plan.execute_into(comm, &pos, &charge, &mut cache);
+                (phi.to_vec(), field.to_vec())
             };
             let after = comm.stats();
             let counted = (

@@ -90,11 +90,6 @@ pub struct SortPlan {
 }
 
 impl SortPlan {
-    /// World size this plan was recorded for.
-    pub fn world_size(&self) -> usize {
-        self.p
-    }
-
     /// Network rounds this plan would skip on re-execution.
     pub fn quiet_round_count(&self) -> usize {
         self.quiet_rounds.iter().filter(|&&q| q).count()

@@ -164,13 +164,7 @@ mod tests {
         // The oracle: materialise every round and search it. Every world
         // size up to 130 and every rank, plus a splitmix64 draw of larger
         // (size, rank) pairs.
-        fn splitmix64(mut x: u64) -> u64 {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        }
+        use particles::systems::splitmix64;
         let check = |n: usize, rounds: &[Vec<(usize, usize)>], me: usize| {
             let want: Vec<u32> = rounds
                 .iter()

@@ -389,6 +389,13 @@ impl Scheduler {
         self.fill(&mut st, |rank| picked.push(rank));
     }
 
+    /// The most tasks one [`Scheduler::wake_collective`] can pick: its caller
+    /// is the collective's last depositor and keeps its own baton, so at
+    /// most `cap - 1` others get one.
+    pub(crate) fn collective_wake_limit(&self) -> usize {
+        self.cap.min(self.batons.len()) - 1
+    }
+
     /// The world was poisoned: wake every blocked task regardless of site so
     /// each can observe the poison flag and unwind, and stop later
     /// [`Scheduler::block`] calls from parking. Resumes in place — the one

@@ -1856,6 +1856,11 @@ impl Comm {
     ) -> (R, f64) {
         self.fault_op_tick();
         self.count_coll(1, 0);
+        // Sized at this rank's first collective, not when it first completes
+        // one: a warm collective never grows it, at width 1 it stays empty.
+        if self.woken.capacity() == 0 {
+            self.woken.reserve_exact(self.shared.sched.collective_wake_limit());
+        }
         let parity = (self.coll_seq % 2) as usize;
         let m = &self.shared.coll[parity];
         self.coll_seq += 1;

@@ -10,13 +10,7 @@ use simcomm::RunOutput;
 /// host has cores.
 pub const WIDTHS: [usize; 3] = [1, 2, 8];
 
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+pub use particles::systems::splitmix64;
 
 /// 64-bit FNV-1a of a value's `Debug` rendering. `{:?}` prints floats in
 /// shortest round-trip form, so distinct bit patterns (including `-0.0`)

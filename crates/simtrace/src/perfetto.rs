@@ -10,7 +10,7 @@
 //! correlation id. Timestamps are virtual microseconds.
 //!
 //! The writer emits plain strings — no JSON library — because the format is
-//! flat and append-only; `bench`'s own JSON parser round-trips the output in
+//! flat and append-only; `particles::json`'s parser round-trips the output in
 //! tests.
 
 use std::io::{self, Write};

@@ -6,7 +6,7 @@
         [--moves md_sparse64:virt_makespan_s,md_fmm:virt_makespan_s]
         [--pr N --title T --claim md_fmm:ops_per_s:1.15] [--raw runs.jsonl]
 
-The protocol every host-time claim in EXPERIMENTS.md rests on: pair i runs
+The protocol every host-time claim in docs/LEDGER.md rests on: pair i runs
 both binaries on seed i, one benchmark process per run, the parent first in
 odd pairs and the change first in even ones. Build each side from its own
 checkout (`cargo build --release --offline --manifest-path
