@@ -26,6 +26,15 @@
 //! only to each partner that has data, then one barrier, so a step in which
 //! little moves pays for little.
 //!
+//! ## The local block
+//!
+//! Under either mode the elements a rank addresses to itself never travel:
+//! they are held aside while the rest are exchanged, and take the local
+//! rank's place in the ascending source order the receiver reads — where a
+//! self-send would have put them. Results are the same bits; only the
+//! self-message's cost and its bytes are gone from the clocks and counters
+//! (DESIGN.md, "The local block").
+//!
 //! ## The byte-plane resort path
 //!
 //! The resort operations move their payload **type-erased**: all registered
@@ -74,11 +83,14 @@ pub fn is_ghost(index: u64) -> bool {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExchangeMode {
     /// Collective all-to-all-v (synchronizing; cost scans all `P` ranks).
+    /// Locally-addressed elements stay out of it, as under
+    /// [`ExchangeMode::Neighborhood`].
     Collective,
     /// Point-to-point exchange within the given partner set: every element
-    /// target other than the local rank must be in the set. The set bounds
-    /// where this rank sends and nothing more — the relation need not be
-    /// symmetric, since a rank receives from whoever sent to it.
+    /// target other than the local rank must be in the set; the local rank's
+    /// own elements never travel. The set bounds where this rank sends and
+    /// nothing more — the relation need not be symmetric, since a rank
+    /// receives from whoever sent to it.
     ///
     /// An empty set says that no element leaves any rank: the call places
     /// locally, with no message and no barrier. Every rank of the world must
@@ -134,34 +146,81 @@ fn group_by_target<T: Copy>(
     groups
 }
 
-/// Exchange target-grouped buffers ([`group_by_target`]). Returns the
-/// received buffers ordered by source rank, per-source order preserved;
-/// locally-addressed elements appear at the local rank's position in that
-/// order.
+impl ExchangeMode {
+    /// Exchange `sends` — buffers for other ranks only; the local block never
+    /// travels — and refill `received` with what arrived, sorted by source.
+    /// Collective under both modes; an empty neighbourhood exchanges nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if, in neighbourhood mode, a buffer targets a rank outside the
+    /// partner set.
+    fn exchange_into<T: Send + 'static>(
+        &self,
+        comm: &mut Comm,
+        sends: &mut Vec<(usize, Vec<T>)>,
+        received: &mut Vec<(usize, Vec<T>)>,
+    ) {
+        debug_assert!(sends.iter().all(|&(dst, _)| dst != comm.rank()), "a self-addressed send");
+        match self {
+            ExchangeMode::Collective => comm.alltoallv_into(sends, received),
+            ExchangeMode::Neighborhood(partners) if partners.is_empty() => {
+                if let Some((t, _)) = sends.first() {
+                    panic!("target {t} outside the neighbourhood");
+                }
+                received.clear();
+            }
+            ExchangeMode::Neighborhood(partners) => {
+                comm.sparse_exchange_into(partners, sends, received)
+            }
+        }
+    }
+}
+
+/// What an exchange of target-grouped buffers delivered: the buffers of the
+/// other ranks, ascending source, and the local rank's own block, which never
+/// travelled and belongs between the buffers of lower and higher sources.
+struct Delivered<T> {
+    me: usize,
+    remote: Vec<(usize, Vec<T>)>,
+    local: Option<Vec<T>>,
+}
+
+impl<T> Delivered<T> {
+    /// Every delivered buffer in ascending source order, the local block at
+    /// its own rank's position.
+    fn buffers(&self) -> impl Iterator<Item = &[T]> {
+        let at = self.remote.partition_point(|&(src, _)| src < self.me);
+        let (below, above) = self.remote.split_at(at);
+        let below = below.iter().map(|(_, b)| b.as_slice());
+        below.chain(self.local.as_deref()).chain(above.iter().map(|(_, b)| b.as_slice()))
+    }
+
+    /// The delivered buffers end to end.
+    fn concat(&self) -> Vec<T>
+    where
+        T: Copy,
+    {
+        let mut out = Vec::with_capacity(self.buffers().map(<[T]>::len).sum());
+        for buf in self.buffers() {
+            out.extend_from_slice(buf);
+        }
+        out
+    }
+}
+
+/// Exchange target-grouped buffers ([`group_by_target`]): the local rank's
+/// group stays home, the rest travel.
 fn exchange_grouped<T: Send + 'static>(
     comm: &mut Comm,
     mut groups: Vec<(usize, Vec<T>)>,
     mode: &ExchangeMode,
-) -> Vec<(usize, Vec<T>)> {
-    match mode {
-        ExchangeMode::Collective => comm.alltoallv(groups),
-        ExchangeMode::Neighborhood(partners) => {
-            let me = comm.rank();
-            // `group_by_target` put the local rank's group last and checked
-            // every other target against the partners.
-            let local = groups.pop_if(|(dst, _)| *dst == me);
-            let mut recv = if partners.is_empty() {
-                Vec::new()
-            } else {
-                comm.sparse_exchange(partners, groups)
-            };
-            if let Some(local) = local {
-                let at = recv.partition_point(|&(src, _)| src < me);
-                recv.insert(at, local);
-            }
-            recv
-        }
-    }
+) -> Delivered<T> {
+    let me = comm.rank();
+    let local = groups.iter().position(|&(dst, _)| dst == me).map(|i| groups.remove(i).1);
+    let mut remote = Vec::new();
+    mode.exchange_into(comm, &mut groups, &mut remote);
+    Delivered { me, remote, local }
 }
 
 /// Fine-grained data redistribution: element `i` is sent to rank
@@ -178,16 +237,7 @@ pub fn alltoall_specific<T: Send + Copy + 'static>(
     assert_eq!(elements.len(), targets.len());
     let groups = group_by_target(comm, targets.iter().copied().zip(elements.iter().copied()), mode);
     comm.compute(Work::ByteCopy, std::mem::size_of_val(elements) as f64);
-    concat(exchange_grouped(comm, groups, mode))
-}
-
-/// The received buffers of [`exchange_grouped`], end to end.
-fn concat<T>(received: Vec<(usize, Vec<T>)>) -> Vec<T> {
-    let mut out = Vec::with_capacity(received.iter().map(|(_, b)| b.len()).sum());
-    for (_, buf) in received {
-        out.extend(buf);
-    }
-    out
+    exchange_grouped(comm, groups, mode).concat()
 }
 
 /// Redistribute `data` according to `resort_indices` and place every element
@@ -382,8 +432,9 @@ impl ResortPlan {
     /// The wire format packs one record per live element along the plan's
     /// per-target routes: the `u32` target position (little-endian) followed
     /// by the element's bytes from every plane in registration order —
-    /// `4 + set.element_bytes()` bytes per record. Placement scatters each
-    /// plane's slice of every record into that plane's back slab, then
+    /// `4 + set.element_bytes()` bytes per record; the local rank's records
+    /// are packed alike but never sent. Placement scatters each plane's
+    /// slice of every record into that plane's back slab, then
     /// [`PlaneSet::commit`] flips all planes at once. Send buffers come from
     /// (and received buffers return to) the rank's message-buffer pool, so a
     /// steady-state neighbourhood execution allocates nothing.
@@ -407,43 +458,21 @@ impl ResortPlan {
         let me = comm.rank();
         comm.enter_phase("redistribute");
         let (mut sends, mut received) = comm.take_byte_pairs();
+        // One buffer per target the plan routes to; the locally-addressed
+        // records are held aside, never sent.
         let mut local: Option<Vec<u8>> = None;
         let mut routed_bytes = 0u64;
-        match &self.mode {
-            ExchangeMode::Collective => {
-                for (t, entries) in &self.routes {
-                    let buf = pack_route(comm, set, entries, *t, rec);
-                    routed_bytes += buf.len() as u64;
-                    sends.push((*t, buf));
-                }
-                comm.compute(Work::ByteCopy, routed_bytes as f64);
-                comm.alltoallv_into(&mut sends, &mut received);
-            }
-            ExchangeMode::Neighborhood(partners) => {
-                // One buffer per target the plan routes to; locally-addressed
-                // records are held aside rather than self-sent, like the
-                // typed exchange. An empty neighbourhood sends nothing.
-                for (t, _) in &self.routes {
-                    assert!(
-                        *t == me || partners.contains(t),
-                        "target {t} outside the neighbourhood"
-                    );
-                }
-                for (t, entries) in &self.routes {
-                    let buf = pack_route(comm, set, entries, *t, rec);
-                    routed_bytes += buf.len() as u64;
-                    if *t == me {
-                        local = Some(buf);
-                    } else {
-                        sends.push((*t, buf));
-                    }
-                }
-                comm.compute(Work::ByteCopy, routed_bytes as f64);
-                if !partners.is_empty() {
-                    comm.sparse_exchange_into(partners, &mut sends, &mut received);
-                }
+        for (t, entries) in &self.routes {
+            let buf = pack_route(comm, set, entries, *t, rec);
+            routed_bytes += buf.len() as u64;
+            if *t == me {
+                local = Some(buf);
+            } else {
+                sends.push((*t, buf));
             }
         }
+        comm.compute(Work::ByteCopy, routed_bytes as f64);
+        self.mode.exchange_into(comm, &mut sends, &mut received);
         comm.exit_phase();
         let n_received: usize = received.iter().map(|(_, b)| b.len()).sum::<usize>()
             + local.as_ref().map_or(0, |b| b.len());
@@ -542,7 +571,7 @@ impl ResortPlan {
         comm.compute(Work::ByteCopy, routed_bytes as f64);
         let received = exchange_grouped(comm, groups, &self.mode);
         comm.exit_phase();
-        let n_received: usize = received.iter().map(|(_, b)| b.len()).sum();
+        let n_received: usize = received.buffers().map(<[_]>::len).sum();
         assert_eq!(
             n_received,
             new_len * k,
@@ -550,7 +579,7 @@ impl ResortPlan {
         );
         comm.enter_phase("place");
         let mut out: Vec<Vec<T>> = (0..k).map(|_| vec![T::default(); new_len]).collect();
-        for rec in received.iter().flat_map(|(_, b)| b.chunks_exact(k)) {
+        for rec in received.buffers().flat_map(|b| b.chunks_exact(k)) {
             let pos = rec[0].0 as usize;
             assert!(pos < new_len, "target position {pos} out of range");
             for (lane, &(_, d)) in rec.iter().enumerate() {
@@ -754,9 +783,14 @@ pub fn hand_back(
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod widths;
+
+#[cfg(test)]
 mod tests {
+    use super::widths::{run, run_on};
     use super::*;
-    use simcomm::{run, CartGrid, MachineModel};
+    use simcomm::{CartGrid, MachineModel, Runner};
 
     /// splitmix64 — the deterministic generator all property tests share.
     fn sm64(mut x: u64) -> u64 {
@@ -1029,27 +1063,28 @@ mod tests {
 
     #[test]
     fn multi_channel_execute_uses_one_exchange_round() {
-        use simcomm::{Runner, TraceKind};
+        use simcomm::TraceKind;
         // One combined exchange for three fields versus one exchange per
         // field, verified by counting redistribution rounds in the trace.
         let trace_rounds = |combined: bool| {
-            let out = Runner::default().traced(true).run(4, MachineModel::ideal(), move |comm| {
-                let me = comm.rank();
-                let dst = (me + 1) % 4;
-                let n = 5usize;
-                let a: Vec<u64> = (0..n).map(|i| (me * 100 + i) as u64).collect();
-                let b: Vec<u64> = a.iter().map(|x| x + 1).collect();
-                let c: Vec<u64> = a.iter().map(|x| x + 2).collect();
-                let ix: Vec<u64> = (0..n).map(|i| encode_index(dst, i)).collect();
-                if combined {
-                    let plan = ResortPlan::build(comm, &ix, n, &ExchangeMode::Collective);
-                    let _ = plan.execute(comm, &[&a, &b, &c]);
-                } else {
-                    for ch in [&a, &b, &c] {
-                        let _ = resort(comm, ch, &ix, n, &ExchangeMode::Collective);
+            let out =
+                run_on(&Runner::default().traced(true), 4, MachineModel::ideal(), move |comm| {
+                    let me = comm.rank();
+                    let dst = (me + 1) % 4;
+                    let n = 5usize;
+                    let a: Vec<u64> = (0..n).map(|i| (me * 100 + i) as u64).collect();
+                    let b: Vec<u64> = a.iter().map(|x| x + 1).collect();
+                    let c: Vec<u64> = a.iter().map(|x| x + 2).collect();
+                    let ix: Vec<u64> = (0..n).map(|i| encode_index(dst, i)).collect();
+                    if combined {
+                        let plan = ResortPlan::build(comm, &ix, n, &ExchangeMode::Collective);
+                        let _ = plan.execute(comm, &[&a, &b, &c]);
+                    } else {
+                        for ch in [&a, &b, &c] {
+                            let _ = resort(comm, ch, &ix, n, &ExchangeMode::Collective);
+                        }
                     }
-                }
-            });
+                });
             out.traces
                 .iter()
                 .map(|t| {
@@ -1183,8 +1218,7 @@ mod tests {
 
     #[test]
     fn resort_plan_counts_builds_and_execs() {
-        use simcomm::Runner;
-        let out = Runner::default().traced(true).run(3, MachineModel::ideal(), |comm| {
+        let out = run_on(&Runner::default().traced(true), 3, MachineModel::ideal(), |comm| {
             let me = comm.rank();
             let dst = (me + 1) % 3;
             let n = 4usize;
@@ -1274,33 +1308,34 @@ mod tests {
     /// the same data pay one round per field — verified from the trace.
     #[test]
     fn resort_planes_uses_one_exchange_round_for_heterogeneous_planes() {
-        use simcomm::{Runner, TraceKind};
+        use simcomm::TraceKind;
         let rounds = |combined: bool| {
-            let out = Runner::default().traced(true).run(4, MachineModel::ideal(), move |comm| {
-                let me = comm.rank();
-                let dst = (me + 1) % 4;
-                let n = 5usize;
-                let a: Vec<f32> = (0..n).map(|i| (me * 100 + i) as f32).collect();
-                let b: Vec<Vec3> = (0..n).map(|i| Vec3::splat((me * 10 + i) as f64)).collect();
-                let c: Vec<u64> = (0..n).map(|i| (me * 1000 + i) as u64).collect();
-                let ix: Vec<u64> = (0..n).map(|i| encode_index(dst, i)).collect();
-                if combined {
-                    let mut set = PlaneSet::new();
-                    let pa = set.register::<f32>("a");
-                    let pb = set.register::<Vec3>("b");
-                    let pc = set.register::<u64>("c");
-                    set.resize(n);
-                    set.plane_mut::<f32>(pa).copy_from_slice(&a);
-                    set.plane_mut::<Vec3>(pb).copy_from_slice(&b);
-                    set.plane_mut::<u64>(pc).copy_from_slice(&c);
-                    let mut plan = None;
-                    resort_planes(comm, &mut set, &ix, n, &ExchangeMode::Collective, &mut plan);
-                } else {
-                    let _ = resort(comm, &a, &ix, n, &ExchangeMode::Collective);
-                    let _ = resort(comm, &b, &ix, n, &ExchangeMode::Collective);
-                    let _ = resort(comm, &c, &ix, n, &ExchangeMode::Collective);
-                }
-            });
+            let out =
+                run_on(&Runner::default().traced(true), 4, MachineModel::ideal(), move |comm| {
+                    let me = comm.rank();
+                    let dst = (me + 1) % 4;
+                    let n = 5usize;
+                    let a: Vec<f32> = (0..n).map(|i| (me * 100 + i) as f32).collect();
+                    let b: Vec<Vec3> = (0..n).map(|i| Vec3::splat((me * 10 + i) as f64)).collect();
+                    let c: Vec<u64> = (0..n).map(|i| (me * 1000 + i) as u64).collect();
+                    let ix: Vec<u64> = (0..n).map(|i| encode_index(dst, i)).collect();
+                    if combined {
+                        let mut set = PlaneSet::new();
+                        let pa = set.register::<f32>("a");
+                        let pb = set.register::<Vec3>("b");
+                        let pc = set.register::<u64>("c");
+                        set.resize(n);
+                        set.plane_mut::<f32>(pa).copy_from_slice(&a);
+                        set.plane_mut::<Vec3>(pb).copy_from_slice(&b);
+                        set.plane_mut::<u64>(pc).copy_from_slice(&c);
+                        let mut plan = None;
+                        resort_planes(comm, &mut set, &ix, n, &ExchangeMode::Collective, &mut plan);
+                    } else {
+                        let _ = resort(comm, &a, &ix, n, &ExchangeMode::Collective);
+                        let _ = resort(comm, &b, &ix, n, &ExchangeMode::Collective);
+                        let _ = resort(comm, &c, &ix, n, &ExchangeMode::Collective);
+                    }
+                });
             out.traces
                 .iter()
                 .map(|t| {

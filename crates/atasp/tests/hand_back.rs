@@ -10,7 +10,10 @@ use atasp::{
 };
 use particles::systems::splitmix64;
 use particles::{Particle, RedistMethod, SolverOutput, Vec3};
-use simcomm::{run, Comm, MachineModel};
+use simcomm::{Comm, MachineModel};
+
+mod common;
+use common::run;
 
 /// The world sizes every case runs at; every third rank holds no input.
 const PS: [usize; 4] = [1, 2, 3, 8];

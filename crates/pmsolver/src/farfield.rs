@@ -239,10 +239,11 @@ impl Distribution {
         read: impl Fn(usize) -> T,
     ) -> Vec<T> {
         let me = comm.rank();
-        let mine = self.local(moved.0, me);
+        let (mine, target) = (self.local(moved.0, me), self.local(moved.1, me));
         let dests = self.partners(moved, me);
         let route = |dst| self.route(moved, me, dst);
-        exchange(comm, traffic, kind, mine.len(), dests, route, |at| read(mine.offset(at)))
+        let capacity = [mine.len(), target.len()];
+        exchange(comm, traffic, kind, capacity, dests, route, |at| read(mine.offset(at)))
     }
 
     /// Place what [`Self::send_moved`] received: `write` gets each record
@@ -346,10 +347,11 @@ enum Exchange {
     Patches,
 }
 
-/// What this rank sent in one kind of [`Exchange`] during an execution.
+/// What this rank sent to other ranks in one kind of [`Exchange`] during an
+/// execution; its own segment never leaves it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Sent {
-    /// Non-empty segments, this rank's own included.
+    /// Non-empty segments.
     messages: u64,
     bytes: u64,
 }
@@ -365,21 +367,30 @@ struct Traffic {
 
 /// One index-free exchange: for every `dst` of `dests`, the records `value`
 /// gives the points of `route(dst)`, in route order, sent with
-/// [`Comm::alltoallv_flat`] and counted under `kind`. Returns the records
-/// received, segmented as `traffic.sources` says.
+/// [`Comm::alltoallv_flat`] and counted under `kind` — except this rank's
+/// own segment, which stays home (DESIGN.md, "The local block"). Returns the
+/// records received, that segment at its rank's place among them, segmented
+/// as `traffic.sources` says. `capacity` bounds what is sent and is what is
+/// received, own segment included, so neither buffer grows.
 fn exchange<T: Copy + Send + 'static, I: Iterator<Item = [usize; 3]>>(
     comm: &mut Comm,
     traffic: &mut Traffic,
     kind: Exchange,
-    capacity: usize,
+    [send_capacity, recv_capacity]: [usize; 2],
     dests: impl Iterator<Item = usize>,
     route: impl Fn(usize) -> I,
     value: impl Fn([usize; 3]) -> T,
 ) -> Vec<T> {
+    let me = comm.rank();
     let Traffic { segments, sources, sent } = traffic;
-    let mut send = Vec::with_capacity(capacity);
+    let mut send = Vec::with_capacity(send_capacity);
     segments.clear();
+    let mut own = false;
     for dst in dests {
+        if dst == me {
+            own = true;
+            continue;
+        }
         let before = send.len();
         send.extend(route(dst).map(&value));
         push_segment(segments, dst, send.len() - before);
@@ -387,8 +398,20 @@ fn exchange<T: Copy + Send + 'static, I: Iterator<Item = [usize; 3]>>(
     let sent = &mut sent[kind as usize];
     sent.messages += segments.iter().filter(|&&(_, len)| len > 0).count() as u64;
     sent.bytes += std::mem::size_of_val(&send[..]) as u64;
-    let mut received = Vec::new();
+    let mut received = Vec::with_capacity(recv_capacity);
     comm.alltoallv_flat(send, segments, &mut received, sources);
+    if own {
+        // Appended, then rotated past the segments of the higher sources.
+        let (at, at_source) = (received.len(), sources.partition_point(|&(src, _)| src < me));
+        received.extend(route(me).map(&value));
+        let len = received.len() - at;
+        if len > 0 {
+            let from: usize = sources[..at_source].iter().map(|&(_, len)| len).sum();
+            received[from..].rotate_right(len);
+            sources.insert(at_source, (me, len));
+        }
+    }
+    debug_assert_eq!(received.capacity(), recv_capacity, "the receive buffer grew");
     received
 }
 
@@ -589,6 +612,20 @@ impl FarFieldPlan {
         }))
     }
 
+    /// How many points of the mesh box `held` the patch of grid coordinate
+    /// `c` along dimension `d` holds there.
+    fn shared(&self, d: usize, c: usize, held: [(usize, usize); 3]) -> usize {
+        let (lo, hi) = held[d];
+        self.patches[d][c].iter(self.mesh).filter(|i| (lo..hi).contains(i)).count()
+    }
+
+    /// How many points of the mesh box `held` all the patches hold there
+    /// together, counted once per patch: what its rank sends in the patch
+    /// exchange, and receives in the charge exchange.
+    fn patch_points(&self, held: [(usize, usize); 3]) -> usize {
+        (0..3).map(|d| (0..self.dims[d]).map(|c| self.shared(d, c, held)).sum::<usize>()).product()
+    }
+
     /// Signed integer frequency of mesh index `i`.
     #[inline]
     fn freq(&self, i: usize) -> i64 {
@@ -769,11 +806,12 @@ impl FarFieldPlan {
         let dests = window_holders(window, *dist);
         let route = |dst| self.window_points(window.spans, dist.held(Layout::Z, dst));
         let value = |at| sums[window.offset(at, "assignment")];
-        let received = exchange(comm, traffic, Exchange::Charges, sums.len(), dests, route, value);
+        let mine = dist.held(Layout::Z, me);
+        let capacity = [sums.len(), self.patch_points(mine)];
+        let received = exchange(comm, traffic, Exchange::Charges, capacity, dests, route, value);
         drop(sums);
         let target = dist.local(Layout::Z, me);
         zeroed(pencil, target.len(), Complex::ZERO);
-        let mine = dist.held(Layout::Z, me);
         let route = |src| self.window_points(self.spans(src), mine);
         place(&received, &traffic.sources, route, |at, &q| pencil[target.offset(at)].re += q);
         comm.compute(Work::MeshPoint, target.len() as f64);
@@ -862,15 +900,7 @@ impl FarFieldPlan {
             ..
         } = cache;
         let (held, mine) = (dist.held(Layout::Z, me), dist.local(Layout::Z, me));
-        // Per dimension: the grid coordinates whose patch meets this rank's
-        // box, and how many of its points each patch holds.
-        let shared = |d: usize, c: usize| {
-            let (lo, hi) = held[d];
-            self.patches[d][c].iter(m).filter(|i| (lo..hi).contains(i)).count()
-        };
-        let holders = |d: usize| (0..self.dims[d]).filter(move |&c| shared(d, c) > 0);
-        let total: usize =
-            (0..3).map(|d| holders(d).map(|c| shared(d, c)).sum::<usize>()).product();
+        let holders = |d: usize| (0..self.dims[d]).filter(move |&c| self.shared(d, c, held) > 0);
         let dests = holders(0).flat_map(|cx| {
             holders(1).flat_map(move |cy| holders(2).map(move |cz| self.grid_rank([cx, cy, cz])))
         });
@@ -879,7 +909,8 @@ impl FarFieldPlan {
             let o = mine.offset(at);
             [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
         };
-        let received = exchange(comm, traffic, Exchange::Patches, total, dests, route, value);
+        let capacity = [self.patch_points(held), window.len()];
+        let received = exchange(comm, traffic, Exchange::Patches, capacity, dests, route, value);
         assert!(
             traffic.sources == *patch_sources,
             "the patch exchange delivers the planned routes"
@@ -1053,9 +1084,11 @@ mod tests {
         assert!(plan.influence(14, 14, 14) < plan.influence(1, 1, 1));
     }
 
-    /// What rank `me` of a far field on the process grid `dims` sends in each
-    /// exchange of one execution, from the geometry alone: charges in 8-byte
-    /// records, the transposes in 16 and 64, patch values in 32.
+    /// What rank `me` of a far field on the process grid `dims` sends other
+    /// ranks in each exchange of one execution, from the geometry alone:
+    /// charges in 8-byte records, the transposes in 16 and 64, patch values
+    /// in 32. Each exchange's self segment — the points the rank would send
+    /// itself — is subtracted, a message and its bytes.
     pub(super) fn closed_form(mesh: usize, order: usize, dims: [usize; 3], me: usize) -> [Sent; 4] {
         let (m, h, [d0, d1, d2]) = (mesh, (order - 1) / 2, dims);
         let p = d0 * d1 * d2;
@@ -1075,6 +1108,16 @@ mod tests {
             [grid[0], grid[1]]
         };
         let (xa, yb) = (part_range(me / g1, m, g0), part_range(me % g1, m, g1));
+        let held = [xa, yb, (0, m)];
+        // The window points in the rank's own z-pencil: the self segment of
+        // the charge and of the patch exchange alike.
+        let own = (0..3)
+            .map(|d| mine[d].iter().filter(|&&i| (held[d].0..held[d].1).contains(&i)).count())
+            .product::<usize>() as u64;
+        let less_own = |s: Sent, bytes: u64| Sent {
+            messages: s.messages - u64::from(own > 0),
+            bytes: s.bytes - bytes * own,
+        };
         // Charges: the whole window, to the owner of each of its columns.
         let owners = |d: usize, parts: usize| {
             let mut owners: Vec<usize> = mine[d].iter().map(|&i| part_owner(i, m, parts)).collect();
@@ -1083,27 +1126,38 @@ mod tests {
             owners.len() as u64
         };
         let volume = mine.iter().map(Vec::len).product::<usize>() as u64;
-        let charges = Sent { messages: owners(0, g0) * owners(1, g1), bytes: 8 * volume };
+        let charges =
+            less_own(Sent { messages: owners(0, g0) * owners(1, g1), bytes: 8 * volume }, 8);
         // Transposes: one each way per grid extent above 1, each taking the
         // rank's pencil (all three boxes are equal) whole to the non-empty
-        // parts of the coordinate that changes.
-        let points = ((xa.1 - xa.0) * (yb.1 - yb.0) * m) as u64;
-        let fanout = |parts: usize| if points > 0 && parts > 1 { m.min(parts) as u64 } else { 0 };
-        let moves = u64::from(g0 > 1) + u64::from(g1 > 1);
-        let forward = Sent { messages: fanout(g0) + fanout(g1), bytes: 16 * moves * points };
-        let back = Sent { messages: fanout(g0) + fanout(g1), bytes: 64 * moves * points };
+        // parts of the coordinate that changes, less what stays: the pencil's
+        // overlap with the rank's own box after the move, `|XA|·|YB|²` along
+        // `b` and `|XA|²·|YB|` along `a`.
+        let (na, nb) = ((xa.1 - xa.0) as u64, (yb.1 - yb.0) as u64);
+        let points = na * nb * m as u64;
+        let fanout =
+            |parts: usize| if points > 0 && parts > 1 { m.min(parts) as u64 - 1 } else { 0 };
+        let moved = |parts: usize, kept: u64| if parts > 1 { points - kept } else { 0 };
+        let moved = moved(g0, na * na * nb) + moved(g1, na * nb * nb);
+        let forward = Sent { messages: fanout(g0) + fanout(g1), bytes: 16 * moved };
+        let back = Sent { messages: fanout(g0) + fanout(g1), bytes: 64 * moved };
         // Patches: to every rank whose window meets this rank's box, the
         // points they share.
-        let held = [xa, yb, (0, m)];
         let shared: [Vec<u64>; 3] = std::array::from_fn(|d| {
             let (lo, hi) = held[d];
             let inside = |c| window(d, c).into_iter().filter(|i| (lo..hi).contains(i)).count();
             (0..dims[d]).map(|c| inside(c) as u64).collect()
         });
-        let patches = Sent {
-            messages: shared.iter().map(|s| s.iter().filter(|&&n| n > 0).count() as u64).product(),
-            bytes: 32 * shared.iter().map(|s| s.iter().sum::<u64>()).product::<u64>(),
-        };
+        let patches = less_own(
+            Sent {
+                messages: shared
+                    .iter()
+                    .map(|s| s.iter().filter(|&&n| n > 0).count() as u64)
+                    .product(),
+                bytes: 32 * shared.iter().map(|s| s.iter().sum::<u64>()).product::<u64>(),
+            },
+            32,
+        );
         [charges, forward, back, patches]
     }
 
@@ -1118,7 +1172,8 @@ mod tests {
     ///   1 — the slab's four at `1 < P ≤ mesh`, six when both extents exceed
     ///   1, two at `P = 1` — so no move along an extent of 1 is made, and the
     ///   staging holds one pencil buffer, never grown past the rank's box;
-    /// * every exchange sends its closed-form messages and bytes;
+    /// * every exchange sends its closed-form messages and bytes, its self
+    ///   segment kept home;
     /// * the energy matches the k-space part of Ewald to 1e-3, the bound the
     ///   solver's total energy is held to.
     #[test]

@@ -85,9 +85,11 @@ pub struct PmRunReport {
     /// Bytes of the ghost records (position and charge) this rank received
     /// for the near field.
     pub ghost_bytes: u64,
-    /// Bytes this rank sent in the far field's four exchanges: charges to
-    /// the transform owners, the forward and the back transposes, and values
-    /// to the interpolation patches.
+    /// Bytes this rank sent other ranks in the far field's four exchanges:
+    /// charges to the transform owners, the forward and the back transposes,
+    /// and values to the interpolation patches. The points a rank would send
+    /// itself stay home and are not counted — this is what its communicator
+    /// counts in the `far` phase.
     pub far_bytes: u64,
 }
 

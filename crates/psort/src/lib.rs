@@ -30,6 +30,10 @@ mod merge;
 mod network;
 mod partition;
 
+#[cfg(test)]
+#[path = "../../atasp/tests/common/mod.rs"]
+mod widths;
+
 pub use local::{bucket_bounds, is_sorted, radix_sort_by_key};
 pub use merge::{
     is_globally_sorted, merge_exchange_sort_by_key, merge_exchange_sort_by_key_capped,

@@ -76,25 +76,29 @@ pub fn radix_sort_by_key<T: Copy>(keys: &mut Vec<u64>, values: &mut Vec<T>) -> u
     passes
 }
 
-/// Merge the individually sorted runs of packed `(key, value)` records an
-/// `alltoallv` returned (`(source rank, run)`, sources ascending) into one
-/// sorted pair of columns. Stable across runs: on equal keys the lower source
-/// comes first, then the position within the run — which is the stable order
-/// of the runs' keys concatenated, so the records are read where they were
-/// received and each is moved once.
-pub(crate) fn merge_runs<T: Copy>(runs: &[(usize, Vec<(u64, T)>)]) -> (Vec<u64>, Vec<T>) {
-    let total = runs.iter().map(|(_, run)| run.len()).sum();
+/// Merge the individually sorted runs a partition exchange delivered into
+/// one sorted pair of columns. `records` walks the runs one after another in
+/// ascending source rank — the rank's own bucket among them, read where the
+/// local sort left it — `total` records in all. Stable across runs: on equal
+/// keys the earlier run comes first, then the position within the run —
+/// which is the stable order of the runs' keys concatenated, so the records
+/// are read where they are and each is moved once.
+pub(crate) fn merge_runs<'a, T: Copy + 'a>(
+    total: usize,
+    records: impl Iterator<Item = (u64, &'a T)>,
+) -> (Vec<u64>, Vec<T>) {
     let mut keys: Vec<u64> = Vec::with_capacity(total);
-    let mut records: Vec<&(u64, T)> = Vec::with_capacity(total);
-    for (_, run) in runs {
-        keys.extend(run.iter().map(|r| r.0));
-        records.extend(run);
+    let mut values: Vec<&T> = Vec::with_capacity(total);
+    for (k, v) in records {
+        keys.push(k);
+        values.push(v);
     }
+    debug_assert_eq!(keys.len(), total, "the runs hold `total` records");
     match stable_order(&keys).1 {
-        None => (keys, records.iter().map(|r| r.1).collect()),
+        None => (keys, values.into_iter().copied().collect()),
         Some(order) => (
             order.iter().map(|&i| keys[i as usize]).collect(),
-            order.iter().map(|&i| records[i as usize].1).collect(),
+            order.iter().map(|&i| *values[i as usize]).collect(),
         ),
     }
 }
@@ -403,7 +407,7 @@ mod tests {
         assert_eq!(v, vec![1, 3, 0, 2, 4]);
     }
 
-    /// Received runs as `alltoallv` returns them.
+    /// Received runs, each with its source rank.
     type Runs = Vec<(usize, Vec<(u64, (usize, usize))>)>;
 
     /// Sorted runs of the given lengths; the payload names (run, position),
@@ -420,7 +424,9 @@ mod tests {
     }
 
     fn assert_merge_matches_heap(runs: &Runs, what: &str) {
-        let got = merge_runs(runs);
+        let total = runs.iter().map(|(_, run)| run.len()).sum();
+        let got =
+            merge_runs(total, runs.iter().flat_map(|(_, run)| run.iter().map(|(k, v)| (*k, v))));
         let want = kway_merge(runs.iter().map(|(_, run)| run.iter().copied().unzip()).collect());
         assert_eq!(got, want, "{what}");
     }

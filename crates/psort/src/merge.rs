@@ -412,7 +412,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcomm::{run, MachineModel};
+    use crate::widths::run;
+    use simcomm::MachineModel;
 
     fn splitmix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e3779b97f4a7c15);

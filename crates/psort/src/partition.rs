@@ -7,10 +7,11 @@
 //! The local sort only *orders* the records (a permutation of indices); they
 //! are moved once, from the caller's columns into the packed buckets the
 //! exchange ships, and once more out of the received buffers into the merged
-//! output columns. The splitter selection
-//! starts from sampled estimates and refines them with a few rounds of global
-//! histogramming — the original partitioning algorithm likewise converges in
-//! a small number of collective rounds.
+//! output columns. The rank's own bucket never travels: the merge reads it
+//! from the caller's columns (DESIGN.md, "The local block"). The splitter
+//! selection starts from sampled estimates and refines them with a few
+//! rounds of global histogramming — the original partitioning algorithm
+//! likewise converges in a small number of collective rounds.
 
 use simcomm::{Comm, Work};
 
@@ -178,42 +179,40 @@ where
     comm.exit_phase();
 
     // --- All-to-all bucket exchange ---
+    // The rank's own bucket stays home, unpacked: the merge reads it where
+    // the local sort left it, at its rank's place among the received runs.
     comm.enter_phase("sort:exchange");
+    let me = comm.rank();
     let bounds = bucket_bounds(&keys, &splitters);
+    let bucket = |dst: usize| bounds[dst]..bounds.get(dst + 1).copied().unwrap_or(keys.len());
+    // The value of the record at sorted position `j`.
+    let value = |j: usize| &values[order.as_ref().map_or(j, |order| order[j] as usize)];
     let mut sends: Vec<(usize, Vec<(u64, T)>)> = Vec::new();
     for dst in 0..p {
-        let start = bounds[dst];
-        let end = if dst + 1 < p { bounds[dst + 1] } else { keys.len() };
-        if start == end {
+        let run = bucket(dst);
+        if run.is_empty() {
             continue;
         }
-        let bucket = keys[start..end].iter();
-        let buf: Vec<(u64, T)> = match &order {
-            Some(order) => {
-                bucket.zip(&order[start..end]).map(|(&k, &i)| (k, values[i as usize])).collect()
-            }
-            None => bucket.zip(&values[start..end]).map(|(&k, &v)| (k, v)).collect(),
-        };
-        if dst != comm.rank() {
-            report.sent_elems += (end - start) as u64;
+        comm.compute(Work::ByteCopy, (run.len() * std::mem::size_of::<(u64, T)>()) as f64);
+        if dst != me {
+            report.sent_elems += run.len() as u64;
+            sends.push((dst, run.map(|j| (keys[j], *value(j))).collect()));
         }
-        comm.compute(Work::ByteCopy, ((end - start) * std::mem::size_of::<(u64, T)>()) as f64);
-        sends.push((dst, buf));
     }
     let received = comm.alltoallv(sends);
     comm.exit_phase();
 
     // --- Local merge of the received runs (each run is sorted) ---
     comm.enter_phase("sort:merge");
-    let mut total = 0usize;
-    for (src, buf) in &received {
-        if *src != comm.rank() {
-            report.recv_elems += buf.len() as u64;
-        }
-        total += buf.len();
-    }
-    let nruns = received.len().max(2) as f64;
-    let (out_keys, out_values) = merge_runs(&received);
+    report.recv_elems = received.iter().map(|(_, buf)| buf.len() as u64).sum();
+    let own = bucket(me);
+    let total = report.recv_elems as usize + own.len();
+    let nruns = (received.len() + usize::from(!own.is_empty())).max(2) as f64;
+    let (below, above) = received.split_at(received.partition_point(|&(src, _)| src < me));
+    let records = below.iter().flat_map(|(_, run)| run.iter().map(|(k, v)| (*k, v)));
+    let records = records.chain(own.map(|j| (keys[j], value(j))));
+    let records = records.chain(above.iter().flat_map(|(_, run)| run.iter().map(|(k, v)| (*k, v))));
+    let (out_keys, out_values) = merge_runs(total, records);
     comm.compute(Work::SortCmp, (total as f64) * nruns.log2());
     comm.exit_phase();
 
@@ -223,7 +222,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcomm::{run, MachineModel};
+    use crate::widths::run;
+    use simcomm::MachineModel;
 
     fn splitmix(mut x: u64) -> u64 {
         x = x.wrapping_add(0x9e3779b97f4a7c15);

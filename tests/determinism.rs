@@ -41,6 +41,23 @@
 //! `0x1827_35a8_df22_3ed0` → `0xf8f4_8bef_8ac1_3909` (on both machine models),
 //! faulted `0x546b_2d96_95f1_b0b9` → `0x645e_ed2c_0d69_baaa`. Every timing
 //! half, every FMM half and the redistribution digest stayed.
+//! Keeping every self-addressed block out of the all-to-all-v — psort's
+//! partition exchange, `atasp`'s collective redistributions and the P2NFFT
+//! far field's four exchanges — re-froze every timing half once (all eight MD
+//! worlds, the three FMM order/level worlds, the faulted world and the
+//! redistribution world): `0xeb61_9a25_52a9_73ac` → `0x1cca_f807_c80f_ea39`,
+//! `0xad38_b3de_6895_968f` → `0xf3d5_ee3d_1b67_5f6a`, `0x1288_f5ad_9170_5505`
+//! → `0x50f0_9029_8b54_9b25`, `0x5a54_fa41_c4f3_9882` →
+//! `0xcab6_3962_8da7_d871` (juropa-like), `0x0758_758d_0b3e_230f` →
+//! `0x03ef_b03a_acdc_60c1`, `0x05bf_9d2c_f6ea_40be` → `0x3fb3_c770_e6ef_fe03`,
+//! `0xfb41_4dcd_dd5d_1de1` → `0xf210_ebf4_2397_11fd`, `0x611d_1b84_b314_c927`
+//! → `0x81af_cadd_9c8b_21fc` (juqueen-like), FMM order 2 / 4 / 6
+//! `0x6269_feee_f0a1_75e2` → `0xcdef_1059_d8b8_0308`, `0xb8c6_9f84_6052_be5b`
+//! → `0x9055_56b0_652d_3745`, `0xc790_351c_5d25_8e3a` →
+//! `0x08be_b2b4_0fe5_b474`, faulted `0x2a35_eca2_0cec_6eb6` →
+//! `0xb9e4_9727_fbd9_edd3`, redistribution `0x37e8_d086_7b69_ff96` →
+//! `0x87ec_3aa6_23e5_51a4`. Every physics half and the redistribution payload
+//! half stayed.
 //! Posting every point-to-point exchange's sends to the partners above the
 //! sender first re-froze the timing halves of the four P2NFFT worlds and the
 //! faulted world once (the FMM worlds' exchanges finish no differently): `0xe7b8_b754_408e_9d1e` → `0x1288_f5ad_9170_5505`,
@@ -48,6 +65,23 @@
 //! `0xfb41_4dcd_dd5d_1de1`, `0x22a5_f1a5_4289_21d7` → `0x611d_1b84_b314_c927`,
 //! faulted `0x4ef6_f3ad_10d9_a1e0` → `0x2a35_eca2_0cec_6eb6`. Every physics
 //! half, every FMM half and the redistribution digest stayed.
+//! Keeping every self-addressed block out of the all-to-all-v — psort's
+//! partition exchange, `atasp`'s collective redistributions and the P2NFFT
+//! far field's four exchanges — re-froze every timing half once (all eight MD
+//! worlds, the three FMM order/level worlds, the faulted world and the
+//! redistribution world): `0xeb61_9a25_52a9_73ac` → `0x1cca_f807_c80f_ea39`,
+//! `0xad38_b3de_6895_968f` → `0xf3d5_ee3d_1b67_5f6a`, `0x1288_f5ad_9170_5505`
+//! → `0x50f0_9029_8b54_9b25`, `0x5a54_fa41_c4f3_9882` →
+//! `0xcab6_3962_8da7_d871` (juropa-like), `0x0758_758d_0b3e_230f` →
+//! `0x03ef_b03a_acdc_60c1`, `0x05bf_9d2c_f6ea_40be` → `0x3fb3_c770_e6ef_fe03`,
+//! `0xfb41_4dcd_dd5d_1de1` → `0xf210_ebf4_2397_11fd`, `0x611d_1b84_b314_c927`
+//! → `0x81af_cadd_9c8b_21fc` (juqueen-like), FMM order 2 / 4 / 6
+//! `0x6269_feee_f0a1_75e2` → `0xcdef_1059_d8b8_0308`, `0xb8c6_9f84_6052_be5b`
+//! → `0x9055_56b0_652d_3745`, `0xc790_351c_5d25_8e3a` →
+//! `0x08be_b2b4_0fe5_b474`, faulted `0x2a35_eca2_0cec_6eb6` →
+//! `0xb9e4_9727_fbd9_edd3`, redistribution `0x37e8_d086_7b69_ff96` →
+//! `0x87ec_3aa6_23e5_51a4`. Every physics half and the redistribution payload
+//! half stayed.
 
 use fcs::SolverKind;
 use mdsim::{simulate, SimConfig, SimResult};
@@ -162,16 +196,16 @@ fn md_configs_match_frozen_digests() {
     ];
     let frozen: [[[u64; 2]; 4]; 2] = [
         [
-            [0xe3e7_f2ac_7ae3_deb5, 0xeb61_9a25_52a9_73ac],
-            [0xe36d_87b1_23fa_3d6c, 0xad38_b3de_6895_968f],
-            [0x1c08_5b70_c285_000a, 0x1288_f5ad_9170_5505],
-            [0xf8f4_8bef_8ac1_3909, 0x5a54_fa41_c4f3_9882],
+            [0xe3e7_f2ac_7ae3_deb5, 0x1cca_f807_c80f_ea39],
+            [0xe36d_87b1_23fa_3d6c, 0xf3d5_ee3d_1b67_5f6a],
+            [0x1c08_5b70_c285_000a, 0x50f0_9029_8b54_9b25],
+            [0xf8f4_8bef_8ac1_3909, 0xcab6_3962_8da7_d871],
         ],
         [
-            [0xe3e7_f2ac_7ae3_deb5, 0x0758_758d_0b3e_230f],
-            [0xe36d_87b1_23fa_3d6c, 0x05bf_9d2c_f6ea_40be],
-            [0x1c08_5b70_c285_000a, 0xfb41_4dcd_dd5d_1de1],
-            [0xf8f4_8bef_8ac1_3909, 0x611d_1b84_b314_c927],
+            [0xe3e7_f2ac_7ae3_deb5, 0x03ef_b03a_acdc_60c1],
+            [0xe36d_87b1_23fa_3d6c, 0x3fb3_c770_e6ef_fe03],
+            [0x1c08_5b70_c285_000a, 0xf210_ebf4_2397_11fd],
+            [0xf8f4_8bef_8ac1_3909, 0x81af_cadd_9c8b_21fc],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -214,7 +248,7 @@ fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u3
 /// digest changed from run to run with the `HashMap` order of M2M children.)
 #[test]
 fn fmm_level3_non_neutral_cells_match_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0x6269_feee_f0a1_75e2]);
+    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0xcdef_1059_d8b8_0308]);
 }
 
 // Every digest above runs the FMM at order 2 (10 coefficients). The two below
@@ -225,12 +259,12 @@ fn fmm_level3_non_neutral_cells_match_frozen_digest() {
 
 #[test]
 fn fmm_order4_level3_matches_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0xb8c6_9f84_6052_be5b]);
+    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0x9055_56b0_652d_3745]);
 }
 
 #[test]
 fn fmm_order6_level2_matches_frozen_digest() {
-    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0xc790_351c_5d25_8e3a]);
+    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x08be_b2b4_0fe5_b474]);
 }
 
 #[test]
@@ -260,7 +294,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x645e_ed2c_0d69_baaa, 0x2a35_eca2_0cec_6eb6],
+            [0x645e_ed2c_0d69_baaa, 0xb9e4_9727_fbd9_edd3],
             &format!("faulted P2NFFT width {width}"),
         );
     }
@@ -425,7 +459,7 @@ fn redistribution_world_matches_frozen_digest() {
             digest(&payload),
             digest(&(clock_bits, &out.stats, &out.traces, &out.phases, reports)),
         ];
-        let want = [0x56ac_62ec_f386_4ca5u64, 0x37e8_d086_7b69_ff96];
+        let want = [0x56ac_62ec_f386_4ca5u64, 0x87ec_3aa6_23e5_51a4];
         for (half, got, want) in [("payload", got[0], want[0]), ("timing", got[1], want[1])] {
             assert_eq!(
                 got, want,
