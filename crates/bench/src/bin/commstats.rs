@@ -298,7 +298,10 @@ fn summarize_trace(path: &str) {
             continue;
         }
         let f: Vec<&str> = line.split(',').collect();
-        assert!(f.len() >= 6, "{path}:{}: expected at least 6 columns", lineno + 2);
+        if f.len() != columns.len() {
+            let (line, got, want) = (lineno + 2, f.len(), columns.len());
+            fail(format!("{path}:{line}: {got} columns, the header has {want}"));
+        }
         let parse_f64 = |s: &str| -> f64 { s.parse().expect("bad number in trace") };
         let rank: u64 = f[0].parse().expect("bad rank");
         let kind = f[1];

@@ -239,3 +239,16 @@ fn timeline_sink_writes_openable_perfetto_file() {
     assert_eq!(count_ph(&parsed, "X"), records);
     std::fs::remove_file(&tmp).ok();
 }
+
+#[test]
+fn commstats_trace_rejects_a_row_shorter_than_its_header() {
+    let commstats = env!("CARGO_BIN_EXE_commstats");
+    let path = std::env::temp_dir().join(format!("obs_short_row_{}.csv", std::process::id()));
+    let header = "rank,kind,t_start,t_end,bytes,peer,nranks,phase,corr";
+    std::fs::write(&path, format!("{header}\n0,send,0,0.5,8,1\n")).unwrap();
+    let out = Command::new(commstats).arg("--trace").arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "a short row must fail, not panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains(&format!("{}:2: 6 columns", path.display())), "{err}");
+    std::fs::remove_file(&path).ok();
+}

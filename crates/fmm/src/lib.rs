@@ -40,6 +40,10 @@ pub use expansion::{ncoeffs, ExpansionOps};
 pub use solver::{FmmConfig, FmmRunReport, FmmSolver};
 
 #[cfg(test)]
+#[path = "../../atasp/tests/common/mod.rs"]
+mod widths;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use particles::reference::{direct_open, ewald, EwaldParams};

@@ -344,10 +344,10 @@ impl FmmSolver {
 mod tests {
     use particles::systems::splitmix64;
     use particles::{RedistMethod, SoftCore, SystemBox, Vec3};
-    use simcomm::{run, MachineModel, RankStats};
+    use simcomm::{run, Comm, MachineModel, RankStats};
 
     use super::Oracle;
-    use crate::{FmmConfig, FmmSolver};
+    use crate::{widths, FmmConfig, FmmSolver};
 
     /// splitmix64 stream for the property tests below.
     struct Gen(u64);
@@ -418,10 +418,9 @@ mod tests {
     /// hint (the merge-sort path where the hint allows it), then the same
     /// Method B run again on the positions it returned (a quiet step: the
     /// slab code with the plan reuses its locally essential tree plan).
-    /// Returns every rank's runs, final clock bits and statistics.
-    fn run_world(w: &World, path: Path) -> (Vec<Vec<RunBits>>, Vec<u64>, Vec<RankStats>) {
+    fn program(w: &World, path: Path) -> impl Fn(&mut Comm) -> Vec<RunBits> + Sync + '_ {
         let n = w.particles.len();
-        let out = run(w.p, MachineModel::juropa_like(), |comm| {
+        move |comm| {
             let (me, p) = (comm.rank(), w.p);
             let mine = match w.deal {
                 Deal::Blocks => me * n / p..(me + 1) * n / p,
@@ -467,7 +466,13 @@ mod tests {
                 }
             }
             runs
-        });
+        }
+    }
+
+    /// [`program`]'s world: every rank's runs, final clock bits and
+    /// statistics.
+    fn run_world(w: &World, path: Path) -> (Vec<Vec<RunBits>>, Vec<u64>, Vec<RankStats>) {
+        let out = run(w.p, MachineModel::juropa_like(), program(w, path));
         (out.results, out.clocks.iter().map(|c| c.to_bits()).collect(), out.stats)
     }
 
@@ -550,9 +555,9 @@ mod tests {
     }
 
     /// Run-to-run reproducibility: identical worlds must give identical
-    /// bits. With M2M children visited in `HashMap` order (the code before
-    /// the slabs) 13–28 % of these potentials differed between two runs in
-    /// one process.
+    /// bits, at any host width. With M2M children visited in `HashMap` order
+    /// (the code before the slabs) 13–28 % of these potentials differed
+    /// between two runs in one process.
     #[test]
     fn two_runs_of_one_world_give_identical_bits() {
         let mut g = Gen(4096);
@@ -561,11 +566,8 @@ mod tests {
             let particles = g.particles(b.offset, b.lengths, 4096);
             let cfg = FmmConfig { order: 4, level: 3, soft_core: None };
             let w = World { bbox: b, cfg, p: 8, deal: Deal::Blocks, particles };
-            let first = run_world(&w, Path::Planned);
-            for _ in 0..2 {
-                let again = run_world(&w, Path::Planned);
-                assert!(first == again, "periodic {periodic}: runs differ");
-            }
+            // One run at each of widths 1, 2 and 8, every one against the first.
+            widths::run(w.p, MachineModel::juropa_like(), program(&w, Path::Planned));
         }
     }
 }

@@ -11,7 +11,11 @@ use fmm::tree::{cell_center, leaf_key, neighbor_keys};
 use fmm::{FmmConfig, FmmSolver};
 use particles::systems::splitmix64;
 use particles::{Particle, RedistMethod, SystemBox, Vec3};
-use simcomm::{run, Comm, MachineModel};
+use simcomm::{Comm, MachineModel, Runner};
+
+#[path = "../../atasp/tests/common/mod.rs"]
+mod common;
+use common::{run_at, thinned};
 
 /// splitmix64 stream of uniform draws in `[0, 1)`.
 struct Gen(u64);
@@ -137,7 +141,7 @@ fn kept_plan_returns_the_bits_of_a_fresh_fetch() {
         for periodic in [false, true] {
             let b = bbox(periodic);
             let steps = script(&b, p, 0x1e7 ^ p as u64);
-            run(p, MachineModel::juropa_like(), |comm| {
+            run_at(thinned(p), &Runner::default(), p, MachineModel::juropa_like(), |comm| {
                 let me = comm.rank();
                 let cfg = FmmConfig { order: 2, level: LEVEL, soft_core: None };
                 let mut planned = FmmSolver::new(b, cfg.clone());
@@ -191,7 +195,7 @@ fn quiet_world(
     runs: usize,
 ) -> Vec<(u64, u64, u64, Vec<u64>)> {
     let n = particles.len();
-    let out = run(p, MachineModel::juropa_like(), |comm| {
+    let out = run_at(thinned(p), &Runner::default(), p, MachineModel::juropa_like(), |comm| {
         let me = comm.rank();
         let mine = &particles[me * n / p..(me + 1) * n / p];
         let mut pos: Vec<Vec3> = mine.iter().map(|x| x.0).collect();

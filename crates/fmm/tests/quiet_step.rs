@@ -10,7 +10,20 @@ use fmm::tree::{cell_center, leaf_key};
 use fmm::{FmmConfig, FmmSolver};
 use particles::systems::splitmix64;
 use particles::{RedistMethod, SolverOutput, SystemBox, Vec3};
-use simcomm::{run, Comm, FaultPlan, MachineModel, Runner};
+use simcomm::{Comm, FaultPlan, MachineModel, Runner};
+
+#[path = "../../atasp/tests/common/mod.rs"]
+mod common;
+use common::thinned;
+
+/// A world of `p` ranks at the widths [`thinned`] picks for it.
+fn run<R, F>(p: usize, model: MachineModel, f: F) -> simcomm::RunOutput<R>
+where
+    R: Send + std::fmt::Debug,
+    F: Fn(&mut Comm) -> R + Send + Sync,
+{
+    common::run_at(thinned(p), &Runner::default(), p, model, f)
+}
 
 /// The world sizes every case runs at.
 const PS: [usize; 6] = [1, 2, 3, 8, 27, 64];
@@ -319,7 +332,8 @@ fn a_lying_hint_falls_back_and_the_alignment_gathers_its_own_spans() {
         // hint lies, and the network leaves the unequal runs unsorted.
         let counts: Vec<usize> = (0..p).map(|r| 3 + (r * 7 + 5) % 11 * (r % 3)).collect();
         let sys = system(0xfa11 ^ p as u64, &b, counts.iter().sum());
-        Runner::default().faulted(plan.clone()).run(p, MachineModel::juropa_like(), |comm| {
+        let runner = Runner::default().faulted(plan.clone());
+        common::run_at(thinned(p), &runner, p, MachineModel::juropa_like(), |comm| {
             let me = comm.rank();
             let what = format!("p {p} rank {me}");
             let start: usize = counts[..me].iter().sum();

@@ -164,7 +164,7 @@ struct Baton {
 
 /// The cooperative discrete-event scheduler. Owned by the world's shared
 /// state; rank threads call into it at every blocking site (see
-/// `WorldShared::wait_on` in `world.rs`).
+/// `WorldShared::wait_on` in `world/mod.rs`).
 pub(crate) struct Scheduler {
     state: Mutex<SchedState>,
     batons: Vec<Baton>,

@@ -56,7 +56,7 @@ pub use fault::{FaultPlan, StallSpec};
 pub use model::{
     balanced_dims, torus_coords, torus_hops, ComputeRates, MachineModel, Topology, Work,
 };
-pub use phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseSegment, PhaseStats, UNTAGGED};
+pub use phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseStats, UNTAGGED};
 pub use plan::CommPlan;
 pub use trace::{write_trace_csv, ClockSpan, SpanCat, Trace, TraceEvent, TraceKind};
 pub use world::{push_segment, run, Comm, RankStats, Request, RunOutput, Runner};

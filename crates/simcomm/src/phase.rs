@@ -71,27 +71,12 @@ impl PhaseStats {
     }
 }
 
-/// One contiguous interval of virtual time during which a phase was the
-/// innermost open span on a rank. Only recorded in traced worlds
-/// ([`crate::Runner::traced`]); aggregates are always maintained.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PhaseSegment {
-    /// Phase name.
-    pub name: &'static str,
-    /// Virtual time the interval started.
-    pub t_start: f64,
-    /// Virtual time the interval ended.
-    pub t_end: f64,
-}
-
-/// The complete phase record of one rank.
+/// The phase record of one rank. Its timeline — when each phase was the
+/// innermost open span — is [`crate::Trace::spans`] of a traced world.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseProfile {
     /// Per-phase aggregates, in order of first entry on this rank.
     pub phases: Vec<PhaseStats>,
-    /// Attribution intervals (non-overlapping, time-ordered). Empty unless the
-    /// world was run with tracing enabled.
-    pub segments: Vec<PhaseSegment>,
 }
 
 /// Name under which time and traffic outside any phase span are reported.
@@ -234,7 +219,6 @@ mod tests {
     fn untagged_is_total_minus_tagged() {
         let prof = PhaseProfile {
             phases: vec![stats("a", 1.0, 0.5, 2.0, 100), stats("b", 0.5, 0.0, 1.0, 50)],
-            segments: Vec::new(),
         };
         let totals = RankStats {
             comm_seconds: 2.0,
@@ -252,10 +236,8 @@ mod tests {
 
     #[test]
     fn aggregate_computes_critical_path_and_imbalance() {
-        let p0 =
-            PhaseProfile { phases: vec![stats("sort", 1.0, 0.0, 1.0, 10)], segments: Vec::new() };
-        let p1 =
-            PhaseProfile { phases: vec![stats("sort", 3.0, 1.0, 2.0, 30)], segments: Vec::new() };
+        let p0 = PhaseProfile { phases: vec![stats("sort", 1.0, 0.0, 1.0, 10)] };
+        let p1 = PhaseProfile { phases: vec![stats("sort", 3.0, 1.0, 2.0, 30)] };
         let totals = vec![RankStats::default(), RankStats::default()];
         let rows = aggregate_phases(&[p0, p1], &totals);
         assert_eq!(rows.len(), 2); // sort + (untagged)

@@ -40,8 +40,6 @@ pub struct CommPlan {
     /// Elements received from each partner (same order as `partners`) during
     /// the most recent execution; all zeros before the first.
     last_recv_counts: Vec<usize>,
-    /// Number of completed executions.
-    executions: u64,
     /// Per partner slot: the envelope the last [`CommPlan::execute_flat`]
     /// received from that partner, with its buffer — the next one refills it
     /// for the way back. In a symmetric exchange what a partner sends is
@@ -73,7 +71,6 @@ impl Comm {
             partners,
             tag,
             last_recv_counts: vec![0; n],
-            executions: 0,
             // A boxed unit is not an allocation.
             envelopes: (0..n).map(|_| Box::new(()) as Box<dyn Any + Send>).collect(),
             sizes: vec![0; n],
@@ -90,11 +87,6 @@ impl CommPlan {
     /// The message tag every execution uses.
     pub fn tag(&self) -> u64 {
         self.tag
-    }
-
-    /// Completed executions of this plan.
-    pub fn executions(&self) -> u64 {
-        self.executions
     }
 
     /// Size envelope of the most recent execution: elements received from
@@ -164,14 +156,13 @@ impl CommPlan {
             payload.extend_from_slice(got);
             self.last_recv_counts[slot] = got.len();
         }
-        self.executions += 1;
         comm.note_plan_exec(t0, self.sizes.iter().sum());
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{run, MachineModel, Runner, TraceKind};
+    use crate::{run, MachineModel, Runner, TraceKind, WorldError};
 
     /// Ring neighbourhood of one rank on each side.
     fn ring(me: usize, p: usize) -> Vec<usize> {
@@ -201,7 +192,6 @@ mod tests {
                 plan.execute_flat(comm, &mut flat, &counts);
                 planned.push(flat);
             }
-            assert_eq!(plan.executions(), 2);
             let got: Vec<usize> = adhoc.iter().map(|(_, b)| b.len()).collect();
             assert_eq!(plan.last_recv_counts(), &got[..]);
             (adhoc, planned)
@@ -246,5 +236,29 @@ mod tests {
         });
         assert_eq!(out.results[0], vec![1]);
         assert_eq!(out.results[1], vec![0]);
+    }
+
+    #[test]
+    fn plan_rejects_a_partner_outside_the_world() {
+        // Rank 0 plans a partner past the end of the world while rank 1
+        // waits for a message from it: the plan's range check fails rank 0
+        // (not an index panic deeper in), and the poison wakes rank 1 (not a
+        // deadlock).
+        let err = Runner::default()
+            .try_run(2, MachineModel::ideal(), |comm| {
+                let partner = if comm.rank() == 0 { 3 } else { 0 };
+                let mut plan = comm.plan_exchange(vec![partner], 0);
+                let mut payload = vec![comm.rank() as u64];
+                plan.execute_flat(comm, &mut payload, &[1]);
+            })
+            .err()
+            .expect("a partner outside the world must fail the world");
+        match err {
+            WorldError::RankPanic { rank: 0, ref message } => assert!(
+                message.contains("plan_exchange: partner rank 3 out of range"),
+                "unexpected message: {err}"
+            ),
+            other => panic!("expected rank 0's plan panic, got {other}"),
+        }
     }
 }

@@ -39,7 +39,11 @@
 //! the host interleaved the senders — and returned sorted by source, those of
 //! one source in the order it listed them.
 
-use super::*;
+use std::any::Any;
+
+use super::transport::Message;
+use super::Comm;
+use crate::trace::TraceKind;
 
 /// Tags with the top bit set are the sparse exchange's own: a round's
 /// messages carry `SPARSE_TAG | k`, where `k` is the number of collectives
@@ -128,7 +132,7 @@ impl Comm {
         out: &mut Vec<(usize, Vec<T>)>,
     ) {
         check_sparse_targets(partners, sends.iter().map(|&(dst, _)| dst));
-        let tag = self.sparse_tag();
+        let tag = SPARSE_TAG | self.coll_seq;
         let mut sent = 0;
         // The posting rule of the dense exchanges (`posting_order`): the
         // destinations above this rank first, then the rest, each group in
@@ -154,11 +158,6 @@ impl Comm {
             out.push((msg.src, self.unbox_payload(msg)));
         }
         self.sparse.msgs = msgs;
-    }
-
-    /// The tag of the round this rank is about to enter.
-    fn sparse_tag(&self) -> u64 {
-        SPARSE_TAG | self.coll_seq
     }
 
     /// Post one synchronous send of the round: an `isend` whose completion is
@@ -188,24 +187,12 @@ impl Comm {
         self.sparse.sends = sends;
 
         let entry = self.clock;
-        let ((), last_entry) = self.coll_exchange(|_, _| (), |_| (), |_| ());
-        self.finish_collective(last_entry, self.shared.coll_terms.barrier());
+        self.barrier_untraced();
 
         // Every sender posted before it entered the barrier: the round's
         // messages are all in the mailbox now.
         let mut msgs = std::mem::take(&mut self.sparse.msgs);
-        {
-            let mut mb = lock(&self.shared.mailboxes[self.rank]);
-            let mut at = 0;
-            while at < mb.queue.len() {
-                if mb.queue[at].tag == tag {
-                    let msg = mb.queue.remove(at).expect("position in range");
-                    msgs.push((self.arrival_of(&msg), msg));
-                } else {
-                    at += 1;
-                }
-            }
-        }
+        self.take_tagged(tag, &mut msgs);
         msgs.sort_unstable_by(|(a, ma), (b, mb)| {
             a.partial_cmp(b).expect("virtual times are finite").then(ma.corr.cmp(&mb.corr))
         });

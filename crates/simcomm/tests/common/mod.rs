@@ -3,7 +3,7 @@
 //! into a payload and a timing half.
 #![allow(dead_code)] // each suite uses its own subset
 
-use simcomm::RunOutput;
+use simcomm::{PhaseStats, RunOutput};
 
 /// The `Runner::host_parallelism` widths a suite without widths of its own
 /// runs every world at: strictly one rank at a time, two, and more than a CI
@@ -52,7 +52,47 @@ pub fn halves<R: std::fmt::Debug>(out: &RunOutput<R>) -> [u64; 2] {
         })
         .collect();
     let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
-    [digest(&(&out.results, counts)), digest(&(clock_bits, times, &out.traces, &out.phases))]
+    [digest(&(&out.results, counts)), digest(&(clock_bits, times, &out.traces, frozen_phases(out)))]
+}
+
+/// A rank's phase profile as the frozen digests render it: the aggregates
+/// beside the attribution segments the profile carried until the trace's
+/// clock spans became the one per-rank timeline.
+#[derive(Debug)]
+pub struct PhaseProfile<'a> {
+    phases: &'a [PhaseStats],
+    segments: Vec<PhaseSegment>,
+}
+
+/// One stretch during which a phase was the innermost open span.
+#[derive(Debug)]
+struct PhaseSegment {
+    name: &'static str,
+    t_start: f64,
+    t_end: f64,
+}
+
+/// Every rank's [`PhaseProfile`]: its segments are the runs of consecutive
+/// clock spans of one phase, so an untraced world has none.
+pub fn frozen_phases<R>(out: &RunOutput<R>) -> Vec<PhaseProfile<'_>> {
+    let mut profiles = Vec::with_capacity(out.phases.len());
+    for (prof, trace) in out.phases.iter().zip(&out.traces) {
+        let mut segments: Vec<PhaseSegment> = Vec::new();
+        for s in trace.spans.iter().filter(|s| !s.phase.is_empty()) {
+            match segments.last_mut() {
+                Some(last) if last.name == s.phase && last.t_end == s.t_start => {
+                    last.t_end = s.t_end
+                }
+                _ => segments.push(PhaseSegment {
+                    name: s.phase,
+                    t_start: s.t_start,
+                    t_end: s.t_end,
+                }),
+            }
+        }
+        profiles.push(PhaseProfile { phases: &prof.phases, segments });
+    }
+    profiles
 }
 
 /// Assert that a world hashes to the frozen `want` (`[payload, timing]`, see

@@ -43,10 +43,10 @@ fn assert_bitwise_identical<R: PartialEq + std::fmt::Debug>(
         let ea: &[TraceEvent] = &ta.events;
         let eb: &[TraceEvent] = &tb.events;
         assert_eq!(ea, eb, "{what}: trace of rank {rank} diverges");
+        assert_eq!(ta.spans, tb.spans, "{what}: clock spans of rank {rank} diverge");
     }
     for (rank, (pa, pb)) in a.phases.iter().zip(&b.phases).enumerate() {
         assert_eq!(pa.phases, pb.phases, "{what}: phase stats of rank {rank} diverge");
-        assert_eq!(pa.segments, pb.segments, "{what}: phase segments of rank {rank} diverge");
     }
 }
 

@@ -83,6 +83,10 @@
 //! `0x87ec_3aa6_23e5_51a4`. Every physics half and the redistribution payload
 //! half stayed.
 
+#[path = "../crates/simcomm/tests/common/mod.rs"]
+mod common;
+
+use common::{digest, frozen_phases, splitmix64};
 use fcs::SolverKind;
 use mdsim::{simulate, SimConfig, SimResult};
 use particles::{local_set, InitialDistribution, IonicCrystal};
@@ -98,14 +102,6 @@ fn config(solver: SolverKind, resort: bool, exploit: bool, steps: usize) -> SimC
         dt: mdsim::suggested_dt(1.0, 1.0),
         ..SimConfig::default()
     }
-}
-
-/// 64-bit FNV-1a of a value's `Debug` rendering. `{:?}` prints floats in
-/// shortest round-trip form, so distinct bit patterns hash differently.
-fn digest(x: &impl std::fmt::Debug) -> u64 {
-    format!("{x:?}")
-        .bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
 }
 
 /// The physics half of an MD world: what every rank computed — per step the
@@ -139,7 +135,7 @@ fn timing_digest(out: &RunOutput<SimResult>) -> u64 {
             (steps, r.final_clock, r.plan_builds, r.plan_hits)
         })
         .collect();
-    digest(&(clock_bits, &out.stats, ranks, &out.phases))
+    digest(&(clock_bits, &out.stats, ranks, frozen_phases(out)))
 }
 
 /// Assert that an MD world hashes to `want`: `[physics, timing]` (together
@@ -341,7 +337,6 @@ impl Rec {
 fn redistribution_world_matches_frozen_digest() {
     use atasp::{alltoall_specific, build_resort_indices, decode_index, encode_index};
     use atasp::{resort_planes, ExchangeMode};
-    use particles::systems::splitmix64;
     use particles::{PlaneSet, Vec3};
 
     const P: usize = 16;
@@ -457,7 +452,7 @@ fn redistribution_world_matches_frozen_digest() {
         let clock_bits: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
         let got = [
             digest(&payload),
-            digest(&(clock_bits, &out.stats, &out.traces, &out.phases, reports)),
+            digest(&(clock_bits, &out.stats, &out.traces, frozen_phases(&out), reports)),
         ];
         let want = [0x56ac_62ec_f386_4ca5u64, 0x87ec_3aa6_23e5_51a4];
         for (half, got, want) in [("payload", got[0], want[0]), ("timing", got[1], want[1])] {

@@ -257,9 +257,10 @@ fn alltoall_specific_is_exact() {
 }
 
 /// Phase attribution property: under arbitrary interleavings of nested phase
-/// spans, communication, and modelled compute, the recorded attribution
-/// segments of every rank are time-ordered, non-overlapping, and within the
-/// rank's clock — and the per-phase aggregates decompose the clock exactly.
+/// spans, communication, and modelled compute, the clock spans of every rank
+/// are time-ordered, non-overlapping and tile `[0, clock]`; the per-phase
+/// aggregates decompose the clock exactly, and each phase's spans add up to
+/// its aggregate (the untagged spans to the untagged remainder).
 #[test]
 fn phase_spans_never_overlap() {
     let mut g = Gen::new(13);
@@ -296,21 +297,21 @@ fn phase_spans_never_overlap() {
             }
             // Leave any open phases for rank-exit auto-close.
         });
-        for (rank, prof) in out.phases.iter().enumerate() {
+        for (rank, (prof, trace)) in out.phases.iter().zip(&out.traces).enumerate() {
             let clock = out.clocks[rank];
-            let segs = &prof.segments;
-            for s in segs {
+            let spans = &trace.spans;
+            for s in spans {
                 assert!(
                     s.t_start <= s.t_end && s.t_start >= 0.0 && s.t_end <= clock + 1e-12,
-                    "case {case} rank {rank}: segment {s:?} outside [0, {clock}]"
+                    "case {case} rank {rank}: span {s:?} outside [0, {clock}]"
                 );
             }
-            for w in segs.windows(2) {
-                assert!(
-                    w[0].t_end <= w[1].t_start + 1e-12,
-                    "case {case} rank {rank}: overlapping segments {w:?}"
-                );
+            // The spans tile the clock: each starts where the last one ended.
+            assert_eq!(spans.first().map(|s| s.t_start), Some(0.0), "case {case} rank {rank}");
+            for w in spans.windows(2) {
+                assert_eq!(w[0].t_end, w[1].t_start, "case {case} rank {rank}: spans {w:?}");
             }
+            assert_eq!(spans.last().map(|s| s.t_end), Some(clock), "case {case} rank {rank}");
             // Exhaustive decomposition: tagged + untagged == totals.
             let tagged = prof.tagged_total();
             let untagged = prof.untagged(&out.stats[rank]);
@@ -319,14 +320,17 @@ fn phase_spans_never_overlap() {
                 (sum - clock).abs() < 1e-9 * clock.max(1.0),
                 "case {case} rank {rank}: phases sum to {sum}, clock {clock}"
             );
-            // Segment time of each phase never exceeds its aggregate seconds.
-            for ph in &prof.phases {
-                let seg_sum: f64 =
-                    segs.iter().filter(|s| s.name == ph.name).map(|s| s.t_end - s.t_start).sum();
+            // The spans of each phase add up to its aggregate seconds.
+            let span_sum = |phase: &str| -> f64 {
+                spans.iter().filter(|s| s.phase == phase).map(|s| s.t_end - s.t_start).sum()
+            };
+            for ph in prof.phases.iter().chain([&untagged]) {
+                let phase = if ph.name == simcomm::UNTAGGED { "" } else { ph.name };
                 assert!(
-                    (seg_sum - ph.seconds()).abs() < 1e-9 * clock.max(1.0),
-                    "case {case} rank {rank} phase {}: segments {seg_sum} vs stats {}",
+                    (span_sum(phase) - ph.seconds()).abs() < 1e-9 * clock.max(1.0),
+                    "case {case} rank {rank} phase {}: spans {} vs stats {}",
                     ph.name,
+                    span_sum(phase),
                     ph.seconds()
                 );
             }
