@@ -540,6 +540,19 @@ fn main() {
             comm.alltoallv_flat(staged.pop().expect("staged"), &segments, &mut recv, &mut sources);
             std::hint::black_box(&recv);
         });
+        // The flat form on a group: the 3 x 3 x 3 grid's planes, every
+        // member to each of the other eight — again nothing at all
+        // (`steady-group-alltoallv-flat=0`).
+        let mut plane = comm.split((me / 9) as u32, me as u32);
+        let peers: Vec<(usize, usize)> =
+            plane.members().iter().filter(|&&q| q != me).map(|&q| (q, 32)).collect();
+        let mut staged: Vec<Vec<u64>> =
+            (0..probe_steps + 2).map(|_| vec![me as u64; 32 * peers.len()]).collect();
+        let group_flat = counted(comm, &mut |comm| {
+            let payload = staged.pop().expect("staged");
+            plane.alltoallv_flat(comm, payload, &peers, &mut recv, &mut sources);
+            std::hint::black_box(&recv);
+        });
         // Three deposit types with an odd period, so that every type meets
         // both slots after every other: the envelopes of the types not in use
         // wait on the rank's side and nothing is boxed again
@@ -566,9 +579,9 @@ fn main() {
             one_of_three(comm);
         }
         let alternating = counted(comm, &mut one_of_three);
-        [allreduce, allgather, alltoallv, flat, alternating]
+        [allreduce, allgather, alltoallv, flat, group_flat, alternating]
     });
-    let [allreduce_probe, allgather_probe, alltoallv_probe, flat_probe, alternating_probe] =
+    let [allreduce_probe, allgather_probe, alltoallv_probe, flat_probe, group_flat_probe, alternating_probe] =
         collectives.results[0];
 
     // One warm `mdsim` step per solver and method, as process-wide
@@ -647,6 +660,7 @@ fn main() {
         ("steady-allgather", allgather_probe),
         ("steady-alltoallv", alltoallv_probe),
         ("steady-alltoallv-flat", flat_probe),
+        ("steady-group-alltoallv-flat", group_flat_probe),
         ("steady-alternating-collectives", alternating_probe),
     ] {
         selftime.push(SelftimeRow {

@@ -66,8 +66,9 @@ pub const OBS_OPTS: &[Opt] = &[
 pub struct Cli {
     name: &'static str,
     usage: String,
-    /// The declared keys plus `help`; any other key is a usage error.
-    allowed: Vec<&'static str>,
+    /// The declared keys plus `help`, each with whether it takes a value;
+    /// any other key is a usage error.
+    declared: Vec<(&'static str, bool)>,
     values: HashMap<String, String>,
     flags: Vec<String>,
 }
@@ -77,37 +78,64 @@ impl Cli {
     /// `common` (typically [`OBS_OPTS`], or `&[]` for a world-less tool).
     /// Handles `--help` (exit 0) and usage errors (stderr + exit 2).
     pub fn parse(name: &'static str, about: &str, opts: &[Opt], common: &[Opt]) -> Cli {
-        let all: Vec<Opt> = opts.iter().chain(common).copied().collect();
-        let mut cli = Cli {
-            name,
-            usage: render_usage(name, about, &all),
-            allowed: all.iter().map(|o| o.key).chain(std::iter::once("help")).collect(),
-            values: HashMap::new(),
-            flags: Vec::new(),
-        };
+        let mut cli = Cli::declare(name, about, opts, common);
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let a = &argv[i];
-            let Some(key) = a.strip_prefix("--") else {
-                cli.fail(format!("unexpected argument '{a}' (allowed: {:?})", cli.allowed))
-            };
-            if !cli.allowed.contains(&key) {
-                cli.fail(format!("unknown option '--{key}' (allowed: {:?})", cli.allowed));
-            }
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                cli.values.insert(key.to_string(), argv[i + 1].clone());
-                i += 2;
-            } else {
-                cli.flags.push(key.to_string());
-                i += 1;
-            }
+        if let Err(msg) = cli.read(&argv) {
+            cli.fail(msg);
         }
         if cli.flag("help") {
             println!("{}", cli.usage);
             std::process::exit(0);
         }
         cli
+    }
+
+    /// A command line that declares `opts` and `common` and has read
+    /// nothing yet.
+    fn declare(name: &'static str, about: &str, opts: &[Opt], common: &[Opt]) -> Cli {
+        let all: Vec<Opt> = opts.iter().chain(common).copied().collect();
+        Cli {
+            name,
+            usage: render_usage(name, about, &all),
+            declared: all
+                .iter()
+                .map(|o| (o.key, !o.value.is_empty()))
+                .chain(std::iter::once(("help", false)))
+                .collect(),
+            values: HashMap::new(),
+            flags: Vec::new(),
+        }
+    }
+
+    /// Read `argv` (the arguments after the program name) by the
+    /// declarations: a value option takes the next argument, which must not
+    /// be an option itself; a flag takes none. Returns the usage error of
+    /// the first argument that breaks this.
+    fn read(&mut self, argv: &[String]) -> Result<(), String> {
+        let mut args = argv.iter().peekable();
+        while let Some(a) = args.next() {
+            let Some(key) = a.strip_prefix("--") else {
+                return Err(format!("unexpected argument '{a}' (allowed: {:?})", self.allowed()));
+            };
+            let Some(&(key, takes_value)) = self.declared.iter().find(|d| d.0 == key) else {
+                return Err(format!("unknown option '--{key}' (allowed: {:?})", self.allowed()));
+            };
+            let next = args.next_if(|v| !v.starts_with("--"));
+            match (takes_value, next) {
+                (true, Some(v)) => drop(self.values.insert(key.to_string(), v.clone())),
+                (false, None) => self.flags.push(key.to_string()),
+                (true, None) => return Err(format!("option '--{key}' needs a value")),
+                (false, Some(v)) => {
+                    return Err(format!("flag '--{key}' takes no value (got '{v}')"))
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The declared keys, `help` included.
+    fn allowed(&self) -> Vec<&'static str> {
+        self.declared.iter().map(|d| d.0).collect()
     }
 
     /// Report a usage/input error: one line on stderr, the usage text, exit 2.
@@ -118,7 +146,7 @@ impl Cli {
 
     /// The raw value of a declared option, if given.
     fn value(&self, key: &str) -> Option<&str> {
-        assert!(self.allowed.contains(&key), "option '{key}' not declared");
+        assert!(self.declared.iter().any(|d| d.0 == key), "option '{key}' not declared");
         self.values.get(key).map(String::as_str)
     }
 
@@ -137,7 +165,7 @@ impl Cli {
 
     /// Was a boolean flag given?
     pub fn flag(&self, key: &str) -> bool {
-        assert!(self.allowed.contains(&key), "flag '{key}' not declared");
+        assert!(self.declared.iter().any(|d| d.0 == key), "flag '{key}' not declared");
         self.flags.iter().any(|f| f == key)
     }
 
@@ -217,6 +245,36 @@ mod tests {
         assert!(u.contains("[--fresh]"), "flags render without a placeholder: {u}");
         assert!(u.contains("--help"));
         assert!(u.contains("crystal cells"));
+    }
+
+    #[test]
+    fn arguments_are_read_by_their_declaration() {
+        let opts = [
+            Opt::flag("skip-left", "skip the left panel"),
+            Opt::flag("skip-right", "skip the right panel"),
+            Opt::new("tag", "T", "output suffix"),
+        ];
+        let read = |args: &[&str]| {
+            let mut cli = Cli::declare("fig9", "a test harness", &opts, OBS_OPTS);
+            let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            cli.read(&argv).map(|()| cli)
+        };
+        // A value option with no value is an error, not a flag.
+        for args in [&["--skip-left", "--skip-right", "--tag"][..], &["--tag", "--skip-left"]] {
+            let err = read(args).err().unwrap_or_else(|| panic!("{args:?} parsed"));
+            assert!(err.contains("'--tag' needs a value"), "{args:?}: {err}");
+        }
+        // A flag given a value is an error, not a value.
+        let err = read(&["--skip-left", "1"]).err().expect("a flag took a value");
+        assert!(err.contains("'--skip-left' takes no value"), "{err}");
+        assert!(read(&["--cells", "8"]).is_err(), "an undeclared option");
+        assert!(read(&["8"]).is_err(), "a bare argument");
+        let cli = read(&["--skip-left", "--tag", "x", "--analyze", "--perfetto", "t.json"])
+            .expect("a well-formed command line");
+        assert!(cli.flag("skip-left") && !cli.flag("skip-right") && cli.flag("analyze"));
+        assert_eq!(cli.get("tag", String::new()), "x");
+        assert_eq!(cli.get("perfetto", String::new()), "t.json");
+        assert!(read(&["--help"]).expect("help").flag("help"));
     }
 
     #[test]

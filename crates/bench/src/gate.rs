@@ -64,8 +64,9 @@ impl GateDiff {
 /// Would `current` count as a regression of `baseline` under `tolerance`?
 ///
 /// The envelope is `baseline * (1 + tolerance)` plus an absolute floor of
-/// `tolerance * scale` (with `scale` the baseline run's makespan): components
-/// that are a tiny fraction of the run can't fail on relative noise alone.
+/// `tolerance * scale / 100` — one hundredth of the relative tolerance,
+/// applied to `scale`, the baseline run's makespan: components that are a
+/// tiny fraction of the run can't fail on relative noise alone.
 fn exceeds(current: f64, baseline: f64, tolerance: f64, scale: f64) -> bool {
     current > baseline * (1.0 + tolerance) + tolerance * scale.abs().max(1e-300) * 0.01
 }

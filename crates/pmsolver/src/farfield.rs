@@ -17,7 +17,12 @@
 //! * a transpose along a grid extent of 1 has the rank itself as its only
 //!   partner, so it is no move: the mesh stays in its layout and the next
 //!   transform reads its lines strided. At `[P, 1]` the z-pencils are
-//!   x-slabs, and an execution makes four exchanges.
+//!   x-slabs, and an execution makes four exchanges;
+//! * a transpose changes one grid coordinate, so it runs on the group of
+//!   the ranks that share the other ([`simcomm::Group`], as PFFT runs each
+//!   transpose on a row or column communicator of its process grid); the
+//!   charge and patch exchanges run on the world. At `[P, 1]` the one
+//!   transpose axis spans the world, and no group is made.
 //!
 //! Every exchange is index-free: which mesh points travel from one rank to
 //! another, and in which order, is a function of the plan alone, which the
@@ -27,7 +32,7 @@
 use std::ops::Range;
 
 use particles::{SystemBox, Vec3};
-use simcomm::{push_segment, Comm, Work};
+use simcomm::{push_segment, Comm, Group, Work};
 
 use crate::bspline::{bspline_hat, stencil};
 use crate::fft::{fft_in_place, Complex, Direction};
@@ -209,7 +214,7 @@ impl Distribution {
     fn partners(&self, (from, to): (Layout, Layout), rank: usize) -> impl Iterator<Item = usize> {
         let [g0, g1] = self.grid;
         let (a, b) = (rank / g1, rank % g1);
-        let along_b = from != Layout::X && to != Layout::X;
+        let along_b = along_b((from, to));
         let parts = nonempty_parts(self.m, if along_b { g1 } else { g0 });
         parts.map(move |(c, _, _)| if along_b { a * g1 + c } else { c * g1 + b })
     }
@@ -229,11 +234,12 @@ impl Distribution {
 
     /// This rank's side of moving the mesh from one layout to the next: for
     /// every partner, the values `read` gives at the local offsets of its
-    /// route. Returns what this rank received.
+    /// route, on the row or column group of `groups` the move's partners
+    /// form (the world when there are none). Returns what this rank received.
     fn send_moved<T: Copy + Send + 'static>(
         &self,
         comm: &mut Comm,
-        traffic: &mut Traffic,
+        (traffic, groups): (&mut Traffic, &mut Option<[Group; 2]>),
         kind: Exchange,
         moved: (Layout, Layout),
         read: impl Fn(usize) -> T,
@@ -243,7 +249,18 @@ impl Distribution {
         let dests = self.partners(moved, me);
         let route = |dst| self.route(moved, me, dst);
         let capacity = [mine.len(), target.len()];
-        exchange(comm, traffic, kind, capacity, dests, route, |at| read(mine.offset(at)))
+        let on = groups.as_mut().map(|[row, column]| if along_b(moved) { row } else { column });
+        exchange((comm, on), traffic, kind, capacity, dests, route, |at| read(mine.offset(at)))
+    }
+
+    /// This rank's row group (the ranks of its grid coordinate `a`, which a
+    /// move along `b` meets) and column group (those of its `b`), made when
+    /// both grid extents exceed 1: at `[g0, 1]` the one transpose axis spans
+    /// the world. Collective.
+    fn groups(&self, comm: &mut Comm) -> Option<[Group; 2]> {
+        let [g0, g1] = self.grid;
+        let (a, b) = ((comm.rank() / g1) as u32, (comm.rank() % g1) as u32);
+        (g0 > 1 && g1 > 1).then(|| [comm.split(a, b), comm.split(b, a)])
     }
 
     /// Place what [`Self::send_moved`] received: `write` gets each record
@@ -271,6 +288,12 @@ impl Distribution {
             |at, v| write(target.offset(at), v),
         );
     }
+}
+
+/// Whether a move between two layouts changes the grid coordinate `b`
+/// (between z- and y-pencils) rather than `a` (into and out of x-pencils).
+fn along_b((from, to): (Layout, Layout)) -> bool {
+    from != Layout::X && to != Layout::X
 }
 
 /// Transform every line along dimension `dim` of the local array `local`
@@ -367,13 +390,14 @@ struct Traffic {
 
 /// One index-free exchange: for every `dst` of `dests`, the records `value`
 /// gives the points of `route(dst)`, in route order, sent with
-/// [`Comm::alltoallv_flat`] and counted under `kind` — except this rank's
-/// own segment, which stays home (DESIGN.md, "The local block"). Returns the
-/// records received, that segment at its rank's place among them, segmented
-/// as `traffic.sources` says. `capacity` bounds what is sent and is what is
-/// received, own segment included, so neither buffer grows.
+/// [`Comm::alltoallv_flat`] — on the group `on` when there is one — and
+/// counted under `kind`, except this rank's own segment, which stays home
+/// (DESIGN.md, "The local block"). Returns the records received, that
+/// segment at its rank's place among them, segmented as `traffic.sources`
+/// says. `capacity` bounds what is sent and is what is received, own
+/// segment included, so neither buffer grows.
 fn exchange<T: Copy + Send + 'static, I: Iterator<Item = [usize; 3]>>(
-    comm: &mut Comm,
+    (comm, on): (&mut Comm, Option<&mut Group>),
     traffic: &mut Traffic,
     kind: Exchange,
     [send_capacity, recv_capacity]: [usize; 2],
@@ -399,7 +423,10 @@ fn exchange<T: Copy + Send + 'static, I: Iterator<Item = [usize; 3]>>(
     sent.messages += segments.iter().filter(|&&(_, len)| len > 0).count() as u64;
     sent.bytes += std::mem::size_of_val(&send[..]) as u64;
     let mut received = Vec::with_capacity(recv_capacity);
-    comm.alltoallv_flat(send, segments, &mut received, sources);
+    match on {
+        Some(group) => group.alltoallv_flat(comm, send, segments, &mut received, sources),
+        None => comm.alltoallv_flat(send, segments, &mut received, sources),
+    }
     if own {
         // Appended, then rotated past the segments of the higher sources.
         let (at, at_source) = (received.len(), sources.partition_point(|&(src, _)| src < me));
@@ -477,6 +504,9 @@ pub struct FarFieldCache {
     patch_sources: Vec<(usize, usize)>,
     /// The mesh's distribution over the ranks.
     dist: Distribution,
+    /// The row and column groups the transposes run on, when both grid
+    /// extents exceed 1 ([`Distribution::groups`]).
+    groups: Option<[Group; 2]>,
     /// B-spline weights per dimension.
     weights: [Vec<f64>; 3],
     /// This rank's pencil of the mesh in the layout of the current stage,
@@ -722,14 +752,16 @@ impl FarFieldPlan {
     }
 
     /// Validate `cache` against this plan and `comm`'s rank layout, rebuild
-    /// it on mismatch, and reset its exchange counts.
-    fn prepare(&self, comm: &Comm, cache: &mut FarFieldCache) {
+    /// it on mismatch — every rank at once, as the geometry is the world's —
+    /// and reset its exchange counts.
+    fn prepare(&self, comm: &mut Comm, cache: &mut FarFieldCache) {
         let (me, p) = (comm.rank(), comm.size());
         let key = Some((me, p, self.mesh, self.assign_order, self.dims));
         if cache.key != key {
             *cache = FarFieldCache { key, ..FarFieldCache::default() };
             self.build_window(me, &mut cache.window);
             cache.dist = Distribution::new(self.mesh, p);
+            cache.groups = cache.dist.groups(comm);
             self.build_patch_index(cache);
             cache.weights = std::array::from_fn(|_| vec![0.0; self.assign_order]);
             cache.line = vec![Complex::ZERO; self.mesh];
@@ -808,7 +840,8 @@ impl FarFieldPlan {
         let value = |at| sums[window.offset(at, "assignment")];
         let mine = dist.held(Layout::Z, me);
         let capacity = [sums.len(), self.patch_points(mine)];
-        let received = exchange(comm, traffic, Exchange::Charges, capacity, dests, route, value);
+        let on = (&mut *comm, None);
+        let received = exchange(on, traffic, Exchange::Charges, capacity, dests, route, value);
         drop(sums);
         let target = dist.local(Layout::Z, me);
         zeroed(pencil, target.len(), Complex::ZERO);
@@ -824,15 +857,15 @@ impl FarFieldPlan {
     /// changes; it ends, like it started, in z-pencils.
     fn transform(&self, comm: &mut Comm, cache: &mut FarFieldCache) {
         let me = comm.rank();
-        let FarFieldCache { spec, dist, pencil, quad, line, traffic, .. } = cache;
+        let FarFieldCache { spec, dist, groups, pencil, quad, line, traffic, .. } = cache;
         let mut at = Layout::Z;
         let mut fft_ops = 0u64;
         for dim in [2, 1, 0] {
             let stage = dist.stage(dim);
             if stage != at {
                 let moved = (at, stage);
-                let received =
-                    dist.send_moved(comm, traffic, Exchange::Forward, moved, |o| pencil[o]);
+                let on = (&mut *traffic, &mut *groups);
+                let received = dist.send_moved(comm, on, Exchange::Forward, moved, |o| pencil[o]);
                 zeroed(pencil, received.len(), Complex::ZERO);
                 dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| pencil[o] = c);
                 at = stage;
@@ -854,8 +887,8 @@ impl FarFieldPlan {
             let stage = dist.stage(dim);
             if stage != at {
                 let moved = (at, stage);
-                let received =
-                    dist.send_moved(comm, traffic, Exchange::Back, moved, |o| octet(quad, o));
+                let on = (&mut *traffic, &mut *groups);
+                let received = dist.send_moved(comm, on, Exchange::Back, moved, |o| octet(quad, o));
                 for arr in quad.iter_mut() {
                     zeroed(arr, received.len(), Complex::ZERO);
                 }
@@ -910,7 +943,8 @@ impl FarFieldPlan {
             [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
         };
         let capacity = [self.patch_points(held), window.len()];
-        let received = exchange(comm, traffic, Exchange::Patches, capacity, dests, route, value);
+        let on = (&mut *comm, None);
+        let received = exchange(on, traffic, Exchange::Patches, capacity, dests, route, value);
         assert!(
             traffic.sources == *patch_sources,
             "the patch exchange delivers the planned routes"
@@ -982,7 +1016,7 @@ mod tests {
     use super::*;
     use particles::reference::{ewald, EwaldParams};
     use particles::IonicCrystal;
-    use simcomm::{run, MachineModel};
+    use simcomm::{run, MachineModel, Runner, TraceEvent, TraceKind};
 
     /// One execution on a fresh cache, its result copied out.
     fn execute_fresh(
@@ -1172,6 +1206,14 @@ mod tests {
     ///   1 — the slab's four at `1 < P ≤ mesh`, six when both extents exceed
     ///   1, two at `P = 1` — so no move along an extent of 1 is made, and the
     ///   staging holds one pencil buffer, never grown past the rank's box;
+    /// * with both extents above 1 the first execution splits the world into
+    ///   row and column groups, and the four transposes run on them — moves
+    ///   along `b` on the row (size `g1`), along `a` on the column (size
+    ///   `g0`) — while charges and patches run on the world; otherwise
+    ///   nothing is split and every exchange is a world collective;
+    /// * each transpose ends at its communicator's last arrival plus
+    ///   [`MachineModel::alltoallv_time`] over the communicator's size of
+    ///   what the rank moved;
     /// * every exchange sends its closed-form messages and bytes, its self
     ///   segment kept home;
     /// * the energy matches the k-space part of Ewald to 1e-3, the bound the
@@ -1210,7 +1252,8 @@ mod tests {
                 }
 
                 let plan = FarFieldPlan::new(mesh, order, alpha, dims, bbox);
-                let out = run(p, MachineModel::juropa_like(), |comm| {
+                let model = MachineModel::juropa_like();
+                let out = Runner::default().traced(true).run(p, model.clone(), |comm| {
                     let me = comm.rank();
                     let mine = pos_all.iter().zip(&charge_all);
                     let (pos, charge): (Vec<Vec3>, Vec<f64>) = mine
@@ -1222,13 +1265,77 @@ mod tests {
                     let energy = 0.5 * phi.iter().zip(&charge).map(|(f, q)| f * q).sum::<f64>();
                     let collectives = comm.stats().coll_ops - before;
                     let kept = (cache.pencil.capacity(), cache.dist.local(Layout::Z, me).len());
-                    (energy, collectives, cache.traffic.sent, kept)
+                    let groups = cache.groups.as_ref().map(|gs| gs.each_ref().map(Group::id));
+                    (energy, collectives, cache.traffic.sent, kept, groups)
                 });
+                let split = g0 > 1 && g1 > 1;
                 let alltoallv = 2 + 2 * (u64::from(g0 > 1) + u64::from(g1 > 1));
-                for (me, (_, collectives, sent, (kept, boxed))) in out.results.iter().enumerate() {
-                    assert_eq!(*collectives, alltoallv, "{what}: rank {me} all-to-all-v");
+                let exchanges: Vec<Vec<&TraceEvent>> = out
+                    .traces
+                    .iter()
+                    .map(|t| t.events.iter().filter(|e| e.kind == TraceKind::Alltoallv).collect())
+                    .collect();
+                // The moves of an execution, forward then back.
+                let mut moves = Vec::new();
+                let mut at = Layout::Z;
+                for dim in [2, 1, 0, 0, 1, 2] {
+                    if dist.stage(dim) != at {
+                        moves.push((at, dist.stage(dim)));
+                        at = dist.stage(dim);
+                    }
+                }
+                for (me, (_, collectives, sent, (kept, boxed), groups)) in
+                    out.results.iter().enumerate()
+                {
+                    let splits = 2 * u64::from(split);
+                    assert_eq!(*collectives, splits + alltoallv, "{what}: rank {me} collectives");
                     assert_eq!(*sent, closed_form(mesh, order, dims, me), "{what}: rank {me}");
                     assert_eq!(kept, boxed, "{what}: rank {me} keeps more than its pencil");
+                    assert_eq!(groups.is_some(), split, "{what}: rank {me} splits");
+                    // Where each exchange ran: the world for charges and
+                    // patches, the row group (size g1) for moves along b and
+                    // the column group (size g0) for moves along a.
+                    let on: Vec<_> = exchanges[me].iter().map(|e| (e.group, e.nranks)).collect();
+                    let want = match *groups {
+                        Some([row, column]) => {
+                            let transposes = [(row, g1), (column, g0), (column, g0), (row, g1)];
+                            [vec![(0, p)], transposes.to_vec(), vec![(0, p)]].concat()
+                        }
+                        None => vec![(0, p); alltoallv as usize],
+                    };
+                    assert_eq!(on, want, "{what}: rank {me} communicators");
+                    // A transpose ends when its last member arrived plus the
+                    // modelled cost of what this rank moved, over the
+                    // communicator it ran on.
+                    for (k, &moved) in moves.iter().enumerate() {
+                        let e = exchanges[me][1 + k];
+                        let peers = (0..p).filter(|&r| exchanges[r][1 + k].group == e.group);
+                        let last = peers.map(|r| exchanges[r][1 + k].t_start).fold(0.0, f64::max);
+                        let elem = if k < moves.len() / 2 { 16 } else { 64 };
+                        let moving = |src, dst| {
+                            u64::from(src != dst) * dist.route(moved, src, dst).count() as u64
+                        };
+                        let sends: Vec<u64> =
+                            dist.partners(moved, me).map(|dst| moving(me, dst)).collect();
+                        let recvs: Vec<u64> = (0..p)
+                            .filter(|&src| dist.partners(moved, src).any(|dst| dst == me))
+                            .map(|src| moving(src, me))
+                            .collect();
+                        let count = |v: &[u64]| v.iter().filter(|&&n| n > 0).count() as u64;
+                        let bytes = |v: &[u64]| elem * v.iter().sum::<u64>();
+                        let cost = model.alltoallv_time(
+                            e.nranks,
+                            count(&sends),
+                            bytes(&sends),
+                            count(&recvs),
+                            bytes(&recvs),
+                        );
+                        let charged = e.t_end - last;
+                        assert!(
+                            (charged - cost).abs() <= 1e-9 * cost,
+                            "{what}: rank {me} transpose {k} charged {charged:e}, modelled {cost:e}"
+                        );
+                    }
                 }
                 let energy: f64 = out.results.iter().map(|r| r.0).sum();
                 let rel = (energy - want).abs() / want.abs();

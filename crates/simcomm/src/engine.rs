@@ -374,14 +374,19 @@ impl Scheduler {
         self.pick_one(&mut st)
     }
 
-    /// A collective completed: wake every task parked on it — nobody parks
-    /// on the next one before this one completed, so that is every task at
-    /// the collective site — and push the ones that get a free baton onto
-    /// `picked` for the caller to resume once it has released the slot's
-    /// guard.
-    pub(crate) fn wake_collective(&self, picked: &mut Vec<usize>) {
+    /// A collective of the ranks `members` completed: wake every one of them
+    /// parked at the collective site — every member has deposited, so none
+    /// parks on a later collective before it has read this one, and a
+    /// member's wakeup is never lost to another — and push the ones that get
+    /// a free baton onto `picked` for the caller to resume once it has
+    /// released the slot's guard.
+    pub(crate) fn wake_collective(
+        &self,
+        members: impl Iterator<Item = usize>,
+        picked: &mut Vec<usize>,
+    ) {
         let mut st = lock(&self.state);
-        for rank in 0..st.tasks.len() {
+        for rank in members {
             if st.tasks[rank].state == TaskState::Blocked(WaitSite::Collective) {
                 Self::make_runnable(&mut st, rank);
             }

@@ -59,4 +59,4 @@ pub use model::{
 pub use phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseStats, UNTAGGED};
 pub use plan::CommPlan;
 pub use trace::{write_trace_csv, ClockSpan, SpanCat, Trace, TraceEvent, TraceKind};
-pub use world::{push_segment, run, Comm, RankStats, Request, RunOutput, Runner};
+pub use world::{push_segment, run, Comm, Group, RankStats, Request, RunOutput, Runner};

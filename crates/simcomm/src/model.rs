@@ -141,6 +141,20 @@ impl HopTable {
         }
         hops
     }
+
+    /// Per torus dimension: how many distinct coordinates `ranks` take.
+    fn distinct_coords(&self, ranks: &[usize]) -> Vec<usize> {
+        let nd = self.dims.len();
+        (0..nd)
+            .map(|i| {
+                let mut seen = vec![false; self.dims[i] as usize];
+                for &r in ranks {
+                    seen[self.coords[r * nd + i] as usize] = true;
+                }
+                seen.iter().filter(|&&s| s).count()
+            })
+            .collect()
+    }
 }
 
 /// The collective cost formulas of one model at one world size, with every
@@ -150,7 +164,7 @@ impl HopTable {
 /// methods, so both routes give the same bits.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CollTerms {
-    /// Tree stages for the world's ranks.
+    /// Tree stages for the communicator's ranks.
     stages: f64,
     /// Latency of one tree stage.
     stage: f64,
@@ -438,7 +452,28 @@ impl MachineModel {
 
     /// The collective cost terms of a world of `n` ranks.
     pub(crate) fn coll_terms(&self, n: usize) -> CollTerms {
-        let avg_hops = self.avg_hops(n);
+        self.coll_terms_at(n, self.avg_hops(n))
+    }
+
+    /// The collective cost terms of a group of the world `hops` was built
+    /// for: [`MachineModel::coll_terms`] over the member count, with
+    /// [`MachineModel::avg_hops`]' formula applied to the number of distinct
+    /// coordinates the members take along each torus dimension. A group of
+    /// every rank takes every coordinate, so it costs what the world costs,
+    /// bit for bit.
+    pub(crate) fn group_coll_terms(&self, hops: &HopTable, members: &[usize]) -> CollTerms {
+        let avg_hops = match &self.topology {
+            Topology::Switched => 1.0,
+            Topology::Torus { .. } => {
+                hops.distinct_coords(members).iter().map(|&d| d as f64 / 4.0).sum()
+            }
+        };
+        self.coll_terms_at(members.len(), avg_hops)
+    }
+
+    /// The collective cost terms of `n` ranks whose average route is
+    /// `avg_hops` long.
+    fn coll_terms_at(&self, n: usize, avg_hops: f64) -> CollTerms {
         let alltoall_eff_bw = match &self.topology {
             Topology::Switched => self.alltoall_bandwidth / self.node_share,
             // Average route length grows like avg_hops(n); the shared-link

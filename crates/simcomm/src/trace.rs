@@ -81,7 +81,7 @@ impl TraceKind {
 }
 
 /// One traced communication event on one rank.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 pub struct TraceEvent {
     /// The rank the event occurred on.
     pub rank: usize,
@@ -95,9 +95,15 @@ pub struct TraceEvent {
     pub bytes: u64,
     /// Peer rank for point-to-point operations.
     pub peer: Option<usize>,
-    /// Size of the communicator the operation ran on (the world size; lets
-    /// offline analysis compute collective fan-out).
+    /// Size of the communicator the operation ran on: the group's member
+    /// count for a group collective, the world size otherwise (lets offline
+    /// analysis compute collective fan-out).
     pub nranks: usize,
+    /// The group a group collective ran on ([`crate::Group::id`]); `0` for
+    /// every other event. Only a group's members record its collectives, so
+    /// the k-th record of group `g` on each member belongs to one instance.
+    /// In memory only: the CSV form has no column for it.
+    pub group: u32,
     /// Name of the innermost open phase when the event was recorded
     /// (see [`crate::Comm::enter_phase`]); empty if none.
     pub phase: &'static str,
@@ -108,6 +114,26 @@ pub struct TraceEvent {
     /// (send → recv, isend → wait) without guessing by tag. `0` means the
     /// event is not tied to a single message (collectives, plans, faults).
     pub corr: u64,
+}
+
+/// The derived rendering, except that `group` shows only on a group
+/// collective's record: every other renders as it did before groups
+/// existed, so the frozen digests of worlds without groups still hold.
+impl std::fmt::Debug for TraceEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut d = f.debug_struct("TraceEvent");
+        d.field("rank", &self.rank)
+            .field("kind", &self.kind)
+            .field("t_start", &self.t_start)
+            .field("t_end", &self.t_end)
+            .field("bytes", &self.bytes)
+            .field("peer", &self.peer)
+            .field("nranks", &self.nranks);
+        if self.group != 0 {
+            d.field("group", &self.group);
+        }
+        d.field("phase", &self.phase).field("corr", &self.corr).finish()
+    }
 }
 
 /// Clock-advance category of a [`ClockSpan`]: which of the three exhaustive
@@ -171,7 +197,7 @@ impl Trace {
         t_end: f64,
         bytes: u64,
         peer: Option<usize>,
-        nranks: usize,
+        (nranks, group): (usize, u32),
         phase: &'static str,
         corr: u64,
     ) {
@@ -183,6 +209,7 @@ impl Trace {
             bytes,
             peer,
             nranks,
+            group,
             phase,
             corr,
         });
@@ -250,9 +277,9 @@ mod tests {
     #[test]
     fn time_in_sums_by_kind() {
         let mut t = Trace::default();
-        t.record(0, TraceKind::Send, 0.0, 1.0, 8, Some(1), 2, "", 1);
-        t.record(0, TraceKind::Recv, 1.0, 3.0, 8, Some(1), 2, "", 2);
-        t.record(0, TraceKind::Send, 3.0, 3.5, 8, Some(2), 2, "", 3);
+        t.record(0, TraceKind::Send, 0.0, 1.0, 8, Some(1), (2, 0), "", 1);
+        t.record(0, TraceKind::Recv, 1.0, 3.0, 8, Some(1), (2, 0), "", 2);
+        t.record(0, TraceKind::Send, 3.0, 3.5, 8, Some(2), (2, 0), "", 3);
         assert!((t.time_in(TraceKind::Send) - 1.5).abs() < 1e-12);
         assert!((t.time_in(TraceKind::Recv) - 2.0).abs() < 1e-12);
         assert_eq!(t.time_in(TraceKind::Barrier), 0.0);
@@ -261,8 +288,8 @@ mod tests {
     #[test]
     fn csv_format() {
         let mut t = Trace::default();
-        t.record(3, TraceKind::Alltoallv, 0.5, 0.75, 1024, None, 8, "sort:exchange", 0);
-        t.record(3, TraceKind::Send, 0.8, 0.9, 16, Some(1), 8, "", 77);
+        t.record(3, TraceKind::Alltoallv, 0.5, 0.75, 1024, None, (8, 0), "sort:exchange", 0);
+        t.record(3, TraceKind::Send, 0.8, 0.9, 16, Some(1), (8, 0), "", 77);
         let mut buf = Vec::new();
         write_trace_csv(&mut buf, &[t]).unwrap();
         let s = String::from_utf8(buf).unwrap();

@@ -164,11 +164,23 @@ impl Comm {
         peer: Option<usize>,
         corr: u64,
     ) {
+        self.trace_record(kind, t_start, bytes, peer, (self.shared.n, 0), corr);
+    }
+
+    /// Record a trace event of the communicator `(size, group id)`.
+    pub(super) fn trace_record(
+        &mut self,
+        kind: TraceKind,
+        t_start: f64,
+        bytes: u64,
+        peer: Option<usize>,
+        communicator: (usize, u32),
+        corr: u64,
+    ) {
         let t_end = self.clock;
         let phase = self.phase_stack.last().copied().unwrap_or("");
-        let nranks = self.shared.n;
         if let Some(tr) = self.trace.as_mut() {
-            tr.record(self.rank, kind, t_start, t_end, bytes, peer, nranks, phase, corr);
+            tr.record(self.rank, kind, t_start, t_end, bytes, peer, communicator, phase, corr);
         }
     }
 

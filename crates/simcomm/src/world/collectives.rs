@@ -1,12 +1,14 @@
-//! How ranks meet: two alternating slots ([`CollSlot`]), folds in ascending
-//! rank order, one wait per collective, and one body that counts, costs and
-//! traces every all-to-all-v form ([`Comm::alltoallv_core`]). Only this
-//! module locks a slot.
+//! How ranks meet: two alternating slots per communicator ([`CollSlot`]) —
+//! the world's, and each group's ([`Group`], made by [`Comm::split`]) —,
+//! folds in ascending rank order, one wait per collective, and one body that
+//! counts, costs and traces every all-to-all-v form
+//! ([`Comm::alltoallv_core`]). Only this module locks a slot.
 
 use std::any::Any;
-use std::sync::Mutex;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 
-use super::{lock, Comm};
+use super::{lock, Comm, WorldShared};
 use crate::engine::WaitSite;
 use crate::model::CollTerms;
 use crate::trace::{SpanCat, TraceKind};
@@ -17,12 +19,41 @@ use crate::trace::{SpanCat, TraceKind};
 /// call however many destinations it has.
 #[derive(Clone, Copy)]
 struct BinEntry {
-    src: usize,
+    /// The sender's world rank (ranks fit 32 bits, see `HopTable`, which
+    /// keeps the entry at three words).
+    src: u32,
+    /// The sender's cell: its place in the communicator (its world rank in
+    /// the world).
+    cell: u32,
     /// Where the message sits in the sender's deposit: its position in a
     /// send list, or the offset of its first element in a flat payload.
     index: usize,
     /// Elements in the message.
     len: usize,
+}
+
+impl BinEntry {
+    fn src(&self) -> usize {
+        self.src as usize
+    }
+}
+
+/// A sender's view of the destination bins of one all-to-all-v: it names
+/// destinations by world rank, and a group collective finds each one's bin
+/// at its place among the members.
+struct Bins<'a> {
+    bins: &'a mut [Vec<BinEntry>],
+    src: u32,
+    cell: u32,
+    group: Option<&'a GroupShared>,
+}
+
+impl Bins<'_> {
+    /// File a message of `len` elements at `index` of the deposit for `dst`.
+    fn push(&mut self, dst: usize, index: usize, len: usize) {
+        let at = self.group.map_or(dst, |g| g.place(dst));
+        self.bins[at].push(BinEntry { src: self.src, cell: self.cell, index, len });
+    }
 }
 
 /// Envelopes set aside per rank and slot (and per slot's result) at most. A
@@ -72,9 +103,10 @@ impl<T> Default for FlatDeposit<T> {
     }
 }
 
-/// One of the world's two collective slots ([`Slots`]). Every rank counts the
-/// collectives it has entered ([`Comm::coll_seq`]; all ranks enter them in
-/// the same order), and collective number `k` uses slot `k % 2`. Two slots
+/// One of a communicator's two collective slots ([`Slots`]), with one cell
+/// and one bin per member. Every rank counts the collectives it has entered
+/// on the communicator ([`Comm::coll_seq`], [`Seat::seq`]; all members enter
+/// them in the same order), and collective number `k` uses slot `k % 2`. Two slots
 /// suffice: a rank enters collective `k + 2` only after `k + 1` completed,
 /// `k + 1` completes only when every rank has deposited into it, and a rank
 /// deposits into `k + 1` only after it has read the result of `k` — so when
@@ -153,34 +185,40 @@ impl CollSlot {
         all.extend(deposits);
     }
 
+    /// The result envelope as an `A`, kept or set aside under the rule of
+    /// [`envelope_as`].
+    fn result_as<A: Default + Send + 'static>(&mut self) -> &mut A {
+        envelope_as::<A>(&mut self.result, &mut self.results_aside)
+    }
+
     /// The result the last depositor published.
     fn result<A: 'static>(&self) -> &A {
         self.result.downcast_ref::<A>().expect("collective aggregate type mismatch")
     }
 
-    /// For an all-to-all-v receiver: `rank`'s bin entries, sorted by source
-    /// (entries of one source in the order it listed them), beside the
-    /// deposit cells they point into. Leaves the bin empty for the next
-    /// collective in this slot.
+    /// For an all-to-all-v receiver: the bin entries of the member in `cell`,
+    /// sorted by source world rank (entries of one source in the order it
+    /// listed them), beside the deposit cells they point into. Leaves the bin
+    /// empty for the next collective in this slot.
     fn drain_bin(
         &mut self,
-        rank: usize,
+        cell: usize,
     ) -> (std::vec::Drain<'_, BinEntry>, &mut [Box<dyn Any + Send>]) {
-        let bin = &mut self.bins[rank];
+        let bin = &mut self.bins[cell];
         bin.sort_unstable_by_key(|e| (e.src, e.index));
         (bin.drain(..), &mut self.cells)
     }
 }
 
-/// The current deposit of `src` among `cells` ([`CollSlot::drain_bin`]) as a
-/// `D`, for an all-to-all-v receiver.
-fn deposit_of<D: 'static>(cells: &mut [Box<dyn Any + Send>], src: usize) -> &mut D {
-    cells[src]
+/// The current deposit of the sender of `e` among `cells`
+/// ([`CollSlot::drain_bin`]) as a `D`, for an all-to-all-v receiver.
+fn deposit_of<D: 'static>(cells: &mut [Box<dyn Any + Send>], e: BinEntry) -> &mut D {
+    cells[e.cell as usize]
         .downcast_mut::<D>()
-        .unwrap_or_else(|| panic!("alltoallv type mismatch from rank {src}"))
+        .unwrap_or_else(|| panic!("alltoallv type mismatch from rank {}", e.src()))
 }
 
-/// The world's two collective slots.
+/// A communicator's two collective slots.
 pub(super) struct Slots([Mutex<CollSlot>; 2]);
 
 impl Slots {
@@ -189,18 +227,161 @@ impl Slots {
     }
 }
 
+/// What the members of one group share, made once by the last depositor of
+/// the [`Comm::split`] that created it: who they are, what a collective
+/// among them costs, and their own slot pair.
+struct GroupShared {
+    /// World-unique, from 1 in split order (see [`Group::id`]).
+    id: u32,
+    /// World ranks in member order: by key, then by world rank.
+    members: Vec<usize>,
+    /// `(world rank, member index)` ascending by world rank: where a
+    /// destination's bin is.
+    places: Vec<(usize, usize)>,
+    terms: CollTerms,
+    slots: Slots,
+}
+
+impl GroupShared {
+    fn new(id: u32, members: Vec<usize>, world: &WorldShared) -> GroupShared {
+        let mut places: Vec<(usize, usize)> =
+            members.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+        places.sort_unstable();
+        let terms = world.model.group_coll_terms(&world.hop_table, &members);
+        let slots = Slots::new(members.len());
+        GroupShared { id, members, places, terms, slots }
+    }
+
+    /// The member index of world rank `rank`.
+    fn place(&self, rank: usize) -> usize {
+        match self.places.binary_search_by_key(&rank, |&(r, _)| r) {
+            Ok(at) => self.places[at].1,
+            Err(_) => panic!("rank {rank} is not a member of group {}", self.id),
+        }
+    }
+}
+
+/// One rank's own state on a communicator, beside what its members share:
+/// its cell, its collective count and its envelopes set aside per slot
+/// (the world's are [`Comm::coll_seq`] and [`Comm::coll_aside`]).
+struct Seat {
+    /// This rank's member index.
+    cell: usize,
+    seq: u64,
+    aside: [Vec<Box<dyn Any + Send>>; 2],
+}
+
+/// A rank's handle on a group of world ranks, made by [`Comm::split`]: an
+/// `MPI_Comm_split` sub-communicator that [`Group::alltoallv_flat`] runs
+/// on. The rank that made it keeps it for as long as it exchanges on it;
+/// dropping it on every member frees the group.
+///
+/// A group collective meets only the members: its clock is the members'
+/// latest arrival, and its cost is the world's formula over the member
+/// count and the members' torus coordinates (DESIGN.md, "Groups").
+/// Destinations and sources stay world ranks.
+pub struct Group {
+    shared: Arc<GroupShared>,
+    seat: Seat,
+}
+
+impl Group {
+    /// The group's world-unique id, `1` for the first group a world makes;
+    /// its collectives' trace records carry it ([`crate::TraceEvent::group`]).
+    pub fn id(&self) -> u32 {
+        self.shared.id
+    }
+
+    /// The members' world ranks, ordered by their split key (ties by world
+    /// rank).
+    pub fn members(&self) -> &[usize] {
+        &self.shared.members
+    }
+
+    /// [`Comm::alltoallv_flat`] among the members: every member calls it,
+    /// with `comm` its own world handle; `segments` name members by world
+    /// rank, and `sources` come back in ascending world rank. Counted,
+    /// booked and traced like the world's, at the group's cost.
+    pub fn alltoallv_flat<T: Copy + Send + 'static>(
+        &mut self,
+        comm: &mut Comm,
+        send: Vec<T>,
+        segments: &[(usize, usize)],
+        recv: &mut Vec<T>,
+        sources: &mut Vec<(usize, usize)>,
+    ) {
+        let Group { shared, seat } = self;
+        assert_eq!(comm.rank, shared.members[seat.cell], "a group is used by its own rank");
+        comm.alltoallv_flat_on(Some((shared, seat)), send, segments, recv, sources);
+    }
+}
+
+/// Where a collective meets: the world (`None`), or a group with this rank's
+/// seat in it.
+type On<'a> = Option<(&'a GroupShared, &'a mut Seat)>;
+
+/// What a [`Comm::split`] leaves in its slot's result envelope: each rank's
+/// `(color, key)`, written there at deposit — every rank has read the
+/// slot's previous result by then (see [`CollSlot`]), and no cell boxes a
+/// pair —, then the groups its last depositor made, and per world rank its
+/// group and member index.
+#[derive(Default)]
+struct Split {
+    /// Per world rank: `(color, key)`, then `(group, member index)`.
+    seats: Vec<(u32, u32)>,
+    groups: Vec<Arc<GroupShared>>,
+    /// Ranks that have not taken their handle yet; the last one drops the
+    /// groups, so the members' handles are all that keep them.
+    unread: usize,
+}
+
+impl Split {
+    /// Group the world's `(color, key)` pairs: one group per color, in
+    /// ascending color, its members by key and world rank.
+    fn build(&mut self, world: &WorldShared) {
+        let mut order: Vec<(u32, u32, usize)> =
+            self.seats.iter().enumerate().map(|(rank, &(color, key))| (color, key, rank)).collect();
+        order.sort_unstable();
+        self.groups.clear();
+        for same in order.chunk_by(|a, b| a.0 == b.0) {
+            let members: Vec<usize> = same.iter().map(|&(_, _, rank)| rank).collect();
+            for (cell, &rank) in members.iter().enumerate() {
+                self.seats[rank] = (self.groups.len() as u32, cell as u32);
+            }
+            let id = world.groups_made.fetch_add(1, Ordering::Relaxed) + 1;
+            self.groups.push(Arc::new(GroupShared::new(id, members, world)));
+        }
+        self.unread = order.len();
+    }
+
+    /// World rank `rank`'s handle on its group.
+    fn take(&mut self, rank: usize) -> Group {
+        let (group, cell) = (self.seats[rank].0 as usize, self.seats[rank].1 as usize);
+        let seat = Seat { cell, seq: 0, aside: [Vec::new(), Vec::new()] };
+        let group = Group { shared: Arc::clone(&self.groups[group]), seat };
+        self.unread -= 1;
+        if self.unread == 0 {
+            self.groups.clear();
+        }
+        group
+    }
+}
+
 impl Comm {
-    /// Every collective, with exactly one wait: every rank runs `deposit` on
-    /// the slot this collective uses (see [`CollSlot`] for why two
-    /// alternating slots suffice); the last depositor runs `publish` over the
-    /// full slot and wakes the others; every rank then runs `read`. All three
-    /// run under the slot's guard; `deposit` also gets the envelopes this
-    /// rank has set aside for the slot ([`envelope_as`]). The collective is
-    /// booked here too: one operation of `bytes` contributed, the gap to the
-    /// last depositor as rendezvous wait, `cost` of what `read` returned as
-    /// communication, and a trace record of `kind` if there is one.
+    /// Every collective, with exactly one wait: every member of the
+    /// communicator `on` names runs `deposit` on the slot this collective
+    /// uses (see [`CollSlot`] for why two alternating slots suffice); the
+    /// last depositor runs `publish` over the full slot and wakes the others;
+    /// every member then runs `read`. All three run under the slot's guard;
+    /// `deposit` also gets the envelopes this rank has set aside for the slot
+    /// ([`envelope_as`]). The collective is booked here too: one operation of
+    /// `bytes` contributed, the gap to the last depositor as rendezvous wait,
+    /// `cost` of what `read` returned as communication — with the
+    /// communicator's cost terms —, and a trace record of `kind` if there is
+    /// one.
     fn coll_exchange<R>(
         &mut self,
+        on: On<'_>,
         (kind, bytes): (Option<TraceKind>, u64),
         deposit: impl FnOnce(&mut CollSlot, &mut Vec<Box<dyn Any + Send>>),
         publish: impl FnOnce(&mut CollSlot),
@@ -215,27 +396,43 @@ impl Comm {
         if self.woken.capacity() == 0 {
             self.woken.reserve_exact(self.shared.sched.collective_wake_limit());
         }
-        let parity = (self.coll_seq % 2) as usize;
-        let m = &self.shared.coll.0[parity];
-        self.coll_seq += 1;
+        let world = &*self.shared;
+        let (slots, seq, aside, members, terms, id) = match on {
+            None => {
+                (&world.coll, &mut self.coll_seq, &mut self.coll_aside, None, world.coll_terms, 0)
+            }
+            Some((g, seat)) => {
+                let members = Some(&g.members[..]);
+                (&g.slots, &mut seat.seq, &mut seat.aside, members, g.terms, g.id)
+            }
+        };
+        let size = members.map_or(world.n, <[usize]>::len);
+        let parity = (*seq % 2) as usize;
+        let m = &slots.0[parity];
+        *seq += 1;
         let mut slot = lock(m);
         let generation = slot.generation;
         if slot.arrived == 0 {
             slot.max_clock = 0.0;
         }
-        deposit(&mut slot, &mut self.coll_aside[parity]);
+        deposit(&mut slot, &mut aside[parity]);
         slot.max_clock = slot.max_clock.max(self.clock);
         slot.arrived += 1;
-        if slot.arrived == self.shared.n {
+        if slot.arrived == size {
             // Last depositor: publish the result and release the others.
             publish(&mut slot);
             slot.arrived = 0;
             slot.generation += 1;
-            self.shared.sched.wake_collective(&mut self.woken);
+            match members {
+                None => world.sched.wake_collective(0..size, &mut self.woken),
+                Some(members) => {
+                    world.sched.wake_collective(members.iter().copied(), &mut self.woken)
+                }
+            }
         } else {
             while slot.generation == generation {
-                self.shared.check_poison();
-                slot = self.shared.wait_on(self.rank, WaitSite::Collective, self.clock, m, slot);
+                world.check_poison();
+                slot = world.wait_on(self.rank, WaitSite::Collective, self.clock, m, slot);
             }
         }
         let out = read(&mut slot);
@@ -243,13 +440,13 @@ impl Comm {
         drop(slot);
         // Batons change hands only now that the collective guard is free.
         for next in self.woken.drain(..) {
-            self.shared.sched.resume(next);
+            world.sched.resume(next);
         }
-        let cost = cost(&out, &self.shared.coll_terms);
+        let cost = cost(&out, &terms);
         self.charge(SpanCat::Wait, (max_clock - self.clock).max(0.0));
         self.charge(SpanCat::Comm, cost.max(0.0));
         if let Some(kind) = kind {
-            self.trace_event(kind, t0, bytes, None);
+            self.trace_record(kind, t0, bytes, None, (size, id), 0);
         }
         out
     }
@@ -257,13 +454,13 @@ impl Comm {
     /// Synchronize all ranks; clocks advance to the barrier completion time.
     pub fn barrier(&mut self) {
         let kind = Some(TraceKind::Barrier);
-        self.coll_exchange((kind, 0), |_, _| (), |_| (), |_| (), |_, terms| terms.barrier());
+        self.coll_exchange(None, (kind, 0), |_, _| (), |_| (), |_| (), |_, terms| terms.barrier());
     }
 
     /// [`Comm::barrier`] without its trace record, for
     /// [`Comm::sparse_exchange`], whose round ends in one and records itself.
     pub(super) fn barrier_untraced(&mut self) {
-        self.coll_exchange((None, 0), |_, _| (), |_| (), |_| (), |_, terms| terms.barrier());
+        self.coll_exchange(None, (None, 0), |_, _| (), |_| (), |_| (), |_, terms| terms.barrier());
     }
 
     /// Broadcast `root`'s value to all ranks.
@@ -272,6 +469,7 @@ impl Comm {
         let bytes = std::mem::size_of::<T>() as u64;
         let rank = self.rank;
         self.coll_exchange(
+            None,
             (Some(TraceKind::Bcast), bytes),
             |slot, aside| slot.put(rank, aside, (rank == root).then_some(value)),
             |slot| {
@@ -292,6 +490,7 @@ impl Comm {
         let bytes = std::mem::size_of::<T>() as u64;
         let rank = self.rank;
         self.coll_exchange(
+            None,
             (Some(TraceKind::Reduce), bytes),
             |slot, aside| slot.put(rank, aside, value),
             |slot| {
@@ -313,6 +512,7 @@ impl Comm {
         let bytes = std::mem::size_of::<T>() as u64;
         let rank = self.rank;
         self.coll_exchange(
+            None,
             (Some(TraceKind::Reduce), bytes),
             |slot, aside| slot.put(rank, aside, value),
             CollSlot::gather::<T>,
@@ -330,6 +530,7 @@ impl Comm {
         let total = per * self.shared.n as u64;
         let rank = self.rank;
         self.coll_exchange(
+            None,
             (Some(TraceKind::Gather), per),
             |slot, aside| slot.put(rank, aside, value),
             CollSlot::gather::<T>,
@@ -344,6 +545,7 @@ impl Comm {
         let per = std::mem::size_of_val(&data[..]) as u64;
         let rank = self.rank;
         self.coll_exchange(
+            None,
             (Some(TraceKind::Gather), per),
             |slot, aside| slot.put(rank, aside, data),
             |slot| {
@@ -356,34 +558,66 @@ impl Comm {
         )
     }
 
-    /// What every all-to-all-v form is: `sent` messages and bytes leave this
-    /// rank; `deposit` puts the payload into the rank's cell and one
-    /// [`BinEntry`] per message into the destinations' bins; after the
-    /// rendezvous `read` walks this rank's own entries — sorted by source,
-    /// those of one source in the order it listed them — with the senders'
-    /// cells at hand ([`deposit_of`]). `elem` is the element size the
-    /// entries' lengths count in. Statistics, the modelled cost and the trace
-    /// event are the same for every form.
+    /// Split the world into groups ([`Group`]), like `MPI_Comm_split`: every
+    /// rank calls it, the ranks of one `color` form one group, ordered by
+    /// `key` (ties by world rank), and each rank gets its own handle. A
+    /// world collective, charged as the allgather of the `(color, key)`
+    /// pairs it is — 32-bit each, as `MPI_Comm_split`'s `int`s are, so 8
+    /// bytes per rank. A Cartesian sub-grid is a split whose color is the
+    /// fixed coordinate.
+    pub fn split(&mut self, color: u32, key: u32) -> Group {
+        let (n, rank) = (self.shared.n, self.rank);
+        let per = std::mem::size_of::<(u32, u32)>() as u64;
+        let world = Arc::clone(&self.shared);
+        self.coll_exchange(
+            None,
+            (Some(TraceKind::Gather), per),
+            |slot, _| {
+                let seats = &mut slot.result_as::<Split>().seats;
+                seats.resize(n, (0, 0));
+                seats[rank] = (color, key);
+            },
+            |slot| slot.result_as::<Split>().build(&world),
+            |slot| slot.result_as::<Split>().take(rank),
+            |_, terms| terms.allgather(per * n as u64),
+        )
+    }
+
+    /// What every all-to-all-v form is, on the communicator `on`: `sent`
+    /// messages and bytes leave this rank; `deposit` puts the payload into
+    /// the rank's cell and one [`BinEntry`] per message into the
+    /// destinations' bins; after the rendezvous `read` walks this rank's own
+    /// entries — sorted by source, those of one source in the order it
+    /// listed them — with the senders' cells at hand ([`deposit_of`]).
+    /// `elem` is the element size the entries' lengths count in. Statistics,
+    /// the modelled cost and the trace event are the same for every form and
+    /// every communicator.
     fn alltoallv_core<I>(
         &mut self,
+        on: On<'_>,
         (s_msgs, s_bytes): (u64, u64),
         elem: usize,
-        deposit: impl FnOnce(
-            &mut Box<dyn Any + Send>,
-            &mut Vec<Box<dyn Any + Send>>,
-            &mut [Vec<BinEntry>],
-        ),
+        deposit: impl FnOnce(&mut Box<dyn Any + Send>, &mut Vec<Box<dyn Any + Send>>, Bins<'_>),
         read: impl FnOnce(std::vec::Drain<'_, BinEntry>, &mut [Box<dyn Any + Send>]) -> I,
     ) -> I {
         self.shared.check_poison();
         self.count_p2p_sent(s_msgs, s_bytes);
-        let rank = self.rank;
+        let src = self.rank;
+        let (group, cell) = match &on {
+            None => (None, src),
+            Some((g, seat)) => (Some(*g), seat.cell),
+        };
         let (out, r_msgs, r_bytes) = self.coll_exchange(
+            on,
             (Some(TraceKind::Alltoallv), s_bytes),
-            |slot, aside| deposit(&mut slot.cells[rank], aside, &mut slot.bins),
+            |slot, aside| {
+                let (src, at) = (src as u32, cell as u32);
+                let bins = Bins { bins: &mut slot.bins, src, cell: at, group };
+                deposit(&mut slot.cells[cell], aside, bins)
+            },
             |_| (),
             |slot| {
-                let (entries, cells) = slot.drain_bin(rank);
+                let (entries, cells) = slot.drain_bin(cell);
                 let r_msgs = entries.len() as u64;
                 let r_elems: usize = entries.as_slice().iter().map(|e| e.len).sum();
                 (read(entries, cells), r_msgs, r_elems as u64 * elem as u64)
@@ -436,25 +670,25 @@ impl Comm {
         // goes back to the caller empty. The bins only say where in it each
         // receiver finds its buffers, and the receivers take them out.
         received.clear();
-        let src = self.rank;
         self.alltoallv_core(
+            None,
             sent,
             std::mem::size_of::<T>(),
-            |cell, aside, bins| {
+            |cell, aside, mut bins| {
                 let outgoing = envelope_as::<Vec<(usize, Vec<T>)>>(cell, aside);
                 outgoing.clear();
                 std::mem::swap(outgoing, sends);
                 for (index, (dst, data)) in outgoing.iter().enumerate() {
                     if !data.is_empty() {
-                        bins[*dst].push(BinEntry { src, index, len: data.len() });
+                        bins.push(*dst, index, data.len());
                     }
                 }
             },
             |entries, cells| {
                 received.reserve_exact(entries.len());
                 for e in entries {
-                    let from = deposit_of::<Vec<(usize, Vec<T>)>>(cells, e.src);
-                    received.push((e.src, std::mem::take(&mut from[e.index].1)));
+                    let from = deposit_of::<Vec<(usize, Vec<T>)>>(cells, e);
+                    received.push((e.src(), std::mem::take(&mut from[e.index].1)));
                 }
             },
         );
@@ -486,6 +720,18 @@ impl Comm {
         recv: &mut Vec<T>,
         sources: &mut Vec<(usize, usize)>,
     ) {
+        self.alltoallv_flat_on(None, send, segments, recv, sources);
+    }
+
+    /// [`Comm::alltoallv_flat`] on the communicator `on`.
+    fn alltoallv_flat_on<T: Copy + Send + 'static>(
+        &mut self,
+        on: On<'_>,
+        send: Vec<T>,
+        segments: &[(usize, usize)],
+        recv: &mut Vec<T>,
+        sources: &mut Vec<(usize, usize)>,
+    ) {
         let elem = std::mem::size_of::<T>();
         let mut sent = (0u64, 0u64);
         let mut total = 0;
@@ -496,15 +742,15 @@ impl Comm {
         }
         assert_eq!(total, send.len(), "alltoallv_flat: the segments must cover the payload");
         sent.1 = (total * elem) as u64;
-        let src = self.rank;
         self.alltoallv_core(
+            on,
             sent,
             elem,
-            |cell, aside, bins| {
+            |cell, aside, mut bins| {
                 let mut index = 0;
                 for &(dst, len) in segments {
                     if len > 0 {
-                        bins[dst].push(BinEntry { src, index, len });
+                        bins.push(dst, index, len);
                     }
                     index += len;
                 }
@@ -517,9 +763,9 @@ impl Comm {
                 recv.reserve_exact(entries.as_slice().iter().map(|e| e.len).sum());
                 sources.clear();
                 for e in entries {
-                    let from = deposit_of::<FlatDeposit<T>>(cells, e.src);
+                    let from = deposit_of::<FlatDeposit<T>>(cells, e);
                     recv.extend_from_slice(&from.payload[e.index..e.index + e.len]);
-                    sources.push((e.src, e.len));
+                    sources.push((e.src(), e.len));
                     from.unread -= 1;
                     if from.unread == 0 {
                         from.payload = Vec::new();
@@ -536,22 +782,22 @@ impl Comm {
     pub fn alltoall<T: Clone + Send + Sync + 'static>(&mut self, data: &[T]) -> Vec<T> {
         let n = self.shared.n;
         assert_eq!(data.len(), n, "alltoall needs one element per rank");
-        let src = self.rank;
         self.alltoallv_core(
+            None,
             (n as u64, std::mem::size_of_val(data) as u64),
             std::mem::size_of::<T>(),
-            |cell, aside, bins| {
+            |cell, aside, mut bins| {
                 let row = envelope_as::<Vec<T>>(cell, aside);
                 row.clear();
                 row.extend_from_slice(data);
-                for (dst, bin) in bins.iter_mut().enumerate() {
-                    bin.push(BinEntry { src, index: dst, len: 1 });
+                for dst in 0..n {
+                    bins.push(dst, dst, 1);
                 }
             },
             // Every row stays in its sender's cell; each receiver copies its
             // own column out.
             |entries, cells| {
-                entries.map(|e| deposit_of::<Vec<T>>(cells, e.src)[e.index].clone()).collect()
+                entries.map(|e| deposit_of::<Vec<T>>(cells, e)[e.index].clone()).collect()
             },
         )
     }

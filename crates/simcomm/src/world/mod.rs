@@ -21,7 +21,7 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::engine::{Deadlock, Scheduler, WaitSite};
@@ -39,7 +39,7 @@ mod sparse;
 mod transport;
 
 pub use accounting::RankStats;
-pub use collectives::push_segment;
+pub use collectives::{push_segment, Group};
 pub use runner::{run, RunOutput, Runner};
 pub use transport::Request;
 
@@ -58,6 +58,8 @@ pub(crate) struct WorldShared {
     coll_terms: CollTerms,
     mailboxes: transport::Mailboxes,
     coll: collectives::Slots,
+    /// Groups made so far ([`Comm::split`]): the last one's id.
+    groups_made: AtomicU32,
     poisoned: AtomicBool,
     /// First recorded failure cause: the typed error [`Runner::try_run`]
     /// returns. Writers use [`WorldShared::fail`] (first-wins), so secondary
@@ -83,6 +85,7 @@ impl WorldShared {
             fault_active,
             mailboxes: transport::Mailboxes::new(n),
             coll: collectives::Slots::new(n),
+            groups_made: AtomicU32::new(0),
             poisoned: AtomicBool::new(false),
             failure: Mutex::new(None),
             sched: Scheduler::new(n, width),
@@ -185,7 +188,8 @@ impl WorldShared {
 /// The per-rank communicator handle: the interface rank code programs against.
 ///
 /// All collective operations must be entered by **every** rank of the world in
-/// the same order (SPMD), exactly like MPI collectives on `MPI_COMM_WORLD`.
+/// the same order (SPMD), exactly like MPI collectives on `MPI_COMM_WORLD`;
+/// a [`Group`]'s by every member of the group.
 pub struct Comm {
     shared: Arc<WorldShared>,
     rank: usize,

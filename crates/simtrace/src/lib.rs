@@ -17,7 +17,10 @@
 //! * **collective barrier edges**: all ranks enter collectives in the same
 //!   order (SPMD), so the k-th collective record of every rank belongs to the
 //!   same instance, and the instance's rendezvous is pinned on its
-//!   last-arriving rank. A sparse data exchange is one of them: its
+//!   last-arriving rank. A group's collectives ([`TraceEvent::group`]) are
+//!   counted apart: the k-th record of group `g` on each of its members —
+//!   the ranks that record any — is one instance, pinned on its
+//!   last-arriving member. A sparse data exchange is one of them: its
 //!   `sparse_exchange` record starts where the rank entered the exchange's
 //!   barrier, its messages are ordinary `isend` / `wait` / `recv` records.
 //!
@@ -198,8 +201,9 @@ fn is_collective_kind(kind: TraceKind) -> bool {
 }
 
 /// Event indexes over a run's traces: per-rank events sorted by start time,
-/// the correlation-id registry of send posts, and the per-rank collective
-/// event sequences (position k on every rank = instance k, by SPMD order).
+/// the correlation-id registry of send posts, and per communicator its
+/// members' collective event sequences (position k on every member =
+/// instance k, by SPMD order).
 struct EventIndex<'a> {
     traces: &'a [Trace],
     /// Per rank: event indices sorted by `(t_start, index)` — the index
@@ -207,17 +211,21 @@ struct EventIndex<'a> {
     sorted: Vec<Vec<u32>>,
     /// corr → (rank, event index) of the send-side post (`send`/`isend`).
     send_by_corr: HashMap<u64, (usize, u32)>,
-    /// Per rank: indices of collective-kind events in record order.
-    colls: Vec<Vec<u32>>,
-    /// Per collective instance: (last-arriving rank, its entry time),
-    /// resolved lazily.
-    coll_last: HashMap<usize, (usize, f64)>,
+    /// Per communicator (`0` the world, else a group id): its members in
+    /// ascending rank — every rank for the world, the ranks that record one
+    /// of its collectives for a group — each with the indices of its
+    /// collective-kind events on it in record order.
+    colls: BTreeMap<u32, Vec<(usize, Vec<u32>)>>,
+    /// Per collective instance `(communicator, k)`: (last-arriving member,
+    /// its entry time), resolved lazily.
+    coll_last: HashMap<(u32, usize), (usize, f64)>,
 }
 
 impl<'a> EventIndex<'a> {
     fn new(traces: &'a [Trace]) -> Self {
         let mut sorted = Vec::with_capacity(traces.len());
-        let mut colls = Vec::with_capacity(traces.len());
+        let world = (0..traces.len()).map(|rank| (rank, Vec::new())).collect();
+        let mut colls: BTreeMap<u32, Vec<(usize, Vec<u32>)>> = BTreeMap::from([(0, world)]);
         let mut send_by_corr = HashMap::new();
         for (rank, t) in traces.iter().enumerate() {
             let mut idx: Vec<u32> = (0..t.events.len() as u32).collect();
@@ -226,12 +234,14 @@ impl<'a> EventIndex<'a> {
                 ea.t_start.partial_cmp(&eb.t_start).expect("finite trace times").then(a.cmp(&b))
             });
             sorted.push(idx);
-            colls.push(
-                (0..t.events.len() as u32)
-                    .filter(|&i| is_collective_kind(t.events[i as usize].kind))
-                    .collect(),
-            );
             for (i, e) in t.events.iter().enumerate() {
+                if is_collective_kind(e.kind) {
+                    let members = colls.entry(e.group).or_default();
+                    match members.binary_search_by_key(&rank, |m| m.0) {
+                        Ok(at) => members[at].1.push(i as u32),
+                        Err(at) => members.insert(at, (rank, vec![i as u32])),
+                    }
+                }
                 if e.corr != 0 && matches!(e.kind, TraceKind::Send | TraceKind::Isend) {
                     send_by_corr.insert(e.corr, (rank, i as u32));
                 }
@@ -266,29 +276,33 @@ impl<'a> EventIndex<'a> {
             .copied()
     }
 
-    /// The ordinal of a collective event on its rank (its instance number).
-    fn coll_ordinal(&self, rank: usize, idx: u32) -> Option<usize> {
-        self.colls[rank].binary_search(&idx).ok()
+    /// The instance a collective event on `rank` belongs to: its
+    /// communicator and its ordinal there.
+    fn coll_instance(&self, rank: usize, idx: u32) -> Option<(u32, usize)> {
+        let group = self.event(rank, idx).group;
+        let members = self.colls.get(&group)?;
+        let at = members.binary_search_by_key(&rank, |m| m.0).ok()?;
+        Some((group, members[at].1.binary_search(&idx).ok()?))
     }
 
-    /// Last-arriving rank and entry time of collective instance `k`
-    /// (smallest rank among ties, for determinism).
-    fn coll_last_arrival(&mut self, k: usize) -> Option<(usize, f64)> {
-        if let Some(&hit) = self.coll_last.get(&k) {
+    /// Last-arriving member and entry time of collective instance `k` of
+    /// `group` (smallest rank among ties, for determinism).
+    fn coll_last_arrival(&mut self, (group, k): (u32, usize)) -> Option<(usize, f64)> {
+        if let Some(&hit) = self.coll_last.get(&(group, k)) {
             return Some(hit);
         }
         let mut best: Option<(usize, f64)> = None;
-        for (rank, colls) in self.colls.iter().enumerate() {
+        for (rank, colls) in &self.colls[&group] {
             let &idx = colls.get(k)?;
-            let entry = self.traces[rank].events[idx as usize].t_start;
+            let entry = self.traces[*rank].events[idx as usize].t_start;
             best = match best {
-                Some((_, t)) if entry > t => Some((rank, entry)),
-                None => Some((rank, entry)),
+                Some((_, t)) if entry > t => Some((*rank, entry)),
+                None => Some((*rank, entry)),
                 keep => keep,
             };
         }
         if let Some(hit) = best {
-            self.coll_last.insert(k, hit);
+            self.coll_last.insert((group, k), hit);
         }
         best
     }
@@ -307,7 +321,7 @@ impl<'a> EventIndex<'a> {
             TraceKind::Wait => WaitCause::NicDrain,
             TraceKind::Fault | TraceKind::Retry | TraceKind::Timeout => WaitCause::Fault,
             _ => {
-                let k = self.coll_ordinal(rank, idx).expect("collective event is in coll index");
+                let k = self.coll_instance(rank, idx).expect("collective event is in coll index");
                 match self.coll_last_arrival(k) {
                     Some((last, entry)) => WaitCause::Collective { last, entry },
                     None => WaitCause::Unattributed,
@@ -740,5 +754,48 @@ mod tests {
             assert!(blamed > 0.2, "rank {waiter}'s barrier wait must be blamed on rank 2");
         }
         assert!(analysis.segments.iter().any(|s| s.rank == 2 && s.cat == SegCat::Compute));
+    }
+
+    #[test]
+    fn a_group_collective_blames_its_own_last_member() {
+        // Two concurrent groups, {0, 2, 4} and {1, 3, 5}, each with its own
+        // straggler: rank 4 in the first and rank 1 in the second. A member's
+        // wait is blamed on its own group's straggler, never on the other
+        // group's, and the critical path still tiles the makespan.
+        let out = Runner::default().traced(true).run(6, MachineModel::juqueen_like(), |comm| {
+            let me = comm.rank();
+            let mut group = comm.split(me as u32 % 2, me as u32);
+            for round in 0..2 {
+                comm.advance(if me == 4 {
+                    0.5
+                } else if me == 1 {
+                    0.25
+                } else {
+                    0.01
+                });
+                let dst = group.members()[(round + 1) % 3];
+                let (mut recv, mut sources) = (Vec::new(), Vec::new());
+                group.alltoallv_flat(comm, vec![me as u64], &[(dst, 1)], &mut recv, &mut sources);
+            }
+            comm.barrier();
+        });
+        let analysis = analyze(&out.traces);
+        let mut t = analysis.makespan;
+        for seg in &analysis.segments {
+            assert_eq!(seg.t_end, t, "segments must abut");
+            t = seg.t_start;
+        }
+        assert_eq!(t, 0.0, "walk must reach time zero");
+        let blamed = |waiter: usize, on: usize| -> f64 {
+            let cells = analysis.blame.iter().filter(|c| c.waiter == waiter && c.blamed == on);
+            cells.map(|c| c.seconds).sum()
+        };
+        for (waiters, straggler) in [([0, 2], 4), ([3, 5], 1)] {
+            for waiter in waiters {
+                assert!(blamed(waiter, straggler) > 0.4, "rank {waiter} waits on rank {straggler}");
+            }
+        }
+        assert_eq!(blamed(0, 1) + blamed(2, 1), 0.0, "rank 1 is in the other group");
+        assert!(analysis.segments.iter().any(|s| s.rank == 4 && s.cat == SegCat::Compute));
     }
 }
