@@ -696,8 +696,12 @@ pub struct Solved<'a> {
 /// the indices are the identity and no exchange builds them. The second
 /// value returned says so.
 ///
-/// The stamps are the clocks at the run's start, after its sort and after
-/// its computation; the output's timings run from them to the return.
+/// The run's computation closes on one collective here, so that compute
+/// load imbalance is booked as computation, not as the redistribution that
+/// follows it: under Method B that is the `(fits, quiet)` allreduce, under
+/// Method A a barrier. The stamps are the clocks at the run's start and
+/// after its sort; the computation runs to the end of that collective, the
+/// redistribution from there to the return.
 pub fn hand_back(
     comm: &mut Comm,
     method: RedistMethod,
@@ -705,7 +709,7 @@ pub fn hand_back(
     n_in: usize,
     index_mode: &ExchangeMode,
     solved: Solved<'_>,
-    [t_start, t_sorted, t_computed]: [f64; 3],
+    [t_start, t_sorted]: [f64; 2],
 ) -> (SolverOutput, bool) {
     let me = comm.rank();
     let Solved { records, potential, field, columns } = solved;
@@ -716,7 +720,10 @@ pub fn hand_back(
             && records.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
         comm.compute(Work::ParticleOp, records.len() as f64);
         (resorted, all_quiet) = comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));
+    } else {
+        comm.barrier();
     }
+    let t_computed = comm.clock();
     let mut out = if resorted {
         comm.enter_phase("resort");
         let resort_indices = if all_quiet {

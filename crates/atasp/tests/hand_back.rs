@@ -3,17 +3,18 @@
 //! reorders them, and `hand_back` returns them. Method A restores the input
 //! bit for bit, Method B's indices are `build_resort_indices_with`'s under
 //! either exchange mode, a quiet step costs one collective and no message,
-//! and one rank without room sends every rank home.
+//! one rank without room sends every rank home, and the computation closes
+//! on exactly one collective before the redistribution starts.
 
 use atasp::{
     alltoall_specific, build_resort_indices_with, encode_index, hand_back, ExchangeMode, Solved,
 };
 use particles::systems::splitmix64;
 use particles::{Particle, RedistMethod, SolverOutput, Vec3};
-use simcomm::{Comm, MachineModel};
+use simcomm::{Comm, MachineModel, Runner, TraceKind};
 
 mod common;
-use common::run;
+use common::{run, run_on};
 
 /// The world sizes every case runs at; every third rank holds no input.
 const PS: [usize; 4] = [1, 2, 3, 8];
@@ -74,7 +75,9 @@ struct Handed {
 
 /// Hand `recs` back with potentials and fields derived from their ids; even
 /// ranks pass their positions and charges as columns, odd ranks do not. The
-/// output's timings are checked against the stamps.
+/// output's timings are checked against the stamps: the computation runs
+/// from the second to the end of the closing collective, which is at or
+/// after the call.
 fn hand(
     comm: &mut Comm,
     n_in: usize,
@@ -90,15 +93,18 @@ fn hand(
     let columns = comm.rank().is_multiple_of(2).then_some((&mut pos, &mut charge));
     let solved = Solved { records: recs, potential: &mut potential, field: &mut field, columns };
     let t = comm.clock();
-    let stamps = [t - 3.0, t - 1.0, t];
+    let stamps @ [t_start, t_sorted] = [t - 3.0, t - 1.0];
     let (out, skipped) = hand_back(comm, method, max_local, n_in, mode, solved, stamps);
-    let redist = comm.clock() - t;
     let timings = out.timings;
-    let [t_start, t_sorted, _] = stamps;
-    assert_eq!((timings.sort, timings.compute), (t_sorted - t_start, t - t_sorted));
+    assert_eq!(timings.sort, t_sorted - t_start);
+    assert!(timings.compute >= t - t_sorted);
     assert_eq!(timings.total, comm.clock() - t_start);
-    let want = if out.resorted { (0.0, redist) } else { (redist, 0.0) };
-    assert_eq!((timings.restore, timings.resort_create), want);
+    let (redist, idle) = if out.resorted {
+        (timings.resort_create, timings.restore)
+    } else {
+        (timings.restore, timings.resort_create)
+    };
+    assert!(redist <= comm.clock() - t && idle == 0.0);
     assert_eq!(potential.len(), field.len());
     Handed { out, skipped, potential_left: potential.len(), columns_left: pos.len() }
 }
@@ -209,5 +215,38 @@ fn one_rank_over_max_local_makes_every_rank_restore() {
                 assert_eq!(bits(&h.out), bits(&expected(&input)), "p={p} rank {me}");
             }
         });
+    }
+}
+
+#[test]
+fn the_computation_closes_on_one_collective_under_both_methods() {
+    for p in PS {
+        for method in [RedistMethod::RestoreOriginal, RedistMethod::UseChanged] {
+            // The hand-back runs in an envelope phase of its own, as under
+            // `fcs`: what it does outside `restore` and `resort` shows there.
+            let runner = Runner::default().traced(true);
+            let out = run_on(&runner, p, MachineModel::juropa_like(), |comm| {
+                let input = input(comm.rank());
+                let recs = solve(comm, &input);
+                let t_sorted = comm.clock() - 1.0;
+                let h = comm.with_phase("solver", |comm| {
+                    hand(comm, input.len(), &recs, method, usize::MAX, &ring(comm))
+                });
+                (t_sorted, h.out.timings)
+            });
+            let want = match method {
+                RedistMethod::UseChanged => TraceKind::Reduce,
+                RedistMethod::RestoreOriginal => TraceKind::Barrier,
+            };
+            for (me, ((t_sorted, timings), trace)) in
+                out.results.iter().zip(&out.traces).enumerate()
+            {
+                let closing: Vec<_> = trace.events.iter().filter(|e| e.phase == "solver").collect();
+                assert_eq!(closing.len(), 1, "p={p} rank {me} {method:?}: {closing:?}");
+                assert_eq!(closing[0].kind, want, "p={p} rank {me} {method:?}");
+                // The computation ends where the closing collective does.
+                assert_eq!(timings.compute, closing[0].t_end - t_sorted, "p={p} rank {me}");
+            }
+        }
     }
 }

@@ -437,11 +437,6 @@ impl FmmSolver {
 
         // --- Compute near + far field on the sorted particles ---
         self.compute_fields(comm, &mut ws, &keys, &recs);
-        // Synchronize before the redistribution phase so that compute load
-        // imbalance is attributed to the computation, not to the timing of
-        // the redistribution that happens to follow it.
-        comm.barrier();
-        let t_computed = comm.clock();
 
         let solved = Solved {
             records: &recs,
@@ -456,7 +451,7 @@ impl FmmSolver {
             n_in,
             &ExchangeMode::Collective,
             solved,
-            [t_start, t_sorted, t_computed],
+            [t_start, t_sorted],
         );
         self.last_report.resort_exchange_skipped = skipped;
         (ws.keys, ws.recs) = (keys, recs);

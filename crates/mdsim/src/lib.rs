@@ -21,6 +21,15 @@
 //! describes for the integration method (Sect. III-B). The driver records a
 //! per-step timing breakdown (sort / restore / resort / total) matching the
 //! quantities plotted in the paper's Figs. 6–9.
+//!
+//! A step makes one collective of its own: the allreduce of the maximum
+//! movement. Each step's total energy is summed over the world in the next
+//! collective the loop already makes — the next step's movement allreduce,
+//! or after the last step the closing allreduce of the drift diagnostic —
+//! and, in a fault-recovery world, in the step's own fault-check allreduce
+//! (the initial energy there in an allreduce of its own, before checkpoint
+//! 0). Every such sum folds in ascending rank like a separate allreduce, so
+//! it has the same bits.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
@@ -121,8 +130,10 @@ pub struct SimResult {
     pub records: Vec<StepRecord>,
     /// Final local particle count.
     pub final_local: usize,
-    /// Root-mean-square displacement of local particles from their initial
-    /// positions (a measure of how far the system has drifted).
+    /// Root-mean-square displacement of the world's particles from their
+    /// initial positions (a measure of how far the system has drifted); the
+    /// same on every rank, a rank without particles included. NaN if the
+    /// initial positions were not tracked.
     pub rms_displacement: f64,
     /// Final virtual clock of this rank.
     pub final_clock: f64,
@@ -152,17 +163,27 @@ pub fn simulate(comm: &mut Comm, bbox: SystemBox, set: ParticleSet, cfg: &SimCon
     let n = set.len();
     let (pos, charge, id) = set.into_parts();
     let snapshot = io::Snapshot { bbox, step: 0, pos, charge, id, vel, accel: vec![Vec3::ZERO; n] };
-    simulate_from(comm, snapshot, cfg)
+    simulate_counted(comm, snapshot, cfg, n_total)
 }
 
 /// Continue a particle dynamics simulation from a previously saved local
 /// state (checkpoint/restart). Collective. The snapshot's velocities and
 /// accelerations are used as-is; `cfg.steps` *further* steps are integrated.
 pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -> SimResult {
+    let n_total = comm.allreduce(snapshot.len() as u64, |a, b| a + b) as usize;
+    simulate_counted(comm, snapshot, cfg, n_total)
+}
+
+/// [`simulate_from`] for a world of `n_total` particles.
+fn simulate_counted(
+    comm: &mut Comm,
+    snapshot: io::Snapshot,
+    cfg: &SimConfig,
+    n_total: usize,
+) -> SimResult {
     let p = comm.size();
     let bbox = snapshot.bbox;
     let start_step = snapshot.step;
-    let n_total = comm.allreduce(snapshot.len() as u64, |a, b| a + b) as usize;
     let max_local = ((CAPACITY_FACTOR * n_total as f64 / p as f64) as usize).max(64);
     let mean_spacing = (bbox.volume() / n_total.max(1) as f64).cbrt();
 
@@ -240,12 +261,24 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
         (rec, out.potential)
     };
 
+    let recovery_on = comm.fault_active();
+
     // Initial interactions (line 5 of Fig. 3).
     let (mut rec, potential) =
         run_solver(comm, &mut handle, &mut pos, &mut charge, &mut id, &mut aux);
     rec.step = start_step;
-    rec.energy = total_energy(comm, &potential, &charge, aux.plane::<Vec3>(vel_id), cfg.mass);
+    let energy = local_energy(&potential, &charge, aux.plane::<Vec3>(vel_id), cfg.mass);
     records.push(rec);
+    // The newest record's energy, until the world's sum of it rides the next
+    // collective the loop makes (see [`allreduce_with_energy`]). Checkpoint 0
+    // of a fault-recovery world records the initial energy, so that one is
+    // summed at once.
+    let mut unsummed = None;
+    if recovery_on {
+        records[0].energy = comm.allreduce(energy, |a, b| a + b);
+    } else {
+        unsummed = Some(energy);
+    }
 
     // --- Fault recovery (fault-injected worlds only; see `simcomm::fault`).
     // An in-memory checkpoint of the local state is kept at step boundaries;
@@ -264,7 +297,6 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
         aux: particles::PlaneSet,
         records: usize,
     }
-    let recovery_on = comm.fault_active();
     const CHECKPOINT_INTERVAL: usize = 4;
     const MAX_RECOVERIES: u64 = 2;
     let mut recoveries = 0u64;
@@ -309,7 +341,9 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
             }
         }
         comm.compute(simcomm::Work::ParticleOp, pos.len() as f64);
-        let max_move = comm.allreduce(max_move2, f64::max).sqrt();
+        let max_move2 =
+            allreduce_with_energy(comm, max_move2, f64::max, &mut unsummed, &mut records);
+        let max_move = max_move2.sqrt();
         // A fault plan may order the movement hint to lie (under-report the
         // true movement by a factor) this step — the violation the solvers'
         // movement-bound guards detect and mask. Drawn from the step number
@@ -355,18 +389,21 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
 
         rec.step = start_step + step;
         rec.max_move = max_move;
-        rec.energy = total_energy(comm, &potential, &charge, aux.plane::<Vec3>(vel_id), cfg.mass);
+        unsummed = Some(local_energy(&potential, &charge, aux.plane::<Vec3>(vel_id), cfg.mass));
         comm.exit_phase();
         records.push(rec);
 
         if recovery_on {
             // Collective fault check: did any rank accumulate new stalls or
             // wait timeouts during this step? The trigger is an allreduce of
-            // the counter deltas, so every rank takes the same decision.
+            // the counter deltas, so every rank takes the same decision. It
+            // sums the step's energy too, before any checkpoint records it.
             let mark = comm.stats().timeouts + comm.stats().stalls;
             let newly = mark - fault_mark;
             fault_mark = mark;
-            if comm.allreduce(newly, |a, b| a + b) > 0 && recoveries < MAX_RECOVERIES {
+            let newly =
+                allreduce_with_energy(comm, newly, |a, b| a + b, &mut unsummed, &mut records);
+            if newly > 0 && recoveries < MAX_RECOVERIES {
                 recoveries += 1;
                 let cp = checkpoint.as_ref().expect("checkpoint taken before the loop");
                 pos = cp.state.pos.clone();
@@ -385,18 +422,16 @@ pub fn simulate_from(comm: &mut Comm, snapshot: io::Snapshot, cfg: &SimConfig) -
         step += 1;
     }
 
-    // Drift diagnostic: RMS displacement from the initial positions (NaN if
-    // the channel was not tracked).
-    let rms_displacement = if let Some(ip) = ipos_id.filter(|_| !pos.is_empty()) {
+    // Drift diagnostic: RMS displacement from the initial positions over the
+    // world (NaN if the channel was not tracked). Its allreduce closes the
+    // run and sums the last step's energy.
+    let local_sum: f64 = ipos_id.map_or(0.0, |ip| {
         let initial_pos = aux.plane::<Vec3>(ip);
-        let local_sum: f64 =
-            pos.iter().zip(initial_pos).map(|(x, x0)| bbox.min_image(*x, *x0).norm2()).sum();
-        let global_sum = comm.allreduce(local_sum, |a, b| a + b);
-        (global_sum / n_total as f64).sqrt()
-    } else {
-        let _ = comm.allreduce(0.0f64, |a, b| a + b);
-        f64::NAN
-    };
+        pos.iter().zip(initial_pos).map(|(x, x0)| bbox.min_image(*x, *x0).norm2()).sum()
+    });
+    let global_sum =
+        allreduce_with_energy(comm, local_sum, |a, b| a + b, &mut unsummed, &mut records);
+    let rms_displacement = ipos_id.map_or(f64::NAN, |_| (global_sum / n_total as f64).sqrt());
 
     let (plan_builds, plan_hits) = handle.plan_stats();
     SimResult {
@@ -450,17 +485,31 @@ pub fn suggested_dt(mean_spacing: f64, mass: f64) -> f64 {
     0.0023 * (mass * mean_spacing.powi(3)).sqrt()
 }
 
-/// Global total energy: `0.5 sum q_i phi_i + 0.5 m sum |v_i|^2`.
-fn total_energy(
-    comm: &mut Comm,
-    potential: &[f64],
-    charge: &[f64],
-    vel: &[Vec3],
-    mass: f64,
-) -> f64 {
+/// This rank's share of the total energy, `0.5 sum q_i phi_i + 0.5 m sum
+/// |v_i|^2`.
+fn local_energy(potential: &[f64], charge: &[f64], vel: &[Vec3], mass: f64) -> f64 {
     let pot: f64 = 0.5 * potential.iter().zip(charge).map(|(p, q)| p * q).sum::<f64>();
     let kin: f64 = 0.5 * mass * vel.iter().map(|v| v.norm2()).sum::<f64>();
-    comm.allreduce(pot + kin, |a, b| a + b)
+    pot + kin
+}
+
+/// `comm.allreduce(value, op)`, which also sums the `unsummed` local energy,
+/// if there is one, into the newest record. The pair folds in ascending rank
+/// like either allreduce alone, so the energy has the bits an allreduce of
+/// its own would give it, one collective fewer.
+fn allreduce_with_energy<T: Clone + Send + Sync + 'static>(
+    comm: &mut Comm,
+    value: T,
+    op: impl Fn(T, T) -> T,
+    unsummed: &mut Option<f64>,
+    records: &mut [StepRecord],
+) -> T {
+    let Some(energy) = unsummed.take() else {
+        return comm.allreduce(value, op);
+    };
+    let (value, energy) = comm.allreduce((value, energy), |a, b| (op(a.0, b.0), a.1 + b.1));
+    records.last_mut().expect("an unsummed energy belongs to a record").energy = energy;
+    value
 }
 
 #[cfg(test)]
@@ -773,6 +822,76 @@ mod tests {
                 assert_eq!(ra.max_move.to_bits(), rb.max_move.to_bits());
             }
             assert_eq!(a.final_state, b.final_state, "recovered state must be bitwise clean");
+        }
+    }
+
+    #[test]
+    fn integrate_makes_one_collective_per_step() {
+        // The movement allreduce is the phase's only collective: each
+        // step's energy rides it or a collective outside the phase. The
+        // fault-recovery world (a straggler: no stall, no timeout, so no
+        // replay) sums its energies in the fault check instead.
+        let c = IonicCrystal::cubic(4, 1.0, 0.2, 42);
+        let bbox = c.system_box();
+        let p = 4;
+        let straggler =
+            FaultPlan { straggler_ranks: vec![2], straggler_factor: 1.5, ..FaultPlan::none() };
+        let methods = [(false, false), (true, false), (true, true)];
+        let worlds = [0, 1, 6].into_iter().flat_map(|steps| {
+            methods.into_iter().map(move |(resort, exploit)| (steps, resort, exploit, None))
+        });
+        for (steps, resort, exploit, fault) in worlds.chain([(6, true, true, Some(straggler))]) {
+            let cfg =
+                SimConfig { resort, exploit_movement: exploit, steps, ..SimConfig::default() };
+            let c = c.clone();
+            let runner = fault.map_or_else(Runner::default, |f| Runner::default().faulted(f));
+            let out = runner.run(p, MachineModel::juropa_like(), move |comm| {
+                let dims = CartGrid::balanced(p).dims();
+                let set = local_set(&c, InitialDistribution::Random, comm.rank(), p, dims);
+                simulate(comm, bbox, set, &cfg)
+            });
+            for (r, (res, phases)) in out.results.iter().zip(&out.phases).enumerate() {
+                assert_eq!(res.recoveries, 0);
+                let integrate = phases.get("integrate").expect("the solver runs at least once");
+                assert_eq!(
+                    integrate.coll_ops, steps as u64,
+                    "steps={steps} resort={resort} exploit={exploit} rank {r}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_rank_reports_the_world_drift_an_empty_rank_included() {
+        // Rank 1 starts with no particles, and under Method A ends with none.
+        let c = IonicCrystal::cubic(4, 1.0, 0.2, 42);
+        let bbox = c.system_box();
+        let p = 3;
+        for (solver, resort) in [(SolverKind::Fmm, false), (SolverKind::P2Nfft, true)] {
+            let cfg = SimConfig {
+                solver,
+                resort,
+                steps: 3,
+                track_displacement: true,
+                ..SimConfig::default()
+            };
+            let c = c.clone();
+            let out = run(p, MachineModel::juropa_like(), move |comm| {
+                let dims = CartGrid::balanced(2).dims();
+                let set = match comm.rank() {
+                    1 => ParticleSet::from_parts(Vec::new(), Vec::new(), Vec::new()),
+                    r => local_set(&c, InitialDistribution::Random, r / 2, 2, dims),
+                };
+                simulate(comm, bbox, set, &cfg)
+            });
+            let drift = out.results[0].rms_displacement;
+            assert!(drift > 0.0, "{solver:?}: the system drifts");
+            if !resort {
+                assert_eq!(out.results[1].final_local, 0);
+            }
+            for (r, res) in out.results.iter().enumerate() {
+                assert_eq!(res.rms_displacement.to_bits(), drift.to_bits(), "{solver:?} rank {r}");
+            }
         }
     }
 

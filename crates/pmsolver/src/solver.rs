@@ -564,11 +564,6 @@ impl PmSolver {
         }
         self.last_report.far_bytes = self.far_cache.sent_bytes();
         comm.exit_phase();
-        // Synchronize before the redistribution phase so that compute load
-        // imbalance is attributed to the computation, not to the timing of
-        // the redistribution that happens to follow it.
-        comm.barrier();
-        let t_computed = comm.clock();
 
         let solved = Solved {
             records: &owned,
@@ -583,7 +578,7 @@ impl PmSolver {
             n_in,
             if use_neighborhood { &statics.neighborhood_mode } else { &collective },
             solved,
-            [t_start, t_sorted, t_computed],
+            [t_start, t_sorted],
         );
         self.last_report.resort_exchange_skipped = skipped;
         self.ws = ws;

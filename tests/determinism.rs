@@ -41,23 +41,6 @@
 //! `0x1827_35a8_df22_3ed0` → `0xf8f4_8bef_8ac1_3909` (on both machine models),
 //! faulted `0x546b_2d96_95f1_b0b9` → `0x645e_ed2c_0d69_baaa`. Every timing
 //! half, every FMM half and the redistribution digest stayed.
-//! Keeping every self-addressed block out of the all-to-all-v — psort's
-//! partition exchange, `atasp`'s collective redistributions and the P2NFFT
-//! far field's four exchanges — re-froze every timing half once (all eight MD
-//! worlds, the three FMM order/level worlds, the faulted world and the
-//! redistribution world): `0xeb61_9a25_52a9_73ac` → `0x1cca_f807_c80f_ea39`,
-//! `0xad38_b3de_6895_968f` → `0xf3d5_ee3d_1b67_5f6a`, `0x1288_f5ad_9170_5505`
-//! → `0x50f0_9029_8b54_9b25`, `0x5a54_fa41_c4f3_9882` →
-//! `0xcab6_3962_8da7_d871` (juropa-like), `0x0758_758d_0b3e_230f` →
-//! `0x03ef_b03a_acdc_60c1`, `0x05bf_9d2c_f6ea_40be` → `0x3fb3_c770_e6ef_fe03`,
-//! `0xfb41_4dcd_dd5d_1de1` → `0xf210_ebf4_2397_11fd`, `0x611d_1b84_b314_c927`
-//! → `0x81af_cadd_9c8b_21fc` (juqueen-like), FMM order 2 / 4 / 6
-//! `0x6269_feee_f0a1_75e2` → `0xcdef_1059_d8b8_0308`, `0xb8c6_9f84_6052_be5b`
-//! → `0x9055_56b0_652d_3745`, `0xc790_351c_5d25_8e3a` →
-//! `0x08be_b2b4_0fe5_b474`, faulted `0x2a35_eca2_0cec_6eb6` →
-//! `0xb9e4_9727_fbd9_edd3`, redistribution `0x37e8_d086_7b69_ff96` →
-//! `0x87ec_3aa6_23e5_51a4`. Every physics half and the redistribution payload
-//! half stayed.
 //! Posting every point-to-point exchange's sends to the partners above the
 //! sender first re-froze the timing halves of the four P2NFFT worlds and the
 //! faulted world once (the FMM worlds' exchanges finish no differently): `0xe7b8_b754_408e_9d1e` → `0x1288_f5ad_9170_5505`,
@@ -82,6 +65,25 @@
 //! `0xb9e4_9727_fbd9_edd3`, redistribution `0x37e8_d086_7b69_ff96` →
 //! `0x87ec_3aa6_23e5_51a4`. Every physics half and the redistribution payload
 //! half stayed.
+//! Closing each solver run on one collective — Method B's `(fits, quiet)`
+//! allreduce in place of the barrier before it — and summing each step's
+//! energy in the next collective the MD loop makes (the next movement
+//! allreduce, the closing drift allreduce, or in the faulted world the
+//! step's fault check), with the world's particle count summed once,
+//! re-froze every MD timing half once: `0x1cca_f807_c80f_ea39` →
+//! `0xf452_28e2_ce39_75d4`, `0xf3d5_ee3d_1b67_5f6a` →
+//! `0x7a96_bc79_1df4_4d4c`, `0x50f0_9029_8b54_9b25` →
+//! `0x4960_4168_71ad_754c`, `0xcab6_3962_8da7_d871` →
+//! `0xee99_c252_d89b_776e` (juropa-like), `0x03ef_b03a_acdc_60c1` →
+//! `0xa042_848e_f6cc_bf2b`, `0x3fb3_c770_e6ef_fe03` →
+//! `0xec62_4e09_3b2f_d546`, `0xf210_ebf4_2397_11fd` →
+//! `0x2a62_c327_9b6a_b2a4`, `0x81af_cadd_9c8b_21fc` →
+//! `0x2a00_7203_7eb4_b302` (juqueen-like), FMM order 2 / 4 / 6
+//! `0xcdef_1059_d8b8_0308` → `0x86ef_3d05_652d_62fb`,
+//! `0x9055_56b0_652d_3745` → `0x1d22_fc44_3af4_3755`,
+//! `0x08be_b2b4_0fe5_b474` → `0x3f85_d74d_78e0_50ea`, faulted
+//! `0xb9e4_9727_fbd9_edd3` → `0x947e_0807_bda9_c6ef`. Every physics half
+//! and both redistribution halves stayed.
 
 #[path = "../crates/simcomm/tests/common/mod.rs"]
 mod common;
@@ -192,16 +194,16 @@ fn md_configs_match_frozen_digests() {
     ];
     let frozen: [[[u64; 2]; 4]; 2] = [
         [
-            [0xe3e7_f2ac_7ae3_deb5, 0x1cca_f807_c80f_ea39],
-            [0xe36d_87b1_23fa_3d6c, 0xf3d5_ee3d_1b67_5f6a],
-            [0x1c08_5b70_c285_000a, 0x50f0_9029_8b54_9b25],
-            [0xf8f4_8bef_8ac1_3909, 0xcab6_3962_8da7_d871],
+            [0xe3e7_f2ac_7ae3_deb5, 0xf452_28e2_ce39_75d4],
+            [0xe36d_87b1_23fa_3d6c, 0x7a96_bc79_1df4_4d4c],
+            [0x1c08_5b70_c285_000a, 0x4960_4168_71ad_754c],
+            [0xf8f4_8bef_8ac1_3909, 0xee99_c252_d89b_776e],
         ],
         [
-            [0xe3e7_f2ac_7ae3_deb5, 0x03ef_b03a_acdc_60c1],
-            [0xe36d_87b1_23fa_3d6c, 0x3fb3_c770_e6ef_fe03],
-            [0x1c08_5b70_c285_000a, 0xf210_ebf4_2397_11fd],
-            [0xf8f4_8bef_8ac1_3909, 0x81af_cadd_9c8b_21fc],
+            [0xe3e7_f2ac_7ae3_deb5, 0xa042_848e_f6cc_bf2b],
+            [0xe36d_87b1_23fa_3d6c, 0xec62_4e09_3b2f_d546],
+            [0x1c08_5b70_c285_000a, 0x2a62_c327_9b6a_b2a4],
+            [0xf8f4_8bef_8ac1_3909, 0x2a00_7203_7eb4_b302],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -244,7 +246,7 @@ fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u3
 /// digest changed from run to run with the `HashMap` order of M2M children.)
 #[test]
 fn fmm_level3_non_neutral_cells_match_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0xcdef_1059_d8b8_0308]);
+    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0x86ef_3d05_652d_62fb]);
 }
 
 // Every digest above runs the FMM at order 2 (10 coefficients). The two below
@@ -255,12 +257,12 @@ fn fmm_level3_non_neutral_cells_match_frozen_digest() {
 
 #[test]
 fn fmm_order4_level3_matches_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0x9055_56b0_652d_3745]);
+    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0x1d22_fc44_3af4_3755]);
 }
 
 #[test]
 fn fmm_order6_level2_matches_frozen_digest() {
-    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x08be_b2b4_0fe5_b474]);
+    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x3f85_d74d_78e0_50ea]);
 }
 
 #[test]
@@ -290,7 +292,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x645e_ed2c_0d69_baaa, 0xb9e4_9727_fbd9_edd3],
+            [0x645e_ed2c_0d69_baaa, 0x947e_0807_bda9_c6ef],
             &format!("faulted P2NFFT width {width}"),
         );
     }
