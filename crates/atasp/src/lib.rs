@@ -14,8 +14,12 @@
 //!
 //! [`hand_back`] is the return path both particle solvers share: the
 //! computed particles go home to their origin rank and position (Method A),
-//! or stay in the solver's order with resort indices built from their origin
-//! codes (Method B, Fig. 5).
+//! or stay in the solver's order (Method B). Under Method B the
+//! application's additional data follows either resort indices built from
+//! the particles' origin codes (Fig. 5) or, for a solver whose particles
+//! arrived in one redistribution, a resort plan built from that
+//! redistribution's own routes ([`alltoall_specific_routed`]), with no
+//! index built or exchanged.
 //!
 //! All operations can run over the synchronizing collective exchange
 //! ([`simcomm::Comm::alltoallv`]) or — when the caller knows the
@@ -24,7 +28,9 @@
 //! maximum particle movement is small (Sect. III-B). The neighbourhood runs
 //! the sparse data exchange ([`simcomm::Comm::sparse_exchange`]): a message
 //! only to each partner that has data, then one barrier, so a step in which
-//! little moves pays for little.
+//! little moves pays for little. A plan built from routes knows its sources
+//! as well as its targets, and exchanges point to point with no barrier
+//! ([`simcomm::Comm::routed_exchange_into`]).
 //!
 //! ## The local block
 //!
@@ -190,23 +196,43 @@ impl<T> Delivered<T> {
     /// Every delivered buffer in ascending source order, the local block at
     /// its own rank's position.
     fn buffers(&self) -> impl Iterator<Item = &[T]> {
-        let at = self.remote.partition_point(|&(src, _)| src < self.me);
-        let (below, above) = self.remote.split_at(at);
-        let below = below.iter().map(|(_, b)| b.as_slice());
-        below.chain(self.local.as_deref()).chain(above.iter().map(|(_, b)| b.as_slice()))
+        self.sources().map(|(_, b)| b)
     }
 
-    /// The delivered buffers end to end.
-    fn concat(&self) -> Vec<T>
+    /// [`Delivered::buffers`] with the rank each came from.
+    fn sources(&self) -> impl Iterator<Item = (usize, &[T])> {
+        in_source_order(self.me, &self.remote, self.local.as_deref())
+    }
+
+    /// The delivered buffers end to end: the local block itself when
+    /// nothing arrived from another rank.
+    fn concat(self) -> Vec<T>
     where
         T: Copy,
     {
+        if self.remote.is_empty() {
+            return self.local.unwrap_or_default();
+        }
         let mut out = Vec::with_capacity(self.buffers().map(<[T]>::len).sum());
         for buf in self.buffers() {
             out.extend_from_slice(buf);
         }
         out
     }
+}
+
+/// Buffers received from other ranks (ascending source) and the local
+/// rank's own block, in ascending source order with the local block at
+/// rank `me`'s place: the order the records of an exchange arrive in.
+fn in_source_order<'a, T>(
+    me: usize,
+    remote: &'a [(usize, Vec<T>)],
+    local: Option<&'a [T]>,
+) -> impl Iterator<Item = (usize, &'a [T])> {
+    let at = remote.partition_point(|&(src, _)| src < me);
+    let (below, above) = remote.split_at(at);
+    let remote = |(src, b): &'a (usize, Vec<T>)| (*src, b.as_slice());
+    below.iter().map(remote).chain(local.map(|b| (me, b))).chain(above.iter().map(remote))
 }
 
 /// Exchange target-grouped buffers ([`group_by_target`]): the local rank's
@@ -234,10 +260,86 @@ pub fn alltoall_specific<T: Send + Copy + 'static>(
     targets: &[usize],
     mode: &ExchangeMode,
 ) -> Vec<T> {
+    deliver(comm, elements, targets, mode).concat()
+}
+
+/// [`alltoall_specific`] that keeps its routes: `routes` is refilled with
+/// where every element went and how many arrived from where, so that later
+/// data can follow the same routes (a resort plan built by [`hand_back`]
+/// from a [`Routed`] solver). The same messages, costs and result.
+pub fn alltoall_specific_routed<T: Send + Copy + 'static>(
+    comm: &mut Comm,
+    elements: &[T],
+    targets: &[usize],
+    mode: &ExchangeMode,
+    routes: &mut Routes,
+) -> Vec<T> {
+    routes.record_sends(targets);
+    let delivered = deliver(comm, elements, targets, mode);
+    routes.from.clear();
+    routes.from.extend(delivered.sources().map(|(src, b)| (src, b.len())));
+    delivered.concat()
+}
+
+/// The exchange under [`alltoall_specific`]: group, charge the copy, send.
+fn deliver<T: Send + Copy + 'static>(
+    comm: &mut Comm,
+    elements: &[T],
+    targets: &[usize],
+    mode: &ExchangeMode,
+) -> Delivered<T> {
     assert_eq!(elements.len(), targets.len());
     let groups = group_by_target(comm, targets.iter().copied().zip(elements.iter().copied()), mode);
     comm.compute(Work::ByteCopy, std::mem::size_of_val(elements) as f64);
-    exchange_grouped(comm, groups, mode).concat()
+    exchange_grouped(comm, groups, mode)
+}
+
+/// The routes of one fine-grained redistribution as its two ends saw them:
+/// the sender's input indices per target, in the order they were sent, and
+/// the receiver's count per source, in the order the records arrived.
+/// Recorded by [`alltoall_specific_routed`] and refilled in place, so a
+/// caller that keeps one allocates nothing for it once it is warm.
+#[derive(Clone, Debug, Default)]
+pub struct Routes {
+    /// `(target rank, records)`, ascending target; the local rank's own
+    /// block included.
+    to: Vec<(usize, usize)>,
+    /// The input indices, target after target, each target's ascending.
+    sent: Vec<u32>,
+    /// `(source rank, records)`, ascending source; the local block at its
+    /// own rank's place.
+    from: Vec<(usize, usize)>,
+}
+
+impl Routes {
+    /// Refill the send half: input `i` goes to rank `targets[i]`.
+    fn record_sends(&mut self, targets: &[usize]) {
+        let n = u32::try_from(targets.len()).expect("more than u32::MAX records on one rank");
+        self.sent.clear();
+        self.sent.extend(0..n);
+        // Ascending index within a target: the stable grouping of the send.
+        self.sent.sort_unstable_by_key(|&i| (targets[i as usize], i));
+        self.to.clear();
+        for &i in &self.sent {
+            match self.to.last_mut() {
+                Some((t, count)) if *t == targets[i as usize] => *count += 1,
+                _ => self.to.push((targets[i as usize], 1)),
+            }
+        }
+    }
+
+    /// Records that arrived.
+    fn arrived(&self) -> usize {
+        self.from.iter().map(|&(_, n)| n).sum()
+    }
+
+    /// Each target's input indices, ascending target.
+    fn per_target(&self) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+        self.to.iter().scan(0, |start, &(t, n)| {
+            *start += n;
+            Some((t, *start - n..*start))
+        })
+    }
 }
 
 /// Redistribute `data` according to `resort_indices` and place every element
@@ -304,32 +406,62 @@ pub fn resort_planes(
 /// Seed of a plan's index fingerprint (the fractional digits of pi).
 const PLAN_SEED: u64 = 0x243f_6a88_85a3_08d3;
 
-/// A frozen redistribution schedule built from one set of resort indices:
-/// the plan half of the plan/execute split for [`resort`] /
-/// [`resort_planes`].
+/// Message tag of a resort plan's point-to-point exchange ("resort").
+const TAG_RESORT: u64 = 0x7265_736f_7274;
+
+/// A frozen redistribution schedule: the plan half of the plan/execute
+/// split for [`resort`] / [`resort_planes`] and the `fcs_resort_*` calls.
 ///
-/// [`ResortPlan::build`] decodes the indices **once** — which input elements
-/// are live (non-ghost), which target rank each goes to, the target position
-/// of each, and the stable per-target grouping the exchange needs — and
-/// freezes them as per-target route lists. [`ResortPlan::execute`] then only
-/// packs payload along the frozen routes, exchanges it, and places it; it can
-/// be called once per timestep (and once per channel set) for as long as the
-/// resort indices are unchanged, which is exactly the quiet-timestep common
-/// case of the paper's Method B: particles move, but the *routing* of the
-/// redistribution does not.
+/// A plan has one of two sources:
 ///
-/// Executing a plan on every rank is a collective operation with the same
-/// requirements as [`resort`]; ranks may rebuild their plans in different
-/// steps (the exchange contents are identical either way).
+/// - **Resort indices** ([`ResortPlan::build`]). The indices are decoded
+///   **once** — which input elements are live (non-ghost), which target rank
+///   each goes to and at which position — and frozen as per-target routes.
+///   The receiver learns the positions only from the records, so each
+///   carries its target position. The plan serves its indices for as long
+///   as they are unchanged ([`ResortPlan::matches`]), which is the quiet
+///   timestep of the paper's Method B: particles move, but the *routing* of
+///   the redistribution does not.
+/// - **A solver's routes** ([`hand_back`] with a [`Routed`] solver). The
+///   data follows the routes of the solver's one redistribution, and the
+///   receiver places the `a`-th record to arrive where the solver's local
+///   order put the `a`-th particle. Both ends already know all of it, so no
+///   index is built or exchanged and no record carries a position.
+///
+/// [`ResortPlan::execute`] / [`ResortPlan::execute_planes`] then only pack
+/// payload along the frozen routes, exchange it and place it. Executing a
+/// plan on every rank is a collective operation with the same requirements
+/// as [`resort`] — except a route plan in neighbourhood mode, which sends
+/// to exactly its targets and receives from exactly its sources, with no
+/// barrier. Ranks may rebuild index plans in different steps (the exchange
+/// contents are identical either way).
 #[derive(Clone, Debug)]
 pub struct ResortPlan {
-    mode: ExchangeMode,
     new_len: usize,
+    /// Elements the plan reads: live and ghost.
     n_input: usize,
-    ix_fingerprint: u64,
-    /// Per-target route lists: `(target rank, [(input index, target
-    /// position)])`, targets ascending, entries in stable input order.
-    routes: Vec<(usize, Vec<(u32, u32)>)>,
+    /// Where the live elements go; for a route plan also where the records
+    /// come from.
+    routes: Routes,
+    placement: Placement,
+}
+
+/// How a plan's receiver finds each record's place.
+#[derive(Clone, Debug)]
+enum Placement {
+    /// From resort indices: `positions[k]` is where `routes.sent[k]` lands,
+    /// and travels with it as a 4-byte header; the exchange runs over
+    /// `mode`, and the plan serves the indices its fingerprint folds.
+    Carried { mode: ExchangeMode, fingerprint: u64, positions: Vec<u32> },
+    /// From routes: the `a`-th record to arrive (ascending source, the local
+    /// block in its place) lands at `at[a]`. The records travel in an
+    /// all-to-all-v if `collective`, point to point along the routes if not.
+    Derived { collective: bool, at: Vec<u32> },
+}
+
+impl Placement {
+    /// The placement of an empty plan (no allocation).
+    const EMPTY: Placement = Placement::Derived { collective: true, at: Vec::new() };
 }
 
 impl ResortPlan {
@@ -347,35 +479,83 @@ impl ResortPlan {
         // Routes store input indices as `u32`, like the target positions.
         let n_input =
             u32::try_from(resort_indices.len()).expect("more than u32::MAX records on one rank");
-        let mut counts = vec![0usize; p];
-        for &ix in resort_indices {
-            if is_ghost(ix) {
-                continue;
-            }
+        let live = || (0..n_input).zip(resort_indices).filter(|&(_, &ix)| !is_ghost(ix));
+        // A counting sort by target: counts, then each target's first slot.
+        let mut next = vec![0usize; p];
+        for (_, &ix) in live() {
             let (t, _) = decode_index(ix);
             assert!(t < p, "target rank {t} out of range");
-            counts[t] += 1;
+            next[t] += 1;
         }
-        let mut bins: Vec<Vec<(u32, u32)>> =
-            counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-        for (i, &ix) in (0..n_input).zip(resort_indices) {
-            if is_ghost(ix) {
-                continue;
-            }
+        let mut routes = Routes::default();
+        routes.to.extend(next.iter().enumerate().filter(|&(_, &n)| n > 0).map(|(t, &n)| (t, n)));
+        let mut start = 0;
+        for slot in &mut next {
+            (*slot, start) = (start, start + *slot);
+        }
+        routes.sent.resize(start, 0);
+        let mut positions = vec![0u32; start];
+        for (i, &ix) in live() {
             let (t, pos) = decode_index(ix);
-            bins[t].push((i, pos as u32));
+            (routes.sent[next[t]], positions[next[t]]) = (i, pos as u32);
+            next[t] += 1;
         }
-        let routes: Vec<(usize, Vec<(u32, u32)>)> =
-            bins.into_iter().enumerate().filter(|(_, b)| !b.is_empty()).collect();
         let route_bytes = (std::mem::size_of_val(resort_indices)) as u64;
         comm.compute(Work::ByteCopy, route_bytes as f64);
         comm.note_plan_build(t0, route_bytes);
+        let fingerprint = fold_words(PLAN_SEED, resort_indices.iter().copied());
         ResortPlan {
-            mode: mode.clone(),
             new_len,
             n_input: resort_indices.len(),
-            ix_fingerprint: fold_words(PLAN_SEED, resort_indices.iter().copied()),
             routes,
+            placement: Placement::Carried { mode: mode.clone(), fingerprint, positions },
+        }
+    }
+
+    /// Rebuild this plan, in place, to send data along `routes` and place
+    /// it in the receiver's order: `order[j]` is the arrival index of the
+    /// record the receiver keeps at `j`. The exchange is an all-to-all-v
+    /// under [`ExchangeMode::Collective`], point to point along the routes
+    /// otherwise. Purely local; charges the copy of the routes and the
+    /// inverted order, and records a `plan_build` trace span.
+    fn rebuild_from_routes(
+        &mut self,
+        comm: &mut Comm,
+        routes: &Routes,
+        order: &[u32],
+        mode: &ExchangeMode,
+    ) {
+        let t0 = comm.clock();
+        let new_len = order.len();
+        assert_eq!(new_len, routes.arrived(), "the order must place every record that arrived");
+        (self.new_len, self.n_input) = (new_len, routes.sent.len());
+        self.routes.to.clone_from(&routes.to);
+        self.routes.sent.clone_from(&routes.sent);
+        self.routes.from.clone_from(&routes.from);
+        // The placement vector of an earlier route plan is refilled.
+        let mut at = match std::mem::replace(&mut self.placement, Placement::EMPTY) {
+            Placement::Derived { at, .. } => at,
+            Placement::Carried { .. } => Vec::new(),
+        };
+        at.clear();
+        at.resize(new_len, 0);
+        for (j, &a) in (0u32..).zip(order) {
+            at[a as usize] = j;
+        }
+        let collective = *mode == ExchangeMode::Collective;
+        self.placement = Placement::Derived { collective, at };
+        let route_bytes = (4 * (self.n_input + new_len)) as u64;
+        comm.compute(Work::ByteCopy, route_bytes as f64);
+        comm.note_plan_build(t0, route_bytes);
+    }
+
+    /// An empty plan, to be rebuilt in place.
+    fn empty() -> ResortPlan {
+        ResortPlan {
+            new_len: 0,
+            n_input: 0,
+            routes: Routes::default(),
+            placement: Placement::EMPTY,
         }
     }
 
@@ -385,26 +565,31 @@ impl ResortPlan {
     }
 
     /// Is this plan still valid for the given redistribution? True when the
-    /// resort indices, the output length and the exchange mode are the ones
-    /// the plan was built from (index equality via a 64-bit fingerprint: a
-    /// `particles::record` word fold, no copy of the indices).
+    /// plan was built from resort indices and they, the output length and
+    /// the exchange mode are the ones given (index equality via a 64-bit
+    /// fingerprint: a `particles::record` word fold, no copy of the
+    /// indices). A plan built from routes serves no indices: always false.
     pub fn matches(&self, resort_indices: &[u64], new_len: usize, mode: &ExchangeMode) -> bool {
+        let Placement::Carried { mode: own, fingerprint, .. } = &self.placement else {
+            return false;
+        };
         self.n_input == resort_indices.len()
             && self.new_len == new_len
-            && self.mode == *mode
-            && self.ix_fingerprint == fold_words(PLAN_SEED, resort_indices.iter().copied())
+            && own == mode
+            && *fingerprint == fold_words(PLAN_SEED, resort_indices.iter().copied())
     }
 
     /// Move typed channels through the frozen schedule — the staging step
     /// behind the paper's `fcs_resort_floats` / `fcs_resort_ints`: the
     /// channels become planes of a temporary [`PlaneSet`] and are moved by
     /// [`ResortPlan::execute_planes`] — one combined exchange round, ghosts
-    /// dropped, every record placed at its target position. Callers on the
-    /// per-timestep hot path should hold a persistent `PlaneSet` instead and
-    /// skip the staging copies.
+    /// dropped, every record placed. Callers on the per-timestep hot path
+    /// should hold a persistent `PlaneSet` instead and skip the staging
+    /// copies.
     ///
-    /// Identical results to [`resort`] with the indices the plan was built
-    /// from; only the index decode/grouping work is skipped. Collective.
+    /// Identical results to [`resort`] with the indices an index plan was
+    /// built from; only the index decode/grouping work is skipped.
+    /// Collective.
     pub fn execute<T: PlaneElem>(&self, comm: &mut Comm, channels: &[&[T]]) -> Vec<Vec<T>> {
         let k = channels.len();
         assert!(k > 0, "resort plan execution needs at least one channel");
@@ -430,9 +615,10 @@ impl ResortPlan {
     /// redistributed data (`set.len()` becomes the plan's `new_len`).
     ///
     /// The wire format packs one record per live element along the plan's
-    /// per-target routes: the `u32` target position (little-endian) followed
-    /// by the element's bytes from every plane in registration order —
-    /// `4 + set.element_bytes()` bytes per record; the local rank's records
+    /// per-target routes: the element's bytes from every plane in
+    /// registration order, behind its `u32` target position (little-endian)
+    /// if the plan was built from resort indices — `set.element_bytes()`
+    /// bytes per record, plus 4 for an index plan; the local rank's records
     /// are packed alike but never sent. Placement scatters each plane's
     /// slice of every record into that plane's back slab, then
     /// [`PlaneSet::commit`] flips all planes at once. Send buffers come from
@@ -443,7 +629,8 @@ impl ResortPlan {
     /// layout is part of the wire contract; mismatches trip the byte-count
     /// assertions). Collective, with the same cost phases
     /// (`"redistribute"` / `"place"`) and per-plane `plan_exec` accounting
-    /// as the typed path.
+    /// as the typed path; a route plan in neighbourhood mode synchronizes
+    /// only with the ranks it exchanges records with.
     pub fn execute_planes(&self, comm: &mut Comm, set: &mut PlaneSet) {
         let k = set.plane_count();
         assert!(k > 0, "resort plan execution needs at least one plane");
@@ -454,7 +641,12 @@ impl ResortPlan {
         );
         let t0 = comm.clock();
         let new_len = self.new_len;
-        let rec = 4 + set.element_bytes();
+        let positions = match &self.placement {
+            Placement::Carried { positions, .. } => Some(positions.as_slice()),
+            Placement::Derived { .. } => None,
+        };
+        let header = if positions.is_some() { 4 } else { 0 };
+        let rec = header + set.element_bytes();
         let me = comm.rank();
         comm.enter_phase("redistribute");
         let (mut sends, mut received) = comm.take_byte_pairs();
@@ -462,50 +654,74 @@ impl ResortPlan {
         // records are held aside, never sent.
         let mut local: Option<Vec<u8>> = None;
         let mut routed_bytes = 0u64;
-        for (t, entries) in &self.routes {
-            let buf = pack_route(comm, set, entries, *t, rec);
+        for (t, range) in self.routes.per_target() {
+            let at = positions.map(|p| &p[range.clone()]);
+            let buf = pack_route(comm, set, &self.routes.sent[range], at, t, rec);
             routed_bytes += buf.len() as u64;
-            if *t == me {
+            if t == me {
                 local = Some(buf);
             } else {
-                sends.push((*t, buf));
+                sends.push((t, buf));
             }
         }
         comm.compute(Work::ByteCopy, routed_bytes as f64);
-        self.mode.exchange_into(comm, &mut sends, &mut received);
+        match &self.placement {
+            Placement::Carried { mode, .. } => mode.exchange_into(comm, &mut sends, &mut received),
+            Placement::Derived { collective: true, .. } => {
+                comm.alltoallv_into(&mut sends, &mut received)
+            }
+            Placement::Derived { collective: false, .. } => {
+                let sources = self.routes.from.iter().map(|&(src, _)| src).filter(|&s| s != me);
+                comm.routed_exchange_into(sources, &mut sends, &mut received, TAG_RESORT)
+            }
+        }
         comm.exit_phase();
-        let n_received: usize = received.iter().map(|(_, b)| b.len()).sum::<usize>()
-            + local.as_ref().map_or(0, |b| b.len());
+        let arrivals = || in_source_order(me, &received, local.as_deref());
+        let n_received: usize = arrivals().map(|(_, b)| b.len()).sum();
         assert_eq!(
             n_received,
             new_len * rec,
             "resort produced {n_received} payload bytes, expected {new_len} records x {rec} \
              bytes ({k} planes; all ranks must register identical planes)"
         );
+        if let Placement::Derived { .. } = self.placement {
+            let arrived = arrivals().map(|(src, b)| (src, b.len() / rec));
+            assert!(arrived.eq(self.routes.from.iter().copied()), "records arrived off the routes");
+        }
         comm.enter_phase("place");
         // Per-plane passes: scatter each record's slice for this plane into
         // the plane's back slab at the record's target position, then flip
         // all planes at once.
-        let mut off = 4usize;
+        let mut off = header;
         #[cfg(debug_assertions)]
         let mut hit = vec![false; new_len];
         for pi in 0..k {
             let id = set.id_at(pi);
             let view = set.exchange_view(id, new_len);
             let s = view.stride;
-            let bufs = local.iter().chain(received.iter().map(|(_, b)| b));
-            for buf in bufs {
-                debug_assert_eq!(buf.len() % rec, 0, "received buffer is not whole records");
-                for r in buf.chunks_exact(rec) {
-                    let pos =
-                        u32::from_le_bytes(r[0..4].try_into().expect("4-byte header")) as usize;
-                    assert!(pos < new_len, "target position {pos} out of range");
-                    #[cfg(debug_assertions)]
-                    if pi == 0 {
-                        assert!(!hit[pos], "target position {pos} hit twice");
-                        hit[pos] = true;
+            let mut place = |pos: usize, r: &[u8]| {
+                assert!(pos < new_len, "target position {pos} out of range");
+                #[cfg(debug_assertions)]
+                if pi == 0 {
+                    assert!(!hit[pos], "target position {pos} hit twice");
+                    hit[pos] = true;
+                }
+                view.back[pos * s..(pos + 1) * s].copy_from_slice(&r[off..off + s]);
+            };
+            match &self.placement {
+                Placement::Carried { .. } => {
+                    for (_, buf) in arrivals() {
+                        for r in buf.chunks_exact(rec) {
+                            let header = r[0..4].try_into().expect("4-byte header");
+                            place(u32::from_le_bytes(header) as usize, r);
+                        }
                     }
-                    view.back[pos * s..(pos + 1) * s].copy_from_slice(&r[off..off + s]);
+                }
+                Placement::Derived { at, .. } => {
+                    let records = arrivals().flat_map(|(_, buf)| buf.chunks_exact(rec));
+                    for (r, &pos) in records.zip(at) {
+                        place(pos as usize, r);
+                    }
                 }
             }
             off += s;
@@ -518,7 +734,7 @@ impl ResortPlan {
             comm.buf_release(src, buf);
         }
         comm.put_byte_pairs(sends, received);
-        comm.compute(Work::ByteCopy, (new_len * (rec - 4)) as f64);
+        comm.compute(Work::ByteCopy, (new_len * (rec - header)) as f64);
         comm.exit_phase();
         // One `plan_exec` per plane: each plane is one redistribution served
         // by the frozen routes (the unit the build is amortized over), even
@@ -531,7 +747,7 @@ impl ResortPlan {
 
 #[cfg(test)]
 impl ResortPlan {
-    /// The pre-byte-plane typed implementation, kept verbatim as the
+    /// The pre-byte-plane typed implementation of an index plan, kept as the
     /// independent reference the property tests compare
     /// [`ResortPlan::execute_planes`] against bit-for-bit. Packs `(u32
     /// position, T)` tuple records per channel and places them typed — no
@@ -550,26 +766,29 @@ impl ResortPlan {
                 "channel {c} length does not match the plan's resort indices"
             );
         }
+        let Placement::Carried { mode, positions, .. } = &self.placement else {
+            panic!("the typed reference executes index plans only")
+        };
         let t0 = comm.clock();
         let new_len = self.new_len;
         comm.enter_phase("redistribute");
         let mut routed_bytes = 0u64;
         let groups: Vec<(usize, Vec<(u32, T)>)> = self
             .routes
-            .iter()
-            .map(|(t, entries)| {
-                let mut buf: Vec<(u32, T)> = Vec::with_capacity(entries.len() * k);
-                for &(i, pos) in entries {
+            .per_target()
+            .map(|(t, range)| {
+                let mut buf: Vec<(u32, T)> = Vec::with_capacity(range.len() * k);
+                for (&i, &pos) in self.routes.sent[range.clone()].iter().zip(&positions[range]) {
                     for ch in channels {
                         buf.push((pos, ch[i as usize]));
                     }
                 }
                 routed_bytes += (buf.len() * std::mem::size_of::<(u32, T)>()) as u64;
-                (*t, buf)
+                (t, buf)
             })
             .collect();
         comm.compute(Work::ByteCopy, routed_bytes as f64);
-        let received = exchange_grouped(comm, groups, &self.mode);
+        let received = exchange_grouped(comm, groups, mode);
         comm.exit_phase();
         let n_received: usize = received.buffers().map(<[_]>::len).sum();
         assert_eq!(
@@ -596,24 +815,33 @@ impl ResortPlan {
 }
 
 /// Pack one route's records into a pool-acquired buffer: for each routed
-/// element, the `u32` target position (LE) then the element's bytes from
-/// every plane in registration order.
+/// element, its target position (`u32` LE) if `positions` carries them,
+/// then the element's bytes from every plane in registration order.
 fn pack_route(
     comm: &mut Comm,
     set: &PlaneSet,
-    entries: &[(u32, u32)],
+    indices: &[u32],
+    positions: Option<&[u32]>,
     dst: usize,
     rec: usize,
 ) -> Vec<u8> {
-    let mut buf = comm.buf_acquire(dst, entries.len() * rec);
+    let mut buf = comm.buf_acquire(dst, indices.len() * rec);
     let planes = set.planes();
-    for &(i, pos) in entries {
-        buf.extend_from_slice(&pos.to_le_bytes());
+    let element = |buf: &mut Vec<u8>, i: u32| {
         let i = i as usize;
         for pi in 0..planes.count() {
             let s = planes.stride(pi);
             buf.extend_from_slice(&planes.bytes(pi)[i * s..(i + 1) * s]);
         }
+    };
+    match positions {
+        Some(positions) => {
+            for (&i, pos) in indices.iter().zip(positions) {
+                buf.extend_from_slice(&pos.to_le_bytes());
+                element(&mut buf, i);
+            }
+        }
+        None => indices.iter().for_each(|&i| element(&mut buf, i)),
     }
     buf
 }
@@ -682,19 +910,42 @@ pub struct Solved<'a> {
     /// Their positions and charges, if the solver staged them as columns:
     /// moved into the output under Method B instead of copied from `records`.
     pub columns: Option<(&'a mut Vec<Vec3>, &'a mut Vec<f64>)>,
+    /// How the records came to be here, if one redistribution brought them:
+    /// under Method B the resort plan is then built from its routes instead
+    /// of from resort indices.
+    pub routed: Option<Routed<'a>>,
+}
+
+/// How a solver's records reached it: the routes of the one redistribution
+/// that brought them ([`alltoall_specific_routed`]) and the local order the
+/// solver put them in — which together are the resort plan.
+pub struct Routed<'a> {
+    /// The routes, as the redistribution recorded them.
+    pub routes: &'a Routes,
+    /// The solver's order: `records[j]` is the `order[j]`-th record to
+    /// arrive (ascending source, the local block in its place).
+    pub order: &'a [u32],
+    /// The solver's kept plan, rebuilt in place.
+    pub plan: &'a mut Option<ResortPlan>,
 }
 
 /// Hand a solver's results back to the application: the return path both
 /// particle solvers share (paper Sect. III). Collective.
 ///
 /// Under [`RedistMethod::UseChanged`], and only if no rank holds more than
-/// `max_local` particles, the output keeps the solver's order, with resort
-/// indices built over `index_mode` (Fig. 5). Otherwise every particle goes
-/// back to its origin rank and position (Fig. 4), in the order of the `n_in`
-/// this rank passed in. Both tests share one allreduce with the quiet test:
-/// when every rank holds exactly its input particles in their input order,
-/// the indices are the identity and no exchange builds them. The second
-/// value returned says so.
+/// `max_local` particles, the output keeps the solver's order. Otherwise
+/// every particle goes back to its origin rank and position (Fig. 4), in
+/// the order of the `n_in` this rank passed in. Both tests share one
+/// allreduce with the quiet test: when every rank holds exactly its input
+/// particles in their input order, the resort indices are the identity and
+/// no exchange builds them. The second value returned says so.
+///
+/// On a Method B step that is not quiet, the application's additional data
+/// needs a way to the solver's order:
+/// - if the solver was [`Routed`], the resort plan built from its routes and
+///   order, in place — over `index_mode`'s kind of exchange, with no index
+///   exchanged and none returned (the output's `resort_indices` is empty);
+/// - otherwise resort indices built over `index_mode` (Fig. 5).
 ///
 /// The run's computation closes on one collective here, so that compute
 /// load imbalance is booked as computation, not as the redistribution that
@@ -712,7 +963,7 @@ pub fn hand_back(
     [t_start, t_sorted]: [f64; 2],
 ) -> (SolverOutput, bool) {
     let me = comm.rank();
-    let Solved { records, potential, field, columns } = solved;
+    let Solved { records, potential, field, columns, routed } = solved;
     let (mut resorted, mut all_quiet) = (false, false);
     if method == RedistMethod::UseChanged {
         let fits = records.len() <= max_local;
@@ -729,6 +980,11 @@ pub fn hand_back(
         let resort_indices = if all_quiet {
             comm.compute(Work::ByteCopy, (n_in * 8) as f64);
             (0..n_in).map(|i| encode_index(me, i)).collect()
+        } else if let Some(Routed { routes, order, plan }) = routed {
+            assert_eq!(routes.sent.len(), n_in, "the routes must carry every input record");
+            let plan = plan.get_or_insert_with(ResortPlan::empty);
+            plan.rebuild_from_routes(comm, routes, order, index_mode);
+            Vec::new()
         } else {
             build_resort_indices_with(comm, records.iter().map(|r| &r.origin), n_in, index_mode)
         };

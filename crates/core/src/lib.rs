@@ -25,9 +25,12 @@
 //! merge-based parallel sort, the particle-mesh solver to neighbourhood
 //! point-to-point communication (Sect. III-B), where a message goes only to
 //! a neighbour that has data for it ([`atasp::ExchangeMode::Neighborhood`]).
-//! The resort of additional data follows the solver's choice, and on a quiet
-//! step — one where either solver has shown every rank's resort indices to
-//! be the identity — it places locally without communicating.
+//! The resort of additional data follows the solver's choice: after a
+//! P2NFFT step it runs along the routes of the solver's own redistribution
+//! (no resort index is built or exchanged), after an FMM step along resort
+//! indices. On a quiet step — one where the solver has shown every rank's
+//! resort indices to be the identity, and after every Ewald step — it places
+//! locally without communicating.
 //!
 //! ## Usage (mirrors `fcs_init` / `fcs_set_common` / `fcs_tune` / `fcs_run` /
 //! `fcs_destroy`)
@@ -121,8 +124,12 @@ pub struct Fcs {
     // State of the most recent run, for the query/resort functions.
     last_resorted: bool,
     last_resort_indices: Vec<u64>,
+    /// The input particle count: the length of additional data to resort.
+    last_n_in: usize,
     last_new_len: usize,
     last_resort_mode: ExchangeMode,
+    /// Whether the run's resort plan is the P2NFFT's, built from its routes.
+    last_routed: bool,
     /// Frozen redistribution schedule for the current resort indices, shared
     /// by all `resort_*` calls and reused across runs while the indices,
     /// output length and exchange mode are unchanged.
@@ -148,20 +155,24 @@ impl Fcs {
             solver: None,
             last_resorted: false,
             last_resort_indices: Vec::new(),
+            last_n_in: 0,
             last_new_len: 0,
             last_resort_mode: ExchangeMode::Collective,
+            last_routed: false,
             resort_plan: None,
             resort_plan_builds: 0,
             resort_plan_hits: 0,
         }
     }
 
-    /// Drop every cached communication plan — the solver's sort/ghost plans
-    /// and the handle's frozen resort schedule — without touching tuning
-    /// state. Recovery code that rewinds the particle state to an earlier
-    /// snapshot must call this before replaying: cached plans carry movement
-    /// accounting relative to the state they were built for, and replaying
-    /// against a rewound state would mis-account it. Plans never affect the
+    /// Drop every cached communication plan — the solver's sort/ghost plans,
+    /// the P2NFFT's resort plan built from its routes and the handle's
+    /// frozen resort schedule — without touching tuning state; resorting
+    /// after a P2NFFT run then needs the next run. Recovery code that
+    /// rewinds the particle state to an earlier snapshot must call this
+    /// before replaying: cached plans carry movement accounting relative to
+    /// the state they were built for, and replaying against a rewound state
+    /// would mis-account it. Plans never affect the
     /// physics, so dropping them is always safe (costs only rebuild time).
     /// Must be called identically on all ranks.
     pub fn invalidate_plans(&mut self) {
@@ -174,8 +185,9 @@ impl Fcs {
     }
 
     /// Communication-plan cache statistics as `(builds, hits)`, aggregated
-    /// over the solver's plans (ghost plan or sort plan) and the handle's
-    /// resort plans.
+    /// over the solver's plans (ghost plan or sort plan) and the resort
+    /// plans: a P2NFFT run that builds its plan from the routes counts one
+    /// build, and the resort calls it serves count nothing.
     pub fn plan_stats(&self) -> (u64, u64) {
         let (sb, sh) = match &self.solver {
             Some(SolverInstance::Fmm(s)) => (s.plan_builds, s.plan_hits),
@@ -323,9 +335,9 @@ impl Fcs {
     /// `max_local` is the capacity of the application's local particle
     /// arrays (the maximum number of particles this process can store).
     ///
-    /// When either solver reports a quiet step (every rank's resort indices
-    /// are the identity), the `resort_*` calls of this run place locally,
-    /// with no message and no barrier.
+    /// When the solver reports a quiet step (every rank's resort indices are
+    /// the identity), and after every Ewald run, the `resort_*` calls of
+    /// this run place locally, with no message and no barrier.
     pub fn run(
         &mut self,
         comm: &mut Comm,
@@ -341,38 +353,33 @@ impl Fcs {
             RedistMethod::RestoreOriginal
         };
         comm.enter_phase("solver");
-        // How the resort indices of this run were exchanged; the solver holds
-        // the prebuilt partner list, copied only when the mode changes.
-        let mut resort_mode = &ExchangeMode::Collective;
-        let out = match solver {
-            // On a quiet step the solver's allreduce showed every rank's
-            // resort indices to be the identity: nothing leaves any rank.
+        // Whether the resort indices of this run are the identity on every
+        // rank, so that nothing leaves any rank: the solver's allreduce shows
+        // it on a quiet step, and Ewald never changes the order.
+        self.last_routed = false;
+        let (out, quiet) = match solver {
             SolverInstance::Fmm(s) => {
                 let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
-                if s.last_report.resort_exchange_skipped {
-                    resort_mode = &QUIET;
-                }
-                o
+                (o, s.last_report.resort_exchange_skipped)
             }
             SolverInstance::Pm(s) => {
                 let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
-                if s.last_report.resort_exchange_skipped {
-                    resort_mode = &QUIET;
-                } else if s.last_report.used_neighborhood {
-                    resort_mode = s.neighborhood_mode().expect("run builds the neighbourhood");
-                }
-                o
+                self.last_routed = s.resort_plan().is_some();
+                (o, s.last_report.resort_exchange_skipped)
             }
             SolverInstance::Ewald(s) => {
-                s.run(comm, pos, charge, id, method, self.max_move, max_local)
+                (s.run(comm, pos, charge, id, method, self.max_move, max_local), true)
             }
         };
         comm.exit_phase();
+        let resort_mode = if quiet { &QUIET } else { &ExchangeMode::Collective };
         if self.last_resort_mode != *resort_mode {
             self.last_resort_mode = resort_mode.clone();
         }
+        self.resort_plan_builds += u64::from(self.last_routed);
         self.last_resorted = out.resorted;
         self.last_resort_indices.clone_from(&out.resort_indices);
+        self.last_n_in = pos.len();
         self.last_new_len = out.pos.len();
         out
     }
@@ -447,18 +454,27 @@ impl Fcs {
         );
         assert_eq!(
             data.len(),
-            self.last_resort_indices.len(),
+            self.last_n_in,
             "additional data must match the original particle count"
         );
         let plan = self.current_resort_plan(comm);
         plan.execute(comm, &[data]).pop().expect("one channel in, one channel out")
     }
 
-    /// The frozen redistribution schedule for the most recent run's resort
-    /// indices: reused while the indices/length/mode are unchanged (also
+    /// The frozen redistribution schedule of the most recent run: the
+    /// P2NFFT's plan built from its routes, or the plan for the run's resort
+    /// indices — reused while the indices/length/mode are unchanged (also
     /// *across* runs on quiet steps where the solver reproduces the same
     /// placement), rebuilt otherwise.
     fn current_resort_plan(&mut self, comm: &mut Comm) -> &atasp::ResortPlan {
+        if self.last_routed {
+            let plan = match &self.solver {
+                Some(SolverInstance::Pm(s)) => s.resort_plan(),
+                _ => None,
+            };
+            return plan
+                .expect("the last run's resort plan was dropped (plans invalidated or re-tuned)");
+        }
         let hit = self.resort_plan.as_ref().is_some_and(|pl| {
             pl.matches(&self.last_resort_indices, self.last_new_len, &self.last_resort_mode)
         });
@@ -526,11 +542,7 @@ impl Fcs {
             self.last_resorted,
             "resort functions require a successful Method B run (check resorted())"
         );
-        assert_eq!(
-            set.len(),
-            self.last_resort_indices.len(),
-            "plane set must match the original particle count"
-        );
+        assert_eq!(set.len(), self.last_n_in, "plane set must match the original particle count");
         let plan = self.current_resort_plan(comm);
         plan.execute_planes(comm, set);
     }
@@ -732,7 +744,7 @@ mod tests {
         let c = IonicCrystal::cubic(6, 1.0, 0.1, 6);
         let bbox = c.system_box();
         let p = 8;
-        for kind in [SolverKind::Fmm, SolverKind::P2Nfft] {
+        for kind in [SolverKind::Fmm, SolverKind::P2Nfft, SolverKind::Ewald] {
             let c = c.clone();
             run(p, MachineModel::juropa_like(), move |comm| {
                 let dims = CartGrid::balanced(p).dims();
@@ -755,6 +767,80 @@ mod tests {
                 assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "{kind:?}: no message");
                 assert_eq!(after.coll_ops, before.coll_ops, "{kind:?}: no barrier");
             });
+        }
+    }
+
+    #[test]
+    fn a_p2nfft_step_that_moves_resorts_along_its_sort_routes() {
+        use simcomm::{Runner, TraceKind};
+        let c = IonicCrystal::cubic(6, 1.0, 0.1, 6);
+        let bbox = c.system_box();
+        let p = 8;
+        // Without and with the movement hint: all-to-all-v steps, then
+        // (after a first step that has no hint) neighbourhood steps.
+        for hint in [false, true] {
+            let c = c.clone();
+            let runner = Runner::default().traced(true);
+            let out = runner.run(p, MachineModel::juropa_like(), move |comm| {
+                let dims = CartGrid::balanced(p).dims();
+                let set = local_set(&c, InitialDistribution::Random, comm.rank(), p, dims);
+                let mut h = Fcs::init(SolverKind::P2Nfft, p);
+                h.set_common(bbox);
+                h.tune(comm, set.pos(), set.charge());
+                h.set_resort(true);
+                let (mut pos, charge, id) = set.into_parts();
+                let (mut charge, mut id, mut tags) = (charge, id.clone(), id);
+                let mut starts = Vec::new();
+                for step in 0..4u64 {
+                    if step > 0 {
+                        // Every particle moves by up to half a spacing per axis.
+                        for (x, &i) in pos.iter_mut().zip(&id) {
+                            let u = |axis: u64| {
+                                let bits = particles::systems::splitmix64(i ^ step << 32 ^ axis);
+                                (bits >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+                            };
+                            *x = bbox.wrap(*x + Vec3::new(u(1), u(2), u(3)));
+                        }
+                        h.set_max_particle_move(hint.then_some(0.9));
+                    }
+                    starts.push(comm.clock());
+                    let o = h.run(comm, &pos, &charge, &id, usize::MAX);
+                    assert!(h.resorted() && o.resort_indices.is_empty(), "step {step}: it moves");
+                    tags = h
+                        .resort_ints(comm, &tags.iter().map(|&t| t as i64).collect::<Vec<_>>())
+                        .into_iter()
+                        .map(|t| t as u64)
+                        .collect();
+                    assert_eq!(tags, o.id, "step {step}: the tags follow their particles");
+                    (pos, charge, id) = (o.pos, o.charge, o.id);
+                }
+                starts
+            });
+            let collective = |k: TraceKind| {
+                use TraceKind::*;
+                matches!(k, Barrier | Bcast | Reduce | Gather | Alltoallv | SparseExchange)
+            };
+            let message = |k: TraceKind| {
+                use TraceKind::*;
+                matches!(k, Send | Recv | Isend | Wait)
+            };
+            for (r, (trace, starts)) in out.traces.iter().zip(&out.results).enumerate() {
+                let phase = |name| trace.events.iter().filter(move |e| e.phase == name);
+                assert!(
+                    phase("resort").all(|e| !collective(e.kind) && !message(e.kind)),
+                    "hint {hint} rank {r}: the resort phase exchanges nothing"
+                );
+                // One all-to-all-v a step, or under the hint only on step 0.
+                let steps: Vec<usize> = phase("redistribute")
+                    .filter(|e| collective(e.kind))
+                    .map(|e| {
+                        assert_eq!(e.kind, TraceKind::Alltoallv, "hint {hint} rank {r}");
+                        starts.partition_point(|&t| t <= e.t_start) - 1
+                    })
+                    .collect();
+                let want: Vec<usize> = if hint { vec![0] } else { vec![0, 1, 2, 3] };
+                assert_eq!(steps, want, "hint {hint} rank {r}: redistribute collectives");
+            }
         }
     }
 

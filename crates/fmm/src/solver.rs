@@ -443,6 +443,7 @@ impl FmmSolver {
             potential: &mut ws.potential,
             field: &mut ws.field,
             columns: None,
+            routed: None,
         };
         let (out, skipped) = hand_back(
             comm,

@@ -109,8 +109,8 @@ pub struct StepRecord {
     pub sort: f64,
     /// Restoring the original order and distribution (Method A only).
     pub restore: f64,
-    /// Creating resort indices + resorting the application's additional
-    /// particle data (Method B only).
+    /// Creating the resort indices or plan + resorting the application's
+    /// additional particle data (Method B only).
     pub resort: f64,
     /// Total time of the solver execution including application-side
     /// redistribution of additional data.

@@ -64,8 +64,8 @@ impl SoftCore {
 
 /// One particle as the solvers carry it between ranks: position, charge, the
 /// application's global id, and the origin code (`origin rank << 32 | origin
-/// position`) by which its results go home (Method A) or its resort index is
-/// built (Method B).
+/// position`) by which its results go home (Method A) or, where a solver
+/// builds them, its resort index is built (Method B).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Particle {
     /// Particle position.
@@ -88,7 +88,10 @@ pub struct SolverTimings {
     pub compute: f64,
     /// Restoring the original order and distribution (Method A only).
     pub restore: f64,
-    /// Creating the resort indices (Method B only).
+    /// Method B only: the hand-back's resort step — building the resort
+    /// indices by an exchange (FMM), building the resort plan from the
+    /// owner redistribution's routes with no exchange (P2NFFT), or the
+    /// identity indices of a quiet step.
     pub resort_create: f64,
     /// Total time of the solver execution.
     pub total: f64,
@@ -96,7 +99,7 @@ pub struct SolverTimings {
 
 impl SolverTimings {
     /// The redistribution share of this execution: sort + restore +
-    /// resort-index creation.
+    /// resort creation.
     pub fn redistribution(&self) -> f64 {
         self.sort + self.restore + self.resort_create
     }
@@ -122,7 +125,9 @@ pub struct SolverOutput {
     pub resorted: bool,
     /// Method B: for each particle of the *original* local array, the
     /// 64-bit (target rank << 32 | target position) resort index. Empty for
-    /// Method A.
+    /// Method A, and after a P2NFFT Method B run that was not quiet: that
+    /// solver builds a resort plan from its own redistribution's routes
+    /// instead (`PmSolver::resort_plan`), which `fcs` executes.
     pub resort_indices: Vec<u64>,
     /// Timing breakdown of this execution.
     pub timings: SolverTimings,

@@ -17,9 +17,11 @@
 //!
 //! After the computation the solver either restores the original particle
 //! order and distribution (Method A) or returns the changed grid
-//! distribution with resort indices (Method B); with limited particle
-//! movement the redistribution switches from collective all-to-all to
-//! neighbourhood point-to-point communication (Sect. III-B).
+//! distribution (Method B) with a resort plan built from its owner
+//! redistribution's routes, no resort index exchanged (identity resort
+//! indices on a quiet step); with limited particle movement the
+//! redistribution switches from collective all-to-all to neighbourhood
+//! point-to-point communication (Sect. III-B), and so does the resort.
 
 #![warn(missing_docs)]
 // No result of this crate may depend on `RandomState`: nothing outside tests
@@ -178,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn method_b_resort_indices_route_additional_data() {
+    fn method_b_resort_plan_routes_additional_data() {
         let c = IonicCrystal::cubic(6, 1.0, 0.2, 5);
         let bbox = c.system_box();
         let cfg = PmConfig::tuned(&bbox, 1e-3, 2.0);
@@ -196,16 +198,13 @@ mod tests {
                 usize::MAX,
             );
             assert!(o.resorted);
-            assert_eq!(o.resort_indices.len(), set.len());
+            // The plan comes from the routes: no resort index is returned.
+            assert!(o.resort_indices.is_empty());
+            let plan = solver.resort_plan().expect("a Method B step that moves builds its plan");
+            assert_eq!(plan.new_len(), o.id.len());
             // Resorting the original ids must match the changed order (in
             // particular, ghosts are not part of the returned particles).
-            let moved_ids = atasp::resort(
-                comm,
-                set.id(),
-                &o.resort_indices,
-                o.id.len(),
-                &atasp::ExchangeMode::Collective,
-            );
+            let moved_ids = plan.execute(comm, &[set.id()]).pop().unwrap();
             assert_eq!(moved_ids, o.id);
             // All returned particles must live in this rank's subdomain.
             let dims = CartGrid::balanced(p).dims();
@@ -266,6 +265,12 @@ mod tests {
                 usize::MAX,
             );
             assert!(!solver.last_report.used_neighborhood);
+            // Each run's plan carries the input ids into its order.
+            let resorted_ids = |solver: &PmSolver, comm: &mut simcomm::Comm| {
+                let plan = solver.resort_plan().expect("a step that moves builds its plan");
+                plan.execute(comm, &[&o1.id]).pop().unwrap()
+            };
+            let ids_coll = resorted_ids(&solver, comm);
             let o_neigh = solver.run(
                 comm,
                 &moved,
@@ -276,12 +281,15 @@ mod tests {
                 usize::MAX,
             );
             assert!(solver.last_report.used_neighborhood);
-            (o_coll, o_neigh)
+            let ids_neigh = resorted_ids(&solver, comm);
+            (o_coll, o_neigh, ids_coll, ids_neigh)
         });
-        for (a, b) in out.results {
+        for (a, b, ids_a, ids_b) in out.results {
             assert_eq!(a.id, b.id);
             assert_eq!(a.pos, b.pos);
-            assert_eq!(a.resort_indices, b.resort_indices);
+            assert!(a.resort_indices.is_empty() && b.resort_indices.is_empty());
+            assert_eq!(ids_a, a.id, "the collective plan places every id");
+            assert_eq!(ids_b, b.id, "the neighbourhood plan places every id");
             for (x, y) in a.potential.iter().zip(&b.potential) {
                 assert!((x - y).abs() < 1e-12);
             }
@@ -334,6 +342,11 @@ mod tests {
             );
             assert!(!solver.last_report.used_neighborhood);
             assert_eq!(solver.guard_fallbacks, 0);
+            let resorted_ids = |solver: &PmSolver, comm: &mut simcomm::Comm| {
+                let plan = solver.resort_plan().expect("a step that moves builds its plan");
+                plan.execute(comm, &[&o1.id]).pop().unwrap()
+            };
+            let ids_coll = resorted_ids(&solver, comm);
             // The lie: claim almost nothing moved.
             let o_guard = solver.run(
                 comm,
@@ -352,7 +365,8 @@ mod tests {
             assert_eq!(solver.guard_fallbacks, 1);
             assert_eq!(o_guard.id, o_coll.id, "fallback must deliver the collective result");
             assert_eq!(o_guard.pos, o_coll.pos);
-            assert_eq!(o_guard.resort_indices, o_coll.resort_indices);
+            assert_eq!(resorted_ids(&solver, comm), ids_coll);
+            assert_eq!(ids_coll, o_coll.id, "the plan places every id");
             assert_eq!(o_guard.potential, o_coll.potential, "identical exchange, identical bits");
             // An honest small step keeps the neighbourhood path guard-free.
             let o_honest = solver.run(

@@ -3,7 +3,10 @@
 //! duplication, linked-cell near field, FFT-mesh far field, and the paper's
 //! two data redistribution paths.
 
-use atasp::{alltoall_specific, encode_index, hand_back, ExchangeMode, Solved};
+use atasp::{
+    alltoall_specific_routed, encode_index, hand_back, ExchangeMode, ResortPlan, Routed, Routes,
+    Solved,
+};
 use particles::{
     grid_cell_bounds, grid_rank_of, MovementHint, Particle, RedistMethod, SolverOutput, SystemBox,
     Vec3,
@@ -71,10 +74,11 @@ pub struct PmRunReport {
     /// Whether this run re-executed the cached ghost plan (skin-margin ghost
     /// routes and linked-cell placement) instead of rebuilding it.
     pub ghost_plan_reused: bool,
-    /// Whether the resort-index exchange was skipped because all ranks
-    /// detected an identity placement (quiet timestep under a valid plan).
-    /// `fcs` then resorts the step's additional data locally, with no
-    /// message and no barrier.
+    /// Whether this was a quiet Method B step: every rank held exactly its
+    /// input particles in their input order, so the resort indices are the
+    /// identity, built without an exchange, and no resort plan is built from
+    /// the routes. `fcs` then resorts the step's additional data locally,
+    /// with no message and no barrier.
     pub resort_exchange_skipped: bool,
     /// Whether the movement-bound guard detected a particle whose new owner
     /// lies outside the 26-neighbourhood (the movement hint under-reported
@@ -125,11 +129,18 @@ struct PlanStatics {
 /// fills it, before the step that reads it.
 #[derive(Default)]
 struct Workspace {
-    /// The input as records, and the rank each goes to.
+    /// The input as records, and the rank each goes to; once the owner
+    /// redistribution has sent them, the owned particles in linked-cell
+    /// order.
     records: Vec<Particle>,
     targets: Vec<usize>,
-    /// Linked-cell keys of the owned particles.
+    /// The routes of the owner redistribution.
+    routes: Routes,
+    /// Linked-cell keys of the owned particles, in arrival order.
     keys: Vec<u64>,
+    /// The linked-cell order: the `j`-th owned particle is the `order[j]`-th
+    /// to arrive.
+    order: Vec<u32>,
     /// The owned particles as columns (moved into the output under Method B).
     pos: Vec<Vec3>,
     charge: Vec<f64>,
@@ -180,6 +191,11 @@ pub struct PmSolver {
     /// Cross-timestep tables and workspace of the far field; host-side only,
     /// bitwise invisible to results and virtual clocks.
     far_cache: FarFieldCache,
+    /// The resort plan built from the owner redistribution's routes, kept
+    /// to be rebuilt in place; `resort_plan_fresh` says the last run built
+    /// it.
+    resort_plan: Option<ResortPlan>,
+    resort_plan_fresh: bool,
     /// Ghost-plan epochs built (including rebuilds) over the solver lifetime.
     pub plan_builds: u64,
     /// Runs that re-executed a cached ghost-plan epoch.
@@ -218,6 +234,8 @@ impl PmSolver {
             ws: Workspace::default(),
             far_plan,
             far_cache: FarFieldCache::default(),
+            resort_plan: None,
+            resort_plan_fresh: false,
             plan_builds: 0,
             plan_hits: 0,
             guard_fallbacks: 0,
@@ -236,19 +254,24 @@ impl PmSolver {
     }
 
     /// Drop all cached cross-timestep planning state (the ghost-plan epoch
-    /// with its accumulated-movement accounting). Recovery paths that rewind
-    /// the simulation call this on every rank before replaying; plan state is
-    /// bitwise invisible to the physics, so dropping it is always safe. The
-    /// decomposition-static scaffolding (26-neighbourhood, persistent
-    /// [`CommPlan`]) carries no movement state and is kept.
+    /// with its accumulated-movement accounting, and the resort plan of the
+    /// last run). Recovery paths that rewind the simulation call this on
+    /// every rank before replaying; plan state is bitwise invisible to the
+    /// physics, so dropping it is always safe. The decomposition-static
+    /// scaffolding (26-neighbourhood, persistent [`CommPlan`]) carries no
+    /// movement state and is kept.
     pub fn invalidate_plans(&mut self) {
         self.epoch = None;
+        self.resort_plan = None;
     }
 
-    /// The prebuilt neighbourhood exchange mode of this rank (available after
-    /// the first run; the partner list is fixed per decomposition).
-    pub fn neighborhood_mode(&self) -> Option<&ExchangeMode> {
-        self.statics.as_ref().map(|s| &s.neighborhood_mode)
+    /// The resort plan of the last run, if it built one: after a Method B
+    /// run that was neither quiet nor sent home by the capacity test. It
+    /// sends additional data in the input order along the routes of the
+    /// owner redistribution and places it in the linked-cell order, so the
+    /// run returned no resort indices (see [`atasp::hand_back`]).
+    pub fn resort_plan(&self) -> Option<&ResortPlan> {
+        self.resort_plan.as_ref().filter(|_| self.resort_plan_fresh)
     }
 
     /// Epoch lifetime the skin margin is sized for, in per-step maximum
@@ -316,11 +339,14 @@ impl PmSolver {
     /// Execute the solver; the results go back through [`atasp::hand_back`],
     /// which has the semantics of `method` and `max_local`.
     ///
-    /// With limited movement (Method B), both the owner redistribution and
-    /// the resort-index construction switch from collective all-to-all to
-    /// neighbourhood point-to-point communication (paper Sect. III-B): the
-    /// sparse exchange of [`ExchangeMode::Neighborhood`], which sends only to
-    /// the neighbours a rank has particles for.
+    /// With limited movement (Method B), the owner redistribution switches
+    /// from the collective all-to-all to neighbourhood point-to-point
+    /// communication (paper Sect. III-B): the sparse exchange of
+    /// [`ExchangeMode::Neighborhood`], which sends only to the neighbours a
+    /// rank has particles for. Under Method B the resort plan of the
+    /// application's additional data is built from this redistribution's
+    /// routes and the linked-cell order, with no resort index built or
+    /// exchanged ([`PmSolver::resort_plan`]); it follows the same routes.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -397,12 +423,8 @@ impl PmSolver {
                 self.epoch = None;
             }
         }
-        let mut owned = alltoall_specific(
-            comm,
-            records,
-            targets,
-            if use_neighborhood { &statics.neighborhood_mode } else { &collective },
-        );
+        let mode = if use_neighborhood { &statics.neighborhood_mode } else { &collective };
+        let arrived = alltoall_specific_routed(comm, records, targets, mode, &mut ws.routes);
 
         // --- Sort particles into linked-cell boxes (the solver-specific
         // local order; paper: "a reordering of the particles is performed on
@@ -424,15 +446,15 @@ impl PmSolver {
             key
         };
         ws.keys.clear();
-        ws.keys.extend(owned.iter().map(|r| cell_key(r.pos)));
+        ws.keys.extend(arrived.iter().map(|r| cell_key(r.pos)));
         let keys = &ws.keys;
-        comm.compute(Work::ParticleOp, owned.len() as f64);
+        comm.compute(Work::ParticleOp, arrived.len() as f64);
         let epoch_hit = match (&mut self.epoch, movement) {
             (Some(ep), Some(m)) => {
                 let valid = ep.acc_move + m <= ep.skin
-                    && ep.ids.len() == owned.len()
+                    && ep.ids.len() == arrived.len()
                     && ep.keys == *keys
-                    && ep.ids.iter().zip(&owned).all(|(&eid, r)| eid == r.id);
+                    && ep.ids.iter().zip(&arrived).all(|(&eid, r)| eid == r.id);
                 if valid {
                     ep.acc_move += m;
                 }
@@ -440,13 +462,23 @@ impl PmSolver {
             }
             _ => false,
         };
+        // The sort is a permutation (ascending index among equal keys: the
+        // order of a stable sort) and one gather; on an epoch hit it is the
+        // identity.
+        let n_owned = u32::try_from(arrived.len()).expect("more than u32::MAX particles");
+        ws.order.clear();
+        ws.order.extend(0..n_owned);
         if !epoch_hit {
-            owned.sort_by_key(|r| cell_key(r.pos));
+            ws.order.sort_unstable_by_key(|&j| (keys[j as usize], j));
             comm.compute(
                 Work::SortCmp,
-                (owned.len().max(2) as f64) * (owned.len().max(2) as f64).log2(),
+                (arrived.len().max(2) as f64) * (arrived.len().max(2) as f64).log2(),
             );
         }
+        ws.records.clear();
+        ws.records.extend(ws.order.iter().map(|&j| arrived[j as usize]));
+        drop(arrived);
+        let owned = &ws.records;
         comm.exit_phase();
 
         // --- Ghost exchange: duplicate boundary particles to neighbours
@@ -491,9 +523,7 @@ impl PmSolver {
                     })
                 };
                 let before = epoch.sends.len();
-                epoch
-                    .sends
-                    .extend((0u32..).zip(&owned).filter(|(_, r)| reached(r)).map(|(j, _)| j));
+                epoch.sends.extend((0u32..).zip(owned).filter(|(_, r)| reached(r)).map(|(j, _)| j));
                 epoch.counts.push(epoch.sends.len() - before);
             }
             comm.compute(Work::ParticleOp, (owned.len() * statics.n_offsets) as f64);
@@ -566,21 +596,22 @@ impl PmSolver {
         comm.exit_phase();
 
         let solved = Solved {
-            records: &owned,
+            records: owned,
             potential: &mut potential,
             field: &mut field,
             columns: Some((&mut ws.pos, &mut ws.charge)),
+            routed: Some(Routed {
+                routes: &ws.routes,
+                order: &ws.order,
+                plan: &mut self.resort_plan,
+            }),
         };
-        let (out, skipped) = hand_back(
-            comm,
-            method,
-            max_local,
-            n_in,
-            if use_neighborhood { &statics.neighborhood_mode } else { &collective },
-            solved,
-            [t_start, t_sorted],
-        );
+        let (out, skipped) =
+            hand_back(comm, method, max_local, n_in, mode, solved, [t_start, t_sorted]);
         self.last_report.resort_exchange_skipped = skipped;
+        // The hand-back builds the plan exactly for the changed order of a
+        // step that is not quiet.
+        self.resort_plan_fresh = out.resorted && !skipped;
         self.ws = ws;
         out
     }

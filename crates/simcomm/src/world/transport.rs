@@ -577,28 +577,60 @@ impl Comm {
         tag: u64,
     ) -> Vec<(usize, Vec<T>)> {
         check_partner_list(partners, &data);
+        let mut out = Vec::with_capacity(partners.len());
+        self.routed_exchange_into(partners.iter().copied(), &mut data, &mut out, tag);
+        out
+    }
+
+    /// Point-to-point exchange whose receivers know their sources: send
+    /// every `(dst, buffer)` of `sends`, receive one buffer from each rank
+    /// `sources` names, and refill `out` with them as `(src, buffer)` pairs
+    /// sorted by source. Nothing synchronizes beyond the messages: no
+    /// barrier, no collective, and a rank whose two lists are empty does
+    /// nothing at all.
+    ///
+    /// The lists must agree across ranks: `r` names `s` among its sources
+    /// exactly as often as `s` sends to `r`, or the exchange deadlocks.
+    /// Every buffer is a message, empty or not. Posting, completion and
+    /// every charged cost are those of [`Comm::neighbor_exchange`], which is
+    /// this exchange with the partner set as both lists: the receives first,
+    /// then the sends by the posting rule (to the ranks above this one
+    /// first), drained in arrival order. `sends` comes back empty; once
+    /// `out`, the rank's wait scratch and its spare envelopes are warm,
+    /// nothing is allocated.
+    pub fn routed_exchange_into<T: Send + 'static>(
+        &mut self,
+        sources: impl IntoIterator<Item = usize>,
+        sends: &mut Vec<(usize, Vec<T>)>,
+        out: &mut Vec<(usize, Vec<T>)>,
+        tag: u64,
+    ) {
         // One pass: the request kinds go straight into the wait scratch and
         // the result comes straight out of the matched messages.
         let mut kinds = std::mem::take(&mut self.wait_scratch.kinds);
         kinds.clear();
-        for &src in partners {
+        for src in sources {
             kinds.push(self.irecv::<T>(src, tag).kind);
         }
-        for i in posting_order(self.rank, partners) {
-            let (dst, buf) = &mut data[i];
-            kinds.push(self.isend(*dst, tag, std::mem::take(buf)).kind);
+        let n_recv = kinds.len();
+        let me = self.rank;
+        for upper in [true, false] {
+            for (dst, buf) in sends.iter_mut().filter(|(dst, _)| (*dst > me) == upper) {
+                kinds.push(self.isend(*dst, tag, std::mem::take(buf)).kind);
+            }
         }
+        sends.clear();
         self.waitall_core(&kinds);
         self.wait_scratch.kinds = kinds;
         // Every receive has the same tag, so the matcher's patterns — sorted
         // by (src, tag, slot) — already list the receive slots by source,
         // equal sources in request order.
-        let mut out = Vec::with_capacity(partners.len());
-        for i in 0..partners.len() {
+        out.clear();
+        out.reserve(n_recv);
+        for i in 0..n_recv {
             let Pattern { src, slot, .. } = self.wait_scratch.matcher.patterns[i];
             out.push((src, self.take_matched(slot)));
         }
-        out
     }
 
     /// The exchange under [`crate::CommPlan::execute_flat`], on boxed

@@ -84,6 +84,16 @@
 //! `0x08be_b2b4_0fe5_b474` → `0x3f85_d74d_78e0_50ea`, faulted
 //! `0xb9e4_9727_fbd9_edd3` → `0x947e_0807_bda9_c6ef`. Every physics half
 //! and both redistribution halves stayed.
+//! The P2NFFT's Method B resorting along its owner redistribution's own
+//! routes — no resort-index round, no 4-byte position in the resorted
+//! records, and no barrier for the neighbourhood resort — re-froze the
+//! timing halves of the P2NFFT Method B worlds once: B `0x4960_4168_71ad_754c`
+//! → `0xb0f5_ead2_6c2f_fda7` and B + movement `0xee99_c252_d89b_776e` →
+//! `0x469d_2c0e_7937_3b54` (juropa-like), B `0x2a62_c327_9b6a_b2a4` →
+//! `0x02dc_5183_3c9a_843c` and B + movement `0x2a00_7203_7eb4_b302` →
+//! `0xcfc9_ae17_ca9c_9e7f` (juqueen-like), faulted `0x947e_0807_bda9_c6ef` →
+//! `0xbdd0_0e39_9dc4_79ea`. Every physics half, every FMM half and both
+//! redistribution halves stayed.
 
 #[path = "../crates/simcomm/tests/common/mod.rs"]
 mod common;
@@ -196,14 +206,14 @@ fn md_configs_match_frozen_digests() {
         [
             [0xe3e7_f2ac_7ae3_deb5, 0xf452_28e2_ce39_75d4],
             [0xe36d_87b1_23fa_3d6c, 0x7a96_bc79_1df4_4d4c],
-            [0x1c08_5b70_c285_000a, 0x4960_4168_71ad_754c],
-            [0xf8f4_8bef_8ac1_3909, 0xee99_c252_d89b_776e],
+            [0x1c08_5b70_c285_000a, 0xb0f5_ead2_6c2f_fda7],
+            [0xf8f4_8bef_8ac1_3909, 0x469d_2c0e_7937_3b54],
         ],
         [
             [0xe3e7_f2ac_7ae3_deb5, 0xa042_848e_f6cc_bf2b],
             [0xe36d_87b1_23fa_3d6c, 0xec62_4e09_3b2f_d546],
-            [0x1c08_5b70_c285_000a, 0x2a62_c327_9b6a_b2a4],
-            [0xf8f4_8bef_8ac1_3909, 0x2a00_7203_7eb4_b302],
+            [0x1c08_5b70_c285_000a, 0x02dc_5183_3c9a_843c],
+            [0xf8f4_8bef_8ac1_3909, 0xcfc9_ae17_ca9c_9e7f],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -292,7 +302,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x645e_ed2c_0d69_baaa, 0x947e_0807_bda9_c6ef],
+            [0x645e_ed2c_0d69_baaa, 0xbdd0_0e39_9dc4_79ea],
             &format!("faulted P2NFFT width {width}"),
         );
     }
