@@ -14,12 +14,15 @@
 //!
 //! [`hand_back`] is the return path both particle solvers share: the
 //! computed particles go home to their origin rank and position (Method A),
-//! or stay in the solver's order (Method B). Under Method B the
-//! application's additional data follows either resort indices built from
-//! the particles' origin codes (Fig. 5) or, for a solver whose particles
-//! arrived in one redistribution, a resort plan built from that
-//! redistribution's own routes ([`alltoall_specific_routed`]), with no
-//! index built or exchanged.
+//! or stay in the solver's order (Method B). Each end ships only what the
+//! other lacks. Method A's restore is a resort plan over the particles'
+//! origin codes that carries potentials and fields alone. Under Method B
+//! the application's additional data follows a resort plan built from the
+//! routes the particles took — recorded by the redistribution that brought
+//! them ([`alltoall_specific_routed`]), or rebuilt from a map of where every
+//! input ended that every rank holds ([`Routes::rebuild_from_owners`]) —
+//! with no index built or exchanged. The resort indices of Fig. 5
+//! ([`build_resort_indices`]) remain for callers without routes.
 //!
 //! All operations can run over the synchronizing collective exchange
 //! ([`simcomm::Comm::alltoallv`]) or — when the caller knows the
@@ -274,7 +277,7 @@ pub fn alltoall_specific_routed<T: Send + Copy + 'static>(
     mode: &ExchangeMode,
     routes: &mut Routes,
 ) -> Vec<T> {
-    routes.record_sends(targets);
+    routes.record_sends(targets.len(), |i| targets[i]);
     let delivered = deliver(comm, elements, targets, mode);
     routes.from.clear();
     routes.from.extend(delivered.sources().map(|(src, b)| (src, b.len())));
@@ -297,8 +300,10 @@ fn deliver<T: Send + Copy + 'static>(
 /// The routes of one fine-grained redistribution as its two ends saw them:
 /// the sender's input indices per target, in the order they were sent, and
 /// the receiver's count per source, in the order the records arrived.
-/// Recorded by [`alltoall_specific_routed`] and refilled in place, so a
-/// caller that keeps one allocates nothing for it once it is warm.
+/// Recorded by [`alltoall_specific_routed`], or rebuilt from what both ends
+/// know without a message ([`Routes::rebuild_from_owners`]); refilled in
+/// place, so a caller that keeps one allocates nothing for it once it is
+/// warm.
 #[derive(Clone, Debug, Default)]
 pub struct Routes {
     /// `(target rank, records)`, ascending target; the local rank's own
@@ -312,18 +317,61 @@ pub struct Routes {
 }
 
 impl Routes {
-    /// Refill the send half: input `i` goes to rank `targets[i]`.
-    fn record_sends(&mut self, targets: &[usize]) {
-        let n = u32::try_from(targets.len()).expect("more than u32::MAX records on one rank");
+    /// Refill the send half: input `i` of `n` goes to rank `target(i)`.
+    fn record_sends(&mut self, n: usize, target: impl Fn(usize) -> usize) {
+        let n = u32::try_from(n).expect("more than u32::MAX records on one rank");
         self.sent.clear();
         self.sent.extend(0..n);
         // Ascending index within a target: the stable grouping of the send.
-        self.sent.sort_unstable_by_key(|&i| (targets[i as usize], i));
+        self.sent.sort_unstable_by_key(|&i| (target(i as usize), i));
         self.to.clear();
         for &i in &self.sent {
+            let t = target(i as usize);
             match self.to.last_mut() {
-                Some((t, count)) if *t == targets[i as usize] => *count += 1,
-                _ => self.to.push((targets[i as usize], 1)),
+                Some((last, count)) if *last == t => *count += 1,
+                _ => self.to.push((t, 1)),
+            }
+        }
+    }
+
+    /// Refill both halves for records that one or more redistributions
+    /// brought without recording their routes, from what each end knows
+    /// without a message:
+    ///
+    /// - the origin knows where each of its `n_in` inputs ended: on rank
+    ///   `owner(i)` (a map every rank holds, such as the FMM's key owners);
+    /// - the holder knows the `records` it holds and their origin codes
+    ///   `encode_index(source, input index)`. Sorted by them, the records are
+    ///   in the order a redistribution along these routes delivers them:
+    ///   ascending source, then ascending input index.
+    ///
+    /// `arrival` is refilled with that order: `records[arrival[a]]` is the
+    /// `a`-th record to arrive — the inverse of [`Route::Recorded`]'s order.
+    /// Charges one `ParticleOp` per input for the lookups, and the origin
+    /// codes' sort as an LSD radix sort of them takes it: one `SortCmp` per
+    /// record and 8-bit digit the codes differ in.
+    pub fn rebuild_from_owners(
+        &mut self,
+        comm: &mut Comm,
+        n_in: usize,
+        owner: impl Fn(usize) -> usize,
+        records: &[Particle],
+        arrival: &mut Vec<u32>,
+    ) {
+        self.record_sends(n_in, owner);
+        comm.compute(Work::ParticleOp, n_in as f64);
+        let held = u32::try_from(records.len()).expect("more than u32::MAX records on one rank");
+        arrival.clear();
+        arrival.extend(0..held);
+        arrival.sort_unstable_by_key(|&j| records[j as usize].origin);
+        let passes = radix_passes(records.iter().map(|r| r.origin));
+        comm.compute(Work::SortCmp, f64::from(passes) * records.len() as f64);
+        self.from.clear();
+        for &j in arrival.iter() {
+            let (src, _) = decode_index(records[j as usize].origin);
+            match self.from.last_mut() {
+                Some((last, count)) if *last == src => *count += 1,
+                _ => self.from.push((src, 1)),
             }
         }
     }
@@ -340,6 +388,13 @@ impl Routes {
             Some((t, *start - n..*start))
         })
     }
+}
+
+/// The 8-bit digits on which `keys` differ: the counting passes an LSD radix
+/// sort of them takes, which is how psort charges its local sorts.
+fn radix_passes(keys: impl Iterator<Item = u64>) -> u32 {
+    let (or, and) = keys.fold((0, u64::MAX), |(or, and), k| (or | k, and & k));
+    (0..64).step_by(8).filter(|&shift| ((or ^ and) >> shift) & 0xff != 0).count() as u32
 }
 
 /// Redistribute `data` according to `resort_indices` and place every element
@@ -475,76 +530,105 @@ impl ResortPlan {
         mode: &ExchangeMode,
     ) -> ResortPlan {
         let t0 = comm.clock();
+        let mut plan = ResortPlan::empty();
+        let indices = resort_indices.iter().copied();
+        let route_bytes = plan.refill(comm, indices, new_len, mode, &mut Vec::new());
+        comm.note_plan_build(t0, route_bytes);
+        plan
+    }
+
+    /// Refill this plan, in place, from resort indices (see
+    /// [`ResortPlan::build`]): a counting sort by target rank, its counts in
+    /// `next`. Charges the decode and returns the bytes it read.
+    fn refill(
+        &mut self,
+        comm: &mut Comm,
+        resort_indices: impl ExactSizeIterator<Item = u64> + Clone,
+        new_len: usize,
+        mode: &ExchangeMode,
+        next: &mut Vec<usize>,
+    ) -> u64 {
         let p = comm.size();
         // Routes store input indices as `u32`, like the target positions.
         let n_input =
             u32::try_from(resort_indices.len()).expect("more than u32::MAX records on one rank");
-        let live = || (0..n_input).zip(resort_indices).filter(|&(_, &ix)| !is_ghost(ix));
+        let live = || (0..n_input).zip(resort_indices.clone()).filter(|&(_, ix)| !is_ghost(ix));
         // A counting sort by target: counts, then each target's first slot.
-        let mut next = vec![0usize; p];
-        for (_, &ix) in live() {
+        next.clear();
+        next.resize(p, 0);
+        for (_, ix) in live() {
             let (t, _) = decode_index(ix);
             assert!(t < p, "target rank {t} out of range");
             next[t] += 1;
         }
-        let mut routes = Routes::default();
+        let routes = &mut self.routes;
+        routes.to.clear();
         routes.to.extend(next.iter().enumerate().filter(|&(_, &n)| n > 0).map(|(t, &n)| (t, n)));
+        routes.from.clear();
         let mut start = 0;
-        for slot in &mut next {
+        for slot in next.iter_mut() {
             (*slot, start) = (start, start + *slot);
         }
+        routes.sent.clear();
         routes.sent.resize(start, 0);
-        let mut positions = vec![0u32; start];
-        for (i, &ix) in live() {
+        // The positions of an earlier index plan are refilled.
+        let mut positions = match std::mem::replace(&mut self.placement, Placement::EMPTY) {
+            Placement::Carried { positions, .. } => positions,
+            Placement::Derived { .. } => Vec::new(),
+        };
+        positions.clear();
+        positions.resize(start, 0);
+        for (i, ix) in live() {
             let (t, pos) = decode_index(ix);
             (routes.sent[next[t]], positions[next[t]]) = (i, pos as u32);
             next[t] += 1;
         }
-        let route_bytes = (std::mem::size_of_val(resort_indices)) as u64;
+        let route_bytes = 8 * u64::from(n_input);
         comm.compute(Work::ByteCopy, route_bytes as f64);
-        comm.note_plan_build(t0, route_bytes);
-        let fingerprint = fold_words(PLAN_SEED, resort_indices.iter().copied());
-        ResortPlan {
-            new_len,
-            n_input: resort_indices.len(),
-            routes,
-            placement: Placement::Carried { mode: mode.clone(), fingerprint, positions },
-        }
+        let fingerprint = fold_words(PLAN_SEED, resort_indices);
+        (self.new_len, self.n_input) = (new_len, n_input as usize);
+        self.placement = Placement::Carried { mode: mode.clone(), fingerprint, positions };
+        route_bytes
     }
 
-    /// Rebuild this plan, in place, to send data along `routes` and place
-    /// it in the receiver's order: `order[j]` is the arrival index of the
-    /// record the receiver keeps at `j`. The exchange is an all-to-all-v
-    /// under [`ExchangeMode::Collective`], point to point along the routes
-    /// otherwise. Purely local; charges the copy of the routes and the
-    /// inverted order, and records a `plan_build` trace span.
+    /// Rebuild this plan, in place, to send data along the `route` that
+    /// brought `records` and place it in their order. The exchange is an
+    /// all-to-all-v if `collective`, point to point along the routes if not.
+    /// Purely local; charges the copy of the routes and of the placement,
+    /// and records a `plan_build` trace span.
     fn rebuild_from_routes(
         &mut self,
         comm: &mut Comm,
-        routes: &Routes,
-        order: &[u32],
-        mode: &ExchangeMode,
+        route: Route<'_>,
+        records: &[Particle],
+        collective: bool,
     ) {
         let t0 = comm.clock();
-        let new_len = order.len();
-        assert_eq!(new_len, routes.arrived(), "the order must place every record that arrived");
-        (self.new_len, self.n_input) = (new_len, routes.sent.len());
-        self.routes.to.clone_from(&routes.to);
-        self.routes.sent.clone_from(&routes.sent);
-        self.routes.from.clone_from(&routes.from);
         // The placement vector of an earlier route plan is refilled.
         let mut at = match std::mem::replace(&mut self.placement, Placement::EMPTY) {
             Placement::Derived { at, .. } => at,
             Placement::Carried { .. } => Vec::new(),
         };
-        at.clear();
-        at.resize(new_len, 0);
-        for (j, &a) in (0u32..).zip(order) {
-            at[a as usize] = j;
+        match route {
+            Route::Recorded(routes, order) => {
+                assert_eq!(order.len(), routes.arrived(), "the order must place every arrival");
+                self.routes.to.clone_from(&routes.to);
+                self.routes.sent.clone_from(&routes.sent);
+                self.routes.from.clone_from(&routes.from);
+                at.clear();
+                at.resize(order.len(), 0);
+                for (j, &a) in (0u32..).zip(order) {
+                    at[a as usize] = j;
+                }
+            }
+            // Straight into the plan: the arrival order is the placement.
+            Route::Owners(n_in, owner) => {
+                self.routes.rebuild_from_owners(comm, n_in, owner, records, &mut at)
+            }
         }
-        let collective = *mode == ExchangeMode::Collective;
+        (self.new_len, self.n_input) = (at.len(), self.routes.sent.len());
+        let route_bytes = (4 * (self.n_input + self.new_len)) as u64;
         self.placement = Placement::Derived { collective, at };
-        let route_bytes = (4 * (self.n_input + new_len)) as u64;
         comm.compute(Work::ByteCopy, route_bytes as f64);
         comm.note_plan_build(t0, route_bytes);
     }
@@ -632,6 +716,21 @@ impl ResortPlan {
     /// as the typed path; a route plan in neighbourhood mode synchronizes
     /// only with the ranks it exchanges records with.
     pub fn execute_planes(&self, comm: &mut Comm, set: &mut PlaneSet) {
+        let t0 = comm.clock();
+        let k = set.plane_count() as u64;
+        let routed_bytes = self.move_planes(comm, set, true);
+        // One `plan_exec` per plane: each plane is one redistribution served
+        // by the frozen routes (the unit the build is amortized over), even
+        // though all k ride a single combined exchange round.
+        for _ in 0..k {
+            comm.note_plan_exec(t0, routed_bytes / k);
+        }
+    }
+
+    /// The exchange and placement of [`ResortPlan::execute_planes`], booked
+    /// under the `"redistribute"` and `"place"` phases if `phased` and under
+    /// the caller's phase if not. Returns the bytes packed.
+    fn move_planes(&self, comm: &mut Comm, set: &mut PlaneSet, phased: bool) -> u64 {
         let k = set.plane_count();
         assert!(k > 0, "resort plan execution needs at least one plane");
         assert_eq!(
@@ -639,7 +738,6 @@ impl ResortPlan {
             self.n_input,
             "plane set length does not match the plan's resort indices"
         );
-        let t0 = comm.clock();
         let new_len = self.new_len;
         let positions = match &self.placement {
             Placement::Carried { positions, .. } => Some(positions.as_slice()),
@@ -648,7 +746,17 @@ impl ResortPlan {
         let header = if positions.is_some() { 4 } else { 0 };
         let rec = header + set.element_bytes();
         let me = comm.rank();
-        comm.enter_phase("redistribute");
+        let enter = |comm: &mut Comm, name| {
+            if phased {
+                comm.enter_phase(name);
+            }
+        };
+        let exit = |comm: &mut Comm| {
+            if phased {
+                comm.exit_phase();
+            }
+        };
+        enter(comm, "redistribute");
         let (mut sends, mut received) = comm.take_byte_pairs();
         // One buffer per target the plan routes to; the locally-addressed
         // records are held aside, never sent.
@@ -675,7 +783,7 @@ impl ResortPlan {
                 comm.routed_exchange_into(sources, &mut sends, &mut received, TAG_RESORT)
             }
         }
-        comm.exit_phase();
+        exit(comm);
         let arrivals = || in_source_order(me, &received, local.as_deref());
         let n_received: usize = arrivals().map(|(_, b)| b.len()).sum();
         assert_eq!(
@@ -688,7 +796,7 @@ impl ResortPlan {
             let arrived = arrivals().map(|(src, b)| (src, b.len() / rec));
             assert!(arrived.eq(self.routes.from.iter().copied()), "records arrived off the routes");
         }
-        comm.enter_phase("place");
+        enter(comm, "place");
         // Per-plane passes: scatter each record's slice for this plane into
         // the plane's back slab at the record's target position, then flip
         // all planes at once.
@@ -735,13 +843,8 @@ impl ResortPlan {
         }
         comm.put_byte_pairs(sends, received);
         comm.compute(Work::ByteCopy, (new_len * (rec - header)) as f64);
-        comm.exit_phase();
-        // One `plan_exec` per plane: each plane is one redistribution served
-        // by the frozen routes (the unit the build is amortized over), even
-        // though all k ride a single combined exchange round.
-        for _ in 0..k {
-            comm.note_plan_exec(t0, routed_bytes / k as u64);
-        }
+        exit(comm);
+        routed_bytes
     }
 }
 
@@ -902,77 +1005,117 @@ pub fn build_resort_indices_with<'a>(
 pub struct Solved<'a> {
     /// The particles, each with its origin code.
     pub records: &'a [Particle],
-    /// Their potentials: moved into the output under Method B, read and left
-    /// in place under Method A.
+    /// Their potentials, moved into the output: as they are under Method B,
+    /// refilled with the restored values under Method A.
     pub potential: &'a mut Vec<f64>,
-    /// Their fields, moved or read like `potential`.
+    /// Their fields, moved like `potential`.
     pub field: &'a mut Vec<Vec3>,
     /// Their positions and charges, if the solver staged them as columns:
     /// moved into the output under Method B instead of copied from `records`.
     pub columns: Option<(&'a mut Vec<Vec3>, &'a mut Vec<f64>)>,
-    /// How the records came to be here, if one redistribution brought them:
-    /// under Method B the resort plan is then built from its routes instead
-    /// of from resort indices.
-    pub routed: Option<Routed<'a>>,
+    /// The run's input positions, charges and ids, in input order. Method A
+    /// copies them into its output — they are the values the records
+    /// carried — so that only potentials and fields travel home.
+    pub input: (&'a [Vec3], &'a [f64], &'a [u64]),
+    /// How the records came to be here: under Method B the resort plan is
+    /// built from these routes.
+    pub routed: Routed<'a>,
+    /// Method A's restore plan and planes, kept from run to run.
+    pub restore: &'a mut Restore,
 }
 
-/// How a solver's records reached it: the routes of the one redistribution
-/// that brought them ([`alltoall_specific_routed`]) and the local order the
-/// solver put them in — which together are the resort plan.
+/// How a solver's records reached it — which, with the order the solver put
+/// them in, is the resort plan.
 pub struct Routed<'a> {
-    /// The routes, as the redistribution recorded them.
-    pub routes: &'a Routes,
-    /// The solver's order: `records[j]` is the `order[j]`-th record to
-    /// arrive (ascending source, the local block in its place).
-    pub order: &'a [u32],
+    /// Where the routes come from.
+    pub route: Route<'a>,
+    /// Whether the resort exchanges in an all-to-all-v; point to point
+    /// along the routes, with no barrier, if not.
+    pub collective: bool,
     /// The solver's kept plan, rebuilt in place.
     pub plan: &'a mut Option<ResortPlan>,
 }
 
+/// The routes a solver's records took.
+pub enum Route<'a> {
+    /// Recorded by the one redistribution that brought them
+    /// ([`alltoall_specific_routed`]), with the solver's order:
+    /// `records[j]` is the `order[j]`-th record to arrive (ascending source,
+    /// the local block in its place).
+    Recorded(&'a Routes, &'a [u32]),
+    /// Known without a record: the origin's `n` inputs, input `i` on rank
+    /// `owner(i)` at the end. The routes and the arrival order are rebuilt
+    /// from it ([`Routes::rebuild_from_owners`]), on a step that resorts and
+    /// only then.
+    Owners(usize, &'a dyn Fn(usize) -> usize),
+}
+
+/// What Method A's restore keeps from run to run, refilled in place: its
+/// plan over the records' origin codes and the set of the two planes it
+/// moves, potential and field.
+#[derive(Default)]
+pub struct Restore {
+    plan: Option<ResortPlan>,
+    planes: PlaneSet,
+    /// The plan's counting-sort scratch.
+    next: Vec<usize>,
+}
+
+/// The exchange of a restore in which every record is home: an empty
+/// neighbourhood, placed locally with no message and no collective.
+static HOME: ExchangeMode = ExchangeMode::Neighborhood(Vec::new());
+
 /// Hand a solver's results back to the application: the return path both
 /// particle solvers share (paper Sect. III). Collective.
 ///
-/// Under [`RedistMethod::UseChanged`], and only if no rank holds more than
-/// `max_local` particles, the output keeps the solver's order. Otherwise
-/// every particle goes back to its origin rank and position (Fig. 4), in
-/// the order of the `n_in` this rank passed in. Both tests share one
-/// allreduce with the quiet test: when every rank holds exactly its input
-/// particles in their input order, the resort indices are the identity and
-/// no exchange builds them. The second value returned says so.
+/// The run's computation closes on one allreduce here, so that compute load
+/// imbalance is booked as computation, not as the redistribution that
+/// follows it. Under [`RedistMethod::UseChanged`] it reduces `(fits,
+/// quiet)`: whether every rank holds at most `max_local` particles, and
+/// whether every rank holds exactly its input in input order. Under
+/// [`RedistMethod::RestoreOriginal`] it reduces `home`: whether every
+/// record's origin is its holder. Each test is charged one `ParticleOp` per
+/// record.
 ///
-/// On a Method B step that is not quiet, the application's additional data
-/// needs a way to the solver's order:
-/// - if the solver was [`Routed`], the resort plan built from its routes and
-///   order, in place — over `index_mode`'s kind of exchange, with no index
-///   exchanged and none returned (the output's `resort_indices` is empty);
-/// - otherwise resort indices built over `index_mode` (Fig. 5).
+/// If every rank fits, the output keeps the solver's order:
+/// - on a quiet step with the identity resort indices, built without an
+///   exchange (the second value returned says so);
+/// - otherwise with no index at all (the output's `resort_indices` is
+///   empty): the resort plan is rebuilt in place from the solver's
+///   [`Routed`] routes and order — over an all-to-all-v or point to point,
+///   as the routes say — with no index built or exchanged.
 ///
-/// The run's computation closes on one collective here, so that compute
-/// load imbalance is booked as computation, not as the redistribution that
-/// follows it: under Method B that is the `(fits, quiet)` allreduce, under
-/// Method A a barrier. The stamps are the clocks at the run's start and
-/// after its sort; the computation runs to the end of that collective, the
-/// redistribution from there to the return.
+/// Otherwise every particle goes back to its origin rank and position
+/// (Fig. 4), in the order of the input. The restore is a resort plan over
+/// the records' origin codes — each is the resort index that sends its
+/// record home — executed on two planes, so a record is 36 bytes: its
+/// 4-byte position, its potential and its field. Positions, charges and ids
+/// are copied from the input. If every record is home, the plan places
+/// locally with no message and no collective.
+///
+/// The stamps are the clocks at the run's start and after its sort; the
+/// computation runs to the end of the closing allreduce, the redistribution
+/// from there to the return.
 pub fn hand_back(
     comm: &mut Comm,
     method: RedistMethod,
     max_local: usize,
-    n_in: usize,
-    index_mode: &ExchangeMode,
     solved: Solved<'_>,
     [t_start, t_sorted]: [f64; 2],
 ) -> (SolverOutput, bool) {
     let me = comm.rank();
-    let Solved { records, potential, field, columns, routed } = solved;
-    let (mut resorted, mut all_quiet) = (false, false);
+    let Solved { records, potential, field, columns, input, routed, restore } = solved;
+    let n_in = input.0.len();
+    let (mut resorted, mut all_quiet, mut all_home) = (false, false, false);
+    comm.compute(Work::ParticleOp, records.len() as f64);
     if method == RedistMethod::UseChanged {
         let fits = records.len() <= max_local;
         let quiet = records.len() == n_in
             && records.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
-        comm.compute(Work::ParticleOp, records.len() as f64);
         (resorted, all_quiet) = comm.allreduce((fits, quiet), |a, b| (a.0 && b.0, a.1 && b.1));
     } else {
-        comm.barrier();
+        let home = records.iter().all(|r| decode_index(r.origin).0 == me);
+        all_home = comm.allreduce(home, |a, b| a && b);
     }
     let t_computed = comm.clock();
     let mut out = if resorted {
@@ -980,13 +1123,12 @@ pub fn hand_back(
         let resort_indices = if all_quiet {
             comm.compute(Work::ByteCopy, (n_in * 8) as f64);
             (0..n_in).map(|i| encode_index(me, i)).collect()
-        } else if let Some(Routed { routes, order, plan }) = routed {
-            assert_eq!(routes.sent.len(), n_in, "the routes must carry every input record");
-            let plan = plan.get_or_insert_with(ResortPlan::empty);
-            plan.rebuild_from_routes(comm, routes, order, index_mode);
-            Vec::new()
         } else {
-            build_resort_indices_with(comm, records.iter().map(|r| &r.origin), n_in, index_mode)
+            let Routed { route, collective, plan } = routed;
+            let plan = plan.get_or_insert_with(ResortPlan::empty);
+            plan.rebuild_from_routes(comm, route, records, collective);
+            assert_eq!(plan.n_input, n_in, "the routes must carry every input record");
+            Vec::new()
         };
         comm.exit_phase();
         let (pos, charge) = match columns {
@@ -1008,31 +1150,38 @@ pub fn hand_back(
         }
     } else {
         comm.enter_phase("restore");
-        let results: Vec<(Particle, f64, Vec3)> = records
-            .iter()
-            .zip(&*potential)
-            .zip(&*field)
-            .map(|((&r, &phi), &e)| (r, phi, e))
-            .collect();
-        let targets: Vec<usize> = records.iter().map(|r| decode_index(r.origin).0).collect();
-        let received = alltoall_specific(comm, &results, &targets, &ExchangeMode::Collective);
-        assert_eq!(received.len(), n_in);
-        let mut out = SolverOutput {
-            pos: vec![Vec3::ZERO; n_in],
-            charge: vec![0.0; n_in],
-            id: vec![0; n_in],
-            potential: vec![0.0; n_in],
-            field: vec![Vec3::ZERO; n_in],
-            ..SolverOutput::default()
-        };
-        for (r, phi, e) in received {
-            let i = decode_index(r.origin).1;
-            (out.pos[i], out.charge[i], out.id[i]) = (r.pos, r.charge, r.id);
-            (out.potential[i], out.field[i]) = (phi, e);
+        let mode = if all_home { &HOME } else { &ExchangeMode::Collective };
+        let plan = restore.plan.get_or_insert_with(ResortPlan::empty);
+        plan.refill(comm, records.iter().map(|r| r.origin), n_in, mode, &mut restore.next);
+        let set = &mut restore.planes;
+        if set.plane_count() == 0 {
+            set.register::<f64>("potential");
+            set.register::<Vec3>("field");
         }
-        comm.compute(Work::ByteCopy, (n_in * std::mem::size_of::<(Particle, f64, Vec3)>()) as f64);
+        let (phi, e) = (set.id_at(0), set.id_at(1));
+        set.resize(records.len());
+        set.plane_mut::<f64>(phi).copy_from_slice(potential);
+        set.plane_mut::<Vec3>(e).copy_from_slice(field);
+        plan.move_planes(comm, set, false);
+        let (pos, charge, id) = input;
+        comm.compute(Work::ByteCopy, (std::mem::size_of_val(pos) + 16 * n_in) as f64);
         comm.exit_phase();
-        out
+        // The solver's buffers take the restored values: their storage is
+        // the output's, as under Method B.
+        fn restored<T: Copy>(buf: &mut Vec<T>, values: &[T]) -> Vec<T> {
+            let mut out = std::mem::take(buf);
+            out.clear();
+            out.extend_from_slice(values);
+            out
+        }
+        SolverOutput {
+            pos: pos.to_vec(),
+            charge: charge.to_vec(),
+            id: id.to_vec(),
+            potential: restored(potential, set.plane::<f64>(phi)),
+            field: restored(field, set.plane::<Vec3>(e)),
+            ..SolverOutput::default()
+        }
     };
     let redist = comm.clock() - t_computed;
     out.timings = SolverTimings {

@@ -25,10 +25,10 @@
 //! merge-based parallel sort, the particle-mesh solver to neighbourhood
 //! point-to-point communication (Sect. III-B), where a message goes only to
 //! a neighbour that has data for it ([`atasp::ExchangeMode::Neighborhood`]).
-//! The resort of additional data follows the solver's choice: after a
-//! P2NFFT step it runs along the routes of the solver's own redistribution
-//! (no resort index is built or exchanged), after an FMM step along resort
-//! indices. On a quiet step — one where the solver has shown every rank's
+//! The resort of additional data follows the routes the solver's particles
+//! took — the P2NFFT's owner redistribution, or the FMM's owner of every
+//! input's leaf key — so no resort index is built or exchanged. On a quiet
+//! step — one where the solver has shown every rank's
 //! resort indices to be the identity, and after every Ewald step — it places
 //! locally without communicating.
 //!
@@ -128,7 +128,7 @@ pub struct Fcs {
     last_n_in: usize,
     last_new_len: usize,
     last_resort_mode: ExchangeMode,
-    /// Whether the run's resort plan is the P2NFFT's, built from its routes.
+    /// Whether the run's resort plan is the solver's, built from its routes.
     last_routed: bool,
     /// Frozen redistribution schedule for the current resort indices, shared
     /// by all `resort_*` calls and reused across runs while the indices,
@@ -166,9 +166,9 @@ impl Fcs {
     }
 
     /// Drop every cached communication plan — the solver's sort/ghost plans,
-    /// the P2NFFT's resort plan built from its routes and the handle's
-    /// frozen resort schedule — without touching tuning state; resorting
-    /// after a P2NFFT run then needs the next run. Recovery code that
+    /// its resort plan built from its routes and the handle's frozen resort
+    /// schedule — without touching tuning state; resorting after a run that
+    /// moved particles then needs the next run. Recovery code that
     /// rewinds the particle state to an earlier snapshot must call this
     /// before replaying: cached plans carry movement accounting relative to
     /// the state they were built for, and replaying against a rewound state
@@ -186,8 +186,8 @@ impl Fcs {
 
     /// Communication-plan cache statistics as `(builds, hits)`, aggregated
     /// over the solver's plans (ghost plan or sort plan) and the resort
-    /// plans: a P2NFFT run that builds its plan from the routes counts one
-    /// build, and the resort calls it serves count nothing.
+    /// plans: a run that builds its plan from the routes counts one build,
+    /// and the resort calls it serves count nothing.
     pub fn plan_stats(&self) -> (u64, u64) {
         let (sb, sh) = match &self.solver {
             Some(SolverInstance::Fmm(s)) => (s.plan_builds, s.plan_hits),
@@ -360,6 +360,7 @@ impl Fcs {
         let (out, quiet) = match solver {
             SolverInstance::Fmm(s) => {
                 let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
+                self.last_routed = s.resort_plan().is_some();
                 (o, s.last_report.resort_exchange_skipped)
             }
             SolverInstance::Pm(s) => {
@@ -462,13 +463,14 @@ impl Fcs {
     }
 
     /// The frozen redistribution schedule of the most recent run: the
-    /// P2NFFT's plan built from its routes, or the plan for the run's resort
+    /// solver's plan built from its routes, or the plan for the run's resort
     /// indices — reused while the indices/length/mode are unchanged (also
     /// *across* runs on quiet steps where the solver reproduces the same
     /// placement), rebuilt otherwise.
     fn current_resort_plan(&mut self, comm: &mut Comm) -> &atasp::ResortPlan {
         if self.last_routed {
             let plan = match &self.solver {
+                Some(SolverInstance::Fmm(s)) => s.resort_plan(),
                 Some(SolverInstance::Pm(s)) => s.resort_plan(),
                 _ => None,
             };

@@ -178,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn method_b_returns_changed_order_with_valid_resort_indices() {
+    fn method_b_returns_changed_order_with_a_valid_resort_plan() {
         let c = IonicCrystal::cubic(6, 1.0, 0.2, 9);
         let n = c.n();
         let p = 4;
@@ -199,17 +199,12 @@ mod tests {
                 FmmSolver::new(c.system_box(), FmmConfig { order: 2, level: 2, soft_core: None });
             let o =
                 solver.run(comm, &pos, &charge, &id, RedistMethod::UseChanged, None, usize::MAX);
-            assert!(o.resorted);
-            assert_eq!(o.resort_indices.len(), pos.len(), "one index per original particle");
+            assert!(o.resorted && o.resort_indices.is_empty(), "a plan instead of indices");
             // Resort the original ids and compare against the changed ids.
-            let moved_ids = atasp::resort(
-                comm,
-                &id,
-                &o.resort_indices,
-                o.id.len(),
-                &atasp::ExchangeMode::Collective,
-            );
-            assert_eq!(moved_ids, o.id, "resort indices must map original to changed order");
+            let plan = solver.resort_plan().expect("a step that moves builds its plan");
+            assert_eq!(plan.new_len(), o.id.len(), "one place per changed particle");
+            let moved_ids = plan.execute(comm, &[&id]).pop().expect("one channel");
+            assert_eq!(moved_ids, o.id, "the plan must map original to changed order");
             // The changed order must be globally Z-sorted.
             let keys: Vec<u64> =
                 o.pos.iter().map(|&x| crate::tree::leaf_key(&c.system_box(), x, 2)).collect();

@@ -3,7 +3,7 @@
 //! near/far field evaluation, and the paper's two data redistribution paths
 //! (restore-original vs. use-changed-with-resort-indices).
 
-use atasp::{encode_index, hand_back, ExchangeMode, Solved};
+use atasp::{encode_index, hand_back, ResortPlan, Restore, Route, Routed, Solved};
 use particles::{zorder, MovementHint, Particle, RedistMethod, SolverOutput, SystemBox, Vec3};
 use psort::{
     merge_exchange_sort_by_key_capped, merge_exchange_sort_by_key_planned, partition_sort_by_key,
@@ -126,6 +126,8 @@ struct Workspace {
     /// The sort's input, and from the previous run its output (recycled).
     keys: Vec<u64>,
     recs: Vec<Particle>,
+    /// Method B's input keys: where each input ends is the owner of its key.
+    input_keys: Vec<u64>,
     owners: KeyOwners,
     leaf_cells: Vec<Cell>,
     /// The boundary runs `align_cells` receives.
@@ -147,6 +149,7 @@ struct Workspace {
     /// Results in sorted order (moved into the output under Method B).
     potential: Vec<f64>,
     field: Vec<Vec3>,
+    restore: Restore,
 }
 
 /// Static configuration of the FMM solver.
@@ -208,11 +211,10 @@ pub struct FmmRunReport {
     /// Bytes of the ghost records (position and charge) this rank received
     /// for the near field.
     pub ghost_bytes: u64,
-    /// Whether the resort-index exchange was skipped because every rank
-    /// kept its input particles in their input order (a quiet step): the
-    /// resort indices are the identity, and `fcs`
-    /// resorts the step's additional data locally, with no message and no
-    /// barrier.
+    /// Whether the step was quiet — every rank kept its input particles in
+    /// their input order — so that no resort plan was built: the run
+    /// returned the identity resort indices, and `fcs` resorts the step's
+    /// additional data locally, with no message and no barrier.
     pub resort_exchange_skipped: bool,
 }
 
@@ -237,6 +239,10 @@ pub struct FmmSolver {
     sort_plan: Option<SortPlan>,
     /// Routes of the remote multipoles, kept while the tree repeats.
     let_plan: LetPlan,
+    /// Method B's resort plan, rebuilt in place by every run that resorts
+    /// and is not quiet; `resort_plan_fresh` says whether the last run did.
+    resort_plan: Option<ResortPlan>,
+    resort_plan_fresh: bool,
     ws: Workspace,
     /// Plans recorded over the solver lifetime: merge-sort probe schedules
     /// and locally essential tree plans.
@@ -279,6 +285,8 @@ impl FmmSolver {
             guard_cleanup_cap: None,
             sort_plan: None,
             let_plan: LetPlan::default(),
+            resort_plan: None,
+            resort_plan_fresh: false,
             ws: Workspace::default(),
             plan_builds: 0,
             plan_hits: 0,
@@ -303,14 +311,25 @@ impl FmmSolver {
     }
 
     /// Drop all cached cross-timestep planning state (the recorded merge-sort
-    /// probe schedule and the locally essential tree plan). Recovery paths
-    /// that rewind the simulation call this on every rank before replaying:
-    /// a schedule recorded past the rollback point describes executions that
-    /// are about to be repeated, and plan state is bitwise invisible to the
-    /// physics, so dropping it is always safe.
+    /// probe schedule, the locally essential tree plan and the resort plan
+    /// of the last run). Recovery paths that rewind the simulation call this
+    /// on every rank before replaying: a schedule recorded past the rollback
+    /// point describes executions that are about to be repeated, and plan
+    /// state is bitwise invisible to the physics, so dropping it is always
+    /// safe.
     pub fn invalidate_plans(&mut self) {
         self.sort_plan = None;
         self.let_plan.kept = false;
+        self.resort_plan = None;
+    }
+
+    /// The resort plan of the last run, if it built one: after a Method B
+    /// run that was neither quiet nor sent home by the capacity test. It
+    /// sends additional data in the input order to the rank that owns each
+    /// input's leaf key and places it in the solver's order, so the run
+    /// returned no resort indices (see [`atasp::hand_back`]).
+    pub fn resort_plan(&self) -> Option<&ResortPlan> {
+        self.resort_plan.as_ref().filter(|_| self.resort_plan_fresh)
     }
 
     /// Execute the solver: compute potentials and field values for the given
@@ -319,18 +338,23 @@ impl FmmSolver {
     /// * `method` = [`RedistMethod::RestoreOriginal`]: output arrays are in
     ///   the exact order and distribution of the input (Method A).
     /// * `method` = [`RedistMethod::UseChanged`]: output arrays are in the
-    ///   solver's Z-order distribution, with resort indices for the
-    ///   application's additional data (Method B). Falls back to restoring if
-    ///   any rank would exceed `max_local` particles.
+    ///   solver's Z-order distribution (Method B), and the application's
+    ///   additional data follows [`FmmSolver::resort_plan`]. Falls back to
+    ///   restoring if any rank would exceed `max_local` particles.
     ///
     /// `movement` enables the merge-based parallel sort when the maximum
     /// particle movement is below the per-process cube side (paper heuristic,
     /// Sect. III-B); it is only honoured for [`RedistMethod::UseChanged`].
     ///
-    /// The results go back through [`atasp::hand_back`], with the resort
-    /// indices built collectively. Under Method B, a step on which every rank
-    /// keeps its input particles in their input order is quiet: its identity
-    /// resort indices are returned without an exchange, and
+    /// The results go back through [`atasp::hand_back`]. Under Method B,
+    /// after the cell alignment every leaf cell belongs wholly to the
+    /// lowest rank whose sorted span holds its key, and every rank holds that
+    /// map: each origin knows where every input went, with no message. The
+    /// resort plan follows those routes — point to point after a merge sort,
+    /// in an all-to-all-v after a partition sort — with no resort index
+    /// built or exchanged. A step on which every rank keeps its input
+    /// particles in their input order is quiet: its identity resort indices
+    /// are returned without an exchange, and
     /// [`FmmRunReport::resort_exchange_skipped`] is set.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
@@ -358,6 +382,10 @@ impl FmmSolver {
         keys.clear();
         recs.clear();
         keys.extend(pos.iter().map(|&x| leaf_key(&self.bbox, x, self.cfg.level)));
+        ws.input_keys.clear();
+        if method == RedistMethod::UseChanged {
+            ws.input_keys.extend_from_slice(&keys);
+        }
         recs.extend((0..n_in).map(|i| Particle {
             pos: pos[i],
             charge: charge[i],
@@ -371,7 +399,7 @@ impl FmmSolver {
         let use_merge = method == RedistMethod::UseChanged
             && movement.is_some_and(|m| m < self.bbox.per_process_cube_side(p));
         self.last_report.used_merge_sort = use_merge;
-        let (mut keys, mut recs, spans) = if use_merge {
+        let (mut keys, mut recs, spans, merged) = if use_merge {
             // Consume the probe schedule the previous merge sort recorded;
             // record this sort's schedule for the next step.
             // `use_merge` and the plan's presence are globally consistent, so
@@ -407,7 +435,7 @@ impl FmmSolver {
                 self.sort_plan = None;
                 let (k, r, rep2) = partition_sort_by_key(comm, bk, br);
                 self.last_report.sort_sent = rep.sent_elems + rep2.sent_elems;
-                (k, r, None)
+                (k, r, None, false)
             } else {
                 self.last_report.sort_sent = rep.sent_elems;
                 self.last_report.sort_rounds_plan_skipped = rep.rounds_plan_skipped;
@@ -417,7 +445,7 @@ impl FmmSolver {
                     self.plan_builds += 1;
                 }
                 self.sort_plan = next;
-                (k, r, rep.spans)
+                (k, r, rep.spans, true)
             }
         } else {
             // A partition sort rebalances the whole distribution; any recorded
@@ -426,7 +454,7 @@ impl FmmSolver {
             self.sort_plan = None;
             let (k, r, rep) = partition_sort_by_key(comm, keys, recs);
             self.last_report.sort_sent = rep.sent_elems;
-            (k, r, None)
+            (k, r, None, false)
         };
 
         // --- Align cells to rank boundaries (each leaf cell wholly owned by
@@ -438,23 +466,35 @@ impl FmmSolver {
         // --- Compute near + far field on the sorted particles ---
         self.compute_fields(comm, &mut ws, &keys, &recs);
 
+        // Where input `i` went: the owner of its key — the lowest rank whose
+        // gathered span holds it, which after the alignment holds the whole
+        // leaf cell.
+        let owners = &ws.owners;
+        let input_keys = &ws.input_keys;
+        let owner = |i: usize| {
+            if p == 1 {
+                return 0;
+            }
+            owners.owner_of(input_keys[i]).expect("every input's key is held")
+        };
         let solved = Solved {
             records: &recs,
             potential: &mut ws.potential,
             field: &mut ws.field,
             columns: None,
-            routed: None,
+            input: (pos, charge, id),
+            routed: Routed {
+                route: Route::Owners(n_in, &owner),
+                collective: !merged,
+                plan: &mut self.resort_plan,
+            },
+            restore: &mut ws.restore,
         };
-        let (out, skipped) = hand_back(
-            comm,
-            method,
-            max_local,
-            n_in,
-            &ExchangeMode::Collective,
-            solved,
-            [t_start, t_sorted],
-        );
+        let (out, skipped) = hand_back(comm, method, max_local, solved, [t_start, t_sorted]);
         self.last_report.resort_exchange_skipped = skipped;
+        // The hand-back builds the plan exactly for the changed order of a
+        // step that is not quiet.
+        self.resort_plan_fresh = out.resorted && !skipped;
         (ws.keys, ws.recs) = (keys, recs);
         self.ws = ws;
         out

@@ -4,13 +4,18 @@
 //! indices are the identity on every rank skips its exchange. None of it
 //! shows in the physics: every run below returns the bits of a solver whose
 //! plans are dropped before every run — or, after a guard fallback, of a
-//! solver that chose the partition sort up front.
+//! solver that chose the partition sort up front. A step that moves builds
+//! its resort plan from the key owners with no message, and the plan puts
+//! every byte of additional data where resort indices put it.
 
+use std::collections::BTreeMap;
+
+use atasp::{build_resort_indices_with, encode_index, ExchangeMode, ResortPlan};
 use fmm::tree::{cell_center, leaf_key};
 use fmm::{FmmConfig, FmmSolver};
 use particles::systems::splitmix64;
-use particles::{RedistMethod, SolverOutput, SystemBox, Vec3};
-use simcomm::{Comm, FaultPlan, MachineModel, Runner};
+use particles::{PlaneSet, RedistMethod, SolverOutput, SystemBox, Vec3};
+use simcomm::{Comm, FaultPlan, MachineModel, Runner, TraceKind};
 
 #[path = "../../atasp/tests/common/mod.rs"]
 mod common;
@@ -206,13 +211,28 @@ fn a_particle_crossing_a_rank_boundary_is_not_quiet_and_still_resorts() {
                 fresh.invalidate_plans();
                 let want = run_b(comm, &mut fresh, &input, hint);
                 assert_eq!(bits(&got.out), bits(&want.out), "{what}: bits differ");
-                assert_eq!(planned.last_report.resort_exchange_skipped, r == 1, "{what}");
-                // The indices carry data in the input order to the output's.
+                let quiet = r == 1;
+                assert_eq!(planned.last_report.resort_exchange_skipped, quiet, "{what}");
+                // The plan — or on a quiet step the identity indices — carries
+                // data in the input order to the output's.
                 let tags: Vec<f64> = input.2.iter().map(|&i| i as f64).collect();
                 let o = &got.out;
-                let mode = atasp::ExchangeMode::Collective;
-                let moved = atasp::resort(comm, &tags, &o.resort_indices, o.pos.len(), &mode);
+                let moved = match planned.resort_plan() {
+                    Some(plan) => {
+                        assert!(!quiet && o.resort_indices.is_empty(), "{what}: a plan");
+                        plan.execute(comm, &[&tags]).pop().expect("one channel")
+                    }
+                    None => {
+                        assert!(quiet, "{what}: a step that moves builds a plan");
+                        let mode = atasp::ExchangeMode::Collective;
+                        atasp::resort(comm, &tags, &o.resort_indices, o.pos.len(), &mode)
+                    }
+                };
                 assert!(moved.into_iter().eq(o.id.iter().map(|&i| i as f64)), "{what}: resort");
+                // The plan follows the key owners: its resort sends nothing.
+                if !quiet {
+                    assert_eq!(got.resort, (0, 0), "{what}: the resort communicates");
+                }
                 input = (got.out.pos, got.out.charge, got.out.id);
             }
             (input.2, pair)
@@ -356,5 +376,145 @@ fn a_lying_hint_falls_back_and_the_alignment_gathers_its_own_spans() {
                 assert!(got.align.0 >= 1, "{what}: no gather of its own");
             }
         });
+    }
+}
+
+/// Additional data of `ids`: a `u64` tag (the id) alone, or beside planes of
+/// three other strides, every byte a function of the id.
+fn additional(ids: &[u64], several: bool) -> PlaneSet {
+    let mut set = PlaneSet::new();
+    let tag = set.register::<u64>("tag");
+    let planes = several.then(|| {
+        (set.register::<f32>("f32"), set.register::<Vec3>("vec3"), set.register::<i32>("i32"))
+    });
+    set.resize(ids.len());
+    for (i, &id) in ids.iter().enumerate() {
+        set.plane_mut::<u64>(tag)[i] = id;
+        if let Some((a, v, n)) = planes {
+            let h = splitmix64(id ^ 0xadd);
+            set.plane_mut::<f32>(a)[i] = h as f32;
+            set.plane_mut::<Vec3>(v)[i] = Vec3::new(h as f64, -(id as f64), 0.5);
+            set.plane_mut::<i32>(n)[i] = (h >> 32) as i32;
+        }
+    }
+    set
+}
+
+/// The resort plan of the run that turned `input_ids` into `out`, against
+/// the plan of the resort indices built from where every output particle
+/// was in the input: additional data lands alike, byte for byte, with one
+/// plane and with several. Returns the collectives of the plan's two
+/// executions.
+fn assert_plan_is_the_index_plan(
+    comm: &mut Comm,
+    solver: &FmmSolver,
+    input_ids: &[u64],
+    out: &SolverOutput,
+    what: &str,
+) -> u64 {
+    let plan = solver.resort_plan().expect("a step that moves builds its plan");
+    assert!(out.resort_indices.is_empty(), "{what}: indices beside the plan");
+    let origin_of: BTreeMap<u64, u64> = (comm.allgather(input_ids.to_vec()).into_iter())
+        .enumerate()
+        .flat_map(|(r, ids)| (0..ids.len()).map(move |i| (ids[i], encode_index(r, i))))
+        .collect();
+    let origins: Vec<u64> = out.id.iter().map(|id| origin_of[id]).collect();
+    let collective = ExchangeMode::Collective;
+    let indices = build_resort_indices_with(comm, &origins, input_ids.len(), &collective);
+    let oracle = ResortPlan::build(comm, &indices, out.id.len(), &collective);
+    let mut collectives = 0;
+    for several in [false, true] {
+        let mut by_plan = additional(input_ids, several);
+        let mut by_indices = by_plan.clone();
+        let before = comm.stats().coll_ops;
+        plan.execute_planes(comm, &mut by_plan);
+        collectives += comm.stats().coll_ops - before;
+        oracle.execute_planes(comm, &mut by_indices);
+        let planes =
+            |set: &PlaneSet| set.ids().map(|id| set.bytes(id).to_vec()).collect::<Vec<_>>();
+        assert_eq!(planes(&by_plan), planes(&by_indices), "{what} several={several}");
+        let tags = by_plan.plane::<u64>(by_plan.id_at(0));
+        assert_eq!(tags, &out.id[..], "{what} several={several}: tags off their particles");
+    }
+    collectives
+}
+
+/// The particles of `out`, each moved by up to `step` along every axis.
+fn drifted(b: &SystemBox, out: &SolverOutput, step: f64, salt: u64) -> Local {
+    let mut g = Gen(salt);
+    let mut shift = || (2.0 * g.unit() - 1.0) * step;
+    let pos = out.pos.iter().map(|&x| b.wrap(x + Vec3::new(shift(), shift(), shift()))).collect();
+    (pos, out.charge.clone(), out.id.clone())
+}
+
+#[test]
+fn the_owner_map_plan_puts_every_byte_where_the_indices_put_it() {
+    // Cell widths are about one: a drift of 0.3 per axis changes cells.
+    let step = 0.3;
+    for p in PS {
+        let b = bbox(true);
+        let sys = system(0x0e5 ^ p as u64, &b, 12 * p + 7);
+        let (split, ranges) = straddling(&bbox(false), p);
+        run(p, MachineModel::juqueen_like(), |comm| {
+            let me = comm.rank();
+            let mut solver = FmmSolver::new(b, config());
+            // A partition sort of a dealt system, then merge sorts of it
+            // drifting.
+            let mut input = block(&sys, me, p);
+            for r in 0..3 {
+                let what = format!("p {p} rank {me} run {r}");
+                let hint = (r > 0).then_some(step * 3f64.sqrt());
+                let got = run_b(comm, &mut solver, &input, hint);
+                assert_eq!(solver.last_report.used_merge_sort, r > 0, "{what}");
+                // Building the plan is local.
+                assert_eq!(got.resort, (0, 0), "{what}: the resort communicates");
+                if solver.last_report.resort_exchange_skipped {
+                    assert!(solver.resort_plan().is_none(), "{what}: a plan on a quiet step");
+                } else {
+                    let colls =
+                        assert_plan_is_the_index_plan(comm, &solver, &input.2, &got.out, &what);
+                    // Point to point after a merge sort, one all-to-all-v each
+                    // after a partition sort.
+                    assert_eq!(colls, if r > 0 { 0 } else { 2 }, "{what}: plan collectives");
+                }
+                input = drifted(&b, &got.out, step, 0xd1f7 ^ (r * p + me) as u64);
+            }
+            // Split cells the alignment moves, and empty ranks from three on.
+            let b = bbox(false);
+            let input = local(&split, ranges[me].clone());
+            let mut solver = FmmSolver::new(b, config());
+            let what = format!("p {p} rank {me} split cells");
+            let got = run_b(comm, &mut solver, &input, Some(0.0));
+            assert!(solver.last_report.used_merge_sort, "{what}");
+            if p > 1 {
+                assert_plan_is_the_index_plan(comm, &solver, &input.2, &got.out, &what);
+            }
+            // Dropped with the other plans.
+            solver.invalidate_plans();
+            assert!(solver.resort_plan().is_none(), "{what}: a plan survives invalidate_plans");
+        });
+    }
+}
+
+#[test]
+fn a_moving_method_b_step_records_no_message_and_no_collective_in_resort() {
+    let p = 8;
+    let b = bbox(true);
+    let sys = system(0x7ace, &b, 12 * p + 7);
+    let runner = Runner::default().traced(true);
+    let out = common::run_at(thinned(p), &runner, p, MachineModel::juropa_like(), |comm| {
+        let mut solver = FmmSolver::new(b, config());
+        let input = block(&sys, comm.rank(), p);
+        let first = run_b(comm, &mut solver, &input, None);
+        let input = drifted(&b, &first.out, 0.3, 0x7ace ^ comm.rank() as u64);
+        run_b(comm, &mut solver, &input, Some(0.3 * 3f64.sqrt()));
+        (solver.last_report.used_merge_sort, solver.last_report.resort_exchange_skipped)
+    });
+    for (me, (&(merged, quiet), trace)) in out.results.iter().zip(&out.traces).enumerate() {
+        assert!(merged && !quiet, "rank {me}: a moving merge-sort step");
+        let resort: Vec<_> = trace.events.iter().filter(|e| e.phase == "resort").collect();
+        // Two plan builds, one per run, and nothing else.
+        assert_eq!(resort.len(), 2, "rank {me}: {resort:?}");
+        assert!(resort.iter().all(|e| e.kind == TraceKind::PlanBuild), "rank {me}: {resort:?}");
     }
 }

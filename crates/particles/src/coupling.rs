@@ -124,10 +124,12 @@ pub struct SolverOutput {
     /// order and distribution was restored.
     pub resorted: bool,
     /// Method B: for each particle of the *original* local array, the
-    /// 64-bit (target rank << 32 | target position) resort index. Empty for
-    /// Method A, and after a P2NFFT Method B run that was not quiet: that
-    /// solver builds a resort plan from its own redistribution's routes
-    /// instead (`PmSolver::resort_plan`), which `fcs` executes.
+    /// 64-bit (target rank << 32 | target position) resort index — returned
+    /// only where it costs no exchange: by a quiet step (the identity) and by
+    /// Ewald, which never reorders. Empty for Method A, and after a moving
+    /// Method B step of either particle solver: it builds a resort plan from
+    /// its particles' routes instead (`FmmSolver::resort_plan`,
+    /// `PmSolver::resort_plan`), which `fcs` executes.
     pub resort_indices: Vec<u64>,
     /// Timing breakdown of this execution.
     pub timings: SolverTimings,

@@ -4,8 +4,8 @@
 //! two data redistribution paths.
 
 use atasp::{
-    alltoall_specific_routed, encode_index, hand_back, ExchangeMode, ResortPlan, Routed, Routes,
-    Solved,
+    alltoall_specific_routed, encode_index, hand_back, ExchangeMode, ResortPlan, Restore, Route,
+    Routed, Routes, Solved,
 };
 use particles::{
     grid_cell_bounds, grid_rank_of, MovementHint, Particle, RedistMethod, SolverOutput, SystemBox,
@@ -144,6 +144,7 @@ struct Workspace {
     /// The owned particles as columns (moved into the output under Method B).
     pos: Vec<Vec3>,
     charge: Vec<f64>,
+    restore: Restore,
 }
 
 /// One ghost-plan epoch: the frozen per-particle routing and placement of a
@@ -600,14 +601,15 @@ impl PmSolver {
             potential: &mut potential,
             field: &mut field,
             columns: Some((&mut ws.pos, &mut ws.charge)),
-            routed: Some(Routed {
-                routes: &ws.routes,
-                order: &ws.order,
+            input: (pos, charge, id),
+            routed: Routed {
+                route: Route::Recorded(&ws.routes, &ws.order),
+                collective: *mode == ExchangeMode::Collective,
                 plan: &mut self.resort_plan,
-            }),
+            },
+            restore: &mut ws.restore,
         };
-        let (out, skipped) =
-            hand_back(comm, method, max_local, n_in, mode, solved, [t_start, t_sorted]);
+        let (out, skipped) = hand_back(comm, method, max_local, solved, [t_start, t_sorted]);
         self.last_report.resort_exchange_skipped = skipped;
         // The hand-back builds the plan exactly for the changed order of a
         // step that is not quiet.

@@ -94,6 +94,21 @@
 //! `0xcfc9_ae17_ca9c_9e7f` (juqueen-like), faulted `0x947e_0807_bda9_c6ef` →
 //! `0xbdd0_0e39_9dc4_79ea`. Every physics half, every FMM half and both
 //! redistribution halves stayed.
+//! The hand-back shipping only what the other end lacks — Method A's restore
+//! as a resort plan over the origin codes that carries 36-byte records
+//! (position, potential, field), closing on an allreduce of `home` that lets
+//! an all-home restore place locally, and the FMM's Method B resort plan
+//! built from its key owners with no resort-index round — re-froze the
+//! timing halves of the seven FMM worlds once: Method A
+//! `0xf452_28e2_ce39_75d4` → `0x7c46_d36a_2c2b_bb98` and B + movement
+//! `0x7a96_bc79_1df4_4d4c` → `0xae58_4023_544b_4633` (juropa-like), Method A
+//! `0xa042_848e_f6cc_bf2b` → `0xdc76_88e8_f09a_acdf` and B + movement
+//! `0xec62_4e09_3b2f_d546` → `0x6a17_705c_3556_a54e` (juqueen-like), FMM
+//! order 2 / 4 / 6 `0x86ef_3d05_652d_62fb` → `0x0296_9d65_6532_44f0`,
+//! `0x1d22_fc44_3af4_3755` → `0x4426_8092_8a43_a047`,
+//! `0x3f85_d74d_78e0_50ea` → `0x33ab_5a7a_c7bb_8bdc`. Every physics half,
+//! every P2NFFT half (no Method A world runs it here), the faulted world and
+//! both redistribution halves stayed.
 
 #[path = "../crates/simcomm/tests/common/mod.rs"]
 mod common;
@@ -204,14 +219,14 @@ fn md_configs_match_frozen_digests() {
     ];
     let frozen: [[[u64; 2]; 4]; 2] = [
         [
-            [0xe3e7_f2ac_7ae3_deb5, 0xf452_28e2_ce39_75d4],
-            [0xe36d_87b1_23fa_3d6c, 0x7a96_bc79_1df4_4d4c],
+            [0xe3e7_f2ac_7ae3_deb5, 0x7c46_d36a_2c2b_bb98],
+            [0xe36d_87b1_23fa_3d6c, 0xae58_4023_544b_4633],
             [0x1c08_5b70_c285_000a, 0xb0f5_ead2_6c2f_fda7],
             [0xf8f4_8bef_8ac1_3909, 0x469d_2c0e_7937_3b54],
         ],
         [
-            [0xe3e7_f2ac_7ae3_deb5, 0xa042_848e_f6cc_bf2b],
-            [0xe36d_87b1_23fa_3d6c, 0xec62_4e09_3b2f_d546],
+            [0xe3e7_f2ac_7ae3_deb5, 0xdc76_88e8_f09a_acdf],
+            [0xe36d_87b1_23fa_3d6c, 0x6a17_705c_3556_a54e],
             [0x1c08_5b70_c285_000a, 0x02dc_5183_3c9a_843c],
             [0xf8f4_8bef_8ac1_3909, 0xcfc9_ae17_ca9c_9e7f],
         ],
@@ -256,7 +271,7 @@ fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u3
 /// digest changed from run to run with the `HashMap` order of M2M children.)
 #[test]
 fn fmm_level3_non_neutral_cells_match_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0x86ef_3d05_652d_62fb]);
+    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0x0296_9d65_6532_44f0]);
 }
 
 // Every digest above runs the FMM at order 2 (10 coefficients). The two below
@@ -267,12 +282,12 @@ fn fmm_level3_non_neutral_cells_match_frozen_digest() {
 
 #[test]
 fn fmm_order4_level3_matches_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0x1d22_fc44_3af4_3755]);
+    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0x4426_8092_8a43_a047]);
 }
 
 #[test]
 fn fmm_order6_level2_matches_frozen_digest() {
-    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x3f85_d74d_78e0_50ea]);
+    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x33ab_5a7a_c7bb_8bdc]);
 }
 
 #[test]

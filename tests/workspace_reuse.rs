@@ -9,8 +9,8 @@
 //! and three world sizes (`P` at and beyond the mesh), and after each run a
 //! fresh solver is given the same input in the same world. Plans may make the
 //! kept solver's virtual time differ; its output may not differ in a bit, and
-//! neither may the P2NFFT's resort plan — its routes and placement — which
-//! the run builds from kept buffers.
+//! neither may either solver's resort plan — its routes and placement —
+//! which the run builds from kept buffers.
 
 use fmm::{FmmConfig, FmmSolver};
 use particles::systems::splitmix64;
@@ -140,7 +140,7 @@ impl Solver for FmmSolver {
     }
 
     fn resort_plan(&self) -> String {
-        String::new()
+        format!("{:?}", FmmSolver::resort_plan(self))
     }
 }
 
