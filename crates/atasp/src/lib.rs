@@ -685,7 +685,7 @@ impl ResortPlan {
             );
         }
         let mut set = PlaneSet::new();
-        let ids: Vec<_> = (0..k).map(|c| set.register::<T>(&format!("ch{c}"))).collect();
+        let ids: Vec<_> = (0..k).map(|c| set.register::<T>(format!("ch{c}"))).collect();
         set.resize(self.n_input);
         for (ch, &id) in channels.iter().zip(&ids) {
             set.plane_mut::<T>(id).copy_from_slice(ch);

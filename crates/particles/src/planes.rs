@@ -30,6 +30,7 @@
 
 use crate::vec3::Vec3;
 use std::any::TypeId;
+use std::borrow::Cow;
 
 /// Marker trait for types that may live in a [`PlaneSet`] plane.
 ///
@@ -78,7 +79,7 @@ impl PlaneId {
 /// element type.
 #[derive(Clone)]
 struct Plane {
-    name: String,
+    name: Cow<'static, str>,
     stride: usize,
     ty: TypeId,
     ty_name: &'static str,
@@ -127,19 +128,21 @@ impl PlaneSet {
     /// Register a new plane of element type `T` under `name`. All planes
     /// share the set's element count: a plane registered on a non-empty set
     /// starts with `len` default elements. Names are diagnostic (and
-    /// resolvable via [`PlaneSet::id_of`]); duplicates are rejected.
-    pub fn register<T: PlaneElem>(&mut self, name: &str) -> PlaneId {
+    /// resolvable via [`PlaneSet::id_of`]); duplicates are rejected. A
+    /// literal name is kept as it is, with no allocation.
+    pub fn register<T: PlaneElem>(&mut self, name: impl Into<Cow<'static, str>>) -> PlaneId {
+        let name = name.into();
         assert!(
             std::mem::align_of::<T>() <= 8,
             "plane element type {} has alignment {} > 8",
             std::any::type_name::<T>(),
             std::mem::align_of::<T>()
         );
-        assert!(self.id_of(name).is_none(), "plane {name:?} registered twice");
+        assert!(self.id_of(&name).is_none(), "plane {name:?} registered twice");
         let stride = std::mem::size_of::<T>();
         assert!(stride > 0, "zero-sized plane element type");
         self.planes.push(Plane {
-            name: name.to_string(),
+            name,
             stride,
             ty: TypeId::of::<T>(),
             ty_name: std::any::type_name::<T>(),

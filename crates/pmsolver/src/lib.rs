@@ -32,6 +32,9 @@ mod bspline;
 mod farfield;
 mod fft;
 mod nearfield;
+// psort's ordering kernel, compiled in from its source (see its header).
+#[path = "../../psort/src/order.rs"]
+mod order;
 mod solver;
 
 pub use bspline::{bspline, bspline_hat, stencil};

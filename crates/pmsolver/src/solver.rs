@@ -15,6 +15,7 @@ use simcomm::{CartGrid, Comm, CommPlan, Work};
 
 use crate::farfield::{FarFieldCache, FarFieldPlan};
 use crate::nearfield::near_field_of;
+use crate::order::stable_order;
 
 /// Static configuration of the particle-mesh solver.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,14 +113,137 @@ struct PlanStatics {
     /// Persistent message-layer plan for the ghost exchange (partner slots in
     /// [`CommPlan::partners`] order).
     comm_plan: CommPlan,
-    /// Per partner slot: the 26-stencil offsets whose shifted rank aliases to
-    /// that partner (several on tiny grids with periodic wrap). Merging the
-    /// aliases *here* means a particle is emitted at most once per partner,
-    /// so the receiver-side `sort`+`dedup` of the old code is gone entirely.
-    ghost_routes: Vec<Vec<[i64; 3]>>,
-    /// Total stencil offsets across all routes (the per-particle cost of one
-    /// fresh route selection).
-    n_offsets: usize,
+    /// The 26-stencil offsets whose shifted rank is another rank, each with
+    /// its partner slot ([`ghost_offsets`]).
+    ghost_offsets: Vec<GhostOffset>,
+}
+
+/// One stencil offset of the ghost routes: the faces of the subdomain it
+/// crosses (bit `2 d` the lower and bit `2 d + 1` the upper face of
+/// dimension `d`) and the partner slot its shifted rank occupies. Several
+/// offsets share a slot on tiny grids with periodic wrap; merging the aliases
+/// into one slot means a particle is emitted at most once per partner, so the
+/// receiver never deduplicates.
+struct GhostOffset {
+    delta: [i64; 3],
+    faces: u8,
+    slot: usize,
+}
+
+/// The ghost offsets of rank `me` in stencil order (`x` slowest): every
+/// offset of the 26-stencil whose shifted rank is not `me`, with that rank's
+/// position in `partners` (the sorted, distinct 26-neighbours).
+fn ghost_offsets(grid: &CartGrid, me: usize, partners: &[usize]) -> Vec<GhostOffset> {
+    let mut offsets = Vec::with_capacity(26);
+    for ddx in -1..=1i64 {
+        for ddy in -1..=1i64 {
+            for ddz in -1..=1i64 {
+                let delta = [ddx, ddy, ddz];
+                if delta == [0; 3] {
+                    continue;
+                }
+                let nb = grid.shifted_rank(me, delta.map(|dd| dd as isize));
+                if nb == me {
+                    continue;
+                }
+                let slot =
+                    partners.iter().position(|&q| q == nb).expect("shifted rank is a 26-neighbour");
+                let faces = (0..3)
+                    .filter(|&d| delta[d] != 0)
+                    .fold(0u8, |f, d| f | 1 << (2 * d + usize::from(delta[d] > 0)));
+                offsets.push(GhostOffset { delta, faces, slot });
+            }
+        }
+    }
+    offsets
+}
+
+/// Fresh ghost-route selection: per partner slot of `n_slots`, the owned
+/// particles (ascending index) within `margin` of the region some offset of
+/// that slot reaches, appended to `sends`, and how many to `counts` (both
+/// cleared first). `reach` is per-particle scratch: the slots a particle goes
+/// to, one bit each.
+///
+/// A particle's six face gaps are computed once and decide every face
+/// offset; an edge or corner offset is tested only when each face it crosses
+/// passed. That skips no offset the full test would accept: each face term
+/// is the same `g * g` the full distance sums, and a floating-point sum of
+/// non-negative terms is never below any one of them. Returns the distance
+/// tests made — one per particle and face offset, plus one per edge or
+/// corner offset tested — which is what the selection is charged.
+#[allow(clippy::too_many_arguments)]
+fn select_ghosts(
+    offsets: &[GhostOffset],
+    n_slots: usize,
+    owned: &[Particle],
+    (lo, hi): (Vec3, Vec3),
+    margin: f64,
+    reach: &mut Vec<u32>,
+    sends: &mut Vec<u32>,
+    counts: &mut Vec<usize>,
+) -> u64 {
+    assert!(n_slots <= 32, "at most 26 partners");
+    let m2 = margin * margin;
+    let faces = offsets.iter().filter(|o| o.faces.count_ones() == 1).count() as u64;
+    let mut tests = faces * owned.len() as u64;
+    reach.clear();
+    reach.extend(owned.iter().map(|rec| {
+        let gap = |d: usize, dd: i64| match dd {
+            1 => hi[d] - rec.pos[d],
+            -1 => rec.pos[d] - lo[d],
+            _ => 0.0,
+        };
+        let mut near = 0u8;
+        for d in 0..3 {
+            for (bit, dd) in [(2 * d, -1), (2 * d + 1, 1)] {
+                let g = gap(d, dd);
+                near |= u8::from(g * g <= m2) << bit;
+            }
+        }
+        let mut slots = 0u32;
+        for o in offsets {
+            if o.faces & !near != 0 {
+                continue;
+            }
+            if o.faces.count_ones() > 1 {
+                tests += 1;
+                let mut dist2 = 0.0;
+                for (d, dd) in o.delta.into_iter().enumerate() {
+                    let g = gap(d, dd);
+                    dist2 += g * g;
+                }
+                if dist2 > m2 {
+                    continue;
+                }
+            }
+            slots |= 1 << o.slot;
+        }
+        slots
+    }));
+    sends.clear();
+    counts.clear();
+    for slot in 0..n_slots {
+        let before = sends.len();
+        sends.extend(
+            (0u32..).zip(reach.iter()).filter(|(_, &r)| r >> slot & 1 != 0).map(|(j, _)| j),
+        );
+        counts.push(sends.len() - before);
+    }
+    tests
+}
+
+/// The linked-cell order of particles with cell keys `keys`, into `order`
+/// (`scratch` is the radix sort's scatter buffer): ascending key, ascending
+/// index among equal keys — the stable sort, in 8-bit counting passes over
+/// the key digits that vary. Returns that pass count; sorted keys give the
+/// identity.
+fn linked_cell_order(keys: &[u32], order: &mut Vec<u32>, scratch: &mut Vec<u32>) -> u32 {
+    let (passes, permuted) = stable_order(keys, order, scratch);
+    if !permuted {
+        let n = u32::try_from(keys.len()).expect("more than u32::MAX particles");
+        order.extend(0..n);
+    }
+    passes
 }
 
 /// What a run stages on the way to its output, kept from run to run where
@@ -137,10 +261,14 @@ struct Workspace {
     /// The routes of the owner redistribution.
     routes: Routes,
     /// Linked-cell keys of the owned particles, in arrival order.
-    keys: Vec<u64>,
+    keys: Vec<u32>,
     /// The linked-cell order: the `j`-th owned particle is the `order[j]`-th
     /// to arrive.
     order: Vec<u32>,
+    /// One word per owned particle: the scatter buffer of the radix passes
+    /// that sort it, then the partner slots a fresh ghost-route selection
+    /// sends it to.
+    scratch: Vec<u32>,
     /// The owned particles as columns (moved into the output under Method B).
     pos: Vec<Vec3>,
     charge: Vec<f64>,
@@ -157,7 +285,7 @@ struct GhostEpoch {
     /// Owned particle ids in solver (cell-sorted) order at build time.
     ids: Vec<u64>,
     /// Linked-cell keys of those particles at build time.
-    keys: Vec<u64>,
+    keys: Vec<u32>,
     /// The owned indices (solver order) duplicated to each partner, slot
     /// after slot, and per partner slot how many of them go there.
     sends: Vec<u32>,
@@ -304,35 +432,12 @@ impl PmSolver {
         }
         let neighbors = self.grid.neighbors26(me);
         let comm_plan = comm.plan_exchange(neighbors.clone(), TAG_GHOSTS);
-        let mut ghost_routes: Vec<Vec<[i64; 3]>> =
-            comm_plan.partners().iter().map(|_| Vec::new()).collect();
-        let mut n_offsets = 0usize;
-        for ddx in -1..=1i64 {
-            for ddy in -1..=1i64 {
-                for ddz in -1..=1i64 {
-                    if ddx == 0 && ddy == 0 && ddz == 0 {
-                        continue;
-                    }
-                    let nb = self.grid.shifted_rank(me, [ddx as isize, ddy as isize, ddz as isize]);
-                    if nb == me {
-                        continue;
-                    }
-                    let slot = comm_plan
-                        .partners()
-                        .iter()
-                        .position(|&q| q == nb)
-                        .expect("shifted rank is a 26-neighbour");
-                    ghost_routes[slot].push([ddx, ddy, ddz]);
-                    n_offsets += 1;
-                }
-            }
-        }
+        let ghost_offsets = ghost_offsets(&self.grid, me, comm_plan.partners());
         self.statics = Some(PlanStatics {
             rank: me,
             neighborhood_mode: ExchangeMode::Neighborhood(neighbors),
             comm_plan,
-            ghost_routes,
-            n_offsets,
+            ghost_offsets,
         });
         self.epoch = None;
     }
@@ -438,10 +543,10 @@ impl PmSolver {
         // and the ghost route selection are both skipped and the frozen
         // routes re-executed.
         let (lo, hi) = grid_cell_bounds(dims, &bbox, me);
-        let cell_key = |p: Vec3| -> u64 {
-            let mut key = 0u64;
+        let cell_key = |p: Vec3| -> u32 {
+            let mut key = 0u32;
             for d in 0..3 {
-                let c = (((p[d] - lo[d]) / rcut).floor().max(0.0) as u64).min(255);
+                let c = (((p[d] - lo[d]) / rcut).floor().max(0.0) as u32).min(255);
                 key = key << 8 | c;
             }
             key
@@ -464,17 +569,13 @@ impl PmSolver {
             _ => false,
         };
         // The sort is a permutation (ascending index among equal keys: the
-        // order of a stable sort) and one gather; on an epoch hit it is the
-        // identity.
-        let n_owned = u32::try_from(arrived.len()).expect("more than u32::MAX particles");
-        ws.order.clear();
-        ws.order.extend(0..n_owned);
+        // order of a stable sort) and one gather, charged as psort charges
+        // its local sort: one comparison per particle and counting pass. On
+        // an epoch hit the keys are the epoch's, already in order: the
+        // permutation is the identity, and it is part of the plan.
+        let passes = linked_cell_order(keys, &mut ws.order, &mut ws.scratch);
         if !epoch_hit {
-            ws.order.sort_unstable_by_key(|&j| (keys[j as usize], j));
-            comm.compute(
-                Work::SortCmp,
-                (arrived.len().max(2) as f64) * (arrived.len().max(2) as f64).log2(),
-            );
+            comm.compute(Work::SortCmp, f64::from(passes) * arrived.len() as f64);
         }
         ws.records.clear();
         ws.records.extend(ws.order.iter().map(|&j| arrived[j as usize]));
@@ -506,28 +607,17 @@ impl PmSolver {
             // needs to deduplicate).
             let margin = rcut + skin_bound;
             let epoch = self.epoch.get_or_insert_with(GhostEpoch::default);
-            epoch.sends.clear();
-            epoch.counts.clear();
-            for offsets in &statics.ghost_routes {
-                let reached = |rec: &Particle| {
-                    offsets.iter().any(|&[ddx, ddy, ddz]| {
-                        let mut dist2 = 0.0;
-                        for (d, dd) in [ddx, ddy, ddz].into_iter().enumerate() {
-                            let g = match dd {
-                                1 => hi[d] - rec.pos[d],
-                                -1 => rec.pos[d] - lo[d],
-                                _ => 0.0,
-                            };
-                            dist2 += g * g;
-                        }
-                        dist2 <= margin * margin
-                    })
-                };
-                let before = epoch.sends.len();
-                epoch.sends.extend((0u32..).zip(owned).filter(|(_, r)| reached(r)).map(|(j, _)| j));
-                epoch.counts.push(epoch.sends.len() - before);
-            }
-            comm.compute(Work::ParticleOp, (owned.len() * statics.n_offsets) as f64);
+            let tests = select_ghosts(
+                &statics.ghost_offsets,
+                statics.comm_plan.partners().len(),
+                owned,
+                (lo, hi),
+                margin,
+                &mut ws.scratch,
+                &mut epoch.sends,
+                &mut epoch.counts,
+            );
+            comm.compute(Work::ParticleOp, tests as f64);
             epoch.ids.clear();
             epoch.keys.clear();
             epoch.acc_move = 0.0;
@@ -616,5 +706,221 @@ impl PmSolver {
         self.resort_plan_fresh = out.resorted && !skipped;
         self.ws = ws;
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn splitmix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// The route selection [`select_ghosts`] replaced, kept verbatim as its
+    /// oracle: per partner slot, every owned particle tested against every
+    /// stencil offset aliasing to that slot, the full distance each time.
+    fn oracle(
+        grid: &CartGrid,
+        me: usize,
+        owned: &[Particle],
+        (lo, hi): (Vec3, Vec3),
+        margin: f64,
+    ) -> (Vec<u32>, Vec<usize>, usize) {
+        let partners = grid.neighbors26(me);
+        let mut ghost_routes: Vec<Vec<[i64; 3]>> = partners.iter().map(|_| Vec::new()).collect();
+        let mut n_offsets = 0usize;
+        for ddx in -1..=1i64 {
+            for ddy in -1..=1i64 {
+                for ddz in -1..=1i64 {
+                    if ddx == 0 && ddy == 0 && ddz == 0 {
+                        continue;
+                    }
+                    let nb = grid.shifted_rank(me, [ddx as isize, ddy as isize, ddz as isize]);
+                    if nb == me {
+                        continue;
+                    }
+                    let slot = partners.iter().position(|&q| q == nb).unwrap();
+                    ghost_routes[slot].push([ddx, ddy, ddz]);
+                    n_offsets += 1;
+                }
+            }
+        }
+        let (mut sends, mut counts) = (Vec::new(), Vec::new());
+        for offsets in &ghost_routes {
+            let reached = |rec: &Particle| {
+                offsets.iter().any(|&[ddx, ddy, ddz]| {
+                    let mut dist2 = 0.0;
+                    for (d, dd) in [ddx, ddy, ddz].into_iter().enumerate() {
+                        let g = match dd {
+                            1 => hi[d] - rec.pos[d],
+                            -1 => rec.pos[d] - lo[d],
+                            _ => 0.0,
+                        };
+                        dist2 += g * g;
+                    }
+                    dist2 <= margin * margin
+                })
+            };
+            let before = sends.len();
+            sends.extend((0u32..).zip(owned).filter(|(_, r)| reached(r)).map(|(j, _)| j));
+            counts.push(sends.len() - before);
+        }
+        (sends, counts, n_offsets)
+    }
+
+    fn particle(pos: Vec3) -> Particle {
+        Particle { pos, charge: 1.0, id: 0, origin: 0 }
+    }
+
+    /// For every stencil offset, a particle whose distance to that offset's
+    /// face, edge or corner is exactly `margin`, and the same particle one
+    /// ulp farther out. The gaps are `m`, `(3 m / 5, 4 m / 5)` and
+    /// `(m / 3, 2 m / 3, 2 m / 3)`; for `m` a multiple of `15 / 16` their
+    /// squares sum to `m * m` without rounding (asserted).
+    fn exact_particles((lo, hi): (Vec3, Vec3), margin: f64) -> Vec<Particle> {
+        let mut out = Vec::new();
+        for ddx in -1..=1i64 {
+            for ddy in -1..=1i64 {
+                for ddz in -1..=1i64 {
+                    let delta = [ddx, ddy, ddz];
+                    let gaps: &[f64] = match delta.iter().filter(|&&dd| dd != 0).count() {
+                        0 => continue,
+                        1 => &[margin],
+                        2 => &[3.0 * margin / 5.0, 4.0 * margin / 5.0],
+                        _ => &[margin / 3.0, 2.0 * margin / 3.0, 2.0 * margin / 3.0],
+                    };
+                    let check = gaps.iter().fold(0.0, |acc, g| acc + g * g);
+                    assert_eq!(check, margin * margin, "{delta:?}: the gaps are exact");
+                    for beyond in [false, true] {
+                        let mut pos = (lo + hi) * 0.5;
+                        let mut k = 0;
+                        for d in 0..3 {
+                            let g = gaps.get(k).copied().unwrap_or(0.0);
+                            let g = if beyond && k == 0 { g.next_up() } else { g };
+                            match delta[d] {
+                                1 => pos[d] = hi[d] - g,
+                                -1 => pos[d] = lo[d] + g,
+                                _ => continue,
+                            }
+                            k += 1;
+                        }
+                        out.push(particle(pos));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn ghost_routes_from_face_gaps_match_the_26_offset_oracle() {
+        let mut grids: Vec<[usize; 3]> = vec![[2, 2, 2]];
+        for p in [1, 2, 3, 5, 8, 27, 64] {
+            grids.extend([CartGrid::balanced(p).dims(), [1, 1, p], [p, 1, 1]]);
+        }
+        let mut seed = 45;
+        let (mut reach, mut sends, mut counts) = (Vec::new(), Vec::new(), Vec::new());
+        for dims in grids {
+            let grid = CartGrid::new(dims);
+            // Subdomains two units wide, so every bound is exact.
+            let lengths =
+                Vec3::new(2.0 * dims[0] as f64, 2.0 * dims[1] as f64, 2.0 * dims[2] as f64);
+            let bbox = SystemBox::new(Vec3::ZERO, lengths, [true; 3]);
+            for me in 0..grid.size() {
+                let offsets = ghost_offsets(&grid, me, &grid.neighbors26(me));
+                let bounds = grid_cell_bounds(dims, &bbox, me);
+                let lo = bounds.0;
+                // The cutoff alone and the cutoff plus a skin, each at a
+                // margin where the exact placements are exact (15 / 8 and
+                // 15 / 16) and at one where they are not.
+                for (rcut, skin) in [(1.875, 0.0), (0.625, 0.3125), (0.5, 0.0), (0.7, 0.65)] {
+                    let margin: f64 = rcut + skin;
+                    let exact_margin = margin % 0.9375 == 0.0;
+                    let mut u = || (splitmix(&mut seed) >> 11) as f64 / (1u64 << 53) as f64;
+                    let mut place = |from: f64, width: f64| {
+                        let mut pos = lo;
+                        for d in 0..3 {
+                            pos[d] += from + width * u();
+                        }
+                        particle(pos)
+                    };
+                    let random: Vec<Particle> = (0..64).map(|_| place(0.0, 2.0)).collect();
+                    // Within `margin` of every face: in `[hi - margin, lo + margin]`.
+                    let central: Vec<Particle> = if margin >= 1.0 {
+                        (0..64).map(|_| place(2.0 - margin, 2.0 * margin - 2.0)).collect()
+                    } else {
+                        Vec::new()
+                    };
+                    let exact =
+                        if exact_margin { exact_particles(bounds, margin) } else { Vec::new() };
+                    for (what, owned) in [
+                        ("empty", &[][..]),
+                        ("random", &random),
+                        ("central", &central),
+                        ("exact", &exact),
+                    ] {
+                        let n_slots = grid.neighbors26(me).len();
+                        let charge = select_ghosts(
+                            &offsets,
+                            n_slots,
+                            owned,
+                            bounds,
+                            margin,
+                            &mut reach,
+                            &mut sends,
+                            &mut counts,
+                        );
+                        let (want_sends, want_counts, n_offsets) =
+                            oracle(&grid, me, owned, bounds, margin);
+                        let case = format!("{dims:?} rank {me} margin {margin} {what}");
+                        assert_eq!(sends, want_sends, "{case}: sends");
+                        assert_eq!(counts, want_counts, "{case}: counts");
+                        let full = (owned.len() * n_offsets) as u64;
+                        assert!(charge <= full, "{case}: charged {charge} > {full}");
+                        if what == "central" && margin >= 1.0 {
+                            assert_eq!(charge, full, "{case}: every face is near");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn linked_cell_order_is_the_key_index_comparison_sort() {
+        let mut seed = 7;
+        // Linked-cell keys: three 8-bit cell coordinates.
+        let mut key =
+            |cells: u64| (0..3).fold(0, |k, _| (k << 8) | (splitmix(&mut seed) % cells) as u32);
+        let random: Vec<u32> = (0..600).map(|_| key(256)).collect();
+        let duplicates: Vec<u32> = (0..600).map(|_| key(2)).collect();
+        let mut sorted = random.clone();
+        sorted.sort_unstable();
+        let (mut order, mut scratch) = (Vec::new(), Vec::new());
+        for (what, keys) in [
+            ("no particle", &[][..]),
+            ("one particle", &[0x01_0203][..]),
+            ("random", &random),
+            ("duplicate-heavy", &duplicates),
+            ("sorted", &sorted),
+        ] {
+            let n = keys.len() as u32;
+            let mut want: Vec<u32> = (0..n).collect();
+            want.sort_unstable_by_key(|&j| (keys[j as usize], j));
+            let passes = linked_cell_order(keys, &mut order, &mut scratch);
+            assert_eq!(order, want, "{what}");
+            assert!(passes <= 3, "{what}: {passes} passes");
+        }
+        // Sorted keys are the identity, placed in the kept order buffer
+        // without touching the scatter buffer.
+        let (kept, mut scratch) = (order.as_ptr(), Vec::new());
+        linked_cell_order(&sorted, &mut order, &mut scratch);
+        assert_eq!(order, (0..sorted.len() as u32).collect::<Vec<_>>());
+        assert_eq!((order.as_ptr(), scratch.capacity()), (kept, 0));
     }
 }

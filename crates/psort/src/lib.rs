@@ -28,6 +28,7 @@
 mod local;
 mod merge;
 mod network;
+mod order;
 mod partition;
 
 #[cfg(test)]
@@ -40,4 +41,5 @@ pub use merge::{
     merge_exchange_sort_by_key_planned, KeySpan, MergeSortReport, SortPlan,
 };
 pub use network::{merge_exchange_comparators, merge_exchange_rounds};
+pub use order::stable_order;
 pub use partition::{partition_sort_by_key, PartitionSortReport};

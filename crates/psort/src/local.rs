@@ -6,58 +6,7 @@
 //! concatenated keys ([`merge_runs`]); the merge sort's compare-split merges
 //! in place only the part of a rank's run that changes ([`keep_half`]).
 
-/// The stable sorting permutation of `keys` and the number of 8-bit counting
-/// passes an LSD radix sort of them needs — the digits that are not constant
-/// over the slice, which is what the callers charge as sort work.
-///
-/// The permutation lists, for every output position, the index of the key
-/// that belongs there; equal keys keep their input order. It is `None` when
-/// the keys are already non-decreasing (the stable sort of sorted input is
-/// the identity), in which case nothing is allocated.
-pub(crate) fn stable_order(keys: &[u64]) -> (u32, Option<Vec<u32>>) {
-    let n = u32::try_from(keys.len()).expect("more than u32::MAX records on one rank");
-    if n <= 1 {
-        return (0, None);
-    }
-    let (mut or, mut and, mut sorted) = (0u64, u64::MAX, true);
-    let mut prev = keys[0];
-    for &k in keys {
-        or |= k;
-        and &= k;
-        sorted &= prev <= k;
-        prev = k;
-    }
-    // A digit takes a counting pass iff some bit of it differs between keys.
-    let varying = or ^ and;
-    let active = |shift: &u32| (varying >> shift) & 0xff != 0;
-    let passes = (0..64).step_by(8).filter(active).count() as u32;
-    if sorted {
-        return (passes, None);
-    }
-
-    // One counting pass per varying digit, least significant first, each
-    // scattering the order so far into `next`.
-    let mut order: Vec<u32> = (0..n).collect();
-    let mut next: Vec<u32> = vec![0; keys.len()];
-    for shift in (0..64).step_by(8).filter(active) {
-        let digit = |k: u64| ((k >> shift) & 0xff) as usize;
-        let mut offsets = [0u32; 256];
-        for &k in keys {
-            offsets[digit(k)] += 1;
-        }
-        let mut acc = 0;
-        for slot in &mut offsets {
-            acc += std::mem::replace(slot, acc);
-        }
-        for &i in &order {
-            let slot = &mut offsets[digit(keys[i as usize])];
-            next[*slot as usize] = i;
-            *slot += 1;
-        }
-        std::mem::swap(&mut order, &mut next);
-    }
-    (passes, Some(order))
-}
+use crate::order::stable_order;
 
 /// Sort `keys` ascending and apply the same permutation to `values`: the
 /// stable order of the keys is computed on 4-byte indices, then each column
@@ -68,8 +17,9 @@ pub(crate) fn stable_order(keys: &[u64]) -> (u32, Option<Vec<u32>>) {
 /// small-range keys cost few passes — for work accounting.
 pub fn radix_sort_by_key<T: Copy>(keys: &mut Vec<u64>, values: &mut Vec<T>) -> u32 {
     assert_eq!(keys.len(), values.len());
-    let (passes, order) = stable_order(keys);
-    if let Some(order) = order {
+    let (mut order, mut next) = (Vec::new(), Vec::new());
+    let (passes, permuted) = stable_order(keys, &mut order, &mut next);
+    if permuted {
         *keys = order.iter().map(|&i| keys[i as usize]).collect();
         *values = order.iter().map(|&i| values[i as usize]).collect();
     }
@@ -94,12 +44,14 @@ pub(crate) fn merge_runs<'a, T: Copy + 'a>(
         values.push(v);
     }
     debug_assert_eq!(keys.len(), total, "the runs hold `total` records");
-    match stable_order(&keys).1 {
-        None => (keys, values.into_iter().copied().collect()),
-        Some(order) => (
+    let (mut order, mut next) = (Vec::new(), Vec::new());
+    if stable_order(&keys, &mut order, &mut next).1 {
+        (
             order.iter().map(|&i| keys[i as usize]).collect(),
             order.iter().map(|&i| *values[i as usize]).collect(),
-        ),
+        )
+    } else {
+        (keys, values.into_iter().copied().collect())
     }
 }
 
@@ -362,17 +314,22 @@ mod tests {
     }
 
     #[test]
-    fn stable_order_is_none_exactly_for_sorted_keys() {
+    fn stable_order_is_empty_exactly_for_sorted_keys() {
+        let order = |keys: &[u64]| {
+            let (mut order, mut next) = (Vec::new(), Vec::new());
+            let (passes, permuted) = stable_order(keys, &mut order, &mut next);
+            assert_eq!(permuted, !order.is_empty());
+            (passes, permuted)
+        };
         for (shape, name) in SHAPES.iter().enumerate() {
             let keys = shaped_keys(shape, 300, 9);
-            let (_, order) = stable_order(&keys);
-            assert_eq!(order.is_none(), is_sorted(&keys), "{name}");
+            assert_eq!(order(&keys).1, !is_sorted(&keys), "{name}");
         }
         // No key, no varying digit: OR / AND over nothing must not say 8.
-        assert_eq!(stable_order(&[]), (0, None));
-        assert_eq!(stable_order(&[u64::MAX]), (0, None));
+        assert_eq!(order(&[]), (0, false));
+        assert_eq!(order(&[u64::MAX]), (0, false));
         // Sorted keys still report the passes a radix sort would take.
-        assert_eq!(stable_order(&[1, 2, 0x1_0000]), (2, None));
+        assert_eq!(order(&[1, 2, 0x1_0000]), (2, false));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 
 use simcomm::{Comm, Work};
 
-use crate::local::{bucket_bounds, merge_runs, stable_order};
+use crate::local::{bucket_bounds, merge_runs};
+use crate::order::stable_order;
 
 /// Maximum bisection rounds for splitter refinement: enough to exhaust a
 /// full 64-bit key range. Sampling provides the first probes, the bracket is
@@ -63,7 +64,10 @@ where
     // record belongs at sorted position `j` (`None`: already in place), and
     // the records stay where they are until the buckets are packed.
     comm.enter_phase("sort:local");
-    let (passes, order) = stable_order(&keys);
+    let (mut order, mut next) = (Vec::new(), Vec::new());
+    let (passes, permuted) = stable_order(&keys, &mut order, &mut next);
+    drop(next);
+    let order = permuted.then_some(order);
     if let Some(order) = &order {
         keys = order.iter().map(|&i| keys[i as usize]).collect();
     }

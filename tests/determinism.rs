@@ -109,6 +109,17 @@
 //! `0x3f85_d74d_78e0_50ea` → `0x33ab_5a7a_c7bb_8bdc`. Every physics half,
 //! every P2NFFT half (no Method A world runs it here), the faulted world and
 //! both redistribution halves stayed.
+//! The P2NFFT's ghost routes chosen from each particle's face gaps (an edge
+//! or corner offset tested only when its faces passed, and charged only
+//! then) and its linked cells ordered in radix passes (charged one
+//! comparison per particle and pass) re-froze the timing halves of the
+//! P2NFFT worlds once: B `0xb0f5_ead2_6c2f_fda7` → `0x53c7_b15e_cbe1_d801`
+//! and B + movement `0x469d_2c0e_7937_3b54` → `0x3bc2_ea10_da0b_80f8`
+//! (juropa-like), B `0x02dc_5183_3c9a_843c` → `0xb0d5_b02a_6d67_c427` and
+//! B + movement `0xcfc9_ae17_ca9c_9e7f` → `0x7d55_d6d5_2113_9609`
+//! (juqueen-like), faulted `0xbdd0_0e39_9dc4_79ea` →
+//! `0x9481_272a_cae1_c56b`. The ghosts sent are the same, so every physics
+//! half held, as did every FMM half and both redistribution halves.
 
 #[path = "../crates/simcomm/tests/common/mod.rs"]
 mod common;
@@ -221,14 +232,14 @@ fn md_configs_match_frozen_digests() {
         [
             [0xe3e7_f2ac_7ae3_deb5, 0x7c46_d36a_2c2b_bb98],
             [0xe36d_87b1_23fa_3d6c, 0xae58_4023_544b_4633],
-            [0x1c08_5b70_c285_000a, 0xb0f5_ead2_6c2f_fda7],
-            [0xf8f4_8bef_8ac1_3909, 0x469d_2c0e_7937_3b54],
+            [0x1c08_5b70_c285_000a, 0x53c7_b15e_cbe1_d801],
+            [0xf8f4_8bef_8ac1_3909, 0x3bc2_ea10_da0b_80f8],
         ],
         [
             [0xe3e7_f2ac_7ae3_deb5, 0xdc76_88e8_f09a_acdf],
             [0xe36d_87b1_23fa_3d6c, 0x6a17_705c_3556_a54e],
-            [0x1c08_5b70_c285_000a, 0x02dc_5183_3c9a_843c],
-            [0xf8f4_8bef_8ac1_3909, 0xcfc9_ae17_ca9c_9e7f],
+            [0x1c08_5b70_c285_000a, 0xb0d5_b02a_6d67_c427],
+            [0xf8f4_8bef_8ac1_3909, 0x7d55_d6d5_2113_9609],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -317,7 +328,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x645e_ed2c_0d69_baaa, 0xbdd0_0e39_9dc4_79ea],
+            [0x645e_ed2c_0d69_baaa, 0x9481_272a_cae1_c56b],
             &format!("faulted P2NFFT width {width}"),
         );
     }
