@@ -553,6 +553,21 @@ fn main() {
             plane.alltoallv_flat(comm, payload, &peers, &mut recv, &mut sources);
             std::hint::black_box(&recv);
         });
+        // Both flat forms posted, computed over and waited: a posted
+        // collective boxes nothing either (`steady-ialltoallv-flat=0`).
+        let mut staged: Vec<(Vec<u64>, Vec<u64>)> = (0..probe_steps + 2)
+            .map(|_| (vec![me as u64; 32 * faces.len()], vec![me as u64; 32 * peers.len()]))
+            .collect();
+        let nonblocking = counted(comm, &mut |comm| {
+            let (world, group) = staged.pop().expect("staged");
+            let request = comm.ialltoallv_flat(world, &segments);
+            comm.advance(1e-6);
+            request.wait(comm, None, &mut recv, &mut sources);
+            let request = plane.ialltoallv_flat(comm, group, &peers);
+            comm.advance(1e-6);
+            request.wait(comm, Some(&mut plane), &mut recv, &mut sources);
+            std::hint::black_box(&recv);
+        });
         // Three deposit types with an odd period, so that every type meets
         // both slots after every other: the envelopes of the types not in use
         // wait on the rank's side and nothing is boxed again
@@ -579,9 +594,9 @@ fn main() {
             one_of_three(comm);
         }
         let alternating = counted(comm, &mut one_of_three);
-        [allreduce, allgather, alltoallv, flat, group_flat, alternating]
+        [allreduce, allgather, alltoallv, flat, group_flat, nonblocking, alternating]
     });
-    let [allreduce_probe, allgather_probe, alltoallv_probe, flat_probe, group_flat_probe, alternating_probe] =
+    let [allreduce_probe, allgather_probe, alltoallv_probe, flat_probe, group_flat_probe, nonblocking_probe, alternating_probe] =
         collectives.results[0];
 
     // One warm `mdsim` step per solver and method, as process-wide
@@ -661,6 +676,7 @@ fn main() {
         ("steady-alltoallv", alltoallv_probe),
         ("steady-alltoallv-flat", flat_probe),
         ("steady-group-alltoallv-flat", group_flat_probe),
+        ("steady-ialltoallv-flat", nonblocking_probe),
         ("steady-alternating-collectives", alternating_probe),
     ] {
         selftime.push(SelftimeRow {

@@ -28,8 +28,14 @@
 //! another, and in which order, is a function of the plan alone, which the
 //! sender walks to fill its records and the receiver walks to place them
 //! (DESIGN.md, "P2NFFT far-field routes").
+//!
+//! Every exchange is posted without blocking, and the caller's filler runs
+//! while it is in flight ([`Overlap`]): the solver computes its near field
+//! there (DESIGN.md, "Near field under the far field's exchanges").
 
+use std::mem::size_of;
 use std::ops::Range;
+use std::slice::ChunksExact;
 
 use particles::{SystemBox, Vec3};
 use simcomm::{push_segment, Comm, Group, Work};
@@ -238,7 +244,7 @@ impl Distribution {
     /// form (the world when there are none). Returns what this rank received.
     fn send_moved<T: Copy + Send + 'static>(
         &self,
-        comm: &mut Comm,
+        (comm, overlaps): (&mut Comm, &mut Overlaps<'_>),
         (traffic, groups): (&mut Traffic, &mut Option<[Group; 2]>),
         kind: Exchange,
         moved: (Layout, Layout),
@@ -250,7 +256,8 @@ impl Distribution {
         let route = |dst| self.route(moved, me, dst);
         let capacity = [mine.len(), target.len()];
         let on = groups.as_mut().map(|[row, column]| if along_b(moved) { row } else { column });
-        exchange((comm, on), traffic, kind, capacity, dests, route, |at| read(mine.offset(at)))
+        let value = |at| read(mine.offset(at));
+        exchange((comm, on, overlaps), traffic, kind, capacity, dests, route, value)
     }
 
     /// This rank's row group (the ranks of its grid coordinate `a`, which a
@@ -388,16 +395,57 @@ struct Traffic {
     sent: [Sent; 4],
 }
 
+/// An execution makes at most this many exchanges: the charges, two
+/// transposes each way and the patches.
+const MAX_EXCHANGES: usize = 6;
+
+/// What the far field offers its caller while its exchange number `window`
+/// is in flight: every exchange's background, in execution order — its
+/// synchronizing stages and volume term, priced for this rank's bytes
+/// ([`Comm::alltoallv_background`]). A function of the plan and the model:
+/// the caller knows them all at the first window.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Overlap<'a> {
+    pub(crate) window: usize,
+    pub(crate) backgrounds: &'a [f64],
+}
+
+/// The caller's work between an exchange's post and its wait.
+pub(crate) type Fill<'a> = &'a mut dyn FnMut(&mut Comm, Overlap<'_>);
+
+/// An execution's exchanges as its caller's filler sees them: their
+/// backgrounds, worked out from the plan before the first one, and the next
+/// one to run.
+struct Overlaps<'a> {
+    fill: Fill<'a>,
+    backgrounds: [f64; MAX_EXCHANGES],
+    len: usize,
+    next: usize,
+}
+
+impl Overlaps<'_> {
+    /// Run the filler while the next exchange, whose background is
+    /// `seconds` by its own byte counts, is in flight.
+    fn run(&mut self, comm: &mut Comm, seconds: f64) {
+        let window = self.next;
+        assert!(window < self.len, "an exchange the plan did not count");
+        debug_assert_eq!(self.backgrounds[window], seconds, "exchange {window}'s background");
+        self.next += 1;
+        (self.fill)(comm, Overlap { window, backgrounds: &self.backgrounds[..self.len] });
+    }
+}
+
 /// One index-free exchange: for every `dst` of `dests`, the records `value`
 /// gives the points of `route(dst)`, in route order, sent with
-/// [`Comm::alltoallv_flat`] — on the group `on` when there is one — and
+/// [`Comm::ialltoallv_flat`] — on the group `on` when there is one — and
 /// counted under `kind`, except this rank's own segment, which stays home
-/// (DESIGN.md, "The local block"). Returns the records received, that
-/// segment at its rank's place among them, segmented as `traffic.sources`
-/// says. `capacity` bounds what is sent and is what is received, own
-/// segment included, so neither buffer grows.
+/// (DESIGN.md, "The local block"). `fill` runs between the post and the
+/// wait. Returns the records received, that segment at its rank's place
+/// among them, segmented as `traffic.sources` says. `capacity` bounds what
+/// is sent and is what is received, own segment included, so neither
+/// buffer grows.
 fn exchange<T: Copy + Send + 'static, I: Iterator<Item = [usize; 3]>>(
-    (comm, on): (&mut Comm, Option<&mut Group>),
+    (comm, mut on, overlaps): (&mut Comm, Option<&mut Group>, &mut Overlaps<'_>),
     traffic: &mut Traffic,
     kind: Exchange,
     [send_capacity, recv_capacity]: [usize; 2],
@@ -420,13 +468,21 @@ fn exchange<T: Copy + Send + 'static, I: Iterator<Item = [usize; 3]>>(
         push_segment(segments, dst, send.len() - before);
     }
     let sent = &mut sent[kind as usize];
+    let s_bytes = std::mem::size_of_val(&send[..]) as u64;
     sent.messages += segments.iter().filter(|&&(_, len)| len > 0).count() as u64;
-    sent.bytes += std::mem::size_of_val(&send[..]) as u64;
+    sent.bytes += s_bytes;
+    let home = if own { route(me).count() } else { 0 };
+    let r_bytes = ((recv_capacity - home) * std::mem::size_of::<T>()) as u64;
+    let (request, seconds) = match &mut on {
+        Some(group) => (
+            group.ialltoallv_flat(comm, send, segments),
+            group.alltoallv_background(s_bytes, r_bytes),
+        ),
+        None => (comm.ialltoallv_flat(send, segments), comm.alltoallv_background(s_bytes, r_bytes)),
+    };
+    overlaps.run(comm, seconds);
     let mut received = Vec::with_capacity(recv_capacity);
-    match on {
-        Some(group) => group.alltoallv_flat(comm, send, segments, &mut received, sources),
-        None => comm.alltoallv_flat(send, segments, &mut received, sources),
-    }
+    request.wait(comm, on, &mut received, sources);
     if own {
         // Appended, then rotated past the segments of the higher sources.
         let (at, at_source) = (received.len(), sources.partition_point(|&(src, _)| src < me));
@@ -492,11 +548,15 @@ pub struct FarFieldCache {
     /// (rank, world size, mesh, assignment order, process grid) everything
     /// below was built for.
     key: Option<(usize, usize, usize, usize, [usize; 3])>,
-    /// `(G_opt, k)` per locally owned spectral point — the Hockney-Eastwood
-    /// influence function and the (Nyquist-zeroed) wave vector, in the
-    /// array order of the stage that transforms along x; filled on first
-    /// use.
-    spec: Vec<(f64, Vec3)>,
+    /// `G_opt` per locally owned spectral point — the Hockney-Eastwood
+    /// influence function — in the array order of the stage that transforms
+    /// along x, and per dimension and mesh index (`d * mesh + i`) the
+    /// (Nyquist-zeroed) wave number, the wave vector's component there;
+    /// filled on first use. A
+    /// wave vector per point would be three times the table, kept on every
+    /// rank.
+    spec: Vec<f64>,
+    waves: Vec<f64>,
     window: Window,
     /// Per window point, in window order: its record's index in what the
     /// patch exchange delivers, which is `patch_sources`' segments.
@@ -509,9 +569,11 @@ pub struct FarFieldCache {
     groups: Option<[Group; 2]>,
     /// B-spline weights per dimension.
     weights: [Vec<f64>; 3],
-    /// This rank's pencil of the mesh in the layout of the current stage,
-    /// then the four spectra (and, on the way back, the four fields) alike.
-    pencil: Vec<Complex>,
+    /// This rank's pencil of the mesh in the layout of the current stage in
+    /// the first, then the four spectra (and, on the way back, the four
+    /// fields) alike: the influence function scales the transformed mesh in
+    /// place into the potential's spectrum, so the four buffers are all the
+    /// mesh staging a rank keeps.
     quad: [Vec<Complex>; 4],
     /// One strided FFT line.
     line: Vec<Complex>,
@@ -715,13 +777,23 @@ impl FarFieldPlan {
 
     /// Physical wave vector of integer frequencies, with the Nyquist
     /// component zeroed for differentiation (keeps the ik-differentiated
-    /// field real).
+    /// field real). The indexed oracle's; the far field reads it per
+    /// dimension ([`Self::wave`]).
+    #[cfg(test)]
     fn kvec(&self, mx: i64, my: i64, mz: i64) -> Vec3 {
         let l = self.bbox.lengths;
-        let two_pi = 2.0 * std::f64::consts::PI;
+        Vec3::new(self.wave(mx, l.x()), self.wave(my, l.y()), self.wave(mz, l.z()))
+    }
+
+    /// The wave number of integer frequency `m` along an edge of length
+    /// `len`, zero at the Nyquist frequency.
+    fn wave(&self, m: i64, len: f64) -> f64 {
         let ny = (self.mesh / 2) as i64;
-        let f = |m: i64, len: f64| if m == ny || m == -ny { 0.0 } else { two_pi * m as f64 / len };
-        Vec3::new(f(mx, l.x()), f(my, l.y()), f(mz, l.z()))
+        if m == ny || m == -ny {
+            0.0
+        } else {
+            2.0 * std::f64::consts::PI * m as f64 / len
+        }
     }
 
     /// Compute potentials and fields at the owned particle positions, left in
@@ -737,18 +809,76 @@ impl FarFieldPlan {
     /// warm cache — the tables store the exact values the fresh evaluation
     /// produces, the workspace is zeroed where a fresh one would be, and the
     /// modelled (virtual) compute cost is charged identically either way.
+    ///
+    /// `fill` runs between the post and the wait of every exchange, with its
+    /// [`Overlap`]; the last exchange's is the last chance before the far
+    /// field returns.
     pub(crate) fn execute_into<'c>(
         &self,
         comm: &mut Comm,
         pos: &[Vec3],
         charge: &[f64],
         cache: &'c mut FarFieldCache,
+        fill: Fill<'_>,
     ) -> (&'c [f64], &'c [Vec3]) {
         self.prepare(comm, cache);
-        self.assign_and_route_charges(comm, pos, charge, cache);
-        self.transform(comm, cache);
-        self.distribute_and_interpolate(comm, cache, pos, charge);
+        let mut overlaps = self.overlaps(comm, cache, fill);
+        self.assign_and_route_charges((comm, &mut overlaps), pos, charge, cache);
+        self.transform((comm, &mut overlaps), cache);
+        self.distribute_and_interpolate((comm, &mut overlaps), cache, pos, charge);
+        assert_eq!(overlaps.next, overlaps.len, "every exchange the plan counted ran");
         (&cache.phi, &cache.field)
+    }
+
+    /// The backgrounds of this rank's exchanges in execution order, from the
+    /// plan: what each sends and receives, its own segment apart, priced on
+    /// the communicator it runs on.
+    fn overlaps<'f>(&self, comm: &Comm, cache: &mut FarFieldCache, fill: Fill<'f>) -> Overlaps<'f> {
+        let me = comm.rank();
+        let FarFieldCache { window, dist, groups, .. } = cache;
+        let mut overlaps = Overlaps { fill, backgrounds: [0.0; MAX_EXCHANGES], len: 0, next: 0 };
+        let mut push = |on: Option<&Group>, (sent, received, home): (usize, usize, usize), elem| {
+            let (s_bytes, r_bytes) =
+                (((sent - home) * elem) as u64, ((received - home) * elem) as u64);
+            overlaps.backgrounds[overlaps.len] = match on {
+                Some(group) => group.alltoallv_background(s_bytes, r_bytes),
+                None => comm.alltoallv_background(s_bytes, r_bytes),
+            };
+            overlaps.len += 1;
+        };
+        // The charges and the patches: this rank's window against the
+        // z-pencils, its own share of it staying home.
+        let held = dist.held(Layout::Z, me);
+        let home = (0..3)
+            .map(|d| {
+                let (lo, hi) = held[d];
+                window.spans[d].iter(self.mesh).filter(move |i| (lo..hi).contains(i)).count()
+            })
+            .product();
+        let patches = self.patch_points(held);
+        push(None, (window.len(), patches, home), std::mem::size_of::<f64>());
+        // The transposes, there and back.
+        let mut at = Layout::Z;
+        for (dims, elem) in [([2, 1, 0], size_of::<Complex>()), ([0, 1, 2], size_of::<[f64; 8]>())]
+        {
+            for dim in dims {
+                let stage = dist.stage(dim);
+                if stage != at {
+                    let moved = (at, stage);
+                    let (s, d) = (dist.held(at, me), dist.held(stage, me));
+                    let home =
+                        (0..3).map(|k| s[k].1.min(d[k].1).saturating_sub(s[k].0.max(d[k].0)));
+                    let counts = (dist.local(at, me).len(), dist.local(stage, me).len());
+                    let on = groups
+                        .as_ref()
+                        .map(|[row, column]| if along_b(moved) { row } else { column });
+                    push(on, (counts.0, counts.1, home.product()), elem);
+                    at = stage;
+                }
+            }
+        }
+        push(None, (patches, window.len(), home), std::mem::size_of::<[f64; 4]>());
+        overlaps
     }
 
     /// Validate `cache` against this plan and `comm`'s rank layout, rebuild
@@ -806,7 +936,7 @@ impl FarFieldPlan {
     /// their pencil in ascending source rank.
     fn assign_and_route_charges(
         &self,
-        comm: &mut Comm,
+        (comm, overlaps): (&mut Comm, &mut Overlaps<'_>),
         pos: &[Vec3],
         charge: &[f64],
         cache: &mut FarFieldCache,
@@ -814,7 +944,7 @@ impl FarFieldPlan {
         let m = self.mesh;
         let order = self.assign_order;
         let me = comm.rank();
-        let FarFieldCache { window, dist, weights, pencil, traffic, .. } = cache;
+        let FarFieldCache { window, dist, weights, quad: [pencil, ..], traffic, .. } = cache;
         let mut sums = vec![0.0f64; window.len()];
         let [wx, wy, wz] = weights;
         for (x, &q) in pos.iter().zip(charge) {
@@ -840,7 +970,7 @@ impl FarFieldPlan {
         let value = |at| sums[window.offset(at, "assignment")];
         let mine = dist.held(Layout::Z, me);
         let capacity = [sums.len(), self.patch_points(mine)];
-        let on = (&mut *comm, None);
+        let on = (&mut *comm, None, overlaps);
         let received = exchange(on, traffic, Exchange::Charges, capacity, dests, route, value);
         drop(sums);
         let target = dist.local(Layout::Z, me);
@@ -855,9 +985,14 @@ impl FarFieldPlan {
     /// back along x, y and z, each stage in the layout
     /// [`Distribution::stage`] names. The mesh moves only where the layout
     /// changes; it ends, like it started, in z-pencils.
-    fn transform(&self, comm: &mut Comm, cache: &mut FarFieldCache) {
+    fn transform(
+        &self,
+        (comm, overlaps): (&mut Comm, &mut Overlaps<'_>),
+        cache: &mut FarFieldCache,
+    ) {
         let me = comm.rank();
-        let FarFieldCache { spec, dist, groups, pencil, quad, line, traffic, .. } = cache;
+        let FarFieldCache { spec, waves, dist, groups, quad, line, traffic, .. } = cache;
+        let pencil = &mut quad[0];
         let mut at = Layout::Z;
         let mut fft_ops = 0u64;
         for dim in [2, 1, 0] {
@@ -865,7 +1000,9 @@ impl FarFieldPlan {
             if stage != at {
                 let moved = (at, stage);
                 let on = (&mut *traffic, &mut *groups);
-                let received = dist.send_moved(comm, on, Exchange::Forward, moved, |o| pencil[o]);
+                let (comm, overlaps) = (&mut *comm, &mut *overlaps);
+                let received =
+                    dist.send_moved((comm, overlaps), on, Exchange::Forward, moved, |o| pencil[o]);
                 zeroed(pencil, received.len(), Complex::ZERO);
                 dist.place_moved(me, moved, &received, &traffic.sources, |o, &c| pencil[o] = c);
                 at = stage;
@@ -873,22 +1010,33 @@ impl FarFieldPlan {
             fft_ops += fft_lines(pencil, &dist.local(at, me), dim, Direction::Forward, line);
         }
 
-        if spec.len() != pencil.len() {
+        if spec.len() != pencil.len() || waves.is_empty() {
             spec.clear();
             spec.extend(dist.points(at, me).map(|point| {
                 let [mx, my, mz] = point.map(|i| self.freq(i));
-                (self.influence(mx, my, mz), self.kvec(mx, my, mz))
+                self.influence(mx, my, mz)
             }));
+            let l = self.bbox.lengths;
+            waves.clear();
+            waves.reserve_exact(3 * self.mesh);
+            waves.extend(
+                (0..3)
+                    .flat_map(|d| (0..self.mesh).map(move |i| (d, i)))
+                    .map(|(d, i)| self.wave(self.freq(i), l[d])),
+            );
         }
-        Self::apply_influence(spec, pencil, quad);
-        comm.compute(Work::MeshPoint, pencil.len() as f64 * 4.0);
+        let points = pencil.len();
+        Self::apply_influence((spec, waves.chunks_exact(self.mesh), dist.points(at, me)), quad);
+        comm.compute(Work::MeshPoint, points as f64 * 4.0);
 
         for dim in [0, 1, 2] {
             let stage = dist.stage(dim);
             if stage != at {
                 let moved = (at, stage);
                 let on = (&mut *traffic, &mut *groups);
-                let received = dist.send_moved(comm, on, Exchange::Back, moved, |o| octet(quad, o));
+                let (comm, overlaps) = (&mut *comm, &mut *overlaps);
+                let read = |o| octet(quad, o);
+                let received = dist.send_moved((comm, overlaps), on, Exchange::Back, moved, read);
                 for arr in quad.iter_mut() {
                     zeroed(arr, received.len(), Complex::ZERO);
                 }
@@ -912,7 +1060,7 @@ impl FarFieldPlan {
     /// self-energy correction.
     fn distribute_and_interpolate(
         &self,
-        comm: &mut Comm,
+        (comm, overlaps): (&mut Comm, &mut Overlaps<'_>),
         cache: &mut FarFieldCache,
         pos: &[Vec3],
         charge: &[f64],
@@ -943,7 +1091,7 @@ impl FarFieldPlan {
             [quad[0][o].re, quad[1][o].re, quad[2][o].re, quad[3][o].re]
         };
         let capacity = [self.patch_points(held), window.len()];
-        let on = (&mut *comm, None);
+        let on = (&mut *comm, None, overlaps);
         let received = exchange(on, traffic, Exchange::Patches, capacity, dests, route, value);
         assert!(
             traffic.sources == *patch_sources,
@@ -991,23 +1139,33 @@ impl FarFieldPlan {
         comm.compute(Work::ParticleOp, pos.len() as f64);
     }
 
-    /// Multiply the transformed mesh `hat` by the influence function into the
-    /// four spectra: phi-hat and the ik-differentiated field-hat.
-    fn apply_influence(spec: &[(f64, Vec3)], hat: &[Complex], quad: &mut [Vec<Complex>; 4]) {
-        for arr in quad.iter_mut() {
+    /// Multiply the transformed mesh in `quad[0]`, whose points are
+    /// `points`, by the influence function `spec` into the four spectra:
+    /// phi-hat in place and the ik-differentiated field-hat beside it, with
+    /// the wave vector from `waves`.
+    fn apply_influence(
+        (spec, mut waves, points): (&[f64], ChunksExact<'_, f64>, impl Iterator<Item = [usize; 3]>),
+        quad: &mut [Vec<Complex>; 4],
+    ) {
+        let [hat, fields @ ..] = quad;
+        for arr in fields.iter_mut() {
             zeroed(arr, hat.len(), Complex::ZERO);
         }
-        for (o, &(g, k)) in spec.iter().enumerate() {
+        let [ex, ey, ez] = fields;
+        let [kx, ky, kz] = [(); 3].map(|_| waves.next().expect("a wave table per dimension"));
+        for (o, (&g, [i, j, l])) in spec.iter().zip(points).enumerate() {
             if g == 0.0 {
+                hat[o] = Complex::ZERO;
                 continue;
             }
+            let k = Vec3::new(kx[i], ky[j], kz[l]);
             let ph = hat[o].scale(g);
-            quad[0][o] = ph;
+            hat[o] = ph;
             // E-hat = -i k phi-hat: (-i)(a + bi) = b - ai.
             let mik_ph = Complex::new(ph.im, -ph.re);
-            quad[1][o] = mik_ph.scale(k.x());
-            quad[2][o] = mik_ph.scale(k.y());
-            quad[3][o] = mik_ph.scale(k.z());
+            ex[o] = mik_ph.scale(k.x());
+            ey[o] = mik_ph.scale(k.y());
+            ez[o] = mik_ph.scale(k.z());
         }
     }
 }
@@ -1026,7 +1184,7 @@ mod tests {
         charge: &[f64],
     ) -> (Vec<f64>, Vec<Vec3>) {
         let mut cache = FarFieldCache::default();
-        let (phi, field) = plan.execute_into(comm, pos, charge, &mut cache);
+        let (phi, field) = plan.execute_into(comm, pos, charge, &mut cache, &mut |_, _| ());
         (phi.to_vec(), field.to_vec())
     }
 
@@ -1261,10 +1419,11 @@ mod tests {
                         .unzip();
                     let mut cache = FarFieldCache::default();
                     let before = comm.stats().coll_ops;
-                    let (phi, _) = plan.execute_into(comm, &pos, &charge, &mut cache);
+                    let (phi, _) =
+                        plan.execute_into(comm, &pos, &charge, &mut cache, &mut |_, _| ());
                     let energy = 0.5 * phi.iter().zip(&charge).map(|(f, q)| f * q).sum::<f64>();
                     let collectives = comm.stats().coll_ops - before;
-                    let kept = (cache.pencil.capacity(), cache.dist.local(Layout::Z, me).len());
+                    let kept = (cache.quad[0].capacity(), cache.dist.local(Layout::Z, me).len());
                     let groups = cache.groups.as_ref().map(|gs| gs.each_ref().map(Group::id));
                     (energy, collectives, cache.traffic.sent, kept, groups)
                 });
@@ -1364,7 +1523,8 @@ mod tests {
                 [(8, pos.len()), (16, pos.len() / 2), (2, pos.len()), (8, 0), (8, pos.len())]
             {
                 let plan = FarFieldPlan::new(mesh, 3, 6.0 / bbox.lengths.x(), dims, bbox);
-                let (phi, field) = plan.execute_into(comm, &pos[..n], &charge[..n], &mut cache);
+                let (phi, field) =
+                    plan.execute_into(comm, &pos[..n], &charge[..n], &mut cache, &mut |_, _| ());
                 let got = (phi.to_vec(), field.to_vec());
                 let want = execute_fresh(&plan, comm, &pos[..n], &charge[..n]);
                 let bits = |(phi, field): &(Vec<f64>, Vec<Vec3>)| {

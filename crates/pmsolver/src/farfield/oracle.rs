@@ -334,7 +334,7 @@ impl FarFieldPlan {
                 }
             }
         }
-        Self::apply_influence(&spec, &xp, quad);
+        apply_influence(&spec, &xp, quad);
         comm.compute(Work::MeshPoint, n_local as f64 * 4.0);
 
         // ---- Inverse FFT along x for the four spectra ----
@@ -410,14 +410,36 @@ impl FarFieldPlan {
     }
 }
 
+/// Multiply the transformed mesh `hat` by the influence function into the
+/// four spectra: phi-hat and the ik-differentiated field-hat, from one
+/// `(G_opt, k)` per point — the far field's multiplication before it scaled
+/// its mesh in place, kept as the oracle's.
+fn apply_influence(spec: &[(f64, Vec3)], hat: &[Complex], quad: &mut [Vec<Complex>; 4]) {
+    for arr in quad.iter_mut() {
+        zeroed(arr, hat.len(), Complex::ZERO);
+    }
+    for (o, &(g, k)) in spec.iter().enumerate() {
+        if g == 0.0 {
+            continue;
+        }
+        let ph = hat[o].scale(g);
+        quad[0][o] = ph;
+        // E-hat = -i k phi-hat: (-i)(a + bi) = b - ai.
+        let mik_ph = Complex::new(ph.im, -ph.re);
+        quad[1][o] = mik_ph.scale(k.x());
+        quad[2][o] = mik_ph.scale(k.y());
+        quad[3][o] = mik_ph.scale(k.z());
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use particles::systems::splitmix64;
     use particles::{grid_rank_of, SystemBox, Vec3};
-    use simcomm::{run, MachineModel};
+    use simcomm::{run, Comm, MachineModel};
 
     use super::super::tests::closed_form;
-    use super::super::{FarFieldCache, FarFieldPlan, Sent};
+    use super::super::{FarFieldCache, FarFieldPlan, Overlap, Sent};
 
     /// splitmix64 stream for the property test below.
     struct Gen(u64);
@@ -463,7 +485,19 @@ mod tests {
             let (phi, field) = if oracle {
                 plan.execute_oracle(comm, &pos, &charge, &mut cache)
             } else {
-                let (phi, field) = plan.execute_into(comm, &pos, &charge, &mut cache);
+                // A filler that computes — more than some windows hide,
+                // less than others —, and sees the windows in order, each
+                // with the backgrounds of all.
+                let mut seen: Vec<usize> = Vec::new();
+                let mut fill = |comm: &mut Comm, overlap: Overlap<'_>| {
+                    let Overlap { window, backgrounds } = overlap;
+                    assert_eq!(window, seen.len(), "windows in order");
+                    assert!(backgrounds.iter().all(|&b| b >= 0.0));
+                    comm.advance(backgrounds[window] * [0.5, 1.5][window % 2] + 1e-6);
+                    seen.push(backgrounds.len());
+                };
+                let (phi, field) = plan.execute_into(comm, &pos, &charge, &mut cache, &mut fill);
+                assert!(seen.iter().all(|&n| n == seen.len()), "every window ran: {seen:?}");
                 (phi.to_vec(), field.to_vec())
             };
             let after = comm.stats();

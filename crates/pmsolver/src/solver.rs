@@ -13,8 +13,8 @@ use particles::{
 };
 use simcomm::{CartGrid, Comm, CommPlan, Work};
 
-use crate::farfield::{FarFieldCache, FarFieldPlan};
-use crate::nearfield::near_field_of;
+use crate::farfield::{FarFieldCache, FarFieldPlan, Overlap};
+use crate::nearfield::NearField;
 use crate::order::stable_order;
 
 /// Static configuration of the particle-mesh solver.
@@ -655,30 +655,31 @@ impl PmSolver {
         comm.exit_phase();
         let t_sorted = comm.clock();
 
-        // --- Near field (linked cells) + far field (mesh) ---
-        comm.enter_phase("near");
+        // --- Near field (linked cells) under the far field (mesh): the
+        // near field's cells run while the far field's exchanges are in
+        // flight (DESIGN.md, "Near field under the far field's exchanges").
         ws.pos.clear();
         ws.pos.extend(owned.iter().map(|r| r.pos));
         ws.charge.clear();
         ws.charge.extend(owned.iter().map(|r| r.charge));
         let sources = ws.pos.iter().copied().zip(ws.charge.iter().copied());
-        let (mut potential, mut field, pairs) = near_field_of(
-            &self.bbox,
-            self.cfg.alpha,
-            self.cfg.rcut,
-            self.cfg.soft_core,
-            (lo, hi),
-            owned.len(),
-            sources.chain(ghosts.iter().copied()),
-        );
+        let cfg = (self.cfg.alpha, self.cfg.rcut, self.cfg.soft_core);
+        let sources = sources.chain(ghosts.iter().copied());
+        let mut near = NearField::new(&self.bbox, cfg, (lo, hi), owned.len(), sources);
         drop(ghosts);
-        comm.compute(Work::Interaction, pairs as f64);
-        self.last_report.near_pairs = pairs;
-        comm.exit_phase();
+        let mut chunks = NearChunks::default();
 
         comm.enter_phase("far");
-        let (far_phi, far_field) =
-            self.far_plan.execute_into(comm, &ws.pos, &ws.charge, &mut self.far_cache);
+        let (far_phi, far_field) = self.far_plan.execute_into(
+            comm,
+            &ws.pos,
+            &ws.charge,
+            &mut self.far_cache,
+            &mut |comm, overlap| chunks.fill(comm, &mut near, overlap),
+        );
+        debug_assert_eq!(chunks.next, near.cells(), "the last exchange runs every cell left");
+        self.last_report.near_pairs = chunks.pairs;
+        let (mut potential, mut field) = near.finish();
         for i in 0..owned.len() {
             potential[i] += far_phi[i];
             field[i] += far_field[i];
@@ -706,6 +707,56 @@ impl PmSolver {
         self.resort_plan_fresh = out.resorted && !skipped;
         self.ws = ws;
         out
+    }
+}
+
+/// How the near field's cells split over the far field's exchanges: in
+/// cell order, in proportion to the exchanges' backgrounds. Exchange `k`
+/// runs the cells that bring the candidate pairs run so far
+/// ([`NearField::candidates`]) to the share of all of them that the
+/// backgrounds of exchanges `0..=k` are of all backgrounds, and the last
+/// runs every cell left. The split is a pure function of the far field's
+/// byte counts, the machine model and the cells' occupancy — no clock
+/// decides it —, and a uniform error in what a candidate costs moves no
+/// cell: with less near work than background every exchange hides its
+/// share, with more every background is full.
+#[derive(Default)]
+struct NearChunks {
+    /// The first cell not run yet.
+    next: usize,
+    /// Candidate pairs of the cells run so far, and of all cells.
+    done: u64,
+    total: u64,
+    /// Pair interactions evaluated so far.
+    pairs: u64,
+}
+
+impl NearChunks {
+    /// Run the next chunk of `near`'s cells while the exchange `overlap`
+    /// names is in flight, charged as `near` time.
+    fn fill(&mut self, comm: &mut Comm, near: &mut NearField, overlap: Overlap<'_>) {
+        let Overlap { window, backgrounds } = overlap;
+        let (first, cells) = (self.next, near.cells());
+        if window == 0 {
+            self.total = (0..cells).map(|c| near.candidates(c)).sum();
+        }
+        if window + 1 == backgrounds.len() {
+            self.next = cells;
+        } else {
+            let all: f64 = backgrounds.iter().sum();
+            let share =
+                if all > 0.0 { backgrounds[..=window].iter().sum::<f64>() / all } else { 0.0 };
+            let target = share * self.total as f64;
+            while self.next < cells && (self.done as f64) < target {
+                self.done += near.candidates(self.next);
+                self.next += 1;
+            }
+        }
+        if first < self.next {
+            let pairs = near.run(first..self.next);
+            comm.with_phase("near", |comm| comm.compute(Work::Interaction, pairs as f64));
+            self.pairs += pairs;
+        }
     }
 }
 

@@ -206,6 +206,21 @@ impl CollTerms {
         let volume = (s_bytes.max(r_bytes)) as f64 / self.alltoall_eff_bw;
         self.alltoallv_scan + sync + overhead + volume
     }
+
+    /// The part of [`CollTerms::alltoallv`] a rank's CPU spends — the count
+    /// scan and the per-message handling —, which no computation between a
+    /// nonblocking post and its wait can hide. The synchronizing stages and
+    /// the volume run in the background (DESIGN.md, "Nonblocking
+    /// collectives").
+    pub(crate) fn alltoallv_cpu(&self, s_msgs: u64, r_msgs: u64) -> f64 {
+        self.alltoallv_scan + (s_msgs + r_msgs) as f64 * self.alltoallv_msg_overhead
+    }
+
+    /// The part of [`CollTerms::alltoallv`] that runs in the background of a
+    /// nonblocking post: the synchronizing stages and the volume term.
+    pub(crate) fn alltoallv_background(&self, s_bytes: u64, r_bytes: u64) -> f64 {
+        self.barrier() + (s_bytes.max(r_bytes)) as f64 / self.alltoall_eff_bw
+    }
 }
 
 /// Calibrated per-unit costs (seconds) for the computation kinds the solvers

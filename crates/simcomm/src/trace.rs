@@ -28,6 +28,17 @@ pub enum TraceKind {
     Gather,
     /// All-to-all-v.
     Alltoallv,
+    /// The post of a nonblocking all-to-all-v
+    /// ([`crate::Comm::ialltoallv_flat`]) whose rank charged something
+    /// before its wait: a collective record — the k-th collective record of
+    /// each member is one instance, and this one's start is the rank's
+    /// arrival. A post waited at once is recorded as
+    /// [`TraceKind::Alltoallv`] instead, as the blocking call is.
+    Ialltoallv,
+    /// The completion of a posted [`TraceKind::Ialltoallv`] in its wait: the
+    /// rendezvous wait and the cost left once the rank got there. It
+    /// completes the last post on its communicator before it.
+    CollWait,
     /// The nonblocking barrier of a sparse data exchange
     /// ([`crate::Comm::sparse_exchange`]): spans from the rank's barrier
     /// entry (all its synchronous sends matched) to the end of its receive
@@ -70,6 +81,8 @@ impl TraceKind {
             TraceKind::Reduce => "reduce",
             TraceKind::Gather => "gather",
             TraceKind::Alltoallv => "alltoallv",
+            TraceKind::Ialltoallv => "ialltoallv",
+            TraceKind::CollWait => "coll_wait",
             TraceKind::SparseExchange => "sparse_exchange",
             TraceKind::PlanBuild => "plan_build",
             TraceKind::PlanExec => "plan_exec",

@@ -1,10 +1,13 @@
 //! How ranks meet: two alternating slots per communicator ([`CollSlot`]) —
 //! the world's, and each group's ([`Group`], made by [`Comm::split`]) —,
-//! folds in ascending rank order, one wait per collective, and one body that
-//! counts, costs and traces every all-to-all-v form
-//! ([`Comm::alltoallv_core`]). Only this module locks a slot.
+//! folds in ascending rank order, every collective a post and one wait
+//! (at most one posted and not completed per communicator), and one body
+//! that counts, costs and traces every all-to-all-v form, blocking or
+//! posted ([`Comm::alltoallv_core`], [`AlltoallvRequest`]). Only this module
+//! locks a slot.
 
 use std::any::Any;
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
@@ -56,16 +59,20 @@ impl Bins<'_> {
     }
 }
 
-/// Envelopes set aside per rank and slot (and per slot's result) at most. A
-/// program's collectives cycle through a handful of types per step; one that
-/// cycles through more re-boxes the longest unused.
+/// Envelopes set aside per rank (and per slot's result) at most. A program's
+/// collectives cycle through a handful of types per step; one that cycles
+/// through more re-boxes the longest unused.
 const MAX_ENVELOPES_ASIDE: usize = 16;
 
 /// The envelope in `current` as an `A`: kept as it is when it already is one
 /// (the caller overwrites or refills it in place); otherwise it is set aside
 /// for when its type comes round again, and the `A` set aside earlier — or a
 /// new `A::default()` — takes its place. A step whose collectives alternate
-/// types therefore boxes nothing once every type has been seen.
+/// types therefore boxes nothing once every type has been seen. A rank's
+/// deposit envelopes wait in one list for both slots of a communicator, so
+/// a type that comes round in the other slot takes the envelope the first
+/// one displaced: a new type boxes one cell envelope per rank, and a second
+/// only while the first still sits in the other slot's cell.
 fn envelope_as<'a, A: Default + Send + 'static>(
     current: &'a mut Box<dyn Any + Send>,
     aside: &mut Vec<Box<dyn Any + Send>>,
@@ -122,7 +129,8 @@ struct CollSlot {
     /// Per-rank deposit envelopes. An envelope stays in its cell, and the
     /// rank's next deposit of the same type into this slot refills it in
     /// place; one of another type takes its place while it waits on the
-    /// rank's own side ([`Comm::coll_aside`], [`envelope_as`]).
+    /// rank's own side, for either slot ([`Comm::coll_aside`],
+    /// [`envelope_as`]).
     cells: Vec<Box<dyn Any + Send>>,
     /// The last depositor's result, kept and refilled under the same rule,
     /// with the results of other types set aside.
@@ -262,13 +270,15 @@ impl GroupShared {
 }
 
 /// One rank's own state on a communicator, beside what its members share:
-/// its cell, its collective count and its envelopes set aside per slot
-/// (the world's are [`Comm::coll_seq`] and [`Comm::coll_aside`]).
+/// its cell, its collective count, whether a collective is posted there and
+/// not completed, and its envelopes set aside (the world's are
+/// [`Comm::coll_seq`], [`Comm::coll_open`] and [`Comm::coll_aside`]).
 struct Seat {
     /// This rank's member index.
     cell: usize,
     seq: u64,
-    aside: [Vec<Box<dyn Any + Send>>; 2],
+    open: bool,
+    aside: Vec<Box<dyn Any + Send>>,
 }
 
 /// A rank's handle on a group of world ranks, made by [`Comm::split`]: an
@@ -310,15 +320,133 @@ impl Group {
         recv: &mut Vec<T>,
         sources: &mut Vec<(usize, usize)>,
     ) {
+        let on = self.on(comm);
+        comm.alltoallv_flat_on(on, send, segments, recv, sources);
+    }
+
+    /// [`Comm::ialltoallv_flat`] among the members: posted like
+    /// [`Group::alltoallv_flat`], completed by
+    /// [`AlltoallvRequest::wait`] with this group.
+    pub fn ialltoallv_flat<T: Copy + Send + 'static>(
+        &mut self,
+        comm: &mut Comm,
+        send: Vec<T>,
+        segments: &[(usize, usize)],
+    ) -> AlltoallvRequest<T> {
+        let on = self.on(comm);
+        comm.ialltoallv_flat_on(on, send, segments)
+    }
+
+    /// [`Comm::alltoallv_background`] on this group's cost terms.
+    pub fn alltoallv_background(&self, s_bytes: u64, r_bytes: u64) -> f64 {
+        self.shared.terms.alltoallv_background(s_bytes, r_bytes)
+    }
+
+    /// This group with `comm`'s seat in it, for a collective.
+    fn on(&mut self, comm: &Comm) -> On<'_> {
         let Group { shared, seat } = self;
         assert_eq!(comm.rank, shared.members[seat.cell], "a group is used by its own rank");
-        comm.alltoallv_flat_on(Some((shared, seat)), send, segments, recv, sources);
+        Some((shared, seat))
     }
 }
 
 /// Where a collective meets: the world (`None`), or a group with this rank's
 /// seat in it.
 type On<'a> = Option<(&'a GroupShared, &'a mut Seat)>;
+
+/// `on` again, for a second call.
+fn reborrow<'b>(on: &'b mut On<'_>) -> On<'b> {
+    on.as_mut().map(|(g, seat)| (&**g, &mut **seat))
+}
+
+/// A collective this rank has posted and not yet completed: the slot that
+/// holds it, the generation that slot completes it with, and what its
+/// completion books and traces.
+#[derive(Clone, Copy, Debug)]
+struct Posted {
+    parity: usize,
+    generation: u64,
+    /// The rank's clock after the post.
+    t_post: f64,
+    /// Where the post's trace record sits among the rank's events.
+    record: Option<usize>,
+}
+
+/// A posted all-to-all-v ([`Comm::ialltoallv_flat`],
+/// [`Group::ialltoallv_flat`]): its payload is deposited, and
+/// [`AlltoallvRequest::wait`] completes it. Until then no other collective
+/// may be entered on its communicator.
+#[must_use = "a posted all-to-all-v completes only in `wait`"]
+pub struct AlltoallvRequest<T> {
+    posted: Posted,
+    /// The communicator: `0` the world, else the group's id.
+    group: u32,
+    /// Messages and bytes this rank sent.
+    sent: (u64, u64),
+    elem: PhantomData<fn() -> T>,
+}
+
+impl<T: Copy + Send + 'static> AlltoallvRequest<T> {
+    /// Complete the all-to-all-v: `recv` and `sources` are filled as
+    /// [`Comm::alltoallv_flat`] fills them. `group` is the group it was
+    /// posted on, `None` for the world. A yield point: the rank blocks here
+    /// until the last member has posted.
+    ///
+    /// Clock: the collective completes at `max_post + cost`, with `max_post`
+    /// the members' latest post and `cost` the blocking call's. The rank
+    /// leaves at `max(max_post + cost, clock + cpu)`, where `clock` is its
+    /// clock now and `cpu` the part of the cost its CPU spends (the count
+    /// scan and the per-message handling, [`Comm::alltoallv_background`]
+    /// being the rest). Waited with nothing charged since the post, it is
+    /// the blocking call: the same clock, statistics and trace record.
+    pub fn wait(
+        self,
+        comm: &mut Comm,
+        group: Option<&mut Group>,
+        recv: &mut Vec<T>,
+        sources: &mut Vec<(usize, usize)>,
+    ) {
+        let on = match group {
+            None => None,
+            Some(group) => group.on(comm),
+        };
+        assert_eq!(
+            on.as_ref().map_or(0, |(g, _)| g.id),
+            self.group,
+            "an all-to-all-v completes on the communicator it was posted on"
+        );
+        self.complete(comm, on, recv, sources);
+    }
+
+    fn complete(
+        self,
+        comm: &mut Comm,
+        on: On<'_>,
+        recv: &mut Vec<T>,
+        sources: &mut Vec<(usize, usize)>,
+    ) {
+        comm.alltoallv_wait(
+            on,
+            self.posted,
+            self.sent,
+            std::mem::size_of::<T>(),
+            |entries, cells| {
+                recv.clear();
+                recv.reserve_exact(entries.as_slice().iter().map(|e| e.len).sum());
+                sources.clear();
+                for e in entries {
+                    let from = deposit_of::<FlatDeposit<T>>(cells, e);
+                    recv.extend_from_slice(&from.payload[e.index..e.index + e.len]);
+                    sources.push((e.src(), e.len));
+                    from.unread -= 1;
+                    if from.unread == 0 {
+                        from.payload = Vec::new();
+                    }
+                }
+            },
+        );
+    }
+}
 
 /// What a [`Comm::split`] leaves in its slot's result envelope: each rank's
 /// `(color, key)`, written there at deposit — every rank has read the
@@ -357,7 +485,7 @@ impl Split {
     /// World rank `rank`'s handle on its group.
     fn take(&mut self, rank: usize) -> Group {
         let (group, cell) = (self.seats[rank].0 as usize, self.seats[rank].1 as usize);
-        let seat = Seat { cell, seq: 0, aside: [Vec::new(), Vec::new()] };
+        let seat = Seat { cell, seq: 0, open: false, aside: Vec::new() };
         let group = Group { shared: Arc::clone(&self.groups[group]), seat };
         self.unread -= 1;
         if self.unread == 0 {
@@ -368,27 +496,49 @@ impl Split {
 }
 
 impl Comm {
-    /// Every collective, with exactly one wait: every member of the
-    /// communicator `on` names runs `deposit` on the slot this collective
-    /// uses (see [`CollSlot`] for why two alternating slots suffice); the
-    /// last depositor runs `publish` over the full slot and wakes the others;
-    /// every member then runs `read`. All three run under the slot's guard;
-    /// `deposit` also gets the envelopes this rank has set aside for the slot
-    /// ([`envelope_as`]). The collective is booked here too: one operation of
-    /// `bytes` contributed, the gap to the last depositor as rendezvous wait,
-    /// `cost` of what `read` returned as communication — with the
-    /// communicator's cost terms —, and a trace record of `kind` if there is
-    /// one.
+    /// Every blocking collective: [`Comm::coll_post`], then at once
+    /// [`Comm::coll_wait`]. Its whole `cost` is the rank's: nothing runs
+    /// between post and wait to hide any of it.
     fn coll_exchange<R>(
         &mut self,
-        on: On<'_>,
+        mut on: On<'_>,
         (kind, bytes): (Option<TraceKind>, u64),
         deposit: impl FnOnce(&mut CollSlot, &mut Vec<Box<dyn Any + Send>>),
         publish: impl FnOnce(&mut CollSlot),
         read: impl FnOnce(&mut CollSlot) -> R,
         cost: impl FnOnce(&R, &CollTerms) -> f64,
     ) -> R {
-        let t0 = self.clock;
+        let posted = self.coll_post(reborrow(&mut on), (kind, bytes), deposit, publish);
+        let cost = |out: &R, terms: &CollTerms| {
+            let c = cost(out, terms);
+            (c, c)
+        };
+        self.coll_wait(on, posted, kind, read, cost)
+    }
+
+    /// Enter a collective without waiting for it, on the communicator `on`
+    /// (see [`CollSlot`] for why two alternating slots suffice): run
+    /// `deposit` on the slot this collective uses, with the envelopes this
+    /// rank has set aside ([`envelope_as`]); the last depositor also runs
+    /// `publish` over the full slot and wakes the members parked on it. Both
+    /// run under the slot's guard, and the rank does not block: a post is not
+    /// a yield point. Books one operation of `bytes` contributed and, if
+    /// `kind` is traced, opens its record.
+    ///
+    /// # Panics
+    ///
+    /// If a collective posted on `on` has not completed yet: a communicator
+    /// has at most one collective outstanding, which keeps the two-slot
+    /// argument of [`CollSlot`] — a rank reads collective `k` before it
+    /// deposits into `k + 1`.
+    fn coll_post(
+        &mut self,
+        on: On<'_>,
+        (kind, bytes): (Option<TraceKind>, u64),
+        deposit: impl FnOnce(&mut CollSlot, &mut Vec<Box<dyn Any + Send>>),
+        publish: impl FnOnce(&mut CollSlot),
+    ) -> Posted {
+        let t_entry = self.clock;
         self.count_coll(1, bytes);
         self.fault_op_tick();
         // Sized at this rank's first collective, not when it first completes
@@ -397,15 +547,21 @@ impl Comm {
             self.woken.reserve_exact(self.shared.sched.collective_wake_limit());
         }
         let world = &*self.shared;
-        let (slots, seq, aside, members, terms, id) = match on {
+        let (slots, seq, open, aside, members, id) = match on {
             None => {
-                (&world.coll, &mut self.coll_seq, &mut self.coll_aside, None, world.coll_terms, 0)
+                let (seq, open) = (&mut self.coll_seq, &mut self.coll_open);
+                (&world.coll, seq, open, &mut self.coll_aside, None, 0)
             }
             Some((g, seat)) => {
                 let members = Some(&g.members[..]);
-                (&g.slots, &mut seat.seq, &mut seat.aside, members, g.terms, g.id)
+                (&g.slots, &mut seat.seq, &mut seat.open, &mut seat.aside, members, g.id)
             }
         };
+        assert!(
+            !*open,
+            "a collective entered on communicator {id} before its posted one completed"
+        );
+        *open = true;
         let size = members.map_or(world.n, <[usize]>::len);
         let parity = (*seq % 2) as usize;
         let m = &slots.0[parity];
@@ -415,7 +571,7 @@ impl Comm {
         if slot.arrived == 0 {
             slot.max_clock = 0.0;
         }
-        deposit(&mut slot, &mut aside[parity]);
+        deposit(&mut slot, aside);
         slot.max_clock = slot.max_clock.max(self.clock);
         slot.arrived += 1;
         if slot.arrived == size {
@@ -429,24 +585,71 @@ impl Comm {
                     world.sched.wake_collective(members.iter().copied(), &mut self.woken)
                 }
             }
-        } else {
-            while slot.generation == generation {
-                world.check_poison();
-                slot = world.wait_on(self.rank, WaitSite::Collective, self.clock, m, slot);
-            }
         }
-        let out = read(&mut slot);
-        let max_clock = slot.max_clock;
         drop(slot);
         // Batons change hands only now that the collective guard is free.
         for next in self.woken.drain(..) {
             world.sched.resume(next);
         }
-        let cost = cost(&out, &terms);
-        self.charge(SpanCat::Wait, (max_clock - self.clock).max(0.0));
-        self.charge(SpanCat::Comm, cost.max(0.0));
-        if let Some(kind) = kind {
-            self.trace_record(kind, t0, bytes, None, (size, id), 0);
+        let record = match (kind, &self.trace) {
+            (Some(_), Some(trace)) => Some(trace.events.len()),
+            _ => None,
+        };
+        if record.is_some() {
+            self.trace_record(TraceKind::Ialltoallv, t_entry, bytes, None, (size, id), 0);
+        }
+        Posted { parity, generation, t_post: self.clock, record }
+    }
+
+    /// Complete the collective `posted` on `on`: wait — the one rendezvous
+    /// wait, a yield point — until its last depositor has published, then
+    /// run `read` under the slot's guard. `cost` gives what the collective
+    /// costs with the communicator's terms, and the part of that the rank's
+    /// CPU spends. Waited with nothing charged since the post, the rank
+    /// books the gap to the last depositor as rendezvous wait and the cost
+    /// as communication, and its record becomes the blocking one of `kind`;
+    /// a rank that has computed past the last post instead books what is
+    /// left of the collective, at least its CPU part, as communication, and
+    /// records the completion apart.
+    fn coll_wait<R>(
+        &mut self,
+        on: On<'_>,
+        posted: Posted,
+        kind: Option<TraceKind>,
+        read: impl FnOnce(&mut CollSlot) -> R,
+        cost: impl FnOnce(&R, &CollTerms) -> (f64, f64),
+    ) -> R {
+        let world = &*self.shared;
+        let (slots, open, terms, size, id) = match on {
+            None => (&world.coll, &mut self.coll_open, world.coll_terms, world.n, 0),
+            Some((g, seat)) => (&g.slots, &mut seat.open, g.terms, g.members.len(), g.id),
+        };
+        let m = &slots.0[posted.parity];
+        let mut slot = lock(m);
+        while slot.generation == posted.generation {
+            world.check_poison();
+            slot = world.wait_on(self.rank, WaitSite::Collective, self.clock, m, slot);
+        }
+        let out = read(&mut slot);
+        let max_clock = slot.max_clock;
+        drop(slot);
+        *open = false;
+        let (cost, cpu) = cost(&out, &terms);
+        let t_wait = self.clock;
+        if t_wait <= max_clock {
+            self.charge(SpanCat::Wait, max_clock - t_wait);
+            self.charge(SpanCat::Comm, cost.max(0.0));
+        } else {
+            self.charge(SpanCat::Comm, (max_clock + cost - t_wait).max(cpu));
+        }
+        if let (Some(kind), Some(at)) = (kind, posted.record) {
+            let events = &mut self.trace.as_mut().expect("a record was opened").events;
+            if t_wait == posted.t_post && events.len() == at + 1 {
+                let e = &mut events[at];
+                (e.kind, e.t_end) = (kind, self.clock);
+            } else {
+                self.trace_record(TraceKind::CollWait, t_wait, 0, None, (size, id), 0);
+            }
         }
         out
     }
@@ -591,15 +794,28 @@ impl Comm {
     /// listed them — with the senders' cells at hand ([`deposit_of`]).
     /// `elem` is the element size the entries' lengths count in. Statistics,
     /// the modelled cost and the trace event are the same for every form and
-    /// every communicator.
+    /// every communicator: [`Comm::alltoallv_post`], then at once
+    /// [`Comm::alltoallv_wait`].
     fn alltoallv_core<I>(
         &mut self,
-        on: On<'_>,
-        (s_msgs, s_bytes): (u64, u64),
+        mut on: On<'_>,
+        sent: (u64, u64),
         elem: usize,
         deposit: impl FnOnce(&mut Box<dyn Any + Send>, &mut Vec<Box<dyn Any + Send>>, Bins<'_>),
         read: impl FnOnce(std::vec::Drain<'_, BinEntry>, &mut [Box<dyn Any + Send>]) -> I,
     ) -> I {
+        let posted = self.alltoallv_post(reborrow(&mut on), sent, deposit);
+        self.alltoallv_wait(on, posted, sent, elem, read)
+    }
+
+    /// The post of [`Comm::alltoallv_core`]: books what leaves this rank and
+    /// deposits it.
+    fn alltoallv_post(
+        &mut self,
+        on: On<'_>,
+        (s_msgs, s_bytes): (u64, u64),
+        deposit: impl FnOnce(&mut Box<dyn Any + Send>, &mut Vec<Box<dyn Any + Send>>, Bins<'_>),
+    ) -> Posted {
         self.shared.check_poison();
         self.count_p2p_sent(s_msgs, s_bytes);
         let src = self.rank;
@@ -607,7 +823,7 @@ impl Comm {
             None => (None, src),
             Some((g, seat)) => (Some(*g), seat.cell),
         };
-        let (out, r_msgs, r_bytes) = self.coll_exchange(
+        self.coll_post(
             on,
             (Some(TraceKind::Alltoallv), s_bytes),
             |slot, aside| {
@@ -616,13 +832,34 @@ impl Comm {
                 deposit(&mut slot.cells[cell], aside, bins)
             },
             |_| (),
+        )
+    }
+
+    /// The wait of [`Comm::alltoallv_core`]: reads this rank's bin, books
+    /// what arrived, and charges the collective's cost over both.
+    fn alltoallv_wait<I>(
+        &mut self,
+        on: On<'_>,
+        posted: Posted,
+        (s_msgs, s_bytes): (u64, u64),
+        elem: usize,
+        read: impl FnOnce(std::vec::Drain<'_, BinEntry>, &mut [Box<dyn Any + Send>]) -> I,
+    ) -> I {
+        let cell = on.as_ref().map_or(self.rank, |(_, seat)| seat.cell);
+        let (out, r_msgs, r_bytes) = self.coll_wait(
+            on,
+            posted,
+            Some(TraceKind::Alltoallv),
             |slot| {
                 let (entries, cells) = slot.drain_bin(cell);
                 let r_msgs = entries.len() as u64;
                 let r_elems: usize = entries.as_slice().iter().map(|e| e.len).sum();
                 (read(entries, cells), r_msgs, r_elems as u64 * elem as u64)
             },
-            |&(_, r_msgs, r_bytes), terms| terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes),
+            |&(_, r_msgs, r_bytes), terms| {
+                let cost = terms.alltoallv(s_msgs, s_bytes, r_msgs, r_bytes);
+                (cost, terms.alltoallv_cpu(s_msgs, r_msgs))
+            },
         );
         self.count_p2p_recv(r_msgs, r_bytes);
         out
@@ -726,12 +963,47 @@ impl Comm {
     /// [`Comm::alltoallv_flat`] on the communicator `on`.
     fn alltoallv_flat_on<T: Copy + Send + 'static>(
         &mut self,
-        on: On<'_>,
+        mut on: On<'_>,
         send: Vec<T>,
         segments: &[(usize, usize)],
         recv: &mut Vec<T>,
         sources: &mut Vec<(usize, usize)>,
     ) {
+        let request = self.ialltoallv_flat_on(reborrow(&mut on), send, segments);
+        request.complete(self, on, recv, sources);
+    }
+
+    /// [`Comm::alltoallv_flat`] without waiting: posts this rank's payload
+    /// and returns at once — a post is not a yield point —, and the
+    /// request's [`AlltoallvRequest::wait`] completes it into `recv` and
+    /// `sources`. What the rank computes in between hides the collective's
+    /// synchronizing stages and its volume term (the request documents the
+    /// clock rule). Until the wait, no other collective may be entered on
+    /// the world: one that is panics.
+    pub fn ialltoallv_flat<T: Copy + Send + 'static>(
+        &mut self,
+        send: Vec<T>,
+        segments: &[(usize, usize)],
+    ) -> AlltoallvRequest<T> {
+        self.ialltoallv_flat_on(None, send, segments)
+    }
+
+    /// The part of an all-to-all-v on the world that runs in the background
+    /// of a nonblocking post ([`Comm::ialltoallv_flat`]), for a rank that
+    /// sends `s_bytes` and receives `r_bytes`: the synchronizing stages and
+    /// the volume term — the computation that fits between post and wait
+    /// without delaying the completion.
+    pub fn alltoallv_background(&self, s_bytes: u64, r_bytes: u64) -> f64 {
+        self.shared.coll_terms.alltoallv_background(s_bytes, r_bytes)
+    }
+
+    /// [`Comm::ialltoallv_flat`] on the communicator `on`.
+    fn ialltoallv_flat_on<T: Copy + Send + 'static>(
+        &mut self,
+        on: On<'_>,
+        send: Vec<T>,
+        segments: &[(usize, usize)],
+    ) -> AlltoallvRequest<T> {
         let elem = std::mem::size_of::<T>();
         let mut sent = (0u64, 0u64);
         let mut total = 0;
@@ -742,37 +1014,20 @@ impl Comm {
         }
         assert_eq!(total, send.len(), "alltoallv_flat: the segments must cover the payload");
         sent.1 = (total * elem) as u64;
-        self.alltoallv_core(
-            on,
-            sent,
-            elem,
-            |cell, aside, mut bins| {
-                let mut index = 0;
-                for &(dst, len) in segments {
-                    if len > 0 {
-                        bins.push(dst, index, len);
-                    }
-                    index += len;
+        let group = on.as_ref().map_or(0, |(g, _)| g.id);
+        let posted = self.alltoallv_post(on, sent, |cell, aside, mut bins| {
+            let mut index = 0;
+            for &(dst, len) in segments {
+                if len > 0 {
+                    bins.push(dst, index, len);
                 }
-                // Without a message nobody would free the buffer.
-                let payload = if sent.0 == 0 { Vec::new() } else { send };
-                *envelope_as(cell, aside) = FlatDeposit { payload, unread: sent.0 as usize };
-            },
-            |entries, cells| {
-                recv.clear();
-                recv.reserve_exact(entries.as_slice().iter().map(|e| e.len).sum());
-                sources.clear();
-                for e in entries {
-                    let from = deposit_of::<FlatDeposit<T>>(cells, e);
-                    recv.extend_from_slice(&from.payload[e.index..e.index + e.len]);
-                    sources.push((e.src(), e.len));
-                    from.unread -= 1;
-                    if from.unread == 0 {
-                        from.payload = Vec::new();
-                    }
-                }
-            },
-        );
+                index += len;
+            }
+            // Without a message nobody would free the buffer.
+            let payload = if sent.0 == 0 { Vec::new() } else { send };
+            *envelope_as(cell, aside) = FlatDeposit { payload, unread: sent.0 as usize };
+        });
+        AlltoallvRequest { posted, group, sent, elem: PhantomData }
     }
 
     /// Dense all-to-all of exactly one element per rank pair: rank `r` ends
@@ -958,9 +1213,10 @@ mod tests {
 
     #[test]
     fn collective_envelopes_of_other_types_wait_aside() {
-        // Three deposit types with an odd period over the two slots: once a
-        // slot has seen all three, one sits in the rank's cell and two wait
-        // aside — nothing is boxed again.
+        // Three deposit types with an odd period over the two slots: once
+        // all three have been seen, one sits in each slot's cell and the
+        // third waits aside, for whichever slot its type comes round in
+        // next — each type boxed once per rank, nothing boxed again.
         let out = run(3, MachineModel::ideal(), |comm| {
             let mut aside = Vec::new();
             for round in 0..12u64 {
@@ -969,7 +1225,7 @@ mod tests {
                     1 => drop(comm.allreduce((true, false), |a, b| (a.0 && b.0, a.1 || b.1))),
                     _ => drop(comm.allgather(round as f64)),
                 }
-                aside.push((comm.coll_aside[0].len(), comm.coll_aside[1].len()));
+                aside.push(comm.coll_aside.len());
             }
             // More types than are kept: the longest unused are dropped.
             macro_rules! allreduce_arrays {
@@ -977,12 +1233,24 @@ mod tests {
             }
             allreduce_arrays!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24);
             allreduce_arrays!(25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45);
-            (aside, comm.coll_aside[0].len().max(comm.coll_aside[1].len()))
+            (aside, comm.coll_aside.len())
         });
         for (aside, most) in out.results {
-            assert!(aside[5..].iter().all(|&lens| lens == (2, 2)), "{aside:?}");
+            assert_eq!(aside[..2], [0, 0], "{aside:?}");
+            assert!(aside[2..].iter().all(|&len| len == 1), "{aside:?}");
             assert_eq!(most, MAX_ENVELOPES_ASIDE);
         }
+    }
+
+    #[test]
+    fn a_collective_entered_while_one_is_posted_panics() {
+        let out = crate::Runner::default().try_run(2, MachineModel::ideal(), |comm| {
+            let request = comm.ialltoallv_flat(vec![1u8], &[((comm.rank() + 1) % 2, 1)]);
+            comm.barrier();
+            let (mut recv, mut sources) = (Vec::new(), Vec::new());
+            request.wait(comm, None, &mut recv, &mut sources);
+        });
+        assert!(out.is_err(), "a barrier on a communicator with a posted all-to-all-v");
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod sparse;
 mod transport;
 
 pub use accounting::RankStats;
-pub use collectives::{push_segment, Group};
+pub use collectives::{push_segment, AlltoallvRequest, Group};
 pub use runner::{run, RunOutput, Runner};
 pub use transport::Request;
 
@@ -230,9 +230,12 @@ pub struct Comm {
     /// Collectives this rank has entered; its parity selects the slot the
     /// next one uses (see `collectives`).
     coll_seq: u64,
-    /// Per slot: the deposit envelopes of other types than the one in this
-    /// rank's cell, waiting for their type to come round again.
-    coll_aside: [Vec<Box<dyn Any + Send>>; 2],
+    /// The deposit envelopes of other types than the ones in this rank's
+    /// cells, waiting for their type to come round again in either slot.
+    coll_aside: Vec<Box<dyn Any + Send>>,
+    /// A world collective is posted and not yet completed (see
+    /// [`Comm::ialltoallv_flat`]): entering another one panics.
+    coll_open: bool,
     /// Tasks a completed collective made this rank responsible for resuming
     /// once it has released the slot's guard.
     woken: Vec<usize>,
@@ -267,7 +270,8 @@ impl Comm {
             wait_scratch: transport::WaitScratch::default(),
             spare_envelopes: VecDeque::new(),
             coll_seq: 0,
-            coll_aside: [Vec::new(), Vec::new()],
+            coll_aside: Vec::new(),
+            coll_open: false,
             woken: Vec::new(),
             byte_pairs_a: Vec::new(),
             byte_pairs_b: Vec::new(),

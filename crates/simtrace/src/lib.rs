@@ -23,6 +23,11 @@
 //!   last-arriving member. A sparse data exchange is one of them: its
 //!   `sparse_exchange` record starts where the rank entered the exchange's
 //!   barrier, its messages are ordinary `isend` / `wait` / `recv` records.
+//!   So is a nonblocking all-to-all-v whose rank computed between post and
+//!   wait: its `ialltoallv` post record is the instance's arrival, and its
+//!   `coll_wait` completion record — the last post on the same
+//!   communicator before it — is where the rank waits, blamed on the last
+//!   member to post.
 //!
 //! [`analyze`] walks the clock-span timeline **backward from the makespan**,
 //! following these edges whenever it lands in a wait span, and produces:
@@ -181,6 +186,8 @@ fn is_cause_kind(kind: TraceKind) -> bool {
             | TraceKind::Reduce
             | TraceKind::Gather
             | TraceKind::Alltoallv
+            | TraceKind::Ialltoallv
+            | TraceKind::CollWait
             | TraceKind::SparseExchange
             | TraceKind::Fault
             | TraceKind::Retry
@@ -196,6 +203,7 @@ fn is_collective_kind(kind: TraceKind) -> bool {
             | TraceKind::Reduce
             | TraceKind::Gather
             | TraceKind::Alltoallv
+            | TraceKind::Ialltoallv
             | TraceKind::SparseExchange
     )
 }
@@ -285,6 +293,16 @@ impl<'a> EventIndex<'a> {
         Some((group, members[at].1.binary_search(&idx).ok()?))
     }
 
+    /// The post a `coll_wait` record at `idx` on `rank` completes: the last
+    /// `ialltoallv` record on its communicator before it (a communicator
+    /// has at most one collective outstanding).
+    fn post_of(&self, rank: usize, idx: u32) -> Option<u32> {
+        let group = self.event(rank, idx).group;
+        let events = &self.traces[rank].events[..idx as usize];
+        let post = events.iter().rposition(|e| e.kind == TraceKind::Ialltoallv && e.group == group);
+        post.map(|at| at as u32)
+    }
+
     /// Last-arriving member and entry time of collective instance `k` of
     /// `group` (smallest rank among ties, for determinism).
     fn coll_last_arrival(&mut self, (group, k): (u32, usize)) -> Option<(usize, f64)> {
@@ -321,7 +339,13 @@ impl<'a> EventIndex<'a> {
             TraceKind::Wait => WaitCause::NicDrain,
             TraceKind::Fault | TraceKind::Retry | TraceKind::Timeout => WaitCause::Fault,
             _ => {
-                let k = self.coll_instance(rank, idx).expect("collective event is in coll index");
+                let post = match e.kind {
+                    TraceKind::CollWait => {
+                        self.post_of(rank, idx).expect("a completion has a post")
+                    }
+                    _ => idx,
+                };
+                let k = self.coll_instance(rank, post).expect("collective event is in coll index");
                 match self.coll_last_arrival(k) {
                     Some((last, entry)) => WaitCause::Collective { last, entry },
                     None => WaitCause::Unattributed,
@@ -797,5 +821,52 @@ mod tests {
         }
         assert_eq!(blamed(0, 1) + blamed(2, 1), 0.0, "rank 1 is in the other group");
         assert!(analysis.segments.iter().any(|s| s.rank == 4 && s.cat == SegCat::Compute));
+    }
+
+    #[test]
+    fn a_nonblocking_completion_blames_the_last_member_to_post() {
+        // Every rank posts an all-to-all-v and computes before its wait;
+        // rank 2 posts last, on the world and then on its group {0, 2}. The
+        // others' waits in the completions are blamed on rank 2, the path
+        // runs through rank 2's compute before its post, and it still tiles
+        // the makespan.
+        let out = Runner::default().traced(true).run(4, MachineModel::juropa_like(), |comm| {
+            let (me, p) = (comm.rank(), comm.size());
+            let mut group = comm.split(me as u32 % 2, me as u32);
+            let (mut recv, mut sources) = (Vec::new(), Vec::new());
+            comm.advance(if me == 2 { 0.25 } else { 0.01 });
+            let request = comm.ialltoallv_flat(vec![me as u64; 8], &[((me + 1) % p, 8)]);
+            comm.advance(1e-3);
+            request.wait(comm, None, &mut recv, &mut sources);
+            comm.advance(if me == 2 { 0.25 } else { 0.01 });
+            let dst = group.members()[1 - group.members().iter().position(|&r| r == me).unwrap()];
+            let request = group.ialltoallv_flat(comm, vec![me as u64; 8], &[(dst, 8)]);
+            comm.advance(1e-3);
+            request.wait(comm, Some(&mut group), &mut recv, &mut sources);
+        });
+        let kinds = |rank: usize| -> Vec<TraceKind> {
+            out.traces[rank].events.iter().map(|e| e.kind).collect()
+        };
+        use TraceKind::{CollWait, Gather, Ialltoallv};
+        assert_eq!(kinds(0), [Gather, Ialltoallv, CollWait, Ialltoallv, CollWait]);
+        let analysis = analyze(&out.traces);
+        let mut t = analysis.makespan;
+        for seg in &analysis.segments {
+            assert_eq!(seg.t_end, t, "segments must abut");
+            t = seg.t_start;
+        }
+        assert_eq!(t, 0.0, "walk must reach time zero");
+        let blamed = |waiter: usize, on: usize| -> f64 {
+            let cells = analysis.blame.iter().filter(|c| c.waiter == waiter && c.blamed == on);
+            cells.map(|c| c.seconds).sum()
+        };
+        for waiter in [0usize, 1, 3] {
+            assert!(blamed(waiter, 2) > 0.2, "rank {waiter} waits on rank 2's post");
+        }
+        assert!(blamed(0, 2) > 0.45, "rank 0 waits on rank 2 twice, the second time in the group");
+        assert_eq!(blamed(1, 3) + blamed(3, 1), 0.0, "ranks 1 and 3 posted together");
+        assert!(analysis.segments.iter().any(|s| s.rank == 2 && s.cat == SegCat::Compute));
+        let wait_total: f64 = out.stats.iter().map(|s| s.wait_seconds).sum();
+        assert!((analysis.blame_total() - wait_total).abs() <= 1e-9 * wait_total);
     }
 }

@@ -7,7 +7,9 @@
 //! [`simcomm::TraceEvent`] — so the exported span count always equals the trace
 //! record count — and flow arrows (`"s"`/`"f"` pairs) connecting every
 //! matched `send`/`isend` post to its `recv` completion via the message
-//! correlation id. Timestamps are virtual microseconds.
+//! correlation id, and every `ialltoallv` post of a nonblocking collective
+//! to its `coll_wait` completion on the same rank. Timestamps are virtual
+//! microseconds.
 //!
 //! The writer emits plain strings — no JSON library — because the format is
 //! flat and append-only; `particles::json`'s parser round-trips the output in
@@ -74,7 +76,10 @@ pub fn write_perfetto<W: Write>(mut w: W, runs: &[(&str, &[Trace])]) -> io::Resu
             emit(&mut w, &mut buf, &mut first)?;
         }
         for trace in traces.iter() {
-            for e in &trace.events {
+            // Per communicator, this rank's outstanding nonblocking post:
+            // its completion is the next `coll_wait` there.
+            let mut posted: Vec<(u32, usize)> = Vec::new();
+            for (i, e) in trace.events.iter().enumerate() {
                 buf.push_str(&format!(
                     "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{rank},\"ts\":{ts},\"dur\":{dur},\
                      \"name\":\"{name}\",\"cat\":\"",
@@ -106,6 +111,30 @@ pub fn write_perfetto<W: Write>(mut w: W, runs: &[(&str, &[Trace])]) -> io::Resu
                         ts = us(e.t_end),
                     ));
                     emit(&mut w, &mut buf, &mut first)?;
+                }
+                if e.kind == TraceKind::Ialltoallv {
+                    posted.retain(|&(group, _)| group != e.group);
+                    posted.push((e.group, i));
+                    buf.push_str(&format!(
+                        "{{\"ph\":\"s\",\"id\":\"c{pid}.{rank}.{i}\",\"pid\":{pid},\"tid\":{rank},\
+                         \"ts\":{ts},\"name\":\"coll\",\"cat\":\"coll\"}}",
+                        rank = e.rank,
+                        ts = us(e.t_end),
+                    ));
+                    emit(&mut w, &mut buf, &mut first)?;
+                }
+                if e.kind == TraceKind::CollWait {
+                    if let Some(at) = posted.iter().position(|&(group, _)| group == e.group) {
+                        let (_, post) = posted.remove(at);
+                        buf.push_str(&format!(
+                            "{{\"ph\":\"f\",\"bp\":\"e\",\"id\":\"c{pid}.{rank}.{post}\",\
+                             \"pid\":{pid},\"tid\":{rank},\"ts\":{ts},\"name\":\"coll\",\
+                             \"cat\":\"coll\"}}",
+                            rank = e.rank,
+                            ts = us(e.t_end),
+                        ));
+                        emit(&mut w, &mut buf, &mut first)?;
+                    }
                 }
                 if matches!(e.kind, TraceKind::Send | TraceKind::Isend) && e.corr != 0 {
                     buf.push_str(&format!(
@@ -165,6 +194,32 @@ mod tests {
         assert_eq!(text.matches("\"ph\":\"s\"").count(), 2);
         assert_eq!(text.matches("\"ph\":\"f\"").count(), 2);
         assert_eq!(text.matches("\"name\":\"sparse_exchange\"").count(), 6);
+    }
+
+    #[test]
+    fn a_nonblocking_collective_gets_a_flow_from_post_to_completion() {
+        // Posted, computed over, waited: one arrow per rank. Waited at once:
+        // the blocking record, no arrow.
+        let out = Runner::default().traced(true).run(3, MachineModel::juropa_like(), |comm| {
+            let (me, p) = (comm.rank(), comm.size());
+            let (mut recv, mut sources) = (Vec::new(), Vec::new());
+            let request = comm.ialltoallv_flat(vec![me as u32; 4], &[((me + 1) % p, 4)]);
+            comm.advance(1e-4);
+            request.wait(comm, None, &mut recv, &mut sources);
+            let request = comm.ialltoallv_flat(vec![me as u32; 4], &[((me + 1) % p, 4)]);
+            request.wait(comm, None, &mut recv, &mut sources);
+        });
+        let mut buf = Vec::new();
+        write_perfetto(&mut buf, &[("nonblocking", &out.traces)]).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(text.matches("\"ph\":\"s\"").count(), 3);
+        assert_eq!(text.matches("\"ph\":\"f\"").count(), 3);
+        assert_eq!(text.matches("\"name\":\"ialltoallv\"").count(), 3);
+        assert_eq!(text.matches("\"name\":\"coll_wait\"").count(), 3);
+        assert_eq!(text.matches("\"name\":\"alltoallv\"").count(), 3);
+        for rank in 0..3 {
+            assert!(text.contains(&format!("\"id\":\"c1.{rank}.0\"")), "rank {rank}'s arrow");
+        }
     }
 
     #[test]

@@ -120,6 +120,17 @@
 //! (juqueen-like), faulted `0xbdd0_0e39_9dc4_79ea` →
 //! `0x9481_272a_cae1_c56b`. The ghosts sent are the same, so every physics
 //! half held, as did every FMM half and both redistribution halves.
+//! The P2NFFT's near field computed while its far field's exchanges are in
+//! flight — each exchange posted with `ialltoallv_flat`, a share of the
+//! linked cells run before its wait — re-froze the timing halves of the
+//! P2NFFT worlds once: B `0x53c7_b15e_cbe1_d801` → `0x7f98_b592_f951_f81a`
+//! and B + movement `0x3bc2_ea10_da0b_80f8` → `0xea5b_435d_0ec4_a033`
+//! (juropa-like), B `0xb0d5_b02a_6d67_c427` → `0xa2ea_2182_186c_acb3` and
+//! B + movement `0x7d55_d6d5_2113_9609` → `0x86bd_832c_ff41_a1f1`
+//! (juqueen-like), faulted `0x9481_272a_cae1_c56b` →
+//! `0xc6b5_0b1d_417d_7a98`. Every receiver's sum is computed whole in its
+//! cell and `potential = near + far` keeps its order, so every physics half
+//! held, as did every FMM half and both redistribution halves.
 
 #[path = "../crates/simcomm/tests/common/mod.rs"]
 mod common;
@@ -232,14 +243,14 @@ fn md_configs_match_frozen_digests() {
         [
             [0xe3e7_f2ac_7ae3_deb5, 0x7c46_d36a_2c2b_bb98],
             [0xe36d_87b1_23fa_3d6c, 0xae58_4023_544b_4633],
-            [0x1c08_5b70_c285_000a, 0x53c7_b15e_cbe1_d801],
-            [0xf8f4_8bef_8ac1_3909, 0x3bc2_ea10_da0b_80f8],
+            [0x1c08_5b70_c285_000a, 0x7f98_b592_f951_f81a],
+            [0xf8f4_8bef_8ac1_3909, 0xea5b_435d_0ec4_a033],
         ],
         [
             [0xe3e7_f2ac_7ae3_deb5, 0xdc76_88e8_f09a_acdf],
             [0xe36d_87b1_23fa_3d6c, 0x6a17_705c_3556_a54e],
-            [0x1c08_5b70_c285_000a, 0xb0d5_b02a_6d67_c427],
-            [0xf8f4_8bef_8ac1_3909, 0x7d55_d6d5_2113_9609],
+            [0x1c08_5b70_c285_000a, 0xa2ea_2182_186c_acb3],
+            [0xf8f4_8bef_8ac1_3909, 0x86bd_832c_ff41_a1f1],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -328,7 +339,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x645e_ed2c_0d69_baaa, 0x9481_272a_cae1_c56b],
+            [0x645e_ed2c_0d69_baaa, 0xc6b5_0b1d_417d_7a98],
             &format!("faulted P2NFFT width {width}"),
         );
     }
