@@ -19,10 +19,12 @@
 //! origin codes that carries potentials and fields alone. Under Method B
 //! the application's additional data follows a resort plan built from the
 //! routes the particles took — recorded by the redistribution that brought
-//! them ([`alltoall_specific_routed`]), or rebuilt from a map of where every
-//! input ended that every rank holds ([`Routes::rebuild_from_owners`]) —
-//! with no index built or exchanged. The resort indices of Fig. 5
-//! ([`build_resort_indices`]) remain for callers without routes.
+//! them ([`alltoall_specific_routed`]), rebuilt from a map of where every
+//! input ended that every rank holds ([`Routes::rebuild_from_owners`]), or,
+//! where nothing moved, the identity route ([`Route::Identity`]) — with no
+//! index built or exchanged. The resort indices of Fig. 5
+//! ([`build_resort_indices`]) remain for callers without routes, and as the
+//! query `fcs` answers from a plan.
 //!
 //! All operations can run over the synchronizing collective exchange
 //! ([`simcomm::Comm::alltoallv`]) or — when the caller knows the
@@ -103,8 +105,8 @@ pub enum ExchangeMode {
     ///
     /// An empty set says that no element leaves any rank: the call places
     /// locally, with no message and no barrier. Every rank of the world must
-    /// then pass an empty set — `fcs` does so on a quiet step, which its
-    /// allreduce has shown to be one on every rank.
+    /// then pass an empty set — [`hand_back`]'s restore does so when its
+    /// allreduce has shown every record home on every rank.
     Neighborhood(Vec<usize>),
 }
 
@@ -477,11 +479,14 @@ const TAG_RESORT: u64 = 0x7265_736f_7274;
 ///   as they are unchanged ([`ResortPlan::matches`]), which is the quiet
 ///   timestep of the paper's Method B: particles move, but the *routing* of
 ///   the redistribution does not.
-/// - **A solver's routes** ([`hand_back`] with a [`Routed`] solver). The
-///   data follows the routes of the solver's one redistribution, and the
-///   receiver places the `a`-th record to arrive where the solver's local
-///   order put the `a`-th particle. Both ends already know all of it, so no
-///   index is built or exchanged and no record carries a position.
+/// - **A solver's routes** ([`Routed::rebuild`], which [`hand_back`]
+///   calls). The data follows the routes of the solver's one
+///   redistribution, and the receiver places the `a`-th record to arrive
+///   where the solver's local order put the `a`-th particle. Both ends
+///   already know all of it, so no index is built or exchanged and no
+///   record carries a position. The identity route ([`Route::Identity`])
+///   keeps every record in its place: the plan of a quiet step and of a
+///   solver that never reorders, with no message and no collective.
 ///
 /// [`ResortPlan::execute`] / [`ResortPlan::execute_planes`] then only pack
 /// payload along the frozen routes, exchange it and place it. Executing a
@@ -593,9 +598,10 @@ impl ResortPlan {
 
     /// Rebuild this plan, in place, to send data along the `route` that
     /// brought `records` and place it in their order. The exchange is an
-    /// all-to-all-v if `collective`, point to point along the routes if not.
-    /// Purely local; charges the copy of the routes and of the placement,
-    /// and records a `plan_build` trace span.
+    /// all-to-all-v if `collective`, point to point along the routes if not;
+    /// the identity route has no exchange. Purely local; charges the copy of
+    /// the routes and of the placement, and records a `plan_build` trace
+    /// span.
     fn rebuild_from_routes(
         &mut self,
         comm: &mut Comm,
@@ -604,6 +610,7 @@ impl ResortPlan {
         collective: bool,
     ) {
         let t0 = comm.clock();
+        let collective = collective && !matches!(route, Route::Identity(_));
         // The placement vector of an earlier route plan is refilled.
         let mut at = match std::mem::replace(&mut self.placement, Placement::EMPTY) {
             Placement::Derived { at, .. } => at,
@@ -624,6 +631,12 @@ impl ResortPlan {
             // Straight into the plan: the arrival order is the placement.
             Route::Owners(n_in, owner) => {
                 self.routes.rebuild_from_owners(comm, n_in, owner, records, &mut at)
+            }
+            Route::Identity(n) => {
+                let me = comm.rank();
+                self.routes.record_sends(n, |_| me);
+                self.routes.from.clone_from(&self.routes.to);
+                at.clone_from(&self.routes.sent);
             }
         }
         (self.new_len, self.n_input) = (at.len(), self.routes.sent.len());
@@ -1048,6 +1061,23 @@ pub enum Route<'a> {
     /// from it ([`Routes::rebuild_from_owners`]), on a step that resorts and
     /// only then.
     Owners(usize, &'a dyn Fn(usize) -> usize),
+    /// Every one of the `n` records stayed where it was input: the route of
+    /// a quiet step, and of a solver that never reorders. Every record goes
+    /// to the local block, so the plan sends no message and joins no
+    /// collective, whatever `collective` says.
+    Identity(usize),
+}
+
+impl<'a> Routed<'a> {
+    /// Rebuild the kept plan in place from the route — no index built or
+    /// exchanged — and return it. `records` are the held records in the
+    /// solver's order; only [`Route::Owners`] reads them. Purely local (see
+    /// [`hand_back`] for the plan's exchange).
+    pub fn rebuild(self, comm: &mut Comm, records: &[Particle]) -> &'a ResortPlan {
+        let plan = self.plan.get_or_insert_with(ResortPlan::empty);
+        plan.rebuild_from_routes(comm, self.route, records, self.collective);
+        plan
+    }
 }
 
 /// What Method A's restore keeps from run to run, refilled in place: its
@@ -1077,13 +1107,12 @@ static HOME: ExchangeMode = ExchangeMode::Neighborhood(Vec::new());
 /// record's origin is its holder. Each test is charged one `ParticleOp` per
 /// record.
 ///
-/// If every rank fits, the output keeps the solver's order:
-/// - on a quiet step with the identity resort indices, built without an
-///   exchange (the second value returned says so);
-/// - otherwise with no index at all (the output's `resort_indices` is
-///   empty): the resort plan is rebuilt in place from the solver's
-///   [`Routed`] routes and order — over an all-to-all-v or point to point,
-///   as the routes say — with no index built or exchanged.
+/// If every rank fits, the output keeps the solver's order, and the
+/// solver's kept resort plan is rebuilt in place with no index built or
+/// exchanged: on a quiet step from [`Route::Identity`], so that the plan
+/// places locally with no message and no collective (the second value
+/// returned says so); otherwise from the solver's [`Routed`] routes and
+/// order — over an all-to-all-v or point to point, as the routes say.
 ///
 /// Otherwise every particle goes back to its origin rank and position
 /// (Fig. 4), in the order of the input. The restore is a resort plan over
@@ -1104,7 +1133,7 @@ pub fn hand_back(
     [t_start, t_sorted]: [f64; 2],
 ) -> (SolverOutput, bool) {
     let me = comm.rank();
-    let Solved { records, potential, field, columns, input, routed, restore } = solved;
+    let Solved { records, potential, field, columns, input, mut routed, restore } = solved;
     let n_in = input.0.len();
     let (mut resorted, mut all_quiet, mut all_home) = (false, false, false);
     comm.compute(Work::ParticleOp, records.len() as f64);
@@ -1120,16 +1149,11 @@ pub fn hand_back(
     let t_computed = comm.clock();
     let mut out = if resorted {
         comm.enter_phase("resort");
-        let resort_indices = if all_quiet {
-            comm.compute(Work::ByteCopy, (n_in * 8) as f64);
-            (0..n_in).map(|i| encode_index(me, i)).collect()
-        } else {
-            let Routed { route, collective, plan } = routed;
-            let plan = plan.get_or_insert_with(ResortPlan::empty);
-            plan.rebuild_from_routes(comm, route, records, collective);
-            assert_eq!(plan.n_input, n_in, "the routes must carry every input record");
-            Vec::new()
-        };
+        if all_quiet {
+            routed.route = Route::Identity(n_in);
+        }
+        let plan = routed.rebuild(comm, records);
+        assert_eq!(plan.n_input, n_in, "the routes must carry every input record");
         comm.exit_phase();
         let (pos, charge) = match columns {
             Some((pos, charge)) => (std::mem::take(pos), std::mem::take(charge)),
@@ -1145,7 +1169,6 @@ pub fn hand_back(
             potential: std::mem::take(potential),
             field: std::mem::take(field),
             resorted: true,
-            resort_indices,
             ..Default::default()
         }
     } else {

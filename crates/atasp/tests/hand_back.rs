@@ -4,11 +4,12 @@
 //! bit for bit, exactly as the 80-byte `(Particle, φ, E)` restore it replaced
 //! did, and an all-home step restores with no message and no collective.
 //! Method B keeps the solver's order, a quiet step costs one collective and
-//! no message, one rank without room sends every rank home, and the
-//! computation closes on exactly one allreduce before the redistribution
-//! starts. The resort plan built from the routes — recorded by the
-//! stand-in's redistribution, or rebuilt from where every input went — puts
-//! every byte where resort indices put it.
+//! no message and keeps the identity plan, one rank without room sends every
+//! rank home, and the computation closes on exactly one allreduce before the
+//! redistribution starts. The resort plan built from the routes — recorded
+//! by the stand-in's redistribution, rebuilt from where every input went, or
+//! the identity of a quiet step — puts every byte where resort indices put
+//! it.
 
 use atasp::{
     alltoall_specific, alltoall_specific_routed, build_resort_indices_with, decode_index,
@@ -254,7 +255,7 @@ fn method_a_returns_the_input_order_bit_for_bit() {
             let mut kept = Kept::default();
             let via = Via::Recorded { collective: true };
             let h = hand(comm, &input, &recs, (method, usize::MAX), &mut kept, via);
-            assert!(!h.out.resorted && !h.skipped && h.out.resort_indices.is_empty());
+            assert!(!h.out.resorted && !h.skipped);
             assert_eq!(bits(&h.out), bits(&expected(&input)), "p={p} rank {}", comm.rank());
             // Method A reuses the solver's result buffers for its output, as
             // Method B does, and leaves its columns in place.
@@ -322,9 +323,8 @@ fn method_b_keeps_the_solver_order_under_both_exchanges() {
                 let via = Via::Recorded { collective: mode == ExchangeMode::Collective };
                 let h = hand(comm, &input, &recs, (method, usize::MAX), &mut kept, via);
                 assert!(h.out.resorted, "p={p}");
-                // Some particle changed rank or place on some rank, and the
-                // plan replaces the indices.
-                assert!(!h.skipped && h.out.resort_indices.is_empty(), "p={p}");
+                // Some particle changed rank or place on some rank.
+                assert!(!h.skipped, "p={p}");
                 assert!(kept.plan.is_some(), "p={p}");
                 assert_eq!(bits(&h.out), bits(&expected(&recs)));
                 // Method B moves the solver's buffers into the output.
@@ -337,7 +337,7 @@ fn method_b_keeps_the_solver_order_under_both_exchanges() {
 }
 
 #[test]
-fn a_quiet_step_returns_identity_indices_with_one_collective_and_no_message() {
+fn a_quiet_step_keeps_an_identity_plan_with_one_collective_and_no_message() {
     for p in PS {
         run(p, MachineModel::juropa_like(), |comm| {
             let me = comm.rank();
@@ -351,16 +351,21 @@ fn a_quiet_step_returns_identity_indices_with_one_collective_and_no_message() {
             let via = Via::Recorded { collective: true };
             let h = hand(comm, &input, &recs, (method, usize::MAX), &mut kept, via);
             let after = comm.stats();
-            assert!(h.skipped && h.out.resorted, "p={p} rank {me}");
-            assert_eq!(h.out.resort_indices, identity);
-            assert!(kept.plan.is_none(), "p={p} rank {me}: no plan on a quiet step");
-            assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "p={p} rank {me}");
-            assert_eq!(after.coll_ops - before.coll_ops, 1, "p={p} rank {me}");
+            let what = format!("p={p} rank {me}");
+            assert!(h.skipped && h.out.resorted, "{what}");
+            assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "{what}");
+            assert_eq!(after.coll_ops - before.coll_ops, 1, "{what}");
             assert_eq!(bits(&h.out), bits(&expected(&input)));
-            // The exchange the quiet step skips would build the same indices.
+            // The exchange the quiet step skips would build the identity
+            // indices, and the kept plan places like them, with no message
+            // and no collective.
             let origins: Vec<u64> = input.iter().map(|r| r.origin).collect();
             let built = build_resort_indices_with(comm, &origins, input.len(), &collective);
-            assert_eq!(built, identity, "p={p} rank {me}");
+            assert_eq!(built, identity, "{what}");
+            let oracle = ResortPlan::build(comm, &built, input.len(), &collective);
+            let plan = kept.plan.as_ref().expect("a quiet step keeps the identity plan");
+            let traffic = assert_places_like(comm, (plan, &oracle), &input, &recs, &what);
+            assert_eq!(traffic, [(0, 0, 0); 2], "{what}: the identity plan communicates");
         });
     }
 }
@@ -385,7 +390,6 @@ fn one_rank_over_max_local_makes_every_rank_restore() {
                 let via = Via::Recorded { collective };
                 let h = hand(comm, &input, &recs, (method, max_local), &mut kept, via);
                 assert!(!h.out.resorted && !h.skipped, "p={p} rank {me} moves={moves}");
-                assert!(h.out.resort_indices.is_empty());
                 assert!(kept.plan.is_none(), "p={p} rank {me}: no plan for a restored order");
                 assert_eq!(bits(&h.out), bits(&expected(&input)), "p={p} rank {me}");
             }
@@ -522,19 +526,13 @@ fn a_plan_from_routes_puts_every_byte_where_the_indices_put_it() {
                     let origins: Vec<u64> = recs.iter().map(|r| r.origin).collect();
                     let indices = build_resort_indices_with(comm, &origins, input.len(), &mode);
                     let oracle = ResortPlan::build(comm, &indices, recs.len(), &mode);
-                    let plan = if moves {
-                        assert!(h.out.resort_indices.is_empty(), "{what}: no index");
-                        kept.plan.expect("a step that moves builds its plan from the routes")
-                    } else {
-                        // A quiet step keeps the identity indices, and `fcs`
-                        // resorts along them without communicating.
-                        assert!(kept.plan.is_none(), "{what}: no plan on a quiet step");
-                        assert_eq!(h.out.resort_indices, indices, "{what}");
-                        let quiet = ExchangeMode::Neighborhood(Vec::new());
-                        ResortPlan::build(comm, &h.out.resort_indices, recs.len(), &quiet)
-                    };
+                    // A quiet step keeps the identity plan, which resorts
+                    // without communicating.
+                    let plan = kept.plan.expect("a run that resorts keeps its plan");
                     let traffic = assert_places_like(comm, (&plan, &oracle), &input, &recs, &what);
-                    if moves && mode != ExchangeMode::Collective {
+                    if !moves {
+                        assert_eq!(traffic, [(0, 0, 0); 2], "{what}: the quiet plan communicates");
+                    } else if mode != ExchangeMode::Collective {
                         // Along the sort's own routes: a message to each rank
                         // the sort sent to and from each it heard from, and no
                         // collective.
@@ -570,17 +568,17 @@ fn a_plan_from_owners_puts_every_byte_where_the_indices_put_it() {
                 assert!(h.out.resorted, "{what}");
                 assert_eq!(bits(&h.out), bits(&expected(&recs)), "{what}");
                 let quiet = recs.iter().enumerate().all(|(i, r)| r.origin == encode_index(me, i));
-                if comm.allreduce(quiet, |a, b| a && b) {
-                    assert!(h.skipped, "{what}");
-                    continue;
-                }
-                assert!(!h.skipped && h.out.resort_indices.is_empty(), "{what}");
+                let quiet = comm.allreduce(quiet, |a, b| a && b);
+                assert_eq!(h.skipped, quiet, "{what}");
                 let origins: Vec<u64> = recs.iter().map(|r| r.origin).collect();
                 let collective = ExchangeMode::Collective;
                 let indices = build_resort_indices_with(comm, &origins, input.len(), &collective);
                 let oracle = ResortPlan::build(comm, &indices, recs.len(), &collective);
-                let plan = kept.plan.as_ref().expect("a step that moves builds its plan");
-                assert_places_like(comm, (plan, &oracle), &input, &recs, &what);
+                let plan = kept.plan.as_ref().expect("a run that resorts keeps its plan");
+                let traffic = assert_places_like(comm, (plan, &oracle), &input, &recs, &what);
+                if quiet {
+                    assert_eq!(traffic, [(0, 0, 0); 2], "{what}: the quiet plan communicates");
+                }
             }
         });
     }

@@ -11,13 +11,14 @@
 //!   calculated potential and field values are returned in the exact original
 //!   particle order and distribution.
 //! * **Method B** ([`Fcs::set_resort`]`(true)`): the solver-specific order
-//!   and distribution is returned to the application together with **resort
-//!   indices**, and [`Fcs::resort_floats`]/[`Fcs::resort_ints`]/
-//!   [`Fcs::resort_vec3`] redistribute the application's *additional*
+//!   and distribution is returned to the application, and
+//!   [`Fcs::resort_floats`]/[`Fcs::resort_ints`]/[`Fcs::resort_vec3`]/
+//!   [`Fcs::resort_planes`] redistribute the application's *additional*
 //!   particle data (velocities, accelerations, ...) accordingly. If any
 //!   process's local arrays are too small, the library falls back to
 //!   restoring the original distribution; [`Fcs::resorted`] reports which
-//!   happened.
+//!   happened. The paper's **resort indices** are a query
+//!   ([`Fcs::resort_indices`]), built only when a caller asks.
 //!
 //! The application can additionally report the maximum distance particles
 //! moved since the last execution ([`Fcs::set_max_particle_move`]); the
@@ -25,12 +26,13 @@
 //! merge-based parallel sort, the particle-mesh solver to neighbourhood
 //! point-to-point communication (Sect. III-B), where a message goes only to
 //! a neighbour that has data for it ([`atasp::ExchangeMode::Neighborhood`]).
-//! The resort of additional data follows the routes the solver's particles
+//! Every resort executes the one plan the solver kept from its last run
+//! ([`atasp::ResortPlan`]): it follows the routes the solver's particles
 //! took — the P2NFFT's owner redistribution, or the FMM's owner of every
 //! input's leaf key — so no resort index is built or exchanged. On a quiet
-//! step — one where the solver has shown every rank's
-//! resort indices to be the identity, and after every Ewald step — it places
-//! locally without communicating.
+//! step — one where the solver has shown that every rank kept its input in
+//! its input order — and after every Ewald step the plan is the identity
+//! route, which places locally without communicating.
 //!
 //! ## Usage (mirrors `fcs_init` / `fcs_set_common` / `fcs_tune` / `fcs_run` /
 //! `fcs_destroy`)
@@ -97,17 +99,12 @@ impl std::str::FromStr for SolverKind {
     }
 }
 
-/// The resort exchange of a quiet step: an empty neighbourhood, so the
-/// `resort_*` calls place locally with no message and no barrier (see
-/// [`ExchangeMode::Neighborhood`]).
-static QUIET: ExchangeMode = ExchangeMode::Neighborhood(Vec::new());
-
-/// The solver behind a handle (the two with workspaces boxed: a handle is
-/// moved about, a solver is not).
+/// The solver behind a handle, boxed: a handle is moved about, a solver with
+/// its workspaces and kept plans is not.
 enum SolverInstance {
     Fmm(Box<FmmSolver>),
     Pm(Box<PmSolver>),
-    Ewald(EwaldSolver),
+    Ewald(Box<EwaldSolver>),
 }
 
 /// A solver handle (the analogue of the `FCS` handle type): one per rank,
@@ -123,21 +120,9 @@ pub struct Fcs {
     solver: Option<SolverInstance>,
     // State of the most recent run, for the query/resort functions.
     last_resorted: bool,
-    last_resort_indices: Vec<u64>,
     /// The input particle count: the length of additional data to resort.
     last_n_in: usize,
     last_new_len: usize,
-    last_resort_mode: ExchangeMode,
-    /// Whether the run's resort plan is the solver's, built from its routes.
-    last_routed: bool,
-    /// Frozen redistribution schedule for the current resort indices, shared
-    /// by all `resort_*` calls and reused across runs while the indices,
-    /// output length and exchange mode are unchanged.
-    resort_plan: Option<atasp::ResortPlan>,
-    /// Resort plans built (including rebuilds) over the handle lifetime.
-    resort_plan_builds: u64,
-    /// Resort calls that reused the cached plan.
-    resort_plan_hits: u64,
 }
 
 impl Fcs {
@@ -154,21 +139,15 @@ impl Fcs {
             soft_core: None,
             solver: None,
             last_resorted: false,
-            last_resort_indices: Vec::new(),
             last_n_in: 0,
             last_new_len: 0,
-            last_resort_mode: ExchangeMode::Collective,
-            last_routed: false,
-            resort_plan: None,
-            resort_plan_builds: 0,
-            resort_plan_hits: 0,
         }
     }
 
-    /// Drop every cached communication plan — the solver's sort/ghost plans,
-    /// its resort plan built from its routes and the handle's frozen resort
-    /// schedule — without touching tuning state; resorting after a run that
-    /// moved particles then needs the next run. Recovery code that
+    /// Drop every cached communication plan — the solver's sort/ghost plans
+    /// and its resort plan — without touching tuning state; resorting then
+    /// needs the next run. (Ewald's identity plan carries no movement state
+    /// and is kept.) Recovery code that
     /// rewinds the particle state to an earlier snapshot must call this
     /// before replaying: cached plans carry movement accounting relative to
     /// the state they were built for, and replaying against a rewound state
@@ -176,7 +155,6 @@ impl Fcs {
     /// physics, so dropping them is always safe (costs only rebuild time).
     /// Must be called identically on all ranks.
     pub fn invalidate_plans(&mut self) {
-        self.resort_plan = None;
         match &mut self.solver {
             Some(SolverInstance::Fmm(s)) => s.invalidate_plans(),
             Some(SolverInstance::Pm(s)) => s.invalidate_plans(),
@@ -184,17 +162,16 @@ impl Fcs {
         }
     }
 
-    /// Communication-plan cache statistics as `(builds, hits)`, aggregated
-    /// over the solver's plans (ghost plan or sort plan) and the resort
-    /// plans: a run that builds its plan from the routes counts one build,
-    /// and the resort calls it serves count nothing.
+    /// Communication-plan cache statistics as `(builds, hits)` of the
+    /// solver's plans: the FMM's sort and locally essential tree plans, the
+    /// P2NFFT's ghost plans. The resort plan is rebuilt by every run that
+    /// resorts and counts in neither.
     pub fn plan_stats(&self) -> (u64, u64) {
-        let (sb, sh) = match &self.solver {
+        match &self.solver {
             Some(SolverInstance::Fmm(s)) => (s.plan_builds, s.plan_hits),
             Some(SolverInstance::Pm(s)) => (s.plan_builds, s.plan_hits),
             _ => (0, 0),
-        };
-        (sb + self.resort_plan_builds, sh + self.resort_plan_hits)
+        }
     }
 
     /// Which solver method this handle drives.
@@ -320,11 +297,9 @@ impl Fcs {
             SolverKind::Ewald => {
                 let mut cfg = EwaldConfig::tuned(&bbox, self.tolerance);
                 cfg.soft_core = self.soft_core;
-                self.solver = Some(SolverInstance::Ewald(EwaldSolver::new(bbox, cfg)));
+                self.solver = Some(SolverInstance::Ewald(Box::new(EwaldSolver::new(bbox, cfg))));
             }
         }
-        // Any previously frozen resort schedule is decomposition-stale.
-        self.resort_plan = None;
     }
 
     /// `fcs_run`: compute the long-range interactions of the given local
@@ -335,8 +310,8 @@ impl Fcs {
     /// `max_local` is the capacity of the application's local particle
     /// arrays (the maximum number of particles this process can store).
     ///
-    /// When the solver reports a quiet step (every rank's resort indices are
-    /// the identity), and after every Ewald run, the `resort_*` calls of
+    /// When the solver reports a quiet step (every rank kept its input in
+    /// its input order), and after every Ewald run, the `resort_*` calls of
     /// this run place locally, with no message and no barrier.
     pub fn run(
         &mut self,
@@ -353,33 +328,17 @@ impl Fcs {
             RedistMethod::RestoreOriginal
         };
         comm.enter_phase("solver");
-        // Whether the resort indices of this run are the identity on every
-        // rank, so that nothing leaves any rank: the solver's allreduce shows
-        // it on a quiet step, and Ewald never changes the order.
-        self.last_routed = false;
-        let (out, quiet) = match solver {
+        let out = match solver {
             SolverInstance::Fmm(s) => {
-                let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
-                self.last_routed = s.resort_plan().is_some();
-                (o, s.last_report.resort_exchange_skipped)
+                s.run(comm, pos, charge, id, method, self.max_move, max_local)
             }
-            SolverInstance::Pm(s) => {
-                let o = s.run(comm, pos, charge, id, method, self.max_move, max_local);
-                self.last_routed = s.resort_plan().is_some();
-                (o, s.last_report.resort_exchange_skipped)
-            }
+            SolverInstance::Pm(s) => s.run(comm, pos, charge, id, method, self.max_move, max_local),
             SolverInstance::Ewald(s) => {
-                (s.run(comm, pos, charge, id, method, self.max_move, max_local), true)
+                s.run(comm, pos, charge, id, method, self.max_move, max_local)
             }
         };
         comm.exit_phase();
-        let resort_mode = if quiet { &QUIET } else { &ExchangeMode::Collective };
-        if self.last_resort_mode != *resort_mode {
-            self.last_resort_mode = resort_mode.clone();
-        }
-        self.resort_plan_builds += u64::from(self.last_routed);
         self.last_resorted = out.resorted;
-        self.last_resort_indices.clone_from(&out.resort_indices);
         self.last_n_in = pos.len();
         self.last_new_len = out.pos.len();
         out
@@ -426,18 +385,18 @@ impl Fcs {
     ///     assert_eq!(mass_new.len(), h.resort_len());
     /// });
     /// ```
-    pub fn resort_floats(&mut self, comm: &mut Comm, data: &[f64]) -> Vec<f64> {
+    pub fn resort_floats(&self, comm: &mut Comm, data: &[f64]) -> Vec<f64> {
         self.resort_data(comm, data)
     }
 
     /// `fcs_resort_ints`: like [`Fcs::resort_floats`] for `i64` data.
-    pub fn resort_ints(&mut self, comm: &mut Comm, data: &[i64]) -> Vec<i64> {
+    pub fn resort_ints(&self, comm: &mut Comm, data: &[i64]) -> Vec<i64> {
         self.resort_data(comm, data)
     }
 
     /// Redistribute additional per-particle 3-vectors (velocities,
     /// accelerations) — the common case in the paper's integration method.
-    pub fn resort_vec3(&mut self, comm: &mut Comm, data: &[Vec3]) -> Vec<Vec3> {
+    pub fn resort_vec3(&self, comm: &mut Comm, data: &[Vec3]) -> Vec<Vec3> {
         self.resort_data(comm, data)
     }
 
@@ -448,50 +407,50 @@ impl Fcs {
     /// Callers that keep their additional data in a persistent `PlaneSet`
     /// should use [`Fcs::resort_planes`] instead, which moves every
     /// registered plane in one round without the staging copies.
-    pub fn resort_data<T: PlaneElem + Send>(&mut self, comm: &mut Comm, data: &[T]) -> Vec<T> {
-        assert!(
-            self.last_resorted,
-            "resort functions require a successful Method B run (check resorted())"
-        );
+    pub fn resort_data<T: PlaneElem + Send>(&self, comm: &mut Comm, data: &[T]) -> Vec<T> {
+        let plan = self.resort_plan();
         assert_eq!(
             data.len(),
             self.last_n_in,
             "additional data must match the original particle count"
         );
-        let plan = self.current_resort_plan(comm);
         plan.execute(comm, &[data]).pop().expect("one channel in, one channel out")
     }
 
-    /// The frozen redistribution schedule of the most recent run: the
-    /// solver's plan built from its routes, or the plan for the run's resort
-    /// indices — reused while the indices/length/mode are unchanged (also
-    /// *across* runs on quiet steps where the solver reproduces the same
-    /// placement), rebuilt otherwise.
-    fn current_resort_plan(&mut self, comm: &mut Comm) -> &atasp::ResortPlan {
-        if self.last_routed {
-            let plan = match &self.solver {
-                Some(SolverInstance::Fmm(s)) => s.resort_plan(),
-                Some(SolverInstance::Pm(s)) => s.resort_plan(),
-                _ => None,
-            };
-            return plan
-                .expect("the last run's resort plan was dropped (plans invalidated or re-tuned)");
-        }
-        let hit = self.resort_plan.as_ref().is_some_and(|pl| {
-            pl.matches(&self.last_resort_indices, self.last_new_len, &self.last_resort_mode)
-        });
-        if hit {
-            self.resort_plan_hits += 1;
-        } else {
-            self.resort_plan_builds += 1;
-            self.resort_plan = Some(atasp::ResortPlan::build(
-                comm,
-                &self.last_resort_indices,
-                self.last_new_len,
-                &self.last_resort_mode,
-            ));
-        }
-        self.resort_plan.as_ref().expect("plan built above")
+    /// The resort plan the solver kept from the most recent run, which
+    /// resorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run did not resort, or if its plan was dropped since
+    /// (plans invalidated or re-tuned).
+    fn resort_plan(&self) -> &atasp::ResortPlan {
+        assert!(
+            self.last_resorted,
+            "resort functions require a successful Method B run (check resorted())"
+        );
+        let plan = match &self.solver {
+            Some(SolverInstance::Fmm(s)) => s.resort_plan(),
+            Some(SolverInstance::Pm(s)) => s.resort_plan(),
+            Some(SolverInstance::Ewald(s)) => s.resort_plan(),
+            None => None,
+        };
+        plan.expect("the last run's resort plan was dropped (plans invalidated or re-tuned)")
+    }
+
+    /// The paper's resort indices of the most recent run (Sect. III-B): for
+    /// each particle of the original local array, the 64-bit code
+    /// `target rank << 32 | target position` of where the resort puts its
+    /// additional data. Built on request from the solver's resort plan — the
+    /// plan moves each input's own code, and the codes are inverted
+    /// ([`atasp::build_resort_indices_with`]) — so it costs a resort and an
+    /// index exchange, and keeps nothing. Must only be called when
+    /// [`Fcs::resorted`] is true. Collective.
+    pub fn resort_indices(&self, comm: &mut Comm) -> Vec<u64> {
+        let me = comm.rank();
+        let codes: Vec<u64> = (0..self.last_n_in).map(|i| atasp::encode_index(me, i)).collect();
+        let origins = self.resort_data(comm, &codes);
+        atasp::build_resort_indices_with(comm, &origins, self.last_n_in, &ExchangeMode::Collective)
     }
 
     /// Redistribute every registered plane of `set` — the application's
@@ -507,8 +466,8 @@ impl Fcs {
     /// sizes. On return `set.len()` equals [`Fcs::resort_len`]. Must only be
     /// called when [`Fcs::resorted`] is true. Collective.
     ///
-    /// The frozen schedule is shared with the per-`T` entry points and
-    /// cached across runs (see [`Fcs::plan_stats`]).
+    /// The plan is the one the solver kept from the run, shared with the
+    /// per-`T` entry points.
     ///
     /// ```
     /// use fcs::{Fcs, SolverKind};
@@ -539,13 +498,9 @@ impl Fcs {
     ///     assert_eq!(aux.len(), h.resort_len());
     /// });
     /// ```
-    pub fn resort_planes(&mut self, comm: &mut Comm, set: &mut PlaneSet) {
-        assert!(
-            self.last_resorted,
-            "resort functions require a successful Method B run (check resorted())"
-        );
+    pub fn resort_planes(&self, comm: &mut Comm, set: &mut PlaneSet) {
+        let plan = self.resort_plan();
         assert_eq!(set.len(), self.last_n_in, "plane set must match the original particle count");
-        let plan = self.current_resort_plan(comm);
         plan.execute_planes(comm, set);
     }
 
@@ -768,6 +723,11 @@ mod tests {
                 assert_eq!(moved, tags);
                 assert_eq!(after.p2p_sent_msgs, before.p2p_sent_msgs, "{kind:?}: no message");
                 assert_eq!(after.coll_ops, before.coll_ops, "{kind:?}: no barrier");
+                // The plan is the identity: so are the indices it answers.
+                let me = comm.rank();
+                let identity: Vec<u64> =
+                    (0..tags.len()).map(|i| atasp::encode_index(me, i)).collect();
+                assert_eq!(h.resort_indices(comm), identity, "{kind:?}");
             });
         }
     }
@@ -807,7 +767,7 @@ mod tests {
                     }
                     starts.push(comm.clock());
                     let o = h.run(comm, &pos, &charge, &id, usize::MAX);
-                    assert!(h.resorted() && o.resort_indices.is_empty(), "step {step}: it moves");
+                    assert!(h.resorted(), "step {step}: it moves");
                     tags = h
                         .resort_ints(comm, &tags.iter().map(|&t| t as i64).collect::<Vec<_>>())
                         .into_iter()

@@ -20,14 +20,14 @@
 //! Unlike the FMM and the particle-mesh solver, Ewald summation works on
 //! *any* particle distribution and never reorders or redistributes the
 //! particles. Under Method B it therefore returns the unchanged order with
-//! identity resort indices — a degenerate but valid case of the paper's
+//! the identity resort plan — a degenerate but valid case of the paper's
 //! interface (the `resorted()` query reports `true`, and resorting
-//! additional data is a no-op permutation).
+//! additional data places it locally, with no message and no collective).
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
-use atasp::encode_index;
+use atasp::{ResortPlan, Route, Routed};
 use particles::math::{erfc, M_2_SQRTPI};
 use particles::{MovementHint, RedistMethod, SolverOutput, SolverTimings, SystemBox, Vec3};
 use simcomm::{Comm, Work};
@@ -80,6 +80,9 @@ pub struct EwaldRunReport {
 pub struct EwaldSolver {
     cfg: EwaldConfig,
     bbox: SystemBox,
+    /// Method B's identity resort plan, rebuilt when the particle count
+    /// changes.
+    resort_plan: Option<ResortPlan>,
     /// Report of the most recent run.
     pub last_report: EwaldRunReport,
 }
@@ -92,7 +95,7 @@ impl EwaldSolver {
         assert!(bbox.fully_periodic(), "Ewald summation needs a fully periodic box");
         let lmin = bbox.lengths.x().min(bbox.lengths.y()).min(bbox.lengths.z());
         assert!(cfg.rcut <= 0.5 * lmin + 1e-12, "rcut violates the minimum-image bound");
-        EwaldSolver { cfg, bbox, last_report: EwaldRunReport::default() }
+        EwaldSolver { cfg, bbox, resort_plan: None, last_report: EwaldRunReport::default() }
     }
 
     /// The solver's configuration.
@@ -100,9 +103,17 @@ impl EwaldSolver {
         &self.cfg
     }
 
+    /// The resort plan of the last run under [`RedistMethod::UseChanged`]:
+    /// the identity route over its particles ([`Route::Identity`]), which
+    /// places additional data locally with no message and no collective.
+    pub fn resort_plan(&self) -> Option<&ResortPlan> {
+        self.resort_plan.as_ref()
+    }
+
     /// Execute the solver. The particle order and distribution is never
-    /// changed; under [`RedistMethod::UseChanged`] the resort indices are the
-    /// identity permutation of the input.
+    /// changed; under [`RedistMethod::UseChanged`] the resort plan
+    /// ([`EwaldSolver::resort_plan`]) is the identity, rebuilt only when the
+    /// particle count changed.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -263,8 +274,12 @@ impl EwaldSolver {
 
         // ---- Output: the order never changed ----
         let resorted = method == RedistMethod::UseChanged;
-        let resort_indices: Vec<u64> =
-            if resorted { (0..n).map(|i| encode_index(me, i)).collect() } else { Vec::new() };
+        if resorted && self.resort_plan.as_ref().is_none_or(|plan| plan.new_len() != n) {
+            comm.enter_phase("resort");
+            let plan = &mut self.resort_plan;
+            Routed { route: Route::Identity(n), collective: false, plan }.rebuild(comm, &[]);
+            comm.exit_phase();
+        }
         SolverOutput {
             pos: pos.to_vec(),
             charge: charge.to_vec(),
@@ -272,7 +287,6 @@ impl EwaldSolver {
             potential,
             field,
             resorted,
-            resort_indices,
             timings: SolverTimings {
                 sort: t_sorted - t_start,
                 compute: t_computed - t_sorted,
@@ -369,37 +383,46 @@ mod tests {
     }
 
     #[test]
-    fn method_b_returns_identity_resort_indices() {
+    fn method_b_keeps_an_identity_resort_plan() {
         let c = IonicCrystal::cubic(4, 1.0, 0.1, 2);
         let bbox = c.system_box();
         let cfg = EwaldConfig::tuned(&bbox, 1e-3);
         run(3, MachineModel::ideal(), move |comm| {
             let set = local_set(&c, InitialDistribution::Random, comm.rank(), 3, [1, 1, 3]);
             let mut solver = EwaldSolver::new(bbox, cfg.clone());
-            let o = solver.run(
-                comm,
-                set.pos(),
-                set.charge(),
-                set.id(),
-                RedistMethod::UseChanged,
-                None,
-                usize::MAX,
-            );
-            assert!(o.resorted);
-            assert_eq!(o.id, set.id(), "order unchanged");
-            for (i, &ix) in o.resort_indices.iter().enumerate() {
-                assert_eq!(atasp::decode_index(ix), (comm.rank(), i), "identity index");
-            }
-            // Resorting through the indices must be a no-op.
             let data: Vec<f64> = set.id().iter().map(|&x| x as f64).collect();
-            let moved = atasp::resort(
-                comm,
-                &data,
-                &o.resort_indices,
-                data.len(),
-                &atasp::ExchangeMode::Collective,
-            );
-            assert_eq!(moved, data);
+            for r in 0..2 {
+                let builds = comm.stats().plan_builds;
+                let o = solver.run(
+                    comm,
+                    set.pos(),
+                    set.charge(),
+                    set.id(),
+                    RedistMethod::UseChanged,
+                    None,
+                    usize::MAX,
+                );
+                assert!(o.resorted);
+                assert_eq!(o.id, set.id(), "order unchanged");
+                // Built once, kept while the particle count holds.
+                assert_eq!(comm.stats().plan_builds - builds, u64::from(r == 0), "run {r}");
+                // The plan places locally, as the identity resort indices of
+                // Fig. 5 do.
+                let plan = solver.resort_plan().expect("Method B keeps a plan");
+                let before = comm.stats().clone();
+                let moved = plan.execute(comm, &[&data]).pop().expect("one channel");
+                assert_eq!(moved, data, "run {r}");
+                assert_eq!(comm.stats().p2p_sent_msgs, before.p2p_sent_msgs, "no message");
+                assert_eq!(comm.stats().coll_ops, before.coll_ops, "no collective");
+                let me = comm.rank();
+                let origins: Vec<u64> =
+                    (0..data.len()).map(|i| atasp::encode_index(me, i)).collect();
+                let collective = atasp::ExchangeMode::Collective;
+                let indices =
+                    atasp::build_resort_indices_with(comm, &origins, data.len(), &collective);
+                assert_eq!(indices, origins, "identity indices");
+                assert_eq!(atasp::resort(comm, &data, &indices, data.len(), &collective), moved);
+            }
         });
     }
 

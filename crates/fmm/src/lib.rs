@@ -17,12 +17,13 @@
 //!
 //! After the computation the solver either **restores** the original particle
 //! order and distribution (Method A, paper Sect. III-A) or returns the
-//! **changed** Z-order distribution together with resort indices (Method B,
-//! Sect. III-B), through the return path both particle solvers share
-//! ([`atasp::hand_back`]). On a quiet step — every rank kept its input
-//! particles in their input order — the resort indices are the identity and
-//! are returned without an exchange ([`FmmRunReport::resort_exchange_skipped`]);
-//! the merge sort closes on one allgather whose
+//! **changed** Z-order distribution together with a resort plan for the
+//! application's additional data (Method B, Sect. III-B), through the return
+//! path both particle solvers share ([`atasp::hand_back`]). On a quiet step —
+//! every rank kept its input particles in their input order — the plan is
+//! the identity route, which exchanges nothing
+//! ([`FmmRunReport::resort_exchange_skipped`]); the merge sort closes on one
+//! allgather whose
 //! spans the cell alignment reuses, and the alignment exchanges nothing when
 //! no leaf cell is split across ranks.
 
@@ -199,12 +200,26 @@ mod tests {
                 FmmSolver::new(c.system_box(), FmmConfig { order: 2, level: 2, soft_core: None });
             let o =
                 solver.run(comm, &pos, &charge, &id, RedistMethod::UseChanged, None, usize::MAX);
-            assert!(o.resorted && o.resort_indices.is_empty(), "a plan instead of indices");
+            assert!(o.resorted);
             // Resort the original ids and compare against the changed ids.
             let plan = solver.resort_plan().expect("a step that moves builds its plan");
             assert_eq!(plan.new_len(), o.id.len(), "one place per changed particle");
             let moved_ids = plan.execute(comm, &[&id]).pop().expect("one channel");
             assert_eq!(moved_ids, o.id, "the plan must map original to changed order");
+            // The resort indices of Fig. 5, built from where every changed
+            // particle came from, move the ids alike.
+            let origins: Vec<u64> = o
+                .id
+                .iter()
+                .map(|&k| {
+                    let r = (0..p).rfind(|&r| r * n / p <= k as usize).expect("rank 0 starts at 0");
+                    atasp::encode_index(r, k as usize - r * n / p)
+                })
+                .collect();
+            let collective = atasp::ExchangeMode::Collective;
+            let indices = atasp::build_resort_indices_with(comm, &origins, id.len(), &collective);
+            let by_indices = atasp::resort(comm, &id, &indices, o.id.len(), &collective);
+            assert_eq!(by_indices, moved_ids, "the plan sends every id where the indices do");
             // The changed order must be globally Z-sorted.
             let keys: Vec<u64> =
                 o.pos.iter().map(|&x| crate::tree::leaf_key(&c.system_box(), x, 2)).collect();
@@ -237,12 +252,11 @@ mod tests {
                 FmmSolver::new(c.system_box(), FmmConfig { order: 2, level: 2, soft_core: None });
             // Zero capacity forces the fallback everywhere.
             let o = solver.run(comm, &pos, &charge, &id, RedistMethod::UseChanged, None, 0);
-            (o.resorted, o.id == id, o.resort_indices.is_empty())
+            (o.resorted, o.id == id)
         });
-        for (resorted, same, no_indices) in out.results {
+        for (resorted, same) in out.results {
             assert!(!resorted, "zero capacity must force the restore fallback");
             assert!(same, "fallback must restore the original order");
-            assert!(no_indices);
         }
     }
 

@@ -212,9 +212,9 @@ pub struct FmmRunReport {
     /// for the near field.
     pub ghost_bytes: u64,
     /// Whether the step was quiet — every rank kept its input particles in
-    /// their input order — so that no resort plan was built: the run
-    /// returned the identity resort indices, and `fcs` resorts the step's
-    /// additional data locally, with no message and no barrier.
+    /// their input order — so that the resort plan is the identity route:
+    /// `fcs` resorts the step's additional data locally, with no message and
+    /// no barrier.
     pub resort_exchange_skipped: bool,
 }
 
@@ -239,10 +239,8 @@ pub struct FmmSolver {
     sort_plan: Option<SortPlan>,
     /// Routes of the remote multipoles, kept while the tree repeats.
     let_plan: LetPlan,
-    /// Method B's resort plan, rebuilt in place by every run that resorts
-    /// and is not quiet; `resort_plan_fresh` says whether the last run did.
+    /// Method B's resort plan, rebuilt in place by every run that resorts.
     resort_plan: Option<ResortPlan>,
-    resort_plan_fresh: bool,
     ws: Workspace,
     /// Plans recorded over the solver lifetime: merge-sort probe schedules
     /// and locally essential tree plans.
@@ -286,7 +284,6 @@ impl FmmSolver {
             sort_plan: None,
             let_plan: LetPlan::default(),
             resort_plan: None,
-            resort_plan_fresh: false,
             ws: Workspace::default(),
             plan_builds: 0,
             plan_hits: 0,
@@ -323,13 +320,14 @@ impl FmmSolver {
         self.resort_plan = None;
     }
 
-    /// The resort plan of the last run, if it built one: after a Method B
-    /// run that was neither quiet nor sent home by the capacity test. It
-    /// sends additional data in the input order to the rank that owns each
-    /// input's leaf key and places it in the solver's order, so the run
-    /// returned no resort indices (see [`atasp::hand_back`]).
+    /// The resort plan of the last run that resorted (a Method B run not
+    /// sent home by the capacity test); `None` before the first such run and
+    /// after [`FmmSolver::invalidate_plans`]. It sends additional data in the
+    /// input order to the rank that owns each input's leaf key and places it
+    /// in the solver's order — on a quiet step, the identity (see
+    /// [`atasp::hand_back`]). A run that restored leaves it stale.
     pub fn resort_plan(&self) -> Option<&ResortPlan> {
-        self.resort_plan.as_ref().filter(|_| self.resort_plan_fresh)
+        self.resort_plan.as_ref()
     }
 
     /// Execute the solver: compute potentials and field values for the given
@@ -353,9 +351,8 @@ impl FmmSolver {
     /// resort plan follows those routes — point to point after a merge sort,
     /// in an all-to-all-v after a partition sort — with no resort index
     /// built or exchanged. A step on which every rank keeps its input
-    /// particles in their input order is quiet: its identity resort indices
-    /// are returned without an exchange, and
-    /// [`FmmRunReport::resort_exchange_skipped`] is set.
+    /// particles in their input order is quiet: its resort plan is the
+    /// identity route, and [`FmmRunReport::resort_exchange_skipped`] is set.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &mut self,
@@ -492,9 +489,6 @@ impl FmmSolver {
         };
         let (out, skipped) = hand_back(comm, method, max_local, solved, [t_start, t_sorted]);
         self.last_report.resort_exchange_skipped = skipped;
-        // The hand-back builds the plan exactly for the changed order of a
-        // step that is not quiet.
-        self.resort_plan_fresh = out.resorted && !skipped;
         (ws.keys, ws.recs) = (keys, recs);
         self.ws = ws;
         out

@@ -1,12 +1,13 @@
 //! A quiet FMM step pays for two collectives: the merge sort closes on one
 //! allgather whose spans feed the cell alignment, the alignment exchanges
-//! nothing when no leaf cell is split across ranks, and a resort whose
-//! indices are the identity on every rank skips its exchange. None of it
+//! nothing when no leaf cell is split across ranks, and its resort plan is
+//! the identity route, which exchanges nothing. None of it
 //! shows in the physics: every run below returns the bits of a solver whose
 //! plans are dropped before every run — or, after a guard fallback, of a
 //! solver that chose the partition sort up front. A step that moves builds
-//! its resort plan from the key owners with no message, and the plan puts
-//! every byte of additional data where resort indices put it.
+//! its resort plan from the key owners with no message, and the plan — the
+//! identity on a quiet step — puts every byte of additional data where
+//! resort indices put it.
 
 use std::collections::BTreeMap;
 
@@ -89,12 +90,7 @@ fn block(particles: &[(Vec3, f64)], me: usize, p: usize) -> Local {
 fn bits(o: &SolverOutput) -> Vec<u64> {
     let vecs = o.pos.iter().chain(&o.field).flat_map(|v| [0, 1, 2].map(|d| v[d].to_bits()));
     let scalars = o.charge.iter().chain(&o.potential).map(|x| x.to_bits());
-    let flags = [u64::from(o.resorted), o.resort_indices.len() as u64];
-    vecs.chain(scalars)
-        .chain(o.id.iter().copied())
-        .chain(flags)
-        .chain(o.resort_indices.clone())
-        .collect()
+    vecs.chain(scalars).chain(o.id.iter().copied()).chain([u64::from(o.resorted)]).collect()
 }
 
 /// Collectives and messages sent so far inside phases named `name` (all
@@ -213,26 +209,15 @@ fn a_particle_crossing_a_rank_boundary_is_not_quiet_and_still_resorts() {
                 assert_eq!(bits(&got.out), bits(&want.out), "{what}: bits differ");
                 let quiet = r == 1;
                 assert_eq!(planned.last_report.resort_exchange_skipped, quiet, "{what}");
-                // The plan — or on a quiet step the identity indices — carries
-                // data in the input order to the output's.
+                // The plan — the identity on a quiet step — carries data in
+                // the input order to the output's.
                 let tags: Vec<f64> = input.2.iter().map(|&i| i as f64).collect();
                 let o = &got.out;
-                let moved = match planned.resort_plan() {
-                    Some(plan) => {
-                        assert!(!quiet && o.resort_indices.is_empty(), "{what}: a plan");
-                        plan.execute(comm, &[&tags]).pop().expect("one channel")
-                    }
-                    None => {
-                        assert!(quiet, "{what}: a step that moves builds a plan");
-                        let mode = atasp::ExchangeMode::Collective;
-                        atasp::resort(comm, &tags, &o.resort_indices, o.pos.len(), &mode)
-                    }
-                };
+                let plan = planned.resort_plan().expect("a run that resorts leaves its plan");
+                let moved = plan.execute(comm, &[&tags]).pop().expect("one channel");
                 assert!(moved.into_iter().eq(o.id.iter().map(|&i| i as f64)), "{what}: resort");
-                // The plan follows the key owners: its resort sends nothing.
-                if !quiet {
-                    assert_eq!(got.resort, (0, 0), "{what}: the resort communicates");
-                }
+                // The plan follows the key owners: building it sends nothing.
+                assert_eq!(got.resort, (0, 0), "{what}: the resort communicates");
                 input = (got.out.pos, got.out.charge, got.out.id);
             }
             (input.2, pair)
@@ -412,8 +397,7 @@ fn assert_plan_is_the_index_plan(
     out: &SolverOutput,
     what: &str,
 ) -> u64 {
-    let plan = solver.resort_plan().expect("a step that moves builds its plan");
-    assert!(out.resort_indices.is_empty(), "{what}: indices beside the plan");
+    let plan = solver.resort_plan().expect("a run that resorts leaves its plan");
     let origin_of: BTreeMap<u64, u64> = (comm.allgather(input_ids.to_vec()).into_iter())
         .enumerate()
         .flat_map(|(r, ids)| (0..ids.len()).map(move |i| (ids[i], encode_index(r, i))))
@@ -468,15 +452,11 @@ fn the_owner_map_plan_puts_every_byte_where_the_indices_put_it() {
                 assert_eq!(solver.last_report.used_merge_sort, r > 0, "{what}");
                 // Building the plan is local.
                 assert_eq!(got.resort, (0, 0), "{what}: the resort communicates");
-                if solver.last_report.resort_exchange_skipped {
-                    assert!(solver.resort_plan().is_none(), "{what}: a plan on a quiet step");
-                } else {
-                    let colls =
-                        assert_plan_is_the_index_plan(comm, &solver, &input.2, &got.out, &what);
-                    // Point to point after a merge sort, one all-to-all-v each
-                    // after a partition sort.
-                    assert_eq!(colls, if r > 0 { 0 } else { 2 }, "{what}: plan collectives");
-                }
+                let colls = assert_plan_is_the_index_plan(comm, &solver, &input.2, &got.out, &what);
+                // Point to point after a merge sort, one all-to-all-v each
+                // after a partition sort, nothing on a quiet step.
+                let point_to_point = r > 0 || solver.last_report.resort_exchange_skipped;
+                assert_eq!(colls, if point_to_point { 0 } else { 2 }, "{what}: plan collectives");
                 input = drifted(&b, &got.out, step, 0xd1f7 ^ (r * p + me) as u64);
             }
             // Split cells the alignment moves, and empty ranks from three on.

@@ -109,8 +109,8 @@ pub struct StepRecord {
     pub sort: f64,
     /// Restoring the original order and distribution (Method A only).
     pub restore: f64,
-    /// Creating the resort indices or plan + resorting the application's
-    /// additional particle data (Method B only).
+    /// Building the resort plan + resorting the application's additional
+    /// particle data (Method B only).
     pub resort: f64,
     /// Total time of the solver execution including application-side
     /// redistribution of additional data.
@@ -137,10 +137,10 @@ pub struct SimResult {
     pub rms_displacement: f64,
     /// Final virtual clock of this rank.
     pub final_clock: f64,
-    /// Communication plans built (including rebuilds) across the run — the
-    /// solver's plans plus the resort schedules (see `Fcs::plan_stats`).
+    /// The solver's communication plans built (including rebuilds) across
+    /// the run (see `Fcs::plan_stats`).
     pub plan_builds: u64,
-    /// Solver executions / resort calls that reused a cached plan.
+    /// Solver executions that reused a kept plan.
     pub plan_hits: u64,
     /// Rollback-and-replay recoveries performed. Only fault-injected runs
     /// (see [`simcomm::Runner::faulted`]) can recover; plain runs report 0.

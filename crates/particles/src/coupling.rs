@@ -12,7 +12,8 @@ pub enum RedistMethod {
     /// restore the original particle order and distribution (Sect. III-A).
     RestoreOriginal,
     /// Method B: return the changed (solver-specific) particle order and
-    /// distribution together with resort indices (Sect. III-B).
+    /// distribution, and resort the application's additional data into it
+    /// (Sect. III-B).
     UseChanged,
 }
 
@@ -64,8 +65,8 @@ impl SoftCore {
 
 /// One particle as the solvers carry it between ranks: position, charge, the
 /// application's global id, and the origin code (`origin rank << 32 | origin
-/// position`) by which its results go home (Method A) or, where a solver
-/// builds them, its resort index is built (Method B).
+/// position`) by which its results go home (Method A) and a resort plan
+/// rebuilt from owners orders its arrivals (Method B).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Particle {
     /// Particle position.
@@ -89,9 +90,8 @@ pub struct SolverTimings {
     /// Restoring the original order and distribution (Method A only).
     pub restore: f64,
     /// Method B only: the hand-back's resort step — building the resort
-    /// indices by an exchange (FMM), building the resort plan from the
-    /// owner redistribution's routes with no exchange (P2NFFT), or the
-    /// identity indices of a quiet step.
+    /// plan from the particles' routes with no exchange, or from the
+    /// identity route on a quiet step.
     pub resort_create: f64,
     /// Total time of the solver execution.
     pub total: f64,
@@ -121,16 +121,12 @@ pub struct SolverOutput {
     pub field: Vec<Vec3>,
     /// `true` iff the particles were returned in the changed (solver) order
     /// and distribution (Method B succeeded); `false` means the original
-    /// order and distribution was restored.
+    /// order and distribution was restored. A run that resorted leaves its
+    /// solver a resort plan for the application's additional data
+    /// (`FmmSolver::resort_plan`, `PmSolver::resort_plan`,
+    /// `EwaldSolver::resort_plan`), which `fcs` executes; no resort index is
+    /// returned.
     pub resorted: bool,
-    /// Method B: for each particle of the *original* local array, the
-    /// 64-bit (target rank << 32 | target position) resort index — returned
-    /// only where it costs no exchange: by a quiet step (the identity) and by
-    /// Ewald, which never reorders. Empty for Method A, and after a moving
-    /// Method B step of either particle solver: it builds a resort plan from
-    /// its particles' routes instead (`FmmSolver::resort_plan`,
-    /// `PmSolver::resort_plan`), which `fcs` executes.
-    pub resort_indices: Vec<u64>,
     /// Timing breakdown of this execution.
     pub timings: SolverTimings,
 }

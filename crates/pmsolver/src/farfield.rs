@@ -1011,7 +1011,10 @@ impl FarFieldPlan {
         }
 
         if spec.len() != pencil.len() || waves.is_empty() {
+            // The points' walk has no size hint: reserve, or the first fill
+            // grows by doubling.
             spec.clear();
+            spec.reserve_exact(pencil.len());
             spec.extend(dist.points(at, me).map(|point| {
                 let [mx, my, mz] = point.map(|i| self.freq(i));
                 self.influence(mx, my, mz)

@@ -18,8 +18,8 @@
 //! After the computation the solver either restores the original particle
 //! order and distribution (Method A) or returns the changed grid
 //! distribution (Method B) with a resort plan built from its owner
-//! redistribution's routes, no resort index exchanged (identity resort
-//! indices on a quiet step); with limited particle movement the
+//! redistribution's routes, no resort index exchanged (the identity route
+//! on a quiet step); with limited particle movement the
 //! redistribution switches from collective all-to-all to neighbourhood
 //! point-to-point communication (Sect. III-B), and so does the resort.
 
@@ -201,14 +201,25 @@ mod tests {
                 usize::MAX,
             );
             assert!(o.resorted);
-            // The plan comes from the routes: no resort index is returned.
-            assert!(o.resort_indices.is_empty());
             let plan = solver.resort_plan().expect("a Method B step that moves builds its plan");
             assert_eq!(plan.new_len(), o.id.len());
             // Resorting the original ids must match the changed order (in
             // particular, ghosts are not part of the returned particles).
             let moved_ids = plan.execute(comm, &[set.id()]).pop().unwrap();
             assert_eq!(moved_ids, o.id);
+            // The resort indices of Fig. 5, built from where every changed
+            // particle came from, move the ids alike.
+            let inputs = comm.allgather(set.id().to_vec());
+            let origin_of: std::collections::BTreeMap<u64, u64> = (inputs.iter().enumerate())
+                .flat_map(|(r, ids)| {
+                    (0..ids.len()).map(move |i| (ids[i], atasp::encode_index(r, i)))
+                })
+                .collect();
+            let origins: Vec<u64> = o.id.iter().map(|id| origin_of[id]).collect();
+            let collective = atasp::ExchangeMode::Collective;
+            let indices = atasp::build_resort_indices_with(comm, &origins, set.len(), &collective);
+            let by_indices = atasp::resort(comm, set.id(), &indices, o.id.len(), &collective);
+            assert_eq!(by_indices, moved_ids, "the plan sends every id where the indices do");
             // All returned particles must live in this rank's subdomain.
             let dims = CartGrid::balanced(p).dims();
             for &x in &o.pos {
@@ -290,7 +301,6 @@ mod tests {
         for (a, b, ids_a, ids_b) in out.results {
             assert_eq!(a.id, b.id);
             assert_eq!(a.pos, b.pos);
-            assert!(a.resort_indices.is_empty() && b.resort_indices.is_empty());
             assert_eq!(ids_a, a.id, "the collective plan places every id");
             assert_eq!(ids_b, b.id, "the neighbourhood plan places every id");
             for (x, y) in a.potential.iter().zip(&b.potential) {
@@ -459,7 +469,6 @@ mod tests {
             );
             assert!(!o.resorted);
             assert_eq!(o.id, set.id());
-            assert!(o.resort_indices.is_empty());
         });
     }
 

@@ -76,10 +76,9 @@ pub struct PmRunReport {
     /// routes and linked-cell placement) instead of rebuilding it.
     pub ghost_plan_reused: bool,
     /// Whether this was a quiet Method B step: every rank held exactly its
-    /// input particles in their input order, so the resort indices are the
-    /// identity, built without an exchange, and no resort plan is built from
-    /// the routes. `fcs` then resorts the step's additional data locally,
-    /// with no message and no barrier.
+    /// input particles in their input order, so the resort plan is the
+    /// identity route. `fcs` then resorts the step's additional data
+    /// locally, with no message and no barrier.
     pub resort_exchange_skipped: bool,
     /// Whether the movement-bound guard detected a particle whose new owner
     /// lies outside the 26-neighbourhood (the movement hint under-reported
@@ -321,10 +320,8 @@ pub struct PmSolver {
     /// bitwise invisible to results and virtual clocks.
     far_cache: FarFieldCache,
     /// The resort plan built from the owner redistribution's routes, kept
-    /// to be rebuilt in place; `resort_plan_fresh` says the last run built
-    /// it.
+    /// to be rebuilt in place by every run that resorts.
     resort_plan: Option<ResortPlan>,
-    resort_plan_fresh: bool,
     /// Ghost-plan epochs built (including rebuilds) over the solver lifetime.
     pub plan_builds: u64,
     /// Runs that re-executed a cached ghost-plan epoch.
@@ -364,7 +361,6 @@ impl PmSolver {
             far_plan,
             far_cache: FarFieldCache::default(),
             resort_plan: None,
-            resort_plan_fresh: false,
             plan_builds: 0,
             plan_hits: 0,
             guard_fallbacks: 0,
@@ -394,13 +390,14 @@ impl PmSolver {
         self.resort_plan = None;
     }
 
-    /// The resort plan of the last run, if it built one: after a Method B
-    /// run that was neither quiet nor sent home by the capacity test. It
-    /// sends additional data in the input order along the routes of the
-    /// owner redistribution and places it in the linked-cell order, so the
-    /// run returned no resort indices (see [`atasp::hand_back`]).
+    /// The resort plan of the last run that resorted (a Method B run not
+    /// sent home by the capacity test); `None` before the first such run and
+    /// after [`PmSolver::invalidate_plans`]. It sends additional data in the
+    /// input order along the routes of the owner redistribution and places
+    /// it in the linked-cell order — on a quiet step, the identity (see
+    /// [`atasp::hand_back`]). A run that restored leaves it stale.
     pub fn resort_plan(&self) -> Option<&ResortPlan> {
-        self.resort_plan.as_ref().filter(|_| self.resort_plan_fresh)
+        self.resort_plan.as_ref()
     }
 
     /// Epoch lifetime the skin margin is sized for, in per-step maximum
@@ -702,9 +699,6 @@ impl PmSolver {
         };
         let (out, skipped) = hand_back(comm, method, max_local, solved, [t_start, t_sorted]);
         self.last_report.resort_exchange_skipped = skipped;
-        // The hand-back builds the plan exactly for the changed order of a
-        // step that is not quiet.
-        self.resort_plan_fresh = out.resorted && !skipped;
         self.ws = ws;
         out
     }

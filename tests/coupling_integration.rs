@@ -69,7 +69,6 @@ fn method_a_is_bit_transparent() {
             assert_eq!(o.charge, set.charge());
             assert_eq!(o.id, set.id());
             assert_eq!(o.potential.len(), set.len());
-            assert!(o.resort_indices.is_empty());
         });
     }
 }

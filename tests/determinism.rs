@@ -131,6 +131,23 @@
 //! `0xc6b5_0b1d_417d_7a98`. Every receiver's sum is computed whole in its
 //! cell and `potential = near + far` keeps its order, so every physics half
 //! held, as did every FMM half and both redistribution halves.
+//! `Fcs::plan_stats` counting the solver's plans only — every resort now
+//! executes the plan the solver keeps, and the handle's own index-keyed plan
+//! cache and its build count per Method B run are gone — re-froze the timing
+//! halves of the ten Method B worlds once, through the plan counters alone:
+//! no world here has a quiet step, and every clock, traffic statistic, step
+//! record and phase aggregate held. FMM B + movement `0xae58_4023_544b_4633`
+//! → `0x90fb_5e4f_1a4e_2a83`, P2NFFT B `0x7f98_b592_f951_f81a` →
+//! `0x6180_16a2_65dc_4f0a` and B + movement `0xea5b_435d_0ec4_a033` →
+//! `0x67c4_cea2_e6c5_a46b` (juropa-like), FMM B + movement
+//! `0x6a17_705c_3556_a54e` → `0x7fdb_44d0_867f_ee46`, P2NFFT B
+//! `0xa2ea_2182_186c_acb3` → `0x1043_9489_b0b0_1a6b` and B + movement
+//! `0x86bd_832c_ff41_a1f1` → `0xf668_a1a6_cc69_2609` (juqueen-like), FMM
+//! order 2 / 4 / 6 `0x0296_9d65_6532_44f0` → `0xe3ec_3d15_20a7_6c68`,
+//! `0x4426_8092_8a43_a047` → `0x2182_3f04_0ea0_a15b`,
+//! `0x33ab_5a7a_c7bb_8bdc` → `0x0b55_6132_40df_33b6`, faulted
+//! `0xc6b5_0b1d_417d_7a98` → `0x0c72_af06_ae3c_a040`. Every physics half,
+//! both Method A halves and both redistribution halves stayed.
 
 #[path = "../crates/simcomm/tests/common/mod.rs"]
 mod common;
@@ -242,15 +259,15 @@ fn md_configs_match_frozen_digests() {
     let frozen: [[[u64; 2]; 4]; 2] = [
         [
             [0xe3e7_f2ac_7ae3_deb5, 0x7c46_d36a_2c2b_bb98],
-            [0xe36d_87b1_23fa_3d6c, 0xae58_4023_544b_4633],
-            [0x1c08_5b70_c285_000a, 0x7f98_b592_f951_f81a],
-            [0xf8f4_8bef_8ac1_3909, 0xea5b_435d_0ec4_a033],
+            [0xe36d_87b1_23fa_3d6c, 0x90fb_5e4f_1a4e_2a83],
+            [0x1c08_5b70_c285_000a, 0x6180_16a2_65dc_4f0a],
+            [0xf8f4_8bef_8ac1_3909, 0x67c4_cea2_e6c5_a46b],
         ],
         [
             [0xe3e7_f2ac_7ae3_deb5, 0xdc76_88e8_f09a_acdf],
-            [0xe36d_87b1_23fa_3d6c, 0x6a17_705c_3556_a54e],
-            [0x1c08_5b70_c285_000a, 0xa2ea_2182_186c_acb3],
-            [0xf8f4_8bef_8ac1_3909, 0x86bd_832c_ff41_a1f1],
+            [0xe36d_87b1_23fa_3d6c, 0x7fdb_44d0_867f_ee46],
+            [0x1c08_5b70_c285_000a, 0x1043_9489_b0b0_1a6b],
+            [0xf8f4_8bef_8ac1_3909, 0xf668_a1a6_cc69_2609],
         ],
     ];
     let models = [MachineModel::juropa_like(), MachineModel::juqueen_like()];
@@ -293,7 +310,7 @@ fn assert_fmm_world_frozen(cells: usize, tolerance: f64, order: usize, level: u3
 /// digest changed from run to run with the `HashMap` order of M2M children.)
 #[test]
 fn fmm_level3_non_neutral_cells_match_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0x0296_9d65_6532_44f0]);
+    assert_fmm_world_frozen(15, 1e-2, 2, 3, [0x4e8a_08ef_7a8c_33a5, 0xe3ec_3d15_20a7_6c68]);
 }
 
 // Every digest above runs the FMM at order 2 (10 coefficients). The two below
@@ -304,12 +321,12 @@ fn fmm_level3_non_neutral_cells_match_frozen_digest() {
 
 #[test]
 fn fmm_order4_level3_matches_frozen_digest() {
-    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0x4426_8092_8a43_a047]);
+    assert_fmm_world_frozen(15, 1e-3, 4, 3, [0xe419_593a_fe3d_019b, 0x2182_3f04_0ea0_a15b]);
 }
 
 #[test]
 fn fmm_order6_level2_matches_frozen_digest() {
-    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x33ab_5a7a_c7bb_8bdc]);
+    assert_fmm_world_frozen(9, 1e-4, 6, 2, [0x9d07_6195_fbde_7d4e, 0x0b55_6132_40df_33b6]);
 }
 
 #[test]
@@ -339,7 +356,7 @@ fn faulted_md_matches_frozen_digest() {
         assert!(injected > 0, "the fault plan must actually inject faults");
         assert_frozen(
             &out,
-            [0x645e_ed2c_0d69_baaa, 0xc6b5_0b1d_417d_7a98],
+            [0x645e_ed2c_0d69_baaa, 0x0c72_af06_ae3c_a040],
             &format!("faulted P2NFFT width {width}"),
         );
     }

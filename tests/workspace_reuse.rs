@@ -105,7 +105,6 @@ fn bits(o: &SolverOutput) -> String {
             o.potential.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             o.field.iter().map(v3).collect::<Vec<_>>(),
             o.resorted,
-            &o.resort_indices,
         )
     )
 }
@@ -120,7 +119,8 @@ trait Solver {
         movement: MovementHint,
     ) -> SolverOutput;
     fn invalidate(&mut self);
-    /// The resort plan the run built from its routes, if any, spelled out.
+    /// The resort plan the solver kept, if any, spelled out: its routes and
+    /// placement, the identity on a quiet step.
     fn resort_plan(&self) -> String;
 }
 
