@@ -80,16 +80,6 @@ pub fn decode_index(index: u64) -> (usize, usize) {
     ((index >> 32) as usize, (index & 0xffff_ffff) as usize)
 }
 
-/// The index value marking ghost particles (duplicates that must not be
-/// routed back to an origin). Uses an impossible rank of `u32::MAX`.
-pub const GHOST_INDEX: u64 = u64::MAX;
-
-/// Is this index value a ghost marker?
-#[inline]
-pub fn is_ghost(index: u64) -> bool {
-    index == GHOST_INDEX
-}
-
 /// How a redistribution exchanges its messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExchangeMode {
@@ -429,13 +419,12 @@ pub fn resort<T: PlaneElem>(
 /// across timesteps.
 ///
 /// This is the primary resort entry point since the byte-plane rework: each
-/// live (non-[`GHOST_INDEX`]) element's record — its `u32` target position
-/// followed by its bytes from every plane in registration order — travels to
-/// its target rank through pool-backed byte buffers, and all planes flip to
-/// the received data atomically via [`PlaneSet::commit`]. Semantics
-/// (placement by target position, ghost dropping, collectivity) are exactly
-/// those of [`resort`]; results are bitwise identical to per-field resorts
-/// of the same data.
+/// element's record — its `u32` target position followed by its bytes from
+/// every plane in registration order — travels to its target rank through
+/// pool-backed byte buffers, and all planes flip to the received data
+/// atomically via [`PlaneSet::commit`]. Semantics (placement by target
+/// position, collectivity) are exactly those of [`resort`]; results are
+/// bitwise identical to per-field resorts of the same data.
 ///
 /// `plan` is the caller's plan cache: when it already matches
 /// (`ResortPlan::matches`) the indices/`new_len`/`mode` triple, the frozen
@@ -472,13 +461,13 @@ const TAG_RESORT: u64 = 0x7265_736f_7274;
 /// A plan has one of two sources:
 ///
 /// - **Resort indices** ([`ResortPlan::build`]). The indices are decoded
-///   **once** — which input elements are live (non-ghost), which target rank
-///   each goes to and at which position — and frozen as per-target routes.
-///   The receiver learns the positions only from the records, so each
-///   carries its target position. The plan serves its indices for as long
-///   as they are unchanged ([`ResortPlan::matches`]), which is the quiet
-///   timestep of the paper's Method B: particles move, but the *routing* of
-///   the redistribution does not.
+///   **once** — which target rank each input element goes to and at which
+///   position — and frozen as per-target routes. The receiver learns the
+///   positions only from the records, so each carries its target position.
+///   The plan serves its indices for as long as they are unchanged
+///   ([`ResortPlan::matches`]), which is the quiet timestep of the paper's
+///   Method B: particles move, but the *routing* of the redistribution does
+///   not.
 /// - **A solver's routes** ([`Routed::rebuild`], which [`hand_back`]
 ///   calls). The data follows the routes of the solver's one
 ///   redistribution, and the receiver places the `a`-th record to arrive
@@ -498,10 +487,8 @@ const TAG_RESORT: u64 = 0x7265_736f_7274;
 #[derive(Clone, Debug)]
 pub struct ResortPlan {
     new_len: usize,
-    /// Elements the plan reads: live and ghost.
-    n_input: usize,
-    /// Where the live elements go; for a route plan also where the records
-    /// come from.
+    /// Where the elements go; for a route plan also where the records come
+    /// from. `routes.sent` lists every element the plan reads.
     routes: Routes,
     placement: Placement,
 }
@@ -557,11 +544,10 @@ impl ResortPlan {
         // Routes store input indices as `u32`, like the target positions.
         let n_input =
             u32::try_from(resort_indices.len()).expect("more than u32::MAX records on one rank");
-        let live = || (0..n_input).zip(resort_indices.clone()).filter(|&(_, ix)| !is_ghost(ix));
         // A counting sort by target: counts, then each target's first slot.
         next.clear();
         next.resize(p, 0);
-        for (_, ix) in live() {
+        for ix in resort_indices.clone() {
             let (t, _) = decode_index(ix);
             assert!(t < p, "target rank {t} out of range");
             next[t] += 1;
@@ -583,7 +569,7 @@ impl ResortPlan {
         };
         positions.clear();
         positions.resize(start, 0);
-        for (i, ix) in live() {
+        for (i, ix) in (0..n_input).zip(resort_indices.clone()) {
             let (t, pos) = decode_index(ix);
             (routes.sent[next[t]], positions[next[t]]) = (i, pos as u32);
             next[t] += 1;
@@ -591,7 +577,7 @@ impl ResortPlan {
         let route_bytes = 8 * u64::from(n_input);
         comm.compute(Work::ByteCopy, route_bytes as f64);
         let fingerprint = fold_words(PLAN_SEED, resort_indices);
-        (self.new_len, self.n_input) = (new_len, n_input as usize);
+        self.new_len = new_len;
         self.placement = Placement::Carried { mode: mode.clone(), fingerprint, positions };
         route_bytes
     }
@@ -639,8 +625,8 @@ impl ResortPlan {
                 at.clone_from(&self.routes.sent);
             }
         }
-        (self.new_len, self.n_input) = (at.len(), self.routes.sent.len());
-        let route_bytes = (4 * (self.n_input + self.new_len)) as u64;
+        self.new_len = at.len();
+        let route_bytes = (4 * (self.routes.sent.len() + self.new_len)) as u64;
         self.placement = Placement::Derived { collective, at };
         comm.compute(Work::ByteCopy, route_bytes as f64);
         comm.note_plan_build(t0, route_bytes);
@@ -648,12 +634,7 @@ impl ResortPlan {
 
     /// An empty plan, to be rebuilt in place.
     fn empty() -> ResortPlan {
-        ResortPlan {
-            new_len: 0,
-            n_input: 0,
-            routes: Routes::default(),
-            placement: Placement::EMPTY,
-        }
+        ResortPlan { new_len: 0, routes: Routes::default(), placement: Placement::EMPTY }
     }
 
     /// Number of elements this rank owns after the redistribution.
@@ -670,7 +651,7 @@ impl ResortPlan {
         let Placement::Carried { mode: own, fingerprint, .. } = &self.placement else {
             return false;
         };
-        self.n_input == resort_indices.len()
+        self.routes.sent.len() == resort_indices.len()
             && self.new_len == new_len
             && own == mode
             && *fingerprint == fold_words(PLAN_SEED, resort_indices.iter().copied())
@@ -679,10 +660,9 @@ impl ResortPlan {
     /// Move typed channels through the frozen schedule — the staging step
     /// behind the paper's `fcs_resort_floats` / `fcs_resort_ints`: the
     /// channels become planes of a temporary [`PlaneSet`] and are moved by
-    /// [`ResortPlan::execute_planes`] — one combined exchange round, ghosts
-    /// dropped, every record placed. Callers on the per-timestep hot path
-    /// should hold a persistent `PlaneSet` instead and skip the staging
-    /// copies.
+    /// [`ResortPlan::execute_planes`] — one combined exchange round, every
+    /// record placed. Callers on the per-timestep hot path should hold a
+    /// persistent `PlaneSet` instead and skip the staging copies.
     ///
     /// Identical results to [`resort`] with the indices an index plan was
     /// built from; only the index decode/grouping work is skipped.
@@ -693,13 +673,13 @@ impl ResortPlan {
         for (c, ch) in channels.iter().enumerate() {
             assert_eq!(
                 ch.len(),
-                self.n_input,
+                self.routes.sent.len(),
                 "channel {c} length does not match the plan's resort indices"
             );
         }
         let mut set = PlaneSet::new();
         let ids: Vec<_> = (0..k).map(|c| set.register::<T>(format!("ch{c}"))).collect();
-        set.resize(self.n_input);
+        set.resize(self.routes.sent.len());
         for (ch, &id) in channels.iter().zip(&ids) {
             set.plane_mut::<T>(id).copy_from_slice(ch);
         }
@@ -711,7 +691,7 @@ impl ResortPlan {
     /// in one byte exchange round, and commit the set to the
     /// redistributed data (`set.len()` becomes the plan's `new_len`).
     ///
-    /// The wire format packs one record per live element along the plan's
+    /// The wire format packs one record per element along the plan's
     /// per-target routes: the element's bytes from every plane in
     /// registration order, behind its `u32` target position (little-endian)
     /// if the plan was built from resort indices — `set.element_bytes()`
@@ -748,7 +728,7 @@ impl ResortPlan {
         assert!(k > 0, "resort plan execution needs at least one plane");
         assert_eq!(
             set.len(),
-            self.n_input,
+            self.routes.sent.len(),
             "plane set length does not match the plan's resort indices"
         );
         let new_len = self.new_len;
@@ -878,7 +858,7 @@ impl ResortPlan {
         for (c, ch) in channels.iter().enumerate() {
             assert_eq!(
                 ch.len(),
-                self.n_input,
+                self.routes.sent.len(),
                 "channel {c} length does not match the plan's resort indices"
             );
         }
@@ -1004,10 +984,12 @@ pub fn build_resort_indices_with<'a>(
         original_len,
         "every original element must report back exactly once"
     );
-    let mut out = vec![GHOST_INDEX; original_len];
+    // No location encodes rank `u32::MAX`: a slot still holding it is unset.
+    const UNSET: u64 = u64::MAX;
+    let mut out = vec![UNSET; original_len];
     for (og_pos, loc) in received {
         let og_pos = og_pos as usize;
-        assert!(out[og_pos] == GHOST_INDEX, "origin position {og_pos} reported twice");
+        assert!(out[og_pos] == UNSET, "origin position {og_pos} reported twice");
         out[og_pos] = loc;
     }
     comm.compute(Work::ByteCopy, (original_len * 8) as f64);
@@ -1153,7 +1135,7 @@ pub fn hand_back(
             routed.route = Route::Identity(n_in);
         }
         let plan = routed.rebuild(comm, records);
-        assert_eq!(plan.n_input, n_in, "the routes must carry every input record");
+        assert_eq!(plan.routes.sent.len(), n_in, "the routes must carry every input record");
         comm.exit_phase();
         let (pos, charge) = match columns {
             Some((pos, charge)) => (std::mem::take(pos), std::mem::take(charge)),
@@ -1218,7 +1200,7 @@ pub fn hand_back(
 }
 
 #[cfg(test)]
-#[path = "../tests/common/mod.rs"]
+#[path = "../../simcomm/tests/common/mod.rs"]
 mod widths;
 
 #[cfg(test)]
@@ -1247,8 +1229,8 @@ mod tests {
     }
 
     /// Random valid resort indices: every position in `0..new_len` hit
-    /// exactly once globally, plus `n_ghost` trailing ghost rows locally.
-    fn valid_indices(comm: &mut Comm, n: usize, seed: u64, n_ghost: usize) -> (Vec<u64>, usize) {
+    /// exactly once globally.
+    fn valid_indices(comm: &mut Comm, n: usize, seed: u64) -> (Vec<u64>, usize) {
         let me = comm.rank();
         let p = comm.size();
         let targets: Vec<usize> =
@@ -1261,12 +1243,11 @@ mod tests {
         let new_len: usize = (0..p).map(|s| all_counts[s][me]).sum();
         let mut next_pos: Vec<usize> =
             (0..p).map(|t| (0..me).map(|s| all_counts[s][t]).sum()).collect();
-        let mut ix: Vec<u64> = Vec::with_capacity(n + n_ghost);
+        let mut ix: Vec<u64> = Vec::with_capacity(n);
         for &t in &targets {
             ix.push(encode_index(t, next_pos[t]));
             next_pos[t] += 1;
         }
-        ix.extend(std::iter::repeat_n(GHOST_INDEX, n_ghost));
         (ix, new_len)
     }
 
@@ -1275,8 +1256,6 @@ mod tests {
         for &(r, p) in &[(0usize, 0usize), (1, 2), (255, 1 << 20), (u32::MAX as usize, 7)] {
             assert_eq!(decode_index(encode_index(r, p)), (r, p));
         }
-        assert!(is_ghost(GHOST_INDEX));
-        assert!(!is_ghost(encode_index(u32::MAX as usize, 0)));
     }
 
     #[test]
@@ -1535,7 +1514,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_channel_execute_matches_per_field_resorts_with_ghosts() {
+    fn multi_channel_execute_matches_per_field_resorts() {
         fn splitmix(mut x: u64) -> u64 {
             x = x.wrapping_add(0x9e3779b97f4a7c15);
             let mut z = x;
@@ -1561,16 +1540,13 @@ mod tests {
             let new_len: usize = (0..p).map(|s| all_counts[s][me]).sum();
             let mut next_pos: Vec<usize> =
                 (0..p).map(|t| (0..me).map(|s| all_counts[s][t]).sum()).collect();
-            let n_ghost = me % 3;
-            let mut ix: Vec<u64> = Vec::with_capacity(n + n_ghost);
+            let mut ix: Vec<u64> = Vec::with_capacity(n);
             for &t in &targets {
                 ix.push(encode_index(t, next_pos[t]));
                 next_pos[t] += 1;
             }
-            // Ghost duplicates carry junk payloads and must simply vanish.
-            ix.extend(std::iter::repeat_n(GHOST_INDEX, n_ghost));
             let field = |salt: u64| -> Vec<u64> {
-                (0..n + n_ghost).map(|i| splitmix((me * 7919 + i) as u64 ^ salt)).collect()
+                (0..n).map(|i| splitmix((me * 7919 + i) as u64 ^ salt)).collect()
             };
             let (a, b, c) = (field(1), field(2), field(3));
             let combined = ResortPlan::build(comm, &ix, new_len, &ExchangeMode::Collective)
@@ -1598,7 +1574,7 @@ mod tests {
         // Property: as long as the resort indices are unchanged, executing a
         // *cached* plan with fresh payload is bitwise identical to a fresh
         // `build()` + `execute()`, over several "timesteps" of randomized
-        // payload, ghosts included.
+        // payload.
         let n = 32usize;
         let out = run(5, MachineModel::ideal(), move |comm| {
             let me = comm.rank();
@@ -1613,21 +1589,17 @@ mod tests {
             let new_len: usize = (0..p).map(|s| all_counts[s][me]).sum();
             let mut next_pos: Vec<usize> =
                 (0..p).map(|t| (0..me).map(|s| all_counts[s][t]).sum()).collect();
-            let n_ghost = (me * 2) % 5;
-            let mut ix: Vec<u64> = Vec::with_capacity(n + n_ghost);
+            let mut ix: Vec<u64> = Vec::with_capacity(n);
             for &t in &targets {
                 ix.push(encode_index(t, next_pos[t]));
                 next_pos[t] += 1;
             }
-            ix.extend(std::iter::repeat_n(GHOST_INDEX, n_ghost));
             let plan = ResortPlan::build(comm, &ix, new_len, &ExchangeMode::Collective);
             assert!(plan.matches(&ix, new_len, &ExchangeMode::Collective));
             let mut agree = true;
             for step in 0..3u64 {
                 let field = |salt: u64| -> Vec<u64> {
-                    (0..n + n_ghost)
-                        .map(|i| splitmix((me * 131 + i) as u64 ^ (salt << 8) ^ step))
-                        .collect()
+                    (0..n).map(|i| splitmix((me * 131 + i) as u64 ^ (salt << 8) ^ step)).collect()
                 };
                 let (a, b) = (field(1), field(2));
                 let cached = plan.execute(comm, &[&a, &b]);
@@ -1679,7 +1651,7 @@ mod tests {
     }
 
     /// Bitwise property: `resort_planes` over mixed-stride planes (f32 /
-    /// Vec3 / u64 / f64, with ghost rows) is identical to both the typed
+    /// Vec3 / u64 / f64) is identical to both the typed
     /// pre-byte-plane reference and per-field `resort`, across repeated
     /// plan-cache reuse steps with fresh payload.
     #[test]
@@ -1687,26 +1659,24 @@ mod tests {
         let n = 48usize;
         let out = run(6, MachineModel::ideal(), move |comm| {
             let me = comm.rank();
-            let n_ghost = me % 4;
-            let (ix, new_len) = valid_indices(comm, n, 0xfeed, n_ghost);
+            let (ix, new_len) = valid_indices(comm, n, 0xfeed);
             let reference_plan = ResortPlan::build(comm, &ix, new_len, &ExchangeMode::Collective);
             let mut plan: Option<ResortPlan> = None;
             let mut agree = true;
             for step in 0..3u64 {
                 let bits = |i: usize, salt: u64| sm64((me * 4099 + i) as u64 ^ (salt << 40) ^ step);
-                let m = n + n_ghost;
-                let a: Vec<f32> = (0..m).map(|i| f32_of(bits(i, 1))).collect();
-                let b: Vec<Vec3> = (0..m)
+                let a: Vec<f32> = (0..n).map(|i| f32_of(bits(i, 1))).collect();
+                let b: Vec<Vec3> = (0..n)
                     .map(|i| Vec3::new(f64_of(bits(i, 2)), f64_of(bits(i, 3)), f64_of(bits(i, 4))))
                     .collect();
-                let c: Vec<u64> = (0..m).map(|i| bits(i, 5)).collect();
-                let d: Vec<f64> = (0..m).map(|i| f64_of(bits(i, 6))).collect();
+                let c: Vec<u64> = (0..n).map(|i| bits(i, 5)).collect();
+                let d: Vec<f64> = (0..n).map(|i| f64_of(bits(i, 6))).collect();
                 let mut set = PlaneSet::new();
                 let pa = set.register::<f32>("a");
                 let pb = set.register::<Vec3>("b");
                 let pc = set.register::<u64>("c");
                 let pd = set.register::<f64>("d");
-                set.resize(m);
+                set.resize(n);
                 set.plane_mut::<f32>(pa).copy_from_slice(&a);
                 set.plane_mut::<Vec3>(pb).copy_from_slice(&b);
                 set.plane_mut::<u64>(pc).copy_from_slice(&c);
@@ -1787,7 +1757,7 @@ mod tests {
 
     /// Neighbourhood-mode `resort_planes` equals collective mode, and the
     /// steady state reuses pooled buffers (bytes_reused grows, bytes_grown
-    /// stops) — ghosts included.
+    /// stops).
     #[test]
     fn resort_planes_neighborhood_matches_collective_and_reuses_buffers() {
         let g = CartGrid::new([2, 2, 2]);
@@ -1795,14 +1765,11 @@ mod tests {
             let me = comm.rank();
             let partners = g.neighbors26(me);
             let n = 6usize;
-            let n_ghost = me % 3;
-            let m = n + n_ghost;
             let dst = g.shifted_rank(me, [1, 0, 0]);
-            let mut ix: Vec<u64> = (0..n).map(|i| encode_index(dst, n - 1 - i)).collect();
-            ix.extend(std::iter::repeat_n(GHOST_INDEX, n_ghost));
+            let ix: Vec<u64> = (0..n).map(|i| encode_index(dst, n - 1 - i)).collect();
             let build = |comm: &Comm, salt: u64| -> (Vec<u64>, Vec<f64>) {
                 let me = comm.rank();
-                let c: Vec<u64> = (0..m).map(|i| sm64((me * 31 + i) as u64 ^ salt)).collect();
+                let c: Vec<u64> = (0..n).map(|i| sm64((me * 31 + i) as u64 ^ salt)).collect();
                 let d: Vec<f64> = c.iter().map(|&x| f64_of(x ^ salt)).collect();
                 (c, d)
             };
@@ -1815,7 +1782,7 @@ mod tests {
                 let (c, d) = build(comm, step);
                 let mut set_n = PlaneSet::new();
                 let (pc, pd) = (set_n.register::<u64>("c"), set_n.register::<f64>("d"));
-                set_n.resize(m);
+                set_n.resize(n);
                 set_n.plane_mut::<u64>(pc).copy_from_slice(&c);
                 set_n.plane_mut::<f64>(pd).copy_from_slice(&d);
                 let mut set_c = set_n.clone();

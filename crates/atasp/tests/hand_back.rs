@@ -19,6 +19,7 @@ use particles::systems::splitmix64;
 use particles::{Particle, PlaneSet, RedistMethod, SolverOutput, Vec3};
 use simcomm::{Comm, MachineModel, Runner, TraceKind};
 
+#[path = "../../simcomm/tests/common/mod.rs"]
 mod common;
 use common::{run, run_at, run_on, thinned};
 

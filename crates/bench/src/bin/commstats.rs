@@ -24,8 +24,8 @@
 //!   same file name under `<dir>`, comparing per-run makespan and (when
 //!   present on both sides) the critical path's comm/wait components. A
 //!   machine-readable diff is written to `--gate-out` (default
-//!   `results/gate_diff.json`); exits 1 on any regression beyond
-//!   `--tolerance` (default 0.05 relative).
+//!   `results/gate_diff.json`); exits 1 when any value exceeds its
+//!   baseline.
 //!
 //! All times are virtual seconds of the simulated machine model; sizes are
 //! bytes. See `docs/OBSERVABILITY.md` for the schema reference.
@@ -51,12 +51,11 @@ MODES:
       (comm+wait+compute must partition the clocks/makespan exactly) and
       any selftime allocation budgets. Exits nonzero on a violation.
 
-  commstats --baseline <dir> --report <paths> [--tolerance 0.05]
+  commstats --baseline <dir> --report <paths>
             [--gate-out results/gate_diff.json]
       Regression gate: diff each report against <dir>/<same file name>,
       comparing per-run makespan and critical-path comm/wait. Writes a
-      JSON diff artifact; exits 1 when any metric regresses beyond the
-      relative tolerance.
+      JSON diff artifact; exits 1 when any metric exceeds its baseline.
 
   commstats --trace results/<trace>.csv
       Aggregate a trace CSV by phase and by event kind.";
@@ -369,8 +368,8 @@ fn summarize_trace(path: &str) {
 
 /// `--baseline`: the bench regression gate. Each report is diffed against
 /// `<baseline_dir>/<same file name>`; the combined diff is written to
-/// `gate_out` and any regression beyond `tolerance` exits 1.
-fn run_gate(baseline_dir: &str, reports: &[&str], tolerance: f64, gate_out: &str) {
+/// `gate_out` and any value above its baseline exits 1.
+fn run_gate(baseline_dir: &str, reports: &[&str], gate_out: &str) {
     let mut diffs: Vec<(String, gate::GateDiff)> = Vec::new();
     for path in reports {
         let current = load_report(path);
@@ -380,7 +379,7 @@ fn run_gate(baseline_dir: &str, reports: &[&str], tolerance: f64, gate_out: &str
         let base_path = Path::new(baseline_dir).join(file_name);
         let base_path = base_path.to_str().expect("utf-8 path");
         let baseline = load_report(base_path);
-        let diff = gate::diff_reports(&baseline, &current, tolerance);
+        let diff = gate::diff_reports(&baseline, &current);
         for row in &diff.rows {
             println!(
                 "gate {path}: {label} {metric}: {base} -> {cur} {verdict}",
@@ -388,13 +387,7 @@ fn run_gate(baseline_dir: &str, reports: &[&str], tolerance: f64, gate_out: &str
                 metric = row.metric,
                 base = fmt_secs(row.baseline),
                 cur = fmt_secs(row.current),
-                verdict = if row.regressed {
-                    "REGRESSED"
-                } else if row.current <= row.baseline {
-                    "ok"
-                } else {
-                    "ok (within tolerance)"
-                }
+                verdict = if row.regressed { "REGRESSED" } else { "ok" }
             );
         }
         for label in &diff.missing {
@@ -411,17 +404,14 @@ fn run_gate(baseline_dir: &str, reports: &[&str], tolerance: f64, gate_out: &str
                 .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dir.display())));
         }
     }
-    let json = gate::diffs_to_json(tolerance, &diffs).pretty();
+    let json = gate::diffs_to_json(&diffs).pretty();
     std::fs::write(gate_out, json)
         .unwrap_or_else(|e| fail(format!("cannot write {gate_out}: {e}")));
     let regressions: usize = diffs.iter().map(|(_, d)| d.regressions().count()).sum();
     let rows: usize = diffs.iter().map(|(_, d)| d.rows.len()).sum();
     println!("gate: {rows} metrics compared, {regressions} regressed (diff in {gate_out})");
     if regressions > 0 {
-        eprintln!(
-            "commstats: regression gate failed ({regressions} metrics beyond \
-             tolerance {tolerance})"
-        );
+        eprintln!("commstats: regression gate failed ({regressions} metrics above baseline)");
         std::process::exit(1);
     }
 }
@@ -435,7 +425,6 @@ fn main() {
             Opt::flag("check", "verify the reports' invariants quietly"),
             Opt::new("alloc-budget", "NAME=COUNT,...", "with --check: selftime allocation budgets"),
             Opt::new("baseline", "DIR", "gate the reports against DIR/<same file name>"),
-            Opt::new("tolerance", "T", "gate: relative regression tolerance (default 0.05)"),
             Opt::new("gate-out", "PATH", "gate: diff artifact (default results/gate_diff.json)"),
             Opt::new("trace", "PATH", "summarize a trace CSV"),
         ],
@@ -445,7 +434,6 @@ fn main() {
     let trace: String = cli.get("trace", String::new());
     let check = cli.flag("check");
     let baseline: String = cli.get("baseline", String::new());
-    let tolerance: f64 = cli.get("tolerance", gate::DEFAULT_TOLERANCE);
     let gate_out: String = cli.get("gate-out", "results/gate_diff.json".to_string());
     let budgets = parse_budgets(&cli.get("alloc-budget", String::new()));
     if report.is_empty() && trace.is_empty() {
@@ -456,7 +444,7 @@ fn main() {
         if report_paths.is_empty() {
             cli.fail("--baseline needs --report <paths> to compare");
         }
-        run_gate(&baseline, &report_paths, tolerance, &gate_out);
+        run_gate(&baseline, &report_paths, &gate_out);
     } else {
         for path in &report_paths {
             if check {

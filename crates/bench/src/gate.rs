@@ -4,22 +4,17 @@
 //! baseline of the same file, run entry by run entry (matched by label). For
 //! every matched pair it checks the **makespan** and — when both sides carry
 //! a critical-path decomposition — the critical path's **comm** and **wait**
-//! components, failing when the current value exceeds the baseline by more
-//! than the configured relative tolerance (plus a small absolute floor
-//! proportional to the baseline makespan, so near-zero components don't trip
-//! on rounding noise).
+//! components, failing when the current value exceeds the baseline at all.
 //!
 //! All compared quantities are *virtual* seconds of the simulated machine
-//! model, so identical code produces bitwise-identical values on any host and
-//! the tolerance only has to absorb intentional workload drift, not host
-//! jitter. `commstats --baseline <dir>` drives this from the command line and
-//! CI runs it on every push (see `.github/workflows/ci.yml`, job `gate`).
+//! model, so identical code produces bitwise-identical values on any host:
+//! there is no host jitter to absorb, and a change that moves virtual time
+//! commits its new baselines. `commstats --baseline <dir>` drives this from
+//! the command line and CI runs it on every push (see
+//! `.github/workflows/ci.yml`, job `gate`).
 
 use crate::report::RunReport;
 use particles::json::Json;
-
-/// Default relative regression tolerance (5 %).
-pub const DEFAULT_TOLERANCE: f64 = 0.05;
 
 /// One compared metric of one run entry.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,7 +27,7 @@ pub struct GateRow {
     pub baseline: f64,
     /// Current value in virtual seconds.
     pub current: f64,
-    /// Did the current value exceed the allowed envelope?
+    /// Did the current value exceed the baseline?
     pub regressed: bool,
 }
 
@@ -50,7 +45,7 @@ pub struct GateDiff {
 }
 
 impl GateDiff {
-    /// Rows that exceeded their envelope.
+    /// Rows that exceeded their baseline.
     pub fn regressions(&self) -> impl Iterator<Item = &GateRow> {
         self.rows.iter().filter(|r| r.regressed)
     }
@@ -61,18 +56,9 @@ impl GateDiff {
     }
 }
 
-/// Would `current` count as a regression of `baseline` under `tolerance`?
-///
-/// The envelope is `baseline * (1 + tolerance)` plus an absolute floor of
-/// `tolerance * scale / 100` — one hundredth of the relative tolerance,
-/// applied to `scale`, the baseline run's makespan: components that are a
-/// tiny fraction of the run can't fail on relative noise alone.
-fn exceeds(current: f64, baseline: f64, tolerance: f64, scale: f64) -> bool {
-    current > baseline * (1.0 + tolerance) + tolerance * scale.abs().max(1e-300) * 0.01
-}
-
-/// Diff `current` against `baseline`, entry by entry (matched by label).
-pub fn diff_reports(baseline: &RunReport, current: &RunReport, tolerance: f64) -> GateDiff {
+/// Diff `current` against `baseline`, entry by entry (matched by label). A
+/// row regresses iff its current value exceeds its baseline.
+pub fn diff_reports(baseline: &RunReport, current: &RunReport) -> GateDiff {
     let mut diff = GateDiff::default();
     for cur in &current.runs {
         let Some(base) = baseline.runs.iter().find(|b| b.label == cur.label) else {
@@ -85,7 +71,7 @@ pub fn diff_reports(baseline: &RunReport, current: &RunReport, tolerance: f64) -
                 metric: metric.to_string(),
                 baseline: b,
                 current: c,
-                regressed: exceeds(c, b, tolerance, base.makespan),
+                regressed: c > b,
             });
         };
         push("makespan", base.makespan, cur.makespan);
@@ -104,9 +90,8 @@ pub fn diff_reports(baseline: &RunReport, current: &RunReport, tolerance: f64) -
 
 /// Serialize a set of per-file gate diffs as the machine-readable artifact
 /// CI uploads (`results/gate_diff.json`).
-pub fn diffs_to_json(tolerance: f64, diffs: &[(String, GateDiff)]) -> Json {
+pub fn diffs_to_json(diffs: &[(String, GateDiff)]) -> Json {
     Json::obj(vec![
-        ("tolerance", Json::Num(tolerance)),
         ("failed", Json::Bool(diffs.iter().any(|(_, d)| d.failed()))),
         (
             "reports",
@@ -176,18 +161,18 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let base = report_with(&[("a", 1.0), ("b", 2.0)]);
-        let diff = diff_reports(&base, &base.clone(), DEFAULT_TOLERANCE);
+        let diff = diff_reports(&base, &base.clone());
         assert!(!diff.failed());
         assert_eq!(diff.rows.len(), 6, "makespan + 2 critpath metrics per run");
         assert!(diff.missing.is_empty() && diff.added.is_empty());
     }
 
     #[test]
-    fn slowed_report_fails_only_the_slow_metric() {
+    fn one_ulp_slower_fails_only_the_slow_metric() {
         let base = report_with(&[("a", 1.0), ("b", 2.0)]);
         let mut cur = base.clone();
-        cur.runs[1].makespan *= 1.2; // 20 % past a 5 % tolerance
-        let diff = diff_reports(&base, &cur, DEFAULT_TOLERANCE);
+        cur.runs[1].makespan = cur.runs[1].makespan.next_up();
+        let diff = diff_reports(&base, &cur);
         assert!(diff.failed());
         let bad: Vec<_> = diff.regressions().collect();
         assert_eq!(bad.len(), 1);
@@ -199,45 +184,31 @@ mod tests {
         let base = report_with(&[("a", 1.0)]);
         let mut cur = base.clone();
         let cp = cur.runs[0].critpath.as_mut().unwrap();
-        cp.wait_seconds += 0.5; // well past tolerance, makespan unchanged
-        let diff = diff_reports(&base, &cur, DEFAULT_TOLERANCE);
+        cp.wait_seconds = cp.wait_seconds.next_up(); // makespan unchanged
+        let diff = diff_reports(&base, &cur);
         let bad: Vec<_> = diff.regressions().collect();
         assert_eq!(bad.len(), 1);
         assert_eq!(bad[0].metric, "critpath_wait");
     }
 
     #[test]
-    fn improvements_and_small_noise_pass() {
+    fn lower_values_pass() {
         let base = report_with(&[("a", 1.0)]);
         let mut cur = base.clone();
-        cur.runs[0].makespan *= 0.8; // faster is never a regression
-        assert!(!diff_reports(&base, &cur, DEFAULT_TOLERANCE).failed());
-        let mut near = base.clone();
-        near.runs[0].makespan *= 1.04; // inside a 5 % tolerance
-        assert!(!diff_reports(&base, &near, DEFAULT_TOLERANCE).failed());
+        cur.runs[0].makespan = cur.runs[0].makespan.next_down();
+        let cp = cur.runs[0].critpath.as_mut().unwrap();
+        cp.comm_seconds *= 0.8; // faster is never a regression
+        assert!(!diff_reports(&base, &cur).failed());
     }
 
     #[test]
     fn label_set_changes_are_reported_not_failed() {
         let base = report_with(&[("a", 1.0), ("gone", 1.0)]);
         let cur = report_with(&[("a", 1.0), ("new", 1.0)]);
-        let diff = diff_reports(&base, &cur, DEFAULT_TOLERANCE);
+        let diff = diff_reports(&base, &cur);
         assert!(!diff.failed());
         assert_eq!(diff.missing, vec!["gone".to_string()]);
         assert_eq!(diff.added, vec!["new".to_string()]);
-    }
-
-    #[test]
-    fn near_zero_components_do_not_trip_on_noise() {
-        let mut base = report_with(&[("a", 1.0)]);
-        base.runs[0].critpath.as_mut().unwrap().wait_seconds = 0.0;
-        let mut cur = base.clone();
-        // A wait component appearing at 1e-5 of the makespan is noise, not a
-        // regression, even though the relative change is infinite.
-        cur.runs[0].critpath.as_mut().unwrap().wait_seconds = 1e-5;
-        assert!(!diff_reports(&base, &cur, DEFAULT_TOLERANCE).failed());
-        cur.runs[0].critpath.as_mut().unwrap().wait_seconds = 0.1;
-        assert!(diff_reports(&base, &cur, DEFAULT_TOLERANCE).failed());
     }
 
     #[test]
@@ -245,8 +216,8 @@ mod tests {
         let base = report_with(&[("a", 1.0)]);
         let mut cur = base.clone();
         cur.runs[0].makespan *= 2.0;
-        let diff = diff_reports(&base, &cur, DEFAULT_TOLERANCE);
-        let text = diffs_to_json(DEFAULT_TOLERANCE, &[("x_report.json".into(), diff)]).pretty();
+        let diff = diff_reports(&base, &cur);
+        let text = diffs_to_json(&[("x_report.json".into(), diff)]).pretty();
         let v = Json::parse(&text).unwrap();
         assert_eq!(v.get("failed").and_then(Json::as_bool), Some(true));
     }

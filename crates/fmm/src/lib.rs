@@ -41,7 +41,7 @@ pub use expansion::{ncoeffs, ExpansionOps};
 pub use solver::{FmmConfig, FmmRunReport, FmmSolver};
 
 #[cfg(test)]
-#[path = "../../atasp/tests/common/mod.rs"]
+#[path = "../../simcomm/tests/common/mod.rs"]
 mod widths;
 
 #[cfg(test)]

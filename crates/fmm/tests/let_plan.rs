@@ -13,7 +13,7 @@ use particles::systems::splitmix64;
 use particles::{Particle, RedistMethod, SystemBox, Vec3};
 use simcomm::{Comm, MachineModel, Runner};
 
-#[path = "../../atasp/tests/common/mod.rs"]
+#[path = "../../simcomm/tests/common/mod.rs"]
 mod common;
 use common::{run_at, thinned};
 

@@ -18,7 +18,7 @@ use particles::systems::splitmix64;
 use particles::{PlaneSet, RedistMethod, SolverOutput, SystemBox, Vec3};
 use simcomm::{Comm, FaultPlan, MachineModel, Runner, TraceKind};
 
-#[path = "../../atasp/tests/common/mod.rs"]
+#[path = "../../simcomm/tests/common/mod.rs"]
 mod common;
 use common::thinned;
 

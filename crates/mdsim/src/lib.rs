@@ -293,7 +293,11 @@ fn simulate_counted(
     // nothing (no extra collectives), keeping plain runs bit-for-bit
     // identical to the pre-fault-layer behaviour.
     struct Checkpoint {
-        state: io::Snapshot,
+        step: usize,
+        pos: Vec<Vec3>,
+        charge: Vec<f64>,
+        id: Vec<u64>,
+        // The velocities and accelerations are planes of it.
         aux: particles::PlaneSet,
         records: usize,
     }
@@ -309,15 +313,10 @@ fn simulate_counted(
                            records: &Vec<StepRecord>|
      -> Checkpoint {
         Checkpoint {
-            state: io::Snapshot {
-                bbox,
-                step: start_step + completed,
-                pos: pos.clone(),
-                charge: charge.clone(),
-                id: id.clone(),
-                vel: aux.plane::<Vec3>(vel_id).to_vec(),
-                accel: aux.plane::<Vec3>(accel_id).to_vec(),
-            },
+            step: start_step + completed,
+            pos: pos.clone(),
+            charge: charge.clone(),
+            id: id.clone(),
             aux: aux.clone(),
             records: records.len(),
         }
@@ -406,13 +405,13 @@ fn simulate_counted(
             if newly > 0 && recoveries < MAX_RECOVERIES {
                 recoveries += 1;
                 let cp = checkpoint.as_ref().expect("checkpoint taken before the loop");
-                pos = cp.state.pos.clone();
-                charge = cp.state.charge.clone();
-                id = cp.state.id.clone();
+                pos = cp.pos.clone();
+                charge = cp.charge.clone();
+                id = cp.id.clone();
                 aux = cp.aux.clone();
                 records.truncate(cp.records);
                 handle.invalidate_plans();
-                step = cp.state.step - start_step + 1;
+                step = cp.step - start_step + 1;
                 continue;
             }
             if step.is_multiple_of(CHECKPOINT_INTERVAL) {

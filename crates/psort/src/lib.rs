@@ -32,7 +32,7 @@ mod order;
 mod partition;
 
 #[cfg(test)]
-#[path = "../../atasp/tests/common/mod.rs"]
+#[path = "../../simcomm/tests/common/mod.rs"]
 mod widths;
 
 pub use local::{bucket_bounds, is_sorted, radix_sort_by_key};

@@ -1,14 +1,73 @@
-//! Helpers the simcomm integration suites share: the batch widths, the
-//! seeded draw, the digest every frozen constant is taken with, and its split
-//! into a payload and a timing half.
-#![allow(dead_code)] // each suite uses its own subset
+//! Helpers the world suites share: the batch widths and the runs that hold a
+//! world to the same bits at each, the seeded draw, the digest every frozen
+//! constant is taken with, and its split into a payload and a timing half.
+//! Besides simcomm's integration suites, the unit tests of `atasp`, `psort`
+//! and `fmm`, the `atasp` and `fmm` world suites and the root `determinism`
+//! and `campaign_resume` suites include this file, so every width a test
+//! picks for itself is defined here.
+#![allow(dead_code, unused_imports)] // each suite uses its own subset
 
-use simcomm::{PhaseStats, RunOutput};
+use simcomm::{Comm, MachineModel, PhaseStats, RunOutput, Runner};
 
-/// The `Runner::host_parallelism` widths a suite without widths of its own
-/// runs every world at: strictly one rank at a time, two, and more than a CI
-/// host has cores.
+/// The `Runner::host_parallelism` widths every world runs at: strictly one
+/// rank at a time, two, and more than a CI host has cores.
 pub const WIDTHS: [usize; 3] = [1, 2, 8];
+
+/// The widths a suite that sweeps worlds of up to 64 ranks runs a world of
+/// `n` ranks at: all of [`WIDTHS`] up to eight ranks, width 1 alone beyond,
+/// where a world costs the most.
+pub fn thinned(n: usize) -> &'static [usize] {
+    if n <= 8 {
+        &WIDTHS
+    } else {
+        &WIDTHS[..1]
+    }
+}
+
+/// Run a world of `n` ranks under `runner` at every width of [`WIDTHS`] and
+/// assert that each returns the results, clocks, statistics, traces and phase
+/// profiles of the first, which it returns.
+pub fn run_on<R, F>(runner: &Runner, n: usize, model: MachineModel, f: F) -> RunOutput<R>
+where
+    R: Send + std::fmt::Debug,
+    F: Fn(&mut Comm) -> R + Send + Sync,
+{
+    run_at(&WIDTHS, runner, n, model, f)
+}
+
+/// [`run_on`] at the given widths only.
+pub fn run_at<R, F>(
+    widths: &[usize],
+    runner: &Runner,
+    n: usize,
+    model: MachineModel,
+    f: F,
+) -> RunOutput<R>
+where
+    R: Send + std::fmt::Debug,
+    F: Fn(&mut Comm) -> R + Send + Sync,
+{
+    let seen = |out: &RunOutput<R>| {
+        let clocks: Vec<u64> = out.clocks.iter().map(|c| c.to_bits()).collect();
+        format!("{:?}", (&out.results, clocks, &out.stats, &out.traces, &out.phases))
+    };
+    let first = runner.clone().host_parallelism(widths[0]).run(n, model.clone(), &f);
+    let want = seen(&first);
+    for width in &widths[1..] {
+        let out = runner.clone().host_parallelism(*width).run(n, model.clone(), &f);
+        assert!(seen(&out) == want, "a world of {n} ranks differs at width {width}");
+    }
+    first
+}
+
+/// [`run_on`] a default runner: `simcomm::run` at every width.
+pub fn run<R, F>(n: usize, model: MachineModel, f: F) -> RunOutput<R>
+where
+    R: Send + std::fmt::Debug,
+    F: Fn(&mut Comm) -> R + Send + Sync,
+{
+    run_on(&Runner::default(), n, model, f)
+}
 
 pub use particles::systems::splitmix64;
 

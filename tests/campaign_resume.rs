@@ -10,7 +10,7 @@ use std::time::Duration;
 use campaign::{run_campaign, CampaignOutcome, Policy, RunCtx, RunDef, RunOutcome};
 use simcomm::{MachineModel, Runner, WorldError};
 
-#[path = "../crates/atasp/tests/common/mod.rs"]
+#[path = "../crates/simcomm/tests/common/mod.rs"]
 mod common;
 use common::WIDTHS;
 
