@@ -31,6 +31,7 @@
 //! bytes. See `docs/OBSERVABILITY.md` for the schema reference.
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write};
 use std::path::Path;
 
 use bench::cli::{Cli, Opt};
@@ -65,6 +66,22 @@ MODES:
 fn fail(msg: String) -> ! {
     eprintln!("commstats: {msg}");
     std::process::exit(2);
+}
+
+/// Stdout, the one way this tool prints (`writeln!(Out, ..)`). A closed
+/// stdout (`commstats ... | head -1`) is the end of the output, not an
+/// error: the tool exits 0 quietly.
+struct Out;
+
+impl Out {
+    fn write_fmt(&mut self, args: std::fmt::Arguments) {
+        if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+            if e.kind() == ErrorKind::BrokenPipe {
+                std::process::exit(0);
+            }
+            fail(format!("cannot write to stdout: {e}"));
+        }
+    }
 }
 
 fn load_report(path: &str) -> RunReport {
@@ -159,12 +176,14 @@ fn check_report(path: &str, budgets: &[AllocBudget]) {
                 budget.name, per_step, budget.max_allocs
             ));
         }
-        println!(
+        writeln!(
+            Out,
             "check {path}: selftime '{}' within budget ({:.1} <= {} allocs/step)",
             budget.name, per_step, budget.max_allocs
         );
     }
-    println!(
+    writeln!(
+        Out,
         "check {path}: ok ({n} runs, {with_critpath} with exact critical paths, \
          max accounting error {max_err:.1e} s)",
         n = report.runs.len()
@@ -173,7 +192,8 @@ fn check_report(path: &str, budgets: &[AllocBudget]) {
 
 fn summarize_report(path: &str) {
     let report = load_report(path);
-    println!(
+    writeln!(
+        Out,
         "report {path}: figure {figure}, machine {machine}, {n} runs",
         figure = report.figure,
         machine = report.machine,
@@ -181,19 +201,21 @@ fn summarize_report(path: &str) {
     );
     if !report.params.is_empty() {
         let params: Vec<String> = report.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        println!("params: {}", params.join(", "));
+        writeln!(Out, "params: {}", params.join(", "));
     }
     for run in &report.runs {
-        println!(
+        writeln!(
+            Out,
             "\n== {label} ({nranks} ranks, makespan {makespan}) ==",
             label = run.label,
             nranks = run.nranks,
             makespan = fmt_secs(run.makespan)
         );
-        print!("{}", format_phase_table(run));
+        write!(Out, "{}", format_phase_table(run));
         let t = &run.totals;
         if t.plan_builds + t.plan_execs > 0 {
-            println!(
+            writeln!(
+                Out,
                 "plan reuse: {} builds, {} executions ({:.1}% reuse)",
                 t.plan_builds,
                 t.plan_execs,
@@ -201,7 +223,8 @@ fn summarize_report(path: &str) {
             );
         }
         if t.bytes_reused + t.bytes_grown > 0 {
-            println!(
+            writeln!(
+                Out,
                 "buffer pool: {} B served from arenas, {} B grown ({:.1}% reuse)",
                 t.bytes_reused,
                 t.bytes_grown,
@@ -209,13 +232,15 @@ fn summarize_report(path: &str) {
             );
         }
         if t.faults_injected > 0 {
-            println!(
+            writeln!(
+                Out,
                 "faults: {} injected ({} retries, {} timeout cycles, {} stalls)",
                 t.faults_injected, t.retries, t.timeouts, t.stalls
             );
         }
         if let Some(cp) = &run.critpath {
-            println!(
+            writeln!(
+                Out,
                 "critical path: {comm} comm + {wait} wait + {compute} compute \
                  = makespan ({segs} segments)",
                 comm = fmt_secs(cp.comm_seconds),
@@ -224,7 +249,8 @@ fn summarize_report(path: &str) {
                 segs = cp.segments
             );
             for b in &cp.blame {
-                println!(
+                writeln!(
+                    Out,
                     "  blame: rank {waiter} waited {secs} on rank {blamed}",
                     waiter = b.waiter,
                     secs = fmt_secs(b.seconds),
@@ -239,9 +265,10 @@ fn summarize_report(path: &str) {
         );
     }
     if !report.selftime.is_empty() {
-        println!("\nharness selftime (real wall-clock, process-wide heap allocations):");
+        writeln!(Out, "\nharness selftime (real wall-clock, process-wide heap allocations):");
         for row in &report.selftime {
-            println!(
+            writeln!(
+                Out,
                 "  {:<28} {:>10} wall  {:>12} allocs  {:>14} B{}",
                 row.name,
                 fmt_secs(row.wall_seconds),
@@ -251,7 +278,8 @@ fn summarize_report(path: &str) {
             );
         }
     }
-    println!(
+    writeln!(
+        Out,
         "\naccounting check passed: phase times sum to rank clocks within {:.1e} s",
         report.decomposition_error().max(1e-15)
     );
@@ -330,18 +358,20 @@ fn summarize_trace(path: &str) {
         *clock = clock.max(t_end);
         rows += 1;
     }
-    println!(
+    writeln!(
+        Out,
         "trace {path}: {rows} events, {nranks} ranks, last event ends at {end}",
         nranks = ranks.len(),
         end = fmt_secs(ranks.values().cloned().fold(0.0, f64::max))
     );
     if !has_extended {
-        println!("(six-column legacy trace: no phase tags or communicator sizes)");
+        writeln!(Out, "(six-column legacy trace: no phase tags or communicator sizes)");
     }
 
     let print_table = |title: &str, table: &BTreeMap<String, Bucket>| {
-        println!("\nby {title}:");
-        println!(
+        writeln!(Out, "\nby {title}:");
+        writeln!(
+            Out,
             "{:<16} {:>8} {:>14} {:>12} {:>9} {:>9}",
             title, "events", "bytes", "busy[s]", "colls", "fan-out"
         );
@@ -351,7 +381,8 @@ fn summarize_trace(path: &str) {
             } else {
                 "-".to_string()
             };
-            println!(
+            writeln!(
+                Out,
                 "{:<16} {:>8} {:>14} {:>12} {:>9} {:>9}",
                 name,
                 b.events,
@@ -381,7 +412,8 @@ fn run_gate(baseline_dir: &str, reports: &[&str], gate_out: &str) {
         let baseline = load_report(base_path);
         let diff = gate::diff_reports(&baseline, &current);
         for row in &diff.rows {
-            println!(
+            writeln!(
+                Out,
                 "gate {path}: {label} {metric}: {base} -> {cur} {verdict}",
                 label = row.label,
                 metric = row.metric,
@@ -391,10 +423,10 @@ fn run_gate(baseline_dir: &str, reports: &[&str], gate_out: &str) {
             );
         }
         for label in &diff.missing {
-            println!("gate {path}: run '{label}' present in baseline only (not compared)");
+            writeln!(Out, "gate {path}: run '{label}' present in baseline only (not compared)");
         }
         for label in &diff.added {
-            println!("gate {path}: run '{label}' is new (no baseline)");
+            writeln!(Out, "gate {path}: run '{label}' is new (no baseline)");
         }
         diffs.push((path.to_string(), diff));
     }
@@ -409,7 +441,7 @@ fn run_gate(baseline_dir: &str, reports: &[&str], gate_out: &str) {
         .unwrap_or_else(|e| fail(format!("cannot write {gate_out}: {e}")));
     let regressions: usize = diffs.iter().map(|(_, d)| d.regressions().count()).sum();
     let rows: usize = diffs.iter().map(|(_, d)| d.rows.len()).sum();
-    println!("gate: {rows} metrics compared, {regressions} regressed (diff in {gate_out})");
+    writeln!(Out, "gate: {rows} metrics compared, {regressions} regressed (diff in {gate_out})");
     if regressions > 0 {
         eprintln!("commstats: regression gate failed ({regressions} metrics above baseline)");
         std::process::exit(1);

@@ -1,8 +1,5 @@
 //! Plan-cache benchmark: kept communication plans in the full fig8-style MD
-//! loop, and planned vs unplanned redistribution in the isolated
-//! neighbourhood-exchange primitive.
-//!
-//! Two workload families, each run on both machine models:
+//! loop, on both machine models:
 //!
 //! * **MD timestep loop** (`md/planned`, the fig8 workload at reduced scale):
 //!   the melting-crystal simulation (P2NFFT solver, Method B resort, movement
@@ -10,16 +7,6 @@
 //!   sort probe schedules and resort schedules persist across timesteps and
 //!   are re-executed while the accumulated movement stays under the plan's
 //!   validity bound.
-//! * **Neighbourhood ghost exchange** (the paper's Fig. 9 stencil): every
-//!   rank ships a fixed boundary payload to its 26 grid neighbours each
-//!   step. `planned` freezes a [`simcomm::CommPlan`] once and re-executes
-//!   it — receives land in partner order, so the ghost sequence is the
-//!   solver's with no post-processing. `unplanned` re-derives the partner
-//!   list each step and uses the one-shot nonblocking exchange, which
-//!   returns its buffers sorted by source. It still pays the full sort +
-//!   dedup pass the pre-plan ghost path performed every step (when its
-//!   receives came back in arrival order): the modelled baseline the plan
-//!   is measured against.
 //!
 //! Two unplanned redistribution families ride along on the same `procs`:
 //!
@@ -40,10 +27,7 @@
 //! positive skin margin to absorb particle movement.
 //!
 //! Writes `results/plancache_report.json` (the run-report schema), and
-//! fails loudly if the MD run builds or executes no plan, if a planned
-//! neighbourhood exchange is slower than its unplanned baseline on either
-//! machine model, or if it wins less than 5 % on the torus (JUQUEEN-like)
-//! model.
+//! fails loudly if the MD run builds or executes no plan.
 
 use atasp::{encode_index, resort, resort_planes, ExchangeMode};
 use bench::cli::{Cli, Opt, OBS_OPTS};
@@ -54,7 +38,7 @@ use bench::{
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal, PlaneSet, Vec3};
-use simcomm::{CartGrid, Comm, MachineModel, Runner, Work};
+use simcomm::{CartGrid, Comm, MachineModel, Runner};
 
 /// Payload of one message of the `exchange/*` runs.
 const EXCHANGE_BYTES: usize = 4096;
@@ -68,69 +52,6 @@ fn short_name(model: &MachineModel) -> &str {
 }
 
 const TAG_GHOSTS: u64 = 0x706c_616e;
-
-/// One ghost record: global id plus position/charge payload (40 B, the same
-/// order of magnitude as the solvers' particle records).
-type Ghost = (u64, [f64; 4]);
-
-/// The boundary payload rank `me` ships to partner `q`: `elems` records with
-/// ids unique per (owner, slot) pair.
-fn ghost_payload(me: usize, elems: usize) -> Vec<Ghost> {
-    (0..elems).map(|i| ((me * elems + i) as u64, [me as f64, i as f64, 0.0, 1.0])).collect()
-}
-
-/// Fig. 9-style stencil exchange, `steps` timesteps: planned (persistent
-/// [`simcomm::CommPlan`], partner-order receives) vs unplanned (per-step
-/// partner recomputation, then the sort + dedup pass the pre-plan ghost path
-/// ran every step). Returns (planned, unplanned) makespans.
-#[allow(clippy::too_many_arguments)]
-fn neighborhood_workloads(
-    model: &MachineModel,
-    procs: usize,
-    elems: usize,
-    steps: usize,
-    analyze: bool,
-    report: &mut RunReport,
-    timeline: &mut TimelineSink,
-) -> (f64, f64) {
-    let runner = Runner::default().traced(analyze);
-    let bytes_out = |n_partners: usize| (n_partners * elems * std::mem::size_of::<Ghost>()) as f64;
-    let planned = runner.run(procs, model.clone(), move |comm: &mut Comm| {
-        let partners = CartGrid::balanced(procs).neighbors26(comm.rank());
-        let mut plan = comm.plan_exchange(partners, TAG_GHOSTS);
-        let counts = vec![elems; plan.partners().len()];
-        for _ in 0..steps {
-            let mut ghosts: Vec<Ghost> =
-                plan.partners().iter().flat_map(|_| ghost_payload(comm.rank(), elems)).collect();
-            comm.compute(Work::ByteCopy, bytes_out(plan.partners().len()));
-            // Receives land in frozen partner order: the ghost sequence is
-            // already deterministic, no post-processing.
-            plan.execute_flat(comm, &mut ghosts, &counts);
-        }
-    });
-    let unplanned = runner.run(procs, model.clone(), move |comm: &mut Comm| {
-        for _ in 0..steps {
-            let partners = CartGrid::balanced(procs).neighbors26(comm.rank());
-            let data: Vec<(usize, Vec<Ghost>)> =
-                partners.iter().map(|&q| (q, ghost_payload(comm.rank(), elems))).collect();
-            comm.compute(Work::ByteCopy, bytes_out(partners.len()));
-            let received = comm.neighbor_exchange(&partners, data, TAG_GHOSTS);
-            // The buffers come back sorted by source, but the baseline is
-            // the pre-plan ghost path, which restored the solver's ghost
-            // order with a full sort + dedup pass each step.
-            let mut ghosts: Vec<Ghost> = received.into_iter().flat_map(|(_, v)| v).collect();
-            ghosts.sort_by_key(|g| g.0);
-            let g = ghosts.len().max(2) as f64;
-            comm.compute(Work::SortCmp, g * (g.log2() + 1.0));
-            ghosts.dedup_by_key(|g| g.0);
-        }
-    });
-    let name = short_name(model);
-    let spans = (planned.makespan(), unplanned.makespan());
-    record_run(format!("{name}/neighborhood/planned"), planned, report, timeline);
-    record_run(format!("{name}/neighborhood/unplanned"), unplanned, report, timeline);
-    spans
-}
 
 /// Symmetric ring neighbourhood of `reach` ranks on each side (the 26
 /// distinct partners of a 3×3×3 stencil when `reach` is 13).
@@ -264,7 +185,7 @@ fn three_planes(n: usize) -> PlaneSet {
 fn main() {
     let cli = Cli::parse(
         "plancache",
-        "persistent communication-plan cache: hit rates and steady-state wins",
+        "persistent communication-plan cache: hit rates and steady-state allocations",
         &[
             Opt::new("cells", "N", "crystal cells per dimension (default 16)"),
             Opt::new("procs", "P", "simulated process count (default 64)"),
@@ -272,7 +193,6 @@ fn main() {
             Opt::new("tolerance", "T", "solver tolerance (default 1e-2)"),
             Opt::new("seed", "S", "crystal perturbation seed (default 1)"),
             Opt::new("jitter", "J", "initial lattice jitter fraction (default 0.15)"),
-            Opt::new("elems", "N", "elements per rank in the microbench (default 500)"),
         ],
         OBS_OPTS,
     );
@@ -282,7 +202,6 @@ fn main() {
     let tolerance: f64 = cli.get("tolerance", 1e-2);
     let seed: u64 = cli.get("seed", 1);
     let jitter: f64 = cli.get("jitter", 0.15);
-    let elems: usize = cli.get("elems", 500);
     let mut timeline = cli.timeline();
     let analyze = cli.analyze(&timeline);
     let runner = Runner::default().traced(analyze);
@@ -291,11 +210,10 @@ fn main() {
     crystal.jitter = jitter * crystal.spacing;
     let dt = mdsim::suggested_dt(crystal.spacing, 1.0);
     banner(
-        "Plan cache — persistent communication plans vs per-step replanning",
+        "Plan cache — kept communication plans in the MD loop",
         &format!(
             "MD: {} particles (cells {cells}), {procs} processes, {steps} steps, \
-             P2NFFT + Method B resort, tolerance {tolerance:e}; \
-             neighbourhood: 26 partners x {elems} ghosts/step; exchange: 26 partners x \
+             P2NFFT + Method B resort, tolerance {tolerance:e}; exchange: 26 partners x \
              {EXCHANGE_BYTES} B; resort: {RESORT_ELEMS} elements x 3 fields per rank",
             crystal.n()
         ),
@@ -309,12 +227,8 @@ fn main() {
     report.param("tolerance", tolerance);
     report.param("seed", seed);
     report.param("jitter", jitter);
-    report.param("elems", elems);
 
-    println!(
-        "{:<14} {:<14} {:>14} {:>14} {:>8} {:>20}",
-        "machine", "workload", "planned", "unplanned", "win", "plan reuse"
-    );
+    println!("{:<14} {:<14} {:>14} {:>20}", "machine", "workload", "makespan", "plan reuse");
     for model in [MachineModel::juropa_like(), MachineModel::juqueen_like()] {
         let name = short_name(&model);
 
@@ -338,11 +252,9 @@ fn main() {
         let (builds, execs) = (entry.totals.plan_builds, entry.totals.plan_execs);
         let reuse = 100.0 * execs as f64 / ((builds + execs) as f64).max(1.0);
         println!(
-            "{name:<14} {:<14} {:>14} {:>14} {:>8} {:>7} builds {:>5.1}%",
+            "{name:<14} {:<14} {:>14} {:>7} builds {:>5.1}%",
             "md-loop",
             fmt_secs(entry.makespan),
-            "-",
-            "-",
             builds,
             reuse
         );
@@ -353,40 +265,6 @@ fn main() {
              cache never engaged",
             model.name
         );
-
-        // --- Neighbourhood ghost exchange ---
-        let (n_planned, n_unplanned) = neighborhood_workloads(
-            &model,
-            procs,
-            elems,
-            steps,
-            analyze,
-            &mut report,
-            &mut timeline,
-        );
-        selftime.lap_steps(&format!("run:{name}/neighborhood"), steps as u64);
-        let n_win = 100.0 * (1.0 - n_planned / n_unplanned);
-        println!(
-            "{name:<14} {:<14} {:>14} {:>14} {:>7.1}%",
-            "neighborhood",
-            fmt_secs(n_planned),
-            fmt_secs(n_unplanned),
-            n_win
-        );
-        assert!(
-            n_planned <= n_unplanned * (1.0 + 1e-9),
-            "{}: planned neighbourhood exchange ({n_planned} s) must not be \
-             slower than the unplanned baseline ({n_unplanned} s)",
-            model.name
-        );
-        if model.name.starts_with("juqueen") {
-            assert!(
-                n_win >= 5.0,
-                "{}: plan caching won only {n_win:.1} % on the torus \
-                 neighbourhood workload (need >= 5 %)",
-                model.name
-            );
-        }
 
         // --- Unplanned redistribution: exchange and resort ---
         exchange_workloads(&model, procs, analyze, &mut report, &mut timeline);

@@ -191,6 +191,34 @@ fn commstats_checks_and_gates_reports_end_to_end() {
 }
 
 #[test]
+fn commstats_exits_quietly_when_its_reader_goes_away() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let commstats = env!("CARGO_BIN_EXE_commstats");
+    let tmp = std::env::temp_dir().join(format!("obs_pipe_{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let path = write_report(&tmp, "obs_report.json", 1.0);
+    // The same report many times over: far more output than a pipe buffers,
+    // so commstats is still writing when the reader hangs up.
+    let paths = vec![path.display().to_string(); 400].join(",");
+    let mut child = Command::new(commstats)
+        .args(["--report", &paths])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    assert!(first.starts_with("report "), "unexpected first line: {first}");
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "a closed stdout must end the output quietly: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
 fn unknown_schema_version_is_rejected_by_commstats() {
     let commstats = env!("CARGO_BIN_EXE_commstats");
     let tmp = std::env::temp_dir().join(format!("obs_schema_{}", std::process::id()));

@@ -113,11 +113,6 @@ impl ParticleSet {
         self.planes.plane_mut::<u64>(self.id)
     }
 
-    /// The underlying plane storage (read-only).
-    pub fn plane_set(&self) -> &PlaneSet {
-        &self.planes
-    }
-
     /// The underlying plane storage, for layout-agnostic redistribution
     /// (`atasp::resort_planes`). The three core planes are registered as
     /// `"pos"`, `"charge"` and `"id"`; callers may register additional

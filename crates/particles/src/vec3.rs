@@ -60,12 +60,6 @@ impl Vec3 {
         self.norm2().sqrt()
     }
 
-    /// Component-wise product.
-    #[inline]
-    pub fn mul_elem(&self, o: &Vec3) -> Vec3 {
-        Vec3([self.0[0] * o.0[0], self.0[1] * o.0[1], self.0[2] * o.0[2]])
-    }
-
     /// Maximum absolute component (Chebyshev norm).
     #[inline]
     pub fn max_abs(&self) -> f64 {

@@ -74,13 +74,6 @@ pub fn child(key: u64, c: u8) -> u64 {
     (key << 3) | c as u64
 }
 
-/// Cell coordinates of a key interpreted at a given `level`.
-#[inline]
-pub fn cell_at_level(key: u64, level: u32) -> (u32, u32, u32) {
-    debug_assert!(level <= MAX_BITS);
-    decode(key)
-}
-
 /// Keys of cells adjacent (Chebyshev distance 1, including diagonals) to the
 /// cell of `key` at the given `level`, with periodic wraparound; excludes the
 /// cell itself. Cells that alias due to tiny grids are deduplicated.

@@ -11,7 +11,7 @@ use particles::{
     grid_cell_bounds, grid_rank_of, MovementHint, Particle, RedistMethod, SolverOutput, SystemBox,
     Vec3,
 };
-use simcomm::{CartGrid, Comm, CommPlan, Work};
+use simcomm::{CartGrid, Comm, Work};
 
 use crate::farfield::{FarFieldCache, FarFieldPlan, Overlap};
 use crate::nearfield::NearField;
@@ -97,7 +97,7 @@ pub struct PmRunReport {
     pub far_bytes: u64,
 }
 
-/// Message tag of the persistent ghost-exchange plan.
+/// Message tag of the ghost exchange.
 const TAG_GHOSTS: u64 = 0x67_686f_7374; // "ghost"
 
 /// Rank-dependent, decomposition-static scaffolding of the ghost plan: the
@@ -107,14 +107,23 @@ const TAG_GHOSTS: u64 = 0x67_686f_7374; // "ghost"
 /// and the two per-step clones of the partner list the old code paid.
 struct PlanStatics {
     rank: usize,
-    /// Prebuilt neighbourhood exchange mode, borrowed every step.
+    /// Prebuilt neighbourhood exchange mode, borrowed every step; its
+    /// partner list ([`PlanStatics::partners`]) is the ghost exchange's.
     neighborhood_mode: ExchangeMode,
-    /// Persistent message-layer plan for the ghost exchange (partner slots in
-    /// [`CommPlan::partners`] order).
-    comm_plan: CommPlan,
     /// The 26-stencil offsets whose shifted rank is another rank, each with
     /// its partner slot ([`ghost_offsets`]).
     ghost_offsets: Vec<GhostOffset>,
+}
+
+impl PlanStatics {
+    /// The distinct 26-neighbours, sorted: the partner slots of the ghost
+    /// routes.
+    fn partners(&self) -> &[usize] {
+        let ExchangeMode::Neighborhood(partners) = &self.neighborhood_mode else {
+            unreachable!("statics always hold a neighbourhood mode")
+        };
+        partners
+    }
 }
 
 /// One stencil offset of the ghost routes: the faces of the subdomain it
@@ -272,6 +281,11 @@ struct Workspace {
     pos: Vec<Vec3>,
     charge: Vec<f64>,
     restore: Restore,
+    /// The ghost exchange's buffers, one per partner in partner order: what
+    /// this rank sends (empty between runs), and what it received — the
+    /// near field's ghosts, and next step's send buffers.
+    ghosts_sent: Vec<(usize, Vec<(Vec3, f64)>)>,
+    ghosts_recv: Vec<(usize, Vec<(Vec3, f64)>)>,
 }
 
 /// One ghost-plan epoch: the frozen per-particle routing and placement of a
@@ -373,17 +387,12 @@ impl PmSolver {
         &self.cfg
     }
 
-    /// The process grid used for the domain decomposition.
-    pub fn process_grid(&self) -> &CartGrid {
-        &self.grid
-    }
-
     /// Drop all cached cross-timestep planning state (the ghost-plan epoch
     /// with its accumulated-movement accounting, and the resort plan of the
     /// last run). Recovery paths that rewind the simulation call this on
     /// every rank before replaying; plan state is bitwise invisible to the
     /// physics, so dropping it is always safe. The decomposition-static
-    /// scaffolding (26-neighbourhood, persistent [`CommPlan`]) carries no
+    /// scaffolding (26-neighbourhood and its ghost offsets) carries no
     /// movement state and is kept.
     pub fn invalidate_plans(&mut self) {
         self.epoch = None;
@@ -420,20 +429,23 @@ impl PmSolver {
             .min(Self::SKIN_STEPS * movement)
     }
 
-    /// Build the rank-dependent plan scaffolding (26-neighbourhood, alias
-    /// routes, persistent message plan) on the first run.
+    /// Build the rank-dependent plan scaffolding (26-neighbourhood and its
+    /// alias-merged ghost offsets) on the first run, charged as one plan
+    /// build: a copy of the partner list.
     fn ensure_statics(&mut self, comm: &mut Comm) {
         let me = comm.rank();
         if self.statics.as_ref().is_some_and(|s| s.rank == me) {
             return;
         }
+        let t0 = comm.clock();
         let neighbors = self.grid.neighbors26(me);
-        let comm_plan = comm.plan_exchange(neighbors.clone(), TAG_GHOSTS);
-        let ghost_offsets = ghost_offsets(&self.grid, me, comm_plan.partners());
+        let bytes = std::mem::size_of_val(&neighbors[..]) as u64;
+        comm.compute(Work::ByteCopy, bytes as f64);
+        comm.note_plan_build(t0, bytes);
+        let ghost_offsets = ghost_offsets(&self.grid, me, &neighbors);
         self.statics = Some(PlanStatics {
             rank: me,
             neighborhood_mode: ExchangeMode::Neighborhood(neighbors),
-            comm_plan,
             ghost_offsets,
         });
         self.epoch = None;
@@ -481,7 +493,7 @@ impl PmSolver {
         let use_neighborhood =
             method == RedistMethod::UseChanged && movement.is_some_and(|m| m < min_width);
         self.last_report.used_neighborhood = use_neighborhood;
-        let statics = self.statics.as_mut().expect("statics built above");
+        let statics = self.statics.as_ref().expect("statics built above");
         let collective = ExchangeMode::Collective;
         // --- Redistribute particles to their subdomain owners ---
         comm.enter_phase("sort");
@@ -513,9 +525,7 @@ impl PmSolver {
         // subdomain width cannot carry a particle past a direct neighbour.
         let mut use_neighborhood = use_neighborhood;
         if use_neighborhood && comm.fault_active() {
-            let ExchangeMode::Neighborhood(neighbors) = &statics.neighborhood_mode else {
-                unreachable!("statics always hold a neighbourhood mode")
-            };
+            let neighbors = statics.partners();
             let ok_local = targets.iter().all(|&t| t == me || neighbors.contains(&t));
             comm.compute(Work::ParticleOp, n_in as f64);
             if !comm.allreduce(ok_local, |a, b| a && b) {
@@ -582,9 +592,9 @@ impl PmSolver {
 
         // --- Ghost exchange: duplicate boundary particles to neighbours
         // within the cutoff plus the plan's skin margin (always
-        // point-to-point with the 26 grid neighbours via the persistent
-        // [`CommPlan`]; a ghost is its position and charge, all the near
-        // field reads).
+        // point-to-point with the 26 grid neighbours, one message each, empty
+        // or not; a ghost is its position and charge, all the near field
+        // reads).
         //
         // The skin over-approximates the selection: every particle within
         // `rcut + skin` of a boundary is duplicated, so the routes stay a
@@ -606,7 +616,7 @@ impl PmSolver {
             let epoch = self.epoch.get_or_insert_with(GhostEpoch::default);
             let tests = select_ghosts(
                 &statics.ghost_offsets,
-                statics.comm_plan.partners().len(),
+                statics.partners().len(),
                 owned,
                 (lo, hi),
                 margin,
@@ -637,18 +647,32 @@ impl PmSolver {
         if epoch.skin >= 0.0 {
             // One route-plan execution per step in cacheable mode (hit or
             // just rebuilt), pairing the `plan_build` above — the partner
-            // schedule's own execution is counted by `CommPlan::execute_flat`.
+            // schedule's own execution is counted at the exchange below.
             comm.note_plan_exec(t_plan, epoch.route_bytes());
         }
-        // One block for the copies sent, then — in place — for the ghosts
-        // received; the near field is the last to read it.
-        let mut ghosts: Vec<(Vec3, f64)> = Vec::with_capacity(epoch.sends.len());
-        let copy = |&j: &u32| (owned[j as usize].pos, owned[j as usize].charge);
-        ghosts.extend(epoch.sends.iter().map(copy));
-        comm.compute(Work::ByteCopy, std::mem::size_of_val(&ghosts[..]) as f64);
-        statics.comm_plan.execute_flat(comm, &mut ghosts, &epoch.counts);
-        self.last_report.ghosts_received = ghosts.len() as u64;
-        self.last_report.ghost_bytes = std::mem::size_of_val(&ghosts[..]) as u64;
+        // One buffer per partner, in partner order, each refilled from the
+        // one that partner sent the step before.
+        let mut recv = ws.ghosts_recv.drain(..).map(|(_, buf)| buf);
+        let mut sent = epoch.sends.iter();
+        for (&q, &count) in statics.partners().iter().zip(&epoch.counts) {
+            let mut buf = recv.next().unwrap_or_default();
+            buf.clear();
+            buf.extend(sent.by_ref().take(count).map(|&j| {
+                let rec = &owned[j as usize];
+                (rec.pos, rec.charge)
+            }));
+            ws.ghosts_sent.push((q, buf));
+        }
+        drop(recv);
+        let sent_bytes = (epoch.sends.len() * std::mem::size_of::<(Vec3, f64)>()) as u64;
+        comm.compute(Work::ByteCopy, sent_bytes as f64);
+        let t_exchange = comm.clock();
+        let partners = statics.partners().iter().copied();
+        comm.routed_exchange_into(partners, &mut ws.ghosts_sent, &mut ws.ghosts_recv, TAG_GHOSTS);
+        comm.note_plan_exec(t_exchange, sent_bytes);
+        let received: usize = ws.ghosts_recv.iter().map(|(_, buf)| buf.len()).sum();
+        self.last_report.ghosts_received = received as u64;
+        self.last_report.ghost_bytes = (received * std::mem::size_of::<(Vec3, f64)>()) as u64;
         comm.exit_phase();
         let t_sorted = comm.clock();
 
@@ -661,9 +685,9 @@ impl PmSolver {
         ws.charge.extend(owned.iter().map(|r| r.charge));
         let sources = ws.pos.iter().copied().zip(ws.charge.iter().copied());
         let cfg = (self.cfg.alpha, self.cfg.rcut, self.cfg.soft_core);
-        let sources = sources.chain(ghosts.iter().copied());
+        let ghosts = ws.ghosts_recv.iter().flat_map(|(_, buf)| buf.iter().copied());
+        let sources = sources.chain(ghosts);
         let mut near = NearField::new(&self.bbox, cfg, (lo, hi), owned.len(), sources);
-        drop(ghosts);
         let mut chunks = NearChunks::default();
 
         comm.enter_phase("far");

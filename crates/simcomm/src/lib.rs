@@ -44,7 +44,6 @@ mod error;
 mod fault;
 mod model;
 mod phase;
-mod plan;
 mod pool;
 mod trace;
 mod world;
@@ -57,7 +56,6 @@ pub use model::{
     balanced_dims, torus_coords, torus_hops, ComputeRates, MachineModel, Topology, Work,
 };
 pub use phase::{aggregate_phases, PhaseAgg, PhaseProfile, PhaseStats, UNTAGGED};
-pub use plan::CommPlan;
 pub use trace::{write_trace_csv, ClockSpan, SpanCat, Trace, TraceEvent, TraceKind};
 pub use world::{
     push_segment, run, AlltoallvRequest, Comm, Group, RankStats, Request, RunOutput, Runner,

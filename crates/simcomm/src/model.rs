@@ -184,12 +184,14 @@ impl CollTerms {
         self.stages * self.stage
     }
 
-    /// See [`MachineModel::tree_coll_time`].
+    /// A broadcast, reduction or allreduce of `bytes`: every tree stage
+    /// pays its latency and the payload at point-to-point bandwidth.
     pub(crate) fn tree_coll(&self, bytes: u64) -> f64 {
         self.stages * (self.stage + bytes as f64 / self.p2p_bandwidth)
     }
 
-    /// See [`MachineModel::allgather_time`].
+    /// An allgather after which every rank holds `total_bytes`: a barrier's
+    /// stages plus the volume at the all-to-all bandwidth.
     pub(crate) fn allgather(&self, total_bytes: u64) -> f64 {
         self.barrier() + total_bytes as f64 / self.alltoall_eff_bw
     }
@@ -581,16 +583,6 @@ impl MachineModel {
     /// Cost of a barrier over `n` ranks.
     pub fn barrier_time(&self, n: usize) -> f64 {
         self.coll_terms(n).barrier()
-    }
-
-    /// Cost of a broadcast / reduction / allreduce of `bytes` over `n` ranks.
-    pub fn tree_coll_time(&self, n: usize, bytes: u64) -> f64 {
-        self.coll_terms(n).tree_coll(bytes)
-    }
-
-    /// Cost of an allgather where every rank ends up holding `total_bytes`.
-    pub fn allgather_time(&self, n: usize, total_bytes: u64) -> f64 {
-        self.coll_terms(n).allgather(total_bytes)
     }
 
     /// Effective per-rank bandwidth for globally scattered traffic in a world

@@ -235,9 +235,9 @@ impl Comm {
     /// plan: bumps the plan-build counter and records a `plan_build` trace
     /// span from `t_start` to the current clock. `bytes` is the size of the
     /// frozen schedule (route tables, permutations), as a volume hint for
-    /// offline analysis. Plan layers above `simcomm` (resort plans, ghost
-    /// plans, sort plans) call this too, so plan-reuse rates aggregate across
-    /// all redistribution layers.
+    /// offline analysis. The plan layers above `simcomm` (resort plans, ghost
+    /// plans, sort plans) call this, so plan-reuse rates aggregate across all
+    /// redistribution layers.
     pub fn note_plan_build(&mut self, t_start: f64, bytes: u64) {
         self.stats.plan_builds += 1;
         self.trace_event(TraceKind::PlanBuild, t_start, bytes, None);

@@ -41,7 +41,7 @@
 
 use std::any::Any;
 
-use super::transport::Message;
+use super::transport::{posting_order, Message};
 use super::Comm;
 use crate::trace::TraceKind;
 
@@ -134,21 +134,18 @@ impl Comm {
         check_sparse_targets(partners, sends.iter().map(|&(dst, _)| dst));
         let tag = SPARSE_TAG | self.coll_seq;
         let mut sent = 0;
-        // The posting rule of the dense exchanges (`posting_order`): the
-        // destinations above this rank first, then the rest, each group in
-        // list order — so buffers to one destination keep their order.
-        let me = self.rank;
-        for upper in [true, false] {
-            let group =
-                sends.iter_mut().filter(|(dst, data)| (*dst > me) == upper && !data.is_empty());
-            for (dst, data) in group {
-                let data = std::mem::take(data);
-                let bytes = std::mem::size_of_val(&data[..]) as u64;
-                let payload = self.box_payload(data);
-                self.sparse_post(*dst, tag, payload, bytes);
-                sent += bytes;
+        // The posting rule of the dense exchanges: buffers to one
+        // destination keep their order.
+        posting_order(self.rank, sends, |dst, data| {
+            if data.is_empty() {
+                return;
             }
-        }
+            let data = std::mem::take(data);
+            let bytes = std::mem::size_of_val(&data[..]) as u64;
+            let payload = self.box_payload(data);
+            self.sparse_post(dst, tag, payload, bytes);
+            sent += bytes;
+        });
         sends.clear();
         self.sparse_settle(tag, sent);
         out.clear();

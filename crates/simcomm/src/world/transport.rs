@@ -194,8 +194,7 @@ impl Comm {
     }
 
     /// [`Comm::post_send`] over an already-boxed payload: the sparse
-    /// exchange and [`crate::CommPlan::execute_flat`] hand their envelopes
-    /// straight through here.
+    /// exchange hands its envelopes straight through here.
     pub(super) fn post_send_payload(
         &mut self,
         dst: usize,
@@ -377,20 +376,6 @@ impl Comm {
         let (depart, bytes, corr) = self.post_send(dst, tag, data);
         self.trace_event_corr(TraceKind::Isend, t0, bytes, Some(dst), corr);
         Request::new(ReqKind::Send { dst, depart, corr })
-    }
-
-    /// Nonblocking send of an already boxed payload of `bytes` bytes.
-    fn isend_payload(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        payload: Box<dyn Any + Send>,
-        bytes: u64,
-    ) -> ReqKind {
-        let t0 = self.clock;
-        let (depart, corr) = self.post_send_payload(dst, tag, payload, bytes);
-        self.trace_event_corr(TraceKind::Isend, t0, bytes, Some(dst), corr);
-        ReqKind::Send { dst, depart, corr }
     }
 
     /// Nonblocking receive: returns a [`Request`] that completes when a
@@ -613,12 +598,9 @@ impl Comm {
             kinds.push(self.irecv::<T>(src, tag).kind);
         }
         let n_recv = kinds.len();
-        let me = self.rank;
-        for upper in [true, false] {
-            for (dst, buf) in sends.iter_mut().filter(|(dst, _)| (*dst > me) == upper) {
-                kinds.push(self.isend(*dst, tag, std::mem::take(buf)).kind);
-            }
-        }
+        posting_order(self.rank, sends, |dst, buf| {
+            kinds.push(self.isend(dst, tag, std::mem::take(buf)).kind);
+        });
         sends.clear();
         self.waitall_core(&kinds);
         self.wait_scratch.kinds = kinds;
@@ -632,51 +614,31 @@ impl Comm {
             out.push((src, self.take_matched(slot)));
         }
     }
-
-    /// The exchange under [`crate::CommPlan::execute_flat`], on boxed
-    /// payloads: `envelopes[i]` (of `bytes[i]` bytes) goes to `partners[i]`
-    /// and the envelope received from `partners[i]` takes its place. Posting
-    /// order, completion order and every charged cost are those of
-    /// [`Comm::neighbor_exchange`] — all receives in partner order, then the
-    /// sends in [`posting_order`], drained in arrival order — and nothing is
-    /// boxed or unboxed here, so the caller decides what an envelope's buffer
-    /// is reused for. The partners are those of a plan, which
-    /// [`Comm::plan_exchange`] has checked against the world.
-    pub(crate) fn exchange_envelopes(
-        &mut self,
-        partners: &[usize],
-        tag: u64,
-        envelopes: &mut [Box<dyn Any + Send>],
-        bytes: &[u64],
-    ) {
-        let mut kinds = std::mem::take(&mut self.wait_scratch.kinds);
-        kinds.clear();
-        kinds.extend(partners.iter().map(|&src| ReqKind::Recv { src, tag }));
-        for i in posting_order(self.rank, partners) {
-            // A boxed unit is not an allocation.
-            let payload = std::mem::replace(&mut envelopes[i], Box::new(()));
-            kinds.push(self.isend_payload(partners[i], tag, payload, bytes[i]));
-        }
-        self.waitall_core(&kinds);
-        self.wait_scratch.kinds = kinds;
-        for (slot, envelope) in envelopes.iter_mut().enumerate() {
-            let msg = self.wait_scratch.msgs[slot].take().expect("matched in waitall_core");
-            *envelope = msg.payload;
-        }
-    }
 }
 
-/// The order rank `me` posts the sends of a point-to-point exchange in, as
-/// positions into its destination list: the destinations above `me` first,
-/// then the rest, each group in list order — ascending `(q - me) mod P` for a
-/// sorted list, the schedule of MPI's pairwise exchange. In plain ascending
-/// order the highest rank of a periodic neighbourhood is every neighbour's
-/// last destination, at the back of all their NIC queues; shifted, each slot
-/// of the schedule is a permutation. Only when a message leaves changes,
-/// never what arrives or the order buffers to one destination keep.
-pub(crate) fn posting_order(me: usize, dsts: &[usize]) -> impl Iterator<Item = usize> + '_ {
-    let upper = (0..dsts.len()).filter(move |&i| dsts[i] > me);
-    upper.chain((0..dsts.len()).filter(move |&i| dsts[i] <= me))
+/// Visit the sends of a point-to-point exchange in the order rank `me` posts
+/// them: the destinations above `me` first, then the rest, each group in
+/// list order — ascending `(q - me) mod P` for a sorted list, the schedule of
+/// MPI's pairwise exchange. In plain ascending order the highest rank of a
+/// periodic neighbourhood is every neighbour's last destination, at the back
+/// of all their NIC queues; shifted, each slot of the schedule is a
+/// permutation. Only when a message leaves changes, never what arrives or the
+/// order buffers to one destination keep.
+///
+/// Always inlined, so each exchange compiles to the plain two-pass loop: an
+/// iterator form of this rule cost a 26-neighbour `neighbor_exchange` about
+/// a tenth of its host time.
+#[inline(always)]
+pub(super) fn posting_order<B>(
+    me: usize,
+    sends: &mut [(usize, B)],
+    mut post: impl FnMut(usize, &mut B),
+) {
+    for upper in [true, false] {
+        for (dst, buf) in sends.iter_mut().filter(|(dst, _)| (*dst > me) == upper) {
+            post(*dst, buf);
+        }
+    }
 }
 
 /// Validate a neighbour-exchange partner list against the send buffers: a
@@ -703,7 +665,7 @@ fn check_partner_list<B>(partners: &[usize], data: &[(usize, B)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run, MachineModel, Runner, Work};
+    use crate::{run, MachineModel, Runner, Work, WorldError};
 
     #[test]
     fn p2p_roundtrip() {
@@ -801,6 +763,29 @@ mod tests {
             // without the check this would deadlock silently.
             let _ = comm.neighbor_exchange(&[peer], vec![(comm.rank(), vec![1u8])], 0);
         });
+    }
+
+    #[test]
+    fn a_source_outside_the_world_fails_cleanly() {
+        // Rank 0 names a source past the end of the world while rank 1 waits
+        // for a message from it: the receive's range check fails rank 0
+        // before it posts anything, and the poison wakes rank 1 (not a
+        // deadlock).
+        let err = Runner::default()
+            .try_run(2, MachineModel::ideal(), |comm| {
+                let (src, dst) = if comm.rank() == 0 { (3, 1) } else { (0, 0) };
+                let mut sends = vec![(dst, vec![comm.rank() as u64])];
+                let mut got = Vec::new();
+                comm.routed_exchange_into([src], &mut sends, &mut got, 0);
+            })
+            .err()
+            .expect("a source outside the world must fail the world");
+        match err {
+            WorldError::RankPanic { rank: 0, ref message } => {
+                assert!(message.contains("irecv from invalid rank 3"), "unexpected message: {err}")
+            }
+            other => panic!("expected rank 0's receive panic, got {other}"),
+        }
     }
 
     #[test]

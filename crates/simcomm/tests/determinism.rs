@@ -542,7 +542,7 @@ type Received = Vec<(Vec<(u64, f64)>, Vec<(usize, usize)>)>;
 /// rounds of a sparse random all-to-all-v — repeated destinations, empty
 /// segments, ranks that send nothing, ranks nobody writes to — in the flat
 /// form or the moving one, with collectives of other types between the
-/// rounds so the deposit envelopes alternate, and a planned neighbourhood
+/// rounds so the deposit envelopes alternate, and a ring neighbourhood
 /// exchange in the matching form. Returns everything received.
 fn sparse_exchange_program(
     seed: u64,
@@ -556,9 +556,11 @@ fn sparse_exchange_program(
             (state % n.max(1) as u64) as usize
         };
         let mut ring = vec![(me + 1) % p, (me + p - 1) % p];
+        ring.sort_unstable();
+        ring.dedup();
         ring.retain(|&q| q != me);
-        let mut plan = comm.plan_exchange(ring, 5);
         let (mut recv, mut sources) = (Vec::new(), Vec::new());
+        let (mut sends, mut got) = (Vec::new(), Vec::new());
         let mut out = Vec::new();
         for round in 0..6 {
             // A third of the ranks send nothing; rank 0 is never addressed
@@ -595,33 +597,28 @@ fn sparse_exchange_program(
             let total = comm.allreduce(recv.len() as u64, |a, b| a + b);
             let _ = comm.allreduce((total > 0, me % 2 == 0), |a, b| (a.0 && b.0, a.1 || b.1));
 
-            // The neighbourhood twin: a ring exchange through the plan, or
-            // the same messages through `neighbor_exchange`, counted as one
-            // plan execution.
-            let counts: Vec<usize> = plan.partners().iter().map(|_| draw(5)).collect();
-            let mut ghosts: Vec<(u64, f64)> =
+            // The neighbourhood twin: a ring exchange through
+            // `routed_exchange_into` over kept lists, or the same messages
+            // through `neighbor_exchange`, each counted as one plan execution.
+            let counts: Vec<usize> = ring.iter().map(|_| draw(5)).collect();
+            let ghosts: Vec<(u64, f64)> =
                 (0..counts.iter().sum()).map(|i| (i as u64 + 7, me as f64)).collect();
-            let from = if flat {
-                plan.execute_flat(comm, &mut ghosts, &counts);
-                plan.partners()
-                    .iter()
-                    .copied()
-                    .zip(plan.last_recv_counts().iter().copied())
-                    .collect()
+            let t0 = comm.clock();
+            let mut rest = &ghosts[..];
+            let bufs = ring.iter().zip(&counts).map(|(&q, &len)| {
+                let (head, tail) = rest.split_at(len);
+                rest = tail;
+                (q, head.to_vec())
+            });
+            if flat {
+                sends.extend(bufs);
+                comm.routed_exchange_into(ring.iter().copied(), &mut sends, &mut got, 5);
             } else {
-                let t0 = comm.clock();
-                let mut rest = &ghosts[..];
-                let bufs = plan.partners().iter().zip(&counts).map(|(&q, &len)| {
-                    let (head, tail) = rest.split_at(len);
-                    rest = tail;
-                    (q, head.to_vec())
-                });
-                let got = comm.neighbor_exchange(plan.partners(), bufs.collect(), plan.tag());
-                comm.note_plan_exec(t0, (ghosts.len() * std::mem::size_of::<(u64, f64)>()) as u64);
-                let from = got.iter().map(|(src, buf)| (*src, buf.len())).collect();
-                ghosts = got.into_iter().flat_map(|(_, buf)| buf).collect();
-                from
-            };
+                got = comm.neighbor_exchange(&ring, bufs.collect(), 5);
+            }
+            comm.note_plan_exec(t0, (ghosts.len() * std::mem::size_of::<(u64, f64)>()) as u64);
+            let from = got.iter().map(|(src, buf)| (*src, buf.len())).collect();
+            let ghosts = got.iter().flat_map(|(_, buf)| buf.iter().copied()).collect();
             out.push((ghosts, from));
         }
         out

@@ -5,7 +5,7 @@
 //! Two things are checked. The rule spreads arrivals: on a periodic grid no
 //! rank is every neighbour's last destination, so equal exchanges finish at
 //! nearly equal clocks. And it moves nothing but time: whatever
-//! `neighbor_exchange`, `CommPlan::execute_flat` and `sparse_exchange`
+//! `neighbor_exchange`, `routed_exchange_into` and `sparse_exchange`
 //! receive is what the collective all-to-all-v delivers, bit for bit and in
 //! the same per-source order — repeated destinations included.
 
@@ -30,23 +30,21 @@ fn shifted_posting_spreads_arrivals() {
         let me = comm.rank();
         let partners = CartGrid::balanced(comm.size()).neighbors26(me);
         assert_eq!(partners.len(), 26);
-        let mut plan = comm.plan_exchange(partners.clone(), 9);
-        // Equal entry clocks for both exchanges: the plan build is charged
-        // before the first, a barrier separates them.
-        comm.barrier();
+        let data = || partners.iter().map(|&q| (q, vec![me as u64; 256])).collect();
         let t0 = comm.clock();
-        let data = partners.iter().map(|&q| (q, vec![me as u64; 256])).collect();
-        let got = comm.neighbor_exchange(&partners, data, 8);
+        let got = comm.neighbor_exchange(&partners, data(), 8);
         assert_eq!(got.len(), 26);
         let dense = comm.clock() - t0;
+        // Equal entry clocks for the second exchange.
         comm.barrier();
         let t1 = comm.clock();
-        let mut payload = vec![me as u64; 256 * 26];
-        plan.execute_flat(comm, &mut payload, &[256; 26]);
+        let (mut sends, mut got) = (data(), Vec::new());
+        comm.routed_exchange_into(partners.iter().copied(), &mut sends, &mut got, 9);
+        assert_eq!(got.len(), 26);
         (dense, comm.clock() - t1)
     });
-    let (dense, planned): (Vec<f64>, Vec<f64>) = out.results.iter().copied().unzip();
-    for (what, times) in [("neighbor_exchange", &dense), ("execute_flat", &planned)] {
+    let (dense, routed): (Vec<f64>, Vec<f64>) = out.results.iter().copied().unzip();
+    for (what, times) in [("neighbor_exchange", &dense), ("routed_exchange_into", &routed)] {
         let ratio = spread(times);
         assert!(ratio <= 1.05, "{what}: slowest over fastest rank {ratio:.3}, want <= 1.05");
     }
@@ -79,8 +77,8 @@ fn partners(seed: u64, me: usize, p: usize, round: usize) -> Vec<usize> {
 /// Per round: what each exchange path received, then what the oracle did.
 type Round = [Vec<(usize, Vec<u64>)>; 2];
 
-/// One rank's rounds: the same data through `neighbor_exchange`, a plan's
-/// `execute_flat` and `alltoallv`, then a sparse round — some partners get
+/// One rank's rounds: the same data through `neighbor_exchange`,
+/// `routed_exchange_into` and `alltoallv`, then a sparse round — some partners get
 /// nothing, some an empty buffer, some two buffers, in shuffled list order —
 /// through `sparse_exchange` and `alltoallv`.
 fn program(seed: u64, rounds: usize) -> impl Fn(&mut Comm) -> Vec<Round> + Send + Sync {
@@ -105,23 +103,12 @@ fn program(seed: u64, rounds: usize) -> impl Fn(&mut Comm) -> Vec<Round> + Send 
             // Dense: every partner gets a message, empty or not.
             let dense = comm.neighbor_exchange(&list, data.clone(), round as u64);
             assert_eq!(dense.iter().map(|(src, _)| *src).collect::<Vec<_>>(), list);
-            let mut plan = comm.plan_exchange(list.clone(), 1000 + round as u64);
-            let mut flat: Vec<u64> = data.iter().flat_map(|(_, buf)| buf.clone()).collect();
-            let counts: Vec<usize> = lens.iter().map(|&len| len as usize).collect();
-            plan.execute_flat(comm, &mut flat, &counts);
-            let mut rest = &flat[..];
-            let planned: Vec<(usize, Vec<u64>)> = list
-                .iter()
-                .zip(plan.last_recv_counts())
-                .map(|(&q, &len)| {
-                    let (head, tail) = rest.split_at(len);
-                    rest = tail;
-                    (q, head.to_vec())
-                })
-                .collect();
+            let (mut sends, mut routed) = (data.clone(), Vec::new());
+            comm.routed_exchange_into(list.clone(), &mut sends, &mut routed, 1000 + round as u64);
+            assert!(sends.is_empty());
             assert_eq!(
-                planned, dense,
-                "rank {me} round {round}: execute_flat vs neighbor_exchange"
+                routed, dense,
+                "rank {me} round {round}: routed_exchange_into vs neighbor_exchange"
             );
             let nonempty = |got: Vec<(usize, Vec<u64>)>| -> Vec<(usize, Vec<u64>)> {
                 got.into_iter().filter(|(_, buf)| !buf.is_empty()).collect()
