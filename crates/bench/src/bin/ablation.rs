@@ -11,7 +11,7 @@
 //! Prints one table per study; virtual seconds.
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, record_run, report_summary, RunReport, TimelineSink};
+use bench::{banner, fmt_secs, outln, record_run, report_summary, RunReport, TimelineSink};
 use particles::systems::splitmix64;
 use simcomm::{CartGrid, MachineModel, Runner};
 
@@ -22,10 +22,14 @@ fn sort_ablation(
     timeline: &mut TimelineSink,
 ) {
     let runner = Runner::default().traced(analyze);
-    println!("\n[1] partition-based vs merge-based parallel sort ({per_rank} keys/rank)");
-    println!(
+    outln!("\n[1] partition-based vs merge-based parallel sort ({per_rank} keys/rank)");
+    outln!(
         "{:<8} {:<14} {:>14} {:>14} {:>10}",
-        "procs", "input", "partition", "merge-exch", "winner"
+        "procs",
+        "input",
+        "partition",
+        "merge-exch",
+        "winner"
     );
     for p in [16usize, 64, 256] {
         for sortedness in ["random", "almost-sorted"] {
@@ -59,7 +63,7 @@ fn sort_ablation(
             let part = out.results.iter().map(|r| r.0).fold(0.0, f64::max);
             let merge = out.results.iter().map(|r| r.1).fold(0.0, f64::max);
             record_run(format!("sort/p={p}/{sortedness}"), out, report, timeline);
-            println!(
+            outln!(
                 "{:<8} {:<14} {:>14} {:>14} {:>10}",
                 p,
                 sortedness,
@@ -69,16 +73,13 @@ fn sort_ablation(
             );
         }
     }
-    println!("(the paper's heuristic picks merge-exchange only for almost-sorted data)");
+    outln!("(the paper's heuristic picks merge-exchange only for almost-sorted data)");
 }
 
 fn comm_ablation(bytes: usize, analyze: bool, report: &mut RunReport, timeline: &mut TimelineSink) {
     let runner = Runner::default().traced(analyze);
-    println!("\n[2] collective vs neighbourhood exchange (26 partners, {bytes} B each)");
-    println!(
-        "{:<10} {:<22} {:>14} {:>14} {:>10}",
-        "procs", "machine", "alltoallv", "p2p", "winner"
-    );
+    outln!("\n[2] collective vs neighbourhood exchange (26 partners, {bytes} B each)");
+    outln!("{:<10} {:<22} {:>14} {:>14} {:>10}", "procs", "machine", "alltoallv", "p2p", "winner");
     for p in [64usize, 1024, 4096] {
         for (name, model) in [
             ("juropa-like/switched", MachineModel::juropa_like()),
@@ -103,7 +104,7 @@ fn comm_ablation(bytes: usize, analyze: bool, report: &mut RunReport, timeline: 
             let coll = out.results.iter().map(|r| r.0).fold(0.0, f64::max);
             let p2p = out.results.iter().map(|r| r.1).fold(0.0, f64::max);
             record_run(format!("exchange/p={p}/{name}"), out, report, timeline);
-            println!(
+            outln!(
                 "{:<10} {:<22} {:>14} {:>14} {:>10}",
                 p,
                 name,
@@ -113,13 +114,13 @@ fn comm_ablation(bytes: usize, analyze: bool, report: &mut RunReport, timeline: 
             );
         }
     }
-    println!("(the torus flips to p2p at scale — the paper's Fig. 9 right crossover)");
+    outln!("(the torus flips to p2p at scale — the paper's Fig. 9 right crossover)");
 }
 
 fn ghost_ablation(analyze: bool, report: &mut RunReport, timeline: &mut TimelineSink) {
     let runner = Runner::default().traced(analyze);
-    println!("\n[3] ghost-layer volume vs cutoff radius (particle-mesh solver)");
-    println!("{:<10} {:>12} {:>14} {:>14}", "rcut", "ghosts", "sort time", "near pairs");
+    outln!("\n[3] ghost-layer volume vs cutoff radius (particle-mesh solver)");
+    outln!("{:<10} {:>12} {:>14} {:>14}", "rcut", "ghosts", "sort time", "near pairs");
     let c = particles::IonicCrystal::cubic(12, 1.0, 0.15, 3);
     let bbox = particles::ParticleSource::system_box(&c);
     let p = 8;
@@ -151,9 +152,9 @@ fn ghost_ablation(analyze: bool, report: &mut RunReport, timeline: &mut Timeline
         let sort = out.results.iter().map(|r| r.1).fold(0.0, f64::max);
         let pairs: u64 = out.results.iter().map(|r| r.2).sum();
         record_run(format!("ghost/rcut={rcut}"), out, report, timeline);
-        println!("{:<10} {:>12} {:>14} {:>14}", rcut, ghosts, fmt_secs(sort), pairs);
+        outln!("{:<10} {:>12} {:>14} {:>14}", rcut, ghosts, fmt_secs(sort), pairs);
     }
-    println!("(a wider ghost layer trades redistribution volume for near-field work)");
+    outln!("(a wider ghost layer trades redistribution volume for near-field work)");
 }
 
 fn main() {

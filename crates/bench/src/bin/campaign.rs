@@ -40,7 +40,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use bench::cli::{Cli, Opt};
-use bench::{banner, fmt_secs, report_summary, RunEntry, RunReport};
+use bench::{banner, fmt_secs, outln, report_summary, RunEntry, RunReport};
 use campaign::{run_campaign, Policy, RunCtx, RunDef, RunOutcome};
 use fcs::SolverKind;
 use mdsim::io::Snapshot;
@@ -397,7 +397,7 @@ fn main() {
 
     if outcome.halted {
         let done = outcome.runs.iter().filter(|r| r.outcome.is_some()).count();
-        println!(
+        outln!(
             "campaign halted after {done}/{} terminal runs ({} executed here, {} reused); \
              re-run the same command without --halt-after to resume",
             outcome.runs.len(),
@@ -420,7 +420,7 @@ fn main() {
     report.param("tolerance", tolerance);
     report.param("hang_ms", hang_ms);
 
-    println!("{:<28} {:>10} {:>9} {:>14}", "run", "status", "attempts", "makespan");
+    outln!("{:<28} {:>10} {:>9} {:>14}", "run", "status", "attempts", "makespan");
     let mut failures: Vec<(String, String)> = Vec::new();
     for row in &outcome.runs {
         match row.outcome.as_ref().expect("non-halted campaign has only terminal rows") {
@@ -429,7 +429,7 @@ fn main() {
                     .unwrap_or_else(|e| panic!("payload of {} is not JSON: {e}", row.name));
                 let entry = RunEntry::from_json(&v)
                     .unwrap_or_else(|e| panic!("payload of {} is not a run entry: {e}", row.name));
-                println!(
+                outln!(
                     "{:<28} {:>10} {:>9} {:>14}",
                     row.name,
                     "ok",
@@ -442,7 +442,7 @@ fn main() {
                 report.push(row.name.clone(), entry);
             }
             RunOutcome::Failed { kind, detail, attempts, .. } => {
-                println!("{:<28} {:>10} {:>9} {:>14}", row.name, kind.as_str(), attempts, "-");
+                outln!("{:<28} {:>10} {:>9} {:>14}", row.name, kind.as_str(), attempts, "-");
                 failures.push((row.name.clone(), kind.clone()));
                 report.param(
                     &format!("failed:{}", row.name),
@@ -478,7 +478,7 @@ fn main() {
 
     let json = report.to_json().pretty();
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
-    println!(
+    outln!(
         "\n{} completed ({} reused from journal, {} executed), {} failure records",
         outcome.completed().count(),
         outcome.reused,

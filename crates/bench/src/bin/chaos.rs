@@ -29,7 +29,7 @@
 //! totals carry its fault counters).
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, report_summary, MdWorld, RunReport};
+use bench::{banner, fmt_secs, outln, report_summary, MdWorld, RunReport};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
@@ -93,7 +93,7 @@ fn main() {
         ..SimConfig::default()
     };
 
-    println!(
+    outln!(
         "{:<14} {:>9} {:>13} {:>13} {:>13} {:>7} {:>7} {:>9} {:>9}",
         "machine",
         "intensity",
@@ -162,8 +162,7 @@ fn main() {
             let ratio = guarded / general;
             let (faults, timeouts) =
                 (guarded_entry.totals.faults_injected, guarded_entry.totals.timeouts);
-            println!(
-                "{name:<14} {intensity:>9} {:>13} {:>13} {:>13} {:>6.2}x {faults:>7} {recoveries:>9} {timeouts:>9}",
+            outln!("{name:<14} {intensity:>9} {:>13} {:>13} {:>13} {:>6.2}x {faults:>7} {recoveries:>9} {timeouts:>9}",
                 fmt_secs(clean_makespan),
                 fmt_secs(guarded),
                 fmt_secs(general),
@@ -183,7 +182,7 @@ fn main() {
     }
 
     let path = report.write("chaos");
-    println!();
+    outln!();
     timeline.finish();
     report_summary(&path, &report);
 }

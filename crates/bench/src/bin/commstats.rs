@@ -19,24 +19,21 @@
 //!   trace CSV by phase and by operation kind (with collective fan-out from
 //!   the `nranks` column). Pre-observability six-column traces (without the
 //!   `nranks`/`phase` columns) are accepted; their events count as untagged.
-//! * `commstats --baseline <dir> --report <a.json>[,…]` — the bench
-//!   regression gate: diff each fresh report against the baseline of the
-//!   same file name under `<dir>`, comparing per-run makespan and (when
-//!   present on both sides) the critical path's comm/wait components. A
-//!   machine-readable diff is written to `--gate-out` (default
-//!   `results/gate_diff.json`); exits 1 when any value exceeds its
-//!   baseline.
+//! * `commstats --baseline <dir> --report <a.json>[,…]` — the regression
+//!   gate: each report must equal the baseline of the same file name under
+//!   `<dir>` field for field, its host rows (`harness_selftime`) aside.
+//!   Numbers are equal when their bits are; every differing field prints
+//!   one line (for numbers with `up` or `down`), and any difference exits 1.
 //!
 //! All times are virtual seconds of the simulated machine model; sizes are
 //! bytes. See `docs/OBSERVABILITY.md` for the schema reference.
 
-use std::collections::BTreeMap;
-use std::io::{ErrorKind, Write};
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 use bench::cli::{Cli, Opt};
-use bench::gate;
-use bench::{accounting_bound, fmt_secs, format_phase_table, RunReport};
+use bench::{accounting_bound, fmt_secs, format_phase_table, outln, Out, RunReport};
 use particles::json::Json;
 
 /// What `--help` prints above the option list: the four modes.
@@ -53,10 +50,9 @@ MODES:
       any selftime allocation budgets. Exits nonzero on a violation.
 
   commstats --baseline <dir> --report <paths>
-            [--gate-out results/gate_diff.json]
-      Regression gate: diff each report against <dir>/<same file name>,
-      comparing per-run makespan and critical-path comm/wait. Writes a
-      JSON diff artifact; exits 1 when any metric exceeds its baseline.
+      Regression gate: each report must equal <dir>/<same file name> field
+      for field, its host rows (harness_selftime) aside. Prints one line
+      per differing field; exits 1 when any differs.
 
   commstats --trace results/<trace>.csv
       Aggregate a trace CSV by phase and by event kind.";
@@ -68,27 +64,15 @@ fn fail(msg: String) -> ! {
     std::process::exit(2);
 }
 
-/// Stdout, the one way this tool prints (`writeln!(Out, ..)`). A closed
-/// stdout (`commstats ... | head -1`) is the end of the output, not an
-/// error: the tool exits 0 quietly.
-struct Out;
-
-impl Out {
-    fn write_fmt(&mut self, args: std::fmt::Arguments) {
-        if let Err(e) = std::io::stdout().lock().write_fmt(args) {
-            if e.kind() == ErrorKind::BrokenPipe {
-                std::process::exit(0);
-            }
-            fail(format!("cannot write to stdout: {e}"));
-        }
-    }
-}
-
-fn load_report(path: &str) -> RunReport {
+/// Read a run report: its JSON tree and the report it holds (the schema
+/// check).
+fn load(path: &str) -> (Json, RunReport) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
     let value = Json::parse(&text).unwrap_or_else(|e| fail(format!("{path}: invalid JSON: {e}")));
-    RunReport::from_json(&value).unwrap_or_else(|e| fail(format!("{path}: not a run report: {e}")))
+    let report = RunReport::from_json(&value)
+        .unwrap_or_else(|e| fail(format!("{path}: not a run report: {e}")));
+    (value, report)
 }
 
 /// One `--alloc-budget` entry: the named `harness_selftime` row's allocation
@@ -121,7 +105,7 @@ fn parse_budgets(spec: &str) -> Vec<AllocBudget> {
 /// quietly, plus any `--alloc-budget` thresholds against the report's
 /// `harness_selftime` rows. Exits nonzero on the first violation.
 fn check_report(path: &str, budgets: &[AllocBudget]) {
-    let report = load_report(path);
+    let (_, report) = load(path);
     let mut max_err: f64 = 0.0;
     for run in &report.runs {
         let err = run.decomposition_error();
@@ -176,14 +160,14 @@ fn check_report(path: &str, budgets: &[AllocBudget]) {
                 budget.name, per_step, budget.max_allocs
             ));
         }
-        writeln!(
-            Out,
+        outln!(
             "check {path}: selftime '{}' within budget ({:.1} <= {} allocs/step)",
-            budget.name, per_step, budget.max_allocs
+            budget.name,
+            per_step,
+            budget.max_allocs
         );
     }
-    writeln!(
-        Out,
+    outln!(
         "check {path}: ok ({n} runs, {with_critpath} with exact critical paths, \
          max accounting error {max_err:.1e} s)",
         n = report.runs.len()
@@ -191,9 +175,8 @@ fn check_report(path: &str, budgets: &[AllocBudget]) {
 }
 
 fn summarize_report(path: &str) {
-    let report = load_report(path);
-    writeln!(
-        Out,
+    let (_, report) = load(path);
+    outln!(
         "report {path}: figure {figure}, machine {machine}, {n} runs",
         figure = report.figure,
         machine = report.machine,
@@ -201,11 +184,10 @@ fn summarize_report(path: &str) {
     );
     if !report.params.is_empty() {
         let params: Vec<String> = report.params.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        writeln!(Out, "params: {}", params.join(", "));
+        outln!("params: {}", params.join(", "));
     }
     for run in &report.runs {
-        writeln!(
-            Out,
+        outln!(
             "\n== {label} ({nranks} ranks, makespan {makespan}) ==",
             label = run.label,
             nranks = run.nranks,
@@ -214,8 +196,7 @@ fn summarize_report(path: &str) {
         write!(Out, "{}", format_phase_table(run));
         let t = &run.totals;
         if t.plan_builds + t.plan_execs > 0 {
-            writeln!(
-                Out,
+            outln!(
                 "plan reuse: {} builds, {} executions ({:.1}% reuse)",
                 t.plan_builds,
                 t.plan_execs,
@@ -223,8 +204,7 @@ fn summarize_report(path: &str) {
             );
         }
         if t.bytes_reused + t.bytes_grown > 0 {
-            writeln!(
-                Out,
+            outln!(
                 "buffer pool: {} B served from arenas, {} B grown ({:.1}% reuse)",
                 t.bytes_reused,
                 t.bytes_grown,
@@ -232,15 +212,16 @@ fn summarize_report(path: &str) {
             );
         }
         if t.faults_injected > 0 {
-            writeln!(
-                Out,
+            outln!(
                 "faults: {} injected ({} retries, {} timeout cycles, {} stalls)",
-                t.faults_injected, t.retries, t.timeouts, t.stalls
+                t.faults_injected,
+                t.retries,
+                t.timeouts,
+                t.stalls
             );
         }
         if let Some(cp) = &run.critpath {
-            writeln!(
-                Out,
+            outln!(
                 "critical path: {comm} comm + {wait} wait + {compute} compute \
                  = makespan ({segs} segments)",
                 comm = fmt_secs(cp.comm_seconds),
@@ -249,8 +230,7 @@ fn summarize_report(path: &str) {
                 segs = cp.segments
             );
             for b in &cp.blame {
-                writeln!(
-                    Out,
+                outln!(
                     "  blame: rank {waiter} waited {secs} on rank {blamed}",
                     waiter = b.waiter,
                     secs = fmt_secs(b.seconds),
@@ -265,10 +245,9 @@ fn summarize_report(path: &str) {
         );
     }
     if !report.selftime.is_empty() {
-        writeln!(Out, "\nharness selftime (real wall-clock, process-wide heap allocations):");
+        outln!("\nharness selftime (real wall-clock, process-wide heap allocations):");
         for row in &report.selftime {
-            writeln!(
-                Out,
+            outln!(
                 "  {:<28} {:>10} wall  {:>12} allocs  {:>14} B{}",
                 row.name,
                 fmt_secs(row.wall_seconds),
@@ -278,8 +257,7 @@ fn summarize_report(path: &str) {
             );
         }
     }
-    writeln!(
-        Out,
+    outln!(
         "\naccounting check passed: phase times sum to rank clocks within {:.1e} s",
         report.decomposition_error().max(1e-15)
     );
@@ -358,22 +336,25 @@ fn summarize_trace(path: &str) {
         *clock = clock.max(t_end);
         rows += 1;
     }
-    writeln!(
-        Out,
+    outln!(
         "trace {path}: {rows} events, {nranks} ranks, last event ends at {end}",
         nranks = ranks.len(),
         end = fmt_secs(ranks.values().cloned().fold(0.0, f64::max))
     );
     if !has_extended {
-        writeln!(Out, "(six-column legacy trace: no phase tags or communicator sizes)");
+        outln!("(six-column legacy trace: no phase tags or communicator sizes)");
     }
 
     let print_table = |title: &str, table: &BTreeMap<String, Bucket>| {
-        writeln!(Out, "\nby {title}:");
-        writeln!(
-            Out,
+        outln!("\nby {title}:");
+        outln!(
             "{:<16} {:>8} {:>14} {:>12} {:>9} {:>9}",
-            title, "events", "bytes", "busy[s]", "colls", "fan-out"
+            title,
+            "events",
+            "bytes",
+            "busy[s]",
+            "colls",
+            "fan-out"
         );
         for (name, b) in table {
             let fanout = if b.coll_events > 0 && has_extended {
@@ -381,8 +362,7 @@ fn summarize_trace(path: &str) {
             } else {
                 "-".to_string()
             };
-            writeln!(
-                Out,
+            outln!(
                 "{:<16} {:>8} {:>14} {:>12} {:>9} {:>9}",
                 name,
                 b.events,
@@ -397,53 +377,87 @@ fn summarize_trace(path: &str) {
     print_table("kind", &by_kind);
 }
 
-/// `--baseline`: the bench regression gate. Each report is diffed against
-/// `<baseline_dir>/<same file name>`; the combined diff is written to
-/// `gate_out` and any value above its baseline exits 1.
-fn run_gate(baseline_dir: &str, reports: &[&str], gate_out: &str) {
-    let mut diffs: Vec<(String, gate::GateDiff)> = Vec::new();
+/// Walk `base` and `cur` together and hand every field that differs to
+/// `differ`: its path, the two values, and for a number which way it moved.
+/// Numbers are equal when their bits are, objects and arrays when their
+/// children are, and anything else when its value is.
+fn compare<F>(differ: &mut F, path: &str, base: &Json, cur: &Json)
+where
+    F: FnMut(&str, String, Option<Ordering>),
+{
+    if let (Some(b), Some(c)) = (children(path, base), children(path, cur)) {
+        for at in b.keys().chain(c.keys()).collect::<BTreeSet<_>>() {
+            match (b.get(at), c.get(at)) {
+                (Some(bv), Some(cv)) => compare(differ, at, bv, cv),
+                (Some(_), None) => differ(at, "present in baseline only".into(), None),
+                _ => differ(at, "present in current only".into(), None),
+            }
+        }
+        return;
+    }
+    let differs = match (base, cur) {
+        (Json::Num(b), Json::Num(c)) => b.to_bits() != c.to_bits(),
+        _ => base != cur,
+    };
+    if differs {
+        let show = |v: &Json| v.as_f64().map_or_else(|| v.line(), |x| format!("{x:e}"));
+        let moved = base.as_f64().zip(cur.as_f64()).and_then(|(b, c)| c.partial_cmp(&b));
+        differ(path, format!("{} -> {}", show(base), show(cur)), moved);
+    }
+}
+
+/// The children of an object or array by their paths below `path`: an
+/// object's by key, an array's by `label` (the runs of a report) or else by
+/// position. `None` for any other value, and for a node with two children
+/// of one path, which is then compared as a whole.
+fn children<'a>(path: &str, v: &'a Json) -> Option<BTreeMap<String, &'a Json>> {
+    let named: Vec<(String, &Json)> = match v {
+        Json::Obj(pairs) => pairs.iter().map(|(k, v)| (format!("{path}.{k}"), v)).collect(),
+        Json::Arr(items) => (items.iter().enumerate())
+            .map(|(i, v)| match v.get("label").and_then(Json::as_str) {
+                Some(label) => (format!("{path}[{label}]"), v),
+                None => (format!("{path}[{i}]"), v),
+            })
+            .collect(),
+        _ => return None,
+    };
+    let n = named.len();
+    let by_path: BTreeMap<_, _> = named.into_iter().collect();
+    (by_path.len() == n).then_some(by_path)
+}
+
+/// `--baseline`: the regression gate. Each report must equal
+/// `<baseline_dir>/<same file name>` field for field, its host rows (the
+/// top-level `harness_selftime` key) aside. Every differing field prints
+/// one line, a number with `up` or `down`; any difference exits 1.
+fn run_gate(baseline_dir: &str, reports: &[&str]) {
+    let mut counts = [0usize; 3]; // up, down, other
     for path in reports {
-        let current = load_report(path);
         let file_name = Path::new(path)
             .file_name()
             .unwrap_or_else(|| fail(format!("bad report path '{path}'")));
         let base_path = Path::new(baseline_dir).join(file_name);
-        let base_path = base_path.to_str().expect("utf-8 path");
-        let baseline = load_report(base_path);
-        let diff = gate::diff_reports(&baseline, &current);
-        for row in &diff.rows {
-            writeln!(
-                Out,
-                "gate {path}: {label} {metric}: {base} -> {cur} {verdict}",
-                label = row.label,
-                metric = row.metric,
-                base = fmt_secs(row.baseline),
-                cur = fmt_secs(row.current),
-                verdict = if row.regressed { "REGRESSED" } else { "ok" }
-            );
-        }
-        for label in &diff.missing {
-            writeln!(Out, "gate {path}: run '{label}' present in baseline only (not compared)");
-        }
-        for label in &diff.added {
-            writeln!(Out, "gate {path}: run '{label}' is new (no baseline)");
-        }
-        diffs.push((path.to_string(), diff));
+        let [base, cur] = [base_path.to_str().expect("utf-8 path"), path].map(|p| {
+            let (mut tree, _) = load(p);
+            if let Json::Obj(pairs) = &mut tree {
+                pairs.retain(|(k, _)| k != "harness_selftime");
+            }
+            tree
+        });
+        let mut differ = |at: &str, what: String, moved: Option<Ordering>| {
+            let (i, tag) = match moved {
+                Some(Ordering::Greater) => (0, " up"),
+                Some(Ordering::Less) => (1, " down"),
+                _ => (2, ""),
+            };
+            counts[i] += 1;
+            outln!("{path}: {}: {what}{tag}", at.strip_prefix('.').unwrap_or(at));
+        };
+        compare(&mut differ, "", &base, &cur);
     }
-    if let Some(dir) = Path::new(gate_out).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dir.display())));
-        }
-    }
-    let json = gate::diffs_to_json(&diffs).pretty();
-    std::fs::write(gate_out, json)
-        .unwrap_or_else(|e| fail(format!("cannot write {gate_out}: {e}")));
-    let regressions: usize = diffs.iter().map(|(_, d)| d.regressions().count()).sum();
-    let rows: usize = diffs.iter().map(|(_, d)| d.rows.len()).sum();
-    writeln!(Out, "gate: {rows} metrics compared, {regressions} regressed (diff in {gate_out})");
-    if regressions > 0 {
-        eprintln!("commstats: regression gate failed ({regressions} metrics above baseline)");
+    let [up, down, other] = counts;
+    outln!("{} fields differ ({up} up, {down} down, {other} other)", up + down + other);
+    if up + down + other > 0 {
         std::process::exit(1);
     }
 }
@@ -456,8 +470,7 @@ fn main() {
             Opt::new("report", "PATHS", "comma-separated run reports to print, check or gate"),
             Opt::flag("check", "verify the reports' invariants quietly"),
             Opt::new("alloc-budget", "NAME=COUNT,...", "with --check: selftime allocation budgets"),
-            Opt::new("baseline", "DIR", "gate the reports against DIR/<same file name>"),
-            Opt::new("gate-out", "PATH", "gate: diff artifact (default results/gate_diff.json)"),
+            Opt::new("baseline", "DIR", "the reports must equal DIR/<same file name>"),
             Opt::new("trace", "PATH", "summarize a trace CSV"),
         ],
         &[],
@@ -466,7 +479,6 @@ fn main() {
     let trace: String = cli.get("trace", String::new());
     let check = cli.flag("check");
     let baseline: String = cli.get("baseline", String::new());
-    let gate_out: String = cli.get("gate-out", "results/gate_diff.json".to_string());
     let budgets = parse_budgets(&cli.get("alloc-budget", String::new()));
     if report.is_empty() && trace.is_empty() {
         cli.fail("nothing to do (give --report and/or --trace)");
@@ -476,7 +488,7 @@ fn main() {
         if report_paths.is_empty() {
             cli.fail("--baseline needs --report <paths> to compare");
         }
-        run_gate(&baseline, &report_paths, &gate_out);
+        run_gate(&baseline, &report_paths);
     } else {
         for path in &report_paths {
             if check {

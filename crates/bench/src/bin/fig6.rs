@@ -16,7 +16,7 @@
 //! decomposition) the remaining redistribution cost is mainly ghost creation.
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, report_summary, write_csv, MdWorld, RunReport};
+use bench::{banner, fmt_secs, outln, report_summary, write_csv, MdWorld, RunReport};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
@@ -57,9 +57,13 @@ fn main() {
         InitialDistribution::Random,
         InitialDistribution::Grid,
     ];
-    println!(
+    outln!(
         "{:<8} {:<16} {:>12} {:>12} {:>12}",
-        "solver", "distribution", "total", "sort", "restore"
+        "solver",
+        "distribution",
+        "total",
+        "sort",
+        "restore"
     );
     let mut report = RunReport::new("fig6", "juropa_like");
     report.param("cells", cells);
@@ -85,7 +89,7 @@ fn main() {
             timeline.push(format!("{solver:?}/{}", dist.label()), traces);
             report.push(format!("{solver:?}/{}", dist.label()), entry);
             let r = &records[0];
-            println!(
+            outln!(
                 "{:<8} {:<16} {:>12} {:>12} {:>12}",
                 format!("{solver:?}"),
                 dist.label(),
@@ -97,10 +101,8 @@ fn main() {
         }
     }
     let path = write_csv("fig6", "solver,distribution,total,sort,restore", &rows);
-    println!("\nwrote {}", path.display());
+    outln!("\nwrote {}", path.display());
     timeline.finish();
     report_summary(&report.write("fig6"), &report);
-    println!(
-        "(solver: 0 = FMM, 1 = P2NFFT; distribution: 0 = single process, 1 = random, 2 = grid)"
-    );
+    outln!("(solver: 0 = FMM, 1 = P2NFFT; distribution: 0 = single process, 1 = random, 2 = grid)");
 }

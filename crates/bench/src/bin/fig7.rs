@@ -14,7 +14,9 @@
 //! the P2NFFT solver).
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{aggregate_steps, banner, fmt_secs, report_summary, write_csv, MdWorld, RunReport};
+use bench::{
+    aggregate_steps, banner, fmt_secs, outln, report_summary, write_csv, MdWorld, RunReport,
+};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
@@ -62,10 +64,16 @@ fn main() {
     report.param("seed", seed);
     let mut rows = Vec::new();
     for (si, solver) in [SolverKind::Fmm, SolverKind::P2Nfft].into_iter().enumerate() {
-        println!("\n--- {} solver ---", format!("{solver:?}").to_uppercase());
-        println!(
+        outln!("\n--- {} solver ---", format!("{solver:?}").to_uppercase());
+        outln!(
             "{:<8} {:>11} {:>11} {:>11} | {:>11} {:>11} {:>11}",
-            "step", "sortA", "restoreA", "totalA", "sortB", "resortB", "totalB"
+            "step",
+            "sortA",
+            "restoreA",
+            "totalA",
+            "sortB",
+            "resortB",
+            "totalB"
         );
         let run = |resort: bool| {
             let cfg = SimConfig { solver, resort, steps, tolerance, dt, ..SimConfig::default() };
@@ -88,7 +96,7 @@ fn main() {
         report.push(format!("{solver:?}/methodB"), entry_b);
         for s in 0..=steps {
             let label = if s == 0 { "initial".to_string() } else { s.to_string() };
-            println!(
+            outln!(
                 "{:<8} {:>11} {:>11} {:>11} | {:>11} {:>11} {:>11}",
                 label,
                 fmt_secs(a[s].sort),
@@ -114,14 +122,14 @@ fn main() {
             recs[1..].iter().map(|r| r.total).sum::<f64>() / steps.max(1) as f64
         };
         let ratio = avg(&b) / avg(&a);
-        println!(
+        outln!(
             "=> method B total is {:.0} % of method A over steps 1..{steps} \
              (paper: ~45 % FMM, ~20 % P2NFFT)",
             100.0 * ratio
         );
     }
     let path = write_csv("fig7", "solver,step,sortA,restoreA,totalA,sortB,resortB,totalB", &rows);
-    println!("\nwrote {}", path.display());
+    outln!("\nwrote {}", path.display());
     timeline.finish();
     report_summary(&report.write("fig7"), &report);
 }

@@ -14,7 +14,9 @@
 //! the P2NFFT step time — while Method B stays flat (~3 % / ~2 %).
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, report_summary, sum_from, write_csv, MdWorld, RunReport, Selftime};
+use bench::{
+    banner, fmt_secs, outln, report_summary, sum_from, write_csv, MdWorld, RunReport, Selftime,
+};
 use fcs::SolverKind;
 use mdsim::SimConfig;
 use particles::{InitialDistribution, IonicCrystal};
@@ -70,7 +72,7 @@ fn main() {
     report.param("jitter", jitter);
     let mut rows = Vec::new();
     for (si, solver) in [SolverKind::Fmm, SolverKind::P2Nfft].into_iter().enumerate() {
-        println!("\n--- {} solver ---", format!("{solver:?}").to_uppercase());
+        outln!("\n--- {} solver ---", format!("{solver:?}").to_uppercase());
         let run = |resort: bool, exploit: bool| {
             let cfg = SimConfig {
                 solver,
@@ -108,15 +110,22 @@ fn main() {
         report.push(format!("{solver:?}/methodA"), entry_a);
         report.push(format!("{solver:?}/methodB"), entry_b);
         report.push(format!("{solver:?}/methodB+movement"), entry_bm);
-        println!(
+        outln!(
             "{:<8} {:>12} {:>12} | {:>12} {:>12} | {:>12} {:>12} {:>10}",
-            "step", "redistA", "totalA", "redistB", "totalB", "redistBM", "totalBM", "drift"
+            "step",
+            "redistA",
+            "totalA",
+            "redistB",
+            "totalB",
+            "redistBM",
+            "totalBM",
+            "drift"
         );
         for s in (0..=steps).step_by(every) {
             let ra = a[s].sort + a[s].restore;
             let rb = b[s].sort + b[s].resort;
             let rbm = bm[s].sort + bm[s].resort;
-            println!(
+            outln!(
                 "{:<8} {:>12} {:>12} | {:>12} {:>12} | {:>12} {:>12} {:>10.2}",
                 s,
                 fmt_secs(ra),
@@ -141,20 +150,20 @@ fn main() {
         let share_bm = share(&bm, &|r| r.sort + r.resort);
         let grow_a =
             (a[steps].sort + a[steps].restore) / (a[1].sort + a[1].restore).max(f64::MIN_POSITIVE);
-        println!(
+        outln!(
             "=> late-run redistribution share: method A {share_a:.0} % of the step \
              (paper: ~50 % FMM / ~75 % P2NFFT), method B {share_b:.0} % (paper: ~3 % / ~2 %), \
              method B + movement {share_bm:.0} %"
         );
-        println!(
+        outln!(
             "=> method A redistribution grew {grow_a:.1}x from step 1 to step {steps} \
              (RMS particle drift {rms_a:.2} box units)"
         );
     }
     report.selftime = selftime.rows();
-    println!("\nharness selftime (real wall-clock, process-wide heap allocations):");
+    outln!("\nharness selftime (real wall-clock, process-wide heap allocations):");
     for row in &report.selftime {
-        println!(
+        outln!(
             "  {:<28} {:>10} wall  {:>12} allocs  {:>14} B  ({} steps)",
             row.name,
             fmt_secs(row.wall_seconds),
@@ -165,7 +174,7 @@ fn main() {
     }
     let path =
         write_csv("fig8", "solver,step,redistA,totalA,redistB,totalB,redistBM,totalBM", &rows);
-    println!("\nwrote {}", path.display());
+    outln!("\nwrote {}", path.display());
     timeline.finish();
     report_summary(&report.write("fig8"), &report);
 }

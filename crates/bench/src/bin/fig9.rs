@@ -18,7 +18,7 @@
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{
-    banner, fmt_secs, report_summary, sum_from, write_csv, MdWorld, RunReport, TimelineSink,
+    banner, fmt_secs, outln, report_summary, sum_from, write_csv, MdWorld, RunReport, TimelineSink,
 };
 use fcs::SolverKind;
 use mdsim::SimConfig;
@@ -91,10 +91,16 @@ fn main() {
                  rows: &mut Vec<Vec<f64>>,
                  report: &mut RunReport,
                  timeline: &mut TimelineSink| {
-        println!("\n--- {name} ---");
-        println!(
+        outln!("\n--- {name} ---");
+        outln!(
             "{:<8} {:>12} {:>12} {:>16} | {:>11} {:>11} {:>11}",
-            "procs", "methodA", "methodB", "methodB+move", "redistA", "redistB", "redistBm"
+            "procs",
+            "methodA",
+            "methodB",
+            "methodB+move",
+            "redistA",
+            "redistB",
+            "redistBm"
         );
         for &p in procs_list {
             let mut totals = Vec::new();
@@ -127,7 +133,7 @@ fn main() {
                 totals.push(sum_from(&records, 0, |r| r.total));
                 redists.push(sum_from(&records, 0, |r| r.sort + r.restore + r.resort));
             }
-            println!(
+            outln!(
                 "{:<8} {:>12} {:>12} {:>16} | {:>11} {:>11} {:>11}",
                 p,
                 fmt_secs(totals[0]),
@@ -180,8 +186,8 @@ fn main() {
         "panel,procs,methodA,methodB,methodB_move,redistA,redistB,redistB_move",
         &rows,
     );
-    println!("\nwrote {}", path.display());
+    outln!("\nwrote {}", path.display());
     timeline.finish();
     report_summary(&report.write(name), &report);
-    println!("(panel: 0 = FMM/juropa-like, 1 = P2NFFT/juqueen-like)");
+    outln!("(panel: 0 = FMM/juropa-like, 1 = P2NFFT/juqueen-like)");
 }

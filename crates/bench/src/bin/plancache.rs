@@ -32,7 +32,7 @@
 use atasp::{encode_index, resort, resort_planes, ExchangeMode};
 use bench::cli::{Cli, Opt, OBS_OPTS};
 use bench::{
-    banner, fmt_secs, record_run, report_summary, MdWorld, RunReport, Selftime, SelftimeRow,
+    banner, fmt_secs, outln, record_run, report_summary, MdWorld, RunReport, Selftime, SelftimeRow,
     TimelineSink,
 };
 use fcs::SolverKind;
@@ -86,7 +86,7 @@ fn exchange_workloads(
         let _ = comm.alltoallv(payloads(&partners));
     });
     let name = short_name(model);
-    println!(
+    outln!(
         "{name:<14} {:<14} nonblocking {:>12}  alltoallv {:>12}",
         "exchange",
         fmt_secs(nonblocking.makespan()),
@@ -108,7 +108,7 @@ fn exchange_workloads(
             let _ = comm.sparse_exchange(&partners, sends);
         });
         let makespan = fmt_secs(sparse.makespan());
-        println!("{name:<14} {:<14} {full:>2} partners {makespan:>12}", "exchange/sparse");
+        outln!("{name:<14} {:<14} {full:>2} partners {makespan:>12}", "exchange/sparse");
         record_run(format!("{name}/exchange/sparse-{full}"), sparse, report, timeline);
     }
 }
@@ -156,7 +156,7 @@ fn resort_workloads(
         resort_planes(comm, &mut set, &ix, elems, &ExchangeMode::Collective, &mut plan);
     });
     let name = short_name(model);
-    println!(
+    outln!(
         "{name:<14} {:<14} per-field {:>14}  combined {:>13}",
         "resort",
         fmt_secs(per_field.makespan()),
@@ -228,7 +228,7 @@ fn main() {
     report.param("seed", seed);
     report.param("jitter", jitter);
 
-    println!("{:<14} {:<14} {:>14} {:>20}", "machine", "workload", "makespan", "plan reuse");
+    outln!("{:<14} {:<14} {:>14} {:>20}", "machine", "workload", "makespan", "plan reuse");
     for model in [MachineModel::juropa_like(), MachineModel::juqueen_like()] {
         let name = short_name(&model);
 
@@ -251,7 +251,7 @@ fn main() {
 
         let (builds, execs) = (entry.totals.plan_builds, entry.totals.plan_execs);
         let reuse = 100.0 * execs as f64 / ((builds + execs) as f64).max(1.0);
-        println!(
+        outln!(
             "{name:<14} {:<14} {:>14} {:>7} builds {:>5.1}%",
             "md-loop",
             fmt_secs(entry.makespan),
@@ -566,9 +566,9 @@ fn main() {
         });
     }
     selftime.extend(md_step_rows);
-    println!("\nharness selftime (real wall-clock, process-wide heap allocations):");
+    outln!("\nharness selftime (real wall-clock, process-wide heap allocations):");
     for row in &selftime {
-        println!(
+        outln!(
             "  {:<28} {:>10} wall  {:>12} allocs  {:>14} B{}",
             row.name,
             fmt_secs(row.wall_seconds),
@@ -594,6 +594,6 @@ fn main() {
 
     timeline.finish();
     let path = report.write("plancache");
-    println!();
+    outln!();
     report_summary(&path, &report);
 }

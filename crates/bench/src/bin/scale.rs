@@ -21,7 +21,7 @@
 //! crossover is absent at the largest process count.
 
 use bench::cli::{Cli, Opt, OBS_OPTS};
-use bench::{banner, fmt_secs, report_summary, write_csv, RunEntry, RunReport};
+use bench::{banner, fmt_secs, outln, report_summary, write_csv, RunEntry, RunReport};
 use simcomm::{CartGrid, Comm, MachineModel, RunOutput, Runner, Work};
 
 /// Short machine label ("juropa-like") for run labels and table rows.
@@ -95,7 +95,7 @@ fn main() {
     report.param("bytes", bytes);
     report.param("steps", steps);
 
-    println!("{:<14} {:<8} {:>14} {:>14} {:>10}", "machine", "procs", "alltoallv", "p2p", "winner");
+    outln!("{:<14} {:<8} {:>14} {:>14} {:>10}", "machine", "procs", "alltoallv", "p2p", "winner");
     let mut rows = Vec::new();
     let mut torus_crossover = false;
     for (mi, model) in
@@ -119,7 +119,7 @@ fn main() {
             if mi == 1 && p2p < coll {
                 torus_crossover = true;
             }
-            println!(
+            outln!(
                 "{name:<14} {p:<8} {:>14} {:>14} {:>10}",
                 fmt_secs(coll),
                 fmt_secs(p2p),
@@ -140,7 +140,7 @@ fn main() {
     timeline.finish();
     let path = report.write("scale");
     let csv = write_csv("scale", "machine,procs,alltoallv,p2p", &rows);
-    println!("\nwrote {}", csv.display());
-    println!("(machine: 0 = juropa-like/switched, 1 = juqueen-like/torus)");
+    outln!("\nwrote {}", csv.display());
+    outln!("(machine: 0 = juropa-like/switched, 1 = juqueen-like/torus)");
     report_summary(&path, &report);
 }

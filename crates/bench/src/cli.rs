@@ -84,7 +84,7 @@ impl Cli {
             cli.fail(msg);
         }
         if cli.flag("help") {
-            println!("{}", cli.usage);
+            outln!("{}", cli.usage);
             std::process::exit(0);
         }
         cli

@@ -16,13 +16,38 @@
 // iterates a hash container.
 #![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
 
+/// Stdout, the one way this crate's programs print ([`outln!`] or
+/// `write!(Out, ..)`). A closed stdout (`fig7 | head -1`) ends the
+/// printing, not the program: every write to it is dropped, so a harness
+/// still writes its CSV and report.
+pub struct Out;
+
+impl Out {
+    /// Print `args` (what `write!` and `writeln!` call).
+    pub fn write_fmt(&mut self, args: std::fmt::Arguments) {
+        if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+            assert!(e.kind() == ErrorKind::BrokenPipe, "failed printing to stdout: {e}");
+        }
+    }
+}
+
+/// `println!` through [`Out`]. Defined before the modules, which use it.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::Out.write_fmt(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::Out.write_fmt(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 pub mod cli;
-pub mod gate;
 pub mod microbench;
 pub mod report;
 pub mod selftime;
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 
 use mdsim::StepRecord;
 pub use report::{
@@ -160,7 +185,7 @@ impl TimelineSink {
         simtrace::write_perfetto(std::io::BufWriter::new(file), &runs)
             .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
         let events: usize = self.runs.iter().flat_map(|(_, t)| t).map(|t| t.events.len()).sum();
-        println!(
+        outln!(
             "wrote Perfetto timeline {} ({} runs, {events} events) — open at \
              https://ui.perfetto.dev",
             path.display(),
@@ -173,7 +198,7 @@ impl TimelineSink {
 /// JSON report: path, entry count, and the worst accounting error (see
 /// [`RunEntry::decomposition_error`]).
 pub fn report_summary(path: &std::path::Path, report: &RunReport) {
-    println!(
+    outln!(
         "wrote {} ({} runs; phase times sum to rank clocks within {:.1e} s)",
         path.display(),
         report.runs.len(),
@@ -237,12 +262,12 @@ pub fn fmt_secs(s: f64) -> String {
 
 /// Print a header banner for a figure harness.
 pub fn banner(title: &str, detail: &str) {
-    println!("==============================================================");
-    println!("{title}");
-    println!("{detail}");
-    println!("(virtual seconds on the simulated machine model; shapes, not");
-    println!(" absolute values, are comparable to the paper — see DESIGN.md)");
-    println!("==============================================================");
+    outln!("==============================================================");
+    outln!("{title}");
+    outln!("{detail}");
+    outln!("(virtual seconds on the simulated machine model; shapes, not");
+    outln!(" absolute values, are comparable to the paper — see DESIGN.md)");
+    outln!("==============================================================");
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub fn bench_case<R>(group: &str, name: &str, mut f: impl FnMut() -> R) {
         iters += 1;
     }
     let per_iter = start.elapsed().as_secs_f64() / iters.max(1) as f64;
-    println!("{group:<24} {name:<28} {:>14}/iter  ({iters} iters)", fmt_duration(per_iter));
+    outln!("{group:<24} {name:<28} {:>14}/iter  ({iters} iters)", fmt_duration(per_iter));
 }
 
 fn fmt_duration(seconds: f64) -> String {

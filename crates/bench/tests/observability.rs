@@ -1,8 +1,8 @@
 //! End-to-end observability contract: the Perfetto export is valid JSON with
 //! one span per trace record, the critical-path analysis partitions the
 //! makespan *exactly* (bit for bit) and survives the report JSON round-trip,
-//! and the `commstats` binary enforces both the schema and the regression
-//! gate from the command line.
+//! the `commstats` binary enforces both the schema and the regression gate
+//! from the command line, and every harness survives a closed stdout.
 
 use std::process::Command;
 
@@ -107,25 +107,23 @@ fn critical_path_partitions_makespan_exactly_and_survives_json() {
 }
 
 /// Build a small analyzed report on disk and return its path.
-fn write_report(dir: &std::path::Path, name: &str, slow_factor: f64) -> std::path::PathBuf {
+fn write_report(dir: &std::path::Path, name: &str) -> std::path::PathBuf {
     let out = traced_run();
     let mut entry = bench::RunEntry::from_run(&out);
     bench::attach_analysis(&mut entry, &out.traces);
-    if slow_factor != 1.0 {
-        entry.makespan *= slow_factor;
-        if let Some(cp) = entry.critpath.as_mut() {
-            // Keep the partition identity intact while slowing the run down:
-            // scale the components and recompute the exact remainder.
-            cp.comm_seconds *= slow_factor;
-            cp.wait_seconds *= slow_factor;
-            cp.compute_seconds = entry.makespan - (cp.comm_seconds + cp.wait_seconds);
-        }
-    }
     let mut report = RunReport::new("obs", "test");
     report.push("ring/exchange", entry);
     let path = dir.join(name);
     std::fs::write(&path, report.to_json().pretty()).unwrap();
     path
+}
+
+/// Rewrite the report at `path` with `edit` applied.
+fn edit_report(path: &std::path::Path, edit: impl FnOnce(&mut RunReport)) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut report = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+    edit(&mut report);
+    std::fs::write(path, report.to_json().pretty()).unwrap();
 }
 
 #[test]
@@ -135,10 +133,8 @@ fn commstats_checks_and_gates_reports_end_to_end() {
     let baseline = tmp.join("baseline");
     std::fs::create_dir_all(&baseline).unwrap();
 
-    let current = write_report(&tmp, "obs_report.json", 1.0);
-    write_report(&baseline, "obs_report.json", 1.0);
-
     // --check accepts the analyzed report (schema + exact partition).
+    let current = write_report(&tmp, "obs_report.json");
     let ok = Command::new(commstats).args(["--check", "--report"]).arg(&current).output().unwrap();
     assert!(
         ok.status.success(),
@@ -146,39 +142,60 @@ fn commstats_checks_and_gates_reports_end_to_end() {
         String::from_utf8_lossy(&ok.stdout)
     );
 
-    // Gate passes against an identical baseline.
-    let pass = Command::new(commstats)
-        .args(["--report"])
-        .arg(&current)
-        .arg("--baseline")
-        .arg(&baseline)
-        .arg("--gate-out")
-        .arg(tmp.join("gate_pass.json"))
-        .output()
-        .unwrap();
-    assert!(
-        pass.status.success(),
-        "gate failed on identical baseline:\n{}{}",
-        String::from_utf8_lossy(&pass.stdout),
-        String::from_utf8_lossy(&pass.stderr)
-    );
+    // Gate one report, edited by `edit`, against its unedited baseline, or
+    // the baseline edited by `edit_base`; returns the exit code and stdout.
+    let gate = |name: &str, edit: &dyn Fn(&mut RunReport), edit_base: &dyn Fn(&mut RunReport)| {
+        let current = write_report(&tmp, name);
+        edit_report(&current, edit);
+        edit_report(&write_report(&baseline, name), edit_base);
+        let out = Command::new(commstats)
+            .arg("--report")
+            .arg(&current)
+            .arg("--baseline")
+            .arg(&baseline)
+            .output()
+            .unwrap();
+        (out.status.code(), String::from_utf8_lossy(&out.stdout).into_owned())
+    };
+    let same = |_: &mut RunReport| {};
 
-    // Gate fails against a synthetically *faster* baseline (i.e. the current
-    // run regressed by 1.5x), and the diff report records the regression.
-    write_report(&baseline, "obs_slow.json", 1.0);
-    let slowed = write_report(&tmp, "obs_slow.json", 1.5);
-    let fail = Command::new(commstats)
-        .args(["--report"])
-        .arg(&slowed)
-        .arg("--baseline")
-        .arg(&baseline)
-        .arg("--gate-out")
-        .arg(tmp.join("gate_fail.json"))
-        .output()
-        .unwrap();
-    assert!(!fail.status.success(), "gate must fail on a 1.5x slowdown");
-    let diff = Json::parse(&std::fs::read_to_string(tmp.join("gate_fail.json")).unwrap()).unwrap();
-    assert_eq!(diff.get("failed").and_then(Json::as_bool), Some(true));
+    let (code, out) = gate("same.json", &same, &same);
+    assert_eq!(code, Some(0), "an identical baseline must pass:\n{out}");
+    assert!(out.ends_with("0 fields differ (0 up, 0 down, 0 other)\n"), "{out}");
+
+    // Equality, not "no higher": a makespan one ulp *lower* fails too.
+    let faster = |r: &mut RunReport| r.runs[0].makespan = r.runs[0].makespan.next_down();
+    let (code, out) = gate("faster.json", &faster, &same);
+    assert_eq!(code, Some(1), "a lower makespan must fail:\n{out}");
+    assert!(out.contains("runs[ring/exchange].makespan: "), "{out}");
+    assert!(out.contains(" down\n") && out.contains("1 fields differ (0 up, 1 down"), "{out}");
+
+    // Every field is compared, down to one value of one phase row.
+    let phase = |r: &mut RunReport| r.runs[0].phases[0].p2p_bytes += 1;
+    let (code, out) = gate("phase.json", &phase, &same);
+    assert_eq!(code, Some(1), "a changed phase row must fail:\n{out}");
+    assert!(out.contains("runs[ring/exchange].phases[0].p2p_bytes: "), "{out}");
+    assert!(out.contains("1 fields differ (1 up, 0 down, 0 other)"), "{out}");
+
+    // The host rows are no part of the comparison.
+    let host = |r: &mut RunReport| {
+        r.selftime.push(bench::SelftimeRow {
+            name: "wall".into(),
+            wall_seconds: 1.5,
+            ..Default::default()
+        })
+    };
+    let (code, out) = gate("host.json", &host, &same);
+    assert_eq!(code, Some(0), "harness_selftime must not be compared:\n{out}");
+
+    // A run the baseline has and the report lacks fails.
+    let extra = |r: &mut RunReport| {
+        let run = r.runs[0].clone();
+        r.push("ring/extra", run);
+    };
+    let (code, out) = gate("missing.json", &same, &extra);
+    assert_eq!(code, Some(1), "a run present in the baseline only must fail:\n{out}");
+    assert!(out.contains("runs[ring/extra]: present in baseline only"), "{out}");
 
     // Unknown flags exit nonzero with usage; --help exits zero.
     let bad = Command::new(commstats).args(["--no-such-flag"]).output().unwrap();
@@ -198,7 +215,7 @@ fn commstats_exits_quietly_when_its_reader_goes_away() {
     let commstats = env!("CARGO_BIN_EXE_commstats");
     let tmp = std::env::temp_dir().join(format!("obs_pipe_{}", std::process::id()));
     std::fs::create_dir_all(&tmp).unwrap();
-    let path = write_report(&tmp, "obs_report.json", 1.0);
+    let path = write_report(&tmp, "obs_report.json");
     // The same report many times over: far more output than a pipe buffers,
     // so commstats is still writing when the reader hangs up.
     let paths = vec![path.display().to_string(); 400].join(",");
@@ -219,11 +236,36 @@ fn commstats_exits_quietly_when_its_reader_goes_away() {
 }
 
 #[test]
+fn a_harness_whose_reader_goes_away_still_writes_its_report() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let tmp = std::env::temp_dir().join(format!("obs_harness_pipe_{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).unwrap();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_scale"))
+        .args(["--procs", "64", "--steps", "1"])
+        .current_dir(&tmp)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    // Read the first line, then hang up while the sweep still runs.
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap()).read_line(&mut first).unwrap();
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "a closed stdout must not end the run: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(tmp.join("results/scale_report.json").is_file(), "the report was not written");
+    std::fs::remove_dir_all(&tmp).ok();
+}
+
+#[test]
 fn unknown_schema_version_is_rejected_by_commstats() {
     let commstats = env!("CARGO_BIN_EXE_commstats");
     let tmp = std::env::temp_dir().join(format!("obs_schema_{}", std::process::id()));
     std::fs::create_dir_all(&tmp).unwrap();
-    let path = write_report(&tmp, "future.json", 1.0);
+    let path = write_report(&tmp, "future.json");
     let text = std::fs::read_to_string(&path).unwrap();
     let bumped = text.replacen("\"schema_version\": 3", "\"schema_version\": 99", 1);
     assert_ne!(text, bumped, "expected schema fields in the report");
@@ -241,11 +283,8 @@ fn commstats_check_rejects_edited_totals() {
     let commstats = env!("CARGO_BIN_EXE_commstats");
     let tmp = std::env::temp_dir().join(format!("obs_totals_{}", std::process::id()));
     std::fs::create_dir_all(&tmp).unwrap();
-    let path = write_report(&tmp, "edited.json", 1.0);
-    let text = std::fs::read_to_string(&path).unwrap();
-    let mut report = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
-    report.runs[0].totals.wait_seconds += 1e-3 * report.runs[0].makespan;
-    std::fs::write(&path, report.to_json().pretty()).unwrap();
+    let path = write_report(&tmp, "edited.json");
+    edit_report(&path, |r| r.runs[0].totals.wait_seconds += 1e-3 * r.runs[0].makespan);
     let out = Command::new(commstats).args(["--check", "--report"]).arg(&path).output().unwrap();
     assert!(!out.status.success(), "--check must reject totals that miss the mean clock");
     let err = String::from_utf8_lossy(&out.stderr);

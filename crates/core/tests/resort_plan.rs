@@ -2,18 +2,19 @@
 //! byte where the paper's resort indices say. A handle of each solver is
 //! driven through every kind of step — one that moves under the collective
 //! redistribution, one that moves under the movement hint, a quiet one with
-//! and without the hint, one whose hint lies so that the movement-bound guard falls back, and one that
-//! a rank without room sends home — at world sizes from 1 to 64 with ranks
-//! that hold nothing. After each step that resorted, an `(id, vel, tag)`
-//! plane set goes through [`Fcs::resort_planes`], and every element must
-//! land where [`Fcs::resort_indices`] sends it, which in turn must be where
-//! the run put the element's particle. A quiet step and every Ewald step
+//! and without the hint, two whose hint lies so that a movement-bound guard
+//! falls back, and one that a rank without room sends home — at world sizes
+//! from 1 to 64 with ranks that hold nothing. After each step that
+//! resorted, an `(id, vel, tag)` plane set goes through
+//! [`Fcs::resort_planes`], and every element must land where
+//! [`Fcs::resort_indices`] sends it, which in turn must be where the run
+//! put the element's particle. A quiet step and every Ewald step
 //! resort with no message and no collective, in the solver's `resort`
 //! phase and in the resort call alike.
 
 use fcs::{Fcs, SolverKind};
 use particles::systems::splitmix64;
-use particles::{IonicCrystal, PlaneSet, Vec3};
+use particles::{IonicCrystal, PlaneSet, SystemBox, Vec3};
 use simcomm::{Comm, FaultPlan, MachineModel, Runner, TraceKind};
 
 /// The world sizes every solver runs at.
@@ -32,16 +33,22 @@ enum Step {
     /// Every particle moves by half the box, and the hint says it barely
     /// moved.
     Lying,
+    /// Rank 0 takes every particle but two per other rank into the upper
+    /// octant of the box, the others take two each into the lower one, and
+    /// the hint says every particle barely moved: rank 0's keys lie above
+    /// all others', so the FMM's merge cleanup needs a round per rank or so.
+    Skewed,
     /// A drift with an honest hint, but no rank has room.
     Full,
 }
 
-const STEPS: [Step; 6] = [
+const STEPS: [Step; 7] = [
     Step::Collective,
     Step::Quiet { hinted: false },
     Step::Hinted,
     Step::Quiet { hinted: true },
     Step::Lying,
+    Step::Skewed,
     Step::Full,
 ];
 
@@ -176,6 +183,10 @@ fn world(kind: SolverKind, p: usize) -> (Vec<Vec<Seen>>, Vec<simcomm::Trace>) {
                     }
                     h.set_max_particle_move(Some(1e-3));
                 }
+                Step::Skewed => {
+                    (pos, charge, id) = skewed(comm, &bbox, &pos, &charge, &id);
+                    h.set_max_particle_move(Some(1e-3));
+                }
             }
             // No rank has room for a particle: whoever holds one sends every
             // rank home. (Ewald never changes how many a rank holds.)
@@ -228,21 +239,55 @@ fn world(kind: SolverKind, p: usize) -> (Vec<Vec<Seen>>, Vec<simcomm::Trace>) {
     (out.results, out.traces)
 }
 
-/// Whether any rank's step `s` ran the P2NFFT's all-to-all-v, which its
-/// hint ruled out.
-fn fell_back(ranks: &[Vec<Seen>], traces: &[simcomm::Trace], s: usize) -> bool {
+/// The particles of every rank dealt out as [`Step::Skewed`] says: rank 0
+/// takes all but two per other rank (in the order of their ids) into the
+/// upper octant, every other rank two into the lower one.
+fn skewed(
+    comm: &mut Comm,
+    bbox: &SystemBox,
+    pos: &[Vec3],
+    charge: &[f64],
+    id: &[u64],
+) -> (Vec<Vec3>, Vec<f64>, Vec<u64>) {
+    let mine: Vec<(u64, Vec3, f64)> = (0..id.len()).map(|i| (id[i], pos[i], charge[i])).collect();
+    let mut all: Vec<(u64, Vec3, f64)> = comm.allgather(mine).into_iter().flatten().collect();
+    all.sort_by_key(|&(i, _, _)| i);
+    let (me, p) = (comm.rank(), comm.size());
+    let first = all.len() - 2 * (p - 1);
+    let share = if me == 0 { 0..first } else { first + 2 * (me - 1)..first + 2 * me };
+    let half = if me == 0 { 0.5 } else { 0.0 };
+    let squeeze = |x: Vec3| {
+        let at = |d: usize| bbox.offset[d] + half * bbox.lengths[d] + 0.5 * (x[d] - bbox.offset[d]);
+        Vec3::new(at(0), at(1), at(2))
+    };
+    let mut out = (Vec::new(), Vec::new(), Vec::new());
+    for &(i, x, q) in &all[share] {
+        out.0.push(squeeze(x));
+        out.1.push(q);
+        out.2.push(i);
+    }
+    out
+}
+
+/// Whether any rank's step `s` ran an all-to-all-v in `phase`, which its
+/// hint ruled out: the P2NFFT's collective redistribution (`sort`), or the
+/// exchange of the partition sort the FMM's capped merge sort fell back to
+/// (`sort:exchange`).
+fn fell_back(ranks: &[Vec<Seen>], traces: &[simcomm::Trace], s: usize, phase: &str) -> bool {
     ranks.iter().zip(traces).any(|(seen, trace)| {
         let end = seen.get(s + 1).map_or(f64::INFINITY, |next| next.start);
         let during = trace.events.iter().filter(|e| e.t_start >= seen[s].start && e.t_start < end);
-        during.into_iter().any(|e| e.phase == "sort" && e.kind == TraceKind::Alltoallv)
+        during.into_iter().any(|e| e.phase == phase && e.kind == TraceKind::Alltoallv)
     })
 }
 
 #[test]
 fn every_resort_follows_the_resort_indices() {
-    let lying = STEPS.iter().position(|&s| s == Step::Lying).expect("a lying step");
+    let at = |step: Step| STEPS.iter().position(|&s| s == step).expect("a step of that kind");
+    let lies = [at(Step::Lying), at(Step::Skewed)];
     for kind in [SolverKind::Fmm, SolverKind::P2Nfft, SolverKind::Ewald] {
-        let mut fallbacks = Vec::new();
+        let phase = if kind == SolverKind::Fmm { "sort:exchange" } else { "sort" };
+        let mut fallbacks = [Vec::new(), Vec::new()];
         for p in PS {
             let (ranks, traces) = world(kind, p);
             for seen in &ranks {
@@ -253,16 +298,21 @@ fn every_resort_follows_the_resort_indices() {
                     assert!(seen.iter().all(|s| s.quiet == s.resorted), "{kind:?} p={p}");
                 }
             }
-            if kind == SolverKind::P2Nfft && fell_back(&ranks, &traces, lying) {
-                fallbacks.push(p);
+            for (worlds, &s) in fallbacks.iter_mut().zip(&lies) {
+                if fell_back(&ranks, &traces, s, phase) {
+                    worlds.push(p);
+                }
             }
         }
-        // The P2NFFT's guard falls back wherever half the box is more than
-        // a neighbour away. (The FMM's guard trips on a cleanup-round cap
-        // that `fcs` does not set; its lying step runs the merge network to
-        // the end, and `crates/fmm/tests/quiet_step.rs` covers the fallback.)
-        if kind == SolverKind::P2Nfft {
-            assert_eq!(fallbacks, [5, 64], "{kind:?}: the worlds whose guard fell back");
-        }
+        // The P2NFFT's guard falls back wherever a particle lands more than
+        // a neighbour away. The FMM's falls back where the merge cleanup
+        // needs more than `2 + ceil(log2 p)` rounds: never after a shift by
+        // half the box, but after the skew from 27 ranks on.
+        let want: [&[usize]; 2] = match kind {
+            SolverKind::Fmm => [&[], &[27, 64]],
+            SolverKind::P2Nfft => [&[5, 64], &[5, 64]],
+            SolverKind::Ewald => [&[], &[]],
+        };
+        assert_eq!(fallbacks, want, "{kind:?}: the worlds whose guard fell back");
     }
 }

@@ -317,25 +317,27 @@ mod tests {
     #[test]
     fn movement_guard_falls_back_to_partition_sort_on_lying_hint() {
         use simcomm::{FaultPlan, Runner};
-        // Rank 0 holds particles spread over the whole box; the others hold a
-        // few particles near the origin. The data is badly out of Z order, so
-        // a *tiny* movement hint is a lie — the honest decision would have
-        // been the partition sort. The guard (active only on fault-injected
-        // worlds) must cap the degenerating merge cleanup, fall back to the
-        // partition sort, and produce output identical to a run that chose
-        // the partition sort up front.
-        let p = 4;
+        // Rank 0 holds 200 particles spread over the upper octant of the box;
+        // every other rank holds two in the lower octant. Rank 0's keys lie
+        // above all others', so a *tiny* movement hint is a lie — the honest
+        // decision would have been the partition sort — and the merge
+        // network's cleanup needs about as many rounds as there are ranks.
+        // The guard (active only on fault-injected worlds) must cap it at
+        // `2 + ceil(log2 p)` rounds, fall back to the partition sort, and
+        // produce output identical to a run that chose the partition sort
+        // up front.
         let bbox = particles::SystemBox::new(Vec3::ZERO, Vec3::splat(8.0), [false; 3]);
-        let local = move |me: usize| -> (Vec<Vec3>, Vec<f64>, Vec<u64>) {
+        let local = move |me: usize, p: usize| -> (Vec<Vec3>, Vec<f64>, Vec<u64>) {
             if me == 0 {
-                let n = 48u64;
+                let n = 200u64;
                 let pos: Vec<Vec3> = (0..n)
                     .map(|i| {
                         let s = |k: u64| {
                             (k.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 11) as f64
                                 / (1u64 << 53) as f64
                         };
-                        Vec3::new(8.0 * s(i * 3 + 1), 8.0 * s(i * 3 + 2), 8.0 * s(i * 3 + 3))
+                        let c = |k: u64| 4.0 + 4.0 * s(k);
+                        Vec3::new(c(i * 3 + 1), c(i * 3 + 2), c(i * 3 + 3))
                     })
                     .collect();
                 let charge: Vec<f64> =
@@ -343,81 +345,80 @@ mod tests {
                 let id: Vec<u64> = (0..n).collect();
                 (pos, charge, id)
             } else {
-                let pos: Vec<Vec3> =
-                    (0..2).map(|i| Vec3::splat(0.1 + 0.05 * (me * 2 + i) as f64)).collect();
+                let at = |i: usize| 0.1 + 3.8 * (me * 2 + i) as f64 / (2 * p) as f64;
+                let pos: Vec<Vec3> = (0..2).map(|i| Vec3::splat(at(i))).collect();
                 let charge = vec![1.0, -1.0];
-                let id = vec![100 + me as u64 * 2, 101 + me as u64 * 2];
+                let id = vec![1000 + me as u64 * 2, 1001 + me as u64 * 2];
                 (pos, charge, id)
             }
         };
         let cfg = || FmmConfig { order: 2, level: 2, soft_core: None };
-        // Reference: the same data sorted by the general partition sort
-        // (no movement hint) on a clean world.
-        let reference = run(p, MachineModel::ideal(), move |comm| {
-            let (pos, charge, id) = local(comm.rank());
-            let mut solver = FmmSolver::new(bbox, cfg());
-            let o =
-                solver.run(comm, &pos, &charge, &id, RedistMethod::UseChanged, None, usize::MAX);
-            assert!(!solver.last_report.used_merge_sort);
-            (o.id, o.potential)
-        })
-        .results;
-        // A fault-active plan with no comm-level injections: the guard
-        // engages, nothing else changes.
-        let plan =
-            FaultPlan { seed: 7, hint_lie_prob: 1.0, hint_lie_factor: 1e-3, ..FaultPlan::none() };
-        let guarded = Runner::default().faulted(plan).run(p, MachineModel::ideal(), move |comm| {
-            let (pos, charge, id) = local(comm.rank());
-            let mut solver = FmmSolver::new(bbox, cfg());
-            solver.set_guard_cleanup_cap(Some(0));
-            let o = solver.run(
-                comm,
-                &pos,
-                &charge,
-                &id,
-                RedistMethod::UseChanged,
-                Some(1e-9), // the lie: real displacement is the whole box
-                usize::MAX,
-            );
-            assert!(solver.last_report.used_merge_sort, "the lying hint selects the merge path");
+        for p in [27, 64] {
+            // Reference: the same data sorted by the general partition sort
+            // (no movement hint) on a clean world.
+            let reference = run(p, MachineModel::ideal(), move |comm| {
+                let (pos, charge, id) = local(comm.rank(), p);
+                let mut solver = FmmSolver::new(bbox, cfg());
+                let o = solver.run(
+                    comm,
+                    &pos,
+                    &charge,
+                    &id,
+                    RedistMethod::UseChanged,
+                    None,
+                    usize::MAX,
+                );
+                assert!(!solver.last_report.used_merge_sort);
+                (o.id, o.potential)
+            })
+            .results;
+            // A fault-active plan with no comm-level injections: the guard
+            // engages, nothing else changes.
+            let plan = FaultPlan {
+                seed: 7,
+                hint_lie_prob: 1.0,
+                hint_lie_factor: 1e-3,
+                ..FaultPlan::none()
+            };
+            let lying = move |comm: &mut simcomm::Comm| {
+                let (pos, charge, id) = local(comm.rank(), p);
+                let mut solver = FmmSolver::new(bbox, cfg());
+                let o = solver.run(
+                    comm,
+                    &pos,
+                    &charge,
+                    &id,
+                    RedistMethod::UseChanged,
+                    Some(1e-9), // the lie: rank 0's particles belong far away
+                    usize::MAX,
+                );
+                assert!(
+                    solver.last_report.used_merge_sort,
+                    "p {p}: the lie selects the merge path"
+                );
+                let fell_back = solver.last_report.movement_guard_fallback;
+                assert_eq!(solver.guard_fallbacks, u64::from(fell_back), "p {p}");
+                (fell_back, (o.id, o.potential))
+            };
+            let guarded = Runner::default().faulted(plan).run(p, MachineModel::ideal(), lying);
             assert!(
-                solver.last_report.movement_guard_fallback,
-                "the guard must detect the violated bound and fall back"
+                guarded.results.iter().all(|(fell_back, _)| *fell_back),
+                "p {p}: the guard must detect the violated bound and fall back"
             );
-            assert_eq!(solver.guard_fallbacks, 1);
-            (o.id, o.potential)
-        });
-        assert_eq!(
-            guarded.results, reference,
-            "fallback output must match the up-front partition sort"
-        );
-        // On a clean world the guard stays disengaged: the same lying hint
-        // runs the merge path to completion (slowly, but correctly).
-        let clean = run(p, MachineModel::ideal(), move |comm| {
-            let (pos, charge, id) = local(comm.rank());
-            let mut solver = FmmSolver::new(bbox, cfg());
-            solver.set_guard_cleanup_cap(Some(0));
-            let o = solver.run(
-                comm,
-                &pos,
-                &charge,
-                &id,
-                RedistMethod::UseChanged,
-                Some(1e-9),
-                usize::MAX,
-            );
-            assert!(!solver.last_report.movement_guard_fallback);
-            assert_eq!(solver.guard_fallbacks, 0);
-            (o.id, o.potential)
-        })
-        .results;
-        // Same particle set, so the total energy agrees regardless of path.
-        let energy = |rows: &Vec<(Vec<u64>, Vec<f64>)>| -> f64 {
-            rows.iter().flat_map(|(_, pot)| pot.iter()).sum()
-        };
-        assert!(
-            (energy(&clean) - energy(&reference)).abs() < 1e-9 * energy(&reference).abs().max(1.0)
-        );
+            let guarded: Vec<_> = guarded.results.into_iter().map(|(_, o)| o).collect();
+            assert_eq!(guarded, reference, "p {p}: fallback output must match the partition sort");
+            // On a clean world the guard stays disengaged: the same lying
+            // hint runs the merge path to completion (slowly, but correctly).
+            let clean = run(p, MachineModel::ideal(), lying).results;
+            assert!(clean.iter().all(|(fell_back, _)| !fell_back), "p {p}: no guard, no fallback");
+            // Same particle set, so the total energy agrees regardless of path.
+            let energy = |rows: &[(Vec<u64>, Vec<f64>)]| -> f64 {
+                rows.iter().flat_map(|(_, pot)| pot.iter()).sum()
+            };
+            let clean: Vec<_> = clean.into_iter().map(|(_, o)| o).collect();
+            let (e, e_ref) = (energy(&clean), energy(&reference));
+            assert!((e - e_ref).abs() < 1e-9 * e_ref.abs().max(1.0), "p {p}");
+        }
     }
 
     #[test]

@@ -232,9 +232,6 @@ pub struct FmmSolver {
     /// When set, `compute_fields` hands over to the oracle's version.
     #[cfg(test)]
     oracle: Option<oracle::Oracle>,
-    /// Override for the movement-bound guard's cleanup-round cap
-    /// (`None` = `2 + ceil(log2 p)` at run time).
-    guard_cleanup_cap: Option<u64>,
     /// Probe schedule recorded by the previous merge-based sort, if clean.
     sort_plan: Option<SortPlan>,
     /// Routes of the remote multipoles, kept while the tree repeats.
@@ -280,7 +277,6 @@ impl FmmSolver {
             far,
             #[cfg(test)]
             oracle: None,
-            guard_cleanup_cap: None,
             sort_plan: None,
             let_plan: LetPlan::default(),
             resort_plan: None,
@@ -295,16 +291,6 @@ impl FmmSolver {
     /// The solver's configuration.
     pub fn config(&self) -> &FmmConfig {
         &self.cfg
-    }
-
-    /// Override the movement-bound guard's cleanup-round cap (`None`, the
-    /// default, uses `2 + ceil(log2 p)`). A tighter cap makes the guard more
-    /// eager to abandon a degenerating merge sort for the general partition
-    /// sort; `Some(0)` falls back on *any* input the merge network leaves
-    /// globally unsorted. Only consulted on fault-injected worlds, and must
-    /// be set identically on every rank (the cap decision is collective).
-    pub fn set_guard_cleanup_cap(&mut self, cap: Option<u64>) {
-        self.guard_cleanup_cap = cap;
     }
 
     /// Drop all cached cross-timestep planning state (the recorded merge-sort
@@ -405,16 +391,16 @@ impl FmmSolver {
             let had_prior = prior.is_some();
             // Movement-bound guard (fault-injected worlds only): if the hint
             // under-reported the real displacement, merge-exchange cleanup can
-            // degenerate into a full O(p)-round transposition. Cap it and keep
-            // a pristine copy of the input so a capped-out sort falls back to
-            // the general partition sort below. `fault_active` and `p` are
-            // global, so the guard engages collectively; inert fault plans
-            // take the uncapped path with no backup — bit-for-bit the
-            // unguarded behaviour.
+            // degenerate into a full O(p)-round transposition. Cap it at
+            // `2 + ceil(log2 p)` rounds and keep a pristine copy of the input
+            // so a capped-out sort falls back to the general partition sort
+            // below. `fault_active` and `p` are global, so the guard engages
+            // collectively; inert fault plans take the uncapped path with no
+            // backup — bit-for-bit the unguarded behaviour.
             let guarded = comm.fault_active();
             let backup = guarded.then(|| (keys.clone(), recs.clone()));
             let (k, r, rep, next) = if guarded {
-                let cap = self.guard_cleanup_cap.unwrap_or(2 + (p as f64).log2().ceil() as u64);
+                let cap = 2 + (p as f64).log2().ceil() as u64;
                 merge_exchange_sort_by_key_capped(comm, keys, recs, prior.as_ref(), cap)
             } else {
                 merge_exchange_sort_by_key_planned(comm, keys, recs, prior.as_ref())

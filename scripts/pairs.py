@@ -46,6 +46,7 @@ pair, or if a declared one is worse in any pair.
 """
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -72,6 +73,17 @@ def run_once(binary, workload, seed, seconds):
     if not ok:
         sys.exit(f"pairs.py: {' '.join(cmd)}: exit {proc.returncode}, result {lines[-1]}")
     return values, lines[-1]
+
+
+def executable(side, path):
+    """The absolute path of a benchmark binary (a bare name is one in the
+    current directory). A path that is no executable file ends the script
+    with exit 2, before the first run."""
+    binary = pathlib.Path(path).resolve()
+    if not (binary.is_file() and os.access(binary, os.X_OK)):
+        print(f"pairs.py: the {side} binary {path} is not an executable file", file=sys.stderr)
+        sys.exit(2)
+    return str(binary)
 
 
 def quartiles(values):
@@ -117,7 +129,7 @@ def main():
         except ValueError:
             ap.error("--claim is workload:metric:ratio, the workload one of those run")
 
-    binaries = {"parent": args.parent, "change": args.change}
+    binaries = {side: executable(side, getattr(args, side)) for side in ("parent", "change")}
     # runs[workload][side][metric] = one value per pair
     runs = {w: {s: {m: [] for m in BETTER} for s in binaries} for w in workloads}
     for workload in workloads:
